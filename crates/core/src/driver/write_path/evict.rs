@@ -2,6 +2,8 @@
 //! pool limit after materialization (stage 7 — actual sizes can exceed the
 //! estimates selection used), and the §11 fragment-merging maintenance pass.
 
+use std::sync::Arc;
+
 use deepsea_engine::exec::ExecError;
 use deepsea_obs::{DecisionEvent, PhiBreakdown};
 use deepsea_relation::Table;
@@ -280,7 +282,7 @@ impl DeepSea {
             // mid-merge must never produce a partial union. On a permanent
             // loss (or exhausted retries) the view is quarantined and the
             // merge skipped; the wasted backoff is still charged.
-            let mut rows = Vec::new();
+            let mut halves: Vec<Arc<Table>> = Vec::with_capacity(2);
             let mut read_bytes = 0;
             let mut bpr = 1;
             let mut charge = CreationCharge::default();
@@ -290,7 +292,7 @@ impl DeepSea {
                     Ok((payload, bytes)) => {
                         read_bytes += bytes;
                         bpr = bpr.max(payload.bytes_per_row);
-                        rows.extend(payload.rows.iter().cloned());
+                        halves.push(payload);
                     }
                     Err(_) => {
                         lost = true;
@@ -303,7 +305,9 @@ impl DeepSea {
                 secs += charge.penalty_secs;
                 continue;
             }
-            let merged_table = Table::new(schema, rows, bpr);
+            let parts: Vec<(&Table, Option<&[u32]>)> =
+                halves.iter().map(|t| (&**t, None)).collect();
+            let merged_table = Table::concat(schema, &parts, bpr);
             let size = merged_table.sim_bytes();
             let (new_file, new_nodes) = self.create_placed(
                 format!("{name}.{attr}{}", cand.merged),

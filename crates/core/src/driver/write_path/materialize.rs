@@ -27,6 +27,14 @@ use super::super::DeepSea;
 /// A materialized source fragment: id, interval, file, size.
 type SourceFrag = (FragmentId, Interval, FileId, u64);
 
+/// Split `table`'s rows among `intervals` (ascending and disjoint, as every
+/// partition layout is) by the integer column `col`: one selection vector
+/// per interval. Rows with a NULL or uncovered value go to none.
+fn partition_rows(table: &Table, col: usize, intervals: &[Interval]) -> Vec<Vec<u32>> {
+    let ranges: Vec<(i64, i64)> = intervals.iter().map(|iv| (iv.lo, iv.hi)).collect();
+    table.column(col).int_partition_rows(&ranges)
+}
+
 impl DeepSea {
     /// Materialize everything selection planned, accumulating the I/O into
     /// `ctx.charge` and the written names into `ctx.materialized`.
@@ -143,17 +151,10 @@ impl DeepSea {
                 let col_idx = schema
                     .index_of(&attr)
                     .ok_or_else(|| ExecError::UnknownColumn(attr.clone()))?;
-                for iv in &intervals {
-                    let rows: Vec<_> = table
-                        .rows
-                        .iter()
-                        .filter(|r| match r[col_idx].as_int() {
-                            Some(v) => iv.contains_point(v),
-                            None => false,
-                        })
-                        .cloned()
-                        .collect();
-                    let frag_table = Table::new(schema.clone(), rows, table.bytes_per_row);
+                // One pass routes every row to its fragment.
+                let parts = partition_rows(&table, col_idx, &intervals);
+                for (iv, rows) in intervals.iter().zip(&parts) {
+                    let frag_table = table.take(rows);
                     let size = frag_table.sim_bytes();
                     let (file, nodes) = self.create_placed(
                         format!("{name}.{attr}{iv}"),
@@ -246,8 +247,8 @@ impl DeepSea {
         let intervals = match self.config.partition_policy {
             PartitionPolicy::EquiDepth { fragments } => {
                 let col = table.schema.index_of(&ps.attr)?;
-                let mut values: Vec<i64> =
-                    table.rows.iter().filter_map(|r| r[col].as_int()).collect();
+                let col = table.column(col);
+                let mut values: Vec<i64> = (0..table.len()).filter_map(|i| col.int_at(i)).collect();
                 values.sort_unstable();
                 equi_depth_intervals(&values, fragments, &ps.domain)
             }
@@ -333,7 +334,7 @@ impl DeepSea {
         // Every fallible read happens before any create: a fragment lost
         // mid-repartition must surface as an error with *nothing* written,
         // never as a silently incomplete fragment.
-        let mut rows = Vec::new();
+        let mut taken: Vec<Vec<u32>> = Vec::new();
         let mut next_lo = target.lo;
         let mut source_tables = Vec::new();
         for fid2 in &cover {
@@ -346,14 +347,8 @@ impl DeepSea {
                 .map_err(ExecError::from)?;
             charge.read_bytes += bytes;
             let take = Interval::new(next_lo.max(target.lo), iv.hi.min(target.hi));
-            for r in &payload.rows {
-                if let Some(v) = r[col_idx].as_int() {
-                    if take.contains_point(v) {
-                        rows.push(r.clone());
-                    }
-                }
-            }
-            source_tables.push((*fid2, Arc::clone(&payload)));
+            taken.push(payload.column(col_idx).int_range_rows(take.lo, take.hi));
+            source_tables.push((*fid2, payload));
             next_lo = iv.hi + 1;
             if next_lo > target.hi {
                 break;
@@ -393,7 +388,12 @@ impl DeepSea {
             .map(|(_, t)| t.bytes_per_row)
             .unwrap_or(1);
         let replicas = self.replicas_for(vid);
-        let frag_table = Table::new(schema.clone(), rows, bytes_per_row);
+        let parts: Vec<(&Table, Option<&[u32]>)> = source_tables
+            .iter()
+            .zip(&taken)
+            .map(|((_, t), rows)| (&**t, Some(rows.as_slice())))
+            .collect();
+        let frag_table = Table::concat(schema.clone(), &parts, bytes_per_row);
         let new_size = frag_table.sim_bytes();
         let (new_file, new_nodes) = self.create_placed(
             format!("{name}.{attr}{target}"),
@@ -436,14 +436,13 @@ impl DeepSea {
                 .map(|(_, t)| Arc::clone(t))
                 .or_else(|| extra_payloads.get(sid).cloned())
                 .expect("invariant: every split source was read above");
-            for piece in pieces {
-                let rows: Vec<_> = payload
-                    .rows
-                    .iter()
-                    .filter(|r| r[col_idx].as_int().is_some_and(|v| piece.contains_point(v)))
-                    .cloned()
-                    .collect();
-                let t = Table::new(schema.clone(), rows, payload.bytes_per_row);
+            let parts = partition_rows(&payload, col_idx, &pieces);
+            for (piece, rows) in pieces.into_iter().zip(&parts) {
+                let t = Table::concat(
+                    schema.clone(),
+                    &[(&*payload, Some(rows.as_slice()))],
+                    payload.bytes_per_row,
+                );
                 let size = t.sim_bytes();
                 let (file, nodes) = self.create_placed(
                     format!("{name}.{attr}{piece}"),
@@ -587,17 +586,7 @@ impl DeepSea {
             return Ok(None);
         };
         let full_size = table.sim_bytes();
-        let rows: Vec<_> = table
-            .rows
-            .iter()
-            .filter(|r| {
-                r[col_idx]
-                    .as_int()
-                    .is_some_and(|v| target.contains_point(v))
-            })
-            .cloned()
-            .collect();
-        let frag_table = Table::new(schema.clone(), rows, table.bytes_per_row);
+        let frag_table = table.take(&table.column(col_idx).int_range_rows(target.lo, target.hi));
         let size = frag_table.sim_bytes();
         let mut charge = CreationCharge {
             write_bytes: size,

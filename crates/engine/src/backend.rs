@@ -496,7 +496,7 @@ mod tests {
             FaultInjector::new(cfg),
         );
         let schema = Schema::new(vec![Field::new("v.a", DataType::Int)]);
-        let frag = Table::new(schema.clone(), vec![vec![Value::Int(1)]], 500);
+        let frag = Table::from_rows(schema.clone(), vec![vec![Value::Int(1)]], 500);
         let (id, _) = fs.create("frag", frag.sim_bytes(), frag);
         let plan = LogicalPlan::ViewScan(crate::plan::ViewScanInfo {
             view_name: "v".into(),
@@ -576,7 +576,7 @@ mod tests {
             NodeSet::new(NodeConfig::new(2, 1)),
         );
         let schema = Schema::new(vec![Field::new("v.a", DataType::Int)]);
-        let frag = Table::new(schema.clone(), vec![vec![Value::Int(1)]], 500);
+        let frag = Table::from_rows(schema.clone(), vec![vec![Value::Int(1)]], 500);
         let out = fs
             .try_create_placed("frag", frag.sim_bytes(), frag, &[NodeId(0)])
             .expect("no faults");

@@ -14,10 +14,19 @@ pub struct ColumnStats {
     pub max: i64,
 }
 
+/// A registered table and the per-column statistics taken when it was
+/// registered (tables are immutable behind their `Arc`, so they stay true).
+#[derive(Debug, Clone)]
+struct Entry {
+    table: Arc<Table>,
+    /// Integer min/max of each column, in schema order.
+    stats: Vec<Option<ColumnStats>>,
+}
+
 /// Named base tables plus lightweight statistics.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
-    tables: BTreeMap<String, Arc<Table>>,
+    tables: BTreeMap<String, Entry>,
 }
 
 impl Catalog {
@@ -26,33 +35,40 @@ impl Catalog {
         Self::default()
     }
 
-    /// Register a table under `name`.
+    /// Register a table under `name`, scanning its columns once for the
+    /// statistics [`Catalog::column_stats`] serves.
     pub fn register(&mut self, name: impl Into<String>, table: Table) {
-        self.tables.insert(name.into(), Arc::new(table));
+        let stats = (0..table.schema.len())
+            .map(|c| {
+                table
+                    .int_min_max(c)
+                    .map(|(min, max)| ColumnStats { min, max })
+            })
+            .collect();
+        let table = Arc::new(table);
+        self.tables.insert(name.into(), Entry { table, stats });
     }
 
     /// Look up a table.
     pub fn get(&self, name: &str) -> Option<&Arc<Table>> {
-        self.tables.get(name)
+        self.tables.get(name).map(|e| &e.table)
     }
 
     /// Iterate over `(name, table)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Arc<Table>)> {
-        self.tables.iter().map(|(n, t)| (n.as_str(), t))
+        self.tables.iter().map(|(n, e)| (n.as_str(), &e.table))
     }
 
     /// Total simulated bytes across all base tables (the paper expresses pool
     /// sizes as a percentage of this).
     pub fn total_base_bytes(&self) -> u64 {
-        self.tables.values().map(|t| t.sim_bytes()).sum()
+        self.tables.values().map(|e| e.table.sim_bytes()).sum()
     }
 
-    /// Integer min/max stats for `table.column`, if computable.
+    /// Integer min/max stats for `table.column`, if it has integer values.
     pub fn column_stats(&self, table: &str, column: &str) -> Option<ColumnStats> {
-        let t = self.tables.get(table)?;
-        let idx = t.schema.index_of(column)?;
-        let (min, max) = t.int_min_max(idx)?;
-        Some(ColumnStats { min, max })
+        let e = self.tables.get(table)?;
+        e.stats[e.table.schema.index_of(column)?]
     }
 }
 
@@ -63,7 +79,7 @@ mod tests {
 
     fn table() -> Table {
         let schema = Schema::new(vec![Field::new("t.a", DataType::Int)]);
-        Table::new(schema, vec![vec![Value::Int(5)], vec![Value::Int(-1)]], 100)
+        Table::from_rows(schema, vec![vec![Value::Int(5)], vec![Value::Int(-1)]], 100)
     }
 
     #[test]

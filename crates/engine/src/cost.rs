@@ -228,7 +228,7 @@ mod tests {
         let rows: Vec<Vec<Value>> = (0..100)
             .map(|i| vec![Value::Int(i), Value::Float(i as f64)])
             .collect();
-        let t = Table::new(
+        let t = Table::from_rows(
             Schema::new(vec![
                 Field::new("t.k", DataType::Int),
                 Field::new("t.v", DataType::Float),

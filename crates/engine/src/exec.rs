@@ -4,13 +4,21 @@
 //! can be validated for correctness) while accounting all *simulated* I/O —
 //! bytes read/written, map tasks, shuffle volume — which the cluster
 //! simulator turns into elapsed seconds.
+//!
+//! Execution is columnar and batch-at-a-time: an operator's output is a
+//! [`Batch`] of shared typed columns plus `u32` index vectors saying which
+//! of their rows it holds. A selection yields a selection vector, a join
+//! `(left, right)` index pairs, an aggregate reads only its key and argument
+//! columns through those indices; column values are copied once, when the
+//! final batch becomes a [`Table`]. What the simulator charges — bytes,
+//! tasks, stages, rows — and the order of output rows do not depend on any
+//! of this (DESIGN.md, "Execution model").
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
-use deepsea_relation::row::row_width;
-use deepsea_relation::{DataType, Field, Row, Schema, Table, Value};
+use deepsea_relation::{Column, ColumnData, DataType, Field, Predicate, Schema, Table, Value};
 use deepsea_storage::{FileId, IoError, SimFs};
 
 use crate::catalog::Catalog;
@@ -127,50 +135,149 @@ impl std::error::Error for ExecError {
     }
 }
 
-/// Intermediate result: schema + rows + the simulated width of one row.
-struct Out {
+/// Row indices into a column; the rows of a batch or of one join side.
+type Rows = Arc<Vec<u32>>;
+
+/// One column of a [`Batch`]: shared values and, when the batch holds only
+/// some of them (or some twice, after a join), which. Row `r` of the batch
+/// is `data[idx[r]]`, or `data[r]` without an index.
+#[derive(Clone)]
+struct Col {
+    data: Arc<Column>,
+    idx: Option<Rows>,
+}
+
+impl Col {
+    /// Position in `data` of batch row `r`.
+    #[inline]
+    fn phys(&self, r: usize) -> usize {
+        match &self.idx {
+            Some(ix) => ix[r] as usize,
+            None => r,
+        }
+    }
+
+    /// `f(r, x)` for every batch row `r < n` with a non-NULL number `x`
+    /// (integers coerced), in row order. Strings are not numbers.
+    fn for_each_float(&self, n: usize, mut f: impl FnMut(usize, f64)) {
+        let rows = (0..n).map(|r| (r, self.phys(r)));
+        match self.data.data() {
+            ColumnData::Int(v) => rows
+                .filter(|&(_, p)| !self.data.is_null(p))
+                .for_each(|(r, p)| f(r, v[p] as f64)),
+            ColumnData::Float(v) => rows
+                .filter(|&(_, p)| !self.data.is_null(p))
+                .for_each(|(r, p)| f(r, v[p])),
+            ColumnData::Str(_) => {}
+        }
+    }
+}
+
+/// Intermediate result: a schema, one [`Col`] per field, and the simulated
+/// width of one row. Operators pass columns on by reference count and
+/// describe their output with index vectors; values are copied once, in
+/// [`Batch::into_table`].
+struct Batch {
     schema: Schema,
-    rows: Rows,
+    cols: Vec<Col>,
+    len: usize,
     bytes_per_row: u64,
 }
 
-enum Rows {
-    Shared(Arc<Table>),
-    Owned(Vec<Row>),
-}
-
-impl Out {
-    fn rows(&self) -> &[Row] {
-        match &self.rows {
-            Rows::Shared(t) => &t.rows,
-            Rows::Owned(v) => v,
+impl Batch {
+    fn new(schema: Schema, cols: Vec<Col>, len: usize, bytes_per_row: u64) -> Self {
+        assert!(
+            u32::try_from(len).is_ok(),
+            "batch rows are addressed by u32 indices"
+        );
+        Self {
+            schema,
+            cols,
+            len,
+            bytes_per_row,
         }
     }
 
-    fn len(&self) -> usize {
-        self.rows().len()
+    /// All of `table`'s rows, sharing its columns.
+    fn from_table(table: &Table, schema: Schema, bytes_per_row: u64) -> Self {
+        let cols = table
+            .columns()
+            .iter()
+            .map(|c| Col {
+                data: Arc::clone(c),
+                idx: None,
+            })
+            .collect();
+        Self::new(schema, cols, table.len(), bytes_per_row)
     }
 
     fn sim_bytes(&self) -> u64 {
-        self.len() as u64 * self.bytes_per_row
+        self.len as u64 * self.bytes_per_row
     }
 
+    /// The columns restricted to batch rows `sel`, in that order. Columns
+    /// that share an index vector share the composed one.
+    fn take(&self, sel: &Rows) -> Vec<Col> {
+        let mut composed: Vec<(&Rows, Rows)> = Vec::new();
+        self.cols
+            .iter()
+            .map(|c| {
+                let idx = match &c.idx {
+                    None => Arc::clone(sel),
+                    Some(old) => match composed.iter().find(|(o, _)| Arc::ptr_eq(o, old)) {
+                        Some((_, new)) => Arc::clone(new),
+                        None => {
+                            let new: Rows =
+                                Arc::new(sel.iter().map(|&s| old[s as usize]).collect());
+                            composed.push((old, Arc::clone(&new)));
+                            new
+                        }
+                    },
+                };
+                Col {
+                    data: Arc::clone(&c.data),
+                    idx: Some(idx),
+                }
+            })
+            .collect()
+    }
+
+    /// Materialize: un-indexed columns are shared, indexed ones gathered.
     fn into_table(self) -> Table {
-        match self.rows {
-            Rows::Shared(t) => Table::new(self.schema, t.rows.clone(), self.bytes_per_row),
-            Rows::Owned(v) => Table::new(self.schema, v, self.bytes_per_row),
-        }
+        let columns = self
+            .cols
+            .into_iter()
+            .map(|c| match c.idx {
+                None => c.data,
+                Some(ix) => Arc::new(c.data.gather(&ix)),
+            })
+            .collect();
+        Table::new(self.schema, columns, self.bytes_per_row)
     }
 }
 
-/// Average actual (in-memory serialized) row width, sampled.
-fn avg_actual_width(rows: &[Row]) -> f64 {
-    if rows.is_empty() {
+/// Average actual (in-memory serialized) row width, sampled over the first
+/// 128 rows.
+fn avg_actual_width(cols: &[Col], len: usize) -> f64 {
+    if len == 0 {
         return 8.0;
     }
-    let n = rows.len().min(128);
-    let total: u64 = rows[..n].iter().map(row_width).sum();
+    let n = len.min(128);
+    let total: u64 = cols
+        .iter()
+        .map(|c| (0..n).map(|r| c.data.width_at(c.phys(r))).sum::<u64>())
+        .sum();
     (total as f64 / n as f64).max(1.0)
+}
+
+/// Simulated width of rows derived from `child`: the same fraction of its
+/// simulated width as the derived rows keep of its actual width.
+fn scaled_width(child: &Batch, out: &[Col], out_len: usize) -> u64 {
+    let in_width = avg_actual_width(&child.cols, child.len);
+    let out_width = avg_actual_width(out, out_len);
+    ((child.bytes_per_row as f64) * (out_width / in_width))
+        .round()
+        .max(1.0) as u64
 }
 
 /// Execute `plan` against `catalog`, reading view fragments from `fs`.
@@ -190,7 +297,7 @@ fn run(
     catalog: &Catalog,
     fs: &SimFs<Table>,
     m: &mut ExecMetrics,
-) -> Result<Out, ExecError> {
+) -> Result<Batch, ExecError> {
     match plan {
         LogicalPlan::Scan { table } => {
             let t = catalog
@@ -200,14 +307,10 @@ fn run(
             m.map_tasks += fs.block_config().blocks_for(t.sim_bytes());
             m.stages += 1;
             m.rows_processed += t.len() as u64;
-            Ok(Out {
-                schema: t.schema.clone(),
-                bytes_per_row: t.bytes_per_row,
-                rows: Rows::Shared(Arc::clone(t)),
-            })
+            Ok(Batch::from_table(t, t.schema.clone(), t.bytes_per_row))
         }
         LogicalPlan::ViewScan(v) => {
-            let mut rows: Vec<Row> = Vec::new();
+            let mut parts: Vec<Arc<Table>> = Vec::with_capacity(v.files.len());
             let mut bpr = 8u64;
             for &fid in &v.files {
                 let out = fs.try_read(fid).map_err(ExecError::from)?;
@@ -217,33 +320,35 @@ fn run(
                 m.map_tasks += fs.block_config().blocks_for(bytes);
                 m.rows_processed += payload.len() as u64;
                 bpr = bpr.max(payload.bytes_per_row);
-                rows.extend(payload.rows.iter().cloned());
+                parts.push(payload);
             }
             m.stages += 1;
-            Ok(Out {
-                schema: v.schema.clone(),
-                rows: Rows::Owned(rows),
-                bytes_per_row: bpr,
+            // One fragment is shared as it is; several are concatenated.
+            Ok(match parts.as_slice() {
+                [one] => Batch::from_table(one, v.schema.clone(), bpr),
+                many => {
+                    let whole: Vec<(&Table, Option<&[u32]>)> =
+                        many.iter().map(|t| (&**t, None)).collect();
+                    let t = Table::concat(v.schema.clone(), &whole, bpr);
+                    Batch::from_table(&t, v.schema.clone(), bpr)
+                }
             })
         }
         LogicalPlan::Select { pred, input } => {
             let child = run(input, catalog, fs, m)?;
-            m.rows_processed += child.len() as u64;
-            let kept: Vec<Row> = child
-                .rows()
-                .iter()
-                .filter(|r| pred.eval(&child.schema, r))
-                .cloned()
-                .collect();
-            Ok(Out {
-                schema: child.schema,
-                bytes_per_row: child.bytes_per_row,
-                rows: Rows::Owned(kept),
+            m.rows_processed += child.len as u64;
+            Ok(match filter(&child, pred) {
+                None => child,
+                Some(sel) => {
+                    let sel: Rows = Arc::new(sel);
+                    let cols = child.take(&sel);
+                    Batch::new(child.schema, cols, sel.len(), child.bytes_per_row)
+                }
             })
         }
         LogicalPlan::Project { cols, input } => {
             let child = run(input, catalog, fs, m)?;
-            m.rows_processed += child.len() as u64;
+            m.rows_processed += child.len as u64;
             let names: Vec<&str> = cols.iter().map(String::as_str).collect();
             for n in &names {
                 if child.schema.index_of(n).is_none() {
@@ -251,23 +356,9 @@ fn run(
                 }
             }
             let (schema, idxs) = child.schema.project(&names);
-            let in_width = avg_actual_width(child.rows());
-            let rows: Vec<Row> = child
-                .rows()
-                .iter()
-                .map(|r| idxs.iter().map(|&i| r[i].clone()).collect())
-                .collect();
-            let out_width = avg_actual_width(&rows);
-            // Keep the simulated-bytes scale of the input: a projection keeps
-            // the same fraction of simulated width as of actual width.
-            let bpr = ((child.bytes_per_row as f64) * (out_width / in_width))
-                .round()
-                .max(1.0) as u64;
-            Ok(Out {
-                schema,
-                rows: Rows::Owned(rows),
-                bytes_per_row: bpr,
-            })
+            let out: Vec<Col> = idxs.iter().map(|&i| child.cols[i].clone()).collect();
+            let bpr = scaled_width(&child, &out, child.len);
+            Ok(Batch::new(schema, out, child.len, bpr))
         }
         LogicalPlan::Join { left, right, on } => {
             let l = run(left, catalog, fs, m)?;
@@ -275,7 +366,7 @@ fn run(
             // A repartition join shuffles both inputs.
             m.shuffle_bytes += l.sim_bytes() + r.sim_bytes();
             m.stages += 1;
-            m.rows_processed += (l.len() + r.len()) as u64;
+            m.rows_processed += (l.len + r.len) as u64;
 
             // Resolve join columns against the two input schemas; accept the
             // pairs in either order.
@@ -284,13 +375,13 @@ fn run(
             for (a, b) in on {
                 match (l.schema.index_of(a), r.schema.index_of(b)) {
                     (Some(ai), Some(bi)) => {
-                        lk.push(ai);
-                        rk.push(bi);
+                        lk.push(&l.cols[ai]);
+                        rk.push(&r.cols[bi]);
                     }
                     _ => match (l.schema.index_of(b), r.schema.index_of(a)) {
                         (Some(bi), Some(ai)) => {
-                            lk.push(bi);
-                            rk.push(ai);
+                            lk.push(&l.cols[bi]);
+                            rk.push(&r.cols[ai]);
                         }
                         _ => {
                             return Err(ExecError::UnknownColumn(format!("{a} = {b}")));
@@ -299,50 +390,29 @@ fn run(
                 }
             }
 
-            // Build on the smaller input.
-            let (build, probe, build_keys, probe_keys, build_is_left) = if l.len() <= r.len() {
-                (&l, &r, &lk, &rk, true)
+            // Build on the smaller input; the output follows the probe side
+            // scan, matches of one probe row in build order.
+            let build_is_left = l.len <= r.len;
+            let (build_rows, probe_rows) = if build_is_left {
+                join_pairs(&lk, l.len, &rk, r.len)
             } else {
-                (&r, &l, &rk, &lk, false)
+                join_pairs(&rk, r.len, &lk, l.len)
             };
-            // deepsea-lint: allow(hash_iter) -- join build table: probed per
-            // row, never iterated; output order follows the probe side scan.
-            let mut ht: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(build.len());
-            for (i, row) in build.rows().iter().enumerate() {
-                let key: Vec<Value> = build_keys.iter().map(|&k| row[k].clone()).collect();
-                if key.contains(&Value::Null) {
-                    continue; // NULL never joins
-                }
-                ht.entry(key).or_default().push(i);
-            }
-            let schema = l.schema.concat(&r.schema);
-            let mut rows: Vec<Row> = Vec::new();
-            for prow in probe.rows() {
-                let key: Vec<Value> = probe_keys.iter().map(|&k| prow[k].clone()).collect();
-                if key.contains(&Value::Null) {
-                    continue;
-                }
-                if let Some(idxs) = ht.get(&key) {
-                    for &bi in idxs {
-                        let brow = &build.rows()[bi];
-                        let mut out: Row = Vec::with_capacity(schema.len());
-                        if build_is_left {
-                            out.extend(brow.iter().cloned());
-                            out.extend(prow.iter().cloned());
-                        } else {
-                            out.extend(prow.iter().cloned());
-                            out.extend(brow.iter().cloned());
-                        }
-                        rows.push(out);
-                    }
-                }
-            }
-            m.rows_processed += rows.len() as u64;
-            Ok(Out {
-                schema,
-                rows: Rows::Owned(rows),
-                bytes_per_row: l.bytes_per_row + r.bytes_per_row,
-            })
+            let len = build_rows.len();
+            let (lrows, rrows) = if build_is_left {
+                (build_rows, probe_rows)
+            } else {
+                (probe_rows, build_rows)
+            };
+            let mut cols = l.take(&Arc::new(lrows));
+            cols.extend(r.take(&Arc::new(rrows)));
+            m.rows_processed += len as u64;
+            Ok(Batch::new(
+                l.schema.concat(&r.schema),
+                cols,
+                len,
+                l.bytes_per_row + r.bytes_per_row,
+            ))
         }
         LogicalPlan::Aggregate {
             group_by,
@@ -352,7 +422,7 @@ fn run(
             let child = run(input, catalog, fs, m)?;
             m.shuffle_bytes += child.sim_bytes();
             m.stages += 1;
-            m.rows_processed += child.len() as u64;
+            m.rows_processed += child.len as u64;
 
             let gidx: Vec<usize> = group_by
                 .iter()
@@ -375,31 +445,38 @@ fn run(
                 })
                 .collect::<Result<_, _>>()?;
 
-            // deepsea-lint: allow(hash_iter) -- aggregation states keyed by
-            // group; drained below into rows that are then sorted.
-            let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
-            for row in child.rows() {
-                let key: Vec<Value> = gidx.iter().map(|&i| row[i].clone()).collect();
-                let states = groups
-                    .entry(key)
-                    .or_insert_with(|| aggs.iter().map(|a| AggState::new(a.func)).collect());
-                for (s, idx) in states.iter_mut().zip(&aidx) {
-                    s.update(idx.map(|i| &row[i]));
-                }
-            }
-            // Global aggregation over empty input still yields one row.
-            if gidx.is_empty() && groups.is_empty() {
-                groups.insert(
-                    Vec::new(),
-                    aggs.iter().map(|a| AggState::new(a.func)).collect(),
+            let keys: Vec<&Col> = gidx.iter().map(|&i| &child.cols[i]).collect();
+            let groups = group_rows(&keys, child.len);
+            // Deterministic output order for reproducibility: groups sorted
+            // by key (NULL first), as `Value` orders them. Keys are distinct,
+            // so the order is total.
+            let mut order: Vec<u32> = (0..groups.first_row.len() as u32).collect();
+            order.sort_unstable_by(|&a, &b| {
+                let (ra, rb) = (
+                    groups.first_row[a as usize] as usize,
+                    groups.first_row[b as usize] as usize,
                 );
-            }
+                keys.iter()
+                    .map(|k| k.data.cmp_at(k.phys(ra), k.phys(rb)))
+                    .find(|o| o.is_ne())
+                    .unwrap_or(Ordering::Equal)
+            });
 
-            let mut fields: Vec<Field> = gidx
-                .iter()
-                .map(|&i| child.schema.field(i).clone())
-                .collect();
+            let mut fields: Vec<Field> = Vec::with_capacity(gidx.len() + aggs.len());
+            let mut out: Vec<Col> = Vec::with_capacity(gidx.len() + aggs.len());
+            for (&i, key) in gidx.iter().zip(&keys) {
+                let firsts: Vec<u32> = order
+                    .iter()
+                    .map(|&g| key.phys(groups.first_row[g as usize] as usize) as u32)
+                    .collect();
+                fields.push(child.schema.field(i).clone());
+                out.push(Col {
+                    data: Arc::new(key.data.gather(&firsts)),
+                    idx: None,
+                });
+            }
             for (a, idx) in aggs.iter().zip(&aidx) {
+                let arg = idx.map(|i| &child.cols[i]);
                 let dtype = match a.func {
                     AggFunc::Count => DataType::Int,
                     AggFunc::Sum | AggFunc::Avg => DataType::Float,
@@ -408,106 +485,461 @@ fn run(
                         .unwrap_or(DataType::Int),
                 };
                 fields.push(Field::new(a.alias.clone(), dtype));
+                out.push(Col {
+                    data: Arc::new(aggregate(a.func, arg, dtype, &groups, &order)),
+                    idx: None,
+                });
             }
-            let schema = Schema::new(fields);
-            // deepsea-lint: allow(hash_iter) -- hash order is erased by the
-            // `rows.sort_unstable()` below before anything observes the rows.
-            let mut rows: Vec<Row> = groups
-                .into_iter()
-                .map(|(key, states)| {
-                    let mut row = key;
-                    row.extend(states.into_iter().map(AggState::finish));
-                    row
-                })
-                .collect();
-            // Deterministic output order for reproducibility.
-            rows.sort_unstable();
-            m.rows_processed += rows.len() as u64;
-            let out_width = avg_actual_width(&rows);
+            m.rows_processed += order.len() as u64;
             // Aggregates produce compact rows; keep the input's scale factor.
-            let in_width = avg_actual_width(child.rows());
-            let bpr = ((child.bytes_per_row as f64) * (out_width / in_width))
-                .round()
-                .max(1.0) as u64;
-            Ok(Out {
-                schema,
-                rows: Rows::Owned(rows),
-                bytes_per_row: bpr,
+            let bpr = scaled_width(&child, &out, order.len());
+            Ok(Batch::new(Schema::new(fields), out, order.len(), bpr))
+        }
+    }
+}
+
+/// "No row": the end of a join chain, a group that saw no value.
+const NONE: u32 = u32::MAX;
+
+/// Rows of `batch` that satisfy `pred`, ascending; `None` when the predicate
+/// holds no condition, so every row passes. Each conjunct resolves its
+/// column once and narrows the selection of the one before. Unknown columns,
+/// NULLs and values that cannot equal the condition's make a conjunct false
+/// (SQL three-valued logic collapsed to false at the top level), exactly as
+/// [`Predicate::eval`] defines it row by row.
+fn filter(batch: &Batch, pred: &Predicate) -> Option<Vec<u32>> {
+    let mut sel: Option<Vec<u32>> = None;
+    for conjunct in pred.conjuncts() {
+        sel = Some(conjunct_rows(batch, conjunct, sel));
+    }
+    sel
+}
+
+/// The rows of `sel` (all rows when `None`) that satisfy one condition.
+fn conjunct_rows(batch: &Batch, conjunct: &Predicate, sel: Option<Vec<u32>>) -> Vec<u32> {
+    let (name, value) = match conjunct {
+        Predicate::Range { col, .. } => (col, None),
+        Predicate::Eq { col, value } => (col, Some(value)),
+        // `conjuncts` flattens `And` and drops `True`: nothing to narrow by.
+        Predicate::True | Predicate::And(_) => {
+            return sel.unwrap_or_else(|| (0..batch.len as u32).collect())
+        }
+    };
+    let Some(c) = batch.schema.index_of(name).map(|i| &batch.cols[i]) else {
+        return Vec::new();
+    };
+    let n = batch.len;
+    match (conjunct, c.data.data(), value) {
+        (Predicate::Range { low, high, .. }, ColumnData::Int(v), _) => {
+            keep(n, sel, c, |p| *low <= v[p] && v[p] <= *high)
+        }
+        (_, ColumnData::Int(v), Some(Value::Int(x))) => keep(n, sel, c, |p| v[p] == *x),
+        (_, ColumnData::Int(v), Some(Value::Float(x))) => {
+            keep(n, sel, c, |p| (v[p] as f64).total_cmp(x).is_eq())
+        }
+        (_, ColumnData::Float(v), Some(Value::Int(x))) => {
+            keep(n, sel, c, |p| v[p].total_cmp(&(*x as f64)).is_eq())
+        }
+        (_, ColumnData::Float(v), Some(Value::Float(x))) => {
+            keep(n, sel, c, |p| v[p].total_cmp(x).is_eq())
+        }
+        (_, ColumnData::Str(v), Some(Value::Str(x))) => keep(n, sel, c, |p| *v[p] == **x),
+        // A range over a non-integer column, or a value of another kind
+        // than the column's (NULL included), matches nothing.
+        _ => Vec::new(),
+    }
+}
+
+/// The rows of `sel` (of `0..len` when `None`) whose value in `col` is not
+/// NULL and passes `test`, which is given the value's position.
+fn keep(len: usize, sel: Option<Vec<u32>>, col: &Col, test: impl Fn(usize) -> bool) -> Vec<u32> {
+    let pass = |r: u32| {
+        let p = col.phys(r as usize);
+        test(p) && !col.data.is_null(p)
+    };
+    match sel {
+        None => (0..len as u32).filter(|&r| pass(r)).collect(),
+        Some(mut rows) => {
+            rows.retain(|&r| pass(r));
+            rows
+        }
+    }
+}
+
+/// Multiplier of the multiplicative hashes below (2^64 / golden ratio).
+const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// An open-addressing hash table that hands out dense ids — 0, 1, 2, … in
+/// first-seen order — for keys the caller hashes and compares. It is probed,
+/// never iterated, and its hash is fixed, so nothing about it can reach a
+/// result or differ between two runs.
+struct IdTable {
+    /// `id + 1` of the key in each slot; 0 marks an empty slot.
+    slots: Vec<u32>,
+    /// Hash of each id's key (kept for growth and as a cheap first compare).
+    hashes: Vec<u64>,
+}
+
+impl IdTable {
+    /// A table with room for `keys` keys before it has to grow.
+    fn with_capacity(keys: usize) -> Self {
+        Self {
+            slots: vec![0; (keys * 2).next_power_of_two().max(64)],
+            hashes: Vec::with_capacity(keys),
+        }
+    }
+
+    /// First slot to try for `hash`: its top bits, which a multiplicative
+    /// hash mixes best.
+    fn start(&self, hash: u64) -> usize {
+        (hash >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// Id of the key with this hash for which `eq(id)` holds.
+    fn find(&self, hash: u64, eq: impl Fn(u32) -> bool) -> Option<u32> {
+        let mask = self.slots.len() - 1;
+        let mut s = self.start(hash);
+        loop {
+            match self.slots[s] {
+                0 => return None,
+                e if self.hashes[(e - 1) as usize] == hash && eq(e - 1) => return Some(e - 1),
+                _ => s = (s + 1) & mask,
+            }
+        }
+    }
+
+    /// Like [`IdTable::find`], giving an unseen key the next id.
+    fn find_or_insert(&mut self, hash: u64, eq: impl Fn(u32) -> bool) -> u32 {
+        if (self.hashes.len() + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut s = self.start(hash);
+        loop {
+            match self.slots[s] {
+                0 => {
+                    self.hashes.push(hash);
+                    self.slots[s] = self.hashes.len() as u32;
+                    return self.slots[s] - 1;
+                }
+                e if self.hashes[(e - 1) as usize] == hash && eq(e - 1) => return e - 1,
+                _ => s = (s + 1) & mask,
+            }
+        }
+    }
+
+    /// Double the slots and put every id back by its stored hash.
+    fn grow(&mut self) {
+        self.slots = vec![0; self.slots.len() * 2];
+        let mask = self.slots.len() - 1;
+        for (id, &hash) in self.hashes.iter().enumerate() {
+            let mut s = self.start(hash);
+            while self.slots[s] != 0 {
+                s = (s + 1) & mask;
+            }
+            self.slots[s] = id as u32 + 1;
+        }
+    }
+}
+
+/// Strings numbered in first-seen order, so string keys hash and compare as
+/// integers like every other key.
+struct StrDict<'a> {
+    table: IdTable,
+    strs: Vec<&'a str>,
+}
+
+impl<'a> StrDict<'a> {
+    fn new() -> Self {
+        Self {
+            table: IdTable::with_capacity(0),
+            strs: Vec::new(),
+        }
+    }
+
+    fn hash(s: &str) -> u64 {
+        // FNV-1a, then one multiplication to spread it into the top bits.
+        let h = s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        h.wrapping_mul(HASH_MUL)
+    }
+
+    fn lookup(&self, s: &str) -> Option<u64> {
+        let strs = &self.strs;
+        self.table
+            .find(Self::hash(s), |id| strs[id as usize] == s)
+            .map(u64::from)
+    }
+
+    fn intern(&mut self, s: &'a str) -> u64 {
+        let strs = &self.strs;
+        let id = self
+            .table
+            .find_or_insert(Self::hash(s), |id| strs[id as usize] == s);
+        if id as usize == self.strs.len() {
+            self.strs.push(s);
+        }
+        u64::from(id)
+    }
+}
+
+/// How a key column's values become `u64` codes such that two values are
+/// equal (as [`Value`] compares them) iff their codes are.
+#[derive(Clone, Copy)]
+enum KeyCode {
+    /// Integers: the value itself.
+    Int,
+    /// Floats, and integers compared with floats: the bits of the `f64`
+    /// (`total_cmp` equality is bit equality).
+    Float,
+    /// Strings: their number in a dictionary shared by both sides.
+    Str,
+}
+
+impl KeyCode {
+    fn of(dtype: DataType) -> KeyCode {
+        match dtype {
+            DataType::Int => KeyCode::Int,
+            DataType::Float => KeyCode::Float,
+            DataType::Str => KeyCode::Str,
+        }
+    }
+
+    /// The code under which values of the two types compare; `None` when
+    /// no value of one can equal a value of the other.
+    fn common(a: DataType, b: DataType) -> Option<KeyCode> {
+        match (a, b) {
+            (DataType::Str, DataType::Str) => Some(KeyCode::Str),
+            (DataType::Str, _) | (_, DataType::Str) => None,
+            (DataType::Int, DataType::Int) => Some(KeyCode::Int),
+            _ => Some(KeyCode::Float),
+        }
+    }
+}
+
+/// Codes of the first `n` rows of `col`. A string missing from a closed
+/// dictionary (`grow == false`) gets a code no dictionary entry has. NULL
+/// slots hold their type's default, so all NULLs of a column share a code;
+/// callers tell them from values by [`null_rows`].
+fn key_codes<'a>(
+    col: &'a Col,
+    n: usize,
+    code: KeyCode,
+    dict: &mut StrDict<'a>,
+    grow: bool,
+) -> Vec<u64> {
+    let phys = (0..n).map(|r| col.phys(r));
+    match (col.data.data(), code) {
+        (ColumnData::Int(v), KeyCode::Int) => phys.map(|p| v[p] as u64).collect(),
+        (ColumnData::Int(v), _) => phys.map(|p| (v[p] as f64).to_bits()).collect(),
+        (ColumnData::Float(v), _) => phys.map(|p| v[p].to_bits()).collect(),
+        (ColumnData::Str(v), _) if grow => phys.map(|p| dict.intern(&v[p])).collect(),
+        (ColumnData::Str(v), _) => phys
+            .map(|p| dict.lookup(&v[p]).unwrap_or(u64::MAX))
+            .collect(),
+    }
+}
+
+/// Which of the first `n` rows of `col` are NULL; `None` when none can be.
+fn null_rows(col: &Col, n: usize) -> Option<Vec<bool>> {
+    col.data
+        .has_nulls()
+        .then(|| (0..n).map(|r| col.data.is_null(col.phys(r))).collect())
+}
+
+/// Row keys over some columns of a batch: per key column one code per row.
+struct Keys {
+    codes: Vec<Vec<u64>>,
+}
+
+impl Keys {
+    fn hash(&self, r: usize) -> u64 {
+        self.codes.iter().fold(0u64, |h, c| {
+            (h.rotate_left(5) ^ c[r]).wrapping_mul(HASH_MUL)
+        })
+    }
+
+    fn eq(&self, r: usize, other: &Keys, o: usize) -> bool {
+        self.codes
+            .iter()
+            .zip(&other.codes)
+            .all(|(a, b)| a[r] == b[o])
+    }
+}
+
+/// Inner equi-join of `build` and `probe` key columns: the matching
+/// `(build row, probe row)` pairs as two parallel index vectors, probe rows
+/// ascending and, for one probe row, build rows ascending. A NULL in any key
+/// column joins nothing.
+fn join_pairs(
+    build: &[&Col],
+    build_len: usize,
+    probe: &[&Col],
+    probe_len: usize,
+) -> (Vec<u32>, Vec<u32>) {
+    let mut bkeys = Keys { codes: Vec::new() };
+    let mut pkeys = Keys { codes: Vec::new() };
+    let mut bnull: Option<Vec<bool>> = None;
+    let mut pnull: Option<Vec<bool>> = None;
+    let mut dicts: Vec<StrDict<'_>> = build.iter().map(|_| StrDict::new()).collect();
+    for ((b, p), dict) in build.iter().zip(probe).zip(&mut dicts) {
+        let Some(code) = KeyCode::common(b.data.dtype(), p.data.dtype()) else {
+            return (Vec::new(), Vec::new());
+        };
+        bkeys.codes.push(key_codes(b, build_len, code, dict, true));
+        pkeys.codes.push(key_codes(p, probe_len, code, dict, false));
+        for (mask, col, n) in [(&mut bnull, b, build_len), (&mut pnull, p, probe_len)] {
+            if let Some(nulls) = null_rows(col, n) {
+                match mask {
+                    None => *mask = Some(nulls),
+                    Some(m) => m.iter_mut().zip(nulls).for_each(|(m, n)| *m |= n),
+                }
+            }
+        }
+    }
+    let is_null = |mask: &Option<Vec<bool>>, r: usize| mask.as_ref().is_some_and(|m| m[r]);
+
+    // Build, last row first, pushing each row onto the front of its key's
+    // chain: every chain ends up in ascending row order.
+    let mut table = IdTable::with_capacity(build_len);
+    let mut head: Vec<u32> = Vec::new(); // first row of each key's chain
+    let mut next: Vec<u32> = vec![NONE; build_len];
+    for i in (0..build_len).rev().filter(|&i| !is_null(&bnull, i)) {
+        let id = table.find_or_insert(bkeys.hash(i), |id| {
+            bkeys.eq(i, &bkeys, head[id as usize] as usize)
+        }) as usize;
+        if id == head.len() {
+            head.push(i as u32);
+        } else {
+            next[i] = head[id];
+            head[id] = i as u32;
+        }
+    }
+    // Probe.
+    let mut build_rows: Vec<u32> = Vec::new();
+    let mut probe_rows: Vec<u32> = Vec::new();
+    for j in (0..probe_len).filter(|&j| !is_null(&pnull, j)) {
+        let found = table.find(pkeys.hash(j), |id| {
+            pkeys.eq(j, &bkeys, head[id as usize] as usize)
+        });
+        let mut i = found.map_or(NONE, |id| head[id as usize]);
+        while i != NONE {
+            build_rows.push(i);
+            probe_rows.push(j as u32);
+            i = next[i as usize];
+        }
+    }
+    (build_rows, probe_rows)
+}
+
+/// The grouping of a batch's rows by some key columns.
+struct Groups {
+    /// Group of each row; groups are numbered in first-seen order.
+    of_row: Vec<u32>,
+    /// First row of each group.
+    first_row: Vec<u32>,
+}
+
+/// Group the first `n` rows by `keys`; NULL is a key value like any other.
+/// Without key columns there is exactly one group, rows or no rows: a global
+/// aggregate over empty input still yields one row (and nothing reads that
+/// group's `first_row`, there being no key to fetch).
+fn group_rows(keys: &[&Col], n: usize) -> Groups {
+    if keys.is_empty() {
+        return Groups {
+            of_row: vec![0; n],
+            first_row: vec![0],
+        };
+    }
+    let mut dicts: Vec<StrDict<'_>> = keys.iter().map(|_| StrDict::new()).collect();
+    let mut rk = Keys { codes: Vec::new() };
+    for (k, dict) in keys.iter().zip(&mut dicts) {
+        rk.codes
+            .push(key_codes(k, n, KeyCode::of(k.data.dtype()), dict, true));
+        if let Some(nulls) = null_rows(k, n) {
+            rk.codes.push(nulls.into_iter().map(u64::from).collect());
+        }
+    }
+    let mut table = IdTable::with_capacity(0);
+    let mut first_row: Vec<u32> = Vec::new();
+    let of_row = (0..n)
+        .map(|r| {
+            let g = table.find_or_insert(rk.hash(r), |g| {
+                rk.eq(r, &rk, first_row[g as usize] as usize)
+            });
+            if g as usize == first_row.len() {
+                first_row.push(r as u32);
+            }
+            g
+        })
+        .collect();
+    Groups { of_row, first_row }
+}
+
+/// One aggregate over the grouped rows of a batch: a column with one value
+/// per group, in `order`. Every group folds its rows in row order, so float
+/// sums come out bit-identical to a row-at-a-time fold.
+fn aggregate(
+    func: AggFunc,
+    arg: Option<&Col>,
+    dtype: DataType,
+    groups: &Groups,
+    order: &[u32],
+) -> Column {
+    let n_groups = groups.first_row.len();
+    let ordered = |value: &dyn Fn(usize) -> Value| {
+        let mut out = Column::with_capacity(dtype, order.len());
+        order.iter().for_each(|&g| out.push(value(g as usize)));
+        out
+    };
+    match func {
+        // COUNT counts rows, whatever its argument holds.
+        AggFunc::Count => {
+            let mut counts = vec![0i64; n_groups];
+            groups.of_row.iter().for_each(|&g| counts[g as usize] += 1);
+            Column::from_ints(order.iter().map(|&g| counts[g as usize]).collect())
+        }
+        AggFunc::Sum | AggFunc::Avg => {
+            let mut sums = vec![0.0f64; n_groups];
+            let mut seen = vec![0i64; n_groups];
+            if let Some(col) = arg {
+                col.for_each_float(groups.of_row.len(), |r, x| {
+                    let g = groups.of_row[r] as usize;
+                    sums[g] += x;
+                    seen[g] += 1;
+                });
+            }
+            ordered(&|g| match (seen[g], func) {
+                (0, _) => Value::Null,
+                (k, AggFunc::Avg) => Value::Float(sums[g] / k as f64),
+                _ => Value::Float(sums[g]),
             })
         }
-    }
-}
-
-/// Streaming aggregate state.
-enum AggState {
-    Count(i64),
-    Sum(f64, bool),
-    Min(Option<Value>),
-    Max(Option<Value>),
-    Avg(f64, i64),
-}
-
-impl AggState {
-    fn new(func: AggFunc) -> Self {
-        match func {
-            AggFunc::Count => AggState::Count(0),
-            AggFunc::Sum => AggState::Sum(0.0, false),
-            AggFunc::Min => AggState::Min(None),
-            AggFunc::Max => AggState::Max(None),
-            AggFunc::Avg => AggState::Avg(0.0, 0),
-        }
-    }
-
-    fn update(&mut self, v: Option<&Value>) {
-        match self {
-            AggState::Count(c) => *c += 1,
-            AggState::Sum(s, seen) => {
-                if let Some(x) = v.and_then(Value::as_float) {
-                    *s += x;
-                    *seen = true;
-                }
-            }
-            AggState::Min(cur) => {
-                if let Some(x) = v {
-                    if *x != Value::Null && cur.as_ref().is_none_or(|c| x < c) {
-                        *cur = Some(x.clone());
+        AggFunc::Min | AggFunc::Max => {
+            // Position in the argument column of each group's extreme; the
+            // first one seen wins among equals.
+            let mut best = vec![NONE; n_groups];
+            let wanted = if func == AggFunc::Min {
+                Ordering::Less
+            } else {
+                Ordering::Greater
+            };
+            if let Some(col) = arg {
+                for (r, &g) in groups.of_row.iter().enumerate() {
+                    let p = col.phys(r);
+                    let b = &mut best[g as usize];
+                    if !col.data.is_null(p)
+                        && (*b == NONE || col.data.cmp_at(p, *b as usize) == wanted)
+                    {
+                        *b = p as u32;
                     }
                 }
             }
-            AggState::Max(cur) => {
-                if let Some(x) = v {
-                    if *x != Value::Null && cur.as_ref().is_none_or(|c| x > c) {
-                        *cur = Some(x.clone());
-                    }
-                }
-            }
-            AggState::Avg(s, n) => {
-                if let Some(x) = v.and_then(Value::as_float) {
-                    *s += x;
-                    *n += 1;
-                }
-            }
-        }
-    }
-
-    fn finish(self) -> Value {
-        match self {
-            AggState::Count(c) => Value::Int(c),
-            AggState::Sum(s, seen) => {
-                if seen {
-                    Value::Float(s)
-                } else {
-                    Value::Null
-                }
-            }
-            AggState::Min(v) | AggState::Max(v) => v.unwrap_or(Value::Null),
-            AggState::Avg(s, n) => {
-                if n > 0 {
-                    Value::Float(s / n as f64)
-                } else {
-                    Value::Null
-                }
-            }
+            ordered(&|g| match (arg, best[g]) {
+                (Some(col), b) if b != NONE => col.data.value(b as usize),
+                _ => Value::Null,
+            })
         }
     }
 }
@@ -516,12 +948,11 @@ impl AggState {
 mod tests {
     use super::*;
     use crate::plan::AggExpr;
-    use deepsea_relation::Predicate;
     use deepsea_storage::{BlockConfig, CostWeights};
 
     fn fixture() -> (Catalog, SimFs<Table>) {
         let mut c = Catalog::new();
-        let sales = Table::new(
+        let sales = Table::from_rows(
             Schema::new(vec![
                 Field::new("s.item", DataType::Int),
                 Field::new("s.amount", DataType::Float),
@@ -535,7 +966,7 @@ mod tests {
             ],
             1000,
         );
-        let item = Table::new(
+        let item = Table::from_rows(
             Schema::new(vec![
                 Field::new("i.item", DataType::Int),
                 Field::new("i.cat", DataType::Str),
@@ -643,11 +1074,7 @@ mod tests {
         );
         let (t, _) = execute(&plan, &c, &fs).unwrap();
         assert_eq!(t.len(), 4); // groups: NULL, 1, 2, 3 (sorted, NULL first)
-        let g1 = t
-            .rows
-            .iter()
-            .find(|r| r[0] == Value::Int(1))
-            .expect("group 1");
+        let g1 = t.rows().find(|r| r[0] == Value::Int(1)).expect("group 1");
         assert_eq!(g1[1], Value::Int(2));
         assert_eq!(g1[2], Value::Float(30.0));
         assert_eq!(g1[3], Value::Float(15.0));
@@ -669,16 +1096,15 @@ mod tests {
             );
         let (t, _) = execute(&plan, &c, &fs).unwrap();
         assert_eq!(t.len(), 1);
-        assert_eq!(t.rows[0][0], Value::Int(0));
-        assert_eq!(t.rows[0][1], Value::Null);
+        assert_eq!(t.row(0), vec![Value::Int(0), Value::Null]);
     }
 
     #[test]
     fn view_scan_reads_fragments_and_charges_fs() {
         let (c, fs) = fixture();
         let frag_schema = Schema::new(vec![Field::new("v.a", DataType::Int)]);
-        let f1 = Table::new(frag_schema.clone(), vec![vec![Value::Int(1)]], 500);
-        let f2 = Table::new(frag_schema.clone(), vec![vec![Value::Int(2)]], 500);
+        let f1 = Table::from_rows(frag_schema.clone(), vec![vec![Value::Int(1)]], 500);
+        let f2 = Table::from_rows(frag_schema.clone(), vec![vec![Value::Int(2)]], 500);
         let (id1, _) = fs.create("f1", f1.sim_bytes(), f1);
         let (id2, _) = fs.create("f2", f2.sim_bytes(), f2);
         let plan = LogicalPlan::ViewScan(crate::plan::ViewScanInfo {
@@ -710,7 +1136,7 @@ mod tests {
             FaultInjector::new(FaultConfig::seeded(5).with_transient_reads(1.0)),
         );
         let frag_schema = Schema::new(vec![Field::new("v.a", DataType::Int)]);
-        let f1 = Table::new(frag_schema.clone(), vec![vec![Value::Int(1)]], 500);
+        let f1 = Table::from_rows(frag_schema.clone(), vec![vec![Value::Int(1)]], 500);
         let (id1, _) = fs.create("f1", f1.sim_bytes(), f1);
         let plan = LogicalPlan::ViewScan(crate::plan::ViewScanInfo {
             view_name: "v".into(),
@@ -726,7 +1152,7 @@ mod tests {
     fn view_scan_surfaces_corruption_without_serving_data() {
         let (c, fs) = fixture();
         let frag_schema = Schema::new(vec![Field::new("v.a", DataType::Int)]);
-        let f1 = Table::new(frag_schema.clone(), vec![vec![Value::Int(1)]], 500);
+        let f1 = Table::from_rows(frag_schema.clone(), vec![vec![Value::Int(1)]], 500);
         let (id1, _) = fs.create("f1", f1.sim_bytes(), f1);
         fs.corrupt_file(id1);
         let plan = LogicalPlan::ViewScan(crate::plan::ViewScanInfo {
@@ -748,6 +1174,6 @@ mod tests {
             LogicalPlan::scan("sales").aggregate(vec!["s.item"], vec![AggExpr::count("cnt")]);
         let (t1, _) = execute(&plan, &c, &fs).unwrap();
         let (t2, _) = execute(&plan, &c, &fs).unwrap();
-        assert_eq!(t1.rows, t2.rows);
+        assert_eq!(t1, t2);
     }
 }

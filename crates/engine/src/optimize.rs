@@ -105,7 +105,7 @@ mod tests {
         let mut c = Catalog::new();
         c.register(
             "fact",
-            Table::new(
+            Table::from_rows(
                 Schema::new(vec![
                     Field::new("fact.k", DataType::Int),
                     Field::new("fact.v", DataType::Float),
@@ -118,7 +118,7 @@ mod tests {
         );
         c.register(
             "dim",
-            Table::new(
+            Table::from_rows(
                 Schema::new(vec![
                     Field::new("dim.k", DataType::Int),
                     Field::new("dim.label", DataType::Str),

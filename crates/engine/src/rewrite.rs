@@ -50,7 +50,7 @@ mod tests {
 
     fn fixture() -> (Catalog, SimFs<Table>) {
         let mut c = Catalog::new();
-        let sales = Table::new(
+        let sales = Table::from_rows(
             Schema::new(vec![
                 Field::new("s.item", DataType::Int),
                 Field::new("s.amount", DataType::Float),
@@ -60,7 +60,7 @@ mod tests {
                 .collect(),
             1000,
         );
-        let item = Table::new(
+        let item = Table::from_rows(
             Schema::new(vec![
                 Field::new("i.item", DataType::Int),
                 Field::new("i.cat", DataType::Str),

@@ -2,12 +2,12 @@
 //! soundness, SQL parser robustness, and optimizer equivalence.
 
 use deepsea_engine::catalog::Catalog;
-use deepsea_engine::exec::execute;
+use deepsea_engine::exec::{execute, ExecMetrics};
 use deepsea_engine::optimize::push_down_selections;
 use deepsea_engine::plan::{AggExpr, AggFunc, LogicalPlan};
 use deepsea_engine::signature::{matches, Signature};
 use deepsea_engine::sql;
-use deepsea_relation::{DataType, Field, Predicate, Schema, Table, Value};
+use deepsea_relation::{DataType, Field, Predicate, Row, Schema, Table, Value};
 use deepsea_storage::{BlockConfig, CostWeights, SimFs};
 use proptest::prelude::*;
 
@@ -15,7 +15,7 @@ fn catalog(fact_rows: i64) -> Catalog {
     let mut c = Catalog::new();
     c.register(
         "fact",
-        Table::new(
+        Table::from_rows(
             Schema::new(vec![
                 Field::new("fact.k", DataType::Int),
                 Field::new("fact.v", DataType::Float),
@@ -28,7 +28,7 @@ fn catalog(fact_rows: i64) -> Catalog {
     );
     c.register(
         "dim",
-        Table::new(
+        Table::from_rows(
             Schema::new(vec![
                 Field::new("dim.k", DataType::Int),
                 Field::new("dim.label", DataType::Str),
@@ -44,6 +44,273 @@ fn catalog(fact_rows: i64) -> Catalog {
 
 fn fs() -> SimFs<Table> {
     SimFs::new(BlockConfig::new(4096), CostWeights::default())
+}
+
+/// Row-at-a-time reference semantics of the executor, kept here only: what
+/// every operator returns (rows in order, simulated width) and charges,
+/// written the obvious way over `Vec<Row>`. The batch executor must equal it.
+fn reference(p: &LogicalPlan, cat: &Catalog, fs: &SimFs<Table>, m: &mut ExecMetrics) -> RefOut {
+    fn width(rows: &[Row]) -> f64 {
+        let n = rows.len().min(128);
+        let total: u64 = rows[..n].iter().flatten().map(Value::width).sum();
+        if n == 0 {
+            8.0
+        } else {
+            (total as f64 / n as f64).max(1.0)
+        }
+    }
+    let scaled = |bpr: u64, out: &[Row], inp: &[Row]| {
+        ((bpr as f64) * (width(out) / width(inp))).round().max(1.0) as u64
+    };
+    let idx = |s: &Schema, n: &str| s.index_of(n).unwrap_or_else(|| panic!("column {n}"));
+    match p {
+        LogicalPlan::Scan { table } => {
+            let t = cat.get(table).unwrap();
+            m.bytes_read += t.sim_bytes();
+            m.map_tasks += fs.block_config().blocks_for(t.sim_bytes());
+            m.stages += 1;
+            m.rows_processed += t.len() as u64;
+            (t.schema.clone(), t.rows().collect(), t.bytes_per_row)
+        }
+        LogicalPlan::Select { pred, input } => {
+            let (s, mut rows, bpr) = reference(input, cat, fs, m);
+            m.rows_processed += rows.len() as u64;
+            rows.retain(|r| pred.eval(&s, r));
+            (s, rows, bpr)
+        }
+        LogicalPlan::Project { cols, input } => {
+            let (s, rows, bpr) = reference(input, cat, fs, m);
+            m.rows_processed += rows.len() as u64;
+            let (schema, at) = s.project(&cols.iter().map(String::as_str).collect::<Vec<_>>());
+            let out: Vec<Row> = rows
+                .iter()
+                .map(|r| at.iter().map(|&i| r[i].clone()).collect())
+                .collect();
+            let bpr = scaled(bpr, &out, &rows);
+            (schema, out, bpr)
+        }
+        LogicalPlan::Join { left, right, on } => {
+            let ((ls, l, lb), (rs, r, rb)) =
+                (reference(left, cat, fs, m), reference(right, cat, fs, m));
+            m.shuffle_bytes += (l.len() as u64) * lb + (r.len() as u64) * rb;
+            m.stages += 1;
+            m.rows_processed += (l.len() + r.len()) as u64;
+            let keys: Vec<(usize, usize)> = on
+                .iter()
+                .map(|(a, b)| match (ls.index_of(a), rs.index_of(b)) {
+                    (Some(x), Some(y)) => (x, y),
+                    _ => (idx(&ls, b), idx(&rs, a)),
+                })
+                .collect();
+            let joins = |x: &Row, y: &Row| {
+                keys.iter()
+                    .all(|&(i, j)| x[i] != Value::Null && x[i] == y[j])
+            };
+            let pair = |x: &Row, y: &Row| x.iter().chain(y).cloned().collect::<Row>();
+            // Probe side outer, build side (the smaller; left on a tie) inner.
+            let out: Vec<Row> = if l.len() <= r.len() {
+                r.iter()
+                    .flat_map(|y| {
+                        l.iter()
+                            .filter(|x| joins(x, y))
+                            .map(|x| pair(x, y))
+                            .collect::<Vec<_>>()
+                    })
+                    .collect()
+            } else {
+                l.iter()
+                    .flat_map(|x| {
+                        r.iter()
+                            .filter(|y| joins(x, y))
+                            .map(|y| pair(x, y))
+                            .collect::<Vec<_>>()
+                    })
+                    .collect()
+            };
+            m.rows_processed += out.len() as u64;
+            (ls.concat(&rs), out, lb + rb)
+        }
+        LogicalPlan::Aggregate {
+            group_by,
+            aggs,
+            input,
+        } => {
+            let (s, rows, bpr) = reference(input, cat, fs, m);
+            m.shuffle_bytes += rows.len() as u64 * bpr;
+            m.stages += 1;
+            m.rows_processed += rows.len() as u64;
+            let gidx: Vec<usize> = group_by.iter().map(|g| idx(&s, g)).collect();
+            let aidx: Vec<Option<usize>> = aggs
+                .iter()
+                .map(|a| a.col.as_ref().map(|c| idx(&s, c)))
+                .collect();
+            let mut groups: Vec<(Row, Vec<&Row>)> = Vec::new();
+            for r in &rows {
+                let key: Row = gidx.iter().map(|&i| r[i].clone()).collect();
+                match groups.iter_mut().find(|(k, _)| *k == key) {
+                    Some((_, members)) => members.push(r),
+                    None => groups.push((key, vec![r])),
+                }
+            }
+            if gidx.is_empty() && groups.is_empty() {
+                groups.push((Vec::new(), Vec::new()));
+            }
+            let mut out: Vec<Row> = groups
+                .into_iter()
+                .map(|(mut key, members)| {
+                    for (a, i) in aggs.iter().zip(&aidx) {
+                        let vals = || {
+                            members
+                                .iter()
+                                .filter_map(|r| i.map(|i| &r[i]))
+                                .filter(|v| **v != Value::Null)
+                        };
+                        let nums: Vec<f64> = vals().filter_map(Value::as_float).collect();
+                        let sum = nums.iter().fold(0.0, |s, x| s + x);
+                        key.push(match a.func {
+                            AggFunc::Count => Value::Int(members.len() as i64),
+                            AggFunc::Sum if !nums.is_empty() => Value::Float(sum),
+                            AggFunc::Avg if !nums.is_empty() => {
+                                Value::Float(sum / nums.len() as f64)
+                            }
+                            AggFunc::Min => vals().min().cloned().unwrap_or(Value::Null),
+                            AggFunc::Max => vals().max().cloned().unwrap_or(Value::Null),
+                            _ => Value::Null,
+                        });
+                    }
+                    key
+                })
+                .collect();
+            out.sort();
+            m.rows_processed += out.len() as u64;
+            let mut fields: Vec<Field> = gidx.iter().map(|&i| s.field(i).clone()).collect();
+            fields.extend(
+                aggs.iter()
+                    .map(|a| Field::new(a.alias.clone(), DataType::Int)),
+            );
+            let bpr = scaled(bpr, &out, &rows);
+            (Schema::new(fields), out, bpr)
+        }
+        LogicalPlan::ViewScan(_) => panic!("the reference reads base tables only"),
+    }
+}
+type RefOut = (Schema, Vec<Row>, u64);
+
+/// Two small random tables: NULLs in keys and arguments, duplicate join keys
+/// on both sides, a float column `b.x` holding whole numbers so that it
+/// joins the integer `a.k`. Either may be empty, either may be the smaller.
+fn random_catalog(rows_a: usize, rows_b: usize, seed: u64) -> Catalog {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut draw = move |n: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % n
+    };
+    let mut value = |kind: DataType| match (draw(5), kind) {
+        (0, _) => Value::Null,
+        (_, DataType::Int) => Value::Int(draw(4) as i64),
+        (_, DataType::Float) => Value::Float(draw(8) as f64 / 2.0),
+        (_, DataType::Str) => Value::str(format!("s{}", draw(3))),
+    };
+    let mut table = |name: &str, cols: &[(&str, DataType)], rows: usize, bpr: u64| {
+        let fields = cols
+            .iter()
+            .map(|(c, t)| Field::new(format!("{name}.{c}"), *t));
+        let data = (0..rows).map(|_| cols.iter().map(|(_, t)| value(*t)).collect());
+        Table::from_rows(Schema::new(fields.collect()), data.collect(), bpr)
+    };
+    use DataType::{Float, Int, Str};
+    let mut c = Catalog::new();
+    c.register(
+        "a",
+        table("a", &[("k", Int), ("f", Float), ("s", Str)], rows_a, 700),
+    );
+    c.register(
+        "b",
+        table("b", &[("k", Int), ("x", Float), ("s", Str)], rows_b, 90),
+    );
+    c
+}
+
+/// A plan over [`random_catalog`]: a scan or one of five joins, then
+/// optionally a selection, then a projection or one of three aggregates.
+fn random_plan(join: u8, select: u8, shape: u8, lo: i64) -> LogicalPlan {
+    let (a, b) = (|| LogicalPlan::scan("a"), || LogicalPlan::scan("b"));
+    let plan = match join {
+        0 => a(),
+        1 => a().join(b(), vec![("a.k", "b.k")]),
+        2 => a().join(b(), vec![("a.k", "b.x")]), // Int = Float
+        3 => a().join(b(), vec![("a.k", "b.k"), ("a.s", "b.s")]),
+        4 => b().join(a(), vec![("a.k", "b.k")]), // pairs named right-to-left
+        _ => a().join(b(), vec![("a.s", "b.k")]), // Str = Int: never equal
+    };
+    let plan = match select {
+        0 => plan,
+        1 => plan.select(Predicate::range("a.k", lo, lo + 1)),
+        2 => plan.select(Predicate::and(vec![
+            Predicate::range("k", lo, 3), // bare name: ambiguous above a join
+            Predicate::eq("a.s", "s1"),
+        ])),
+        3 => plan.select(Predicate::eq("a.f", 1)), // Float column = Int value
+        4 => plan.select(Predicate::range("a.f", 0, 9)), // range over floats: nothing
+        _ => plan.select(Predicate::eq("a.k", Value::Null)),
+    };
+    let of = AggExpr::of;
+    match shape {
+        0 => plan,
+        1 => plan.project(vec!["a.s", "a.k"]),
+        2 => plan.aggregate(
+            vec!["a.s"],
+            vec![
+                AggExpr::count("n"),
+                of(AggFunc::Sum, "a.f", "sum"),
+                of(AggFunc::Avg, "a.f", "avg"),
+                of(AggFunc::Min, "a.f", "lo"),
+                of(AggFunc::Max, "a.f", "hi"),
+            ],
+        ),
+        3 => plan.aggregate(
+            Vec::<String>::new(),
+            vec![
+                AggExpr::count("n"),
+                of(AggFunc::Sum, "a.k", "sum"),
+                of(AggFunc::Min, "a.s", "first"),
+                of(AggFunc::Avg, "a.s", "avg_of_strings"),
+            ],
+        ),
+        _ => plan.aggregate(
+            vec!["a.k", "a.f"],
+            vec![
+                of(AggFunc::Max, "a.s", "last"),
+                of(AggFunc::Avg, "a.k", "avg"),
+            ],
+        ),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 600, ..ProptestConfig::default() })]
+
+    /// The batch executor equals the row-at-a-time reference: same rows in
+    /// the same order, same simulated width, same charge in every metric.
+    #[test]
+    fn batch_executor_equals_row_reference(
+        rows_a in 0usize..40, rows_b in 0usize..40, seed in any::<u64>(),
+        join in 0u8..6, select in 0u8..6, shape in 0u8..5, lo in 0i64..4,
+    ) {
+        let cat = random_catalog(rows_a, rows_b, seed);
+        let fs = fs();
+        let plan = random_plan(join, select, shape, lo);
+        let (got, got_m) = execute(&plan, &cat, &fs).unwrap();
+        let mut want_m = ExecMetrics::default();
+        let (schema, rows, bpr) = reference(&plan, &cat, &fs, &mut want_m);
+        let names = |s: &Schema| s.fields().iter().map(|f| f.name.clone()).collect::<Vec<_>>();
+        prop_assert_eq!(names(&got.schema), names(&schema));
+        prop_assert_eq!(got.rows().collect::<Vec<_>>(), rows);
+        prop_assert_eq!(got.bytes_per_row, bpr);
+        prop_assert_eq!(got_m, want_m);
+    }
 }
 
 proptest! {
@@ -62,8 +329,7 @@ proptest! {
         )
         .unwrap();
         let expected = all
-            .rows
-            .iter()
+            .rows()
             .filter(|r| r[0].as_int().map(|k| lo <= k && k <= hi).unwrap_or(false))
             .count();
         prop_assert_eq!(sel.len(), expected);
@@ -121,7 +387,7 @@ proptest! {
             .select(Predicate::range("fact.k", lo, hi))
             .aggregate(vec!["fact.k"], vec![AggExpr::count("cnt")]);
         let (agg, _) = execute(&plan, &cat, &fs).unwrap();
-        let total: i64 = agg.rows.iter().map(|r| r[1].as_int().unwrap()).sum();
+        let total: i64 = agg.rows().map(|r| r[1].as_int().unwrap()).sum();
         let (raw, _) = execute(
             &LogicalPlan::scan("fact").select(Predicate::range("fact.k", lo, hi)),
             &cat,
@@ -141,7 +407,7 @@ proptest! {
                 ],
             );
         let (agg2, _) = execute(&plan2, &cat, &fs).unwrap();
-        for row in &agg2.rows {
+        for row in agg2.rows() {
             let cnt = row[1].as_int().unwrap() as f64;
             let sum = row[2].as_float().unwrap();
             let avg = row[3].as_float().unwrap();

@@ -1,10 +1,12 @@
 //! Synthetic column/table generation.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+use crate::column::Column;
 use crate::distr::{normal, WeightedBuckets, Zipf};
-use crate::row::Row;
 use crate::schema::Schema;
 use crate::table::Table;
 use crate::value::Value;
@@ -62,32 +64,43 @@ pub enum ColumnGen {
     },
 }
 
+/// Draws one column's value for a row from the shared RNG stream.
+type Sampler<'a> = Box<dyn FnMut(&mut StdRng, usize) -> Value + 'a>;
+
 impl ColumnGen {
-    fn value(&self, rng: &mut StdRng, row_idx: usize) -> Value {
+    /// The column's sampler. It owns what is expensive to rebuild per value:
+    /// the Zipf CDF, and the labels already handed out (one `Arc<str>` per
+    /// distinct label, not per row).
+    fn sampler(&self) -> Sampler<'_> {
         match self {
-            ColumnGen::Serial { start } => Value::Int(start + row_idx as i64),
-            ColumnGen::UniformInt { low, high } => Value::Int(rng.random_range(*low..=*high)),
+            ColumnGen::Serial { start } => Box::new(move |_, row| Value::Int(start + row as i64)),
+            ColumnGen::UniformInt { low, high } => {
+                Box::new(move |rng, _| Value::Int(rng.random_range(*low..=*high)))
+            }
             ColumnGen::NormalInt {
                 mean,
                 std,
                 low,
                 high,
-            } => {
+            } => Box::new(move |rng, _| {
                 let v = normal(rng, *mean, *std).round() as i64;
                 Value::Int(v.clamp(*low, *high))
-            }
+            }),
             ColumnGen::ZipfInt { n, s, low } => {
-                // Constructing the CDF per value would be O(n); callers that
-                // care use `TableGen` which caches samplers.
                 let z = Zipf::new(*n, *s);
-                Value::Int(low + (z.sample(rng) as i64 - 1))
+                Box::new(move |rng, _| Value::Int(low + (z.sample(rng) as i64 - 1)))
             }
-            ColumnGen::Histogram(wb) => Value::Int(wb.sample(rng)),
+            ColumnGen::Histogram(wb) => Box::new(move |rng, _| Value::Int(wb.sample(rng))),
             ColumnGen::UniformFloat { low, high } => {
-                Value::Float(low + (high - low) * rng.random::<f64>())
+                Box::new(move |rng, _| Value::Float(low + (high - low) * rng.random::<f64>()))
             }
             ColumnGen::Label { prefix, card } => {
-                Value::str(format!("{prefix}{}", rng.random_range(0..*card)))
+                let mut labels: Vec<Option<Arc<str>>> = vec![None; *card];
+                Box::new(move |rng, _| {
+                    let k = rng.random_range(0..*card);
+                    let label = labels[k].get_or_insert_with(|| Arc::from(format!("{prefix}{k}")));
+                    Value::Str(Arc::clone(label))
+                })
             }
         }
     }
@@ -118,32 +131,32 @@ impl TableGen {
     }
 
     /// Generate `rows` rows. Same seed ⇒ same table.
+    ///
+    /// Values are drawn row by row, column by column within a row — the
+    /// order the RNG stream has always been consumed in — and appended to
+    /// one typed column each.
+    ///
+    /// # Panics
+    /// Panics if a generator yields values of another type than its column.
     pub fn generate(&self, rows: usize) -> Table {
         let mut rng = StdRng::seed_from_u64(self.seed);
-        // Pre-build Zipf samplers (they are expensive to construct).
-        let zipfs: Vec<Option<Zipf>> = self
-            .gens
+        let mut samplers: Vec<Sampler<'_>> = self.gens.iter().map(ColumnGen::sampler).collect();
+        let mut columns: Vec<Column> = self
+            .schema
+            .fields()
             .iter()
-            .map(|g| match g {
-                ColumnGen::ZipfInt { n, s, .. } => Some(Zipf::new(*n, *s)),
-                _ => None,
-            })
+            .map(|f| Column::with_capacity(f.dtype, rows))
             .collect();
-        let mut data: Vec<Row> = Vec::with_capacity(rows);
         for r in 0..rows {
-            let mut row = Vec::with_capacity(self.gens.len());
-            for (c, g) in self.gens.iter().enumerate() {
-                let v = match (&zipfs[c], g) {
-                    (Some(z), ColumnGen::ZipfInt { low, .. }) => {
-                        Value::Int(low + (z.sample(&mut rng) as i64 - 1))
-                    }
-                    _ => g.value(&mut rng, r),
-                };
-                row.push(v);
+            for (sample, col) in samplers.iter_mut().zip(&mut columns) {
+                col.push(sample(&mut rng, r));
             }
-            data.push(row);
         }
-        Table::new(self.schema.clone(), data, self.bytes_per_row)
+        Table::new(
+            self.schema.clone(),
+            columns.into_iter().map(Arc::new).collect(),
+            self.bytes_per_row,
+        )
     }
 }
 
@@ -182,14 +195,14 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        assert_eq!(gen_table(50, 1).rows, gen_table(50, 1).rows);
-        assert_ne!(gen_table(50, 1).rows, gen_table(50, 2).rows);
+        assert_eq!(gen_table(50, 1), gen_table(50, 1));
+        assert_ne!(gen_table(50, 1), gen_table(50, 2));
     }
 
     #[test]
     fn serial_is_sequential() {
         let t = gen_table(10, 1);
-        for (i, r) in t.rows.iter().enumerate() {
+        for (i, r) in t.rows().enumerate() {
             assert_eq!(r[0].as_int(), Some(1 + i as i64));
         }
     }
@@ -197,7 +210,7 @@ mod tests {
     #[test]
     fn uniform_in_bounds() {
         let t = gen_table(500, 3);
-        for r in &t.rows {
+        for r in t.rows() {
             let k = r[1].as_int().unwrap();
             assert!((0..=99).contains(&k));
             let m = r[2].as_float().unwrap();
@@ -220,7 +233,7 @@ mod tests {
             9,
         )
         .generate(1000);
-        for r in &t.rows {
+        for r in t.rows() {
             let v = r[0].as_int().unwrap();
             assert!((0..=100).contains(&v));
         }
@@ -240,7 +253,7 @@ mod tests {
             11,
         )
         .generate(5000);
-        let zeros = t.rows.iter().filter(|r| r[0].as_int() == Some(0)).count();
+        let zeros = t.rows().filter(|r| r[0].as_int() == Some(0)).count();
         assert!(zeros > 100, "rank-1 value should dominate, got {zeros}");
     }
 }

@@ -1,7 +1,7 @@
 //! # deepsea-relation
 //!
 //! The relational data model underneath DeepSea's execution engine: typed
-//! values, schemas, rows, in-memory tables with simulated on-disk sizes, and
+//! values, schemas, columnar in-memory tables with simulated on-disk sizes, and
 //! the predicate language (conjunctions of range and equality conditions —
 //! exactly the class of selections DeepSea's partitioning reasons about).
 //!
@@ -9,6 +9,7 @@
 //! histogram-driven) used to rebuild the paper's BigBench-with-SDSS-skew
 //! datasets.
 
+pub mod column;
 pub mod distr;
 pub mod generate;
 pub mod predicate;
@@ -17,6 +18,7 @@ pub mod schema;
 pub mod table;
 pub mod value;
 
+pub use column::{Column, ColumnData};
 pub use predicate::Predicate;
 pub use row::Row;
 pub use schema::{Field, Schema};

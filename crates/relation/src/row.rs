@@ -3,26 +3,6 @@
 use crate::value::Value;
 
 /// A row is an ordered list of values, positionally aligned with a
-/// [`crate::Schema`].
+/// [`crate::Schema`]. Tables store columns; rows exist to build small tables
+/// ([`crate::Table::from_rows`]) and to look at one ([`crate::Table::row`]).
 pub type Row = Vec<Value>;
-
-/// Serialized width of a row in bytes (used for shuffle-size estimates).
-pub fn row_width(row: &Row) -> u64 {
-    row.iter().map(Value::width).sum()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn width_sums_values() {
-        let r: Row = vec![Value::Int(1), Value::str("ab"), Value::Null];
-        assert_eq!(row_width(&r), 8 + 2 + 1);
-    }
-
-    #[test]
-    fn empty_row_zero_width() {
-        assert_eq!(row_width(&Vec::new()), 0);
-    }
-}

@@ -1,5 +1,7 @@
 //! Schemas: ordered lists of named, typed fields.
 
+use std::sync::Arc;
+
 use crate::value::DataType;
 
 /// A named, typed column.
@@ -26,10 +28,12 @@ impl Field {
     }
 }
 
-/// An ordered list of fields.
+/// An ordered list of fields. The list sits behind an `Arc`: every table,
+/// fragment file and plan node carries a schema, and cloning one is a
+/// reference-count bump.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Schema {
-    fields: Vec<Field>,
+    fields: Arc<[Field]>,
 }
 
 impl Schema {
@@ -43,7 +47,9 @@ impl Schema {
                 assert_ne!(f.name, g.name, "duplicate field name {:?}", f.name);
             }
         }
-        Self { fields }
+        Self {
+            fields: fields.into(),
+        }
     }
 
     /// The fields in order.
@@ -103,7 +109,7 @@ impl Schema {
 
     /// Concatenate two schemas (for join results).
     pub fn concat(&self, other: &Schema) -> Schema {
-        let mut fields = self.fields.clone();
+        let mut fields = self.fields.to_vec();
         fields.extend(other.fields.iter().cloned());
         Schema::new(fields)
     }

@@ -1,10 +1,13 @@
-//! In-memory tables with simulated on-disk sizes.
+//! In-memory columnar tables with simulated on-disk sizes.
 
+use std::sync::Arc;
+
+use crate::column::Column;
 use crate::row::Row;
 use crate::schema::Schema;
-use crate::value::Value;
 
-/// An in-memory table.
+/// An in-memory table: one typed [`Column`] per schema field, each behind an
+/// `Arc` so scans, projections and fragment reads share them without copying.
 ///
 /// `bytes_per_row` is the *simulated* on-disk width of one row. Experiments
 /// run on scaled-down row counts while cost accounting happens in simulated
@@ -14,80 +17,164 @@ use crate::value::Value;
 pub struct Table {
     /// The table's schema.
     pub schema: Schema,
-    /// Row data.
-    pub rows: Vec<Row>,
+    columns: Vec<Arc<Column>>,
+    len: usize,
     /// Simulated on-disk bytes per row.
     pub bytes_per_row: u64,
 }
 
 impl Table {
-    /// Create a table.
+    /// Create a table from its columns.
     ///
     /// # Panics
-    /// Panics in debug builds if a row's arity differs from the schema's.
-    pub fn new(schema: Schema, rows: Vec<Row>, bytes_per_row: u64) -> Self {
-        debug_assert!(
-            rows.iter().all(|r| r.len() == schema.len()),
-            "row arity must match schema"
-        );
+    /// Panics if the columns do not match the schema in number or type, or
+    /// differ in length.
+    pub fn new(schema: Schema, columns: Vec<Arc<Column>>, bytes_per_row: u64) -> Self {
+        assert_eq!(columns.len(), schema.len(), "one column per schema field");
+        let len = columns.first().map_or(0, |c| c.len());
+        for (c, f) in columns.iter().zip(schema.fields()) {
+            assert_eq!(
+                c.dtype(),
+                f.dtype,
+                "column {:?} must match its field",
+                f.name
+            );
+            assert_eq!(c.len(), len, "columns must be equally long");
+        }
         Self {
             schema,
-            rows,
+            columns,
+            len,
+            bytes_per_row,
+        }
+    }
+
+    /// Create a table from rows (constructor for tests and small fixtures).
+    ///
+    /// # Panics
+    /// Panics if a row's arity differs from the schema's or a value's type
+    /// from its column's.
+    pub fn from_rows(schema: Schema, rows: Vec<Row>, bytes_per_row: u64) -> Self {
+        let mut columns: Vec<Column> = schema
+            .fields()
+            .iter()
+            .map(|f| Column::with_capacity(f.dtype, rows.len()))
+            .collect();
+        let len = rows.len();
+        for row in rows {
+            assert_eq!(row.len(), columns.len(), "row arity must match schema");
+            for (c, v) in columns.iter_mut().zip(row) {
+                c.push(v);
+            }
+        }
+        Self {
+            schema,
+            columns: columns.into_iter().map(Arc::new).collect(),
+            len,
             bytes_per_row,
         }
     }
 
     /// An empty table with the given schema.
     pub fn empty(schema: Schema, bytes_per_row: u64) -> Self {
-        Self::new(schema, Vec::new(), bytes_per_row)
+        Self::from_rows(schema, Vec::new(), bytes_per_row)
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.len
     }
 
     /// True if the table has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len == 0
     }
 
     /// Simulated on-disk size in bytes.
     pub fn sim_bytes(&self) -> u64 {
-        self.rows.len() as u64 * self.bytes_per_row
+        self.len as u64 * self.bytes_per_row
     }
 
-    /// Column values at `col` for every row.
-    pub fn column(&self, col: usize) -> impl Iterator<Item = &Value> + '_ {
-        self.rows.iter().map(move |r| &r[col])
+    /// The columns, in schema order.
+    pub fn columns(&self) -> &[Arc<Column>] {
+        &self.columns
+    }
+
+    /// The column at `col`.
+    pub fn column(&self, col: usize) -> &Arc<Column> {
+        &self.columns[col]
+    }
+
+    /// Row `i` as values (test and display convenience; operators work on
+    /// the columns).
+    pub fn row(&self, i: usize) -> Row {
+        self.columns.iter().map(|c| c.value(i)).collect()
+    }
+
+    /// Every row, in order (test convenience).
+    pub fn rows(&self) -> impl Iterator<Item = Row> + '_ {
+        (0..self.len).map(|i| self.row(i))
     }
 
     /// Min and max of an integer column, ignoring NULLs. `None` if the column
-    /// has no non-null values.
+    /// has no non-null integer values.
     pub fn int_min_max(&self, col: usize) -> Option<(i64, i64)> {
-        let mut mm: Option<(i64, i64)> = None;
-        for v in self.column(col) {
-            if let Some(i) = v.as_int() {
-                mm = Some(match mm {
-                    None => (i, i),
-                    Some((lo, hi)) => (lo.min(i), hi.max(i)),
-                });
-            }
+        self.columns[col].int_min_max()
+    }
+
+    /// The rows at `sel`, in that order, as a new table.
+    pub fn take(&self, sel: &[u32]) -> Table {
+        Table {
+            schema: self.schema.clone(),
+            columns: self
+                .columns
+                .iter()
+                .map(|c| Arc::new(c.gather(sel)))
+                .collect(),
+            len: sel.len(),
+            bytes_per_row: self.bytes_per_row,
         }
-        mm
+    }
+
+    /// Concatenate `parts` — each a table and, optionally, the rows to take
+    /// from it — under `schema`.
+    ///
+    /// # Panics
+    /// Panics if a part's column types differ from the schema's.
+    pub fn concat(schema: Schema, parts: &[(&Table, Option<&[u32]>)], bytes_per_row: u64) -> Table {
+        let len: usize = parts
+            .iter()
+            .map(|(t, sel)| sel.map_or(t.len, <[u32]>::len))
+            .sum();
+        let columns = schema
+            .fields()
+            .iter()
+            .enumerate()
+            .map(|(c, f)| {
+                let mut col = Column::with_capacity(f.dtype, len);
+                for (t, sel) in parts {
+                    col.extend_from(&t.columns[c], *sel);
+                }
+                Arc::new(col)
+            })
+            .collect();
+        Table {
+            schema,
+            columns,
+            len,
+            bytes_per_row,
+        }
     }
 
     /// A canonical fingerprint of the table's contents, independent of row
     /// order. Used by tests to check that rewritten queries produce the same
     /// multiset of rows as the original.
     pub fn fingerprint(&self) -> Vec<String> {
-        let mut keys: Vec<String> = self
-            .rows
-            .iter()
-            .map(|r| {
+        let mut keys: Vec<String> = (0..self.len)
+            .map(|i| {
                 let mut s = String::new();
-                for v in r {
-                    s.push_str(&canonical_value(v));
+                for c in &self.columns {
+                    c.write_canonical(i, &mut s);
                     s.push('\u{1}');
                 }
                 s
@@ -98,29 +185,18 @@ impl Table {
     }
 }
 
-fn canonical_value(v: &Value) -> String {
-    match v {
-        // Print floats with enough precision to distinguish values but
-        // tolerate the last few bits of summation-order noise.
-        Value::Float(f) => format!("{f:.6}"),
-        Value::Int(i) => format!("{i}"),
-        Value::Str(s) => format!("s:{s}"),
-        Value::Null => "∅".to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::Field;
-    use crate::value::DataType;
+    use crate::value::{DataType, Value};
 
     fn t() -> Table {
         let schema = Schema::new(vec![
             Field::new("t.a", DataType::Int),
             Field::new("t.b", DataType::Str),
         ]);
-        Table::new(
+        Table::from_rows(
             schema,
             vec![
                 vec![Value::Int(3), Value::str("x")],
@@ -145,21 +221,71 @@ mod tests {
     #[test]
     fn min_max_none_when_all_null() {
         let schema = Schema::new(vec![Field::new("a", DataType::Int)]);
-        let t = Table::new(schema, vec![vec![Value::Null]], 1);
+        let t = Table::from_rows(schema, vec![vec![Value::Null]], 1);
         assert_eq!(t.int_min_max(0), None);
     }
 
     #[test]
     fn fingerprint_order_independent() {
-        let mut t2 = t();
-        t2.rows.reverse();
+        let t2 = t().take(&[2, 1, 0]);
         assert_eq!(t().fingerprint(), t2.fingerprint());
     }
 
     #[test]
     fn fingerprint_detects_multiset_difference() {
-        let mut t2 = t();
-        t2.rows.push(vec![Value::Int(3), Value::str("x")]); // duplicate row
+        let t2 = t().take(&[0, 1, 2, 0]); // duplicate row
         assert_ne!(t().fingerprint(), t2.fingerprint());
+    }
+
+    /// The fingerprint text is a contract (golden files and the benchmark's
+    /// oracle hash it): `{:.6}` floats, `s:` strings, `∅` NULLs, each value
+    /// followed by `\u{1}`, lines sorted.
+    #[test]
+    fn fingerprint_text_is_pinned() {
+        let schema = Schema::new(vec![
+            Field::new("a", DataType::Int),
+            Field::new("b", DataType::Float),
+            Field::new("c", DataType::Str),
+        ]);
+        let t = Table::from_rows(
+            schema,
+            vec![
+                vec![Value::Int(7), Value::Float(1.5), Value::str("x y")],
+                vec![Value::Int(-12), Value::Float(2.0 / 3.0), Value::Null],
+                vec![Value::Null, Value::Null, Value::str("")],
+                vec![Value::Int(7), Value::Float(-0.0000004), Value::str("∅")],
+            ],
+            8,
+        );
+        assert_eq!(
+            t.fingerprint(),
+            vec![
+                "-12\u{1}0.666667\u{1}∅\u{1}",
+                "7\u{1}-0.000000\u{1}s:∅\u{1}",
+                "7\u{1}1.500000\u{1}s:x y\u{1}",
+                "∅\u{1}∅\u{1}s:\u{1}",
+            ]
+        );
+    }
+
+    #[test]
+    fn take_and_concat_share_nothing_but_values() {
+        let a = t();
+        let b = a.take(&[2, 0]);
+        assert_eq!(b.len(), 2);
+        assert_eq!(b.row(0), vec![Value::Null, Value::str("z")]);
+        let sel: &[u32] = &[1];
+        let c = Table::concat(a.schema.clone(), &[(&a, None), (&b, Some(sel))], 7);
+        assert_eq!(c.len(), 4);
+        assert_eq!(c.bytes_per_row, 7);
+        assert_eq!(c.row(3), vec![Value::Int(3), Value::str("x")]);
+        assert_eq!(c.rows().count(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "must match its field")]
+    fn new_rejects_mistyped_columns() {
+        let schema = Schema::new(vec![Field::new("a", DataType::Int)]);
+        Table::new(schema, vec![Arc::new(Column::from_floats(vec![1.0]))], 1);
     }
 }

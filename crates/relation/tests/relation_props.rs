@@ -86,7 +86,7 @@ proptest! {
         .generate(rows);
         prop_assert_eq!(t.len(), rows);
         prop_assert_eq!(t.sim_bytes(), rows as u64 * 64);
-        for (i, r) in t.rows.iter().enumerate() {
+        for (i, r) in t.rows().enumerate() {
             prop_assert_eq!(r[0].as_int(), Some(i as i64));
             let k = r[1].as_int().unwrap();
             prop_assert!(lo <= k && k <= hi);

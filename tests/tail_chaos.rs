@@ -563,7 +563,7 @@ fn crash_mid_outage_with_slow_window_recovers_idempotently() {
             .process_query(plan)
             .unwrap_or_else(|e| panic!("query {i} failed post-recovery: {e}"));
         assert!(
-            !o.result.fingerprint().is_empty() || o.result.rows.is_empty(),
+            !o.result.fingerprint().is_empty() || o.result.is_empty(),
             "query {i}: malformed answer post-recovery"
         );
     }
