@@ -6,7 +6,7 @@
 //! folds into this stage (§8.4) are a catalog *mutation* and live on the
 //! write path (`write_path::stats`).
 
-use deepsea_engine::plan::LogicalPlan;
+use deepsea_engine::plan::{LogicalPlan, OverlapClip};
 use deepsea_engine::signature::{matches, Compensation, Signature};
 use deepsea_engine::subquery::all_subplans;
 use deepsea_storage::FileId;
@@ -34,6 +34,8 @@ pub(crate) struct MatchHit {
 pub(crate) struct Access {
     pub(crate) files: Vec<FileId>,
     pub(crate) bytes: u64,
+    /// Set when the cover's fragments overlap (see [`OverlapClip`]).
+    pub(crate) clip: Option<Box<OverlapClip>>,
 }
 
 impl ReadView<'_> {
@@ -109,6 +111,7 @@ impl ReadView<'_> {
                 best = Some(Access {
                     files: vec![f],
                     bytes: view.stats.size,
+                    clip: None,
                 });
             }
         }
@@ -139,6 +142,11 @@ impl ReadView<'_> {
             };
             let mut files = Vec::with_capacity(cover.len());
             let mut bytes = 0;
+            // Algorithm 2 picks each fragment to cover the first point its
+            // predecessors left uncovered, so a fragment that starts before
+            // that point repeats rows they hold: take it from there on.
+            let mut from: Vec<Option<i64>> = Vec::with_capacity(cover.len());
+            let mut uncovered = i64::MIN;
             for fid in &cover {
                 let frag = ps
                     .frag(*fid)
@@ -148,9 +156,17 @@ impl ReadView<'_> {
                         .expect("invariant: cover returns materialized fragments"),
                 );
                 bytes += frag.size;
+                from.push((frag.interval.lo < uncovered).then_some(uncovered));
+                uncovered = frag.interval.hi + 1;
             }
             if best.as_ref().is_none_or(|b| bytes < b.bytes) {
-                best = Some(Access { files, bytes });
+                let clip = from.iter().any(Option::is_some).then(|| {
+                    Box::new(OverlapClip {
+                        attr: ps.attr.clone(),
+                        from,
+                    })
+                });
+                best = Some(Access { files, bytes, clip });
             }
         }
         best

@@ -28,6 +28,7 @@ impl ReadView<'_> {
                 view_name: view.name.clone(),
                 files: access.files.clone(),
                 schema,
+                clip: access.clip.clone(),
             };
             if let Some(rewritten) =
                 rewrite_with_view(plan, &hit.path, info, &hit.comp, self.catalog)

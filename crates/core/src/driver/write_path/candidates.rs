@@ -338,6 +338,7 @@ mod tests {
             view_name: "v12".into(),
             files: vec![],
             schema: Schema::new(vec![Field::new("v.k", DataType::Int)]),
+            clip: None,
         });
         let wrapped = scan
             .select(Predicate::range("v.k", 0, 1))

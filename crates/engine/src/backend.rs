@@ -502,6 +502,7 @@ mod tests {
             view_name: "v".into(),
             files: vec![id],
             schema,
+            clip: None,
         });
         (catalog, fs, plan, id)
     }
@@ -585,6 +586,7 @@ mod tests {
             view_name: "v".into(),
             files: vec![id],
             schema,
+            clip: None,
         });
         fs.set_node_down(NodeId(0));
         let backend = RetryingBackend::new(SimBackend::paper_default(), RetryPolicy::default());

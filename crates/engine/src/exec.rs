@@ -310,26 +310,43 @@ fn run(
             Ok(Batch::from_table(t, t.schema.clone(), t.bytes_per_row))
         }
         LogicalPlan::ViewScan(v) => {
-            let mut parts: Vec<Arc<Table>> = Vec::with_capacity(v.files.len());
+            // Overlapping fragments: which column to clip on, and from where.
+            let clip = match &v.clip {
+                Some(c) => Some((
+                    v.schema
+                        .index_of(&c.attr)
+                        .ok_or_else(|| ExecError::UnknownColumn(c.attr.clone()))?,
+                    &c.from,
+                )),
+                None => None,
+            };
+            let mut parts: Vec<(Arc<Table>, Option<Vec<u32>>)> = Vec::with_capacity(v.files.len());
             let mut bpr = 8u64;
-            for &fid in &v.files {
+            for (k, &fid) in v.files.iter().enumerate() {
                 let out = fs.try_read(fid).map_err(ExecError::from)?;
                 m.penalty_secs += out.spike_secs;
                 let (payload, bytes) = (out.value, out.sim_bytes);
+                // The whole file is read and charged; the clip only decides
+                // which of its rows go on.
                 m.bytes_read += bytes;
                 m.map_tasks += fs.block_config().blocks_for(bytes);
                 m.rows_processed += payload.len() as u64;
                 bpr = bpr.max(payload.bytes_per_row);
-                parts.push(payload);
+                let rows = clip
+                    .and_then(|(col, from)| from.get(k).copied().flatten().map(|lo| (col, lo)))
+                    .map(|(col, lo)| payload.column(col).int_range_rows(lo, i64::MAX));
+                parts.push((payload, rows));
             }
             m.stages += 1;
-            // One fragment is shared as it is; several are concatenated.
+            // One whole fragment is shared as it is; several are concatenated.
             Ok(match parts.as_slice() {
-                [one] => Batch::from_table(one, v.schema.clone(), bpr),
+                [(one, None)] => Batch::from_table(one, v.schema.clone(), bpr),
                 many => {
-                    let whole: Vec<(&Table, Option<&[u32]>)> =
-                        many.iter().map(|t| (&**t, None)).collect();
-                    let t = Table::concat(v.schema.clone(), &whole, bpr);
+                    let parts: Vec<(&Table, Option<&[u32]>)> = many
+                        .iter()
+                        .map(|(t, rows)| (&**t, rows.as_deref()))
+                        .collect();
+                    let t = Table::concat(v.schema.clone(), &parts, bpr);
                     Batch::from_table(&t, v.schema.clone(), bpr)
                 }
             })
@@ -1111,6 +1128,7 @@ mod tests {
             view_name: "v".into(),
             files: vec![id1, id2],
             schema: frag_schema,
+            clip: None,
         });
         let (t, m) = execute(&plan, &c, &fs).unwrap();
         assert_eq!(t.len(), 2);
@@ -1124,6 +1142,48 @@ mod tests {
         assert_eq!(err.file(), Some(id2));
         use std::error::Error;
         assert!(err.source().is_some(), "I/O variants carry a source chain");
+    }
+
+    #[test]
+    fn view_scan_clips_overlapping_fragments_but_charges_whole_files() {
+        let (c, fs) = fixture();
+        let schema = Schema::new(vec![
+            Field::new("v.k", DataType::Int),
+            Field::new("v.x", DataType::Float),
+        ]);
+        let frag = |keys: &[i64]| {
+            let rows = keys
+                .iter()
+                .map(|&k| vec![Value::Int(k), Value::Float(k as f64)]);
+            Table::from_rows(schema.clone(), rows.collect(), 100)
+        };
+        // Fragments [0,5] and [3,9] overlap on 3..=5.
+        let (f1, _) = fs.create("f1", 600, frag(&[0, 3, 4, 5, 5, 2]));
+        let (f2, _) = fs.create("f2", 500, frag(&[3, 9, 5, 6, 4]));
+        let scan = |clip| {
+            let plan = LogicalPlan::ViewScan(crate::plan::ViewScanInfo {
+                view_name: "v".into(),
+                files: vec![f1, f2],
+                schema: schema.clone(),
+                clip,
+            });
+            execute(&plan, &c, &fs)
+        };
+        let (whole, whole_m) = scan(None).unwrap();
+        assert_eq!(whole.len(), 11, "unclipped, the overlap comes back twice");
+        let (clipped, m) = scan(Some(Box::new(crate::plan::OverlapClip {
+            attr: "v.k".into(),
+            from: vec![None, Some(6)],
+        })))
+        .unwrap();
+        let keys: Vec<_> = clipped.rows().map(|r| r[0].as_int().unwrap()).collect();
+        assert_eq!(keys, vec![0, 3, 4, 5, 5, 2, 9, 6]);
+        assert_eq!(m, whole_m, "both files are read and charged whole");
+        let err = scan(Some(Box::new(crate::plan::OverlapClip {
+            attr: "nope".into(),
+            from: vec![None, Some(6)],
+        })));
+        assert_eq!(err.unwrap_err(), ExecError::UnknownColumn("nope".into()));
     }
 
     #[test]
@@ -1142,6 +1202,7 @@ mod tests {
             view_name: "v".into(),
             files: vec![id1],
             schema: frag_schema,
+            clip: None,
         });
         let err = execute(&plan, &c, &fs).unwrap_err();
         assert_eq!(err, ExecError::TransientIo(IoError::TransientRead(id1)));
@@ -1159,6 +1220,7 @@ mod tests {
             view_name: "v".into(),
             files: vec![id1],
             schema: frag_schema,
+            clip: None,
         });
         let err = execute(&plan, &c, &fs).unwrap_err();
         assert_eq!(err, ExecError::CorruptIo(IoError::Corrupt(id1)));

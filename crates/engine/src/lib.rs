@@ -42,5 +42,5 @@ pub use backend::{ExecutionBackend, RetryAttempt, RetryPolicy, RetryingBackend, 
 pub use catalog::Catalog;
 pub use cluster::ClusterSim;
 pub use exec::{execute, ExecError, ExecMetrics};
-pub use plan::{AggExpr, AggFunc, LogicalPlan, ViewScanInfo};
+pub use plan::{AggExpr, AggFunc, LogicalPlan, OverlapClip, ViewScanInfo};
 pub use signature::Signature;

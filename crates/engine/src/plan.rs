@@ -72,6 +72,18 @@ impl AggExpr {
     }
 }
 
+/// How to scan a cover of *overlapping* fragments without returning a row
+/// twice: every file after the first skips the values an earlier file of the
+/// cover already delivered.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OverlapClip {
+    /// The partition attribute the fragments were cut on.
+    pub attr: String,
+    /// Per entry of [`ViewScanInfo::files`]: take only the rows whose `attr`
+    /// is at least this; `None` takes the whole file.
+    pub from: Vec<Option<i64>>,
+}
+
 /// Information needed to scan a materialized (possibly partitioned) view:
 /// the fragment files to read and the view's schema.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,6 +94,11 @@ pub struct ViewScanInfo {
     pub files: Vec<FileId>,
     /// Schema of the view output.
     pub schema: Schema,
+    /// Set when fragments in `files` overlap. Every file is still read (and
+    /// charged) whole — that is what the paper's cost model prices — but the
+    /// rows in an overlap are taken from one file only. Boxed: it is rare,
+    /// and every plan node is as large as its largest variant.
+    pub clip: Option<Box<OverlapClip>>,
 }
 
 /// A logical query plan.

@@ -113,6 +113,7 @@ mod tests {
             view_name: "v_join".into(),
             files: vec![fid],
             schema,
+            clip: None,
         };
         let rewritten = rewrite_with_view(&query, path, info, &comp, &catalog).unwrap();
 
@@ -153,6 +154,7 @@ mod tests {
             view_name: "v_wide".into(),
             files: vec![fid],
             schema,
+            clip: None,
         };
         let rewritten = rewrite_with_view(&narrow, &[], info, &comp, &catalog).unwrap();
         let (orig, _) = execute(&narrow, &catalog, &fs).unwrap();
@@ -173,6 +175,7 @@ mod tests {
             view_name: "v".into(),
             files: vec![],
             schema: Schema::default(),
+            clip: None,
         };
         assert!(rewrite_with_view(&q, &[3], info, &Compensation::default(), &catalog).is_none());
     }

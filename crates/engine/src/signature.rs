@@ -532,6 +532,7 @@ mod tests {
             view_name: "v".into(),
             files: vec![],
             schema: deepsea_relation::Schema::default(),
+            clip: None,
         });
         assert!(Signature::of(&p).is_none());
     }
