@@ -310,14 +310,13 @@ fn run(
             Ok(Batch::from_table(t, t.schema.clone(), t.bytes_per_row))
         }
         LogicalPlan::ViewScan(v) => {
-            // Overlapping fragments: which column to clip on, and from where.
-            let clip = match &v.clip {
-                Some(c) => Some((
+            // Overlapping fragments are clipped on the partition attribute.
+            let clip_col = match &v.clip {
+                Some(c) => Some(
                     v.schema
                         .index_of(&c.attr)
                         .ok_or_else(|| ExecError::UnknownColumn(c.attr.clone()))?,
-                    &c.from,
-                )),
+                ),
                 None => None,
             };
             let mut parts: Vec<(Arc<Table>, Option<Vec<u32>>)> = Vec::with_capacity(v.files.len());
@@ -332,8 +331,12 @@ fn run(
                 m.map_tasks += fs.block_config().blocks_for(bytes);
                 m.rows_processed += payload.len() as u64;
                 bpr = bpr.max(payload.bytes_per_row);
-                let rows = clip
-                    .and_then(|(col, from)| from.get(k).copied().flatten().map(|lo| (col, lo)))
+                let from = v
+                    .clip
+                    .as_ref()
+                    .and_then(|c| c.from.get(k).copied().flatten());
+                let rows = clip_col
+                    .zip(from)
                     .map(|(col, lo)| payload.column(col).int_range_rows(lo, i64::MAX));
                 parts.push((payload, rows));
             }

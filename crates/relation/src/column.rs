@@ -53,22 +53,6 @@ impl Column {
         }
     }
 
-    /// A float column without NULLs.
-    pub fn from_floats(values: Vec<f64>) -> Self {
-        Self {
-            data: ColumnData::Float(values),
-            nulls: Vec::new(),
-        }
-    }
-
-    /// A string column without NULLs.
-    pub fn from_strs(values: Vec<Arc<str>>) -> Self {
-        Self {
-            data: ColumnData::Str(values),
-            nulls: Vec::new(),
-        }
-    }
-
     /// Number of values.
     pub fn len(&self) -> usize {
         match &self.data {
@@ -108,8 +92,7 @@ impl Column {
         !self.nulls.is_empty() && self.nulls[i]
     }
 
-    /// Append a NULL.
-    pub fn push_null(&mut self) {
+    fn push_null(&mut self) {
         if self.nulls.is_empty() {
             self.nulls = vec![false; self.len()];
         }
@@ -330,6 +313,12 @@ impl PartialEq for Column {
 mod tests {
     use super::*;
 
+    fn floats() -> Column {
+        let mut c = Column::with_capacity(DataType::Float, 1);
+        c.push(Value::Float(1.0));
+        c
+    }
+
     fn ints_with_null() -> Column {
         let mut c = Column::with_capacity(DataType::Int, 4);
         c.push(Value::Int(3));
@@ -399,10 +388,8 @@ mod tests {
         assert_eq!(c.int_min_max(), Some((-1, 3)));
         assert_eq!(c.int_range_rows(-5, 5), vec![0, 2]);
         assert_eq!(c.int_range_rows(0, 5), vec![0]);
-        assert_eq!(Column::from_floats(vec![1.0]).int_min_max(), None);
-        assert!(Column::from_floats(vec![1.0])
-            .int_range_rows(0, 2)
-            .is_empty());
+        assert_eq!(floats().int_min_max(), None);
+        assert!(floats().int_range_rows(0, 2).is_empty());
     }
 
     #[test]

@@ -41,6 +41,15 @@ impl Table {
             );
             assert_eq!(c.len(), len, "columns must be equally long");
         }
+        Self::build(schema, columns, len, bytes_per_row)
+    }
+
+    /// Rows are addressed by `u32` selection vectors throughout.
+    fn build(schema: Schema, columns: Vec<Arc<Column>>, len: usize, bytes_per_row: u64) -> Self {
+        assert!(
+            u32::try_from(len).is_ok(),
+            "a table holds at most u32::MAX rows"
+        );
         Self {
             schema,
             columns,
@@ -67,12 +76,8 @@ impl Table {
                 c.push(v);
             }
         }
-        Self {
-            schema,
-            columns: columns.into_iter().map(Arc::new).collect(),
-            len,
-            bytes_per_row,
-        }
+        let columns = columns.into_iter().map(Arc::new).collect();
+        Self::build(schema, columns, len, bytes_per_row)
     }
 
     /// An empty table with the given schema.
@@ -124,16 +129,12 @@ impl Table {
 
     /// The rows at `sel`, in that order, as a new table.
     pub fn take(&self, sel: &[u32]) -> Table {
-        Table {
-            schema: self.schema.clone(),
-            columns: self
-                .columns
-                .iter()
-                .map(|c| Arc::new(c.gather(sel)))
-                .collect(),
-            len: sel.len(),
-            bytes_per_row: self.bytes_per_row,
-        }
+        let columns = self
+            .columns
+            .iter()
+            .map(|c| Arc::new(c.gather(sel)))
+            .collect();
+        Self::build(self.schema.clone(), columns, sel.len(), self.bytes_per_row)
     }
 
     /// Concatenate `parts` — each a table and, optionally, the rows to take
@@ -158,12 +159,7 @@ impl Table {
                 Arc::new(col)
             })
             .collect();
-        Table {
-            schema,
-            columns,
-            len,
-            bytes_per_row,
-        }
+        Self::build(schema, columns, len, bytes_per_row)
     }
 
     /// A canonical fingerprint of the table's contents, independent of row
@@ -172,7 +168,7 @@ impl Table {
     pub fn fingerprint(&self) -> Vec<String> {
         let mut keys: Vec<String> = (0..self.len)
             .map(|i| {
-                let mut s = String::new();
+                let mut s = String::with_capacity(self.columns.len() * 12);
                 for c in &self.columns {
                     c.write_canonical(i, &mut s);
                     s.push('\u{1}');
@@ -286,6 +282,7 @@ mod tests {
     #[should_panic(expected = "must match its field")]
     fn new_rejects_mistyped_columns() {
         let schema = Schema::new(vec![Field::new("a", DataType::Int)]);
-        Table::new(schema, vec![Arc::new(Column::from_floats(vec![1.0]))], 1);
+        let floats = Column::with_capacity(DataType::Float, 0);
+        Table::new(schema, vec![Arc::new(floats)], 1);
     }
 }
