@@ -12,10 +12,14 @@ use deepsea_core::interval::Interval;
 use deepsea_core::matching::partition_matching;
 use deepsea_core::mle::{adjusted_hits, fit_normal};
 use deepsea_core::selection::{select_configuration, CandidateKind, RankedItem};
+use deepsea_core::{baselines, DeepSea};
 use deepsea_engine::plan::AggExpr;
 use deepsea_engine::signature::{matches, Signature};
 use deepsea_engine::LogicalPlan;
 use deepsea_relation::Predicate;
+use deepsea_workload::schema::{BigBenchData, InstanceSize, ItemDistribution};
+use deepsea_workload::sdss::sdss_like_histogram;
+use deepsea_workload::sequences::{fig5_workload, item_domain};
 
 fn bench_signature(c: &mut Criterion) {
     let plan = LogicalPlan::scan("store_sales")
@@ -110,12 +114,40 @@ fn bench_selection(c: &mut Criterion) {
     });
 }
 
+/// The two per-commit costs that grow with everything the registry has ever
+/// tracked, on the registry the wall-clock benchmark's `sdss_steady` ends
+/// with: 400 queries of the SDSS-shaped log, ~1.9k tracked fragments.
+fn bench_commit_bookkeeping(c: &mut Criterion) {
+    let (lo, hi) = item_domain();
+    let dist = ItemDistribution::Histogram(sdss_like_histogram(lo, hi));
+    let catalog = BigBenchData::generate(InstanceSize::Gb100, &dist, 42).catalog;
+    let mut ds = DeepSea::new(catalog, baselines::deepsea().with_phi(0.05));
+    for plan in fig5_workload(600, 42).iter().take(400) {
+        ds.process_query(plan).expect("fault-free replay");
+    }
+    let tracked: usize = ds
+        .registry()
+        .iter()
+        .flat_map(|v| v.partitions.values())
+        .map(|ps| ps.fragments.len())
+        .sum();
+    assert!(tracked > 1_500, "the log tracks ~1.9k fragments: {tracked}");
+    c.bench_function("build_allcand_2k_tracked", |b| b.iter(|| ds.allcand()));
+    // A reader holds the previous epoch while the next is published, as in
+    // the serving loop.
+    let _held = ds.publish_snapshot().expect("the simulated backend forks");
+    c.bench_function("publish_snapshot_2k_tracked", |b| {
+        b.iter(|| ds.publish_snapshot())
+    });
+}
+
 criterion_group!(
     name = micro;
     config = Criterion::default()
         .sample_size(20)
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(1));
-    targets = bench_signature, bench_filter_tree, bench_partition_ops, bench_mle, bench_selection
+    targets = bench_signature, bench_filter_tree, bench_partition_ops, bench_mle, bench_selection,
+        bench_commit_bookkeeping
 );
 criterion_main!(micro);

@@ -130,6 +130,9 @@ pub struct DeepSea {
     /// Consumed (taken) by `observe_query`; `None` means the query starts
     /// its own trace on the driver's span clock.
     pub(crate) pending_span: Option<(SpanCtx, f64)>,
+    /// Refinement candidates selection rejected and need not test again —
+    /// see [`write_path::selection::PselMemo`].
+    pub(crate) psel_memo: write_path::selection::PselMemo,
 }
 
 impl DeepSea {
@@ -176,6 +179,7 @@ impl DeepSea {
             last_fault_stats: FaultStats::default(),
             breakers,
             pending_span: None,
+            psel_memo: Default::default(),
         }
     }
 

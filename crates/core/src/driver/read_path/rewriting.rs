@@ -25,7 +25,7 @@ impl ReadView<'_> {
                 continue;
             };
             let info = ViewScanInfo {
-                view_name: view.name.clone(),
+                view_name: view.name.to_string(),
                 files: access.files.clone(),
                 schema,
                 clip: access.clip.clone(),
@@ -38,7 +38,7 @@ impl ReadView<'_> {
                 if cost < best_cost {
                     best_cost = cost;
                     qbest = Some(rewritten);
-                    used_view = Some(view.name.clone());
+                    used_view = Some(view.name.to_string());
                 }
             }
         }

@@ -2,6 +2,8 @@
 //! **partition candidates** (Definition 7) from the chosen plan and register
 //! them with the statistics registry.
 
+use std::sync::Arc;
+
 use deepsea_engine::plan::LogicalPlan;
 use deepsea_engine::signature::Signature;
 use deepsea_engine::subquery::{all_subplans, view_candidate_subplans};
@@ -11,7 +13,6 @@ use crate::candidates::{clamp_to_domain, partition_candidates};
 use crate::durability::CatalogRecord;
 use crate::filter_tree::ViewId;
 use crate::interval::Interval;
-use crate::registry::PartitionState;
 use crate::stats::LogicalTime;
 
 use super::super::context::QueryContext;
@@ -180,8 +181,8 @@ impl DeepSea {
                     let (attr, domain) = match existing {
                         Some(x) => x,
                         None => {
-                            let plan = self.registry.view(vid).plan.clone();
-                            match self.read_view().attr_domain(&plan, &col) {
+                            let plan = &self.registry.view(vid).plan;
+                            match self.read_view().attr_domain(plan, &col) {
                                 Some(d) => (col.clone(), d),
                                 None => continue,
                             }
@@ -201,8 +202,8 @@ impl DeepSea {
             // Buffer journal records while the registry borrow is live; emit
             // them afterwards in mutation order.
             let mut records: Vec<CatalogRecord> = Vec::new();
-            let key = self.registry.view(vid).key.clone();
             let view = self.registry.view_mut(vid);
+            let key = view.key.to_string();
             let view_size = view.stats.size;
             if !view.partitions.contains_key(&col) {
                 records.push(CatalogRecord::PartitionTracked {
@@ -211,10 +212,7 @@ impl DeepSea {
                     domain,
                 });
             }
-            let ps = view
-                .partitions
-                .entry(col.clone())
-                .or_insert_with(|| PartitionState::new(col.clone(), domain));
+            let ps = view.partition_or_track(&col, domain);
             if ps.add_boundary(qiv.lo) {
                 records.push(CatalogRecord::BoundaryAdded {
                     view: key.clone(),
@@ -250,27 +248,28 @@ impl DeepSea {
             }
             for cand in cands {
                 let est = ps.estimate_size(&cand, view_size);
-                let is_new = ps.find(&cand).is_none();
-                let fid = ps.track(cand, est);
-                if is_new {
-                    new_frags += 1;
-                    let hit = qiv.contains(&cand).then_some(tnow);
-                    records.push(CatalogRecord::FragmentTracked {
-                        view: key.clone(),
-                        attr: col.clone(),
-                        interval: cand,
-                        est_size: est,
-                        hit,
-                    });
+                let (slot, is_new) = ps.track(cand, est);
+                if !is_new {
+                    // Existing fragments already recorded their hit during
+                    // the matching phase.
+                    continue;
                 }
-                // Freshly-tracked candidates inside the query range would
-                // have been used by this query; existing fragments already
-                // recorded their hit during the matching phase.
-                if is_new && qiv.contains(&cand) {
-                    let frag = ps.frag_mut(fid).expect("just tracked");
-                    frag.stats.record_hit(tnow);
-                    frag.stats.prune(tnow, tmax);
+                new_frags += 1;
+                // A freshly-tracked candidate inside the query range would
+                // have been used by this query.
+                let hit = qiv.contains(&cand).then_some(tnow);
+                if hit.is_some() {
+                    let stats = &mut Arc::make_mut(slot).stats;
+                    stats.record_hit(tnow);
+                    stats.prune(tnow, tmax);
                 }
+                records.push(CatalogRecord::FragmentTracked {
+                    view: key.clone(),
+                    attr: col.clone(),
+                    interval: cand,
+                    est_size: est,
+                    hit,
+                });
             }
             for record in records {
                 self.journal_emit(record);

@@ -63,7 +63,7 @@ impl DeepSea {
     /// `V3.item.k[0, 99]`), matching the strings `evict` returns.
     pub(crate) fn describe_item(&self, kind: &CandidateKind) -> String {
         match kind {
-            CandidateKind::WholeView(vid) => self.registry.view(*vid).name.clone(),
+            CandidateKind::WholeView(vid) => self.registry.view(*vid).name.to_string(),
             CandidateKind::Fragment(vid, attr, fid) => {
                 let view = self.registry.view(*vid);
                 match view.partitions.get(attr).and_then(|ps| ps.frag(*fid)) {
@@ -154,8 +154,8 @@ impl DeepSea {
                 let view = self.registry.view_mut(*vid);
                 let file = view.whole_file.take()?;
                 let size = view.stats.size;
-                let key = view.key.clone();
-                let name = view.name.clone();
+                let key = view.key.to_string();
+                let name = view.name.to_string();
                 let secs = self.fs.delete_costed(file).map_or(0.0, |(_, s)| s);
                 let _ = self.pool.release(size);
                 self.journal_emit(CatalogRecord::ViewEvicted { view: key });
@@ -163,10 +163,9 @@ impl DeepSea {
             }
             CandidateKind::Fragment(vid, attr, fid) => {
                 let view = self.registry.view_mut(*vid);
-                let name = view.name.clone();
-                let key = view.key.clone();
-                let ps = view.partitions.get_mut(attr)?;
-                let frag = ps.frag_mut(*fid)?;
+                let name = Arc::clone(&view.name);
+                let key = view.key.to_string();
+                let frag = view.partition_mut(attr)?.frag_mut(*fid)?;
                 let file = frag.file.take()?;
                 let iv = frag.interval;
                 let size = frag.size;
@@ -194,6 +193,7 @@ impl DeepSea {
         while self.pool_bytes() > smax {
             let items: Vec<RankedItem> = self
                 .build_allcand(&[], tnow)
+                .items
                 .into_iter()
                 .filter(|i| i.materialized)
                 .collect();
@@ -276,7 +276,7 @@ impl DeepSea {
                 if pair.len() != 2 {
                     continue; // one half was evicted since planning
                 }
-                (view.name.clone(), schema, pair)
+                (Arc::clone(&view.name), schema, pair)
             };
             // Read both halves before writing anything: a fragment lost
             // mid-merge must never produce a partial union. On a permanent
@@ -320,13 +320,12 @@ impl DeepSea {
                 + self.backend.write_secs(size, size.div_ceil(block).max(1))
                 + charge.penalty_secs;
             // Update metadata: drop the halves, track the union.
-            let key = self.registry.view(vid).key.clone();
+            let key = self.registry.view(vid).key.to_string();
             let mut dropped: Vec<(crate::interval::Interval, u64)> = Vec::new();
             {
                 let view = self.registry.view_mut(vid);
                 let ps = view
-                    .partitions
-                    .get_mut(&attr)
+                    .partition_mut(&attr)
                     .expect("invariant: partition existence checked above");
                 let mut hits: Vec<LogicalTime> = Vec::new();
                 for id in [cand.left, cand.right] {
@@ -339,8 +338,7 @@ impl DeepSea {
                     }
                 }
                 hits.sort_unstable();
-                let mid = ps.track(cand.merged, size);
-                let f = ps.frag_mut(mid).expect("invariant: just tracked");
+                let f = Arc::make_mut(ps.track(cand.merged, size).0);
                 f.file = Some(new_file);
                 f.size = size;
                 f.stats.hits = hits;
@@ -367,7 +365,7 @@ impl DeepSea {
                 self.obs.event(
                     tnow,
                     DecisionEvent::FragmentMerge {
-                        view: name.clone(),
+                        view: name.to_string(),
                         attr: attr.clone(),
                         merged: cand.merged.to_string(),
                         bytes: size,

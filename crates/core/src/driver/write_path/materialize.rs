@@ -126,7 +126,7 @@ impl DeepSea {
             if v.is_materialized() {
                 return Ok((CreationCharge::default(), Vec::new()));
             }
-            (v.plan.clone(), v.name.clone(), v.key.clone())
+            (Arc::clone(&v.plan), Arc::clone(&v.name), v.key.to_string())
         };
         // Compute the view's content. In the real system this is a by-product
         // of the instrumented query's execution, so only the *write* side is
@@ -138,7 +138,7 @@ impl DeepSea {
         // Choose a partition layout.
         let attr_choice: Option<(String, Interval, Vec<Interval>)> = {
             let v = self.registry.view(vid);
-            self.choose_layout(v.partitions.values(), actual_size, &table)
+            self.choose_layout(v.partitions.values().map(|ps| &**ps), actual_size, &table)
         };
 
         let mut descs = Vec::new();
@@ -167,11 +167,9 @@ impl DeepSea {
                     charge.files += 1;
                     let view = self.registry.view_mut(vid);
                     let ps = view
-                        .partitions
-                        .get_mut(&attr)
+                        .partition_mut(&attr)
                         .expect("invariant: layout chosen from existing partition");
-                    let fid = ps.track(*iv, size);
-                    let frag = ps.frag_mut(fid).expect("invariant: just tracked");
+                    let frag = Arc::make_mut(ps.track(*iv, size).0);
                     frag.file = Some(file);
                     frag.size = size;
                     let _ = self.pool.reserve(size);
@@ -190,14 +188,14 @@ impl DeepSea {
             _ => {
                 let size = table.sim_bytes();
                 let (file, nodes) =
-                    self.create_placed(name.clone(), size, table, &mut charge, replicas);
+                    self.create_placed(name.to_string(), size, table, &mut charge, replicas);
                 whole_nodes = nodes;
                 charge.write_bytes += size;
                 charge.files += 1;
                 self.registry.view_mut(vid).whole_file = Some(file);
                 let _ = self.pool.reserve(size);
                 whole_file = Some(file);
-                descs.push(name.clone());
+                descs.push(name.to_string());
             }
         }
         let secs = self.backend.write_secs(charge.write_bytes, charge.files);
@@ -277,7 +275,7 @@ impl DeepSea {
         view_cache: &mut BTreeMap<ViewId, Arc<Table>>,
     ) -> Result<Option<(CreationCharge, String)>, ExecError> {
         let overlapping_mode = self.config.partition_policy.overlapping();
-        let (name, key, schema, target, sources): (String, String, _, Interval, Vec<SourceFrag>) = {
+        let (name, key, schema, target, sources): (Arc<str>, String, _, Interval, Vec<SourceFrag>) = {
             let view = self.registry.view(vid);
             let Some(ps) = view.partitions.get(attr) else {
                 return Ok(None);
@@ -302,9 +300,13 @@ impl DeepSea {
                 .collect::<Vec<_>>();
             let schema = view.schema.clone();
             match schema {
-                Some(s) if !sources.is_empty() => {
-                    (view.name.clone(), view.key.clone(), s, target, sources)
-                }
+                Some(s) if !sources.is_empty() => (
+                    Arc::clone(&view.name),
+                    view.key.to_string(),
+                    s,
+                    target,
+                    sources,
+                ),
                 // No materialized source covers the target (fresh view, or a
                 // fully-evicted region): build the fragment from the view's
                 // plan instead.
@@ -411,7 +413,7 @@ impl DeepSea {
             self.obs.event(
                 self.clock,
                 DecisionEvent::OverlapKept {
-                    view: name.clone(),
+                    view: name.to_string(),
                     attr: attr.to_string(),
                     target: target.to_string(),
                     sources: sources.len() as u64,
@@ -461,7 +463,7 @@ impl DeepSea {
             self.obs.event(
                 self.clock,
                 DecisionEvent::FragmentSplit {
-                    view: name.clone(),
+                    view: name.to_string(),
                     attr: attr.to_string(),
                     target: target.to_string(),
                     sources: cover.len() as u64,
@@ -476,8 +478,7 @@ impl DeepSea {
         {
             let view = self.registry.view_mut(vid);
             let ps = view
-                .partitions
-                .get_mut(attr)
+                .partition_mut(attr)
                 .expect("invariant: partition existence checked above");
             if let Some(f) = ps.frag_mut(fid) {
                 f.file = Some(new_file);
@@ -494,8 +495,7 @@ impl DeepSea {
                 }
             }
             for (piece, file, size, _) in &remainder_meta {
-                let pid = ps.track(*piece, *size);
-                let f = ps.frag_mut(pid).expect("invariant: just tracked");
+                let f = Arc::make_mut(ps.track(*piece, *size).0);
                 f.file = Some(*file);
                 f.size = *size;
             }
@@ -566,9 +566,9 @@ impl DeepSea {
                 return Ok(None);
             };
             (
-                view.plan.clone(),
-                view.name.clone(),
-                view.key.clone(),
+                Arc::clone(&view.plan),
+                Arc::clone(&view.name),
+                view.key.to_string(),
                 frag.interval,
             )
         };
@@ -610,8 +610,7 @@ impl DeepSea {
             view.creation_overhead = overhead;
         }
         let ps = view
-            .partitions
-            .get_mut(attr)
+            .partition_mut(attr)
             .expect("invariant: partition existence checked above");
         if let Some(f) = ps.frag_mut(fid) {
             f.file = Some(file);

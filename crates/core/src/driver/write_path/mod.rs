@@ -16,7 +16,11 @@ pub(crate) mod evict;
 pub(crate) mod materialize;
 pub(crate) mod recover;
 pub(crate) mod selection;
+#[cfg(test)]
+mod selection_tests;
 pub(crate) mod stats;
+
+use std::sync::Arc;
 
 use deepsea_engine::exec::{ExecError, ExecMetrics};
 use deepsea_engine::plan::LogicalPlan;
@@ -322,7 +326,7 @@ impl DeepSea {
             let view = self
                 .registry
                 .view_owning_file(file)
-                .map(|vid| self.registry.view(vid).name.clone());
+                .map(|vid| self.registry.view(vid).name.to_string());
             self.obs.event(
                 ctx.tnow,
                 DecisionEvent::FragmentOutage { file: file.0, view },
@@ -343,19 +347,16 @@ impl DeepSea {
             if v.whole_file == Some(file) {
                 return false;
             }
-            (v.key.clone(), v.name.clone())
+            (v.key.to_string(), v.name.to_string())
         };
         let mut hit = None;
-        {
-            let v = self.registry.view_mut(vid);
-            'outer: for ps in v.partitions.values_mut() {
-                for frag in ps.fragments.iter_mut() {
-                    if frag.file == Some(file) {
-                        frag.file = None;
-                        hit = Some((ps.attr.clone(), frag.interval, frag.size));
-                        break 'outer;
-                    }
-                }
+        for ps in self.registry.view_mut(vid).partitions.values_mut() {
+            if let Some(pos) = ps.fragments.iter().position(|f| f.file == Some(file)) {
+                let ps = Arc::make_mut(ps);
+                let frag = Arc::make_mut(&mut ps.fragments[pos]);
+                frag.file = None;
+                hit = Some((ps.attr.clone(), frag.interval, frag.size));
+                break;
             }
         }
         let Some((attr, interval, size)) = hit else {

@@ -178,12 +178,12 @@ impl DeepSea {
         }
         let _ = self.pool.release(report.bytes);
         if !was_quarantined {
-            let key = self.registry.view(vid).key.clone();
+            let key = self.registry.view(vid).key.to_string();
             self.journal_emit(CatalogRecord::ViewQuarantined {
                 view: key,
                 at: tnow,
             });
-            let name = self.registry.view(vid).name.clone();
+            let name = self.registry.view(vid).name.to_string();
             self.obs
                 .counter_inc("deepsea_quarantined_views_total", Some(&name));
             if self.obs.events_enabled() {
@@ -198,7 +198,7 @@ impl DeepSea {
                 );
             }
         }
-        (self.registry.view(vid).name.clone(), report)
+        (self.registry.view(vid).name.to_string(), report)
     }
 
     /// Quarantine a view during query processing, recording the event in the

@@ -8,6 +8,8 @@
 //! stats directly — their matches are replayed here when their query's
 //! commit ticket comes up.
 
+use std::sync::Arc;
+
 use deepsea_engine::plan::LogicalPlan;
 use deepsea_engine::signature::Signature;
 
@@ -79,11 +81,13 @@ impl DeepSea {
             view.stats.record_use(tnow, saving);
             view.stats.prune(tnow, tmax);
             for (attr, needed) in ranges {
-                if let Some(ps) = view.partitions.get_mut(&attr) {
+                if let Some(ps) = view.partition_mut(&attr) {
+                    // Only the fragments the range overlaps are copied.
                     for frag in &mut ps.fragments {
                         if frag.interval.overlaps(&needed) {
-                            frag.stats.record_hit(tnow);
-                            frag.stats.prune(tnow, tmax);
+                            let stats = &mut Arc::make_mut(frag).stats;
+                            stats.record_hit(tnow);
+                            stats.prune(tnow, tmax);
                         }
                     }
                 }

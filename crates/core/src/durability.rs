@@ -17,6 +17,8 @@
 //! recovered views look slightly colder, never change an answer, because
 //! views accelerate queries but never gate them.
 
+use std::sync::Arc;
+
 use deepsea_engine::{LogicalPlan, Signature};
 use deepsea_relation::Schema;
 use deepsea_storage::{FileId, Journal, Lsn};
@@ -201,7 +203,7 @@ pub fn stats_checkpoint(registry: &ViewRegistry, at: LogicalTime) -> CatalogReco
     let views = registry
         .iter()
         .map(|v| ViewStatsEntry {
-            view: v.key.clone(),
+            view: v.key.to_string(),
             stats: v.stats.clone(),
             fragment_hits: v
                 .partitions
@@ -264,11 +266,7 @@ fn apply_record(registry: &mut ViewRegistry, clock: &mut LogicalTime, record: &C
         }
         CatalogRecord::PartitionTracked { view, attr, domain } => {
             if let Some(vid) = registry.by_key(view) {
-                registry
-                    .view_mut(vid)
-                    .partitions
-                    .entry(attr.clone())
-                    .or_insert_with(|| PartitionState::new(attr.clone(), *domain));
+                registry.view_mut(vid).partition_or_track(attr, *domain);
             }
         }
         CatalogRecord::BoundaryAdded { view, attr, point } => {
@@ -284,11 +282,10 @@ fn apply_record(registry: &mut ViewRegistry, clock: &mut LogicalTime, record: &C
             hit,
         } => {
             if let Some(ps) = partition_mut(registry, view, attr) {
-                let is_new = ps.find(interval).is_none();
-                let fid = ps.track(*interval, *est_size);
+                let (slot, is_new) = ps.track(*interval, *est_size);
                 if is_new {
                     if let Some(t) = hit {
-                        ps.frag_mut(fid).expect("just tracked").stats.record_hit(*t);
+                        Arc::make_mut(slot).stats.record_hit(*t);
                     }
                 }
             }
@@ -326,9 +323,8 @@ fn apply_record(registry: &mut ViewRegistry, clock: &mut LogicalTime, record: &C
                 if v.schema.is_none() {
                     v.schema = schema.clone();
                 }
-                if let Some(ps) = v.partitions.get_mut(attr) {
-                    let fid = ps.track(*interval, *size);
-                    let f = ps.frag_mut(fid).expect("just tracked");
+                if let Some(ps) = v.partition_mut(attr) {
+                    let f = Arc::make_mut(ps.track(*interval, *size).0);
                     f.file = Some(*file);
                     f.size = *size;
                 }
@@ -377,11 +373,7 @@ fn apply_record(registry: &mut ViewRegistry, clock: &mut LogicalTime, record: &C
                 let v = registry.view_mut(vid);
                 v.stats = entry.stats.clone();
                 for (attr, interval, hits) in &entry.fragment_hits {
-                    if let Some(f) = v
-                        .partitions
-                        .get_mut(attr)
-                        .and_then(|ps| ps.find_mut(interval))
-                    {
+                    if let Some(f) = v.partition_mut(attr).and_then(|ps| ps.find_mut(interval)) {
                         f.stats.hits = hits.clone();
                     }
                 }
@@ -399,7 +391,7 @@ fn partition_mut<'a>(
     attr: &str,
 ) -> Option<&'a mut PartitionState> {
     let vid = registry.by_key(view)?;
-    registry.view_mut(vid).partitions.get_mut(attr)
+    registry.view_mut(vid).partition_mut(attr)
 }
 
 /// What the fsck sweep of `DeepSea::recover` found and repaired, plus replay

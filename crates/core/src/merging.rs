@@ -49,6 +49,7 @@ pub fn merge_candidates(
         .fragments
         .iter()
         .filter(|f| f.is_materialized())
+        .map(|f| &**f)
         .collect();
     mats.sort_by_key(|f| (f.interval.lo, f.interval.hi));
     let mut out = Vec::new();
@@ -95,14 +96,14 @@ fn is_cohit(
 mod tests {
     use super::*;
     use deepsea_storage::FileId;
+    use std::sync::Arc;
 
     /// Partition with materialized fragments [0,9][10,19][20,29][40,49]
     /// (note the gap before the last one).
     fn partition(hits: &[&[LogicalTime]]) -> PartitionState {
         let mut p = PartitionState::new("a.k", Interval::new(0, 49));
         for (i, (lo, hi)) in [(0, 9), (10, 19), (20, 29), (40, 49)].iter().enumerate() {
-            let id = p.track(Interval::new(*lo, *hi), 100);
-            let f = p.frag_mut(id).unwrap();
+            let f = Arc::make_mut(p.track(Interval::new(*lo, *hi), 100).0);
             f.file = Some(FileId(i as u64));
             for &t in hits[i] {
                 f.stats.record_hit(t);

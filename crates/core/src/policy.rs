@@ -5,7 +5,7 @@
 //! views are laid out* (progressive/overlapping vs equi-depth vs none). The
 //! two axes are orthogonal, exactly as in the paper's experiments.
 
-use crate::mle::{adjusted_hits, fit_normal};
+use crate::mle::{adjusted_hits, fit_normal, FittedNormal};
 use crate::registry::PartitionState;
 use crate::stats::{FragStats, LogicalTime, ViewStats};
 
@@ -73,56 +73,73 @@ impl ValueModel {
         tnow: LogicalTime,
         tmax: LogicalTime,
     ) -> Vec<f64> {
+        self.value_fragments(partition, view_size, view_cost, tnow, tmax)
+            .values
+    }
+
+    /// [`ValueModel::fragment_values`] together with the intermediates it
+    /// went through, so that one pass over the hit lists per partition and
+    /// commit serves the ranking, the §7.2 admission test and the audit log.
+    pub fn value_fragments(
+        &self,
+        partition: &PartitionState,
+        view_size: u64,
+        view_cost: f64,
+        tnow: LogicalTime,
+        tmax: LogicalTime,
+    ) -> PartitionValues {
         match self {
             ValueModel::DeepSea { use_mle } => {
-                if *use_mle {
-                    let weighted: Vec<_> = partition
-                        .fragments
-                        .iter()
-                        .map(|f| (f.interval, f.stats.decayed_hits(tnow, tmax)))
-                        .collect();
-                    let total: f64 = weighted.iter().map(|(_, h)| h).sum();
-                    if let Some(fit) = fit_normal(&weighted) {
-                        return partition
-                            .fragments
-                            .iter()
-                            .map(|f| {
-                                let ha = adjusted_hits(total, &fit, &f.interval);
-                                FragStats::phi_with_hits(ha, f.size, view_size, view_cost)
-                            })
-                            .collect();
-                    }
-                }
-                partition
+                let (decayed_hits, fit) = decayed_hits_and_fit(partition, *use_mle, tnow, tmax);
+                let values = partition
                     .fragments
                     .iter()
-                    .map(|f| f.stats.phi(f.size, view_size, view_cost, tnow, tmax))
-                    .collect()
+                    .zip(&decayed_hits)
+                    .map(|(f, &h)| {
+                        let ha = match &fit {
+                            Some(fit) => adjusted_hits(fit.total_hits, &fit.normal, &f.interval),
+                            None => h,
+                        };
+                        FragStats::phi_with_hits(ha, f.size, view_size, view_cost)
+                    })
+                    .collect();
+                PartitionValues {
+                    values,
+                    decayed_hits: Some(decayed_hits),
+                    fit,
+                }
             }
-            ValueModel::Nectar | ValueModel::NectarPlus => partition
-                .fragments
-                .iter()
-                .map(|f| {
-                    if f.size == 0 || view_size == 0 {
-                        return 0.0;
-                    }
-                    let dt = delta_t(f.stats.last_hit(), tnow);
-                    let per_hit = (f.size as f64 / view_size as f64) * view_cost;
-                    let benefit = match self {
-                        // Nectar: only the most recent hit counts.
-                        ValueModel::Nectar => {
-                            if f.stats.raw_hits() > 0 {
-                                per_hit
-                            } else {
-                                0.0
-                            }
+            ValueModel::Nectar | ValueModel::NectarPlus => {
+                let values = partition
+                    .fragments
+                    .iter()
+                    .map(|f| {
+                        if f.size == 0 || view_size == 0 {
+                            return 0.0;
                         }
-                        // Nectar+: accumulated, undecayed.
-                        _ => per_hit * f.stats.raw_hits() as f64,
-                    };
-                    view_cost * benefit / (f.size as f64 * dt)
-                })
-                .collect(),
+                        let dt = delta_t(f.stats.last_hit(), tnow);
+                        let per_hit = (f.size as f64 / view_size as f64) * view_cost;
+                        let benefit = match self {
+                            // Nectar: only the most recent hit counts.
+                            ValueModel::Nectar => {
+                                if f.stats.raw_hits() > 0 {
+                                    per_hit
+                                } else {
+                                    0.0
+                                }
+                            }
+                            // Nectar+: accumulated, undecayed.
+                            _ => per_hit * f.stats.raw_hits() as f64,
+                        };
+                        view_cost * benefit / (f.size as f64 * dt)
+                    })
+                    .collect();
+                PartitionValues {
+                    values,
+                    decayed_hits: None,
+                    fit: None,
+                }
+            }
         }
     }
 
@@ -141,26 +158,15 @@ impl ValueModel {
     ) -> Vec<f64> {
         match self {
             ValueModel::DeepSea { use_mle } => {
-                if *use_mle {
-                    let weighted: Vec<_> = partition
+                let (decayed_hits, fit) = decayed_hits_and_fit(partition, *use_mle, tnow, tmax);
+                match fit {
+                    Some(fit) => partition
                         .fragments
                         .iter()
-                        .map(|f| (f.interval, f.stats.decayed_hits(tnow, tmax)))
-                        .collect();
-                    let total: f64 = weighted.iter().map(|(_, h)| h).sum();
-                    if let Some(fit) = fit_normal(&weighted) {
-                        return partition
-                            .fragments
-                            .iter()
-                            .map(|f| adjusted_hits(total, &fit, &f.interval))
-                            .collect();
-                    }
+                        .map(|f| adjusted_hits(fit.total_hits, &fit.normal, &f.interval))
+                        .collect(),
+                    None => decayed_hits,
                 }
-                partition
-                    .fragments
-                    .iter()
-                    .map(|f| f.stats.decayed_hits(tnow, tmax))
-                    .collect()
             }
             ValueModel::Nectar => partition
                 .fragments
@@ -176,8 +182,53 @@ impl ValueModel {
     }
 }
 
+/// The MLE normal fit of one partition's decayed hits (§7.1) and the total
+/// it redistributes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PartitionFit {
+    /// The fitted distribution.
+    pub normal: FittedNormal,
+    /// `Σ H(I)` over the partition's fragments.
+    pub total_hits: f64,
+}
+
+/// What [`ValueModel::value_fragments`] computed for one partition, every
+/// vector keyed by position in `partition.fragments`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PartitionValues {
+    /// `Φ(I, tnow)` per fragment.
+    pub values: Vec<f64>,
+    /// Decayed hits `H(I)` per fragment — `None` under the Nectar models,
+    /// which never decay.
+    pub decayed_hits: Option<Vec<f64>>,
+    /// The MLE fit the values were smoothed through, when one was active.
+    pub fit: Option<PartitionFit>,
+}
+
+/// `H(I)` for every fragment of a partition, and the MLE fit over them when
+/// the model smooths and the hits carry a signal.
+fn decayed_hits_and_fit(
+    partition: &PartitionState,
+    use_mle: bool,
+    tnow: LogicalTime,
+    tmax: LogicalTime,
+) -> (Vec<f64>, Option<PartitionFit>) {
+    let weighted: Vec<_> = partition
+        .fragments
+        .iter()
+        .map(|f| (f.interval, f.stats.decayed_hits(tnow, tmax)))
+        .collect();
+    let fit = if use_mle {
+        let total_hits: f64 = weighted.iter().map(|(_, h)| h).sum();
+        fit_normal(&weighted).map(|normal| PartitionFit { normal, total_hits })
+    } else {
+        None
+    };
+    (weighted.into_iter().map(|(_, h)| h).collect(), fit)
+}
+
 /// Time since last access, floored at 1 so "used this query" divides by one.
-fn delta_t(last: Option<LogicalTime>, tnow: LogicalTime) -> f64 {
+pub(crate) fn delta_t(last: Option<LogicalTime>, tnow: LogicalTime) -> f64 {
     match last {
         Some(t) => ((tnow - t) as f64).max(1.0),
         None => tnow as f64,
@@ -251,6 +302,7 @@ mod tests {
     use super::*;
     use crate::interval::Interval;
     use deepsea_storage::FileId;
+    use std::sync::Arc;
 
     fn stats_with_uses(uses: &[(LogicalTime, f64)]) -> ViewStats {
         let mut s = ViewStats::estimated(1000, 10.0);
@@ -292,9 +344,8 @@ mod tests {
         // Three fragments; the left one is hot, the other two cold.
         let mut p = PartitionState::new("a.k", Interval::new(0, 29));
         for (lo, hi) in [(0, 9), (10, 19), (20, 29)] {
-            let id = p.track(Interval::new(lo, hi), 100);
-            let f = p.frag_mut(id).unwrap();
-            f.file = Some(FileId(id.0));
+            let f = Arc::make_mut(p.track(Interval::new(lo, hi), 100).0);
+            f.file = Some(FileId(f.id.0));
         }
         for _ in 0..20 {
             p.frag_mut(crate::fragment::FragmentId(0))

@@ -3,8 +3,18 @@
 //! Tracks every view and fragment DeepSea has ever considered, whether or not
 //! it is currently materialized in the pool. The *configuration* `C` (what is
 //! actually in the pool, Definition 3) is the subset with backing files.
+//!
+//! The registry is a **copy-on-write** structure: every view, partition and
+//! fragment sits behind its own `Arc`, as do a view's immutable parts (plan,
+//! signature, key, name) and the registry's two indexes. `Clone` is therefore
+//! a refcount bump per view, and the `*_mut` accessors below `Arc::make_mut`
+//! exactly the nodes on the path to what they change — a clone held by a
+//! published snapshot or by the journal keeps the old nodes and shares
+//! everything else. `Arc`'s `Debug` is transparent, so `state_digest` does
+//! not see the sharing.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use deepsea_engine::{LogicalPlan, Signature};
 use deepsea_relation::Schema;
@@ -22,8 +32,11 @@ pub struct PartitionState {
     pub attr: String,
     /// The attribute's domain `D(A)`.
     pub domain: Interval,
-    /// Every fragment tracked for this partition (materialized + candidates).
-    pub fragments: Vec<FragmentMeta>,
+    /// Every fragment tracked for this partition (materialized + candidates),
+    /// in tracking order; fragments are never removed. Mutate one through
+    /// [`PartitionState::frag_mut`] / [`PartitionState::find_mut`] (or
+    /// `Arc::make_mut` on the slot) so that only it is copied.
+    pub fragments: Vec<Arc<FragmentMeta>>,
     /// Split points gathered from query selection endpoints; the *initial*
     /// partitioning materializes the intervals between consecutive
     /// boundaries.
@@ -54,7 +67,7 @@ impl PartitionState {
 
     /// Is any fragment of this partition materialized?
     pub fn any_materialized(&self) -> bool {
-        self.fragments.iter().any(FragmentMeta::is_materialized)
+        self.fragments.iter().any(|f| f.is_materialized())
     }
 
     /// Intervals used as the base for Definition 7 candidate generation:
@@ -74,46 +87,68 @@ impl PartitionState {
 
     /// Find a tracked fragment with exactly this interval.
     pub fn find(&self, interval: &Interval) -> Option<&FragmentMeta> {
-        self.fragments.iter().find(|f| f.interval == *interval)
-    }
-
-    /// Mutable lookup by interval.
-    pub fn find_mut(&mut self, interval: &Interval) -> Option<&mut FragmentMeta> {
-        self.fragments.iter_mut().find(|f| f.interval == *interval)
-    }
-
-    /// Mutable lookup by fragment id.
-    pub fn frag_mut(&mut self, id: FragmentId) -> Option<&mut FragmentMeta> {
-        self.fragments.iter_mut().find(|f| f.id == id)
-    }
-
-    /// Lookup by fragment id.
-    pub fn frag(&self, id: FragmentId) -> Option<&FragmentMeta> {
-        self.fragments.iter().find(|f| f.id == id)
-    }
-
-    /// Track a fragment interval (no-op if already tracked). Returns its id.
-    pub fn track(&mut self, interval: Interval, est_size: u64) -> FragmentId {
-        if let Some(f) = self.find(&interval) {
-            return f.id;
-        }
-        let id = FragmentId(self.next_frag);
-        self.next_frag += 1;
         self.fragments
-            .push(FragmentMeta::candidate(id, interval, est_size));
-        id
+            .iter()
+            .find(|f| f.interval == *interval)
+            .map(|f| &**f)
+    }
+
+    /// Mutable lookup by interval (copies the fragment if it is shared).
+    pub fn find_mut(&mut self, interval: &Interval) -> Option<&mut FragmentMeta> {
+        self.fragments
+            .iter_mut()
+            .find(|f| f.interval == *interval)
+            .map(Arc::make_mut)
+    }
+
+    /// Mutable lookup by fragment id (copies the fragment if it is shared).
+    pub fn frag_mut(&mut self, id: FragmentId) -> Option<&mut FragmentMeta> {
+        self.fragments
+            .get_mut(id.0 as usize)
+            .filter(|f| f.id == id)
+            .map(Arc::make_mut)
+    }
+
+    /// Lookup by fragment id: ids are handed out in tracking order and
+    /// fragments are never removed, so a fragment sits at its id.
+    pub fn frag(&self, id: FragmentId) -> Option<&FragmentMeta> {
+        self.fragments
+            .get(id.0 as usize)
+            .filter(|f| f.id == id)
+            .map(|f| &**f)
+    }
+
+    /// Track a fragment interval. Returns the fragment's slot — the one found
+    /// or the candidate just pushed — and whether it is new. Reading through
+    /// the slot copies nothing; `Arc::make_mut` it to change the fragment.
+    pub fn track(&mut self, interval: Interval, est_size: u64) -> (&mut Arc<FragmentMeta>, bool) {
+        let (pos, is_new) = match self.fragments.iter().position(|f| f.interval == interval) {
+            Some(pos) => (pos, false),
+            None => {
+                let id = FragmentId(self.next_frag);
+                self.next_frag += 1;
+                self.fragments
+                    .push(Arc::new(FragmentMeta::candidate(id, interval, est_size)));
+                (self.fragments.len() - 1, true)
+            }
+        };
+        (&mut self.fragments[pos], is_new)
     }
 
     /// Record a split point (selection endpoint) for initial partitioning.
     /// Returns whether the point was actually recorded (in-domain and new) —
     /// the signal the driver uses to journal only effective boundaries.
     pub fn add_boundary(&mut self, p: i64) -> bool {
-        if p > self.domain.lo && p <= self.domain.hi && !self.boundaries.contains(&p) {
-            self.boundaries.push(p);
-            self.boundaries.sort_unstable();
-            return true;
+        if p <= self.domain.lo || p > self.domain.hi {
+            return false;
         }
-        false
+        match self.boundaries.binary_search(&p) {
+            Ok(_) => false,
+            Err(pos) => {
+                self.boundaries.insert(pos, p);
+                true
+            }
+        }
     }
 
     /// The horizontal partition of the domain induced by the recorded
@@ -138,6 +173,7 @@ impl PartitionState {
             .fragments
             .iter()
             .filter(|f| f.is_materialized() && f.interval.overlaps(interval))
+            .map(|f| &**f)
             .collect();
         if mats.is_empty() {
             let frac = interval.width() as f64 / self.domain.width() as f64;
@@ -164,19 +200,21 @@ pub struct ViewMeta {
     /// Identifier.
     pub id: ViewId,
     /// Short display name (`V0`, `V1`, …).
-    pub name: String,
+    pub name: Arc<str>,
     /// Canonical signature key (view identity).
-    pub key: String,
+    pub key: Arc<str>,
     /// The view's defining plan (view-free).
-    pub plan: LogicalPlan,
+    pub plan: Arc<LogicalPlan>,
     /// The defining plan's signature.
-    pub sig: Signature,
+    pub sig: Arc<Signature>,
     /// Output schema, known after first materialization.
     pub schema: Option<Schema>,
     /// Backing file when materialized *without* partitioning.
     pub whole_file: Option<FileId>,
     /// Partitions by attribute (multiple allowed on different attributes).
-    pub partitions: BTreeMap<String, PartitionState>,
+    /// Mutate one through [`ViewMeta::partition_mut`] /
+    /// [`ViewMeta::partition_or_track`] so that only it is copied.
+    pub partitions: BTreeMap<String, Arc<PartitionState>>,
     /// `(S, COST, T, B)` statistics. `stats.cost` is the *recreation* cost
     /// (recompute the view's query and partition it, §7.1) used in `Φ` and
     /// fragment benefits.
@@ -196,11 +234,22 @@ pub struct ViewMeta {
 impl ViewMeta {
     /// Is anything of this view materialized?
     pub fn is_materialized(&self) -> bool {
-        self.whole_file.is_some()
-            || self
-                .partitions
-                .values()
-                .any(PartitionState::any_materialized)
+        self.whole_file.is_some() || self.partitions.values().any(|ps| ps.any_materialized())
+    }
+
+    /// Mutable lookup of the partition on `attr` (copies the partition's
+    /// fragment *slots*, not the fragments, if it is shared).
+    pub fn partition_mut(&mut self, attr: &str) -> Option<&mut PartitionState> {
+        self.partitions.get_mut(attr).map(Arc::make_mut)
+    }
+
+    /// The partition on `attr`, started over `domain` if not tracked yet.
+    pub fn partition_or_track(&mut self, attr: &str, domain: Interval) -> &mut PartitionState {
+        let slot = self
+            .partitions
+            .entry(attr.to_string())
+            .or_insert_with(|| Arc::new(PartitionState::new(attr, domain)));
+        Arc::make_mut(slot)
     }
 
     /// Is this view currently quarantined (lost and unmatched)?
@@ -219,7 +268,7 @@ impl ViewMeta {
             + self
                 .partitions
                 .values()
-                .map(PartitionState::pool_bytes)
+                .map(|ps| ps.pool_bytes())
                 .sum::<u64>()
     }
 }
@@ -237,13 +286,16 @@ pub struct QuarantineReport {
 }
 
 /// The statistics registry `STAT = (VSTAT, PSTAT, Σ)` of Definition 5.
+///
+/// `Clone` shares every view and both indexes with the original (see the
+/// module doc); a clone is what a snapshot or the journal holds.
 #[derive(Debug, Default, Clone)]
 pub struct ViewRegistry {
-    views: Vec<ViewMeta>,
+    views: Vec<Arc<ViewMeta>>,
     // deepsea-lint: allow(hash_iter) -- by_key is a point-lookup index (get/insert
     // only, never iterated), so hash ordering cannot leak into any decision.
-    by_key: HashMap<String, ViewId>,
-    index: FilterTree,
+    by_key: Arc<HashMap<Arc<str>, ViewId>>,
+    index: Arc<FilterTree>,
 }
 
 impl ViewRegistry {
@@ -275,29 +327,32 @@ impl ViewRegistry {
         est_overhead: f64,
     ) -> ViewId {
         let key = sig.canonical_key();
-        if let Some(&id) = self.by_key.get(&key) {
-            let view = &mut self.views[id.0 as usize];
-            if view.quarantined_at.take().is_some() {
-                self.index.insert(&view.sig, id);
+        if let Some(&id) = self.by_key.get(key.as_str()) {
+            if self.view(id).is_quarantined() {
+                let view = self.view_mut(id);
+                view.quarantined_at = None;
+                let sig = Arc::clone(&view.sig);
+                Arc::make_mut(&mut self.index).insert(&sig, id);
             }
             return id;
         }
         let id = ViewId(self.views.len() as u64);
-        self.index.insert(&sig, id);
-        self.by_key.insert(key.clone(), id);
-        self.views.push(ViewMeta {
+        let key: Arc<str> = key.into();
+        Arc::make_mut(&mut self.index).insert(&sig, id);
+        Arc::make_mut(&mut self.by_key).insert(Arc::clone(&key), id);
+        self.views.push(Arc::new(ViewMeta {
             id,
-            name: format!("V{}", id.0),
+            name: format!("V{}", id.0).into(),
             key,
-            plan,
-            sig,
+            plan: Arc::new(plan),
+            sig: Arc::new(sig),
             schema: None,
             whole_file: None,
             partitions: BTreeMap::new(),
             stats: ViewStats::estimated(est_size, est_recreate_cost),
             creation_overhead: est_overhead,
             quarantined_at: None,
-        });
+        }));
         id
     }
 
@@ -307,7 +362,7 @@ impl ViewRegistry {
     /// Statistics are preserved for re-admission. Returns the backing files
     /// the caller must drop from the file system and the pool bytes released.
     pub fn quarantine(&mut self, id: ViewId, tnow: LogicalTime) -> QuarantineReport {
-        let view = &mut self.views[id.0 as usize];
+        let view = self.view_mut(id);
         let bytes = view.pool_bytes();
         let mut files = Vec::new();
         let mut fragments = 0u32;
@@ -315,17 +370,20 @@ impl ViewRegistry {
             files.push(f);
         }
         for ps in view.partitions.values_mut() {
-            for frag in &mut ps.fragments {
-                if let Some(f) = frag.file.take() {
-                    files.push(f);
+            if !ps.any_materialized() {
+                continue;
+            }
+            for frag in &mut Arc::make_mut(ps).fragments {
+                if frag.is_materialized() {
+                    files.extend(Arc::make_mut(frag).file.take());
                     fragments += 1;
                 }
             }
         }
         if view.quarantined_at.is_none() {
             view.quarantined_at = Some(tnow);
-            let sig = view.sig.clone();
-            self.index.remove(&sig, id);
+            let sig = Arc::clone(&view.sig);
+            Arc::make_mut(&mut self.index).remove(&sig, id);
         }
         QuarantineReport {
             files,
@@ -337,8 +395,7 @@ impl ViewRegistry {
     /// The view whose whole-file copy or fragment is backed by `file`, if
     /// any — how an execution failure on a file maps back to a view.
     pub fn view_owning_file(&self, file: FileId) -> Option<ViewId> {
-        self.views
-            .iter()
+        self.iter()
             .find(|v| {
                 v.whole_file == Some(file)
                     || v.partitions
@@ -353,9 +410,10 @@ impl ViewRegistry {
         &self.views[id.0 as usize]
     }
 
-    /// Mutable lookup by id.
+    /// Mutable lookup by id (copies the view's own fields — statistics and
+    /// partition *slots*, not the partitions — if it is shared).
     pub fn view_mut(&mut self, id: ViewId) -> &mut ViewMeta {
-        &mut self.views[id.0 as usize]
+        Arc::make_mut(&mut self.views[id.0 as usize])
     }
 
     /// Lookup by canonical key.
@@ -365,7 +423,7 @@ impl ViewRegistry {
 
     /// Lookup by display name (`V3`).
     pub fn by_name(&self, name: &str) -> Option<ViewId> {
-        self.views.iter().find(|v| v.name == name).map(|v| v.id)
+        self.views.iter().find(|v| &*v.name == name).map(|v| v.id)
     }
 
     /// Views whose signature bucket matches the query's (filter-tree pruned).
@@ -375,17 +433,12 @@ impl ViewRegistry {
 
     /// All views.
     pub fn iter(&self) -> impl Iterator<Item = &ViewMeta> {
-        self.views.iter()
-    }
-
-    /// Mutable iteration.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut ViewMeta> {
-        self.views.iter_mut()
+        self.views.iter().map(|v| &**v)
     }
 
     /// Total pool bytes across all materialized views/fragments.
     pub fn pool_bytes(&self) -> u64 {
-        self.views.iter().map(ViewMeta::pool_bytes).sum()
+        self.iter().map(ViewMeta::pool_bytes).sum()
     }
 
     /// A deterministic digest of the full registry state (views in id order,
@@ -469,13 +522,58 @@ mod tests {
     #[test]
     fn track_dedupes_and_assigns_ids() {
         let mut p = PartitionState::new("a.k", Interval::new(0, 99));
-        let f1 = p.track(Interval::new(0, 49), 10);
-        let f2 = p.track(Interval::new(50, 99), 10);
-        let f1b = p.track(Interval::new(0, 49), 99);
-        assert_eq!(f1, f1b);
+        let (f1, new1) = p.track(Interval::new(0, 49), 10);
+        let f1 = f1.id;
+        let (f2, new2) = p.track(Interval::new(50, 99), 10);
+        let f2 = f2.id;
+        let (f1b, new1b) = p.track(Interval::new(0, 49), 99);
+        assert_eq!(f1, f1b.id);
         assert_ne!(f1, f2);
+        assert_eq!((new1, new2, new1b), (true, true, false));
         assert_eq!(p.fragments.len(), 2);
         assert_eq!(p.find(&Interval::new(0, 49)).unwrap().size, 10);
+        // A fragment sits at its id, which is what makes `frag` O(1).
+        assert_eq!(p.frag(f2).unwrap().interval, Interval::new(50, 99));
+        assert!(p.frag(FragmentId(2)).is_none());
+    }
+
+    #[test]
+    fn mutating_a_clone_copies_only_the_path_to_the_change() {
+        let (mut r, id) = reg_with_join();
+        let other = {
+            let plan = LogicalPlan::scan("a").join(LogicalPlan::scan("c"), vec![("a.k", "c.k")]);
+            let sig = Signature::of(&plan).unwrap();
+            r.register(plan, sig, 10, 1.0, 1.0)
+        };
+        let ps = r
+            .view_mut(id)
+            .partition_or_track("a.k", Interval::new(0, 99));
+        ps.track(Interval::new(0, 49), 10);
+        ps.track(Interval::new(50, 99), 10);
+        r.view_mut(id)
+            .partition_or_track("a.v", Interval::new(0, 9));
+
+        let frozen = r.clone();
+        let digest = frozen.state_digest();
+        let hit = r
+            .view_mut(id)
+            .partition_mut("a.k")
+            .and_then(|ps| ps.frag_mut(FragmentId(1)))
+            .unwrap();
+        hit.stats.record_hit(3);
+
+        assert_eq!(frozen.state_digest(), digest, "the clone is frozen");
+        assert_ne!(r.state_digest(), digest);
+        let (old, new) = (frozen.view(id), r.view(id));
+        assert!(!std::ptr::eq(old, new), "the touched view was copied");
+        assert!(std::ptr::eq(frozen.view(other), r.view(other)));
+        assert!(Arc::ptr_eq(&old.plan, &new.plan) && Arc::ptr_eq(&old.key, &new.key));
+        assert!(Arc::ptr_eq(&old.partitions["a.v"], &new.partitions["a.v"]));
+        let (old_ps, new_ps) = (&old.partitions["a.k"], &new.partitions["a.k"]);
+        assert!(!Arc::ptr_eq(old_ps, new_ps));
+        assert!(Arc::ptr_eq(&old_ps.fragments[0], &new_ps.fragments[0]));
+        assert!(!Arc::ptr_eq(&old_ps.fragments[1], &new_ps.fragments[1]));
+        assert_eq!(old_ps.fragments[1].stats.raw_hits(), 0);
     }
 
     #[test]
@@ -488,15 +586,13 @@ mod tests {
     #[test]
     fn estimate_size_uses_materialized_overlap() {
         let mut p = PartitionState::new("a.k", Interval::new(0, 99));
-        let f = p.track(Interval::new(0, 49), 0);
         {
-            let m = p.frag_mut(f).unwrap();
+            let m = Arc::make_mut(p.track(Interval::new(0, 49), 0).0);
             m.file = Some(FileId(1));
             m.size = 800; // skewed: the left half holds most data
         }
-        let f2 = p.track(Interval::new(50, 99), 0);
         {
-            let m = p.frag_mut(f2).unwrap();
+            let m = Arc::make_mut(p.track(Interval::new(50, 99), 0).0);
             m.file = Some(FileId(2));
             m.size = 200;
         }
@@ -521,15 +617,14 @@ mod tests {
     fn quarantine_releases_pool_and_stops_matching() {
         let (mut r, id) = reg_with_join();
         r.view_mut(id).whole_file = Some(FileId(7));
-        let ps = PartitionState::new("a.k", Interval::new(0, 99));
-        r.view_mut(id).partitions.insert("a.k".into(), ps);
         let fid = {
-            let ps = r.view_mut(id).partitions.get_mut("a.k").unwrap();
-            let fid = ps.track(Interval::new(0, 49), 0);
-            let f = ps.frag_mut(fid).unwrap();
+            let ps = r
+                .view_mut(id)
+                .partition_or_track("a.k", Interval::new(0, 99));
+            let f = Arc::make_mut(ps.track(Interval::new(0, 49), 0).0);
             f.file = Some(FileId(8));
             f.size = 300;
-            fid
+            f.id
         };
         assert_eq!(r.pool_bytes(), 1300);
         let q = LogicalPlan::scan("a").join(LogicalPlan::scan("b"), vec![("a.k", "b.k")]);
@@ -598,8 +693,8 @@ mod tests {
         });
         let v = r.view(id);
         j.append(CatalogRecord::ViewRegistered {
-            plan: v.plan.clone(),
-            sig: v.sig.clone(),
+            plan: LogicalPlan::clone(&v.plan),
+            sig: Signature::clone(&v.sig),
             est_size: 500,
             est_cost: 5.0,
             est_overhead: 1.0,

@@ -43,6 +43,31 @@ pub struct SelectionResult {
     pub to_keep: Vec<RankedItem>,
 }
 
+/// What selection decided for one entry of `ALLCAND`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// Unmaterialized and inside the prefix: materialize it.
+    Create,
+    /// Materialized and inside the prefix: it stays.
+    Keep,
+    /// Materialized and outside the prefix: evict it.
+    Evict,
+    /// Unmaterialized and outside the prefix: nothing happens.
+    Reject,
+}
+
+impl Verdict {
+    /// The verdict's name in the decision audit log.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Verdict::Create => "create",
+            Verdict::Keep => "keep",
+            Verdict::Evict => "evict",
+            Verdict::Reject => "reject",
+        }
+    }
+}
+
 /// Greedy Φ-ranked prefix selection under `smax` (§7.3):
 ///
 /// ```text
@@ -51,8 +76,19 @@ pub struct SelectionResult {
 ///
 /// Ties are broken in favor of already-materialized entries (avoids gratuitous
 /// churn when Φ values are equal).
-pub fn select_configuration(mut items: Vec<RankedItem>, smax: Option<u64>) -> SelectionResult {
-    items.sort_by(|a, b| {
+pub fn select_configuration(items: Vec<RankedItem>, smax: Option<u64>) -> SelectionResult {
+    select_with_verdicts(items, smax).0
+}
+
+/// [`select_configuration`], also reporting the verdict on every entry by its
+/// position in `items` — what the decision audit log records.
+pub fn select_with_verdicts(
+    items: Vec<RankedItem>,
+    smax: Option<u64>,
+) -> (SelectionResult, Vec<Verdict>) {
+    let mut verdicts = vec![Verdict::Reject; items.len()];
+    let mut ranked: Vec<(usize, RankedItem)> = items.into_iter().enumerate().collect();
+    ranked.sort_by(|(_, a), (_, b)| {
         b.phi
             .total_cmp(&a.phi)
             .then_with(|| b.materialized.cmp(&a.materialized))
@@ -60,7 +96,7 @@ pub fn select_configuration(mut items: Vec<RankedItem>, smax: Option<u64>) -> Se
     let mut result = SelectionResult::default();
     let mut used: u64 = 0;
     let mut full = false;
-    for item in items {
+    for (pos, item) in ranked {
         let fits = match smax {
             Some(limit) => !full && used.saturating_add(item.size) <= limit,
             None => true,
@@ -68,8 +104,10 @@ pub fn select_configuration(mut items: Vec<RankedItem>, smax: Option<u64>) -> Se
         if fits {
             used += item.size;
             if item.materialized {
+                verdicts[pos] = Verdict::Keep;
                 result.to_keep.push(item);
             } else {
+                verdicts[pos] = Verdict::Create;
                 result.to_create.push(item);
             }
         } else {
@@ -77,11 +115,12 @@ pub fn select_configuration(mut items: Vec<RankedItem>, smax: Option<u64>) -> Se
             // fit, everything ranked below is excluded too.
             full = true;
             if item.materialized {
+                verdicts[pos] = Verdict::Evict;
                 result.to_evict.push(item);
             }
         }
     }
-    result
+    (result, verdicts)
 }
 
 /// Apply the §9 fragment-size bounds to a prospective set of materialization
@@ -188,6 +227,30 @@ mod tests {
         assert_eq!(r.to_create.len(), 1);
         assert_eq!(r.to_keep.len(), 1);
         assert!(r.to_evict.is_empty());
+    }
+
+    #[test]
+    fn verdicts_are_reported_by_input_position() {
+        // Ranked: #2 (Φ 3, kept), #0 (Φ 2, created), then #1 does not fit
+        // and closes the prefix, so #3 is out although it would fit.
+        let items = vec![
+            item(2.0, 50, false, 0),
+            item(1.5, 60, true, 1),
+            item(3.0, 40, true, 2),
+            item(1.0, 5, false, 3),
+        ];
+        let (r, verdicts) = select_with_verdicts(items.clone(), Some(100));
+        assert_eq!(
+            verdicts,
+            [
+                Verdict::Create,
+                Verdict::Evict,
+                Verdict::Keep,
+                Verdict::Reject
+            ]
+        );
+        assert_eq!(r, select_configuration(items, Some(100)));
+        assert_eq!(r.to_create.len() + r.to_keep.len() + r.to_evict.len(), 3);
     }
 
     #[test]

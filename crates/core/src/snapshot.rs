@@ -1,7 +1,7 @@
 //! Immutable catalog snapshots for concurrent readers.
 //!
 //! A [`ReadSnapshot`] is what the single writer *publishes* after each
-//! committed query: a frozen copy of the view registry (and, transitively,
+//! committed query: the view registry as of that commit (and, transitively,
 //! its filter tree and statistics) plus `Arc` handles on the shared
 //! substrates, stamped with the epoch it was taken at. Readers answer
 //! queries against a snapshot through the same read-path code the serial
@@ -9,10 +9,12 @@
 //! snapshot is bit-identical to the same query answered by the writer at
 //! that epoch.
 //!
-//! The registry is the only deep copy; everything else is a reference-count
-//! bump. Copy-on-write at publication granularity: each epoch's registry is
-//! immutable once published, so any number of readers share one copy and
-//! the writer never waits for them.
+//! Nothing is deep-copied at publication: the registry is copy-on-write
+//! (see [`crate::registry`]), so a snapshot takes one reference per view and
+//! the writer's *next* commit copies only the views, partitions and
+//! fragments it changes — consecutive epochs share everything else. Each
+//! epoch's registry is immutable once published, so any number of readers
+//! share it and the writer never waits for them.
 
 use std::sync::Arc;
 

@@ -87,8 +87,8 @@ proptest! {
             ValueModel::NectarPlus,
         ] {
             let mut p = PartitionState::new("a.k", Interval::new(0, 199));
-            let cold = p.track(Interval::new(0, 99), 500);
-            let hot = p.track(Interval::new(100, 199), 500);
+            let cold = p.track(Interval::new(0, 99), 500).0.id;
+            let hot = p.track(Interval::new(100, 199), 500).0.id;
             for (id, n) in [(cold, base_hits), (hot, base_hits + extra)] {
                 let f = p.frag_mut(id).unwrap();
                 f.file = Some(FileId(id.0));
