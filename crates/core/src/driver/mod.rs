@@ -93,8 +93,9 @@ pub struct DeepSea {
     /// recorded at its commit point and the instance can be rebuilt by
     /// [`DeepSea::recover`]. When absent, journaling has zero overhead.
     pub(crate) journal: Option<Arc<CatalogJournal>>,
-    /// Mirror ledger of pool usage, maintained at every reserve/release site
-    /// so crash recovery can assert the three-way invariant
+    /// Mirror ledger of pool usage, moved only by `commit` (from what
+    /// applying each record reports) so crash recovery can assert the
+    /// three-way invariant
     /// `pool.used == registry.pool_bytes() == fs.total_bytes()`. Unbounded:
     /// `Smax` is enforced by selection and `enforce_limit`, not here.
     pub(crate) pool: PoolAccountant,

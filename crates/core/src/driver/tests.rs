@@ -709,3 +709,25 @@ fn selection_verdicts_cover_every_allcand_item() {
         assert!(matches!(v, "create" | "evict" | "keep" | "reject"));
     }
 }
+
+/// Cold-start replay skips a record naming a view the registry does not
+/// know (`durability::tests::torn_records_for_unknown_views_are_skipped`: a
+/// torn tail must never panic). On the live path the same record would leave
+/// the journal and the registry disagreeing, so `commit` refuses it before
+/// anything is journaled.
+#[test]
+fn commit_refuses_a_record_naming_an_unknown_view() {
+    let journal = Arc::new(CatalogJournal::new());
+    let mut d = ds(DeepSeaConfig::default()).with_journal(Arc::clone(&journal));
+    let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        d.commit(CatalogRecord::ViewEvicted {
+            view: "nope".into(),
+        })
+    }));
+    let message = *refused
+        .expect_err("commit must refuse")
+        .downcast::<String>()
+        .expect("an assert message");
+    assert!(message.starts_with("invariant: "), "{message}");
+    assert_eq!(journal.record_count(), 0, "nothing reached the journal");
+}

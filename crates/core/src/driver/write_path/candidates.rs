@@ -2,8 +2,6 @@
 //! **partition candidates** (Definition 7) from the chosen plan and register
 //! them with the statistics registry.
 
-use std::sync::Arc;
-
 use deepsea_engine::plan::LogicalPlan;
 use deepsea_engine::signature::Signature;
 use deepsea_engine::subquery::{all_subplans, view_candidate_subplans};
@@ -96,29 +94,21 @@ impl DeepSea {
         for (plan, sig, est_size, recreate, overhead, saving) in registrations {
             let key = sig.canonical_key();
             let prior = self.registry.by_key(&key);
-            let is_new = prior.is_none();
-            let was_quarantined = prior.is_some_and(|id| self.registry.view(id).is_quarantined());
-            // Journal both first registrations and re-admissions — the two
-            // cases where `register` mutates durable state.
-            let record = (is_new || was_quarantined).then(|| CatalogRecord::ViewRegistered {
-                plan: plan.clone(),
-                sig: sig.clone(),
-                est_size,
-                est_cost: recreate,
-                est_overhead: overhead,
-                first_use: is_new.then_some((tnow, saving)),
-            });
-            let vid = self
-                .registry
-                .register(plan, sig, est_size, recreate, overhead);
-            if is_new {
-                // The view could have been used by this very query.
-                self.registry.view_mut(vid).stats.record_use(tnow, saving);
+            // Only first registrations and re-admissions change durable
+            // state; re-registering a live view is not a commit.
+            if prior.is_none_or(|id| self.registry.view(id).is_quarantined()) {
+                self.commit(CatalogRecord::ViewRegistered {
+                    plan,
+                    sig,
+                    est_size,
+                    est_cost: recreate,
+                    est_overhead: overhead,
+                    // The view could have been used by this very query.
+                    first_use: prior.is_none().then_some((tnow, saving)),
+                });
             }
-            if let Some(record) = record {
-                self.journal_emit(record);
-            }
-            out.push(vid);
+            // Known before, or registered by the commit just above.
+            out.extend(self.registry.by_key(&key));
         }
         out
     }
@@ -198,35 +188,29 @@ impl DeepSea {
         let selections = work.len() as u32;
         let mut new_frags = 0u32;
         for (vid, col, domain, qiv) in work {
-            let tmax = self.config.tmax;
-            // Buffer journal records while the registry borrow is live; emit
-            // them afterwards in mutation order.
-            let mut records: Vec<CatalogRecord> = Vec::new();
-            let view = self.registry.view_mut(vid);
-            let key = view.key.to_string();
-            let view_size = view.stats.size;
-            if !view.partitions.contains_key(&col) {
-                records.push(CatalogRecord::PartitionTracked {
+            let key = self.registry.view(vid).key.to_string();
+            if !self.registry.view(vid).partitions.contains_key(&col) {
+                self.commit(CatalogRecord::PartitionTracked {
                     view: key.clone(),
                     attr: col.clone(),
                     domain,
                 });
             }
-            let ps = view.partition_or_track(&col, domain);
-            if ps.add_boundary(qiv.lo) {
-                records.push(CatalogRecord::BoundaryAdded {
-                    view: key.clone(),
-                    attr: col.clone(),
-                    point: qiv.lo,
-                });
+            // Only effective boundaries are journaled.
+            let domain_hi = self.registry.view(vid).partitions[&col].domain.hi;
+            let points = [Some(qiv.lo), (qiv.hi < domain_hi).then(|| qiv.hi + 1)];
+            for point in points.into_iter().flatten() {
+                if self.registry.view(vid).partitions[&col].accepts_boundary(point) {
+                    self.commit(CatalogRecord::BoundaryAdded {
+                        view: key.clone(),
+                        attr: col.clone(),
+                        point,
+                    });
+                }
             }
-            if qiv.hi < ps.domain.hi && ps.add_boundary(qiv.hi + 1) {
-                records.push(CatalogRecord::BoundaryAdded {
-                    view: key.clone(),
-                    attr: col.clone(),
-                    point: qiv.hi + 1,
-                });
-            }
+            let view = self.registry.view(vid);
+            let view_size = view.stats.size;
+            let ps = &view.partitions[&col];
             let base = ps.candidate_base();
             let mut cands = partition_candidates(&base, &ps.domain, &qiv);
             // §9 "Bounding Fragment Size": chop candidates larger than
@@ -247,32 +231,22 @@ impl DeepSea {
                     .collect();
             }
             for cand in cands {
-                let est = ps.estimate_size(&cand, view_size);
-                let (slot, is_new) = ps.track(cand, est);
-                if !is_new {
+                let ps = &self.registry.view(vid).partitions[&col];
+                if ps.find(&cand).is_some() {
                     // Existing fragments already recorded their hit during
                     // the matching phase.
                     continue;
                 }
                 new_frags += 1;
-                // A freshly-tracked candidate inside the query range would
-                // have been used by this query.
-                let hit = qiv.contains(&cand).then_some(tnow);
-                if hit.is_some() {
-                    let stats = &mut Arc::make_mut(slot).stats;
-                    stats.record_hit(tnow);
-                    stats.prune(tnow, tmax);
-                }
-                records.push(CatalogRecord::FragmentTracked {
+                self.commit(CatalogRecord::FragmentTracked {
                     view: key.clone(),
                     attr: col.clone(),
                     interval: cand,
-                    est_size: est,
-                    hit,
+                    est_size: ps.estimate_size(&cand, view_size),
+                    // A freshly-tracked candidate inside the query range
+                    // would have been used by this query.
+                    hit: qiv.contains(&cand).then_some(tnow),
                 });
-            }
-            for record in records {
-                self.journal_emit(record);
             }
         }
         (selections, new_frags)

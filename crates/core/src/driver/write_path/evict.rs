@@ -11,6 +11,7 @@ use deepsea_storage::FileId;
 
 use crate::durability::CatalogRecord;
 use crate::filter_tree::ViewId;
+use crate::interval::Interval;
 use crate::selection::{CandidateKind, RankedItem};
 use crate::stats::{decay, LogicalTime};
 
@@ -149,36 +150,31 @@ impl DeepSea {
     /// Evict one item, returning its description and the simulated seconds
     /// the file delete cost (flows into `EvictionTrace::delete_secs`).
     fn evict(&mut self, kind: &CandidateKind) -> Option<(String, f64)> {
-        match kind {
-            CandidateKind::WholeView(vid) => {
-                let view = self.registry.view_mut(*vid);
-                let file = view.whole_file.take()?;
-                let size = view.stats.size;
-                let key = view.key.to_string();
-                let name = view.name.to_string();
-                let secs = self.fs.delete_costed(file).map_or(0.0, |(_, s)| s);
-                let _ = self.pool.release(size);
-                self.journal_emit(CatalogRecord::ViewEvicted { view: key });
-                Some((name, secs))
+        let (CandidateKind::WholeView(vid) | CandidateKind::Fragment(vid, _, _)) = kind;
+        let view = self.registry.view(*vid);
+        let key = view.key.to_string();
+        let (file, desc, record) = match kind {
+            CandidateKind::WholeView(_) => (
+                view.whole_file?,
+                view.name.to_string(),
+                CatalogRecord::ViewEvicted { view: key },
+            ),
+            CandidateKind::Fragment(_, attr, fid) => {
+                let frag = view.partitions.get(attr)?.frag(*fid)?;
+                (
+                    frag.file?,
+                    format!("{}.{attr}{}", view.name, frag.interval),
+                    CatalogRecord::FragmentEvicted {
+                        view: key,
+                        attr: attr.clone(),
+                        interval: frag.interval,
+                    },
+                )
             }
-            CandidateKind::Fragment(vid, attr, fid) => {
-                let view = self.registry.view_mut(*vid);
-                let name = Arc::clone(&view.name);
-                let key = view.key.to_string();
-                let frag = view.partition_mut(attr)?.frag_mut(*fid)?;
-                let file = frag.file.take()?;
-                let iv = frag.interval;
-                let size = frag.size;
-                let secs = self.fs.delete_costed(file).map_or(0.0, |(_, s)| s);
-                let _ = self.pool.release(size);
-                self.journal_emit(CatalogRecord::FragmentEvicted {
-                    view: key,
-                    attr: attr.clone(),
-                    interval: iv,
-                });
-                Some((format!("{name}.{attr}{iv}"), secs))
-            }
-        }
+        };
+        let secs = self.fs.delete_costed(file).map_or(0.0, |(_, s)| s);
+        self.commit(record);
+        Some((desc, secs))
     }
 
     /// Evict lowest-value items until the pool fits `Smax` (actual
@@ -259,7 +255,7 @@ impl DeepSea {
         let mut secs = 0.0;
         let mut merged = Vec::new();
         for (vid, attr, cand) in work {
-            let (name, schema, files_sizes) = {
+            let (name, key, schema, halves_meta) = {
                 let view = self.registry.view(vid);
                 let Some(schema) = view.schema.clone() else {
                     continue;
@@ -268,15 +264,15 @@ impl DeepSea {
                     .partitions
                     .get(&attr)
                     .expect("invariant: candidates come from existing partitions");
-                let pair: Vec<(FileId, u64)> = [cand.left, cand.right]
+                let pair: Vec<(FileId, Interval, &[LogicalTime])> = [cand.left, cand.right]
                     .iter()
                     .filter_map(|id| ps.frag(*id))
-                    .filter_map(|f| f.file.map(|file| (file, f.size)))
+                    .filter_map(|f| f.file.map(|file| (file, f.interval, &f.stats.hits[..])))
                     .collect();
                 if pair.len() != 2 {
                     continue; // one half was evicted since planning
                 }
-                (Arc::clone(&view.name), schema, pair)
+                (Arc::clone(&view.name), view.key.to_string(), schema, pair)
             };
             // Read both halves before writing anything: a fragment lost
             // mid-merge must never produce a partial union. On a permanent
@@ -287,7 +283,7 @@ impl DeepSea {
             let mut bpr = 1;
             let mut charge = CreationCharge::default();
             let mut lost = false;
-            for (file, _) in &files_sizes {
+            for (file, ..) in &halves_meta {
                 match self.read_retrying(*file, &mut charge) {
                     Ok((payload, bytes)) => {
                         read_bytes += bytes;
@@ -309,58 +305,39 @@ impl DeepSea {
                 halves.iter().map(|t| (&**t, None)).collect();
             let merged_table = Table::concat(schema, &parts, bpr);
             let size = merged_table.sim_bytes();
-            let (new_file, new_nodes) = self.create_placed(
-                format!("{name}.{attr}{}", cand.merged),
-                size,
-                merged_table,
-                &mut charge,
-                self.replicas_for(vid),
-            );
+            let union =
+                self.write_fragment(vid, &attr, cand.merged, merged_table, None, &mut charge);
             secs += self.backend.scan_secs(read_bytes, block)
                 + self.backend.write_secs(size, size.div_ceil(block).max(1))
                 + charge.penalty_secs;
-            // Update metadata: drop the halves, track the union.
-            let key = self.registry.view(vid).key.to_string();
-            let mut dropped: Vec<(crate::interval::Interval, u64)> = Vec::new();
-            {
-                let view = self.registry.view_mut(vid);
-                let ps = view
-                    .partition_mut(&attr)
-                    .expect("invariant: partition existence checked above");
-                let mut hits: Vec<LogicalTime> = Vec::new();
-                for id in [cand.left, cand.right] {
-                    if let Some(f) = ps.frag_mut(id) {
-                        hits.extend(f.stats.hits.iter().copied());
-                        if let Some(file) = f.file.take() {
-                            secs += self.fs.delete_costed(file).map_or(0.0, |(_, s)| s);
-                            dropped.push((f.interval, f.size));
-                        }
-                    }
-                }
-                hits.sort_unstable();
-                let f = Arc::make_mut(ps.track(cand.merged, size).0);
-                f.file = Some(new_file);
-                f.size = size;
-                f.stats.hits = hits;
+            // Drop the halves, then commit: evictions first, the union last.
+            let mut hits: Vec<LogicalTime> = Vec::new();
+            let mut dropped = Vec::with_capacity(2);
+            for (file, interval, frag_hits) in halves_meta {
+                hits.extend(frag_hits);
+                secs += self.fs.delete_costed(file).map_or(0.0, |(_, s)| s);
+                dropped.push(interval);
             }
-            for (interval, bytes) in dropped {
-                let _ = self.pool.release(bytes);
-                self.journal_emit(CatalogRecord::FragmentEvicted {
+            hits.sort_unstable();
+            for interval in dropped {
+                self.commit(CatalogRecord::FragmentEvicted {
                     view: key.clone(),
                     attr: attr.clone(),
                     interval,
                 });
             }
-            let _ = self.pool.reserve(size);
-            self.journal_emit(CatalogRecord::FragmentMaterialized {
-                view: key,
-                attr: attr.clone(),
-                interval: cand.merged,
-                file: new_file,
-                size,
-                schema: None,
-                nodes: new_nodes,
-            });
+            self.commit(union);
+            // Hit history is a statistic — it rides in `StatsCheckpoint`, not
+            // in the records above — so the union inherits the halves' hits
+            // by a direct write, like stage 2's.
+            if let Some(f) = self
+                .registry
+                .view_mut(vid)
+                .partition_mut(&attr)
+                .and_then(|ps| ps.find_mut(&cand.merged))
+            {
+                f.stats.hits = hits;
+            }
             if self.obs.events_enabled() {
                 self.obs.event(
                     tnow,

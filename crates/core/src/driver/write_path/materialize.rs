@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use deepsea_engine::exec::ExecError;
 use deepsea_obs::DecisionEvent;
-use deepsea_relation::Table;
+use deepsea_relation::{Schema, Table};
 use deepsea_storage::FileId;
 
 use crate::durability::CatalogRecord;
@@ -24,8 +24,8 @@ use crate::stats::LogicalTime;
 use super::super::context::{CreationCharge, QueryContext};
 use super::super::DeepSea;
 
-/// A materialized source fragment: id, interval, file, size.
-type SourceFrag = (FragmentId, Interval, FileId, u64);
+/// A materialized source fragment: id, interval, file.
+type SourceFrag = (FragmentId, Interval, FileId);
 
 /// Split `table`'s rows among `intervals` (ascending and disjoint, as every
 /// partition layout is) by the integer column `col`: one selection vector
@@ -143,9 +143,7 @@ impl DeepSea {
 
         let mut descs = Vec::new();
         let mut charge = CreationCharge::default();
-        let mut whole_file = None;
-        let mut whole_nodes: Vec<u32> = Vec::new();
-        let replicas = self.replicas_for(vid);
+        let mut whole = None;
         match attr_choice {
             Some((attr, _domain, intervals)) if self.config.partition_policy.partitions() => {
                 let col_idx = schema
@@ -154,74 +152,52 @@ impl DeepSea {
                 // One pass routes every row to its fragment.
                 let parts = partition_rows(&table, col_idx, &intervals);
                 for (iv, rows) in intervals.iter().zip(&parts) {
-                    let frag_table = table.take(rows);
-                    let size = frag_table.sim_bytes();
-                    let (file, nodes) = self.create_placed(
-                        format!("{name}.{attr}{iv}"),
-                        size,
-                        frag_table,
+                    let record = self.write_fragment(
+                        vid,
+                        &attr,
+                        *iv,
+                        table.take(rows),
+                        Some(schema.clone()),
                         &mut charge,
-                        replicas,
                     );
-                    charge.write_bytes += size;
-                    charge.files += 1;
-                    let view = self.registry.view_mut(vid);
-                    let ps = view
-                        .partition_mut(&attr)
-                        .expect("invariant: layout chosen from existing partition");
-                    let frag = Arc::make_mut(ps.track(*iv, size).0);
-                    frag.file = Some(file);
-                    frag.size = size;
-                    let _ = self.pool.reserve(size);
-                    self.journal_emit(CatalogRecord::FragmentMaterialized {
-                        view: key.clone(),
-                        attr: attr.clone(),
-                        interval: *iv,
-                        file,
-                        size,
-                        schema: Some(schema.clone()),
-                        nodes,
-                    });
+                    self.commit(record);
                     descs.push(format!("{name}.{attr}{iv}"));
                 }
             }
             _ => {
-                let size = table.sim_bytes();
-                let (file, nodes) =
-                    self.create_placed(name.to_string(), size, table, &mut charge, replicas);
-                whole_nodes = nodes;
-                charge.write_bytes += size;
+                let replicas = self.replicas_for(vid);
+                whole = Some(self.create_placed(
+                    name.to_string(),
+                    actual_size,
+                    table,
+                    &mut charge,
+                    replicas,
+                ));
+                charge.write_bytes += actual_size;
                 charge.files += 1;
-                self.registry.view_mut(vid).whole_file = Some(file);
-                let _ = self.pool.reserve(size);
-                whole_file = Some(file);
                 descs.push(name.to_string());
             }
         }
         let secs = self.backend.write_secs(charge.write_bytes, charge.files);
         let recompute = self.estimator().estimated_secs(&plan) + secs;
-        let view = self.registry.view_mut(vid);
-        view.schema = Some(schema.clone());
-        view.stats.set_measured(actual_size, recompute);
-        view.creation_overhead = secs;
-        match whole_file {
-            Some(file) => self.journal_emit(CatalogRecord::ViewMaterialized {
+        self.commit(match whole {
+            Some((file, nodes)) => CatalogRecord::ViewMaterialized {
                 view: key,
                 file,
                 size: actual_size,
                 cost: recompute,
                 overhead: secs,
                 schema,
-                nodes: whole_nodes,
-            }),
-            None => self.journal_emit(CatalogRecord::ViewStatsMeasured {
+                nodes,
+            },
+            None => CatalogRecord::ViewStatsMeasured {
                 view: key,
                 size: actual_size,
                 cost: recompute,
                 overhead: secs,
                 schema,
-            }),
-        }
+            },
+        });
         self.obs.counter_add(
             "deepsea_mat_bytes_written_total",
             Some(&name),
@@ -295,7 +271,7 @@ impl DeepSea {
                     let file = f
                         .file
                         .expect("invariant: is_materialized() checked in the filter above");
-                    (f.id, f.interval, file, f.size)
+                    (f.id, f.interval, file)
                 })
                 .collect::<Vec<_>>();
             let schema = view.schema.clone();
@@ -324,7 +300,7 @@ impl DeepSea {
             &target,
             &sources
                 .iter()
-                .map(|(id, iv, _, _)| (*id, *iv))
+                .map(|(id, iv, _)| (*id, *iv))
                 .collect::<Vec<_>>(),
         );
         let Some(cover) = cover else { return Ok(None) };
@@ -340,7 +316,7 @@ impl DeepSea {
         let mut next_lo = target.lo;
         let mut source_tables = Vec::new();
         for fid2 in &cover {
-            let (_, iv, file, _) = sources
+            let (_, iv, file) = sources
                 .iter()
                 .find(|(id, ..)| id == fid2)
                 .expect("invariant: partition_matching covers only from the given sources");
@@ -361,25 +337,15 @@ impl DeepSea {
         // drop the originals. Overlapping mode: keep them (§10.4). Sources
         // that overlapped the target but were not in the cover are read here,
         // still ahead of any write.
-        let mut split_work: Vec<(FragmentId, Interval, u64)> = Vec::new();
-        if !overlapping_mode {
-            for (sid, iv, _, size) in &sources {
-                split_work.push((*sid, *iv, *size));
-            }
-        }
+        let split_work: &[SourceFrag] = if overlapping_mode { &[] } else { &sources };
         // BTreeMap for the same D1 reason as `view_cache` above.
         let mut extra_payloads: BTreeMap<FragmentId, Arc<Table>> = BTreeMap::new();
-        for (sid, _iv, _size) in &split_work {
+        for (sid, _, file) in split_work {
             if source_tables.iter().any(|(id, _)| id == sid) {
                 continue;
             }
-            let file = sources
-                .iter()
-                .find(|(id, ..)| id == sid)
-                .expect("invariant: split_work is built from sources")
-                .2;
             let (p, bytes) = self
-                .read_retrying(file, &mut charge)
+                .read_retrying(*file, &mut charge)
                 .map_err(ExecError::from)?;
             charge.read_bytes += bytes;
             extra_payloads.insert(*sid, p);
@@ -389,23 +355,16 @@ impl DeepSea {
             .first()
             .map(|(_, t)| t.bytes_per_row)
             .unwrap_or(1);
-        let replicas = self.replicas_for(vid);
         let parts: Vec<(&Table, Option<&[u32]>)> = source_tables
             .iter()
             .zip(&taken)
             .map(|((_, t), rows)| (&**t, Some(rows.as_slice())))
             .collect();
         let frag_table = Table::concat(schema.clone(), &parts, bytes_per_row);
-        let new_size = frag_table.sim_bytes();
-        let (new_file, new_nodes) = self.create_placed(
-            format!("{name}.{attr}{target}"),
-            new_size,
-            frag_table,
-            &mut charge,
-            replicas,
-        );
-        charge.write_bytes += new_size;
-        charge.files += 1;
+        // Every file of the refinement is written (and every dropped source
+        // deleted) before its first record is committed.
+        let mut records =
+            vec![self.write_fragment(vid, attr, target, frag_table, None, &mut charge)];
 
         // Audit the refinement decision: in overlapping mode the sources
         // stay; in horizontal mode they are split and rewritten.
@@ -421,9 +380,8 @@ impl DeepSea {
             );
         }
 
-        let mut remainder_meta: Vec<(Interval, FileId, u64, Vec<u32>)> = Vec::new();
-        let mut dropped: Vec<FragmentId> = Vec::new();
-        for (sid, iv, _size) in &split_work {
+        let mut remainders: Vec<CatalogRecord> = Vec::new();
+        for (sid, iv, ..) in split_work {
             // Remainder pieces of iv not covered by target.
             let mut pieces = Vec::new();
             if iv.lo < target.lo {
@@ -445,19 +403,8 @@ impl DeepSea {
                     &[(&*payload, Some(rows.as_slice()))],
                     payload.bytes_per_row,
                 );
-                let size = t.sim_bytes();
-                let (file, nodes) = self.create_placed(
-                    format!("{name}.{attr}{piece}"),
-                    size,
-                    t,
-                    &mut charge,
-                    replicas,
-                );
-                charge.write_bytes += size;
-                charge.files += 1;
-                remainder_meta.push((piece, file, size, nodes));
+                remainders.push(self.write_fragment(vid, attr, piece, t, None, &mut charge));
             }
-            dropped.push(*sid);
         }
         if !overlapping_mode && self.obs.events_enabled() {
             self.obs.event(
@@ -467,68 +414,23 @@ impl DeepSea {
                     attr: attr.to_string(),
                     target: target.to_string(),
                     sources: cover.len() as u64,
-                    remainders: remainder_meta.len() as u64,
+                    remainders: remainders.len() as u64,
                 },
             );
         }
-
-        // Update registry metadata, collecting what actually changed so the
-        // journal records and pool ledger can be updated after the borrow.
-        let mut dropped_meta: Vec<(Interval, u64)> = Vec::new();
-        {
-            let view = self.registry.view_mut(vid);
-            let ps = view
-                .partition_mut(attr)
-                .expect("invariant: partition existence checked above");
-            if let Some(f) = ps.frag_mut(fid) {
-                f.file = Some(new_file);
-                f.size = new_size;
+        for (_, interval, file) in split_work {
+            if let Some((_, secs)) = self.fs.delete_costed(*file) {
+                charge.penalty_secs += secs;
             }
-            for sid in dropped {
-                if let Some(f) = ps.frag_mut(sid) {
-                    if let Some(file) = f.file.take() {
-                        if let Some((_, secs)) = self.fs.delete_costed(file) {
-                            charge.penalty_secs += secs;
-                        }
-                        dropped_meta.push((f.interval, f.size));
-                    }
-                }
-            }
-            for (piece, file, size, _) in &remainder_meta {
-                let f = Arc::make_mut(ps.track(*piece, *size).0);
-                f.file = Some(*file);
-                f.size = *size;
-            }
-        }
-        let _ = self.pool.reserve(new_size);
-        self.journal_emit(CatalogRecord::FragmentMaterialized {
-            view: key.clone(),
-            attr: attr.to_string(),
-            interval: target,
-            file: new_file,
-            size: new_size,
-            schema: None,
-            nodes: new_nodes,
-        });
-        for (interval, size) in dropped_meta {
-            let _ = self.pool.release(size);
-            self.journal_emit(CatalogRecord::FragmentEvicted {
+            records.push(CatalogRecord::FragmentEvicted {
                 view: key.clone(),
                 attr: attr.to_string(),
-                interval,
+                interval: *interval,
             });
         }
-        for (piece, file, size, nodes) in remainder_meta {
-            let _ = self.pool.reserve(size);
-            self.journal_emit(CatalogRecord::FragmentMaterialized {
-                view: key.clone(),
-                attr: attr.to_string(),
-                interval: piece,
-                file,
-                size,
-                schema: None,
-                nodes,
-            });
+        records.extend(remainders);
+        for record in records {
+            self.commit(record);
         }
 
         self.obs.counter_add(
@@ -587,54 +489,27 @@ impl DeepSea {
         };
         let full_size = table.sim_bytes();
         let frag_table = table.take(&table.column(col_idx).int_range_rows(target.lo, target.hi));
-        let size = frag_table.sim_bytes();
-        let mut charge = CreationCharge {
-            write_bytes: size,
-            files: 1,
-            ..CreationCharge::default()
-        };
-        let (file, nodes) = self.create_placed(
-            format!("{name}.{attr}{target}"),
-            size,
+        let mut charge = CreationCharge::default();
+        let record = self.write_fragment(
+            vid,
+            attr,
+            target,
             frag_table,
+            Some(schema.clone()),
             &mut charge,
-            self.replicas_for(vid),
         );
-        let overhead = self.backend.write_secs(full_size, 1);
-        let recompute = self.estimator().estimated_secs(&plan);
-        let view = self.registry.view_mut(vid);
-        let first_measure = view.schema.is_none();
-        if first_measure {
-            view.schema = Some(schema.clone());
-            view.stats.set_measured(full_size, recompute + overhead);
-            view.creation_overhead = overhead;
-        }
-        let ps = view
-            .partition_mut(attr)
-            .expect("invariant: partition existence checked above");
-        if let Some(f) = ps.frag_mut(fid) {
-            f.file = Some(file);
-            f.size = size;
-        }
-        let _ = self.pool.reserve(size);
-        if first_measure {
-            self.journal_emit(CatalogRecord::ViewStatsMeasured {
-                view: key.clone(),
+        if self.registry.view(vid).schema.is_none() {
+            let overhead = self.backend.write_secs(full_size, 1);
+            let recompute = self.estimator().estimated_secs(&plan);
+            self.commit(CatalogRecord::ViewStatsMeasured {
+                view: key,
                 size: full_size,
                 cost: recompute + overhead,
                 overhead,
-                schema: schema.clone(),
+                schema,
             });
         }
-        self.journal_emit(CatalogRecord::FragmentMaterialized {
-            view: key,
-            attr: attr.to_string(),
-            interval: target,
-            file,
-            size,
-            schema: Some(schema),
-            nodes,
-        });
+        self.commit(record);
         self.obs.counter_add(
             "deepsea_mat_bytes_written_total",
             Some(&name),
@@ -643,5 +518,41 @@ impl DeepSea {
         self.obs
             .counter_add("deepsea_mat_files_total", Some(&name), charge.files);
         Ok(Some((charge, format!("{name}.{attr}{target}"))))
+    }
+
+    /// The file-system half of materializing one fragment of view `vid`:
+    /// write `table` as the file of `P(V, attr)`'s `interval`, charge the
+    /// write, and build the [`CatalogRecord::FragmentMaterialized`] for the
+    /// caller to `commit` — at once, or after the rest of a multi-file
+    /// refinement is on disk. `schema` rides along until the view has one.
+    pub(crate) fn write_fragment(
+        &self,
+        vid: ViewId,
+        attr: &str,
+        interval: Interval,
+        table: Table,
+        schema: Option<Schema>,
+        charge: &mut CreationCharge,
+    ) -> CatalogRecord {
+        let view = self.registry.view(vid);
+        let size = table.sim_bytes();
+        let (file, nodes) = self.create_placed(
+            format!("{}.{attr}{interval}", view.name),
+            size,
+            table,
+            charge,
+            self.replicas_for(vid),
+        );
+        charge.write_bytes += size;
+        charge.files += 1;
+        CatalogRecord::FragmentMaterialized {
+            view: view.key.to_string(),
+            attr: attr.to_string(),
+            interval,
+            file,
+            size,
+            schema,
+            nodes,
+        }
     }
 }

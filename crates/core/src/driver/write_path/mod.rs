@@ -3,6 +3,11 @@
 //! Φ-selection, materialization, eviction, `Smax` enforcement, and the
 //! durable commit point.
 //!
+//! Structural catalog state changes in one place, [`DeepSea::commit`]: file
+//! system first, then the journal record, applied to the live registry by
+//! the function replay uses. Only statistics (stage 2, which reach the
+//! journal by value in `StatsCheckpoint`s) are written directly.
+//!
 //! All of it runs behind the single writer (`&mut DeepSea`), one query at a
 //! time, in ticket order. [`DeepSea::process_query`] is the serialized
 //! commit: it re-runs the read path against the writer's *live* state (so
@@ -20,16 +25,15 @@ pub(crate) mod selection;
 mod selection_tests;
 pub(crate) mod stats;
 
-use std::sync::Arc;
-
 use deepsea_engine::exec::{ExecError, ExecMetrics};
 use deepsea_engine::plan::LogicalPlan;
 use deepsea_obs::DecisionEvent;
 use deepsea_relation::Table;
 use deepsea_storage::FileId;
 
-use crate::durability::{stats_checkpoint, CatalogRecord, CatalogSnapshot};
+use crate::durability::{apply_record, stats_checkpoint, Applied, CatalogRecord, CatalogSnapshot};
 
+use self::recover::retry_transient;
 use super::context::QueryContext;
 use super::{DeepSea, JournalDebt, QueryOutcome};
 
@@ -40,34 +44,53 @@ use super::{DeepSea, JournalDebt, QueryOutcome};
 const MAX_DEGRADED_ROUNDS: u32 = 8;
 
 impl DeepSea {
+    /// The **single commit path**: every structural catalog change the live
+    /// driver makes goes through here, as the record it journals. The record
+    /// is applied by the same [`apply_record`] cold-start replay uses, the
+    /// mirror pool ledger is moved by what that application reports, and
+    /// only then is the record appended — so the live registry and a replay
+    /// of the journal cannot drift apart. Call sites mutate the file system
+    /// first and commit after (see `durability`'s module doc).
+    pub(crate) fn commit(&mut self, record: CatalogRecord) -> Applied {
+        let applied = apply_record(&mut self.registry, &mut self.clock, &record);
+        // Replay skips a record naming an unknown entry (torn tail); here it
+        // would leave the journal and the registry disagreeing.
+        assert!(
+            applied.applied,
+            "invariant: the driver commits only records naming entries it just read: {record:?}"
+        );
+        debug_assert!(
+            applied.files.iter().all(|f| self.fs.verify(*f).is_none()),
+            "fs-first: {record:?} unlinked a file the file system still holds"
+        );
+        let _ = self.pool.reserve(applied.reserved);
+        let _ = self.pool.release(applied.released);
+        self.journal_emit(record);
+        applied
+    }
+
     /// Append one record to the attached journal (no-op without one).
     /// Transient journal-write failures are retried under the configured
     /// retry policy, accumulating backoff seconds into the journal debt; a
-    /// record is never dropped (the final attempt forces the write). An armed
-    /// simulated crash fires from inside the append and propagates as a
-    /// panic — exactly the torn-state semantics the crash harness exercises.
+    /// record is never dropped (out of retries, the write is forced —
+    /// modelling a synchronous fsync path). An armed simulated crash fires
+    /// from inside the append and propagates as a panic — exactly the
+    /// torn-state semantics the crash harness exercises.
     pub(crate) fn journal_emit(&mut self, record: CatalogRecord) {
         let Some(journal) = &self.journal else {
             return;
         };
         self.journal_debt.appends += 1;
         self.appends_since_snapshot += 1;
-        let mut attempt = 0u32;
-        loop {
-            match journal.append(record.clone()) {
-                Ok(_) => return,
-                Err(_) if attempt < self.config.retry.max_retries => {
-                    self.journal_debt.retries += 1;
-                    self.journal_debt.penalty_secs += self.config.retry.backoff_secs(attempt);
-                    attempt += 1;
-                }
-                Err(_) => {
-                    // Out of retries: a catalog record must not be lost, so
-                    // force the write (modelling a synchronous fsync path).
-                    journal.append_infallible(record);
-                    return;
-                }
-            }
+        let debt = &mut self.journal_debt;
+        let appended = retry_transient(
+            self.config.retry,
+            &mut debt.retries,
+            &mut debt.penalty_secs,
+            || journal.append(record.clone()),
+        );
+        if appended.is_err() {
+            journal.append_infallible(record);
         }
     }
 
@@ -83,10 +106,13 @@ impl DeepSea {
         if self.journal.is_some() {
             let tnow = ctx.tnow;
             if tnow.is_multiple_of(self.config.journal_checkpoint_every.max(1)) {
+                // Statistics are written directly (stage 2) and journaled by
+                // value here: the checkpoint is read off the live registry,
+                // so applying it back would only unshare every node.
                 let ckpt = stats_checkpoint(&self.registry, tnow);
                 self.journal_emit(ckpt);
             }
-            self.journal_emit(CatalogRecord::QueryCommitted { tnow });
+            self.commit(CatalogRecord::QueryCommitted { tnow });
             if tnow.is_multiple_of(self.config.journal_snapshot_every.max(1)) {
                 if let Some(journal) = &self.journal {
                     journal.install_snapshot(CatalogSnapshot {
@@ -342,33 +368,22 @@ impl DeepSea {
         let Some(vid) = self.registry.view_owning_file(file) else {
             return false;
         };
-        let (key, name) = {
-            let v = self.registry.view(vid);
-            if v.whole_file == Some(file) {
-                return false;
-            }
-            (v.key.to_string(), v.name.to_string())
-        };
-        let mut hit = None;
-        for ps in self.registry.view_mut(vid).partitions.values_mut() {
-            if let Some(pos) = ps.fragments.iter().position(|f| f.file == Some(file)) {
-                let ps = Arc::make_mut(ps);
-                let frag = Arc::make_mut(&mut ps.fragments[pos]);
-                frag.file = None;
-                hit = Some((ps.attr.clone(), frag.interval, frag.size));
-                break;
-            }
-        }
-        let Some((attr, interval, size)) = hit else {
+        let v = self.registry.view(vid);
+        let Some((attr, frag)) = v.partitions.values().find_map(|ps| {
+            let frag = ps.fragments.iter().find(|f| f.file == Some(file))?;
+            Some((ps.attr.clone(), frag))
+        }) else {
             return false;
         };
-        let _ = self.pool.release(size);
-        self.offline.remove(&file);
-        self.journal_emit(CatalogRecord::FragmentEvicted {
-            view: key,
+        let (name, size) = (v.name.to_string(), frag.size);
+        let record = CatalogRecord::FragmentEvicted {
+            view: v.key.to_string(),
             attr,
-            interval,
-        });
+            interval: frag.interval,
+        };
+        // The read that failed already dropped the file from the FS.
+        self.commit(record);
+        self.offline.remove(&file);
         ctx.trace.recovery.quarantined_bytes += size;
         self.obs.counter_inc("deepsea_fragment_losses_total", None);
         if self.obs.events_enabled() {

@@ -13,80 +13,62 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use deepsea_engine::RetryPolicy;
 use deepsea_relation::Table;
 use deepsea_storage::{placement_key, FileId, IoError};
 
 use crate::durability::{CatalogRecord, FsckReport};
 use crate::filter_tree::ViewId;
-use crate::registry::QuarantineReport;
 use crate::stats::LogicalTime;
 
 use super::super::context::{CreationCharge, QueryContext};
 use super::super::DeepSea;
 
+/// The write path's one transient-retry ladder: run `op` until it succeeds,
+/// fails permanently, or has been retried `policy.max_retries` times. Each
+/// retry's backoff is added to `penalty_secs` as it is taken and the retry
+/// count to `retries` at the end (a failed operation's wasted backoff is
+/// charged too). What to do once the budget is spent — give up on a read,
+/// force a write through — is the caller's to decide from the returned
+/// error.
+pub(crate) fn retry_transient<T>(
+    policy: RetryPolicy,
+    retries: &mut u32,
+    penalty_secs: &mut f64,
+    mut op: impl FnMut() -> Result<T, IoError>,
+) -> Result<T, IoError> {
+    let mut attempts = 0u32;
+    let out = loop {
+        match op() {
+            Err(e) if e.is_transient() && attempts < policy.max_retries => {
+                *penalty_secs += policy.backoff_secs(attempts);
+                attempts += 1;
+            }
+            out => break out,
+        }
+    };
+    *retries += attempts;
+    out
+}
+
 impl DeepSea {
     /// Read a fragment file, retrying transient failures under
     /// `config.retry`. Retry counts and backoff/spike seconds accumulate
-    /// into `charge` (including the wasted backoff of a failed read, so the
-    /// caller's recovery path is priced honestly). A permanent loss or an
-    /// exhausted budget returns the error.
+    /// into `charge`. A permanent loss or an exhausted budget returns the
+    /// error.
     pub(crate) fn read_retrying(
         &self,
         file: FileId,
         charge: &mut CreationCharge,
     ) -> Result<(Arc<Table>, u64), IoError> {
-        let policy = self.config.retry;
-        let mut attempts = 0u32;
-        loop {
-            match self.fs.try_read(file) {
-                Ok(out) => {
-                    charge.retries += attempts;
-                    charge.penalty_secs += out.spike_secs;
-                    return Ok((out.value, out.sim_bytes));
-                }
-                Err(e) if e.is_transient() && attempts < policy.max_retries => {
-                    charge.penalty_secs += policy.backoff_secs(attempts);
-                    attempts += 1;
-                }
-                Err(e) => {
-                    charge.retries += attempts;
-                    return Err(e);
-                }
-            }
-        }
-    }
-
-    /// Create a file, retrying transient write failures under
-    /// `config.retry`. Writes never lose data: the payload is in memory, so
-    /// once the budget is exhausted the write is forced through the
-    /// infallible path (modelling re-routing to healthy datanodes).
-    pub(crate) fn create_retrying(
-        &self,
-        name: String,
-        sim_bytes: u64,
-        payload: Table,
-        charge: &mut CreationCharge,
-    ) -> FileId {
-        let policy = self.config.retry;
-        let mut attempts = 0u32;
-        loop {
-            match self.fs.try_create(name.clone(), sim_bytes, payload.clone()) {
-                Ok(out) => {
-                    charge.retries += attempts;
-                    charge.penalty_secs += out.spike_secs;
-                    return out.value;
-                }
-                Err(IoError::TransientWrite) if attempts < policy.max_retries => {
-                    charge.penalty_secs += policy.backoff_secs(attempts);
-                    attempts += 1;
-                }
-                Err(_) => {
-                    charge.retries += attempts;
-                    let (id, _) = self.fs.create(name, sim_bytes, payload);
-                    return id;
-                }
-            }
-        }
+        let out = retry_transient(
+            self.config.retry,
+            &mut charge.retries,
+            &mut charge.penalty_secs,
+            || self.fs.try_read(file),
+        )?;
+        charge.penalty_secs += out.spike_secs;
+        Ok((out.value, out.sim_bytes))
     }
 
     /// The replication factor a new file of view `vid` should be placed at:
@@ -108,13 +90,16 @@ impl DeepSea {
         }
     }
 
-    /// [`DeepSea::create_retrying`] with cluster placement: the file is
-    /// assigned `replicas` datanodes by hashing its name (deterministic per
-    /// view/fragment — the name encodes `(view, attr, interval)`), and the
-    /// surplus replica bytes are added to `charge.write_bytes` so
-    /// replication I/O is priced through the same `CostWeights` as any other
-    /// write. Callers still add the base size themselves. Returns the file
-    /// and its placement, empty without a cluster.
+    /// Create a file on the datanodes its name hashes to (deterministic per
+    /// view/fragment — the name encodes `(view, attr, interval)`; no nodes
+    /// without a cluster), retrying transient write failures under
+    /// `config.retry`. Writes never lose data: the payload is in memory, so
+    /// once the budget is exhausted (e.g. the whole placement is down) the
+    /// write is forced through and the placement recorded — the queued write
+    /// lands once the nodes return. The surplus replica bytes are added to
+    /// `charge.write_bytes` so replication I/O is priced through the same
+    /// `CostWeights` as any other write; callers still add the base size
+    /// themselves. Returns the file and its placement.
     pub(crate) fn create_placed(
         &self,
         name: String,
@@ -123,82 +108,72 @@ impl DeepSea {
         charge: &mut CreationCharge,
         replicas: u32,
     ) -> (FileId, Vec<u32>) {
-        let Some(cluster) = self.fs.cluster() else {
-            let id = self.create_retrying(name, sim_bytes, payload, charge);
-            return (id, Vec::new());
+        let nodes = match self.fs.cluster() {
+            Some(cluster) => cluster.placement_for(placement_key(name.as_bytes()), replicas),
+            None => Vec::new(),
         };
-        let nodes = cluster.placement_for(placement_key(name.as_bytes()), replicas);
-        let policy = self.config.retry;
-        let mut attempts = 0u32;
-        let id = loop {
-            match self
-                .fs
-                .try_create_placed(name.clone(), sim_bytes, payload.clone(), &nodes)
-            {
-                Ok(out) => {
-                    charge.retries += attempts;
-                    charge.penalty_secs += out.spike_secs;
-                    break out.value;
-                }
-                Err(IoError::TransientWrite) if attempts < policy.max_retries => {
-                    charge.penalty_secs += policy.backoff_secs(attempts);
-                    attempts += 1;
-                }
-                Err(_) => {
-                    // Budget exhausted (e.g. the whole placement is down):
-                    // force the write through and record the placement — the
-                    // queued write lands once the nodes return.
-                    charge.retries += attempts;
-                    let (id, _) = self.fs.create(name, sim_bytes, payload);
-                    self.fs.place(id, &nodes);
-                    break id;
-                }
+        let created = retry_transient(
+            self.config.retry,
+            &mut charge.retries,
+            &mut charge.penalty_secs,
+            || {
+                self.fs
+                    .try_create_placed(name.clone(), sim_bytes, payload.clone(), &nodes)
+            },
+        );
+        let id = match created {
+            Ok(out) => {
+                charge.penalty_secs += out.spike_secs;
+                out.value
+            }
+            Err(_) => {
+                let (id, _) = self.fs.create(name, sim_bytes, payload);
+                self.fs.place(id, &nodes);
+                id
             }
         };
-        charge.write_bytes += sim_bytes * (nodes.len() as u64 - 1);
+        charge.write_bytes += sim_bytes * (nodes.len() as u64).saturating_sub(1);
         (id, nodes.iter().map(|n| n.0).collect())
     }
 
-    /// Quarantine a view: mark its data lost in the registry (releasing its
-    /// pool bytes and stripping it from the filter tree) and drop whatever
-    /// backing files still exist. Returns the view's name and the report.
-    pub(crate) fn quarantine_view(
-        &mut self,
-        vid: ViewId,
-        tnow: LogicalTime,
-    ) -> (String, QuarantineReport) {
-        let was_quarantined = self.registry.view(vid).is_quarantined();
-        let report = self.registry.quarantine(vid, tnow);
-        for file in &report.files {
+    /// Quarantine a view: drop whatever backing files still exist, then
+    /// commit the quarantine (marking its data lost, releasing its pool
+    /// bytes and stripping it from the filter tree). Returns the view's name
+    /// and the pool bytes released; a no-op on an already-quarantined view.
+    pub(crate) fn quarantine_view(&mut self, vid: ViewId, tnow: LogicalTime) -> (String, u64) {
+        let view = self.registry.view(vid);
+        let name = view.name.to_string();
+        if view.is_quarantined() {
+            return (name, 0);
+        }
+        let record = CatalogRecord::ViewQuarantined {
+            view: view.key.to_string(),
+            at: tnow,
+        };
+        let had_whole = view.whole_file.is_some();
+        for file in view.files() {
             // The file that triggered the failure is usually already gone
             // from the FS; deleting the survivors is metadata-only.
             // deepsea-lint: allow(cost_flow) -- quarantine is a failure path, not a
             // costed query stage; its delete cost is charged nowhere by design.
-            self.fs.delete(*file);
+            self.fs.delete(file);
         }
-        let _ = self.pool.release(report.bytes);
-        if !was_quarantined {
-            let key = self.registry.view(vid).key.to_string();
-            self.journal_emit(CatalogRecord::ViewQuarantined {
-                view: key,
-                at: tnow,
-            });
-            let name = self.registry.view(vid).name.to_string();
-            self.obs
-                .counter_inc("deepsea_quarantined_views_total", Some(&name));
-            if self.obs.events_enabled() {
-                self.obs.event(
-                    tnow,
-                    deepsea_obs::DecisionEvent::Quarantine {
-                        view: name,
-                        files: report.files.len() as u64,
-                        bytes: report.bytes,
-                        fragments: report.fragments as u64,
-                    },
-                );
-            }
+        let applied = self.commit(record);
+        self.obs
+            .counter_inc("deepsea_quarantined_views_total", Some(&name));
+        if self.obs.events_enabled() {
+            let files = applied.files.len() as u64;
+            self.obs.event(
+                tnow,
+                deepsea_obs::DecisionEvent::Quarantine {
+                    view: name.clone(),
+                    files,
+                    bytes: applied.released,
+                    fragments: files - u64::from(had_whole),
+                },
+            );
         }
-        (self.registry.view(vid).name.to_string(), report)
+        (name, applied.released)
     }
 
     /// Quarantine a view during query processing, recording the event in the
@@ -208,9 +183,9 @@ impl DeepSea {
         if self.registry.view(vid).is_quarantined() {
             return;
         }
-        let (name, report) = self.quarantine_view(vid, ctx.tnow);
+        let (name, bytes) = self.quarantine_view(vid, ctx.tnow);
         ctx.trace.recovery.quarantined_views += 1;
-        ctx.trace.recovery.quarantined_bytes += report.bytes;
+        ctx.trace.recovery.quarantined_bytes += bytes;
         ctx.quarantined.push(name);
     }
 
@@ -238,15 +213,8 @@ impl DeepSea {
         // Pass 1: verify every catalog-referenced file; collect damaged views.
         let mut damaged: Vec<ViewId> = Vec::new();
         for view in self.registry.iter() {
-            let mut files: Vec<FileId> = Vec::new();
-            files.extend(view.whole_file);
-            files.extend(
-                view.partitions
-                    .values()
-                    .flat_map(|ps| ps.fragments.iter().filter_map(|f| f.file)),
-            );
             let mut broken = false;
-            for f in files {
+            for f in view.files() {
                 match self.fs.verify(f) {
                     None => {
                         report.missing_files += 1;
@@ -264,25 +232,15 @@ impl DeepSea {
             }
         }
         for vid in damaged {
-            let (_, q) = self.quarantine_view(vid, tnow);
+            let (_, bytes) = self.quarantine_view(vid, tnow);
             report.quarantined_views += 1;
-            report.quarantined_bytes += q.bytes;
+            report.quarantined_bytes += bytes;
         }
 
         // Pass 2: delete files no live catalog entry references (orphans of
         // a crash between create and journal append, plus whatever the
         // quarantines above just unlinked from the catalog).
-        let referenced: BTreeSet<FileId> = self
-            .registry
-            .iter()
-            .flat_map(|v| {
-                v.whole_file.into_iter().chain(
-                    v.partitions
-                        .values()
-                        .flat_map(|ps| ps.fragments.iter().filter_map(|f| f.file)),
-                )
-            })
-            .collect();
+        let referenced: BTreeSet<FileId> = self.registry.iter().flat_map(|v| v.files()).collect();
         for f in self.fs.file_ids() {
             if !referenced.contains(&f) {
                 if let Some((bytes, secs)) = self.fs.delete_costed(f) {

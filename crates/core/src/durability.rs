@@ -10,6 +10,10 @@
 //! delete record lost — the fsck sweep quarantines its view). See
 //! `DeepSea::recover` for the cold-start path.
 //!
+//! `apply_record` is the only implementation of those mutations: replay
+//! folds it over the journal, and the live `DeepSea::commit` applies each
+//! record with it before appending it, so live and replayed state agree.
+//!
 //! Statistics that accrue on *every* query (benefit events, fragment hits)
 //! are too chatty to journal per event; they ride in periodic
 //! [`CatalogRecord::StatsCheckpoint`] records instead. Statistics recorded
@@ -24,7 +28,7 @@ use deepsea_relation::Schema;
 use deepsea_storage::{FileId, Journal, Lsn};
 
 use crate::interval::Interval;
-use crate::registry::{PartitionState, ViewRegistry};
+use crate::registry::{PartitionState, ViewMeta, ViewRegistry};
 use crate::stats::{LogicalTime, ViewStats};
 
 /// The journal the driver appends [`CatalogRecord`]s to, snapshotting full
@@ -237,11 +241,59 @@ pub fn replay_catalog(
     (registry, clock)
 }
 
-/// Apply one record to the registry being rebuilt. Records referencing
-/// unknown views or partitions are skipped — they cannot arise from a
-/// well-formed journal, but replay must never panic on a torn tail.
-fn apply_record(registry: &mut ViewRegistry, clock: &mut LogicalTime, record: &CatalogRecord) {
-    match record {
+/// What applying one record did to the catalog — everything the live commit
+/// path needs to keep the pool ledger in step without looking at the registry
+/// a second time.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Applied {
+    /// The record found the view / partition / fragment it names. `false`
+    /// leaves the registry untouched: replay skips such a record (a torn
+    /// tail must never panic), the live path treats it as a broken invariant.
+    pub applied: bool,
+    /// Pool bytes the record started accounting for.
+    pub reserved: u64,
+    /// Pool bytes the record stopped accounting for.
+    pub released: u64,
+    /// Backing files the record unlinked from the catalog.
+    pub files: Vec<FileId>,
+}
+
+impl Applied {
+    /// The record applied, moving these pool bytes and unlinking `files`.
+    fn moved(reserved: u64, released: u64, files: Vec<FileId>) -> Self {
+        Self {
+            applied: true,
+            reserved,
+            released,
+            files,
+        }
+    }
+
+    /// The record applied and moved no pool bytes.
+    fn no_bytes() -> Self {
+        Self::moved(0, 0, Vec::new())
+    }
+}
+
+/// Apply one record to the registry — the one implementation of every
+/// structural catalog mutation, shared by cold-start replay and the live
+/// `DeepSea::commit`. A record naming an unknown view, partition or fragment
+/// changes nothing and reports `applied: false`.
+pub(crate) fn apply_record(
+    registry: &mut ViewRegistry,
+    clock: &mut LogicalTime,
+    record: &CatalogRecord,
+) -> Applied {
+    try_apply(registry, clock, record).unwrap_or_default()
+}
+
+/// [`apply_record`], with `None` for a record naming an unknown entry.
+fn try_apply(
+    registry: &mut ViewRegistry,
+    clock: &mut LogicalTime,
+    record: &CatalogRecord,
+) -> Option<Applied> {
+    Some(match record {
         CatalogRecord::ViewRegistered {
             plan,
             sig,
@@ -263,16 +315,15 @@ fn apply_record(registry: &mut ViewRegistry, clock: &mut LogicalTime, record: &C
                     registry.view_mut(vid).stats.record_use(*t, *saving);
                 }
             }
+            Applied::no_bytes()
         }
         CatalogRecord::PartitionTracked { view, attr, domain } => {
-            if let Some(vid) = registry.by_key(view) {
-                registry.view_mut(vid).partition_or_track(attr, *domain);
-            }
+            view_mut(registry, view)?.partition_or_track(attr, *domain);
+            Applied::no_bytes()
         }
         CatalogRecord::BoundaryAdded { view, attr, point } => {
-            if let Some(ps) = partition_mut(registry, view, attr) {
-                ps.add_boundary(*point);
-            }
+            partition_mut(registry, view, attr)?.add_boundary(*point);
+            Applied::no_bytes()
         }
         CatalogRecord::FragmentTracked {
             view,
@@ -281,14 +332,13 @@ fn apply_record(registry: &mut ViewRegistry, clock: &mut LogicalTime, record: &C
             est_size,
             hit,
         } => {
-            if let Some(ps) = partition_mut(registry, view, attr) {
-                let (slot, is_new) = ps.track(*interval, *est_size);
-                if is_new {
-                    if let Some(t) = hit {
-                        Arc::make_mut(slot).stats.record_hit(*t);
-                    }
+            let (slot, is_new) = partition_mut(registry, view, attr)?.track(*interval, *est_size);
+            if is_new {
+                if let Some(t) = hit {
+                    Arc::make_mut(slot).stats.record_hit(*t);
                 }
             }
+            Applied::no_bytes()
         }
         CatalogRecord::ViewMaterialized {
             view,
@@ -301,13 +351,17 @@ fn apply_record(registry: &mut ViewRegistry, clock: &mut LogicalTime, record: &C
             // replays it into the cluster map, never into the registry.
             nodes: _,
         } => {
-            if let Some(vid) = registry.by_key(view) {
-                let v = registry.view_mut(vid);
-                v.whole_file = Some(*file);
-                v.schema = Some(schema.clone());
-                v.stats.set_measured(*size, *cost);
-                v.creation_overhead = *overhead;
-            }
+            let v = view_mut(registry, view)?;
+            let released = v.whole_bytes();
+            let old = v.whole_file.replace(*file);
+            v.schema = Some(schema.clone());
+            v.stats.set_measured(*size, *cost);
+            v.creation_overhead = *overhead;
+            Applied::moved(
+                *size,
+                released,
+                old.into_iter().filter(|f| f != file).collect(),
+            )
         }
         CatalogRecord::FragmentMaterialized {
             view,
@@ -318,17 +372,20 @@ fn apply_record(registry: &mut ViewRegistry, clock: &mut LogicalTime, record: &C
             schema,
             nodes: _,
         } => {
-            if let Some(vid) = registry.by_key(view) {
-                let v = registry.view_mut(vid);
-                if v.schema.is_none() {
-                    v.schema = schema.clone();
-                }
-                if let Some(ps) = v.partition_mut(attr) {
-                    let f = Arc::make_mut(ps.track(*interval, *size).0);
-                    f.file = Some(*file);
-                    f.size = *size;
-                }
+            let v = view_mut(registry, view)?;
+            let ps = v.partitions.get_mut(attr)?;
+            if v.schema.is_none() {
+                v.schema = schema.clone();
             }
+            let f = Arc::make_mut(Arc::make_mut(ps).track(*interval, *size).0);
+            let released = if f.is_materialized() { f.size } else { 0 };
+            let old = f.file.replace(*file);
+            f.size = *size;
+            Applied::moved(
+                *size,
+                released,
+                old.into_iter().filter(|f| f != file).collect(),
+            )
         }
         CatalogRecord::ViewStatsMeasured {
             view,
@@ -337,40 +394,36 @@ fn apply_record(registry: &mut ViewRegistry, clock: &mut LogicalTime, record: &C
             overhead,
             schema,
         } => {
-            if let Some(vid) = registry.by_key(view) {
-                let v = registry.view_mut(vid);
-                v.schema = Some(schema.clone());
-                v.stats.set_measured(*size, *cost);
-                v.creation_overhead = *overhead;
-            }
+            let v = view_mut(registry, view)?;
+            let released = v.whole_bytes();
+            v.schema = Some(schema.clone());
+            v.stats.set_measured(*size, *cost);
+            v.creation_overhead = *overhead;
+            Applied::moved(v.whole_bytes(), released, Vec::new())
         }
         CatalogRecord::ViewEvicted { view } => {
-            if let Some(vid) = registry.by_key(view) {
-                registry.view_mut(vid).whole_file = None;
-            }
+            let v = view_mut(registry, view)?;
+            let released = v.whole_bytes();
+            Applied::moved(0, released, v.whole_file.take().into_iter().collect())
         }
         CatalogRecord::FragmentEvicted {
             view,
             attr,
             interval,
         } => {
-            if let Some(ps) = partition_mut(registry, view, attr) {
-                if let Some(f) = ps.find_mut(interval) {
-                    f.file = None;
-                }
-            }
+            let f = partition_mut(registry, view, attr)?.find_mut(interval)?;
+            let released = if f.is_materialized() { f.size } else { 0 };
+            Applied::moved(0, released, f.file.take().into_iter().collect())
         }
         CatalogRecord::ViewQuarantined { view, at } => {
-            if let Some(vid) = registry.by_key(view) {
-                registry.quarantine(vid, *at);
-            }
+            let report = registry.quarantine(registry.by_key(view)?, *at);
+            Applied::moved(0, report.bytes, report.files)
         }
         CatalogRecord::StatsCheckpoint { at: _, views } => {
             for entry in views {
-                let Some(vid) = registry.by_key(&entry.view) else {
+                let Some(v) = view_mut(registry, &entry.view) else {
                     continue;
                 };
-                let v = registry.view_mut(vid);
                 v.stats = entry.stats.clone();
                 for (attr, interval, hits) in &entry.fragment_hits {
                     if let Some(f) = v.partition_mut(attr).and_then(|ps| ps.find_mut(interval)) {
@@ -378,11 +431,18 @@ fn apply_record(registry: &mut ViewRegistry, clock: &mut LogicalTime, record: &C
                     }
                 }
             }
+            Applied::no_bytes()
         }
         CatalogRecord::QueryCommitted { tnow } => {
             *clock = *tnow;
+            Applied::no_bytes()
         }
-    }
+    })
+}
+
+fn view_mut<'a>(registry: &'a mut ViewRegistry, view: &str) -> Option<&'a mut ViewMeta> {
+    let vid = registry.by_key(view)?;
+    Some(registry.view_mut(vid))
 }
 
 fn partition_mut<'a>(
@@ -390,8 +450,7 @@ fn partition_mut<'a>(
     view: &str,
     attr: &str,
 ) -> Option<&'a mut PartitionState> {
-    let vid = registry.by_key(view)?;
-    registry.view_mut(vid).partition_mut(attr)
+    view_mut(registry, view)?.partition_mut(attr)
 }
 
 /// What the fsck sweep of `DeepSea::recover` found and repaired, plus replay
@@ -604,6 +663,290 @@ mod tests {
         let (reg, clock) = replay_catalog(None, &records);
         assert!(reg.is_empty());
         assert_eq!(clock, 2);
+    }
+
+    /// Every record kind, applied in sequence to one small registry: what
+    /// each reports it did — including the idempotent re-applies — and that
+    /// the report is exactly the registry's change in pool bytes.
+    #[test]
+    fn applied_reports_what_each_record_kind_did() {
+        let (plan, sig) = join_plan();
+        let key = sig.canonical_key();
+        let (left, right) = (Interval::new(0, 49), Interval::new(50, 99));
+        let fragment =
+            |interval: Interval, file: u64, size: u64| CatalogRecord::FragmentMaterialized {
+                view: key.clone(),
+                attr: "a.k".into(),
+                interval,
+                file: FileId(file),
+                size,
+                schema: None,
+                nodes: Vec::new(),
+            };
+        let whole = |file: u64, size: u64| CatalogRecord::ViewMaterialized {
+            view: key.clone(),
+            file: FileId(file),
+            size,
+            cost: 11.0,
+            overhead: 3.0,
+            schema: Schema::new(vec![]),
+            nodes: Vec::new(),
+        };
+        let evict_fragment = || CatalogRecord::FragmentEvicted {
+            view: key.clone(),
+            attr: "a.k".into(),
+            interval: left,
+        };
+        let quarantine = |at| CatalogRecord::ViewQuarantined {
+            view: key.clone(),
+            at,
+        };
+        // (record, reserved, released, files unlinked)
+        let table: Vec<(CatalogRecord, u64, u64, Vec<u64>)> = vec![
+            (registered(&sig, &plan), 0, 0, vec![]),
+            // Re-registering a live view is a no-op.
+            (registered(&sig, &plan), 0, 0, vec![]),
+            (
+                CatalogRecord::PartitionTracked {
+                    view: key.clone(),
+                    attr: "a.k".into(),
+                    domain: Interval::new(0, 99),
+                },
+                0,
+                0,
+                vec![],
+            ),
+            (
+                CatalogRecord::BoundaryAdded {
+                    view: key.clone(),
+                    attr: "a.k".into(),
+                    point: 50,
+                },
+                0,
+                0,
+                vec![],
+            ),
+            (
+                CatalogRecord::FragmentTracked {
+                    view: key.clone(),
+                    attr: "a.k".into(),
+                    interval: left,
+                    est_size: 500,
+                    hit: Some(1),
+                },
+                0,
+                0,
+                vec![],
+            ),
+            (fragment(left, 3, 480), 480, 0, vec![]),
+            // Re-applied, it swaps the fragment's bytes for themselves.
+            (fragment(left, 3, 480), 480, 480, vec![]),
+            // Measured stats move no bytes while there is no whole file …
+            (
+                CatalogRecord::ViewStatsMeasured {
+                    view: key.clone(),
+                    size: 900,
+                    cost: 9.0,
+                    overhead: 2.0,
+                    schema: Schema::new(vec![]),
+                },
+                0,
+                0,
+                vec![],
+            ),
+            (whole(9, 1200), 1200, 0, vec![]),
+            // … and re-price the whole file when there is one.
+            (
+                CatalogRecord::ViewStatsMeasured {
+                    view: key.clone(),
+                    size: 1100,
+                    cost: 9.0,
+                    overhead: 2.0,
+                    schema: Schema::new(vec![]),
+                },
+                1100,
+                1200,
+                vec![],
+            ),
+            (
+                CatalogRecord::ViewEvicted { view: key.clone() },
+                0,
+                1100,
+                vec![9],
+            ),
+            (
+                CatalogRecord::ViewEvicted { view: key.clone() },
+                0,
+                0,
+                vec![],
+            ),
+            (evict_fragment(), 0, 480, vec![3]),
+            (evict_fragment(), 0, 0, vec![]),
+            // An untracked interval is tracked by its materialization.
+            (fragment(right, 4, 300), 300, 0, vec![]),
+            (whole(10, 1000), 1000, 0, vec![]),
+            (quarantine(7), 0, 1300, vec![10, 4]),
+            (quarantine(8), 0, 0, vec![]),
+            // Re-registering a quarantined view re-admits it.
+            (registered(&sig, &plan), 0, 0, vec![]),
+            (
+                CatalogRecord::StatsCheckpoint {
+                    at: 9,
+                    views: Vec::new(),
+                },
+                0,
+                0,
+                vec![],
+            ),
+            (CatalogRecord::QueryCommitted { tnow: 9 }, 0, 0, vec![]),
+        ];
+        let kinds: std::collections::HashSet<_> = table
+            .iter()
+            .map(|(r, ..)| std::mem::discriminant(r))
+            .collect();
+        assert_eq!(kinds.len(), 12, "the table covers every record kind");
+
+        let mut reg = ViewRegistry::new();
+        let mut clock = 0;
+        for (step, (record, reserved, released, files)) in table.into_iter().enumerate() {
+            let before = reg.pool_bytes();
+            let was_quarantined = reg
+                .by_key(&key)
+                .is_some_and(|v| reg.view(v).is_quarantined());
+            let applied = apply_record(&mut reg, &mut clock, &record);
+            let expected = Applied {
+                applied: true,
+                reserved,
+                released,
+                files: files.into_iter().map(FileId).collect(),
+            };
+            assert_eq!(applied, expected, "step {step}: {record:?}");
+            assert_eq!(
+                reg.pool_bytes(),
+                before + reserved - released,
+                "step {step}: the report is the change in pool bytes"
+            );
+            if matches!(record, CatalogRecord::ViewRegistered { .. }) {
+                let v = reg.view(reg.by_key(&key).expect("registered"));
+                assert!(
+                    !v.is_quarantined(),
+                    "step {step}: registered or re-admitted"
+                );
+                assert_eq!(
+                    v.stats.events.len(),
+                    1,
+                    "step {step}: first use recorded once"
+                );
+                assert_eq!(reg.lookup_bucket(&sig).len(), 1, "step {step}: matchable");
+            } else {
+                let v = reg.view(reg.by_key(&key).expect("registered"));
+                let quarantines = matches!(record, CatalogRecord::ViewQuarantined { .. });
+                assert_eq!(v.is_quarantined(), was_quarantined || quarantines);
+            }
+        }
+        assert_eq!(clock, 9);
+        let v = reg.view(reg.by_key(&key).expect("registered"));
+        assert_eq!(v.quarantined_at, None);
+        assert_eq!(v.partitions["a.k"].fragments.len(), 2);
+    }
+
+    /// A record naming an entry the registry does not know reports
+    /// `applied: false` and changes nothing, whatever its kind.
+    #[test]
+    fn a_record_naming_an_unknown_entry_is_not_applied() {
+        let (plan, sig) = join_plan();
+        let key = sig.canonical_key();
+        let mut reg = ViewRegistry::new();
+        let mut clock = 0;
+        apply_record(&mut reg, &mut clock, &registered(&sig, &plan));
+        apply_record(
+            &mut reg,
+            &mut clock,
+            &CatalogRecord::PartitionTracked {
+                view: key.clone(),
+                attr: "a.k".into(),
+                domain: Interval::new(0, 99),
+            },
+        );
+        let digest = reg.state_digest();
+        let iv = Interval::new(0, 49);
+        let schema = Schema::new(vec![]);
+        let mut unknown = Vec::new();
+        for (view, attr) in [("nope", "a.k"), (key.as_str(), "a.v")] {
+            let (view, attr) = (view.to_string(), attr.to_string());
+            unknown.extend([
+                CatalogRecord::BoundaryAdded {
+                    view: view.clone(),
+                    attr: attr.clone(),
+                    point: 5,
+                },
+                CatalogRecord::FragmentTracked {
+                    view: view.clone(),
+                    attr: attr.clone(),
+                    interval: iv,
+                    est_size: 1,
+                    hit: None,
+                },
+                CatalogRecord::FragmentMaterialized {
+                    view: view.clone(),
+                    attr: attr.clone(),
+                    interval: iv,
+                    file: FileId(1),
+                    size: 1,
+                    schema: Some(schema.clone()),
+                    nodes: Vec::new(),
+                },
+                CatalogRecord::FragmentEvicted {
+                    view,
+                    attr,
+                    interval: iv,
+                },
+            ]);
+        }
+        let nope = || "nope".to_string();
+        unknown.extend([
+            // Known view and partition, unknown fragment.
+            CatalogRecord::FragmentEvicted {
+                view: key.clone(),
+                attr: "a.k".into(),
+                interval: iv,
+            },
+            CatalogRecord::PartitionTracked {
+                view: nope(),
+                attr: "a.k".into(),
+                domain: iv,
+            },
+            CatalogRecord::ViewMaterialized {
+                view: nope(),
+                file: FileId(1),
+                size: 1,
+                cost: 1.0,
+                overhead: 1.0,
+                schema: schema.clone(),
+                nodes: Vec::new(),
+            },
+            CatalogRecord::ViewStatsMeasured {
+                view: nope(),
+                size: 1,
+                cost: 1.0,
+                overhead: 1.0,
+                schema,
+            },
+            CatalogRecord::ViewEvicted { view: nope() },
+            CatalogRecord::ViewQuarantined {
+                view: nope(),
+                at: 1,
+            },
+        ]);
+        for record in &unknown {
+            let applied = apply_record(&mut reg, &mut clock, record);
+            assert_eq!(applied, Applied::default(), "{record:?}");
+            assert_eq!(
+                reg.state_digest(),
+                digest,
+                "{record:?} changed the registry"
+            );
+        }
     }
 
     #[test]

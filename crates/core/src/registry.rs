@@ -135,20 +135,21 @@ impl PartitionState {
         (&mut self.fragments[pos], is_new)
     }
 
+    /// Would [`PartitionState::add_boundary`] record `p` (in-domain and
+    /// new)? The driver journals only such effective boundaries.
+    pub fn accepts_boundary(&self, p: i64) -> bool {
+        self.domain.lo < p && p <= self.domain.hi && self.boundaries.binary_search(&p).is_err()
+    }
+
     /// Record a split point (selection endpoint) for initial partitioning.
-    /// Returns whether the point was actually recorded (in-domain and new) —
-    /// the signal the driver uses to journal only effective boundaries.
+    /// Returns whether the point was actually recorded.
     pub fn add_boundary(&mut self, p: i64) -> bool {
-        if p <= self.domain.lo || p > self.domain.hi {
+        if !self.accepts_boundary(p) {
             return false;
         }
-        match self.boundaries.binary_search(&p) {
-            Ok(_) => false,
-            Err(pos) => {
-                self.boundaries.insert(pos, p);
-                true
-            }
-        }
+        let pos = self.boundaries.partition_point(|&b| b < p);
+        self.boundaries.insert(pos, p);
+        true
     }
 
     /// The horizontal partition of the domain induced by the recorded
@@ -257,14 +258,28 @@ impl ViewMeta {
         self.quarantined_at.is_some()
     }
 
-    /// Pool bytes currently held by this view (whole file + fragments).
-    pub fn pool_bytes(&self) -> u64 {
-        let whole = if self.whole_file.is_some() {
+    /// Pool bytes held by the whole-file copy (`stats.size` while it exists).
+    pub fn whole_bytes(&self) -> u64 {
+        if self.whole_file.is_some() {
             self.stats.size
         } else {
             0
-        };
-        whole
+        }
+    }
+
+    /// Every backing file of this view: the whole-file copy, then the
+    /// materialized fragments in partition order.
+    pub fn files(&self) -> impl Iterator<Item = FileId> + '_ {
+        self.whole_file.into_iter().chain(
+            self.partitions
+                .values()
+                .flat_map(|ps| ps.fragments.iter().filter_map(|f| f.file)),
+        )
+    }
+
+    /// Pool bytes currently held by this view (whole file + fragments).
+    pub fn pool_bytes(&self) -> u64 {
+        self.whole_bytes()
             + self
                 .partitions
                 .values()
@@ -273,16 +288,14 @@ impl ViewMeta {
     }
 }
 
-/// What a quarantine released: the backing files (for the caller to drop
-/// from the file system), the pool bytes freed, and the fragment count.
+/// What a quarantine released: the backing files it unlinked and the pool
+/// bytes freed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QuarantineReport {
-    /// Backing files the view held (whole-file copy and fragments).
+    /// Backing files the view held (whole-file copy, then fragments).
     pub files: Vec<FileId>,
     /// Pool bytes the view accounted for before the quarantine.
     pub bytes: u64,
-    /// Materialized fragments marked lost.
-    pub fragments: u32,
 }
 
 /// The statistics registry `STAT = (VSTAT, PSTAT, Σ)` of Definition 5.
@@ -360,12 +373,11 @@ impl ViewRegistry {
     /// and the whole-file copy as lost (releasing their pool bytes), and
     /// strip the signature from the filter tree so the view stops matching.
     /// Statistics are preserved for re-admission. Returns the backing files
-    /// the caller must drop from the file system and the pool bytes released.
+    /// unlinked and the pool bytes released.
     pub fn quarantine(&mut self, id: ViewId, tnow: LogicalTime) -> QuarantineReport {
         let view = self.view_mut(id);
         let bytes = view.pool_bytes();
         let mut files = Vec::new();
-        let mut fragments = 0u32;
         if let Some(f) = view.whole_file.take() {
             files.push(f);
         }
@@ -376,7 +388,6 @@ impl ViewRegistry {
             for frag in &mut Arc::make_mut(ps).fragments {
                 if frag.is_materialized() {
                     files.extend(Arc::make_mut(frag).file.take());
-                    fragments += 1;
                 }
             }
         }
@@ -385,23 +396,14 @@ impl ViewRegistry {
             let sig = Arc::clone(&view.sig);
             Arc::make_mut(&mut self.index).remove(&sig, id);
         }
-        QuarantineReport {
-            files,
-            bytes,
-            fragments,
-        }
+        QuarantineReport { files, bytes }
     }
 
     /// The view whose whole-file copy or fragment is backed by `file`, if
     /// any — how an execution failure on a file maps back to a view.
     pub fn view_owning_file(&self, file: FileId) -> Option<ViewId> {
         self.iter()
-            .find(|v| {
-                v.whole_file == Some(file)
-                    || v.partitions
-                        .values()
-                        .any(|ps| ps.fragments.iter().any(|f| f.file == Some(file)))
-            })
+            .find(|v| v.files().any(|f| f == file))
             .map(|v| v.id)
     }
 
@@ -634,7 +636,6 @@ mod tests {
         let report = r.quarantine(id, 42);
         assert_eq!(report.bytes, 1300);
         assert_eq!(report.files, vec![FileId(7), FileId(8)]);
-        assert_eq!(report.fragments, 1);
         assert!(r.view(id).is_quarantined());
         assert!(!r.view(id).is_materialized());
         assert_eq!(r.pool_bytes(), 0, "quarantine releases pool accounting");

@@ -226,13 +226,13 @@ impl<P> SimFs<P> {
     pub fn try_read(&self, id: FileId) -> Result<IoOutcome<Arc<P>>, IoError> {
         self.drive_node_faults();
         let mut inner = self.locked();
-        match inner.files.get(&id) {
+        let (bytes, payload) = match inner.files.get(&id) {
             None => return Err(IoError::PermanentLoss(id)),
             // Corruption is sticky: a file that failed verification once
             // keeps failing, without consuming further fault draws.
             Some(f) if !f.verify() => return Err(IoError::Corrupt(id)),
-            Some(_) => {}
-        }
+            Some(f) => (f.sim_bytes, Arc::clone(&f.payload)),
+        };
         // Cluster routing: failover to the first live replica is free
         // (metadata-only), an outage fails transient without consuming a
         // per-file draw, and total replica death removes the file.
@@ -264,9 +264,6 @@ impl<P> SimFs<P> {
             }
             ReadFault::Spike(secs) => secs,
         };
-        let file = inner.files.get(&id).expect("checked above");
-        let bytes = file.sim_bytes;
-        let payload = Arc::clone(&file.payload);
         inner.ledger.record_read(bytes);
         let cost_secs = self.weights.read_cost(bytes);
         let spike_secs = self.shaped_spike_secs(id, serving, cost_secs, spike_secs);
