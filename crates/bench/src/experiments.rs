@@ -199,8 +199,8 @@ pub fn fig5a_observed(scale: Scale) -> Fig5aRun {
         "\nDS-tight (Smax = base/{FIG5A_TIGHT_DIVISOR}): total {}, \
          evictions {} selected + {} forced, pool high-water {} B\n",
         secs(ds_tight_run.total_secs()),
-        tight_totals.evictions_selected,
-        tight_totals.evictions_forced,
+        tight_totals.eviction.selected,
+        tight_totals.eviction.limit_forced,
         ds_tight_run.pool_high_water,
     ));
     // The views DS leaned on hardest, straight from the metrics registry.
@@ -275,9 +275,9 @@ fn fig5a_bench_json(
                 .field("total_secs", ds_tight.total_secs())
                 .field("final_pool_bytes", ds_tight.final_pool_bytes)
                 .field("pool_high_water_bytes", ds_tight.pool_high_water)
-                .field("evictions_selected", tight.evictions_selected)
-                .field("evictions_forced", tight.evictions_forced)
-                .field("planned_evictions", tight.planned_evictions)
+                .field("evictions_selected", tight.eviction.selected)
+                .field("evictions_forced", tight.eviction.limit_forced)
+                .field("planned_evictions", tight.selection.planned_evictions)
                 .build(),
         )
         .build()

@@ -31,181 +31,6 @@ pub struct QueryRecord {
     pub trace: QueryTrace,
 }
 
-/// Per-stage activity summed over a whole run (from the per-query
-/// [`QueryTrace`]s) — the input to [`crate::report::stage_breakdown`].
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct StageTotals {
-    /// Definition-6 subplan roots examined by matching.
-    pub match_roots: u64,
-    /// Signature matches found (view could answer a subquery).
-    pub match_hits: u64,
-    /// Matches backed by materialized bytes in the pool.
-    pub materialized_hits: u64,
-    /// Views whose statistics recorded a (potential) benefit event.
-    pub views_updated: u64,
-    /// Rewritings costed by rewriting selection.
-    pub rewrites_costed: u64,
-    /// Simulated seconds the original (unrewritten) plans would have cost.
-    pub base_cost_secs: f64,
-    /// Simulated seconds of the chosen (possibly rewritten) plans.
-    pub best_cost_secs: f64,
-    /// View candidates derived (Definition 6).
-    pub view_candidates: u64,
-    /// View candidates newly registered (first time seen).
-    pub new_views: u64,
-    /// Partition-candidate selections processed (Definition 7).
-    pub partition_selections: u64,
-    /// Fragment candidates newly tracked by those selections.
-    pub new_fragments: u64,
-    /// Candidates ranked by the Φ knapsack.
-    pub candidates_considered: u64,
-    /// Creations the knapsack planned.
-    pub planned_creations: u64,
-    /// Evictions the knapsack planned.
-    pub planned_evictions: u64,
-    /// Simulated seconds executing (possibly rewritten) queries.
-    pub execution_secs: f64,
-    /// Simulated seconds creating/repartitioning views.
-    pub creation_secs: f64,
-    /// Bytes scanned to feed materialization.
-    pub bytes_read: u64,
-    /// Bytes written by materialization.
-    pub bytes_written: u64,
-    /// Files written by materialization.
-    pub files_written: u64,
-    /// Fragments reused via Algorithm-2 covers during repartitioning.
-    pub fragments_covered: u64,
-    /// Evictions applied from the planned configuration.
-    pub evictions_selected: u64,
-    /// Evictions forced afterwards to enforce `Smax`.
-    pub evictions_forced: u64,
-    /// Simulated seconds deleting evicted files (zero under default
-    /// weights, where deletes are metadata-only).
-    pub eviction_delete_secs: f64,
-    /// Transient-failure retries absorbed across execution and
-    /// materialization.
-    pub retries: u64,
-    /// Simulated seconds of retry backoff and latency spikes charged.
-    pub retry_penalty_secs: f64,
-    /// Views quarantined after permanent I/O failures.
-    pub quarantined_views: u64,
-    /// Pool bytes released by those quarantines.
-    pub quarantined_bytes: u64,
-    /// Rewritten plans re-answered from base tables after a view failed.
-    pub base_table_fallbacks: u64,
-    /// Fragment reads blocked by a node outage and patched at fragment
-    /// granularity from base tables.
-    pub fragment_fallbacks: u64,
-    /// Fragment reads that failed checksum verification (detected, never
-    /// served).
-    pub corrupt_fragments: u64,
-    /// Rewritings skipped because an open circuit breaker guarded the chosen
-    /// view (served straight from base tables).
-    pub breaker_short_circuits: u64,
-    /// Catalog-journal records appended.
-    pub journal_appends: u64,
-    /// Transient journal-write failures retried.
-    pub journal_retries: u64,
-    /// Simulated seconds of journal-retry backoff charged.
-    pub journal_penalty_secs: f64,
-    /// Full-state journal snapshots installed.
-    pub journal_snapshots: u64,
-}
-
-impl StageTotals {
-    /// Flatten to `(name, value)` pairs using the same leaf names as
-    /// [`QueryTrace::fields`]. The destructuring is exhaustive (no `..`), so
-    /// adding a field here without naming it fails to compile — and the
-    /// completeness test below compares this list name-for-name against the
-    /// per-query trace flatten, failing whenever a `QueryTrace` field is not
-    /// aggregated (or aggregated twice).
-    pub fn fields(&self) -> Vec<(&'static str, f64)> {
-        let StageTotals {
-            match_roots,
-            match_hits,
-            materialized_hits,
-            views_updated,
-            rewrites_costed,
-            base_cost_secs,
-            best_cost_secs,
-            view_candidates,
-            new_views,
-            partition_selections,
-            new_fragments,
-            candidates_considered,
-            planned_creations,
-            planned_evictions,
-            execution_secs,
-            creation_secs,
-            bytes_read,
-            bytes_written,
-            files_written,
-            fragments_covered,
-            evictions_selected,
-            evictions_forced,
-            eviction_delete_secs,
-            retries,
-            retry_penalty_secs,
-            quarantined_views,
-            quarantined_bytes,
-            base_table_fallbacks,
-            fragment_fallbacks,
-            corrupt_fragments,
-            breaker_short_circuits,
-            journal_appends,
-            journal_retries,
-            journal_penalty_secs,
-            journal_snapshots,
-        } = *self;
-        vec![
-            ("matching.roots", match_roots as f64),
-            ("matching.hits", match_hits as f64),
-            ("matching.materialized_hits", materialized_hits as f64),
-            ("matching.views_updated", views_updated as f64),
-            ("rewriting.rewrites_costed", rewrites_costed as f64),
-            ("rewriting.base_cost_secs", base_cost_secs),
-            ("rewriting.best_cost_secs", best_cost_secs),
-            ("candidates.view_candidates", view_candidates as f64),
-            ("candidates.new_views", new_views as f64),
-            (
-                "candidates.partition_selections",
-                partition_selections as f64,
-            ),
-            ("candidates.new_fragments", new_fragments as f64),
-            ("selection.considered", candidates_considered as f64),
-            ("selection.planned_creations", planned_creations as f64),
-            ("selection.planned_evictions", planned_evictions as f64),
-            ("execution.query_secs", execution_secs),
-            ("materialization.bytes_read", bytes_read as f64),
-            ("materialization.bytes_written", bytes_written as f64),
-            ("materialization.files_written", files_written as f64),
-            (
-                "materialization.fragments_covered",
-                fragments_covered as f64,
-            ),
-            ("materialization.creation_secs", creation_secs),
-            ("eviction.selected", evictions_selected as f64),
-            ("eviction.limit_forced", evictions_forced as f64),
-            ("eviction.delete_secs", eviction_delete_secs),
-            ("recovery.retries", retries as f64),
-            ("recovery.penalty_secs", retry_penalty_secs),
-            ("recovery.quarantined_views", quarantined_views as f64),
-            ("recovery.quarantined_bytes", quarantined_bytes as f64),
-            ("recovery.base_table_fallbacks", base_table_fallbacks as f64),
-            ("recovery.fragment_fallbacks", fragment_fallbacks as f64),
-            ("recovery.corrupt_fragments", corrupt_fragments as f64),
-            (
-                "recovery.breaker_short_circuits",
-                breaker_short_circuits as f64,
-            ),
-            ("durability.journal_appends", journal_appends as f64),
-            ("durability.journal_retries", journal_retries as f64),
-            ("durability.journal_penalty_secs", journal_penalty_secs),
-            ("durability.snapshots", journal_snapshots as f64),
-        ]
-    }
-}
-
 /// The result of running one workload under one variant.
 #[derive(Debug, Clone)]
 pub struct RunResult {
@@ -251,48 +76,14 @@ impl RunResult {
         self.per_query[range].iter().map(|r| r.map_tasks).sum()
     }
 
-    /// Sum the per-query traces into per-stage totals for the whole run.
-    pub fn stage_totals(&self) -> StageTotals {
-        let mut t = StageTotals::default();
+    /// The run's totals: the per-query traces summed, in query order — the
+    /// input to [`crate::report::stage_breakdown`].
+    pub fn stage_totals(&self) -> QueryTrace {
+        let mut total = QueryTrace::default();
         for q in &self.per_query {
-            let tr = &q.trace;
-            t.match_roots += tr.matching.roots as u64;
-            t.match_hits += tr.matching.hits as u64;
-            t.materialized_hits += tr.matching.materialized_hits as u64;
-            t.views_updated += tr.matching.views_updated as u64;
-            t.rewrites_costed += tr.rewriting.rewrites_costed as u64;
-            t.base_cost_secs += tr.rewriting.base_cost_secs;
-            t.best_cost_secs += tr.rewriting.best_cost_secs;
-            t.view_candidates += tr.candidates.view_candidates as u64;
-            t.new_views += tr.candidates.new_views as u64;
-            t.partition_selections += tr.candidates.partition_selections as u64;
-            t.new_fragments += tr.candidates.new_fragments as u64;
-            t.candidates_considered += tr.selection.considered as u64;
-            t.planned_creations += tr.selection.planned_creations as u64;
-            t.planned_evictions += tr.selection.planned_evictions as u64;
-            t.execution_secs += tr.execution.query_secs;
-            t.creation_secs += tr.materialization.creation_secs;
-            t.bytes_read += tr.materialization.bytes_read;
-            t.bytes_written += tr.materialization.bytes_written;
-            t.files_written += tr.materialization.files_written;
-            t.fragments_covered += tr.materialization.fragments_covered;
-            t.evictions_selected += tr.eviction.selected as u64;
-            t.evictions_forced += tr.eviction.limit_forced as u64;
-            t.eviction_delete_secs += tr.eviction.delete_secs;
-            t.retries += tr.recovery.retries as u64;
-            t.retry_penalty_secs += tr.recovery.penalty_secs;
-            t.quarantined_views += tr.recovery.quarantined_views as u64;
-            t.quarantined_bytes += tr.recovery.quarantined_bytes;
-            t.base_table_fallbacks += tr.recovery.base_table_fallbacks as u64;
-            t.fragment_fallbacks += tr.recovery.fragment_fallbacks as u64;
-            t.corrupt_fragments += tr.recovery.corrupt_fragments as u64;
-            t.breaker_short_circuits += tr.recovery.breaker_short_circuits as u64;
-            t.journal_appends += tr.durability.journal_appends as u64;
-            t.journal_retries += tr.durability.journal_retries as u64;
-            t.journal_penalty_secs += tr.durability.journal_penalty_secs;
-            t.journal_snapshots += tr.durability.snapshots as u64;
+            total += q.trace;
         }
-        t
+        total
     }
 
     /// Projected total time for `n` queries (§9 "Simulator" / Figure 7a):
@@ -546,64 +337,26 @@ mod tests {
         let (catalog, plans) = small_setup();
         let ds = run_workload("DS", &catalog, baselines::deepsea(), &plans);
         let t = ds.stage_totals();
-        assert!(t.match_roots > 0);
-        assert!(t.match_hits > 0, "repeated template must rehit its views");
-        assert!(t.view_candidates > 0);
-        assert!(t.candidates_considered > 0);
-        assert!(t.planned_creations > 0);
-        assert!(t.bytes_written > 0);
+        assert!(t.matching.roots > 0);
+        assert!(
+            t.matching.hits > 0,
+            "repeated template must rehit its views"
+        );
+        assert!(t.candidates.view_candidates > 0);
+        assert!(t.selection.considered > 0);
+        assert!(t.selection.planned_creations > 0);
+        assert!(t.materialization.bytes_written > 0);
         // The per-stage costs must agree with the coarse per-query sums.
         let exec: f64 = ds.per_query.iter().map(|q| q.query).sum();
         let creation: f64 = ds.per_query.iter().map(|q| q.creation).sum();
-        assert!((t.execution_secs - exec).abs() < 1e-9);
-        assert!((t.creation_secs - creation).abs() < 1e-9);
+        assert!((t.execution.query_secs - exec).abs() < 1e-9);
+        assert!((t.materialization.creation_secs - creation).abs() < 1e-9);
         // Hive never enters the pipeline: everything but execution stays 0.
         let h = run_workload("H", &catalog, baselines::hive(), &plans);
-        let ht = h.stage_totals();
-        assert!(ht.execution_secs > 0.0);
-        assert_eq!(
-            StageTotals {
-                execution_secs: ht.execution_secs,
-                ..StageTotals::default()
-            },
-            ht
-        );
-    }
-
-    /// The completeness audit: every `QueryTrace` leaf must be aggregated by
-    /// `stage_totals()` exactly once, under the same name. Both flattens use
-    /// exhaustive destructuring, so adding a trace field without extending
-    /// `StageTotals` (or vice versa) fails to compile; aggregating a field
-    /// into the wrong total (or forgetting the `+=`) fails here.
-    #[test]
-    fn stage_totals_cover_every_trace_field_exactly_once() {
-        let (catalog, plans) = small_setup();
-        let ds = run_workload("DS", &catalog, baselines::deepsea(), &plans);
-        let totals = ds.stage_totals().fields();
-
-        // Sum the per-query flattens by leaf name, preserving order.
-        let mut summed: Vec<(&'static str, f64)> = Vec::new();
-        for q in &ds.per_query {
-            for (name, value) in q.trace.fields() {
-                match summed.iter_mut().find(|(n, _)| *n == name) {
-                    Some((_, acc)) => *acc += value,
-                    None => summed.push((name, value)),
-                }
-            }
-        }
-
-        let total_names: Vec<&str> = totals.iter().map(|(n, _)| *n).collect();
-        let trace_names: Vec<&str> = summed.iter().map(|(n, _)| *n).collect();
-        assert_eq!(
-            total_names, trace_names,
-            "StageTotals::fields() must list exactly the QueryTrace leaves, in order"
-        );
-        for ((name, total), (_, sum)) in totals.iter().zip(&summed) {
-            assert!(
-                (total - sum).abs() <= 1e-9 * sum.abs().max(1.0),
-                "{name}: stage_totals()={total} but per-query traces sum to {sum}"
-            );
-        }
+        let mut ht = h.stage_totals();
+        assert!(ht.execution.query_secs > 0.0);
+        ht.execution.query_secs = 0.0;
+        assert_eq!(ht, QueryTrace::default());
     }
 
     #[test]

@@ -14,6 +14,4 @@ pub mod harness;
 pub mod pressure;
 pub mod report;
 
-pub use harness::{
-    run_variants, run_workload, run_workload_observed, QueryRecord, RunResult, StageTotals,
-};
+pub use harness::{run_variants, run_workload, run_workload_observed, QueryRecord, RunResult};

@@ -1,6 +1,6 @@
 //! Paper-style table and series rendering for experiment reports.
 
-use crate::harness::StageTotals;
+use deepsea_core::QueryTrace;
 
 /// Render an aligned text table.
 pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -82,13 +82,15 @@ pub fn bytes(v: u64) -> String {
 /// Render the per-stage pipeline breakdown of one run: what each stage of
 /// Algorithm 1 did over the whole workload, and where the simulated seconds
 /// went (execution vs creation — the two components of elapsed time).
-pub fn stage_breakdown(label: &str, t: &StageTotals) -> String {
+pub fn stage_breakdown(label: &str, t: &QueryTrace) -> String {
+    let (m, r, c, s) = (&t.matching, &t.rewriting, &t.candidates, &t.selection);
+    let (mat, ev, rec, dur) = (&t.materialization, &t.eviction, &t.recovery, &t.durability);
     let rows = vec![
         vec![
             "matching".into(),
             format!(
                 "{} roots, {} hits ({} on materialized data), {} views updated",
-                t.match_roots, t.match_hits, t.materialized_hits, t.views_updated
+                m.roots, m.hits, m.materialized_hits, m.views_updated
             ),
             "-".into(),
         ],
@@ -96,9 +98,9 @@ pub fn stage_breakdown(label: &str, t: &StageTotals) -> String {
             "rewriting".into(),
             format!(
                 "{} rewritings costed (base {}s, best {}s)",
-                t.rewrites_costed,
-                secs(t.base_cost_secs),
-                secs(t.best_cost_secs)
+                r.rewrites_costed,
+                secs(r.base_cost_secs),
+                secs(r.best_cost_secs)
             ),
             "-".into(),
         ],
@@ -106,7 +108,7 @@ pub fn stage_breakdown(label: &str, t: &StageTotals) -> String {
             "candidates".into(),
             format!(
                 "{} view ({} new), {} partition selections ({} new fragments)",
-                t.view_candidates, t.new_views, t.partition_selections, t.new_fragments
+                c.view_candidates, c.new_views, c.partition_selections, c.new_fragments
             ),
             "-".into(),
         ],
@@ -114,52 +116,52 @@ pub fn stage_breakdown(label: &str, t: &StageTotals) -> String {
             "selection".into(),
             format!(
                 "{} considered, {} creations, {} evictions planned",
-                t.candidates_considered, t.planned_creations, t.planned_evictions
+                s.considered, s.planned_creations, s.planned_evictions
             ),
             "-".into(),
         ],
-        vec!["execution".into(), "-".into(), secs(t.execution_secs)],
+        vec!["execution".into(), "-".into(), secs(t.execution.query_secs)],
         vec![
             "materialization".into(),
             format!(
                 "{} read, {} written ({} files, {} fragments covered)",
-                bytes(t.bytes_read),
-                bytes(t.bytes_written),
-                t.files_written,
-                t.fragments_covered
+                bytes(mat.bytes_read),
+                bytes(mat.bytes_written),
+                mat.files_written,
+                mat.fragments_covered
             ),
-            secs(t.creation_secs),
+            secs(mat.creation_secs),
         ],
         vec![
             "eviction".into(),
             format!(
                 "{} selected, {} forced by Smax",
-                t.evictions_selected, t.evictions_forced
+                ev.selected, ev.limit_forced
             ),
-            secs(t.eviction_delete_secs),
+            secs(ev.delete_secs),
         ],
         vec![
             "recovery".into(),
             format!(
                 "{} retries, {} quarantined ({}), {} base-table fallbacks, \
                  {} fragment fallbacks, {} corrupt, {} breaker short-circuits",
-                t.retries,
-                t.quarantined_views,
-                bytes(t.quarantined_bytes),
-                t.base_table_fallbacks,
-                t.fragment_fallbacks,
-                t.corrupt_fragments,
-                t.breaker_short_circuits
+                rec.retries,
+                rec.quarantined_views,
+                bytes(rec.quarantined_bytes),
+                rec.base_table_fallbacks,
+                rec.fragment_fallbacks,
+                rec.corrupt_fragments,
+                rec.breaker_short_circuits
             ),
-            secs(t.retry_penalty_secs),
+            secs(rec.penalty_secs),
         ],
         vec![
             "durability".into(),
             format!(
                 "{} journal records, {} snapshots, {} retries",
-                t.journal_appends, t.journal_snapshots, t.journal_retries
+                dur.journal_appends, dur.snapshots, dur.journal_retries
             ),
-            secs(t.journal_penalty_secs),
+            secs(dur.journal_penalty_secs),
         ],
     ];
     format!(
@@ -235,125 +237,44 @@ mod tests {
         assert_eq!(bytes(3_200_000_000), "3.2 GB");
     }
 
+    /// Every leaf of the trace schema must surface in the rendered
+    /// breakdown, in its stage's row. The fixture is filled through the
+    /// schema — leaf `i` holds `101 + i`, plus a half on the seconds — so a
+    /// new leaf fails here until `stage_breakdown` prints it, and a dropped
+    /// or swapped `format!` argument is caught by the pinned sentences.
     #[test]
-    fn stage_breakdown_lists_every_stage() {
-        let t = StageTotals {
-            match_roots: 12,
-            match_hits: 5,
-            materialized_hits: 3,
-            views_updated: 8,
-            rewrites_costed: 5,
-            base_cost_secs: 900.0,
-            best_cost_secs: 450.0,
-            view_candidates: 2,
-            new_views: 1,
-            partition_selections: 7,
-            new_fragments: 4,
-            candidates_considered: 40,
-            planned_creations: 4,
-            planned_evictions: 2,
-            execution_secs: 100.5,
-            creation_secs: 20.25,
-            bytes_read: 1_000_000,
-            bytes_written: 2_000_000_000,
-            files_written: 6,
-            fragments_covered: 2,
-            evictions_selected: 1,
-            evictions_forced: 0,
-            eviction_delete_secs: 0.25,
-            retries: 9,
-            retry_penalty_secs: 4.5,
-            quarantined_views: 1,
-            quarantined_bytes: 3_000_000,
-            base_table_fallbacks: 1,
-            fragment_fallbacks: 0,
-            corrupt_fragments: 2,
-            breaker_short_circuits: 4,
-            journal_appends: 120,
-            journal_retries: 3,
-            journal_penalty_secs: 1.5,
-            journal_snapshots: 2,
-        };
+    fn stage_breakdown_prints_every_leaf() {
+        let mut next = 100.0;
+        let t = QueryTrace::from_fields(|_| {
+            next += 1.0;
+            next + 0.5
+        });
         let s = stage_breakdown("DS", &t);
-        for stage in [
-            "matching",
-            "rewriting",
-            "candidates",
-            "selection",
-            "execution",
-            "materialization",
-            "eviction",
-            "recovery",
-            "durability",
-        ] {
-            assert!(s.contains(stage), "missing {stage} in:\n{s}");
-        }
-        assert!(s.contains("DS"));
-        assert!(s.contains("100.5"));
-        assert!(s.contains("2.0 GB"));
-        assert!(s.contains("12 roots, 5 hits (3 on materialized data), 8 views updated"));
-        assert!(s.contains("5 rewritings costed (base 900.0s, best 450.0s)"));
-        assert!(s.contains("2 view (1 new), 7 partition selections (4 new fragments)"));
-        assert!(s.contains("40 considered, 4 creations, 2 evictions planned"));
-        assert!(s.contains(
-            "9 retries, 1 quarantined (3.0 MB), 1 base-table fallbacks, \
-             0 fragment fallbacks, 2 corrupt, 4 breaker short-circuits"
-        ));
-        assert!(s.contains("120 journal records, 2 snapshots, 3 retries"));
-    }
-
-    /// Print-coverage half of the completeness audit (the aggregation half
-    /// lives in `harness::tests`): every field `StageTotals::fields()` lists
-    /// must surface somewhere in the rendered breakdown. Each field gets a
-    /// distinct sentinel so a dropped `format!` argument is caught.
-    #[test]
-    fn stage_breakdown_prints_every_aggregated_field() {
-        let t = StageTotals {
-            match_roots: 101,
-            match_hits: 103,
-            materialized_hits: 105,
-            views_updated: 107,
-            rewrites_costed: 109,
-            base_cost_secs: 111.5,
-            best_cost_secs: 113.5,
-            view_candidates: 115,
-            new_views: 117,
-            partition_selections: 119,
-            new_fragments: 121,
-            candidates_considered: 123,
-            planned_creations: 125,
-            planned_evictions: 127,
-            execution_secs: 129.5,
-            bytes_read: 131,
-            bytes_written: 133,
-            files_written: 135,
-            fragments_covered: 137,
-            creation_secs: 139.5,
-            evictions_selected: 141,
-            evictions_forced: 143,
-            eviction_delete_secs: 144.5,
-            retries: 145,
-            retry_penalty_secs: 147.5,
-            quarantined_views: 149,
-            quarantined_bytes: 151,
-            base_table_fallbacks: 153,
-            fragment_fallbacks: 154,
-            corrupt_fragments: 155,
-            breaker_short_circuits: 156,
-            journal_appends: 157,
-            journal_retries: 159,
-            journal_penalty_secs: 161.5,
-            journal_snapshots: 163,
-        };
-        let s = stage_breakdown("DS", &t);
+        assert!(s.starts_with("per-stage breakdown, DS:"));
         for (name, v) in t.fields() {
+            let stage = name.split('.').next().expect("stage.leaf");
+            let row = s
+                .lines()
+                .find(|l| l.trim_start().starts_with(stage))
+                .unwrap_or_else(|| panic!("no {stage} row in:\n{s}"));
             let as_int = format!("{}", v as u64);
-            let as_secs = secs(v);
-            let as_bytes = bytes(v as u64);
             assert!(
-                s.contains(&as_int) || s.contains(&as_secs) || s.contains(&as_bytes),
-                "field {name} (= {v}) is not printed by stage_breakdown:\n{s}"
+                row.contains(&as_int) || row.contains(&secs(v)),
+                "leaf {name} (= {v}) is not printed in its row:\n{s}"
             );
+        }
+        for sentence in [
+            "101 roots, 102 hits (103 on materialized data), 104 views updated",
+            "105 rewritings costed (base 106.5s, best 107.5s)",
+            "108 view (109 new), 110 partition selections (111 new fragments)",
+            "112 considered, 113 creations, 114 evictions planned",
+            "116 B read, 117 B written (118 files, 119 fragments covered)",
+            "121 selected, 122 forced by Smax",
+            "124 retries, 126 quarantined (127 B), 128 base-table fallbacks, \
+             129 fragment fallbacks, 130 corrupt, 131 breaker short-circuits",
+            "132 journal records, 135 snapshots, 133 retries",
+        ] {
+            assert!(s.contains(sentence), "missing {sentence:?} in:\n{s}");
         }
     }
 

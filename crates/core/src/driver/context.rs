@@ -1,7 +1,10 @@
 //! Per-query pipeline state ([`QueryContext`]) and the public per-stage
 //! instrumentation ([`QueryTrace`]) every [`super::QueryOutcome`] carries.
 
+use deepsea_engine::exec::ExecMetrics;
 use deepsea_engine::plan::LogicalPlan;
+use deepsea_engine::ExecutionBackend;
+use deepsea_relation::Table;
 use serde::{ObjectBuilder, Serialize, Value};
 
 use crate::filter_tree::ViewId;
@@ -9,391 +12,208 @@ use crate::selection::SelectionResult;
 use crate::stats::LogicalTime;
 
 use super::read_path::MatchHit;
+use super::QueryOutcome;
 
-/// Counters from the matching stage (Algorithm 1 lines 1–2).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct MatchingTrace {
-    /// Definition-6-shaped subplans the query exposed for matching.
-    pub roots: u32,
-    /// (subquery, view) signature matches found.
-    pub hits: u32,
-    /// Matches backed by materialized data (whole file or fragment cover).
-    pub materialized_hits: u32,
-    /// Distinct views whose statistics recorded a benefit event.
-    pub views_updated: u32,
-}
-
-/// Counters from the rewriting stage (Algorithm 1 line 3).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RewritingTrace {
-    /// Rewritten plans that were actually costed against the base plan.
-    pub rewrites_costed: u32,
-    /// Estimated cost of the original plan (simulated seconds).
-    pub base_cost_secs: f64,
-    /// Estimated cost of the chosen plan (equals `base_cost_secs` when no
-    /// rewriting won).
-    pub best_cost_secs: f64,
-}
-
-/// Counters from candidate derivation (Definitions 6 and 7, line 4).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CandidatesTrace {
-    /// View candidates registered from the chosen plan's subqueries.
-    pub view_candidates: u32,
-    /// How many of those were first seen by this query.
-    pub new_views: u32,
-    /// Range selections that produced partition-candidate work.
-    pub partition_selections: u32,
-    /// Candidate fragments newly tracked by this query.
-    pub new_fragments: u32,
-}
-
-/// Counters from Φ-ranked greedy selection (line 5).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SelectionTrace {
-    /// `|ALLCAND|` — items the knapsack considered.
-    pub considered: u32,
-    /// Unmaterialized items chosen for creation.
-    pub planned_creations: u32,
-    /// Materialized items chosen for eviction.
-    pub planned_evictions: u32,
-}
-
-/// The execution stage (line 6) — the only stage with a real simulated cost
-/// on the query path.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ExecutionTrace {
-    /// Simulated seconds of the chosen plan's execution.
-    pub query_secs: f64,
-}
-
-/// Counters from materialization (line 6, by-product writes; §7.2).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct MaterializationTrace {
-    /// Bytes read back for repartitioning (fragment covers, splits).
-    pub bytes_read: u64,
-    /// Bytes written for new views/fragments.
-    pub bytes_written: u64,
-    /// Output files committed.
-    pub files_written: u64,
-    /// Materialized source fragments covered while building new fragments.
-    pub fragments_covered: u64,
-    /// Simulated seconds charged for the combined instrumented job.
-    pub creation_secs: f64,
-}
-
-/// Counters from eviction (line 5's plan applied, plus `Smax` enforcement).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct EvictionTrace {
-    /// Evictions planned by selection and actually performed.
-    pub selected: u32,
-    /// Additional evictions forced by `enforce_limit` (actual sizes exceeded
-    /// the estimates selection planned with).
-    pub limit_forced: u32,
-    /// Simulated seconds charged for deleting the evicted files (zero under
-    /// the default cost weights, where deletes are metadata-only).
-    pub delete_secs: f64,
-}
-
-/// Counters from fault recovery: retries absorbed, views quarantined after
-/// permanent losses, and base-table fallbacks. All zero on a fault-free run.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RecoveryTrace {
-    /// Transient-failure retries absorbed (execution and materialization).
-    pub retries: u32,
-    /// Simulated seconds of retry backoff and latency spikes charged to this
-    /// query's elapsed time.
-    pub penalty_secs: f64,
-    /// Views quarantined after a permanent I/O failure.
-    pub quarantined_views: u32,
-    /// Pool bytes released by those quarantines.
-    pub quarantined_bytes: u64,
-    /// Rewritten plans that failed and were re-answered from base tables.
-    pub base_table_fallbacks: u32,
-    /// Fragment reads blocked by a node outage and patched at fragment
-    /// granularity (re-planned around the offline fragment rather than
-    /// abandoning the whole view).
-    pub fragment_fallbacks: u32,
-    /// Fragment reads that failed checksum verification (corruption detected
-    /// on read, never served). Each routes through the quarantine path.
-    pub corrupt_fragments: u32,
-    /// Rewritings skipped because an open circuit breaker guarded the chosen
-    /// view; the query went straight to base tables without burning retries.
-    pub breaker_short_circuits: u32,
-}
-
-/// Counters from catalog journaling. All zero when no journal is attached —
-/// a journal-less run is bit-transparent.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct DurabilityTrace {
-    /// Journal records appended while processing this query.
-    pub journal_appends: u32,
-    /// Transient journal-write failures retried.
-    pub journal_retries: u32,
-    /// Simulated seconds of journal-retry backoff charged to this query.
-    pub journal_penalty_secs: f64,
-    /// Full-state snapshots installed (truncating the record log).
-    pub snapshots: u32,
-}
-
-/// Wall-clock-free per-stage instrumentation of one `process_query` call.
+/// The trace schema: every stage of the per-query trace and every leaf in
+/// it, declared once. The single invocation below generates the stage
+/// structs, [`QueryTrace`], its flattening to `"stage.field"` names (the
+/// order here *is* the order of `BENCH.json: ds.stage_totals`), the nested
+/// JSON rendering and `+=` — so a run total is a `QueryTrace` too.
 ///
-/// Counters are cheap to fill (no timers — the simulator's notion of cost is
-/// already deterministic seconds) and let the bench harness attribute a
-/// run's behaviour to pipeline stages: how much matching happened, whether
-/// rewritings won, how much candidate churn selection saw, and where the
-/// simulated seconds went.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct QueryTrace {
-    /// Stage 1–2: signature matching and statistics updates.
-    pub matching: MatchingTrace,
-    /// Stage 3: rewriting selection.
-    pub rewriting: RewritingTrace,
-    /// Stage 4: candidate derivation.
-    pub candidates: CandidatesTrace,
-    /// Stage 5: Φ-ranked selection.
-    pub selection: SelectionTrace,
-    /// Stage 6: execution.
-    pub execution: ExecutionTrace,
-    /// Stage 6: by-product materialization.
-    pub materialization: MaterializationTrace,
-    /// Stages 5/7: evictions applied.
-    pub eviction: EvictionTrace,
-    /// Fault recovery: retries, quarantines, base-table fallbacks.
-    pub recovery: RecoveryTrace,
-    /// Catalog journaling: appends, retries, snapshots.
-    pub durability: DurabilityTrace,
+/// To add a leaf: one line in the table, one write site in the driver (and
+/// its slot in `bench::report::stage_breakdown`'s text).
+macro_rules! trace_schema {
+    // One struct with its JSON object rendering and field-wise `+=`; serves
+    // the stage structs (numeric leaves) and the trace (stage fields) alike.
+    (@record $(#[$doc:meta])* $Name:ident { $($(#[$fdoc:meta])* $field:ident: $ty:ty,)+ }) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq)]
+        pub struct $Name {
+            $($(#[$fdoc])* pub $field: $ty,)+
+        }
+
+        impl Serialize for $Name {
+            fn to_value(&self) -> Value {
+                ObjectBuilder::new()
+                    $(.field(stringify!($field), self.$field))+
+                    .build()
+            }
+        }
+
+        impl std::ops::AddAssign for $Name {
+            fn add_assign(&mut self, rhs: Self) {
+                $(self.$field += rhs.$field;)+
+            }
+        }
+    };
+    (
+        $(#[$doc:meta])*
+        $Trace:ident {
+            $(
+                $(#[$sdoc:meta])*
+                $stage:ident: $Stage:ident {
+                    $($(#[$ldoc:meta])* $leaf:ident: $ty:ty,)+
+                }
+            )+
+        }
+    ) => {
+        $(trace_schema!(@record $(#[$sdoc])* $Stage { $($(#[$ldoc])* $leaf: $ty,)+ });)+
+        trace_schema!(@record $(#[$doc])* $Trace { $($(#[$sdoc])* $stage: $Stage,)+ });
+
+        impl $Trace {
+            /// Every leaf, flattened to `("stage.field", value)` pairs in
+            /// schema order.
+            pub fn fields(&self) -> Vec<(&'static str, f64)> {
+                vec![$($((
+                    concat!(stringify!($stage), ".", stringify!($leaf)),
+                    self.$stage.$leaf as f64,
+                ),)+)+]
+            }
+
+            /// The inverse of [`Self::fields`]: build a trace by asking `f`
+            /// for each leaf's value, in schema order (integer leaves
+            /// truncate).
+            pub fn from_fields(mut f: impl FnMut(&'static str) -> f64) -> Self {
+                Self {
+                    $($stage: $Stage {
+                        $($leaf: f(concat!(stringify!($stage), ".", stringify!($leaf))) as $ty,)+
+                    },)+
+                }
+            }
+        }
+    };
 }
 
-impl QueryTrace {
-    /// Every trace field, flattened to `("stage.field", value)` pairs.
+trace_schema! {
+    /// Wall-clock-free per-stage instrumentation of one `process_query` call.
     ///
-    /// This destructures every sub-trace exhaustively (no `..` patterns), so
-    /// adding a field to any trace struct **fails to compile** until it is
-    /// represented here — and the completeness tests in the bench harness
-    /// then force it into `StageTotals` and `stage_breakdown` too.
-    pub fn fields(&self) -> Vec<(&'static str, f64)> {
-        let QueryTrace {
-            matching:
-                MatchingTrace {
-                    roots,
-                    hits,
-                    materialized_hits,
-                    views_updated,
-                },
-            rewriting:
-                RewritingTrace {
-                    rewrites_costed,
-                    base_cost_secs,
-                    best_cost_secs,
-                },
-            candidates:
-                CandidatesTrace {
-                    view_candidates,
-                    new_views,
-                    partition_selections,
-                    new_fragments,
-                },
-            selection:
-                SelectionTrace {
-                    considered,
-                    planned_creations,
-                    planned_evictions,
-                },
-            execution: ExecutionTrace { query_secs },
-            materialization:
-                MaterializationTrace {
-                    bytes_read,
-                    bytes_written,
-                    files_written,
-                    fragments_covered,
-                    creation_secs,
-                },
-            eviction:
-                EvictionTrace {
-                    selected,
-                    limit_forced,
-                    delete_secs,
-                },
-            recovery:
-                RecoveryTrace {
-                    retries,
-                    penalty_secs,
-                    quarantined_views,
-                    quarantined_bytes,
-                    base_table_fallbacks,
-                    fragment_fallbacks,
-                    corrupt_fragments,
-                    breaker_short_circuits,
-                },
-            durability:
-                DurabilityTrace {
-                    journal_appends,
-                    journal_retries,
-                    journal_penalty_secs,
-                    snapshots,
-                },
-        } = *self;
-        vec![
-            ("matching.roots", roots as f64),
-            ("matching.hits", hits as f64),
-            ("matching.materialized_hits", materialized_hits as f64),
-            ("matching.views_updated", views_updated as f64),
-            ("rewriting.rewrites_costed", rewrites_costed as f64),
-            ("rewriting.base_cost_secs", base_cost_secs),
-            ("rewriting.best_cost_secs", best_cost_secs),
-            ("candidates.view_candidates", view_candidates as f64),
-            ("candidates.new_views", new_views as f64),
-            (
-                "candidates.partition_selections",
-                partition_selections as f64,
-            ),
-            ("candidates.new_fragments", new_fragments as f64),
-            ("selection.considered", considered as f64),
-            ("selection.planned_creations", planned_creations as f64),
-            ("selection.planned_evictions", planned_evictions as f64),
-            ("execution.query_secs", query_secs),
-            ("materialization.bytes_read", bytes_read as f64),
-            ("materialization.bytes_written", bytes_written as f64),
-            ("materialization.files_written", files_written as f64),
-            (
-                "materialization.fragments_covered",
-                fragments_covered as f64,
-            ),
-            ("materialization.creation_secs", creation_secs),
-            ("eviction.selected", selected as f64),
-            ("eviction.limit_forced", limit_forced as f64),
-            ("eviction.delete_secs", delete_secs),
-            ("recovery.retries", retries as f64),
-            ("recovery.penalty_secs", penalty_secs),
-            ("recovery.quarantined_views", quarantined_views as f64),
-            ("recovery.quarantined_bytes", quarantined_bytes as f64),
-            ("recovery.base_table_fallbacks", base_table_fallbacks as f64),
-            ("recovery.fragment_fallbacks", fragment_fallbacks as f64),
-            ("recovery.corrupt_fragments", corrupt_fragments as f64),
-            (
-                "recovery.breaker_short_circuits",
-                breaker_short_circuits as f64,
-            ),
-            ("durability.journal_appends", journal_appends as f64),
-            ("durability.journal_retries", journal_retries as f64),
-            ("durability.journal_penalty_secs", journal_penalty_secs),
-            ("durability.snapshots", snapshots as f64),
-        ]
-    }
-}
-
-impl Serialize for MatchingTrace {
-    fn to_value(&self) -> Value {
-        ObjectBuilder::new()
-            .field("roots", self.roots)
-            .field("hits", self.hits)
-            .field("materialized_hits", self.materialized_hits)
-            .field("views_updated", self.views_updated)
-            .build()
-    }
-}
-
-impl Serialize for RewritingTrace {
-    fn to_value(&self) -> Value {
-        ObjectBuilder::new()
-            .field("rewrites_costed", self.rewrites_costed)
-            .field("base_cost_secs", self.base_cost_secs)
-            .field("best_cost_secs", self.best_cost_secs)
-            .build()
-    }
-}
-
-impl Serialize for CandidatesTrace {
-    fn to_value(&self) -> Value {
-        ObjectBuilder::new()
-            .field("view_candidates", self.view_candidates)
-            .field("new_views", self.new_views)
-            .field("partition_selections", self.partition_selections)
-            .field("new_fragments", self.new_fragments)
-            .build()
-    }
-}
-
-impl Serialize for SelectionTrace {
-    fn to_value(&self) -> Value {
-        ObjectBuilder::new()
-            .field("considered", self.considered)
-            .field("planned_creations", self.planned_creations)
-            .field("planned_evictions", self.planned_evictions)
-            .build()
-    }
-}
-
-impl Serialize for ExecutionTrace {
-    fn to_value(&self) -> Value {
-        ObjectBuilder::new()
-            .field("query_secs", self.query_secs)
-            .build()
-    }
-}
-
-impl Serialize for MaterializationTrace {
-    fn to_value(&self) -> Value {
-        ObjectBuilder::new()
-            .field("bytes_read", self.bytes_read)
-            .field("bytes_written", self.bytes_written)
-            .field("files_written", self.files_written)
-            .field("fragments_covered", self.fragments_covered)
-            .field("creation_secs", self.creation_secs)
-            .build()
-    }
-}
-
-impl Serialize for EvictionTrace {
-    fn to_value(&self) -> Value {
-        ObjectBuilder::new()
-            .field("selected", self.selected)
-            .field("limit_forced", self.limit_forced)
-            .field("delete_secs", self.delete_secs)
-            .build()
-    }
-}
-
-impl Serialize for RecoveryTrace {
-    fn to_value(&self) -> Value {
-        ObjectBuilder::new()
-            .field("retries", self.retries)
-            .field("penalty_secs", self.penalty_secs)
-            .field("quarantined_views", self.quarantined_views)
-            .field("quarantined_bytes", self.quarantined_bytes)
-            .field("base_table_fallbacks", self.base_table_fallbacks)
-            .field("fragment_fallbacks", self.fragment_fallbacks)
-            .field("corrupt_fragments", self.corrupt_fragments)
-            .field("breaker_short_circuits", self.breaker_short_circuits)
-            .build()
-    }
-}
-
-impl Serialize for DurabilityTrace {
-    fn to_value(&self) -> Value {
-        ObjectBuilder::new()
-            .field("journal_appends", self.journal_appends)
-            .field("journal_retries", self.journal_retries)
-            .field("journal_penalty_secs", self.journal_penalty_secs)
-            .field("snapshots", self.snapshots)
-            .build()
-    }
-}
-
-impl Serialize for QueryTrace {
-    fn to_value(&self) -> Value {
-        ObjectBuilder::new()
-            .field("matching", self.matching)
-            .field("rewriting", self.rewriting)
-            .field("candidates", self.candidates)
-            .field("selection", self.selection)
-            .field("execution", self.execution)
-            .field("materialization", self.materialization)
-            .field("eviction", self.eviction)
-            .field("recovery", self.recovery)
-            .field("durability", self.durability)
-            .build()
+    /// Counters are cheap to fill (no timers — the simulator's notion of cost
+    /// is already deterministic seconds) and let the bench harness attribute
+    /// a run's behaviour to pipeline stages: how much matching happened,
+    /// whether rewritings won, how much candidate churn selection saw, and
+    /// where the simulated seconds went. Traces add (`+=`, stage by stage,
+    /// leaf by leaf), so the totals of a run are the same type.
+    QueryTrace {
+        /// Stages 1–2 (Algorithm 1 lines 1–2): signature matching and
+        /// statistics updates.
+        matching: MatchingTrace {
+            /// Definition-6-shaped subplans the query exposed for matching.
+            roots: u64,
+            /// (subquery, view) signature matches found.
+            hits: u64,
+            /// Matches backed by materialized data (whole file or fragment
+            /// cover).
+            materialized_hits: u64,
+            /// Distinct views whose statistics recorded a benefit event.
+            views_updated: u64,
+        }
+        /// Stage 3 (line 3): rewriting selection.
+        rewriting: RewritingTrace {
+            /// Rewritten plans that were actually costed against the base
+            /// plan.
+            rewrites_costed: u64,
+            /// Estimated cost of the original plan (simulated seconds).
+            base_cost_secs: f64,
+            /// Estimated cost of the chosen plan (equals `base_cost_secs`
+            /// when no rewriting won).
+            best_cost_secs: f64,
+        }
+        /// Stage 4 (line 4): candidate derivation, Definitions 6 and 7.
+        candidates: CandidatesTrace {
+            /// View candidates registered from the chosen plan's subqueries.
+            view_candidates: u64,
+            /// How many of those were first seen by this query.
+            new_views: u64,
+            /// Range selections that produced partition-candidate work.
+            partition_selections: u64,
+            /// Candidate fragments newly tracked by this query.
+            new_fragments: u64,
+        }
+        /// Stage 5 (line 5): Φ-ranked greedy selection.
+        selection: SelectionTrace {
+            /// `|ALLCAND|` — items the knapsack considered.
+            considered: u64,
+            /// Unmaterialized items chosen for creation.
+            planned_creations: u64,
+            /// Materialized items chosen for eviction.
+            planned_evictions: u64,
+        }
+        /// Stage 6 (line 6): execution — the only stage with a real
+        /// simulated cost on the query path.
+        execution: ExecutionTrace {
+            /// Simulated seconds of the chosen plan's execution.
+            query_secs: f64,
+        }
+        /// Stage 6 (line 6, by-product writes; §7.2): materialization.
+        materialization: MaterializationTrace {
+            /// Bytes read back for repartitioning (fragment covers, splits).
+            bytes_read: u64,
+            /// Bytes written for new views/fragments.
+            bytes_written: u64,
+            /// Output files committed.
+            files_written: u64,
+            /// Materialized source fragments covered while building new
+            /// fragments.
+            fragments_covered: u64,
+            /// Simulated seconds charged for the combined instrumented job.
+            creation_secs: f64,
+        }
+        /// Stages 5/7: evictions applied (line 5's plan, plus `Smax`
+        /// enforcement).
+        eviction: EvictionTrace {
+            /// Evictions planned by selection and actually performed.
+            selected: u64,
+            /// Additional evictions forced by `enforce_limit` (actual sizes
+            /// exceeded the estimates selection planned with).
+            limit_forced: u64,
+            /// Simulated seconds charged for deleting the evicted files
+            /// (zero under the default cost weights, where deletes are
+            /// metadata-only).
+            delete_secs: f64,
+        }
+        /// Fault recovery: retries absorbed, views quarantined after
+        /// permanent losses, and base-table fallbacks. All zero on a
+        /// fault-free run.
+        recovery: RecoveryTrace {
+            /// Transient-failure retries absorbed (execution and
+            /// materialization).
+            retries: u64,
+            /// Simulated seconds of retry backoff and latency spikes charged
+            /// to this query's elapsed time.
+            penalty_secs: f64,
+            /// Views quarantined after a permanent I/O failure.
+            quarantined_views: u64,
+            /// Pool bytes released by those quarantines.
+            quarantined_bytes: u64,
+            /// Rewritten plans that failed and were re-answered from base
+            /// tables.
+            base_table_fallbacks: u64,
+            /// Fragment reads blocked by a node outage and patched at
+            /// fragment granularity (re-planned around the offline fragment
+            /// rather than abandoning the whole view).
+            fragment_fallbacks: u64,
+            /// Fragment reads that failed checksum verification (corruption
+            /// detected on read, never served). Each routes through the
+            /// quarantine path.
+            corrupt_fragments: u64,
+            /// Rewritings skipped because an open circuit breaker guarded the
+            /// chosen view; the query went straight to base tables without
+            /// burning retries.
+            breaker_short_circuits: u64,
+        }
+        /// Catalog journaling: appends, retries, snapshots. All zero when no
+        /// journal is attached — a journal-less run is bit-transparent.
+        durability: DurabilityTrace {
+            /// Journal records appended while processing this query.
+            journal_appends: u64,
+            /// Transient journal-write failures retried.
+            journal_retries: u64,
+            /// Simulated seconds of journal-retry backoff charged to this
+            /// query.
+            journal_penalty_secs: f64,
+            /// Full-state snapshots installed (truncating the record log).
+            snapshots: u64,
+        }
     }
 }
 
@@ -409,7 +229,7 @@ pub(crate) struct CreationCharge {
     /// not affect the charged seconds).
     pub(crate) cover_reads: u64,
     /// Transient-failure retries absorbed by materialization I/O.
-    pub(crate) retries: u32,
+    pub(crate) retries: u64,
     /// Simulated backoff/spike seconds those retries cost, plus the delete
     /// cost of source fragments dropped during refinement (charged into
     /// `creation_secs`).
@@ -496,6 +316,39 @@ impl QueryContext {
         self.span_anchor_secs = anchor_secs;
         self
     }
+
+    /// The epilogue of every successful execution, on either path: add the
+    /// retry `debt` failed earlier attempts left behind to `metrics`, price
+    /// the run, and record it in the execution and recovery slices.
+    pub(crate) fn record_execution(
+        &mut self,
+        backend: &dyn ExecutionBackend,
+        metrics: &mut ExecMetrics,
+        (debt_retries, debt_secs): (u64, f64),
+    ) {
+        metrics.retries += debt_retries;
+        metrics.penalty_secs += debt_secs;
+        self.trace.recovery.retries += metrics.retries;
+        self.trace.recovery.penalty_secs += metrics.penalty_secs;
+        self.query_secs = backend.elapsed_secs(metrics);
+        self.trace.execution.query_secs = self.query_secs;
+    }
+
+    /// Fold the final state of a committed query into its outcome.
+    pub(crate) fn into_outcome(self, result: Table, metrics: ExecMetrics) -> QueryOutcome {
+        QueryOutcome {
+            result,
+            elapsed_secs: self.query_secs + self.creation_secs,
+            query_secs: self.query_secs,
+            creation_secs: self.creation_secs,
+            used_view: self.used_view,
+            materialized: self.materialized,
+            evicted: self.evicted,
+            quarantined: self.quarantined,
+            metrics,
+            trace: self.trace,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -528,76 +381,106 @@ mod tests {
         assert_eq!(a.penalty_secs, 66.0);
     }
 
-    #[test]
-    fn trace_fields_and_serialization_cover_every_field() {
-        // Give every field a distinct non-zero value so both representations
-        // can be cross-checked field by field.
-        let mut trace = QueryTrace::default();
-        for (i, (_, _)) in trace.fields().iter().enumerate() {
-            set_field_by_index(&mut trace, i, (i + 1) as f64);
-        }
-        let flat = trace.fields();
-        assert_eq!(flat.len(), 35);
-        // Names are unique and values survived the round trip.
-        let mut names: Vec<&str> = flat.iter().map(|(n, _)| *n).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), flat.len(), "duplicate flattened name");
-        for (i, (name, v)) in flat.iter().enumerate() {
-            assert_eq!(*v, (i + 1) as f64, "{name}");
-        }
-        // The serialized object exposes the same leaves under stage objects.
-        let json = serde::to_string(&trace);
-        for (name, v) in &flat {
-            let leaf = name.split('.').next_back().unwrap();
-            assert!(
-                json.contains(&format!("\"{leaf}\":{v}")),
-                "missing {name}={v} in {json}"
-            );
-        }
+    /// The flattened leaf names in `BENCH.json: ds.stage_totals` order. A
+    /// schema edit that renames, reorders or drops a gated leaf fails here
+    /// (a new leaf extends this list).
+    const LEAVES: [&str; 35] = [
+        "matching.roots",
+        "matching.hits",
+        "matching.materialized_hits",
+        "matching.views_updated",
+        "rewriting.rewrites_costed",
+        "rewriting.base_cost_secs",
+        "rewriting.best_cost_secs",
+        "candidates.view_candidates",
+        "candidates.new_views",
+        "candidates.partition_selections",
+        "candidates.new_fragments",
+        "selection.considered",
+        "selection.planned_creations",
+        "selection.planned_evictions",
+        "execution.query_secs",
+        "materialization.bytes_read",
+        "materialization.bytes_written",
+        "materialization.files_written",
+        "materialization.fragments_covered",
+        "materialization.creation_secs",
+        "eviction.selected",
+        "eviction.limit_forced",
+        "eviction.delete_secs",
+        "recovery.retries",
+        "recovery.penalty_secs",
+        "recovery.quarantined_views",
+        "recovery.quarantined_bytes",
+        "recovery.base_table_fallbacks",
+        "recovery.fragment_fallbacks",
+        "recovery.corrupt_fragments",
+        "recovery.breaker_short_circuits",
+        "durability.journal_appends",
+        "durability.journal_retries",
+        "durability.journal_penalty_secs",
+        "durability.snapshots",
+    ];
+
+    /// Leaf `i` (schema order) holds `scale * (i + 1)`, plus a half on the
+    /// `f64` leaves (integer leaves truncate it away).
+    fn sentinel_trace(scale: f64) -> QueryTrace {
+        let mut i = 0.0;
+        QueryTrace::from_fields(|_| {
+            i += 1.0;
+            scale * i + 0.5
+        })
     }
 
-    /// Poke trace field `i` (in `fields()` order) to `v`. Kept in sync by
-    /// the assertion above: a mismatch in count or order fails the test.
-    fn set_field_by_index(t: &mut QueryTrace, i: usize, v: f64) {
-        match i {
-            0 => t.matching.roots = v as u32,
-            1 => t.matching.hits = v as u32,
-            2 => t.matching.materialized_hits = v as u32,
-            3 => t.matching.views_updated = v as u32,
-            4 => t.rewriting.rewrites_costed = v as u32,
-            5 => t.rewriting.base_cost_secs = v,
-            6 => t.rewriting.best_cost_secs = v,
-            7 => t.candidates.view_candidates = v as u32,
-            8 => t.candidates.new_views = v as u32,
-            9 => t.candidates.partition_selections = v as u32,
-            10 => t.candidates.new_fragments = v as u32,
-            11 => t.selection.considered = v as u32,
-            12 => t.selection.planned_creations = v as u32,
-            13 => t.selection.planned_evictions = v as u32,
-            14 => t.execution.query_secs = v,
-            15 => t.materialization.bytes_read = v as u64,
-            16 => t.materialization.bytes_written = v as u64,
-            17 => t.materialization.files_written = v as u64,
-            18 => t.materialization.fragments_covered = v as u64,
-            19 => t.materialization.creation_secs = v,
-            20 => t.eviction.selected = v as u32,
-            21 => t.eviction.limit_forced = v as u32,
-            22 => t.eviction.delete_secs = v,
-            23 => t.recovery.retries = v as u32,
-            24 => t.recovery.penalty_secs = v,
-            25 => t.recovery.quarantined_views = v as u32,
-            26 => t.recovery.quarantined_bytes = v as u64,
-            27 => t.recovery.base_table_fallbacks = v as u32,
-            28 => t.recovery.fragment_fallbacks = v as u32,
-            29 => t.recovery.corrupt_fragments = v as u32,
-            30 => t.recovery.breaker_short_circuits = v as u32,
-            31 => t.durability.journal_appends = v as u32,
-            32 => t.durability.journal_retries = v as u32,
-            33 => t.durability.journal_penalty_secs = v,
-            34 => t.durability.snapshots = v as u32,
-            _ => panic!("fields() grew without extending set_field_by_index"),
-        }
+    #[test]
+    fn flattened_names_are_the_bench_json_leaves_in_order() {
+        let mut asked = Vec::new();
+        let trace = QueryTrace::from_fields(|name| {
+            asked.push(name);
+            0.0
+        });
+        assert_eq!(asked, LEAVES);
+        let names: Vec<&str> = trace.fields().iter().map(|(n, _)| *n).collect();
+        assert_eq!(names, LEAVES);
+    }
+
+    #[test]
+    fn serialization_is_the_nested_stage_objects() {
+        // The string the hand-written impls this schema replaced produced.
+        assert_eq!(
+            serde::to_string(&sentinel_trace(1.0)),
+            concat!(
+                r#"{"matching":{"roots":1,"hits":2,"materialized_hits":3,"views_updated":4},"#,
+                r#""rewriting":{"rewrites_costed":5,"base_cost_secs":6.5,"best_cost_secs":7.5},"#,
+                r#""candidates":{"view_candidates":8,"new_views":9,"partition_selections":10,"#,
+                r#""new_fragments":11},"#,
+                r#""selection":{"considered":12,"planned_creations":13,"planned_evictions":14},"#,
+                r#""execution":{"query_secs":15.5},"#,
+                r#""materialization":{"bytes_read":16,"bytes_written":17,"files_written":18,"#,
+                r#""fragments_covered":19,"creation_secs":20.5},"#,
+                r#""eviction":{"selected":21,"limit_forced":22,"delete_secs":23.5},"#,
+                r#""recovery":{"retries":24,"penalty_secs":25.5,"quarantined_views":26,"#,
+                r#""quarantined_bytes":27,"base_table_fallbacks":28,"fragment_fallbacks":29,"#,
+                r#""corrupt_fragments":30,"breaker_short_circuits":31},"#,
+                r#""durability":{"journal_appends":32,"journal_retries":33,"#,
+                r#""journal_penalty_secs":34.5,"snapshots":35}}"#,
+            )
+        );
+    }
+
+    #[test]
+    fn add_assign_sums_leaf_by_leaf() {
+        let (a, b) = (sentinel_trace(1.0), sentinel_trace(100.0));
+        let mut sum = a;
+        sum += b;
+        let expected: Vec<(&str, f64)> = a
+            .fields()
+            .into_iter()
+            .zip(b.fields())
+            .map(|((name, x), (_, y))| (name, x + y))
+            .collect();
+        assert_eq!(sum.fields(), expected);
+        assert_ne!(sum, a);
     }
 
     #[test]

@@ -75,8 +75,8 @@ pub struct QueryOutcome {
 /// maintenance action) that performed the appends.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct JournalDebt {
-    pub(crate) appends: u32,
-    pub(crate) retries: u32,
+    pub(crate) appends: u64,
+    pub(crate) retries: u64,
     pub(crate) penalty_secs: f64,
 }
 

@@ -44,8 +44,8 @@ impl ReadView<'_> {
     pub(crate) fn compute_rewritings(&self, plan: &LogicalPlan, ctx: &mut QueryContext) {
         let estimator = self.estimator();
         let mut hits = Vec::new();
-        let mut roots = 0u32;
-        let mut outage_skips = 0u32;
+        let mut roots = 0u64;
+        let mut outage_skips = 0u64;
         for (path, sub) in match_roots(plan) {
             roots += 1;
             let Some(qsig) = Signature::of(sub) else {
@@ -67,9 +67,9 @@ impl ReadView<'_> {
             }
         }
         ctx.trace.matching.roots = roots;
-        ctx.trace.matching.hits = hits.len() as u32;
+        ctx.trace.matching.hits = hits.len() as u64;
         ctx.trace.matching.materialized_hits =
-            hits.iter().filter(|h| h.access.is_some()).count() as u32;
+            hits.iter().filter(|h| h.access.is_some()).count() as u64;
         // Degraded-mode routing: every access the matcher refused because
         // all replicas of its backing file were down is a fragment-level
         // patch — the planner answers that region from base tables instead
@@ -77,16 +77,16 @@ impl ReadView<'_> {
         ctx.trace.recovery.fragment_fallbacks += outage_skips;
         if outage_skips > 0 {
             self.obs
-                .counter_add("deepsea_degraded_accesses_total", None, outage_skips as u64);
+                .counter_add("deepsea_degraded_accesses_total", None, outage_skips);
         }
         self.obs
-            .counter_add("deepsea_match_roots_total", None, roots as u64);
+            .counter_add("deepsea_match_roots_total", None, roots);
         self.obs
             .counter_add("deepsea_match_hits_total", None, hits.len() as u64);
         self.obs.counter_add(
             "deepsea_match_materialized_hits_total",
             None,
-            ctx.trace.matching.materialized_hits as u64,
+            ctx.trace.matching.materialized_hits,
         );
         ctx.hits = hits;
     }
@@ -101,7 +101,7 @@ impl ReadView<'_> {
     /// subquery only). Each refusal bumps `outage_skips`. The probe is
     /// metadata-only (the simulated namenode knows node liveness) and is
     /// always `false` without a cluster, so un-sharded runs are bit-exact.
-    fn find_access(&self, vid: ViewId, qsig: &Signature, outage_skips: &mut u32) -> Option<Access> {
+    fn find_access(&self, vid: ViewId, qsig: &Signature, outage_skips: &mut u64) -> Option<Access> {
         let view = self.registry.view(vid);
         let mut best: Option<Access> = None;
         if let Some(f) = view.whole_file {

@@ -102,29 +102,38 @@ impl<'a> ReadView<'a> {
         self.trace_plan_stages(ctx);
         self.breaker_guard(plan, ctx);
         match self.backend.execute(&ctx.qbest, self.catalog, self.fs) {
-            Ok((result, metrics)) => {
-                ctx.query_secs = self.backend.elapsed_secs(&metrics);
-                ctx.trace.execution.query_secs = ctx.query_secs;
+            Ok((result, mut metrics)) => {
+                ctx.record_execution(self.backend, &mut metrics, (0, 0.0));
                 self.breaker_record_success(ctx);
                 self.trace_execute_span(ctx, None);
                 Ok((result, metrics))
             }
             Err(e) if ctx.used_view.is_some() => {
                 self.breaker_record_failure(&e, ctx);
-                let (debt_retries, debt_secs) = self.backend.drain_retry_debt();
+                let debt = self.backend.drain_retry_debt();
                 ctx.trace.recovery.base_table_fallbacks += 1;
                 ctx.used_view = None;
                 ctx.qbest = plan.clone();
                 let (result, mut metrics) = self.backend.execute(plan, self.catalog, self.fs)?;
-                metrics.retries += debt_retries;
-                metrics.penalty_secs += debt_secs;
-                ctx.query_secs = self.backend.elapsed_secs(&metrics);
-                ctx.trace.execution.query_secs = ctx.query_secs;
+                ctx.record_execution(self.backend, &mut metrics, debt);
                 self.trace_execute_span(ctx, Some("base_fallback"));
                 Ok((result, metrics))
             }
             Err(e) => Err(e),
         }
+    }
+
+    /// Answer one query straight from durable base tables, skipping
+    /// matching and rewriting entirely — the degraded serving mode.
+    pub(crate) fn answer_base(
+        &self,
+        plan: &LogicalPlan,
+        ctx: &mut QueryContext,
+    ) -> Result<(Table, ExecMetrics), ExecError> {
+        let (result, mut metrics) = self.backend.execute(plan, self.catalog, self.fs)?;
+        ctx.record_execution(self.backend, &mut metrics, (0, 0.0));
+        self.trace_execute_span(ctx, None);
+        Ok((result, metrics))
     }
 
     /// Emit the pre-execution read-path stages (matching, rewriting) as

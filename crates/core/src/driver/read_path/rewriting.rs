@@ -17,7 +17,7 @@ impl ReadView<'_> {
         let mut best_cost = base_cost;
         let mut qbest: Option<LogicalPlan> = None;
         let mut used_view = None;
-        let mut costed = 0u32;
+        let mut costed = 0u64;
         for hit in &ctx.hits {
             let Some(access) = &hit.access else { continue };
             let view = self.registry.view(hit.view);

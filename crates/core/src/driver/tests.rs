@@ -380,8 +380,8 @@ fn trace_records_evictions_under_pressure() {
         .with_smax(5_000_000_000)
         .with_min_fragment_bytes(1);
     let mut d = ds(cfg);
-    let mut selected = 0u32;
-    let mut forced = 0u32;
+    let mut selected = 0u64;
+    let mut forced = 0u64;
     let mut evicted_total = 0usize;
     for i in 0..12 {
         let lo = (i * 150) % 800;
@@ -405,6 +405,45 @@ fn baseline_trace_is_execution_only() {
     assert_eq!(t.selection, SelectionTrace::default());
     assert_eq!(t.materialization, MaterializationTrace::default());
     assert_eq!(t.eviction, EvictionTrace::default());
+}
+
+/// The read path records the recovery slice it promises: a snapshot read
+/// that absorbed transient retries reports them in its trace, exactly as the
+/// commit path does.
+#[test]
+fn snapshot_reads_report_their_retries_in_the_recovery_trace() {
+    use deepsea_engine::{RetryPolicy, RetryingBackend};
+    use deepsea_storage::{FaultConfig, FaultInjector};
+
+    let cluster = ClusterSim::paper_default();
+    let fs = Arc::new(SimFs::with_faults(
+        BlockConfig::default(),
+        cluster.weights,
+        FaultInjector::new(FaultConfig::seeded(7).with_transient_reads(0.2)),
+    ));
+    let policy = RetryPolicy::default();
+    let backend = Box::new(RetryingBackend::new(SimBackend::new(cluster), policy));
+    let config = DeepSeaConfig::default()
+        .with_min_fragment_bytes(1)
+        .with_retry(policy);
+    let mut d = DeepSea::with_backend(Arc::new(catalog(2000)), fs, backend, config);
+    d.process_query(&query(400, 600)).unwrap();
+    d.process_query(&query(450, 550)).unwrap();
+
+    let snapshot = d.publish_snapshot().expect("the retrying backend forks");
+    let (mut retried, mut view_reads) = (0, 0);
+    for _ in 0..20 {
+        let a = snapshot.answer(&query(450, 550)).unwrap();
+        assert_eq!(a.trace.recovery.retries, a.metrics.retries);
+        assert_eq!(
+            a.trace.recovery.penalty_secs.to_bits(),
+            a.metrics.penalty_secs.to_bits()
+        );
+        retried += a.metrics.retries;
+        view_reads += u64::from(a.used_view.is_some());
+    }
+    assert!(view_reads > 0, "precondition: the reads go through a view");
+    assert!(retried > 0, "precondition: the schedule made a read retry");
 }
 
 /// Every file currently backing a materialized view or fragment.
@@ -693,7 +732,7 @@ fn selection_verdicts_cover_every_allcand_item() {
     let mut considered_total = 0u64;
     for i in 0..6 {
         let out = d.process_query(&query(i * 50, i * 50 + 150)).unwrap();
-        considered_total += out.trace.selection.considered as u64;
+        considered_total += out.trace.selection.considered;
     }
     let verdicts: Vec<&'static str> = obs
         .events_snapshot()

@@ -23,18 +23,18 @@ impl DeepSea {
     pub(crate) fn stage_register_candidates(&mut self, ctx: &mut QueryContext) {
         let views_before = self.registry.len();
         let new_cands = self.register_candidates(&ctx.qbest, ctx.tnow);
-        ctx.trace.candidates.view_candidates = new_cands.len() as u32;
-        ctx.trace.candidates.new_views = (self.registry.len() - views_before) as u32;
+        ctx.trace.candidates.view_candidates = new_cands.len() as u64;
+        ctx.trace.candidates.new_views = (self.registry.len() - views_before) as u64;
         let (selections, new_frags) = self.register_partition_candidates(&ctx.qbest, ctx.tnow);
         ctx.trace.candidates.partition_selections = selections;
         ctx.trace.candidates.new_fragments = new_frags;
         self.obs.counter_add(
             "deepsea_new_views_total",
             None,
-            ctx.trace.candidates.new_views as u64,
+            ctx.trace.candidates.new_views,
         );
         self.obs
-            .counter_add("deepsea_new_fragments_total", None, new_frags as u64);
+            .counter_add("deepsea_new_fragments_total", None, new_frags);
         ctx.new_cands = new_cands;
     }
 
@@ -120,7 +120,7 @@ impl DeepSea {
         &mut self,
         qbest: &LogicalPlan,
         tnow: LogicalTime,
-    ) -> (u32, u32) {
+    ) -> (u64, u64) {
         if !self.config.partition_policy.partitions() {
             return (0, 0);
         }
@@ -185,8 +185,8 @@ impl DeepSea {
                 }
             }
         }
-        let selections = work.len() as u32;
-        let mut new_frags = 0u32;
+        let selections = work.len() as u64;
+        let mut new_frags = 0u64;
         for (vid, col, domain, qiv) in work {
             let key = self.registry.view(vid).key.to_string();
             if !self.registry.view(vid).partitions.contains_key(&col) {

@@ -57,7 +57,7 @@ impl DeepSea {
                 ctx.evicted.push(desc);
             }
         }
-        ctx.trace.eviction.selected = ctx.evicted.len() as u32;
+        ctx.trace.eviction.selected = ctx.evicted.len() as u64;
     }
 
     /// Human-readable description of a candidate item (`V3` or
@@ -142,7 +142,7 @@ impl DeepSea {
     /// Stage 7: evict lowest-value items until the pool fits `Smax` again.
     pub(crate) fn stage_enforce_limit(&mut self, ctx: &mut QueryContext) {
         let (forced, delete_secs) = self.enforce_limit(ctx.tnow);
-        ctx.trace.eviction.limit_forced = forced.len() as u32;
+        ctx.trace.eviction.limit_forced = forced.len() as u64;
         ctx.trace.eviction.delete_secs += delete_secs;
         ctx.evicted.extend(forced);
     }

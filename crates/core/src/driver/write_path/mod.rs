@@ -138,9 +138,9 @@ impl DeepSea {
         ctx.trace.durability.journal_penalty_secs += debt.penalty_secs;
         ctx.creation_secs += debt.penalty_secs;
         self.obs
-            .counter_add("deepsea_journal_appends_total", None, debt.appends as u64);
+            .counter_add("deepsea_journal_appends_total", None, debt.appends);
         self.obs
-            .counter_add("deepsea_journal_retries_total", None, debt.retries as u64);
+            .counter_add("deepsea_journal_retries_total", None, debt.retries);
     }
 
     /// Process one query — Algorithm 1, as a linear sequence of stages over
@@ -162,11 +162,10 @@ impl DeepSea {
             .reset_retry_budget(self.config.retry_budget_secs);
         self.readmit_offline(tnow);
 
-        if !self.config.partition_policy.materializes() {
-            return self.run_baseline(plan);
-        }
-
         let mut ctx = QueryContext::new(plan, tnow);
+        if !self.config.partition_policy.materializes() {
+            return self.run_baseline(plan, ctx);
+        }
         // ── 1. COMPUTEREWRITINGS (read path, live state) ─────────────────
         self.read_view().compute_rewritings(plan, &mut ctx);
         // ── 2. UPDATESTATS for every (potential) match ───────────────────
@@ -185,49 +184,35 @@ impl DeepSea {
         // ── 7. Enforce Smax with measured sizes ──────────────────────────
         self.stage_enforce_limit(&mut ctx);
         // ── 8. Durable commit point ──────────────────────────────────────
-        self.journal_commit(&mut ctx);
+        Ok(self.finish_query(ctx, result, metrics))
+    }
 
-        let outcome = QueryOutcome {
-            result,
-            elapsed_secs: ctx.query_secs + ctx.creation_secs,
-            query_secs: ctx.query_secs,
-            creation_secs: ctx.creation_secs,
-            used_view: ctx.used_view,
-            materialized: ctx.materialized,
-            evicted: ctx.evicted,
-            quarantined: ctx.quarantined,
-            metrics,
-            trace: ctx.trace,
-        };
+    /// The durable commit point and the outcome every query ends in —
+    /// pipeline or baseline.
+    fn finish_query(
+        &mut self,
+        mut ctx: QueryContext,
+        result: Table,
+        metrics: ExecMetrics,
+    ) -> QueryOutcome {
+        self.journal_commit(&mut ctx);
+        let outcome = ctx.into_outcome(result, metrics);
         self.observe_query(&outcome);
-        Ok(outcome)
+        outcome
     }
 
     /// The Hive baseline: no matching, no materialization — and, unlike
     /// DeepSea's instrumented plans, full predicate pushdown ("most
     /// optimizers will push down selections", §10.2).
-    fn run_baseline(&mut self, plan: &LogicalPlan) -> Result<QueryOutcome, ExecError> {
+    fn run_baseline(
+        &mut self,
+        plan: &LogicalPlan,
+        mut ctx: QueryContext,
+    ) -> Result<QueryOutcome, ExecError> {
         let optimized = deepsea_engine::optimize::push_down_selections(plan, &self.catalog);
-        let (result, metrics) = self.backend.execute(&optimized, &self.catalog, &self.fs)?;
-        let query_secs = self.backend.elapsed_secs(&metrics);
-        let mut ctx = QueryContext::new(plan, self.clock);
-        ctx.query_secs = query_secs;
-        ctx.trace.execution.query_secs = query_secs;
-        self.journal_commit(&mut ctx);
-        let outcome = QueryOutcome {
-            result,
-            elapsed_secs: query_secs + ctx.creation_secs,
-            query_secs,
-            creation_secs: ctx.creation_secs,
-            used_view: None,
-            materialized: Vec::new(),
-            evicted: Vec::new(),
-            quarantined: Vec::new(),
-            metrics,
-            trace: ctx.trace,
-        };
-        self.observe_query(&outcome);
-        Ok(outcome)
+        let (result, mut metrics) = self.backend.execute(&optimized, &self.catalog, &self.fs)?;
+        ctx.record_execution(self.backend.as_ref(), &mut metrics, (0, 0.0));
+        Ok(self.finish_query(ctx, result, metrics))
     }
 
     /// Execute the chosen plan through the backend, with graceful
@@ -252,8 +237,7 @@ impl DeepSea {
     ) -> Result<(Table, ExecMetrics), ExecError> {
         // Simulated time burned on failed attempts (exhausted retries,
         // backoff) accumulates across rounds and is charged to the query.
-        let mut debt_retries = 0u64;
-        let mut debt_secs = 0.0f64;
+        let mut debt = (0u64, 0.0f64);
         let mut rounds = 0u32;
         loop {
             // An open breaker rewrites the decision before any I/O: straight
@@ -261,20 +245,15 @@ impl DeepSea {
             self.read_view().breaker_guard(plan, ctx);
             match self.backend.execute(&ctx.qbest, &self.catalog, &self.fs) {
                 Ok((result, mut metrics)) => {
-                    metrics.retries += debt_retries;
-                    metrics.penalty_secs += debt_secs;
-                    ctx.trace.recovery.retries += metrics.retries as u32;
-                    ctx.trace.recovery.penalty_secs += metrics.penalty_secs;
-                    ctx.query_secs = self.backend.elapsed_secs(&metrics);
-                    ctx.trace.execution.query_secs = ctx.query_secs;
+                    ctx.record_execution(self.backend.as_ref(), &mut metrics, debt);
                     self.read_view().breaker_record_success(ctx);
                     return Ok((result, metrics));
                 }
                 Err(e) => {
                     self.read_view().breaker_record_failure(&e, ctx);
                     let (r, s) = self.backend.drain_retry_debt();
-                    debt_retries += r;
-                    debt_secs += s;
+                    debt.0 += r;
+                    debt.1 += s;
 
                     // Fragment-granularity patching, sharded FS only.
                     if self.fs.cluster().is_some() && rounds < MAX_DEGRADED_ROUNDS {
@@ -327,12 +306,7 @@ impl DeepSea {
                     // this cannot hit another fragment fault.
                     let (result, mut metrics) =
                         self.backend.execute(plan, &self.catalog, &self.fs)?;
-                    metrics.retries += debt_retries;
-                    metrics.penalty_secs += debt_secs;
-                    ctx.trace.recovery.retries += metrics.retries as u32;
-                    ctx.trace.recovery.penalty_secs += metrics.penalty_secs;
-                    ctx.query_secs = self.backend.elapsed_secs(&metrics);
-                    ctx.trace.execution.query_secs = ctx.query_secs;
+                    ctx.record_execution(self.backend.as_ref(), &mut metrics, debt);
                     return Ok((result, metrics));
                 }
             }

@@ -33,7 +33,7 @@ use super::super::DeepSea;
 /// error.
 pub(crate) fn retry_transient<T>(
     policy: RetryPolicy,
-    retries: &mut u32,
+    retries: &mut u64,
     penalty_secs: &mut f64,
     mut op: impl FnMut() -> Result<T, IoError>,
 ) -> Result<T, IoError> {
@@ -47,7 +47,7 @@ pub(crate) fn retry_transient<T>(
             out => break out,
         }
     };
-    *retries += attempts;
+    *retries += u64::from(attempts);
     out
 }
 

@@ -207,7 +207,7 @@ impl DeepSea {
     /// already holds; the chosen configuration lands in `ctx.selection`.
     pub(crate) fn stage_select_configuration(&mut self, ctx: &mut QueryContext) {
         let AllCand { items, fits } = self.build_allcand(&ctx.new_cands, ctx.tnow);
-        ctx.trace.selection.considered = items.len() as u32;
+        ctx.trace.selection.considered = items.len() as u64;
         // What the audit log says of each item, taken only when the decision
         // log listens — the selection below runs on the same items either way.
         let audit: Option<Vec<(String, f64, u64, bool)>> = self.obs.events_enabled().then(|| {
@@ -217,8 +217,8 @@ impl DeepSea {
                 .collect()
         });
         let (selection, verdicts) = select_with_verdicts(items, self.config.smax);
-        ctx.trace.selection.planned_creations = selection.to_create.len() as u32;
-        ctx.trace.selection.planned_evictions = selection.to_evict.len() as u32;
+        ctx.trace.selection.planned_creations = selection.to_create.len() as u64;
+        ctx.trace.selection.planned_evictions = selection.to_evict.len() as u64;
         if let Some(audit) = audit {
             self.observe_selection(audit, &verdicts, ctx.tnow);
         }
@@ -226,7 +226,7 @@ impl DeepSea {
             self.obs.counter_add(
                 "deepsea_candidates_considered_total",
                 None,
-                ctx.trace.selection.considered as u64,
+                ctx.trace.selection.considered,
             );
             self.observe_mle_fits(&fits, ctx.tnow);
         }

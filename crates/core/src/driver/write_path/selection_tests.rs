@@ -337,9 +337,9 @@ mod workloads {
         for seed in [1, 2, 3] {
             let mut ds = driver(&data(seed), &fresh_fs(), steady());
             let outcomes = replay(&mut ds, &plans);
-            let refinements: u32 = outcomes
+            let refinements: u64 = outcomes
                 .iter()
-                .map(|o| o.trace.materialization.fragments_covered as u32)
+                .map(|o| o.trace.materialization.fragments_covered)
                 .sum();
             assert!(
                 refinements > 0,

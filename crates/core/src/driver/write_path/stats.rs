@@ -74,7 +74,7 @@ impl DeepSea {
                 }
             }
         }
-        ctx.trace.matching.views_updated = updates.len() as u32;
+        ctx.trace.matching.views_updated = updates.len() as u64;
         for (vid, (saving, ranges)) in updates {
             let tmax = self.config.tmax;
             let view = self.registry.view_mut(vid);

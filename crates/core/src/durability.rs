@@ -476,7 +476,7 @@ pub struct FsckReport {
     /// Pool bytes those quarantines released.
     pub quarantined_bytes: u64,
     /// Journal-append retries absorbed while journaling fsck quarantines.
-    pub journal_retries: u32,
+    pub journal_retries: u64,
     /// Simulated seconds of backoff those retries cost.
     pub journal_penalty_secs: f64,
     /// Reconciled pool usage after the sweep.

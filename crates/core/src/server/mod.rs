@@ -606,7 +606,7 @@ impl ViewServer {
                         obs.counter_add(
                             "deepsea_fragment_fallbacks_total",
                             None,
-                            a.trace.recovery.fragment_fallbacks as u64,
+                            a.trace.recovery.fragment_fallbacks,
                         );
                     }
                 }

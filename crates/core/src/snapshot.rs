@@ -28,6 +28,7 @@ use deepsea_storage::SimFs;
 
 use crate::breaker::BreakerSet;
 use crate::config::DeepSeaConfig;
+use crate::driver::context::QueryContext;
 use crate::driver::read_path::ReadView;
 use crate::driver::{DeepSea, QueryTrace};
 use crate::registry::ViewRegistry;
@@ -146,19 +147,7 @@ impl ReadSnapshot {
         parent: SpanCtx,
         anchor_secs: f64,
     ) -> Result<SnapshotAnswer, ExecError> {
-        self.backend
-            .reset_retry_budget(self.config.retry_budget_secs);
-        let mut ctx = crate::driver::context::QueryContext::new(plan, self.clock)
-            .in_span(parent, anchor_secs);
-        let (result, metrics) = self.read_view().answer(plan, &mut ctx)?;
-        Ok(SnapshotAnswer {
-            result,
-            query_secs: ctx.query_secs,
-            used_view: ctx.used_view,
-            metrics,
-            trace: ctx.trace,
-            epoch: self.epoch,
-        })
+        self.read(plan, parent, anchor_secs, false)
     }
 
     /// Answer one query straight from durable base tables, skipping view
@@ -178,18 +167,32 @@ impl ReadSnapshot {
         parent: SpanCtx,
         anchor_secs: f64,
     ) -> Result<SnapshotAnswer, ExecError> {
+        self.read(plan, parent, anchor_secs, true)
+    }
+
+    /// One read against this epoch: a fresh retry budget and query context,
+    /// the read path (or, `base_only`, just the base plan) run on the read
+    /// view, and the answer assembled from what it left in the context.
+    fn read(
+        &self,
+        plan: &LogicalPlan,
+        parent: SpanCtx,
+        anchor_secs: f64,
+        base_only: bool,
+    ) -> Result<SnapshotAnswer, ExecError> {
         self.backend
             .reset_retry_budget(self.config.retry_budget_secs);
-        let mut ctx = crate::driver::context::QueryContext::new(plan, self.clock)
-            .in_span(parent, anchor_secs);
-        let (result, metrics) = self.backend.execute(plan, &self.catalog, &self.fs)?;
-        ctx.query_secs = self.backend.elapsed_secs(&metrics);
-        ctx.trace.execution.query_secs = ctx.query_secs;
-        self.read_view().trace_execute_span(&ctx, None);
+        let mut ctx = QueryContext::new(plan, self.clock).in_span(parent, anchor_secs);
+        let view = self.read_view();
+        let (result, metrics) = if base_only {
+            view.answer_base(plan, &mut ctx)?
+        } else {
+            view.answer(plan, &mut ctx)?
+        };
         Ok(SnapshotAnswer {
             result,
             query_secs: ctx.query_secs,
-            used_view: None,
+            used_view: ctx.used_view,
             metrics,
             trace: ctx.trace,
             epoch: self.epoch,

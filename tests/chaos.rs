@@ -17,7 +17,7 @@ use std::sync::{Arc, OnceLock};
 use deepsea::bench::golden::{golden_catalog, golden_plans};
 use deepsea::bench::harness::run_workload;
 use deepsea::core::baselines;
-use deepsea::core::{CatalogJournal, DeepSea, DeepSeaConfig};
+use deepsea::core::{CatalogJournal, DeepSea, DeepSeaConfig, QueryTrace};
 use deepsea::engine::{Catalog, ClusterSim, LogicalPlan, RetryPolicy, RetryingBackend, SimBackend};
 use deepsea::storage::{
     BlockConfig, FaultConfig, FaultInjector, Lsn, NodeConfig, NodeId, NodeSet, SimFs,
@@ -43,20 +43,13 @@ struct ChaosOutcome {
     fingerprints: Vec<Vec<String>>,
     /// Per-query elapsed simulated seconds.
     elapsed: Vec<f64>,
-    retries: u64,
-    penalty_secs: f64,
-    quarantines: u64,
-    fallbacks: u64,
+    /// The per-query traces summed over the run (recovery and durability
+    /// are the slices the assertions read).
+    trace: QueryTrace,
     /// A view quarantined earlier in the run was materialized again later.
     rematerialized: bool,
-    /// Corrupt reads detected by checksum verification (never served).
-    corrupt: u64,
     /// Corruptions the injector actually introduced.
     injected_corruptions: u64,
-    /// Catalog-journal activity summed over the run's traces.
-    journal_appends: u64,
-    journal_penalty_secs: f64,
-    snapshots: u64,
 }
 
 /// Replay the first `limit` golden queries under `faults`, checking the
@@ -102,14 +95,7 @@ fn run_chaos_with(
         );
         out.fingerprints.push(o.result.fingerprint());
         out.elapsed.push(o.elapsed_secs);
-        out.retries += o.trace.recovery.retries as u64;
-        out.penalty_secs += o.trace.recovery.penalty_secs;
-        out.quarantines += o.trace.recovery.quarantined_views as u64;
-        out.fallbacks += o.trace.recovery.base_table_fallbacks as u64;
-        out.corrupt += o.trace.recovery.corrupt_fragments as u64;
-        out.journal_appends += o.trace.durability.journal_appends as u64;
-        out.journal_penalty_secs += o.trace.durability.journal_penalty_secs;
-        out.snapshots += o.trace.durability.snapshots as u64;
+        out.trace += o.trace;
         if o.materialized.iter().any(|m| {
             quarantined_names
                 .iter()
@@ -168,17 +154,20 @@ fn chaos_replay_is_bit_identical_to_fault_free() {
         }
         // The schedule must actually exercise the recovery machinery, and
         // its cost must be visible in the trace.
-        assert!(run.retries >= 1, "seed {seed}: no transient was retried");
         assert!(
-            run.penalty_secs > 0.0,
+            run.trace.recovery.retries >= 1,
+            "seed {seed}: no transient was retried"
+        );
+        assert!(
+            run.trace.recovery.penalty_secs > 0.0,
             "seed {seed}: recovery charged no simulated time"
         );
         assert!(
-            run.quarantines >= 1,
+            run.trace.recovery.quarantined_views >= 1,
             "seed {seed}: no view was quarantined: {run:?}"
         );
         assert!(
-            run.fallbacks >= 1,
+            run.trace.recovery.base_table_fallbacks >= 1,
             "seed {seed}: no base-table fallback happened: {run:?}"
         );
         assert!(
@@ -206,10 +195,10 @@ fn zero_fault_schedule_is_bit_transparent() {
             b.elapsed
         );
     }
-    assert_eq!(chaos.retries, 0);
-    assert_eq!(chaos.penalty_secs, 0.0);
-    assert_eq!(chaos.quarantines, 0);
-    assert_eq!(chaos.fallbacks, 0);
+    assert_eq!(chaos.trace.recovery.retries, 0);
+    assert_eq!(chaos.trace.recovery.penalty_secs, 0.0);
+    assert_eq!(chaos.trace.recovery.quarantined_views, 0);
+    assert_eq!(chaos.trace.recovery.base_table_fallbacks, 0);
 }
 
 /// Seeds for the crash-restart sweep, from `CRASH_SEEDS` (comma-separated,
@@ -565,12 +554,15 @@ fn journaled_zero_crash_run_is_bit_transparent() {
         assert_eq!(got, want, "query {i}: journaling changed an answer");
     }
     assert!(
-        run.journal_appends > 0,
+        run.trace.durability.journal_appends > 0,
         "no records were journaled: {run:?}"
     );
-    assert!(run.snapshots >= 1, "no snapshot was installed: {run:?}");
+    assert!(
+        run.trace.durability.snapshots >= 1,
+        "no snapshot was installed: {run:?}"
+    );
     assert_eq!(
-        run.journal_penalty_secs, 0.0,
+        run.trace.durability.journal_penalty_secs, 0.0,
         "a fault-free journal charged time"
     );
     assert!(journal.stats().appends > 0);
@@ -600,11 +592,11 @@ fn corrupt_reads_are_detected_quarantined_and_never_served() {
             "seed {seed}: the schedule injected no corruption: {run:?}"
         );
         assert!(
-            run.corrupt >= 1,
+            run.trace.recovery.corrupt_fragments >= 1,
             "seed {seed}: no corrupt read was detected: {run:?}"
         );
         assert!(
-            run.quarantines >= 1,
+            run.trace.recovery.quarantined_views >= 1,
             "seed {seed}: corruption did not quarantine the view: {run:?}"
         );
     }

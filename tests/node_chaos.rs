@@ -192,8 +192,7 @@ fn run_sharded_on(
         );
         out.fingerprints.push(o.result.fingerprint());
         out.elapsed_bits.push(o.elapsed_secs.to_bits());
-        out.degraded += u64::from(o.trace.recovery.fragment_fallbacks)
-            + u64::from(o.trace.recovery.base_table_fallbacks);
+        out.degraded += o.trace.recovery.fragment_fallbacks + o.trace.recovery.base_table_fallbacks;
         out.bytes_written += o.trace.materialization.bytes_written;
     }
     out.state_digest = ds.registry().state_digest();

@@ -172,7 +172,7 @@ fn run_tail(
             .unwrap_or_else(|e| panic!("query {i}: gray failures must never surface: {e}"));
         out.fingerprints.push(o.result.fingerprint());
         out.elapsed_bits.push(o.elapsed_secs.to_bits());
-        out.short_circuits += u64::from(o.trace.recovery.breaker_short_circuits);
+        out.short_circuits += o.trace.recovery.breaker_short_circuits;
     }
     let stats = fs.fault_stats();
     out.hedges_issued = stats.hedges_issued;
@@ -426,7 +426,7 @@ fn breaker_opens_short_circuits_and_recloses_around_an_outage() {
                 .answer(plan)
                 .unwrap_or_else(|e| panic!("read {i}: gray slowness must never error: {e}"));
             fingerprints.push(a.result.fingerprint());
-            short_circuits += u64::from(a.trace.recovery.breaker_short_circuits);
+            short_circuits += a.trace.recovery.breaker_short_circuits;
             slowest = slowest.max(a.query_secs);
         }
         (fingerprints, short_circuits, slowest)
