@@ -4,11 +4,12 @@
 //! bench report [--check] [--threshold PCT] [--dir PATH]
 //! ```
 //!
-//! `report` regenerates the quick-scale benchmark snapshots (fig5a,
-//! node-failure, overload — the ones checked into the repository) and
-//! diffs each against its checked-in `BENCH*.json` in `--dir` (default:
-//! the current directory). Missing baselines are skipped with a note, so
-//! the gate works on partial checkouts.
+//! `report` regenerates, at quick scale, every `gated` row of
+//! `deepsea_bench::experiments::REGISTRY` (fig5a, node-failure, overload —
+//! the ones whose `BENCH*.json` is checked into the repository) and diffs
+//! each against its checked-in file in `--dir` (default: the current
+//! directory). Missing baselines are skipped with a note, so the gate works
+//! on partial checkouts.
 //!
 //! The simulator is deterministic: on an unchanged tree every metric is
 //! bit-identical and the diff is empty. `--check` turns regressions into a
@@ -19,9 +20,9 @@
 //! refresh the snapshots with `experiments --quick` when they are
 //! intentional.
 
-use deepsea_bench::experiments::{self, Scale};
+use deepsea_bench::experiments::{Scale, REGISTRY};
+use deepsea_bench::flag_value;
 use deepsea_bench::gate::compare_snapshots;
-use deepsea_bench::pressure;
 use serde::ObjectBuilder;
 
 /// Run `deepsea-lint` over the workspace and snapshot its wall time and
@@ -63,13 +64,7 @@ fn main() {
         std::process::exit(2);
     }
     let check = args.iter().any(|a| a == "--check");
-    let flag_value = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let threshold_pct = flag_value("--threshold")
+    let threshold_pct = flag_value(&args, "--threshold")
         .map(|v| {
             v.parse::<f64>().unwrap_or_else(|_| {
                 eprintln!("--threshold wants a number (percent), got {v:?}");
@@ -78,25 +73,22 @@ fn main() {
         })
         .unwrap_or(DEFAULT_THRESHOLD_PCT);
     let threshold = threshold_pct / 100.0;
-    let dir = flag_value("--dir").unwrap_or_else(|| ".".to_string());
+    let dir = flag_value(&args, "--dir").unwrap_or_else(|| ".".to_string());
 
-    // (snapshot file, fresh quick-scale regeneration) — the experiments the
-    // repository pins. BENCH_pressure.json is a side product, not a pinned
-    // baseline, so it is not gated here.
-    let mut snapshots: Vec<(&str, String)> = vec![
-        (
-            "BENCH.json",
-            experiments::fig5a_observed(Scale::Quick).bench_json,
-        ),
-        (
-            "BENCH_node_failure.json",
-            pressure::node_failure(Scale::Quick).bench_json,
-        ),
-        (
-            "BENCH_overload.json",
-            pressure::overload(Scale::Quick).bench_json,
-        ),
-    ];
+    // (snapshot file, fresh quick-scale regeneration) for every registry
+    // row the repository pins.
+    let mut snapshots: Vec<(&str, String)> = REGISTRY
+        .iter()
+        .filter(|e| e.gated)
+        .map(|e| {
+            let file = e.bench_file.expect("invariant: a gated row names its file");
+            let json = (e.run)(Scale::Quick).bench_json;
+            (
+                file,
+                json.expect("invariant: a gated row renders its document"),
+            )
+        })
+        .collect();
     match lint_snapshot() {
         Some(json) => snapshots.push(("BENCH_lint.json", json)),
         None => println!("BENCH_lint.json: no workspace root found, lint snapshot skipped"),

@@ -5,23 +5,21 @@
 //!             [all|fig1|fig2|table1|fig5a|fig5b|fig6|fig7|fig8a|fig8b|fig9|fig10|ablations|pressure|node-failure|overload]...
 //! ```
 //!
-//! With no experiment arguments, runs everything. `--quick` scales workloads
-//! down (used by CI/smoke runs); the default is paper scale.
+//! The ids are the rows of [`deepsea_bench::experiments::REGISTRY`]. With no
+//! experiment arguments, runs every row. `--quick` scales workloads down
+//! (used by CI/smoke runs); the default is paper scale.
 //!
-//! Whenever `fig5a` runs (alone or as part of `all`), its DS variant runs
-//! under an attached observer and the machine-readable summary is written to
-//! `BENCH.json` in the current directory. `--metrics-out` additionally dumps
-//! the observer's metrics in Prometheus text format, and `--events-out` the
-//! decision-event audit log as JSONL. Whenever `pressure` runs, the
-//! eviction-pressure serving scenario's summary (client latency
-//! percentiles under concurrency) is written to `BENCH_pressure.json`, and
-//! whenever `node-failure` runs, the rolling-outage serving scenario's
-//! summary (latency percentiles and degraded-read rate at replication 1
-//! and 2) is written to `BENCH_node_failure.json`, and whenever `overload`
-//! runs, the tail-tolerance scenario's summary (latency percentiles, shed
-//! rate and hedge counters under rolling gray slowness, hedging off vs on)
-//! is written to `BENCH_overload.json`.
+//! A row with a `bench_file` runs under an attached observer and writes its
+//! machine-readable summary there, in the current directory: `fig5a` →
+//! `BENCH.json` (variant totals, DS stage totals), `pressure` →
+//! `BENCH_pressure.json` (client latency percentiles under eviction
+//! pressure), `node-failure` → `BENCH_node_failure.json` (latency and
+//! degraded-read rate at replication 1 and 2), `overload` →
+//! `BENCH_overload.json` (latency, shed rate and hedge counters under
+//! rolling gray slowness, hedging off vs on).
 //!
+//! `--metrics-out` dumps the fig5a observer's metrics in Prometheus text
+//! format and `--events-out` its decision-event audit log as JSONL.
 //! `--trace-out PATH` writes the causal span log of the richest traced run
 //! (overload if it ran, else pressure, node-failure, or fig5a) as
 //! deterministic Chrome-trace-event JSON — loadable in Perfetto or
@@ -30,22 +28,17 @@
 
 use std::io::Write;
 
-use deepsea_bench::experiments::{self, ExperimentReport, Fig5aRun, Scale};
-use deepsea_bench::pressure::{self, PressureRun};
+use deepsea_bench::experiments::{Experiment, Run, Scale, METRICS_SOURCE, REGISTRY, TRACE_SOURCES};
+use deepsea_bench::flag_value;
+use deepsea_core::Observer;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let scale = if quick { Scale::Quick } else { Scale::Paper };
-    let flag_value = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let metrics_out = flag_value("--metrics-out");
-    let events_out = flag_value("--events-out");
-    let trace_out = flag_value("--trace-out");
+    let metrics_out = flag_value(&args, "--metrics-out");
+    let events_out = flag_value(&args, "--events-out");
+    let trace_out = flag_value(&args, "--trace-out");
     let flag_values: Vec<&String> = [&metrics_out, &events_out, &trace_out]
         .iter()
         .filter_map(|o| o.as_ref())
@@ -55,131 +48,79 @@ fn main() {
         .filter(|a| !a.starts_with("--") && !flag_values.contains(a))
         .collect();
 
-    let mut fig5a_run: Option<Fig5aRun> = None;
-    let run_fig5a = |fig5a_run: &mut Option<Fig5aRun>| -> ExperimentReport {
-        let run = experiments::fig5a_observed(scale);
-        let report = run.report.clone();
-        *fig5a_run = Some(run);
-        report
-    };
-    let mut pressure_run: Option<PressureRun> = None;
-    let run_pressure = |pressure_run: &mut Option<PressureRun>| -> ExperimentReport {
-        let run = pressure::pressure(scale);
-        let report = run.report.clone();
-        *pressure_run = Some(run);
-        report
-    };
-    let mut node_failure_run: Option<PressureRun> = None;
-    let run_node_failure = |node_failure_run: &mut Option<PressureRun>| -> ExperimentReport {
-        let run = pressure::node_failure(scale);
-        let report = run.report.clone();
-        *node_failure_run = Some(run);
-        report
-    };
-    let mut overload_run: Option<PressureRun> = None;
-    let run_overload = |overload_run: &mut Option<PressureRun>| -> ExperimentReport {
-        let run = pressure::overload(scale);
-        let report = run.report.clone();
-        *overload_run = Some(run);
-        report
-    };
-
-    let everything = wanted.is_empty() || wanted.iter().any(|w| *w == "all");
-    let reports: Vec<ExperimentReport> = if everything {
-        vec![
-            experiments::fig1(),
-            experiments::fig2(),
-            experiments::table1(),
-            run_fig5a(&mut fig5a_run),
-            experiments::fig5b(scale),
-            experiments::fig6(scale),
-            experiments::fig7(scale),
-            experiments::fig8a(scale),
-            experiments::fig8b(scale),
-            experiments::fig9(scale),
-            experiments::fig10(scale),
-            experiments::ablations(scale),
-            run_pressure(&mut pressure_run),
-            run_node_failure(&mut node_failure_run),
-            run_overload(&mut overload_run),
-        ]
+    let rows: Vec<&Experiment> = if wanted.is_empty() || wanted.iter().any(|w| *w == "all") {
+        REGISTRY.iter().collect()
     } else {
         wanted
             .iter()
-            .map(|w| match w.as_str() {
-                "fig1" => experiments::fig1(),
-                "fig2" => experiments::fig2(),
-                "table1" => experiments::table1(),
-                "fig5a" => run_fig5a(&mut fig5a_run),
-                "fig5b" => experiments::fig5b(scale),
-                "fig6" => experiments::fig6(scale),
-                "fig7" => experiments::fig7(scale),
-                "fig8a" => experiments::fig8a(scale),
-                "fig8b" => experiments::fig8b(scale),
-                "fig9" => experiments::fig9(scale),
-                "fig10" => experiments::fig10(scale),
-                "ablations" => experiments::ablations(scale),
-                "pressure" => run_pressure(&mut pressure_run),
-                "node-failure" => run_node_failure(&mut node_failure_run),
-                "overload" => run_overload(&mut overload_run),
-                other => {
-                    eprintln!("unknown experiment {other:?}");
-                    std::process::exit(2);
-                }
+            .map(|w| {
+                REGISTRY
+                    .iter()
+                    .find(|e| e.id == w.as_str())
+                    .unwrap_or_else(|| {
+                        eprintln!("unknown experiment {w:?}");
+                        std::process::exit(2);
+                    })
             })
             .collect()
     };
+    let runs: Vec<(&Experiment, Run)> = rows
+        .iter()
+        .map(|e| {
+            let run = (e.run)(scale);
+            assert_eq!(
+                e.bench_file.is_some(),
+                run.bench_json.is_some(),
+                "{}: a row has a bench_file exactly when its run renders the document",
+                e.id
+            );
+            (*e, run)
+        })
+        .collect();
 
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
-    for r in &reports {
-        writeln!(out, "## {} — {}\n", r.id, r.title).unwrap();
+    for (e, r) in &runs {
+        writeln!(out, "## {} — {}\n", e.id, r.title).unwrap();
         writeln!(out, "{}", r.body).unwrap();
     }
     drop(out);
 
-    if let Some(run) = &fig5a_run {
-        std::fs::write("BENCH.json", format!("{}\n", run.bench_json)).expect("write BENCH.json");
-        eprintln!("wrote BENCH.json");
-        if let Some(path) = &metrics_out {
-            std::fs::write(path, run.observer.render_prometheus()).expect("write metrics");
-            eprintln!("wrote {path}");
-        }
-        if let Some(path) = &events_out {
-            std::fs::write(path, run.observer.events_jsonl()).expect("write events");
-            eprintln!("wrote {path}");
-        }
-    } else if metrics_out.is_some() || events_out.is_some() {
-        eprintln!("--metrics-out/--events-out require fig5a (or all) to run");
+    // The (last) run of a row, and its observer if that row ran traced.
+    let run_of = |id: &str| -> Option<&Run> {
+        let (_, run) = runs.iter().rev().find(|(e, _)| e.id == id)?;
+        Some(run)
+    };
+    let observer_of = |id: &str| -> Option<&Observer> { run_of(id)?.observer.as_ref() };
+
+    let metrics_obs = observer_of(METRICS_SOURCE);
+    if metrics_obs.is_none() && (metrics_out.is_some() || events_out.is_some()) {
+        eprintln!("--metrics-out/--events-out require {METRICS_SOURCE} (or all) to run");
         std::process::exit(2);
     }
 
-    if let Some(run) = &pressure_run {
-        std::fs::write("BENCH_pressure.json", format!("{}\n", run.bench_json))
-            .expect("write BENCH_pressure.json");
-        eprintln!("wrote BENCH_pressure.json");
+    for e in &REGISTRY {
+        let json = run_of(e.id).and_then(|run| run.bench_json.as_ref());
+        if let (Some(file), Some(json)) = (e.bench_file, json) {
+            std::fs::write(file, format!("{json}\n"))
+                .unwrap_or_else(|err| panic!("write {file}: {err}"));
+            eprintln!("wrote {file}");
+        }
     }
 
-    if let Some(run) = &node_failure_run {
-        std::fs::write("BENCH_node_failure.json", format!("{}\n", run.bench_json))
-            .expect("write BENCH_node_failure.json");
-        eprintln!("wrote BENCH_node_failure.json");
-    }
-
-    if let Some(run) = &overload_run {
-        std::fs::write("BENCH_overload.json", format!("{}\n", run.bench_json))
-            .expect("write BENCH_overload.json");
-        eprintln!("wrote BENCH_overload.json");
+    if let Some(obs) = metrics_obs {
+        if let Some(path) = &metrics_out {
+            std::fs::write(path, obs.render_prometheus()).expect("write metrics");
+            eprintln!("wrote {path}");
+        }
+        if let Some(path) = &events_out {
+            std::fs::write(path, obs.events_jsonl()).expect("write events");
+            eprintln!("wrote {path}");
+        }
     }
 
     if let Some(path) = &trace_out {
-        let observer = overload_run
-            .as_ref()
-            .map(|r| &r.observer)
-            .or(pressure_run.as_ref().map(|r| &r.observer))
-            .or(node_failure_run.as_ref().map(|r| &r.observer))
-            .or(fig5a_run.as_ref().map(|r| &r.observer));
-        let Some(obs) = observer else {
+        let Some(obs) = TRACE_SOURCES.iter().find_map(|id| observer_of(id)) else {
             eprintln!(
                 "--trace-out requires a traced experiment (fig5a, pressure, \
                  node-failure or overload) to run"

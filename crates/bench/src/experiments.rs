@@ -5,10 +5,14 @@
 //! renders the same rows/series the paper plots. Absolute numbers come from
 //! the cluster simulator, so only the *shape* (orderings, rough factors,
 //! crossover points) is expected to match the paper.
+//!
+//! [`REGISTRY`] is the one list of experiments: the `experiments` binary
+//! looks ids up in it and the `bench` gate regenerates its `gated` rows. A
+//! new experiment is one more row.
 
 use std::sync::Arc;
 
-use deepsea_core::{baselines, ObsConfig, Observer};
+use deepsea_core::{baselines, DeepSeaConfig, ObsConfig, Observer};
 use deepsea_engine::Catalog;
 use deepsea_workload::schema::{BigBenchData, InstanceSize, ItemDistribution};
 use deepsea_workload::sdss::{sdss_like_histogram, SdssTrace};
@@ -20,6 +24,7 @@ use deepsea_workload::{Selectivity, Skew};
 use serde::ObjectBuilder;
 
 use crate::harness::{recoup_point, run_variants, run_workload, run_workload_observed, RunResult};
+use crate::pressure;
 use crate::report::{bar_chart, pct, secs, series, stage_breakdown, table, top_n_table};
 
 /// How much work to do: `Quick` for criterion benches and smoke runs,
@@ -33,6 +38,14 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// The `"scale"` leaf of every `BENCH*.json`.
+    pub(crate) fn name(&self) -> &'static str {
+        match self {
+            Scale::Quick => "quick",
+            Scale::Paper => "paper",
+        }
+    }
+
     pub(crate) fn fig5_queries(&self) -> usize {
         match self {
             Scale::Quick => 60,
@@ -48,25 +61,87 @@ impl Scale {
     }
 }
 
-/// A rendered experiment.
-#[derive(Debug, Clone)]
-pub struct ExperimentReport {
-    /// Identifier, e.g. `fig5a`.
-    pub id: String,
+/// What running one experiment produces: the rendered report, plus — for
+/// the traced experiments — the machine-readable summary and the observer
+/// that watched the run.
+pub struct Run {
     /// Human title.
     pub title: String,
     /// Rendered body (tables/series).
     pub body: String,
+    /// The `BENCH*.json` document, written to the row's
+    /// [`Experiment::bench_file`].
+    pub bench_json: Option<String>,
+    /// The observer that watched the run (metrics, spans, events) — the
+    /// source of `--metrics-out` / `--events-out` / `--trace-out`.
+    pub observer: Option<Observer>,
 }
 
-impl ExperimentReport {
-    pub(crate) fn new(id: &str, title: &str, body: String) -> Self {
+impl Run {
+    pub(crate) fn new(title: &str, body: String) -> Self {
         Self {
-            id: id.to_string(),
             title: title.to_string(),
             body,
+            bench_json: None,
+            observer: None,
         }
     }
+
+    /// Attach the traced side products.
+    pub(crate) fn traced(mut self, bench_json: String, observer: Observer) -> Self {
+        self.bench_json = Some(bench_json);
+        self.observer = Some(observer);
+        self
+    }
+}
+
+/// One row of the experiment table.
+pub struct Experiment {
+    /// The id the `experiments` binary takes on its command line.
+    pub id: &'static str,
+    /// Where the run's `bench_json` is written.
+    pub bench_file: Option<&'static str>,
+    /// Whether `bench_file` is checked in at the repository root as the
+    /// baseline `bench report` diffs a fresh quick-scale run against.
+    pub gated: bool,
+    /// Run the experiment at the given scale.
+    pub run: fn(Scale) -> Run,
+}
+
+/// Every experiment, in the order `experiments all` runs them: the paper's
+/// §10 figures, then this repository's three serving scenarios.
+/// `BENCH_pressure.json` is a side product: written, never checked in.
+#[rustfmt::skip]
+pub static REGISTRY: [Experiment; 15] = [
+    Experiment { id: "fig1", bench_file: None, gated: false, run: fig1 },
+    Experiment { id: "fig2", bench_file: None, gated: false, run: fig2 },
+    Experiment { id: "table1", bench_file: None, gated: false, run: table1 },
+    Experiment { id: "fig5a", bench_file: Some("BENCH.json"), gated: true, run: fig5a },
+    Experiment { id: "fig5b", bench_file: None, gated: false, run: fig5b },
+    Experiment { id: "fig6", bench_file: None, gated: false, run: fig6 },
+    Experiment { id: "fig7", bench_file: None, gated: false, run: fig7 },
+    Experiment { id: "fig8a", bench_file: None, gated: false, run: fig8a },
+    Experiment { id: "fig8b", bench_file: None, gated: false, run: fig8b },
+    Experiment { id: "fig9", bench_file: None, gated: false, run: fig9 },
+    Experiment { id: "fig10", bench_file: None, gated: false, run: fig10 },
+    Experiment { id: "ablations", bench_file: None, gated: false, run: ablations },
+    Experiment { id: "pressure", bench_file: Some("BENCH_pressure.json"), gated: false, run: pressure::pressure },
+    Experiment { id: "node-failure", bench_file: Some("BENCH_node_failure.json"), gated: true, run: pressure::node_failure },
+    Experiment { id: "overload", bench_file: Some("BENCH_overload.json"), gated: true, run: pressure::overload },
+];
+
+/// The row whose observer feeds `experiments --metrics-out` / `--events-out`.
+pub const METRICS_SOURCE: &str = "fig5a";
+
+/// Traced rows in the order `experiments --trace-out` prefers them.
+pub const TRACE_SOURCES: [&str; 4] = ["overload", "pressure", "node-failure", "fig5a"];
+
+/// The head of every `BENCH*.json`: experiment, scale, query count.
+pub(crate) fn bench_head(experiment: &str, scale: Scale, queries: usize) -> ObjectBuilder {
+    ObjectBuilder::new()
+        .field("experiment", experiment)
+        .field("scale", scale.name())
+        .field("queries", queries as u64)
 }
 
 pub(crate) const SEED: u64 = 0xDEE9_5EA0;
@@ -77,12 +152,18 @@ pub(crate) fn sdss_catalog(size: InstanceSize) -> Arc<Catalog> {
     Arc::new(BigBenchData::generate(size, &ItemDistribution::Histogram(hist), SEED).catalog)
 }
 
+/// `config` with the mixed-workload fragment-size bound (§9) under a pool
+/// limit of `smax` bytes.
+fn pooled(config: DeepSeaConfig, smax: u64) -> DeepSeaConfig {
+    config.with_phi(0.05).with_smax(smax)
+}
+
 fn uniform_catalog(size: InstanceSize) -> Arc<Catalog> {
     Arc::new(BigBenchData::generate(size, &ItemDistribution::Uniform, SEED).catalog)
 }
 
 /// Figure 1: histogram of selection ranges on the SDSS-like trace.
-pub fn fig1() -> ExperimentReport {
+pub fn fig1(_scale: Scale) -> Run {
     let (lo, hi) = item_domain();
     let trace = SdssTrace::new(lo, hi);
     let ranges = trace.generate(10_000, SEED);
@@ -91,15 +172,14 @@ pub fn fig1() -> ExperimentReport {
         .iter()
         .map(|(b, h)| (format!("{b:>6}"), *h as f64))
         .collect();
-    ExperimentReport::new(
-        "fig1",
+    Run::new(
         "Histogram of selection ranges (SDSS-like trace, 10 000 queries)",
         bar_chart(&items, "hits"),
     )
 }
 
 /// Figure 2: evolution of selection ranges over the query sequence.
-pub fn fig2() -> ExperimentReport {
+pub fn fig2(_scale: Scale) -> Run {
     let (lo, hi) = item_domain();
     let trace = SdssTrace::new(lo, hi);
     let ranges = trace.generate(10_000, SEED);
@@ -115,27 +195,7 @@ pub fn fig2() -> ExperimentReport {
     body.push_str(&format!(
         "\nmean midpoint, first third: {early};  rest: {late} (access pattern shifts)\n"
     ));
-    ExperimentReport::new("fig2", "Evolution of selection ranges", body)
-}
-
-/// Figure 5a plus its machine-readable side products. The DS variant runs
-/// under an attached [`Observer`] (bit-transparent, so the numbers match the
-/// unobserved figure exactly); the observer feeds the hot-views table, the
-/// `BENCH.json` document, and — via the `experiments` binary's
-/// `--metrics-out` / `--events-out` flags — the raw metric/event dumps.
-pub struct Fig5aRun {
-    /// The rendered report (the same body `fig5a` returns).
-    pub report: ExperimentReport,
-    /// `BENCH.json`: per-variant totals, query count, DS stage totals and
-    /// pool high-water mark.
-    pub bench_json: String,
-    /// The observer that watched the DS run (metrics, spans, events).
-    pub observer: Observer,
-}
-
-/// Figure 5a: DS vs NP vs H on the SDSS-mapped workload, unlimited pool.
-pub fn fig5a(scale: Scale) -> ExperimentReport {
-    fig5a_observed(scale).report
+    Run::new("Evolution of selection ranges", body)
 }
 
 /// Pool cap for the `DS-tight` fig5a companion run, as a divisor of the
@@ -144,8 +204,15 @@ pub fn fig5a(scale: Scale) -> ExperimentReport {
 /// the `pressure` serving scenario applies.
 const FIG5A_TIGHT_DIVISOR: u64 = 40;
 
-/// [`fig5a`] with the observer and `BENCH.json` document exposed.
-pub fn fig5a_observed(scale: Scale) -> Fig5aRun {
+/// Figure 5a: DS vs NP vs H on the SDSS-mapped workload, unlimited pool.
+///
+/// The DS variant runs under an attached [`Observer`] (bit-transparent, so
+/// the numbers match an unobserved run exactly); the observer feeds the
+/// hot-views table, the `BENCH.json` document (per-variant totals, query
+/// count, DS stage totals, pool high-water mark), and — via the
+/// `experiments` binary's `--metrics-out` / `--events-out` flags — the raw
+/// metric/event dumps.
+pub fn fig5a(scale: Scale) -> Run {
     let catalog = sdss_catalog(scale.instance());
     let plans = fig5_workload(scale.fig5_queries(), SEED);
     let baselines_runs = run_variants(
@@ -173,7 +240,7 @@ pub fn fig5a_observed(scale: Scale) -> Fig5aRun {
     let ds_tight_run = run_workload(
         "DS-tight",
         &catalog,
-        baselines::deepsea().with_phi(0.05).with_smax(smax),
+        pooled(baselines::deepsea(), smax),
         &plans,
     );
     let runs = [&baselines_runs[0], &baselines_runs[1], &ds_run];
@@ -212,20 +279,15 @@ pub fn fig5a_observed(scale: Scale) -> Fig5aRun {
         body.push_str(&top_n_table("hottest views (DS)", "hits", &hot));
     }
     let bench_json = fig5a_bench_json(scale, &runs, &ds_run, &ds_tight_run, smax);
-    let report = ExperimentReport::new(
-        "fig5a",
+    Run::new(
         &format!(
             "Workload simulating SDSS ({} queries, {:?}): DS vs NP vs H",
             plans.len(),
             scale.instance()
         ),
         body,
-    );
-    Fig5aRun {
-        report,
-        bench_json,
-        observer: obs,
-    }
+    )
+    .traced(bench_json, obs)
 }
 
 /// Render the `BENCH.json` document for a fig5a run: one deterministic JSON
@@ -248,16 +310,7 @@ fn fig5a_bench_json(
         totals = totals.field(name, v);
     }
     let tight = ds_tight.stage_totals();
-    ObjectBuilder::new()
-        .field("experiment", "fig5a")
-        .field(
-            "scale",
-            match scale {
-                Scale::Quick => "quick",
-                Scale::Paper => "paper",
-            },
-        )
-        .field("queries", ds.per_query.len() as u64)
+    bench_head("fig5a", scale, ds.per_query.len())
         .field("total_secs", variants.build())
         .field(
             "ds",
@@ -285,7 +338,7 @@ fn fig5a_bench_json(
 }
 
 /// Figure 5b: selection strategies N / N+ / DS across pool-size limits.
-pub fn fig5b(scale: Scale) -> ExperimentReport {
+pub fn fig5b(scale: Scale) -> Run {
     let catalog = sdss_catalog(scale.instance());
     let plans = fig5_workload(scale.fig5_queries(), SEED);
     let base_bytes = catalog.total_base_bytes();
@@ -295,12 +348,9 @@ pub fn fig5b(scale: Scale) -> ExperimentReport {
         let runs = run_variants(
             &catalog,
             &[
-                ("N", baselines::nectar().with_phi(0.05).with_smax(smax)),
-                (
-                    "N+",
-                    baselines::nectar_plus().with_phi(0.05).with_smax(smax),
-                ),
-                ("DS", baselines::deepsea().with_phi(0.05).with_smax(smax)),
+                ("N", pooled(baselines::nectar(), smax)),
+                ("N+", pooled(baselines::nectar_plus(), smax)),
+                ("DS", pooled(baselines::deepsea(), smax)),
             ],
             &plans,
         );
@@ -312,18 +362,16 @@ pub fn fig5b(scale: Scale) -> ExperimentReport {
         ]);
     }
     let body = table(&["pool size", "N (s)", "N+ (s)", "DS (s)"], &rows);
-    ExperimentReport::new(
-        "fig5b",
+    Run::new(
         "Selection strategies across pool sizes (% of base tables)",
         body,
     )
 }
 
 /// Figure 6 (+ the §10.2 cluster-utilization analysis): DS vs equi-depth.
-pub fn fig6(scale: Scale) -> ExperimentReport {
+pub fn fig6(_scale: Scale) -> Run {
     let catalog = uniform_catalog(InstanceSize::Gb100);
     let plans = fig6_workload(SEED);
-    let _ = scale;
     let variants = [
         ("DS", baselines::deepsea()),
         ("E-6", baselines::equi_depth(6)),
@@ -360,8 +408,7 @@ pub fn fig6(scale: Scale) -> ExperimentReport {
         ],
         &rows,
     );
-    ExperimentReport::new(
-        "fig6",
+    Run::new(
         "Equi-depth vs adaptive partitioning (Q30 ×10, small sel., heavy skew, 100GB)",
         body,
     )
@@ -369,7 +416,7 @@ pub fn fig6(scale: Scale) -> ExperimentReport {
 
 /// Figure 7a/7b: selectivity × skew grid — projected time (% of Hive) for 100
 /// queries and the number of queries needed to recoup materialization cost.
-pub fn fig7(scale: Scale) -> ExperimentReport {
+pub fn fig7(scale: Scale) -> Run {
     let catalog = uniform_catalog(scale.instance());
     let mut rows_a = Vec::new();
     let mut rows_b = Vec::new();
@@ -409,8 +456,7 @@ pub fn fig7(scale: Scale) -> ExperimentReport {
     body.push_str(&table(&["setting", "NP", "E-15", "DS"], &rows_a));
     body.push_str("\n(b) queries needed to recoup materialization cost\n");
     body.push_str(&table(&["setting", "NP", "E-15", "DS"], &rows_b));
-    ExperimentReport::new(
-        "fig7",
+    Run::new(
         &format!("Varying selectivity and skew (Q30, {:?})", scale.instance()),
         body,
     )
@@ -418,19 +464,18 @@ pub fn fig7(scale: Scale) -> ExperimentReport {
 
 /// Figure 8a: fragment-correlation exploitation — N vs DS, normal hits,
 /// small pool.
-pub fn fig8a(scale: Scale) -> ExperimentReport {
+pub fn fig8a(_scale: Scale) -> Run {
     // Pinned to the 100 GB instance: the paper's 7 GB pool holds a useful
     // number of *our* fragments at that scale (its views are smaller relative
     // to its base tables than ours).
-    let _ = scale;
     let catalog = uniform_catalog(InstanceSize::Gb100);
     let plans = fig8a_workload(SEED);
     let smax = 7_000_000_000; // the paper's 7 GB pool
     let runs = run_variants(
         &catalog,
         &[
-            ("N", baselines::nectar().with_phi(0.05).with_smax(smax)),
-            ("DS", baselines::deepsea().with_phi(0.05).with_smax(smax)),
+            ("N", pooled(baselines::nectar(), smax)),
+            ("DS", pooled(baselines::deepsea(), smax)),
         ],
         &plans,
     );
@@ -454,16 +499,14 @@ pub fn fig8a(scale: Scale) -> ExperimentReport {
         secs(runs[0].total_secs()),
         secs(runs[1].total_secs())
     ));
-    ExperimentReport::new(
-        "fig8a",
+    Run::new(
         "Fragment correlations, normal hits (Q30 ×20, pool 7GB)",
         body,
     )
 }
 
 /// Figure 8b: Zipf robustness — N vs DS across small pool sizes.
-pub fn fig8b(scale: Scale) -> ExperimentReport {
-    let _ = scale;
+pub fn fig8b(_scale: Scale) -> Run {
     let catalog = uniform_catalog(InstanceSize::Gb100);
     let plans = fig8b_workload(20, SEED);
     let mut rows = Vec::new();
@@ -472,8 +515,8 @@ pub fn fig8b(scale: Scale) -> ExperimentReport {
         let runs = run_variants(
             &catalog,
             &[
-                ("N", baselines::nectar().with_phi(0.05).with_smax(smax)),
-                ("DS", baselines::deepsea().with_phi(0.05).with_smax(smax)),
+                ("N", pooled(baselines::nectar(), smax)),
+                ("DS", pooled(baselines::deepsea(), smax)),
             ],
             &plans,
         );
@@ -484,8 +527,7 @@ pub fn fig8b(scale: Scale) -> ExperimentReport {
         ]);
     }
     let body = table(&["pool", "N (s)", "DS (s)"], &rows);
-    ExperimentReport::new(
-        "fig8b",
+    Run::new(
         "Zipf-distributed selection ranges across pool sizes (paper: DS not worse than N)",
         body,
     )
@@ -493,7 +535,7 @@ pub fn fig8b(scale: Scale) -> ExperimentReport {
 
 /// Figure 9: overlapping vs strictly horizontal partitioning under a
 /// three-phase midpoint shift.
-pub fn fig9(_scale: Scale) -> ExperimentReport {
+pub fn fig9(_scale: Scale) -> Run {
     let catalog = uniform_catalog(InstanceSize::Gb100);
     let plans = fig9_workload(SEED);
     let runs = run_variants(
@@ -524,15 +566,14 @@ pub fn fig9(_scale: Scale) -> ExperimentReport {
     body.push_str(
         "\n(cumulative seconds; paper: overlapping stays below horizontal after each shift)\n",
     );
-    ExperimentReport::new(
-        "fig9",
+    Run::new(
         "Overlapping partitioning (Q30 ×30, midpoints shift every 10 queries)",
         body,
     )
 }
 
 /// Figure 10a/10b: adaptation to a workload change.
-pub fn fig10(_scale: Scale) -> ExperimentReport {
+pub fn fig10(_scale: Scale) -> Run {
     let catalog = uniform_catalog(InstanceSize::Gb100);
     let plans = fig10_workload(SEED);
     let runs = run_variants(
@@ -575,8 +616,7 @@ pub fn fig10(_scale: Scale) -> ExperimentReport {
     for (q, ratio) in &pts {
         body.push_str(&format!("{q:>8}  {ratio:.3}\n"));
     }
-    ExperimentReport::new(
-        "fig10",
+    Run::new(
         "Adaptation to workload changes (Q5 ×200, distribution shift at 100, 100GB)",
         body,
     )
@@ -584,122 +624,79 @@ pub fn fig10(_scale: Scale) -> ExperimentReport {
 
 /// Ablation study over DeepSea's design choices (DESIGN.md §5): disable one
 /// mechanism at a time and run the workload that exercises it.
-pub fn ablations(_scale: Scale) -> ExperimentReport {
-    let catalog = uniform_catalog(InstanceSize::Gb100);
-    let mut rows = Vec::new();
-
-    // MLE fragment-correlation smoothing — exercised by the fig8a workload
-    // under a tight pool.
-    {
-        let plans = fig8a_workload(SEED);
-        let smax = 7_000_000_000;
-        let runs = run_variants(
-            &catalog,
-            &[
-                ("DS", baselines::deepsea().with_phi(0.05).with_smax(smax)),
-                (
-                    "DS-noMLE",
-                    baselines::deepsea_no_mle().with_phi(0.05).with_smax(smax),
-                ),
-            ],
-            &plans,
-        );
-        rows.push(vec![
-            "MLE smoothing".into(),
-            secs(runs[0].total_secs()),
-            secs(runs[1].total_secs()),
-            "fig8a workload, 7GB pool".into(),
-        ]);
-    }
-    // Overlapping fragments — the fig9 shift workload.
-    {
-        let plans = fig9_workload(SEED);
-        let runs = run_variants(
-            &catalog,
-            &[
-                ("DS", baselines::deepsea()),
-                ("DS-horizontal", baselines::horizontal_only()),
-            ],
-            &plans,
-        );
-        rows.push(vec![
-            "overlapping fragments".into(),
-            secs(runs[0].total_secs()),
-            secs(runs[1].total_secs()),
-            "fig9 workload".into(),
-        ]);
-    }
-    // Progressive repartitioning — the fig10 shift workload.
-    {
-        let plans = fig10_workload(SEED);
-        let runs = run_variants(
-            &catalog,
-            &[
-                ("DS", baselines::deepsea()),
-                ("DS-NR", baselines::no_repartitioning()),
-            ],
-            &plans,
-        );
-        rows.push(vec![
-            "repartitioning".into(),
-            secs(runs[0].total_secs()),
-            secs(runs[1].total_secs()),
-            "fig10 workload".into(),
-        ]);
-    }
-    // φ fragment-size bound — the mixed SDSS workload.
-    {
-        let plans = fig5_workload(60, SEED);
-        let sdss = sdss_catalog(InstanceSize::Gb100);
-        let runs = run_variants(
+pub fn ablations(_scale: Scale) -> Run {
+    let uniform = uniform_catalog(InstanceSize::Gb100);
+    let sdss = sdss_catalog(InstanceSize::Gb100);
+    let ds = baselines::deepsea;
+    let fig5 = fig5_workload(60, SEED);
+    let quarter = sdss.total_base_bytes() / 4;
+    // (mechanism, workload, catalog, plans, full DS, DS with the mechanism off)
+    let arms = [
+        // MLE fragment-correlation smoothing under a tight pool.
+        (
+            "MLE smoothing",
+            "fig8a workload, 7GB pool",
+            &uniform,
+            fig8a_workload(SEED),
+            pooled(ds(), 7_000_000_000),
+            pooled(baselines::deepsea_no_mle(), 7_000_000_000),
+        ),
+        (
+            "overlapping fragments",
+            "fig9 workload",
+            &uniform,
+            fig9_workload(SEED),
+            ds(),
+            baselines::horizontal_only(),
+        ),
+        (
+            "repartitioning",
+            "fig10 workload",
+            &uniform,
+            fig10_workload(SEED),
+            ds(),
+            baselines::no_repartitioning(),
+        ),
+        (
+            "φ size bound",
+            "fig5 workload (60q)",
             &sdss,
-            &[
-                ("DS(φ=5%)", baselines::deepsea().with_phi(0.05)),
-                ("DS(no φ)", baselines::deepsea()),
-            ],
-            &plans,
-        );
-        rows.push(vec![
-            "φ size bound".into(),
-            secs(runs[0].total_secs()),
-            secs(runs[1].total_secs()),
-            "fig5 workload (60q)".into(),
-        ]);
-    }
-    // Decay function — DS vs Nectar+ isolates exactly it (§10.1), on the
-    // drifting SDSS workload under a bounded pool.
-    {
-        let plans = fig5_workload(60, SEED);
-        let sdss = sdss_catalog(InstanceSize::Gb100);
-        let smax = sdss.total_base_bytes() / 4;
-        let runs = run_variants(
+            fig5.clone(),
+            ds().with_phi(0.05),
+            ds(),
+        ),
+        // DS vs Nectar+ isolates exactly the decay function (§10.1), on the
+        // drifting SDSS workload under a bounded pool.
+        (
+            "benefit decay",
+            "fig5 workload, 25% pool",
             &sdss,
-            &[
-                ("DS", baselines::deepsea().with_phi(0.05).with_smax(smax)),
-                (
-                    "N+ (no decay)",
-                    baselines::nectar_plus().with_phi(0.05).with_smax(smax),
-                ),
-            ],
-            &plans,
-        );
-        rows.push(vec![
-            "benefit decay".into(),
-            secs(runs[0].total_secs()),
-            secs(runs[1].total_secs()),
-            "fig5 workload, 25% pool".into(),
-        ]);
-    }
+            fig5,
+            pooled(ds(), quarter),
+            pooled(baselines::nectar_plus(), quarter),
+        ),
+    ];
+    let rows: Vec<Vec<String>> = arms
+        .iter()
+        .map(|(mechanism, workload, catalog, plans, with, without)| {
+            let runs = run_variants(catalog, &[("with", *with), ("without", *without)], plans);
+            vec![
+                mechanism.to_string(),
+                secs(runs[0].total_secs()),
+                secs(runs[1].total_secs()),
+                workload.to_string(),
+            ]
+        })
+        .collect();
     let body = table(&["mechanism", "with (s)", "without (s)", "workload"], &rows);
-    ExperimentReport::new(
-        "ablations",
+    Run::new(
         "Design-choice ablations (each mechanism toggled off against full DS)",
         body,
     )
 }
 
 /// Table 1 is the parameter grid itself; render it for completeness.
-pub fn table1() -> ExperimentReport {
+pub fn table1(_scale: Scale) -> Run {
     let body = table(
         &["parameter", "values (default bold)"],
         &[
@@ -712,36 +709,7 @@ pub fn table1() -> ExperimentReport {
             vec!["Query skew".into(), "Uniform, Light, *Heavy*".into()],
         ],
     );
-    ExperimentReport::new("table1", "Parameters and their values", body)
-}
-
-/// Run every experiment at the given scale.
-pub fn all(scale: Scale) -> Vec<ExperimentReport> {
-    vec![
-        fig1(),
-        fig2(),
-        table1(),
-        fig5a(scale),
-        fig5b(scale),
-        fig6(scale),
-        fig7(scale),
-        fig8a(scale),
-        fig8b(scale),
-        fig9(scale),
-        fig10(scale),
-        ablations(scale),
-    ]
-}
-
-/// Convenience wrapper used by tests and the quickstart example: run one
-/// workload under DS and Hive and return `(ds_total, hive_total)`.
-pub fn ds_vs_hive_total(
-    catalog: &Arc<Catalog>,
-    plans: &[deepsea_engine::LogicalPlan],
-) -> (f64, f64) {
-    let ds = run_workload("DS", catalog, baselines::deepsea(), plans);
-    let h = run_workload("H", catalog, baselines::hive(), plans);
-    (ds.total_secs(), h.total_secs())
+    Run::new("Parameters and their values", body)
 }
 
 #[cfg(test)]
@@ -750,21 +718,20 @@ mod tests {
 
     #[test]
     fn fig1_report_has_hot_and_cold_buckets() {
-        let r = fig1();
-        assert_eq!(r.id, "fig1");
+        let r = fig1(Scale::Quick);
         assert!(r.body.lines().count() >= 20);
         assert!(r.body.contains('█'));
     }
 
     #[test]
     fn fig2_shows_shift() {
-        let r = fig2();
+        let r = fig2(Scale::Quick);
         assert!(r.body.contains("shifts"));
     }
 
     #[test]
     fn table1_renders() {
-        let r = table1();
+        let r = table1(Scale::Quick);
         assert!(r.body.contains("Query skew"));
     }
 
@@ -779,27 +746,22 @@ mod tests {
 
     #[test]
     fn fig5a_tight_companion_actually_evicts() {
-        let run = fig5a_observed(Scale::Quick);
+        let run = fig5a(Scale::Quick);
+        let bench_json = run.bench_json.expect("fig5a writes BENCH.json");
         // The DS-tight arm must hit the pool cap and run the Φ-ranked
         // eviction path; a cap nobody hits would silently stop guarding it.
         assert!(
-            run.bench_json.contains("\"ds_tight\""),
-            "missing ds_tight in:\n{}",
-            run.bench_json
+            bench_json.contains("\"ds_tight\""),
+            "missing ds_tight in:\n{bench_json}"
         );
-        let evictions: u64 = run
-            .bench_json
+        let evictions: u64 = bench_json
             .split("\"evictions_selected\":")
             .nth(1)
             .and_then(|s| s.split(|c: char| !c.is_ascii_digit()).next())
             .and_then(|s| s.parse().ok())
             .expect("evictions_selected present");
-        assert!(
-            evictions > 0,
-            "tight Smax should evict:\n{}",
-            run.bench_json
-        );
-        assert!(run.report.body.contains("DS-tight"));
+        assert!(evictions > 0, "tight Smax should evict:\n{bench_json}");
+        assert!(run.body.contains("DS-tight"));
     }
 
     #[test]

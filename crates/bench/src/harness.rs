@@ -5,7 +5,6 @@ use std::sync::Arc;
 
 use deepsea_core::{DeepSea, DeepSeaConfig, Observer, QueryTrace};
 use deepsea_engine::{Catalog, ClusterSim, LogicalPlan};
-use deepsea_relation::Table;
 use deepsea_storage::{BlockConfig, SimFs};
 
 /// Per-query measurements.
@@ -149,22 +148,7 @@ pub fn run_workload(
     config: DeepSeaConfig,
     plans: &[LogicalPlan],
 ) -> RunResult {
-    let cluster = ClusterSim::paper_default();
-    let fs = Arc::new(SimFs::new(BlockConfig::default(), cluster.weights));
-    run_workload_on(label, catalog, fs, cluster, config, plans)
-}
-
-/// Like [`run_workload`] with explicit substrates.
-pub fn run_workload_on(
-    label: impl Into<String>,
-    catalog: &Arc<Catalog>,
-    fs: Arc<SimFs<Table>>,
-    cluster: ClusterSim,
-    config: DeepSeaConfig,
-    plans: &[LogicalPlan],
-) -> RunResult {
-    let ds = DeepSea::with_parts(Arc::clone(catalog), fs, cluster, config);
-    drive_workload(label, ds, config, plans)
+    run_workload_observed(label, catalog, config, plans, Observer::off())
 }
 
 /// Like [`run_workload`], but with an attached [`Observer`]: metrics, spans
@@ -181,16 +165,7 @@ pub fn run_workload_observed(
 ) -> RunResult {
     let cluster = ClusterSim::paper_default();
     let fs = Arc::new(SimFs::new(BlockConfig::default(), cluster.weights));
-    let ds = DeepSea::with_parts(Arc::clone(catalog), fs, cluster, config).with_observer(obs);
-    drive_workload(label, ds, config, plans)
-}
-
-fn drive_workload(
-    label: impl Into<String>,
-    mut ds: DeepSea,
-    config: DeepSeaConfig,
-    plans: &[LogicalPlan],
-) -> RunResult {
+    let mut ds = DeepSea::with_parts(Arc::clone(catalog), fs, cluster, config).with_observer(obs);
     let mut per_query = Vec::with_capacity(plans.len());
     let mut pool_high_water = 0u64;
     for plan in plans {

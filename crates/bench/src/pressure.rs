@@ -1,28 +1,32 @@
-//! Eviction-pressure serving scenario: the DS-tight variant (reduced
-//! `Smax`) served to multiple concurrent clients through [`ViewServer`].
+//! The serving scenarios: the fig5 workload served to concurrent clients
+//! through [`ViewServer`], under three kinds of stress.
 //!
-//! Under a tight pool limit the writer keeps materializing and evicting,
-//! so snapshot readers routinely race epoch churn — exactly the regime
-//! where client-visible latency separates from the writer's serialized
-//! pipeline. The scenario runs the standard fig5 workload under the
-//! deterministic simulated scheduler and reports client latency
-//! percentiles (p50/p95/p99) straight from the observer's histograms,
-//! plus the epoch-lag and divergence counters the serving layer emits.
+//! - [`pressure`] — eviction pressure: a tight `Smax` keeps the writer
+//!   materializing and evicting, so snapshot readers routinely race epoch
+//!   churn — the regime where client-visible latency separates from the
+//!   writer's serialized pipeline.
+//! - [`node_failure`] — the same squeeze on a sharded FS under a rolling
+//!   one-node outage, at replication 1 and 2.
+//! - [`overload`] — rolling gray slowness with deadlines, a bounded queue
+//!   and stale-serving shedding, hedged replica reads off vs on.
 //!
-//! `BENCH_pressure.json` is the machine-readable side product, in the
-//! same spirit as fig5a's `BENCH.json`.
+//! Each is a [`Scenario`] value handed to the one world builder, [`serve`],
+//! plus the table and `BENCH_*.json` document it renders from the result.
 
 use std::sync::Arc;
 
 use deepsea_core::{
-    baselines, DeepSea, NodeAction, ObsConfig, Observer, ServeReport, ServerConfig, ShedPolicy,
-    ViewServer,
+    baselines, ClientRecord, DeepSea, NodeAction, ObsConfig, Observer, ServeReport, ServerConfig,
+    ShedPolicy, ViewServer,
 };
 use deepsea_engine::ClusterSim;
-use deepsea_storage::{BlockConfig, FaultInjector, HedgeConfig, NodeConfig, NodeSet, SimFs};
+use deepsea_obs::MetricsRegistry;
+use deepsea_storage::{
+    BlockConfig, FaultInjector, FaultStats, HedgeConfig, NodeConfig, NodeSet, SimFs,
+};
 use serde::ObjectBuilder;
 
-use crate::experiments::{sdss_catalog, ExperimentReport, Scale, SEED};
+use crate::experiments::{bench_head, sdss_catalog, Run, Scale, SEED};
 use crate::report::{secs, table};
 
 /// Divisor applied to the catalog's base bytes to get the tight pool
@@ -30,7 +34,7 @@ use crate::report::{secs, table};
 /// the run, matching the DS-tight variant of the concurrency suite.
 const TIGHT_SMAX_DIVISOR: u64 = 40;
 
-/// Logical clients hammering the server in the pressure scenario.
+/// Logical clients hammering the server in every scenario.
 const PRESSURE_CLIENTS: usize = 4;
 
 /// Seed for the scheduler's arrival/interleaving LCG.
@@ -40,318 +44,12 @@ const PRESSURE_SEED: u64 = 42;
 /// that reads overlap commits and each other.
 const PRESSURE_GAP_SECS: f64 = 5.0;
 
-/// The pressure scenario plus its machine-readable side products.
-pub struct PressureRun {
-    /// The rendered report.
-    pub report: ExperimentReport,
-    /// `BENCH_pressure.json`: scheduler parameters, latency percentiles
-    /// (overall and per client), divergence and epoch-lag summary.
-    pub bench_json: String,
-    /// The observer that watched the run (latency histograms, spans,
-    /// server counters).
-    pub observer: Observer,
-}
-
-/// Run the eviction-pressure serving scenario.
-pub fn pressure(scale: Scale) -> PressureRun {
-    let catalog = sdss_catalog(scale.instance());
-    let plans = deepsea_workload::sequences::fig5_workload(scale.fig5_queries(), SEED);
-    let smax = catalog.total_base_bytes() / TIGHT_SMAX_DIVISOR;
-    let config = baselines::deepsea().with_phi(0.05).with_smax(smax);
-
-    let obs = Observer::new(ObsConfig::on());
-    let cluster = ClusterSim::paper_default();
-    let fs = Arc::new(SimFs::new(BlockConfig::default(), cluster.weights));
-    let ds =
-        DeepSea::with_parts(Arc::clone(&catalog), fs, cluster, config).with_observer(obs.clone());
-    let mut server = ViewServer::new(
-        ds,
-        ServerConfig {
-            clients: PRESSURE_CLIENTS,
-            seed: PRESSURE_SEED,
-            mean_gap_secs: PRESSURE_GAP_SECS,
-            ..ServerConfig::default()
-        },
-    );
-    let served = server
-        .run(&plans)
-        .unwrap_or_else(|e| panic!("pressure scenario failed: {e}"));
-
-    let snap = obs.metrics_snapshot();
-    let overall = snap
-        .histogram("deepsea_client_latency_secs", None)
-        .and_then(|h| h.percentiles())
-        .unwrap_or((0.0, 0.0, 0.0));
-
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut clients_json = ObjectBuilder::new();
-    for k in 0..PRESSURE_CLIENTS {
-        let label = format!("client{k}");
-        if let Some((p50, p95, p99)) = snap
-            .histogram("deepsea_client_latency_secs", Some(&label))
-            .and_then(|h| h.percentiles())
-        {
-            rows.push(vec![label.clone(), secs(p50), secs(p95), secs(p99)]);
-            clients_json = clients_json.field(
-                &label,
-                ObjectBuilder::new()
-                    .field("p50_secs", p50)
-                    .field("p95_secs", p95)
-                    .field("p99_secs", p99)
-                    .build(),
-            );
-        }
-    }
-    rows.push(vec![
-        "all".to_string(),
-        secs(overall.0),
-        secs(overall.1),
-        secs(overall.2),
-    ]);
-
-    let commits = snap.counter("deepsea_server_commits_total", None);
-    let divergent = snap.counter("deepsea_server_divergent_reads_total", None);
-    let p99_ex = served
-        .percentile_exemplar(0.99)
-        .expect("invariant: pressure run serves at least one ticket");
-    let tail_buckets = served.latency_exemplars().len() as u64;
-
-    let mut body = table(&["client", "p50", "p95", "p99"], &rows);
-    body.push_str(&format!(
-        "\npool limit Smax = base/{TIGHT_SMAX_DIVISOR}; {PRESSURE_CLIENTS} clients, \
-         mean gap {PRESSURE_GAP_SECS}s, seed {PRESSURE_SEED}\n\
-         commits: {commits}   divergent reads: {divergent}   \
-         max epoch lag: {}   makespan: {}\n\
-         p99 exemplar: ticket {} (trace {}, {}); {tail_buckets} occupied latency buckets\n",
-        served.max_epoch_lag,
-        secs(served.makespan_secs),
-        p99_ex.ticket,
-        p99_ex.ticket as u64 + 1,
-        secs(p99_ex.latency_secs),
-    ));
-
-    let bench_json = ObjectBuilder::new()
-        .field("experiment", "pressure")
-        .field(
-            "scale",
-            match scale {
-                Scale::Quick => "quick",
-                Scale::Paper => "paper",
-            },
-        )
-        .field("queries", plans.len() as u64)
-        .field("clients", PRESSURE_CLIENTS as u64)
-        .field("seed", PRESSURE_SEED)
-        .field("mean_gap_secs", PRESSURE_GAP_SECS)
-        .field("smax_bytes", smax)
-        .field(
-            "latency_secs",
-            ObjectBuilder::new()
-                .field("p50", overall.0)
-                .field("p95", overall.1)
-                .field("p99", overall.2)
-                .field("per_client", clients_json.build())
-                .build(),
-        )
-        .field("commits", commits)
-        .field("divergent_reads", divergent)
-        .field("max_epoch_lag", served.max_epoch_lag)
-        .field("makespan_secs", served.makespan_secs)
-        .field("state_digest", served.state_digest)
-        .field(
-            "p99_exemplar",
-            ObjectBuilder::new()
-                .field("ticket", p99_ex.ticket as u64)
-                .field("trace_id", p99_ex.ticket as u64 + 1)
-                .field("latency_secs", p99_ex.latency_secs)
-                .build(),
-        )
-        .field("tail_buckets", tail_buckets)
-        .build()
-        .to_json();
-
-    let report = ExperimentReport::new(
-        "pressure",
-        &format!(
-            "Eviction pressure under concurrency ({} queries, {} clients, Smax = base/{})",
-            plans.len(),
-            PRESSURE_CLIENTS,
-            TIGHT_SMAX_DIVISOR
-        ),
-        body,
-    );
-    PressureRun {
-        report,
-        bench_json,
-        observer: obs,
-    }
-}
-
-/// Datanodes in the node-failure scenario's simulated cluster.
+/// Datanodes in the sharded scenarios' simulated cluster.
 const NODE_FAILURE_NODES: u32 = 4;
 
 /// Commits each node spends down in the rolling outage (one node is down at
 /// any time; the outage hops to the next node every window).
 const NODE_OUTAGE_WINDOW: usize = 5;
-
-/// The rolling one-node outage: node `w % NODES` goes down at commit
-/// `w * WINDOW` and comes back at commit `(w + 1) * WINDOW`, where the next
-/// node's outage begins. Up events precede Down events at each boundary so
-/// exactly one node is down at any instant.
-fn rolling_outage(n: usize) -> Vec<(usize, u32, NodeAction)> {
-    let mut schedule = Vec::new();
-    for w in 0..n.div_ceil(NODE_OUTAGE_WINDOW) {
-        let node = (w % NODE_FAILURE_NODES as usize) as u32;
-        if w > 0 {
-            let prev = ((w - 1) % NODE_FAILURE_NODES as usize) as u32;
-            schedule.push((w * NODE_OUTAGE_WINDOW, prev, NodeAction::Up));
-        }
-        schedule.push((w * NODE_OUTAGE_WINDOW, node, NodeAction::Down));
-    }
-    schedule
-}
-
-/// One sub-run of the node-failure scenario at a fixed replication factor.
-struct NodeFailureOutcome {
-    replication: u32,
-    p50: f64,
-    p95: f64,
-    p99: f64,
-    degraded_reads: u64,
-    degraded_rate: f64,
-    commits: u64,
-    makespan_secs: f64,
-    state_digest: u64,
-    observer: Observer,
-}
-
-fn node_failure_at(replication: u32, scale: Scale) -> NodeFailureOutcome {
-    let catalog = sdss_catalog(scale.instance());
-    let plans = deepsea_workload::sequences::fig5_workload(scale.fig5_queries(), SEED);
-    let smax = catalog.total_base_bytes() / TIGHT_SMAX_DIVISOR;
-    let config = baselines::deepsea().with_phi(0.05).with_smax(smax);
-
-    let obs = Observer::new(ObsConfig::on());
-    let cluster = ClusterSim::paper_default();
-    let fs = Arc::new(SimFs::with_cluster(
-        BlockConfig::default(),
-        cluster.weights,
-        FaultInjector::disabled(),
-        NodeSet::new(NodeConfig::new(NODE_FAILURE_NODES, replication)),
-    ));
-    let ds =
-        DeepSea::with_parts(Arc::clone(&catalog), fs, cluster, config).with_observer(obs.clone());
-    let mut server = ViewServer::new(
-        ds,
-        ServerConfig {
-            clients: PRESSURE_CLIENTS,
-            seed: PRESSURE_SEED,
-            mean_gap_secs: PRESSURE_GAP_SECS,
-            node_schedule: rolling_outage(plans.len()),
-            ..ServerConfig::default()
-        },
-    );
-    let served = server
-        .run(&plans)
-        .unwrap_or_else(|e| panic!("node-failure scenario failed: {e}"));
-
-    let snap = obs.metrics_snapshot();
-    let (p50, p95, p99) = snap
-        .histogram("deepsea_client_latency_secs", None)
-        .and_then(|h| h.percentiles())
-        .unwrap_or((0.0, 0.0, 0.0));
-    NodeFailureOutcome {
-        replication,
-        p50,
-        p95,
-        p99,
-        degraded_reads: served.degraded_reads,
-        degraded_rate: served.degraded_reads as f64 / plans.len() as f64,
-        commits: snap.counter("deepsea_server_commits_total", None),
-        makespan_secs: served.makespan_secs,
-        state_digest: served.state_digest,
-        observer: obs,
-    }
-}
-
-/// Run the node-failure serving scenario: the pressure workload on a
-/// 4-node sharded FS under a rolling one-node outage, once at replication 1
-/// (fragment-level base-table patching shows up as degraded reads) and once
-/// at replication 2 (failover to the surviving replica is free — the
-/// degraded-read rate must be zero). `BENCH_node_failure.json` carries
-/// latency percentiles and the degraded-read rate for both.
-pub fn node_failure(scale: Scale) -> PressureRun {
-    let r1 = node_failure_at(1, scale);
-    let r2 = node_failure_at(2, scale);
-
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut repl_json = ObjectBuilder::new();
-    for o in [&r1, &r2] {
-        rows.push(vec![
-            format!("r={}", o.replication),
-            secs(o.p50),
-            secs(o.p95),
-            secs(o.p99),
-            format!("{:.1}%", o.degraded_rate * 100.0),
-        ]);
-        repl_json = repl_json.field(
-            &format!("r{}", o.replication),
-            ObjectBuilder::new()
-                .field("replication", o.replication as u64)
-                .field("p50_secs", o.p50)
-                .field("p95_secs", o.p95)
-                .field("p99_secs", o.p99)
-                .field("degraded_reads", o.degraded_reads)
-                .field("degraded_rate", o.degraded_rate)
-                .field("commits", o.commits)
-                .field("makespan_secs", o.makespan_secs)
-                .field("state_digest", o.state_digest)
-                .build(),
-        );
-    }
-
-    let mut body = table(&["replication", "p50", "p95", "p99", "degraded"], &rows);
-    body.push_str(&format!(
-        "\n{NODE_FAILURE_NODES}-node cluster, rolling one-node outage every \
-         {NODE_OUTAGE_WINDOW} commits; Smax = base/{TIGHT_SMAX_DIVISOR}, \
-         {PRESSURE_CLIENTS} clients, mean gap {PRESSURE_GAP_SECS}s, seed {PRESSURE_SEED}\n\
-         degraded reads r=1: {}   r=2: {}\n",
-        r1.degraded_reads, r2.degraded_reads,
-    ));
-
-    let bench_json = ObjectBuilder::new()
-        .field("experiment", "node_failure")
-        .field(
-            "scale",
-            match scale {
-                Scale::Quick => "quick",
-                Scale::Paper => "paper",
-            },
-        )
-        .field("queries", r1.commits)
-        .field("nodes", NODE_FAILURE_NODES as u64)
-        .field("outage_window", NODE_OUTAGE_WINDOW as u64)
-        .field("clients", PRESSURE_CLIENTS as u64)
-        .field("seed", PRESSURE_SEED)
-        .field("mean_gap_secs", PRESSURE_GAP_SECS)
-        .field("by_replication", repl_json.build())
-        .build()
-        .to_json();
-
-    let report = ExperimentReport::new(
-        "node-failure",
-        &format!(
-            "Serving under a rolling one-node outage ({NODE_FAILURE_NODES} nodes, \
-             replication 1 vs 2, window {NODE_OUTAGE_WINDOW} commits)"
-        ),
-        body,
-    );
-    PressureRun {
-        report,
-        bench_json,
-        observer: r1.observer,
-    }
-}
 
 /// Commits each gray-slow window lasts in the overload scenario (the
 /// slowness hops to the next node every window, like the rolling outage).
@@ -382,129 +80,369 @@ const OVERLOAD_QUEUE: usize = 6;
 /// gray-failed nodes and stay bit-transparent on healthy ones.
 const OVERLOAD_HEDGE_AFTER_SECS: f64 = 1.0;
 
-/// Exact (nearest-rank) p50/p95/p99 over a latency series — used where the
-/// observer's power-of-two histogram buckets are too coarse.
-fn exact_percentiles(mut xs: Vec<f64>) -> (f64, f64, f64) {
-    if xs.is_empty() {
-        return (0.0, 0.0, 0.0);
-    }
-    xs.sort_by(f64::total_cmp);
-    let pick = |p: f64| xs[((xs.len() - 1) as f64 * p).round() as usize];
-    (pick(0.50), pick(0.95), pick(0.99))
+/// The sharded file system of a scenario and what happens to its nodes.
+#[derive(Clone, Copy)]
+struct Cluster {
+    nodes: u32,
+    replication: u32,
+    /// Rolling one-node outage hopping every this many commits.
+    outage_window: Option<usize>,
+    /// Rolling gray slowness: `(window in commits, latency multiplier)`.
+    slow: Option<(usize, f64)>,
+    /// Hedged replica reads past this many simulated seconds.
+    hedge_after_secs: Option<f64>,
 }
 
-/// The rolling gray failure: node `w % NODES` serves reads at
-/// [`OVERLOAD_SLOW_MULT`]× from commit `w * WINDOW`, recovering at the next
-/// boundary when the slowness hops to the next node. Clears precede opens
-/// so exactly one node is slow at any instant; every node stays live and
-/// serving throughout.
-fn rolling_slowness(n: usize) -> Vec<(usize, u32, f64)> {
-    let mut schedule = Vec::new();
-    for w in 0..n.div_ceil(OVERLOAD_SLOW_WINDOW) {
-        let node = (w % NODE_FAILURE_NODES as usize) as u32;
-        if w > 0 {
-            let prev = ((w - 1) % NODE_FAILURE_NODES as usize) as u32;
-            schedule.push((w * OVERLOAD_SLOW_WINDOW, prev, 1.0));
-        }
-        schedule.push((w * OVERLOAD_SLOW_WINDOW, node, OVERLOAD_SLOW_MULT));
+/// Everything that distinguishes one serving scenario's world from
+/// another's. Workload (fig5), client count and seed are common to all.
+#[derive(Clone, Copy)]
+struct Scenario {
+    /// Pool limit as a divisor of the base-table bytes; `None` = unlimited.
+    pool_divisor: Option<u64>,
+    /// `None` = the unsharded file system.
+    cluster: Option<Cluster>,
+    deadline_secs: Option<f64>,
+    max_queue: Option<usize>,
+    shed_policy: ShedPolicy,
+    mean_gap_secs: f64,
+}
+
+/// Eviction pressure: tight pool, unsharded, nothing shed.
+const PRESSURE: Scenario = Scenario {
+    pool_divisor: Some(TIGHT_SMAX_DIVISOR),
+    cluster: None,
+    deadline_secs: None,
+    max_queue: None,
+    shed_policy: ShedPolicy::Reject,
+    mean_gap_secs: PRESSURE_GAP_SECS,
+};
+
+/// The pressure world on a sharded FS under a rolling one-node outage.
+fn node_failure_scenario(replication: u32) -> Scenario {
+    Scenario {
+        cluster: Some(Cluster {
+            nodes: NODE_FAILURE_NODES,
+            replication,
+            outage_window: Some(NODE_OUTAGE_WINDOW),
+            slow: None,
+            hedge_after_secs: None,
+        }),
+        ..PRESSURE
     }
-    schedule
 }
 
 /// One arm of the overload scenario: hedging on or off, everything else
 /// (workload, schedule, seed, shedding policy) held identical.
-struct OverloadOutcome {
-    hedging: bool,
-    p50: f64,
-    p95: f64,
-    p99: f64,
-    shed_reads: u64,
-    shed_rate: f64,
-    hedges_issued: u64,
-    hedges_won: u64,
-    hedges_cancelled: u64,
-    hedge_extra_secs: f64,
-    incorrect_answers: u64,
-    commits: u64,
-    makespan_secs: f64,
-    state_digest: u64,
-    observer: Observer,
-    /// The full serve report — per-ticket records for exemplar linkage and
-    /// the causal-trace acceptance tests.
-    served: ServeReport,
+fn overload_scenario(hedging: bool) -> Scenario {
+    Scenario {
+        // Unlimited pool: the more reads are view-backed, the more surface
+        // the rolling gray slowness (and therefore hedging) actually touches.
+        pool_divisor: None,
+        cluster: Some(Cluster {
+            nodes: NODE_FAILURE_NODES,
+            replication: 2,
+            outage_window: None,
+            slow: Some((OVERLOAD_SLOW_WINDOW, OVERLOAD_SLOW_MULT)),
+            hedge_after_secs: hedging.then_some(OVERLOAD_HEDGE_AFTER_SECS),
+        }),
+        deadline_secs: Some(OVERLOAD_DEADLINE_SECS),
+        max_queue: Some(OVERLOAD_QUEUE),
+        shed_policy: ShedPolicy::ServeStale,
+        mean_gap_secs: OVERLOAD_GAP_SECS,
+    }
 }
 
-fn overload_at(hedging: bool, scale: Scale) -> OverloadOutcome {
+/// The rolling one-node-at-a-time schedule over `n` commits: node
+/// `w % nodes` gets `on` at commit `w * window` and `off` at commit
+/// `(w + 1) * window`, where the next node's turn begins. The `off` precedes
+/// the `on` at each boundary, so exactly one node is affected at any instant.
+fn rolling<A: Copy>(n: usize, window: usize, nodes: u32, on: A, off: A) -> Vec<(usize, u32, A)> {
+    let node = |w: usize| (w % nodes as usize) as u32;
+    let mut schedule = Vec::new();
+    for w in 0..n.div_ceil(window) {
+        if w > 0 {
+            schedule.push((w * window, node(w - 1), off));
+        }
+        schedule.push((w * window, node(w), on));
+    }
+    schedule
+}
+
+/// One served scenario: the server's report plus what the tables read off
+/// the observer and the file system afterwards.
+struct Served {
+    report: ServeReport,
+    observer: Observer,
+    metrics: MetricsRegistry,
+    queries: usize,
+    smax: Option<u64>,
+    fault_stats: FaultStats,
+    hedge_extra_secs: f64,
+}
+
+/// Build the scenario's world — catalog, file system, driver, server — and
+/// serve the fig5 workload through it.
+fn serve(sc: &Scenario, scale: Scale) -> Served {
     let catalog = sdss_catalog(scale.instance());
     let plans = deepsea_workload::sequences::fig5_workload(scale.fig5_queries(), SEED);
-    // Unlimited pool: the more reads are view-backed, the more surface the
-    // rolling gray slowness (and therefore hedging) actually touches.
-    let config = baselines::deepsea().with_phi(0.05);
+    let smax = sc.pool_divisor.map(|d| catalog.total_base_bytes() / d);
+    let mut config = baselines::deepsea().with_phi(0.05);
+    if let Some(smax) = smax {
+        config = config.with_smax(smax);
+    }
 
-    let obs = Observer::new(ObsConfig::on());
+    let observer = Observer::new(ObsConfig::on());
     let cluster = ClusterSim::paper_default();
-    let fs = Arc::new(SimFs::with_cluster(
-        BlockConfig::default(),
-        cluster.weights,
-        FaultInjector::disabled(),
-        NodeSet::new(NodeConfig::new(NODE_FAILURE_NODES, 2)),
-    ));
-    if hedging {
-        fs.set_hedge(Some(HedgeConfig::after_secs(OVERLOAD_HEDGE_AFTER_SECS)));
-    }
+    let (block, weights) = (BlockConfig::default(), cluster.weights);
+    let mut server_config = ServerConfig {
+        clients: PRESSURE_CLIENTS,
+        seed: PRESSURE_SEED,
+        mean_gap_secs: sc.mean_gap_secs,
+        deadline_secs: sc.deadline_secs,
+        max_queue: sc.max_queue,
+        shed_policy: sc.shed_policy,
+        ..ServerConfig::default()
+    };
+    let fs = match sc.cluster {
+        None => SimFs::new(block, weights),
+        Some(c) => {
+            let n = plans.len();
+            if let Some(window) = c.outage_window {
+                server_config.node_schedule =
+                    rolling(n, window, c.nodes, NodeAction::Down, NodeAction::Up);
+            }
+            if let Some((window, mult)) = c.slow {
+                server_config.slow_schedule = rolling(n, window, c.nodes, mult, 1.0);
+            }
+            let nodes = NodeSet::new(NodeConfig::new(c.nodes, c.replication));
+            let fs = SimFs::with_cluster(block, weights, FaultInjector::disabled(), nodes);
+            fs.set_hedge(c.hedge_after_secs.map(HedgeConfig::after_secs));
+            fs
+        }
+    };
+    let fs = Arc::new(fs);
     let ds = DeepSea::with_parts(Arc::clone(&catalog), Arc::clone(&fs), cluster, config)
-        .with_observer(obs.clone());
-    let mut server = ViewServer::new(
-        ds,
-        ServerConfig {
-            clients: PRESSURE_CLIENTS,
-            seed: PRESSURE_SEED,
-            mean_gap_secs: OVERLOAD_GAP_SECS,
-            slow_schedule: rolling_slowness(plans.len()),
-            deadline_secs: Some(OVERLOAD_DEADLINE_SECS),
-            max_queue: Some(OVERLOAD_QUEUE),
-            shed_policy: ShedPolicy::ServeStale,
-            ..ServerConfig::default()
-        },
-    );
-    let served = server
+        .with_observer(observer.clone());
+    let report = ViewServer::new(ds, server_config)
         .run(&plans)
-        .unwrap_or_else(|e| panic!("overload scenario failed: {e}"));
-
-    // Correctness audit: every answer actually handed to a client (served
-    // or stale-shed; rejects hand back nothing) must equal the committed
-    // one. Rewritings, hedged replica reads and degraded modes are all
-    // semantically transparent, so this count must be zero.
-    let incorrect_answers = served
-        .records
-        .iter()
-        .filter(|r| !r.read_fingerprint.is_empty() && r.read_fingerprint != r.committed_fingerprint)
-        .count() as u64;
-
-    let snap = obs.metrics_snapshot();
-    // Exact percentiles over every client-visible latency (shed tickets
-    // included — a rejection is an answer too). The observer's histogram is
-    // bucket-quantized, too coarse to resolve the hedging-on tail cut.
-    let (p50, p95, p99) = exact_percentiles(served.latencies_secs());
-    let stats = fs.fault_stats();
-    OverloadOutcome {
-        hedging,
-        p50,
-        p95,
-        p99,
-        shed_reads: served.shed_reads,
-        shed_rate: served.shed_reads as f64 / plans.len() as f64,
-        hedges_issued: stats.hedges_issued,
-        hedges_won: stats.hedges_won,
-        hedges_cancelled: stats.hedges_cancelled,
+        .unwrap_or_else(|e| panic!("serving scenario failed: {e}"));
+    Served {
+        report,
+        metrics: observer.metrics_snapshot(),
+        observer,
+        queries: plans.len(),
+        smax,
+        fault_stats: fs.fault_stats(),
         hedge_extra_secs: fs.hedge_extra_secs(),
-        incorrect_answers,
-        commits: snap.counter("deepsea_server_commits_total", None),
-        makespan_secs: served.makespan_secs,
-        state_digest: served.state_digest,
-        observer: obs,
-        served,
     }
+}
+
+impl Served {
+    /// Client latency (p50, p95, p99) from the observer's histogram —
+    /// bucket-quantized — overall or for one `clientK` label.
+    fn histogram_percentiles(&self, client: Option<&str>) -> Option<(f64, f64, f64)> {
+        self.metrics
+            .histogram("deepsea_client_latency_secs", client)
+            .and_then(|h| h.percentiles())
+    }
+
+    /// Exact nearest-rank (p50, p95, p99) over every client-visible latency
+    /// (shed tickets included — a rejection is an answer too), for where
+    /// the histogram's power-of-two buckets are too coarse.
+    fn ticket_percentiles(&self) -> (f64, f64, f64) {
+        let p = |q| self.report.latency_percentile(q);
+        (p(0.50), p(0.95), p(0.99))
+    }
+
+    fn commits(&self) -> u64 {
+        self.metrics.counter("deepsea_server_commits_total", None)
+    }
+
+    /// Correctness audit: every answer actually handed to a client (served
+    /// or stale-shed; rejects hand back nothing) must equal the committed
+    /// one. Rewritings, hedged replica reads and degraded modes are all
+    /// semantically transparent, so this count must be zero.
+    fn incorrect_answers(&self) -> u64 {
+        self.report
+            .records
+            .iter()
+            .filter(|r| {
+                !r.read_fingerprint.is_empty() && r.read_fingerprint != r.committed_fingerprint
+            })
+            .count() as u64
+    }
+
+    /// The ticket behind the exact p99; its causal trace id is `ticket + 1`.
+    fn p99_exemplar(&self) -> &ClientRecord {
+        self.report
+            .percentile_exemplar(0.99)
+            .expect("invariant: a scenario serves at least one ticket")
+    }
+}
+
+/// The leading cells of a latency table row: label, p50, p95, p99.
+fn percentile_row(label: String, (p50, p95, p99): (f64, f64, f64)) -> Vec<String> {
+    vec![label, secs(p50), secs(p95), secs(p99)]
+}
+
+/// The `p50_secs` / `p95_secs` / `p99_secs` leaves of a `BENCH_*.json` arm.
+fn percentile_fields(obj: ObjectBuilder, (p50, p95, p99): (f64, f64, f64)) -> ObjectBuilder {
+    obj.field("p50_secs", p50)
+        .field("p95_secs", p95)
+        .field("p99_secs", p99)
+}
+
+/// The leaves every arm ends with: commit count, makespan, state digest.
+fn outcome_fields(obj: ObjectBuilder, s: &Served) -> ObjectBuilder {
+    obj.field("commits", s.commits())
+        .field("makespan_secs", s.report.makespan_secs)
+        .field("state_digest", s.report.state_digest)
+}
+
+/// The tail linkage: the ticket (and causal trace) behind the exact p99 and
+/// the number of occupied latency buckets.
+fn exemplar_fields(obj: ObjectBuilder, s: &Served) -> ObjectBuilder {
+    let ex = s.p99_exemplar();
+    obj.field(
+        "p99_exemplar",
+        ObjectBuilder::new()
+            .field("ticket", ex.ticket as u64)
+            .field("trace_id", ex.ticket as u64 + 1)
+            .field("latency_secs", ex.latency_secs)
+            .build(),
+    )
+    .field("tail_buckets", s.report.latency_exemplars().len() as u64)
+}
+
+/// The scheduler parameters every `BENCH_*.json` carries.
+fn scheduler_fields(obj: ObjectBuilder, mean_gap_secs: f64) -> ObjectBuilder {
+    obj.field("clients", PRESSURE_CLIENTS as u64)
+        .field("seed", PRESSURE_SEED)
+        .field("mean_gap_secs", mean_gap_secs)
+}
+
+/// Run the eviction-pressure serving scenario: client latency percentiles
+/// (overall and per client) straight from the observer's histograms, plus
+/// the epoch-lag and divergence counters the serving layer emits.
+pub fn pressure(scale: Scale) -> Run {
+    let served = serve(&PRESSURE, scale);
+    let overall = served
+        .histogram_percentiles(None)
+        .unwrap_or((0.0, 0.0, 0.0));
+
+    let mut rows: Vec<Vec<String>> = Vec::new();
+    let mut clients_json = ObjectBuilder::new();
+    for k in 0..PRESSURE_CLIENTS {
+        let label = format!("client{k}");
+        if let Some(p) = served.histogram_percentiles(Some(&label)) {
+            rows.push(percentile_row(label.clone(), p));
+            clients_json =
+                clients_json.field(&label, percentile_fields(ObjectBuilder::new(), p).build());
+        }
+    }
+    rows.push(percentile_row("all".to_string(), overall));
+
+    let commits = served.commits();
+    let divergent = served
+        .metrics
+        .counter("deepsea_server_divergent_reads_total", None);
+    let p99_ex = served.p99_exemplar();
+    let tail_buckets = served.report.latency_exemplars().len();
+
+    let mut body = table(&["client", "p50", "p95", "p99"], &rows);
+    body.push_str(&format!(
+        "\npool limit Smax = base/{TIGHT_SMAX_DIVISOR}; {PRESSURE_CLIENTS} clients, \
+         mean gap {PRESSURE_GAP_SECS}s, seed {PRESSURE_SEED}\n\
+         commits: {commits}   divergent reads: {divergent}   \
+         max epoch lag: {}   makespan: {}\n\
+         p99 exemplar: ticket {} (trace {}, {}); {tail_buckets} occupied latency buckets\n",
+        served.report.max_epoch_lag,
+        secs(served.report.makespan_secs),
+        p99_ex.ticket,
+        p99_ex.ticket as u64 + 1,
+        secs(p99_ex.latency_secs),
+    ));
+
+    let bench = scheduler_fields(
+        bench_head("pressure", scale, served.queries),
+        PRESSURE_GAP_SECS,
+    )
+    .field("smax_bytes", served.smax)
+    .field(
+        "latency_secs",
+        ObjectBuilder::new()
+            .field("p50", overall.0)
+            .field("p95", overall.1)
+            .field("p99", overall.2)
+            .field("per_client", clients_json.build())
+            .build(),
+    )
+    .field("commits", commits)
+    .field("divergent_reads", divergent)
+    .field("max_epoch_lag", served.report.max_epoch_lag)
+    .field("makespan_secs", served.report.makespan_secs)
+    .field("state_digest", served.report.state_digest);
+    let bench_json = exemplar_fields(bench, &served).build().to_json();
+
+    Run::new(
+        &format!(
+            "Eviction pressure under concurrency ({} queries, {} clients, Smax = base/{})",
+            served.queries, PRESSURE_CLIENTS, TIGHT_SMAX_DIVISOR
+        ),
+        body,
+    )
+    .traced(bench_json, served.observer)
+}
+
+/// Run the node-failure serving scenario: the pressure workload on a
+/// 4-node sharded FS under a rolling one-node outage, once at replication 1
+/// (fragment-level base-table patching shows up as degraded reads) and once
+/// at replication 2 (failover to the surviving replica is free — the
+/// degraded-read rate must be zero). `BENCH_node_failure.json` carries
+/// latency percentiles and the degraded-read rate for both.
+pub fn node_failure(scale: Scale) -> Run {
+    let r1 = serve(&node_failure_scenario(1), scale);
+    let r2 = serve(&node_failure_scenario(2), scale);
+
+    let mut rows: Vec<Vec<String>> = Vec::new();
+    let mut repl_json = ObjectBuilder::new();
+    for (replication, s) in [(1u64, &r1), (2, &r2)] {
+        let p = s.histogram_percentiles(None).unwrap_or((0.0, 0.0, 0.0));
+        let degraded_rate = s.report.degraded_reads as f64 / s.queries as f64;
+        let mut row = percentile_row(format!("r={replication}"), p);
+        row.push(format!("{:.1}%", degraded_rate * 100.0));
+        rows.push(row);
+        let arm = percentile_fields(ObjectBuilder::new().field("replication", replication), p)
+            .field("degraded_reads", s.report.degraded_reads)
+            .field("degraded_rate", degraded_rate);
+        repl_json = repl_json.field(&format!("r{replication}"), outcome_fields(arm, s).build());
+    }
+
+    let mut body = table(&["replication", "p50", "p95", "p99", "degraded"], &rows);
+    body.push_str(&format!(
+        "\n{NODE_FAILURE_NODES}-node cluster, rolling one-node outage every \
+         {NODE_OUTAGE_WINDOW} commits; Smax = base/{TIGHT_SMAX_DIVISOR}, \
+         {PRESSURE_CLIENTS} clients, mean gap {PRESSURE_GAP_SECS}s, seed {PRESSURE_SEED}\n\
+         degraded reads r=1: {}   r=2: {}\n",
+        r1.report.degraded_reads, r2.report.degraded_reads,
+    ));
+
+    let head = bench_head("node_failure", scale, r1.queries)
+        .field("nodes", NODE_FAILURE_NODES as u64)
+        .field("outage_window", NODE_OUTAGE_WINDOW as u64);
+    let bench_json = scheduler_fields(head, PRESSURE_GAP_SECS)
+        .field("by_replication", repl_json.build())
+        .build()
+        .to_json();
+
+    Run::new(
+        &format!(
+            "Serving under a rolling one-node outage ({NODE_FAILURE_NODES} nodes, \
+             replication 1 vs 2, window {NODE_OUTAGE_WINDOW} commits)"
+        ),
+        body,
+    )
+    .traced(bench_json, r1.observer)
 }
 
 /// Run the overload serving scenario: the pressure workload on a 4-node
@@ -515,74 +453,35 @@ fn overload_at(hedging: bool, scale: Scale) -> OverloadOutcome {
 /// bit-identical. `BENCH_overload.json` carries latency percentiles, the
 /// shed rate, hedge counters and the incorrect-answer audit (always zero)
 /// for both arms — the headline being hedging's simulated p99 cut.
-pub fn overload(scale: Scale) -> PressureRun {
-    let off = overload_at(false, scale);
-    let on = overload_at(true, scale);
-    let off_ex = off
-        .served
-        .percentile_exemplar(0.99)
-        .expect("invariant: overload run serves at least one ticket")
-        .clone();
-    let on_ex = on
-        .served
-        .percentile_exemplar(0.99)
-        .expect("invariant: overload run serves at least one ticket")
-        .clone();
+pub fn overload(scale: Scale) -> Run {
+    let off = serve(&overload_scenario(false), scale);
+    let on = serve(&overload_scenario(true), scale);
 
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut arms_json = ObjectBuilder::new();
-    for o in [&off, &on] {
-        let p99_ex = o
-            .served
-            .percentile_exemplar(0.99)
-            .expect("invariant: overload run serves at least one ticket");
-        rows.push(vec![
-            if o.hedging {
-                "hedging on"
-            } else {
-                "hedging off"
-            }
-            .to_string(),
-            secs(o.p50),
-            secs(o.p95),
-            secs(o.p99),
-            format!("{:.1}%", o.shed_rate * 100.0),
-            o.hedges_won.to_string(),
-        ]);
-        arms_json = arms_json.field(
-            if o.hedging {
-                "hedging_on"
-            } else {
-                "hedging_off"
-            },
-            ObjectBuilder::new()
-                .field("p50_secs", o.p50)
-                .field("p95_secs", o.p95)
-                .field("p99_secs", o.p99)
-                .field("shed_reads", o.shed_reads)
-                .field("shed_rate", o.shed_rate)
-                .field("hedges_issued", o.hedges_issued)
-                .field("hedges_won", o.hedges_won)
-                .field("hedges_cancelled", o.hedges_cancelled)
-                .field("hedge_extra_secs", o.hedge_extra_secs)
-                .field("incorrect_answers", o.incorrect_answers)
-                .field("commits", o.commits)
-                .field("makespan_secs", o.makespan_secs)
-                .field("state_digest", o.state_digest)
-                .field(
-                    "p99_exemplar",
-                    ObjectBuilder::new()
-                        .field("ticket", p99_ex.ticket as u64)
-                        .field("trace_id", p99_ex.ticket as u64 + 1)
-                        .field("latency_secs", p99_ex.latency_secs)
-                        .build(),
-                )
-                .field("tail_buckets", o.served.latency_exemplars().len() as u64)
-                .build(),
-        );
+    for (name, key, s) in [
+        ("hedging off", "hedging_off", &off),
+        ("hedging on", "hedging_on", &on),
+    ] {
+        let p = s.ticket_percentiles();
+        let shed_rate = s.report.shed_reads as f64 / s.queries as f64;
+        let mut row = percentile_row(name.to_string(), p);
+        row.push(format!("{:.1}%", shed_rate * 100.0));
+        row.push(s.fault_stats.hedges_won.to_string());
+        rows.push(row);
+        let arm = percentile_fields(ObjectBuilder::new(), p)
+            .field("shed_reads", s.report.shed_reads)
+            .field("shed_rate", shed_rate)
+            .field("hedges_issued", s.fault_stats.hedges_issued)
+            .field("hedges_won", s.fault_stats.hedges_won)
+            .field("hedges_cancelled", s.fault_stats.hedges_cancelled)
+            .field("hedge_extra_secs", s.hedge_extra_secs)
+            .field("incorrect_answers", s.incorrect_answers());
+        arms_json = arms_json.field(key, exemplar_fields(outcome_fields(arm, s), s).build());
     }
 
     let mut body = table(&["arm", "p50", "p95", "p99", "shed", "hedge wins"], &rows);
+    let (off_ex, on_ex) = (off.p99_exemplar(), on.p99_exemplar());
     body.push_str(&format!(
         "\nrolling {OVERLOAD_SLOW_MULT}x gray slowness every {OVERLOAD_SLOW_WINDOW} commits \
          ({NODE_FAILURE_NODES} nodes, replication 2); deadline {OVERLOAD_DEADLINE_SECS}s, \
@@ -590,53 +489,37 @@ pub fn overload(scale: Scale) -> PressureRun {
          mean gap {OVERLOAD_GAP_SECS}s, seed {PRESSURE_SEED}\n\
          p99 hedging off: {}  on: {}   incorrect answers: {}\n\
          p99 exemplar off: ticket {} (trace {})  on: ticket {} (trace {})\n",
-        secs(off.p99),
-        secs(on.p99),
-        off.incorrect_answers + on.incorrect_answers,
+        secs(off_ex.latency_secs),
+        secs(on_ex.latency_secs),
+        off.incorrect_answers() + on.incorrect_answers(),
         off_ex.ticket,
         off_ex.ticket as u64 + 1,
         on_ex.ticket,
         on_ex.ticket as u64 + 1,
     ));
 
-    let bench_json = ObjectBuilder::new()
-        .field("experiment", "overload")
-        .field(
-            "scale",
-            match scale {
-                Scale::Quick => "quick",
-                Scale::Paper => "paper",
-            },
-        )
-        .field("queries", off.commits)
+    let head = bench_head("overload", scale, off.queries)
         .field("nodes", NODE_FAILURE_NODES as u64)
         .field("replication", 2u64)
         .field("slow_window", OVERLOAD_SLOW_WINDOW as u64)
         .field("slow_multiplier", OVERLOAD_SLOW_MULT)
         .field("deadline_secs", OVERLOAD_DEADLINE_SECS)
         .field("max_queue", OVERLOAD_QUEUE as u64)
-        .field("shed_policy", "serve_stale")
-        .field("hedge_after_secs", OVERLOAD_HEDGE_AFTER_SECS)
-        .field("clients", PRESSURE_CLIENTS as u64)
-        .field("seed", PRESSURE_SEED)
-        .field("mean_gap_secs", OVERLOAD_GAP_SECS)
+        .field("shed_policy", ShedPolicy::ServeStale.name())
+        .field("hedge_after_secs", OVERLOAD_HEDGE_AFTER_SECS);
+    let bench_json = scheduler_fields(head, OVERLOAD_GAP_SECS)
         .field("by_hedging", arms_json.build())
         .build()
         .to_json();
 
-    let report = ExperimentReport::new(
-        "overload",
+    Run::new(
         &format!(
             "Serving under rolling gray slowness ({NODE_FAILURE_NODES} nodes, \
              {OVERLOAD_SLOW_MULT}x, deadline shedding, hedging off vs on)"
         ),
         body,
-    );
-    PressureRun {
-        report,
-        bench_json,
-        observer: on.observer,
-    }
+    )
+    .traced(bench_json, on.observer)
 }
 
 #[cfg(test)]
@@ -647,9 +530,10 @@ mod tests {
     #[test]
     fn pressure_quick_reports_percentiles_and_pressure() {
         let run = pressure(Scale::Quick);
-        assert!(run.bench_json.contains("\"experiment\":\"pressure\""));
-        assert!(run.bench_json.contains("\"p99\""));
-        let snap = run.observer.metrics_snapshot();
+        let bench_json = run.bench_json.expect("pressure writes BENCH_pressure.json");
+        assert!(bench_json.contains("\"experiment\":\"pressure\""));
+        assert!(bench_json.contains("\"p99\""));
+        let snap = run.observer.expect("pressure is traced").metrics_snapshot();
         // Every query commits, and the tight pool must actually evict.
         assert_eq!(snap.counter("deepsea_server_commits_total", None), 60);
         let (p50, p95, p99) = snap
@@ -672,7 +556,13 @@ mod tests {
 
     #[test]
     fn rolling_outage_keeps_one_node_down() {
-        let schedule = rolling_outage(60);
+        let schedule = rolling(
+            60,
+            NODE_OUTAGE_WINDOW,
+            NODE_FAILURE_NODES,
+            NodeAction::Down,
+            NodeAction::Up,
+        );
         // Replay the schedule: exactly one node down after each boundary.
         let mut down: Vec<u32> = Vec::new();
         let mut boundary = 0usize;
@@ -693,17 +583,18 @@ mod tests {
     #[test]
     fn node_failure_quick_degrades_only_unreplicated() {
         let run = node_failure(Scale::Quick);
-        assert!(run.bench_json.contains("\"experiment\":\"node_failure\""));
-        let r1 = node_failure_at(1, Scale::Quick);
-        let r2 = node_failure_at(2, Scale::Quick);
-        assert_eq!(r1.commits, 60);
-        assert_eq!(r2.commits, 60);
+        let bench_json = run.bench_json.expect("node-failure writes its BENCH file");
+        assert!(bench_json.contains("\"experiment\":\"node_failure\""));
+        let r1 = serve(&node_failure_scenario(1), Scale::Quick);
+        let r2 = serve(&node_failure_scenario(2), Scale::Quick);
+        assert_eq!(r1.commits(), 60);
+        assert_eq!(r2.commits(), 60);
         assert!(
-            r1.degraded_reads > 0,
+            r1.report.degraded_reads > 0,
             "replication 1 under a rolling outage must hit degraded reads"
         );
         assert_eq!(
-            r2.degraded_reads, 0,
+            r2.report.degraded_reads, 0,
             "replication 2 fails over to the surviving replica — no degradation"
         );
     }
@@ -717,7 +608,13 @@ mod tests {
 
     #[test]
     fn rolling_slowness_keeps_one_node_slow() {
-        let schedule = rolling_slowness(60);
+        let schedule = rolling(
+            60,
+            OVERLOAD_SLOW_WINDOW,
+            NODE_FAILURE_NODES,
+            OVERLOAD_SLOW_MULT,
+            1.0,
+        );
         let mut slow: Vec<u32> = Vec::new();
         let mut boundary = 0usize;
         for &(when, node, mult) in &schedule {
@@ -734,35 +631,46 @@ mod tests {
 
     #[test]
     fn overload_quick_hedging_cuts_p99_without_wrong_answers() {
-        let off = overload_at(false, Scale::Quick);
-        let on = overload_at(true, Scale::Quick);
-        assert_eq!(off.commits, 60);
-        assert_eq!(on.commits, 60);
+        let off = serve(&overload_scenario(false), Scale::Quick);
+        let on = serve(&overload_scenario(true), Scale::Quick);
+        assert_eq!(off.commits(), 60);
+        assert_eq!(on.commits(), 60);
         // Gray slowness never changes an answer, with or without hedging.
-        assert_eq!(off.incorrect_answers, 0);
-        assert_eq!(on.incorrect_answers, 0);
+        assert_eq!(off.incorrect_answers(), 0);
+        assert_eq!(on.incorrect_answers(), 0);
         // Both arms commit the identical state trajectory: slowness and
         // hedging shape cost, never catalog decisions.
-        assert_eq!(off.state_digest, on.state_digest);
+        assert_eq!(off.report.state_digest, on.report.state_digest);
         // The shedder fires deterministically where the gray tail bites —
         // and hedging wins back deadline misses, so it never sheds more.
-        assert!(off.shed_reads > 0, "overload must shed without hedging");
         assert!(
-            on.shed_reads <= off.shed_reads,
+            off.report.shed_reads > 0,
+            "overload must shed without hedging"
+        );
+        assert!(
+            on.report.shed_reads <= off.report.shed_reads,
             "hedging must not increase sheds: on {} > off {}",
-            on.shed_reads,
-            off.shed_reads
+            on.report.shed_reads,
+            off.report.shed_reads
         );
         // Hedging actually fires and actually wins against the slow node…
-        assert!(on.hedges_issued > 0, "slow reads must trigger hedges");
-        assert!(on.hedges_won > 0, "some hedge must beat the slow primary");
-        assert_eq!(off.hedges_issued, 0, "hedging off must not hedge");
-        // …and the tail comes down for it.
         assert!(
-            on.p99 < off.p99,
-            "hedging must cut the simulated p99: on {} >= off {}",
-            on.p99,
-            off.p99
+            on.fault_stats.hedges_issued > 0,
+            "slow reads must trigger hedges"
+        );
+        assert!(
+            on.fault_stats.hedges_won > 0,
+            "some hedge must beat the slow primary"
+        );
+        assert_eq!(
+            off.fault_stats.hedges_issued, 0,
+            "hedging off must not hedge"
+        );
+        // …and the tail comes down for it.
+        let (on_p99, off_p99) = (on.ticket_percentiles().2, off.ticket_percentiles().2);
+        assert!(
+            on_p99 < off_p99,
+            "hedging must cut the simulated p99: on {on_p99} >= off {off_p99}"
         );
     }
 
@@ -777,11 +685,11 @@ mod tests {
     /// or hedged ticket's spans hang off its ticket root, and the critical
     /// path's self times telescope to exactly the reported latency.
     /// Returns `(shed_checked, hedged_checked)`.
-    fn check_arm_traces(o: &OverloadOutcome) -> (usize, usize) {
+    fn check_arm_traces(o: &Served) -> (usize, usize) {
         let spans = o.observer.spans_snapshot();
         let forest = TraceForest::from_spans(&spans);
         let (mut shed_checked, mut hedged_checked) = (0, 0);
-        for r in &o.served.records {
+        for r in &o.report.records {
             let tid = r.ticket as u64 + 1;
             let hedged = spans
                 .iter()
@@ -815,8 +723,8 @@ mod tests {
 
     #[test]
     fn overload_traces_link_shed_and_hedged_tickets() {
-        let off = overload_at(false, Scale::Quick);
-        let on = overload_at(true, Scale::Quick);
+        let off = serve(&overload_scenario(false), Scale::Quick);
+        let on = serve(&overload_scenario(true), Scale::Quick);
         let (off_shed, _) = check_arm_traces(&off);
         let (_, on_hedged) = check_arm_traces(&on);
         assert!(off_shed > 0, "hedging-off arm must shed traced tickets");
@@ -834,14 +742,10 @@ mod tests {
 
     #[test]
     fn overload_p99_exemplar_links_to_its_trace_and_metrics_are_pinned() {
-        let on = overload_at(true, Scale::Quick);
-        let ex = on
-            .served
-            .percentile_exemplar(0.99)
-            .expect("overload serves tickets");
+        let on = serve(&overload_scenario(true), Scale::Quick);
+        let ex = on.p99_exemplar();
         // Same nearest-rank math as the bench percentiles.
-        assert_eq!(ex.latency_secs, on.p99);
-        assert_eq!(on.served.latency_percentile(0.99), on.p99);
+        assert_eq!(ex.latency_secs, on.ticket_percentiles().2);
         // The exemplar links to a real, rooted trace whose root span *is*
         // the reported latency.
         let forest = TraceForest::from_spans(&on.observer.spans_snapshot());
@@ -850,9 +754,9 @@ mod tests {
         let root = forest.root(tid).expect("exemplar trace has a root");
         assert!((root.duration_secs() - ex.latency_secs).abs() < 1e-9);
         // Bucket exemplars cover every ticket exactly once, ascending.
-        let exs = on.served.latency_exemplars();
+        let exs = on.report.latency_exemplars();
         let total: u64 = exs.iter().map(|e| e.count).sum();
-        assert_eq!(total as usize, on.served.records.len());
+        assert_eq!(total as usize, on.report.records.len());
         assert!(exs.windows(2).all(|w| w[0].le_secs < w[1].le_secs));
         for e in &exs {
             assert_eq!(e.trace_id, e.ticket as u64 + 1);
@@ -876,16 +780,16 @@ mod tests {
         // The metric scopes hedges to served reads (commit-side hedges are
         // the writer's business), so it is bounded by the FS-wide counters.
         let issued = val("deepsea_hedges_total", Some("issued")).expect("issued series present");
-        assert!(issued > 0.0 && issued <= on.hedges_issued as f64);
+        assert!(issued > 0.0 && issued <= on.fault_stats.hedges_issued as f64);
         let won = val("deepsea_hedges_total", Some("won")).expect("won series present");
-        assert!(won > 0.0 && won <= on.hedges_won as f64);
+        assert!(won > 0.0 && won <= on.fault_stats.hedges_won as f64);
         let cancelled =
             val("deepsea_hedges_total", Some("cancelled")).expect("cancelled series present");
-        assert!(cancelled <= on.hedges_cancelled as f64);
-        if on.shed_reads > 0 {
+        assert!(cancelled <= on.fault_stats.hedges_cancelled as f64);
+        if on.report.shed_reads > 0 {
             assert_eq!(
                 val("deepsea_shed_reads_total", None),
-                Some(on.shed_reads as f64)
+                Some(on.report.shed_reads as f64)
             );
         }
     }
@@ -938,10 +842,13 @@ mod tests {
         // 50 distinct latencies, shuffled by a multiplicative permutation.
         let lat: Vec<f64> = (0..50).map(|i| ((i * 17) % 50) as f64 + 1.0).collect();
         let report = synth_report(&lat);
-        let (p50, p95, p99) = exact_percentiles(lat.clone());
-        assert_eq!(report.latency_percentile(0.50), p50);
-        assert_eq!(report.latency_percentile(0.95), p95);
-        assert_eq!(report.latency_percentile(0.99), p99);
+        // The reference: nearest rank over the sorted latencies.
+        let mut sorted = lat.clone();
+        sorted.sort_by(f64::total_cmp);
+        for p in [0.50, 0.95, 0.99] {
+            let rank = ((sorted.len() - 1) as f64 * p).round() as usize;
+            assert_eq!(report.latency_percentile(p), sorted[rank]);
+        }
         // With 50 tickets, nearest-rank p99 rounds to the last order
         // statistic: the exemplar provably *is* the slowest ticket.
         let slowest = lat

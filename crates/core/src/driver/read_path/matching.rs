@@ -75,14 +75,8 @@ impl ReadView<'_> {
         // patch — the planner answers that region from base tables instead
         // of failing the whole rewriting. Always zero without a cluster.
         ctx.trace.recovery.fragment_fallbacks += outage_skips;
-        if outage_skips > 0 {
-            self.obs
-                .counter_add("deepsea_degraded_accesses_total", None, outage_skips);
-        }
         self.obs
             .counter_add("deepsea_match_roots_total", None, roots);
-        self.obs
-            .counter_add("deepsea_match_hits_total", None, hits.len() as u64);
         self.obs.counter_add(
             "deepsea_match_materialized_hits_total",
             None,
@@ -142,12 +136,11 @@ impl ReadView<'_> {
             };
             let mut files = Vec::with_capacity(cover.len());
             let mut bytes = 0;
-            // Algorithm 2 picks each fragment to cover the first point its
-            // predecessors left uncovered, so a fragment that starts before
-            // that point repeats rows they hold: take it from there on.
+            // A fragment after the first that starts before its piece of the
+            // cover repeats rows its predecessors hold: take it from the
+            // piece on. (The first is bounded below by the query's own range.)
             let mut from: Vec<Option<i64>> = Vec::with_capacity(cover.len());
-            let mut uncovered = i64::MIN;
-            for fid in &cover {
+            for (i, (fid, piece)) in cover.iter().enumerate() {
                 let frag = ps
                     .frag(*fid)
                     .expect("invariant: cover returns tracked fragments");
@@ -156,8 +149,7 @@ impl ReadView<'_> {
                         .expect("invariant: cover returns materialized fragments"),
                 );
                 bytes += frag.size;
-                from.push((frag.interval.lo < uncovered).then_some(uncovered));
-                uncovered = frag.interval.hi + 1;
+                from.push((i > 0 && frag.interval.lo < piece.lo).then_some(piece.lo));
             }
             if best.as_ref().is_none_or(|b| bytes < b.bytes) {
                 let clip = from.iter().any(Option::is_some).then(|| {

@@ -203,8 +203,6 @@ impl DeepSea {
             Some(&name),
             charge.write_bytes,
         );
-        self.obs
-            .counter_add("deepsea_mat_files_total", Some(&name), charge.files);
         Ok((charge, descs))
     }
 
@@ -313,10 +311,9 @@ impl DeepSea {
         // mid-repartition must surface as an error with *nothing* written,
         // never as a silently incomplete fragment.
         let mut taken: Vec<Vec<u32>> = Vec::new();
-        let mut next_lo = target.lo;
         let mut source_tables = Vec::new();
-        for fid2 in &cover {
-            let (_, iv, file) = sources
+        for (fid2, take) in &cover {
+            let (_, _, file) = sources
                 .iter()
                 .find(|(id, ..)| id == fid2)
                 .expect("invariant: partition_matching covers only from the given sources");
@@ -324,13 +321,8 @@ impl DeepSea {
                 .read_retrying(*file, &mut charge)
                 .map_err(ExecError::from)?;
             charge.read_bytes += bytes;
-            let take = Interval::new(next_lo.max(target.lo), iv.hi.min(target.hi));
             taken.push(payload.column(col_idx).int_range_rows(take.lo, take.hi));
             source_tables.push((*fid2, payload));
-            next_lo = iv.hi + 1;
-            if next_lo > target.hi {
-                break;
-            }
         }
 
         // Horizontal mode: rewrite the remainders of every split fragment and
@@ -443,8 +435,6 @@ impl DeepSea {
             Some(&name),
             charge.write_bytes,
         );
-        self.obs
-            .counter_add("deepsea_mat_files_total", Some(&name), charge.files);
         Ok(Some((charge, format!("{name}.{attr}{target}"))))
     }
 
@@ -515,8 +505,6 @@ impl DeepSea {
             Some(&name),
             charge.write_bytes,
         );
-        self.obs
-            .counter_add("deepsea_mat_files_total", Some(&name), charge.files);
         Ok(Some((charge, format!("{name}.{attr}{target}"))))
     }
 

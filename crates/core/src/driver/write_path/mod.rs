@@ -120,8 +120,6 @@ impl DeepSea {
                         clock: tnow,
                     });
                     ctx.trace.durability.snapshots += 1;
-                    self.obs
-                        .counter_inc("deepsea_journal_snapshots_total", None);
                     self.obs.event(
                         tnow,
                         DecisionEvent::JournalSnapshot {
@@ -139,8 +137,6 @@ impl DeepSea {
         ctx.creation_secs += debt.penalty_secs;
         self.obs
             .counter_add("deepsea_journal_appends_total", None, debt.appends);
-        self.obs
-            .counter_add("deepsea_journal_retries_total", None, debt.retries);
     }
 
     /// Process one query — Algorithm 1, as a linear sequence of stages over

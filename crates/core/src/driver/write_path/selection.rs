@@ -164,7 +164,7 @@ fn admits_refinement(
     let cover_bytes = partition_matching(&frag.interval, &layout.mats).map(|cover| {
         cover
             .iter()
-            .filter_map(|id| layout.mats.iter().position(|(m, _)| m == id))
+            .filter_map(|(id, _)| layout.mats.iter().position(|(m, _)| m == id))
             .map(|pos| layout.sizes[pos])
             .sum::<u64>()
     });

@@ -154,7 +154,7 @@ impl DeepSea {
                         let cover_bytes = partition_matching(&frag.interval, &mats).map(|cover| {
                             cover
                                 .iter()
-                                .filter_map(|id| ps.frag(*id))
+                                .filter_map(|(id, _)| ps.frag(*id))
                                 .map(|f| f.size)
                                 .sum::<u64>()
                         });

@@ -38,7 +38,7 @@
 //! - **Serving layer** ([`snapshot`], [`server`]) — immutable catalog
 //!   snapshots published per committed epoch, a deterministic multi-client
 //!   scheduler replaying seeded interleavings bit-identically, and real
-//!   `std::thread` workers behind `--features real-threads`.
+//!   `std::thread` workers (`ViewServer::run_threaded`).
 
 pub mod baselines;
 pub mod breaker;

@@ -14,13 +14,19 @@ use crate::interval::Interval;
 
 /// Greedily select fragments covering `theta`.
 ///
-/// Returns fragment ids in left-to-right order, or `None` when the
-/// materialized fragments cannot cover the range (a gap — the view partition
-/// cannot answer this query and the base plan must be used).
+/// Returns the cover *plan* in left-to-right order — each chosen fragment
+/// with the piece of `theta` it contributes: from the first point its
+/// predecessors left uncovered to its own (or `theta`'s) upper bound. The
+/// pieces are pairwise disjoint, each lies inside its fragment, and their
+/// union is exactly `theta`, so a consumer that takes only its piece from
+/// each fragment sees every row once even when the fragments overlap.
+/// `None` when the materialized fragments cannot cover the range (a gap —
+/// the view partition cannot answer this query and the base plan must be
+/// used).
 pub fn partition_matching(
     theta: &Interval,
     fragments: &[(FragmentId, Interval)],
-) -> Option<Vec<FragmentId>> {
+) -> Option<Vec<(FragmentId, Interval)>> {
     let mut chosen = Vec::new();
     // `ucovered` is the first *uncovered* point.
     let mut ucovered = theta.lo;
@@ -52,25 +58,12 @@ pub fn partition_matching(
             }
         }
         let (id, iv) = best?;
-        chosen.push(id);
+        chosen.push((id, Interval::new(ucovered, iv.hi.min(theta.hi))));
         if iv.hi >= theta.hi {
             return Some(chosen);
         }
         ucovered = iv.hi + 1;
     }
-}
-
-/// Total simulated bytes read when scanning the given fragments.
-pub fn cover_read_bytes(cover: &[FragmentId], fragments: &[(FragmentId, Interval, u64)]) -> u64 {
-    cover
-        .iter()
-        .filter_map(|id| {
-            fragments
-                .iter()
-                .find(|(f, _, _)| f == id)
-                .map(|(_, _, s)| s)
-        })
-        .sum()
 }
 
 #[cfg(test)]
@@ -81,13 +74,19 @@ mod tests {
         (FragmentId(id), Interval::new(lo, hi))
     }
 
+    /// The chosen fragment ids of a cover plan, in order.
+    fn ids(cover: &[(FragmentId, Interval)]) -> Vec<FragmentId> {
+        cover.iter().map(|(id, _)| *id).collect()
+    }
+
     #[test]
     fn exact_cover_with_disjoint_fragments() {
         let frags = vec![f(1, 0, 9), f(2, 10, 19), f(3, 20, 29)];
         let cover = partition_matching(&Interval::new(5, 25), &frags).unwrap();
-        assert_eq!(cover, vec![FragmentId(1), FragmentId(2), FragmentId(3)]);
+        // Each piece is the fragment clamped to the query range.
+        assert_eq!(cover, vec![f(1, 5, 9), f(2, 10, 19), f(3, 20, 25)]);
         let cover2 = partition_matching(&Interval::new(10, 19), &frags).unwrap();
-        assert_eq!(cover2, vec![FragmentId(2)]);
+        assert_eq!(cover2, vec![f(2, 10, 19)]);
     }
 
     #[test]
@@ -103,10 +102,10 @@ mod tests {
         // a query inside the small one should use it alone.
         let frags = vec![f(1, 0, 100), f(2, 40, 60)];
         let cover = partition_matching(&Interval::new(45, 55), &frags).unwrap();
-        assert_eq!(cover, vec![FragmentId(2)]);
+        assert_eq!(ids(&cover), vec![FragmentId(2)]);
         // A query exceeding the small fragment still needs the big one.
         let wide = partition_matching(&Interval::new(45, 80), &frags).unwrap();
-        assert!(wide.contains(&FragmentId(1)));
+        assert!(ids(&wide).contains(&FragmentId(1)));
     }
 
     #[test]
@@ -114,14 +113,16 @@ mod tests {
         // Overlapping chain: [0,50], [40,80], [70,100].
         let frags = vec![f(1, 0, 50), f(2, 40, 80), f(3, 70, 100)];
         let cover = partition_matching(&Interval::new(0, 100), &frags).unwrap();
-        assert_eq!(cover, vec![FragmentId(1), FragmentId(2), FragmentId(3)]);
+        // Each later fragment contributes only what its predecessors left
+        // uncovered: the overlaps [40,50] and [70,80] are taken once.
+        assert_eq!(cover, vec![f(1, 0, 50), f(2, 51, 80), f(3, 81, 100)]);
     }
 
     #[test]
     fn tie_on_lower_bound_takes_furthest_reach() {
         let frags = vec![f(1, 0, 10), f(2, 0, 50)];
         let cover = partition_matching(&Interval::new(0, 40), &frags).unwrap();
-        assert_eq!(cover, vec![FragmentId(2)]);
+        assert_eq!(cover, vec![f(2, 0, 40)]);
     }
 
     #[test]
@@ -131,34 +132,21 @@ mod tests {
         // range and must win (reading the tail would be needlessly costly).
         let frags = vec![f(1, 0, 10), f(2, 11, 20), f(3, 11, 1000)];
         let cover = partition_matching(&Interval::new(5, 18), &frags).unwrap();
-        assert_eq!(cover, vec![FragmentId(1), FragmentId(2)]);
+        assert_eq!(ids(&cover), vec![FragmentId(1), FragmentId(2)]);
         // But a query ending past the sliver needs the tail.
         let cover2 = partition_matching(&Interval::new(5, 500), &frags).unwrap();
-        assert_eq!(cover2, vec![FragmentId(1), FragmentId(3)]);
+        assert_eq!(ids(&cover2), vec![FragmentId(1), FragmentId(3)]);
     }
 
     #[test]
     fn single_point_range() {
         let frags = vec![f(1, 0, 9)];
         let cover = partition_matching(&Interval::new(9, 9), &frags).unwrap();
-        assert_eq!(cover, vec![FragmentId(1)]);
+        assert_eq!(cover, vec![f(1, 9, 9)]);
     }
 
     #[test]
     fn empty_fragment_set_cannot_cover() {
         assert!(partition_matching(&Interval::new(0, 1), &[]).is_none());
-    }
-
-    #[test]
-    fn cover_read_bytes_sums_sizes() {
-        let frags = vec![
-            (FragmentId(1), Interval::new(0, 9), 100),
-            (FragmentId(2), Interval::new(10, 19), 250),
-        ];
-        assert_eq!(
-            cover_read_bytes(&[FragmentId(1), FragmentId(2)], &frags),
-            350
-        );
-        assert_eq!(cover_read_bytes(&[FragmentId(9)], &frags), 0);
     }
 }

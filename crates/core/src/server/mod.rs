@@ -36,14 +36,12 @@
 //!
 //! The whole schedule unfolds in simulated time from one seed — replaying
 //! with the same seed reproduces every arrival, interleaving, latency and
-//! epoch bit for bit. Real `std::thread` workers behind the
-//! `real-threads` feature ([`ViewServer::run_threaded`]) exercise the same
-//! commit protocol under genuine preemption.
+//! epoch bit for bit. Real `std::thread` workers
+//! ([`ViewServer::run_threaded`]) exercise the same commit protocol under
+//! genuine preemption.
 
-#[cfg(feature = "real-threads")]
 mod workers;
 
-#[cfg(feature = "real-threads")]
 pub use workers::ThreadedReport;
 
 use deepsea_engine::exec::ExecError;
@@ -649,7 +647,6 @@ impl ViewServer {
                     obs.observe("deepsea_client_latency_secs", None, latency);
                     let label = format!("client{k}");
                     obs.observe("deepsea_client_latency_secs", Some(&label), latency);
-                    obs.observe("deepsea_snapshot_epoch_lag", None, lag as f64);
                 }
 
                 let (read_fingerprint, read_query_secs, read_used_view) = match ans {
@@ -721,7 +718,6 @@ impl ViewServer {
             .iter()
             .map(|r| r.read_done_secs)
             .fold(writer_free, f64::max);
-        obs.gauge_set("deepsea_server_makespan_secs", None, makespan_secs);
 
         Ok(ServeReport {
             state_digest: self.ds.registry().state_digest(),

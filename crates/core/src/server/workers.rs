@@ -1,4 +1,4 @@
-//! Real `std::thread` workers behind `--features real-threads`: the same
+//! Real `std::thread` workers ([`ViewServer::run_threaded`]): the same
 //! ticket/commit protocol as the simulated scheduler, under genuine
 //! preemption.
 //!

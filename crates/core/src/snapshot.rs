@@ -32,7 +32,6 @@ use crate::driver::context::QueryContext;
 use crate::driver::read_path::ReadView;
 use crate::driver::{DeepSea, QueryTrace};
 use crate::registry::ViewRegistry;
-use crate::stats::LogicalTime;
 
 /// A frozen, shareable view of everything the read path consults, stamped
 /// with the epoch (committed-query count) it was published at.
@@ -40,7 +39,6 @@ pub struct ReadSnapshot {
     /// The epoch this snapshot captures — equal to the writer's logical
     /// clock (number of committed queries) at publication time.
     epoch: u64,
-    clock: LogicalTime,
     registry: Arc<ViewRegistry>,
     catalog: Arc<Catalog>,
     fs: Arc<SimFs<Table>>,
@@ -80,7 +78,6 @@ impl DeepSea {
     pub fn publish_snapshot(&self) -> Option<ReadSnapshot> {
         Some(ReadSnapshot {
             epoch: self.clock(),
-            clock: self.clock(),
             registry: Arc::new(self.registry().clone()),
             catalog: Arc::clone(&self.catalog),
             fs: Arc::clone(&self.fs),
@@ -96,11 +93,6 @@ impl ReadSnapshot {
     /// The epoch (committed-query count) this snapshot captures.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// The writer's logical clock at publication.
-    pub fn clock(&self) -> LogicalTime {
-        self.clock
     }
 
     /// The frozen registry (views, partitions, fragments, statistics).
@@ -182,7 +174,7 @@ impl ReadSnapshot {
     ) -> Result<SnapshotAnswer, ExecError> {
         self.backend
             .reset_retry_budget(self.config.retry_budget_secs);
-        let mut ctx = QueryContext::new(plan, self.clock).in_span(parent, anchor_secs);
+        let mut ctx = QueryContext::new(plan, self.epoch).in_span(parent, anchor_secs);
         let view = self.read_view();
         let (result, metrics) = if base_only {
             view.answer_base(plan, &mut ctx)?
@@ -204,7 +196,6 @@ impl Clone for ReadSnapshot {
     fn clone(&self) -> Self {
         Self {
             epoch: self.epoch,
-            clock: self.clock,
             registry: Arc::clone(&self.registry),
             catalog: Arc::clone(&self.catalog),
             fs: Arc::clone(&self.fs),
@@ -223,7 +214,6 @@ impl std::fmt::Debug for ReadSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReadSnapshot")
             .field("epoch", &self.epoch)
-            .field("clock", &self.clock)
             .field("views", &self.registry.len())
             .finish()
     }

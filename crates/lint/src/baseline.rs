@@ -1,8 +1,8 @@
 //! The ratcheted baseline: pre-existing violations are grandfathered
 //! per-(rule, file) with counts that may only decrease.
 //!
-//! `lint-baseline.json` format (rendered through the vendored serde shim,
-//! parsed by the small reader below — the shim is serialize-only):
+//! `lint-baseline.json` format (rendered and parsed through the vendored
+//! serde shim):
 //!
 //! ```json
 //! {
@@ -114,7 +114,7 @@ impl Baseline {
 
     /// Parse the baseline JSON written by [`Baseline::render`].
     pub fn parse(json: &str) -> Result<Baseline, String> {
-        let value = parse_json(json)?;
+        let value = serde::from_str(json)?;
         let rules = value
             .get("rules")
             .ok_or_else(|| "baseline: missing `rules` object".to_string())?;
@@ -223,111 +223,6 @@ pub fn compare(baseline: &Baseline, violations: &[Violation]) -> Ratchet {
     out.improvements
         .sort_by(|a, b| (&a.rule, &a.file).cmp(&(&b.rule, &b.file)));
     out
-}
-
-/// A minimal JSON reader for the baseline file: objects, strings, and
-/// non-negative integers (exactly what [`Baseline::render`] emits). The
-/// vendored serde shim is serialize-only by design; this stays private to
-/// the linter.
-fn parse_json(src: &str) -> Result<Value, String> {
-    let chars: Vec<char> = src.chars().collect();
-    let mut pos = 0usize;
-    let v = parse_value(&chars, &mut pos)?;
-    skip_ws(&chars, &mut pos);
-    if pos != chars.len() {
-        return Err(format!("trailing input at offset {pos}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(c: &[char], pos: &mut usize) {
-    while *pos < c.len() && c[*pos].is_whitespace() {
-        *pos += 1;
-    }
-}
-
-fn parse_value(c: &[char], pos: &mut usize) -> Result<Value, String> {
-    skip_ws(c, pos);
-    match c.get(*pos) {
-        Some('{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(c, pos);
-            if c.get(*pos) == Some(&'}') {
-                *pos += 1;
-                return Ok(Value::Object(fields));
-            }
-            loop {
-                skip_ws(c, pos);
-                let key = parse_string(c, pos)?;
-                skip_ws(c, pos);
-                if c.get(*pos) != Some(&':') {
-                    return Err(format!("expected `:` at offset {pos}"));
-                }
-                *pos += 1;
-                let value = parse_value(c, pos)?;
-                fields.push((key, value));
-                skip_ws(c, pos);
-                match c.get(*pos) {
-                    Some(',') => *pos += 1,
-                    Some('}') => {
-                        *pos += 1;
-                        return Ok(Value::Object(fields));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at offset {pos}")),
-                }
-            }
-        }
-        Some('"') => Ok(Value::Str(parse_string(c, pos)?)),
-        Some(d) if d.is_ascii_digit() => {
-            let mut n: u64 = 0;
-            while let Some(d) = c.get(*pos).and_then(|ch| ch.to_digit(10)) {
-                n = n
-                    .checked_mul(10)
-                    .and_then(|n| n.checked_add(u64::from(d)))
-                    .ok_or_else(|| format!("integer overflow at offset {pos}"))?;
-                *pos += 1;
-            }
-            Ok(Value::U64(n))
-        }
-        other => Err(format!("unexpected {other:?} at offset {pos}")),
-    }
-}
-
-fn parse_string(c: &[char], pos: &mut usize) -> Result<String, String> {
-    if c.get(*pos) != Some(&'"') {
-        return Err(format!("expected string at offset {pos}"));
-    }
-    *pos += 1;
-    let mut s = String::new();
-    while let Some(&ch) = c.get(*pos) {
-        *pos += 1;
-        match ch {
-            '"' => return Ok(s),
-            '\\' => {
-                let esc = c.get(*pos).copied().ok_or("dangling escape")?;
-                *pos += 1;
-                match esc {
-                    '"' => s.push('"'),
-                    '\\' => s.push('\\'),
-                    '/' => s.push('/'),
-                    'n' => s.push('\n'),
-                    'r' => s.push('\r'),
-                    't' => s.push('\t'),
-                    'u' => {
-                        let hex: String = c.get(*pos..*pos + 4).unwrap_or(&[]).iter().collect();
-                        *pos += 4;
-                        let n = u32::from_str_radix(&hex, 16)
-                            .map_err(|_| format!("bad \\u escape `{hex}`"))?;
-                        s.push(char::from_u32(n).unwrap_or('\u{FFFD}'));
-                    }
-                    other => return Err(format!("unknown escape `\\{other}`")),
-                }
-            }
-            ch => s.push(ch),
-        }
-    }
-    Err("unterminated string".to_string())
 }
 
 #[cfg(test)]

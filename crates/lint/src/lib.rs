@@ -28,16 +28,14 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// Result of linting a file set.
-#[derive(Debug, Default)]
 pub struct LintRun {
     /// All unsuppressed violations, sorted by (file, line, rule).
     pub violations: Vec<Violation>,
     /// Workspace-relative paths scanned, sorted.
     pub files: Vec<String>,
-    /// `(rel, source)` pairs for the scanned files, in scan order. Kept so
-    /// callers can rebuild the call graph (`--graph-out`) without re-reading
-    /// the tree.
-    pub sources: Vec<(String, String)>,
+    /// The cross-crate call graph the R1 corpus pass ran over (exported by
+    /// `--graph-out`).
+    pub graph: CallGraph,
 }
 
 /// Directories scanned by `--workspace`, relative to the workspace root.
@@ -61,30 +59,33 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintRun> {
 /// Lint an explicit list of absolute file paths, relativizing against
 /// `root` for scoping and reporting.
 pub fn lint_files(root: &Path, files: &[PathBuf]) -> io::Result<LintRun> {
-    let mut run = LintRun::default();
+    let mut violations = Vec::new();
+    let mut sources = Vec::with_capacity(files.len());
     for path in files {
         let rel = relative_to(root, path);
         let src = std::fs::read_to_string(path)?;
-        run.violations.extend(lint_source(&rel, &src));
-        run.files.push(rel.clone());
-        run.sources.push((rel, src));
+        violations.extend(lint_source(&rel, &src));
+        sources.push((rel, src));
     }
     // Corpus pass: R1 read-path purity is a reachability property of the
     // whole call graph, so it runs over the file set, not per file. Allow
     // markers still apply at the flagged call site.
-    let g = build_graph(&run.sources);
-    let r1 = g.read_path_purity_violations();
-    for (rel, src) in &run.sources {
+    let graph = build_graph(&sources);
+    let r1 = graph.read_path_purity_violations();
+    for (rel, src) in &sources {
         let mut mine: Vec<Violation> = r1.iter().filter(|v| &v.file == rel).cloned().collect();
         if mine.is_empty() {
             continue;
         }
         rules::apply_markers(rel, src, &mut mine);
-        run.violations.extend(mine);
+        violations.extend(mine);
     }
-    run.violations
-        .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    Ok(run)
+    violations.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
+    Ok(LintRun {
+        violations,
+        files: sources.into_iter().map(|(rel, _)| rel).collect(),
+        graph,
+    })
 }
 
 /// Build the cross-crate call graph over `(rel, source)` pairs. Test-scoped
@@ -108,7 +109,9 @@ fn relative_to(root: &Path, path: &Path) -> String {
         .join("/")
 }
 
-fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+/// Append every `.rs` file under `dir` to `out`, depth-first in sorted
+/// order; `target/` and dot-directories are never entered.
+pub fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)?
         .filter_map(|e| e.ok().map(|e| e.path()))
         .collect();

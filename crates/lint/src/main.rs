@@ -8,7 +8,7 @@
 //! Exit codes: `0` clean (or all violations grandfathered), `1` new
 //! violations / baseline count regressions, `2` usage or I/O errors.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 use deepsea_lint::{baseline::Baseline, report, LintRun};
@@ -82,9 +82,8 @@ fn run() -> Result<bool, String> {
                 cwd.join(p)
             };
             if abs.is_dir() {
-                let mut sub = Vec::new();
-                collect(&abs, &mut sub)?;
-                files.extend(sub);
+                deepsea_lint::collect_rs_files(&abs, &mut files)
+                    .map_err(|e| format!("{}: {e}", abs.display()))?;
             } else {
                 files.push(abs);
             }
@@ -143,8 +142,7 @@ fn run() -> Result<bool, String> {
     }
 
     if let Some(graph_path) = &args.graph_out {
-        let g = deepsea_lint::build_graph(&run.sources);
-        std::fs::write(graph_path, g.to_json()).map_err(|e| e.to_string())?;
+        std::fs::write(graph_path, run.graph.to_json()).map_err(|e| e.to_string())?;
         eprintln!("wrote call graph to {}", graph_path.display());
     }
 
@@ -153,29 +151,6 @@ fn run() -> Result<bool, String> {
         None => run.violations.is_empty(),
     };
     Ok(ok)
-}
-
-fn collect(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
-    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
-        .map_err(|e| format!("{}: {e}", dir.display()))?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .collect();
-    entries.sort();
-    for p in entries {
-        let name = p
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        if p.is_dir() {
-            if name == "target" || name.starts_with('.') {
-                continue;
-            }
-            collect(&p, out)?;
-        } else if name.ends_with(".rs") {
-            out.push(p);
-        }
-    }
-    Ok(())
 }
 
 fn main() -> ExitCode {

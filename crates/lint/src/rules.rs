@@ -326,23 +326,28 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Violation> {
         rule_obs_gated(rel, t, &in_test, &mut out);
     }
 
-    // Apply markers: a marker suppresses matching violations on its own line
-    // and on the next line holding a source token.
-    let suppressed = |v: &Violation| {
-        markers.iter().any(|m| {
-            if !m.rules.contains(&v.rule) {
-                return false;
-            }
-            if v.line == m.line {
-                return true;
-            }
-            let next = t.iter().map(|tok| tok.line).find(|&l| l > m.line);
-            next == Some(v.line)
-        })
-    };
-    out.retain(|v| v.rule == RuleId::Marker || !suppressed(v));
+    retain_unsuppressed(&markers, t, &mut out);
     out.sort_by_key(|v| (v.line, v.rule));
     out
+}
+
+/// Drop the violations an allow-marker covers: a marker suppresses matching
+/// violations on its own line and on the next line holding a source token.
+/// Marker-rule (M0) diagnostics are never suppressed.
+fn retain_unsuppressed(markers: &[Marker], src_toks: &[Token], v: &mut Vec<Violation>) {
+    let suppressed = |vi: &Violation| {
+        markers.iter().any(|m| {
+            if !m.rules.contains(&vi.rule) {
+                return false;
+            }
+            if vi.line == m.line {
+                return true;
+            }
+            let next = src_toks.iter().map(|tok| tok.line).find(|&l| l > m.line);
+            next == Some(vi.line)
+        })
+    };
+    v.retain(|vi| vi.rule == RuleId::Marker || !suppressed(vi));
 }
 
 /// Extract allow-markers from line comments; malformed ones are violations.
@@ -1434,17 +1439,5 @@ pub(crate) fn apply_markers(rel: &str, src: &str, v: &mut Vec<Violation>) {
         .into_iter()
         .partition(|t| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment));
     let (markers, _) = collect_markers(rel, &comments);
-    let suppressed = |vi: &Violation| {
-        markers.iter().any(|m| {
-            if !m.rules.contains(&vi.rule) {
-                return false;
-            }
-            if vi.line == m.line {
-                return true;
-            }
-            let next = src_toks.iter().map(|tok| tok.line).find(|&l| l > m.line);
-            next == Some(vi.line)
-        })
-    };
-    v.retain(|vi| vi.rule == RuleId::Marker || !suppressed(vi));
+    retain_unsuppressed(&markers, &src_toks, v);
 }

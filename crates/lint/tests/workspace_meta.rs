@@ -183,8 +183,7 @@ fn graph_export_covers_the_real_tree() {
     // pass vacuously.
     let root = workspace_root();
     let run = lint_workspace(root).expect("workspace scan");
-    let g = deepsea_lint::build_graph(&run.sources);
-    let json = g.to_json();
+    let json = run.graph.to_json();
     let v = serde_json_like_root_count(&json);
     assert!(v > 0, "no read-path roots in the exported graph");
 }

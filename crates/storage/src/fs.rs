@@ -46,9 +46,6 @@ pub struct SimFs<P> {
     weights: CostWeights,
     faults: FaultInjector,
     cluster: Option<NodeSet>,
-    hedge: Mutex<Option<HedgeConfig>>,
-    hedge_stats: Mutex<HedgeCounters>,
-    io_trace: Mutex<IoTraceState>,
 }
 
 /// Drainable per-race hedge details, recorded only when the I/O trace is
@@ -118,12 +115,15 @@ struct Inner<P> {
     files: BTreeMap<FileId, StoredFile<P>>,
     next_id: u64,
     ledger: CostLedger,
+    hedge: Option<HedgeConfig>,
+    hedge_stats: HedgeCounters,
+    io_trace: IoTraceState,
 }
 
 impl<P> SimFs<P> {
     /// Lock the interior state. Poisoning is ignored (parking_lot semantics):
-    /// the ledger and file map stay consistent under panic because every
-    /// mutation is a single insert/remove/record call.
+    /// the ledger, file map and hedge accounting stay consistent under panic
+    /// because every mutation is a single insert/remove/record call.
     fn locked(&self) -> MutexGuard<'_, Inner<P>> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -143,14 +143,14 @@ impl<P> SimFs<P> {
                 files: BTreeMap::new(),
                 next_id: 0,
                 ledger: CostLedger::new(),
+                hedge: None,
+                hedge_stats: HedgeCounters::default(),
+                io_trace: IoTraceState::default(),
             }),
             block,
             weights,
             faults,
             cluster: None,
-            hedge: Mutex::new(None),
-            hedge_stats: Mutex::new(HedgeCounters::default()),
-            io_trace: Mutex::new(IoTraceState::default()),
         }
     }
 
@@ -266,7 +266,7 @@ impl<P> SimFs<P> {
         };
         inner.ledger.record_read(bytes);
         let cost_secs = self.weights.read_cost(bytes);
-        let spike_secs = self.shaped_spike_secs(id, serving, cost_secs, spike_secs);
+        let spike_secs = self.shaped_spike_secs(&mut inner, id, serving, cost_secs, spike_secs);
         Ok(IoOutcome {
             value: payload,
             sim_bytes: bytes,
@@ -283,6 +283,7 @@ impl<P> SimFs<P> {
     /// path performs no float arithmetic on `spike`.
     fn shaped_spike_secs(
         &self,
+        inner: &mut Inner<P>,
         id: FileId,
         serving: Option<NodeId>,
         base_secs: f64,
@@ -296,8 +297,9 @@ impl<P> SimFs<P> {
         if mult > 1.0 {
             spike += base_secs * (mult - 1.0);
         }
-        let hedge = *self.hedge.lock().unwrap_or_else(|e| e.into_inner());
-        let Some(hedge) = hedge else { return spike };
+        let Some(hedge) = inner.hedge else {
+            return spike;
+        };
         let primary_total = base_secs + spike;
         if primary_total <= hedge.threshold_secs {
             return spike;
@@ -315,21 +317,18 @@ impl<P> SimFs<P> {
         // scaled by the *replica's* multiplier — no extra random draws, so
         // "faster" is a pure function of cluster state.
         let replica_total = hedge.threshold_secs + base_secs * cluster.latency_multiplier(replica);
-        {
-            let mut tr = self.io_trace.lock().unwrap_or_else(|e| e.into_inner());
-            if tr.enabled {
-                tr.hedges.push(HedgeTrace {
-                    file: id,
-                    primary: node,
-                    replica,
-                    primary_secs: primary_total,
-                    replica_secs: replica_total,
-                    threshold_secs: hedge.threshold_secs,
-                    winner_replica: replica_total < primary_total,
-                });
-            }
+        if inner.io_trace.enabled {
+            inner.io_trace.hedges.push(HedgeTrace {
+                file: id,
+                primary: node,
+                replica,
+                primary_secs: primary_total,
+                replica_secs: replica_total,
+                threshold_secs: hedge.threshold_secs,
+                winner_replica: replica_total < primary_total,
+            });
         }
-        let mut hs = self.hedge_stats.lock().unwrap_or_else(|e| e.into_inner());
+        let hs = &mut inner.hedge_stats;
         hs.issued += 1;
         if replica_total < primary_total {
             // Hedge won: the primary is cancelled at the winner's finish
@@ -495,19 +494,19 @@ impl<P> SimFs<P> {
     /// has an effect on a cluster-attached file system with replicated
     /// placements.
     pub fn set_hedge(&self, hedge: Option<HedgeConfig>) {
-        *self.hedge.lock().unwrap_or_else(|e| e.into_inner()) = hedge;
+        self.locked().hedge = hedge;
     }
 
     /// The hedged-read policy in force, if any.
     pub fn hedge_config(&self) -> Option<HedgeConfig> {
-        *self.hedge.lock().unwrap_or_else(|e| e.into_inner())
+        self.locked().hedge
     }
 
     /// Enable or disable the drainable I/O trace (per-race hedge details).
     /// Off by default; enabling it records metadata only and never changes
     /// an outcome, a cost, or a random draw.
     pub fn set_io_trace(&self, enabled: bool) {
-        let mut tr = self.io_trace.lock().unwrap_or_else(|e| e.into_inner());
+        let tr = &mut self.locked().io_trace;
         tr.enabled = enabled;
         if !enabled {
             tr.hedges.clear();
@@ -516,31 +515,19 @@ impl<P> SimFs<P> {
 
     /// True when the drainable I/O trace is recording.
     pub fn io_trace_enabled(&self) -> bool {
-        self.io_trace
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .enabled
+        self.locked().io_trace.enabled
     }
 
     /// Drain the hedge races recorded since the last drain (empty unless
     /// [`SimFs::set_io_trace`] enabled tracing).
     pub fn drain_hedge_traces(&self) -> Vec<HedgeTrace> {
-        std::mem::take(
-            &mut self
-                .io_trace
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .hedges,
-        )
+        std::mem::take(&mut self.locked().io_trace.hedges)
     }
 
     /// Simulated seconds of cancelled (wasted) work across all hedged reads:
     /// the loser's burn, charged honestly but off the latency path.
     pub fn hedge_extra_secs(&self) -> f64 {
-        self.hedge_stats
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .extra_secs
+        self.locked().hedge_stats.extra_secs
     }
 
     /// Snapshot of the faults injected so far; with a cluster attached the
@@ -555,7 +542,7 @@ impl<P> SimFs<P> {
             stats.node_kills = n.node_kills;
             stats.node_slows = n.node_slows;
         }
-        let hs = *self.hedge_stats.lock().unwrap_or_else(|e| e.into_inner());
+        let hs = self.locked().hedge_stats;
         stats.hedges_issued = hs.issued;
         stats.hedges_won = hs.won;
         stats.hedges_cancelled = hs.cancelled;

@@ -12,8 +12,8 @@
 //! outside the storage crate precisely so that *this* is the only
 //! synchronization primitive the upper layers build on; the simulated
 //! scheduler in `deepsea-core::server` stays single-threaded and
-//! deterministic, and the `real-threads` feature gate routes all cross-thread
-//! state through an [`EpochCell`].
+//! deterministic, and its real-thread leg (`ViewServer::run_threaded`) routes
+//! all cross-thread state through an [`EpochCell`].
 
 use std::sync::{Arc, RwLock};
 

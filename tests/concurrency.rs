@@ -340,7 +340,6 @@ proptest! {
 /// Real worker threads: reads race with publication under genuine OS
 /// preemption, yet the committed series and end state stay bit-identical to
 /// the serial run, and every racing read returns the canonical rows.
-#[cfg(feature = "real-threads")]
 #[test]
 fn real_threads_commits_bit_identical_to_serial() {
     let (_, plans) = setup();

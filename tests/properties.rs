@@ -100,7 +100,7 @@ proptest! {
         let cover = partition_matching(&q, &frags).expect("partition always covers");
         let ivs: Vec<Interval> = cover
             .iter()
-            .map(|id| frags.iter().find(|(f, _)| f == id).unwrap().1)
+            .map(|(id, _)| frags.iter().find(|(f, _)| f == id).unwrap().1)
             .collect();
         prop_assert!(covers(&ivs, &q), "cover {ivs:?} must cover {q}");
         // Disjoint fragments => the cover is minimal (each fragment needed).
@@ -112,6 +112,34 @@ proptest! {
                 .map(|(_, iv)| *iv)
                 .collect();
             prop_assert!(!covers(&rest, &q), "cover must be minimal");
+        }
+    }
+
+    /// Algorithm 2's cover plan over arbitrary *overlapping* fragments: the
+    /// pieces are pairwise disjoint, each lies inside the fragment it is
+    /// taken from, and their union is exactly the query range — so taking
+    /// only its piece from each fragment delivers every point once.
+    #[test]
+    fn algorithm2_pieces_tile_the_range(
+        ivs in proptest::collection::vec(interval_in(Interval::new(0, 1_000)), 1..12),
+        q in interval_in(Interval::new(0, 1_000)),
+    ) {
+        let frags: Vec<(FragmentId, Interval)> = ivs
+            .iter()
+            .enumerate()
+            .map(|(i, iv)| (FragmentId(i as u64), *iv))
+            .collect();
+        let cover = partition_matching(&q, &frags);
+        prop_assert_eq!(cover.is_some(), covers(&ivs, &q), "a cover exists iff one is possible");
+        let cover = cover.unwrap_or_default();
+        let pieces: Vec<Interval> = cover.iter().map(|(_, piece)| *piece).collect();
+        prop_assert!(
+            pieces.is_empty() || is_horizontal_partition(&pieces, &q),
+            "{pieces:?} must tile {q}"
+        );
+        for (id, piece) in &cover {
+            prop_assert!(q.contains(piece), "{piece} outside {q}");
+            prop_assert!(ivs[id.0 as usize].contains(piece), "{piece} outside its fragment");
         }
     }
 
