@@ -1,6 +1,7 @@
 //! Microbenchmarks for DeepSea's hot per-query operations: the matching,
 //! candidate-generation, statistics, and selection code that runs for every
-//! query of a workload (Algorithm 1's non-execution overhead).
+//! query of a workload (Algorithm 1's non-execution overhead), and the batch
+//! executor's join, group-by and selection kernels.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -15,8 +16,9 @@ use deepsea_core::selection::{select_configuration, CandidateKind, RankedItem};
 use deepsea_core::{baselines, DeepSea};
 use deepsea_engine::plan::AggExpr;
 use deepsea_engine::signature::{matches, Signature};
-use deepsea_engine::LogicalPlan;
-use deepsea_relation::Predicate;
+use deepsea_engine::{execute, Catalog, LogicalPlan};
+use deepsea_relation::{Column, ColumnData, DataType, Field, Predicate, Schema, Table};
+use deepsea_storage::{BlockConfig, CostWeights, SimFs};
 use deepsea_workload::schema::{BigBenchData, InstanceSize, ItemDistribution};
 use deepsea_workload::sdss::sdss_like_histogram;
 use deepsea_workload::sequences::{fig5_workload, item_domain};
@@ -141,6 +143,84 @@ fn bench_commit_bookkeeping(c: &mut Criterion) {
     });
 }
 
+/// The executor's kernels on the wall-clock benchmark's instance, one plan
+/// each; divide by the rows named to get ns per row. Joins and the selection
+/// end in a global COUNT, so that no 40k-row result is copied out.
+fn bench_exec_kernels(c: &mut Criterion) {
+    let (lo, hi) = item_domain();
+    let dist = ItemDistribution::Histogram(sdss_like_histogram(lo, hi));
+    let mut catalog = BigBenchData::generate(InstanceSize::Gb100, &dist, 42).catalog;
+    // The fact and dimension keys spread out by a prime stride: the same
+    // join, but no table of 4·rows cells spans the keys.
+    for (name, table, col) in [
+        ("sparse_sales", "store_sales", "store_sales.ss_item_sk"),
+        ("sparse_item", "item", "item.i_item_sk"),
+    ] {
+        let keys = int_column(&catalog, table, col).into_iter();
+        let keys = Column::from_ints(keys.map(|k| k * 1_000_003).collect());
+        let schema = Schema::new(vec![Field::new(format!("{name}.k"), DataType::Int)]);
+        catalog.register(name, Table::new(schema, vec![keys.into()], 8));
+    }
+    let median = {
+        let mut keys = int_column(&catalog, "store_sales", "store_sales.ss_item_sk");
+        keys.sort_unstable();
+        keys[keys.len() / 2]
+    };
+    let fs: SimFs<Table> = SimFs::new(BlockConfig::default(), CostWeights::default());
+    let count = |plan: LogicalPlan| plan.aggregate(Vec::<String>::new(), vec![AggExpr::count("n")]);
+    let scan = LogicalPlan::scan;
+    let plans = [
+        // 40k + 40k input rows.
+        (
+            "join_40k_int_dense",
+            count(scan("store_sales").join(
+                scan("item"),
+                vec![("store_sales.ss_item_sk", "item.i_item_sk")],
+            )),
+        ),
+        (
+            "join_40k_int_sparse",
+            count(scan("sparse_sales").join(
+                scan("sparse_item"),
+                vec![("sparse_sales.k", "sparse_item.k")],
+            )),
+        ),
+        // 40k input rows each; the integer one also sorts its ~19k groups.
+        (
+            "group_40k_str",
+            scan("item").aggregate(vec!["item.i_category"], vec![AggExpr::count("n")]),
+        ),
+        (
+            "group_40k_int",
+            scan("store_sales")
+                .aggregate(vec!["store_sales.ss_item_sk"], vec![AggExpr::count("n")]),
+        ),
+        // Half of 40k rows pass, in no order a branch predictor could learn.
+        (
+            "select_40k_range",
+            count(scan("store_sales").select(Predicate::range(
+                "store_sales.ss_item_sk",
+                lo,
+                median,
+            ))),
+        ),
+    ];
+    for (name, plan) in &plans {
+        c.bench_function(name, |b| {
+            b.iter(|| execute(black_box(plan), &catalog, &fs).expect("base tables only"))
+        });
+    }
+}
+
+fn int_column(catalog: &Catalog, table: &str, col: &str) -> Vec<i64> {
+    let t = catalog.get(table).expect("a BigBench table");
+    let i = t.schema.index_of(col).expect("its key column");
+    match t.column(i).data() {
+        ColumnData::Int(v) => v.clone(),
+        _ => panic!("{col} is an integer column"),
+    }
+}
+
 criterion_group!(
     name = micro;
     config = Criterion::default()
@@ -148,6 +228,6 @@ criterion_group!(
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(1));
     targets = bench_signature, bench_filter_tree, bench_partition_ops, bench_mle, bench_selection,
-        bench_commit_bookkeeping
+        bench_commit_bookkeeping, bench_exec_kernels
 );
 criterion_main!(micro);

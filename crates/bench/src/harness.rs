@@ -61,15 +61,6 @@ impl RunResult {
             .collect()
     }
 
-    /// Mean elapsed over a range of query indices.
-    pub fn avg_secs(&self, range: std::ops::Range<usize>) -> f64 {
-        let slice = &self.per_query[range];
-        if slice.is_empty() {
-            return 0.0;
-        }
-        slice.iter().map(|r| r.elapsed).sum::<f64>() / slice.len() as f64
-    }
-
     /// Total map tasks over a range of queries.
     pub fn map_tasks(&self, range: std::ops::Range<usize>) -> u64 {
         self.per_query[range].iter().map(|r| r.map_tasks).sum()
@@ -106,29 +97,6 @@ impl RunResult {
         };
         cum[m - 1] + steady * (n - m) as f64
     }
-}
-
-/// Least-squares fit of `y = a + b·x` over `(1..=len, ys)` evaluated at `x=n`.
-pub fn linear_projection(cumulative: &[f64], n: usize) -> f64 {
-    let m = cumulative.len();
-    if m == 0 {
-        return 0.0;
-    }
-    if m == 1 {
-        return cumulative[0] * n as f64;
-    }
-    let xs: Vec<f64> = (1..=m).map(|i| i as f64).collect();
-    let xbar = xs.iter().sum::<f64>() / m as f64;
-    let ybar = cumulative.iter().sum::<f64>() / m as f64;
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for (x, y) in xs.iter().zip(cumulative) {
-        num += (x - xbar) * (y - ybar);
-        den += (x - xbar) * (x - xbar);
-    }
-    let slope = if den > 0.0 { num / den } else { 0.0 };
-    let intercept = ybar - slope * xbar;
-    intercept + slope * n as f64
 }
 
 /// Index (1-based) of the first query where `variant`'s cumulative time drops
@@ -269,16 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn linear_projection_extrapolates() {
-        // Perfectly linear: 10s per query.
-        let cum: Vec<f64> = (1..=10).map(|i| 10.0 * i as f64).collect();
-        let p = linear_projection(&cum, 100);
-        assert!((p - 1000.0).abs() < 1e-6);
-        assert_eq!(linear_projection(&[], 100), 0.0);
-        assert_eq!(linear_projection(&[5.0], 10), 50.0);
-    }
-
-    #[test]
     fn recoup_point_detects_crossover() {
         let mk = |elapsed: Vec<f64>| RunResult {
             label: "x".into(),
@@ -368,8 +326,6 @@ mod tests {
     fn avg_and_map_tasks_ranges() {
         let (catalog, plans) = small_setup();
         let ds = run_workload("DS", &catalog, baselines::deepsea(), &plans);
-        let avg_tail = ds.avg_secs(1..ds.per_query.len());
-        assert!(avg_tail > 0.0);
         assert!(ds.map_tasks(0..ds.per_query.len()) > 0);
     }
 }

@@ -551,7 +551,7 @@ fn conjunct_rows(batch: &Batch, conjunct: &Predicate, sel: Option<Vec<u32>>) -> 
     let n = batch.len;
     match (conjunct, c.data.data(), value) {
         (Predicate::Range { low, high, .. }, ColumnData::Int(v), _) => {
-            keep(n, sel, c, |p| *low <= v[p] && v[p] <= *high)
+            keep(n, sel, c, |p| (*low <= v[p]) & (v[p] <= *high))
         }
         (_, ColumnData::Int(v), Some(Value::Int(x))) => keep(n, sel, c, |p| v[p] == *x),
         (_, ColumnData::Int(v), Some(Value::Float(x))) => {
@@ -571,19 +571,47 @@ fn conjunct_rows(batch: &Batch, conjunct: &Predicate, sel: Option<Vec<u32>>) -> 
 }
 
 /// The rows of `sel` (of `0..len` when `None`) whose value in `col` is not
-/// NULL and passes `test`, which is given the value's position.
+/// NULL and passes `test`, which is given the value's position. Whether the
+/// column is indexed and whether it can hold a NULL is settled here, once,
+/// so the loop in [`compact`] only does what its column needs.
 fn keep(len: usize, sel: Option<Vec<u32>>, col: &Col, test: impl Fn(usize) -> bool) -> Vec<u32> {
-    let pass = |r: u32| {
-        let p = col.phys(r as usize);
-        test(p) && !col.data.is_null(p)
-    };
-    match sel {
-        None => (0..len as u32).filter(|&r| pass(r)).collect(),
+    let data = &*col.data;
+    match (col.idx.as_deref(), data.has_nulls()) {
+        (None, false) => compact(len, sel, test),
+        (None, true) => compact(len, sel, |r| test(r) & !data.is_null(r)),
+        (Some(ix), false) => compact(len, sel, |r| test(ix[r] as usize)),
+        (Some(ix), true) => compact(len, sel, |r| {
+            let p = ix[r] as usize;
+            test(p) & !data.is_null(p)
+        }),
+    }
+}
+
+/// The rows of `sel` (of `0..len` when `None`) that `pass`, in order. Every
+/// row is written to the output and the output only advances past it if it
+/// passed: no branch depends on the data.
+fn compact(len: usize, sel: Option<Vec<u32>>, pass: impl Fn(usize) -> bool) -> Vec<u32> {
+    let mut k = 0;
+    let mut rows = match sel {
+        None => {
+            let mut out = vec![0u32; len];
+            for r in 0..len {
+                out[k] = r as u32;
+                k += usize::from(pass(r));
+            }
+            out
+        }
         Some(mut rows) => {
-            rows.retain(|&r| pass(r));
+            for i in 0..rows.len() {
+                let r = rows[i];
+                rows[k] = r;
+                k += usize::from(pass(r as usize));
+            }
             rows
         }
-    }
+    };
+    rows.truncate(k);
+    rows
 }
 
 /// Multiplier of the multiplicative hashes below (2^64 / golden ratio).
@@ -662,11 +690,20 @@ impl IdTable {
     }
 }
 
-/// Strings numbered in first-seen order, so string keys hash and compare as
-/// integers like every other key.
+/// Strings numbered in first-seen order — ids are dense from 0 — so string
+/// keys address and compare as integers like every other key. A string's
+/// bytes are hashed once per distinct `Arc` that holds it: the id found for
+/// an allocation is remembered under its address, and one live allocation
+/// is one string, so the memo answers exactly what the bytes would. Tables
+/// share one `Arc` per distinct label, so a 40k-row column hashes a few
+/// dozen strings.
 struct StrDict<'a> {
     table: IdTable,
     strs: Vec<&'a str>,
+    /// Addresses already resolved, and what each resolved to ([`NONE`]: a
+    /// string a closed dictionary lacks).
+    seen: IdTable,
+    seen_ids: Vec<(usize, u32)>,
 }
 
 impl<'a> StrDict<'a> {
@@ -674,6 +711,10 @@ impl<'a> StrDict<'a> {
         Self {
             table: IdTable::with_capacity(0),
             strs: Vec::new(),
+            // Roomy from the start: where two addresses share a slot, which
+            // rows probe twice is a coin toss the branch predictor loses.
+            seen: IdTable::with_capacity(512),
+            seen_ids: Vec::new(),
         }
     }
 
@@ -685,22 +726,158 @@ impl<'a> StrDict<'a> {
         h.wrapping_mul(HASH_MUL)
     }
 
-    fn lookup(&self, s: &str) -> Option<u64> {
-        let strs = &self.strs;
-        self.table
-            .find(Self::hash(s), |id| strs[id as usize] == s)
-            .map(u64::from)
+    /// What `resolve` makes of `s`, asked once per allocation.
+    fn memo(&mut self, s: &'a Arc<str>, resolve: impl FnOnce(&mut Self, &'a str) -> u32) -> u32 {
+        let addr = Arc::as_ptr(s).cast::<u8>() as usize;
+        let seen_ids = &self.seen_ids;
+        let m = self
+            .seen
+            .find_or_insert((addr as u64).wrapping_mul(HASH_MUL), |m| {
+                seen_ids[m as usize].0 == addr
+            }) as usize;
+        if m == self.seen_ids.len() {
+            let id = resolve(self, s);
+            self.seen_ids.push((addr, id));
+        }
+        self.seen_ids[m].1
     }
 
-    fn intern(&mut self, s: &'a str) -> u64 {
-        let strs = &self.strs;
-        let id = self
-            .table
-            .find_or_insert(Self::hash(s), |id| strs[id as usize] == s);
-        if id as usize == self.strs.len() {
-            self.strs.push(s);
+    /// Id of `s`, or [`NONE`] if it was never interned. The first lookup
+    /// closes the dictionary: the memo would repeat a [`NONE`] to a later
+    /// `intern` of the same allocation.
+    fn lookup(&mut self, s: &'a Arc<str>) -> u32 {
+        self.memo(s, |dict, s| {
+            let strs = &dict.strs;
+            dict.table
+                .find(Self::hash(s), |id| strs[id as usize] == s)
+                .unwrap_or(NONE)
+        })
+    }
+
+    /// Id of `s`, the next free one if it is new.
+    fn intern(&mut self, s: &'a Arc<str>) -> u32 {
+        self.memo(s, |dict, s| {
+            let strs = &dict.strs;
+            let id = dict
+                .table
+                .find_or_insert(Self::hash(s), |id| strs[id as usize] == s);
+            if id as usize == dict.strs.len() {
+                dict.strs.push(s);
+            }
+            id
+        })
+    }
+}
+
+/// How the rows of one side of a single-column key read as offsets into the
+/// cells of a [`DirectIndex`].
+enum Offsets<'a> {
+    /// Integers, read where they lie in the column: `value − min`.
+    Ints {
+        vals: &'a [i64],
+        col: &'a Col,
+        min: i64,
+    },
+    /// Strings: their [`StrDict`] ids; [`NONE`] for a string of the probe
+    /// side that the build side never held.
+    Ids(Vec<u32>),
+}
+
+impl Offsets<'_> {
+    /// Offset of row `r`'s key: the number of cells or more for a key the
+    /// index does not hold.
+    #[inline]
+    fn at(&self, r: usize) -> u64 {
+        match self {
+            Offsets::Ints { vals, col, min } => vals[col.phys(r)].wrapping_sub(*min) as u64,
+            Offsets::Ids(ids) => u64::from(ids[r]),
         }
-        u64::from(id)
+    }
+}
+
+/// The key index of a single-column key whose values are dense: one `u32`
+/// cell per value from the smallest to the largest, addressed by
+/// `key − min`. A join keeps the head of each key's chain in the cells, a
+/// group-by each key's group. Against the hashed index ([`IdTable`]) only
+/// the cost of finding a key's cell differs — which rows meet, and in what
+/// order, does not — so no result and no simulated charge can tell which
+/// of the two ran.
+struct DirectIndex<'a> {
+    /// One cell per possible key, [`NONE`] until a caller writes it.
+    cells: Vec<u32>,
+    /// The rows that fill the cells: a join's build side, a group-by's input.
+    build: Offsets<'a>,
+    /// The rows that read them: a join's probe side; no rows for a group-by.
+    probe: Offsets<'a>,
+}
+
+impl<'a> DirectIndex<'a> {
+    /// The density rule, the one place that chooses direct addressing over
+    /// hashing. Integer keys qualify when `max − min < 4·rows + 64` over the
+    /// build side, `rows` being all the rows the index will serve: setting
+    /// the cells up then costs a few `u32` writes per row at most. String
+    /// keys always qualify, their dictionary ids being dense by
+    /// construction. `None` sends everything else to the hashed index:
+    /// multi-column keys, floats, integers compared with floats, sparse
+    /// integers (a span that overflows `i64` included) and empty input.
+    ///
+    /// NULL slots hold their type's default and count towards the span like
+    /// values; callers keep NULL rows away from the index.
+    fn new(
+        build: &[&'a Col],
+        build_len: usize,
+        probe: &[&'a Col],
+        probe_len: usize,
+    ) -> Option<Self> {
+        let [build] = *build else { return None };
+        match build.data.data() {
+            ColumnData::Int(vals) => {
+                let mut keys = (0..build_len).map(|r| vals[build.phys(r)]);
+                let first = keys.next()?;
+                let (min, max) = keys.fold((first, first), |(lo, hi), k| (lo.min(k), hi.max(k)));
+                let span = u64::try_from(max.checked_sub(min)?).ok()?;
+                if span >= 4 * (build_len + probe_len) as u64 + 64 {
+                    return None;
+                }
+                let col = build;
+                Some(Self {
+                    cells: vec![NONE; span as usize + 1],
+                    build: Offsets::Ints { vals, col, min },
+                    probe: match *probe {
+                        [col] => match col.data.data() {
+                            ColumnData::Int(vals) => Offsets::Ints { vals, col, min },
+                            _ => return None, // a float probe side: not a dense key
+                        },
+                        _ => Offsets::Ids(Vec::new()),
+                    },
+                })
+            }
+            ColumnData::Str(_) => {
+                let mut dict = StrDict::new();
+                let mut ids = |col: &'a Col, n: usize, grow: bool| match col.data.data() {
+                    ColumnData::Str(strs) => {
+                        let strs = (0..n).map(|r| &strs[col.phys(r)]);
+                        Some(Offsets::Ids(if grow {
+                            strs.map(|s| dict.intern(s)).collect()
+                        } else {
+                            strs.map(|s| dict.lookup(s)).collect()
+                        }))
+                    }
+                    _ => None, // a string never equals a number
+                };
+                let build = ids(build, build_len, true)?;
+                let probe = match *probe {
+                    [p] => ids(p, probe_len, false)?,
+                    _ => Offsets::Ids(Vec::new()),
+                };
+                Some(Self {
+                    cells: vec![NONE; dict.strs.len()],
+                    build,
+                    probe,
+                })
+            }
+            ColumnData::Float(_) => None,
+        }
     }
 }
 
@@ -738,26 +915,21 @@ impl KeyCode {
     }
 }
 
-/// Codes of the first `n` rows of `col`. A string missing from a closed
-/// dictionary (`grow == false`) gets a code no dictionary entry has. NULL
-/// slots hold their type's default, so all NULLs of a column share a code;
-/// callers tell them from values by [`null_rows`].
+/// Codes of the first `n` rows of `col`; a string's code is the id `str_id`
+/// gives it. NULL slots hold their type's default, so all NULLs of a column
+/// share a code; callers tell them from values by [`null_rows`].
 fn key_codes<'a>(
     col: &'a Col,
     n: usize,
     code: KeyCode,
-    dict: &mut StrDict<'a>,
-    grow: bool,
+    mut str_id: impl FnMut(&'a Arc<str>) -> u32,
 ) -> Vec<u64> {
     let phys = (0..n).map(|r| col.phys(r));
     match (col.data.data(), code) {
         (ColumnData::Int(v), KeyCode::Int) => phys.map(|p| v[p] as u64).collect(),
         (ColumnData::Int(v), _) => phys.map(|p| (v[p] as f64).to_bits()).collect(),
         (ColumnData::Float(v), _) => phys.map(|p| v[p].to_bits()).collect(),
-        (ColumnData::Str(v), _) if grow => phys.map(|p| dict.intern(&v[p])).collect(),
-        (ColumnData::Str(v), _) => phys
-            .map(|p| dict.lookup(&v[p]).unwrap_or(u64::MAX))
-            .collect(),
+        (ColumnData::Str(v), _) => phys.map(|p| u64::from(str_id(&v[p]))).collect(),
     }
 }
 
@@ -766,6 +938,12 @@ fn null_rows(col: &Col, n: usize) -> Option<Vec<bool>> {
     col.data
         .has_nulls()
         .then(|| (0..n).map(|r| col.data.is_null(col.phys(r))).collect())
+}
+
+/// Whether `mask` marks row `r`.
+#[inline]
+fn marked(mask: &Option<Vec<bool>>, r: usize) -> bool {
+    mask.as_ref().is_some_and(|m| m[r])
 }
 
 /// Row keys over some columns of a batch: per key column one code per row.
@@ -788,27 +966,77 @@ impl Keys {
     }
 }
 
-/// Inner equi-join of `build` and `probe` key columns: the matching
-/// `(build row, probe row)` pairs as two parallel index vectors, probe rows
-/// ascending and, for one probe row, build rows ascending. A NULL in any key
-/// column joins nothing.
-fn join_pairs(
-    build: &[&Col],
+/// The `(build row, probe row)` pairs of a join, as two parallel vectors.
+type Pairs = (Vec<u32>, Vec<u32>);
+
+/// Append probe row `j` paired with every build row of the chain from `i`.
+#[inline]
+fn push_chain(pairs: &mut Pairs, mut i: u32, next: &[u32], j: usize) {
+    while i != NONE {
+        pairs.0.push(i);
+        pairs.1.push(j as u32);
+        i = next[i as usize];
+    }
+}
+
+/// Inner equi-join of `build` and `probe` key columns: the matching pairs,
+/// probe rows ascending and, for one probe row, build rows ascending. A NULL
+/// in any key column joins nothing.
+fn join_pairs(build: &[&Col], build_len: usize, probe: &[&Col], probe_len: usize) -> Pairs {
+    match DirectIndex::new(build, build_len, probe, probe_len) {
+        Some(index) => join_direct(index, build[0], build_len, probe[0], probe_len),
+        None => join_hashed(build, build_len, probe, probe_len),
+    }
+}
+
+/// [`join_pairs`] of a single-column key through its [`DirectIndex`]: each
+/// cell holds the first row of its key's chain.
+fn join_direct(
+    index: DirectIndex<'_>,
+    build: &Col,
     build_len: usize,
-    probe: &[&Col],
+    probe: &Col,
     probe_len: usize,
-) -> (Vec<u32>, Vec<u32>) {
+) -> Pairs {
+    let mut head = index.cells;
+    let bnull = null_rows(build, build_len);
+    let pnull = null_rows(probe, probe_len);
+    // Build, last row first, pushing each row onto the front of its key's
+    // chain: every chain ends up in ascending row order.
+    let mut next: Vec<u32> = vec![NONE; build_len];
+    for i in (0..build_len).rev().filter(|&i| !marked(&bnull, i)) {
+        let head = &mut head[index.build.at(i) as usize];
+        next[i] = *head;
+        *head = i as u32;
+    }
+    let mut pairs = (Vec::with_capacity(probe_len), Vec::with_capacity(probe_len));
+    for j in (0..probe_len).filter(|&j| !marked(&pnull, j)) {
+        let first = usize::try_from(index.probe.at(j))
+            .ok()
+            .and_then(|o| head.get(o));
+        push_chain(&mut pairs, first.copied().unwrap_or(NONE), &next, j);
+    }
+    pairs
+}
+
+/// [`join_pairs`] of any key through an [`IdTable`] over per-row codes.
+fn join_hashed(build: &[&Col], build_len: usize, probe: &[&Col], probe_len: usize) -> Pairs {
     let mut bkeys = Keys { codes: Vec::new() };
     let mut pkeys = Keys { codes: Vec::new() };
     let mut bnull: Option<Vec<bool>> = None;
     let mut pnull: Option<Vec<bool>> = None;
-    let mut dicts: Vec<StrDict<'_>> = build.iter().map(|_| StrDict::new()).collect();
-    for ((b, p), dict) in build.iter().zip(probe).zip(&mut dicts) {
+    for (b, p) in build.iter().zip(probe) {
         let Some(code) = KeyCode::common(b.data.dtype(), p.data.dtype()) else {
             return (Vec::new(), Vec::new());
         };
-        bkeys.codes.push(key_codes(b, build_len, code, dict, true));
-        pkeys.codes.push(key_codes(p, probe_len, code, dict, false));
+        // Only a string key builds a dictionary, shared by its two sides.
+        let mut dict: Option<StrDict<'_>> = None;
+        bkeys.codes.push(key_codes(b, build_len, code, |s| {
+            dict.get_or_insert_with(StrDict::new).intern(s)
+        }));
+        pkeys.codes.push(key_codes(p, probe_len, code, |s| {
+            dict.as_mut().map_or(NONE, |d| d.lookup(s))
+        }));
         for (mask, col, n) in [(&mut bnull, b, build_len), (&mut pnull, p, probe_len)] {
             if let Some(nulls) = null_rows(col, n) {
                 match mask {
@@ -818,14 +1046,12 @@ fn join_pairs(
             }
         }
     }
-    let is_null = |mask: &Option<Vec<bool>>, r: usize| mask.as_ref().is_some_and(|m| m[r]);
 
-    // Build, last row first, pushing each row onto the front of its key's
-    // chain: every chain ends up in ascending row order.
+    // Build, as in `join_direct`.
     let mut table = IdTable::with_capacity(build_len);
     let mut head: Vec<u32> = Vec::new(); // first row of each key's chain
     let mut next: Vec<u32> = vec![NONE; build_len];
-    for i in (0..build_len).rev().filter(|&i| !is_null(&bnull, i)) {
+    for i in (0..build_len).rev().filter(|&i| !marked(&bnull, i)) {
         let id = table.find_or_insert(bkeys.hash(i), |id| {
             bkeys.eq(i, &bkeys, head[id as usize] as usize)
         }) as usize;
@@ -836,24 +1062,23 @@ fn join_pairs(
             head[id] = i as u32;
         }
     }
-    // Probe.
-    let mut build_rows: Vec<u32> = Vec::new();
-    let mut probe_rows: Vec<u32> = Vec::new();
-    for j in (0..probe_len).filter(|&j| !is_null(&pnull, j)) {
+    let mut pairs = (Vec::with_capacity(probe_len), Vec::with_capacity(probe_len));
+    for j in (0..probe_len).filter(|&j| !marked(&pnull, j)) {
         let found = table.find(pkeys.hash(j), |id| {
             pkeys.eq(j, &bkeys, head[id as usize] as usize)
         });
-        let mut i = found.map_or(NONE, |id| head[id as usize]);
-        while i != NONE {
-            build_rows.push(i);
-            probe_rows.push(j as u32);
-            i = next[i as usize];
-        }
+        push_chain(
+            &mut pairs,
+            found.map_or(NONE, |id| head[id as usize]),
+            &next,
+            j,
+        );
     }
-    (build_rows, probe_rows)
+    pairs
 }
 
 /// The grouping of a batch's rows by some key columns.
+#[derive(Debug, PartialEq)]
 struct Groups {
     /// Group of each row; groups are numbered in first-seen order.
     of_row: Vec<u32>,
@@ -872,16 +1097,49 @@ fn group_rows(keys: &[&Col], n: usize) -> Groups {
             first_row: vec![0],
         };
     }
-    let mut dicts: Vec<StrDict<'_>> = keys.iter().map(|_| StrDict::new()).collect();
+    match DirectIndex::new(keys, n, &[], 0) {
+        Some(index) => group_direct(index, keys[0], n),
+        None => group_hashed(keys, n),
+    }
+}
+
+/// [`group_rows`] by a single-column key through its [`DirectIndex`]: each
+/// cell holds its key's group, and NULL, which has no cell, its own.
+fn group_direct(index: DirectIndex<'_>, key: &Col, n: usize) -> Groups {
+    let mut group = index.cells;
+    let mut null_group = NONE;
+    let nulls = null_rows(key, n);
+    let mut first_row: Vec<u32> = Vec::new();
+    let of_row = (0..n)
+        .map(|r| {
+            let g = match marked(&nulls, r) {
+                true => &mut null_group,
+                false => &mut group[index.build.at(r) as usize],
+            };
+            if *g == NONE {
+                *g = first_row.len() as u32;
+                first_row.push(r as u32);
+            }
+            *g
+        })
+        .collect();
+    Groups { of_row, first_row }
+}
+
+/// [`group_rows`] by any key through an [`IdTable`] over per-row codes.
+fn group_hashed(keys: &[&Col], n: usize) -> Groups {
     let mut rk = Keys { codes: Vec::new() };
-    for (k, dict) in keys.iter().zip(&mut dicts) {
+    for k in keys {
+        let mut dict: Option<StrDict<'_>> = None;
         rk.codes
-            .push(key_codes(k, n, KeyCode::of(k.data.dtype()), dict, true));
+            .push(key_codes(k, n, KeyCode::of(k.data.dtype()), |s| {
+                dict.get_or_insert_with(StrDict::new).intern(s)
+            }));
         if let Some(nulls) = null_rows(k, n) {
             rk.codes.push(nulls.into_iter().map(u64::from).collect());
         }
     }
-    let mut table = IdTable::with_capacity(0);
+    let mut table = IdTable::with_capacity(n);
     let mut first_row: Vec<u32> = Vec::new();
     let of_row = (0..n)
         .map(|r| {
@@ -1230,6 +1488,237 @@ mod tests {
         assert!(!err.is_transient(), "corruption is never retryable");
         assert_eq!(err.file(), Some(id1));
         assert_eq!(fs.ledger().files_read, 0, "corrupt data is never served");
+    }
+
+    /// A key column holding `values`, read through `idx` when given.
+    fn key_col(dtype: DataType, values: &[Value], idx: Option<Vec<u32>>) -> Col {
+        let mut data = Column::with_capacity(dtype, values.len());
+        values.iter().for_each(|v| data.push(v.clone()));
+        Col {
+            data: Arc::new(data),
+            idx: idx.map(Arc::new),
+        }
+    }
+
+    fn int_col(keys: &[i64]) -> Col {
+        let values: Vec<Value> = keys.iter().map(|&k| Value::Int(k)).collect();
+        key_col(DataType::Int, &values, None)
+    }
+
+    /// The pairs a nested loop finds: probe rows outer, build rows inner.
+    fn nested_loop_pairs(build: &Col, build_len: usize, probe: &Col, probe_len: usize) -> Pairs {
+        let value = |c: &Col, r: usize| c.data.value(c.phys(r));
+        let mut pairs = (Vec::new(), Vec::new());
+        for j in 0..probe_len {
+            for i in 0..build_len {
+                let (b, p) = (value(build, i), value(probe, j));
+                if b != Value::Null && b == p {
+                    pairs.0.push(i as u32);
+                    pairs.1.push(j as u32);
+                }
+            }
+        }
+        pairs
+    }
+
+    /// Groups numbered as first seen, found by comparing values.
+    fn first_seen_groups(key: &Col, n: usize) -> Groups {
+        let value = |r: usize| key.data.value(key.phys(r));
+        let mut first_row: Vec<u32> = Vec::new();
+        let of_row = (0..n)
+            .map(|r| {
+                let seen = first_row
+                    .iter()
+                    .position(|&f| value(f as usize) == value(r));
+                seen.unwrap_or_else(|| {
+                    first_row.push(r as u32);
+                    first_row.len() - 1
+                }) as u32
+            })
+            .collect();
+        Groups { of_row, first_row }
+    }
+
+    /// Join and group `build` (and `probe`) through both indexes and against
+    /// the obvious loops; returns whether the density rule chose direct
+    /// addressing for the join.
+    fn check_key_indexes(build: &Col, build_len: usize, probe: &Col, probe_len: usize) -> bool {
+        let (b, p) = ([build], [probe]);
+        let want = nested_loop_pairs(build, build_len, probe, probe_len);
+        assert_eq!(join_hashed(&b, build_len, &p, probe_len), want);
+        assert_eq!(join_pairs(&b, build_len, &p, probe_len), want);
+        let direct = DirectIndex::new(&b, build_len, &p, probe_len);
+        let chose_direct = direct.is_some();
+        if let Some(index) = direct {
+            assert_eq!(join_direct(index, build, build_len, probe, probe_len), want);
+        }
+        for (key, n) in [(build, build_len), (probe, probe_len)] {
+            let want = first_seen_groups(key, n);
+            assert_eq!(group_hashed(&[key], n), want);
+            assert_eq!(group_rows(&[key], n), want);
+            if let Some(index) = DirectIndex::new(&[key], n, &[], 0) {
+                assert_eq!(group_direct(index, key, n), want);
+            }
+        }
+        chose_direct
+    }
+
+    #[test]
+    fn direct_and_hashed_index_agree_on_both_sides_of_the_density_rule() {
+        // 8 build + 6 probe rows, keys from 3 up: spans below 4·14 + 64 = 120
+        // are dense.
+        let probe = int_col(&[7, 122, 3, 7, -1, 123]);
+        for (max, dense) in [(20, true), (122, true), (123, false), (5_000, false)] {
+            let build = int_col(&[7, 3, max, 7, 9, 3, 7, 8]);
+            assert_eq!(check_key_indexes(&build, 8, &probe, 6), dense, "max {max}");
+        }
+        // Alone, a side's own rows set the bound: 6 rows, 4·6 + 64 = 88.
+        assert!(DirectIndex::new(&[&probe], 6, &[], 0).is_none());
+        assert!(DirectIndex::new(&[&int_col(&[0, 87])], 2, &[], 0).is_none());
+        assert!(DirectIndex::new(&[&int_col(&[0, 71])], 2, &[], 0).is_some());
+
+        // Indexed columns (a join's output, a selection's) read through
+        // their index vector; only its rows count.
+        let build = Col {
+            idx: Some(Arc::new(vec![7, 0, 0, 4, 1])),
+            ..int_col(&[7, 3, 1 << 40, 7, 9, 3, 7, 8])
+        };
+        assert!(check_key_indexes(&build, 5, &probe, 6));
+
+        // Strings are dense whatever they hold; equal strings in distinct
+        // allocations are one key, and a probe string may be new.
+        let strs = |keys: &[&str]| {
+            let values: Vec<Value> = keys.iter().map(Value::str).collect();
+            key_col(DataType::Str, &values, None)
+        };
+        let build = strs(&["b", "a", "", "b", "zz", "a"]);
+        let probe = strs(&["a", "q", "b", "", "a"]);
+        assert!(check_key_indexes(&build, 6, &probe, 5));
+
+        // Floats, an integer against a float, two columns, no rows: hashed.
+        let floats = key_col(
+            DataType::Float,
+            &[Value::Float(3.0), Value::Float(7.0)],
+            None,
+        );
+        let ints = int_col(&[7, 3, 7]);
+        assert!(!check_key_indexes(&floats, 2, &floats, 2));
+        assert!(!check_key_indexes(&ints, 3, &floats, 2));
+        assert!(!check_key_indexes(&ints, 0, &ints, 3));
+        assert!(DirectIndex::new(&[&ints, &ints], 3, &[&ints, &ints], 3).is_none());
+        // A string never equals a number.
+        assert_eq!(join_pairs(&[&build], 6, &[&ints], 3), (vec![], vec![]));
+    }
+
+    #[test]
+    fn key_span_overflowing_i64_is_hashed() {
+        let build = int_col(&[i64::MIN, i64::MAX, 0, i64::MAX, -1]);
+        let probe = int_col(&[i64::MAX, 1, i64::MIN, 0]);
+        assert!(!check_key_indexes(&build, 5, &probe, 4));
+        // A span that fits `i64` but no table does not wrap into range.
+        let build = int_col(&[-1_000_000_000_000, 1_000_000_000_000, 5]);
+        assert!(!check_key_indexes(&build, 3, &probe, 4));
+        // Dense keys at the edge of the domain stay direct.
+        let build = int_col(&[i64::MAX, i64::MAX - 3, i64::MAX]);
+        assert!(check_key_indexes(&build, 3, &probe, 4));
+        let build = int_col(&[i64::MIN + 2, i64::MIN]);
+        assert!(check_key_indexes(&build, 2, &probe, 4));
+    }
+
+    #[test]
+    fn null_keys_join_nothing_and_group_together() {
+        // NULL slots hold 0, a key both sides also hold for real.
+        let build = [Value::Int(0), Value::Null, Value::Int(2), Value::Null];
+        let probe = [Value::Null, Value::Int(0), Value::Int(2), Value::Null];
+        let build = key_col(DataType::Int, &build, None);
+        let probe = key_col(DataType::Int, &probe, None);
+        assert!(check_key_indexes(&build, 4, &probe, 4));
+        assert_eq!(
+            join_pairs(&[&build], 4, &[&probe], 4),
+            (vec![0, 2], vec![1, 2])
+        );
+        let groups = group_rows(&[&build], 4);
+        assert_eq!(groups.of_row, vec![0, 1, 2, 1]);
+        assert_eq!(groups.first_row, vec![0, 1, 2]);
+
+        // The same through the hashed index (sparse keys) and for strings,
+        // whose NULL slots hold "".
+        let sparse = [Value::Int(0), Value::Null, Value::Int(1 << 50)];
+        let sparse = key_col(DataType::Int, &sparse, None);
+        assert!(!check_key_indexes(&sparse, 3, &probe, 4));
+        let strs = [Value::str(""), Value::Null, Value::str("x"), Value::Null];
+        let strs = key_col(DataType::Str, &strs, None);
+        assert!(check_key_indexes(&strs, 4, &strs, 4));
+        assert_eq!(
+            join_pairs(&[&strs], 4, &[&strs], 4),
+            (vec![0, 2], vec![0, 2])
+        );
+    }
+
+    #[test]
+    fn selection_agrees_with_predicate_eval_row_by_row() {
+        let schema = Schema::new(vec![
+            Field::new("t.k", DataType::Int),
+            Field::new("t.f", DataType::Float),
+            Field::new("t.s", DataType::Str),
+        ]);
+        let preds = [
+            Predicate::range("t.k", 2, 4),
+            Predicate::range("t.k", i64::MIN, i64::MAX),
+            Predicate::eq("t.k", 0),
+            Predicate::eq("t.k", 3.0),
+            Predicate::eq("t.f", 1),
+            Predicate::eq("t.f", 0.5),
+            Predicate::eq("t.s", "s1"),
+            Predicate::eq("t.s", ""),
+            Predicate::eq("t.k", Value::Null),
+            Predicate::range("t.f", 0, 9),
+            Predicate::and(vec![
+                Predicate::range("t.k", 0, 3),
+                Predicate::eq("t.s", "s1"),
+                Predicate::eq("t.f", 1),
+            ]),
+        ];
+        for with_nulls in [false, true] {
+            let rows: Vec<Vec<Value>> = (0..40i64)
+                .map(|i| {
+                    let null = |v: Value, every: i64| match with_nulls && i % every == 0 {
+                        true => Value::Null,
+                        false => v,
+                    };
+                    vec![
+                        null(Value::Int(i % 6), 5),
+                        null(Value::Float((i % 4) as f64 / 2.0), 7),
+                        null(Value::str(format!("s{}", i % 3)), 4),
+                    ]
+                })
+                .collect();
+            let table = Table::from_rows(schema.clone(), rows, 100);
+            for idx in [
+                None,
+                Some((0..40u32).rev().step_by(3).chain(5..9).collect()),
+            ] {
+                let whole = Batch::from_table(&table, schema.clone(), 100);
+                let batch = match idx {
+                    None => whole,
+                    Some(ix) => {
+                        let ix: Rows = Arc::new(ix);
+                        Batch::new(schema.clone(), whole.take(&ix), ix.len(), 100)
+                    }
+                };
+                let cols = batch.cols.clone();
+                let row = |r: usize| -> Vec<Value> {
+                    cols.iter().map(|c| c.data.value(c.phys(r))).collect()
+                };
+                for pred in &preds {
+                    let want: Vec<u32> = (0..batch.len as u32)
+                        .filter(|&r| pred.eval(&schema, &row(r as usize)))
+                        .collect();
+                    let got = filter(&batch, pred).expect("every predicate has a condition");
+                    assert_eq!(got, want, "{pred:?}, nulls {with_nulls}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@ use deepsea_engine::sql;
 use deepsea_relation::{DataType, Field, Predicate, Row, Schema, Table, Value};
 use deepsea_storage::{BlockConfig, CostWeights, SimFs};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn catalog(fact_rows: i64) -> Catalog {
     let mut c = Catalog::new();
@@ -199,6 +200,13 @@ type RefOut = (Schema, Vec<Row>, u64);
 /// Two small random tables: NULLs in keys and arguments, duplicate join keys
 /// on both sides, a float column `b.x` holding whole numbers so that it
 /// joins the integer `a.k`. Either may be empty, either may be the smaller.
+///
+/// Integer keys come in three spreads, drawn per catalog, so that both key
+/// indexes of the executor see them: all within `0..4` (dense); some up to
+/// 600, which is dense or sparse depending on the row counts (the rule's
+/// bound, `4·rows + 64`, runs from 64 to 700 here); some at the ends of the
+/// domain, whose span overflows `i64`. Most strings share one allocation per
+/// label, as generated tables do; some rows hold an equal string of their own.
 fn random_catalog(rows_a: usize, rows_b: usize, seed: u64) -> Catalog {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     let mut draw = move |n: u64| {
@@ -207,11 +215,28 @@ fn random_catalog(rows_a: usize, rows_b: usize, seed: u64) -> Catalog {
             .wrapping_add(1442695040888963407);
         (state >> 33) % n
     };
+    const FAR: [i64; 6] = [
+        i64::MIN,
+        i64::MAX,
+        -1_000_000_000_000,
+        1_000_000_000_000,
+        i64::MIN + 1,
+        i64::MAX - 1,
+    ];
+    let spread = draw(3);
+    let labels: Vec<Arc<str>> = (0..3).map(|k| Arc::from(format!("s{k}"))).collect();
     let mut value = |kind: DataType| match (draw(5), kind) {
         (0, _) => Value::Null,
-        (_, DataType::Int) => Value::Int(draw(4) as i64),
+        (_, DataType::Int) => Value::Int(match (spread, draw(6)) {
+            (1, 0) => draw(600) as i64,
+            (2, 0) => FAR[draw(6) as usize],
+            _ => draw(4) as i64,
+        }),
         (_, DataType::Float) => Value::Float(draw(8) as f64 / 2.0),
-        (_, DataType::Str) => Value::str(format!("s{}", draw(3))),
+        (_, DataType::Str) => match (draw(4), &labels[draw(3) as usize]) {
+            (0, label) => Value::str(label), // a copy: equal bytes, its own `Arc`
+            (_, label) => Value::Str(Arc::clone(label)),
+        },
     };
     let mut table = |name: &str, cols: &[(&str, DataType)], rows: usize, bpr: u64| {
         let fields = cols
@@ -233,8 +258,8 @@ fn random_catalog(rows_a: usize, rows_b: usize, seed: u64) -> Catalog {
     c
 }
 
-/// A plan over [`random_catalog`]: a scan or one of five joins, then
-/// optionally a selection, then a projection or one of three aggregates.
+/// A plan over [`random_catalog`]: a scan or one of six joins, then
+/// optionally a selection, then a projection or one of four aggregates.
 fn random_plan(join: u8, select: u8, shape: u8, lo: i64) -> LogicalPlan {
     let (a, b) = (|| LogicalPlan::scan("a"), || LogicalPlan::scan("b"));
     let plan = match join {
@@ -243,6 +268,7 @@ fn random_plan(join: u8, select: u8, shape: u8, lo: i64) -> LogicalPlan {
         2 => a().join(b(), vec![("a.k", "b.x")]), // Int = Float
         3 => a().join(b(), vec![("a.k", "b.k"), ("a.s", "b.s")]),
         4 => b().join(a(), vec![("a.k", "b.k")]), // pairs named right-to-left
+        5 => a().join(b(), vec![("a.s", "b.s")]),
         _ => a().join(b(), vec![("a.s", "b.k")]), // Str = Int: never equal
     };
     let plan = match select {
@@ -279,12 +305,16 @@ fn random_plan(join: u8, select: u8, shape: u8, lo: i64) -> LogicalPlan {
                 of(AggFunc::Avg, "a.s", "avg_of_strings"),
             ],
         ),
-        _ => plan.aggregate(
+        4 => plan.aggregate(
             vec!["a.k", "a.f"],
             vec![
                 of(AggFunc::Max, "a.s", "last"),
                 of(AggFunc::Avg, "a.k", "avg"),
             ],
+        ),
+        _ => plan.aggregate(
+            vec!["a.k"],
+            vec![AggExpr::count("n"), of(AggFunc::Min, "a.s", "first")],
         ),
     }
 }
@@ -296,8 +326,8 @@ proptest! {
     /// the same order, same simulated width, same charge in every metric.
     #[test]
     fn batch_executor_equals_row_reference(
-        rows_a in 0usize..40, rows_b in 0usize..40, seed in any::<u64>(),
-        join in 0u8..6, select in 0u8..6, shape in 0u8..5, lo in 0i64..4,
+        rows_a in 0usize..80, rows_b in 0usize..80, seed in any::<u64>(),
+        join in 0u8..7, select in 0u8..6, shape in 0u8..6, lo in 0i64..4,
     ) {
         let cat = random_catalog(rows_a, rows_b, seed);
         let fs = fs();
