@@ -18,8 +18,6 @@ pub struct QueryRecord {
     pub creation: f64,
     /// Map tasks launched by the chosen plan.
     pub map_tasks: u64,
-    /// Simulated bytes read by the chosen plan.
-    pub bytes_read: u64,
     /// Whether a view answered the query.
     pub used_view: bool,
     /// Number of views/fragments materialized during this query.
@@ -146,7 +144,6 @@ pub fn run_workload_observed(
             query: out.query_secs,
             creation: out.creation_secs,
             map_tasks: out.metrics.map_tasks,
-            bytes_read: out.metrics.bytes_read,
             used_view: out.used_view.is_some(),
             materialized: out.materialized.len(),
             evicted: out.evicted.len(),
@@ -247,7 +244,6 @@ mod tests {
                     query: e,
                     creation: 0.0,
                     map_tasks: 0,
-                    bytes_read: 0,
                     used_view: false,
                     materialized: 0,
                     evicted: 0,

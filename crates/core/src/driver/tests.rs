@@ -603,8 +603,7 @@ fn forced_eviction_event_logs_the_policy_phi() {
 
     // Rank the pool exactly as stage 7 will: same ALLCAND, same tnow.
     let items: Vec<RankedItem> = d
-        .build_allcand(&[], tnow)
-        .items
+        .ranked_allcand(tnow)
         .into_iter()
         .filter(|i| i.materialized)
         .collect();

@@ -21,10 +21,11 @@ use super::super::DeepSea;
 impl DeepSea {
     /// Apply the evictions the selection stage planned.
     pub(crate) fn stage_apply_evictions(&mut self, ctx: &mut QueryContext) {
-        let to_evict = ctx.selection.to_evict.clone();
+        let to_evict = std::mem::take(&mut ctx.selection.to_evict);
         // Audit context: the weakest item *kept* is the runner-up victim had
         // selection pressure been one notch higher. Computed only when the
-        // audit log listens — it feeds no decision.
+        // audit log listens (selection then ranked everything and filled
+        // `to_keep`) — it feeds no decision.
         let runner_up = if self.obs.events_enabled() {
             ctx.selection
                 .to_keep
@@ -188,8 +189,7 @@ impl DeepSea {
         let mut evicted = Vec::new();
         while self.pool_bytes() > smax {
             let items: Vec<RankedItem> = self
-                .build_allcand(&[], tnow)
-                .items
+                .ranked_allcand(tnow)
                 .into_iter()
                 .filter(|i| i.materialized)
                 .collect();

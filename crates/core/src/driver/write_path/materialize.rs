@@ -44,7 +44,7 @@ impl DeepSea {
         // the D1 lint bans hash collections there — any future iteration
         // would depend on hash order and break bit-identical replay.
         let mut view_cache: BTreeMap<ViewId, Arc<Table>> = BTreeMap::new();
-        let to_create = ctx.selection.to_create.clone();
+        let to_create = std::mem::take(&mut ctx.selection.to_create);
         for item in &to_create {
             let (CandidateKind::WholeView(vid) | CandidateKind::Fragment(vid, _, _)) = &item.kind;
             let vid = *vid;

@@ -1,12 +1,14 @@
 //! The pre-incremental `build_allcand`, kept verbatim as the reference the
-//! incremental one is checked against, and the workloads that drive the
-//! check. In this crate's unit tests every call of
-//! [`DeepSea::build_allcand`] — every commit and every `enforce_limit`
-//! re-rank — asserts that both return the same `Vec<RankedItem>`, Φ compared
-//! by bit pattern. The reference evaluates every candidate from scratch
-//! through the old `fragment_values` (also verbatim, below), so it shares
-//! neither the per-partition scratch nor the rejection memo with what it
-//! checks.
+//! demand-driven one is checked against, and the workloads that drive the
+//! check. In this crate's unit tests every [`AllCand`] built — every commit
+//! and every `enforce_limit` re-rank — is asserted equal to the reference's
+//! `Vec<RankedItem>`: kind, size, `materialized` and order of every member,
+//! Φ by bit pattern of every member the build valued, and then — with the
+//! remaining partitions demanded — Φ of the rest, so a partition valued late
+//! is proven equal to one valued eagerly. The reference evaluates every
+//! candidate from scratch through the old `fragment_values` (also verbatim,
+//! below), so it shares neither the per-partition scratch nor the rejection
+//! memo with what it checks.
 
 use std::collections::BTreeSet;
 
@@ -19,25 +21,47 @@ use crate::selection::{CandidateKind, RankedItem};
 use crate::stats::{FragStats, LogicalTime};
 
 use super::super::DeepSea;
+use super::selection::AllCand;
 
 impl DeepSea {
-    /// Panic unless `items` is what the reference loop builds right now.
+    /// Panic unless `all` is what the reference loop builds right now.
     pub(crate) fn assert_matches_reference(
         &self,
         new_cands: &[ViewId],
         tnow: LogicalTime,
-        items: &[RankedItem],
+        all: &mut AllCand,
     ) {
-        let bits = |items: &[RankedItem]| -> Vec<(CandidateKind, u64, u64, bool)> {
+        let reference = self.reference_allcand(new_cands, tnow);
+        let shape = |items: &[RankedItem]| -> Vec<(CandidateKind, u64, bool)> {
             items
                 .iter()
-                .map(|i| (i.kind.clone(), i.phi.to_bits(), i.size, i.materialized))
+                .map(|i| (i.kind.clone(), i.size, i.materialized))
                 .collect()
         };
+        let bits =
+            |items: &[RankedItem]| -> Vec<u64> { items.iter().map(|i| i.phi.to_bits()).collect() };
+        let early = all.valued();
+        let items = all.items();
         assert_eq!(
-            bits(items),
-            bits(&self.reference_allcand(new_cands, tnow)),
-            "incremental ALLCAND diverged from the reference at tnow = {tnow}"
+            shape(&items),
+            shape(&reference),
+            "ALLCAND membership diverged from the reference at tnow = {tnow}"
+        );
+        for (i, phi) in early.iter().enumerate() {
+            if let Some(phi) = phi {
+                assert_eq!(
+                    phi.to_bits(),
+                    reference[i].phi.to_bits(),
+                    "Φ of member {i} ({:?}), valued by the build, diverged from the \
+                     reference at tnow = {tnow}",
+                    reference[i].kind
+                );
+            }
+        }
+        assert_eq!(
+            bits(&items),
+            bits(&reference),
+            "Φ valued on demand diverged from the reference at tnow = {tnow}"
         );
     }
 
@@ -288,8 +312,11 @@ mod workloads {
 
     use crate::baselines;
     use crate::config::DeepSeaConfig;
+    use crate::driver::write_path::selection::AllCand;
     use crate::driver::{DeepSea, QueryOutcome};
     use crate::durability::CatalogJournal;
+    use crate::filter_tree::ViewId;
+    use crate::selection::CandidateKind;
 
     /// The 100 GB BigBench-like instance the wall-clock benchmark runs on.
     fn data(seed: u64) -> Arc<Catalog> {
@@ -348,6 +375,38 @@ mod workloads {
             assert!(
                 ds.psel_memo.len() > 100,
                 "seed {seed}: the rejection memo was not exercised"
+            );
+            // The pool is unlimited: a re-rank asks for the Φ of what it
+            // would create and of nothing else.
+            let mut all = AllCand::build(
+                &ds.registry,
+                &mut ds.psel_memo,
+                ds.backend.as_ref(),
+                &ds.config,
+                ds.fs.block_config().block_bytes,
+                &[],
+                ds.clock,
+            );
+            assert!(all.len() > 100 && all.fits(ds.config.smax));
+            all.creations();
+            let valued = all.valued();
+            let items = all.items();
+            let creates_in = |partition: (ViewId, &str)| {
+                items.iter().any(|i| match &i.kind {
+                    CandidateKind::Fragment(v, a, _) => {
+                        (*v, a.as_str()) == partition && !i.materialized
+                    }
+                    CandidateKind::WholeView(_) => false,
+                })
+            };
+            for (item, phi) in items.iter().zip(&valued) {
+                if let CandidateKind::Fragment(view, attr, _) = &item.kind {
+                    assert_eq!(phi.is_some(), creates_in((*view, attr)), "{item:?}");
+                }
+            }
+            assert!(
+                valued.iter().filter(|phi| phi.is_none()).count() > 100,
+                "seed {seed}: nothing was left unvalued"
             );
         }
     }

@@ -77,9 +77,9 @@ impl ValueModel {
             .values
     }
 
-    /// [`ValueModel::fragment_values`] together with the intermediates it
-    /// went through, so that one pass over the hit lists per partition and
-    /// commit serves the ranking, the §7.2 admission test and the audit log.
+    /// [`ValueModel::fragment_values`] together with the MLE fit it went
+    /// through, so that one pass over the hit lists per partition and commit
+    /// serves the ranking and the audit log.
     pub fn value_fragments(
         &self,
         partition: &PartitionState,
@@ -103,11 +103,7 @@ impl ValueModel {
                         FragStats::phi_with_hits(ha, f.size, view_size, view_cost)
                     })
                     .collect();
-                PartitionValues {
-                    values,
-                    decayed_hits: Some(decayed_hits),
-                    fit,
-                }
+                PartitionValues { values, fit }
             }
             ValueModel::Nectar | ValueModel::NectarPlus => {
                 let values = partition
@@ -134,11 +130,7 @@ impl ValueModel {
                         view_cost * benefit / (f.size as f64 * dt)
                     })
                     .collect();
-                PartitionValues {
-                    values,
-                    decayed_hits: None,
-                    fit: None,
-                }
+                PartitionValues { values, fit: None }
             }
         }
     }
@@ -192,15 +184,11 @@ pub struct PartitionFit {
     pub total_hits: f64,
 }
 
-/// What [`ValueModel::value_fragments`] computed for one partition, every
-/// vector keyed by position in `partition.fragments`.
+/// What [`ValueModel::value_fragments`] computed for one partition.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartitionValues {
-    /// `Φ(I, tnow)` per fragment.
+    /// `Φ(I, tnow)` per fragment, keyed by position in `partition.fragments`.
     pub values: Vec<f64>,
-    /// Decayed hits `H(I)` per fragment — `None` under the Nectar models,
-    /// which never decay.
-    pub decayed_hits: Option<Vec<f64>>,
     /// The MLE fit the values were smoothed through, when one was active.
     pub fit: Option<PartitionFit>,
 }

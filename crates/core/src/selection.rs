@@ -97,12 +97,18 @@ pub fn select_with_verdicts(
     let mut used: u64 = 0;
     let mut full = false;
     for (pos, item) in ranked {
+        // A running total beyond `u64` is beyond any limit.
         let fits = match smax {
-            Some(limit) => !full && used.saturating_add(item.size) <= limit,
+            Some(limit) => match used.checked_add(item.size) {
+                Some(total) if !full && total <= limit => {
+                    used = total;
+                    true
+                }
+                _ => false,
+            },
             None => true,
         };
         if fits {
-            used += item.size;
             if item.materialized {
                 verdicts[pos] = Verdict::Keep;
                 result.to_keep.push(item);
@@ -121,6 +127,19 @@ pub fn select_with_verdicts(
         }
     }
     (result, verdicts)
+}
+
+/// Whether entries of these sizes all fit in a pool of `smax` bytes. Then the
+/// §7.3 prefix is the whole list whatever the Φ ranking: the materialized
+/// entries stay, nothing is evicted or rejected, and Φ decides only the order
+/// in which the others are created — [`select_with_verdicts`] need not run,
+/// and nobody's Φ but theirs be known. A total beyond `u64` fits no pool.
+pub fn all_fit(sizes: impl IntoIterator<Item = u64>, smax: Option<u64>) -> bool {
+    let Some(smax) = smax else { return true };
+    sizes
+        .into_iter()
+        .try_fold(0u64, |total, size| total.checked_add(size))
+        .is_some_and(|total| total <= smax)
 }
 
 /// Apply the §9 fragment-size bounds to a prospective set of materialization

@@ -6,7 +6,8 @@ use deepsea::core::interval::{covers, is_horizontal_partition, pairwise_disjoint
 use deepsea::core::matching::partition_matching;
 use deepsea::core::mle::{adjusted_hits, fit_normal};
 use deepsea::core::selection::{
-    apply_size_bounds, equi_depth_intervals, select_configuration, CandidateKind, RankedItem,
+    all_fit, apply_size_bounds, equi_depth_intervals, select_configuration, select_with_verdicts,
+    CandidateKind, RankedItem, Verdict,
 };
 use deepsea::relation::distr::normal_cdf;
 use proptest::prelude::*;
@@ -177,6 +178,62 @@ proptest! {
         let r = select_configuration(items, Some(smax));
         let kept: u64 = r.to_keep.iter().chain(&r.to_create).map(|i| i.size).sum();
         prop_assert!(kept <= smax, "kept {kept} > smax {smax}");
+    }
+
+    /// The premise of valuation on demand: `ALLCAND` fits under `Smax`
+    /// exactly when the ranked selection cuts nothing, and then what it
+    /// creates is the unmaterialized subsequence stable-sorted by Φ — so
+    /// nobody's Φ but theirs is needed. Sizes include 0 and a pair whose sum
+    /// overflows `u64`; Φ repeats, so materialized and unmaterialized
+    /// entries tie; `smax` lands on, just under and just over the total.
+    #[test]
+    fn selection_cuts_nothing_iff_everything_fits(
+        raw in proptest::collection::vec(
+            (
+                prop_oneof![Just(0u64), 1u64..1_000, Just(u64::MAX / 2 + 1)],
+                prop_oneof![Just(1.0f64), Just(2.0f64), 0.0f64..4.0],
+                any::<bool>(),
+            ),
+            0..12,
+        ),
+        slack in -2i64..3,
+    ) {
+        let items: Vec<RankedItem> = raw
+            .iter()
+            .enumerate()
+            .map(|(i, &(size, phi, materialized))| RankedItem {
+                kind: CandidateKind::WholeView(deepsea::core::filter_tree::ViewId(i as u64)),
+                phi,
+                size,
+                materialized,
+            })
+            .collect();
+        let total = items.iter().try_fold(0u64, |t, i| t.checked_add(i.size));
+        let smax = total.map_or(u64::MAX, |t| t.saturating_add_signed(slack));
+        let fits = all_fit(items.iter().map(|i| i.size), Some(smax));
+        prop_assert_eq!(fits, total.is_some_and(|t| t <= smax));
+        prop_assert!(all_fit(items.iter().map(|i| i.size), None));
+
+        let (r, verdicts) = select_with_verdicts(items.clone(), Some(smax));
+        let cut = verdicts
+            .iter()
+            .any(|v| matches!(v, Verdict::Evict | Verdict::Reject));
+        prop_assert_eq!(fits, !cut, "total {total:?}, smax {smax}: {verdicts:?}");
+        if fits {
+            let mut expected: Vec<RankedItem> =
+                items.iter().filter(|i| !i.materialized).cloned().collect();
+            expected.sort_by(|a, b| b.phi.total_cmp(&a.phi));
+            prop_assert_eq!(&r.to_create, &expected);
+            prop_assert_eq!(r.to_keep.len(), items.len() - expected.len());
+            prop_assert!(r.to_evict.is_empty());
+        }
+        let (unlimited, verdicts) = select_with_verdicts(items, None);
+        prop_assert!(!verdicts
+            .iter()
+            .any(|v| matches!(v, Verdict::Evict | Verdict::Reject)));
+        if fits {
+            prop_assert_eq!(&unlimited, &r);
+        }
     }
 
     /// Equi-depth intervals always form a horizontal partition of the domain.
