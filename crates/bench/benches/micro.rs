@@ -169,15 +169,16 @@ fn bench_exec_kernels(c: &mut Criterion) {
     let fs: SimFs<Table> = SimFs::new(BlockConfig::default(), CostWeights::default());
     let count = |plan: LogicalPlan| plan.aggregate(Vec::<String>::new(), vec![AggExpr::count("n")]);
     let scan = LogicalPlan::scan;
+    let ss_item = || {
+        scan("store_sales").join(
+            scan("item"),
+            vec![("store_sales.ss_item_sk", "item.i_item_sk")],
+        )
+    };
+    let item_range = |lo, hi| Predicate::range("store_sales.ss_item_sk", lo, hi);
     let plans = [
         // 40k + 40k input rows.
-        (
-            "join_40k_int_dense",
-            count(scan("store_sales").join(
-                scan("item"),
-                vec![("store_sales.ss_item_sk", "item.i_item_sk")],
-            )),
-        ),
+        ("join_40k_int_dense", count(ss_item())),
         (
             "join_40k_int_sparse",
             count(scan("sparse_sales").join(
@@ -203,6 +204,30 @@ fn bench_exec_kernels(c: &mut Criterion) {
                 lo,
                 median,
             ))),
+        ),
+        // Q1's selection above its join, as instrumented plans keep it: a
+        // 400-item range of the fact side, filtered before pairing.
+        (
+            "select_join_40k_narrow",
+            count(ss_item().select(item_range(lo, lo + 399))),
+        ),
+        // The same over the 400 items around the median sale: a hot spot.
+        (
+            "select_join_40k_hot",
+            count(ss_item().select(item_range(median - 200, median + 199))),
+        ),
+        // Q7's shape: the selection sits above a second join, whose inner
+        // ss ⋈ item is still built whole.
+        (
+            "select_join3_40k",
+            count(
+                ss_item()
+                    .join(
+                        scan("customer"),
+                        vec![("store_sales.ss_customer_sk", "customer.c_customer_sk")],
+                    )
+                    .select(item_range(lo, lo + 399)),
+            ),
         ),
     ];
     for (name, plan) in &plans {

@@ -2,6 +2,7 @@
 
 use super::context::QueryContext;
 use super::*;
+use crate::filter_tree::ViewId;
 use crate::interval::Interval;
 use crate::policy::{PartitionPolicy, ValueModel};
 use deepsea_engine::exec::ExecError;
@@ -529,63 +530,208 @@ fn quarantined_views_rematerialize_when_hot() {
     assert!(reused_again, "rebuilt views must serve rewritings again");
 }
 
+/// A SimBackend wrapper that records every plan it executes — proves the
+/// driver goes through the trait object, not the free `execute` function,
+/// and shows which plans it executes.
+struct RecordingBackend {
+    inner: SimBackend,
+    plans: Arc<std::sync::Mutex<Vec<LogicalPlan>>>,
+}
+
+impl RecordingBackend {
+    /// A fresh backend over the paper's cluster, and its log of plans.
+    fn new() -> (Self, Arc<std::sync::Mutex<Vec<LogicalPlan>>>) {
+        let plans = Arc::default();
+        let inner = SimBackend::new(ClusterSim::paper_default());
+        let plans_log = Arc::clone(&plans);
+        (Self { inner, plans }, plans_log)
+    }
+}
+
+impl ExecutionBackend for RecordingBackend {
+    fn execute(
+        &self,
+        plan: &LogicalPlan,
+        catalog: &Catalog,
+        fs: &SimFs<Table>,
+    ) -> Result<(Table, ExecMetrics), ExecError> {
+        self.plans.lock().unwrap().push(plan.clone());
+        self.inner.execute(plan, catalog, fs)
+    }
+    fn elapsed_secs(&self, metrics: &ExecMetrics) -> f64 {
+        self.inner.elapsed_secs(metrics)
+    }
+    fn scan_secs(&self, bytes: u64, block_bytes: u64) -> f64 {
+        self.inner.scan_secs(bytes, block_bytes)
+    }
+    fn write_secs(&self, bytes: u64, files: u64) -> f64 {
+        self.inner.write_secs(bytes, files)
+    }
+    fn cluster(&self) -> &ClusterSim {
+        self.inner.cluster()
+    }
+}
+
 #[test]
 fn custom_backend_is_used_for_execution() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    /// A SimBackend wrapper that counts executions — proves the driver goes
-    /// through the trait object, not the free `execute` function.
-    struct CountingBackend {
-        inner: SimBackend,
-        calls: Arc<AtomicUsize>,
-    }
-
-    impl ExecutionBackend for CountingBackend {
-        fn execute(
-            &self,
-            plan: &LogicalPlan,
-            catalog: &Catalog,
-            fs: &SimFs<Table>,
-        ) -> Result<(Table, ExecMetrics), ExecError> {
-            self.calls.fetch_add(1, Ordering::SeqCst);
-            self.inner.execute(plan, catalog, fs)
-        }
-        fn elapsed_secs(&self, metrics: &ExecMetrics) -> f64 {
-            self.inner.elapsed_secs(metrics)
-        }
-        fn scan_secs(&self, bytes: u64, block_bytes: u64) -> f64 {
-            self.inner.scan_secs(bytes, block_bytes)
-        }
-        fn write_secs(&self, bytes: u64, files: u64) -> f64 {
-            self.inner.write_secs(bytes, files)
-        }
-        fn cluster(&self) -> &ClusterSim {
-            self.inner.cluster()
-        }
-    }
-
-    let cluster = ClusterSim::paper_default();
-    let fs = Arc::new(SimFs::new(BlockConfig::default(), cluster.weights));
-    let calls = Arc::new(AtomicUsize::new(0));
-    let backend = Box::new(CountingBackend {
-        inner: SimBackend::new(cluster),
-        calls: Arc::clone(&calls),
-    });
+    let (backend, plans) = RecordingBackend::new();
+    let fs = Arc::new(SimFs::new(
+        BlockConfig::default(),
+        backend.cluster().weights,
+    ));
     let mut d = DeepSea::with_backend(
         Arc::new(catalog(2000)),
         fs,
-        backend,
+        Box::new(backend),
         DeepSeaConfig::default().with_min_fragment_bytes(1),
     );
     let out = d.process_query(&query(400, 600)).unwrap();
     assert!(!out.materialized.is_empty());
     // The first materializing query executes the chosen plan plus at least
     // one view computation — all through the trait object.
+    let calls = plans.lock().unwrap().len();
     assert!(
-        calls.load(Ordering::SeqCst) >= 2,
-        "driver must execute via the backend: {} calls",
-        calls.load(Ordering::SeqCst)
+        calls >= 2,
+        "driver must execute via the backend: {calls} calls"
     );
+}
+
+/// The golden scenario of `deepsea-bench::golden`: its seeded 100 GB
+/// instance and 50-query log.
+fn golden() -> &'static (Arc<Catalog>, Vec<LogicalPlan>) {
+    use deepsea_workload::schema::{BigBenchData, InstanceSize, ItemDistribution};
+    use deepsea_workload::sequences::fig5_workload;
+    static GOLDEN: std::sync::OnceLock<(Arc<Catalog>, Vec<LogicalPlan>)> =
+        std::sync::OnceLock::new();
+    GOLDEN.get_or_init(|| {
+        let data = BigBenchData::generate(InstanceSize::Gb100, &ItemDistribution::Uniform, 7);
+        (Arc::new(data.catalog), fig5_workload(50, 7))
+    })
+}
+
+/// A view whose plan is the plan the commit executed is stored from that
+/// execution's result (§7.2's "by-product of the instrumented query"):
+/// per commit, the backend runs the executed plan once and then only the
+/// plans of the views it computes that differ from it, and every file
+/// written from the shared result holds what executing the view returns.
+#[test]
+fn views_equal_to_the_executed_plan_are_stored_from_its_result() {
+    use deepsea_obs::ObsConfig;
+
+    let (catalog, log) = golden();
+    let (backend, plans) = RecordingBackend::new();
+    let fs = Arc::new(SimFs::new(
+        BlockConfig::default(),
+        backend.cluster().weights,
+    ));
+    // The observer's refinement events tell fragments built from
+    // materialized sources, which compute nothing, from the rest.
+    let obs = Observer::new(ObsConfig::on());
+    let mut d = DeepSea::with_backend(
+        Arc::clone(catalog),
+        Arc::clone(&fs),
+        Box::new(backend),
+        crate::baselines::deepsea().with_phi(0.05),
+    )
+    .with_observer(obs.clone());
+    let (mut reused, mut executed_views) = (0, 0);
+    for (i, plan) in log.iter().enumerate() {
+        let out = d.process_query(plan).unwrap();
+        let calls = std::mem::take(&mut *plans.lock().unwrap());
+        let (executed, view_runs) = calls.split_first().expect("a commit executes its plan");
+        let refined: Vec<String> = obs
+            .events_snapshot()
+            .into_iter()
+            .filter(|r| r.tnow == d.clock())
+            .filter_map(|r| match r.event {
+                DecisionEvent::FragmentSplit {
+                    view, attr, target, ..
+                }
+                | DecisionEvent::OverlapKept {
+                    view, attr, target, ..
+                } => Some(format!("{view}.{attr}{target}")),
+                _ => None,
+            })
+            .collect();
+        let mut computed: Vec<ViewId> = out
+            .materialized
+            .iter()
+            .filter(|written| !refined.contains(written))
+            .filter_map(|written| d.registry().by_name(written.split('.').next()?))
+            .collect();
+        computed.sort_unstable();
+        computed.dedup();
+        let registry = d.registry();
+        let (same, other): (Vec<ViewId>, Vec<ViewId>) = computed
+            .iter()
+            .partition(|&&v| *registry.view(v).plan == *executed);
+        assert_eq!(
+            view_runs.len(),
+            other.len(),
+            "query {i}: one execution per computed view that is not the executed plan"
+        );
+        for run in view_runs {
+            assert!(other.iter().any(|&v| *registry.view(v).plan == *run));
+        }
+        executed_views += other.len();
+        for vid in same {
+            reused += 1;
+            let view = registry.view(vid);
+            let (want, _) = deepsea_engine::exec::execute(&view.plan, catalog, &fs).unwrap();
+            if let Some(file) = view.whole_file {
+                assert_eq!(*fs.read(file).unwrap().0, want, "query {i}: {}", view.name);
+            }
+            for ps in view.partitions.values() {
+                let col = want.schema.index_of(&ps.attr).unwrap();
+                for f in ps.fragments.iter().filter(|f| f.is_materialized()) {
+                    let name = format!("{}.{}{}", view.name, ps.attr, f.interval);
+                    if !out.materialized.contains(&name) {
+                        continue;
+                    }
+                    let rows = want
+                        .column(col)
+                        .int_range_rows(f.interval.lo, f.interval.hi);
+                    let file = f.file.unwrap();
+                    assert_eq!(
+                        *fs.read(file).unwrap().0,
+                        want.take(&rows),
+                        "query {i}: {name}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(reused > 0, "no view was stored from the executed result");
+    assert!(executed_views > 0, "no view needed an execution of its own");
+}
+
+/// Under the Hive baseline a snapshot reader executes the plan the writer
+/// does — selections pushed down — so its answer is bit-identical to the
+/// writer's at that epoch.
+#[test]
+fn hive_snapshot_answers_equal_the_writers() {
+    let (catalog, log) = golden();
+    let cluster = ClusterSim::paper_default();
+    let fs = Arc::new(SimFs::new(BlockConfig::default(), cluster.weights));
+    let mut d = DeepSea::with_parts(Arc::clone(catalog), fs, cluster, crate::baselines::hive());
+    for (i, plan) in log.iter().enumerate() {
+        let snapshot = d
+            .publish_snapshot()
+            .expect("the simulated backend forks readers");
+        let read = snapshot.answer(plan).unwrap();
+        let commit = d.process_query(plan).unwrap();
+        assert_eq!(
+            read.query_secs.to_bits(),
+            commit.query_secs.to_bits(),
+            "query {i}"
+        );
+        assert_eq!(read.metrics, commit.metrics, "query {i}");
+        assert_eq!(
+            read.result.fingerprint(),
+            commit.result.fingerprint(),
+            "query {i}"
+        );
+    }
 }
 
 #[test]

@@ -7,6 +7,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use deepsea_engine::exec::ExecError;
+use deepsea_engine::plan::LogicalPlan;
 use deepsea_obs::DecisionEvent;
 use deepsea_relation::{Schema, Table};
 use deepsea_storage::FileId;
@@ -19,7 +20,6 @@ use crate::matching::partition_matching;
 use crate::policy::PartitionPolicy;
 use crate::registry::PartitionState;
 use crate::selection::{apply_size_bounds, equi_depth_intervals, CandidateKind};
-use crate::stats::LogicalTime;
 
 use super::super::context::{CreationCharge, QueryContext};
 use super::super::DeepSea;
@@ -37,8 +37,13 @@ fn partition_rows(table: &Table, col: usize, intervals: &[Interval]) -> Vec<Vec<
 
 impl DeepSea {
     /// Materialize everything selection planned, accumulating the I/O into
-    /// `ctx.charge` and the written names into `ctx.materialized`.
-    pub(crate) fn stage_materialize(&mut self, ctx: &mut QueryContext) -> Result<(), ExecError> {
+    /// `ctx.charge` and the written names into `ctx.materialized`. `result`
+    /// is what executing `ctx.qbest` returned.
+    pub(crate) fn stage_materialize(
+        &mut self,
+        ctx: &mut QueryContext,
+        result: &Table,
+    ) -> Result<(), ExecError> {
         // Views computed once per query for multi-fragment materialization.
         // BTreeMap (not HashMap): this cache sits on the decision path, and
         // the D1 lint bans hash collections there — any future iteration
@@ -54,9 +59,9 @@ impl DeepSea {
                 continue;
             }
             let res = match &item.kind {
-                CandidateKind::WholeView(vid) => self.materialize_view(*vid, ctx.tnow),
+                CandidateKind::WholeView(vid) => self.materialize_view(*vid, (&ctx.qbest, result)),
                 CandidateKind::Fragment(vid, attr, fid) => self
-                    .materialize_fragment(*vid, attr, *fid, &mut view_cache)
+                    .materialize_fragment(*vid, attr, *fid, &mut view_cache, (&ctx.qbest, result))
                     .map(|opt| match opt {
                         Some((c, desc)) => (c, vec![desc]),
                         None => (CreationCharge::default(), Vec::new()),
@@ -114,12 +119,32 @@ impl DeepSea {
         ctx.trace.recovery.penalty_secs += charge.penalty_secs;
     }
 
-    /// Materialize a view (whole or initially partitioned). Returns the
-    /// creation overhead in seconds and descriptions of what was written.
+    /// The content of a view whose plan is `plan`, given the plan the query
+    /// executed and its result. The computation is a by-product of the
+    /// instrumented query (§7.2), and literally so when the view *is* the
+    /// query: a view plan reads base tables only (`Signature::of` refuses a
+    /// `ViewScan`), so every execution of it returns the same table, and the
+    /// query's result is shared instead of computed again. Any other view
+    /// plan is executed.
+    fn view_content(
+        &self,
+        plan: &LogicalPlan,
+        (executed, result): (&LogicalPlan, &Table),
+    ) -> Result<Table, ExecError> {
+        if plan == executed {
+            return Ok(result.clone());
+        }
+        let (table, _metrics) = self.backend.execute(plan, &self.catalog, &self.fs)?;
+        Ok(table)
+    }
+
+    /// Materialize a view (whole or initially partitioned) from its content
+    /// (see [`DeepSea::view_content`]). Returns the creation overhead in
+    /// seconds and descriptions of what was written.
     fn materialize_view(
         &mut self,
         vid: ViewId,
-        _tnow: LogicalTime,
+        executed: (&LogicalPlan, &Table),
     ) -> Result<(CreationCharge, Vec<String>), ExecError> {
         let (plan, name, key) = {
             let v = self.registry.view(vid);
@@ -128,10 +153,8 @@ impl DeepSea {
             }
             (Arc::clone(&v.plan), Arc::clone(&v.name), v.key.to_string())
         };
-        // Compute the view's content. In the real system this is a by-product
-        // of the instrumented query's execution, so only the *write* side is
-        // charged below.
-        let (table, _compute_metrics) = self.backend.execute(&plan, &self.catalog, &self.fs)?;
+        // Only the *write* side is charged below.
+        let table = self.view_content(&plan, executed)?;
         let actual_size = table.sim_bytes();
         let schema = table.schema.clone();
 
@@ -247,6 +270,7 @@ impl DeepSea {
         attr: &str,
         fid: FragmentId,
         view_cache: &mut BTreeMap<ViewId, Arc<Table>>,
+        executed: (&LogicalPlan, &Table),
     ) -> Result<Option<(CreationCharge, String)>, ExecError> {
         let overlapping_mode = self.config.partition_policy.overlapping();
         let (name, key, schema, target, sources): (Arc<str>, String, _, Interval, Vec<SourceFrag>) = {
@@ -284,7 +308,10 @@ impl DeepSea {
                 // No materialized source covers the target (fresh view, or a
                 // fully-evicted region): build the fragment from the view's
                 // plan instead.
-                _ => return self.materialize_fragment_from_plan(vid, attr, fid, view_cache),
+                _ => {
+                    return self
+                        .materialize_fragment_from_plan(vid, attr, fid, view_cache, executed)
+                }
             }
         };
 
@@ -438,7 +465,7 @@ impl DeepSea {
         Ok(Some((charge, format!("{name}.{attr}{target}"))))
     }
 
-    /// Build a fragment by computing the view's plan (used for initial
+    /// Build a fragment from the view's content (used for initial
     /// partitioned materialization and for regions whose sources were
     /// evicted). As with whole-view materialization, the computation happens
     /// as a by-product of the running query, so only the write is charged.
@@ -448,6 +475,7 @@ impl DeepSea {
         attr: &str,
         fid: FragmentId,
         view_cache: &mut BTreeMap<ViewId, Arc<Table>>,
+        executed: (&LogicalPlan, &Table),
     ) -> Result<Option<(CreationCharge, String)>, ExecError> {
         let (plan, name, key, target) = {
             let view = self.registry.view(vid);
@@ -467,8 +495,7 @@ impl DeepSea {
         let table = match view_cache.get(&vid) {
             Some(t) => Arc::clone(t),
             None => {
-                let (t, _metrics) = self.backend.execute(&plan, &self.catalog, &self.fs)?;
-                let t = Arc::new(t);
+                let t = Arc::new(self.view_content(&plan, executed)?);
                 view_cache.insert(vid, Arc::clone(&t));
                 t
             }

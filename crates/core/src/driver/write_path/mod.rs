@@ -175,7 +175,7 @@ impl DeepSea {
         // ── 6. INSTRUMENT + EXECUTE, apply the chosen configuration ──────
         let (result, metrics) = self.stage_execute(plan, &mut ctx)?;
         self.stage_apply_evictions(&mut ctx);
-        self.stage_materialize(&mut ctx)?;
+        self.stage_materialize(&mut ctx, &result)?;
         self.stage_charge_creation(&mut ctx);
         // ── 7. Enforce Smax with measured sizes ──────────────────────────
         self.stage_enforce_limit(&mut ctx);
@@ -198,15 +198,18 @@ impl DeepSea {
     }
 
     /// The Hive baseline: no matching, no materialization — and, unlike
-    /// DeepSea's instrumented plans, full predicate pushdown ("most
-    /// optimizers will push down selections", §10.2).
+    /// DeepSea's instrumented plans, full predicate pushdown (see
+    /// [`crate::policy::PartitionPolicy::executed_plan`]).
     fn run_baseline(
         &mut self,
         plan: &LogicalPlan,
         mut ctx: QueryContext,
     ) -> Result<QueryOutcome, ExecError> {
-        let optimized = deepsea_engine::optimize::push_down_selections(plan, &self.catalog);
-        let (result, mut metrics) = self.backend.execute(&optimized, &self.catalog, &self.fs)?;
+        let executed = self
+            .config
+            .partition_policy
+            .executed_plan(plan, &self.catalog);
+        let (result, mut metrics) = self.backend.execute(&executed, &self.catalog, &self.fs)?;
         ctx.record_execution(self.backend.as_ref(), &mut metrics, (0, 0.0));
         Ok(self.finish_query(ctx, result, metrics))
     }

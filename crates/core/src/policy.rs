@@ -5,6 +5,12 @@
 //! views are laid out* (progressive/overlapping vs equi-depth vs none). The
 //! two axes are orthogonal, exactly as in the paper's experiments.
 
+use std::borrow::Cow;
+
+use deepsea_engine::catalog::Catalog;
+use deepsea_engine::optimize::push_down_selections;
+use deepsea_engine::plan::LogicalPlan;
+
 use crate::mle::{adjusted_hits, fit_normal, FittedNormal};
 use crate::registry::PartitionState;
 use crate::stats::{FragStats, LogicalTime, ViewStats};
@@ -252,6 +258,22 @@ impl PartitionPolicy {
     /// Does this policy materialize anything?
     pub fn materializes(&self) -> bool {
         !matches!(self, PartitionPolicy::NoMaterialization)
+    }
+
+    /// The plan this policy executes for `plan`, on the writer and on every
+    /// snapshot reader alike. A policy that materializes runs `plan` as it
+    /// is: its selections stay above joins, so the joins remain view
+    /// candidates. The Hive baseline pushes selections down, as "most
+    /// optimizers" do (§10.2).
+    pub fn executed_plan<'p>(
+        &self,
+        plan: &'p LogicalPlan,
+        catalog: &Catalog,
+    ) -> Cow<'p, LogicalPlan> {
+        match self.materializes() {
+            true => Cow::Borrowed(plan),
+            false => Cow::Owned(push_down_selections(plan, catalog)),
+        }
     }
 
     /// Does this policy partition views?

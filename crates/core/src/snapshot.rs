@@ -164,7 +164,8 @@ impl ReadSnapshot {
 
     /// One read against this epoch: a fresh retry budget and query context,
     /// the read path (or, `base_only`, just the base plan) run on the read
-    /// view, and the answer assembled from what it left in the context.
+    /// view over the plan the writer's policy would execute, and the answer
+    /// assembled from what it left in the context.
     fn read(
         &self,
         plan: &LogicalPlan,
@@ -174,12 +175,16 @@ impl ReadSnapshot {
     ) -> Result<SnapshotAnswer, ExecError> {
         self.backend
             .reset_retry_budget(self.config.retry_budget_secs);
-        let mut ctx = QueryContext::new(plan, self.epoch).in_span(parent, anchor_secs);
+        let plan = self
+            .config
+            .partition_policy
+            .executed_plan(plan, &self.catalog);
+        let mut ctx = QueryContext::new(&plan, self.epoch).in_span(parent, anchor_secs);
         let view = self.read_view();
         let (result, metrics) = if base_only {
-            view.answer_base(plan, &mut ctx)?
+            view.answer_base(&plan, &mut ctx)?
         } else {
-            view.answer(plan, &mut ctx)?
+            view.answer(&plan, &mut ctx)?
         };
         Ok(SnapshotAnswer {
             result,

@@ -354,86 +354,28 @@ fn run(
                 }
             })
         }
-        LogicalPlan::Select { pred, input } => {
-            let child = run(input, catalog, fs, m)?;
-            m.rows_processed += child.len as u64;
-            Ok(match filter(&child, pred) {
-                None => child,
-                Some(sel) => {
-                    let sel: Rows = Arc::new(sel);
-                    let cols = child.take(&sel);
-                    Batch::new(child.schema, cols, sel.len(), child.bytes_per_row)
-                }
-            })
-        }
+        LogicalPlan::Select { pred, input } => match &**input {
+            LogicalPlan::Join { left, right, on } => {
+                join(left, right, on, Some(pred), catalog, fs, m)
+            }
+            _ => {
+                let child = run(input, catalog, fs, m)?;
+                Ok(select(child, pred, m))
+            }
+        },
         LogicalPlan::Project { cols, input } => {
             let child = run(input, catalog, fs, m)?;
             m.rows_processed += child.len as u64;
             let names: Vec<&str> = cols.iter().map(String::as_str).collect();
-            for n in &names {
-                if child.schema.index_of(n).is_none() {
-                    return Err(ExecError::UnknownColumn((*n).to_string()));
-                }
-            }
-            let (schema, idxs) = child.schema.project(&names);
+            let (schema, idxs) = child.schema.project(&names).ok_or_else(|| {
+                let unknown = names.iter().find(|n| child.schema.index_of(n).is_none());
+                ExecError::UnknownColumn(unknown.copied().unwrap_or_default().to_string())
+            })?;
             let out: Vec<Col> = idxs.iter().map(|&i| child.cols[i].clone()).collect();
             let bpr = scaled_width(&child, &out, child.len);
             Ok(Batch::new(schema, out, child.len, bpr))
         }
-        LogicalPlan::Join { left, right, on } => {
-            let l = run(left, catalog, fs, m)?;
-            let r = run(right, catalog, fs, m)?;
-            // A repartition join shuffles both inputs.
-            m.shuffle_bytes += l.sim_bytes() + r.sim_bytes();
-            m.stages += 1;
-            m.rows_processed += (l.len + r.len) as u64;
-
-            // Resolve join columns against the two input schemas; accept the
-            // pairs in either order.
-            let mut lk = Vec::with_capacity(on.len());
-            let mut rk = Vec::with_capacity(on.len());
-            for (a, b) in on {
-                match (l.schema.index_of(a), r.schema.index_of(b)) {
-                    (Some(ai), Some(bi)) => {
-                        lk.push(&l.cols[ai]);
-                        rk.push(&r.cols[bi]);
-                    }
-                    _ => match (l.schema.index_of(b), r.schema.index_of(a)) {
-                        (Some(bi), Some(ai)) => {
-                            lk.push(&l.cols[bi]);
-                            rk.push(&r.cols[ai]);
-                        }
-                        _ => {
-                            return Err(ExecError::UnknownColumn(format!("{a} = {b}")));
-                        }
-                    },
-                }
-            }
-
-            // Build on the smaller input; the output follows the probe side
-            // scan, matches of one probe row in build order.
-            let build_is_left = l.len <= r.len;
-            let (build_rows, probe_rows) = if build_is_left {
-                join_pairs(&lk, l.len, &rk, r.len)
-            } else {
-                join_pairs(&rk, r.len, &lk, l.len)
-            };
-            let len = build_rows.len();
-            let (lrows, rrows) = if build_is_left {
-                (build_rows, probe_rows)
-            } else {
-                (probe_rows, build_rows)
-            };
-            let mut cols = l.take(&Arc::new(lrows));
-            cols.extend(r.take(&Arc::new(rrows)));
-            m.rows_processed += len as u64;
-            Ok(Batch::new(
-                l.schema.concat(&r.schema),
-                cols,
-                len,
-                l.bytes_per_row + r.bytes_per_row,
-            ))
-        }
+        LogicalPlan::Join { left, right, on } => join(left, right, on, None, catalog, fs, m),
         LogicalPlan::Aggregate {
             group_by,
             aggs,
@@ -518,8 +460,128 @@ fn run(
     }
 }
 
+/// The rows of `child` that satisfy `pred`; the selection is charged every
+/// row it reads.
+fn select(child: Batch, pred: &Predicate, m: &mut ExecMetrics) -> Batch {
+    m.rows_processed += child.len as u64;
+    match filter(&child, pred) {
+        None => child,
+        Some(sel) => {
+            let sel: Rows = Arc::new(sel);
+            let cols = child.take(&sel);
+            Batch::new(child.schema, cols, sel.len(), child.bytes_per_row)
+        }
+    }
+}
+
+/// Inner equi-join of `left` and `right` on the `on` pairs and, given
+/// `pred`, the selection right above it — the one routine behind both plan
+/// shapes.
+///
+/// When every condition of `pred` reads the same input, that input is
+/// filtered first and only the pairs it keeps are built; otherwise the join
+/// is built whole and filtered after. Either way the output rows, their
+/// order and width, and every charge are those of the join followed by the
+/// selection: both are charged every pair the join forms.
+fn join(
+    left: &LogicalPlan,
+    right: &LogicalPlan,
+    on: &[(String, String)],
+    pred: Option<&Predicate>,
+    catalog: &Catalog,
+    fs: &SimFs<Table>,
+    m: &mut ExecMetrics,
+) -> Result<Batch, ExecError> {
+    let l = run(left, catalog, fs, m)?;
+    let r = run(right, catalog, fs, m)?;
+    // A repartition join shuffles both inputs.
+    m.shuffle_bytes += l.sim_bytes() + r.sim_bytes();
+    m.stages += 1;
+    m.rows_processed += (l.len + r.len) as u64;
+
+    // Resolve join columns against the two input schemas; accept the pairs
+    // in either order.
+    let mut lk = Vec::with_capacity(on.len());
+    let mut rk = Vec::with_capacity(on.len());
+    for (a, b) in on {
+        match (l.schema.index_of(a), r.schema.index_of(b)) {
+            (Some(ai), Some(bi)) => {
+                lk.push(&l.cols[ai]);
+                rk.push(&r.cols[bi]);
+            }
+            _ => match (l.schema.index_of(b), r.schema.index_of(a)) {
+                (Some(bi), Some(ai)) => {
+                    lk.push(&l.cols[bi]);
+                    rk.push(&r.cols[ai]);
+                }
+                _ => {
+                    return Err(ExecError::UnknownColumn(format!("{a} = {b}")));
+                }
+            },
+        }
+    }
+
+    let schema = l.schema.concat(&r.schema);
+    let fused = pred.and_then(|p| side_masks(p, &schema, &l, &r));
+    let [lkeep, rkeep] = fused
+        .as_ref()
+        .map_or([None, None], |[a, b]| [a.as_deref(), b.as_deref()]);
+    // Build on the smaller input, as the unfiltered lengths have it; the
+    // output follows the probe side scan, matches of one probe row in build
+    // order.
+    let build_is_left = l.len <= r.len;
+    let ((build_rows, probe_rows), formed) = if build_is_left {
+        let kept = Kept {
+            build: lkeep,
+            probe: rkeep,
+        };
+        join_pairs(&lk, l.len, &rk, r.len, kept)
+    } else {
+        let kept = Kept {
+            build: rkeep,
+            probe: lkeep,
+        };
+        join_pairs(&rk, r.len, &lk, l.len, kept)
+    };
+    let len = build_rows.len();
+    let (lrows, rrows) = if build_is_left {
+        (build_rows, probe_rows)
+    } else {
+        (probe_rows, build_rows)
+    };
+    let mut cols = l.take(&Arc::new(lrows));
+    cols.extend(r.take(&Arc::new(rrows)));
+    m.rows_processed += formed;
+    let joined = Batch::new(schema, cols, len, l.bytes_per_row + r.bytes_per_row);
+    Ok(match pred {
+        None => joined,
+        Some(_) if fused.is_some() => {
+            // The selection, done before pairing, is charged as if after.
+            m.rows_processed += formed;
+            joined
+        }
+        Some(p) => select(joined, p, m),
+    })
+}
+
 /// "No row": the end of a join chain, a group that saw no value.
 const NONE: u32 = u32::MAX;
+
+/// The conditions of `pred` and the position of each one's column in
+/// `schema`: `None` for a column it does not hold, or holds under an
+/// ambiguous bare name.
+fn resolve<'p>(pred: &'p Predicate, schema: &Schema) -> Vec<(&'p Predicate, Option<usize>)> {
+    pred.conjuncts()
+        .into_iter()
+        .filter_map(|c| match c {
+            Predicate::Range { col, .. } | Predicate::Eq { col, .. } => {
+                Some((c, schema.index_of(col)))
+            }
+            // `conjuncts` flattens `And` and drops `True`: nothing to narrow by.
+            Predicate::True | Predicate::And(_) => None,
+        })
+        .collect()
+}
 
 /// Rows of `batch` that satisfy `pred`, ascending; `None` when the predicate
 /// holds no condition, so every row passes. Each conjunct resolves its
@@ -528,44 +590,74 @@ const NONE: u32 = u32::MAX;
 /// (SQL three-valued logic collapsed to false at the top level), exactly as
 /// [`Predicate::eval`] defines it row by row.
 fn filter(batch: &Batch, pred: &Predicate) -> Option<Vec<u32>> {
-    let mut sel: Option<Vec<u32>> = None;
-    for conjunct in pred.conjuncts() {
-        sel = Some(conjunct_rows(batch, conjunct, sel));
-    }
-    sel
+    resolve(pred, &batch.schema)
+        .into_iter()
+        .fold(None, |sel, (conjunct, col)| {
+            Some(match col {
+                Some(i) => conjunct_rows(&batch.cols[i], batch.len, conjunct, sel),
+                None => Vec::new(),
+            })
+        })
 }
 
-/// The rows of `sel` (all rows when `None`) that satisfy one condition.
-fn conjunct_rows(batch: &Batch, conjunct: &Predicate, sel: Option<Vec<u32>>) -> Vec<u32> {
-    let (name, value) = match conjunct {
-        Predicate::Range { col, .. } => (col, None),
-        Predicate::Eq { col, value } => (col, Some(value)),
-        // `conjuncts` flattens `And` and drops `True`: nothing to narrow by.
-        Predicate::True | Predicate::And(_) => {
-            return sel.unwrap_or_else(|| (0..batch.len as u32).collect())
-        }
-    };
-    let Some(c) = batch.schema.index_of(name).map(|i| &batch.cols[i]) else {
-        return Vec::new();
-    };
-    let n = batch.len;
-    match (conjunct, c.data.data(), value) {
-        (Predicate::Range { low, high, .. }, ColumnData::Int(v), _) => {
+/// Which rows of a join's `[left, right]` inputs `pred` keeps, resolved
+/// against the join's output `schema`, when every condition reads the same
+/// input (the other keeps all, `None`). `None` when the conditions read
+/// both inputs, one names an unknown column, or there are none: the join
+/// is then built whole and filtered after.
+fn side_masks(
+    pred: &Predicate,
+    schema: &Schema,
+    l: &Batch,
+    r: &Batch,
+) -> Option<[Option<Vec<bool>>; 2]> {
+    let conds = resolve(pred, schema)
+        .into_iter()
+        .map(|(c, i)| Some((c, i?)))
+        .collect::<Option<Vec<(&Predicate, usize)>>>()?;
+    let split = l.cols.len();
+    let on_left = conds.first()?.1 < split;
+    if conds.iter().any(|&(_, i)| (i < split) != on_left) {
+        return None;
+    }
+    let (side, from) = if on_left { (l, 0) } else { (r, split) };
+    let sel = conds.iter().fold(None, |sel, &(c, i)| {
+        Some(conjunct_rows(&side.cols[i - from], side.len, c, sel))
+    });
+    let mut mask = vec![false; side.len];
+    sel.into_iter()
+        .flatten()
+        .for_each(|r| mask[r as usize] = true);
+    Some(match on_left {
+        true => [Some(mask), None],
+        false => [None, Some(mask)],
+    })
+}
+
+/// The rows of `sel` (of `0..n` when `None`) that satisfy one condition on
+/// column `c`.
+fn conjunct_rows(c: &Col, n: usize, conjunct: &Predicate, sel: Option<Vec<u32>>) -> Vec<u32> {
+    match (conjunct, c.data.data()) {
+        (Predicate::Range { low, high, .. }, ColumnData::Int(v)) => {
             keep(n, sel, c, |p| (*low <= v[p]) & (v[p] <= *high))
         }
-        (_, ColumnData::Int(v), Some(Value::Int(x))) => keep(n, sel, c, |p| v[p] == *x),
-        (_, ColumnData::Int(v), Some(Value::Float(x))) => {
-            keep(n, sel, c, |p| (v[p] as f64).total_cmp(x).is_eq())
-        }
-        (_, ColumnData::Float(v), Some(Value::Int(x))) => {
-            keep(n, sel, c, |p| v[p].total_cmp(&(*x as f64)).is_eq())
-        }
-        (_, ColumnData::Float(v), Some(Value::Float(x))) => {
-            keep(n, sel, c, |p| v[p].total_cmp(x).is_eq())
-        }
-        (_, ColumnData::Str(v), Some(Value::Str(x))) => keep(n, sel, c, |p| *v[p] == **x),
-        // A range over a non-integer column, or a value of another kind
-        // than the column's (NULL included), matches nothing.
+        (Predicate::Eq { value, .. }, data) => match (data, value) {
+            (ColumnData::Int(v), Value::Int(x)) => keep(n, sel, c, |p| v[p] == *x),
+            (ColumnData::Int(v), Value::Float(x)) => {
+                keep(n, sel, c, |p| (v[p] as f64).total_cmp(x).is_eq())
+            }
+            (ColumnData::Float(v), Value::Int(x)) => {
+                keep(n, sel, c, |p| v[p].total_cmp(&(*x as f64)).is_eq())
+            }
+            (ColumnData::Float(v), Value::Float(x)) => {
+                keep(n, sel, c, |p| v[p].total_cmp(x).is_eq())
+            }
+            (ColumnData::Str(v), Value::Str(x)) => keep(n, sel, c, |p| *v[p] == **x),
+            // A value of another kind than the column's (NULL included)
+            // matches nothing.
+            _ => Vec::new(),
+        },
+        // A range over a non-integer column matches nothing.
         _ => Vec::new(),
     }
 }
@@ -969,6 +1061,20 @@ impl Keys {
 /// The `(build row, probe row)` pairs of a join, as two parallel vectors.
 type Pairs = (Vec<u32>, Vec<u32>);
 
+/// The rows of each join side that a selection above the join keeps
+/// (`mask[r]`); `None` keeps every row of its side.
+#[derive(Clone, Copy, Default)]
+struct Kept<'a> {
+    build: Option<&'a [bool]>,
+    probe: Option<&'a [bool]>,
+}
+
+/// Whether `mask` keeps row `r`.
+#[inline]
+fn kept(mask: Option<&[bool]>, r: usize) -> bool {
+    mask.is_none_or(|m| m[r])
+}
+
 /// Append probe row `j` paired with every build row of the chain from `i`.
 #[inline]
 fn push_chain(pairs: &mut Pairs, mut i: u32, next: &[u32], j: usize) {
@@ -979,55 +1085,94 @@ fn push_chain(pairs: &mut Pairs, mut i: u32, next: &[u32], j: usize) {
     }
 }
 
-/// Inner equi-join of `build` and `probe` key columns: the matching pairs,
-/// probe rows ascending and, for one probe row, build rows ascending. A NULL
-/// in any key column joins nothing.
-fn join_pairs(build: &[&Col], build_len: usize, probe: &[&Col], probe_len: usize) -> Pairs {
-    match DirectIndex::new(build, build_len, probe, probe_len) {
-        Some(index) => join_direct(index, build[0], build_len, probe[0], probe_len),
-        None => join_hashed(build, build_len, probe, probe_len),
+/// Inner equi-join of `build` and `probe` key columns: the matching pairs of
+/// rows both sides keep, probe rows ascending and, for one probe row, build
+/// rows ascending; and the number of pairs the join forms over all rows,
+/// kept or not. A NULL in any key column joins nothing.
+fn join_pairs(
+    build: &[&Col],
+    build_len: usize,
+    probe: &[&Col],
+    probe_len: usize,
+    keep: Kept<'_>,
+) -> (Pairs, u64) {
+    // Each kernel is compiled twice: without a mask it neither tests rows
+    // nor counts pairs on the side, every pair formed being built.
+    let masked = keep.build.is_some() || keep.probe.is_some();
+    match (DirectIndex::new(build, build_len, probe, probe_len), masked) {
+        (Some(index), false) => {
+            join_direct::<false>(index, build[0], build_len, probe[0], probe_len, keep)
+        }
+        (Some(index), true) => {
+            join_direct::<true>(index, build[0], build_len, probe[0], probe_len, keep)
+        }
+        (None, false) => join_hashed::<false>(build, build_len, probe, probe_len, keep),
+        (None, true) => join_hashed::<true>(build, build_len, probe, probe_len, keep),
     }
 }
 
 /// [`join_pairs`] of a single-column key through its [`DirectIndex`]: each
-/// cell holds the first row of its key's chain.
-fn join_direct(
+/// cell holds the first kept row of its key's chain and, `MASKED`, a count
+/// array beside the cells each key's build rows, kept or not.
+fn join_direct<const MASKED: bool>(
     index: DirectIndex<'_>,
     build: &Col,
     build_len: usize,
     probe: &Col,
     probe_len: usize,
-) -> Pairs {
+    keep: Kept<'_>,
+) -> (Pairs, u64) {
     let mut head = index.cells;
+    let mut count = vec![0u32; if MASKED { head.len() } else { 0 }];
     let bnull = null_rows(build, build_len);
     let pnull = null_rows(probe, probe_len);
-    // Build, last row first, pushing each row onto the front of its key's
-    // chain: every chain ends up in ascending row order.
+    // Build, last row first, pushing each kept row onto the front of its
+    // key's chain: every chain ends up in ascending row order.
     let mut next: Vec<u32> = vec![NONE; build_len];
     for i in (0..build_len).rev().filter(|&i| !marked(&bnull, i)) {
-        let head = &mut head[index.build.at(i) as usize];
-        next[i] = *head;
-        *head = i as u32;
+        let cell = index.build.at(i) as usize;
+        if MASKED {
+            count[cell] += 1;
+            if !kept(keep.build, i) {
+                continue;
+            }
+        }
+        next[i] = head[cell];
+        head[cell] = i as u32;
     }
     let mut pairs = (Vec::with_capacity(probe_len), Vec::with_capacity(probe_len));
+    let mut formed = 0u64;
     for j in (0..probe_len).filter(|&j| !marked(&pnull, j)) {
-        let first = usize::try_from(index.probe.at(j))
+        let cell = usize::try_from(index.probe.at(j))
             .ok()
-            .and_then(|o| head.get(o));
-        push_chain(&mut pairs, first.copied().unwrap_or(NONE), &next, j);
+            .filter(|&c| c < head.len());
+        if MASKED {
+            formed += cell.map_or(0, |c| u64::from(count[c]));
+            if !kept(keep.probe, j) {
+                continue;
+            }
+        }
+        push_chain(&mut pairs, cell.map_or(NONE, |c| head[c]), &next, j);
     }
-    pairs
+    let formed = if MASKED { formed } else { pairs.0.len() as u64 };
+    (pairs, formed)
 }
 
 /// [`join_pairs`] of any key through an [`IdTable`] over per-row codes.
-fn join_hashed(build: &[&Col], build_len: usize, probe: &[&Col], probe_len: usize) -> Pairs {
+fn join_hashed<const MASKED: bool>(
+    build: &[&Col],
+    build_len: usize,
+    probe: &[&Col],
+    probe_len: usize,
+    keep: Kept<'_>,
+) -> (Pairs, u64) {
     let mut bkeys = Keys { codes: Vec::new() };
     let mut pkeys = Keys { codes: Vec::new() };
     let mut bnull: Option<Vec<bool>> = None;
     let mut pnull: Option<Vec<bool>> = None;
     for (b, p) in build.iter().zip(probe) {
         let Some(code) = KeyCode::common(b.data.dtype(), p.data.dtype()) else {
-            return (Vec::new(), Vec::new());
+            return ((Vec::new(), Vec::new()), 0);
         };
         // Only a string key builds a dictionary, shared by its two sides.
         let mut dict: Option<StrDict<'_>> = None;
@@ -1047,26 +1192,44 @@ fn join_hashed(build: &[&Col], build_len: usize, probe: &[&Col], probe_len: usiz
         }
     }
 
-    // Build, as in `join_direct`.
+    // Build, as in `join_direct`; per key id a row holding the key (to
+    // compare against), the first kept row of its chain and, `MASKED`, its
+    // row count.
     let mut table = IdTable::with_capacity(build_len);
-    let mut head: Vec<u32> = Vec::new(); // first row of each key's chain
+    let mut key_row: Vec<u32> = Vec::new();
+    let mut head: Vec<u32> = Vec::new();
+    let mut count: Vec<u32> = Vec::new();
     let mut next: Vec<u32> = vec![NONE; build_len];
     for i in (0..build_len).rev().filter(|&i| !marked(&bnull, i)) {
         let id = table.find_or_insert(bkeys.hash(i), |id| {
-            bkeys.eq(i, &bkeys, head[id as usize] as usize)
+            bkeys.eq(i, &bkeys, key_row[id as usize] as usize)
         }) as usize;
-        if id == head.len() {
-            head.push(i as u32);
-        } else {
-            next[i] = head[id];
-            head[id] = i as u32;
+        if id == key_row.len() {
+            key_row.push(i as u32);
+            head.push(NONE);
+            count.extend(MASKED.then_some(0));
         }
+        if MASKED {
+            count[id] += 1;
+            if !kept(keep.build, i) {
+                continue;
+            }
+        }
+        next[i] = head[id];
+        head[id] = i as u32;
     }
     let mut pairs = (Vec::with_capacity(probe_len), Vec::with_capacity(probe_len));
+    let mut formed = 0u64;
     for j in (0..probe_len).filter(|&j| !marked(&pnull, j)) {
         let found = table.find(pkeys.hash(j), |id| {
-            pkeys.eq(j, &bkeys, head[id as usize] as usize)
+            pkeys.eq(j, &bkeys, key_row[id as usize] as usize)
         });
+        if MASKED {
+            formed += found.map_or(0, |id| u64::from(count[id as usize]));
+            if !kept(keep.probe, j) {
+                continue;
+            }
+        }
         push_chain(
             &mut pairs,
             found.map_or(NONE, |id| head[id as usize]),
@@ -1074,7 +1237,8 @@ fn join_hashed(build: &[&Col], build_len: usize, probe: &[&Col], probe_len: usiz
             j,
         );
     }
-    pairs
+    let formed = if MASKED { formed } else { pairs.0.len() as u64 };
+    (pairs, formed)
 }
 
 /// The grouping of a batch's rows by some key columns.
@@ -1540,17 +1704,63 @@ mod tests {
     }
 
     /// Join and group `build` (and `probe`) through both indexes and against
-    /// the obvious loops; returns whether the density rule chose direct
-    /// addressing for the join.
+    /// the obvious loops — the join also with a kept-row mask on either side,
+    /// whose pairs must be the unmasked ones filtered while the count of
+    /// pairs formed stays the unmasked one; returns whether the density rule
+    /// chose direct addressing for the join.
     fn check_key_indexes(build: &Col, build_len: usize, probe: &Col, probe_len: usize) -> bool {
         let (b, p) = ([build], [probe]);
-        let want = nested_loop_pairs(build, build_len, probe, probe_len);
-        assert_eq!(join_hashed(&b, build_len, &p, probe_len), want);
-        assert_eq!(join_pairs(&b, build_len, &p, probe_len), want);
-        let direct = DirectIndex::new(&b, build_len, &p, probe_len);
-        let chose_direct = direct.is_some();
-        if let Some(index) = direct {
-            assert_eq!(join_direct(index, build, build_len, probe, probe_len), want);
+        let all = nested_loop_pairs(build, build_len, probe, probe_len);
+        let formed = all.0.len() as u64;
+        let masks = |n: usize| -> [Vec<bool>; 2] {
+            [
+                (0..n).map(|r| r % 2 == 0).collect(),
+                (0..n).map(|r| r % 3 == 1).collect(),
+            ]
+        };
+        let (bmasks, pmasks) = (masks(build_len), masks(probe_len));
+        let mut keeps = vec![Kept::default()];
+        for (bm, pm) in bmasks.iter().zip(&pmasks) {
+            keeps.push(Kept {
+                build: Some(bm),
+                probe: None,
+            });
+            keeps.push(Kept {
+                build: None,
+                probe: Some(pm),
+            });
+        }
+        let chose_direct = DirectIndex::new(&b, build_len, &p, probe_len).is_some();
+        for keep in keeps {
+            let pairs: Pairs = all
+                .0
+                .iter()
+                .zip(&all.1)
+                .map(|(&i, &j)| (i, j))
+                .filter(|&(i, j)| kept(keep.build, i as usize) && kept(keep.probe, j as usize))
+                .unzip();
+            let want = (pairs, formed);
+            assert_eq!(join_pairs(&b, build_len, &p, probe_len, keep), want);
+            // The masked kernels, also without a mask; the unmasked ones.
+            assert_eq!(
+                join_hashed::<true>(&b, build_len, &p, probe_len, keep),
+                want
+            );
+            let index = || DirectIndex::new(&b, build_len, &p, probe_len);
+            if let Some(index) = index() {
+                let got = join_direct::<true>(index, build, build_len, probe, probe_len, keep);
+                assert_eq!(got, want);
+            }
+            if keep.build.is_none() && keep.probe.is_none() {
+                assert_eq!(
+                    join_hashed::<false>(&b, build_len, &p, probe_len, keep),
+                    want
+                );
+                if let Some(index) = index() {
+                    let got = join_direct::<false>(index, build, build_len, probe, probe_len, keep);
+                    assert_eq!(got, want);
+                }
+            }
         }
         for (key, n) in [(build, build_len), (probe, probe_len)] {
             let want = first_seen_groups(key, n);
@@ -1607,7 +1817,11 @@ mod tests {
         assert!(!check_key_indexes(&ints, 0, &ints, 3));
         assert!(DirectIndex::new(&[&ints, &ints], 3, &[&ints, &ints], 3).is_none());
         // A string never equals a number.
-        assert_eq!(join_pairs(&[&build], 6, &[&ints], 3), (vec![], vec![]));
+        let all = Kept::default();
+        assert_eq!(
+            join_pairs(&[&build], 6, &[&ints], 3, all).0,
+            (vec![], vec![])
+        );
     }
 
     #[test]
@@ -1634,8 +1848,8 @@ mod tests {
         let probe = key_col(DataType::Int, &probe, None);
         assert!(check_key_indexes(&build, 4, &probe, 4));
         assert_eq!(
-            join_pairs(&[&build], 4, &[&probe], 4),
-            (vec![0, 2], vec![1, 2])
+            join_pairs(&[&build], 4, &[&probe], 4, Kept::default()),
+            ((vec![0, 2], vec![1, 2]), 2)
         );
         let groups = group_rows(&[&build], 4);
         assert_eq!(groups.of_row, vec![0, 1, 2, 1]);
@@ -1650,8 +1864,8 @@ mod tests {
         let strs = key_col(DataType::Str, &strs, None);
         assert!(check_key_indexes(&strs, 4, &strs, 4));
         assert_eq!(
-            join_pairs(&[&strs], 4, &[&strs], 4),
-            (vec![0, 2], vec![0, 2])
+            join_pairs(&[&strs], 4, &[&strs], 4, Kept::default()),
+            ((vec![0, 2], vec![0, 2]), 2)
         );
     }
 

@@ -82,7 +82,8 @@ fn reference(p: &LogicalPlan, cat: &Catalog, fs: &SimFs<Table>, m: &mut ExecMetr
         LogicalPlan::Project { cols, input } => {
             let (s, rows, bpr) = reference(input, cat, fs, m);
             m.rows_processed += rows.len() as u64;
-            let (schema, at) = s.project(&cols.iter().map(String::as_str).collect::<Vec<_>>());
+            let names: Vec<&str> = cols.iter().map(String::as_str).collect();
+            let (schema, at) = s.project(&names).expect("projected columns exist");
             let out: Vec<Row> = rows
                 .iter()
                 .map(|r| at.iter().map(|&i| r[i].clone()).collect())
@@ -255,11 +256,20 @@ fn random_catalog(rows_a: usize, rows_b: usize, seed: u64) -> Catalog {
         "b",
         table("b", &[("k", Int), ("x", Float), ("s", Str)], rows_b, 90),
     );
+    // A third table, small, for a join of three.
+    let rows_c = (seed % 6) as usize;
+    c.register("c", table("c", &[("k", Int), ("s", Str)], rows_c, 40));
     c
 }
 
-/// A plan over [`random_catalog`]: a scan or one of six joins, then
+/// A plan over [`random_catalog`]: a scan or one of seven joins, then
 /// optionally a selection, then a projection or one of four aggregates.
+///
+/// A selection right above a join is evaluated on one input before pairing
+/// when all its conditions read that input; the selections below reach
+/// that path from either input (the left one of the three-table join being
+/// the inner join, which holds all of `a`) and miss it through an
+/// ambiguous or unknown column or conditions on both inputs.
 fn random_plan(join: u8, select: u8, shape: u8, lo: i64) -> LogicalPlan {
     let (a, b) = (|| LogicalPlan::scan("a"), || LogicalPlan::scan("b"));
     let plan = match join {
@@ -269,7 +279,10 @@ fn random_plan(join: u8, select: u8, shape: u8, lo: i64) -> LogicalPlan {
         3 => a().join(b(), vec![("a.k", "b.k"), ("a.s", "b.s")]),
         4 => b().join(a(), vec![("a.k", "b.k")]), // pairs named right-to-left
         5 => a().join(b(), vec![("a.s", "b.s")]),
-        _ => a().join(b(), vec![("a.s", "b.k")]), // Str = Int: never equal
+        6 => a().join(b(), vec![("a.s", "b.k")]), // Str = Int: never equal
+        _ => a()
+            .join(b(), vec![("a.k", "b.k")])
+            .join(LogicalPlan::scan("c"), vec![("c.s", "b.s")]),
     };
     let plan = match select {
         0 => plan,
@@ -280,7 +293,13 @@ fn random_plan(join: u8, select: u8, shape: u8, lo: i64) -> LogicalPlan {
         ])),
         3 => plan.select(Predicate::eq("a.f", 1)), // Float column = Int value
         4 => plan.select(Predicate::range("a.f", 0, 9)), // range over floats: nothing
-        _ => plan.select(Predicate::eq("a.k", Value::Null)),
+        5 => plan.select(Predicate::eq("a.k", Value::Null)),
+        6 => plan.select(Predicate::range("b.k", lo, lo + 2)), // the right input
+        7 => plan.select(Predicate::eq("b.s", "s2")),
+        _ => plan.select(Predicate::and(vec![
+            Predicate::range("a.k", lo, 3), // one condition per input
+            Predicate::eq("b.s", "s0"),
+        ])),
     };
     let of = AggExpr::of;
     match shape {
@@ -327,7 +346,7 @@ proptest! {
     #[test]
     fn batch_executor_equals_row_reference(
         rows_a in 0usize..80, rows_b in 0usize..80, seed in any::<u64>(),
-        join in 0u8..7, select in 0u8..6, shape in 0u8..6, lo in 0i64..4,
+        join in 0u8..8, select in 0u8..9, shape in 0u8..6, lo in 0i64..4,
     ) {
         let cat = random_catalog(rows_a, rows_b, seed);
         let fs = fs();

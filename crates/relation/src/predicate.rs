@@ -71,7 +71,7 @@ impl Predicate {
         }
         match flat.len() {
             0 => Predicate::True,
-            1 => flat.pop().unwrap(),
+            1 => flat.swap_remove(0),
             _ => Predicate::And(flat),
         }
     }

@@ -90,21 +90,15 @@ impl Schema {
         &self.fields[idx]
     }
 
-    /// A new schema containing the named columns in the given order.
-    ///
-    /// # Panics
-    /// Panics if any name is unknown.
-    pub fn project(&self, names: &[&str]) -> (Schema, Vec<usize>) {
-        let mut fields = Vec::with_capacity(names.len());
-        let mut idxs = Vec::with_capacity(names.len());
-        for n in names {
-            let i = self
-                .index_of(n)
-                .unwrap_or_else(|| panic!("unknown column {n:?}"));
-            fields.push(self.fields[i].clone());
-            idxs.push(i);
-        }
-        (Schema::new(fields), idxs)
+    /// A new schema containing the named columns in the given order, and
+    /// where each sits in this one; `None` if any name is unknown.
+    pub fn project(&self, names: &[&str]) -> Option<(Schema, Vec<usize>)> {
+        let idxs = names
+            .iter()
+            .map(|n| self.index_of(n))
+            .collect::<Option<Vec<usize>>>()?;
+        let fields = idxs.iter().map(|&i| self.fields[i].clone()).collect();
+        Some((Schema::new(fields), idxs))
     }
 
     /// Concatenate two schemas (for join results).
@@ -142,16 +136,16 @@ mod tests {
 
     #[test]
     fn project_reorders() {
-        let (p, idxs) = s().project(&["u.a", "t.b"]);
+        let (p, idxs) = s().project(&["u.a", "t.b"]).unwrap();
         assert_eq!(idxs, vec![2, 1]);
         assert_eq!(p.field(0).name, "u.a");
         assert_eq!(p.len(), 2);
     }
 
     #[test]
-    #[should_panic(expected = "unknown column")]
-    fn project_unknown_panics() {
-        s().project(&["nope"]);
+    fn project_unknown_is_none() {
+        assert_eq!(s().project(&["t.b", "nope"]), None);
+        assert_eq!(s().project(&["a"]), None, "ambiguous bare name");
     }
 
     #[test]
