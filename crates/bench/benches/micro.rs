@@ -145,7 +145,9 @@ fn bench_commit_bookkeeping(c: &mut Criterion) {
 
 /// The executor's kernels on the wall-clock benchmark's instance, one plan
 /// each; divide by the rows named to get ns per row. Joins and the selection
-/// end in a global COUNT, so that no 40k-row result is copied out.
+/// end in a global COUNT, so that no 40k-row result is copied out — except
+/// `join_40k_table`, whose result becomes a `Table`, as a view stored from
+/// the executed plan does.
 fn bench_exec_kernels(c: &mut Criterion) {
     let (lo, hi) = item_domain();
     let dist = ItemDistribution::Histogram(sdss_like_histogram(lo, hi));
@@ -179,6 +181,8 @@ fn bench_exec_kernels(c: &mut Criterion) {
     let plans = [
         // 40k + 40k input rows.
         ("join_40k_int_dense", count(ss_item())),
+        // The same join gathered into a 40k-row table, `i_category` included.
+        ("join_40k_table", ss_item()),
         (
             "join_40k_int_sparse",
             count(scan("sparse_sales").join(

@@ -495,8 +495,6 @@ impl DeepSea {
             None,
             outcome.quarantined.len() as u64,
         );
-        self.obs
-            .gauge_set("deepsea_pool_bytes", None, self.pool_bytes() as f64);
         self.observe_fault_deltas();
     }
 

@@ -573,17 +573,11 @@ impl DeepSea {
             let Some(fit) = part.values.as_ref().and_then(|v| v.fit) else {
                 continue;
             };
-            let (view, attr) = (&part.view.name, &part.ps.attr);
-            let label = format!("{view}.{attr}");
-            self.obs
-                .gauge_set("deepsea_mle_mean", Some(&label), fit.normal.mean);
-            self.obs
-                .gauge_set("deepsea_mle_std", Some(&label), fit.normal.std);
             self.obs.event(
                 tnow,
                 DecisionEvent::MleFit {
-                    view: view.to_string(),
-                    attr: attr.clone(),
+                    view: part.view.name.to_string(),
+                    attr: part.ps.attr.clone(),
                     mean: fit.normal.mean,
                     std: fit.normal.std,
                     total_hits: fit.total_hits,

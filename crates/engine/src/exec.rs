@@ -168,7 +168,7 @@ impl Col {
             ColumnData::Float(v) => rows
                 .filter(|&(_, p)| !self.data.is_null(p))
                 .for_each(|(r, p)| f(r, v[p])),
-            ColumnData::Str(_) => {}
+            ColumnData::Str { .. } => {}
         }
     }
 }
@@ -652,9 +652,13 @@ fn conjunct_rows(c: &Col, n: usize, conjunct: &Predicate, sel: Option<Vec<u32>>)
             (ColumnData::Float(v), Value::Float(x)) => {
                 keep(n, sel, c, |p| v[p].total_cmp(x).is_eq())
             }
-            (ColumnData::Str(v), Value::Str(x)) => keep(n, sel, c, |p| *v[p] == **x),
-            // A value of another kind than the column's (NULL included)
-            // matches nothing.
+            // A string is looked up once, then compared as a code.
+            (ColumnData::Str { codes, dict }, Value::Str(x)) => match dict.code_of(x) {
+                Some(code) => keep(n, sel, c, |p| codes[p] == code),
+                None => Vec::new(),
+            },
+            // A value of another kind than the column's (NULL included), or
+            // a string the column never holds, matches nothing.
             _ => Vec::new(),
         },
         // A range over a non-integer column matches nothing.
@@ -782,108 +786,54 @@ impl IdTable {
     }
 }
 
-/// Strings numbered in first-seen order — ids are dense from 0 — so string
-/// keys address and compare as integers like every other key. A string's
-/// bytes are hashed once per distinct `Arc` that holds it: the id found for
-/// an allocation is remembered under its address, and one live allocation
-/// is one string, so the memo answers exactly what the bytes would. Tables
-/// share one `Arc` per distinct label, so a 40k-row column hashes a few
-/// dozen strings.
-struct StrDict<'a> {
-    table: IdTable,
-    strs: Vec<&'a str>,
-    /// Addresses already resolved, and what each resolved to ([`NONE`]: a
-    /// string a closed dictionary lacks).
-    seen: IdTable,
-    seen_ids: Vec<(usize, u32)>,
+/// A single key column read as integers where its rows lie — an integer
+/// column's values, a string column's codes — less a minimum (the last
+/// field). Less the build side's smallest key, they are offsets into a
+/// [`DirectIndex`].
+enum IntKeys<'a> {
+    Ints(&'a [i64], &'a Col, i64),
+    Codes(&'a [u32], &'a Col, i64),
 }
 
-impl<'a> StrDict<'a> {
-    fn new() -> Self {
-        Self {
-            table: IdTable::with_capacity(0),
-            strs: Vec::new(),
-            // Roomy from the start: where two addresses share a slot, which
-            // rows probe twice is a coin toss the branch predictor loses.
-            seen: IdTable::with_capacity(512),
-            seen_ids: Vec::new(),
-        }
-    }
-
-    fn hash(s: &str) -> u64 {
-        // FNV-1a, then one multiplication to spread it into the top bits.
-        let h = s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-        });
-        h.wrapping_mul(HASH_MUL)
-    }
-
-    /// What `resolve` makes of `s`, asked once per allocation.
-    fn memo(&mut self, s: &'a Arc<str>, resolve: impl FnOnce(&mut Self, &'a str) -> u32) -> u32 {
-        let addr = Arc::as_ptr(s).cast::<u8>() as usize;
-        let seen_ids = &self.seen_ids;
-        let m = self
-            .seen
-            .find_or_insert((addr as u64).wrapping_mul(HASH_MUL), |m| {
-                seen_ids[m as usize].0 == addr
-            }) as usize;
-        if m == self.seen_ids.len() {
-            let id = resolve(self, s);
-            self.seen_ids.push((addr, id));
-        }
-        self.seen_ids[m].1
-    }
-
-    /// Id of `s`, or [`NONE`] if it was never interned. The first lookup
-    /// closes the dictionary: the memo would repeat a [`NONE`] to a later
-    /// `intern` of the same allocation.
-    fn lookup(&mut self, s: &'a Arc<str>) -> u32 {
-        self.memo(s, |dict, s| {
-            let strs = &dict.strs;
-            dict.table
-                .find(Self::hash(s), |id| strs[id as usize] == s)
-                .unwrap_or(NONE)
-        })
-    }
-
-    /// Id of `s`, the next free one if it is new.
-    fn intern(&mut self, s: &'a Arc<str>) -> u32 {
-        self.memo(s, |dict, s| {
-            let strs = &dict.strs;
-            let id = dict
-                .table
-                .find_or_insert(Self::hash(s), |id| strs[id as usize] == s);
-            if id as usize == dict.strs.len() {
-                dict.strs.push(s);
+impl<'a> IntKeys<'a> {
+    /// A join's `build` and `probe` key columns (a group-by's key, twice)
+    /// read as integers, when their values compare as such: integers, and
+    /// strings under one dictionary.
+    fn of(build: &'a Col, probe: &'a Col) -> Option<(Self, Self)> {
+        Some(match (build.data.data(), probe.data.data()) {
+            (ColumnData::Int(b), ColumnData::Int(p)) => {
+                (IntKeys::Ints(b, build, 0), IntKeys::Ints(p, probe, 0))
             }
-            id
+            (ColumnData::Str { codes: b, dict }, ColumnData::Str { codes: p, dict: d })
+                if Arc::ptr_eq(dict, d) =>
+            {
+                (IntKeys::Codes(b, build, 0), IntKeys::Codes(p, probe, 0))
+            }
+            _ => return None,
         })
     }
-}
 
-/// How the rows of one side of a single-column key read as offsets into the
-/// cells of a [`DirectIndex`].
-enum Offsets<'a> {
-    /// Integers, read where they lie in the column: `value − min`.
-    Ints {
-        vals: &'a [i64],
-        col: &'a Col,
-        min: i64,
-    },
-    /// Strings: their [`StrDict`] ids; [`NONE`] for a string of the probe
-    /// side that the build side never held.
-    Ids(Vec<u32>),
-}
+    /// The same keys less `min`.
+    fn less(self, min: i64) -> Self {
+        match self {
+            IntKeys::Ints(v, col, _) => IntKeys::Ints(v, col, min),
+            IntKeys::Codes(c, col, _) => IntKeys::Codes(c, col, min),
+        }
+    }
 
-impl Offsets<'_> {
-    /// Offset of row `r`'s key: the number of cells or more for a key the
-    /// index does not hold.
+    /// Row `r`'s key less the minimum, wrapped: as an offset, the number of
+    /// cells or more for a key the index does not hold.
     #[inline]
     fn at(&self, r: usize) -> u64 {
         match self {
-            Offsets::Ints { vals, col, min } => vals[col.phys(r)].wrapping_sub(*min) as u64,
-            Offsets::Ids(ids) => u64::from(ids[r]),
+            IntKeys::Ints(v, col, min) => v[col.phys(r)].wrapping_sub(*min) as u64,
+            IntKeys::Codes(c, col, min) => i64::from(c[col.phys(r)]).wrapping_sub(*min) as u64,
         }
+    }
+
+    /// The keys of the first `n` rows.
+    fn codes(&self, n: usize) -> Vec<u64> {
+        (0..n).map(|r| self.at(r)).collect()
     }
 }
 
@@ -898,20 +848,21 @@ struct DirectIndex<'a> {
     /// One cell per possible key, [`NONE`] until a caller writes it.
     cells: Vec<u32>,
     /// The rows that fill the cells: a join's build side, a group-by's input.
-    build: Offsets<'a>,
-    /// The rows that read them: a join's probe side; no rows for a group-by.
-    probe: Offsets<'a>,
+    build: IntKeys<'a>,
+    /// The rows that read them: a join's probe side; for a group-by, its
+    /// input again with no rows.
+    probe: IntKeys<'a>,
 }
 
 impl<'a> DirectIndex<'a> {
     /// The density rule, the one place that chooses direct addressing over
-    /// hashing. Integer keys qualify when `max − min < 4·rows + 64` over the
-    /// build side, `rows` being all the rows the index will serve: setting
-    /// the cells up then costs a few `u32` writes per row at most. String
-    /// keys always qualify, their dictionary ids being dense by
-    /// construction. `None` sends everything else to the hashed index:
-    /// multi-column keys, floats, integers compared with floats, sparse
-    /// integers (a span that overflows `i64` included) and empty input.
+    /// hashing. Integer keys, and string keys by their codes, qualify when
+    /// `max − min < 4·rows + 64` over the build side, `rows` being all the
+    /// rows the index will serve: setting the cells up then costs a few
+    /// `u32` writes per row at most. `None` sends everything else to the
+    /// hashed index: multi-column keys, floats, integers compared with
+    /// floats, sparse keys (a span that overflows `i64` included, and a
+    /// dictionary much larger than the rows) and empty input.
     ///
     /// NULL slots hold their type's default and count towards the span like
     /// values; callers keep NULL rows away from the index.
@@ -921,107 +872,35 @@ impl<'a> DirectIndex<'a> {
         probe: &[&'a Col],
         probe_len: usize,
     ) -> Option<Self> {
-        let [build] = *build else { return None };
-        match build.data.data() {
-            ColumnData::Int(vals) => {
-                let mut keys = (0..build_len).map(|r| vals[build.phys(r)]);
-                let first = keys.next()?;
-                let (min, max) = keys.fold((first, first), |(lo, hi), k| (lo.min(k), hi.max(k)));
-                let span = u64::try_from(max.checked_sub(min)?).ok()?;
-                if span >= 4 * (build_len + probe_len) as u64 + 64 {
-                    return None;
-                }
-                let col = build;
-                Some(Self {
-                    cells: vec![NONE; span as usize + 1],
-                    build: Offsets::Ints { vals, col, min },
-                    probe: match *probe {
-                        [col] => match col.data.data() {
-                            ColumnData::Int(vals) => Offsets::Ints { vals, col, min },
-                            _ => return None, // a float probe side: not a dense key
-                        },
-                        _ => Offsets::Ids(Vec::new()),
-                    },
-                })
-            }
-            ColumnData::Str(_) => {
-                let mut dict = StrDict::new();
-                let mut ids = |col: &'a Col, n: usize, grow: bool| match col.data.data() {
-                    ColumnData::Str(strs) => {
-                        let strs = (0..n).map(|r| &strs[col.phys(r)]);
-                        Some(Offsets::Ids(if grow {
-                            strs.map(|s| dict.intern(s)).collect()
-                        } else {
-                            strs.map(|s| dict.lookup(s)).collect()
-                        }))
-                    }
-                    _ => None, // a string never equals a number
-                };
-                let build = ids(build, build_len, true)?;
-                let probe = match *probe {
-                    [p] => ids(p, probe_len, false)?,
-                    _ => Offsets::Ids(Vec::new()),
-                };
-                Some(Self {
-                    cells: vec![NONE; dict.strs.len()],
-                    build,
-                    probe,
-                })
-            }
-            ColumnData::Float(_) => None,
+        let ([build], [probe]) = (build, probe) else {
+            return None;
+        };
+        let (keys, probe_keys) = IntKeys::of(build, probe)?;
+        let mut all = (0..build_len).map(|r| keys.at(r) as i64);
+        let first = all.next()?;
+        let (min, max) = all.fold((first, first), |(lo, hi), k| (lo.min(k), hi.max(k)));
+        let span = u64::try_from(max.checked_sub(min)?).ok()?;
+        if span >= 4 * (build_len + probe_len) as u64 + 64 {
+            return None;
         }
+        Some(Self {
+            cells: vec![NONE; span as usize + 1],
+            build: keys.less(min),
+            probe: probe_keys.less(min),
+        })
     }
 }
 
-/// How a key column's values become `u64` codes such that two values are
-/// equal (as [`Value`] compares them) iff their codes are.
-#[derive(Clone, Copy)]
-enum KeyCode {
-    /// Integers: the value itself.
-    Int,
-    /// Floats, and integers compared with floats: the bits of the `f64`
-    /// (`total_cmp` equality is bit equality).
-    Float,
-    /// Strings: their number in a dictionary shared by both sides.
-    Str,
-}
-
-impl KeyCode {
-    fn of(dtype: DataType) -> KeyCode {
-        match dtype {
-            DataType::Int => KeyCode::Int,
-            DataType::Float => KeyCode::Float,
-            DataType::Str => KeyCode::Str,
-        }
-    }
-
-    /// The code under which values of the two types compare; `None` when
-    /// no value of one can equal a value of the other.
-    fn common(a: DataType, b: DataType) -> Option<KeyCode> {
-        match (a, b) {
-            (DataType::Str, DataType::Str) => Some(KeyCode::Str),
-            (DataType::Str, _) | (_, DataType::Str) => None,
-            (DataType::Int, DataType::Int) => Some(KeyCode::Int),
-            _ => Some(KeyCode::Float),
-        }
-    }
-}
-
-/// Codes of the first `n` rows of `col`; a string's code is the id `str_id`
-/// gives it. NULL slots hold their type's default, so all NULLs of a column
-/// share a code; callers tell them from values by [`null_rows`].
-fn key_codes<'a>(
-    col: &'a Col,
-    n: usize,
-    code: KeyCode,
-    mut str_id: impl FnMut(&'a Arc<str>) -> u32,
-) -> Vec<u64> {
+/// The first `n` rows of a number column as the bits of their `f64`, the
+/// key of floats and of integers met by floats (`total_cmp` equality is bit
+/// equality); `None` for strings. NULL slots share their type's default;
+/// callers tell them from values by [`null_rows`].
+fn float_codes(col: &Col, n: usize) -> Option<Vec<u64>> {
     let phys = (0..n).map(|r| col.phys(r));
-    match (col.data.data(), code) {
-        (ColumnData::Int(v), KeyCode::Int) => phys.map(|p| v[p] as u64).collect(),
-        (ColumnData::Int(v), _) => phys.map(|p| (v[p] as f64).to_bits()).collect(),
-        (ColumnData::Float(v), _) => phys.map(|p| v[p].to_bits()).collect(),
-        (ColumnData::Str(v), _) => phys.map(|p| u64::from(str_id(&v[p]))).collect(),
+    match col.data.data() {
+        ColumnData::Int(v) => Some(phys.map(|p| (v[p] as f64).to_bits()).collect()),
+        ColumnData::Float(v) => Some(phys.map(|p| v[p].to_bits()).collect()),
+        ColumnData::Str { .. } => None,
     }
 }
 
@@ -1171,17 +1050,26 @@ fn join_hashed<const MASKED: bool>(
     let mut bnull: Option<Vec<bool>> = None;
     let mut pnull: Option<Vec<bool>> = None;
     for (b, p) in build.iter().zip(probe) {
-        let Some(code) = KeyCode::common(b.data.dtype(), p.data.dtype()) else {
+        let codes = match (IntKeys::of(b, p), b.data.data(), p.data.data()) {
+            (Some((bk, pk)), ..) => Some((bk.codes(build_len), pk.codes(probe_len))),
+            // Strings under two dictionaries: each entry of the probe side's
+            // is looked up in the build side's once, NONE for one it lacks.
+            (None, ColumnData::Str { codes, dict }, ColumnData::Str { codes: c, dict: d }) => {
+                let map: Vec<u32> = (d.strs().iter())
+                    .map(|s| dict.code_of(s).unwrap_or(NONE))
+                    .collect();
+                let bk = (0..build_len).map(|r| u64::from(codes[b.phys(r)]));
+                let pk = (0..probe_len).map(|r| u64::from(map[c[p.phys(r)] as usize]));
+                Some((bk.collect(), pk.collect()))
+            }
+            // An integer meeting a float keys as a float; a string equals no number.
+            _ => float_codes(b, build_len).zip(float_codes(p, probe_len)),
+        };
+        let Some((bc, pc)) = codes else {
             return ((Vec::new(), Vec::new()), 0);
         };
-        // Only a string key builds a dictionary, shared by its two sides.
-        let mut dict: Option<StrDict<'_>> = None;
-        bkeys.codes.push(key_codes(b, build_len, code, |s| {
-            dict.get_or_insert_with(StrDict::new).intern(s)
-        }));
-        pkeys.codes.push(key_codes(p, probe_len, code, |s| {
-            dict.as_mut().map_or(NONE, |d| d.lookup(s))
-        }));
+        bkeys.codes.push(bc);
+        pkeys.codes.push(pc);
         for (mask, col, n) in [(&mut bnull, b, build_len), (&mut pnull, p, probe_len)] {
             if let Some(nulls) = null_rows(col, n) {
                 match mask {
@@ -1261,7 +1149,7 @@ fn group_rows(keys: &[&Col], n: usize) -> Groups {
             first_row: vec![0],
         };
     }
-    match DirectIndex::new(keys, n, &[], 0) {
+    match DirectIndex::new(keys, n, keys, 0) {
         Some(index) => group_direct(index, keys[0], n),
         None => group_hashed(keys, n),
     }
@@ -1294,11 +1182,8 @@ fn group_direct(index: DirectIndex<'_>, key: &Col, n: usize) -> Groups {
 fn group_hashed(keys: &[&Col], n: usize) -> Groups {
     let mut rk = Keys { codes: Vec::new() };
     for k in keys {
-        let mut dict: Option<StrDict<'_>> = None;
-        rk.codes
-            .push(key_codes(k, n, KeyCode::of(k.data.dtype()), |s| {
-                dict.get_or_insert_with(StrDict::new).intern(s)
-            }));
+        let codes = IntKeys::of(k, k).map(|(keys, _)| keys.codes(n));
+        rk.codes.extend(codes.or_else(|| float_codes(k, n)));
         if let Some(nulls) = null_rows(k, n) {
             rk.codes.push(nulls.into_iter().map(u64::from).collect());
         }
@@ -1359,6 +1244,9 @@ fn aggregate(
             })
         }
         AggFunc::Min | AggFunc::Max => {
+            let Some(col) = arg else {
+                return ordered(&|_| Value::Null);
+            };
             // Position in the argument column of each group's extreme; the
             // first one seen wins among equals.
             let mut best = vec![NONE; n_groups];
@@ -1367,21 +1255,16 @@ fn aggregate(
             } else {
                 Ordering::Greater
             };
-            if let Some(col) = arg {
-                for (r, &g) in groups.of_row.iter().enumerate() {
-                    let p = col.phys(r);
-                    let b = &mut best[g as usize];
-                    if !col.data.is_null(p)
-                        && (*b == NONE || col.data.cmp_at(p, *b as usize) == wanted)
-                    {
-                        *b = p as u32;
-                    }
+            for (r, &g) in groups.of_row.iter().enumerate() {
+                let p = col.phys(r);
+                let b = &mut best[g as usize];
+                if !col.data.is_null(p) && (*b == NONE || col.data.cmp_at(p, *b as usize) == wanted)
+                {
+                    *b = p as u32;
                 }
             }
-            ordered(&|g| match (arg, best[g]) {
-                (Some(col), b) if b != NONE => col.data.value(b as usize),
-                _ => Value::Null,
-            })
+            let best: Vec<u32> = order.iter().map(|&g| best[g as usize]).collect();
+            col.data.gather_or_null(&best)
         }
     }
 }
@@ -1766,7 +1649,7 @@ mod tests {
             let want = first_seen_groups(key, n);
             assert_eq!(group_hashed(&[key], n), want);
             assert_eq!(group_rows(&[key], n), want);
-            if let Some(index) = DirectIndex::new(&[key], n, &[], 0) {
+            if let Some(index) = DirectIndex::new(&[key], n, &[key], 0) {
                 assert_eq!(group_direct(index, key, n), want);
             }
         }
@@ -1783,9 +1666,10 @@ mod tests {
             assert_eq!(check_key_indexes(&build, 8, &probe, 6), dense, "max {max}");
         }
         // Alone, a side's own rows set the bound: 6 rows, 4·6 + 64 = 88.
-        assert!(DirectIndex::new(&[&probe], 6, &[], 0).is_none());
-        assert!(DirectIndex::new(&[&int_col(&[0, 87])], 2, &[], 0).is_none());
-        assert!(DirectIndex::new(&[&int_col(&[0, 71])], 2, &[], 0).is_some());
+        let alone = |c: &Col, n: usize| DirectIndex::new(&[c], n, &[c], 0).is_some();
+        assert!(!alone(&probe, 6));
+        assert!(!alone(&int_col(&[0, 87]), 2));
+        assert!(alone(&int_col(&[0, 71]), 2));
 
         // Indexed columns (a join's output, a selection's) read through
         // their index vector; only its rows count.
@@ -1795,15 +1679,27 @@ mod tests {
         };
         assert!(check_key_indexes(&build, 5, &probe, 6));
 
-        // Strings are dense whatever they hold; equal strings in distinct
-        // allocations are one key, and a probe string may be new.
+        // Strings under one dictionary key by their codes, as integers: a
+        // dictionary much larger than the rows is a sparse key.
         let strs = |keys: &[&str]| {
             let values: Vec<Value> = keys.iter().map(Value::str).collect();
             key_col(DataType::Str, &values, None)
         };
+        let many: Vec<String> = (0..300).map(|k| format!("s{k}")).collect();
+        let wide = strs(&many.iter().map(String::as_str).collect::<Vec<_>>());
+        let rows = |idx: Vec<u32>| Col {
+            idx: Some(Arc::new(idx)),
+            ..wide.clone()
+        };
+        let (build, probe) = (rows(vec![3, 5, 3, 0]), rows(vec![5, 8, 0]));
+        assert!(check_key_indexes(&build, 4, &probe, 3));
+        let (build, probe) = (rows(vec![0, 299]), rows(vec![299, 5]));
+        assert!(!check_key_indexes(&build, 2, &probe, 2));
+        // Under two, hashed: equal strings are one key, and a probe string
+        // the build side lacks matches none.
         let build = strs(&["b", "a", "", "b", "zz", "a"]);
         let probe = strs(&["a", "q", "b", "", "a"]);
-        assert!(check_key_indexes(&build, 6, &probe, 5));
+        assert!(!check_key_indexes(&build, 6, &probe, 5));
 
         // Floats, an integer against a float, two columns, no rows: hashed.
         let floats = key_col(

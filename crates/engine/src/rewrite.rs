@@ -35,7 +35,7 @@ pub fn rewrite_with_view(
     let sub = subplan_at(plan, path)?;
     let cols = output_columns(sub, catalog)?;
     let replacement = compensated_view_scan(info, comp, &cols);
-    Some(replace_at(plan, path, replacement))
+    replace_at(plan, path, replacement)
 }
 
 #[cfg(test)]

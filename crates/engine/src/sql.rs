@@ -443,10 +443,12 @@ fn select_list(
                 p.bump();
                 SelectItem::Star
             }
-            Token::Ident(w) if is_agg_fn(&w) && p.tokens[p.idx + 1].0 == Token::Symbol('(') => {
+            Token::Ident(w)
+                if let Some(func) =
+                    agg_fn(&w).filter(|_| p.tokens[p.idx + 1].0 == Token::Symbol('(')) =>
+            {
                 p.bump(); // fn name
                 p.bump(); // (
-                let func = agg_fn(&w).expect("checked");
                 let col = if *p.peek() == Token::Symbol('*') {
                     p.bump();
                     None
@@ -480,10 +482,6 @@ fn select_list(
             return Ok(items);
         }
     }
-}
-
-fn is_agg_fn(w: &str) -> bool {
-    agg_fn(w).is_some()
 }
 
 fn agg_fn(w: &str) -> Option<AggFunc> {

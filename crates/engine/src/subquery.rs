@@ -54,59 +54,50 @@ pub fn subplan_at<'a>(plan: &'a LogicalPlan, path: &[usize]) -> Option<&'a Logic
     Some(cur)
 }
 
-/// A copy of `plan` with the subplan at `path` replaced by `replacement`.
-///
-/// # Panics
-/// Panics if the path is invalid.
-pub fn replace_at(plan: &LogicalPlan, path: &[usize], replacement: LogicalPlan) -> LogicalPlan {
-    if path.is_empty() {
-        return replacement;
-    }
-    let (head, rest) = (path[0], &path[1..]);
-    match plan {
-        LogicalPlan::Select { pred, input } => {
-            assert_eq!(head, 0, "Select has one child");
-            LogicalPlan::Select {
-                pred: pred.clone(),
-                input: Box::new(replace_at(input, rest, replacement)),
-            }
-        }
-        LogicalPlan::Project { cols, input } => {
-            assert_eq!(head, 0, "Project has one child");
-            LogicalPlan::Project {
-                cols: cols.clone(),
-                input: Box::new(replace_at(input, rest, replacement)),
-            }
-        }
-        LogicalPlan::Aggregate {
-            group_by,
-            aggs,
-            input,
-        } => {
-            assert_eq!(head, 0, "Aggregate has one child");
-            LogicalPlan::Aggregate {
-                group_by: group_by.clone(),
-                aggs: aggs.clone(),
-                input: Box::new(replace_at(input, rest, replacement)),
-            }
-        }
-        LogicalPlan::Join { left, right, on } => match head {
-            0 => LogicalPlan::Join {
-                left: Box::new(replace_at(left, rest, replacement)),
-                right: right.clone(),
-                on: on.clone(),
-            },
-            1 => LogicalPlan::Join {
-                left: left.clone(),
-                right: Box::new(replace_at(right, rest, replacement)),
-                on: on.clone(),
-            },
-            _ => panic!("Join has two children"),
+/// A copy of `plan` with the subplan at `path` replaced by `replacement`;
+/// `None` if the path names a child a node does not have.
+pub fn replace_at(
+    plan: &LogicalPlan,
+    path: &[usize],
+    replacement: LogicalPlan,
+) -> Option<LogicalPlan> {
+    let Some((&head, rest)) = path.split_first() else {
+        return Some(replacement);
+    };
+    let sub = |p: &LogicalPlan| replace_at(p, rest, replacement).map(Box::new);
+    Some(match (plan, head) {
+        (LogicalPlan::Select { pred, input }, 0) => LogicalPlan::Select {
+            pred: pred.clone(),
+            input: sub(input)?,
         },
-        LogicalPlan::Scan { .. } | LogicalPlan::ViewScan(_) => {
-            panic!("path descends below a leaf")
-        }
-    }
+        (LogicalPlan::Project { cols, input }, 0) => LogicalPlan::Project {
+            cols: cols.clone(),
+            input: sub(input)?,
+        },
+        (
+            LogicalPlan::Aggregate {
+                group_by,
+                aggs,
+                input,
+            },
+            0,
+        ) => LogicalPlan::Aggregate {
+            group_by: group_by.clone(),
+            aggs: aggs.clone(),
+            input: sub(input)?,
+        },
+        (LogicalPlan::Join { left, right, on }, 0) => LogicalPlan::Join {
+            left: sub(left)?,
+            right: right.clone(),
+            on: on.clone(),
+        },
+        (LogicalPlan::Join { left, right, on }, 1) => LogicalPlan::Join {
+            left: left.clone(),
+            right: sub(right)?,
+            on: on.clone(),
+        },
+        _ => return None,
+    })
 }
 
 /// The output column names of a plan, in order, without executing it.
@@ -188,12 +179,30 @@ mod tests {
     #[test]
     fn replace_at_swaps_subtree() {
         let plan = q();
-        let rewritten = replace_at(&plan, &[0, 0, 1], LogicalPlan::scan("c"));
+        let rewritten = replace_at(&plan, &[0, 0, 1], LogicalPlan::scan("c")).unwrap();
         assert_eq!(rewritten.base_tables(), vec!["a", "c"]);
         assert_eq!(plan.base_tables(), vec!["a", "b"], "original untouched");
         // Replacing at the root returns the replacement itself.
         let root = replace_at(&plan, &[], LogicalPlan::scan("x"));
-        assert_eq!(root, LogicalPlan::scan("x"));
+        assert_eq!(root, Some(LogicalPlan::scan("x")));
+    }
+
+    #[test]
+    fn replace_at_below_a_leaf_is_none() {
+        assert_eq!(
+            replace_at(&q(), &[0, 0, 1, 0], LogicalPlan::scan("c")),
+            None
+        );
+    }
+
+    #[test]
+    fn replace_at_a_third_join_child_is_none() {
+        assert_eq!(replace_at(&q(), &[0, 0, 2], LogicalPlan::scan("c")), None);
+        assert_eq!(
+            replace_at(&q(), &[1], LogicalPlan::scan("c")),
+            None,
+            "γ has one child"
+        );
     }
 
     #[test]

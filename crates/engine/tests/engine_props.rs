@@ -10,7 +10,6 @@ use deepsea_engine::sql;
 use deepsea_relation::{DataType, Field, Predicate, Row, Schema, Table, Value};
 use deepsea_storage::{BlockConfig, CostWeights, SimFs};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 fn catalog(fact_rows: i64) -> Catalog {
     let mut c = Catalog::new();
@@ -206,8 +205,14 @@ type RefOut = (Schema, Vec<Row>, u64);
 /// indexes of the executor see them: all within `0..4` (dense); some up to
 /// 600, which is dense or sparse depending on the row counts (the rule's
 /// bound, `4·rows + 64`, runs from 64 to 700 here); some at the ends of the
-/// domain, whose span overflows `i64`. Most strings share one allocation per
-/// label, as generated tables do; some rows hold an equal string of their own.
+/// domain, whose span overflows `i64`.
+///
+/// Each table is built by its own `Table::from_rows`, so each string column
+/// has its own dictionary, numbered in the order its rows first hold each
+/// string: equal strings carry unrelated codes in two tables, and each table
+/// holds one string no other does (`"sa"`, `"sb"`, `"sc"`). A join on
+/// strings must translate one side's codes into the other's dictionary.
+/// `""`, the string a NULL slot holds, is also a label.
 fn random_catalog(rows_a: usize, rows_b: usize, seed: u64) -> Catalog {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     let mut draw = move |n: u64| {
@@ -225,8 +230,7 @@ fn random_catalog(rows_a: usize, rows_b: usize, seed: u64) -> Catalog {
         i64::MAX - 1,
     ];
     let spread = draw(3);
-    let labels: Vec<Arc<str>> = (0..3).map(|k| Arc::from(format!("s{k}"))).collect();
-    let mut value = |kind: DataType| match (draw(5), kind) {
+    let mut value = |kind: DataType, own: &str| match (draw(5), kind) {
         (0, _) => Value::Null,
         (_, DataType::Int) => Value::Int(match (spread, draw(6)) {
             (1, 0) => draw(600) as i64,
@@ -234,16 +238,14 @@ fn random_catalog(rows_a: usize, rows_b: usize, seed: u64) -> Catalog {
             _ => draw(4) as i64,
         }),
         (_, DataType::Float) => Value::Float(draw(8) as f64 / 2.0),
-        (_, DataType::Str) => match (draw(4), &labels[draw(3) as usize]) {
-            (0, label) => Value::str(label), // a copy: equal bytes, its own `Arc`
-            (_, label) => Value::Str(Arc::clone(label)),
-        },
+        (_, DataType::Str) => Value::str(["s0", "s1", "s2", "", own][draw(5) as usize]),
     };
     let mut table = |name: &str, cols: &[(&str, DataType)], rows: usize, bpr: u64| {
         let fields = cols
             .iter()
             .map(|(c, t)| Field::new(format!("{name}.{c}"), *t));
-        let data = (0..rows).map(|_| cols.iter().map(|(_, t)| value(*t)).collect());
+        let own = format!("s{name}");
+        let data = (0..rows).map(|_| cols.iter().map(|(_, t)| value(*t, &own)).collect());
         Table::from_rows(Schema::new(fields.collect()), data.collect(), bpr)
     };
     use DataType::{Float, Int, Str};
@@ -296,6 +298,7 @@ fn random_plan(join: u8, select: u8, shape: u8, lo: i64) -> LogicalPlan {
         5 => plan.select(Predicate::eq("a.k", Value::Null)),
         6 => plan.select(Predicate::range("b.k", lo, lo + 2)), // the right input
         7 => plan.select(Predicate::eq("b.s", "s2")),
+        8 => plan.select(Predicate::eq("a.s", "sb")), // a string `a` never holds
         _ => plan.select(Predicate::and(vec![
             Predicate::range("a.k", lo, 3), // one condition per input
             Predicate::eq("b.s", "s0"),
@@ -346,7 +349,7 @@ proptest! {
     #[test]
     fn batch_executor_equals_row_reference(
         rows_a in 0usize..80, rows_b in 0usize..80, seed in any::<u64>(),
-        join in 0u8..8, select in 0u8..9, shape in 0u8..6, lo in 0i64..4,
+        join in 0u8..8, select in 0u8..10, shape in 0u8..6, lo in 0i64..4,
     ) {
         let cat = random_catalog(rows_a, rows_b, seed);
         let fs = fs();

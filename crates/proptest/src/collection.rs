@@ -5,7 +5,7 @@ use rand::RngExt;
 
 use crate::strategy::Strategy;
 
-/// Length specification for [`vec`]: an exact size or a `lo..hi` range.
+/// Length specification for [`vec()`]: an exact size or a `lo..hi` range.
 #[derive(Debug, Clone, Copy)]
 pub struct SizeRange {
     lo: usize,

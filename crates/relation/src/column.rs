@@ -4,24 +4,74 @@
 //! a null mask. Tables share columns behind `Arc`s, so scans, projections and
 //! single-fragment view reads hand columns on without copying; operators
 //! address rows through `u32` index vectors (selection vectors) and only
-//! [`Column::gather`] materializes a new vector.
+//! [`Column::gather`] materializes a new vector. A string column's vector
+//! holds codes into a [`Dict`] that every column gathered from it shares.
 
 use std::cmp::Ordering;
+use std::collections::BTreeMap;
 use std::fmt::Write;
 use std::sync::Arc;
 
 use crate::value::{DataType, Value};
 
+/// The distinct strings of a string column, each once, numbered in
+/// first-seen order; code 0 is `""`, which NULL slots hold. Two codes of one
+/// dictionary are equal exactly when their strings are; codes of two
+/// dictionaries are not comparable.
+#[derive(Debug, Clone)]
+pub struct Dict {
+    strs: Vec<Arc<str>>,
+    codes: BTreeMap<Arc<str>, u32>,
+}
+
+impl Dict {
+    fn new() -> Self {
+        let empty: Arc<str> = Arc::from("");
+        Self {
+            codes: BTreeMap::from([(Arc::clone(&empty), 0)]),
+            strs: vec![empty],
+        }
+    }
+
+    /// The strings, indexed by code.
+    pub fn strs(&self) -> &[Arc<str>] {
+        &self.strs
+    }
+
+    /// The code of `s`, if the dictionary holds it.
+    pub fn code_of(&self, s: &str) -> Option<u32> {
+        self.codes.get(s).copied()
+    }
+
+    /// The code of `s`, the next free one if it is new.
+    fn intern(&mut self, s: &Arc<str>) -> u32 {
+        let next = self.strs.len() as u32;
+        let code = *self.codes.entry(Arc::clone(s)).or_insert(next);
+        if code == next {
+            self.strs.push(Arc::clone(s));
+        }
+        code
+    }
+}
+
 /// The typed payload of a column. A NULL slot holds the type's default
-/// (`0`, `0.0`, `""`); only the mask says it is NULL.
+/// (`0`, `0.0`, the code of `""`); only the mask says it is NULL.
 #[derive(Debug, Clone)]
 pub enum ColumnData {
     /// 64-bit integers.
     Int(Vec<i64>),
     /// 64-bit floats.
     Float(Vec<f64>),
-    /// Shared strings.
-    Str(Vec<Arc<str>>),
+    /// Strings: per row, a code into the dictionary.
+    Str { codes: Vec<u32>, dict: Arc<Dict> },
+}
+
+/// Append the values of `s` at `idx` (all of `s` when `None`) to `d`.
+fn extend<T: Copy>(d: &mut Vec<T>, s: &[T], idx: Option<&[u32]>) {
+    match idx {
+        None => d.extend_from_slice(s),
+        Some(ix) => d.extend(ix.iter().map(|&i| s[i as usize])),
+    }
 }
 
 /// One column: typed values plus a null mask (empty when nothing is NULL).
@@ -37,7 +87,10 @@ impl Column {
         let data = match dtype {
             DataType::Int => ColumnData::Int(Vec::with_capacity(cap)),
             DataType::Float => ColumnData::Float(Vec::with_capacity(cap)),
-            DataType::Str => ColumnData::Str(Vec::with_capacity(cap)),
+            DataType::Str => ColumnData::Str {
+                codes: Vec::with_capacity(cap),
+                dict: Arc::new(Dict::new()),
+            },
         };
         Self {
             data,
@@ -58,7 +111,7 @@ impl Column {
         match &self.data {
             ColumnData::Int(v) => v.len(),
             ColumnData::Float(v) => v.len(),
-            ColumnData::Str(v) => v.len(),
+            ColumnData::Str { codes, .. } => codes.len(),
         }
     }
 
@@ -72,7 +125,7 @@ impl Column {
         match &self.data {
             ColumnData::Int(_) => DataType::Int,
             ColumnData::Float(_) => DataType::Float,
-            ColumnData::Str(_) => DataType::Str,
+            ColumnData::Str { .. } => DataType::Str,
         }
     }
 
@@ -100,7 +153,7 @@ impl Column {
         match &mut self.data {
             ColumnData::Int(v) => v.push(0),
             ColumnData::Float(v) => v.push(0.0),
-            ColumnData::Str(v) => v.push(Arc::from("")),
+            ColumnData::Str { codes, .. } => codes.push(0),
         }
     }
 
@@ -117,11 +170,25 @@ impl Column {
         match (&mut self.data, value) {
             (ColumnData::Int(v), Value::Int(x)) => v.push(x),
             (ColumnData::Float(v), Value::Float(x)) => v.push(x),
-            (ColumnData::Str(v), Value::Str(x)) => v.push(x),
+            (ColumnData::Str { codes, dict }, Value::Str(x)) => {
+                codes.push(Arc::make_mut(dict).intern(&x))
+            }
             _ => {} // excluded by the assertion above
         }
         if !self.nulls.is_empty() {
             self.nulls.push(false);
+        }
+    }
+
+    /// Append a copy of the value at `i` (for a string, its code).
+    pub(crate) fn push_copy(&mut self, i: usize) {
+        match &mut self.data {
+            ColumnData::Int(v) => v.push(v[i]),
+            ColumnData::Float(v) => v.push(v[i]),
+            ColumnData::Str { codes, .. } => codes.push(codes[i]),
+        }
+        if !self.nulls.is_empty() {
+            self.nulls.push(self.nulls[i]);
         }
     }
 
@@ -133,7 +200,15 @@ impl Column {
         match &self.data {
             ColumnData::Int(v) => Value::Int(v[i]),
             ColumnData::Float(v) => Value::Float(v[i]),
-            ColumnData::Str(v) => Value::Str(Arc::clone(&v[i])),
+            ColumnData::Str { codes, dict } => Value::Str(dict.strs[codes[i] as usize].clone()),
+        }
+    }
+
+    /// The string at `i` of a string column (`""` for NULL and other types).
+    fn str_at(&self, i: usize) -> &str {
+        match &self.data {
+            ColumnData::Str { codes, dict } => &dict.strs[codes[i] as usize],
+            _ => "",
         }
     }
 
@@ -154,7 +229,7 @@ impl Column {
         }
         match &self.data {
             ColumnData::Int(_) | ColumnData::Float(_) => 8,
-            ColumnData::Str(v) => v[i].len() as u64,
+            ColumnData::Str { .. } => self.str_at(i).len() as u64,
         }
     }
 
@@ -170,46 +245,67 @@ impl Column {
         match &self.data {
             ColumnData::Int(v) => v[i].cmp(&v[j]),
             ColumnData::Float(v) => v[i].total_cmp(&v[j]),
-            ColumnData::Str(v) => v[i].cmp(&v[j]),
+            ColumnData::Str { .. } => self.str_at(i).cmp(self.str_at(j)),
         }
     }
 
-    /// A new column holding the values at `idx`, in that order.
+    /// A new column holding the values at `idx`, in that order; a string
+    /// column's shares its dictionary.
     pub fn gather(&self, idx: &[u32]) -> Column {
+        fn pick<T: Copy>(v: &[T], idx: &[u32]) -> Vec<T> {
+            idx.iter().map(|&i| v[i as usize]).collect()
+        }
         let data = match &self.data {
-            ColumnData::Int(v) => ColumnData::Int(idx.iter().map(|&i| v[i as usize]).collect()),
-            ColumnData::Float(v) => ColumnData::Float(idx.iter().map(|&i| v[i as usize]).collect()),
-            ColumnData::Str(v) => {
-                ColumnData::Str(idx.iter().map(|&i| Arc::clone(&v[i as usize])).collect())
-            }
+            ColumnData::Int(v) => ColumnData::Int(pick(v, idx)),
+            ColumnData::Float(v) => ColumnData::Float(pick(v, idx)),
+            ColumnData::Str { codes, dict } => ColumnData::Str {
+                codes: pick(codes, idx),
+                dict: Arc::clone(dict),
+            },
         };
         let nulls = if self.nulls.is_empty() {
             Vec::new()
         } else {
-            idx.iter().map(|&i| self.nulls[i as usize]).collect()
+            pick(&self.nulls, idx)
         };
         Column { data, nulls }
     }
 
+    /// [`Column::gather`], except that an index of [`u32::MAX`] gives NULL.
+    pub fn gather_or_null(&self, idx: &[u32]) -> Column {
+        let mut out = self.gather(&[]);
+        idx.iter().for_each(|&i| match i {
+            u32::MAX => out.push_null(),
+            i => out.extend_from(self, Some(&[i])),
+        });
+        out
+    }
+
     /// Append the values of `other` at `idx` (all of `other` when `None`).
+    /// Strings copy their codes when the two columns share a dictionary, as
+    /// an empty column does once it adopts `other`'s; otherwise `other`'s
+    /// dictionary is merged into this one, each entry looked up once.
     ///
     /// # Panics
     /// Panics if the two columns differ in type.
     pub fn extend_from(&mut self, other: &Column, idx: Option<&[u32]>) {
         assert_eq!(self.dtype(), other.dtype(), "column types must match");
         let before = self.len();
-        match (&mut self.data, &other.data, idx) {
-            (ColumnData::Int(d), ColumnData::Int(s), None) => d.extend_from_slice(s),
-            (ColumnData::Int(d), ColumnData::Int(s), Some(ix)) => {
-                d.extend(ix.iter().map(|&i| s[i as usize]))
-            }
-            (ColumnData::Float(d), ColumnData::Float(s), None) => d.extend_from_slice(s),
-            (ColumnData::Float(d), ColumnData::Float(s), Some(ix)) => {
-                d.extend(ix.iter().map(|&i| s[i as usize]))
-            }
-            (ColumnData::Str(d), ColumnData::Str(s), None) => d.extend_from_slice(s),
-            (ColumnData::Str(d), ColumnData::Str(s), Some(ix)) => {
-                d.extend(ix.iter().map(|&i| Arc::clone(&s[i as usize])))
+        match (&mut self.data, &other.data) {
+            (ColumnData::Int(d), ColumnData::Int(s)) => extend(d, s, idx),
+            (ColumnData::Float(d), ColumnData::Float(s)) => extend(d, s, idx),
+            (ColumnData::Str { codes, dict }, ColumnData::Str { codes: s, dict: d }) => {
+                if codes.is_empty() {
+                    *dict = Arc::clone(d);
+                }
+                extend(codes, s, idx);
+                if !Arc::ptr_eq(dict, d) {
+                    let to = Arc::make_mut(dict);
+                    let map: Vec<u32> = d.strs.iter().map(|s| to.intern(s)).collect();
+                    codes[before..]
+                        .iter_mut()
+                        .for_each(|c| *c = map[*c as usize]);
+                }
             }
             _ => {} // excluded by the assertion above
         }
@@ -221,10 +317,7 @@ impl Column {
         }
         match idx {
             _ if other.nulls.is_empty() => self.nulls.resize(self.len(), false),
-            None => self.nulls.extend_from_slice(&other.nulls),
-            Some(ix) => self
-                .nulls
-                .extend(ix.iter().map(|&i| other.nulls[i as usize])),
+            _ => extend(&mut self.nulls, &other.nulls, idx),
         }
     }
 
@@ -285,13 +378,14 @@ impl Column {
             // tolerate the last few bits of summation-order noise.
             ColumnData::Float(v) => write!(out, "{:.6}", v[i]),
             ColumnData::Int(v) => write!(out, "{}", v[i]),
-            ColumnData::Str(v) => write!(out, "s:{}", v[i]),
+            ColumnData::Str { .. } => write!(out, "s:{}", self.str_at(i)),
         };
     }
 }
 
 /// Value equality: same type, same NULLs, same values (floats by bits, like
-/// [`Value`]'s `total_cmp`-based equality).
+/// [`Value`]'s `total_cmp`-based equality; strings by their text, whatever
+/// their dictionaries).
 impl PartialEq for Column {
     fn eq(&self, other: &Self) -> bool {
         let n = self.len();
@@ -303,7 +397,9 @@ impl PartialEq for Column {
             (ColumnData::Float(a), ColumnData::Float(b)) => {
                 a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
             }
-            (ColumnData::Str(a), ColumnData::Str(b)) => a == b,
+            (ColumnData::Str { .. }, ColumnData::Str { .. }) => {
+                (0..n).all(|i| self.str_at(i) == other.str_at(i))
+            }
             _ => false,
         }
     }
@@ -406,5 +502,89 @@ mod tests {
         assert_eq!(c.cmp_at(1, 2), Ordering::Less);
         assert_eq!(c.cmp_at(0, 2), Ordering::Greater);
         assert_eq!(c.cmp_at(1, 1), Ordering::Equal);
+    }
+
+    fn strs(values: &[Option<&str>]) -> Column {
+        let mut c = Column::with_capacity(DataType::Str, values.len());
+        values
+            .iter()
+            .for_each(|v| c.push(v.map_or(Value::Null, Value::str)));
+        c
+    }
+
+    fn dict(c: &Column) -> &Arc<Dict> {
+        match c.data() {
+            ColumnData::Str { dict, .. } => dict,
+            _ => panic!("a string column"),
+        }
+    }
+
+    fn values(c: &Column) -> Vec<Value> {
+        (0..c.len()).map(|i| c.value(i)).collect()
+    }
+
+    #[test]
+    fn gather_shares_the_dictionary() {
+        let c = strs(&[Some("b"), None, Some("a"), Some("b")]);
+        let g = c.gather(&[3, 2, 1]);
+        assert!(Arc::ptr_eq(dict(&c), dict(&g)));
+        assert_eq!(
+            values(&g),
+            vec![Value::str("b"), Value::str("a"), Value::Null]
+        );
+        assert_eq!(dict(&c).strs().len(), 3, "\"\", then b and a once each");
+        let h = c.gather_or_null(&[u32::MAX, 2]);
+        assert!(Arc::ptr_eq(dict(&c), dict(&h)));
+        assert_eq!(values(&h), vec![Value::Null, Value::str("a")]);
+    }
+
+    #[test]
+    fn extend_across_dictionaries_and_onto_an_empty_column() {
+        let (x, y) = (
+            strs(&[Some("x"), Some("y")]),
+            strs(&[Some("y"), None, Some("z")]),
+        );
+        let mut c = Column::with_capacity(DataType::Str, 0);
+        c.extend_from(&x, None);
+        assert!(
+            Arc::ptr_eq(dict(&c), dict(&x)),
+            "adopted from the first part"
+        );
+        c.extend_from(&x, Some(&[1]));
+        assert!(
+            Arc::ptr_eq(dict(&c), dict(&x)),
+            "kept for a part sharing it"
+        );
+        c.extend_from(&y, Some(&[2, 1, 0]));
+        let want = ["x", "y", "y", "z"].map(Value::str);
+        assert_eq!(values(&c)[..4], want);
+        assert_eq!(values(&c)[4..], [Value::Null, Value::str("y")]);
+        assert_eq!(dict(&c).strs().len(), 4, "y is entered once");
+        assert_eq!(
+            dict(&x).strs().len(),
+            3,
+            "the shared dictionary is untouched"
+        );
+    }
+
+    #[test]
+    fn equality_and_order_read_strings_across_dictionaries() {
+        let a = strs(&[Some("p"), Some("q"), None]);
+        let b = strs(&[Some("q"), Some("p"), None]).gather(&[1, 0, 2]);
+        assert!(!Arc::ptr_eq(dict(&a), dict(&b)));
+        assert_eq!(a, b);
+        assert_ne!(a, strs(&[Some("p"), Some("p"), None]));
+        assert_eq!(b.cmp_at(0, 1), Ordering::Less, "by text, not by code");
+        assert_eq!(b.cmp_at(2, 0), Ordering::Less);
+    }
+
+    #[test]
+    fn null_string_slot_is_one_byte_and_prints_as_empty_set() {
+        let c = strs(&[None, Some("")]);
+        assert_eq!((c.width_at(0), c.width_at(1)), (1, 0));
+        let mut out = String::new();
+        c.write_canonical(0, &mut out);
+        c.write_canonical(1, &mut out);
+        assert_eq!(out, "∅s:");
     }
 }

@@ -64,42 +64,53 @@ pub enum ColumnGen {
     },
 }
 
-/// Draws one column's value for a row from the shared RNG stream.
-type Sampler<'a> = Box<dyn FnMut(&mut StdRng, usize) -> Value + 'a>;
+/// Draws one column's value for a row from the shared RNG stream and appends
+/// it to the column.
+type Sampler<'a> = Box<dyn FnMut(&mut StdRng, usize, &mut Column) + 'a>;
+
+/// The sampler that appends the value `draw` returns.
+fn push<'a>(mut draw: impl FnMut(&mut StdRng, usize) -> Value + 'a) -> Sampler<'a> {
+    Box::new(move |rng, row, col| col.push(draw(rng, row)))
+}
 
 impl ColumnGen {
     /// The column's sampler. It owns what is expensive to rebuild per value:
-    /// the Zipf CDF, and the labels already handed out (one `Arc<str>` per
-    /// distinct label, not per row).
+    /// the Zipf CDF, and the first row of each label drawn: a label enters
+    /// the column's dictionary once, and later rows copy that row's code.
     fn sampler(&self) -> Sampler<'_> {
         match self {
-            ColumnGen::Serial { start } => Box::new(move |_, row| Value::Int(start + row as i64)),
+            ColumnGen::Serial { start } => push(move |_, row| Value::Int(start + row as i64)),
             ColumnGen::UniformInt { low, high } => {
-                Box::new(move |rng, _| Value::Int(rng.random_range(*low..=*high)))
+                push(move |rng, _| Value::Int(rng.random_range(*low..=*high)))
             }
             ColumnGen::NormalInt {
                 mean,
                 std,
                 low,
                 high,
-            } => Box::new(move |rng, _| {
+            } => push(move |rng, _| {
                 let v = normal(rng, *mean, *std).round() as i64;
                 Value::Int(v.clamp(*low, *high))
             }),
             ColumnGen::ZipfInt { n, s, low } => {
                 let z = Zipf::new(*n, *s);
-                Box::new(move |rng, _| Value::Int(low + (z.sample(rng) as i64 - 1)))
+                push(move |rng, _| Value::Int(low + (z.sample(rng) as i64 - 1)))
             }
-            ColumnGen::Histogram(wb) => Box::new(move |rng, _| Value::Int(wb.sample(rng))),
+            ColumnGen::Histogram(wb) => push(move |rng, _| Value::Int(wb.sample(rng))),
             ColumnGen::UniformFloat { low, high } => {
-                Box::new(move |rng, _| Value::Float(low + (high - low) * rng.random::<f64>()))
+                push(move |rng, _| Value::Float(low + (high - low) * rng.random::<f64>()))
             }
             ColumnGen::Label { prefix, card } => {
-                let mut labels: Vec<Option<Arc<str>>> = vec![None; *card];
-                Box::new(move |rng, _| {
+                let mut first: Vec<Option<usize>> = vec![None; *card];
+                Box::new(move |rng, row, col| {
                     let k = rng.random_range(0..*card);
-                    let label = labels[k].get_or_insert_with(|| Arc::from(format!("{prefix}{k}")));
-                    Value::Str(Arc::clone(label))
+                    match first[k] {
+                        Some(r) => col.push_copy(r),
+                        None => {
+                            first[k] = Some(row);
+                            col.push(Value::str(format!("{prefix}{k}")));
+                        }
+                    }
                 })
             }
         }
@@ -149,7 +160,7 @@ impl TableGen {
             .collect();
         for r in 0..rows {
             for (sample, col) in samplers.iter_mut().zip(&mut columns) {
-                col.push(sample(&mut rng, r));
+                sample(&mut rng, r, col);
             }
         }
         Table::new(

@@ -18,7 +18,7 @@ pub mod schema;
 pub mod table;
 pub mod value;
 
-pub use column::{Column, ColumnData};
+pub use column::{Column, ColumnData, Dict};
 pub use predicate::Predicate;
 pub use row::Row;
 pub use schema::{Field, Schema};

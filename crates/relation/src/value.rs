@@ -27,7 +27,7 @@ pub enum Value {
     Int(i64),
     /// Float value.
     Float(f64),
-    /// String value; `Arc` so copies between operators are cheap.
+    /// String value; an `Arc`, shared with the dictionary it was read from.
     Str(Arc<str>),
 }
 
