@@ -233,6 +233,23 @@ fn bench_exec_kernels(c: &mut Criterion) {
                     .select(item_range(lo, lo + 399)),
             ),
         ),
+        // The Hive baseline's pushed-down plan: σ over 400 items of the fact
+        // side, then ⋈ item, whose surrogate key is the probe side.
+        (
+            "pushed_join_40k",
+            count(scan("store_sales").select(item_range(lo, lo + 399)).join(
+                scan("item"),
+                vec![("store_sales.ss_item_sk", "item.i_item_sk")],
+            )),
+        ),
+        // 40k fact rows against 10k customers, the surrogate key the build side.
+        (
+            "join_40k_customer",
+            count(scan("store_sales").join(
+                scan("customer"),
+                vec![("store_sales.ss_customer_sk", "customer.c_customer_sk")],
+            )),
+        ),
     ];
     for (name, plan) in &plans {
         c.bench_function(name, |b| {

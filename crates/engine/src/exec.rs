@@ -145,9 +145,23 @@ type Rows = Arc<Vec<u32>>;
 struct Col {
     data: Arc<Column>,
     idx: Option<Rows>,
+    /// `Some(first)` when the column is a surrogate key: batch row `r` holds
+    /// `first + r`, and none is NULL. Only a base-table scan marks a column
+    /// so, as [`Catalog::register`] found it; a column read through an index
+    /// never is one.
+    surrogate: Option<i64>,
 }
 
 impl Col {
+    /// All of `data`'s rows, in order.
+    fn whole(data: Arc<Column>) -> Self {
+        Self {
+            data,
+            idx: None,
+            surrogate: None,
+        }
+    }
+
     /// Position in `data` of batch row `r`.
     #[inline]
     fn phys(&self, r: usize) -> usize {
@@ -203,10 +217,7 @@ impl Batch {
         let cols = table
             .columns()
             .iter()
-            .map(|c| Col {
-                data: Arc::clone(c),
-                idx: None,
-            })
+            .map(|c| Col::whole(Arc::clone(c)))
             .collect();
         Self::new(schema, cols, table.len(), bytes_per_row)
     }
@@ -237,6 +248,7 @@ impl Batch {
                 Col {
                     data: Arc::clone(&c.data),
                     idx: Some(idx),
+                    surrogate: None,
                 }
             })
             .collect()
@@ -300,14 +312,18 @@ fn run(
 ) -> Result<Batch, ExecError> {
     match plan {
         LogicalPlan::Scan { table } => {
-            let t = catalog
-                .get(table)
+            let (t, keys) = catalog
+                .get_with_keys(table)
                 .ok_or_else(|| ExecError::UnknownTable(table.clone()))?;
             m.bytes_read += t.sim_bytes();
             m.map_tasks += fs.block_config().blocks_for(t.sim_bytes());
             m.stages += 1;
             m.rows_processed += t.len() as u64;
-            Ok(Batch::from_table(t, t.schema.clone(), t.bytes_per_row))
+            let mut batch = Batch::from_table(t, t.schema.clone(), t.bytes_per_row);
+            for (col, &first) in batch.cols.iter_mut().zip(keys) {
+                col.surrogate = first;
+            }
+            Ok(batch)
         }
         LogicalPlan::ViewScan(v) => {
             // Overlapping fragments are clipped on the partition attribute.
@@ -432,10 +448,7 @@ fn run(
                     .map(|&g| key.phys(groups.first_row[g as usize] as usize) as u32)
                     .collect();
                 fields.push(child.schema.field(i).clone());
-                out.push(Col {
-                    data: Arc::new(key.data.gather(&firsts)),
-                    idx: None,
-                });
+                out.push(Col::whole(Arc::new(key.data.gather(&firsts))));
             }
             for (a, idx) in aggs.iter().zip(&aidx) {
                 let arg = idx.map(|i| &child.cols[i]);
@@ -447,10 +460,8 @@ fn run(
                         .unwrap_or(DataType::Int),
                 };
                 fields.push(Field::new(a.alias.clone(), dtype));
-                out.push(Col {
-                    data: Arc::new(aggregate(a.func, arg, dtype, &groups, &order)),
-                    idx: None,
-                });
+                let values = aggregate(a.func, arg, dtype, &groups, &order);
+                out.push(Col::whole(Arc::new(values)));
             }
             m.rows_processed += order.len() as u64;
             // Aggregates produce compact rows; keep the input's scale factor.
@@ -788,8 +799,9 @@ impl IdTable {
 
 /// A single key column read as integers where its rows lie — an integer
 /// column's values, a string column's codes — less a minimum (the last
-/// field). Less the build side's smallest key, they are offsets into a
-/// [`DirectIndex`].
+/// field). Less a group-by key's smallest, they are offsets into a
+/// [`DirectIndex`]; less a surrogate key's first, rows of its side
+/// ([`Partner`]).
 enum IntKeys<'a> {
     Ints(&'a [i64], &'a Col, i64),
     Codes(&'a [u32], &'a Col, i64),
@@ -837,57 +849,79 @@ impl<'a> IntKeys<'a> {
     }
 }
 
-/// The key index of a single-column key whose values are dense: one `u32`
-/// cell per value from the smallest to the largest, addressed by
-/// `key − min`. A join keeps the head of each key's chain in the cells, a
-/// group-by each key's group. Against the hashed index ([`IdTable`]) only
-/// the cost of finding a key's cell differs — which rows meet, and in what
-/// order, does not — so no result and no simulated charge can tell which
-/// of the two ran.
+/// The group-by index of a single-column key whose values are dense: one
+/// `u32` cell per value from the smallest to the largest, addressed by
+/// `key − min`, holding the key's group. Against the hashed index
+/// ([`IdTable`]) only the cost of finding a key's group differs — which
+/// rows share one, and how groups are numbered, does not — so no result
+/// and no simulated charge can tell which of the two ran.
 struct DirectIndex<'a> {
-    /// One cell per possible key, [`NONE`] until a caller writes it.
+    /// One cell per possible key, [`NONE`] until its key's group is known.
     cells: Vec<u32>,
-    /// The rows that fill the cells: a join's build side, a group-by's input.
-    build: IntKeys<'a>,
-    /// The rows that read them: a join's probe side; for a group-by, its
-    /// input again with no rows.
-    probe: IntKeys<'a>,
+    /// The rows that fill the cells.
+    keys: IntKeys<'a>,
 }
 
 impl<'a> DirectIndex<'a> {
     /// The density rule, the one place that chooses direct addressing over
     /// hashing. Integer keys, and string keys by their codes, qualify when
-    /// `max − min < 4·rows + 64` over the build side, `rows` being all the
-    /// rows the index will serve: setting the cells up then costs a few
-    /// `u32` writes per row at most. `None` sends everything else to the
-    /// hashed index: multi-column keys, floats, integers compared with
-    /// floats, sparse keys (a span that overflows `i64` included, and a
-    /// dictionary much larger than the rows) and empty input.
+    /// `max − min < 4·n + 64` over the `n` rows: setting the cells up then
+    /// costs a few `u32` writes per row at most. `None` sends everything
+    /// else to the hashed index: multi-column keys, floats, sparse keys (a
+    /// span that overflows `i64` included, and a dictionary much larger
+    /// than the rows) and empty input.
     ///
     /// NULL slots hold their type's default and count towards the span like
-    /// values; callers keep NULL rows away from the index.
-    fn new(
-        build: &[&'a Col],
-        build_len: usize,
-        probe: &[&'a Col],
-        probe_len: usize,
-    ) -> Option<Self> {
-        let ([build], [probe]) = (build, probe) else {
+    /// values; the caller keeps NULL rows away from the index.
+    ///
+    /// Kept out of line: inlined into its one caller, it made
+    /// `group_40k_str` (`cargo bench --bench micro`) 6–9 % slower.
+    #[inline(never)]
+    fn new(key: &[&'a Col], n: usize) -> Option<Self> {
+        let [key] = key else {
             return None;
         };
-        let (keys, probe_keys) = IntKeys::of(build, probe)?;
-        let mut all = (0..build_len).map(|r| keys.at(r) as i64);
+        let (keys, _) = IntKeys::of(key, key)?;
+        let mut all = (0..n).map(|r| keys.at(r) as i64);
         let first = all.next()?;
         let (min, max) = all.fold((first, first), |(lo, hi), k| (lo.min(k), hi.max(k)));
         let span = u64::try_from(max.checked_sub(min)?).ok()?;
-        if span >= 4 * (build_len + probe_len) as u64 + 64 {
+        if span >= 4 * n as u64 + 64 {
             return None;
         }
         Some(Self {
             cells: vec![NONE; span as usize + 1],
-            build: keys.less(min),
-            probe: probe_keys.less(min),
+            keys: keys.less(min),
         })
+    }
+}
+
+/// A single-column integer join key one side of which is a surrogate key
+/// ([`Col::surrogate`]): the other side's keys less its first, which are
+/// the rows of the surrogate side they meet. A row meets at most one. The
+/// wrapped difference of [`IntKeys::at`] is below the surrogate side's
+/// length exactly when the key names one of its rows, `first + length − 1`
+/// not passing `i64::MAX`.
+enum Partner<'a> {
+    /// The build side is the surrogate key; the probe rows' partners.
+    InBuild(IntKeys<'a>),
+    /// The probe side is; the build rows' partners.
+    InProbe(IntKeys<'a>),
+}
+
+impl<'a> Partner<'a> {
+    /// `None` unless the key is one integer column a side and one side is a
+    /// surrogate key; when both are, the build side's serves.
+    fn of(build: &[&'a Col], probe: &[&'a Col]) -> Option<Self> {
+        let ([b], [p]) = (build, probe) else {
+            return None;
+        };
+        let (bkeys, pkeys) = IntKeys::of(b, p)?;
+        match (b.surrogate, p.surrogate) {
+            (Some(first), _) => Some(Partner::InBuild(pkeys.less(first))),
+            (None, Some(first)) => Some(Partner::InProbe(bkeys.less(first))),
+            (None, None) => None,
+        }
     }
 }
 
@@ -975,65 +1009,100 @@ fn join_pairs(
     probe_len: usize,
     keep: Kept<'_>,
 ) -> (Pairs, u64) {
-    // Each kernel is compiled twice: without a mask it neither tests rows
-    // nor counts pairs on the side, every pair formed being built.
-    let masked = keep.build.is_some() || keep.probe.is_some();
-    match (DirectIndex::new(build, build_len, probe, probe_len), masked) {
-        (Some(index), false) => {
-            join_direct::<false>(index, build[0], build_len, probe[0], probe_len, keep)
+    match Partner::of(build, probe) {
+        Some(Partner::InBuild(to)) => join_in_build(&to, build_len, probe[0], probe_len, keep),
+        Some(Partner::InProbe(to)) => join_in_probe(&to, build[0], build_len, probe_len, keep),
+        // The hashed kernel is compiled twice: without a mask it neither
+        // tests rows nor counts pairs on the side, every pair formed being
+        // built.
+        None if keep.build.is_none() && keep.probe.is_none() => {
+            join_hashed::<false>(build, build_len, probe, probe_len, keep)
         }
-        (Some(index), true) => {
-            join_direct::<true>(index, build[0], build_len, probe[0], probe_len, keep)
-        }
-        (None, false) => join_hashed::<false>(build, build_len, probe, probe_len, keep),
-        (None, true) => join_hashed::<true>(build, build_len, probe, probe_len, keep),
+        None => join_hashed::<true>(build, build_len, probe, probe_len, keep),
     }
 }
 
-/// [`join_pairs`] of a single-column key through its [`DirectIndex`]: each
-/// cell holds the first kept row of its key's chain and, `MASKED`, a count
-/// array beside the cells each key's build rows, kept or not.
-fn join_direct<const MASKED: bool>(
-    index: DirectIndex<'_>,
-    build: &Col,
+/// [`join_pairs`] when the build side is a surrogate key: probe row `j`
+/// meets build row `to.at(j)` alone, when that is a row — one pass, no
+/// cells, no chains. Every non-NULL probe row whose key is in range forms
+/// one pair, kept or not.
+fn join_in_build(
+    to: &IntKeys<'_>,
     build_len: usize,
     probe: &Col,
     probe_len: usize,
     keep: Kept<'_>,
 ) -> (Pairs, u64) {
-    let mut head = index.cells;
-    let mut count = vec![0u32; if MASKED { head.len() } else { 0 }];
-    let bnull = null_rows(build, build_len);
     let pnull = null_rows(probe, probe_len);
-    // Build, last row first, pushing each kept row onto the front of its
-    // key's chain: every chain ends up in ascending row order.
-    let mut next: Vec<u32> = vec![NONE; build_len];
-    for i in (0..build_len).rev().filter(|&i| !marked(&bnull, i)) {
-        let cell = index.build.at(i) as usize;
-        if MASKED {
-            count[cell] += 1;
-            if !kept(keep.build, i) {
-                continue;
-            }
-        }
-        next[i] = head[cell];
-        head[cell] = i as u32;
-    }
     let mut pairs = (Vec::with_capacity(probe_len), Vec::with_capacity(probe_len));
     let mut formed = 0u64;
     for j in (0..probe_len).filter(|&j| !marked(&pnull, j)) {
-        let cell = usize::try_from(index.probe.at(j))
-            .ok()
-            .filter(|&c| c < head.len());
-        if MASKED {
-            formed += cell.map_or(0, |c| u64::from(count[c]));
-            if !kept(keep.probe, j) {
-                continue;
-            }
+        let i = to.at(j);
+        if i >= build_len as u64 {
+            continue;
         }
-        push_chain(&mut pairs, cell.map_or(NONE, |c| head[c]), &next, j);
+        formed += 1;
+        if kept(keep.build, i as usize) && kept(keep.probe, j) {
+            pairs.0.push(i as u32);
+            pairs.1.push(j as u32);
+        }
     }
-    let formed = if MASKED { formed } else { pairs.0.len() as u64 };
+    (pairs, formed)
+}
+
+/// [`join_pairs`] when the probe side is a surrogate key: build row `i`
+/// meets probe row `to.at(i)` alone, when that is a row. Each kept build
+/// row is chained onto the cell of its partner; the cells span only the
+/// partners kept rows reach and are emitted in order, so the probe side is
+/// never walked. Every non-NULL build row whose key is in range forms one
+/// pair, kept or not: no count array is needed.
+fn join_in_probe(
+    to: &IntKeys<'_>,
+    build: &Col,
+    build_len: usize,
+    probe_len: usize,
+    keep: Kept<'_>,
+) -> (Pairs, u64) {
+    let bnull = null_rows(build, build_len);
+    let mut formed = 0u64;
+    // The partner of each kept build row (NONE for the others) and their
+    // span; a partner is below `probe_len`, so never NONE itself.
+    let (mut lo, mut hi) = (NONE, 0);
+    let partner: Vec<u32> = (0..build_len)
+        .map(|i| {
+            let j = to.at(i);
+            if marked(&bnull, i) || j >= probe_len as u64 {
+                return NONE;
+            }
+            formed += 1;
+            if !kept(keep.build, i) {
+                return NONE;
+            }
+            let j = j as u32;
+            (lo, hi) = (lo.min(j), hi.max(j));
+            j
+        })
+        .collect();
+    let mut pairs = (Vec::with_capacity(build_len), Vec::with_capacity(build_len));
+    if lo > hi {
+        return (pairs, formed);
+    }
+    // Last row first, each onto the front of its cell's chain: every chain
+    // ends up in ascending row order.
+    let mut head = vec![NONE; (hi - lo) as usize + 1];
+    let mut next = vec![NONE; build_len];
+    for (i, &j) in partner.iter().enumerate().rev() {
+        if j != NONE {
+            let cell = (j - lo) as usize;
+            next[i] = head[cell];
+            head[cell] = i as u32;
+        }
+    }
+    for (j, &first) in (lo as usize..).zip(&head) {
+        if kept(keep.probe, j) {
+            push_chain(&mut pairs, first, &next, j);
+        }
+    }
     (pairs, formed)
 }
 
@@ -1080,9 +1149,10 @@ fn join_hashed<const MASKED: bool>(
         }
     }
 
-    // Build, as in `join_direct`; per key id a row holding the key (to
-    // compare against), the first kept row of its chain and, `MASKED`, its
-    // row count.
+    // Build, last row first, pushing each kept row onto the front of its
+    // key's chain: every chain ends up in ascending row order. Per key id a
+    // row holding the key (to compare against), the first kept row of its
+    // chain and, `MASKED`, its row count.
     let mut table = IdTable::with_capacity(build_len);
     let mut key_row: Vec<u32> = Vec::new();
     let mut head: Vec<u32> = Vec::new();
@@ -1149,7 +1219,7 @@ fn group_rows(keys: &[&Col], n: usize) -> Groups {
             first_row: vec![0],
         };
     }
-    match DirectIndex::new(keys, n, keys, 0) {
+    match DirectIndex::new(keys, n) {
         Some(index) => group_direct(index, keys[0], n),
         None => group_hashed(keys, n),
     }
@@ -1166,7 +1236,7 @@ fn group_direct(index: DirectIndex<'_>, key: &Col, n: usize) -> Groups {
         .map(|r| {
             let g = match marked(&nulls, r) {
                 true => &mut null_group,
-                false => &mut group[index.build.at(r) as usize],
+                false => &mut group[index.keys.at(r) as usize],
             };
             if *g == NONE {
                 *g = first_row.len() as u32;
@@ -1542,14 +1612,36 @@ mod tests {
         let mut data = Column::with_capacity(dtype, values.len());
         values.iter().for_each(|v| data.push(v.clone()));
         Col {
-            data: Arc::new(data),
             idx: idx.map(Arc::new),
+            ..Col::whole(Arc::new(data))
         }
     }
 
     fn int_col(keys: &[i64]) -> Col {
         let values: Vec<Value> = keys.iter().map(|&k| Value::Int(k)).collect();
         key_col(DataType::Int, &values, None)
+    }
+
+    /// A surrogate key `first..first + n`, marked as a scan marks one.
+    fn serial(first: i64, n: i64) -> Col {
+        let keys: Vec<i64> = (0..n).map(|r| first + r).collect();
+        Col {
+            surrogate: Some(first),
+            ..int_col(&keys)
+        }
+    }
+
+    /// Whether the density rule gives `key`'s first `n` rows a direct index.
+    fn dense(key: &Col, n: usize) -> bool {
+        DirectIndex::new(&[key], n).is_some()
+    }
+
+    /// Which side of a join of `build` and `probe` is a surrogate key.
+    fn partner(build: &Col, probe: &Col) -> Option<&'static str> {
+        Partner::of(&[build], &[probe]).map(|p| match p {
+            Partner::InBuild(_) => "build",
+            Partner::InProbe(_) => "probe",
+        })
     }
 
     /// The pairs a nested loop finds: probe rows outer, build rows inner.
@@ -1586,12 +1678,13 @@ mod tests {
         Groups { of_row, first_row }
     }
 
-    /// Join and group `build` (and `probe`) through both indexes and against
-    /// the obvious loops — the join also with a kept-row mask on either side,
-    /// whose pairs must be the unmasked ones filtered while the count of
-    /// pairs formed stays the unmasked one; returns whether the density rule
-    /// chose direct addressing for the join.
-    fn check_key_indexes(build: &Col, build_len: usize, probe: &Col, probe_len: usize) -> bool {
+    /// Join `build` and `probe` as the executor does — by position when one
+    /// is a surrogate key — and through the hashed index, against a nested
+    /// loop, also with a kept-row mask on either side, whose pairs must be
+    /// the unmasked ones filtered while the count of pairs formed stays the
+    /// unmasked one. Group each through both indexes against first-seen
+    /// grouping.
+    fn check_key_indexes(build: &Col, build_len: usize, probe: &Col, probe_len: usize) {
         let (b, p) = ([build], [probe]);
         let all = nested_loop_pairs(build, build_len, probe, probe_len);
         let formed = all.0.len() as u64;
@@ -1613,7 +1706,6 @@ mod tests {
                 probe: Some(pm),
             });
         }
-        let chose_direct = DirectIndex::new(&b, build_len, &p, probe_len).is_some();
         for keep in keeps {
             let pairs: Pairs = all
                 .0
@@ -1629,47 +1721,36 @@ mod tests {
                 join_hashed::<true>(&b, build_len, &p, probe_len, keep),
                 want
             );
-            let index = || DirectIndex::new(&b, build_len, &p, probe_len);
-            if let Some(index) = index() {
-                let got = join_direct::<true>(index, build, build_len, probe, probe_len, keep);
-                assert_eq!(got, want);
-            }
             if keep.build.is_none() && keep.probe.is_none() {
                 assert_eq!(
                     join_hashed::<false>(&b, build_len, &p, probe_len, keep),
                     want
                 );
-                if let Some(index) = index() {
-                    let got = join_direct::<false>(index, build, build_len, probe, probe_len, keep);
-                    assert_eq!(got, want);
-                }
             }
         }
         for (key, n) in [(build, build_len), (probe, probe_len)] {
             let want = first_seen_groups(key, n);
             assert_eq!(group_hashed(&[key], n), want);
             assert_eq!(group_rows(&[key], n), want);
-            if let Some(index) = DirectIndex::new(&[key], n, &[key], 0) {
+            if let Some(index) = DirectIndex::new(&[key], n) {
                 assert_eq!(group_direct(index, key, n), want);
             }
         }
-        chose_direct
     }
 
     #[test]
     fn direct_and_hashed_index_agree_on_both_sides_of_the_density_rule() {
-        // 8 build + 6 probe rows, keys from 3 up: spans below 4·14 + 64 = 120
-        // are dense.
+        // 8 rows, keys from 3 up: spans below 4·8 + 64 = 96 are dense.
         let probe = int_col(&[7, 122, 3, 7, -1, 123]);
-        for (max, dense) in [(20, true), (122, true), (123, false), (5_000, false)] {
+        for (max, want) in [(20, true), (98, true), (99, false), (5_000, false)] {
             let build = int_col(&[7, 3, max, 7, 9, 3, 7, 8]);
-            assert_eq!(check_key_indexes(&build, 8, &probe, 6), dense, "max {max}");
+            check_key_indexes(&build, 8, &probe, 6);
+            assert_eq!(dense(&build, 8), want, "max {max}");
         }
-        // Alone, a side's own rows set the bound: 6 rows, 4·6 + 64 = 88.
-        let alone = |c: &Col, n: usize| DirectIndex::new(&[c], n, &[c], 0).is_some();
-        assert!(!alone(&probe, 6));
-        assert!(!alone(&int_col(&[0, 87]), 2));
-        assert!(alone(&int_col(&[0, 71]), 2));
+        // 6 rows, 4·6 + 64 = 88.
+        assert!(!dense(&probe, 6));
+        assert!(!dense(&int_col(&[0, 87]), 2));
+        assert!(dense(&int_col(&[0, 71]), 2));
 
         // Indexed columns (a join's output, a selection's) read through
         // their index vector; only its rows count.
@@ -1677,7 +1758,8 @@ mod tests {
             idx: Some(Arc::new(vec![7, 0, 0, 4, 1])),
             ..int_col(&[7, 3, 1 << 40, 7, 9, 3, 7, 8])
         };
-        assert!(check_key_indexes(&build, 5, &probe, 6));
+        check_key_indexes(&build, 5, &probe, 6);
+        assert!(dense(&build, 5));
 
         // Strings under one dictionary key by their codes, as integers: a
         // dictionary much larger than the rows is a sparse key.
@@ -1692,14 +1774,16 @@ mod tests {
             ..wide.clone()
         };
         let (build, probe) = (rows(vec![3, 5, 3, 0]), rows(vec![5, 8, 0]));
-        assert!(check_key_indexes(&build, 4, &probe, 3));
+        check_key_indexes(&build, 4, &probe, 3);
+        assert!(dense(&build, 4));
         let (build, probe) = (rows(vec![0, 299]), rows(vec![299, 5]));
-        assert!(!check_key_indexes(&build, 2, &probe, 2));
+        check_key_indexes(&build, 2, &probe, 2);
+        assert!(!dense(&build, 2));
         // Under two, hashed: equal strings are one key, and a probe string
         // the build side lacks matches none.
         let build = strs(&["b", "a", "", "b", "zz", "a"]);
         let probe = strs(&["a", "q", "b", "", "a"]);
-        assert!(!check_key_indexes(&build, 6, &probe, 5));
+        check_key_indexes(&build, 6, &probe, 5);
 
         // Floats, an integer against a float, two columns, no rows: hashed.
         let floats = key_col(
@@ -1708,10 +1792,11 @@ mod tests {
             None,
         );
         let ints = int_col(&[7, 3, 7]);
-        assert!(!check_key_indexes(&floats, 2, &floats, 2));
-        assert!(!check_key_indexes(&ints, 3, &floats, 2));
-        assert!(!check_key_indexes(&ints, 0, &ints, 3));
-        assert!(DirectIndex::new(&[&ints, &ints], 3, &[&ints, &ints], 3).is_none());
+        check_key_indexes(&floats, 2, &floats, 2);
+        check_key_indexes(&ints, 3, &floats, 2);
+        check_key_indexes(&ints, 0, &ints, 3);
+        assert!(!dense(&floats, 2) && !dense(&ints, 0));
+        assert!(DirectIndex::new(&[&ints, &ints], 3).is_none());
         // A string never equals a number.
         let all = Kept::default();
         assert_eq!(
@@ -1724,15 +1809,71 @@ mod tests {
     fn key_span_overflowing_i64_is_hashed() {
         let build = int_col(&[i64::MIN, i64::MAX, 0, i64::MAX, -1]);
         let probe = int_col(&[i64::MAX, 1, i64::MIN, 0]);
-        assert!(!check_key_indexes(&build, 5, &probe, 4));
+        check_key_indexes(&build, 5, &probe, 4);
+        assert!(!dense(&build, 5));
         // A span that fits `i64` but no table does not wrap into range.
         let build = int_col(&[-1_000_000_000_000, 1_000_000_000_000, 5]);
-        assert!(!check_key_indexes(&build, 3, &probe, 4));
+        check_key_indexes(&build, 3, &probe, 4);
+        assert!(!dense(&build, 3));
         // Dense keys at the edge of the domain stay direct.
         let build = int_col(&[i64::MAX, i64::MAX - 3, i64::MAX]);
-        assert!(check_key_indexes(&build, 3, &probe, 4));
+        check_key_indexes(&build, 3, &probe, 4);
+        assert!(dense(&build, 3));
         let build = int_col(&[i64::MIN + 2, i64::MIN]);
-        assert!(check_key_indexes(&build, 2, &probe, 4));
+        check_key_indexes(&build, 2, &probe, 4);
+        assert!(dense(&build, 2));
+    }
+
+    #[test]
+    fn surrogate_key_joins_agree_with_the_hashed_index() {
+        for first in [0, -3, 7, i64::MAX - 5, i64::MIN] {
+            // Keys in range, repeated, just outside it on either side, at the
+            // ends of the domain, and NULL, whose slot holds 0.
+            let near = |d: i64| Value::Int(first.saturating_add(d));
+            let keys = [
+                near(2),
+                near(0),
+                Value::Null,
+                near(2),
+                near(-1),
+                near(5),
+                near(1),
+                near(0),
+                Value::Int(i64::MIN),
+                Value::Int(i64::MAX),
+                Value::Int(0),
+            ];
+            let fact = key_col(DataType::Int, &keys, None);
+            for n in [0, 1, 5] {
+                let dim = serial(first, n);
+                let n = n as usize;
+                assert_eq!(partner(&dim, &fact), Some("build"));
+                assert_eq!(partner(&fact, &dim), Some("probe"));
+                check_key_indexes(&dim, n, &fact, keys.len());
+                check_key_indexes(&fact, keys.len(), &dim, n);
+                // The fact side read through a selection's index.
+                let some = Col {
+                    idx: Some(Arc::new(vec![9, 3, 0, 2, 3, 6])),
+                    ..fact.clone()
+                };
+                check_key_indexes(&some, 6, &dim, n);
+                check_key_indexes(&dim, n, &some, 6);
+            }
+        }
+        // Two surrogate keys: the build side's serves.
+        let (a, b) = (serial(3, 4), serial(5, 6));
+        assert_eq!(partner(&a, &b), Some("build"));
+        check_key_indexes(&a, 4, &b, 6);
+        // Only single integer keys meet a surrogate key by position.
+        let dim = serial(0, 3);
+        let floats = key_col(DataType::Float, &[Value::Float(1.0)], None);
+        let strs = key_col(DataType::Str, &[Value::str("1")], None);
+        assert_eq!(partner(&dim, &floats), None);
+        assert_eq!(partner(&strs, &dim), None);
+        assert!(Partner::of(&[&dim, &dim], &[&dim, &dim]).is_none());
+        check_key_indexes(&dim, 3, &floats, 1);
+        check_key_indexes(&dim, 3, &strs, 1);
+        assert_eq!(partner(&int_col(&[0, 1, 2]), &int_col(&[1])), None);
     }
 
     #[test]
@@ -1742,7 +1883,8 @@ mod tests {
         let probe = [Value::Null, Value::Int(0), Value::Int(2), Value::Null];
         let build = key_col(DataType::Int, &build, None);
         let probe = key_col(DataType::Int, &probe, None);
-        assert!(check_key_indexes(&build, 4, &probe, 4));
+        check_key_indexes(&build, 4, &probe, 4);
+        assert!(dense(&build, 4));
         assert_eq!(
             join_pairs(&[&build], 4, &[&probe], 4, Kept::default()),
             ((vec![0, 2], vec![1, 2]), 2)
@@ -1755,10 +1897,12 @@ mod tests {
         // whose NULL slots hold "".
         let sparse = [Value::Int(0), Value::Null, Value::Int(1 << 50)];
         let sparse = key_col(DataType::Int, &sparse, None);
-        assert!(!check_key_indexes(&sparse, 3, &probe, 4));
+        check_key_indexes(&sparse, 3, &probe, 4);
+        assert!(!dense(&sparse, 3));
         let strs = [Value::str(""), Value::Null, Value::str("x"), Value::Null];
         let strs = key_col(DataType::Str, &strs, None);
-        assert!(check_key_indexes(&strs, 4, &strs, 4));
+        check_key_indexes(&strs, 4, &strs, 4);
+        assert!(dense(&strs, 4));
         assert_eq!(
             join_pairs(&[&strs], 4, &[&strs], 4, Kept::default()),
             ((vec![0, 2], vec![0, 2]), 2)

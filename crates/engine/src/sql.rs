@@ -77,13 +77,8 @@ impl<'a> Lexer<'a> {
     }
 
     fn next_token(&mut self) -> Result<(Token, usize), ParseError> {
-        while self
-            .rest()
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_whitespace())
-        {
-            self.pos += 1;
+        while let Some(c) = self.rest().chars().next().filter(|c| c.is_whitespace()) {
+            self.pos += c.len_utf8();
         }
         let start = self.pos;
         let Some(c) = self.rest().chars().next() else {
@@ -150,7 +145,8 @@ impl<'a> Lexer<'a> {
                         .map_err(|_| self.error(format!("bad integer literal {text:?}")))
                 }
             }
-            c if c.is_alphabetic() || c == '_' => {
+            // Identifiers are ASCII; any other letter is an unexpected character.
+            c if c.is_ascii_alphabetic() || c == '_' => {
                 let mut end = self.pos;
                 let bytes = self.src.as_bytes();
                 while end < bytes.len()
@@ -650,6 +646,16 @@ mod tests {
         };
         assert_eq!(aggs[0].alias, "count");
         assert_eq!(aggs[1].alias, "avg_t_x");
+    }
+
+    #[test]
+    fn non_ascii_input_is_skipped_or_rejected() {
+        // Whitespace is skipped a whole character at a time.
+        assert!(parse("SELECT\u{A0}* FROM item").is_ok());
+        // A letter outside ASCII starts no identifier: an error, not a loop.
+        let err = parse("SELECT é FROM item").unwrap_err();
+        assert!(err.message.contains("unexpected character"), "{err}");
+        assert_eq!(err.position, 7);
     }
 
     #[test]

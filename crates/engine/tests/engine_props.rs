@@ -213,6 +213,12 @@ type RefOut = (Schema, Vec<Row>, u64);
 /// holds one string no other does (`"sa"`, `"sb"`, `"sc"`). A join on
 /// strings must translate one side's codes into the other's dictionary.
 /// `""`, the string a NULL slot holds, is also a label.
+///
+/// A fourth table, the dimension `d`, has a key `d.k` running
+/// `first..first + n`, `first` one of 0, −3, 7 and `i64::MAX − n`, `n` up
+/// to 40: a surrogate key, which joins address by position. Or, per
+/// catalog, one of its twins, which are not: one key skipped, or one key
+/// repeated.
 fn random_catalog(rows_a: usize, rows_b: usize, seed: u64) -> Catalog {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     let mut draw = move |n: u64| {
@@ -261,10 +267,30 @@ fn random_catalog(rows_a: usize, rows_b: usize, seed: u64) -> Catalog {
     // A third table, small, for a join of three.
     let rows_c = (seed % 6) as usize;
     c.register("c", table("c", &[("k", Int), ("s", Str)], rows_c, 40));
+
+    let n = draw(41) as i64;
+    let first = [0, -3, 7, i64::MAX - n][draw(4) as usize];
+    // A twin's keys shift by one from row `at` on, 1 ≤ at < n (given n ≥ 2).
+    let at = 1 + draw(n.max(2) as u64 - 1) as i64;
+    let twin = draw(3);
+    let rows = (0..n).map(|r| {
+        let k = match twin {
+            1 if r >= at => first + r + 1,
+            2 if r >= at => first + r - 1,
+            _ => first + r,
+        };
+        let s = ["s0", "s1", "s2", "", "sd"][draw(5) as usize];
+        vec![Value::Int(k), Value::str(s)]
+    });
+    let fields = vec![Field::new("d.k", Int), Field::new("d.s", Str)];
+    c.register(
+        "d",
+        Table::from_rows(Schema::new(fields), rows.collect(), 50),
+    );
     c
 }
 
-/// A plan over [`random_catalog`]: a scan or one of seven joins, then
+/// A plan over [`random_catalog`]: a scan or one of eleven joins, then
 /// optionally a selection, then a projection or one of four aggregates.
 ///
 /// A selection right above a join is evaluated on one input before pairing
@@ -272,21 +298,14 @@ fn random_catalog(rows_a: usize, rows_b: usize, seed: u64) -> Catalog {
 /// that path from either input (the left one of the three-table join being
 /// the inner join, which holds all of `a`) and miss it through an
 /// ambiguous or unknown column or conditions on both inputs.
+///
+/// `a` and `b` meet the dimension `d` from either side; being the smaller
+/// input or not, it is the build or the probe side of the join. `b`'s join
+/// with it carries the selection itself, and then meets `a`.
 fn random_plan(join: u8, select: u8, shape: u8, lo: i64) -> LogicalPlan {
-    let (a, b) = (|| LogicalPlan::scan("a"), || LogicalPlan::scan("b"));
-    let plan = match join {
-        0 => a(),
-        1 => a().join(b(), vec![("a.k", "b.k")]),
-        2 => a().join(b(), vec![("a.k", "b.x")]), // Int = Float
-        3 => a().join(b(), vec![("a.k", "b.k"), ("a.s", "b.s")]),
-        4 => b().join(a(), vec![("a.k", "b.k")]), // pairs named right-to-left
-        5 => a().join(b(), vec![("a.s", "b.s")]),
-        6 => a().join(b(), vec![("a.s", "b.k")]), // Str = Int: never equal
-        _ => a()
-            .join(b(), vec![("a.k", "b.k")])
-            .join(LogicalPlan::scan("c"), vec![("c.s", "b.s")]),
-    };
-    let plan = match select {
+    let scan = LogicalPlan::scan;
+    let (a, b, d) = (|| scan("a"), || scan("b"), || scan("d"));
+    let select = |plan: LogicalPlan| match select {
         0 => plan,
         1 => plan.select(Predicate::range("a.k", lo, lo + 1)),
         2 => plan.select(Predicate::and(vec![
@@ -299,10 +318,30 @@ fn random_plan(join: u8, select: u8, shape: u8, lo: i64) -> LogicalPlan {
         6 => plan.select(Predicate::range("b.k", lo, lo + 2)), // the right input
         7 => plan.select(Predicate::eq("b.s", "s2")),
         8 => plan.select(Predicate::eq("a.s", "sb")), // a string `a` never holds
-        _ => plan.select(Predicate::and(vec![
+        9 => plan.select(Predicate::and(vec![
             Predicate::range("a.k", lo, 3), // one condition per input
             Predicate::eq("b.s", "s0"),
         ])),
+        10 => plan.select(Predicate::range("d.k", lo - 3, lo + 1)),
+        _ => plan.select(Predicate::eq("d.s", "s1")),
+    };
+    let with_a = |plan: LogicalPlan| a().join(plan, vec![("a.s", "b.s")]);
+    let plan = match join {
+        0 => select(a()),
+        1 => select(a().join(b(), vec![("a.k", "b.k")])),
+        2 => select(a().join(b(), vec![("a.k", "b.x")])), // Int = Float
+        3 => select(a().join(b(), vec![("a.k", "b.k"), ("a.s", "b.s")])),
+        4 => select(b().join(a(), vec![("a.k", "b.k")])), // pairs named right-to-left
+        5 => select(a().join(b(), vec![("a.s", "b.s")])),
+        6 => select(a().join(b(), vec![("a.s", "b.k")])), // Str = Int: never equal
+        7 => select(
+            a().join(b(), vec![("a.k", "b.k")])
+                .join(scan("c"), vec![("c.s", "b.s")]),
+        ),
+        8 => select(a().join(d(), vec![("a.k", "d.k")])),
+        9 => select(d().join(a(), vec![("d.k", "a.k")])),
+        10 => with_a(select(b().join(d(), vec![("b.k", "d.k")]))),
+        _ => with_a(select(d().join(b(), vec![("d.k", "b.k")]))),
     };
     let of = AggExpr::of;
     match shape {
@@ -349,7 +388,7 @@ proptest! {
     #[test]
     fn batch_executor_equals_row_reference(
         rows_a in 0usize..80, rows_b in 0usize..80, seed in any::<u64>(),
-        join in 0u8..8, select in 0u8..10, shape in 0u8..6, lo in 0i64..4,
+        join in 0u8..12, select in 0u8..12, shape in 0u8..6, lo in 0i64..4,
     ) {
         let cat = random_catalog(rows_a, rows_b, seed);
         let fs = fs();
@@ -507,5 +546,17 @@ proptest! {
     #[test]
     fn sql_parser_total_on_garbage(input in "[a-zA-Z0-9<>=,.*()' ]{0,60}") {
         let _ = sql::parse(&input); // must not panic
+    }
+
+    /// The parser returns on any text, whatever the width of its characters:
+    /// ASCII, 2-byte whitespace and letters, a 3- and a 4-byte character.
+    #[test]
+    fn sql_parser_returns_on_any_characters(picks in proptest::collection::vec(0usize..16, 0..40)) {
+        const ALPHABET: [&str; 16] = [
+            "SELECT", "FROM", "t", "a", "*", " ", ".", "=", "'", "1", "-",
+            "\u{A0}", "é", "∅", "\u{1F600}", "_",
+        ];
+        let input: String = picks.iter().map(|&i| ALPHABET[i]).collect();
+        let _ = sql::parse(&input); // must return, and not panic
     }
 }

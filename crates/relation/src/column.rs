@@ -321,24 +321,6 @@ impl Column {
         }
     }
 
-    /// Min and max of an integer column, ignoring NULLs. `None` if the column
-    /// is not an integer column or has no non-null value.
-    pub fn int_min_max(&self) -> Option<(i64, i64)> {
-        let ColumnData::Int(v) = &self.data else {
-            return None;
-        };
-        let mut mm: Option<(i64, i64)> = None;
-        for (i, &x) in v.iter().enumerate() {
-            if !self.is_null(i) {
-                mm = Some(match mm {
-                    None => (x, x),
-                    Some((lo, hi)) => (lo.min(x), hi.max(x)),
-                });
-            }
-        }
-        mm
-    }
-
     /// Rows whose integer value lies in `[low, high]`, in ascending order.
     /// NULLs and non-integer columns select nothing.
     pub fn int_range_rows(&self, low: i64, high: i64) -> Vec<u32> {
@@ -479,12 +461,10 @@ mod tests {
     }
 
     #[test]
-    fn min_max_and_range_rows_skip_nulls() {
+    fn range_rows_skip_nulls() {
         let c = ints_with_null();
-        assert_eq!(c.int_min_max(), Some((-1, 3)));
         assert_eq!(c.int_range_rows(-5, 5), vec![0, 2]);
         assert_eq!(c.int_range_rows(0, 5), vec![0]);
-        assert_eq!(floats().int_min_max(), None);
         assert!(floats().int_range_rows(0, 2).is_empty());
     }
 

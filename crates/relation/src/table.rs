@@ -121,12 +121,6 @@ impl Table {
         (0..self.len).map(|i| self.row(i))
     }
 
-    /// Min and max of an integer column, ignoring NULLs. `None` if the column
-    /// has no non-null integer values.
-    pub fn int_min_max(&self, col: usize) -> Option<(i64, i64)> {
-        self.columns[col].int_min_max()
-    }
-
     /// The rows at `sel`, in that order, as a new table.
     pub fn take(&self, sel: &[u32]) -> Table {
         let columns = self
@@ -207,18 +201,6 @@ mod tests {
     fn sim_bytes_scales_with_rows() {
         assert_eq!(t().sim_bytes(), 300);
         assert_eq!(Table::empty(t().schema, 100).sim_bytes(), 0);
-    }
-
-    #[test]
-    fn min_max_ignores_null() {
-        assert_eq!(t().int_min_max(0), Some((1, 3)));
-    }
-
-    #[test]
-    fn min_max_none_when_all_null() {
-        let schema = Schema::new(vec![Field::new("a", DataType::Int)]);
-        let t = Table::from_rows(schema, vec![vec![Value::Null]], 1);
-        assert_eq!(t.int_min_max(0), None);
     }
 
     #[test]
