@@ -177,6 +177,12 @@ fn bench_exec_kernels(c: &mut Criterion) {
             vec![("store_sales.ss_item_sk", "item.i_item_sk")],
         )
     };
+    let ss_customer = || {
+        scan("store_sales").join(
+            scan("customer"),
+            vec![("store_sales.ss_customer_sk", "customer.c_customer_sk")],
+        )
+    };
     let item_range = |lo, hi| Predicate::range("store_sales.ss_item_sk", lo, hi);
     let plans = [
         // 40k + 40k input rows.
@@ -220,8 +226,19 @@ fn bench_exec_kernels(c: &mut Criterion) {
             "select_join_40k_hot",
             count(ss_item().select(item_range(median - 200, median + 199))),
         ),
-        // Q7's shape: the selection sits above a second join, whose inner
-        // ss ⋈ item is still built whole.
+        // The same over the whole item domain: σ keeps every fact row.
+        (
+            "select_join_40k_wide",
+            count(ss_item().select(item_range(lo, hi))),
+        ),
+        // Q26's shape: σ over ss ⋈ customer, whose surrogate key is the
+        // build side, the selection on the probe side.
+        (
+            "select_join_40k_customer",
+            count(ss_customer().select(item_range(lo, lo + 399))),
+        ),
+        // Q7's shape: the selection sits above a second join, and runs at
+        // the fact leaf of both.
         (
             "select_join3_40k",
             count(
@@ -243,13 +260,7 @@ fn bench_exec_kernels(c: &mut Criterion) {
             )),
         ),
         // 40k fact rows against 10k customers, the surrogate key the build side.
-        (
-            "join_40k_customer",
-            count(scan("store_sales").join(
-                scan("customer"),
-                vec![("store_sales.ss_customer_sk", "customer.c_customer_sk")],
-            )),
-        ),
+        ("join_40k_customer", count(ss_customer())),
     ];
     for (name, plan) in &plans {
         c.bench_function(name, |b| {

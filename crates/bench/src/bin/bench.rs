@@ -20,7 +20,7 @@
 //! refresh the snapshots with `experiments --quick` when they are
 //! intentional.
 
-use deepsea_bench::experiments::{Scale, REGISTRY};
+use deepsea_bench::experiments::{Scale, DEFAULT_SEED, REGISTRY};
 use deepsea_bench::flag_value;
 use deepsea_bench::gate::compare_snapshots;
 use serde::ObjectBuilder;
@@ -82,7 +82,7 @@ fn main() {
         .filter(|e| e.gated)
         .map(|e| {
             let file = e.bench_file.expect("invariant: a gated row names its file");
-            let json = (e.run)(Scale::Quick).bench_json;
+            let json = (e.run)(Scale::Quick, DEFAULT_SEED).bench_json;
             (
                 file,
                 json.expect("invariant: a gated row renders its document"),

@@ -1,13 +1,17 @@
 //! Regenerate the paper's tables and figures.
 //!
 //! ```text
-//! experiments [--quick] [--metrics-out PATH] [--events-out PATH] [--trace-out PATH]
+//! experiments [--quick] [--seed N] [--metrics-out PATH] [--events-out PATH] [--trace-out PATH]
 //!             [all|fig1|fig2|table1|fig5a|fig5b|fig6|fig7|fig8a|fig8b|fig9|fig10|ablations|pressure|node-failure|overload]...
 //! ```
 //!
 //! The ids are the rows of [`deepsea_bench::experiments::REGISTRY`]. With no
 //! experiment arguments, runs every row. `--quick` scales workloads down
-//! (used by CI/smoke runs); the default is paper scale.
+//! (used by CI/smoke runs); the default is paper scale. `--seed N` (decimal)
+//! generates every instance and query log from `N` instead of
+//! [`deepsea_bench::experiments::DEFAULT_SEED`] (3739836064), the seed of
+//! the checked-in `BENCH*.json` snapshots; the serving scenarios' scheduler
+//! seed stays fixed.
 //!
 //! A row with a `bench_file` runs under an attached observer and writes its
 //! machine-readable summary there, in the current directory: `fig5a` →
@@ -28,7 +32,9 @@
 
 use std::io::Write;
 
-use deepsea_bench::experiments::{Experiment, Run, Scale, METRICS_SOURCE, REGISTRY, TRACE_SOURCES};
+use deepsea_bench::experiments::{
+    Experiment, Run, Scale, DEFAULT_SEED, METRICS_SOURCE, REGISTRY, TRACE_SOURCES,
+};
 use deepsea_bench::flag_value;
 use deepsea_core::Observer;
 
@@ -39,7 +45,14 @@ fn main() {
     let metrics_out = flag_value(&args, "--metrics-out");
     let events_out = flag_value(&args, "--events-out");
     let trace_out = flag_value(&args, "--trace-out");
-    let flag_values: Vec<&String> = [&metrics_out, &events_out, &trace_out]
+    let seed_arg = flag_value(&args, "--seed");
+    let seed = seed_arg.as_ref().map_or(DEFAULT_SEED, |v| {
+        v.parse().unwrap_or_else(|_| {
+            eprintln!("--seed wants an unsigned integer, got {v:?}");
+            std::process::exit(2);
+        })
+    });
+    let flag_values: Vec<&String> = [&metrics_out, &events_out, &trace_out, &seed_arg]
         .iter()
         .filter_map(|o| o.as_ref())
         .collect();
@@ -67,7 +80,7 @@ fn main() {
     let runs: Vec<(&Experiment, Run)> = rows
         .iter()
         .map(|e| {
-            let run = (e.run)(scale);
+            let run = (e.run)(scale, seed);
             assert_eq!(
                 e.bench_file.is_some(),
                 run.bench_json.is_some(),

@@ -104,8 +104,10 @@ pub struct Experiment {
     /// Whether `bench_file` is checked in at the repository root as the
     /// baseline `bench report` diffs a fresh quick-scale run against.
     pub gated: bool,
-    /// Run the experiment at the given scale.
-    pub run: fn(Scale) -> Run,
+    /// Run the experiment at the given scale, generating its instances and
+    /// query logs from the given seed ([`DEFAULT_SEED`] unless
+    /// `experiments --seed` names another).
+    pub run: fn(Scale, u64) -> Run,
 }
 
 /// Every experiment, in the order `experiments all` runs them: the paper's
@@ -144,12 +146,14 @@ pub(crate) fn bench_head(experiment: &str, scale: Scale, queries: usize) -> Obje
         .field("queries", queries as u64)
 }
 
-pub(crate) const SEED: u64 = 0xDEE9_5EA0;
+/// The seed of every instance and query log the experiments generate, and
+/// of the checked-in `BENCH*.json` snapshots `bench report` regenerates.
+pub const DEFAULT_SEED: u64 = 0xDEE9_5EA0;
 
-pub(crate) fn sdss_catalog(size: InstanceSize) -> Arc<Catalog> {
+pub(crate) fn sdss_catalog(size: InstanceSize, seed: u64) -> Arc<Catalog> {
     let (lo, hi) = item_domain();
     let hist = sdss_like_histogram(lo, hi);
-    Arc::new(BigBenchData::generate(size, &ItemDistribution::Histogram(hist), SEED).catalog)
+    Arc::new(BigBenchData::generate(size, &ItemDistribution::Histogram(hist), seed).catalog)
 }
 
 /// `config` with the mixed-workload fragment-size bound (§9) under a pool
@@ -158,15 +162,15 @@ fn pooled(config: DeepSeaConfig, smax: u64) -> DeepSeaConfig {
     config.with_phi(0.05).with_smax(smax)
 }
 
-fn uniform_catalog(size: InstanceSize) -> Arc<Catalog> {
-    Arc::new(BigBenchData::generate(size, &ItemDistribution::Uniform, SEED).catalog)
+fn uniform_catalog(size: InstanceSize, seed: u64) -> Arc<Catalog> {
+    Arc::new(BigBenchData::generate(size, &ItemDistribution::Uniform, seed).catalog)
 }
 
 /// Figure 1: histogram of selection ranges on the SDSS-like trace.
-pub fn fig1(_scale: Scale) -> Run {
+pub fn fig1(_scale: Scale, seed: u64) -> Run {
     let (lo, hi) = item_domain();
     let trace = SdssTrace::new(lo, hi);
-    let ranges = trace.generate(10_000, SEED);
+    let ranges = trace.generate(10_000, seed);
     let hist = trace.hit_histogram(&ranges, 28);
     let items: Vec<(String, f64)> = hist
         .iter()
@@ -179,10 +183,10 @@ pub fn fig1(_scale: Scale) -> Run {
 }
 
 /// Figure 2: evolution of selection ranges over the query sequence.
-pub fn fig2(_scale: Scale) -> Run {
+pub fn fig2(_scale: Scale, seed: u64) -> Run {
     let (lo, hi) = item_domain();
     let trace = SdssTrace::new(lo, hi);
-    let ranges = trace.generate(10_000, SEED);
+    let ranges = trace.generate(10_000, seed);
     let mut body = String::from("  query#     lo .. hi (every 500th query)\n");
     for (i, (l, h)) in ranges.iter().enumerate().step_by(500) {
         body.push_str(&format!("{:>8}  {l:>6} .. {h:<6}\n", i + 1));
@@ -212,9 +216,9 @@ const FIG5A_TIGHT_DIVISOR: u64 = 40;
 /// count, DS stage totals, pool high-water mark), and — via the
 /// `experiments` binary's `--metrics-out` / `--events-out` flags — the raw
 /// metric/event dumps.
-pub fn fig5a(scale: Scale) -> Run {
-    let catalog = sdss_catalog(scale.instance());
-    let plans = fig5_workload(scale.fig5_queries(), SEED);
+pub fn fig5a(scale: Scale, seed: u64) -> Run {
+    let catalog = sdss_catalog(scale.instance(), seed);
+    let plans = fig5_workload(scale.fig5_queries(), seed);
     let baselines_runs = run_variants(
         &catalog,
         &[
@@ -338,9 +342,9 @@ fn fig5a_bench_json(
 }
 
 /// Figure 5b: selection strategies N / N+ / DS across pool-size limits.
-pub fn fig5b(scale: Scale) -> Run {
-    let catalog = sdss_catalog(scale.instance());
-    let plans = fig5_workload(scale.fig5_queries(), SEED);
+pub fn fig5b(scale: Scale, seed: u64) -> Run {
+    let catalog = sdss_catalog(scale.instance(), seed);
+    let plans = fig5_workload(scale.fig5_queries(), seed);
     let base_bytes = catalog.total_base_bytes();
     let mut rows = Vec::new();
     for frac in [0.10, 0.25, 0.50, 1.00] {
@@ -369,9 +373,9 @@ pub fn fig5b(scale: Scale) -> Run {
 }
 
 /// Figure 6 (+ the §10.2 cluster-utilization analysis): DS vs equi-depth.
-pub fn fig6(_scale: Scale) -> Run {
-    let catalog = uniform_catalog(InstanceSize::Gb100);
-    let plans = fig6_workload(SEED);
+pub fn fig6(_scale: Scale, seed: u64) -> Run {
+    let catalog = uniform_catalog(InstanceSize::Gb100, seed);
+    let plans = fig6_workload(seed);
     let variants = [
         ("DS", baselines::deepsea()),
         ("E-6", baselines::equi_depth(6)),
@@ -416,14 +420,14 @@ pub fn fig6(_scale: Scale) -> Run {
 
 /// Figure 7a/7b: selectivity × skew grid — projected time (% of Hive) for 100
 /// queries and the number of queries needed to recoup materialization cost.
-pub fn fig7(scale: Scale) -> Run {
-    let catalog = uniform_catalog(scale.instance());
+pub fn fig7(scale: Scale, seed: u64) -> Run {
+    let catalog = uniform_catalog(scale.instance(), seed);
     let mut rows_a = Vec::new();
     let mut rows_b = Vec::new();
     for sel in [Selectivity::Big, Selectivity::Medium, Selectivity::Small] {
         for skew in [Skew::Uniform, Skew::Light, Skew::Heavy] {
             let setting = format!("{}{}", sel.abbrev(), skew.abbrev());
-            let plans = fig7_workload(sel, skew, SEED);
+            let plans = fig7_workload(sel, skew, seed);
             let runs = run_variants(
                 &catalog,
                 &[
@@ -464,12 +468,12 @@ pub fn fig7(scale: Scale) -> Run {
 
 /// Figure 8a: fragment-correlation exploitation — N vs DS, normal hits,
 /// small pool.
-pub fn fig8a(_scale: Scale) -> Run {
+pub fn fig8a(_scale: Scale, seed: u64) -> Run {
     // Pinned to the 100 GB instance: the paper's 7 GB pool holds a useful
     // number of *our* fragments at that scale (its views are smaller relative
     // to its base tables than ours).
-    let catalog = uniform_catalog(InstanceSize::Gb100);
-    let plans = fig8a_workload(SEED);
+    let catalog = uniform_catalog(InstanceSize::Gb100, seed);
+    let plans = fig8a_workload(seed);
     let smax = 7_000_000_000; // the paper's 7 GB pool
     let runs = run_variants(
         &catalog,
@@ -506,9 +510,9 @@ pub fn fig8a(_scale: Scale) -> Run {
 }
 
 /// Figure 8b: Zipf robustness — N vs DS across small pool sizes.
-pub fn fig8b(_scale: Scale) -> Run {
-    let catalog = uniform_catalog(InstanceSize::Gb100);
-    let plans = fig8b_workload(20, SEED);
+pub fn fig8b(_scale: Scale, seed: u64) -> Run {
+    let catalog = uniform_catalog(InstanceSize::Gb100, seed);
+    let plans = fig8b_workload(20, seed);
     let mut rows = Vec::new();
     for gb in [4u64, 8, 25] {
         let smax = gb * 1_000_000_000;
@@ -535,9 +539,9 @@ pub fn fig8b(_scale: Scale) -> Run {
 
 /// Figure 9: overlapping vs strictly horizontal partitioning under a
 /// three-phase midpoint shift.
-pub fn fig9(_scale: Scale) -> Run {
-    let catalog = uniform_catalog(InstanceSize::Gb100);
-    let plans = fig9_workload(SEED);
+pub fn fig9(_scale: Scale, seed: u64) -> Run {
+    let catalog = uniform_catalog(InstanceSize::Gb100, seed);
+    let plans = fig9_workload(seed);
     let runs = run_variants(
         &catalog,
         &[
@@ -573,9 +577,9 @@ pub fn fig9(_scale: Scale) -> Run {
 }
 
 /// Figure 10a/10b: adaptation to a workload change.
-pub fn fig10(_scale: Scale) -> Run {
-    let catalog = uniform_catalog(InstanceSize::Gb100);
-    let plans = fig10_workload(SEED);
+pub fn fig10(_scale: Scale, seed: u64) -> Run {
+    let catalog = uniform_catalog(InstanceSize::Gb100, seed);
+    let plans = fig10_workload(seed);
     let runs = run_variants(
         &catalog,
         &[
@@ -624,11 +628,11 @@ pub fn fig10(_scale: Scale) -> Run {
 
 /// Ablation study over DeepSea's design choices (DESIGN.md §5): disable one
 /// mechanism at a time and run the workload that exercises it.
-pub fn ablations(_scale: Scale) -> Run {
-    let uniform = uniform_catalog(InstanceSize::Gb100);
-    let sdss = sdss_catalog(InstanceSize::Gb100);
+pub fn ablations(_scale: Scale, seed: u64) -> Run {
+    let uniform = uniform_catalog(InstanceSize::Gb100, seed);
+    let sdss = sdss_catalog(InstanceSize::Gb100, seed);
     let ds = baselines::deepsea;
-    let fig5 = fig5_workload(60, SEED);
+    let fig5 = fig5_workload(60, seed);
     let quarter = sdss.total_base_bytes() / 4;
     // (mechanism, workload, catalog, plans, full DS, DS with the mechanism off)
     let arms = [
@@ -637,7 +641,7 @@ pub fn ablations(_scale: Scale) -> Run {
             "MLE smoothing",
             "fig8a workload, 7GB pool",
             &uniform,
-            fig8a_workload(SEED),
+            fig8a_workload(seed),
             pooled(ds(), 7_000_000_000),
             pooled(baselines::deepsea_no_mle(), 7_000_000_000),
         ),
@@ -645,7 +649,7 @@ pub fn ablations(_scale: Scale) -> Run {
             "overlapping fragments",
             "fig9 workload",
             &uniform,
-            fig9_workload(SEED),
+            fig9_workload(seed),
             ds(),
             baselines::horizontal_only(),
         ),
@@ -653,7 +657,7 @@ pub fn ablations(_scale: Scale) -> Run {
             "repartitioning",
             "fig10 workload",
             &uniform,
-            fig10_workload(SEED),
+            fig10_workload(seed),
             ds(),
             baselines::no_repartitioning(),
         ),
@@ -696,7 +700,7 @@ pub fn ablations(_scale: Scale) -> Run {
 }
 
 /// Table 1 is the parameter grid itself; render it for completeness.
-pub fn table1(_scale: Scale) -> Run {
+pub fn table1(_scale: Scale, _seed: u64) -> Run {
     let body = table(
         &["parameter", "values (default bold)"],
         &[
@@ -718,26 +722,26 @@ mod tests {
 
     #[test]
     fn fig1_report_has_hot_and_cold_buckets() {
-        let r = fig1(Scale::Quick);
+        let r = fig1(Scale::Quick, DEFAULT_SEED);
         assert!(r.body.lines().count() >= 20);
         assert!(r.body.contains('█'));
     }
 
     #[test]
     fn fig2_shows_shift() {
-        let r = fig2(Scale::Quick);
+        let r = fig2(Scale::Quick, DEFAULT_SEED);
         assert!(r.body.contains("shifts"));
     }
 
     #[test]
     fn table1_renders() {
-        let r = table1(Scale::Quick);
+        let r = table1(Scale::Quick, DEFAULT_SEED);
         assert!(r.body.contains("Query skew"));
     }
 
     #[test]
     fn fig6_quick_ordering() {
-        let r = fig6(Scale::Quick);
+        let r = fig6(Scale::Quick, DEFAULT_SEED);
         // DS row exists and the table has all five variants.
         for v in ["DS", "E-6", "E-15", "E-30", "E-60"] {
             assert!(r.body.contains(v), "missing {v} in:\n{}", r.body);
@@ -746,7 +750,7 @@ mod tests {
 
     #[test]
     fn fig5a_tight_companion_actually_evicts() {
-        let run = fig5a(Scale::Quick);
+        let run = fig5a(Scale::Quick, DEFAULT_SEED);
         let bench_json = run.bench_json.expect("fig5a writes BENCH.json");
         // The DS-tight arm must hit the pool cap and run the Φ-ranked
         // eviction path; a cap nobody hits would silently stop guarding it.
@@ -766,8 +770,8 @@ mod tests {
 
     #[test]
     fn fig5a_bench_json_has_expected_shape() {
-        let catalog = uniform_catalog(InstanceSize::Gb100);
-        let plans = fig6_workload(SEED);
+        let catalog = uniform_catalog(InstanceSize::Gb100, DEFAULT_SEED);
+        let plans = fig6_workload(DEFAULT_SEED);
         let h = run_workload("H", &catalog, baselines::hive(), &plans);
         let ds = run_workload("DS", &catalog, baselines::deepsea(), &plans);
         let smax = catalog.total_base_bytes() / FIG5A_TIGHT_DIVISOR;
@@ -796,9 +800,31 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
+    /// The `"total_secs"` object of a fig5a `BENCH.json`: one total per
+    /// variant.
+    fn fig5a_totals(seed: u64) -> String {
+        let json = fig5a(Scale::Quick, seed)
+            .bench_json
+            .expect("fig5a writes BENCH.json");
+        let totals = json
+            .split("\"total_secs\":{")
+            .nth(1)
+            .expect("variant totals");
+        totals[..totals.find('}').expect("a closed object")].to_string()
+    }
+
+    #[test]
+    fn fig5a_totals_move_with_the_seed() {
+        let (default, other) = (fig5a_totals(DEFAULT_SEED), fig5a_totals(1));
+        for variant in ["\"H\":", "\"NP\":", "\"DS\":"] {
+            assert!(other.contains(variant), "{variant} missing in {other}");
+        }
+        assert_ne!(default, other, "another seed, another instance and log");
+    }
+
     #[test]
     fn fig9_quick_runs() {
-        let r = fig9(Scale::Quick);
+        let r = fig9(Scale::Quick, DEFAULT_SEED);
         assert!(r.body.contains("Overlapping"));
         assert!(r.body.contains("Horizontal"));
     }

@@ -26,7 +26,7 @@ use deepsea_storage::{
 };
 use serde::ObjectBuilder;
 
-use crate::experiments::{bench_head, sdss_catalog, Run, Scale, SEED};
+use crate::experiments::{bench_head, sdss_catalog, Run, Scale};
 use crate::report::{secs, table};
 
 /// Divisor applied to the catalog's base bytes to get the tight pool
@@ -181,10 +181,11 @@ struct Served {
 }
 
 /// Build the scenario's world — catalog, file system, driver, server — and
-/// serve the fig5 workload through it.
-fn serve(sc: &Scenario, scale: Scale) -> Served {
-    let catalog = sdss_catalog(scale.instance());
-    let plans = deepsea_workload::sequences::fig5_workload(scale.fig5_queries(), SEED);
+/// serve the fig5 workload through it, the instance and the query log
+/// generated from `seed`.
+fn serve(sc: &Scenario, scale: Scale, seed: u64) -> Served {
+    let catalog = sdss_catalog(scale.instance(), seed);
+    let plans = deepsea_workload::sequences::fig5_workload(scale.fig5_queries(), seed);
     let smax = sc.pool_divisor.map(|d| catalog.total_base_bytes() / d);
     let mut config = baselines::deepsea().with_phi(0.05);
     if let Some(smax) = smax {
@@ -324,8 +325,8 @@ fn scheduler_fields(obj: ObjectBuilder, mean_gap_secs: f64) -> ObjectBuilder {
 /// Run the eviction-pressure serving scenario: client latency percentiles
 /// (overall and per client) straight from the observer's histograms, plus
 /// the epoch-lag and divergence counters the serving layer emits.
-pub fn pressure(scale: Scale) -> Run {
-    let served = serve(&PRESSURE, scale);
+pub fn pressure(scale: Scale, seed: u64) -> Run {
+    let served = serve(&PRESSURE, scale, seed);
     let overall = served
         .histogram_percentiles(None)
         .unwrap_or((0.0, 0.0, 0.0));
@@ -400,9 +401,9 @@ pub fn pressure(scale: Scale) -> Run {
 /// at replication 2 (failover to the surviving replica is free — the
 /// degraded-read rate must be zero). `BENCH_node_failure.json` carries
 /// latency percentiles and the degraded-read rate for both.
-pub fn node_failure(scale: Scale) -> Run {
-    let r1 = serve(&node_failure_scenario(1), scale);
-    let r2 = serve(&node_failure_scenario(2), scale);
+pub fn node_failure(scale: Scale, seed: u64) -> Run {
+    let r1 = serve(&node_failure_scenario(1), scale, seed);
+    let r2 = serve(&node_failure_scenario(2), scale, seed);
 
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut repl_json = ObjectBuilder::new();
@@ -453,9 +454,9 @@ pub fn node_failure(scale: Scale) -> Run {
 /// bit-identical. `BENCH_overload.json` carries latency percentiles, the
 /// shed rate, hedge counters and the incorrect-answer audit (always zero)
 /// for both arms — the headline being hedging's simulated p99 cut.
-pub fn overload(scale: Scale) -> Run {
-    let off = serve(&overload_scenario(false), scale);
-    let on = serve(&overload_scenario(true), scale);
+pub fn overload(scale: Scale, seed: u64) -> Run {
+    let off = serve(&overload_scenario(false), scale, seed);
+    let on = serve(&overload_scenario(true), scale, seed);
 
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut arms_json = ObjectBuilder::new();
@@ -525,11 +526,12 @@ pub fn overload(scale: Scale) -> Run {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::DEFAULT_SEED;
     use deepsea_obs::{chrome_trace_json, parse_prometheus, TraceForest};
 
     #[test]
     fn pressure_quick_reports_percentiles_and_pressure() {
-        let run = pressure(Scale::Quick);
+        let run = pressure(Scale::Quick, DEFAULT_SEED);
         let bench_json = run.bench_json.expect("pressure writes BENCH_pressure.json");
         assert!(bench_json.contains("\"experiment\":\"pressure\""));
         assert!(bench_json.contains("\"p99\""));
@@ -549,8 +551,8 @@ mod tests {
 
     #[test]
     fn pressure_is_deterministic() {
-        let a = pressure(Scale::Quick);
-        let b = pressure(Scale::Quick);
+        let a = pressure(Scale::Quick, DEFAULT_SEED);
+        let b = pressure(Scale::Quick, DEFAULT_SEED);
         assert_eq!(a.bench_json, b.bench_json);
     }
 
@@ -582,11 +584,11 @@ mod tests {
 
     #[test]
     fn node_failure_quick_degrades_only_unreplicated() {
-        let run = node_failure(Scale::Quick);
+        let run = node_failure(Scale::Quick, DEFAULT_SEED);
         let bench_json = run.bench_json.expect("node-failure writes its BENCH file");
         assert!(bench_json.contains("\"experiment\":\"node_failure\""));
-        let r1 = serve(&node_failure_scenario(1), Scale::Quick);
-        let r2 = serve(&node_failure_scenario(2), Scale::Quick);
+        let r1 = serve(&node_failure_scenario(1), Scale::Quick, DEFAULT_SEED);
+        let r2 = serve(&node_failure_scenario(2), Scale::Quick, DEFAULT_SEED);
         assert_eq!(r1.commits(), 60);
         assert_eq!(r2.commits(), 60);
         assert!(
@@ -601,8 +603,8 @@ mod tests {
 
     #[test]
     fn node_failure_is_deterministic() {
-        let a = node_failure(Scale::Quick);
-        let b = node_failure(Scale::Quick);
+        let a = node_failure(Scale::Quick, DEFAULT_SEED);
+        let b = node_failure(Scale::Quick, DEFAULT_SEED);
         assert_eq!(a.bench_json, b.bench_json);
     }
 
@@ -631,8 +633,8 @@ mod tests {
 
     #[test]
     fn overload_quick_hedging_cuts_p99_without_wrong_answers() {
-        let off = serve(&overload_scenario(false), Scale::Quick);
-        let on = serve(&overload_scenario(true), Scale::Quick);
+        let off = serve(&overload_scenario(false), Scale::Quick, DEFAULT_SEED);
+        let on = serve(&overload_scenario(true), Scale::Quick, DEFAULT_SEED);
         assert_eq!(off.commits(), 60);
         assert_eq!(on.commits(), 60);
         // Gray slowness never changes an answer, with or without hedging.
@@ -676,8 +678,8 @@ mod tests {
 
     #[test]
     fn overload_is_deterministic() {
-        let a = overload(Scale::Quick);
-        let b = overload(Scale::Quick);
+        let a = overload(Scale::Quick, DEFAULT_SEED);
+        let b = overload(Scale::Quick, DEFAULT_SEED);
         assert_eq!(a.bench_json, b.bench_json);
     }
 
@@ -723,8 +725,8 @@ mod tests {
 
     #[test]
     fn overload_traces_link_shed_and_hedged_tickets() {
-        let off = serve(&overload_scenario(false), Scale::Quick);
-        let on = serve(&overload_scenario(true), Scale::Quick);
+        let off = serve(&overload_scenario(false), Scale::Quick, DEFAULT_SEED);
+        let on = serve(&overload_scenario(true), Scale::Quick, DEFAULT_SEED);
         let (off_shed, _) = check_arm_traces(&off);
         let (_, on_hedged) = check_arm_traces(&on);
         assert!(off_shed > 0, "hedging-off arm must shed traced tickets");
@@ -742,7 +744,7 @@ mod tests {
 
     #[test]
     fn overload_p99_exemplar_links_to_its_trace_and_metrics_are_pinned() {
-        let on = serve(&overload_scenario(true), Scale::Quick);
+        let on = serve(&overload_scenario(true), Scale::Quick, DEFAULT_SEED);
         let ex = on.p99_exemplar();
         // Same nearest-rank math as the bench percentiles.
         assert_eq!(ex.latency_secs, on.ticket_percentiles().2);

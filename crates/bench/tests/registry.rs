@@ -67,3 +67,18 @@ fn unknown_id_exits_2_and_names_it() {
     );
     assert!(out.stdout.is_empty(), "nothing may run before the id check");
 }
+
+#[test]
+fn a_seed_that_is_not_a_number_exits_2() {
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["--quick", "--seed", "0xDEE95EA0", "table1"])
+        .output()
+        .expect("run experiments");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--seed wants"), "stderr: {stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "nothing may run before the flag check"
+    );
+}

@@ -372,7 +372,7 @@ fn run(
         }
         LogicalPlan::Select { pred, input } => match &**input {
             LogicalPlan::Join { left, right, on } => {
-                join(left, right, on, Some(pred), catalog, fs, m)
+                Ok(plant(left, right, on, catalog, fs, m)?.pair(Some(pred), m))
             }
             _ => {
                 let child = run(input, catalog, fs, m)?;
@@ -391,7 +391,9 @@ fn run(
             let bpr = scaled_width(&child, &out, child.len);
             Ok(Batch::new(schema, out, child.len, bpr))
         }
-        LogicalPlan::Join { left, right, on } => join(left, right, on, None, catalog, fs, m),
+        LogicalPlan::Join { left, right, on } => {
+            Ok(plant(left, right, on, catalog, fs, m)?.pair(None, m))
+        }
         LogicalPlan::Aggregate {
             group_by,
             aggs,
@@ -485,94 +487,267 @@ fn select(child: Batch, pred: &Predicate, m: &mut ExecMetrics) -> Batch {
     }
 }
 
-/// Inner equi-join of `left` and `right` on the `on` pairs and, given
-/// `pred`, the selection right above it — the one routine behind both plan
-/// shapes.
-///
-/// When every condition of `pred` reads the same input, that input is
-/// filtered first and only the pairs it keeps are built; otherwise the join
-/// is built whole and filtered after. Either way the output rows, their
-/// order and width, and every charge are those of the join followed by the
-/// selection: both are charged every pair the join forms.
-fn join(
+/// A join whose inputs have run and whose keys are resolved, its pairs not
+/// yet built; so are the joins nested in its inputs, down to the leaves,
+/// the inputs that are not joins. Planting a whole tree before pairing any
+/// of it lets a selection above it reach any of its leaves.
+struct JoinNode {
+    left: Tree,
+    right: Tree,
+    /// The `on` pairs as column positions in the left and right inputs.
+    keys: Vec<(usize, usize)>,
+    /// The left input's fields, then the right's.
+    schema: Schema,
+    /// Set when a selection above runs at a leaf below ([`JoinNode::push`]):
+    /// what the join charges in place of its inputs' lengths and the pairs
+    /// it builds.
+    full: Option<Full>,
+}
+
+/// One input of a [`JoinNode`].
+enum Tree {
+    Leaf(Batch),
+    Join(Box<JoinNode>),
+}
+
+/// The input lengths of a join of the full tree and the pairs it forms.
+#[derive(Clone, Copy)]
+struct Full {
+    left: usize,
+    right: usize,
+    formed: u64,
+}
+
+/// One join of the chain from a pushed selection's leaf up
+/// ([`JoinNode::route`]).
+struct Link<'a> {
+    /// Whether the leaf lies in the join's left input.
+    left: bool,
+    /// The leaf's key column less the other input's surrogate first.
+    keys: Partners<'a>,
+    /// The other input's length.
+    len: usize,
+}
+
+/// Run the leaves of the join tree `left ⋈ right` in plan order, and
+/// resolve every join's `on` pairs against its two inputs' schemas (in
+/// either order), building no pair.
+fn plant(
     left: &LogicalPlan,
     right: &LogicalPlan,
     on: &[(String, String)],
-    pred: Option<&Predicate>,
     catalog: &Catalog,
     fs: &SimFs<Table>,
     m: &mut ExecMetrics,
-) -> Result<Batch, ExecError> {
-    let l = run(left, catalog, fs, m)?;
-    let r = run(right, catalog, fs, m)?;
-    // A repartition join shuffles both inputs.
-    m.shuffle_bytes += l.sim_bytes() + r.sim_bytes();
-    m.stages += 1;
-    m.rows_processed += (l.len + r.len) as u64;
-
-    // Resolve join columns against the two input schemas; accept the pairs
-    // in either order.
-    let mut lk = Vec::with_capacity(on.len());
-    let mut rk = Vec::with_capacity(on.len());
-    for (a, b) in on {
-        match (l.schema.index_of(a), r.schema.index_of(b)) {
-            (Some(ai), Some(bi)) => {
-                lk.push(&l.cols[ai]);
-                rk.push(&r.cols[bi]);
-            }
-            _ => match (l.schema.index_of(b), r.schema.index_of(a)) {
-                (Some(bi), Some(ai)) => {
-                    lk.push(&l.cols[bi]);
-                    rk.push(&r.cols[ai]);
-                }
-                _ => {
-                    return Err(ExecError::UnknownColumn(format!("{a} = {b}")));
-                }
+) -> Result<JoinNode, ExecError> {
+    let mut input = |plan: &LogicalPlan| match plan {
+        LogicalPlan::Join { left, right, on } => {
+            plant(left, right, on, catalog, fs, m).map(|j| Tree::Join(Box::new(j)))
+        }
+        _ => run(plan, catalog, fs, m).map(Tree::Leaf),
+    };
+    let (left, right) = (input(left)?, input(right)?);
+    let (ls, rs) = (left.schema(), right.schema());
+    let keys = on
+        .iter()
+        .map(|(a, b)| match (ls.index_of(a), rs.index_of(b)) {
+            (Some(ai), Some(bi)) => Ok((ai, bi)),
+            _ => match (ls.index_of(b), rs.index_of(a)) {
+                (Some(bi), Some(ai)) => Ok((bi, ai)),
+                _ => Err(ExecError::UnknownColumn(format!("{a} = {b}"))),
             },
+        })
+        .collect::<Result<_, _>>()?;
+    let schema = ls.concat(rs);
+    Ok(JoinNode {
+        left,
+        right,
+        keys,
+        schema,
+        full: None,
+    })
+}
+
+impl Tree {
+    fn schema(&self) -> &Schema {
+        match self {
+            Tree::Leaf(b) => &b.schema,
+            Tree::Join(j) => &j.schema,
         }
     }
 
-    let schema = l.schema.concat(&r.schema);
-    let fused = pred.and_then(|p| side_masks(p, &schema, &l, &r));
-    let [lkeep, rkeep] = fused
-        .as_ref()
-        .map_or([None, None], |[a, b]| [a.as_deref(), b.as_deref()]);
-    // Build on the smaller input, as the unfiltered lengths have it; the
-    // output follows the probe side scan, matches of one probe row in build
-    // order.
-    let build_is_left = l.len <= r.len;
-    let ((build_rows, probe_rows), formed) = if build_is_left {
-        let kept = Kept {
-            build: lkeep,
-            probe: rkeep,
-        };
-        join_pairs(&lk, l.len, &rk, r.len, kept)
-    } else {
-        let kept = Kept {
-            build: rkeep,
-            probe: lkeep,
-        };
-        join_pairs(&rk, r.len, &lk, l.len, kept)
-    };
-    let len = build_rows.len();
-    let (lrows, rrows) = if build_is_left {
-        (build_rows, probe_rows)
-    } else {
-        (probe_rows, build_rows)
-    };
-    let mut cols = l.take(&Arc::new(lrows));
-    cols.extend(r.take(&Arc::new(rrows)));
-    m.rows_processed += formed;
-    let joined = Batch::new(schema, cols, len, l.bytes_per_row + r.bytes_per_row);
-    Ok(match pred {
-        None => joined,
-        Some(_) if fused.is_some() => {
-            // The selection, done before pairing, is charged as if after.
-            m.rows_processed += formed;
-            joined
+    fn into_batch(self, m: &mut ExecMetrics) -> Batch {
+        match self {
+            Tree::Leaf(b) => b,
+            Tree::Join(j) => j.pair(None, m),
         }
-        Some(p) => select(joined, p, m),
-    })
+    }
+}
+
+impl JoinNode {
+    /// Inner equi-join of the two inputs and, given `pred`, the selection
+    /// right above it — the one routine behind both plan shapes.
+    ///
+    /// A selection runs before any pair is built where it can: at a leaf
+    /// of the tree ([`JoinNode::push`]), or else on one input when every
+    /// condition reads that input. Otherwise the join is built whole and
+    /// filtered after. Either way the output rows, their order and width,
+    /// and every charge are those of the joins followed by the selection:
+    /// each join is charged its full inputs and every pair it forms, and
+    /// the selection every pair of the top join.
+    fn pair(mut self, pred: Option<&Predicate>, m: &mut ExecMetrics) -> Batch {
+        let pushed = pred.is_some_and(|p| self.push(p));
+        let (l, r) = (self.left.into_batch(m), self.right.into_batch(m));
+        let (full_l, full_r) = self.full.map_or((l.len, r.len), |f| (f.left, f.right));
+        // A repartition join shuffles both inputs.
+        m.shuffle_bytes += full_l as u64 * l.bytes_per_row + full_r as u64 * r.bytes_per_row;
+        m.stages += 1;
+        m.rows_processed += (full_l + full_r) as u64;
+
+        let lk: Vec<&Col> = self.keys.iter().map(|&(a, _)| &l.cols[a]).collect();
+        let rk: Vec<&Col> = self.keys.iter().map(|&(_, b)| &r.cols[b]).collect();
+        let fused = match pred {
+            Some(p) if !pushed => side_rows(p, &self.schema, &l, &r),
+            _ => None,
+        };
+        let [lkeep, rkeep] = fused
+            .as_ref()
+            .map_or([None, None], |[a, b]| [a.as_deref(), b.as_deref()]);
+        // Build on the smaller input, as the full lengths have it; the
+        // output follows the probe side scan, matches of one probe row in
+        // build order.
+        let build_is_left = full_l <= full_r;
+        let ((build_rows, probe_rows), formed) = if build_is_left {
+            let kept = Kept {
+                build: lkeep,
+                probe: rkeep,
+            };
+            join_pairs(&lk, l.len, &rk, r.len, kept)
+        } else {
+            let kept = Kept {
+                build: rkeep,
+                probe: lkeep,
+            };
+            join_pairs(&rk, r.len, &lk, l.len, kept)
+        };
+        let formed = self.full.map_or(formed, |f| f.formed);
+        let len = build_rows.len();
+        let (lrows, rrows) = if build_is_left {
+            (build_rows, probe_rows)
+        } else {
+            (probe_rows, build_rows)
+        };
+        let mut cols = l.take(&Arc::new(lrows));
+        cols.extend(r.take(&Arc::new(rrows)));
+        m.rows_processed += formed;
+        let joined = Batch::new(self.schema, cols, len, l.bytes_per_row + r.bytes_per_row);
+        match pred {
+            None => joined,
+            Some(_) if pushed || fused.is_some() => {
+                // The selection, done before pairing, is charged as if after.
+                m.rows_processed += formed;
+                joined
+            }
+            Some(p) => select(joined, p, m),
+        }
+    }
+
+    /// Run `pred` at a leaf of the tree, when [`JoinNode::route`] finds
+    /// one: the leaf becomes its kept rows, and every join on the way up is
+    /// marked with what the full tree charges there. A row of the leaf
+    /// meets at most one row per join, so the full lengths are counts over
+    /// the leaf's key columns ([`chain_counts`]), and each join, pairing
+    /// only rows that descend from kept ones, builds the full tree's pairs
+    /// filtered, in the same order. Returns whether it ran.
+    fn push(&mut self, pred: &Predicate) -> bool {
+        let Some(conds) = conditions(pred, &self.schema) else {
+            return false;
+        };
+        let cols: Vec<usize> = conds.iter().map(|&(_, i)| i).collect();
+        let Some((leaf, at, links)) = self.route(&cols) else {
+            return false;
+        };
+        // A selection that keeps every row leaves the leaf as it is.
+        let rows: Rows = Arc::new(rows_where(leaf, &conds, at));
+        let kept = (rows.len() < leaf.len).then(|| {
+            let cols = leaf.take(&rows);
+            Batch::new(leaf.schema.clone(), cols, rows.len(), leaf.bytes_per_row)
+        });
+        let counts = chain_counts(links.iter().map(|l| (l.keys, l.len)), leaf.len);
+        // Innermost first: each join's input on the leaf's side is the full
+        // output of the join below it, or the whole leaf.
+        let mut inner = leaf.len;
+        let fulls: Vec<Full> = (links.iter().zip(counts))
+            .map(|(link, formed)| {
+                let (left, right) = match link.left {
+                    true => (inner, link.len),
+                    false => (link.len, inner),
+                };
+                inner = formed as usize;
+                Full {
+                    left,
+                    right,
+                    formed,
+                }
+            })
+            .collect();
+        let sides: Vec<bool> = links.iter().map(|l| l.left).collect();
+        let mut node = self;
+        for (left, full) in sides.into_iter().zip(fulls).rev() {
+            node.full = Some(full);
+            let inner = if left {
+                &mut node.left
+            } else {
+                &mut node.right
+            };
+            match inner {
+                Tree::Join(j) => node = &mut **j,
+                Tree::Leaf(_) => {
+                    if let Some(kept) = kept {
+                        *inner = Tree::Leaf(kept);
+                    }
+                    break;
+                }
+            }
+        }
+        true
+    }
+
+    /// Where a selection reading the columns `cols` of this join's output
+    /// can run before any pair is built: the leaf holding all of them, the
+    /// position of its first column in the output, and the chain of joins
+    /// from it up to this one, innermost first. `None` unless every join on
+    /// the chain meets a surrogate key — a column of a leaf input, as a
+    /// scan marks it — through one integer column of that leaf, so that
+    /// each leaf row meets at most one row per join. Any other shape (the
+    /// conditions on two leaves, a key read from a join's output, a hashed
+    /// join on the way) is left to [`JoinNode::pair`]'s one-input route.
+    fn route(&self, cols: &[usize]) -> Option<(&Batch, usize, Vec<Link<'_>>)> {
+        let split = self.left.schema().len();
+        let left = cols.iter().all(|&c| c < split);
+        if !left && cols.iter().any(|&c| c < split) {
+            return None;
+        }
+        let (inner, outer, from) = match left {
+            true => (&self.left, &self.right, 0),
+            false => (&self.right, &self.left, split),
+        };
+        let (leaf, at, mut links) = match inner {
+            Tree::Leaf(b) => (b, 0, Vec::new()),
+            Tree::Join(j) => j.route(&cols.iter().map(|&c| c - from).collect::<Vec<_>>())?,
+        };
+        let (Tree::Leaf(other), [(lk, rk)]) = (outer, self.keys.as_slice()) else {
+            return None;
+        };
+        let (key, okey) = if left { (*lk, *rk) } else { (*rk, *lk) };
+        let key = key.checked_sub(at).filter(|&k| k < leaf.cols.len())?;
+        links.push(Link {
+            left,
+            keys: Partners::of(&leaf.cols[key], other.cols[okey].surrogate?)?,
+            len: other.len,
+        });
+        Some((leaf, from + at, links))
+    }
 }
 
 /// "No row": the end of a join chain, a group that saw no value.
@@ -611,37 +786,47 @@ fn filter(batch: &Batch, pred: &Predicate) -> Option<Vec<u32>> {
         })
 }
 
-/// Which rows of a join's `[left, right]` inputs `pred` keeps, resolved
-/// against the join's output `schema`, when every condition reads the same
-/// input (the other keeps all, `None`). `None` when the conditions read
-/// both inputs, one names an unknown column, or there are none: the join
-/// is then built whole and filtered after.
-fn side_masks(
+/// The conditions of `pred` and each one's column in `schema`, when there
+/// is at least one and every column is known there (unambiguously).
+fn conditions<'p>(pred: &'p Predicate, schema: &Schema) -> Option<Vec<(&'p Predicate, usize)>> {
+    let conds = resolve(pred, schema)
+        .into_iter()
+        .map(|(c, i)| Some((c, i?)))
+        .collect::<Option<Vec<_>>>()?;
+    (!conds.is_empty()).then_some(conds)
+}
+
+/// The rows of `batch` that satisfy every one of `conds`, ascending; each
+/// condition's column is `from` past its position in `batch`.
+fn rows_where(batch: &Batch, conds: &[(&Predicate, usize)], from: usize) -> Vec<u32> {
+    conds
+        .iter()
+        .fold(None, |sel, &(c, i)| {
+            Some(conjunct_rows(&batch.cols[i - from], batch.len, c, sel))
+        })
+        .unwrap_or_default()
+}
+
+/// Which rows of a join's `[left, right]` inputs `pred` keeps, ascending,
+/// resolved against the join's output `schema`, when every condition reads
+/// the same input (the other keeps all, `None`). `None` when the conditions
+/// read both inputs, one names an unknown column, or there are none: the
+/// join is then built whole and filtered after.
+fn side_rows(
     pred: &Predicate,
     schema: &Schema,
     l: &Batch,
     r: &Batch,
-) -> Option<[Option<Vec<bool>>; 2]> {
-    let conds = resolve(pred, schema)
-        .into_iter()
-        .map(|(c, i)| Some((c, i?)))
-        .collect::<Option<Vec<(&Predicate, usize)>>>()?;
+) -> Option<[Option<Vec<u32>>; 2]> {
+    let conds = conditions(pred, schema)?;
     let split = l.cols.len();
-    let on_left = conds.first()?.1 < split;
+    let on_left = conds[0].1 < split;
     if conds.iter().any(|&(_, i)| (i < split) != on_left) {
         return None;
     }
-    let (side, from) = if on_left { (l, 0) } else { (r, split) };
-    let sel = conds.iter().fold(None, |sel, &(c, i)| {
-        Some(conjunct_rows(&side.cols[i - from], side.len, c, sel))
-    });
-    let mut mask = vec![false; side.len];
-    sel.into_iter()
-        .flatten()
-        .for_each(|r| mask[r as usize] = true);
     Some(match on_left {
-        true => [Some(mask), None],
-        false => [None, Some(mask)],
+        true => [Some(rows_where(l, &conds, 0)), None],
+        false => [None, Some(rows_where(r, &conds, split))],
     })
 }
 
@@ -800,8 +985,7 @@ impl IdTable {
 /// A single key column read as integers where its rows lie — an integer
 /// column's values, a string column's codes — less a minimum (the last
 /// field). Less a group-by key's smallest, they are offsets into a
-/// [`DirectIndex`]; less a surrogate key's first, rows of its side
-/// ([`Partner`]).
+/// [`DirectIndex`].
 enum IntKeys<'a> {
     Ints(&'a [i64], &'a Col, i64),
     Codes(&'a [u32], &'a Col, i64),
@@ -898,15 +1082,12 @@ impl<'a> DirectIndex<'a> {
 
 /// A single-column integer join key one side of which is a surrogate key
 /// ([`Col::surrogate`]): the other side's keys less its first, which are
-/// the rows of the surrogate side they meet. A row meets at most one. The
-/// wrapped difference of [`IntKeys::at`] is below the surrogate side's
-/// length exactly when the key names one of its rows, `first + length − 1`
-/// not passing `i64::MAX`.
+/// the rows of the surrogate side they meet. A row meets at most one.
 enum Partner<'a> {
     /// The build side is the surrogate key; the probe rows' partners.
-    InBuild(IntKeys<'a>),
+    InBuild(Partners<'a>),
     /// The probe side is; the build rows' partners.
-    InProbe(IntKeys<'a>),
+    InProbe(Partners<'a>),
 }
 
 impl<'a> Partner<'a> {
@@ -916,13 +1097,99 @@ impl<'a> Partner<'a> {
         let ([b], [p]) = (build, probe) else {
             return None;
         };
-        let (bkeys, pkeys) = IntKeys::of(b, p)?;
         match (b.surrogate, p.surrogate) {
-            (Some(first), _) => Some(Partner::InBuild(pkeys.less(first))),
-            (None, Some(first)) => Some(Partner::InProbe(bkeys.less(first))),
+            (Some(first), _) => Some(Partner::InBuild(Partners::of(p, first)?)),
+            (None, Some(first)) => Some(Partner::InProbe(Partners::of(b, first)?)),
             (None, None) => None,
         }
     }
+}
+
+/// An integer key column less a surrogate key's `first`: the row of the
+/// surrogate side each of its rows meets. The wrapped difference is below
+/// the surrogate side's length exactly when the key names one of its rows,
+/// `first + length − 1` not passing `i64::MAX`.
+#[derive(Clone, Copy)]
+struct Partners<'a> {
+    vals: &'a [i64],
+    col: &'a Col,
+    first: i64,
+}
+
+impl<'a> Partners<'a> {
+    /// `col`'s keys less `first`; `None` unless it holds integers.
+    fn of(col: &'a Col, first: i64) -> Option<Self> {
+        match col.data.data() {
+            ColumnData::Int(vals) => Some(Self { vals, col, first }),
+            _ => None,
+        }
+    }
+
+    /// `f(place, r, partner)` for every row `r` that `rows` holds (every
+    /// row below `n` without it), `place` being its position among them,
+    /// that meets a row of a surrogate side `len` rows long — a NULL meets
+    /// none. Whether the column can hold a NULL is settled once.
+    fn each(
+        &self,
+        rows: Option<&[u32]>,
+        n: usize,
+        len: usize,
+        mut f: impl FnMut(usize, usize, u32),
+    ) {
+        let data = &*self.col.data;
+        let nullable = data.has_nulls();
+        for place in 0..rows.map_or(n, <[u32]>::len) {
+            let r = rows.map_or(place, |rows| rows[place] as usize);
+            let p = self.col.phys(r);
+            let k = self.vals[p].wrapping_sub(self.first) as u64;
+            if k < len as u64 && !(nullable && data.is_null(p)) {
+                f(place, r, k as u32);
+            }
+        }
+    }
+
+    /// Clear the marks of the first `alive.len()` rows that meet no row of
+    /// a surrogate side `len` rows long, and count the rows left marked.
+    /// Whether the column is indexed and whether it can hold a NULL is
+    /// settled once, as in [`keep`]: without either, the pass reads the
+    /// values straight, with no branch.
+    fn narrow(&self, alive: &mut [bool], len: usize) -> u64 {
+        let (vals, data, n) = (self.vals, &*self.col.data, alive.len());
+        let hit = |x: i64| (x.wrapping_sub(self.first) as u64) < len as u64;
+        let mark = |a: &mut bool, pass: bool| {
+            *a &= pass;
+            u64::from(*a)
+        };
+        let alive = alive.iter_mut();
+        match (self.col.idx.as_deref(), data.has_nulls()) {
+            (None, false) => alive.zip(&vals[..n]).map(|(a, &x)| mark(a, hit(x))).sum(),
+            (None, true) => (alive.zip(&vals[..n]).enumerate())
+                .map(|(p, (a, &x))| mark(a, hit(x) & !data.is_null(p)))
+                .sum(),
+            (Some(ix), false) => (alive.zip(&ix[..n]))
+                .map(|(a, &p)| mark(a, hit(vals[p as usize])))
+                .sum(),
+            (Some(ix), true) => (alive.zip(&ix[..n]))
+                .map(|(a, &p)| {
+                    let p = p as usize;
+                    mark(a, hit(vals[p]) & !data.is_null(p))
+                })
+                .sum(),
+        }
+    }
+}
+
+/// For a chain of surrogate-key joins that all read their keys from one
+/// side's first `n` rows — per join, innermost first, the keys less the
+/// surrogate side's first, and that side's length — how many rows meet a
+/// row in every join up to each one. A row meets at most one row per join,
+/// so that is the length of the chain's output at each join, and a single
+/// join's count is every pair it forms.
+fn chain_counts<'a>(chain: impl IntoIterator<Item = (Partners<'a>, usize)>, n: usize) -> Vec<u64> {
+    let mut alive = vec![true; n];
+    (chain.into_iter())
+        .map(|(keys, len)| keys.narrow(&mut alive, len))
+        .collect()
 }
 
 /// The first `n` rows of a number column as the bits of their `f64`, the
@@ -974,12 +1241,19 @@ impl Keys {
 /// The `(build row, probe row)` pairs of a join, as two parallel vectors.
 type Pairs = (Vec<u32>, Vec<u32>);
 
-/// The rows of each join side that a selection above the join keeps
-/// (`mask[r]`); `None` keeps every row of its side.
+/// The rows of each join side that a selection above the join keeps, as a
+/// selection vector (ascending); `None` keeps every row of its side.
 #[derive(Clone, Copy, Default)]
 struct Kept<'a> {
-    build: Option<&'a [bool]>,
-    probe: Option<&'a [bool]>,
+    build: Option<&'a [u32]>,
+    probe: Option<&'a [u32]>,
+}
+
+/// The first `n` rows, marked where `rows` holds them.
+fn mask(rows: &[u32], n: usize) -> Vec<bool> {
+    let mut mask = vec![false; n];
+    rows.iter().for_each(|&r| mask[r as usize] = true);
+    mask
 }
 
 /// Whether `mask` keeps row `r`.
@@ -1009,101 +1283,96 @@ fn join_pairs(
     probe_len: usize,
     keep: Kept<'_>,
 ) -> (Pairs, u64) {
-    match Partner::of(build, probe) {
-        Some(Partner::InBuild(to)) => join_in_build(&to, build_len, probe[0], probe_len, keep),
-        Some(Partner::InProbe(to)) => join_in_probe(&to, build[0], build_len, probe_len, keep),
-        // The hashed kernel is compiled twice: without a mask it neither
-        // tests rows nor counts pairs on the side, every pair formed being
-        // built.
-        None if keep.build.is_none() && keep.probe.is_none() => {
-            join_hashed::<false>(build, build_len, probe, probe_len, keep)
+    let (pairs, to, n, len) = match Partner::of(build, probe) {
+        Some(Partner::InBuild(to)) => {
+            let pairs = join_in_build(&to, build_len, probe_len, keep);
+            (pairs, to, probe_len, build_len)
         }
-        None => join_hashed::<true>(build, build_len, probe, probe_len, keep),
-    }
+        Some(Partner::InProbe(to)) => {
+            let pairs = join_in_probe(&to, build_len, probe_len, keep);
+            (pairs, to, build_len, probe_len)
+        }
+        // The hashed kernel is compiled twice: without a selection it
+        // neither tests rows nor counts pairs on the side, every pair
+        // formed being built.
+        None if keep.build.is_none() && keep.probe.is_none() => {
+            return join_hashed::<false>(build, build_len, probe, probe_len, keep)
+        }
+        None => return join_hashed::<true>(build, build_len, probe, probe_len, keep),
+    };
+    // A surrogate-key join pairs only kept rows: every non-NULL row of the
+    // other side whose key names a row forms one pair, kept or not, so the
+    // full count is one pass over that side's keys.
+    let formed = match keep {
+        Kept {
+            build: None,
+            probe: None,
+        } => pairs.0.len() as u64,
+        _ => chain_counts([(to, len)], n)[0],
+    };
+    (pairs, formed)
 }
 
 /// [`join_pairs`] when the build side is a surrogate key: probe row `j`
-/// meets build row `to.at(j)` alone, when that is a row — one pass, no
-/// cells, no chains. Every non-NULL probe row whose key is in range forms
-/// one pair, kept or not.
-fn join_in_build(
-    to: &IntKeys<'_>,
-    build_len: usize,
-    probe: &Col,
-    probe_len: usize,
-    keep: Kept<'_>,
-) -> (Pairs, u64) {
-    let pnull = null_rows(probe, probe_len);
-    let mut pairs = (Vec::with_capacity(probe_len), Vec::with_capacity(probe_len));
-    let mut formed = 0u64;
-    for j in (0..probe_len).filter(|&j| !marked(&pnull, j)) {
-        let i = to.at(j);
-        if i >= build_len as u64 {
-            continue;
-        }
-        formed += 1;
-        if kept(keep.build, i as usize) && kept(keep.probe, j) {
-            pairs.0.push(i as u32);
+/// meets build row `k_j − first` alone, when that is a row — one pass over
+/// the kept probe rows, no cells, no chains. A selection on the build side
+/// is tested through a mask of its rows.
+fn join_in_build(to: &Partners<'_>, build_len: usize, probe_len: usize, keep: Kept<'_>) -> Pairs {
+    let bmask = keep.build.map(|rows| mask(rows, build_len));
+    let cap = keep.probe.map_or(probe_len, <[u32]>::len);
+    let mut pairs = (Vec::with_capacity(cap), Vec::with_capacity(cap));
+    to.each(keep.probe, probe_len, build_len, |_, j, i| {
+        if kept(bmask.as_deref(), i as usize) {
+            pairs.0.push(i);
             pairs.1.push(j as u32);
         }
-    }
-    (pairs, formed)
+    });
+    pairs
 }
 
 /// [`join_pairs`] when the probe side is a surrogate key: build row `i`
-/// meets probe row `to.at(i)` alone, when that is a row. Each kept build
-/// row is chained onto the cell of its partner; the cells span only the
-/// partners kept rows reach and are emitted in order, so the probe side is
-/// never walked. Every non-NULL build row whose key is in range forms one
-/// pair, kept or not: no count array is needed.
-fn join_in_probe(
-    to: &IntKeys<'_>,
-    build: &Col,
-    build_len: usize,
-    probe_len: usize,
-    keep: Kept<'_>,
-) -> (Pairs, u64) {
-    let bnull = null_rows(build, build_len);
-    let mut formed = 0u64;
-    // The partner of each kept build row (NONE for the others) and their
-    // span; a partner is below `probe_len`, so never NONE itself.
+/// meets probe row `k_i − first` alone, when that is a row. The kept build
+/// rows are visited once, and each that meets a kept probe row is chained
+/// onto that row's cell; the cells span only the rows reached and are
+/// emitted in order. Neither side is walked whole, and nothing is sized to
+/// it: the chains link places among the kept rows, not rows. A selection
+/// on the probe side is tested through a mask of its rows.
+fn join_in_probe(to: &Partners<'_>, build_len: usize, probe_len: usize, keep: Kept<'_>) -> Pairs {
+    let pmask = keep.probe.map(|rows| mask(rows, probe_len));
+    // The partner of each kept build row, by its place among them (NONE
+    // for none), and the span of the partners; a partner is below
+    // `probe_len`, so never NONE itself.
+    let n = keep.build.map_or(build_len, <[u32]>::len);
     let (mut lo, mut hi) = (NONE, 0);
-    let partner: Vec<u32> = (0..build_len)
-        .map(|i| {
-            let j = to.at(i);
-            if marked(&bnull, i) || j >= probe_len as u64 {
-                return NONE;
-            }
-            formed += 1;
-            if !kept(keep.build, i) {
-                return NONE;
-            }
-            let j = j as u32;
+    let mut partner = vec![NONE; n];
+    to.each(keep.build, build_len, probe_len, |k, _, j| {
+        if kept(pmask.as_deref(), j as usize) {
+            partner[k] = j;
             (lo, hi) = (lo.min(j), hi.max(j));
-            j
-        })
-        .collect();
-    let mut pairs = (Vec::with_capacity(build_len), Vec::with_capacity(build_len));
+        }
+    });
+    let mut pairs = (Vec::with_capacity(n), Vec::with_capacity(n));
     if lo > hi {
-        return (pairs, formed);
+        return pairs;
     }
-    // Last row first, each onto the front of its cell's chain: every chain
-    // ends up in ascending row order.
+    // Last place first, each onto the front of its cell's chain: every
+    // chain ends up in ascending order.
     let mut head = vec![NONE; (hi - lo) as usize + 1];
-    let mut next = vec![NONE; build_len];
-    for (i, &j) in partner.iter().enumerate().rev() {
+    let mut next = vec![NONE; n];
+    for (k, &j) in partner.iter().enumerate().rev() {
         if j != NONE {
             let cell = (j - lo) as usize;
-            next[i] = head[cell];
-            head[cell] = i as u32;
+            next[k] = head[cell];
+            head[cell] = k as u32;
         }
     }
     for (j, &first) in (lo as usize..).zip(&head) {
-        if kept(keep.probe, j) {
-            push_chain(&mut pairs, first, &next, j);
-        }
+        push_chain(&mut pairs, first, &next, j);
     }
-    (pairs, formed)
+    if let Some(rows) = keep.build {
+        pairs.0.iter_mut().for_each(|k| *k = rows[*k as usize]);
+    }
+    pairs
 }
 
 /// [`join_pairs`] of any key through an [`IdTable`] over per-row codes.
@@ -1152,7 +1421,10 @@ fn join_hashed<const MASKED: bool>(
     // Build, last row first, pushing each kept row onto the front of its
     // key's chain: every chain ends up in ascending row order. Per key id a
     // row holding the key (to compare against), the first kept row of its
-    // chain and, `MASKED`, its row count.
+    // chain and, `MASKED`, its row count. Every row is walked anyway, so
+    // the selections are tested through masks.
+    let [bmask, pmask] = [(keep.build, build_len), (keep.probe, probe_len)]
+        .map(|(k, n)| k.map(|rows| mask(rows, n)));
     let mut table = IdTable::with_capacity(build_len);
     let mut key_row: Vec<u32> = Vec::new();
     let mut head: Vec<u32> = Vec::new();
@@ -1169,7 +1441,7 @@ fn join_hashed<const MASKED: bool>(
         }
         if MASKED {
             count[id] += 1;
-            if !kept(keep.build, i) {
+            if !kept(bmask.as_deref(), i) {
                 continue;
             }
         }
@@ -1184,7 +1456,7 @@ fn join_hashed<const MASKED: bool>(
         });
         if MASKED {
             formed += found.map_or(0, |id| u64::from(count[id as usize]));
-            if !kept(keep.probe, j) {
+            if !kept(pmask.as_deref(), j) {
                 continue;
             }
         }
@@ -1680,43 +1952,51 @@ mod tests {
 
     /// Join `build` and `probe` as the executor does — by position when one
     /// is a surrogate key — and through the hashed index, against a nested
-    /// loop, also with a kept-row mask on either side, whose pairs must be
-    /// the unmasked ones filtered while the count of pairs formed stays the
-    /// unmasked one. Group each through both indexes against first-seen
-    /// grouping.
+    /// loop, also with a selection on either side or both (keeping none,
+    /// some or all of its rows), whose pairs must be the unselected ones
+    /// filtered while the count of pairs formed stays the unselected one.
+    /// Group each through both indexes against first-seen grouping.
     fn check_key_indexes(build: &Col, build_len: usize, probe: &Col, probe_len: usize) {
         let (b, p) = ([build], [probe]);
         let all = nested_loop_pairs(build, build_len, probe, probe_len);
         let formed = all.0.len() as u64;
-        let masks = |n: usize| -> [Vec<bool>; 2] {
+        let selections = |n: usize| -> [Vec<u32>; 4] {
+            let rows = |f: fn(u32) -> bool| (0..n as u32).filter(|&r| f(r)).collect();
             [
-                (0..n).map(|r| r % 2 == 0).collect(),
-                (0..n).map(|r| r % 3 == 1).collect(),
+                rows(|r| r % 2 == 0),
+                rows(|r| r % 3 == 1),
+                vec![],
+                rows(|_| true),
             ]
         };
-        let (bmasks, pmasks) = (masks(build_len), masks(probe_len));
+        let (bsel, psel) = (selections(build_len), selections(probe_len));
         let mut keeps = vec![Kept::default()];
-        for (bm, pm) in bmasks.iter().zip(&pmasks) {
+        for (bs, ps) in bsel.iter().zip(&psel) {
             keeps.push(Kept {
-                build: Some(bm),
+                build: Some(bs),
                 probe: None,
             });
             keeps.push(Kept {
                 build: None,
-                probe: Some(pm),
+                probe: Some(ps),
             });
         }
+        keeps.push(Kept {
+            build: Some(&bsel[0]),
+            probe: Some(&psel[1]),
+        });
+        let holds = |rows: Option<&[u32]>, r: u32| rows.is_none_or(|rows| rows.contains(&r));
         for keep in keeps {
             let pairs: Pairs = all
                 .0
                 .iter()
                 .zip(&all.1)
                 .map(|(&i, &j)| (i, j))
-                .filter(|&(i, j)| kept(keep.build, i as usize) && kept(keep.probe, j as usize))
+                .filter(|&(i, j)| holds(keep.build, i) && holds(keep.probe, j))
                 .unzip();
             let want = (pairs, formed);
             assert_eq!(join_pairs(&b, build_len, &p, probe_len, keep), want);
-            // The masked kernels, also without a mask; the unmasked ones.
+            // The masked kernels, also without a selection; the unmasked ones.
             assert_eq!(
                 join_hashed::<true>(&b, build_len, &p, probe_len, keep),
                 want
@@ -1874,6 +2154,134 @@ mod tests {
         check_key_indexes(&dim, 3, &floats, 1);
         check_key_indexes(&dim, 3, &strs, 1);
         assert_eq!(partner(&int_col(&[0, 1, 2]), &int_col(&[1])), None);
+    }
+
+    /// A fact table whose two keys meet the dimensions `d` (keys 0..5) and
+    /// `e` (10..13), both surrogate keys, and `t`, `d`'s twin with a gap;
+    /// some keys miss, some are NULL.
+    fn star() -> (Catalog, SimFs<Table>) {
+        let mut c = Catalog::new();
+        let int = |k: Option<i64>| k.map_or(Value::Null, Value::Int);
+        let fact = [
+            (Some(3), Some(10), 1.0),
+            (Some(9), Some(12), 2.0),
+            (None, Some(11), 3.0),
+            (Some(0), None, 4.0),
+            (Some(4), Some(13), 5.0),
+            (Some(3), Some(14), 6.0),
+            (Some(1), Some(12), 7.0),
+            (Some(2), Some(10), 8.0),
+        ];
+        let rows = fact
+            .iter()
+            .map(|&(k1, k2, v)| vec![int(k1), int(k2), Value::Float(v)]);
+        let schema = Schema::new(vec![
+            Field::new("f.k1", DataType::Int),
+            Field::new("f.k2", DataType::Int),
+            Field::new("f.v", DataType::Float),
+        ]);
+        c.register("f", Table::from_rows(schema, rows.collect(), 300));
+        for (name, keys) in [
+            ("d", vec![0, 1, 2, 3, 4]),
+            ("e", vec![10, 11, 12, 13]),
+            ("t", vec![0, 1, 3, 4, 5]),
+        ] {
+            let schema = Schema::new(vec![
+                Field::new(format!("{name}.k"), DataType::Int),
+                Field::new(format!("{name}.s"), DataType::Str),
+            ]);
+            let rows = keys
+                .iter()
+                .map(|&k| vec![Value::Int(k), Value::str(format!("s{}", k % 2))]);
+            c.register(name, Table::from_rows(schema, rows.collect(), 40));
+        }
+        let fs = SimFs::new(BlockConfig::new(1024), CostWeights::default());
+        (c, fs)
+    }
+
+    #[test]
+    fn a_selection_on_one_leaf_runs_there_and_charges_the_full_tree() {
+        let (c, fs) = star();
+        let scan = LogicalPlan::scan;
+        let on = |a: &str, b: &str| vec![(a.to_string(), b.to_string())];
+        let trees = [
+            // (plan, joins on the chain from `f` when the selection reads `f`)
+            (scan("f").join(scan("d"), on("f.k1", "d.k")), Some(1)),
+            (
+                scan("f")
+                    .join(scan("d"), on("f.k1", "d.k"))
+                    .join(scan("e"), on("f.k2", "e.k")),
+                Some(2),
+            ),
+            (
+                scan("e").join(
+                    scan("d").join(scan("f"), on("d.k", "f.k1")),
+                    on("e.k", "f.k2"),
+                ),
+                Some(2),
+            ),
+            // A twin is no surrogate key; a key read off `d` is not `f`'s.
+            (
+                scan("f")
+                    .join(scan("t"), on("f.k1", "t.k"))
+                    .join(scan("e"), on("f.k2", "e.k")),
+                None,
+            ),
+            (
+                scan("f")
+                    .join(scan("d"), on("f.k1", "d.k"))
+                    .join(scan("e"), on("d.k", "e.k")),
+                None,
+            ),
+        ];
+        let preds = [
+            Predicate::range("f.k1", 1, 3),
+            Predicate::and(vec![
+                Predicate::range("f.k2", 0, 12),
+                Predicate::eq("f.v", 7.0),
+            ]),
+            Predicate::range("f.k1", 5, 4),
+            Predicate::range("f.k1", i64::MIN, i64::MAX),
+            Predicate::eq("d.s", "s1"),
+            Predicate::and(vec![
+                Predicate::range("f.k1", 0, 3),
+                Predicate::eq("e.s", "s0"),
+            ]),
+        ];
+        for (plan, chain) in &trees {
+            // Join then select, charged as such: the selection reads every
+            // row of the whole tree.
+            let (all, all_m) = execute(plan, &c, &fs).unwrap();
+            for pred in &preds {
+                let LogicalPlan::Join { left, right, on } = plan else {
+                    unreachable!("every tree is a join")
+                };
+                let node = plant(left, right, on, &c, &fs, &mut ExecMetrics::default()).unwrap();
+                let cols = conditions(pred, &node.schema)
+                    .map(|c| c.iter().map(|&(_, i)| i).collect::<Vec<_>>());
+                let route =
+                    cols.and_then(|cols| node.route(&cols).map(|(_, _, links)| links.len()));
+                let on_f = pred
+                    .conjuncts()
+                    .iter()
+                    .all(|c| c.columns().iter().all(|n| n.starts_with("f.")));
+                assert_eq!(route, chain.filter(|_| on_f), "{pred:?} over {plan:?}");
+
+                let (got, got_m) = execute(&plan.clone().select(pred.clone()), &c, &fs).unwrap();
+                let want: Vec<_> = all.rows().filter(|r| pred.eval(&all.schema, r)).collect();
+                assert_eq!(
+                    got.rows().collect::<Vec<_>>(),
+                    want,
+                    "{pred:?} over {plan:?}"
+                );
+                assert_eq!(got.bytes_per_row, all.bytes_per_row);
+                let want_m = ExecMetrics {
+                    rows_processed: all_m.rows_processed + all.len() as u64,
+                    ..all_m
+                };
+                assert_eq!(got_m, want_m, "{pred:?} over {plan:?}");
+            }
+        }
     }
 
     #[test]

@@ -214,11 +214,11 @@ type RefOut = (Schema, Vec<Row>, u64);
 /// strings must translate one side's codes into the other's dictionary.
 /// `""`, the string a NULL slot holds, is also a label.
 ///
-/// A fourth table, the dimension `d`, has a key `d.k` running
-/// `first..first + n`, `first` one of 0, −3, 7 and `i64::MAX − n`, `n` up
-/// to 40: a surrogate key, which joins address by position. Or, per
-/// catalog, one of its twins, which are not: one key skipped, or one key
-/// repeated.
+/// Three more tables, the dimensions `d`, `e` and `g`, each have a key
+/// running `first..first + n`, `first` one of 0, −3, 7 and `i64::MAX − n`,
+/// `n` up to 40: a surrogate key, which joins address by position. Or, per
+/// dimension, one of its twins, which are not: one key skipped, or one key
+/// repeated. `a` and `b` meet `e` through a second integer key, `j`.
 fn random_catalog(rows_a: usize, rows_b: usize, seed: u64) -> Catalog {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     let mut draw = move |n: u64| {
@@ -258,39 +258,53 @@ fn random_catalog(rows_a: usize, rows_b: usize, seed: u64) -> Catalog {
     let mut c = Catalog::new();
     c.register(
         "a",
-        table("a", &[("k", Int), ("f", Float), ("s", Str)], rows_a, 700),
+        table(
+            "a",
+            &[("k", Int), ("f", Float), ("s", Str), ("j", Int)],
+            rows_a,
+            700,
+        ),
     );
     c.register(
         "b",
-        table("b", &[("k", Int), ("x", Float), ("s", Str)], rows_b, 90),
+        table(
+            "b",
+            &[("k", Int), ("x", Float), ("s", Str), ("j", Int)],
+            rows_b,
+            90,
+        ),
     );
     // A third table, small, for a join of three.
     let rows_c = (seed % 6) as usize;
     c.register("c", table("c", &[("k", Int), ("s", Str)], rows_c, 40));
 
-    let n = draw(41) as i64;
-    let first = [0, -3, 7, i64::MAX - n][draw(4) as usize];
-    // A twin's keys shift by one from row `at` on, 1 ≤ at < n (given n ≥ 2).
-    let at = 1 + draw(n.max(2) as u64 - 1) as i64;
-    let twin = draw(3);
-    let rows = (0..n).map(|r| {
-        let k = match twin {
-            1 if r >= at => first + r + 1,
-            2 if r >= at => first + r - 1,
-            _ => first + r,
-        };
-        let s = ["s0", "s1", "s2", "", "sd"][draw(5) as usize];
-        vec![Value::Int(k), Value::str(s)]
-    });
-    let fields = vec![Field::new("d.k", Int), Field::new("d.s", Str)];
-    c.register(
-        "d",
-        Table::from_rows(Schema::new(fields), rows.collect(), 50),
-    );
+    for (name, bpr) in [("d", 50), ("e", 30), ("g", 20)] {
+        let n = draw(41) as i64;
+        let first = [0, -3, 7, i64::MAX - n][draw(4) as usize];
+        // A twin's keys shift by one from row `at` on, 1 ≤ at < n (given n ≥ 2).
+        let at = 1 + draw(n.max(2) as u64 - 1) as i64;
+        let twin = draw(6); // 1 and 2 a twin, else a surrogate key
+        let rows: Vec<Row> = (0..n)
+            .map(|r| {
+                let k = match twin {
+                    1 if r >= at => first + r + 1,
+                    2 if r >= at => first + r - 1,
+                    _ => first + r,
+                };
+                let s = ["s0", "s1", "s2", "", "sd"][draw(5) as usize];
+                vec![Value::Int(k), Value::str(s)]
+            })
+            .collect();
+        let fields = vec![
+            Field::new(format!("{name}.k"), Int),
+            Field::new(format!("{name}.s"), Str),
+        ];
+        c.register(name, Table::from_rows(Schema::new(fields), rows, bpr));
+    }
     c
 }
 
-/// A plan over [`random_catalog`]: a scan or one of eleven joins, then
+/// A plan over [`random_catalog`]: a scan or one of seventeen joins, then
 /// optionally a selection, then a projection or one of four aggregates.
 ///
 /// A selection right above a join is evaluated on one input before pairing
@@ -302,9 +316,17 @@ fn random_catalog(rows_a: usize, rows_b: usize, seed: u64) -> Catalog {
 /// `a` and `b` meet the dimension `d` from either side; being the smaller
 /// input or not, it is the build or the probe side of the join. `b`'s join
 /// with it carries the selection itself, and then meets `a`.
+///
+/// Joins 12–17 nest: `x ⋈ d` (`x` being `a` or `b`) meets `e` on `x.j`,
+/// from either side, and then, in 16, `g` on `a.k`. A selection on `x`
+/// alone runs at `x` when every dimension on the way is a surrogate key,
+/// each join charged the full tree's lengths; with a twin, on a leaf of
+/// 17's (whose outer key is `d.k`), on `d` or `e`, or on two leaves, it
+/// takes the one-input route or none. Selections 12–17 keep none or all of
+/// `x`'s rows and put conditions on `e`, on two leaves, and on `b` alone.
 fn random_plan(join: u8, select: u8, shape: u8, lo: i64) -> LogicalPlan {
     let scan = LogicalPlan::scan;
-    let (a, b, d) = (|| scan("a"), || scan("b"), || scan("d"));
+    let (a, b, d, e) = (|| scan("a"), || scan("b"), || scan("d"), || scan("e"));
     let select = |plan: LogicalPlan| match select {
         0 => plan,
         1 => plan.select(Predicate::range("a.k", lo, lo + 1)),
@@ -323,9 +345,23 @@ fn random_plan(join: u8, select: u8, shape: u8, lo: i64) -> LogicalPlan {
             Predicate::eq("b.s", "s0"),
         ])),
         10 => plan.select(Predicate::range("d.k", lo - 3, lo + 1)),
-        _ => plan.select(Predicate::eq("d.s", "s1")),
+        11 => plan.select(Predicate::eq("d.s", "s1")),
+        12 => plan.select(Predicate::range("a.j", i64::MIN, i64::MAX)), // all but NULL
+        13 => plan.select(Predicate::range("a.k", lo + 1, lo)),         // none
+        14 => plan.select(Predicate::eq("e.s", "s2")),
+        15 => plan.select(Predicate::and(vec![
+            Predicate::range("a.j", lo, 3), // two leaves of one input
+            Predicate::eq("d.s", "s0"),
+        ])),
+        16 => plan.select(Predicate::range("b.j", lo, lo + 1)),
+        _ => plan.select(Predicate::and(vec![
+            Predicate::range("b.k", 0, lo + 1),
+            Predicate::eq("b.s", "s1"),
+        ])),
     };
     let with_a = |plan: LogicalPlan| a().join(plan, vec![("a.s", "b.s")]);
+    let a_d = || a().join(d(), vec![("a.k", "d.k")]);
+    let d_b = || d().join(b(), vec![("d.k", "b.k")]);
     let plan = match join {
         0 => select(a()),
         1 => select(a().join(b(), vec![("a.k", "b.k")])),
@@ -341,7 +377,17 @@ fn random_plan(join: u8, select: u8, shape: u8, lo: i64) -> LogicalPlan {
         8 => select(a().join(d(), vec![("a.k", "d.k")])),
         9 => select(d().join(a(), vec![("d.k", "a.k")])),
         10 => with_a(select(b().join(d(), vec![("b.k", "d.k")]))),
-        _ => with_a(select(d().join(b(), vec![("d.k", "b.k")]))),
+        11 => with_a(select(d().join(b(), vec![("d.k", "b.k")]))),
+        12 => select(a_d().join(e(), vec![("a.j", "e.k")])),
+        13 => select(e().join(a_d(), vec![("e.k", "a.j")])),
+        14 => with_a(select(d_b().join(e(), vec![("b.j", "e.k")]))),
+        15 => with_a(select(e().join(d_b(), vec![("b.j", "e.k")]))),
+        16 => select(
+            a_d()
+                .join(e(), vec![("a.j", "e.k")])
+                .join(scan("g"), vec![("a.k", "g.k")]),
+        ),
+        _ => select(a_d().join(e(), vec![("d.k", "e.k")])), // the key of a non-leaf side
     };
     let of = AggExpr::of;
     match shape {
@@ -388,20 +434,40 @@ proptest! {
     #[test]
     fn batch_executor_equals_row_reference(
         rows_a in 0usize..80, rows_b in 0usize..80, seed in any::<u64>(),
-        join in 0u8..12, select in 0u8..12, shape in 0u8..6, lo in 0i64..4,
+        join in 0u8..18, select in 0u8..18, shape in 0u8..6, lo in 0i64..4,
     ) {
-        let cat = random_catalog(rows_a, rows_b, seed);
-        let fs = fs();
-        let plan = random_plan(join, select, shape, lo);
-        let (got, got_m) = execute(&plan, &cat, &fs).unwrap();
-        let mut want_m = ExecMetrics::default();
-        let (schema, rows, bpr) = reference(&plan, &cat, &fs, &mut want_m);
-        let names = |s: &Schema| s.fields().iter().map(|f| f.name.clone()).collect::<Vec<_>>();
-        prop_assert_eq!(names(&got.schema), names(&schema));
-        prop_assert_eq!(got.rows().collect::<Vec<_>>(), rows);
-        prop_assert_eq!(got.bytes_per_row, bpr);
-        prop_assert_eq!(got_m, want_m);
+        check_against_reference(rows_a, rows_b, seed, random_plan(join, select, shape, lo));
     }
+
+    /// The same for the nested joins alone, with every selection, their
+    /// rows in order.
+    #[test]
+    fn nested_selections_equal_row_reference(
+        rows_a in 0usize..80, rows_b in 0usize..80, seed in any::<u64>(),
+        join in 12u8..18, select in 0u8..18, shape in 0u8..2, lo in 0i64..4,
+    ) {
+        check_against_reference(rows_a, rows_b, seed, random_plan(join, select, shape, lo));
+    }
+}
+
+/// `plan` over a [`random_catalog`] gives the reference's rows, in order,
+/// its width and its charge in every metric.
+fn check_against_reference(rows_a: usize, rows_b: usize, seed: u64, plan: LogicalPlan) {
+    let cat = random_catalog(rows_a, rows_b, seed);
+    let fs = fs();
+    let (got, got_m) = execute(&plan, &cat, &fs).unwrap();
+    let mut want_m = ExecMetrics::default();
+    let (schema, rows, bpr) = reference(&plan, &cat, &fs, &mut want_m);
+    let names = |s: &Schema| {
+        s.fields()
+            .iter()
+            .map(|f| f.name.clone())
+            .collect::<Vec<_>>()
+    };
+    prop_assert_eq!(names(&got.schema), names(&schema));
+    prop_assert_eq!(got.rows().collect::<Vec<_>>(), rows);
+    prop_assert_eq!(got.bytes_per_row, bpr);
+    prop_assert_eq!(got_m, want_m);
 }
 
 proptest! {
