@@ -261,6 +261,28 @@ fn bench_exec_kernels(c: &mut Criterion) {
         ),
         // 40k fact rows against 10k customers, the surrogate key the build side.
         ("join_40k_customer", count(ss_customer())),
+        // σ on the dimension side, and σ above a join that meets no
+        // surrogate key: no leaf takes either, so the join is built whole
+        // and then filtered.
+        (
+            "select_dim_join_40k",
+            count(ss_item().select(Predicate::eq("item.i_category", "cat3"))),
+        ),
+        (
+            "select_sparse_join_40k",
+            count(
+                scan("sparse_sales")
+                    .join(
+                        scan("sparse_item"),
+                        vec![("sparse_sales.k", "sparse_item.k")],
+                    )
+                    .select(Predicate::range(
+                        "sparse_sales.k",
+                        lo * 1_000_003,
+                        (lo + 399) * 1_000_003,
+                    )),
+            ),
+        ),
     ];
     for (name, plan) in &plans {
         c.bench_function(name, |b| {

@@ -588,13 +588,12 @@ impl JoinNode {
     /// Inner equi-join of the two inputs and, given `pred`, the selection
     /// right above it — the one routine behind both plan shapes.
     ///
-    /// A selection runs before any pair is built where it can: at a leaf
-    /// of the tree ([`JoinNode::push`]), or else on one input when every
-    /// condition reads that input. Otherwise the join is built whole and
-    /// filtered after. Either way the output rows, their order and width,
-    /// and every charge are those of the joins followed by the selection:
-    /// each join is charged its full inputs and every pair it forms, and
-    /// the selection every pair of the top join.
+    /// A selection runs at a leaf of the tree, before any pair is built,
+    /// when [`JoinNode::push`] finds one; otherwise the join is built whole
+    /// and filtered after. Either way the output rows, their order and
+    /// width, and every charge are those of the joins followed by the
+    /// selection: each join is charged its full inputs and every pair it
+    /// forms, and the selection every pair of the top join.
     fn pair(mut self, pred: Option<&Predicate>, m: &mut ExecMetrics) -> Batch {
         let pushed = pred.is_some_and(|p| self.push(p));
         let (l, r) = (self.left.into_batch(m), self.right.into_batch(m));
@@ -606,32 +605,17 @@ impl JoinNode {
 
         let lk: Vec<&Col> = self.keys.iter().map(|&(a, _)| &l.cols[a]).collect();
         let rk: Vec<&Col> = self.keys.iter().map(|&(_, b)| &r.cols[b]).collect();
-        let fused = match pred {
-            Some(p) if !pushed => side_rows(p, &self.schema, &l, &r),
-            _ => None,
-        };
-        let [lkeep, rkeep] = fused
-            .as_ref()
-            .map_or([None, None], |[a, b]| [a.as_deref(), b.as_deref()]);
         // Build on the smaller input, as the full lengths have it; the
         // output follows the probe side scan, matches of one probe row in
         // build order.
         let build_is_left = full_l <= full_r;
-        let ((build_rows, probe_rows), formed) = if build_is_left {
-            let kept = Kept {
-                build: lkeep,
-                probe: rkeep,
-            };
-            join_pairs(&lk, l.len, &rk, r.len, kept)
+        let (build_rows, probe_rows) = if build_is_left {
+            join_pairs(&lk, l.len, &rk, r.len)
         } else {
-            let kept = Kept {
-                build: rkeep,
-                probe: lkeep,
-            };
-            join_pairs(&rk, r.len, &lk, l.len, kept)
+            join_pairs(&rk, r.len, &lk, l.len)
         };
-        let formed = self.full.map_or(formed, |f| f.formed);
         let len = build_rows.len();
+        let formed = self.full.map_or(len as u64, |f| f.formed);
         let (lrows, rrows) = if build_is_left {
             (build_rows, probe_rows)
         } else {
@@ -643,7 +627,7 @@ impl JoinNode {
         let joined = Batch::new(self.schema, cols, len, l.bytes_per_row + r.bytes_per_row);
         match pred {
             None => joined,
-            Some(_) if pushed || fused.is_some() => {
+            Some(_) if pushed => {
                 // The selection, done before pairing, is charged as if after.
                 m.rows_processed += formed;
                 joined
@@ -721,7 +705,7 @@ impl JoinNode {
     /// scan marks it — through one integer column of that leaf, so that
     /// each leaf row meets at most one row per join. Any other shape (the
     /// conditions on two leaves, a key read from a join's output, a hashed
-    /// join on the way) is left to [`JoinNode::pair`]'s one-input route.
+    /// join on the way) is filtered after the join ([`JoinNode::pair`]).
     fn route(&self, cols: &[usize]) -> Option<(&Batch, usize, Vec<Link<'_>>)> {
         let split = self.left.schema().len();
         let left = cols.iter().all(|&c| c < split);
@@ -805,29 +789,6 @@ fn rows_where(batch: &Batch, conds: &[(&Predicate, usize)], from: usize) -> Vec<
             Some(conjunct_rows(&batch.cols[i - from], batch.len, c, sel))
         })
         .unwrap_or_default()
-}
-
-/// Which rows of a join's `[left, right]` inputs `pred` keeps, ascending,
-/// resolved against the join's output `schema`, when every condition reads
-/// the same input (the other keeps all, `None`). `None` when the conditions
-/// read both inputs, one names an unknown column, or there are none: the
-/// join is then built whole and filtered after.
-fn side_rows(
-    pred: &Predicate,
-    schema: &Schema,
-    l: &Batch,
-    r: &Batch,
-) -> Option<[Option<Vec<u32>>; 2]> {
-    let conds = conditions(pred, schema)?;
-    let split = l.cols.len();
-    let on_left = conds[0].1 < split;
-    if conds.iter().any(|&(_, i)| (i < split) != on_left) {
-        return None;
-    }
-    Some(match on_left {
-        true => [Some(rows_where(l, &conds, 0)), None],
-        false => [None, Some(rows_where(r, &conds, split))],
-    })
 }
 
 /// The rows of `sel` (of `0..n` when `None`) that satisfy one condition on
@@ -1125,25 +1086,17 @@ impl<'a> Partners<'a> {
         }
     }
 
-    /// `f(place, r, partner)` for every row `r` that `rows` holds (every
-    /// row below `n` without it), `place` being its position among them,
-    /// that meets a row of a surrogate side `len` rows long — a NULL meets
-    /// none. Whether the column can hold a NULL is settled once.
-    fn each(
-        &self,
-        rows: Option<&[u32]>,
-        n: usize,
-        len: usize,
-        mut f: impl FnMut(usize, usize, u32),
-    ) {
+    /// `f(r, partner)` for every row `r` below `n` that meets a row of a
+    /// surrogate side `len` rows long — a NULL meets none. Whether the
+    /// column can hold a NULL is settled once.
+    fn each(&self, n: usize, len: usize, mut f: impl FnMut(usize, u32)) {
         let data = &*self.col.data;
         let nullable = data.has_nulls();
-        for place in 0..rows.map_or(n, <[u32]>::len) {
-            let r = rows.map_or(place, |rows| rows[place] as usize);
+        for r in 0..n {
             let p = self.col.phys(r);
             let k = self.vals[p].wrapping_sub(self.first) as u64;
             if k < len as u64 && !(nullable && data.is_null(p)) {
-                f(place, r, k as u32);
+                f(r, k as u32);
             }
         }
     }
@@ -1241,27 +1194,6 @@ impl Keys {
 /// The `(build row, probe row)` pairs of a join, as two parallel vectors.
 type Pairs = (Vec<u32>, Vec<u32>);
 
-/// The rows of each join side that a selection above the join keeps, as a
-/// selection vector (ascending); `None` keeps every row of its side.
-#[derive(Clone, Copy, Default)]
-struct Kept<'a> {
-    build: Option<&'a [u32]>,
-    probe: Option<&'a [u32]>,
-}
-
-/// The first `n` rows, marked where `rows` holds them.
-fn mask(rows: &[u32], n: usize) -> Vec<bool> {
-    let mut mask = vec![false; n];
-    rows.iter().for_each(|&r| mask[r as usize] = true);
-    mask
-}
-
-/// Whether `mask` keeps row `r`.
-#[inline]
-fn kept(mask: Option<&[bool]>, r: usize) -> bool {
-    mask.is_none_or(|m| m[r])
-}
-
 /// Append probe row `j` paired with every build row of the chain from `i`.
 #[inline]
 fn push_chain(pairs: &mut Pairs, mut i: u32, next: &[u32], j: usize) {
@@ -1272,117 +1204,66 @@ fn push_chain(pairs: &mut Pairs, mut i: u32, next: &[u32], j: usize) {
     }
 }
 
-/// Inner equi-join of `build` and `probe` key columns: the matching pairs of
-/// rows both sides keep, probe rows ascending and, for one probe row, build
-/// rows ascending; and the number of pairs the join forms over all rows,
-/// kept or not. A NULL in any key column joins nothing.
-fn join_pairs(
-    build: &[&Col],
-    build_len: usize,
-    probe: &[&Col],
-    probe_len: usize,
-    keep: Kept<'_>,
-) -> (Pairs, u64) {
-    let (pairs, to, n, len) = match Partner::of(build, probe) {
-        Some(Partner::InBuild(to)) => {
-            let pairs = join_in_build(&to, build_len, probe_len, keep);
-            (pairs, to, probe_len, build_len)
-        }
-        Some(Partner::InProbe(to)) => {
-            let pairs = join_in_probe(&to, build_len, probe_len, keep);
-            (pairs, to, build_len, probe_len)
-        }
-        // The hashed kernel is compiled twice: without a selection it
-        // neither tests rows nor counts pairs on the side, every pair
-        // formed being built.
-        None if keep.build.is_none() && keep.probe.is_none() => {
-            return join_hashed::<false>(build, build_len, probe, probe_len, keep)
-        }
-        None => return join_hashed::<true>(build, build_len, probe, probe_len, keep),
-    };
-    // A surrogate-key join pairs only kept rows: every non-NULL row of the
-    // other side whose key names a row forms one pair, kept or not, so the
-    // full count is one pass over that side's keys.
-    let formed = match keep {
-        Kept {
-            build: None,
-            probe: None,
-        } => pairs.0.len() as u64,
-        _ => chain_counts([(to, len)], n)[0],
-    };
-    (pairs, formed)
+/// Inner equi-join of `build` and `probe` key columns: the matching pairs,
+/// probe rows ascending and, for one probe row, build rows ascending. A
+/// NULL in any key column joins nothing.
+fn join_pairs(build: &[&Col], build_len: usize, probe: &[&Col], probe_len: usize) -> Pairs {
+    match Partner::of(build, probe) {
+        Some(Partner::InBuild(to)) => join_in_build(&to, build_len, probe_len),
+        Some(Partner::InProbe(to)) => join_in_probe(&to, build_len, probe_len),
+        None => join_hashed(build, build_len, probe, probe_len),
+    }
 }
 
 /// [`join_pairs`] when the build side is a surrogate key: probe row `j`
 /// meets build row `k_j − first` alone, when that is a row — one pass over
-/// the kept probe rows, no cells, no chains. A selection on the build side
-/// is tested through a mask of its rows.
-fn join_in_build(to: &Partners<'_>, build_len: usize, probe_len: usize, keep: Kept<'_>) -> Pairs {
-    let bmask = keep.build.map(|rows| mask(rows, build_len));
-    let cap = keep.probe.map_or(probe_len, <[u32]>::len);
-    let mut pairs = (Vec::with_capacity(cap), Vec::with_capacity(cap));
-    to.each(keep.probe, probe_len, build_len, |_, j, i| {
-        if kept(bmask.as_deref(), i as usize) {
-            pairs.0.push(i);
-            pairs.1.push(j as u32);
-        }
+/// the probe rows, no cells, no chains.
+fn join_in_build(to: &Partners<'_>, build_len: usize, probe_len: usize) -> Pairs {
+    let mut pairs = (Vec::with_capacity(probe_len), Vec::with_capacity(probe_len));
+    to.each(probe_len, build_len, |j, i| {
+        pairs.0.push(i);
+        pairs.1.push(j as u32);
     });
     pairs
 }
 
 /// [`join_pairs`] when the probe side is a surrogate key: build row `i`
-/// meets probe row `k_i − first` alone, when that is a row. The kept build
-/// rows are visited once, and each that meets a kept probe row is chained
-/// onto that row's cell; the cells span only the rows reached and are
-/// emitted in order. Neither side is walked whole, and nothing is sized to
-/// it: the chains link places among the kept rows, not rows. A selection
-/// on the probe side is tested through a mask of its rows.
-fn join_in_probe(to: &Partners<'_>, build_len: usize, probe_len: usize, keep: Kept<'_>) -> Pairs {
-    let pmask = keep.probe.map(|rows| mask(rows, probe_len));
-    // The partner of each kept build row, by its place among them (NONE
-    // for none), and the span of the partners; a partner is below
-    // `probe_len`, so never NONE itself.
-    let n = keep.build.map_or(build_len, <[u32]>::len);
+/// meets probe row `k_i − first` alone, when that is a row. The build rows
+/// are visited once, and each that meets a probe row is chained onto that
+/// row's cell; the cells span only the probe rows reached and are emitted
+/// in order, so the probe side is never walked whole.
+fn join_in_probe(to: &Partners<'_>, build_len: usize, probe_len: usize) -> Pairs {
+    // The partner of each build row (NONE for none), and the span of the
+    // partners; a partner is below `probe_len`, so never NONE itself.
     let (mut lo, mut hi) = (NONE, 0);
-    let mut partner = vec![NONE; n];
-    to.each(keep.build, build_len, probe_len, |k, _, j| {
-        if kept(pmask.as_deref(), j as usize) {
-            partner[k] = j;
-            (lo, hi) = (lo.min(j), hi.max(j));
-        }
+    let mut partner = vec![NONE; build_len];
+    to.each(build_len, probe_len, |i, j| {
+        partner[i] = j;
+        (lo, hi) = (lo.min(j), hi.max(j));
     });
-    let mut pairs = (Vec::with_capacity(n), Vec::with_capacity(n));
+    let mut pairs = (Vec::with_capacity(build_len), Vec::with_capacity(build_len));
     if lo > hi {
         return pairs;
     }
-    // Last place first, each onto the front of its cell's chain: every
-    // chain ends up in ascending order.
+    // Last row first, each onto the front of its cell's chain: every chain
+    // ends up in ascending order.
     let mut head = vec![NONE; (hi - lo) as usize + 1];
-    let mut next = vec![NONE; n];
-    for (k, &j) in partner.iter().enumerate().rev() {
+    let mut next = vec![NONE; build_len];
+    for (i, &j) in partner.iter().enumerate().rev() {
         if j != NONE {
             let cell = (j - lo) as usize;
-            next[k] = head[cell];
-            head[cell] = k as u32;
+            next[i] = head[cell];
+            head[cell] = i as u32;
         }
     }
     for (j, &first) in (lo as usize..).zip(&head) {
         push_chain(&mut pairs, first, &next, j);
     }
-    if let Some(rows) = keep.build {
-        pairs.0.iter_mut().for_each(|k| *k = rows[*k as usize]);
-    }
     pairs
 }
 
 /// [`join_pairs`] of any key through an [`IdTable`] over per-row codes.
-fn join_hashed<const MASKED: bool>(
-    build: &[&Col],
-    build_len: usize,
-    probe: &[&Col],
-    probe_len: usize,
-    keep: Kept<'_>,
-) -> (Pairs, u64) {
+fn join_hashed(build: &[&Col], build_len: usize, probe: &[&Col], probe_len: usize) -> Pairs {
     let mut bkeys = Keys { codes: Vec::new() };
     let mut pkeys = Keys { codes: Vec::new() };
     let mut bnull: Option<Vec<bool>> = None;
@@ -1404,7 +1285,7 @@ fn join_hashed<const MASKED: bool>(
             _ => float_codes(b, build_len).zip(float_codes(p, probe_len)),
         };
         let Some((bc, pc)) = codes else {
-            return ((Vec::new(), Vec::new()), 0);
+            return (Vec::new(), Vec::new());
         };
         bkeys.codes.push(bc);
         pkeys.codes.push(pc);
@@ -1418,17 +1299,12 @@ fn join_hashed<const MASKED: bool>(
         }
     }
 
-    // Build, last row first, pushing each kept row onto the front of its
-    // key's chain: every chain ends up in ascending row order. Per key id a
-    // row holding the key (to compare against), the first kept row of its
-    // chain and, `MASKED`, its row count. Every row is walked anyway, so
-    // the selections are tested through masks.
-    let [bmask, pmask] = [(keep.build, build_len), (keep.probe, probe_len)]
-        .map(|(k, n)| k.map(|rows| mask(rows, n)));
+    // Build, last row first, pushing each row onto the front of its key's
+    // chain: every chain ends up in ascending row order. Per key id a row
+    // holding the key (to compare against) and the first row of its chain.
     let mut table = IdTable::with_capacity(build_len);
     let mut key_row: Vec<u32> = Vec::new();
     let mut head: Vec<u32> = Vec::new();
-    let mut count: Vec<u32> = Vec::new();
     let mut next: Vec<u32> = vec![NONE; build_len];
     for i in (0..build_len).rev().filter(|&i| !marked(&bnull, i)) {
         let id = table.find_or_insert(bkeys.hash(i), |id| {
@@ -1437,29 +1313,15 @@ fn join_hashed<const MASKED: bool>(
         if id == key_row.len() {
             key_row.push(i as u32);
             head.push(NONE);
-            count.extend(MASKED.then_some(0));
-        }
-        if MASKED {
-            count[id] += 1;
-            if !kept(bmask.as_deref(), i) {
-                continue;
-            }
         }
         next[i] = head[id];
         head[id] = i as u32;
     }
     let mut pairs = (Vec::with_capacity(probe_len), Vec::with_capacity(probe_len));
-    let mut formed = 0u64;
     for j in (0..probe_len).filter(|&j| !marked(&pnull, j)) {
         let found = table.find(pkeys.hash(j), |id| {
             pkeys.eq(j, &bkeys, key_row[id as usize] as usize)
         });
-        if MASKED {
-            formed += found.map_or(0, |id| u64::from(count[id as usize]));
-            if !kept(pmask.as_deref(), j) {
-                continue;
-            }
-        }
         push_chain(
             &mut pairs,
             found.map_or(NONE, |id| head[id as usize]),
@@ -1467,8 +1329,7 @@ fn join_hashed<const MASKED: bool>(
             j,
         );
     }
-    let formed = if MASKED { formed } else { pairs.0.len() as u64 };
-    (pairs, formed)
+    pairs
 }
 
 /// The grouping of a batch's rows by some key columns.
@@ -1952,62 +1813,12 @@ mod tests {
 
     /// Join `build` and `probe` as the executor does — by position when one
     /// is a surrogate key — and through the hashed index, against a nested
-    /// loop, also with a selection on either side or both (keeping none,
-    /// some or all of its rows), whose pairs must be the unselected ones
-    /// filtered while the count of pairs formed stays the unselected one.
-    /// Group each through both indexes against first-seen grouping.
+    /// loop. Group each through both indexes against first-seen grouping.
     fn check_key_indexes(build: &Col, build_len: usize, probe: &Col, probe_len: usize) {
         let (b, p) = ([build], [probe]);
-        let all = nested_loop_pairs(build, build_len, probe, probe_len);
-        let formed = all.0.len() as u64;
-        let selections = |n: usize| -> [Vec<u32>; 4] {
-            let rows = |f: fn(u32) -> bool| (0..n as u32).filter(|&r| f(r)).collect();
-            [
-                rows(|r| r % 2 == 0),
-                rows(|r| r % 3 == 1),
-                vec![],
-                rows(|_| true),
-            ]
-        };
-        let (bsel, psel) = (selections(build_len), selections(probe_len));
-        let mut keeps = vec![Kept::default()];
-        for (bs, ps) in bsel.iter().zip(&psel) {
-            keeps.push(Kept {
-                build: Some(bs),
-                probe: None,
-            });
-            keeps.push(Kept {
-                build: None,
-                probe: Some(ps),
-            });
-        }
-        keeps.push(Kept {
-            build: Some(&bsel[0]),
-            probe: Some(&psel[1]),
-        });
-        let holds = |rows: Option<&[u32]>, r: u32| rows.is_none_or(|rows| rows.contains(&r));
-        for keep in keeps {
-            let pairs: Pairs = all
-                .0
-                .iter()
-                .zip(&all.1)
-                .map(|(&i, &j)| (i, j))
-                .filter(|&(i, j)| holds(keep.build, i) && holds(keep.probe, j))
-                .unzip();
-            let want = (pairs, formed);
-            assert_eq!(join_pairs(&b, build_len, &p, probe_len, keep), want);
-            // The masked kernels, also without a selection; the unmasked ones.
-            assert_eq!(
-                join_hashed::<true>(&b, build_len, &p, probe_len, keep),
-                want
-            );
-            if keep.build.is_none() && keep.probe.is_none() {
-                assert_eq!(
-                    join_hashed::<false>(&b, build_len, &p, probe_len, keep),
-                    want
-                );
-            }
-        }
+        let want = nested_loop_pairs(build, build_len, probe, probe_len);
+        assert_eq!(join_pairs(&b, build_len, &p, probe_len), want);
+        assert_eq!(join_hashed(&b, build_len, &p, probe_len), want);
         for (key, n) in [(build, build_len), (probe, probe_len)] {
             let want = first_seen_groups(key, n);
             assert_eq!(group_hashed(&[key], n), want);
@@ -2078,11 +1889,7 @@ mod tests {
         assert!(!dense(&floats, 2) && !dense(&ints, 0));
         assert!(DirectIndex::new(&[&ints, &ints], 3).is_none());
         // A string never equals a number.
-        let all = Kept::default();
-        assert_eq!(
-            join_pairs(&[&build], 6, &[&ints], 3, all).0,
-            (vec![], vec![])
-        );
+        assert_eq!(join_pairs(&[&build], 6, &[&ints], 3), (vec![], vec![]));
     }
 
     #[test]
@@ -2294,8 +2101,8 @@ mod tests {
         check_key_indexes(&build, 4, &probe, 4);
         assert!(dense(&build, 4));
         assert_eq!(
-            join_pairs(&[&build], 4, &[&probe], 4, Kept::default()),
-            ((vec![0, 2], vec![1, 2]), 2)
+            join_pairs(&[&build], 4, &[&probe], 4),
+            (vec![0, 2], vec![1, 2])
         );
         let groups = group_rows(&[&build], 4);
         assert_eq!(groups.of_row, vec![0, 1, 2, 1]);
@@ -2312,8 +2119,8 @@ mod tests {
         check_key_indexes(&strs, 4, &strs, 4);
         assert!(dense(&strs, 4));
         assert_eq!(
-            join_pairs(&[&strs], 4, &[&strs], 4, Kept::default()),
-            ((vec![0, 2], vec![0, 2]), 2)
+            join_pairs(&[&strs], 4, &[&strs], 4),
+            (vec![0, 2], vec![0, 2])
         );
     }
 

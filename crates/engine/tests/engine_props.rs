@@ -307,11 +307,14 @@ fn random_catalog(rows_a: usize, rows_b: usize, seed: u64) -> Catalog {
 /// A plan over [`random_catalog`]: a scan or one of seventeen joins, then
 /// optionally a selection, then a projection or one of four aggregates.
 ///
-/// A selection right above a join is evaluated on one input before pairing
-/// when all its conditions read that input; the selections below reach
-/// that path from either input (the left one of the three-table join being
-/// the inner join, which holds all of `a`) and miss it through an
-/// ambiguous or unknown column or conditions on both inputs.
+/// A selection right above a join runs at a leaf before any pair is built
+/// when all its conditions read that leaf and every join from it up meets
+/// a surrogate key through it; any other runs after the join, built whole.
+/// The selections below reach a leaf from either input of a join with a
+/// dimension, and run after the join through an ambiguous or unknown
+/// column, conditions on both inputs, on a dimension or on the three-table
+/// join's inner join (which holds all of `a` and `b`), and joins that meet
+/// no surrogate key.
 ///
 /// `a` and `b` meet the dimension `d` from either side; being the smaller
 /// input or not, it is the build or the probe side of the join. `b`'s join
@@ -322,8 +325,8 @@ fn random_catalog(rows_a: usize, rows_b: usize, seed: u64) -> Catalog {
 /// alone runs at `x` when every dimension on the way is a surrogate key,
 /// each join charged the full tree's lengths; with a twin, on a leaf of
 /// 17's (whose outer key is `d.k`), on `d` or `e`, or on two leaves, it
-/// takes the one-input route or none. Selections 12–17 keep none or all of
-/// `x`'s rows and put conditions on `e`, on two leaves, and on `b` alone.
+/// runs after the join. Selections 12–17 keep none or all of `x`'s rows
+/// and put conditions on `e`, on two leaves, and on `b` alone.
 fn random_plan(join: u8, select: u8, shape: u8, lo: i64) -> LogicalPlan {
     let scan = LogicalPlan::scan;
     let (a, b, d, e) = (|| scan("a"), || scan("b"), || scan("d"), || scan("e"));

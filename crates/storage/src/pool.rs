@@ -64,12 +64,10 @@ impl PoolAccountant {
         self.used
     }
 
-    /// Bytes still available under the limit (`u64::MAX` when unbounded).
+    /// Bytes still available under the limit; an unbounded pool's limit is
+    /// `u64::MAX`, so a reservation can never wrap its usage.
     pub fn available(&self) -> u64 {
-        match self.smax {
-            Some(s) => s.saturating_sub(self.used),
-            None => u64::MAX,
-        }
+        self.smax.unwrap_or(u64::MAX).saturating_sub(self.used)
     }
 
     /// Whether a reservation of `bytes` would fit.
@@ -173,6 +171,20 @@ mod tests {
         assert!(p.reserve(u64::MAX / 2).is_ok());
         assert!(p.fits(u64::MAX / 4));
         assert_eq!(p.smax(), None);
+    }
+
+    #[test]
+    fn unbounded_usage_never_wraps() {
+        let mut p = PoolAccountant::unbounded();
+        p.reserve(u64::MAX / 2).unwrap();
+        p.reserve(u64::MAX / 2).unwrap();
+        let err = p.reserve(2).unwrap_err();
+        assert_eq!(err.available, 1);
+        assert_eq!(
+            p.used(),
+            u64::MAX - 1,
+            "failed reserve must not change state"
+        );
     }
 
     #[test]
