@@ -138,7 +138,7 @@ pub fn stage_breakdown(label: &str, t: &QueryTrace) -> String {
                 "{} selected, {} forced by Smax",
                 ev.selected, ev.limit_forced
             ),
-            secs(ev.delete_secs),
+            "-".into(),
         ],
         vec![
             "recovery".into(),
@@ -270,9 +270,9 @@ mod tests {
             "112 considered, 113 creations, 114 evictions planned",
             "116 B read, 117 B written (118 files, 119 fragments covered)",
             "121 selected, 122 forced by Smax",
-            "124 retries, 126 quarantined (127 B), 128 base-table fallbacks, \
-             129 fragment fallbacks, 130 corrupt, 131 breaker short-circuits",
-            "132 journal records, 135 snapshots, 133 retries",
+            "123 retries, 125 quarantined (126 B), 127 base-table fallbacks, \
+             128 fragment fallbacks, 129 corrupt, 130 breaker short-circuits",
+            "131 journal records, 134 snapshots, 132 retries",
         ] {
             assert!(s.contains(sentence), "missing {sentence:?} in:\n{s}");
         }

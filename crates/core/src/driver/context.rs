@@ -166,10 +166,6 @@ trace_schema! {
             /// Additional evictions forced by `enforce_limit` (actual sizes
             /// exceeded the estimates selection planned with).
             limit_forced: u64,
-            /// Simulated seconds charged for deleting the evicted files
-            /// (zero under the default cost weights, where deletes are
-            /// metadata-only).
-            delete_secs: f64,
         }
         /// Fault recovery: retries absorbed, views quarantined after
         /// permanent losses, and base-table fallbacks. All zero on a
@@ -230,8 +226,7 @@ pub(crate) struct CreationCharge {
     pub(crate) cover_reads: u64,
     /// Transient-failure retries absorbed by materialization I/O.
     pub(crate) retries: u64,
-    /// Simulated backoff/spike seconds those retries cost, plus the delete
-    /// cost of source fragments dropped during refinement (charged into
+    /// Simulated backoff/spike seconds those retries cost (charged into
     /// `creation_secs`).
     pub(crate) penalty_secs: f64,
 }
@@ -384,7 +379,7 @@ mod tests {
     /// The flattened leaf names in `BENCH.json: ds.stage_totals` order. A
     /// schema edit that renames, reorders or drops a gated leaf fails here
     /// (a new leaf extends this list).
-    const LEAVES: [&str; 35] = [
+    const LEAVES: [&str; 34] = [
         "matching.roots",
         "matching.hits",
         "matching.materialized_hits",
@@ -407,7 +402,6 @@ mod tests {
         "materialization.creation_secs",
         "eviction.selected",
         "eviction.limit_forced",
-        "eviction.delete_secs",
         "recovery.retries",
         "recovery.penalty_secs",
         "recovery.quarantined_views",
@@ -458,12 +452,12 @@ mod tests {
                 r#""execution":{"query_secs":15.5},"#,
                 r#""materialization":{"bytes_read":16,"bytes_written":17,"files_written":18,"#,
                 r#""fragments_covered":19,"creation_secs":20.5},"#,
-                r#""eviction":{"selected":21,"limit_forced":22,"delete_secs":23.5},"#,
-                r#""recovery":{"retries":24,"penalty_secs":25.5,"quarantined_views":26,"#,
-                r#""quarantined_bytes":27,"base_table_fallbacks":28,"fragment_fallbacks":29,"#,
-                r#""corrupt_fragments":30,"breaker_short_circuits":31},"#,
-                r#""durability":{"journal_appends":32,"journal_retries":33,"#,
-                r#""journal_penalty_secs":34.5,"snapshots":35}}"#,
+                r#""eviction":{"selected":21,"limit_forced":22},"#,
+                r#""recovery":{"retries":23,"penalty_secs":24.5,"quarantined_views":25,"#,
+                r#""quarantined_bytes":26,"base_table_fallbacks":27,"fragment_fallbacks":28,"#,
+                r#""corrupt_fragments":29,"breaker_short_circuits":30},"#,
+                r#""durability":{"journal_appends":31,"journal_retries":32,"#,
+                r#""journal_penalty_secs":33.5,"snapshots":34}}"#,
             )
         );
     }

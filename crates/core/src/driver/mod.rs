@@ -193,7 +193,7 @@ impl DeepSea {
     /// enabling them is bit-transparent to every decision and cost, pinned
     /// by tests in `deepsea-storage` and `deepsea-engine`.
     pub fn with_observer(mut self, obs: Observer) -> Self {
-        let trace = obs.spans_enabled();
+        let trace = obs.enabled();
         self.fs.set_io_trace(trace);
         self.backend.set_attempt_trace(trace);
         self.obs = obs;

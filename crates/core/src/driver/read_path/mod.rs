@@ -221,7 +221,7 @@ impl<'a> ReadView<'a> {
             ctx.trace.recovery.breaker_short_circuits += 1;
             ctx.used_view = None;
             ctx.qbest = plan.clone();
-            if self.obs.events_enabled() {
+            if self.obs.enabled() {
                 self.obs
                     .event(ctx.tnow, DecisionEvent::BreakerShortCircuit { view });
             }

@@ -26,7 +26,7 @@ impl DeepSea {
         // selection pressure been one notch higher. Computed only when the
         // audit log listens (selection then ranked everything and filled
         // `to_keep`) — it feeds no decision.
-        let runner_up = if self.obs.events_enabled() {
+        let runner_up = if self.obs.enabled() {
             ctx.selection
                 .to_keep
                 .iter()
@@ -39,10 +39,9 @@ impl DeepSea {
         for item in &to_evict {
             let breakdown = self
                 .obs
-                .events_enabled()
+                .enabled()
                 .then(|| self.phi_breakdown(&item.kind, item.phi, ctx.tnow));
-            if let Some((desc, delete_secs)) = self.evict(&item.kind) {
-                ctx.trace.eviction.delete_secs += delete_secs;
+            if let Some(desc) = self.evict(&item.kind) {
                 if let Some(breakdown) = breakdown {
                     self.obs.event(
                         ctx.tnow,
@@ -142,15 +141,13 @@ impl DeepSea {
 
     /// Stage 7: evict lowest-value items until the pool fits `Smax` again.
     pub(crate) fn stage_enforce_limit(&mut self, ctx: &mut QueryContext) {
-        let (forced, delete_secs) = self.enforce_limit(ctx.tnow);
+        let forced = self.enforce_limit(ctx.tnow);
         ctx.trace.eviction.limit_forced = forced.len() as u64;
-        ctx.trace.eviction.delete_secs += delete_secs;
         ctx.evicted.extend(forced);
     }
 
-    /// Evict one item, returning its description and the simulated seconds
-    /// the file delete cost (flows into `EvictionTrace::delete_secs`).
-    fn evict(&mut self, kind: &CandidateKind) -> Option<(String, f64)> {
+    /// Evict one item, returning its description.
+    fn evict(&mut self, kind: &CandidateKind) -> Option<String> {
         let (CandidateKind::WholeView(vid) | CandidateKind::Fragment(vid, _, _)) = kind;
         let view = self.registry.view(*vid);
         let key = view.key.to_string();
@@ -173,19 +170,18 @@ impl DeepSea {
                 )
             }
         };
-        let secs = self.fs.delete_costed(file).map_or(0.0, |(_, s)| s);
+        self.fs.delete(file);
         self.commit(record);
-        Some((desc, secs))
+        Some(desc)
     }
 
     /// Evict lowest-value items until the pool fits `Smax` (actual
     /// materialized sizes can exceed the estimates selection planned with).
-    /// Returns the victims and the simulated delete seconds charged.
-    fn enforce_limit(&mut self, tnow: LogicalTime) -> (Vec<String>, f64) {
+    /// Returns the victims.
+    fn enforce_limit(&mut self, tnow: LogicalTime) -> Vec<String> {
         let Some(smax) = self.config.smax else {
-            return (Vec::new(), 0.0);
+            return Vec::new();
         };
-        let mut delete_secs = 0.0;
         let mut evicted = Vec::new();
         while self.pool_bytes() > smax {
             let items: Vec<RankedItem> = self
@@ -197,7 +193,7 @@ impl DeepSea {
                 break;
             };
             // Audit context only — the victim choice above is untouched.
-            let audit = if self.obs.events_enabled() {
+            let audit = if self.obs.enabled() {
                 let runner_up = items
                     .iter()
                     .filter(|i| i.kind != worst.kind)
@@ -208,8 +204,7 @@ impl DeepSea {
                 None
             };
             match self.evict(&worst.kind) {
-                Some((d, secs)) => {
-                    delete_secs += secs;
+                Some(d) => {
                     if let Some((breakdown, runner_up)) = audit {
                         self.obs.event(
                             tnow,
@@ -227,7 +222,7 @@ impl DeepSea {
                 None => break,
             }
         }
-        (evicted, delete_secs)
+        evicted
     }
 
     /// Maintenance pass implementing the §11 extension: merge consecutive
@@ -315,7 +310,7 @@ impl DeepSea {
             let mut dropped = Vec::with_capacity(2);
             for (file, interval, frag_hits) in halves_meta {
                 hits.extend(frag_hits);
-                secs += self.fs.delete_costed(file).map_or(0.0, |(_, s)| s);
+                self.fs.delete(file);
                 dropped.push(interval);
             }
             hits.sort_unstable();
@@ -338,7 +333,7 @@ impl DeepSea {
             {
                 f.stats.hits = hits;
             }
-            if self.obs.events_enabled() {
+            if self.obs.enabled() {
                 self.obs.event(
                     tnow,
                     DecisionEvent::FragmentMerge {

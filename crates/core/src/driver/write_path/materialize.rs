@@ -188,14 +188,7 @@ impl DeepSea {
                 }
             }
             _ => {
-                let replicas = self.replicas_for(vid);
-                whole = Some(self.create_placed(
-                    name.to_string(),
-                    actual_size,
-                    table,
-                    &mut charge,
-                    replicas,
-                ));
+                whole = Some(self.create_placed(name.to_string(), actual_size, table, &mut charge));
                 charge.write_bytes += actual_size;
                 charge.files += 1;
                 descs.push(name.to_string());
@@ -387,7 +380,7 @@ impl DeepSea {
 
         // Audit the refinement decision: in overlapping mode the sources
         // stay; in horizontal mode they are split and rewritten.
-        if overlapping_mode && self.obs.events_enabled() {
+        if overlapping_mode && self.obs.enabled() {
             self.obs.event(
                 self.clock,
                 DecisionEvent::OverlapKept {
@@ -425,7 +418,7 @@ impl DeepSea {
                 remainders.push(self.write_fragment(vid, attr, piece, t, None, &mut charge));
             }
         }
-        if !overlapping_mode && self.obs.events_enabled() {
+        if !overlapping_mode && self.obs.enabled() {
             self.obs.event(
                 self.clock,
                 DecisionEvent::FragmentSplit {
@@ -438,9 +431,7 @@ impl DeepSea {
             );
         }
         for (_, interval, file) in split_work {
-            if let Some((_, secs)) = self.fs.delete_costed(*file) {
-                charge.penalty_secs += secs;
-            }
+            self.fs.delete(*file);
             records.push(CatalogRecord::FragmentEvicted {
                 view: key.clone(),
                 attr: attr.to_string(),
@@ -556,7 +547,6 @@ impl DeepSea {
             size,
             table,
             charge,
-            self.replicas_for(vid),
         );
         charge.write_bytes += size;
         charge.files += 1;

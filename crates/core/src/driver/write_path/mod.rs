@@ -321,7 +321,7 @@ impl DeepSea {
             return;
         }
         self.obs.counter_inc("deepsea_fragment_outages_total", None);
-        if self.obs.events_enabled() {
+        if self.obs.enabled() {
             let view = self
                 .registry
                 .view_owning_file(file)
@@ -359,7 +359,7 @@ impl DeepSea {
         self.offline.remove(&file);
         ctx.trace.recovery.quarantined_bytes += size;
         self.obs.counter_inc("deepsea_fragment_losses_total", None);
-        if self.obs.events_enabled() {
+        if self.obs.enabled() {
             self.obs.event(
                 ctx.tnow,
                 DecisionEvent::Quarantine {
@@ -390,7 +390,7 @@ impl DeepSea {
             self.offline.remove(&f);
             self.obs
                 .counter_inc("deepsea_fragment_readmissions_total", None);
-            if self.obs.events_enabled() {
+            if self.obs.enabled() {
                 self.obs
                     .event(tnow, DecisionEvent::FragmentReadmitted { file: f.0 });
             }

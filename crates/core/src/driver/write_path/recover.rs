@@ -71,28 +71,10 @@ impl DeepSea {
         Ok((out.value, out.sim_bytes))
     }
 
-    /// The replication factor a new file of view `vid` should be placed at:
-    /// `hot_replication` once the view's recorded benefit events cross the
-    /// cluster's heat threshold, else the base factor. 1 without a cluster.
-    /// Heat is read from statistics updated *before* execution, so a faulted
-    /// and a zero-fault run of the same workload place identically.
-    pub(crate) fn replicas_for(&self, vid: ViewId) -> u32 {
-        match self.fs.cluster() {
-            Some(cluster) => {
-                let cfg = cluster.config();
-                if self.registry.view(vid).stats.events.len() as u64 >= cfg.hot_threshold {
-                    cfg.hot_replication
-                } else {
-                    cfg.replication
-                }
-            }
-            None => 1,
-        }
-    }
-
     /// Create a file on the datanodes its name hashes to (deterministic per
-    /// view/fragment — the name encodes `(view, attr, interval)`; no nodes
-    /// without a cluster), retrying transient write failures under
+    /// view/fragment — the name encodes `(view, attr, interval)`), as many as
+    /// the cluster's replication factor (no nodes without a cluster),
+    /// retrying transient write failures under
     /// `config.retry`. Writes never lose data: the payload is in memory, so
     /// once the budget is exhausted (e.g. the whole placement is down) the
     /// write is forced through and the placement recorded — the queued write
@@ -106,10 +88,11 @@ impl DeepSea {
         sim_bytes: u64,
         payload: Table,
         charge: &mut CreationCharge,
-        replicas: u32,
     ) -> (FileId, Vec<u32>) {
         let nodes = match self.fs.cluster() {
-            Some(cluster) => cluster.placement_for(placement_key(name.as_bytes()), replicas),
+            Some(cluster) => {
+                cluster.placement_for(placement_key(name.as_bytes()), cluster.config().replication)
+            }
             None => Vec::new(),
         };
         let created = retry_transient(
@@ -154,14 +137,12 @@ impl DeepSea {
         for file in view.files() {
             // The file that triggered the failure is usually already gone
             // from the FS; deleting the survivors is metadata-only.
-            // deepsea-lint: allow(cost_flow) -- quarantine is a failure path, not a
-            // costed query stage; its delete cost is charged nowhere by design.
             self.fs.delete(file);
         }
         let applied = self.commit(record);
         self.obs
             .counter_inc("deepsea_quarantined_views_total", Some(&name));
-        if self.obs.events_enabled() {
+        if self.obs.enabled() {
             let files = applied.files.len() as u64;
             self.obs.event(
                 tnow,
@@ -197,7 +178,7 @@ impl DeepSea {
     ///
     /// 1. **Orphans** — a file was created but the crash hit before its
     ///    record was journaled. No catalog entry references it: delete it
-    ///    (releasing its simulated bytes, charged at the delete weight).
+    ///    (releasing its simulated bytes; a delete costs no time).
     /// 2. **Dangling entries** — the journal references a file the FS no
     ///    longer has (deleted pre-crash, its eviction record lost), or one
     ///    whose checksum no longer verifies. The owning view is quarantined;
@@ -243,10 +224,9 @@ impl DeepSea {
         let referenced: BTreeSet<FileId> = self.registry.iter().flat_map(|v| v.files()).collect();
         for f in self.fs.file_ids() {
             if !referenced.contains(&f) {
-                if let Some((bytes, secs)) = self.fs.delete_costed(f) {
+                if let Some(bytes) = self.fs.delete(f) {
                     report.orphan_files += 1;
                     report.orphan_bytes += bytes;
-                    report.gc_secs += secs;
                 }
             }
         }

@@ -500,18 +500,15 @@ impl DeepSea {
             // What the audit log says of each item, taken only when the
             // decision log listens — the selection below runs on the same
             // items either way.
-            let audit: Option<Vec<(String, f64, u64, bool)>> =
-                self.obs.events_enabled().then(|| {
-                    items
-                        .iter()
-                        .map(|i| (self.describe_item(&i.kind), i.phi, i.size, i.materialized))
-                        .collect()
-                });
+            let audit: Option<Vec<(String, f64, u64, bool)>> = self.obs.enabled().then(|| {
+                items
+                    .iter()
+                    .map(|i| (self.describe_item(&i.kind), i.phi, i.size, i.materialized))
+                    .collect()
+            });
             let (selection, verdicts) = select_with_verdicts(items, smax);
             if let Some(audit) = audit {
                 self.observe_selection(audit, &verdicts, ctx.tnow);
-            }
-            if self.obs.enabled() {
                 self.obs.counter_add(
                     "deepsea_candidates_considered_total",
                     None,

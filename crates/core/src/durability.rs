@@ -465,8 +465,6 @@ pub struct FsckReport {
     pub orphan_files: u32,
     /// Simulated bytes those orphans held.
     pub orphan_bytes: u64,
-    /// Simulated seconds charged for deleting them.
-    pub gc_secs: f64,
     /// Catalog-referenced files missing from the FS.
     pub missing_files: u32,
     /// Catalog-referenced files failing checksum verification.

@@ -407,7 +407,7 @@ impl ViewServer {
             .publish_snapshot()
             .expect("invariant: forkability is checked in ViewServer::new");
         let obs = self.ds.observer().clone();
-        let spans_on = obs.spans_enabled();
+        let spans_on = obs.enabled();
         let schedule = self.cfg.node_schedule.clone();
         let slow_schedule = self.cfg.slow_schedule.clone();
         // Per-ticket causal roots (trace id = ticket + 1), so the serialized
@@ -540,7 +540,7 @@ impl ViewServer {
                     shed_reads += 1;
                     obs.counter_inc("deepsea_shed_reads_total", None);
                     obs.counter_inc("deepsea_shed_reads_total", Some(reason));
-                    if obs.events_enabled() {
+                    if obs.enabled() {
                         obs.event(
                             ticket as u64 + 1,
                             deepsea_obs::DecisionEvent::Shed {
@@ -588,7 +588,7 @@ impl ViewServer {
                         obs.counter_add("deepsea_hedges_total", Some("issued"), issued);
                         obs.counter_add("deepsea_hedges_total", Some("won"), won);
                         obs.counter_add("deepsea_hedges_total", Some("cancelled"), cancelled);
-                        if obs.events_enabled() {
+                        if obs.enabled() {
                             obs.event(
                                 tn,
                                 deepsea_obs::DecisionEvent::HedgedRead {
@@ -740,7 +740,7 @@ impl ViewServer {
         // The FS state change happens regardless of observability; only the
         // event assembly (label formatting included) is gated.
         if multiplier > 1.0 {
-            if self.ds.fs().set_node_slow(NodeId(node), multiplier) && obs.events_enabled() {
+            if self.ds.fs().set_node_slow(NodeId(node), multiplier) && obs.enabled() {
                 obs.event(
                     tnow,
                     deepsea_obs::DecisionEvent::NodeSlow {
@@ -749,7 +749,7 @@ impl ViewServer {
                     },
                 );
             }
-        } else if self.ds.fs().clear_node_slow(NodeId(node)) && obs.events_enabled() {
+        } else if self.ds.fs().clear_node_slow(NodeId(node)) && obs.enabled() {
             obs.event(
                 tnow,
                 deepsea_obs::DecisionEvent::NodeSlowCleared {
@@ -771,7 +771,7 @@ impl ViewServer {
             NodeAction::Up => self.ds.fs().set_node_up(NodeId(node)),
             NodeAction::Kill => self.ds.fs().kill_node(NodeId(node)),
         };
-        if applied && obs.events_enabled() {
+        if applied && obs.enabled() {
             let label = format!("node{node}");
             let event = match action {
                 NodeAction::Down => deepsea_obs::DecisionEvent::NodeDown { node: label },

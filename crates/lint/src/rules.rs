@@ -28,11 +28,10 @@
 //!   nowhere else.
 //! - **R3 `cost_flow`** — cost components returned by `try_*` / `*_costed`
 //!   / `drain_retry_*` calls must not be silently dropped (discarded tuple
-//!   components, unconsumed statements, or the cost-dropping
-//!   `SimFs::delete` wrapper in core).
+//!   components or unconsumed statements).
 //! - **R4 `obs_gated`** — Observer derived computation (`DecisionEvent`
 //!   construction, `format!`-built labels feeding sinks) must sit under an
-//!   `enabled()` / `events_enabled()` / span-presence guard.
+//!   `enabled()` / span-presence guard.
 //!
 //! Any site may be exempted with a justified marker on the same line or the
 //! line directly above:
@@ -217,13 +216,12 @@ const LOCK_ACQUIRE_METHODS: [&str; 6] =
 
 /// Observer sink methods; a `format!`-built label flowing into one of
 /// these is derived computation R4 requires a guard around.
-const OBS_SINKS: [&str; 6] = [
+const OBS_SINKS: [&str; 5] = [
     "event",
     "observe",
     "record_span",
     "counter_inc",
     "counter_add",
-    "gauge_set",
 ];
 
 /// The crate a workspace-relative path belongs to (`crates/<name>/…`), or a
@@ -1074,9 +1072,8 @@ fn rule_lock_discipline(
 
 /// R3 — cost flow. The complement of "every charged simulated second lands
 /// in a trace field": flag the places a cost component is visibly dropped —
-/// a `_` in a tuple `let` binding whose RHS calls a cost source, a bare
-/// statement discarding a cost source's whole result, and (in core) the
-/// cost-dropping `SimFs::delete` convenience wrapper. Flows the scan cannot
+/// a `_` in a tuple `let` binding whose RHS calls a cost source, and a bare
+/// statement discarding a cost source's whole result. Flows the scan cannot
 /// follow (closures, re-bindings) are left to the dynamic suites —
 /// conservatism here means no false alarms, not perfect coverage.
 fn rule_cost_flow(
@@ -1087,34 +1084,6 @@ fn rule_cost_flow(
 ) {
     let is_source =
         |s: &str| s.starts_with("try_") || s.ends_with("_costed") || s.starts_with("drain_retry_");
-    // `self.fs.delete(…)` / `.fs().delete(…)` — the wrapper that maps the
-    // cost away. Core-path callers must use `delete_costed` and account
-    // the seconds.
-    for i in 0..t.len() {
-        if in_test(i) || !t[i].is_ident("delete") {
-            continue;
-        }
-        if !t.get(i + 1).is_some_and(|n| n.is_punct('(')) {
-            continue;
-        }
-        let via_field = i >= 2 && t[i - 1].is_punct('.') && t[i - 2].is_ident("fs");
-        let via_method = i >= 4
-            && t[i - 1].is_punct('.')
-            && t[i - 2].is_punct(')')
-            && t[i - 3].is_punct('(')
-            && t[i - 4].is_ident("fs");
-        if via_field || via_method {
-            violation(
-                out,
-                RuleId::CostFlow,
-                rel,
-                t[i].line,
-                "`SimFs::delete` drops the delete's simulated cost — call \
-                 `delete_costed` and account the seconds in a trace field"
-                    .to_string(),
-            );
-        }
-    }
     for (s, e, term) in statements(t) {
         if in_test(s) {
             continue;
@@ -1218,10 +1187,10 @@ fn rule_cost_flow(
 /// `format!`-built labels feeding Observer sinks, unless dominated by an
 /// `enabled()`-family guard. Guard recognition covers the codebase's
 /// idioms: early-return blocks (`if !obs.enabled() { return; }`),
-/// guard-positive blocks (`if obs.events_enabled() { … }`), span-presence
+/// guard-positive blocks (`if obs.enabled() { … }`), span-presence
 /// checks (`.is_none()` / `.is_some()`), guard-local booleans
-/// (`let spans_on = obs.spans_enabled();`), and statements that contain
-/// the guard call themselves (`events_enabled().then(|| …)`).
+/// (`let spans_on = obs.enabled();`), and statements that contain
+/// the guard call themselves (`enabled().then(|| …)`).
 fn rule_obs_gated(
     rel: &str,
     t: &[Token],
@@ -1316,8 +1285,8 @@ fn rule_obs_gated(
                         RuleId::ObsGated,
                         rel,
                         t[k].line,
-                        "`DecisionEvent` constructed without an `enabled()`/\
-                     `events_enabled()` guard — event assembly must be free \
+                        "`DecisionEvent` constructed without an `enabled()` \
+                     guard — event assembly must be free \
                      when observability is off"
                             .to_string(),
                     );

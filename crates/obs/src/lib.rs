@@ -1,7 +1,7 @@
 //! # deepsea-obs
 //!
 //! Observability for the DeepSea view pool: a typed metrics registry
-//! (counters / gauges / log-bucket histograms with percentile estimation),
+//! (counters and log-bucket histograms with percentile estimation),
 //! span tracing driven by the *simulated* clock, and a structured decision
 //! audit log (JSONL) explaining every selection, eviction, split/merge and
 //! recovery decision — plus a Prometheus text exporter.
@@ -17,9 +17,11 @@
 //!
 //! A disabled observer ([`Observer::default`] or [`ObsConfig::off`]) is a
 //! no-op handle: every method returns immediately and no state is
-//! allocated. The driver's decisions must be identical with observation on
-//! or off — the observer only *reads* engine state, and enabling it must
-//! never change a query result, an eviction choice, or `state_digest()`.
+//! allocated. Observation is one switch: an observer collects metrics,
+//! spans and events together, or nothing. The driver's decisions must be
+//! identical with observation on or off — the observer only *reads* engine
+//! state, and enabling it must never change a query result, an eviction
+//! choice, or `state_digest()`.
 //! `tests/obs_transparency.rs` in the workspace root enforces this against
 //! the golden 50-query workload.
 
@@ -40,18 +42,12 @@ pub use trace::{
 // deepsea-lint: allow(lock_discipline) -- observer buffers are shared across worker threads; single lock per sink
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// What to collect. [`ObsConfig::off`] (the `Default`) collects nothing.
+/// Whether to collect. [`ObsConfig::off`] (the `Default`) collects
+/// nothing; [`ObsConfig::on`] collects metrics, spans and events together.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsConfig {
-    /// Collect counters / gauges / histograms.
-    pub metrics: bool,
-    /// Record per-stage spans.
-    pub spans: bool,
-    /// Record decision audit events.
-    pub events: bool,
-    /// Per-metric label cardinality budget (see
-    /// [`metrics::MetricsRegistry`]).
-    pub max_label_cardinality: usize,
+    /// Collect metrics, spans and decision events.
+    pub collect: bool,
     /// Retain at most this many spans (`0` = unbounded). The cap bounds
     /// storage only: span ids keep advancing and drops are counted in
     /// [`Observer::spans_dropped`], so capping never perturbs the causal
@@ -63,22 +59,15 @@ impl ObsConfig {
     /// Collect nothing (the default).
     pub fn off() -> Self {
         Self {
-            metrics: false,
-            spans: false,
-            events: false,
-            max_label_cardinality: 0,
+            collect: false,
             max_spans: 0,
         }
     }
 
-    /// Collect everything, with a budget of 256 labels per metric and an
-    /// unbounded span log.
+    /// Collect everything, with an unbounded span log.
     pub fn on() -> Self {
         Self {
-            metrics: true,
-            spans: true,
-            events: true,
-            max_label_cardinality: 256,
+            collect: true,
             max_spans: 0,
         }
     }
@@ -88,11 +77,6 @@ impl ObsConfig {
         self.max_spans = max_spans;
         self
     }
-
-    /// True when at least one collector is enabled.
-    pub fn any(&self) -> bool {
-        self.metrics || self.spans || self.events
-    }
 }
 
 impl Default for ObsConfig {
@@ -101,17 +85,14 @@ impl Default for ObsConfig {
     }
 }
 
+/// Per-metric label cardinality budget (see [`metrics::MetricsRegistry`]).
+const MAX_LABELS_PER_METRIC: usize = 256;
+
 #[derive(Debug)]
 struct State {
     metrics: MetricsRegistry,
     spans: SpanLog,
     events: EventLog,
-}
-
-#[derive(Debug)]
-struct Inner {
-    config: ObsConfig,
-    state: Mutex<State>,
 }
 
 /// A cheap, cloneable handle to the collectors. The default-constructed
@@ -123,24 +104,21 @@ struct Inner {
 /// variant its own driver and observer).
 #[derive(Debug, Default, Clone)]
 pub struct Observer {
-    inner: Option<Arc<Inner>>,
+    state: Option<Arc<Mutex<State>>>,
 }
 
 impl Observer {
     /// Build from a config; `ObsConfig::off()` yields the disabled handle.
     pub fn new(config: ObsConfig) -> Self {
-        if !config.any() {
+        if !config.collect {
             return Self::default();
         }
         Self {
-            inner: Some(Arc::new(Inner {
-                config,
-                state: Mutex::new(State {
-                    metrics: MetricsRegistry::new(config.max_label_cardinality.max(1)),
-                    spans: SpanLog::with_cap(config.max_spans),
-                    events: EventLog::default(),
-                }),
-            })),
+            state: Some(Arc::new(Mutex::new(State {
+                metrics: MetricsRegistry::new(MAX_LABELS_PER_METRIC),
+                spans: SpanLog::with_cap(config.max_spans),
+                events: EventLog::default(),
+            }))),
         }
     }
 
@@ -149,39 +127,22 @@ impl Observer {
         Self::default()
     }
 
-    /// True when any collector is active. Instrumentation sites use this to
-    /// skip *pure* derived computation (e.g. a Φ breakdown) when nobody is
-    /// listening; effectful code must never hide behind it.
+    /// True when the observer collects. Instrumentation sites use this to
+    /// skip *pure* derived computation (e.g. a Φ breakdown or a span label)
+    /// when nobody is listening; effectful code must never hide behind it.
     pub fn enabled(&self) -> bool {
-        self.inner.is_some()
+        self.state.is_some()
     }
 
-    /// True when decision events are being recorded.
-    pub fn events_enabled(&self) -> bool {
-        self.inner.as_ref().is_some_and(|i| i.config.events)
-    }
-
-    /// True when spans are being recorded. Instrumentation uses this to
-    /// skip label formatting (and to gate the engine-side detail buffers
-    /// that feed span conversion) when nobody is tracing.
-    pub fn spans_enabled(&self) -> bool {
-        self.inner.as_ref().is_some_and(|i| i.config.spans)
-    }
-
-    fn lock(&self) -> Option<(MutexGuard<'_, State>, ObsConfig)> {
-        let inner = self.inner.as_ref()?;
-        Some((
-            inner.state.lock().unwrap_or_else(|e| e.into_inner()),
-            inner.config,
-        ))
+    fn lock(&self) -> Option<MutexGuard<'_, State>> {
+        let state = self.state.as_ref()?;
+        Some(state.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// Add to a counter.
     pub fn counter_add(&self, name: &'static str, label: Option<&str>, delta: u64) {
-        if let Some((mut s, c)) = self.lock() {
-            if c.metrics {
-                s.metrics.counter_add(name, label, delta);
-            }
+        if let Some(mut s) = self.lock() {
+            s.metrics.counter_add(name, label, delta);
         }
     }
 
@@ -190,38 +151,10 @@ impl Observer {
         self.counter_add(name, label, 1);
     }
 
-    /// Set a gauge.
-    pub fn gauge_set(&self, name: &'static str, label: Option<&str>, v: f64) {
-        if let Some((mut s, c)) = self.lock() {
-            if c.metrics {
-                s.metrics.gauge_set(name, label, v);
-            }
-        }
-    }
-
     /// Record a histogram observation.
     pub fn observe(&self, name: &'static str, label: Option<&str>, v: f64) {
-        if let Some((mut s, c)) = self.lock() {
-            if c.metrics {
-                s.metrics.observe(name, label, v);
-            }
-        }
-    }
-
-    /// Record a completed span (`start`/`end` in cumulative sim-seconds).
-    pub fn span(
-        &self,
-        tnow: u64,
-        name: &'static str,
-        label: Option<&str>,
-        start_sim_secs: f64,
-        end_sim_secs: f64,
-    ) {
-        if let Some((mut s, c)) = self.lock() {
-            if c.spans {
-                s.spans
-                    .record(tnow, name, label, start_sim_secs, end_sim_secs);
-            }
+        if let Some(mut s) = self.lock() {
+            s.metrics.observe(name, label, v);
         }
     }
 
@@ -238,19 +171,10 @@ impl Observer {
         start_sim_secs: f64,
         end_sim_secs: f64,
     ) -> SpanCtx {
-        if let Some((mut s, c)) = self.lock() {
-            if c.spans {
-                return s.spans.record_span(
-                    tnow,
-                    name,
-                    label,
-                    parent,
-                    start_sim_secs,
-                    end_sim_secs,
-                );
-            }
-        }
-        SpanCtx::NONE
+        self.lock().map_or(SpanCtx::NONE, |mut s| {
+            s.spans
+                .record_span(tnow, name, label, parent, start_sim_secs, end_sim_secs)
+        })
     }
 
     /// Pre-allocate a span context under `parent` for a span whose duration
@@ -259,12 +183,8 @@ impl Observer {
     /// span itself with [`Observer::record_span_at`]. Returns
     /// [`SpanCtx::NONE`] when disabled.
     pub fn alloc_span(&self, parent: SpanCtx) -> SpanCtx {
-        if let Some((mut s, c)) = self.lock() {
-            if c.spans {
-                return s.spans.alloc_span(parent);
-            }
-        }
-        SpanCtx::NONE
+        self.lock()
+            .map_or(SpanCtx::NONE, |mut s| s.spans.alloc_span(parent))
     }
 
     /// Record a span whose context was pre-allocated with
@@ -283,77 +203,58 @@ impl Observer {
         if ctx.is_none() {
             return;
         }
-        if let Some((mut s, c)) = self.lock() {
-            if c.spans {
-                s.spans.record_allocated(
-                    ctx,
-                    tnow,
-                    name,
-                    label,
-                    parent,
-                    start_sim_secs,
-                    end_sim_secs,
-                );
-            }
+        if let Some(mut s) = self.lock() {
+            s.spans
+                .record_allocated(ctx, tnow, name, label, parent, start_sim_secs, end_sim_secs);
         }
     }
 
     /// Spans dropped by the retention cap (`0` when disabled or uncapped).
     pub fn spans_dropped(&self) -> u64 {
-        self.lock()
-            .map(|(s, _)| s.spans.spans_dropped())
-            .unwrap_or(0)
+        self.lock().map_or(0, |s| s.spans.spans_dropped())
     }
 
     /// Record a decision event.
     pub fn event(&self, tnow: u64, event: DecisionEvent) {
-        if let Some((mut s, c)) = self.lock() {
-            if c.events {
-                s.events.record(tnow, event);
-            }
+        if let Some(mut s) = self.lock() {
+            s.events.record(tnow, event);
         }
     }
 
     /// Snapshot the metrics registry (empty when disabled).
     pub fn metrics_snapshot(&self) -> MetricsRegistry {
-        self.lock()
-            .map(|(s, _)| s.metrics.clone())
-            .unwrap_or_default()
+        self.lock().map(|s| s.metrics.clone()).unwrap_or_default()
     }
 
     /// Snapshot the recorded events (empty when disabled).
     pub fn events_snapshot(&self) -> Vec<EventRecord> {
         self.lock()
-            .map(|(s, _)| s.events.events().to_vec())
+            .map(|s| s.events.events().to_vec())
             .unwrap_or_default()
     }
 
     /// Snapshot the recorded spans (empty when disabled).
     pub fn spans_snapshot(&self) -> Vec<SpanRecord> {
         self.lock()
-            .map(|(s, _)| s.spans.spans().to_vec())
+            .map(|s| s.spans.spans().to_vec())
             .unwrap_or_default()
     }
 
     /// Render the metrics in Prometheus text format.
     pub fn render_prometheus(&self) -> String {
         self.lock()
-            .map(|(s, _)| prometheus::render_prometheus(&s.metrics))
+            .map(|s| prometheus::render_prometheus(&s.metrics))
             .unwrap_or_default()
     }
 
     /// Render the event log as JSONL.
     pub fn events_jsonl(&self) -> String {
-        self.lock()
-            .map(|(s, _)| s.events.to_jsonl())
-            .unwrap_or_default()
+        self.lock().map(|s| s.events.to_jsonl()).unwrap_or_default()
     }
 
     /// Render the span log as JSONL.
     pub fn spans_jsonl(&self) -> String {
-        self.lock()
-            .map(|(s, _)| s.spans.to_jsonl())
-            .unwrap_or_default()
+        self.lock().map(|s| s.spans.to_jsonl()).unwrap_or_default()
     }
 }
 
@@ -366,9 +267,8 @@ mod tests {
         let obs = Observer::default();
         assert!(!obs.enabled());
         obs.counter_inc("c", None);
-        obs.gauge_set("g", None, 1.0);
         obs.observe("h", None, 1.0);
-        obs.span(1, "s", None, 0.0, 1.0);
+        obs.record_span(1, "s", None, SpanCtx::root(1), 0.0, 1.0);
         obs.event(
             1,
             DecisionEvent::JournalSnapshot {
@@ -380,18 +280,18 @@ mod tests {
         assert!(obs.spans_snapshot().is_empty());
         assert_eq!(obs.render_prometheus(), "");
         assert_eq!(obs.events_jsonl(), "");
-        assert!(Observer::new(ObsConfig::off()).inner.is_none());
+        assert!(Observer::new(ObsConfig::off()).state.is_none());
     }
 
     #[test]
     fn enabled_observer_records_across_clones() {
         let obs = Observer::new(ObsConfig::on());
-        assert!(obs.enabled() && obs.events_enabled());
+        assert!(obs.enabled());
         let clone = obs.clone();
         clone.counter_add("q_total", None, 2);
         obs.counter_inc("q_total", None);
         assert_eq!(obs.metrics_snapshot().counter("q_total", None), 3);
-        clone.span(1, "execute", Some("V1"), 0.0, 2.0);
+        clone.record_span(1, "execute", Some("V1"), SpanCtx::root(1), 0.0, 2.0);
         assert_eq!(obs.spans_snapshot().len(), 1);
         obs.event(
             4,
@@ -402,30 +302,5 @@ mod tests {
         let evs = obs.events_snapshot();
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].tnow, 4);
-    }
-
-    #[test]
-    fn partial_configs_gate_each_collector() {
-        let cfg = ObsConfig {
-            metrics: true,
-            spans: false,
-            events: false,
-            max_label_cardinality: 8,
-            max_spans: 0,
-        };
-        let obs = Observer::new(cfg);
-        assert!(obs.enabled());
-        assert!(!obs.events_enabled());
-        obs.counter_inc("c", None);
-        obs.span(1, "s", None, 0.0, 1.0);
-        obs.event(
-            1,
-            DecisionEvent::JournalSnapshot {
-                appended_since_last: 1,
-            },
-        );
-        assert_eq!(obs.metrics_snapshot().counter("c", None), 1);
-        assert!(obs.spans_snapshot().is_empty());
-        assert!(obs.events_snapshot().is_empty());
     }
 }

@@ -1,5 +1,5 @@
-//! The typed metrics registry: monotonic counters, gauges, and fixed
-//! log-bucket histograms with percentile estimation.
+//! The typed metrics registry: monotonic counters and fixed log-bucket
+//! histograms with percentile estimation.
 //!
 //! Every metric is addressed by a `&'static str` name plus an optional
 //! label (a view or fragment identifier). Label cardinality is bounded per
@@ -57,8 +57,10 @@ pub fn bucket_of(v: f64) -> usize {
         // bucket (`partial_cmp` returns `None` for NaN, routing it here too).
         return 0;
     }
-    let e = v.log2().ceil() as i32; // v ≤ 2^e, v > 2^(e−1)
-    let idx = e - MIN_EXP;
+    // v ≤ 2^e, v > 2^(e−1). `+∞` saturates `e` to `i32::MAX`, so the
+    // subtraction saturates too and keeps `+∞` in the overflow bucket.
+    let e = v.log2().ceil() as i32;
+    let idx = e.saturating_sub(MIN_EXP);
     (idx.max(1) as usize).min(HISTOGRAM_BUCKETS - 1)
 }
 
@@ -112,13 +114,11 @@ impl Histogram {
 /// One metric's per-label series. `None` is the unlabeled series.
 pub type Series<T> = BTreeMap<Option<String>, T>;
 
-/// The registry: three metric families, each `name → label → value`.
+/// The registry: two metric families, each `name → label → value`.
 #[derive(Debug, Default, Clone)]
 pub struct MetricsRegistry {
     /// Monotonic counters.
     pub counters: BTreeMap<&'static str, Series<u64>>,
-    /// Last-write-wins gauges.
-    pub gauges: BTreeMap<&'static str, Series<f64>>,
     /// Log-bucket histograms.
     pub histograms: BTreeMap<&'static str, Series<Histogram>>,
     /// Per-metric label cardinality limit.
@@ -159,12 +159,6 @@ impl MetricsRegistry {
         *Self::slot(self.counters.entry(name).or_default(), label, max) += delta;
     }
 
-    /// Set a gauge.
-    pub fn gauge_set(&mut self, name: &'static str, label: Option<&str>, v: f64) {
-        let max = self.max_cardinality;
-        *Self::slot(self.gauges.entry(name).or_default(), label, max) = v;
-    }
-
     /// Record a histogram observation.
     pub fn observe(&mut self, name: &'static str, label: Option<&str>, v: f64) {
         let max = self.max_cardinality;
@@ -178,14 +172,6 @@ impl MetricsRegistry {
             .and_then(|s| s.get(&label.map(String::from)))
             .copied()
             .unwrap_or(0)
-    }
-
-    /// Read a gauge.
-    pub fn gauge(&self, name: &str, label: Option<&str>) -> Option<f64> {
-        self.gauges
-            .get(name)
-            .and_then(|s| s.get(&label.map(String::from)))
-            .copied()
     }
 
     /// Read a histogram.
@@ -250,6 +236,34 @@ mod tests {
     }
 
     #[test]
+    fn infinity_lands_in_the_overflow_bucket() {
+        assert_eq!(bucket_of(f64::INFINITY), HISTOGRAM_BUCKETS - 1);
+        let mut h = Histogram::default();
+        h.observe(1.0);
+        h.observe(f64::INFINITY);
+        assert_eq!(h.quantile(1.0), Some(f64::INFINITY));
+        let mut m = MetricsRegistry::new(4);
+        m.observe("lat", None, 1.0);
+        m.observe("lat", None, f64::INFINITY);
+        let text = crate::prometheus::render_prometheus(&m);
+        let samples = crate::prometheus::parse_prometheus(&text).unwrap();
+        let value = |name: &str, le: Option<&str>| {
+            samples
+                .iter()
+                .find(|s| {
+                    s.name == name
+                        && le.is_none_or(|le| s.labels == [("le".to_string(), le.to_string())])
+                })
+                .unwrap_or_else(|| panic!("missing {name} {le:?}"))
+                .value
+        };
+        assert_eq!(value("lat_sum", None), f64::INFINITY);
+        assert_eq!(value("lat_bucket", Some("+Inf")), 2.0);
+        // The finite observation stays in its own bucket, below `+Inf`.
+        assert_eq!(value("lat_bucket", Some("1")), 1.0);
+    }
+
+    #[test]
     fn every_finite_bucket_has_doubling_bounds() {
         for i in 1..HISTOGRAM_BUCKETS - 2 {
             assert_eq!(bucket_upper_bound(i + 1), bucket_upper_bound(i) * 2.0);
@@ -303,7 +317,7 @@ mod tests {
     }
 
     #[test]
-    fn counter_and_gauge_basics() {
+    fn counter_basics() {
         let mut m = MetricsRegistry::new(16);
         m.counter_add("q_total", None, 1);
         m.counter_add("q_total", None, 2);
@@ -311,10 +325,6 @@ mod tests {
         assert_eq!(m.counter("q_total", None), 3);
         assert_eq!(m.counter("hits", Some("V1")), 5);
         assert_eq!(m.counter("hits", Some("V2")), 0);
-        m.gauge_set("pool", None, 1.5);
-        m.gauge_set("pool", None, 2.5);
-        assert_eq!(m.gauge("pool", None), Some(2.5));
-        assert_eq!(m.gauge("nope", None), None);
     }
 
     #[test]
@@ -331,11 +341,7 @@ mod tests {
         m.counter_add("hits", Some("V0"), 10);
         assert_eq!(m.counter("hits", Some("V0")), 11);
         assert_eq!(series_len(&m, "hits"), 4);
-        // Gauges and histograms share the rule.
-        let mut g = MetricsRegistry::new(1);
-        g.gauge_set("g", Some("a"), 1.0);
-        g.gauge_set("g", Some("b"), 2.0);
-        assert_eq!(g.gauge("g", Some(OVERFLOW_LABEL)), Some(2.0));
+        // Histograms share the rule.
         let mut h = MetricsRegistry::new(1);
         h.observe("h", Some("a"), 1.0);
         h.observe("h", Some("b"), 1.0);

@@ -4,7 +4,6 @@
 //!
 //! Rendering rules:
 //! - counters: `# TYPE name counter` then `name{view="V1"} 5` per series,
-//! - gauges: `# TYPE name gauge` then one line per series,
 //! - histograms: `# TYPE name histogram` with cumulative `name_bucket`
 //!   lines (`le` inclusive upper bounds, `+Inf` last), `name_sum`,
 //!   `name_count`, and estimated `name_p50/_p95/_p99` gauges.
@@ -81,13 +80,6 @@ pub fn render_prometheus(m: &MetricsRegistry) -> String {
         for (label, v) in series {
             write_name(&mut out, name, "", label.as_deref());
             let _ = writeln!(out, "{v}");
-        }
-    }
-    for (name, series) in &m.gauges {
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        for (label, v) in series {
-            write_name(&mut out, name, "", label.as_deref());
-            write_f64(&mut out, *v);
         }
     }
     for (name, series) in &m.histograms {
@@ -209,7 +201,6 @@ mod tests {
         m.counter_add("deepsea_queries_total", None, 42);
         m.counter_add("deepsea_view_hits_total", Some("V1"), 5);
         m.counter_add("deepsea_view_hits_total", Some("V2"), 9);
-        m.gauge_set("deepsea_pool_bytes", None, 1.5e9);
         m.observe("deepsea_query_secs", None, 2.0);
         m.observe("deepsea_query_secs", None, 300.0);
 
@@ -232,7 +223,6 @@ mod tests {
         assert_eq!(find("deepsea_queries_total", None), 42.0);
         assert_eq!(find("deepsea_view_hits_total", Some(("view", "V1"))), 5.0);
         assert_eq!(find("deepsea_view_hits_total", Some(("view", "V2"))), 9.0);
-        assert_eq!(find("deepsea_pool_bytes", None), 1.5e9);
         assert_eq!(find("deepsea_query_secs_count", None), 2.0);
         assert_eq!(find("deepsea_query_secs_sum", None), 302.0);
         // Cumulative +Inf bucket covers everything.

@@ -206,26 +206,6 @@ impl SpanLog {
         }
     }
 
-    /// Record a flat (untraced, root) span; assigns the next sequence
-    /// number. Kept for call sites that don't participate in a trace.
-    pub fn record(
-        &mut self,
-        tnow: u64,
-        name: &'static str,
-        label: Option<&str>,
-        start_sim_secs: f64,
-        end_sim_secs: f64,
-    ) {
-        self.record_span(
-            tnow,
-            name,
-            label,
-            SpanCtx::root(tnow),
-            start_sim_secs,
-            end_sim_secs,
-        );
-    }
-
     /// All retained spans in emission order.
     pub fn spans(&self) -> &[SpanRecord] {
         &self.spans
@@ -254,9 +234,9 @@ mod tests {
     #[test]
     fn sequence_numbers_are_monotonic() {
         let mut log = SpanLog::default();
-        log.record(1, "execute", None, 0.0, 5.0);
-        log.record(1, "materialize", Some("V1"), 5.0, 7.5);
-        log.record(2, "execute", None, 7.5, 9.0);
+        log.record_span(1, "execute", None, SpanCtx::root(1), 0.0, 5.0);
+        log.record_span(1, "materialize", Some("V1"), SpanCtx::root(1), 5.0, 7.5);
+        log.record_span(2, "execute", None, SpanCtx::root(2), 7.5, 9.0);
         let seqs: Vec<u64> = log.spans().iter().map(|s| s.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2]);
         assert_eq!(log.spans()[1].duration_secs(), 2.5);
@@ -328,7 +308,7 @@ mod tests {
     #[test]
     fn jsonl_is_one_valid_object_per_line() {
         let mut log = SpanLog::default();
-        log.record(3, "execute", Some("V2"), 1.0, 2.0);
+        log.record_span(3, "execute", Some("V2"), SpanCtx::root(3), 1.0, 2.0);
         let out = log.to_jsonl();
         assert_eq!(out.lines().count(), 1);
         assert_eq!(

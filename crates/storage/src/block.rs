@@ -1,4 +1,4 @@
-//! Block-size configuration and file→task math.
+//! Block-size configuration and file→block math.
 
 /// Default simulated block size. The paper's clusters use HDFS with 64–128 MB
 /// blocks; we default to 128 MB of *simulated* bytes.
@@ -43,12 +43,6 @@ impl BlockConfig {
             bytes.div_ceil(self.block_bytes)
         }
     }
-
-    /// Number of map tasks a scan over the given file sizes launches:
-    /// one per block of each file.
-    pub fn tasks_for_files<I: IntoIterator<Item = u64>>(&self, sizes: I) -> u64 {
-        sizes.into_iter().map(|s| self.blocks_for(s)).sum()
-    }
 }
 
 #[cfg(test)]
@@ -66,13 +60,6 @@ mod tests {
     }
 
     #[test]
-    fn tasks_sum_over_files() {
-        let cfg = BlockConfig::new(100);
-        assert_eq!(cfg.tasks_for_files([50, 150, 0]), 1 + 2 + 1);
-        assert_eq!(cfg.tasks_for_files(std::iter::empty()), 0);
-    }
-
-    #[test]
     fn default_is_128mb() {
         assert_eq!(BlockConfig::default().block_bytes, 128 * 1024 * 1024);
     }
@@ -87,8 +74,10 @@ mod tests {
     fn many_small_files_cost_more_tasks_than_one_big_file() {
         // The small-file penalty behind the paper's E-60 result.
         let cfg = BlockConfig::new(128);
-        let one_big = cfg.tasks_for_files([1280]);
-        let many_small: u64 = cfg.tasks_for_files(std::iter::repeat_n(16u64, 80));
+        let one_big = cfg.blocks_for(1280);
+        let many_small: u64 = std::iter::repeat_n(16u64, 80)
+            .map(|s| cfg.blocks_for(s))
+            .sum();
         assert_eq!(one_big, 10);
         assert_eq!(many_small, 80);
         assert!(many_small > one_big);

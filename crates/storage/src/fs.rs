@@ -24,7 +24,7 @@ use crate::weights::CostWeights;
 /// can fold it into a query's elapsed time.
 ///
 /// A `SimFs` may optionally be *sharded* over a simulated cluster (see
-/// [`SimFs::with_cluster`] and the [`ShardedFs`] alias): files are placed on
+/// [`SimFs::with_cluster`]): files are placed on
 /// [`NodeSet`] datanodes, reads fail over to the first live replica, a down
 /// node makes its un-replicated files fail as transient, and a dead node
 /// converts them to permanent loss. Without a cluster every behaviour is
@@ -106,10 +106,6 @@ struct HedgeCounters {
     cancelled: u64,
     extra_secs: f64,
 }
-
-/// A cluster-attached [`SimFs`]: same type, sharded semantics. Build one
-/// with [`SimFs::with_cluster`].
-pub type ShardedFs<P> = SimFs<P>;
 
 struct Inner<P> {
     files: BTreeMap<FileId, StoredFile<P>>,
@@ -579,32 +575,17 @@ impl<P> SimFs<P> {
         }
     }
 
-    /// Delete a file (eviction). Returns the freed simulated bytes and the
-    /// simulated cost of the delete (`CostWeights::wdelete`, zero by default
-    /// to match HDFS metadata-only semantics), or `None` if absent.
-    pub fn delete_costed(&self, id: FileId) -> Option<(u64, f64)> {
+    /// Delete a file (eviction). Returns the freed simulated bytes, or
+    /// `None` if absent. A delete costs no simulated time: on HDFS it is a
+    /// namenode metadata operation.
+    pub fn delete(&self, id: FileId) -> Option<u64> {
         let mut inner = self.locked();
         let file = inner.files.remove(&id)?;
         inner.ledger.record_delete();
         if let Some(cluster) = &self.cluster {
             cluster.forget(id);
         }
-        Some((file.sim_bytes, self.weights.delete_cost()))
-    }
-
-    /// Delete a file, discarding the delete cost. See [`SimFs::delete_costed`].
-    pub fn delete(&self, id: FileId) -> Option<u64> {
-        self.delete_costed(id).map(|(bytes, _)| bytes)
-    }
-
-    /// Number of map tasks a scan of the given files launches.
-    pub fn scan_tasks<I: IntoIterator<Item = FileId>>(&self, ids: I) -> u64 {
-        let inner = self.locked();
-        let sizes: Vec<u64> = ids
-            .into_iter()
-            .filter_map(|id| inner.files.get(&id).map(|f| f.sim_bytes))
-            .collect();
-        self.block.tasks_for_files(sizes)
+        Some(file.sim_bytes)
     }
 
     /// Snapshot of the accumulated ledger.
@@ -677,17 +658,6 @@ mod tests {
         assert_eq!(l.write_bytes, 500);
         assert_eq!(l.read_bytes, 1000);
         assert_eq!(l.files_read, 2);
-    }
-
-    #[test]
-    fn scan_tasks_counts_blocks_per_file() {
-        let fs = fs();
-        let (a, _) = fs.create("a", 250, vec![]); // 3 blocks of 100
-        let (b, _) = fs.create("b", 90, vec![]); // 1 block
-        assert_eq!(fs.scan_tasks([a, b]), 4);
-        assert_eq!(fs.scan_tasks([a]), 3);
-        // unknown ids are skipped
-        assert_eq!(fs.scan_tasks([FileId(999)]), 0);
     }
 
     #[test]
@@ -818,22 +788,6 @@ mod tests {
         assert_eq!(fs.try_read(id).unwrap_err(), IoError::Corrupt(id));
         assert_eq!(fs.fault_stats().corruptions, 1);
         assert_eq!(fs.verify(id), Some(false));
-    }
-
-    #[test]
-    fn delete_costed_charges_wdelete() {
-        let weights = CostWeights {
-            wdelete: 0.25,
-            ..CostWeights::default()
-        };
-        let costed: SimFs<Vec<u32>> = SimFs::new(BlockConfig::new(100), weights);
-        let (id, _) = costed.create("x", 500, vec![]);
-        assert_eq!(costed.delete_costed(id), Some((500, 0.25)));
-        assert_eq!(costed.delete_costed(id), None);
-        // Default weights keep deletion free (metadata-only HDFS semantics).
-        let free = fs();
-        let (id, _) = free.create("x", 500, vec![]);
-        assert_eq!(free.delete_costed(id), Some((500, 0.0)));
     }
 
     #[test]

@@ -41,31 +41,6 @@ impl CostLedger {
     pub fn record_delete(&mut self) {
         self.files_deleted += 1;
     }
-
-    /// Merge another ledger into this one.
-    pub fn absorb(&mut self, other: &CostLedger) {
-        self.read_bytes += other.read_bytes;
-        self.write_bytes += other.write_bytes;
-        self.files_read += other.files_read;
-        self.files_written += other.files_written;
-        self.files_deleted += other.files_deleted;
-    }
-
-    /// Difference `self - earlier`, useful for per-query deltas.
-    ///
-    /// # Panics
-    /// Panics in debug builds if `earlier` is not a prefix of `self`.
-    pub fn since(&self, earlier: &CostLedger) -> CostLedger {
-        debug_assert!(self.read_bytes >= earlier.read_bytes);
-        debug_assert!(self.write_bytes >= earlier.write_bytes);
-        CostLedger {
-            read_bytes: self.read_bytes - earlier.read_bytes,
-            write_bytes: self.write_bytes - earlier.write_bytes,
-            files_read: self.files_read - earlier.files_read,
-            files_written: self.files_written - earlier.files_written,
-            files_deleted: self.files_deleted - earlier.files_deleted,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -84,29 +59,5 @@ mod tests {
         assert_eq!(l.write_bytes, 30);
         assert_eq!(l.files_written, 1);
         assert_eq!(l.files_deleted, 1);
-    }
-
-    #[test]
-    fn absorb_merges() {
-        let mut a = CostLedger::new();
-        a.record_read(10);
-        let mut b = CostLedger::new();
-        b.record_write(20);
-        a.absorb(&b);
-        assert_eq!(a.read_bytes, 10);
-        assert_eq!(a.write_bytes, 20);
-    }
-
-    #[test]
-    fn since_gives_delta() {
-        let mut l = CostLedger::new();
-        l.record_read(100);
-        let snapshot = l;
-        l.record_read(40);
-        l.record_write(7);
-        let d = l.since(&snapshot);
-        assert_eq!(d.read_bytes, 40);
-        assert_eq!(d.write_bytes, 7);
-        assert_eq!(d.files_read, 1);
     }
 }

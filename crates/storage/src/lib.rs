@@ -51,7 +51,7 @@ pub mod weights;
 pub use block::BlockConfig;
 pub use fault::{FaultConfig, FaultInjector, FaultStats, IoError, IoOutcome};
 pub use file::{FileId, StoredFile};
-pub use fs::{HedgeConfig, HedgeTrace, ShardedFs, SimFs};
+pub use fs::{HedgeConfig, HedgeTrace, SimFs};
 pub use journal::{Journal, JournalStats, Lsn, ReplayedLog, SimulatedCrash};
 pub use ledger::CostLedger;
 pub use node::{placement_key, NodeConfig, NodeId, NodeSet, NodeState, NodeStats, Route};

@@ -42,41 +42,23 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Static cluster parameters: topology size and replication policy.
+/// Static cluster parameters: topology size and replication factor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeConfig {
     /// Number of datanodes in the cluster (≥ 1).
     pub nodes: u32,
-    /// Base replication factor for every placed file (≥ 1).
+    /// Replication factor for every placed file (≥ 1).
     pub replication: u32,
-    /// Replication factor for *hot* fragments (≥ `replication`): views whose
-    /// access statistics cross the driver's heat threshold get this many
-    /// replicas instead.
-    pub hot_replication: u32,
-    /// Number of recorded benefit events after which a view's fragments
-    /// count as hot and are placed at `hot_replication`.
-    pub hot_threshold: u64,
 }
 
 impl NodeConfig {
-    /// A cluster of `nodes` datanodes with uniform replication `replication`
-    /// (hot fragments identical; raise via [`NodeConfig::with_hot`]).
+    /// A cluster of `nodes` datanodes with replication `replication`.
     pub fn new(nodes: u32, replication: u32) -> Self {
         let nodes = nodes.max(1);
         Self {
             nodes,
             replication: replication.clamp(1, nodes),
-            hot_replication: replication.clamp(1, nodes),
-            hot_threshold: u64::MAX,
         }
-    }
-
-    /// Enable hot-fragment replication: views with at least `threshold`
-    /// recorded benefit events are placed at `hot_replication` replicas.
-    pub fn with_hot(mut self, hot_replication: u32, threshold: u64) -> Self {
-        self.hot_replication = hot_replication.clamp(self.replication, self.nodes);
-        self.hot_threshold = threshold;
-        self
     }
 }
 
@@ -587,13 +569,5 @@ mod tests {
     fn config_clamps_replication_to_topology() {
         let cfg = NodeConfig::new(3, 9);
         assert_eq!(cfg.replication, 3);
-        let hot = NodeConfig::new(4, 2).with_hot(9, 5);
-        assert_eq!(hot.hot_replication, 4);
-        assert_eq!(hot.hot_threshold, 5);
-        let cold = NodeConfig::new(4, 3).with_hot(1, 2);
-        assert_eq!(
-            cold.hot_replication, 3,
-            "hot replication never below base replication"
-        );
     }
 }

@@ -8,7 +8,8 @@
 /// constants for reading (respectively, writing) data" and notes that in
 /// DeepSea's HDFS-backed implementation `wwrite` is "typically much larger
 /// than `wread`" (replication + pipeline acks). The remaining weights model
-/// the compute-side of a MapReduce stage.
+/// the compute-side of a MapReduce stage. Deletes cost nothing: on HDFS a
+/// delete is a namenode metadata operation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostWeights {
     /// Cost per simulated byte read from the distributed FS.
@@ -21,12 +22,6 @@ pub struct CostWeights {
     pub shuffle_per_byte: f64,
     /// Fixed overhead of launching one map/reduce task (JVM start, scheduling).
     pub task_overhead: f64,
-    /// Fixed cost of deleting one file (namenode metadata round-trip).
-    ///
-    /// Defaults to `0.0`: HDFS deletes are metadata-only and the golden
-    /// replay sequences are captured under free deletion. Set it non-zero to
-    /// model eviction and quarantine cleanup as paid work.
-    pub wdelete: f64,
 }
 
 impl Default for CostWeights {
@@ -43,7 +38,6 @@ impl Default for CostWeights {
             cpu_per_row: 2.0e-7,
             shuffle_per_byte: 1.5e-8,
             task_overhead: 1.5,
-            wdelete: 0.0,
         }
     }
 }
@@ -68,18 +62,6 @@ impl CostWeights {
     pub fn shuffle_cost(&self, bytes: u64) -> f64 {
         self.shuffle_per_byte * bytes as f64
     }
-
-    /// Cost of deleting one file. Flat per operation: deletion is a metadata
-    /// round-trip, independent of file size.
-    pub fn delete_cost(&self) -> f64 {
-        self.wdelete
-    }
-
-    /// Builder-style override of the delete cost.
-    pub fn with_wdelete(mut self, wdelete: f64) -> Self {
-        self.wdelete = wdelete;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -94,13 +76,6 @@ mod tests {
             "paper: wwrite is much larger than wread"
         );
         assert!(w.write_cost(1_000_000) > w.read_cost(1_000_000));
-    }
-
-    #[test]
-    fn deletes_are_free_by_default() {
-        let w = CostWeights::default();
-        assert_eq!(w.delete_cost(), 0.0, "golden capture pins free deletion");
-        assert_eq!(w.with_wdelete(0.5).delete_cost(), 0.5);
     }
 
     #[test]
