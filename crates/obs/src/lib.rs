@@ -303,4 +303,41 @@ mod tests {
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].tnow, 4);
     }
+
+    #[test]
+    fn one_switch_gates_every_collector() {
+        // A span cap without the switch collects nothing.
+        let off = Observer::new(ObsConfig::off().with_span_cap(4));
+        assert!(off.state.is_none());
+
+        let obs = Observer::new(ObsConfig::on().with_span_cap(1));
+        obs.counter_inc("c", None);
+        obs.observe("h", None, 2.0);
+        obs.record_span(1, "a", None, SpanCtx::root(1), 0.0, 1.0);
+        obs.record_span(1, "b", None, SpanCtx::root(1), 1.0, 2.0);
+        obs.event(
+            1,
+            DecisionEvent::JournalSnapshot {
+                appended_since_last: 1,
+            },
+        );
+        let metrics = obs.metrics_snapshot();
+        assert_eq!(metrics.counter("c", None), 1);
+        assert_eq!(metrics.histogram("h", None).map(|h| h.count), Some(1));
+        assert_eq!(obs.spans_snapshot().len(), 1, "the cap keeps one span");
+        assert_eq!(obs.spans_dropped(), 1);
+        assert_eq!(obs.events_snapshot().len(), 1);
+    }
+
+    #[test]
+    fn label_budget_is_fixed_per_metric() {
+        let obs = Observer::new(ObsConfig::on());
+        for i in 0..MAX_LABELS_PER_METRIC + 3 {
+            obs.counter_inc("hits", Some(&format!("V{i}")));
+        }
+        let metrics = obs.metrics_snapshot();
+        assert_eq!(metrics.max_cardinality, MAX_LABELS_PER_METRIC);
+        assert_eq!(metrics.counters["hits"].len(), MAX_LABELS_PER_METRIC + 1);
+        assert_eq!(metrics.counter("hits", Some(metrics::OVERFLOW_LABEL)), 3);
+    }
 }

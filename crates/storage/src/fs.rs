@@ -649,6 +649,24 @@ mod tests {
     }
 
     #[test]
+    fn delete_counts_in_the_ledger_but_moves_no_bytes() {
+        let fs = fs();
+        let (id, _) = fs.create("x", 500, vec![9]);
+        let before = fs.ledger();
+        assert_eq!(fs.delete(id), Some(500));
+        assert_eq!(
+            fs.ledger(),
+            CostLedger {
+                files_deleted: before.files_deleted + 1,
+                ..before
+            }
+        );
+        // Deleting an absent file records nothing.
+        fs.delete(id);
+        assert_eq!(fs.ledger().files_deleted, before.files_deleted + 1);
+    }
+
+    #[test]
     fn ledger_tracks_io() {
         let fs = fs();
         let (id, _) = fs.create("x", 500, vec![9]);
@@ -828,6 +846,20 @@ mod tests {
             "failover is metadata-only: same cost either replica"
         );
         assert_eq!(*failover.value, vec![7]);
+    }
+
+    #[test]
+    fn delete_forgets_a_sharded_files_placement() {
+        let fs = sharded(3, 2);
+        let nodes = [NodeId(1), NodeId(2)];
+        let id = fs
+            .try_create_placed("frag", 250, vec![7], &nodes)
+            .expect("no faults")
+            .value;
+        let cluster = fs.cluster().expect("sharded fs has a cluster");
+        assert_eq!(cluster.placement(id), Some(nodes.to_vec()));
+        assert_eq!(fs.delete(id), Some(250));
+        assert_eq!(cluster.placement(id), None);
     }
 
     #[test]

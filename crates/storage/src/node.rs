@@ -566,6 +566,14 @@ mod tests {
     }
 
     #[test]
+    fn placement_for_clamps_replicas_to_topology() {
+        let c = cluster(3, 1);
+        let all = c.placement_for(5, 9);
+        assert_eq!(all, vec![NodeId(2), NodeId(0), NodeId(1)]);
+        assert_eq!(c.placement_for(5, 0), vec![NodeId(2)], "at least one node");
+    }
+
+    #[test]
     fn config_clamps_replication_to_topology() {
         let cfg = NodeConfig::new(3, 9);
         assert_eq!(cfg.replication, 3);

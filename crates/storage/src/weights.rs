@@ -79,6 +79,13 @@ mod tests {
     }
 
     #[test]
+    fn default_writes_cost_ten_times_reads() {
+        // The 3-way replication pipeline calibration documented on `Default`.
+        let w = CostWeights::default();
+        assert!((w.wwrite / w.wread - 10.0).abs() < 1e-9);
+    }
+
+    #[test]
     fn costs_scale_linearly() {
         let w = CostWeights::default();
         assert!((w.read_cost(200) - 2.0 * w.read_cost(100)).abs() < 1e-12);
