@@ -3,7 +3,7 @@
 //! query of a workload (Algorithm 1's non-execution overhead), and the batch
 //! executor's join, group-by and selection kernels.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use deepsea_core::candidates::partition_candidates;
@@ -168,6 +168,12 @@ fn bench_exec_kernels(c: &mut Criterion) {
         keys.sort_unstable();
         keys[keys.len() / 2]
     };
+    // The top of the first 7 % of sales by item: a range keeping about 7 %.
+    let narrow = {
+        let mut keys = int_column(&catalog, "store_sales", "store_sales.ss_item_sk");
+        keys.sort_unstable();
+        keys[keys.len() * 7 / 100]
+    };
     let fs: SimFs<Table> = SimFs::new(BlockConfig::default(), CostWeights::default());
     let count = |plan: LogicalPlan| plan.aggregate(Vec::<String>::new(), vec![AggExpr::count("n")]);
     let scan = LogicalPlan::scan;
@@ -214,6 +220,12 @@ fn bench_exec_kernels(c: &mut Criterion) {
                 lo,
                 median,
             ))),
+        ),
+        // The same over about 7 % of the rows: past its second iteration the
+        // column's range order serves it.
+        (
+            "select_40k_range_narrow",
+            count(scan("store_sales").select(item_range(lo, narrow))),
         ),
         // Q1's selection above its join, as instrumented plans keep it: a
         // 400-item range of the fact side, filtered before pairing.
@@ -289,6 +301,33 @@ fn bench_exec_kernels(c: &mut Criterion) {
             b.iter(|| execute(black_box(plan), &catalog, &fs).expect("base tables only"))
         });
     }
+    // The narrow range on a fresh clone of the key column, which has no
+    // range order: its first selection scans, its second sorts the rows.
+    let sales = catalog.get("store_sales").expect("a BigBench table");
+    let key: &Column = sales.column(
+        sales
+            .schema
+            .index_of("store_sales.ss_item_sk")
+            .expect("its key"),
+    );
+    c.bench_function("select_40k_range_cold", |b| {
+        b.iter_batched(
+            || key.clone(),
+            |col| col.int_range_rows(lo, narrow),
+            BatchSize::SmallInput,
+        )
+    });
+    c.bench_function("range_order_build_40k", |b| {
+        b.iter_batched(
+            || {
+                let col = key.clone();
+                col.int_range_rows(lo, narrow);
+                col
+            },
+            |col| col.int_range_rows(lo, narrow),
+            BatchSize::SmallInput,
+        )
+    });
 }
 
 fn int_column(catalog: &Catalog, table: &str, col: &str) -> Vec<i64> {

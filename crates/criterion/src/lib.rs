@@ -1,6 +1,6 @@
 //! A minimal micro-benchmark runner exposing the subset of the `criterion`
 //! crate's API this workspace uses (`Criterion::bench_function`, `Bencher::
-//! iter`, `criterion_group!`, `criterion_main!`). The build environment has
+//! iter`, `Bencher::iter_batched`, `criterion_group!`, `criterion_main!`). The build environment has
 //! no registry access, so the workspace vendors this stand-in instead of
 //! depending on crates.io.
 //!
@@ -67,6 +67,13 @@ impl Criterion {
     }
 }
 
+/// How many inputs [`Bencher::iter_batched`] may prepare at once; accepted
+/// for API compatibility — inputs are made one per call.
+#[derive(Debug, Clone, Copy)]
+pub enum BatchSize {
+    SmallInput,
+}
+
 /// Times closures handed to it by a benchmark function.
 pub struct Bencher {
     sample_size: usize,
@@ -83,11 +90,44 @@ impl Bencher {
     where
         F: FnMut() -> O,
     {
+        self.measure(|iters| {
+            let start = Instant::now();
+            for _ in 0..iters {
+                std::hint::black_box(f());
+            }
+            start.elapsed()
+        });
+    }
+
+    /// Measure `routine` on inputs made by `setup`, one per call; only
+    /// `routine` is timed, and dropping its output is not.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        self.measure(|iters| {
+            (0..iters)
+                .map(|_| {
+                    let input = setup();
+                    let start = Instant::now();
+                    let out = std::hint::black_box(routine(input));
+                    let elapsed = start.elapsed();
+                    drop(out);
+                    elapsed
+                })
+                .sum()
+        });
+    }
+
+    /// Fill the samples: `run(n)` performs `n` iterations and returns the
+    /// time they took.
+    fn measure(&mut self, mut run: impl FnMut(u64) -> Duration) {
         // Warm-up: run until the warm-up budget elapses, estimating cost.
         let warm_start = Instant::now();
         let mut warm_iters: u64 = 0;
         while warm_start.elapsed() < self.warm_up_time {
-            std::hint::black_box(f());
+            run(1);
             warm_iters += 1;
         }
         let per_iter = warm_start.elapsed().as_nanos() as f64 / warm_iters.max(1) as f64;
@@ -98,11 +138,7 @@ impl Bencher {
 
         self.samples_ns.clear();
         for _ in 0..self.sample_size {
-            let start = Instant::now();
-            for _ in 0..batch {
-                std::hint::black_box(f());
-            }
-            let ns = start.elapsed().as_nanos() as f64 / batch as f64;
+            let ns = run(batch).as_nanos() as f64 / batch as f64;
             self.samples_ns.push(ns);
         }
     }
@@ -182,6 +218,31 @@ mod tests {
             ran = true;
         });
         assert!(ran);
+    }
+
+    #[test]
+    fn iter_batched_times_the_routine_on_fresh_inputs() {
+        let mut c = Criterion::default()
+            .sample_size(3)
+            .warm_up_time(Duration::from_millis(1))
+            .measurement_time(Duration::from_millis(5));
+        let (mut made, mut used) = (0u64, 0u64);
+        c.bench_function("batched", |b| {
+            b.iter_batched(
+                || {
+                    made += 1;
+                    vec![made; 4]
+                },
+                |v| {
+                    used += 1;
+                    v.len()
+                },
+                BatchSize::SmallInput,
+            );
+            assert!(!b.samples_ns.is_empty());
+        });
+        assert!(used > 0);
+        assert_eq!(made, used, "one input per call");
     }
 
     #[test]

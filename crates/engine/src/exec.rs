@@ -18,6 +18,7 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
+use deepsea_relation::column::dense_span;
 use deepsea_relation::{Column, ColumnData, DataType, Field, Predicate, Schema, Table, Value};
 use deepsea_storage::{FileId, IoError, SimFs};
 
@@ -795,6 +796,12 @@ fn rows_where(batch: &Batch, conds: &[(&Predicate, usize)], from: usize) -> Vec<
 /// column `c`.
 fn conjunct_rows(c: &Col, n: usize, conjunct: &Predicate, sel: Option<Vec<u32>>) -> Vec<u32> {
     match (conjunct, c.data.data()) {
+        // All of a column's rows, in place: its range order can serve them.
+        (Predicate::Range { low, high, .. }, ColumnData::Int(_))
+            if sel.is_none() && c.idx.is_none() && c.data.len() == n =>
+        {
+            c.data.int_range_rows(*low, *high)
+        }
         (Predicate::Range { low, high, .. }, ColumnData::Int(v)) => {
             keep(n, sel, c, |p| (*low <= v[p]) & (v[p] <= *high))
         }
@@ -1008,8 +1015,8 @@ struct DirectIndex<'a> {
 }
 
 impl<'a> DirectIndex<'a> {
-    /// The density rule, the one place that chooses direct addressing over
-    /// hashing. Integer keys, and string keys by their codes, qualify when
+    /// Direct addressing where the density rule ([`dense_span`]) allows it.
+    /// Integer keys, and string keys by their codes, qualify when
     /// `max − min < 4·n + 64` over the `n` rows: setting the cells up then
     /// costs a few `u32` writes per row at most. `None` sends everything
     /// else to the hashed index: multi-column keys, floats, sparse keys (a
@@ -1030,12 +1037,9 @@ impl<'a> DirectIndex<'a> {
         let mut all = (0..n).map(|r| keys.at(r) as i64);
         let first = all.next()?;
         let (min, max) = all.fold((first, first), |(lo, hi), k| (lo.min(k), hi.max(k)));
-        let span = u64::try_from(max.checked_sub(min)?).ok()?;
-        if span >= 4 * n as u64 + 64 {
-            return None;
-        }
+        let span = dense_span(min, max, n)?;
         Some(Self {
-            cells: vec![NONE; span as usize + 1],
+            cells: vec![NONE; span + 1],
             keys: keys.less(min),
         })
     }
@@ -2187,6 +2191,37 @@ mod tests {
                     assert_eq!(got, want, "{pred:?}, nulls {with_nulls}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn one_fresh_column_ranged_from_four_threads_at_once_gives_one_answer() {
+        let schema = Schema::new(vec![Field::new("t.k", DataType::Int)]);
+        let value = |i: i64| match i % 17 {
+            0 => Value::Null,
+            _ => Value::Int(i * 7_919 % 1_000),
+        };
+        let mut c = Catalog::new();
+        let rows = (0..4_000).map(|i| vec![value(i)]).collect();
+        c.register("t", Table::from_rows(schema, rows, 8));
+        let fs = SimFs::new(BlockConfig::default(), CostWeights::default());
+        // 5 % of the rows: past the first call, the range order serves it.
+        let plan = LogicalPlan::scan("t").select(Predicate::range("t.k", 100, 149));
+        let runs: Vec<(Table, ExecMetrics)> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| (0..3).map(|_| execute(&plan, &c, &fs).unwrap()).collect()))
+                .collect();
+            let runs = threads.into_iter().map(|t| t.join().unwrap());
+            runs.flat_map(|r: Vec<_>| r).collect()
+        });
+        let want: Vec<Value> = (0..4_000)
+            .map(value)
+            .filter(|v| v.as_int().is_some_and(|k| (100..=149).contains(&k)))
+            .collect();
+        let (first, first_m) = &runs[0];
+        assert_eq!(first.rows().map(|r| r[0].clone()).collect::<Vec<_>>(), want);
+        for (t, m) in &runs {
+            assert_eq!((t, m), (first, first_m));
         }
     }
 

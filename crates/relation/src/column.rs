@@ -6,11 +6,15 @@
 //! address rows through `u32` index vectors (selection vectors) and only
 //! [`Column::gather`] materializes a new vector. A string column's vector
 //! holds codes into a [`Dict`] that every column gathered from it shares.
+//! An integer column that is range-selected a second time sorts its rows by
+//! value once ([`Column::int_range_rows`]), so later ranges cost what they
+//! keep.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
-use std::fmt::Write;
-use std::sync::Arc;
+use std::fmt::{self, Write};
+// deepsea-lint: allow(lock_discipline) -- a column's write-once range order: one flag and one OnceLock, no guard is ever held
+use std::sync::{atomic::AtomicBool, atomic::Ordering::Relaxed, Arc, OnceLock};
 
 use crate::value::{DataType, Value};
 
@@ -74,14 +78,66 @@ fn extend<T: Copy>(d: &mut Vec<T>, s: &[T], idx: Option<&[u32]>) {
     }
 }
 
+/// The density rule, the one place that chooses direct addressing — a
+/// table of one cell per value — over hashing or sorting: values from `min`
+/// to `max` qualify when `max − min < 4·n + 64` over `n` rows, so the cells
+/// cost a few `u32` writes per row at most. The span, when they do; `None`
+/// when they do not, including for a span that overflows `i64`.
+#[inline]
+pub fn dense_span(min: i64, max: i64, n: usize) -> Option<usize> {
+    let span = u64::try_from(max.checked_sub(min)?).ok()?;
+    (span < 4 * n as u64 + 64).then_some(span as usize)
+}
+
+/// An integer column's range order, built on its second range selection
+/// ([`Column::int_range_rows`]) and kept until the column changes. A clone
+/// starts without one.
+#[derive(Default)]
+struct RangeOrder {
+    /// Set by the first range selection.
+    ranged: AtomicBool,
+    /// The non-NULL rows sorted by (value, row).
+    rows: OnceLock<Vec<u32>>,
+}
+
 /// One column: typed values plus a null mask (empty when nothing is NULL).
-#[derive(Debug, Clone)]
 pub struct Column {
     data: ColumnData,
     nulls: Vec<bool>,
+    order: RangeOrder,
+}
+
+/// The values and the mask; the range order is the column's own cache.
+impl Clone for Column {
+    fn clone(&self) -> Self {
+        Self::new(self.data.clone(), self.nulls.clone())
+    }
+}
+
+/// The values and the mask, as a derived `Debug` prints them.
+impl fmt::Debug for Column {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Column")
+            .field("data", &self.data)
+            .field("nulls", &self.nulls)
+            .finish()
+    }
 }
 
 impl Column {
+    fn new(data: ColumnData, nulls: Vec<bool>) -> Self {
+        Self {
+            data,
+            nulls,
+            order: RangeOrder::default(),
+        }
+    }
+
+    /// Drop the range order: the column is about to change.
+    fn forget_order(&mut self) {
+        self.order = RangeOrder::default();
+    }
+
     /// An empty column of the given type with room for `cap` values.
     pub fn with_capacity(dtype: DataType, cap: usize) -> Self {
         let data = match dtype {
@@ -92,18 +148,12 @@ impl Column {
                 dict: Arc::new(Dict::new()),
             },
         };
-        Self {
-            data,
-            nulls: Vec::new(),
-        }
+        Self::new(data, Vec::new())
     }
 
     /// An integer column without NULLs.
     pub fn from_ints(values: Vec<i64>) -> Self {
-        Self {
-            data: ColumnData::Int(values),
-            nulls: Vec::new(),
-        }
+        Self::new(ColumnData::Int(values), Vec::new())
     }
 
     /// Number of values.
@@ -146,6 +196,7 @@ impl Column {
     }
 
     fn push_null(&mut self) {
+        self.forget_order();
         if self.nulls.is_empty() {
             self.nulls = vec![false; self.len()];
         }
@@ -167,6 +218,7 @@ impl Column {
             return self.push_null();
         };
         assert_eq!(dtype, self.dtype(), "value type must match column type");
+        self.forget_order();
         match (&mut self.data, value) {
             (ColumnData::Int(v), Value::Int(x)) => v.push(x),
             (ColumnData::Float(v), Value::Float(x)) => v.push(x),
@@ -182,6 +234,7 @@ impl Column {
 
     /// Append a copy of the value at `i` (for a string, its code).
     pub(crate) fn push_copy(&mut self, i: usize) {
+        self.forget_order();
         match &mut self.data {
             ColumnData::Int(v) => v.push(v[i]),
             ColumnData::Float(v) => v.push(v[i]),
@@ -268,7 +321,7 @@ impl Column {
         } else {
             pick(&self.nulls, idx)
         };
-        Column { data, nulls }
+        Column::new(data, nulls)
     }
 
     /// [`Column::gather`], except that an index of [`u32::MAX`] gives NULL.
@@ -290,6 +343,7 @@ impl Column {
     /// Panics if the two columns differ in type.
     pub fn extend_from(&mut self, other: &Column, idx: Option<&[u32]>) {
         assert_eq!(self.dtype(), other.dtype(), "column types must match");
+        self.forget_order();
         let before = self.len();
         match (&mut self.data, &other.data) {
             (ColumnData::Int(d), ColumnData::Int(s)) => extend(d, s, idx),
@@ -323,10 +377,82 @@ impl Column {
 
     /// Rows whose integer value lies in `[low, high]`, in ascending order.
     /// NULLs and non-integer columns select nothing.
+    ///
+    /// The column's first range selection scans it. Its second sorts the
+    /// non-NULL rows by (value, row) once — a counting sort when the values
+    /// are dense ([`dense_span`]), a stable sort otherwise — and from then
+    /// on a range is two binary searches in that order plus one pass over a
+    /// bitmap of the rows found, which puts them back in row order. A range
+    /// that keeps more than a quarter of the rows scans instead. Either way
+    /// the rows are the same.
     pub fn int_range_rows(&self, low: i64, high: i64) -> Vec<u32> {
-        self.int_partition_rows(&[(low, high)])
-            .pop()
-            .unwrap_or_default()
+        let ColumnData::Int(v) = &self.data else {
+            return Vec::new();
+        };
+        let order = match self.order.rows.get() {
+            Some(order) => order,
+            None if self.order.ranged.swap(true, Relaxed) => {
+                self.order.rows.get_or_init(|| self.range_order(v))
+            }
+            None => return self.scan_range(v, low, high),
+        };
+        ordered_range(v, order, low, high).unwrap_or_else(|| self.scan_range(v, low, high))
+    }
+
+    /// The non-NULL rows whose value in `v` lies in `[low, high]`, by one
+    /// pass that writes every row and advances past it only if it passes:
+    /// no branch depends on the data.
+    fn scan_range(&self, v: &[i64], low: i64, high: i64) -> Vec<u32> {
+        let mut out = vec![0u32; v.len()];
+        let mut k = 0;
+        let within = |x: i64| (low <= x) & (x <= high);
+        if self.nulls.is_empty() {
+            for (r, &x) in v.iter().enumerate() {
+                out[k] = r as u32;
+                k += usize::from(within(x));
+            }
+        } else {
+            for (r, (&x, &null)) in v.iter().zip(&self.nulls).enumerate() {
+                out[k] = r as u32;
+                k += usize::from(within(x) & !null);
+            }
+        }
+        out.truncate(k);
+        out
+    }
+
+    /// The non-NULL rows of values `v`, sorted by (value, row). NULL slots
+    /// hold 0 and are sorted with the rest, then dropped.
+    fn range_order(&self, v: &[i64]) -> Vec<u32> {
+        let (min, max) = v
+            .iter()
+            .fold((i64::MAX, i64::MIN), |(lo, hi), &x| (lo.min(x), hi.max(x)));
+        let mut order = match dense_span(min, max, v.len()) {
+            // Counting sort: each value's first slot, then the rows in order.
+            Some(span) => {
+                let mut next = vec![0u32; span + 2];
+                v.iter().for_each(|&x| next[(x - min) as usize + 1] += 1);
+                for s in 1..next.len() {
+                    next[s] += next[s - 1];
+                }
+                let mut order = vec![0u32; v.len()];
+                for (r, &x) in v.iter().enumerate() {
+                    let s = &mut next[(x - min) as usize];
+                    order[*s as usize] = r as u32;
+                    *s += 1;
+                }
+                order
+            }
+            None => {
+                let mut order: Vec<u32> = (0..v.len() as u32).collect();
+                order.sort_by_key(|&r| v[r as usize]);
+                order
+            }
+        };
+        if self.has_nulls() {
+            order.retain(|&r| !self.nulls[r as usize]);
+        }
+        order
     }
 
     /// One pass over an integer column that splits its rows among inclusive
@@ -363,6 +489,30 @@ impl Column {
             ColumnData::Str { .. } => write!(out, "s:{}", self.str_at(i)),
         };
     }
+}
+
+/// The rows of values `v` that lie in `[low, high]`, ascending, found in
+/// `order` (the non-NULL rows sorted by (value, row)); `None` when they are
+/// more than a quarter of `v`, which a scan serves better.
+fn ordered_range(v: &[i64], order: &[u32], low: i64, high: i64) -> Option<Vec<u32>> {
+    let from = order.partition_point(|&r| v[r as usize] < low);
+    let hits = &order[from..];
+    let hits = &hits[..hits.partition_point(|&r| v[r as usize] <= high)];
+    if hits.len() > v.len() / 4 {
+        return None;
+    }
+    let mut bits = vec![0u64; v.len().div_ceil(64)];
+    hits.iter()
+        .for_each(|&r| bits[r as usize / 64] |= 1 << (r % 64));
+    let mut rows = Vec::with_capacity(hits.len());
+    for (w, &word) in bits.iter().enumerate() {
+        let mut b = word;
+        while b != 0 {
+            rows.push((w * 64) as u32 + b.trailing_zeros());
+            b &= b - 1;
+        }
+    }
+    Some(rows)
 }
 
 /// Value equality: same type, same NULLs, same values (floats by bits, like
@@ -466,6 +616,83 @@ mod tests {
         assert_eq!(c.int_range_rows(-5, 5), vec![0, 2]);
         assert_eq!(c.int_range_rows(0, 5), vec![0]);
         assert!(floats().int_range_rows(0, 2).is_empty());
+    }
+
+    /// A column whose second range selection has built its order.
+    fn ordered(values: &[i64]) -> Column {
+        let c = Column::from_ints(values.to_vec());
+        c.int_range_rows(0, -1);
+        c.int_range_rows(0, -1);
+        assert!(c.order.rows.get().is_some());
+        c
+    }
+
+    fn unordered(c: &Column) -> bool {
+        c.order.rows.get().is_none() && !c.order.ranged.load(Relaxed)
+    }
+
+    #[test]
+    fn second_range_selection_sorts_the_rows_by_value_then_row() {
+        let mut c = ints_with_null();
+        c.extend_from(&Column::from_ints(vec![3, 7, -1, 3]), None);
+        assert_eq!(c.int_range_rows(3, 3), vec![0, 3, 6], "the first scans");
+        assert!(c.order.rows.get().is_none());
+        assert_eq!(c.int_range_rows(7, 7), vec![4], "the second sorts");
+        assert_eq!(c.order.rows.get(), Some(&vec![2, 5, 0, 3, 6, 4]));
+        assert_eq!(c.int_range_rows(-1, -1), vec![2, 5]);
+        assert_eq!(c.int_range_rows(-5, 5), vec![0, 2, 3, 5, 6], "wide: a scan");
+        // Sparse values are sorted, not counted, into the same order.
+        let sparse = ordered(&[i64::MAX, 5, i64::MIN, 5, 0]);
+        assert_eq!(sparse.order.rows.get(), Some(&vec![2, 4, 1, 3, 0]));
+        assert_eq!(sparse.int_range_rows(i64::MAX, i64::MAX), vec![0]);
+    }
+
+    #[test]
+    fn mutation_forgets_the_range_order() {
+        let values: Vec<i64> = (0..16).map(|i| i * 10).collect();
+        let mut c = ordered(&values);
+        c.push(Value::Int(25));
+        assert!(unordered(&c), "push");
+        for call in 0..3 {
+            assert_eq!(c.int_range_rows(21, 29), vec![16], "call {call} after push");
+        }
+        let mut c = ordered(&values);
+        c.push_null();
+        assert!(unordered(&c), "push_null");
+        let mut c = ordered(&values);
+        c.push_copy(3);
+        assert!(unordered(&c), "push_copy");
+        for call in 0..3 {
+            assert_eq!(
+                c.int_range_rows(30, 30),
+                vec![3, 16],
+                "call {call} after push_copy"
+            );
+        }
+        let mut c = ordered(&values);
+        c.extend_from(&Column::from_ints(vec![35, 5]), Some(&[1]));
+        assert!(unordered(&c), "extend_from");
+        for call in 0..3 {
+            assert_eq!(
+                c.int_range_rows(1, 9),
+                vec![16],
+                "call {call} after extend_from"
+            );
+        }
+    }
+
+    #[test]
+    fn debug_clone_and_equality_ignore_the_range_order() {
+        let c = ordered(&[4, 2]);
+        assert_eq!(format!("{c:?}"), "Column { data: Int([4, 2]), nulls: [] }");
+        assert_eq!(
+            format!("{:?}", ints_with_null()),
+            "Column { data: Int([3, 0, -1]), nulls: [false, true, false] }"
+        );
+        let copy = c.clone();
+        assert!(unordered(&copy), "a clone starts without an order");
+        assert_eq!(copy, c);
+        assert_eq!(copy, Column::from_ints(vec![4, 2]));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Property tests for the relational layer: value ordering, predicate
-//! semantics, and generator guarantees.
+//! semantics, generator guarantees, and integer range selection.
 
 use deepsea_relation::distr::{normal_cdf, WeightedBuckets, Zipf};
 use deepsea_relation::generate::{ColumnGen, TableGen};
-use deepsea_relation::{DataType, Field, Predicate, Schema, Value};
+use deepsea_relation::{Column, DataType, Field, Predicate, Schema, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -124,5 +124,65 @@ proptest! {
         let hi = normal_cdf(mean + x * std, mean, std);
         let lo = normal_cdf(mean - x * std, mean, std);
         prop_assert!((hi + lo - 1.0).abs() < 1e-6, "hi={hi} lo={lo}");
+    }
+}
+
+/// `x` (in `0..=50`) placed in one of five integer columns: dense near 0,
+/// sparse, the two ends of the domain among small values (a span that
+/// overflows `i64`), dense just under `i64::MAX` and just over `i64::MIN`.
+fn spread(kind: u8, x: i64) -> i64 {
+    match kind {
+        0 => x,
+        1 => x * 1_000_003 - 20_000_000,
+        2 => match x % 5 {
+            0 => i64::MIN,
+            1 => i64::MAX,
+            _ => x,
+        },
+        3 => i64::MAX - 50 + x,
+        _ => i64::MIN + x,
+    }
+}
+
+/// A range bound: a placed value, or one just past the smallest or largest.
+fn bound(kind: u8, x: i64) -> i64 {
+    match x {
+        ..=-1 => spread(kind, 0).saturating_sub(1),
+        51.. => spread(kind, 50).saturating_add(1),
+        _ => spread(kind, x),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 800, ..ProptestConfig::default() })]
+
+    /// `int_range_rows` equals a row-by-row filter on a column's first call
+    /// (a scan), its second (which sorts the rows) and its third (which
+    /// reads that order): NULLs, duplicates and empty columns; dense and
+    /// sparse spans; `low > high`, ranges past every value, and ranges wide
+    /// enough to scan.
+    #[test]
+    fn int_range_rows_is_a_filter_on_every_call(
+        cells in proptest::collection::vec((0u8..10, 0i64..=50), 0..150),
+        nulls in 0u8..11,
+        kind in 0u8..5,
+        ranges in proptest::collection::vec((-1i64..=51, -3i64..=52, 0u8..4), 3..4),
+    ) {
+        let mut col = Column::with_capacity(DataType::Int, cells.len());
+        for &(p, x) in &cells {
+            col.push(match p < nulls {
+                true => Value::Null,
+                false => Value::Int(spread(kind, x)),
+            });
+        }
+        for (call, &(from, width, open)) in ranges.iter().enumerate() {
+            let low = if open & 1 == 1 { i64::MIN } else { bound(kind, from) };
+            let high = if open & 2 == 2 { i64::MAX } else { bound(kind, from + width) };
+            let want: Vec<u32> = (0..col.len())
+                .filter(|&r| col.int_at(r).is_some_and(|x| low <= x && x <= high))
+                .map(|r| r as u32)
+                .collect();
+            prop_assert_eq!(col.int_range_rows(low, high), want, "call {} of [{}, {}]", call + 1, low, high);
+        }
     }
 }
