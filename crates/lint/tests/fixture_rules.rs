@@ -667,3 +667,138 @@ fn lexer_lifetimes_and_char_literals_disambiguate() {
         "fn g<'a>(xs: &'a [u64]) -> std::slice::Iter::<'a, u64> { xs.iter() }\n",
     );
 }
+
+// ------------------------------------------------------------- test scope
+
+#[test]
+fn statement_level_cfg_test_block_is_exempt_and_ends_at_its_brace() {
+    let src = "fn f(x: Option<u32>) -> u32 {\n\
+               \x20   #[cfg(test)]\n\
+               \x20   {\n\
+               \x20       x.unwrap();\n\
+               \x20   }\n\
+               \x20   x.unwrap()\n\
+               }\n";
+    assert_eq!(at(CORE, src), vec![(RuleId::Panic, 6)]);
+}
+
+#[test]
+fn cfg_test_use_and_const_items_are_exempt() {
+    let items = "use std::collections::HashMap;\n\
+                 use std::sync::Mutex;\n\
+                 const EMPTY: Option<HashSet<u32>> = None;\n";
+    let gated: String = items
+        .lines()
+        .map(|l| format!("#[cfg(test)] {l}\n"))
+        .collect();
+    assert_clean(CORE, &gated);
+    // The same items outside test scope are flagged, so the exemption is
+    // what keeps them clean.
+    assert_eq!(
+        at(CORE, items),
+        vec![(RuleId::LockDiscipline, 2), (RuleId::HashIter, 3)]
+    );
+}
+
+#[test]
+fn stacked_attributes_keep_a_test_fn_exempt() {
+    for attrs in [
+        "#[cfg(test)]\n#[allow(dead_code)]\n",
+        "#[allow(dead_code)]\n#[cfg(test)]\n",
+    ] {
+        let src = format!("{attrs}fn helper(x: Option<u32>) -> u32 {{ x.unwrap() }}\n");
+        assert_clean(CORE, &src);
+    }
+    assert_eq!(
+        at(
+            CORE,
+            "#[allow(dead_code)]\nfn helper(x: Option<u32>) -> u32 { x.unwrap() }\n"
+        ),
+        vec![(RuleId::Panic, 2)]
+    );
+}
+
+#[test]
+fn cfg_test_impl_fns_are_neither_read_roots_nor_targets() {
+    let read = "crates/core/src/driver/read_path/mod.rs";
+    let graph = |read_src: &str, registry_src: &str| {
+        deepsea_lint::build_graph(&[
+            (read.to_string(), read_src.to_string()),
+            (
+                "crates/core/src/registry.rs".to_string(),
+                registry_src.to_string(),
+            ),
+        ])
+    };
+    let root = "impl ReadView { fn answer(&self, r: &mut ViewRegistry) { r.wipe(1); } }";
+    let target = "impl ViewRegistry { pub fn wipe(&mut self, v: u64) {} }";
+    assert_eq!(graph(root, target).read_path_purity_violations().len(), 1);
+
+    // A test-only root reaches nothing, and a test-only target is never hit.
+    let test_root = format!("#[cfg(test)]\n{root}");
+    let test_target = format!("#[cfg(test)]\n{target}");
+    for g in [graph(&test_root, target), graph(root, &test_target)] {
+        assert!(g.read_path_purity_violations().is_empty());
+    }
+    let g = graph(&test_root, &test_target);
+    assert!(g.fns.iter().all(|f| f.is_test), "{:?}", g.fns);
+}
+
+/// Write `files` under a fresh directory and return its absolute paths.
+fn write_tree(name: &str, files: &[(&str, &str)]) -> (std::path::PathBuf, Vec<std::path::PathBuf>) {
+    let root = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let _ = std::fs::remove_dir_all(&root);
+    let paths = files
+        .iter()
+        .map(|(rel, src)| {
+            let path = root.join(rel);
+            std::fs::create_dir_all(path.parent().expect("file has a parent")).expect("mkdir");
+            std::fs::write(&path, src).expect("write fixture");
+            path
+        })
+        .collect();
+    (root, paths)
+}
+
+#[test]
+fn allow_marker_suppresses_a_read_path_hit_through_lint_files() {
+    let tree = |marker: &str| {
+        [
+            (
+                "crates/core/src/driver/read_path/mod.rs",
+                "impl ReadView {\n\
+                 fn answer(&self, registry: &ViewRegistry) { refresh_stats(registry); }\n\
+                 }\n"
+                .to_string(),
+            ),
+            (
+                "crates/core/src/driver/mod.rs",
+                format!(
+                    "pub fn refresh_stats(registry: &ViewRegistry) {{\n\
+                     {marker}registry.rebalance(0);\n\
+                     }}\n"
+                ),
+            ),
+            (
+                "crates/core/src/registry.rs",
+                "impl ViewRegistry { pub fn rebalance(&mut self, v: u64) {} }\n".to_string(),
+            ),
+        ]
+    };
+    let run = |name: &str, marker: &str| {
+        let files = tree(marker);
+        let refs: Vec<(&str, &str)> = files.iter().map(|(r, s)| (*r, s.as_str())).collect();
+        let (root, paths) = write_tree(name, &refs);
+        deepsea_lint::lint_files(&root, &paths).expect("lint the tree")
+    };
+    let hit = run("r1-no-marker", "");
+    let got: Vec<_> = hit.violations.iter().map(|v| (v.rule, v.line)).collect();
+    assert_eq!(got, vec![(RuleId::ReadPurity, 2)], "{:?}", hit.violations);
+    assert_eq!(hit.violations[0].file, "crates/core/src/driver/mod.rs");
+
+    let marked = run(
+        "r1-marker",
+        "// deepsea-lint: allow(read_path_purity) -- fixture: audited\n",
+    );
+    assert!(marked.violations.is_empty(), "{:?}", marked.violations);
+}
