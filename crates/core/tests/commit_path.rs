@@ -6,11 +6,13 @@
 //! check that once per crash; here it is checked after *every* query, with a
 //! statistics checkpoint per query so that the directly-written statistics
 //! are in the journal too, under three regimes that between them send every
-//! record kind through `commit`.
+//! record kind through `commit`. Replay of a damaged log (torn, with a
+//! duplicated record, with two records swapped) must return, and return the
+//! same state every time.
 
 use std::collections::HashSet;
 use std::mem::{discriminant, Discriminant};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use deepsea_core::durability::replay_catalog;
 use deepsea_core::{
@@ -18,10 +20,12 @@ use deepsea_core::{
 };
 use deepsea_engine::{Catalog, ClusterSim, LogicalPlan, RetryPolicy, RetryingBackend, SimBackend};
 use deepsea_relation::Table;
-use deepsea_storage::{BlockConfig, FaultConfig, FaultInjector, NodeConfig, NodeSet, SimFs};
+use deepsea_storage::{BlockConfig, FaultConfig, FaultInjector, Lsn, NodeConfig, NodeSet, SimFs};
 use deepsea_workload::schema::{BigBenchData, InstanceSize, ItemDistribution};
 use deepsea_workload::sdss::sdss_like_histogram;
 use deepsea_workload::sequences::{fig5_workload, item_domain};
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 
 type Kinds = HashSet<Discriminant<CatalogRecord>>;
 
@@ -152,4 +156,79 @@ fn replay_rebuilds_the_live_registry_after_every_commit() {
     );
 
     assert_eq!(kinds.len(), 12, "a record kind never reached `commit`");
+}
+
+type Log = Vec<(Lsn, CatalogRecord)>;
+
+/// The whole journal of one 100-query run under pool pressure: a checkpoint
+/// per query and no snapshot, so the log holds every record from the first.
+fn recorded_log() -> &'static Log {
+    static LOG: OnceLock<Log> = OnceLock::new();
+    LOG.get_or_init(|| {
+        let catalog = data();
+        let base = catalog.total_base_bytes();
+        let config = baselines::deepsea()
+            .with_phi(0.05)
+            .with_smax(base / 40)
+            .with_journal_cadence(1, 1000);
+        let journal = Arc::new(CatalogJournal::new());
+        let backend = SimBackend::new(ClusterSim::paper_default());
+        let mut ds = DeepSea::with_backend(catalog, plain_fs(), Box::new(backend), config)
+            .with_journal(Arc::clone(&journal));
+        for (i, plan) in fig5_workload(100, 42).iter().enumerate() {
+            ds.process_query(plan)
+                .unwrap_or_else(|e| panic!("query {i}: views never gate an answer: {e}"));
+        }
+        let (snapshot, records) = journal.replay();
+        assert!(snapshot.is_none(), "a snapshot truncated the log");
+        records
+    })
+}
+
+/// Replay 200 logs, each `damage` applied to the recorded one with a fresh
+/// random index: every replay returns, and replaying the same damaged log
+/// twice gives one state.
+fn replay_damaged(seed: u64, damage: impl Fn(&mut Log, &mut StdRng) -> String) {
+    let log = recorded_log();
+    assert!(
+        log.len() > 200,
+        "the run journaled only {} records",
+        log.len()
+    );
+    let mut rng = StdRng::seed_from_u64(seed);
+    for _ in 0..200 {
+        let mut damaged = log.clone();
+        let what = damage(&mut damaged, &mut rng);
+        let (first, clock) = replay_catalog(None, &damaged);
+        let (second, clock_again) = replay_catalog(None, &damaged);
+        assert_eq!(clock, clock_again, "{what}");
+        assert_eq!(first.state_digest(), second.state_digest(), "{what}");
+    }
+}
+
+#[test]
+fn replay_of_a_torn_log_returns_one_state() {
+    replay_damaged(1, |log, rng| {
+        let cut = rng.random_range(0..=log.len());
+        log.truncate(cut);
+        format!("log torn after {cut} records")
+    });
+}
+
+#[test]
+fn replay_of_a_log_with_a_duplicated_record_returns_one_state() {
+    replay_damaged(2, |log, rng| {
+        let i = rng.random_range(0..log.len());
+        log.insert(i + 1, log[i].clone());
+        format!("record {i} duplicated")
+    });
+}
+
+#[test]
+fn replay_of_a_log_with_swapped_neighbours_returns_one_state() {
+    replay_damaged(3, |log, rng| {
+        let i = rng.random_range(0..log.len() - 1);
+        log.swap(i, i + 1);
+        format!("records {i} and {} swapped", i + 1)
+    });
 }

@@ -496,12 +496,13 @@ fn json_str(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::items::parse_file;
+    use crate::items::parse;
+    use crate::rules::SourceFile;
 
     fn corpus(files: &[(&str, &str)]) -> CallGraph {
         let parsed: Vec<FileItems> = files
             .iter()
-            .map(|(rel, src)| parse_file(rel, src))
+            .map(|(rel, src)| parse(&SourceFile::new(rel, src)))
             .collect();
         CallGraph::build(&parsed)
     }

@@ -11,7 +11,8 @@
 //! never to a parse failure — a linter must not give up on a file it only
 //! half-understands.
 
-use crate::lexer::{lex, TokKind, Token};
+use crate::lexer::{TokKind, Token};
+use crate::rules::SourceFile;
 
 /// How a fn takes its receiver — the signal R1 uses to classify a method as
 /// state-mutating (`&mut self`) versus read-only.
@@ -78,7 +79,7 @@ pub struct FnItem {
     pub line: u32,
     /// Receiver kind.
     pub receiver: Receiver,
-    /// Inside `#[cfg(test)]` scope or marked `#[test]`.
+    /// The `fn` token lies in a `#[cfg(test)]` / `#[test]` item or block.
     pub is_test: bool,
     /// Declared `pub` (any visibility restriction counts).
     pub is_pub: bool,
@@ -132,34 +133,32 @@ const KEYWORDS: [&str; 31] = [
     "continue", "struct", "enum", "trait", "type", "const", "static", "crate",
 ];
 
-/// Parse one file into its items. Never fails; whatever the scan cannot
-/// classify is skipped.
-pub fn parse_file(rel: &str, src: &str) -> FileItems {
-    let toks: Vec<Token> = lex(src)
-        .into_iter()
-        .filter(|t| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
-        .collect();
+/// Parse one lexed file into its items. Never fails; whatever the scan
+/// cannot classify is skipped.
+pub(crate) fn parse(file: &SourceFile) -> FileItems {
     let mut p = Parser {
-        t: toks,
+        file,
+        t: &file.toks,
         i: 0,
         out: FileItems {
-            file: rel.to_string(),
+            file: file.rel.clone(),
             ..FileItems::default()
         },
         module: Vec::new(),
     };
-    p.parse_items(None, false);
+    p.parse_items(None);
     p.out
 }
 
-struct Parser {
-    t: Vec<Token>,
+struct Parser<'a> {
+    file: &'a SourceFile,
+    t: &'a [Token],
     i: usize,
     out: FileItems,
     module: Vec<String>,
 }
 
-impl Parser {
+impl Parser<'_> {
     fn peek(&self, ahead: usize) -> Option<&Token> {
         self.t.get(self.i + ahead)
     }
@@ -232,31 +231,20 @@ impl Parser {
         }
     }
 
-    /// Scan an attribute `#[…]` / `#![…]` whose `#` is current; returns
-    /// whether it marks test scope (`#[test]`, `#[cfg(test)]`, any
-    /// `cfg(…)` mentioning `test`).
-    fn scan_attr(&mut self) -> bool {
+    /// Skip an attribute `#[…]` / `#![…]` whose `#` is current. Test scope
+    /// is not read here: [`SourceFile::in_test`] holds it.
+    fn skip_attr(&mut self) {
         self.i += 1; // '#'
         if self.peek(0).is_some_and(|t| t.is_punct('!')) {
             self.i += 1;
         }
-        if !self.peek(0).is_some_and(|t| t.is_punct('[')) {
-            return false;
+        if self.peek(0).is_some_and(|t| t.is_punct('[')) {
+            self.skip_balanced('[', ']');
         }
-        let start = self.i;
-        self.skip_balanced('[', ']');
-        let idents: Vec<&str> = self.t[start..self.i]
-            .iter()
-            .filter(|t| t.kind == TokKind::Ident)
-            .map(|t| t.text.as_str())
-            .collect();
-        let first = idents.first().copied();
-        first == Some("test") || (first == Some("cfg") && idents.contains(&"test"))
     }
 
     /// Parse items until EOF or until the `}` closing this level is consumed.
-    fn parse_items(&mut self, owner: Option<&str>, in_test: bool) {
-        let mut pending_test = false;
+    fn parse_items(&mut self, owner: Option<&str>) {
         let mut pending_pub = false;
         while let Some(tok) = self.peek(0) {
             if tok.is_punct('}') {
@@ -264,7 +252,7 @@ impl Parser {
                 return;
             }
             if tok.is_punct('#') {
-                pending_test |= self.scan_attr();
+                self.skip_attr();
                 continue;
             }
             if tok.is_punct(';') {
@@ -294,7 +282,6 @@ impl Parser {
                         self.i += 1;
                     } else {
                         self.skip_to_semi();
-                        pending_test = false;
                         pending_pub = false;
                     }
                 }
@@ -305,13 +292,11 @@ impl Parser {
                     }
                     if self.ident_text(0) != Some("fn") {
                         self.skip_to_semi();
-                        pending_test = false;
                         pending_pub = false;
                     }
                 }
                 "use" | "type" => {
                     self.skip_to_semi();
-                    pending_test = false;
                     pending_pub = false;
                 }
                 "mod" => {
@@ -320,17 +305,15 @@ impl Parser {
                     if self.peek(0).is_some_and(|t| t.is_punct('{')) {
                         self.i += 1;
                         self.module.push(name);
-                        self.parse_items(None, in_test || pending_test);
+                        self.parse_items(None);
                         self.module.pop();
                     } else {
                         self.skip_to_semi();
                     }
-                    pending_test = false;
                     pending_pub = false;
                 }
                 "impl" => {
-                    self.parse_impl(in_test || pending_test);
-                    pending_test = false;
+                    self.parse_impl();
                     pending_pub = false;
                 }
                 "trait" => {
@@ -340,14 +323,12 @@ impl Parser {
                     self.scan_to_body_or_semi();
                     if self.peek(0).is_some_and(|t| t.is_punct('{')) {
                         self.i += 1;
-                        self.parse_items(Some(&name), in_test || pending_test);
+                        self.parse_items(Some(&name));
                     }
-                    pending_test = false;
                     pending_pub = false;
                 }
                 "struct" => {
                     self.parse_struct();
-                    pending_test = false;
                     pending_pub = false;
                 }
                 "enum" | "union" => {
@@ -356,12 +337,10 @@ impl Parser {
                     if self.peek(0).is_some_and(|t| t.is_punct('{')) {
                         self.skip_balanced('{', '}');
                     }
-                    pending_test = false;
                     pending_pub = false;
                 }
                 "fn" => {
-                    self.parse_fn(owner, in_test || pending_test, pending_pub);
-                    pending_test = false;
+                    self.parse_fn(owner, pending_pub);
                     pending_pub = false;
                 }
                 "macro_rules" => {
@@ -377,7 +356,6 @@ impl Parser {
                         }
                         self.i += 1;
                     }
-                    pending_test = false;
                     pending_pub = false;
                 }
                 _ => self.i += 1,
@@ -410,7 +388,7 @@ impl Parser {
     }
 
     /// `impl[<…>] Type {` / `impl[<…>] Trait for Type {`.
-    fn parse_impl(&mut self, in_test: bool) {
+    fn parse_impl(&mut self) {
         self.i += 1; // 'impl'
         if self.peek(0).is_some_and(|t| t.is_punct('<')) {
             self.skip_angles();
@@ -439,7 +417,7 @@ impl Parser {
         } else {
             Some(owner.as_str())
         };
-        self.parse_items(owner_ref, in_test);
+        self.parse_items(owner_ref);
     }
 
     /// Read one type path in impl-header position (`fmt::Display`,
@@ -499,7 +477,7 @@ impl Parser {
             loop {
                 // One field: [#[…]] [pub[(…)]] name : Type ,
                 while self.peek(0).is_some_and(|t| t.is_punct('#')) {
-                    self.scan_attr();
+                    self.skip_attr();
                 }
                 if self.ident_text(0) == Some("pub") {
                     self.i += 1;
@@ -551,7 +529,8 @@ impl Parser {
     }
 
     /// `fn name[<…>](params) [-> …] [where …] { body }`.
-    fn parse_fn(&mut self, owner: Option<&str>, in_test: bool, is_pub: bool) {
+    fn parse_fn(&mut self, owner: Option<&str>, is_pub: bool) {
+        let is_test = self.file.in_test(self.i);
         self.i += 1; // 'fn'
         let Some(name_tok) = self.peek(0).filter(|t| t.kind == TokKind::Ident) else {
             return;
@@ -664,7 +643,7 @@ impl Parser {
             file: self.out.file.clone(),
             line,
             receiver,
-            is_test: in_test,
+            is_test,
             is_pub,
             params,
             calls: Vec::new(),
@@ -923,7 +902,7 @@ mod tests {
     use super::*;
 
     fn parse(src: &str) -> FileItems {
-        parse_file("crates/core/src/x.rs", src)
+        super::parse(&SourceFile::new("crates/core/src/x.rs", src))
     }
 
     #[test]

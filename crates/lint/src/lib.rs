@@ -6,26 +6,25 @@
 //! `HashMap` iteration in an eviction tie-break or one `Instant::now()` in
 //! a costed path silently breaks replay in ways that are miserable to
 //! bisect. This crate enforces those invariants statically, over a
-//! hand-rolled token stream (no rustc plumbing, std-only), with a
-//! checked-in, *ratcheted* baseline so pre-existing violations are burned
-//! down over time instead of blocking the build.
+//! hand-rolled token stream (no rustc plumbing, std-only). The gate is
+//! zero: any violation fails the run.
 //!
-//! See [`rules`] for the rule catalog, [`baseline`] for ratchet semantics,
-//! and DESIGN.md §10 for the rationale tied to each guarantee.
+//! See [`rules`] for the rule catalog and DESIGN.md §10 for the rationale
+//! tied to each guarantee.
 
-pub mod baseline;
 pub mod graph;
 pub mod items;
 pub mod lexer;
 pub mod report;
 pub mod rules;
 
-pub use baseline::{compare, Baseline, Ratchet};
 pub use graph::CallGraph;
 pub use rules::{lint_source, RuleId, Violation};
 
 use std::io;
 use std::path::{Path, PathBuf};
+
+use rules::SourceFile;
 
 /// Result of linting a file set.
 pub struct LintRun {
@@ -57,33 +56,34 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintRun> {
 }
 
 /// Lint an explicit list of absolute file paths, relativizing against
-/// `root` for scoping and reporting.
+/// `root` for scoping and reporting. Each non-test file is lexed once; test
+/// files are read but never linted.
 pub fn lint_files(root: &Path, files: &[PathBuf]) -> io::Result<LintRun> {
-    let mut violations = Vec::new();
-    let mut sources = Vec::with_capacity(files.len());
+    let mut rels = Vec::with_capacity(files.len());
+    let mut lexed = Vec::new();
     for path in files {
         let rel = relative_to(root, path);
         let src = std::fs::read_to_string(path)?;
-        violations.extend(lint_source(&rel, &src));
-        sources.push((rel, src));
+        if !rules::is_test_path(&rel) {
+            lexed.push(SourceFile::new(&rel, &src));
+        }
+        rels.push(rel);
     }
+    let mut violations: Vec<Violation> = lexed.iter().flat_map(rules::lint_file).collect();
     // Corpus pass: R1 read-path purity is a reachability property of the
     // whole call graph, so it runs over the file set, not per file. Allow
     // markers still apply at the flagged call site.
-    let graph = build_graph(&sources);
-    let r1 = graph.read_path_purity_violations();
-    for (rel, src) in &sources {
-        let mut mine: Vec<Violation> = r1.iter().filter(|v| &v.file == rel).cloned().collect();
-        if mine.is_empty() {
-            continue;
-        }
-        rules::apply_markers(rel, src, &mut mine);
-        violations.extend(mine);
-    }
+    let graph = graph_of(&lexed);
+    violations.extend(
+        graph
+            .read_path_purity_violations()
+            .into_iter()
+            .filter(|v| !lexed.iter().any(|f| f.rel == v.file && f.suppresses(v))),
+    );
     violations.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(LintRun {
         violations,
-        files: sources.into_iter().map(|(rel, _)| rel).collect(),
+        files: rels,
         graph,
     })
 }
@@ -91,10 +91,19 @@ pub fn lint_files(root: &Path, files: &[PathBuf]) -> io::Result<LintRun> {
 /// Build the cross-crate call graph over `(rel, source)` pairs. Test-scoped
 /// files and vendored shim crates are excluded from the corpus.
 pub fn build_graph(sources: &[(String, String)]) -> CallGraph {
-    let parsed: Vec<items::FileItems> = sources
+    let lexed: Vec<SourceFile> = sources
         .iter()
-        .filter(|(rel, _)| rules::in_graph_corpus(rel))
-        .map(|(rel, src)| items::parse_file(rel, src))
+        .map(|(rel, src)| SourceFile::new(rel, src))
+        .collect();
+    graph_of(&lexed)
+}
+
+/// The call graph over the corpus files among `lexed`.
+fn graph_of(lexed: &[SourceFile]) -> CallGraph {
+    let parsed: Vec<items::FileItems> = lexed
+        .iter()
+        .filter(|f| rules::in_graph_corpus(&f.rel))
+        .map(items::parse)
         .collect();
     CallGraph::build(&parsed)
 }

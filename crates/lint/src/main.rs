@@ -1,40 +1,33 @@
 //! CLI entry point.
 //!
 //! ```text
-//! deepsea-lint --workspace [--root DIR] [--baseline FILE] [--json FILE]
-//!              [--graph-out FILE] [--write-baseline] [paths…]
+//! deepsea-lint --workspace [--root DIR] [--json FILE] [--graph-out FILE] [paths…]
 //! ```
 //!
-//! Exit codes: `0` clean (or all violations grandfathered), `1` new
-//! violations / baseline count regressions, `2` usage or I/O errors.
+//! Exit codes: `0` clean, `1` any violation, `2` usage or I/O errors.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use deepsea_lint::{baseline::Baseline, report, LintRun};
+use deepsea_lint::{report, LintRun};
 
 struct Args {
     workspace: bool,
     root: Option<PathBuf>,
-    baseline: Option<PathBuf>,
     json: Option<PathBuf>,
     graph_out: Option<PathBuf>,
-    write_baseline: bool,
     paths: Vec<PathBuf>,
 }
 
 const USAGE: &str = "usage: deepsea-lint [--workspace] [--root DIR] \
-                     [--baseline FILE] [--json FILE] [--graph-out FILE] \
-                     [--write-baseline] [paths...]";
+                     [--json FILE] [--graph-out FILE] [paths...]";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         workspace: false,
         root: None,
-        baseline: None,
         json: None,
         graph_out: None,
-        write_baseline: false,
         paths: Vec::new(),
     };
     let mut it = std::env::args().skip(1);
@@ -46,9 +39,7 @@ fn parse_args() -> Result<Args, String> {
         };
         match a.as_str() {
             "--workspace" => args.workspace = true,
-            "--write-baseline" => args.write_baseline = true,
             "--root" => args.root = Some(path_arg(&mut it)?),
-            "--baseline" => args.baseline = Some(path_arg(&mut it)?),
             "--json" => args.json = Some(path_arg(&mut it)?),
             "--graph-out" => args.graph_out = Some(path_arg(&mut it)?),
             "--help" | "-h" => return Err(USAGE.to_string()),
@@ -92,65 +83,16 @@ fn run() -> Result<bool, String> {
         deepsea_lint::lint_files(&root, &files).map_err(|e| format!("lint failed: {e}"))?
     };
 
-    // Resolve the baseline path relative to the workspace root, so the tool
-    // behaves the same from any working directory.
-    let baseline_path = args.baseline.as_ref().map(|p| {
-        if p.is_absolute() {
-            p.clone()
-        } else if cwd.join(p).is_file() {
-            cwd.join(p)
-        } else {
-            root.join(p)
-        }
-    });
-
-    if args.write_baseline {
-        let pinned = match &baseline_path {
-            Some(p) if p.is_file() => {
-                let text = std::fs::read_to_string(p).map_err(|e| e.to_string())?;
-                Baseline::parse(&text)?
-            }
-            _ => Baseline::default(),
-        };
-        let b = Baseline::from_violations(&run.violations, &pinned);
-        let out_path = baseline_path
-            .clone()
-            .unwrap_or_else(|| root.join("lint-baseline.json"));
-        std::fs::write(&out_path, b.render()).map_err(|e| e.to_string())?;
-        eprintln!("wrote baseline to {}", out_path.display());
-        return Ok(true);
-    }
-
-    let (text, ratchet) = match &baseline_path {
-        Some(p) => {
-            let text = std::fs::read_to_string(p)
-                .map_err(|e| format!("cannot read baseline {}: {e}", p.display()))?;
-            let b = Baseline::parse(&text)?;
-            let ratchet = deepsea_lint::compare(&b, &run.violations);
-            (
-                report::render_ratcheted(&run.violations, &ratchet, run.files.len()),
-                Some(ratchet),
-            )
-        }
-        None => (report::render_plain(&run.violations, run.files.len()), None),
-    };
-    print!("{text}");
-
+    print!("{}", report::render_plain(&run.violations, run.files.len()));
     if let Some(json_path) = &args.json {
-        let json = report::render_json(&run.violations, ratchet.as_ref(), run.files.len());
+        let json = report::render_json(&run.violations, run.files.len());
         std::fs::write(json_path, json).map_err(|e| e.to_string())?;
     }
-
     if let Some(graph_path) = &args.graph_out {
         std::fs::write(graph_path, run.graph.to_json()).map_err(|e| e.to_string())?;
         eprintln!("wrote call graph to {}", graph_path.display());
     }
-
-    let ok = match &ratchet {
-        Some(r) => !r.failed(),
-        None => run.violations.is_empty(),
-    };
-    Ok(ok)
+    Ok(run.violations.is_empty())
 }
 
 fn main() -> ExitCode {

@@ -3,7 +3,6 @@
 
 use serde::{ObjectBuilder, Value};
 
-use crate::baseline::Ratchet;
 use crate::rules::{RuleId, Violation};
 
 /// One `path:line: [CODE slug] message` diagnostic line.
@@ -18,8 +17,7 @@ pub fn render_violation(v: &Violation) -> String {
     )
 }
 
-/// Human-readable report for a run without a baseline: every violation,
-/// then a per-rule summary.
+/// Human-readable report: every violation, then a per-rule summary.
 pub fn render_plain(violations: &[Violation], files_scanned: usize) -> String {
     let mut out = String::new();
     for v in violations {
@@ -27,53 +25,6 @@ pub fn render_plain(violations: &[Violation], files_scanned: usize) -> String {
         out.push('\n');
     }
     out.push_str(&summary_line(violations, files_scanned));
-    out
-}
-
-/// Human-readable report for a ratcheted run: new violations and count
-/// regressions (hard failures), then improvement suggestions.
-pub fn render_ratcheted(
-    violations: &[Violation],
-    ratchet: &Ratchet,
-    files_scanned: usize,
-) -> String {
-    let mut out = String::new();
-    if ratchet.failed() {
-        out.push_str("FAIL: new violations or baseline count regressions\n\n");
-        for v in &ratchet.new_violations {
-            out.push_str(&render_violation(v));
-            out.push('\n');
-        }
-        out.push('\n');
-        for d in &ratchet.regressions {
-            out.push_str(&format!(
-                "  {} {}: baseline allows {}, found {}\n",
-                d.rule, d.file, d.baselined, d.current
-            ));
-        }
-        out.push('\n');
-    }
-    if !ratchet.improvements.is_empty() {
-        out.push_str(&format!(
-            "{} baseline entr{} can be ratcheted down (run with --write-baseline):\n",
-            ratchet.improvements.len(),
-            if ratchet.improvements.len() == 1 {
-                "y"
-            } else {
-                "ies"
-            }
-        ));
-        for d in &ratchet.improvements {
-            out.push_str(&format!(
-                "  {} {}: {} -> {}\n",
-                d.rule, d.file, d.baselined, d.current
-            ));
-        }
-    }
-    out.push_str(&summary_line(violations, files_scanned));
-    if !ratchet.failed() {
-        out.push_str("baseline ratchet: OK\n");
-    }
     out
 }
 
@@ -98,13 +49,8 @@ fn summary_line(violations: &[Violation], files_scanned: usize) -> String {
     )
 }
 
-/// Machine-readable JSON report: all violations, per-rule totals, and (when
-/// a baseline was used) the ratchet outcome.
-pub fn render_json(
-    violations: &[Violation],
-    ratchet: Option<&Ratchet>,
-    files_scanned: usize,
-) -> String {
+/// Machine-readable JSON report: all violations and per-rule totals.
+pub fn render_json(violations: &[Violation], files_scanned: usize) -> String {
     let vio_values: Vec<Value> = violations
         .iter()
         .map(|v| {
@@ -124,35 +70,12 @@ pub fn render_json(
             totals = totals.field(rule.code(), n as u64);
         }
     }
-    let mut root = ObjectBuilder::new()
+    let root = ObjectBuilder::new()
         .field("files_scanned", files_scanned as u64)
         .field("violations", Value::Array(vio_values))
-        .field("totals", totals.build());
-    if let Some(r) = ratchet {
-        let delta = |d: &crate::baseline::CountDelta| {
-            ObjectBuilder::new()
-                .field("rule", d.rule.as_str())
-                .field("file", d.file.as_str())
-                .field("baselined", d.baselined)
-                .field("current", d.current)
-                .build()
-        };
-        root = root.field(
-            "ratchet",
-            ObjectBuilder::new()
-                .field("failed", r.failed())
-                .field(
-                    "regressions",
-                    Value::Array(r.regressions.iter().map(delta).collect()),
-                )
-                .field(
-                    "improvements",
-                    Value::Array(r.improvements.iter().map(delta).collect()),
-                )
-                .build(),
-        );
-    }
-    let mut s = serde::to_string(&root.build());
+        .field("totals", totals.build())
+        .build();
+    let mut s = serde::to_string(&root);
     s.push('\n');
     s
 }
@@ -179,7 +102,7 @@ mod tests {
     #[test]
     fn json_report_is_valid_and_complete() {
         let vs = vec![v(RuleId::Panic, "a.rs", 1), v(RuleId::HashIter, "b.rs", 2)];
-        let json = render_json(&vs, None, 10);
+        let json = render_json(&vs, 10);
         assert!(json.contains("\"files_scanned\":10"));
         assert!(json.contains("\"rule\":\"P1\""));
         assert!(json.contains("\"rule\":\"D1\""));

@@ -238,7 +238,7 @@ fn crate_of(rel: &str) -> &str {
 /// Covers `tests/`, `benches/` and `examples/` dirs, plus module files named
 /// `tests.rs` / `*_tests.rs` (their `#[cfg(test)]` lives on the `mod`
 /// declaration in the parent file, out of this file's token stream).
-fn is_test_path(rel: &str) -> bool {
+pub(crate) fn is_test_path(rel: &str) -> bool {
     let parts: Vec<&str> = rel.split('/').collect();
     if parts.contains(&"tests") || parts.contains(&"benches") || parts.contains(&"examples") {
         return true;
@@ -282,28 +282,78 @@ struct Marker {
     rules: Vec<RuleId>,
 }
 
+/// One file, lexed once: the token rules, the item parser and the R1 marker
+/// filter all read this value.
+pub(crate) struct SourceFile {
+    /// Workspace-relative path with `/` separators.
+    pub(crate) rel: String,
+    /// The source tokens; comments are dropped once the markers are read.
+    pub(crate) toks: Vec<Token>,
+    /// Token-index spans of test-only items and statement blocks.
+    test_spans: Vec<(usize, usize)>,
+    markers: Vec<Marker>,
+    /// M0 hits: malformed or unjustified markers.
+    marker_violations: Vec<Violation>,
+}
+
+impl SourceFile {
+    /// Lex `src` and read its markers and test spans.
+    pub(crate) fn new(rel: &str, src: &str) -> SourceFile {
+        let (toks, comments): (Vec<Token>, Vec<Token>) = lex(src)
+            .into_iter()
+            .partition(|t| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment));
+        let (markers, marker_violations) = collect_markers(rel, &comments);
+        SourceFile {
+            rel: rel.to_string(),
+            test_spans: test_item_spans(&toks),
+            toks,
+            markers,
+            marker_violations,
+        }
+    }
+
+    /// Does token `idx` lie in a `#[cfg(test)]` / `#[test]` item or block?
+    pub(crate) fn in_test(&self, idx: usize) -> bool {
+        self.test_spans.iter().any(|&(a, b)| idx >= a && idx < b)
+    }
+
+    /// Does an allow-marker cover `v`? A marker covers matching violations
+    /// on its own line and on the next line holding a source token; M0
+    /// diagnostics are never covered.
+    pub(crate) fn suppresses(&self, v: &Violation) -> bool {
+        v.rule != RuleId::Marker
+            && self.markers.iter().any(|m| {
+                if !m.rules.contains(&v.rule) {
+                    return false;
+                }
+                if v.line == m.line {
+                    return true;
+                }
+                let next = self.toks.iter().map(|tok| tok.line).find(|&l| l > m.line);
+                next == Some(v.line)
+            })
+    }
+}
+
 /// Lint one file's source. `rel` is the workspace-relative path (used for
 /// crate scoping); returns violations sorted by line.
 pub fn lint_source(rel: &str, src: &str) -> Vec<Violation> {
     if is_test_path(rel) {
         return Vec::new();
     }
-    let all = lex(src);
-    let (src_toks, comments): (Vec<Token>, Vec<Token>) = all
-        .into_iter()
-        .partition(|t| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment));
+    lint_file(&SourceFile::new(rel, src))
+}
 
-    let mut out = Vec::new();
-    let (markers, marker_violations) = collect_markers(rel, &comments);
-    out.extend(marker_violations);
+/// The per-file rules over a lexed file, sorted by line.
+pub(crate) fn lint_file(file: &SourceFile) -> Vec<Violation> {
+    let rel = file.rel.as_str();
+    let t = &file.toks;
+    let in_test = |idx: usize| file.in_test(idx);
+    let mut out = file.marker_violations.clone();
 
-    let test_spans = test_item_spans(&src_toks);
-    let in_test = |idx: usize| test_spans.iter().any(|&(a, b)| idx >= a && idx < b);
+    let hash_idents = collect_typed_idents(t, &["HashMap", "HashSet"]);
+    let string_idents = collect_typed_idents(t, &["String"]);
 
-    let hash_idents = collect_typed_idents(&src_toks, &["HashMap", "HashSet"]);
-    let string_idents = collect_typed_idents(&src_toks, &["String"]);
-
-    let t = &src_toks;
     for i in 0..t.len() {
         if in_test(i) {
             continue;
@@ -324,28 +374,9 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Violation> {
         rule_obs_gated(rel, t, &in_test, &mut out);
     }
 
-    retain_unsuppressed(&markers, t, &mut out);
+    out.retain(|v| !file.suppresses(v));
     out.sort_by_key(|v| (v.line, v.rule));
     out
-}
-
-/// Drop the violations an allow-marker covers: a marker suppresses matching
-/// violations on its own line and on the next line holding a source token.
-/// Marker-rule (M0) diagnostics are never suppressed.
-fn retain_unsuppressed(markers: &[Marker], src_toks: &[Token], v: &mut Vec<Violation>) {
-    let suppressed = |vi: &Violation| {
-        markers.iter().any(|m| {
-            if !m.rules.contains(&vi.rule) {
-                return false;
-            }
-            if vi.line == m.line {
-                return true;
-            }
-            let next = src_toks.iter().map(|tok| tok.line).find(|&l| l > m.line);
-            next == Some(vi.line)
-        })
-    };
-    v.retain(|vi| vi.rule == RuleId::Marker || !suppressed(vi));
 }
 
 /// Extract allow-markers from line comments; malformed ones are violations.
@@ -410,8 +441,10 @@ fn collect_markers(rel: &str, comments: &[Token]) -> (Vec<Marker>, Vec<Violation
     (markers, violations)
 }
 
-/// Token-index spans of `#[cfg(test)]` / `#[test]` items (the attribute up
-/// to the end of the item's brace block or terminating `;`).
+/// Token-index spans of `#[cfg(test)]` / `#[test]` items and statement
+/// blocks (the attribute up to the end of the brace block or terminating
+/// `;`). The one test-scope scanner: the token rules and the item parser
+/// both read these spans.
 fn test_item_spans(t: &[Token]) -> Vec<(usize, usize)> {
     let mut spans = Vec::new();
     let mut i = 0;
@@ -1396,17 +1429,4 @@ fn rule_obs_gated(
         }
     }
     eval_stmt(stmt_start, t.len(), &frames, &mut fmt_bound);
-}
-
-/// Apply a file's allow-markers to corpus-level violations (R1 runs outside
-/// [`lint_source`], so its results pass through here before reporting).
-/// Marker-rule (M0) diagnostics are `lint_source`'s job and are not
-/// re-evaluated.
-pub(crate) fn apply_markers(rel: &str, src: &str, v: &mut Vec<Violation>) {
-    let all = lex(src);
-    let (src_toks, comments): (Vec<Token>, Vec<Token>) = all
-        .into_iter()
-        .partition(|t| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment));
-    let (markers, _) = collect_markers(rel, &comments);
-    retain_unsuppressed(&markers, &src_toks, v);
 }
