@@ -26,6 +26,7 @@ use std::sync::Arc;
 use deepsea_engine::catalog::Catalog;
 use deepsea_engine::cost::CostEstimator;
 use deepsea_engine::exec::ExecMetrics;
+use deepsea_engine::plan::LogicalPlan;
 use deepsea_engine::{ClusterSim, ExecutionBackend, RetryAttempt, SimBackend};
 use deepsea_obs::{DecisionEvent, Observer, SpanCtx};
 use deepsea_relation::Table;
@@ -80,6 +81,14 @@ pub(crate) struct JournalDebt {
     pub(crate) penalty_secs: f64,
 }
 
+/// A snapshot read's execution, for its commit to adopt ([`DeepSea::adopt_read`]).
+pub(crate) struct ReadExecution {
+    pub(crate) epoch: LogicalTime,
+    pub(crate) plan: LogicalPlan,
+    pub(crate) result: Table,
+    pub(crate) metrics: ExecMetrics,
+}
+
 /// A DeepSea instance: the materialized-view pool manager wrapped around a
 /// catalog, a simulated file system and an execution backend.
 pub struct DeepSea {
@@ -125,6 +134,9 @@ pub struct DeepSea {
     /// a health cache, so [`DeepSea::recover`] starts with every breaker
     /// closed (fail-safe).
     pub(crate) breakers: Arc<crate::breaker::BreakerSet>,
+    /// The last clean snapshot read's execution, shared with every published
+    /// snapshot like `breakers`; [`DeepSea::recover`] starts a fresh one.
+    pub(crate) handoff: Arc<deepsea_storage::HandoffCell<ReadExecution>>,
     /// Parent span + anchor the *next* `process_query` attaches its
     /// write-path spans under — armed by [`DeepSea::begin_ticket_span`] so
     /// the serving layer can pull a commit into its ticket's causal trace.
@@ -179,6 +191,7 @@ impl DeepSea {
             offline: BTreeSet::new(),
             last_fault_stats: FaultStats::default(),
             breakers,
+            handoff: Arc::default(),
             pending_span: None,
             psel_memo: Default::default(),
         }
@@ -375,6 +388,16 @@ impl DeepSea {
         &self.breakers
     }
 
+    /// The read's execution of `plan`, when a snapshot of the epoch this
+    /// commit started from ran exactly it: a plan's result and metrics are a
+    /// function of the plan, the catalog and the write-once files it names,
+    /// so executing it again could only repeat them. Empties the hand-off.
+    pub(crate) fn adopt_read(&self, plan: &LogicalPlan) -> Option<(Table, ExecMetrics)> {
+        self.handoff
+            .take_if(|read| read.epoch + 1 == self.clock && read.plan == *plan)
+            .map(|read| (read.result, read.metrics))
+    }
+
     /// A cost estimator over the backend's cluster model.
     pub(crate) fn estimator(&self) -> CostEstimator<'_> {
         CostEstimator::new(&self.catalog, &self.fs, self.backend.cluster())
@@ -408,8 +431,8 @@ impl DeepSea {
         match pending {
             // A serving-layer commit: attach the write path to its ticket's
             // trace. Only the writer-occupying work (creation + journal) is
-            // spanned — the canonical re-execution's cost is client-invisible
-            // (the read already carries the execute spans).
+            // spanned — the commit's execution is client-invisible (the read
+            // already carries the execute spans).
             Some((parent, anchor)) => {
                 let end = anchor + outcome.creation_secs;
                 let commit = self.obs.record_span(

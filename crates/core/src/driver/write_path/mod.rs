@@ -10,10 +10,12 @@
 //!
 //! All of it runs behind the single writer (`&mut DeepSea`), one query at a
 //! time, in ticket order. [`DeepSea::process_query`] is the serialized
-//! commit: it re-runs the read path against the writer's *live* state (so
-//! the committed decision never acts on a stale snapshot), then applies the
-//! chosen configuration and publishes the next catalog epoch. Concurrent
-//! readers meanwhile answer queries from the last published
+//! commit: it matches and rewrites against the writer's *live* state (so
+//! the committed decision never acts on a stale snapshot), executes the
+//! chosen plan — or adopts the ticket's read's execution of that same plan
+//! at that same epoch ([`DeepSea::adopt_read`]) — then applies the chosen
+//! configuration and publishes the next catalog epoch. Concurrent readers
+//! meanwhile answer queries from the last published
 //! [`crate::snapshot::ReadSnapshot`]; see [`crate::server`].
 
 pub(crate) mod candidates;
@@ -147,7 +149,9 @@ impl DeepSea {
     /// [`DeepSea::read_view`]); everything else mutates the catalog and must
     /// hold the writer. Under the concurrent server this method is invoked
     /// once per ticket, in ticket order, and its committed outcome is
-    /// bit-identical to the single-client serial run by construction.
+    /// bit-identical to the single-client serial run by construction. When
+    /// the ticket's read already ran stage 6's plan at the epoch this commit
+    /// starts from, stage 6 adopts that execution, bit for bit.
     pub fn process_query(&mut self, plan: &LogicalPlan) -> Result<QueryOutcome, ExecError> {
         self.clock += 1;
         let tnow = self.clock;
@@ -209,7 +213,10 @@ impl DeepSea {
             .config
             .partition_policy
             .executed_plan(plan, &self.catalog);
-        let (result, mut metrics) = self.backend.execute(&executed, &self.catalog, &self.fs)?;
+        let (result, mut metrics) = self.adopt_read(&executed).map_or_else(
+            || self.backend.execute(&executed, &self.catalog, &self.fs),
+            Ok,
+        )?;
         ctx.record_execution(self.backend.as_ref(), &mut metrics, (0, 0.0));
         Ok(self.finish_query(ctx, result, metrics))
     }
@@ -242,7 +249,12 @@ impl DeepSea {
             // An open breaker rewrites the decision before any I/O: straight
             // to the base plan, no retries burned on the guarded view.
             self.read_view().breaker_guard(plan, ctx);
-            match self.backend.execute(&ctx.qbest, &self.catalog, &self.fs) {
+            // Only a sharded FS re-plans, and reads on one offer nothing.
+            let executed = self.adopt_read(&ctx.qbest).map_or_else(
+                || self.backend.execute(&ctx.qbest, &self.catalog, &self.fs),
+                Ok,
+            );
+            match executed {
                 Ok((result, mut metrics)) => {
                     ctx.record_execution(self.backend.as_ref(), &mut metrics, debt);
                     self.read_view().breaker_record_success(ctx);

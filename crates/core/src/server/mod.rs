@@ -14,8 +14,9 @@
 //!   the catalog.
 //! - **Commits** apply strictly in ticket order: commit *i* becomes
 //!   eligible once read *i* has finished and commit *i−1* is done, and
-//!   re-runs the full Algorithm-1 pipeline ([`DeepSea::process_query`])
-//!   against the writer's live state. The catalog mutation is atomic at
+//!   runs the full Algorithm-1 pipeline ([`DeepSea::process_query`])
+//!   against the writer's live state, adopting read *i*'s execution of the
+//!   same plan at the same epoch. The catalog mutation is atomic at
 //!   commit start (publish-at-apply): the next snapshot epoch is visible
 //!   immediately, while the materialization overhead (`creation_secs`)
 //!   occupies the writer until the commit completes.
@@ -23,7 +24,7 @@
 //!   same instant, the commit goes first — readers see the freshest epoch
 //!   an interleaving permits.
 //!
-//! Because commits are serialized in ticket order and re-run the canonical
+//! Because commits are serialized in ticket order and run the canonical
 //! pipeline, the committed state trajectory — every materialization,
 //! eviction, Φ ranking and journal record — is **bit-identical to the
 //! single-client serial run**, for every seed and client count.
@@ -518,10 +519,8 @@ impl ViewServer {
                 }
                 if shed_reason.is_none() {
                     if let Some(q) = self.cfg.max_queue {
-                        let waiting = arrivals[ticket + 1..]
-                            .iter()
-                            .filter(|&&a| a <= start)
-                            .count();
+                        // Arrivals never decrease: the waiting are a prefix.
+                        let waiting = arrivals[ticket + 1..].partition_point(|&a| a <= start);
                         if waiting > q {
                             shed_reason = Some("queue_full");
                         }
@@ -645,8 +644,10 @@ impl ViewServer {
                     served_secs_sum += query_secs;
                     served_count += 1;
                     obs.observe("deepsea_client_latency_secs", None, latency);
-                    let label = format!("client{k}");
-                    obs.observe("deepsea_client_latency_secs", Some(&label), latency);
+                    if obs.enabled() {
+                        let label = format!("client{k}");
+                        obs.observe("deepsea_client_latency_secs", Some(&label), latency);
+                    }
                 }
 
                 let (read_fingerprint, read_query_secs, read_used_view) = match ans {

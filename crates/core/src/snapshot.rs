@@ -15,6 +15,9 @@
 //! fragments it changes — consecutive epochs share everything else. Each
 //! epoch's registry is immutable once published, so any number of readers
 //! share it and the writer never waits for them.
+//!
+//! Readers hand back one thing: a clean read's execution, which the commit
+//! of the same plan at the same epoch adopts — one execution per ticket.
 
 use std::sync::Arc;
 
@@ -24,13 +27,13 @@ use deepsea_engine::plan::LogicalPlan;
 use deepsea_engine::ExecutionBackend;
 use deepsea_obs::{Observer, SpanCtx};
 use deepsea_relation::Table;
-use deepsea_storage::SimFs;
+use deepsea_storage::{HandoffCell, SimFs};
 
 use crate::breaker::BreakerSet;
 use crate::config::DeepSeaConfig;
 use crate::driver::context::QueryContext;
 use crate::driver::read_path::ReadView;
-use crate::driver::{DeepSea, QueryTrace};
+use crate::driver::{DeepSea, QueryTrace, ReadExecution};
 use crate::registry::ViewRegistry;
 
 /// A frozen, shareable view of everything the read path consults, stamped
@@ -49,6 +52,8 @@ pub struct ReadSnapshot {
     /// health cache, so a failure observed through any snapshot immediately
     /// protects every other reader and the writer itself.
     breakers: Arc<BreakerSet>,
+    /// Shared with the writer: a clean read's execution, for its commit.
+    handoff: Arc<HandoffCell<ReadExecution>>,
 }
 
 /// The result of answering one query from a snapshot: no catalog mutation,
@@ -85,6 +90,7 @@ impl DeepSea {
             config: self.config,
             obs: self.obs.clone(),
             breakers: Arc::clone(&self.breakers),
+            handoff: Arc::clone(&self.handoff),
         })
     }
 }
@@ -166,6 +172,11 @@ impl ReadSnapshot {
     /// the read path (or, `base_only`, just the base plan) run on the read
     /// view over the plan the writer's policy would execute, and the answer
     /// assembled from what it left in the context.
+    ///
+    /// A read with no retry, penalty or fallback, on a file system that
+    /// neither shards nor injects faults, offers its execution to the
+    /// writer. Elsewhere every read moves fault draws or hedge and node
+    /// state, which the commit's own read must move too.
     fn read(
         &self,
         plan: &LogicalPlan,
@@ -186,6 +197,21 @@ impl ReadSnapshot {
         } else {
             view.answer(&plan, &mut ctx)?
         };
+        let recovery = &ctx.trace.recovery;
+        if metrics.retries == 0
+            && metrics.penalty_secs == 0.0
+            && recovery.base_table_fallbacks == 0
+            && recovery.fragment_fallbacks == 0
+            && self.fs.cluster().is_none()
+            && !self.fs.faults_enabled()
+        {
+            self.handoff.offer(ReadExecution {
+                epoch: self.epoch,
+                plan: ctx.qbest,
+                result: result.clone(),
+                metrics,
+            });
+        }
         Ok(SnapshotAnswer {
             result,
             query_secs: ctx.query_secs,
@@ -211,6 +237,7 @@ impl Clone for ReadSnapshot {
             config: self.config,
             obs: self.obs.clone(),
             breakers: Arc::clone(&self.breakers),
+            handoff: Arc::clone(&self.handoff),
         }
     }
 }

@@ -172,6 +172,11 @@ impl<P> SimFs<P> {
         self.cluster.as_ref()
     }
 
+    /// Whether fallible I/O draws from an enabled fault injector.
+    pub fn faults_enabled(&self) -> bool {
+        self.faults.enabled()
+    }
+
     /// The block configuration in force.
     pub fn block_config(&self) -> BlockConfig {
         self.block
