@@ -81,12 +81,33 @@ pub(crate) struct JournalDebt {
     pub(crate) penalty_secs: f64,
 }
 
-/// A snapshot read's execution, for its commit to adopt ([`DeepSea::adopt_read`]).
+/// A snapshot read's execution, for its commit to adopt: the whole reuse
+/// rule is [`ReadExecution::offer`] and [`DeepSea::execute_or_adopt`].
 pub(crate) struct ReadExecution {
-    pub(crate) epoch: LogicalTime,
-    pub(crate) plan: LogicalPlan,
-    pub(crate) result: Table,
-    pub(crate) metrics: ExecMetrics,
+    epoch: LogicalTime,
+    plan: LogicalPlan,
+    execution: (Table, ExecMetrics),
+}
+
+impl ReadExecution {
+    /// Offer `answer`, the read of `plan`, unless it moved hedge or node
+    /// state (sharded FS), drew faults or fell back to base tables. Without
+    /// a cluster or faults no read retries or pays a penalty either.
+    pub(crate) fn offer(
+        cell: &deepsea_storage::HandoffCell<Self>,
+        fs: &SimFs<Table>,
+        plan: LogicalPlan,
+        answer: &crate::snapshot::SnapshotAnswer,
+    ) {
+        let detour = answer.trace.recovery.base_table_fallbacks > 0;
+        if fs.cluster().is_none() && !fs.faults_enabled() && !detour {
+            cell.offer(Self {
+                epoch: answer.epoch,
+                plan,
+                execution: (answer.result.clone(), answer.metrics),
+            });
+        }
+    }
 }
 
 /// A DeepSea instance: the materialized-view pool manager wrapped around a
@@ -134,8 +155,7 @@ pub struct DeepSea {
     /// a health cache, so [`DeepSea::recover`] starts with every breaker
     /// closed (fail-safe).
     pub(crate) breakers: Arc<crate::breaker::BreakerSet>,
-    /// The last clean snapshot read's execution, shared with every published
-    /// snapshot like `breakers`; [`DeepSea::recover`] starts a fresh one.
+    /// The last offered read's execution, shared like `breakers`; fresh on recover.
     pub(crate) handoff: Arc<deepsea_storage::HandoffCell<ReadExecution>>,
     /// Parent span + anchor the *next* `process_query` attaches its
     /// write-path spans under — armed by [`DeepSea::begin_ticket_span`] so
@@ -388,14 +408,18 @@ impl DeepSea {
         &self.breakers
     }
 
-    /// The read's execution of `plan`, when a snapshot of the epoch this
-    /// commit started from ran exactly it: a plan's result and metrics are a
-    /// function of the plan, the catalog and the write-once files it names,
-    /// so executing it again could only repeat them. Empties the hand-off.
-    pub(crate) fn adopt_read(&self, plan: &LogicalPlan) -> Option<(Table, ExecMetrics)> {
-        self.handoff
-            .take_if(|read| read.epoch + 1 == self.clock && read.plan == *plan)
-            .map(|read| (read.result, read.metrics))
+    /// Execute `plan`, or adopt a read of exactly it at this commit's epoch:
+    /// a plan's result and metrics are a function of the plan, the catalog
+    /// and the write-once files it names, so a second run could only repeat.
+    pub(crate) fn execute_or_adopt(
+        &self,
+        plan: &LogicalPlan,
+    ) -> Result<(Table, ExecMetrics), deepsea_engine::exec::ExecError> {
+        let fresh = |r: &ReadExecution| r.epoch + 1 == self.clock && r.plan == *plan;
+        match self.handoff.take_if(fresh) {
+            Some(read) => Ok(read.execution),
+            None => self.backend.execute(plan, &self.catalog, &self.fs),
+        }
     }
 
     /// A cost estimator over the backend's cluster model.

@@ -13,7 +13,7 @@
 //! commit: it matches and rewrites against the writer's *live* state (so
 //! the committed decision never acts on a stale snapshot), executes the
 //! chosen plan — or adopts the ticket's read's execution of that same plan
-//! at that same epoch ([`DeepSea::adopt_read`]) — then applies the chosen
+//! at that same epoch ([`DeepSea::execute_or_adopt`]) — then applies the chosen
 //! configuration and publishes the next catalog epoch. Concurrent readers
 //! meanwhile answer queries from the last published
 //! [`crate::snapshot::ReadSnapshot`]; see [`crate::server`].
@@ -213,10 +213,7 @@ impl DeepSea {
             .config
             .partition_policy
             .executed_plan(plan, &self.catalog);
-        let (result, mut metrics) = self.adopt_read(&executed).map_or_else(
-            || self.backend.execute(&executed, &self.catalog, &self.fs),
-            Ok,
-        )?;
+        let (result, mut metrics) = self.execute_or_adopt(&executed)?;
         ctx.record_execution(self.backend.as_ref(), &mut metrics, (0, 0.0));
         Ok(self.finish_query(ctx, result, metrics))
     }
@@ -249,12 +246,7 @@ impl DeepSea {
             // An open breaker rewrites the decision before any I/O: straight
             // to the base plan, no retries burned on the guarded view.
             self.read_view().breaker_guard(plan, ctx);
-            // Only a sharded FS re-plans, and reads on one offer nothing.
-            let executed = self.adopt_read(&ctx.qbest).map_or_else(
-                || self.backend.execute(&ctx.qbest, &self.catalog, &self.fs),
-                Ok,
-            );
-            match executed {
+            match self.execute_or_adopt(&ctx.qbest) {
                 Ok((result, mut metrics)) => {
                     ctx.record_execution(self.backend.as_ref(), &mut metrics, debt);
                     self.read_view().breaker_record_success(ctx);

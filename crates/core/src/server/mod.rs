@@ -519,7 +519,7 @@ impl ViewServer {
                 }
                 if shed_reason.is_none() {
                     if let Some(q) = self.cfg.max_queue {
-                        // Arrivals never decrease: the waiting are a prefix.
+                        // Monotone arrivals, `start` ≥ this one: a prefix.
                         let waiting = arrivals[ticket + 1..].partition_point(|&a| a <= start);
                         if waiting > q {
                             shed_reason = Some("queue_full");

@@ -16,8 +16,7 @@
 //! epoch's registry is immutable once published, so any number of readers
 //! share it and the writer never waits for them.
 //!
-//! Readers hand back one thing: a clean read's execution, which the commit
-//! of the same plan at the same epoch adopts — one execution per ticket.
+//! Readers hand back one thing: a clean read's execution, for its commit.
 
 use std::sync::Arc;
 
@@ -172,11 +171,7 @@ impl ReadSnapshot {
     /// the read path (or, `base_only`, just the base plan) run on the read
     /// view over the plan the writer's policy would execute, and the answer
     /// assembled from what it left in the context.
-    ///
-    /// A read with no retry, penalty or fallback, on a file system that
-    /// neither shards nor injects faults, offers its execution to the
-    /// writer. Elsewhere every read moves fault draws or hedge and node
-    /// state, which the commit's own read must move too.
+    /// A clean read offers its execution to its commit ([`ReadExecution::offer`]).
     fn read(
         &self,
         plan: &LogicalPlan,
@@ -197,29 +192,16 @@ impl ReadSnapshot {
         } else {
             view.answer(&plan, &mut ctx)?
         };
-        let recovery = &ctx.trace.recovery;
-        if metrics.retries == 0
-            && metrics.penalty_secs == 0.0
-            && recovery.base_table_fallbacks == 0
-            && recovery.fragment_fallbacks == 0
-            && self.fs.cluster().is_none()
-            && !self.fs.faults_enabled()
-        {
-            self.handoff.offer(ReadExecution {
-                epoch: self.epoch,
-                plan: ctx.qbest,
-                result: result.clone(),
-                metrics,
-            });
-        }
-        Ok(SnapshotAnswer {
+        let answer = SnapshotAnswer {
             result,
             query_secs: ctx.query_secs,
             used_view: ctx.used_view,
             metrics,
             trace: ctx.trace,
             epoch: self.epoch,
-        })
+        };
+        ReadExecution::offer(&self.handoff, &self.fs, ctx.qbest, &answer);
+        Ok(answer)
     }
 }
 

@@ -210,6 +210,39 @@ fn same_seed_replays_bit_identically() {
 }
 
 #[test]
+fn the_bounded_queue_counts_every_waiting_ticket_for_either_gap_sign() {
+    // A read is shed `queue_full` iff more than `q` later tickets arrived
+    // by its start — checked against that definition for increasing,
+    // constant and (negative gap) decreasing arrivals.
+    let (n, q) = (20, 4);
+    for gap in [-30.0, -0.05, 0.0, 0.05] {
+        let cfg = ServerConfig {
+            clients: 2,
+            seed: 7,
+            mean_gap_secs: gap,
+            max_queue: Some(q),
+            ..ServerConfig::default()
+        };
+        let report = serve(ds_config(), cfg, n);
+        let records = &report.records;
+        let mut sheds = 0;
+        for (i, r) in records.iter().enumerate() {
+            let waiting = records[i + 1..]
+                .iter()
+                .filter(|later| later.arrival_secs <= r.read_start_secs)
+                .count();
+            let shed = r.shed.is_some_and(|(_, reason)| reason == "queue_full");
+            assert_eq!(shed, waiting > q, "gap {gap}, ticket {i}");
+            sheds += usize::from(shed);
+        }
+        if gap <= 0.0 {
+            // Every later ticket has arrived by each read's start.
+            assert_eq!(sheds, n - 1 - q, "gap {gap}");
+        }
+    }
+}
+
+#[test]
 fn interleavings_actually_overlap_and_lag() {
     // A tight arrival process on several clients must produce genuinely
     // stale reads (epoch lag > 0) — otherwise the suite proves nothing —
