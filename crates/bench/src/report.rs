@@ -144,14 +144,13 @@ pub fn stage_breakdown(label: &str, t: &QueryTrace) -> String {
             "recovery".into(),
             format!(
                 "{} retries, {} quarantined ({}), {} base-table fallbacks, \
-                 {} fragment fallbacks, {} corrupt, {} breaker short-circuits",
+                 {} fragment fallbacks, {} corrupt",
                 rec.retries,
                 rec.quarantined_views,
                 bytes(rec.quarantined_bytes),
                 rec.base_table_fallbacks,
                 rec.fragment_fallbacks,
-                rec.corrupt_fragments,
-                rec.breaker_short_circuits
+                rec.corrupt_fragments
             ),
             secs(rec.penalty_secs),
         ],
@@ -271,8 +270,8 @@ mod tests {
             "116 B read, 117 B written (118 files, 119 fragments covered)",
             "121 selected, 122 forced by Smax",
             "123 retries, 125 quarantined (126 B), 127 base-table fallbacks, \
-             128 fragment fallbacks, 129 corrupt, 130 breaker short-circuits",
-            "131 journal records, 134 snapshots, 132 retries",
+             128 fragment fallbacks, 129 corrupt",
+            "130 journal records, 133 snapshots, 131 retries",
         ] {
             assert!(s.contains(sentence), "missing {sentence:?} in:\n{s}");
         }

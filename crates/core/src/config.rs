@@ -45,10 +45,6 @@ pub struct DeepSeaConfig {
     /// start). `None` = legacy unbudgeted behaviour; only the retry policy's
     /// per-op bounds apply.
     pub retry_budget_secs: Option<f64>,
-    /// Per-(view, node) circuit-breaker thresholds for the read path.
-    /// Disabled by default (`failure_threshold: 0`), which keeps every
-    /// existing fault schedule bit-identical.
-    pub breaker: crate::breaker::BreakerConfig,
 }
 
 impl Default for DeepSeaConfig {
@@ -67,7 +63,6 @@ impl Default for DeepSeaConfig {
             journal_checkpoint_every: 10,
             journal_snapshot_every: 25,
             retry_budget_secs: None,
-            breaker: crate::breaker::BreakerConfig::disabled(),
         }
     }
 }
@@ -125,12 +120,6 @@ impl DeepSeaConfig {
     /// Builder-style: arm a per-query retry budget (simulated seconds).
     pub fn with_retry_budget(mut self, secs: f64) -> Self {
         self.retry_budget_secs = Some(secs);
-        self
-    }
-
-    /// Builder-style: set the read-path circuit-breaker thresholds.
-    pub fn with_breaker(mut self, breaker: crate::breaker::BreakerConfig) -> Self {
-        self.breaker = breaker;
         self
     }
 

@@ -192,10 +192,6 @@ trace_schema! {
             /// detected on read, never served). Each routes through the
             /// quarantine path.
             corrupt_fragments: u64,
-            /// Rewritings skipped because an open circuit breaker guarded the
-            /// chosen view; the query went straight to base tables without
-            /// burning retries.
-            breaker_short_circuits: u64,
         }
         /// Catalog journaling: appends, retries, snapshots. All zero when no
         /// journal is attached — a journal-less run is bit-transparent.
@@ -379,7 +375,7 @@ mod tests {
     /// The flattened leaf names in `BENCH.json: ds.stage_totals` order. A
     /// schema edit that renames, reorders or drops a gated leaf fails here
     /// (a new leaf extends this list).
-    const LEAVES: [&str; 34] = [
+    const LEAVES: [&str; 33] = [
         "matching.roots",
         "matching.hits",
         "matching.materialized_hits",
@@ -409,7 +405,6 @@ mod tests {
         "recovery.base_table_fallbacks",
         "recovery.fragment_fallbacks",
         "recovery.corrupt_fragments",
-        "recovery.breaker_short_circuits",
         "durability.journal_appends",
         "durability.journal_retries",
         "durability.journal_penalty_secs",
@@ -455,9 +450,9 @@ mod tests {
                 r#""eviction":{"selected":21,"limit_forced":22},"#,
                 r#""recovery":{"retries":23,"penalty_secs":24.5,"quarantined_views":25,"#,
                 r#""quarantined_bytes":26,"base_table_fallbacks":27,"fragment_fallbacks":28,"#,
-                r#""corrupt_fragments":29,"breaker_short_circuits":30},"#,
-                r#""durability":{"journal_appends":31,"journal_retries":32,"#,
-                r#""journal_penalty_secs":33.5,"snapshots":34}}"#,
+                r#""corrupt_fragments":29},"#,
+                r#""durability":{"journal_appends":30,"journal_retries":31,"#,
+                r#""journal_penalty_secs":32.5,"snapshots":33}}"#,
             )
         );
     }

@@ -91,16 +91,18 @@ pub(crate) struct ReadExecution {
 
 impl ReadExecution {
     /// Offer `answer`, the read of `plan`, unless it moved hedge or node
-    /// state (sharded FS), drew faults or fell back to base tables. Without
-    /// a cluster or faults no read retries or pays a penalty either.
+    /// state (sharded FS) or drew faults. Without a cluster or faults no
+    /// read retries or pays a penalty either. A read that fell back offers
+    /// the base plan, which its commit never asks for: at the same epoch
+    /// the commit costs the same rewritings and first runs the view plan
+    /// the read fell back from, and its own fallback calls the backend.
     pub(crate) fn offer(
         cell: &deepsea_storage::HandoffCell<Self>,
         fs: &SimFs<Table>,
         plan: LogicalPlan,
         answer: &crate::snapshot::SnapshotAnswer,
     ) {
-        let detour = answer.trace.recovery.base_table_fallbacks > 0;
-        if fs.cluster().is_none() && !fs.faults_enabled() && !detour {
+        if fs.cluster().is_none() && !fs.faults_enabled() {
             cell.offer(Self {
                 epoch: answer.epoch,
                 plan,
@@ -149,13 +151,8 @@ pub struct DeepSea {
     /// Fault counters at the last `observe_query`, so per-kind deltas can be
     /// surfaced as `deepsea_faults_total{kind=...}` without double counting.
     pub(crate) last_fault_stats: FaultStats,
-    /// Per-(view, node) circuit breakers guarding the read path. Shared with
-    /// every published snapshot (`Arc`): a failure observed by any reader
-    /// protects all of them. Deliberately *not* journaled — breaker state is
-    /// a health cache, so [`DeepSea::recover`] starts with every breaker
-    /// closed (fail-safe).
-    pub(crate) breakers: Arc<crate::breaker::BreakerSet>,
-    /// The last offered read's execution, shared like `breakers`; fresh on recover.
+    /// The last offered read's execution, shared with every published
+    /// snapshot (`Arc`); fresh on recover.
     pub(crate) handoff: Arc<deepsea_storage::HandoffCell<ReadExecution>>,
     /// Parent span + anchor the *next* `process_query` attaches its
     /// write-path spans under — armed by [`DeepSea::begin_ticket_span`] so
@@ -194,7 +191,6 @@ impl DeepSea {
         backend: Box<dyn ExecutionBackend>,
         config: DeepSeaConfig,
     ) -> Self {
-        let breakers = Arc::new(crate::breaker::BreakerSet::new(config.breaker));
         Self {
             config,
             catalog,
@@ -210,7 +206,6 @@ impl DeepSea {
             appends_since_snapshot: 0,
             offline: BTreeSet::new(),
             last_fault_stats: FaultStats::default(),
-            breakers,
             handoff: Arc::default(),
             pending_span: None,
             psel_memo: Default::default(),
@@ -401,11 +396,6 @@ impl DeepSea {
     /// quarantined at fragment granularity, auto re-admitted on node return).
     pub fn offline_fragments(&self) -> Vec<FileId> {
         self.offline.iter().copied().collect()
-    }
-
-    /// The read-path circuit breakers (shared with every published snapshot).
-    pub fn breakers(&self) -> &crate::breaker::BreakerSet {
-        &self.breakers
     }
 
     /// Execute `plan`, or adopt a read of exactly it at this commit's epoch:

@@ -243,17 +243,12 @@ impl DeepSea {
         let mut debt = (0u64, 0.0f64);
         let mut rounds = 0u32;
         loop {
-            // An open breaker rewrites the decision before any I/O: straight
-            // to the base plan, no retries burned on the guarded view.
-            self.read_view().breaker_guard(plan, ctx);
             match self.execute_or_adopt(&ctx.qbest) {
                 Ok((result, mut metrics)) => {
                     ctx.record_execution(self.backend.as_ref(), &mut metrics, debt);
-                    self.read_view().breaker_record_success(ctx);
                     return Ok((result, metrics));
                 }
                 Err(e) => {
-                    self.read_view().breaker_record_failure(&e, ctx);
                     let (r, s) = self.backend.drain_retry_debt();
                     debt.0 += r;
                     debt.1 += s;
@@ -302,15 +297,7 @@ impl DeepSea {
                         return Err(e);
                     };
                     self.quarantine_into_ctx(vid, ctx);
-                    ctx.trace.recovery.base_table_fallbacks += 1;
-                    ctx.used_view = None;
-                    ctx.qbest = plan.clone();
-                    // The original plan reads only durable base tables, so
-                    // this cannot hit another fragment fault.
-                    let (result, mut metrics) =
-                        self.backend.execute(plan, &self.catalog, &self.fs)?;
-                    ctx.record_execution(self.backend.as_ref(), &mut metrics, debt);
-                    return Ok((result, metrics));
+                    return self.read_view().fall_back(plan, ctx, debt);
                 }
             }
         }

@@ -41,7 +41,6 @@
 //!   `std::thread` workers (`ViewServer::run_threaded`).
 
 pub mod baselines;
-pub mod breaker;
 pub mod candidates;
 pub mod config;
 pub mod driver;
@@ -59,7 +58,6 @@ pub mod server;
 pub mod snapshot;
 pub mod stats;
 
-pub use breaker::{BreakerConfig, BreakerDecision, BreakerSet, BreakerTransition};
 pub use config::DeepSeaConfig;
 pub use deepsea_obs::{DecisionEvent, EventRecord, ObsConfig, Observer, PhiBreakdown, SpanCtx};
 pub use driver::{DeepSea, QueryOutcome, QueryTrace, RecoveryTrace};

@@ -81,10 +81,6 @@ pub enum ShedPolicy {
     /// client-visible latency is capped at the deadline, and the execution
     /// cost still occupies the client slot — the work is real and charged.
     ServeStale,
-    /// Degrade to the base tables: answer the unrewritten plan directly,
-    /// skipping view matching entirely (and with it any view a sick node
-    /// has made slow). Exact answer, full cost.
-    DegradeBase,
 }
 
 impl ShedPolicy {
@@ -93,7 +89,6 @@ impl ShedPolicy {
         match self {
             ShedPolicy::Reject => "reject",
             ShedPolicy::ServeStale => "serve_stale",
-            ShedPolicy::DegradeBase => "degrade_base",
         }
     }
 }
@@ -210,16 +205,17 @@ pub struct ClientRecord {
     /// (stale snapshot: a view materialized/evicted after the read's epoch
     /// changed the chosen rewriting).
     pub divergent: bool,
-    /// True when the read was served in degraded mode: a node outage forced
-    /// fragment-level or whole-query base-table fallback. Degraded reads
-    /// still return the exact result; only their cost differs.
+    /// True when the read was served in degraded mode: a failed view read (a
+    /// lost file or a node outage) forced fragment-level or whole-query
+    /// base-table fallback. Degraded reads still return the exact result;
+    /// only their cost differs.
     pub degraded: bool,
     /// This ticket's deadline (simulated seconds), when deadlines are armed.
     pub deadline_secs: Option<f64>,
     /// Shed verdict: `Some((policy, reason))` when the scheduler shed this
-    /// read — policy is what was done (`reject` / `serve_stale` /
-    /// `degrade_base`), reason is why (`deadline_passed` / `queue_full` /
-    /// `projected_overrun`). `None` for normally served reads.
+    /// read — policy is what was done (`reject` / `serve_stale`), reason is
+    /// why (`deadline_passed` / `queue_full` / `projected_overrun`). `None`
+    /// for normally served reads.
     pub shed: Option<(&'static str, &'static str)>,
 }
 
@@ -233,7 +229,7 @@ pub struct ServeReport {
     pub state_digest: u64,
     /// Number of reads whose cost diverged from the committed execution.
     pub divergent_reads: u32,
-    /// Number of reads served in degraded mode (node outage forced a
+    /// Number of reads served in degraded mode (a failed view read forced a
     /// fragment-level or whole-query base-table fallback). These tickets
     /// are counted in [`ServeReport::latencies_secs`] like any other —
     /// degradation shows up as latency, never as a missing record.
@@ -571,12 +567,10 @@ impl ViewServer {
                 // Hedge accounting is scoped to this read by differencing the
                 // shared FS counters around the execution.
                 let hedges_before = self.ds.fs().fault_stats();
-                let ans = match (shed_reason, policy) {
-                    (Some(_), ShedPolicy::Reject) => None,
-                    (Some(_), ShedPolicy::DegradeBase) => {
-                        Some(snapshot.answer_base_in_span(&plans[ticket], read_ctx, start)?)
-                    }
-                    _ => Some(snapshot.answer_in_span(&plans[ticket], read_ctx, start)?),
+                let ans = if executes {
+                    Some(snapshot.answer_in_span(&plans[ticket], read_ctx, start)?)
+                } else {
+                    None
                 };
                 if let Some(a) = &ans {
                     let after = self.ds.fs().fault_stats();
@@ -608,8 +602,8 @@ impl ViewServer {
                     }
                 }
 
-                // Degraded reads (node outage forced fragment patching or a
-                // whole-query base fallback) return the exact result and are
+                // Degraded reads (fragment patching or a whole-query base
+                // fallback after a failed view read) return the exact result and are
                 // recorded like any other ticket — their latency includes the
                 // fallback cost instead of the ticket being dropped.
                 let degraded = ans.as_ref().is_some_and(|a| {

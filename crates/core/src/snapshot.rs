@@ -28,7 +28,6 @@ use deepsea_obs::{Observer, SpanCtx};
 use deepsea_relation::Table;
 use deepsea_storage::{HandoffCell, SimFs};
 
-use crate::breaker::BreakerSet;
 use crate::config::DeepSeaConfig;
 use crate::driver::context::QueryContext;
 use crate::driver::read_path::ReadView;
@@ -47,10 +46,6 @@ pub struct ReadSnapshot {
     backend: Box<dyn ExecutionBackend>,
     config: DeepSeaConfig,
     obs: Observer,
-    /// Shared with the writer (`Arc`), not frozen: breaker state is a live
-    /// health cache, so a failure observed through any snapshot immediately
-    /// protects every other reader and the writer itself.
-    breakers: Arc<BreakerSet>,
     /// Shared with the writer: a clean read's execution, for its commit.
     handoff: Arc<HandoffCell<ReadExecution>>,
 }
@@ -88,7 +83,6 @@ impl DeepSea {
             backend: self.backend.fork_reader()?,
             config: self.config,
             obs: self.obs.clone(),
-            breakers: Arc::clone(&self.breakers),
             handoff: Arc::clone(&self.handoff),
         })
     }
@@ -118,7 +112,6 @@ impl ReadSnapshot {
             fs: &self.fs,
             backend: self.backend.as_ref(),
             obs: &self.obs,
-            breakers: &self.breakers,
         }
     }
 
@@ -131,53 +124,21 @@ impl ReadSnapshot {
     }
 
     /// [`ReadSnapshot::answer`] with the read attached to a causal trace:
-    /// every read-path span — matching, rewriting, breaker verdict,
-    /// execution, retry waits, hedge arms — is recorded as a child of
-    /// `parent`, anchored at `anchor_secs` on the caller's simulated
-    /// timeline. A [`SpanCtx::NONE`] parent records nothing; reader-side
-    /// spans are never orphaned because the forked backend and the shared
-    /// file system carry their detail-trace gates across
-    /// [`ExecutionBackend::fork_reader`].
+    /// every read-path span — matching, rewriting, execution, retry waits,
+    /// hedge arms — is recorded as a child of `parent`, anchored at
+    /// `anchor_secs` on the caller's simulated timeline. A [`SpanCtx::NONE`]
+    /// parent records nothing; reader-side spans are never orphaned because
+    /// the forked backend and the shared file system carry their
+    /// detail-trace gates across [`ExecutionBackend::fork_reader`].
+    ///
+    /// Each read arms a fresh retry budget and runs the read path over the
+    /// plan the writer's policy would execute. A clean read offers its
+    /// execution to its commit ([`ReadExecution::offer`]).
     pub fn answer_in_span(
         &self,
         plan: &LogicalPlan,
         parent: SpanCtx,
         anchor_secs: f64,
-    ) -> Result<SnapshotAnswer, ExecError> {
-        self.read(plan, parent, anchor_secs, false)
-    }
-
-    /// Answer one query straight from durable base tables, skipping view
-    /// matching and rewriting entirely — the degraded serving mode the load
-    /// shedder falls back to. Exact answer (the base plan *defines* the
-    /// answer), typically at a higher execution cost, never touching a
-    /// materialized view a sick node could be gating.
-    pub fn answer_base(&self, plan: &LogicalPlan) -> Result<SnapshotAnswer, ExecError> {
-        self.answer_base_in_span(plan, SpanCtx::NONE, 0.0)
-    }
-
-    /// [`ReadSnapshot::answer_base`] attached to a causal trace, like
-    /// [`ReadSnapshot::answer_in_span`].
-    pub fn answer_base_in_span(
-        &self,
-        plan: &LogicalPlan,
-        parent: SpanCtx,
-        anchor_secs: f64,
-    ) -> Result<SnapshotAnswer, ExecError> {
-        self.read(plan, parent, anchor_secs, true)
-    }
-
-    /// One read against this epoch: a fresh retry budget and query context,
-    /// the read path (or, `base_only`, just the base plan) run on the read
-    /// view over the plan the writer's policy would execute, and the answer
-    /// assembled from what it left in the context.
-    /// A clean read offers its execution to its commit ([`ReadExecution::offer`]).
-    fn read(
-        &self,
-        plan: &LogicalPlan,
-        parent: SpanCtx,
-        anchor_secs: f64,
-        base_only: bool,
     ) -> Result<SnapshotAnswer, ExecError> {
         self.backend
             .reset_retry_budget(self.config.retry_budget_secs);
@@ -186,12 +147,7 @@ impl ReadSnapshot {
             .partition_policy
             .executed_plan(plan, &self.catalog);
         let mut ctx = QueryContext::new(&plan, self.epoch).in_span(parent, anchor_secs);
-        let view = self.read_view();
-        let (result, metrics) = if base_only {
-            view.answer_base(&plan, &mut ctx)?
-        } else {
-            view.answer(&plan, &mut ctx)?
-        };
+        let (result, metrics) = self.read_view().answer(&plan, &mut ctx)?;
         let answer = SnapshotAnswer {
             result,
             query_secs: ctx.query_secs,
@@ -218,7 +174,6 @@ impl Clone for ReadSnapshot {
                 .expect("invariant: a backend that forked once forks again"),
             config: self.config,
             obs: self.obs.clone(),
-            breakers: Arc::clone(&self.breakers),
             handoff: Arc::clone(&self.handoff),
         }
     }

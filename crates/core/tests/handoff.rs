@@ -9,12 +9,16 @@
 //! and the journal stream of that protocol are checked bit for bit against
 //! commits with no read at all, the backend calls saved are counted, and
 //! each condition that must make the commit execute is exercised alone.
+//! A query whose view lost its files is answered by the one base-table
+//! fallback the read and the commit share; that path is checked on the
+//! snapshot, the serial commit, both servers and the span trace.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use deepsea_core::{
-    baselines, BreakerConfig, CatalogJournal, DeepSea, DeepSeaConfig, QueryOutcome,
+    baselines, CatalogJournal, DeepSea, DeepSeaConfig, ObsConfig, Observer, QueryOutcome,
+    ServerConfig, ShedPolicy, ViewServer,
 };
 use deepsea_engine::exec::{ExecError, ExecMetrics};
 use deepsea_engine::{
@@ -302,15 +306,15 @@ fn a_commit_executes_when_its_read_cannot_be_adopted() {
     }
 }
 
-#[test]
-fn a_commit_executes_when_its_read_fell_back_to_base_tables() {
-    let catalog = data();
-    let plans = fig5_workload(120, 42);
-    let config = baselines::deepsea().with_phi(0.05);
-
-    // The first query a view answers, found on a driver of its own.
-    let mut probe = Rig::new(&catalog, plain_fs(), config, false);
-    let (k, view) = plans
+/// The first of `plans` a view answers, found on a driver of its own: the
+/// query's index and the view's name.
+fn first_view_answer(
+    catalog: &Arc<Catalog>,
+    plans: &[LogicalPlan],
+    config: DeepSeaConfig,
+) -> (usize, String) {
+    let mut probe = Rig::new(catalog, plain_fs(), config, false);
+    plans
         .iter()
         .enumerate()
         .find_map(|(k, plan)| {
@@ -319,22 +323,43 @@ fn a_commit_executes_when_its_read_fell_back_to_base_tables() {
             probe.commit(plan);
             Some((k, used?))
         })
-        .expect("some query is answered from a view");
+        .expect("some query is answered from a view")
+}
 
-    // Lose every file of that view, then commit the query — alone, or
-    // after a read that falls back to base tables.
-    let run = |config: DeepSeaConfig, read: bool| {
-        let mut rig = Rig::new(&catalog, plain_fs(), config, false);
-        for plan in &plans[..k] {
-            rig.commit(plan);
-        }
-        let registry = rig.ds.registry();
-        let vid = registry.by_name(&view).expect("the view is registered");
-        let files: Vec<FileId> = registry.view(vid).files().collect();
-        assert!(!files.is_empty());
-        for f in files {
-            rig.ds.fs().delete(f);
-        }
+/// A fresh driver that has committed `plans[..k]` and then lost every file
+/// of `view`: the view is still registered, but reading it fails.
+fn lose_view(
+    catalog: &Arc<Catalog>,
+    plans: &[LogicalPlan],
+    k: usize,
+    view: &str,
+    config: DeepSeaConfig,
+) -> Rig {
+    let mut rig = Rig::new(catalog, plain_fs(), config, false);
+    for plan in &plans[..k] {
+        rig.commit(plan);
+    }
+    let registry = rig.ds.registry();
+    let vid = registry.by_name(view).expect("the view is registered");
+    let files: Vec<FileId> = registry.view(vid).files().collect();
+    assert!(!files.is_empty());
+    for f in files {
+        rig.ds.fs().delete(f);
+    }
+    rig
+}
+
+#[test]
+fn a_commit_executes_when_its_read_fell_back_to_base_tables() {
+    let catalog = data();
+    let plans = fig5_workload(120, 42);
+    let config = baselines::deepsea().with_phi(0.05);
+    let (k, view) = first_view_answer(&catalog, &plans, config);
+
+    // Commit the query whose view lost its files — alone, or after a read
+    // that falls back to base tables.
+    let run = |read: bool| {
+        let mut rig = lose_view(&catalog, &plans, k, &view, config);
         if read {
             let snapshot = rig.ds.publish_snapshot().expect("the backend forks");
             let ans = snapshot.answer(&plans[k]).expect("base tables answer");
@@ -344,17 +369,269 @@ fn a_commit_executes_when_its_read_fell_back_to_base_tables() {
         let out = rig.ds.process_query(&plans[k]).expect("base tables answer");
         (rig.calls() - before, out)
     };
-    let (alone_calls, alone) = run(config, false);
-    let (calls, after_read) = run(config, true);
+    let (alone_calls, alone) = run(false);
+    let (calls, after_read) = run(true);
     assert_eq!(alone.quarantined, vec![view.clone()]);
     assert_eq!((calls, pin(&after_read)), (alone_calls, pin(&alone)));
+}
 
-    // A breaker the read trips sends the commit straight to the base plan
-    // the read fell back to — the same plan at the same epoch, which the
-    // commit must still execute.
-    let tripped = config.with_breaker(BreakerConfig::after_failures(1, 100));
-    let (calls, after_read) = run(tripped, true);
-    assert_eq!(after_read.used_view, None);
-    assert_eq!(calls, 1, "the commit adopted a fallback read");
-    assert_eq!(after_read.result.fingerprint(), alone.result.fingerprint());
+/// A read that falls back to base tables changes no catalog state; the
+/// commit of the same plan at that epoch is what quarantines the view.
+/// Both answer with the base plan's result.
+#[test]
+fn a_fallback_read_leaves_the_quarantine_to_its_commit() {
+    let catalog = data();
+    let plans = fig5_workload(120, 42);
+    let config = baselines::deepsea().with_phi(0.05);
+    let (k, view) = first_view_answer(&catalog, &plans, config);
+    let mut rig = lose_view(&catalog, &plans, k, &view, config);
+    let vid = rig
+        .ds
+        .registry()
+        .by_name(&view)
+        .expect("the view is registered");
+    let digest = rig.ds.registry().state_digest();
+
+    let snapshot = rig.ds.publish_snapshot().expect("the backend forks");
+    let read = snapshot.answer(&plans[k]).expect("base tables answer");
+    assert_eq!(read.used_view, None);
+    assert_eq!(read.trace.recovery.base_table_fallbacks, 1);
+    assert_eq!(read.trace.recovery.quarantined_views, 0);
+    assert_eq!(
+        rig.ds.registry().state_digest(),
+        digest,
+        "the read changed the catalog"
+    );
+    assert!(!rig.ds.registry().view(vid).is_quarantined());
+
+    let commit = rig.ds.process_query(&plans[k]).expect("base tables answer");
+    assert_eq!(commit.quarantined, vec![view]);
+    assert!(rig.ds.registry().view(vid).is_quarantined());
+
+    let (base, _) = SimBackend::new(ClusterSim::paper_default())
+        .execute(&plans[k], &catalog, &plain_fs())
+        .expect("base tables answer");
+    assert_eq!(read.result.fingerprint(), base.fingerprint());
+    assert_eq!(commit.result.fingerprint(), base.fingerprint());
+}
+
+/// The serving layer on a plain file system answers a ticket whose view
+/// lost its files from base tables: the read is flagged and counted as
+/// degraded, and its answer is the committed one.
+#[test]
+fn a_served_read_of_a_lost_view_is_degraded_and_exact() {
+    let catalog = data();
+    let plans = fig5_workload(120, 42);
+    let config = baselines::deepsea().with_phi(0.05);
+    let (k, view) = first_view_answer(&catalog, &plans, config);
+    let rig = lose_view(&catalog, &plans, k, &view, config);
+
+    let mut server = ViewServer::new(rig.ds, ServerConfig::default());
+    let report = server.run(&plans[k..k + 3]).expect("base tables answer");
+    let first = &report.records[0];
+    assert!(first.degraded, "the lost view's ticket was not degraded");
+    assert_eq!(first.read_used_view, None);
+    let degraded = report.records.iter().filter(|r| r.degraded).count();
+    assert_eq!(report.degraded_reads, degraded as u64);
+    for (i, rec) in report.records.iter().enumerate() {
+        assert_eq!(
+            rec.read_fingerprint, rec.committed_fingerprint,
+            "ticket {i}: the read and its commit disagree"
+        );
+    }
+}
+
+/// The read and the commit recover through one base-table fallback: on the
+/// same lost view at the same epoch both charge the same simulated seconds,
+/// report the same metrics and answer with the same result.
+#[test]
+fn a_fallback_read_and_its_commit_charge_the_same_base_execution() {
+    let catalog = data();
+    let plans = fig5_workload(120, 42);
+    let config = baselines::deepsea().with_phi(0.05);
+    let (k, view) = first_view_answer(&catalog, &plans, config);
+    let mut rig = lose_view(&catalog, &plans, k, &view, config);
+
+    let snapshot = rig.ds.publish_snapshot().expect("the backend forks");
+    let read = snapshot.answer(&plans[k]).expect("base tables answer");
+    let commit = rig.ds.process_query(&plans[k]).expect("base tables answer");
+    assert_eq!(commit.quarantined, vec![view]);
+    assert_eq!((&read.used_view, &commit.used_view), (&None, &None));
+    assert_eq!(read.result.fingerprint(), commit.result.fingerprint());
+    assert_eq!(read.query_secs.to_bits(), commit.query_secs.to_bits());
+    assert_eq!(read.metrics, commit.metrics);
+    assert_eq!(
+        read.metrics.penalty_secs.to_bits(),
+        commit.metrics.penalty_secs.to_bits()
+    );
+    assert_eq!(read.trace.recovery.base_table_fallbacks, 1);
+    assert_eq!(commit.trace.recovery.base_table_fallbacks, 1);
+}
+
+/// A fallback read is a pure function of its snapshot: the same snapshot,
+/// or a clone of it, answers the lost view's query with the same result,
+/// seconds, metrics and trace every time, each read makes exactly two
+/// backend calls (the failed rewriting, then the base plan), and none of
+/// them changes the catalog.
+#[test]
+fn a_fallback_read_is_repeatable_from_one_snapshot() {
+    let catalog = data();
+    let plans = fig5_workload(120, 42);
+    let config = baselines::deepsea().with_phi(0.05);
+    let (k, view) = first_view_answer(&catalog, &plans, config);
+    let rig = lose_view(&catalog, &plans, k, &view, config);
+    let digest = rig.ds.registry().state_digest();
+
+    let snapshot = rig.ds.publish_snapshot().expect("the backend forks");
+    let clone = snapshot.clone();
+    let mut pinned = Vec::new();
+    for reader in [&snapshot, &snapshot, &clone] {
+        let before = rig.calls();
+        let ans = reader.answer(&plans[k]).expect("base tables answer");
+        assert_eq!(rig.calls() - before, 2, "a fallback read's backend calls");
+        assert_eq!(ans.trace.recovery.base_table_fallbacks, 1);
+        pinned.push(format!(
+            "{:?}",
+            (
+                ans.result.fingerprint(),
+                ans.query_secs.to_bits(),
+                &ans.used_view,
+                ans.metrics,
+                &ans.trace,
+                ans.epoch,
+            )
+        ));
+    }
+    assert_eq!(pinned[0], pinned[1], "a second read of one snapshot");
+    assert_eq!(pinned[0], pinned[2], "a read of a cloned snapshot");
+    assert_eq!(rig.ds.registry().state_digest(), digest);
+}
+
+/// Once the commit has quarantined the lost view, the next snapshot routes
+/// around it: the same query is answered with no fallback at all, and with
+/// the base plan's result.
+#[test]
+fn after_the_quarantine_a_read_needs_no_fallback() {
+    let catalog = data();
+    let plans = fig5_workload(120, 42);
+    let config = baselines::deepsea().with_phi(0.05);
+    let (k, view) = first_view_answer(&catalog, &plans, config);
+    let mut rig = lose_view(&catalog, &plans, k, &view, config);
+    let commit = rig.ds.process_query(&plans[k]).expect("base tables answer");
+    assert_eq!(commit.quarantined, vec![view.clone()]);
+
+    let snapshot = rig.ds.publish_snapshot().expect("the backend forks");
+    let before = rig.calls();
+    let read = snapshot.answer(&plans[k]).expect("a fault-free read");
+    assert_eq!(rig.calls() - before, 1, "the read executed more than once");
+    assert_eq!(read.trace.recovery.base_table_fallbacks, 0);
+    assert_ne!(read.used_view.as_deref(), Some(view.as_str()));
+    assert_eq!(read.result.fingerprint(), commit.result.fingerprint());
+}
+
+/// Under real reader threads a ticket whose view lost its files is still
+/// answered exactly, and the committed trajectory is the serial one.
+#[test]
+fn a_threaded_read_of_a_lost_view_is_exact() {
+    let catalog = data();
+    let plans = fig5_workload(120, 42);
+    let config = baselines::deepsea().with_phi(0.05);
+    let (k, view) = first_view_answer(&catalog, &plans, config);
+    let tickets = &plans[k..k + 4];
+
+    let mut serial = lose_view(&catalog, &plans, k, &view, config);
+    for plan in tickets {
+        serial.ds.process_query(plan).expect("base tables answer");
+    }
+
+    let rig = lose_view(&catalog, &plans, k, &view, config);
+    let cfg = ServerConfig {
+        clients: 2,
+        ..ServerConfig::default()
+    };
+    let mut server = ViewServer::new(rig.ds, cfg);
+    let report = server.run_threaded(tickets).expect("base tables answer");
+    assert_eq!(report.records.len(), tickets.len());
+    for rec in &report.records {
+        assert_eq!(
+            rec.read_fingerprint, rec.committed_fingerprint,
+            "ticket {}: the read and its commit disagree",
+            rec.ticket
+        );
+    }
+    assert_eq!(report.state_digest, serial.ds.registry().state_digest());
+}
+
+/// A traced served read that falls back marks it: one `base_fallback`
+/// marker, zero-width, a child of that ticket's read span.
+#[test]
+fn a_traced_fallback_read_marks_its_base_fallback() {
+    let catalog = data();
+    let plans = fig5_workload(120, 42);
+    let config = baselines::deepsea().with_phi(0.05);
+    let (k, view) = first_view_answer(&catalog, &plans, config);
+    let rig = lose_view(&catalog, &plans, k, &view, config);
+
+    let obs = Observer::new(ObsConfig::on());
+    let mut server = ViewServer::new(rig.ds.with_observer(obs.clone()), ServerConfig::default());
+    let report = server.run(&plans[k..k + 1]).expect("base tables answer");
+    assert!(report.records[0].degraded);
+
+    let spans = obs.spans_snapshot();
+    let markers: Vec<_> = spans.iter().filter(|s| s.name == "base_fallback").collect();
+    assert_eq!(markers.len(), 1, "base_fallback markers");
+    let marker = markers[0];
+    assert_eq!(marker.duration_secs(), 0.0);
+    let parent = spans
+        .iter()
+        .find(|s| s.span_id == marker.parent_id)
+        .expect("the marker has a parent span");
+    assert_eq!(parent.name, "read");
+    assert_eq!(parent.trace_id, marker.trace_id);
+}
+
+/// A read shed under `ServeStale` still executes, so a shed ticket whose
+/// view lost its files falls back like any other: it is flagged degraded,
+/// carries its shed verdict, and serves the exact committed answer. A
+/// first ticket is never shed, so a query that reads no view goes first.
+#[test]
+fn a_stale_served_read_of_a_lost_view_falls_back_exactly() {
+    let catalog = data();
+    let plans = fig5_workload(120, 42);
+    let config = baselines::deepsea().with_phi(0.05);
+    let (k, view) = first_view_answer(&catalog, &plans, config);
+    let rig = lose_view(&catalog, &plans, k, &view, config);
+    let snapshot = rig.ds.publish_snapshot().expect("the backend forks");
+    let warm = plans[k + 1..]
+        .iter()
+        .find(|plan| {
+            let ans = snapshot.answer(plan).expect("a fault-free read");
+            ans.used_view.is_none() && ans.trace.recovery.base_table_fallbacks == 0
+        })
+        .expect("some query reads no view");
+    let tickets = [warm.clone(), plans[k].clone()];
+
+    let deadline = 1e-6;
+    let cfg = ServerConfig {
+        clients: 1,
+        deadline_secs: Some(deadline),
+        shed_policy: ShedPolicy::ServeStale,
+        ..ServerConfig::default()
+    };
+    let mut server = ViewServer::new(rig.ds, cfg);
+    let report = server.run(&tickets).expect("base tables answer");
+    assert_eq!(report.records[0].shed, None);
+    assert!(!report.records[0].degraded);
+    let lost = &report.records[1];
+    assert!(lost.degraded, "the lost view's ticket was not degraded");
+    let (policy, _) = lost.shed.expect("a ticket past its deadline is shed");
+    assert_eq!(policy, ShedPolicy::ServeStale.name());
+    assert_eq!(lost.read_used_view, None);
+    assert_eq!(lost.committed_used_view, None);
+    for (i, rec) in report.records.iter().enumerate() {
+        assert_eq!(
+            rec.read_fingerprint, rec.committed_fingerprint,
+            "ticket {i}: the read and its commit disagree"
+        );
+    }
 }

@@ -194,23 +194,6 @@ pub enum DecisionEvent {
         /// The node, as `node<N>`.
         node: String,
     },
-    /// A circuit breaker changed state.
-    BreakerTransition {
-        /// The guarded view.
-        view: String,
-        /// The node the breaker is keyed to (`u32::MAX` = untraced).
-        node: u64,
-        /// State before (`closed` / `open` / `half_open`).
-        from: &'static str,
-        /// State after.
-        to: &'static str,
-    },
-    /// The read path short-circuited an open breaker's view straight to
-    /// its fallback.
-    BreakerShortCircuit {
-        /// The guarded view that was skipped.
-        view: String,
-    },
     /// Hedged-read activity attributed to one served request (deltas of
     /// the file-system counters across the read).
     HedgedRead {
@@ -227,7 +210,7 @@ pub enum DecisionEvent {
     Shed {
         /// Shed ticket (arrival order).
         ticket: u64,
-        /// The policy applied: `reject`, `serve_stale`, or `degrade_base`.
+        /// The policy applied: `reject` or `serve_stale`.
         policy: &'static str,
         /// Why: `deadline_passed`, `queue_full`, or `projected_overrun`.
         reason: &'static str,
@@ -256,8 +239,6 @@ impl DecisionEvent {
             DecisionEvent::FragmentReadmitted { .. } => "fragment_readmitted",
             DecisionEvent::NodeSlow { .. } => "node_slow",
             DecisionEvent::NodeSlowCleared { .. } => "node_slow_cleared",
-            DecisionEvent::BreakerTransition { .. } => "breaker_transition",
-            DecisionEvent::BreakerShortCircuit { .. } => "breaker_short_circuit",
             DecisionEvent::HedgedRead { .. } => "hedged_read",
             DecisionEvent::Shed { .. } => "shed",
         }
@@ -384,18 +365,6 @@ impl Serialize for DecisionEvent {
                 .field("multiplier", *multiplier)
                 .build(),
             DecisionEvent::NodeSlowCleared { node } => b.field("node", node).build(),
-            DecisionEvent::BreakerTransition {
-                view,
-                node,
-                from,
-                to,
-            } => b
-                .field("view", view)
-                .field("node", *node)
-                .field("from", *from)
-                .field("to", *to)
-                .build(),
-            DecisionEvent::BreakerShortCircuit { view } => b.field("view", view).build(),
             DecisionEvent::HedgedRead {
                 ticket,
                 issued,
@@ -556,25 +525,6 @@ mod tests {
                     node: "node2".into(),
                 },
                 &["\"kind\":\"node_slow_cleared\""],
-            ),
-            (
-                DecisionEvent::BreakerTransition {
-                    view: "V1".into(),
-                    node: 3,
-                    from: "closed",
-                    to: "open",
-                },
-                &[
-                    "\"kind\":\"breaker_transition\"",
-                    "\"view\":\"V1\"",
-                    "\"node\":3",
-                    "\"from\":\"closed\"",
-                    "\"to\":\"open\"",
-                ],
-            ),
-            (
-                DecisionEvent::BreakerShortCircuit { view: "V1".into() },
-                &["\"kind\":\"breaker_short_circuit\"", "\"view\":\"V1\""],
             ),
             (
                 DecisionEvent::HedgedRead {

@@ -1,8 +1,8 @@
 //! Tail-tolerance suite: replay the golden workload under **gray-failure**
 //! schedules — nodes that stay live but serve reads a multiplier slower —
-//! and assert the tail-tolerance machinery (hedged replica reads, circuit
-//! breakers, retry budgets, deadline-aware load shedding) never changes an
-//! answer or the committed state trajectory.
+//! and assert the tail-tolerance machinery (hedged replica reads, retry
+//! budgets, deadline-aware load shedding) never changes an answer or the
+//! committed state trajectory.
 //!
 //! The invariants, in decreasing strength:
 //!
@@ -16,8 +16,8 @@
 //! - **Same seed ⇒ same decision stream**: the shed / hedge / slow-node
 //!   events the server journals replay bit-for-bit.
 //! - **Shedding is honest**: rejected tickets still commit (the writer's
-//!   Algorithm-1 trajectory never depends on admission control), and served
-//!   shed modes return exact answers.
+//!   Algorithm-1 trajectory never depends on admission control), and
+//!   stale-served sheds return exact answers.
 //!
 //! Schedules are generated from `TAIL_CHAOS_SEEDS` (comma-separated,
 //! default `3,11`), so CI can sweep without a rebuild:
@@ -27,8 +27,8 @@ use std::sync::{Arc, OnceLock};
 
 use deepsea::bench::golden::{golden_catalog, golden_plans};
 use deepsea::core::{
-    baselines, BreakerConfig, CatalogJournal, DeepSea, DeepSeaConfig, ObsConfig, Observer,
-    ServerConfig, ShedPolicy, ViewServer,
+    baselines, CatalogJournal, DeepSea, DeepSeaConfig, ObsConfig, Observer, ServerConfig,
+    ShedPolicy, ViewServer,
 };
 use deepsea::engine::{Catalog, ClusterSim, LogicalPlan, RetryPolicy, RetryingBackend, SimBackend};
 use deepsea::storage::{
@@ -106,7 +106,6 @@ struct TailRun {
     hedges_issued: u64,
     hedges_won: u64,
     node_slows: u64,
-    short_circuits: u64,
 }
 
 fn build_sharded(
@@ -152,7 +151,6 @@ fn run_tail(
         hedges_issued: 0,
         hedges_won: 0,
         node_slows: 0,
-        short_circuits: 0,
     };
     for (i, plan) in plans.iter().enumerate() {
         // Recoveries before slowdowns, so a boundary that moves the slow
@@ -172,7 +170,6 @@ fn run_tail(
             .unwrap_or_else(|e| panic!("query {i}: gray failures must never surface: {e}"));
         out.fingerprints.push(o.result.fingerprint());
         out.elapsed_bits.push(o.elapsed_secs.to_bits());
-        out.short_circuits += o.trace.recovery.breaker_short_circuits;
     }
     let stats = fs.fault_stats();
     out.hedges_issued = stats.hedges_issued;
@@ -317,16 +314,12 @@ fn same_seed_reproduces_shed_and_hedge_decision_stream() {
 
 /// Shedding is honest: every shed ticket carries its policy and reason,
 /// rejected tickets still commit (the committed fingerprint series is the
-/// serial one, complete), and served shed modes return exact answers.
+/// serial one, complete), and stale-served sheds return exact answers.
 #[test]
 fn shed_tickets_still_commit_and_served_sheds_stay_exact() {
     let (_, plans) = setup();
     let golden = tail_baseline();
-    for policy in [
-        ShedPolicy::Reject,
-        ShedPolicy::ServeStale,
-        ShedPolicy::DegradeBase,
-    ] {
+    for policy in [ShedPolicy::Reject, ShedPolicy::ServeStale] {
         let (ds, _fs) = build_sharded(2, FaultInjector::disabled(), chaos_config(), None);
         let cfg = ServerConfig {
             clients: 2,
@@ -363,8 +356,8 @@ fn shed_tickets_still_commit_and_served_sheds_stay_exact() {
                         assert!(rec.read_fingerprint.is_empty());
                         assert_eq!(rec.read_query_secs, 0.0);
                     }
-                    // Served shed modes return the exact committed answer.
-                    ShedPolicy::ServeStale | ShedPolicy::DegradeBase => {
+                    // A stale-served read returns the exact committed answer.
+                    ShedPolicy::ServeStale => {
                         assert_eq!(
                             rec.read_fingerprint, rec.committed_fingerprint,
                             "{policy:?}: served a wrong answer while shedding"
@@ -376,132 +369,15 @@ fn shed_tickets_still_commit_and_served_sheds_stay_exact() {
     }
 }
 
-/// Circuit breakers on the snapshot read path, where they earn their keep:
-/// the writer patches the catalog around failures and matching routes
-/// around hard outages, but *gray* slowness — a node serving reads at 100×
-/// — is invisible to the namenode, so a frozen reader would pay it on
-/// every access. The latency trip records slow successes as failures,
-/// opens the breaker, later reads short-circuit straight to base tables
-/// (answers unchanged), and once the node speeds up the deterministic
-/// probes close every breaker again.
-#[test]
-fn breaker_opens_short_circuits_and_recloses_around_an_outage() {
-    let (_, plans) = setup();
-    // Measure the healthy cost envelope on the same topology, breakers off.
-    let (mut probe, _) = build_sharded(1, FaultInjector::disabled(), chaos_config(), None);
-    let mut healthy_max = 0.0f64;
-    for (i, plan) in plans.iter().enumerate() {
-        let o = probe
-            .process_query(plan)
-            .unwrap_or_else(|e| panic!("query {i} failed while probing: {e}"));
-        healthy_max = healthy_max.max(o.query_secs);
-    }
-    drop(probe);
-    let trip = healthy_max * 4.0;
-
-    let (ds, fs) = build_sharded(
-        1,
-        FaultInjector::disabled(),
-        chaos_config().with_breaker(BreakerConfig::after_failures(2, 2).with_latency_trip(trip)),
-        None,
-    );
-    // Watch the run so the breaker's state changes land on the exported
-    // transition counter (pinned below) as well as the event journal.
-    let obs = Observer::new(ObsConfig::on());
-    let mut ds = ds.with_observer(obs.clone());
-    // Materialize views through the writer, then freeze an epoch.
-    for (i, plan) in plans.iter().enumerate() {
-        ds.process_query(plan)
-            .unwrap_or_else(|e| panic!("query {i} failed while warming: {e}"));
-    }
-    let snapshot = ds
-        .publish_snapshot()
-        .expect("retrying backend must fork readers");
-    let replay = |snapshot: &deepsea::core::ReadSnapshot| {
-        let mut fingerprints = Vec::new();
-        let mut short_circuits = 0u64;
-        let mut slowest = 0.0f64;
-        for (i, plan) in plans.iter().enumerate() {
-            let a = snapshot
-                .answer(plan)
-                .unwrap_or_else(|e| panic!("read {i}: gray slowness must never error: {e}"));
-            fingerprints.push(a.result.fingerprint());
-            short_circuits += a.trace.recovery.breaker_short_circuits;
-            slowest = slowest.max(a.query_secs);
-        }
-        (fingerprints, short_circuits, slowest)
-    };
-
-    let (healthy, sc0, _) = replay(&snapshot);
-    assert_eq!(sc0, 0, "healthy snapshot reads must not trip breakers");
-
-    // Gray failure: every node crawls at 100×, but nothing ever *fails*.
-    for n in 0..NODES {
-        fs.set_node_slow(NodeId(n), 100.0);
-    }
-    let (pass1, sc1, slowest1) = replay(&snapshot);
-    let (pass2, sc2, _) = replay(&snapshot);
-    assert_eq!(pass1, healthy, "slow reads changed an answer");
-    assert_eq!(pass2, healthy, "short-circuited reads changed an answer");
-    assert!(
-        slowest1 > trip,
-        "100× slowness never exceeded the trip threshold ({slowest1} <= {trip})"
-    );
-    assert!(
-        sc1 + sc2 > 0,
-        "latency trips never opened a breaker into short-circuiting"
-    );
-    assert!(
-        !ds.breakers().open_breakers().is_empty(),
-        "mid-gray-failure, some breaker must be open"
-    );
-
-    for n in 0..NODES {
-        fs.clear_node_slow(NodeId(n));
-    }
-    // Each open breaker needs probe_after = 2 accesses to reach its probe
-    // and a fast success to close; a view used once per pass may need two
-    // passes to get there, plus one to verify quiescence.
-    let (pass3, _, _) = replay(&snapshot);
-    let (pass4, _, _) = replay(&snapshot);
-    let (pass5, sc5, _) = replay(&snapshot);
-    assert_eq!(pass3, healthy);
-    assert_eq!(pass4, healthy);
-    assert_eq!(pass5, healthy);
-    assert_eq!(sc5, 0, "nodes fast again: no more short-circuits");
-    assert!(
-        ds.breakers().open_breakers().is_empty(),
-        "breakers stayed open after the slowness cleared and probes succeeded: {:?}",
-        ds.breakers().open_breakers()
-    );
-
-    // The full open -> half_open -> closed cycle is exported under the
-    // pinned Prometheus name, one series per target state.
-    let samples =
-        deepsea::obs::parse_prometheus(&obs.render_prometheus()).expect("prometheus output parses");
-    for state in ["open", "half_open", "closed"] {
-        let count = samples
-            .iter()
-            .find(|s| {
-                s.name == "deepsea_breaker_transitions_total"
-                    && s.labels.iter().any(|(k, v)| k == "view" && v == state)
-            })
-            .map(|s| s.value)
-            .unwrap_or_else(|| panic!("missing breaker transition series for {state:?}"));
-        assert!(count > 0.0, "no transitions into {state:?} recorded");
-    }
-}
-
 /// The combined-schedule crash test: node outage + seeded I/O faults + a
 /// gray-slow window all active when the process dies mid-outage. Recovery
-/// rebuilds the catalog, resets breaker state (a health cache, deliberately
-/// not journaled), and a second recovery from the same journal is
-/// idempotent; the resumed run still answers every query exactly.
+/// rebuilds the catalog, a second recovery from the same journal is
+/// idempotent, and the resumed run still answers every query exactly.
 #[test]
 fn crash_mid_outage_with_slow_window_recovers_idempotently() {
     let (catalog, plans) = setup();
     let journal = Arc::new(CatalogJournal::new());
-    let config = chaos_config().with_breaker(BreakerConfig::after_failures(2, 2));
+    let config = chaos_config();
     let faults = FaultInjector::new(FaultConfig::seeded(13).with_transient_reads(0.05));
     let (mut ds, fs) = build_sharded(2, faults, config, Some(Arc::clone(&journal)));
     fs.set_hedge(Some(HedgeConfig::after_secs(0.01)));
@@ -529,18 +405,12 @@ fn crash_mid_outage_with_slow_window_recovers_idempotently() {
                 SimBackend::new(ClusterSim::paper_default()),
                 policy,
             )),
-            chaos_config()
-                .with_breaker(BreakerConfig::after_failures(2, 2))
-                .with_retry(policy),
+            chaos_config().with_retry(policy),
             Arc::clone(&journal),
         )
     };
     let (recovered, fsck1) = recover();
     let digest1 = recovered.registry().state_digest();
-    assert!(
-        recovered.breakers().open_breakers().is_empty(),
-        "recovery must reset breaker state (fail-safe health cache)"
-    );
     drop(recovered);
 
     // Second recovery from the same (post-fsck-compacted) journal.
