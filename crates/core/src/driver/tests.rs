@@ -530,21 +530,30 @@ fn quarantined_views_rematerialize_when_hot() {
     assert!(reused_again, "rebuilt views must serve rewritings again");
 }
 
-/// A SimBackend wrapper that records every plan it executes — proves the
-/// driver goes through the trait object, not the free `execute` function,
-/// and shows which plans it executes.
+/// One call a [`RecordingBackend`] served.
+#[derive(Debug, Clone, PartialEq)]
+enum Call {
+    /// `execute(plan)`.
+    Execute(LogicalPlan),
+    /// `execute_slice(plan, pred)`.
+    Slice(LogicalPlan, Predicate),
+}
+
+/// A SimBackend wrapper that records every plan it executes or slices —
+/// proves the driver goes through the trait object, not the free
+/// functions, and shows which plans it runs.
 struct RecordingBackend {
     inner: SimBackend,
-    plans: Arc<std::sync::Mutex<Vec<LogicalPlan>>>,
+    calls: Arc<std::sync::Mutex<Vec<Call>>>,
 }
 
 impl RecordingBackend {
-    /// A fresh backend over the paper's cluster, and its log of plans.
-    fn new() -> (Self, Arc<std::sync::Mutex<Vec<LogicalPlan>>>) {
-        let plans = Arc::default();
+    /// A fresh backend over the paper's cluster, and its log of calls.
+    fn new() -> (Self, Arc<std::sync::Mutex<Vec<Call>>>) {
+        let calls = Arc::default();
         let inner = SimBackend::new(ClusterSim::paper_default());
-        let plans_log = Arc::clone(&plans);
-        (Self { inner, plans }, plans_log)
+        let log = Arc::clone(&calls);
+        (Self { inner, calls }, log)
     }
 }
 
@@ -555,8 +564,18 @@ impl ExecutionBackend for RecordingBackend {
         catalog: &Catalog,
         fs: &SimFs<Table>,
     ) -> Result<(Table, ExecMetrics), ExecError> {
-        self.plans.lock().unwrap().push(plan.clone());
+        self.calls.lock().unwrap().push(Call::Execute(plan.clone()));
         self.inner.execute(plan, catalog, fs)
+    }
+    fn execute_slice(
+        &self,
+        plan: &LogicalPlan,
+        pred: &Predicate,
+        catalog: &Catalog,
+        fs: &SimFs<Table>,
+    ) -> Result<(Table, u64), ExecError> {
+        (self.calls.lock().unwrap()).push(Call::Slice(plan.clone(), pred.clone()));
+        self.inner.execute_slice(plan, pred, catalog, fs)
     }
     fn elapsed_secs(&self, metrics: &ExecMetrics) -> f64 {
         self.inner.elapsed_secs(metrics)
@@ -574,7 +593,7 @@ impl ExecutionBackend for RecordingBackend {
 
 #[test]
 fn custom_backend_is_used_for_execution() {
-    let (backend, plans) = RecordingBackend::new();
+    let (backend, calls) = RecordingBackend::new();
     let fs = Arc::new(SimFs::new(
         BlockConfig::default(),
         backend.cluster().weights,
@@ -587,12 +606,12 @@ fn custom_backend_is_used_for_execution() {
     );
     let out = d.process_query(&query(400, 600)).unwrap();
     assert!(!out.materialized.is_empty());
-    // The first materializing query executes the chosen plan plus at least
-    // one view computation — all through the trait object.
-    let calls = plans.lock().unwrap().len();
+    // The first materializing query executes the chosen plan, then
+    // computes a view below it — all through the trait object.
+    let calls = calls.lock().unwrap();
     assert!(
-        calls >= 2,
-        "driver must execute via the backend: {calls} calls"
+        matches!(calls.as_slice(), [Call::Execute(_), _, ..]),
+        "driver must execute and compute views via the backend: {calls:?}"
     );
 }
 
@@ -609,17 +628,32 @@ fn golden() -> &'static (Arc<Catalog>, Vec<LogicalPlan>) {
     })
 }
 
-/// A view whose plan is the plan the commit executed is stored from that
-/// execution's result (§7.2's "by-product of the instrumented query"):
-/// per commit, the backend runs the executed plan once and then only the
-/// plans of the views it computes that differ from it, and every file
-/// written from the shared result holds what executing the view returns.
-#[test]
-fn views_equal_to_the_executed_plan_are_stored_from_its_result() {
+/// How [`stored_views_equal_their_plans`] found a run's views computed.
+#[derive(Debug, Default)]
+struct Computed {
+    /// Views stored from the executed plan's result.
+    reused: usize,
+    /// Views executed whole.
+    executed: usize,
+    /// Views whose statistics were measured from a slice.
+    measured: usize,
+    /// Slices that kept fewer rows than their view holds.
+    narrow: usize,
+}
+
+/// A commit computes only what it stores (§7.2's "by-product of the
+/// instrumented query"): per commit, the backend executes the executed plan
+/// once; a view equal to it is stored from that result; any other view is
+/// executed once when it is stored whole, or sliced once per partition
+/// attribute over the fragments the commit builds from its plan. Every file
+/// written holds what executing the view returns, restricted to its
+/// interval, and a view measured from a slice has the size, cost and
+/// overhead of the whole view. Run over the golden log under `config`.
+fn stored_views_equal_their_plans(config: DeepSeaConfig) -> Computed {
     use deepsea_obs::ObsConfig;
 
     let (catalog, log) = golden();
-    let (backend, plans) = RecordingBackend::new();
+    let (backend, calls) = RecordingBackend::new();
     let fs = Arc::new(SimFs::new(
         BlockConfig::default(),
         backend.cluster().weights,
@@ -631,14 +665,20 @@ fn views_equal_to_the_executed_plan_are_stored_from_its_result() {
         Arc::clone(catalog),
         Arc::clone(&fs),
         Box::new(backend),
-        crate::baselines::deepsea().with_phi(0.05),
+        config,
     )
     .with_observer(obs.clone());
-    let (mut reused, mut executed_views) = (0, 0);
+    let mut seen = Computed::default();
     for (i, plan) in log.iter().enumerate() {
+        let measured_before: Vec<String> = (d.registry().iter())
+            .filter(|v| v.schema.is_some())
+            .map(|v| v.key.to_string())
+            .collect();
         let out = d.process_query(plan).unwrap();
-        let calls = std::mem::take(&mut *plans.lock().unwrap());
-        let (executed, view_runs) = calls.split_first().expect("a commit executes its plan");
+        let calls = std::mem::take(&mut *calls.lock().unwrap());
+        let Some((Call::Execute(executed), view_calls)) = calls.split_first() else {
+            panic!("query {i}: a commit executes its plan first: {calls:?}");
+        };
         let refined: Vec<String> = obs
             .events_snapshot()
             .into_iter()
@@ -662,20 +702,61 @@ fn views_equal_to_the_executed_plan_are_stored_from_its_result() {
         computed.sort_unstable();
         computed.dedup();
         let registry = d.registry();
-        let (same, other): (Vec<ViewId>, Vec<ViewId>) = computed
-            .iter()
-            .partition(|&&v| *registry.view(v).plan == *executed);
-        assert_eq!(
-            view_runs.len(),
-            other.len(),
-            "query {i}: one execution per computed view that is not the executed plan"
-        );
-        for run in view_runs {
-            assert!(other.iter().any(|&v| *registry.view(v).plan == *run));
+        let other: Vec<ViewId> = (computed.iter().copied())
+            .filter(|&v| *registry.view(v).plan != *executed)
+            .collect();
+        seen.reused += computed.len() - other.len();
+        // Each other view is executed once or sliced once per attribute,
+        // and nothing else runs.
+        let mut sliced: Vec<ViewId> = Vec::new();
+        for vid in &other {
+            let view = registry.view(*vid);
+            let runs: Vec<&Call> = (view_calls.iter())
+                .filter(|c| match c {
+                    Call::Execute(p) | Call::Slice(p, _) => *p == *view.plan,
+                })
+                .collect();
+            let mut attrs: Vec<&str> = (runs.iter())
+                .filter_map(|c| match c {
+                    Call::Slice(_, Predicate::Range { col, .. }) => Some(col.as_str()),
+                    _ => None,
+                })
+                .collect();
+            let slices = attrs.len();
+            attrs.sort_unstable();
+            attrs.dedup();
+            assert!(
+                matches!(runs.as_slice(), [Call::Execute(_)])
+                    || (slices == runs.len() && slices == attrs.len() && slices > 0),
+                "query {i}: {} is computed by {runs:?}",
+                view.name
+            );
+            assert!(
+                attrs.iter().all(|a| view.partitions.contains_key(*a)),
+                "query {i}: {} is sliced on a partition attribute",
+                view.name
+            );
+            if slices > 0 {
+                sliced.push(*vid);
+            } else {
+                seen.executed += 1;
+            }
         }
-        executed_views += other.len();
-        for vid in same {
-            reused += 1;
+        for call in view_calls {
+            if let Call::Slice(p, pred) = call {
+                let (rows, whole) =
+                    deepsea_engine::exec::execute_slice(p, pred, catalog, &fs).unwrap();
+                seen.narrow += usize::from((rows.len() as u64) < whole);
+            }
+        }
+        assert!(
+            view_calls.iter().all(|c| match c {
+                Call::Execute(p) | Call::Slice(p, _) =>
+                    other.iter().any(|&v| *registry.view(v).plan == *p),
+            }),
+            "query {i}: a call computes no view the commit stores: {view_calls:?}"
+        );
+        for vid in computed {
             let view = registry.view(vid);
             let (want, _) = deepsea_engine::exec::execute(&view.plan, catalog, &fs).unwrap();
             if let Some(file) = view.whole_file {
@@ -699,10 +780,51 @@ fn views_equal_to_the_executed_plan_are_stored_from_its_result() {
                     );
                 }
             }
+            if sliced.contains(&vid) && !measured_before.contains(&view.key.to_string()) {
+                let size = want.sim_bytes();
+                let overhead = d.backend.write_secs(size, 1);
+                let cost = d.estimator().estimated_secs(&view.plan) + overhead;
+                seen.measured += 1;
+                assert_eq!(view.stats.size, size, "query {i}: {}", view.name);
+                assert_eq!(
+                    (view.stats.cost.to_bits(), view.creation_overhead.to_bits()),
+                    (cost.to_bits(), overhead.to_bits()),
+                    "query {i}: {}",
+                    view.name
+                );
+            }
         }
     }
-    assert!(reused > 0, "no view was stored from the executed result");
-    assert!(executed_views > 0, "no view needed an execution of its own");
+    seen
+}
+
+/// Under a generous pool the fragments a commit builds from a plan span
+/// its domain, so a slice keeps the whole view; under the small pool of
+/// `sdss_churn` (`Smax` = base / 40) they are admitted one by one, and a
+/// slice keeps a few of its view's rows.
+#[test]
+fn views_equal_to_the_executed_plan_are_stored_from_its_result() {
+    let seen = stored_views_equal_their_plans(crate::baselines::deepsea().with_phi(0.05));
+    assert!(
+        seen.reused > 0,
+        "no view was stored from the executed result: {seen:?}"
+    );
+    assert!(seen.executed > 0, "no view was executed whole: {seen:?}");
+    assert!(
+        seen.measured > 0,
+        "no view was measured from a slice: {seen:?}"
+    );
+    let smax = golden().0.total_base_bytes() / 40;
+    let seen =
+        stored_views_equal_their_plans(crate::baselines::deepsea().with_phi(0.05).with_smax(smax));
+    assert!(
+        seen.narrow > 0,
+        "no slice kept fewer rows than its view: {seen:?}"
+    );
+    assert!(
+        seen.measured > 0,
+        "no view was measured from a slice: {seen:?}"
+    );
 }
 
 /// Under the Hive baseline a snapshot reader executes the plan the writer

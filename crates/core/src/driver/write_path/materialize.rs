@@ -9,7 +9,7 @@ use std::sync::Arc;
 use deepsea_engine::exec::ExecError;
 use deepsea_engine::plan::LogicalPlan;
 use deepsea_obs::DecisionEvent;
-use deepsea_relation::{Schema, Table};
+use deepsea_relation::{Predicate, Schema, Table};
 use deepsea_storage::FileId;
 
 use crate::durability::CatalogRecord;
@@ -19,13 +19,41 @@ use crate::interval::Interval;
 use crate::matching::partition_matching;
 use crate::policy::PartitionPolicy;
 use crate::registry::PartitionState;
-use crate::selection::{apply_size_bounds, equi_depth_intervals, CandidateKind};
+use crate::selection::{apply_size_bounds, equi_depth_intervals, CandidateKind, RankedItem};
 
 use super::super::context::{CreationCharge, QueryContext};
 use super::super::DeepSea;
 
 /// A materialized source fragment: id, interval, file.
 type SourceFrag = (FragmentId, Interval, FileId);
+
+/// Per (view, attribute), the hull of the fragments this commit creates on
+/// it and, once a fragment has to be built from the view's plan, the view's
+/// rows in that hull with the number of rows of the whole view
+/// ([`DeepSea::view_slice`]). BTreeMap (not HashMap): this sits on the
+/// decision path, and the D1 lint bans hash collections there — any future
+/// iteration would depend on hash order and break bit-identical replay.
+type Slices<'a> = BTreeMap<(ViewId, &'a str), (Interval, Option<(Arc<Table>, u64)>)>;
+
+/// The hull of the fragments `to_create` makes on each (view, attribute).
+fn fragment_hulls<'a>(d: &DeepSea, to_create: &'a [RankedItem]) -> Slices<'a> {
+    let mut slices = Slices::new();
+    for item in to_create {
+        let CandidateKind::Fragment(vid, attr, fid) = &item.kind else {
+            continue;
+        };
+        let view = d.registry.view(*vid);
+        let Some(iv) = view.partitions.get(attr).and_then(|ps| ps.frag(*fid)) else {
+            continue;
+        };
+        let iv = iv.interval;
+        slices
+            .entry((*vid, attr.as_str()))
+            .and_modify(|(h, _)| *h = h.hull(&iv))
+            .or_insert((iv, None));
+    }
+    slices
+}
 
 /// Split `table`'s rows among `intervals` (ascending and disjoint, as every
 /// partition layout is) by the integer column `col`: one selection vector
@@ -44,12 +72,8 @@ impl DeepSea {
         ctx: &mut QueryContext,
         result: &Table,
     ) -> Result<(), ExecError> {
-        // Views computed once per query for multi-fragment materialization.
-        // BTreeMap (not HashMap): this cache sits on the decision path, and
-        // the D1 lint bans hash collections there — any future iteration
-        // would depend on hash order and break bit-identical replay.
-        let mut view_cache: BTreeMap<ViewId, Arc<Table>> = BTreeMap::new();
         let to_create = std::mem::take(&mut ctx.selection.to_create);
+        let mut slices = fragment_hulls(self, &to_create);
         for item in &to_create {
             let (CandidateKind::WholeView(vid) | CandidateKind::Fragment(vid, _, _)) = &item.kind;
             let vid = *vid;
@@ -61,7 +85,7 @@ impl DeepSea {
             let res = match &item.kind {
                 CandidateKind::WholeView(vid) => self.materialize_view(*vid, (&ctx.qbest, result)),
                 CandidateKind::Fragment(vid, attr, fid) => self
-                    .materialize_fragment(*vid, attr, *fid, &mut view_cache, (&ctx.qbest, result))
+                    .materialize_fragment(*vid, attr, *fid, &mut slices, (&ctx.qbest, result))
                     .map(|opt| match opt {
                         Some((c, desc)) => (c, vec![desc]),
                         None => (CreationCharge::default(), Vec::new()),
@@ -125,7 +149,7 @@ impl DeepSea {
     /// query: a view plan reads base tables only (`Signature::of` refuses a
     /// `ViewScan`), so every execution of it returns the same table, and the
     /// query's result is shared instead of computed again. Any other view
-    /// plan is executed.
+    /// plan is executed whole.
     fn view_content(
         &self,
         plan: &LogicalPlan,
@@ -136,6 +160,30 @@ impl DeepSea {
         }
         let (table, _metrics) = self.backend.execute(plan, &self.catalog, &self.fs)?;
         Ok(table)
+    }
+
+    /// The rows of a view whose plan is `plan` with `attr` in `hull`, and
+    /// the number of rows of the whole view, given the plan the query
+    /// executed and its result. The query's result is shared when the view
+    /// is the query, as in [`DeepSea::view_content`]; any other view is
+    /// sliced by the backend ([`ExecutionBackend::execute_slice`]), which
+    /// pairs only the rows the hull keeps where a selection can run at a
+    /// join leaf.
+    ///
+    /// [`ExecutionBackend::execute_slice`]: deepsea_engine::ExecutionBackend::execute_slice
+    fn view_slice(
+        &self,
+        plan: &LogicalPlan,
+        attr: &str,
+        hull: Interval,
+        (executed, result): (&LogicalPlan, &Table),
+    ) -> Result<(Table, u64), ExecError> {
+        if plan == executed {
+            return Ok((result.clone(), result.len() as u64));
+        }
+        let pred = Predicate::range(attr, hull.lo, hull.hi);
+        self.backend
+            .execute_slice(plan, &pred, &self.catalog, &self.fs)
     }
 
     /// Materialize a view (whole or initially partitioned) from its content
@@ -257,12 +305,12 @@ impl DeepSea {
     /// `wwrite` for everything written (§7.2). Under horizontal (non-
     /// overlapping) partitioning, split fragments are rewritten and dropped;
     /// under overlapping partitioning the originals are kept.
-    fn materialize_fragment(
+    fn materialize_fragment<'a>(
         &mut self,
         vid: ViewId,
-        attr: &str,
+        attr: &'a str,
         fid: FragmentId,
-        view_cache: &mut BTreeMap<ViewId, Arc<Table>>,
+        slices: &mut Slices<'a>,
         executed: (&LogicalPlan, &Table),
     ) -> Result<Option<(CreationCharge, String)>, ExecError> {
         let overlapping_mode = self.config.partition_policy.overlapping();
@@ -301,10 +349,7 @@ impl DeepSea {
                 // No materialized source covers the target (fresh view, or a
                 // fully-evicted region): build the fragment from the view's
                 // plan instead.
-                _ => {
-                    return self
-                        .materialize_fragment_from_plan(vid, attr, fid, view_cache, executed)
-                }
+                _ => return self.materialize_fragment_from_plan(vid, attr, fid, slices, executed),
             }
         };
 
@@ -456,16 +501,19 @@ impl DeepSea {
         Ok(Some((charge, format!("{name}.{attr}{target}"))))
     }
 
-    /// Build a fragment from the view's content (used for initial
-    /// partitioned materialization and for regions whose sources were
-    /// evicted). As with whole-view materialization, the computation happens
-    /// as a by-product of the running query, so only the write is charged.
-    fn materialize_fragment_from_plan(
+    /// Build a fragment from the view's plan (used for initial partitioned
+    /// materialization and for regions whose sources were evicted), out of
+    /// one slice of the view per (view, attribute) and commit over the hull
+    /// of the fragments the commit creates there. As with whole-view
+    /// materialization, the computation happens as a by-product of the
+    /// running query, so only the write is charged; the view's measured
+    /// size is its whole length times the slice's row width.
+    fn materialize_fragment_from_plan<'a>(
         &mut self,
         vid: ViewId,
-        attr: &str,
+        attr: &'a str,
         fid: FragmentId,
-        view_cache: &mut BTreeMap<ViewId, Arc<Table>>,
+        slices: &mut Slices<'a>,
         executed: (&LogicalPlan, &Table),
     ) -> Result<Option<(CreationCharge, String)>, ExecError> {
         let (plan, name, key, target) = {
@@ -483,19 +531,22 @@ impl DeepSea {
                 frag.interval,
             )
         };
-        let table = match view_cache.get(&vid) {
-            Some(t) => Arc::clone(t),
+        let (hull, slice) = slices.entry((vid, attr)).or_insert((target, None));
+        debug_assert!(hull.contains(&target), "the hull holds every target");
+        let (table, whole_len) = match slice {
+            Some((t, n)) => (Arc::clone(t), *n),
             None => {
-                let t = Arc::new(self.view_content(&plan, executed)?);
-                view_cache.insert(vid, Arc::clone(&t));
-                t
+                let (t, n) = self.view_slice(&plan, attr, *hull, executed)?;
+                let t = Arc::new(t);
+                *slice = Some((Arc::clone(&t), n));
+                (t, n)
             }
         };
         let schema = table.schema.clone();
         let Some(col_idx) = schema.index_of(attr) else {
             return Ok(None);
         };
-        let full_size = table.sim_bytes();
+        let full_size = whole_len * table.bytes_per_row;
         let frag_table = table.take(&table.column(col_idx).int_range_rows(target.lo, target.hi));
         let mut charge = CreationCharge::default();
         let record = self.write_fragment(

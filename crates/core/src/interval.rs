@@ -65,6 +65,11 @@ impl Interval {
         (lo <= hi).then(|| Interval::new(lo, hi))
     }
 
+    /// The smallest interval holding both.
+    pub fn hull(&self, other: &Interval) -> Interval {
+        Interval::new(self.lo.min(other.lo), self.hi.max(other.hi))
+    }
+
     /// Fraction of this interval covered by `other` (for size estimation,
     /// §7.2: `‖Icand ∩ I‖ / ‖I‖`).
     pub fn overlap_fraction(&self, other: &Interval) -> f64 {

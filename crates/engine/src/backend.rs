@@ -12,7 +12,7 @@
 // deepsea-lint: allow(lock_discipline) -- backend instrumentation counter cell; single lock, held for a field update only
 use std::sync::Mutex;
 
-use deepsea_relation::Table;
+use deepsea_relation::{Predicate, Table};
 use deepsea_storage::{FileId, SimFs};
 
 use crate::catalog::Catalog;
@@ -34,6 +34,20 @@ pub trait ExecutionBackend: Send + Sync {
         catalog: &Catalog,
         fs: &SimFs<Table>,
     ) -> Result<(Table, ExecMetrics), ExecError>;
+
+    /// The rows of `σ_pred(plan)` and the number of rows of `plan` itself
+    /// ([`exec::execute_slice`]), for a commit that stores part of a view
+    /// its query's plan holds. Nothing is charged, so the provided method
+    /// runs the executor directly; a backend wrapping another forwards it.
+    fn execute_slice(
+        &self,
+        plan: &LogicalPlan,
+        pred: &Predicate,
+        catalog: &Catalog,
+        fs: &SimFs<Table>,
+    ) -> Result<(Table, u64), ExecError> {
+        exec::execute_slice(plan, pred, catalog, fs)
+    }
 
     /// Wall-clock seconds for one execution's metrics.
     fn elapsed_secs(&self, metrics: &ExecMetrics) -> f64;
@@ -266,6 +280,18 @@ impl<B: ExecutionBackend> ExecutionBackend for RetryingBackend<B> {
         }
     }
 
+    /// Forwarded without retrying: a slice is charged nothing, so it has
+    /// no backoff to charge either, and an error goes to the caller.
+    fn execute_slice(
+        &self,
+        plan: &LogicalPlan,
+        pred: &Predicate,
+        catalog: &Catalog,
+        fs: &SimFs<Table>,
+    ) -> Result<(Table, u64), ExecError> {
+        self.inner.execute_slice(plan, pred, catalog, fs)
+    }
+
     fn elapsed_secs(&self, metrics: &ExecMetrics) -> f64 {
         self.inner.elapsed_secs(metrics)
     }
@@ -333,6 +359,16 @@ impl ExecutionBackend for Box<dyn ExecutionBackend> {
         fs: &SimFs<Table>,
     ) -> Result<(Table, ExecMetrics), ExecError> {
         (**self).execute(plan, catalog, fs)
+    }
+
+    fn execute_slice(
+        &self,
+        plan: &LogicalPlan,
+        pred: &Predicate,
+        catalog: &Catalog,
+        fs: &SimFs<Table>,
+    ) -> Result<(Table, u64), ExecError> {
+        (**self).execute_slice(plan, pred, catalog, fs)
     }
 
     fn elapsed_secs(&self, metrics: &ExecMetrics) -> f64 {

@@ -305,6 +305,33 @@ pub fn execute(
     Ok((out.into_table(), m))
 }
 
+/// The rows of `σ_pred(plan)`, as [`execute`] would return them after a
+/// selection on top, and the number of rows of `plan` itself. A join whose
+/// selection runs at a leaf ([`JoinNode::push`]) pairs only the rows it
+/// keeps and takes the count from the full join it did not build; any
+/// other plan is built whole and filtered. Nothing is charged: the rows
+/// are a by-product of a query that was.
+pub fn execute_slice(
+    plan: &LogicalPlan,
+    pred: &Predicate,
+    catalog: &Catalog,
+    fs: &SimFs<Table>,
+) -> Result<(Table, u64), ExecError> {
+    let mut m = ExecMetrics::default();
+    let whole = match plan {
+        LogicalPlan::Join { left, right, on } => {
+            let mut join = plant(left, right, on, catalog, fs, &mut m)?;
+            if let Some(formed) = join.push(pred) {
+                return Ok((join.pair(None, &mut m).into_table(), formed));
+            }
+            join.pair(None, &mut m)
+        }
+        _ => run(plan, catalog, fs, &mut m)?,
+    };
+    let len = whole.len as u64;
+    Ok((select(whole, pred, &mut m).into_table(), len))
+}
+
 fn run(
     plan: &LogicalPlan,
     catalog: &Catalog,
@@ -596,7 +623,7 @@ impl JoinNode {
     /// selection: each join is charged its full inputs and every pair it
     /// forms, and the selection every pair of the top join.
     fn pair(mut self, pred: Option<&Predicate>, m: &mut ExecMetrics) -> Batch {
-        let pushed = pred.is_some_and(|p| self.push(p));
+        let pushed = pred.is_some_and(|p| self.push(p).is_some());
         let (l, r) = (self.left.into_batch(m), self.right.into_batch(m));
         let (full_l, full_r) = self.full.map_or((l.len, r.len), |f| (f.left, f.right));
         // A repartition join shuffles both inputs.
@@ -643,15 +670,12 @@ impl JoinNode {
     /// meets at most one row per join, so the full lengths are counts over
     /// the leaf's key columns ([`chain_counts`]), and each join, pairing
     /// only rows that descend from kept ones, builds the full tree's pairs
-    /// filtered, in the same order. Returns whether it ran.
-    fn push(&mut self, pred: &Predicate) -> bool {
-        let Some(conds) = conditions(pred, &self.schema) else {
-            return false;
-        };
+    /// filtered, in the same order. Returns, when it ran, the pairs this
+    /// join of the full tree forms.
+    fn push(&mut self, pred: &Predicate) -> Option<u64> {
+        let conds = conditions(pred, &self.schema)?;
         let cols: Vec<usize> = conds.iter().map(|&(_, i)| i).collect();
-        let Some((leaf, at, links)) = self.route(&cols) else {
-            return false;
-        };
+        let (leaf, at, links) = self.route(&cols)?;
         // A selection that keeps every row leaves the leaf as it is.
         let rows: Rows = Arc::new(rows_where(leaf, &conds, at));
         let kept = (rows.len() < leaf.len).then(|| {
@@ -676,6 +700,7 @@ impl JoinNode {
                 }
             })
             .collect();
+        let top = fulls.last().map(|f| f.formed);
         let sides: Vec<bool> = links.iter().map(|l| l.left).collect();
         let mut node = self;
         for (left, full) in sides.into_iter().zip(fulls).rev() {
@@ -695,7 +720,7 @@ impl JoinNode {
                 }
             }
         }
-        true
+        top
     }
 
     /// Where a selection reading the columns `cols` of this join's output
@@ -1104,36 +1129,6 @@ impl<'a> Partners<'a> {
             }
         }
     }
-
-    /// Clear the marks of the first `alive.len()` rows that meet no row of
-    /// a surrogate side `len` rows long, and count the rows left marked.
-    /// Whether the column is indexed and whether it can hold a NULL is
-    /// settled once, as in [`keep`]: without either, the pass reads the
-    /// values straight, with no branch.
-    fn narrow(&self, alive: &mut [bool], len: usize) -> u64 {
-        let (vals, data, n) = (self.vals, &*self.col.data, alive.len());
-        let hit = |x: i64| (x.wrapping_sub(self.first) as u64) < len as u64;
-        let mark = |a: &mut bool, pass: bool| {
-            *a &= pass;
-            u64::from(*a)
-        };
-        let alive = alive.iter_mut();
-        match (self.col.idx.as_deref(), data.has_nulls()) {
-            (None, false) => alive.zip(&vals[..n]).map(|(a, &x)| mark(a, hit(x))).sum(),
-            (None, true) => (alive.zip(&vals[..n]).enumerate())
-                .map(|(p, (a, &x))| mark(a, hit(x) & !data.is_null(p)))
-                .sum(),
-            (Some(ix), false) => (alive.zip(&ix[..n]))
-                .map(|(a, &p)| mark(a, hit(vals[p as usize])))
-                .sum(),
-            (Some(ix), true) => (alive.zip(&ix[..n]))
-                .map(|(a, &p)| {
-                    let p = p as usize;
-                    mark(a, hit(vals[p]) & !data.is_null(p))
-                })
-                .sum(),
-        }
-    }
 }
 
 /// For a chain of surrogate-key joins that all read their keys from one
@@ -1142,11 +1137,40 @@ impl<'a> Partners<'a> {
 /// row in every join up to each one. A row meets at most one row per join,
 /// so that is the length of the chain's output at each join, and a single
 /// join's count is every pair it forms.
+///
+/// Each key column answers from its write-once key bitmap
+/// ([`Column::key_bits`]): rows in place are counted by ANDing the links'
+/// bitmaps word by word and counting the bits, and rows read through an
+/// index test their own bits.
 fn chain_counts<'a>(chain: impl IntoIterator<Item = (Partners<'a>, usize)>, n: usize) -> Vec<u64> {
-    let mut alive = vec![true; n];
-    (chain.into_iter())
-        .map(|(keys, len)| keys.narrow(&mut alive, len))
-        .collect()
+    let (cols, bits): (Vec<&Col>, Vec<_>) = (chain.into_iter())
+        .map(|(keys, len)| (keys.col, keys.col.data.key_bits(keys.first, len)))
+        .unzip();
+    // Rows in place: a bitmap holds no bit past the column's last row.
+    if cols.iter().all(|c| c.idx.is_none() && c.data.len() == n) {
+        let mut alive = vec![u64::MAX; n.div_ceil(64)];
+        return (bits.iter())
+            .map(|words| {
+                (alive.iter_mut().zip(words.iter()))
+                    .map(|(a, &w)| {
+                        *a &= w;
+                        u64::from(a.count_ones())
+                    })
+                    .sum()
+            })
+            .collect();
+    }
+    let mut counts = vec![0u64; cols.len()];
+    for r in 0..n {
+        for ((c, words), count) in cols.iter().zip(&bits).zip(&mut counts) {
+            let p = c.phys(r);
+            if words[p / 64] >> (p % 64) & 1 == 0 {
+                break;
+            }
+            *count += 1;
+        }
+    }
+    counts
 }
 
 /// The first `n` rows of a number column as the bits of their `f64`, the
@@ -1481,6 +1505,8 @@ mod tests {
     use super::*;
     use crate::plan::AggExpr;
     use deepsea_storage::{BlockConfig, CostWeights};
+    use rand::rngs::StdRng;
+    use rand::RngExt;
 
     fn fixture() -> (Catalog, SimFs<Table>) {
         let mut c = Catalog::new();
@@ -1915,6 +1941,124 @@ mod tests {
         assert!(dense(&build, 2));
     }
 
+    /// How many of the first `n` rows meet a row in every join of `chain`
+    /// up to each one, row by row from the values: the counts
+    /// [`chain_counts`] takes from key bitmaps.
+    fn counted_row_by_row(chain: &[(Partners<'_>, usize)], n: usize) -> Vec<u64> {
+        let mut counts = vec![0; chain.len()];
+        for r in 0..n {
+            for ((keys, len), count) in chain.iter().zip(&mut counts) {
+                let key = keys.col.data.int_at(keys.col.phys(r));
+                let meets = key.is_some_and(|k| {
+                    (0..*len as i128).contains(&(i128::from(k) - i128::from(keys.first)))
+                });
+                if !meets {
+                    break;
+                }
+                *count += 1;
+            }
+        }
+        counts
+    }
+
+    /// `rows` key values around a surrogate side `first..first + len`:
+    /// partners, near misses on both sides, NULLs and the extremes.
+    fn keys_around(rng: &mut StdRng, rows: usize, first: i64, len: usize) -> Vec<Value> {
+        (0..rows)
+            .map(|_| match rng.random_range(0..20) {
+                0 => Value::Null,
+                1 => Value::Int(i64::MIN),
+                2 => Value::Int(i64::MAX),
+                3..=5 => Value::Int(first - rng.random_range(1..70i64)),
+                6..=8 => Value::Int(first + len as i64 + rng.random_range(0..70i64)),
+                _ => Value::Int(first + rng.random_range(0..len.max(1) as i64)),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bitmap_chain_counts_equal_a_row_by_row_count() {
+        use rand::SeedableRng;
+        const LENS: [usize; 6] = [0, 1, 63, 64, 65, 40_000];
+        const FIRSTS: [i64; 5] = [-50_000, -7, 0, 3, 20_000];
+        let mut rng = StdRng::seed_from_u64(41);
+        for n in LENS {
+            for indexed in [false, true] {
+                for case in 0..LENS.len() {
+                    // Three key columns of one leaf, each meeting its own
+                    // surrogate side; an indexed leaf reads its `n` rows
+                    // out of 70 more, some twice, some not at all.
+                    let sides: Vec<(i64, usize)> = (0..3)
+                        .map(|j| (FIRSTS[(case + j) % 5], LENS[(case + 2 * j) % 6]))
+                        .collect();
+                    let data_rows = if indexed { n + 70 } else { n };
+                    let idx: Option<Vec<u32>> = indexed.then(|| {
+                        let mut ix: Vec<u32> = (0..n)
+                            .map(|_| rng.random_range(0..data_rows) as u32)
+                            .collect();
+                        ix.sort_unstable();
+                        ix
+                    });
+                    let cols: Vec<Col> = (sides.iter())
+                        .map(|&(first, len)| {
+                            let keys = keys_around(&mut rng, data_rows, first, len);
+                            key_col(DataType::Int, &keys, idx.clone())
+                        })
+                        .collect();
+                    for links in 1..=3 {
+                        let chain: Vec<(Partners<'_>, usize)> = (cols.iter().zip(&sides))
+                            .take(links)
+                            .map(|(c, &(first, len))| (Partners::of(c, first).unwrap(), len))
+                            .collect();
+                        let want = counted_row_by_row(&chain, n);
+                        for call in 0..2 {
+                            assert_eq!(
+                                chain_counts(chain.iter().copied(), n),
+                                want,
+                                "n {n}, indexed {indexed}, case {case}, {links} links, call {call}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_key_column_answers_a_second_side_and_forgets_its_bitmap_when_it_changes() {
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(7);
+        let keys = keys_around(&mut rng, 200, -10, 65);
+        let col = key_col(DataType::Int, &keys, None);
+        let count = |col: &Col, first: i64, len: usize| {
+            let chain = [(Partners::of(col, first).unwrap(), len)];
+            let n = col.data.len();
+            assert_eq!(
+                chain_counts(chain, n),
+                counted_row_by_row(&chain, n),
+                "({first}, {len}) over {n} rows"
+            );
+        };
+        // The first side is kept, a second is computed, the first still holds.
+        for (first, len) in [(-10, 65), (0, 40), (-10, 65), (-80, 1)] {
+            count(&col, first, len);
+        }
+        let copy = Col::whole(Arc::new((*col.data).clone()));
+        count(&copy, 0, 40);
+        count(&copy, -10, 65);
+        let mutations: [fn(&mut Column); 3] = [
+            |c| c.push(Value::Int(-10)),
+            |c| c.push(Value::Null),
+            |c| c.extend_from(&Column::from_ints(vec![54, 55, -11]), None),
+        ];
+        for mutate in mutations {
+            let mut data = Arc::new((*col.data).clone());
+            count(&Col::whole(Arc::clone(&data)), -10, 65);
+            mutate(Arc::get_mut(&mut data).unwrap());
+            count(&Col::whole(data), -10, 65);
+        }
+    }
+
     #[test]
     fn surrogate_key_joins_agree_with_the_hashed_index() {
         for first in [0, -3, 7, i64::MAX - 5, i64::MIN] {
@@ -2091,6 +2235,13 @@ mod tests {
                     ..all_m
                 };
                 assert_eq!(got_m, want_m, "{pred:?} over {plan:?}");
+
+                // A slice gives the same rows and the whole tree's length.
+                let (slice, len) = execute_slice(plan, pred, &c, &fs).unwrap();
+                let got: Vec<_> = slice.rows().collect();
+                assert_eq!(got, want, "slice: {pred:?} over {plan:?}");
+                assert_eq!(slice.bytes_per_row, all.bytes_per_row);
+                assert_eq!(len, all.len() as u64, "slice: {pred:?} over {plan:?}");
             }
         }
     }

@@ -2,7 +2,7 @@
 //! soundness, SQL parser robustness, and optimizer equivalence.
 
 use deepsea_engine::catalog::Catalog;
-use deepsea_engine::exec::{execute, ExecMetrics};
+use deepsea_engine::exec::{execute, execute_slice, ExecMetrics};
 use deepsea_engine::optimize::push_down_selections;
 use deepsea_engine::plan::{AggExpr, AggFunc, LogicalPlan};
 use deepsea_engine::signature::{matches, Signature};
@@ -456,7 +456,9 @@ proptest! {
 /// `plan` over a [`random_catalog`] gives the reference's rows, in order,
 /// its width and its charge in every metric — on its first run over the
 /// catalog, which scans each ranged column, its second, which sorts them,
-/// and its third, which reads their range orders.
+/// and its third, which reads their range orders. A selection on top is
+/// also run as a slice of the plan below it, which gives the same rows at
+/// the same width and that plan's length.
 fn check_against_reference(rows_a: usize, rows_b: usize, seed: u64, plan: LogicalPlan) {
     let cat = random_catalog(rows_a, rows_b, seed);
     let fs = fs();
@@ -474,6 +476,13 @@ fn check_against_reference(rows_a: usize, rows_b: usize, seed: u64, plan: Logica
         prop_assert_eq!(got.rows().collect::<Vec<_>>(), rows, "run {}", run);
         prop_assert_eq!(got.bytes_per_row, bpr, "run {}", run);
         prop_assert_eq!(got_m, want_m, "run {}", run);
+    }
+    if let LogicalPlan::Select { pred, input } = &plan {
+        let (_, whole, _) = reference(input, &cat, &fs, &mut ExecMetrics::default());
+        let (got, len) = execute_slice(input, pred, &cat, &fs).unwrap();
+        prop_assert_eq!(got.rows().collect::<Vec<_>>(), rows, "slice");
+        prop_assert_eq!(got.bytes_per_row, bpr, "slice");
+        prop_assert_eq!(len, whole.len() as u64, "slice");
     }
 }
 

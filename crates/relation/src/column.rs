@@ -8,12 +8,14 @@
 //! holds codes into a [`Dict`] that every column gathered from it shares.
 //! An integer column that is range-selected a second time sorts its rows by
 //! value once ([`Column::int_range_rows`]), so later ranges cost what they
-//! keep.
+//! keep, and one asked which of its rows name a row of a surrogate key keeps
+//! the answer as a bitmap ([`Column::key_bits`]).
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write};
-// deepsea-lint: allow(lock_discipline) -- a column's write-once range order: one flag and one OnceLock, no guard is ever held
+// deepsea-lint: allow(lock_discipline) -- a column's write-once range order and key bitmap: one flag and two OnceLocks, no guard is ever held
 use std::sync::{atomic::AtomicBool, atomic::Ordering::Relaxed, Arc, OnceLock};
 
 use crate::value::{DataType, Value};
@@ -100,14 +102,27 @@ struct RangeOrder {
     rows: OnceLock<Vec<u32>>,
 }
 
+/// An integer column's key bitmap for one `(first, len)`: bit `r % 64` of
+/// word `r / 64` is set when row `r` holds a non-NULL value in
+/// `[first, first + len)`. Built on the first request
+/// ([`Column::key_bits`]) and kept until the column changes. A clone starts
+/// without one.
+struct KeyBits {
+    first: i64,
+    len: usize,
+    words: Vec<u64>,
+}
+
 /// One column: typed values plus a null mask (empty when nothing is NULL).
 pub struct Column {
     data: ColumnData,
     nulls: Vec<bool>,
     order: RangeOrder,
+    keys: OnceLock<KeyBits>,
 }
 
-/// The values and the mask; the range order is the column's own cache.
+/// The values and the mask; the range order and the key bitmap are the
+/// column's own caches.
 impl Clone for Column {
     fn clone(&self) -> Self {
         Self::new(self.data.clone(), self.nulls.clone())
@@ -130,12 +145,15 @@ impl Column {
             data,
             nulls,
             order: RangeOrder::default(),
+            keys: OnceLock::new(),
         }
     }
 
-    /// Drop the range order: the column is about to change.
-    fn forget_order(&mut self) {
+    /// Drop the range order and the key bitmap: the column is about to
+    /// change.
+    fn forget_caches(&mut self) {
         self.order = RangeOrder::default();
+        self.keys = OnceLock::new();
     }
 
     /// An empty column of the given type with room for `cap` values.
@@ -196,7 +214,7 @@ impl Column {
     }
 
     fn push_null(&mut self) {
-        self.forget_order();
+        self.forget_caches();
         if self.nulls.is_empty() {
             self.nulls = vec![false; self.len()];
         }
@@ -218,7 +236,7 @@ impl Column {
             return self.push_null();
         };
         assert_eq!(dtype, self.dtype(), "value type must match column type");
-        self.forget_order();
+        self.forget_caches();
         match (&mut self.data, value) {
             (ColumnData::Int(v), Value::Int(x)) => v.push(x),
             (ColumnData::Float(v), Value::Float(x)) => v.push(x),
@@ -234,7 +252,7 @@ impl Column {
 
     /// Append a copy of the value at `i` (for a string, its code).
     pub(crate) fn push_copy(&mut self, i: usize) {
-        self.forget_order();
+        self.forget_caches();
         match &mut self.data {
             ColumnData::Int(v) => v.push(v[i]),
             ColumnData::Float(v) => v.push(v[i]),
@@ -343,7 +361,7 @@ impl Column {
     /// Panics if the two columns differ in type.
     pub fn extend_from(&mut self, other: &Column, idx: Option<&[u32]>) {
         assert_eq!(self.dtype(), other.dtype(), "column types must match");
-        self.forget_order();
+        self.forget_caches();
         let before = self.len();
         match (&mut self.data, &other.data) {
             (ColumnData::Int(d), ColumnData::Int(s)) => extend(d, s, idx),
@@ -453,6 +471,46 @@ impl Column {
             order.retain(|&r| !self.nulls[r as usize]);
         }
         order
+    }
+
+    /// The rows whose non-NULL integer value lies in `[first, first + len)`
+    /// — `first + len − 1` not passing `i64::MAX` — as a bitmap of
+    /// `len()`.div_ceil(64) words: bit `r % 64` of word `r / 64` is row `r`.
+    /// A non-integer column sets no bit.
+    ///
+    /// The first request is kept with the column, so asking again for the
+    /// same `(first, len)` costs nothing; a request for another pair is
+    /// computed and not kept. Either way the bits are the same.
+    pub fn key_bits(&self, first: i64, len: usize) -> Cow<'_, [u64]> {
+        let kept = self.keys.get_or_init(|| KeyBits {
+            first,
+            len,
+            words: self.compute_key_bits(first, len),
+        });
+        if (kept.first, kept.len) == (first, len) {
+            Cow::Borrowed(&kept.words)
+        } else {
+            Cow::Owned(self.compute_key_bits(first, len))
+        }
+    }
+
+    /// [`Column::key_bits`], computed: 64 rows a word, each row's bit set
+    /// with no branch on the data.
+    fn compute_key_bits(&self, first: i64, len: usize) -> Vec<u64> {
+        let mut words = vec![0u64; self.len().div_ceil(64)];
+        let ColumnData::Int(v) = &self.data else {
+            return words;
+        };
+        let hit = |x: i64| (x.wrapping_sub(first) as u64) < len as u64;
+        for (w, chunk) in words.iter_mut().zip(v.chunks(64)) {
+            *w = (chunk.iter().enumerate()).fold(0, |acc, (b, &x)| acc | u64::from(hit(x)) << b);
+        }
+        if self.has_nulls() {
+            for (w, chunk) in words.iter_mut().zip(self.nulls.chunks(64)) {
+                *w &= !(chunk.iter().enumerate()).fold(0, |acc, (b, &n)| acc | u64::from(n) << b);
+            }
+        }
+        words
     }
 
     /// One pass over an integer column that splits its rows among inclusive
@@ -693,6 +751,69 @@ mod tests {
         assert!(unordered(&copy), "a clone starts without an order");
         assert_eq!(copy, c);
         assert_eq!(copy, Column::from_ints(vec![4, 2]));
+    }
+
+    /// Row `r`'s bit of a key bitmap.
+    fn bit(words: &[u64], r: usize) -> bool {
+        words[r / 64] >> (r % 64) & 1 == 1
+    }
+
+    #[test]
+    fn key_bits_mark_non_null_values_in_range() {
+        let mut c = Column::from_ints((-70..70).collect());
+        c.push_null();
+        c.push(Value::Int(i64::MAX));
+        let want = |first: i64, len: usize| -> Vec<bool> {
+            (0..c.len())
+                .map(|r| {
+                    c.int_at(r).is_some_and(|x| {
+                        (0..len as i128).contains(&(i128::from(x) - i128::from(first)))
+                    })
+                })
+                .collect()
+        };
+        for (first, len) in [
+            (-70, 140),
+            (-3, 10),
+            (5, 0),
+            (0, 1),
+            (69, 64),
+            (i64::MIN, 3),
+        ] {
+            let words = c.key_bits(first, len);
+            assert_eq!(words.len(), c.len().div_ceil(64));
+            let got: Vec<bool> = (0..c.len()).map(|r| bit(&words, r)).collect();
+            assert_eq!(got, want(first, len), "({first}, {len})");
+        }
+        assert!(floats().key_bits(0, 5).iter().all(|&w| w == 0));
+    }
+
+    #[test]
+    fn the_first_key_bitmap_is_kept_until_the_column_changes() {
+        let kept = |c: &Column| c.keys.get().map(|k| (k.first, k.len));
+        let c = Column::from_ints(vec![4, 2, 9]);
+        assert_eq!(kept(&c), None);
+        c.key_bits(2, 3);
+        assert_eq!(kept(&c), Some((2, 3)), "the first request is kept");
+        assert!(matches!(c.key_bits(2, 3), Cow::Borrowed(_)), "asked again");
+        let other = c.key_bits(0, 5);
+        assert!(matches!(other, Cow::Owned(_)), "a second pair is not kept");
+        assert!(bit(&other, 0) && bit(&other, 1) && !bit(&other, 2));
+        assert_eq!(kept(&c), Some((2, 3)));
+        assert_eq!(kept(&c.clone()), None, "a clone starts without one");
+        let mutations: [fn(&mut Column); 4] = [
+            |c| c.push(Value::Int(3)),
+            |c| c.push_null(),
+            |c| c.push_copy(1),
+            |c| c.extend_from(&Column::from_ints(vec![3]), None),
+        ];
+        for (i, mutate) in mutations.into_iter().enumerate() {
+            let mut c = Column::from_ints(vec![4, 2, 9]);
+            c.key_bits(2, 3);
+            mutate(&mut c);
+            assert_eq!(kept(&c), None, "mutation {i}");
+            assert_eq!(bit(&c.key_bits(2, 3), 3), i != 1, "mutation {i}: row 3");
+        }
     }
 
     #[test]
