@@ -990,29 +990,44 @@ fn every_eviction_produces_an_audit_event() {
     }
 }
 
+/// The audit log holds decisions only: per commit, one `selection_verdict`
+/// per planned creation and per planned eviction — nothing for what stays or
+/// what selection turned down.
 #[test]
-fn selection_verdicts_cover_every_allcand_item() {
+fn selection_verdicts_are_the_planned_decisions() {
     use deepsea_obs::{DecisionEvent, ObsConfig};
 
-    let obs = Observer::new(ObsConfig::on());
-    let mut d = ds(DeepSeaConfig::default()).with_observer(obs.clone());
-    let mut considered_total = 0u64;
-    for i in 0..6 {
-        let out = d.process_query(&query(i * 50, i * 50 + 150)).unwrap();
-        considered_total += out.trace.selection.considered;
-    }
-    let verdicts: Vec<&'static str> = obs
-        .events_snapshot()
-        .iter()
-        .filter_map(|r| match &r.event {
-            DecisionEvent::SelectionVerdict { verdict, .. } => Some(*verdict),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(verdicts.len() as u64, considered_total);
-    assert!(verdicts.contains(&"create"));
-    for v in verdicts {
-        assert!(matches!(v, "create" | "evict" | "keep" | "reject"));
+    let base = catalog(2000).total_base_bytes();
+    for smax in [None, Some(base / 40)] {
+        let obs = Observer::new(ObsConfig::on());
+        let config = DeepSeaConfig {
+            smax,
+            ..DeepSeaConfig::default()
+        };
+        let mut d = ds(config).with_observer(obs.clone());
+        let planned: Vec<(u64, u64)> = (0..20)
+            .map(|i| {
+                let out = d.process_query(&query(i * 30, i * 30 + 120)).unwrap();
+                let s = &out.trace.selection;
+                (s.planned_creations, s.planned_evictions)
+            })
+            .collect();
+        let mut logged = vec![(0u64, 0u64); planned.len()];
+        for record in obs.events_snapshot() {
+            if let DecisionEvent::SelectionVerdict { verdict, .. } = record.event {
+                let commit = &mut logged[record.tnow as usize - 1];
+                match verdict {
+                    "create" => commit.0 += 1,
+                    "evict" => commit.1 += 1,
+                    other => panic!("{smax:?}: verdict {other:?} is not a decision"),
+                }
+            }
+        }
+        assert_eq!(logged, planned, "Smax {smax:?}");
+        assert!(planned.iter().any(|&(c, _)| c > 0), "{smax:?}: no creation");
+        if smax.is_some() {
+            assert!(planned.iter().any(|&(_, e)| e > 0), "no planned eviction");
+        }
     }
 }
 

@@ -23,14 +23,13 @@ impl DeepSea {
     pub(crate) fn stage_apply_evictions(&mut self, ctx: &mut QueryContext) {
         let to_evict = std::mem::take(&mut ctx.selection.to_evict);
         // Audit context: the weakest item *kept* is the runner-up victim had
-        // selection pressure been one notch higher. Computed only when the
-        // audit log listens (selection then ranked everything and filled
-        // `to_keep`) — it feeds no decision.
+        // selection pressure been one notch higher. `to_keep` is filled
+        // whenever selection ranks, and only a ranking evicts; read only
+        // when the audit log listens — it feeds no decision.
         let runner_up = if self.obs.enabled() {
             ctx.selection
                 .to_keep
                 .iter()
-                .filter(|i| i.materialized)
                 .min_by(|a, b| a.phi.total_cmp(&b.phi))
                 .map(|i| (self.describe_item(&i.kind), i.phi))
         } else {

@@ -24,9 +24,7 @@ use crate::interval::Interval;
 use crate::matching::partition_matching;
 use crate::policy::{PartitionPolicy, PartitionValues, ValueModel};
 use crate::registry::{PartitionState, ViewMeta, ViewRegistry};
-use crate::selection::{
-    all_fit, select_with_verdicts, CandidateKind, RankedItem, SelectionResult, Verdict,
-};
+use crate::selection::{all_fit, select_configuration, CandidateKind, RankedItem, SelectionResult};
 use crate::stats::LogicalTime;
 
 use super::super::context::QueryContext;
@@ -480,9 +478,9 @@ impl DeepSea {
     /// already holds; the chosen configuration lands in `ctx.selection`.
     ///
     /// The ranking runs — and every member of `ALLCAND` is valued for it —
-    /// when the prefix can cut something (`Σ size > Smax`) or an observer
-    /// reports every Φ and fit. Otherwise only the members to create are
-    /// valued, and `to_keep`, which only the audit log reads, stays empty.
+    /// only when the prefix can cut something (`Σ size > Smax`). Otherwise
+    /// only the members to create are valued, and `to_keep` stays empty. An
+    /// observer reads the decision afterwards and changes neither branch.
     pub(crate) fn stage_select_configuration(&mut self, ctx: &mut QueryContext) {
         let smax = self.config.smax;
         let mut all = AllCand::build(
@@ -495,83 +493,62 @@ impl DeepSea {
             ctx.tnow,
         );
         ctx.trace.selection.considered = all.len() as u64;
-        let selection = if self.obs.enabled() || !all.fits(smax) {
-            let items = all.items();
-            // What the audit log says of each item, taken only when the
-            // decision log listens — the selection below runs on the same
-            // items either way.
-            let audit: Option<Vec<(String, f64, u64, bool)>> = self.obs.enabled().then(|| {
-                items
-                    .iter()
-                    .map(|i| (self.describe_item(&i.kind), i.phi, i.size, i.materialized))
-                    .collect()
-            });
-            let (selection, verdicts) = select_with_verdicts(items, smax);
-            if let Some(audit) = audit {
-                self.observe_selection(audit, &verdicts, ctx.tnow);
-                self.obs.counter_add(
-                    "deepsea_candidates_considered_total",
-                    None,
-                    ctx.trace.selection.considered,
-                );
-                self.observe_mle_fits(&all.parts, ctx.tnow);
-            }
-            selection
-        } else {
+        let selection = if all.fits(smax) {
             SelectionResult {
                 to_create: all.creations(),
                 ..SelectionResult::default()
             }
+        } else {
+            select_configuration(all.items(), smax)
         };
+        self.observe_selection(ctx, &selection, &all.parts);
         #[cfg(test)]
-        {
-            self.assert_matches_reference(&ctx.new_cands, ctx.tnow, &mut all);
-            let ranked = select_with_verdicts(all.items(), smax).0;
-            assert_eq!(
-                (&selection.to_create, &selection.to_evict),
-                (&ranked.to_create, &ranked.to_evict),
-                "the plan diverged from the full ranking's at tnow = {}",
-                ctx.tnow
-            );
-        }
+        self.check_selection(ctx, &mut all, &selection);
         ctx.trace.selection.planned_creations = selection.to_create.len() as u64;
         ctx.trace.selection.planned_evictions = selection.to_evict.len() as u64;
         ctx.selection = selection;
     }
 
-    /// Log one `selection_verdict` audit event per `ALLCAND` item. A
-    /// `reject` was turned down by admission sizing (unmaterialized, didn't
-    /// fit the Φ-ranked prefix).
+    /// Audit one selection: a `selection_verdict` per decision — each item
+    /// to create, then each to evict; what stays and what was turned down is
+    /// not a decision and is not logged — and the MLE fit (§7.1) of every
+    /// pool partition selection valued and the policy smooths. Everything is
+    /// read off the decision, so observation neither feeds a decision nor
+    /// values anything itself.
     fn observe_selection(
         &self,
-        audit: Vec<(String, f64, u64, bool)>,
-        verdicts: &[Verdict],
-        tnow: LogicalTime,
+        ctx: &QueryContext,
+        selection: &SelectionResult,
+        parts: &[PoolPartition],
     ) {
-        for ((item, phi, size, materialized), verdict) in audit.into_iter().zip(verdicts) {
-            self.obs.observe("deepsea_phi", None, phi);
+        if !self.obs.enabled() {
+            return;
+        }
+        let creates = selection.to_create.iter().map(|i| (i, "create"));
+        let evicts = selection.to_evict.iter().map(|i| (i, "evict"));
+        for (item, verdict) in creates.chain(evicts) {
+            self.obs.observe("deepsea_phi", None, item.phi);
             self.obs.event(
-                tnow,
+                ctx.tnow,
                 DecisionEvent::SelectionVerdict {
-                    item,
-                    verdict: verdict.as_str(),
-                    phi,
-                    size,
-                    materialized,
+                    item: self.describe_item(&item.kind),
+                    verdict,
+                    phi: item.phi,
+                    size: item.size,
                 },
             );
         }
-    }
-
-    /// Record MLE fit quality (§7.1) for every pool partition the policy
-    /// smooths: the fits the ranking used, so observation feeds no decision.
-    fn observe_mle_fits(&self, parts: &[PoolPartition], tnow: LogicalTime) {
+        self.obs.counter_add(
+            "deepsea_candidates_considered_total",
+            None,
+            ctx.trace.selection.considered,
+        );
         for part in parts {
             let Some(fit) = part.values.as_ref().and_then(|v| v.fit) else {
                 continue;
             };
             self.obs.event(
-                tnow,
+                ctx.tnow,
                 DecisionEvent::MleFit {
                     view: part.view.name.to_string(),
                     attr: part.ps.attr.clone(),

@@ -8,8 +8,11 @@
 //! is proven equal to one valued eagerly. The reference evaluates every
 //! candidate from scratch through the old `fragment_values` (also verbatim,
 //! below), so it shares neither the per-partition scratch nor the rejection
-//! memo with what it checks.
+//! memo with what it checks. Every commit's plan is also held to the full
+//! ranking's, and what the commit saw of `ALLCAND` is logged per thread
+//! ([`take_commits`]) for the tests that pin `Smax` to it.
 
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 
 use crate::filter_tree::ViewId;
@@ -17,13 +20,72 @@ use crate::matching::partition_matching;
 use crate::mle::{adjusted_hits, fit_normal};
 use crate::policy::{delta_t, PartitionPolicy, ValueModel};
 use crate::registry::PartitionState;
-use crate::selection::{CandidateKind, RankedItem};
+use crate::selection::{select_configuration, CandidateKind, RankedItem, SelectionResult};
 use crate::stats::{FragStats, LogicalTime};
 
+use super::super::context::QueryContext;
 use super::super::DeepSea;
 use super::selection::AllCand;
 
+/// What one commit's selection saw of `ALLCAND`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Commit {
+    pub(crate) tnow: LogicalTime,
+    /// `Σ size` over every member (saturating).
+    pub(crate) total: u64,
+    /// Whether it all fit under `Smax`, so that nothing was ranked.
+    pub(crate) fits: bool,
+    /// Members already in the pool.
+    pub(crate) pooled: usize,
+    /// Members whose Φ selection knew when it had decided.
+    pub(crate) valued: usize,
+    pub(crate) created: usize,
+    pub(crate) evicted: usize,
+}
+
+thread_local! {
+    static COMMITS: RefCell<Vec<Commit>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The commits this thread's selections logged since the last call.
+pub(crate) fn take_commits() -> Vec<Commit> {
+    COMMITS.with(RefCell::take)
+}
+
 impl DeepSea {
+    /// Panic unless `all` matches the reference and `selection` — whichever
+    /// branch chose it — plans what the full ranking of `all` plans; then
+    /// log the commit.
+    pub(crate) fn check_selection(
+        &self,
+        ctx: &QueryContext,
+        all: &mut AllCand,
+        selection: &SelectionResult,
+    ) {
+        let smax = self.config.smax;
+        let fits = all.fits(smax);
+        let valued = all.valued().iter().flatten().count();
+        self.assert_matches_reference(&ctx.new_cands, ctx.tnow, all);
+        let items = all.items();
+        let ranked = select_configuration(items.clone(), smax);
+        assert_eq!(
+            (&selection.to_create, &selection.to_evict),
+            (&ranked.to_create, &ranked.to_evict),
+            "the plan diverged from the full ranking's at tnow = {}",
+            ctx.tnow
+        );
+        let commit = Commit {
+            tnow: ctx.tnow,
+            total: items.iter().fold(0, |t: u64, i| t.saturating_add(i.size)),
+            fits,
+            pooled: items.iter().filter(|i| i.materialized).count(),
+            valued,
+            created: selection.to_create.len(),
+            evicted: selection.to_evict.len(),
+        };
+        COMMITS.with(|c| c.borrow_mut().push(commit));
+    }
+
     /// Panic unless `all` is what the reference loop builds right now.
     pub(crate) fn assert_matches_reference(
         &self,
@@ -304,6 +366,7 @@ mod workloads {
     use deepsea_engine::{
         Catalog, ClusterSim, LogicalPlan, RetryPolicy, RetryingBackend, SimBackend,
     };
+    use deepsea_obs::{ObsConfig, Observer};
     use deepsea_relation::Table;
     use deepsea_storage::{BlockConfig, FaultConfig, FaultInjector, SimFs};
     use deepsea_workload::schema::{BigBenchData, InstanceSize, ItemDistribution};
@@ -317,6 +380,8 @@ mod workloads {
     use crate::durability::CatalogJournal;
     use crate::filter_tree::ViewId;
     use crate::selection::CandidateKind;
+
+    use super::{take_commits, Commit};
 
     /// The 100 GB BigBench-like instance the wall-clock benchmark runs on.
     fn data(seed: u64) -> Arc<Catalog> {
@@ -527,5 +592,93 @@ mod workloads {
             tail
         };
         assert_eq!(run(true), run(false));
+    }
+
+    /// `Smax` pinned to the `ALLCAND` total of one commit of the unlimited
+    /// run — one that keeps and creates, that no earlier commit exceeds and
+    /// a later one does — so the same replay fits with room, fits exactly,
+    /// and is cut. At the exact fill selection takes the creations-only
+    /// branch, and `check_selection` holds its plan to the full ranking's.
+    /// An observed replay is bit-identical to the unobserved one.
+    #[test]
+    fn exact_fill_takes_the_fits_branch_and_plans_what_the_ranking_plans() {
+        let plans = log(150);
+        let catalog = data(1);
+        let run = |config: DeepSeaConfig, obs: Observer| {
+            take_commits();
+            let mut ds = driver(&catalog, &fresh_fs(), config).with_observer(obs);
+            let outcomes: Vec<(u64, usize, usize)> = replay(&mut ds, &plans)
+                .iter()
+                .map(|o| {
+                    let elapsed = o.elapsed_secs.to_bits();
+                    (elapsed, o.materialized.len(), o.evicted.len())
+                })
+                .collect();
+            let commits = take_commits();
+            assert_eq!(commits.len(), plans.len());
+            let state = (outcomes, ds.pool_bytes(), ds.registry().state_digest());
+            (commits, state)
+        };
+        let (free, _) = run(steady(), Observer::off());
+        let at = (0..free.len())
+            .rev()
+            .find(|&t| {
+                let total = free[t].total;
+                free[t].created > 0
+                    && free[t].pooled > 0
+                    && free[..t].iter().all(|c| c.total <= total)
+                    && free[t..].iter().any(|c| c.total > total)
+            })
+            .expect("a commit of the unlimited run to pin Smax to");
+        let smax = free[at].total;
+
+        let (bounded, unobserved) = run(steady().with_smax(smax), Observer::off());
+        assert!(
+            bounded[..at].iter().all(|c| c.fits && c.total <= smax),
+            "commits before #{at} fit with room"
+        );
+        let Commit { total, fits, .. } = bounded[at];
+        assert_eq!(total, smax, "commit #{at} fills the pool exactly");
+        assert!(fits, "and is not ranked");
+        assert_eq!(bounded[at], free[at]);
+        assert!(
+            bounded[at..].iter().any(|c| !c.fits && c.total > smax),
+            "a later commit is cut"
+        );
+
+        let observer = Observer::new(ObsConfig::on());
+        let (observed_commits, observed) = run(steady().with_smax(smax), observer.clone());
+        assert_eq!(observed_commits, bounded);
+        assert_eq!(observed, unobserved, "observation changed the run");
+        assert!(!observer.events_snapshot().is_empty());
+    }
+
+    /// An observer reads the decision and values nothing: an observed
+    /// replay values, commit by commit, exactly the members an unobserved
+    /// one does — under a pool that never fills and under one that is cut.
+    #[test]
+    fn an_observed_commit_values_what_an_unobserved_one_does() {
+        let plans = log(150);
+        let catalog = data(1);
+        for config in [
+            steady(),
+            steady().with_smax(catalog.total_base_bytes() / 40),
+        ] {
+            let run = |obs: Observer| {
+                take_commits();
+                let mut ds = driver(&catalog, &fresh_fs(), config).with_observer(obs);
+                replay(&mut ds, &plans);
+                take_commits()
+            };
+            let unobserved = run(Observer::off());
+            let observer = Observer::new(ObsConfig::on());
+            assert_eq!(run(observer.clone()), unobserved, "{:?}", config.smax);
+            assert!(
+                unobserved.iter().any(|c| c.fits && c.valued < c.pooled),
+                "{:?}: no commit left a pool member unvalued",
+                config.smax
+            );
+            assert!(!observer.events_snapshot().is_empty());
+        }
     }
 }

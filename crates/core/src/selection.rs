@@ -43,31 +43,6 @@ pub struct SelectionResult {
     pub to_keep: Vec<RankedItem>,
 }
 
-/// What selection decided for one entry of `ALLCAND`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Verdict {
-    /// Unmaterialized and inside the prefix: materialize it.
-    Create,
-    /// Materialized and inside the prefix: it stays.
-    Keep,
-    /// Materialized and outside the prefix: evict it.
-    Evict,
-    /// Unmaterialized and outside the prefix: nothing happens.
-    Reject,
-}
-
-impl Verdict {
-    /// The verdict's name in the decision audit log.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Verdict::Create => "create",
-            Verdict::Keep => "keep",
-            Verdict::Evict => "evict",
-            Verdict::Reject => "reject",
-        }
-    }
-}
-
 /// Greedy Φ-ranked prefix selection under `smax` (§7.3):
 ///
 /// ```text
@@ -76,19 +51,8 @@ impl Verdict {
 ///
 /// Ties are broken in favor of already-materialized entries (avoids gratuitous
 /// churn when Φ values are equal).
-pub fn select_configuration(items: Vec<RankedItem>, smax: Option<u64>) -> SelectionResult {
-    select_with_verdicts(items, smax).0
-}
-
-/// [`select_configuration`], also reporting the verdict on every entry by its
-/// position in `items` — what the decision audit log records.
-pub fn select_with_verdicts(
-    items: Vec<RankedItem>,
-    smax: Option<u64>,
-) -> (SelectionResult, Vec<Verdict>) {
-    let mut verdicts = vec![Verdict::Reject; items.len()];
-    let mut ranked: Vec<(usize, RankedItem)> = items.into_iter().enumerate().collect();
-    ranked.sort_by(|(_, a), (_, b)| {
+pub fn select_configuration(mut items: Vec<RankedItem>, smax: Option<u64>) -> SelectionResult {
+    items.sort_by(|a, b| {
         b.phi
             .total_cmp(&a.phi)
             .then_with(|| b.materialized.cmp(&a.materialized))
@@ -96,7 +60,7 @@ pub fn select_with_verdicts(
     let mut result = SelectionResult::default();
     let mut used: u64 = 0;
     let mut full = false;
-    for (pos, item) in ranked {
+    for item in items {
         // A running total beyond `u64` is beyond any limit.
         let fits = match smax {
             Some(limit) => match used.checked_add(item.size) {
@@ -110,10 +74,8 @@ pub fn select_with_verdicts(
         };
         if fits {
             if item.materialized {
-                verdicts[pos] = Verdict::Keep;
                 result.to_keep.push(item);
             } else {
-                verdicts[pos] = Verdict::Create;
                 result.to_create.push(item);
             }
         } else {
@@ -121,18 +83,17 @@ pub fn select_with_verdicts(
             // fit, everything ranked below is excluded too.
             full = true;
             if item.materialized {
-                verdicts[pos] = Verdict::Evict;
                 result.to_evict.push(item);
             }
         }
     }
-    (result, verdicts)
+    result
 }
 
 /// Whether entries of these sizes all fit in a pool of `smax` bytes. Then the
 /// §7.3 prefix is the whole list whatever the Φ ranking: the materialized
 /// entries stay, nothing is evicted or rejected, and Φ decides only the order
-/// in which the others are created — [`select_with_verdicts`] need not run,
+/// in which the others are created — [`select_configuration`] need not run,
 /// and nobody's Φ but theirs be known. A total beyond `u64` fits no pool.
 pub fn all_fit(sizes: impl IntoIterator<Item = u64>, smax: Option<u64>) -> bool {
     let Some(smax) = smax else { return true };
@@ -249,7 +210,7 @@ mod tests {
     }
 
     #[test]
-    fn verdicts_are_reported_by_input_position() {
+    fn the_first_misfit_closes_the_prefix() {
         // Ranked: #2 (Φ 3, kept), #0 (Φ 2, created), then #1 does not fit
         // and closes the prefix, so #3 is out although it would fit.
         let items = vec![
@@ -258,18 +219,13 @@ mod tests {
             item(3.0, 40, true, 2),
             item(1.0, 5, false, 3),
         ];
-        let (r, verdicts) = select_with_verdicts(items.clone(), Some(100));
-        assert_eq!(
-            verdicts,
-            [
-                Verdict::Create,
-                Verdict::Evict,
-                Verdict::Keep,
-                Verdict::Reject
-            ]
-        );
-        assert_eq!(r, select_configuration(items, Some(100)));
-        assert_eq!(r.to_create.len() + r.to_keep.len() + r.to_evict.len(), 3);
+        let r = select_configuration(items, Some(100));
+        let tags = |items: &[RankedItem]| -> Vec<CandidateKind> {
+            items.iter().map(|i| i.kind.clone()).collect()
+        };
+        assert_eq!(tags(&r.to_keep), [CandidateKind::WholeView(ViewId(2))]);
+        assert_eq!(tags(&r.to_create), [CandidateKind::WholeView(ViewId(0))]);
+        assert_eq!(tags(&r.to_evict), [CandidateKind::WholeView(ViewId(1))]);
     }
 
     #[test]

@@ -506,9 +506,21 @@ fn parse_condition(p: &mut Parser, aliases: &[(String, String)]) -> Result<Predi
     match p.bump() {
         Token::Symbol('=') => Ok(Predicate::eq(col, p.value()?)),
         Token::Le => Ok(Predicate::range(col, i64::MIN, p.int()?)),
-        Token::Lt => Ok(Predicate::range(col, i64::MIN, p.int()? - 1)),
+        Token::Lt => {
+            let n = p.int()?;
+            let hi = n
+                .checked_sub(1)
+                .ok_or_else(|| p.error(format!("empty range < {n}")))?;
+            Ok(Predicate::range(col, i64::MIN, hi))
+        }
         Token::Ge => Ok(Predicate::range(col, p.int()?, i64::MAX)),
-        Token::Gt => Ok(Predicate::range(col, p.int()? + 1, i64::MAX)),
+        Token::Gt => {
+            let n = p.int()?;
+            let lo = n
+                .checked_add(1)
+                .ok_or_else(|| p.error(format!("empty range > {n}")))?;
+            Ok(Predicate::range(col, lo, i64::MAX))
+        }
         other => Err(p.error(format!("expected comparison operator, found {other:?}"))),
     }
 }
@@ -629,6 +641,22 @@ mod tests {
         assert!(parse("SELECT * FROM t WHERE t.a ~ 3").is_err());
         assert!(parse("SELECT * FROM t extra garbage").is_err());
         assert!(parse("SELECT * FROM t WHERE t.s = 'unterminated").is_err());
+    }
+
+    #[test]
+    fn strict_bounds_past_the_integer_range_are_empty_ranges() {
+        for sql in [
+            "SELECT * FROM t WHERE t.a < -9223372036854775808",
+            "SELECT * FROM t WHERE t.a > 9223372036854775807",
+        ] {
+            let err = parse(sql).unwrap_err();
+            assert!(err.message.contains("empty range"), "{sql}: {err}");
+        }
+        let p = parse("SELECT * FROM t WHERE t.a > 9223372036854775806").unwrap();
+        let LogicalPlan::Select { pred, .. } = &p else {
+            panic!()
+        };
+        assert_eq!(pred, &Predicate::range("t.a", i64::MAX, i64::MAX));
     }
 
     #[test]

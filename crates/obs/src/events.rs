@@ -45,18 +45,16 @@ impl Serialize for PhiBreakdown {
 /// One audited decision.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DecisionEvent {
-    /// Selection's verdict on one `ALLCAND` item.
+    /// One decision of selection: an `ALLCAND` item to create or to evict.
     SelectionVerdict {
         /// Item description (`V3` or `V3.item.k[0, 99]`).
         item: String,
-        /// `"create"`, `"evict"`, `"keep"` or `"reject"`.
+        /// `"create"` or `"evict"`.
         verdict: &'static str,
-        /// The Φ the knapsack ranked the item by.
+        /// The Φ the item was valued at.
         phi: f64,
         /// Item size in simulated bytes.
         size: u64,
-        /// Whether the item was already materialized.
-        materialized: bool,
     },
     /// One victim actually evicted, with its full Φ breakdown.
     Eviction {
@@ -254,13 +252,11 @@ impl Serialize for DecisionEvent {
                 verdict,
                 phi,
                 size,
-                materialized,
             } => b
                 .field("item", item)
                 .field("verdict", *verdict)
                 .field("phi", *phi)
                 .field("size", *size)
-                .field("materialized", *materialized)
                 .build(),
             DecisionEvent::Eviction {
                 victim,

@@ -48,34 +48,17 @@ use std::sync::{Arc, Mutex, MutexGuard};
 pub struct ObsConfig {
     /// Collect metrics, spans and decision events.
     pub collect: bool,
-    /// Retain at most this many spans (`0` = unbounded). The cap bounds
-    /// storage only: span ids keep advancing and drops are counted in
-    /// [`Observer::spans_dropped`], so capping never perturbs the causal
-    /// structure of the retained spans — let alone any engine decision.
-    pub max_spans: usize,
 }
 
 impl ObsConfig {
     /// Collect nothing (the default).
     pub fn off() -> Self {
-        Self {
-            collect: false,
-            max_spans: 0,
-        }
+        Self { collect: false }
     }
 
-    /// Collect everything, with an unbounded span log.
+    /// Collect everything.
     pub fn on() -> Self {
-        Self {
-            collect: true,
-            max_spans: 0,
-        }
-    }
-
-    /// Cap span retention at `max_spans` (`0` = unbounded).
-    pub fn with_span_cap(mut self, max_spans: usize) -> Self {
-        self.max_spans = max_spans;
-        self
+        Self { collect: true }
     }
 }
 
@@ -116,7 +99,7 @@ impl Observer {
         Self {
             state: Some(Arc::new(Mutex::new(State {
                 metrics: MetricsRegistry::new(MAX_LABELS_PER_METRIC),
-                spans: SpanLog::with_cap(config.max_spans),
+                spans: SpanLog::default(),
                 events: EventLog::default(),
             }))),
         }
@@ -209,11 +192,6 @@ impl Observer {
         }
     }
 
-    /// Spans dropped by the retention cap (`0` when disabled or uncapped).
-    pub fn spans_dropped(&self) -> u64 {
-        self.lock().map_or(0, |s| s.spans.spans_dropped())
-    }
-
     /// Record a decision event.
     pub fn event(&self, tnow: u64, event: DecisionEvent) {
         if let Some(mut s) = self.lock() {
@@ -250,11 +228,6 @@ impl Observer {
     /// Render the event log as JSONL.
     pub fn events_jsonl(&self) -> String {
         self.lock().map(|s| s.events.to_jsonl()).unwrap_or_default()
-    }
-
-    /// Render the span log as JSONL.
-    pub fn spans_jsonl(&self) -> String {
-        self.lock().map(|s| s.spans.to_jsonl()).unwrap_or_default()
     }
 }
 
@@ -306,11 +279,7 @@ mod tests {
 
     #[test]
     fn one_switch_gates_every_collector() {
-        // A span cap without the switch collects nothing.
-        let off = Observer::new(ObsConfig::off().with_span_cap(4));
-        assert!(off.state.is_none());
-
-        let obs = Observer::new(ObsConfig::on().with_span_cap(1));
+        let obs = Observer::new(ObsConfig::on());
         obs.counter_inc("c", None);
         obs.observe("h", None, 2.0);
         obs.record_span(1, "a", None, SpanCtx::root(1), 0.0, 1.0);
@@ -324,8 +293,7 @@ mod tests {
         let metrics = obs.metrics_snapshot();
         assert_eq!(metrics.counter("c", None), 1);
         assert_eq!(metrics.histogram("h", None).map(|h| h.count), Some(1));
-        assert_eq!(obs.spans_snapshot().len(), 1, "the cap keeps one span");
-        assert_eq!(obs.spans_dropped(), 1);
+        assert_eq!(obs.spans_snapshot().len(), 2);
         assert_eq!(obs.events_snapshot().len(), 1);
     }
 

@@ -96,31 +96,15 @@ impl Serialize for SpanRecord {
     }
 }
 
-/// Append-only log of completed spans with an optional retention cap.
-///
-/// The cap bounds *storage*, never *identity*: sequence numbers and span
-/// ids keep advancing past the cap (dropped spans are counted in
-/// [`SpanLog::spans_dropped`]), so enabling a cap cannot perturb the ids —
-/// and therefore the causal structure — of the spans that are retained.
+/// Append-only log of completed spans; it keeps every span it is given.
 #[derive(Debug, Default, Clone)]
 pub struct SpanLog {
     spans: Vec<SpanRecord>,
     next_seq: u64,
     next_span_id: u64,
-    /// Retain at most this many spans; `0` = unbounded.
-    max_spans: usize,
-    spans_dropped: u64,
 }
 
 impl SpanLog {
-    /// Build with a retention cap (`0` = unbounded).
-    pub fn with_cap(max_spans: usize) -> Self {
-        Self {
-            max_spans,
-            ..Self::default()
-        }
-    }
-
     /// Record a completed span as a child of `parent` (use
     /// [`SpanCtx::root`] to start a new trace root). Returns the new span's
     /// context for recording its own children.
@@ -137,21 +121,17 @@ impl SpanLog {
         self.next_seq += 1;
         self.next_span_id += 1;
         let span_id = self.next_span_id;
-        if self.max_spans != 0 && self.spans.len() >= self.max_spans {
-            self.spans_dropped += 1;
-        } else {
-            self.spans.push(SpanRecord {
-                seq,
-                tnow,
-                trace_id: parent.trace_id,
-                span_id,
-                parent_id: parent.span_id,
-                name,
-                label: label.map(String::from),
-                start_sim_secs,
-                end_sim_secs,
-            });
-        }
+        self.spans.push(SpanRecord {
+            seq,
+            tnow,
+            trace_id: parent.trace_id,
+            span_id,
+            parent_id: parent.span_id,
+            name,
+            label: label.map(String::from),
+            start_sim_secs,
+            end_sim_secs,
+        });
         SpanCtx {
             trace_id: parent.trace_id,
             span_id,
@@ -189,31 +169,22 @@ impl SpanLog {
     ) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        if self.max_spans != 0 && self.spans.len() >= self.max_spans {
-            self.spans_dropped += 1;
-        } else {
-            self.spans.push(SpanRecord {
-                seq,
-                tnow,
-                trace_id: ctx.trace_id,
-                span_id: ctx.span_id,
-                parent_id: parent.span_id,
-                name,
-                label: label.map(String::from),
-                start_sim_secs,
-                end_sim_secs,
-            });
-        }
+        self.spans.push(SpanRecord {
+            seq,
+            tnow,
+            trace_id: ctx.trace_id,
+            span_id: ctx.span_id,
+            parent_id: parent.span_id,
+            name,
+            label: label.map(String::from),
+            start_sim_secs,
+            end_sim_secs,
+        });
     }
 
-    /// All retained spans in emission order.
+    /// All spans in emission order.
     pub fn spans(&self) -> &[SpanRecord] {
         &self.spans
-    }
-
-    /// Spans dropped by the retention cap.
-    pub fn spans_dropped(&self) -> u64 {
-        self.spans_dropped
     }
 
     /// Render as JSONL, one span per line.
@@ -261,19 +232,6 @@ mod tests {
         assert_eq!(spans[1].parent_id, root.span_id);
         assert_eq!(spans[2].parent_id, read.span_id);
         assert!(spans.iter().all(|s| s.trace_id == 7));
-    }
-
-    #[test]
-    fn cap_drops_spans_but_never_ids() {
-        let mut log = SpanLog::with_cap(2);
-        let a = log.record_span(1, "a", None, SpanCtx::root(1), 0.0, 1.0);
-        let b = log.record_span(1, "b", None, a, 0.0, 1.0);
-        let c = log.record_span(1, "c", None, b, 0.0, 1.0);
-        // Storage is capped…
-        assert_eq!(log.spans().len(), 2);
-        assert_eq!(log.spans_dropped(), 1);
-        // …but ids advance exactly as they would uncapped.
-        assert_eq!((a.span_id, b.span_id, c.span_id), (1, 2, 3));
     }
 
     #[test]

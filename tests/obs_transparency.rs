@@ -11,11 +11,12 @@
 //! collected a full record of the run, so transparency is never achieved by
 //! simply not observing.
 //!
-//! Since selection values `ALLCAND` on demand this is also the test that the
-//! demand changes nothing: the unobserved run values only what the §7.3
-//! prefix cut can reach, the observed one everything. The variants cover a
-//! pool that never fills and one that is saturated; the second test pins
-//! `Smax` to one commit's `ALLCAND` total, the boundary between the two.
+//! Observed or not, selection values the same members of `ALLCAND` and
+//! ranks them only when the §7.3 prefix can cut something; the audit log
+//! reads the decision afterwards. The variants cover a pool that never fills
+//! and one that is saturated. The boundary between the two, a pool that
+//! `ALLCAND` fills exactly, is a unit test of `deepsea-core`
+//! (`exact_fill_takes_the_fits_branch_and_plans_what_the_ranking_plans`).
 
 use std::sync::Arc;
 
@@ -23,7 +24,6 @@ use deepsea::bench::golden::{golden_catalog, golden_plans, golden_variants, GOLD
 use deepsea::core::driver::DeepSea;
 use deepsea::core::{DeepSeaConfig, ObsConfig, Observer};
 use deepsea::engine::{ClusterSim, LogicalPlan};
-use deepsea::obs::DecisionEvent;
 use deepsea::relation::Table;
 use deepsea::storage::{BlockConfig, SimFs};
 
@@ -58,9 +58,9 @@ fn replay(cfg: DeepSeaConfig, plans: &[LogicalPlan], obs: Observer) -> Fingerpri
     fp
 }
 
-/// Replay `plans` under `cfg` unobserved and with `ObsConfig::on()`, assert
-/// the two runs indistinguishable, and return the observer of the second.
-fn assert_transparent(label: &str, cfg: DeepSeaConfig, plans: &[LogicalPlan]) -> Observer {
+/// Replay `plans` under `cfg` unobserved and with `ObsConfig::on()`, and
+/// assert the two runs indistinguishable.
+fn assert_transparent(label: &str, cfg: DeepSeaConfig, plans: &[LogicalPlan]) {
     let off = replay(cfg, plans, Observer::off());
     let obs = Observer::new(ObsConfig::on());
     let on = replay(cfg, plans, obs.clone());
@@ -100,7 +100,6 @@ fn assert_transparent(label: &str, cfg: DeepSeaConfig, plans: &[LogicalPlan]) ->
         eviction_events, total_evicted,
         "{label}: every eviction must carry an audit event"
     );
-    obs
 }
 
 #[test]
@@ -112,79 +111,4 @@ fn observer_is_bit_transparent_on_the_golden_workload() {
     for (label, cfg) in golden_variants(&catalog) {
         assert_transparent(label, cfg, &plans);
     }
-}
-
-/// One commit's `ALLCAND` as the audit log reports it: `Σ size`, and how
-/// many items were created, kept, and cut (evicted or rejected).
-#[derive(Debug, Default, Clone, Copy)]
-struct Commit {
-    total: u64,
-    created: usize,
-    kept: usize,
-    cut: usize,
-}
-
-fn commits(obs: &Observer) -> Vec<Commit> {
-    let mut commits = vec![Commit::default(); GOLDEN_QUERIES];
-    for record in obs.events_snapshot() {
-        if let DecisionEvent::SelectionVerdict { size, verdict, .. } = record.event {
-            let commit = &mut commits[record.tnow as usize - 1];
-            commit.total += size;
-            match verdict {
-                "create" => commit.created += 1,
-                "keep" => commit.kept += 1,
-                _ => commit.cut += 1,
-            }
-        }
-    }
-    commits
-}
-
-/// The unobserved driver values only what selection can cut or create, the
-/// observed one everything (the audit log reports every Φ): the two must
-/// agree on the boundary itself. `Smax` is set to the `ALLCAND` total of one
-/// commit of the unlimited run — one that keeps and creates, that no earlier
-/// commit exceeds and a later one does — so the same replay fits with room,
-/// fits exactly, and is cut.
-#[test]
-fn observer_is_bit_transparent_where_allcand_exactly_fills_the_pool() {
-    let catalog = golden_catalog();
-    let plans = golden_plans();
-    let unlimited = golden_variants(&catalog)[0].1;
-    assert_eq!(unlimited.smax, None);
-    let free = commits(&assert_transparent("DS", unlimited, &plans));
-    let (at, smax) = (0..free.len())
-        .rev()
-        .find(|&t| {
-            let total = free[t].total;
-            free[t].created > 0
-                && free[t].kept > 0
-                && free[..t].iter().all(|c| c.total <= total)
-                && free[t..].iter().any(|c| c.total > total)
-        })
-        .map(|t| (t, free[t].total))
-        .expect("a commit of the unlimited run to pin Smax to");
-
-    let bounded = commits(&assert_transparent(
-        "DS-boundary",
-        unlimited.with_smax(smax),
-        &plans,
-    ));
-    assert!(
-        bounded[..at].iter().all(|c| c.total <= smax && c.cut == 0),
-        "commits before #{at} fit with room"
-    );
-    assert_eq!(
-        bounded[at].total, smax,
-        "commit #{at} fills the pool exactly"
-    );
-    assert_eq!(bounded[at].cut, 0, "and is not cut");
-    assert_eq!(
-        (bounded[at].created, bounded[at].kept),
-        (free[at].created, free[at].kept)
-    );
-    assert!(
-        bounded[at..].iter().any(|c| c.total > smax && c.cut > 0),
-        "a later commit is"
-    );
 }

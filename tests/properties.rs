@@ -6,8 +6,8 @@ use deepsea::core::interval::{covers, is_horizontal_partition, pairwise_disjoint
 use deepsea::core::matching::partition_matching;
 use deepsea::core::mle::{adjusted_hits, fit_normal};
 use deepsea::core::selection::{
-    all_fit, apply_size_bounds, equi_depth_intervals, select_configuration, select_with_verdicts,
-    CandidateKind, RankedItem, Verdict,
+    all_fit, apply_size_bounds, equi_depth_intervals, select_configuration, CandidateKind,
+    RankedItem,
 };
 use deepsea::relation::distr::normal_cdf;
 use proptest::prelude::*;
@@ -214,11 +214,9 @@ proptest! {
         prop_assert_eq!(fits, total.is_some_and(|t| t <= smax));
         prop_assert!(all_fit(items.iter().map(|i| i.size), None));
 
-        let (r, verdicts) = select_with_verdicts(items.clone(), Some(smax));
-        let cut = verdicts
-            .iter()
-            .any(|v| matches!(v, Verdict::Evict | Verdict::Reject));
-        prop_assert_eq!(fits, !cut, "total {total:?}, smax {smax}: {verdicts:?}");
+        let r = select_configuration(items.clone(), Some(smax));
+        let cut = r.to_create.len() + r.to_keep.len() < items.len();
+        prop_assert_eq!(fits, !cut, "total {total:?}, smax {smax}: {r:?}");
         if fits {
             let mut expected: Vec<RankedItem> =
                 items.iter().filter(|i| !i.materialized).cloned().collect();
@@ -227,10 +225,8 @@ proptest! {
             prop_assert_eq!(r.to_keep.len(), items.len() - expected.len());
             prop_assert!(r.to_evict.is_empty());
         }
-        let (unlimited, verdicts) = select_with_verdicts(items, None);
-        prop_assert!(!verdicts
-            .iter()
-            .any(|v| matches!(v, Verdict::Evict | Verdict::Reject)));
+        let unlimited = select_configuration(items.clone(), None);
+        prop_assert_eq!(unlimited.to_create.len() + unlimited.to_keep.len(), items.len());
         if fits {
             prop_assert_eq!(&unlimited, &r);
         }

@@ -1,14 +1,11 @@
 //! Causal-trace bit-transparency: serving the golden workload with span
 //! tracing enabled must be indistinguishable — bit for bit — from the
-//! untraced run, and capping span retention must change *nothing* but the
-//! span log itself.
+//! untraced run.
 //!
 //! This is the serving-layer extension of `obs_transparency`: the span
 //! contexts threaded through admission, snapshot reads, retry ladders,
 //! hedge races and commits are derived from scheduler state, never an
-//! input to it. The test also pins the span-cap contract: a capped run
-//! keeps a deterministic prefix of the uncapped span log, counts what it
-//! dropped, and perturbs no answer.
+//! input to it.
 
 use std::sync::Arc;
 
@@ -93,7 +90,6 @@ fn tracing_is_bit_transparent_on_the_served_golden_workload() {
     // rooted causal trace whose root span *is* its reported latency.
     let spans = obs.spans_snapshot();
     assert!(!spans.is_empty(), "traced run recorded no spans");
-    assert_eq!(obs.spans_dropped(), 0, "uncapped run must drop nothing");
     let forest = TraceForest::from_spans(&spans);
     assert_eq!(traced_report.records.len(), GOLDEN_QUERIES);
     for r in &traced_report.records {
@@ -113,35 +109,4 @@ fn tracing_is_bit_transparent_on_the_served_golden_workload() {
             r.ticket
         );
     }
-}
-
-#[test]
-fn span_cap_drops_spans_without_perturbing_the_run() {
-    let full_obs = Observer::new(ObsConfig::on());
-    let full = fingerprint(&serve_with(full_obs.clone()));
-    let full_spans = full_obs.spans_snapshot();
-    assert!(full_spans.len() > 40, "golden serve emits a real span log");
-
-    let cap = 40;
-    let capped_obs = Observer::new(ObsConfig::on().with_span_cap(cap));
-    let capped = fingerprint(&serve_with(capped_obs.clone()));
-
-    // The cap is record-only: answers, digests and timings are untouched.
-    assert_identical(&full, &capped, "capped vs uncapped");
-
-    // The cap actually bit, the drops are counted, and what was kept is a
-    // deterministic prefix of the uncapped log (span ids are allocated
-    // identically; only retention differs).
-    let capped_spans = capped_obs.spans_snapshot();
-    assert_eq!(capped_spans.len(), cap);
-    assert_eq!(
-        capped_obs.spans_dropped() as usize,
-        full_spans.len() - cap,
-        "every span past the cap is counted as dropped"
-    );
-    assert_eq!(
-        &full_spans[..cap],
-        &capped_spans[..],
-        "capped log must be the uncapped log's prefix"
-    );
 }
