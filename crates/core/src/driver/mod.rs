@@ -14,7 +14,10 @@
 //! the pipeline and fills its slice of the per-query [`QueryTrace`] exposed
 //! on [`QueryOutcome`]. [`DeepSea::process_query`] (in [`write_path`])
 //! remains the single serialized entry point; the concurrent serving layer
-//! on top of it lives in [`crate::server`].
+//! on top of it lives in [`crate::server`]. Both paths execute through the
+//! one [`ExecutionBackend`]; snapshot readers hold forks of it, and the
+//! simulated backend's forks share its memo of executed plans, so a commit
+//! never computes again the plan its read ran.
 
 pub(crate) mod context;
 pub(crate) mod read_path;
@@ -26,7 +29,6 @@ use std::sync::Arc;
 use deepsea_engine::catalog::Catalog;
 use deepsea_engine::cost::CostEstimator;
 use deepsea_engine::exec::ExecMetrics;
-use deepsea_engine::plan::LogicalPlan;
 use deepsea_engine::{ClusterSim, ExecutionBackend, RetryAttempt, SimBackend};
 use deepsea_obs::{DecisionEvent, Observer, SpanCtx};
 use deepsea_relation::Table;
@@ -81,37 +83,6 @@ pub(crate) struct JournalDebt {
     pub(crate) penalty_secs: f64,
 }
 
-/// A snapshot read's execution, for its commit to adopt: the whole reuse
-/// rule is [`ReadExecution::offer`] and [`DeepSea::execute_or_adopt`].
-pub(crate) struct ReadExecution {
-    epoch: LogicalTime,
-    plan: LogicalPlan,
-    execution: (Table, ExecMetrics),
-}
-
-impl ReadExecution {
-    /// Offer `answer`, the read of `plan`, unless it moved hedge or node
-    /// state (sharded FS) or drew faults. Without a cluster or faults no
-    /// read retries or pays a penalty either. A read that fell back offers
-    /// the base plan, which its commit never asks for: at the same epoch
-    /// the commit costs the same rewritings and first runs the view plan
-    /// the read fell back from, and its own fallback calls the backend.
-    pub(crate) fn offer(
-        cell: &deepsea_storage::HandoffCell<Self>,
-        fs: &SimFs<Table>,
-        plan: LogicalPlan,
-        answer: &crate::snapshot::SnapshotAnswer,
-    ) {
-        if fs.cluster().is_none() && !fs.faults_enabled() {
-            cell.offer(Self {
-                epoch: answer.epoch,
-                plan,
-                execution: (answer.result.clone(), answer.metrics),
-            });
-        }
-    }
-}
-
 /// A DeepSea instance: the materialized-view pool manager wrapped around a
 /// catalog, a simulated file system and an execution backend.
 pub struct DeepSea {
@@ -151,9 +122,6 @@ pub struct DeepSea {
     /// Fault counters at the last `observe_query`, so per-kind deltas can be
     /// surfaced as `deepsea_faults_total{kind=...}` without double counting.
     pub(crate) last_fault_stats: FaultStats,
-    /// The last offered read's execution, shared with every published
-    /// snapshot (`Arc`); fresh on recover.
-    pub(crate) handoff: Arc<deepsea_storage::HandoffCell<ReadExecution>>,
     /// Parent span + anchor the *next* `process_query` attaches its
     /// write-path spans under — armed by [`DeepSea::begin_ticket_span`] so
     /// the serving layer can pull a commit into its ticket's causal trace.
@@ -206,7 +174,6 @@ impl DeepSea {
             appends_since_snapshot: 0,
             offline: BTreeSet::new(),
             last_fault_stats: FaultStats::default(),
-            handoff: Arc::default(),
             pending_span: None,
             psel_memo: Default::default(),
         }
@@ -396,20 +363,6 @@ impl DeepSea {
     /// quarantined at fragment granularity, auto re-admitted on node return).
     pub fn offline_fragments(&self) -> Vec<FileId> {
         self.offline.iter().copied().collect()
-    }
-
-    /// Execute `plan`, or adopt a read of exactly it at this commit's epoch:
-    /// a plan's result and metrics are a function of the plan, the catalog
-    /// and the write-once files it names, so a second run could only repeat.
-    pub(crate) fn execute_or_adopt(
-        &self,
-        plan: &LogicalPlan,
-    ) -> Result<(Table, ExecMetrics), deepsea_engine::exec::ExecError> {
-        let fresh = |r: &ReadExecution| r.epoch + 1 == self.clock && r.plan == *plan;
-        match self.handoff.take_if(fresh) {
-            Some(read) => Ok(read.execution),
-            None => self.backend.execute(plan, &self.catalog, &self.fs),
-        }
     }
 
     /// A cost estimator over the backend's cluster model.

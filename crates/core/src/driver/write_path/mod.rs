@@ -12,10 +12,10 @@
 //! time, in ticket order. [`DeepSea::process_query`] is the serialized
 //! commit: it matches and rewrites against the writer's *live* state (so
 //! the committed decision never acts on a stale snapshot), executes the
-//! chosen plan — or adopts the ticket's read's execution of that same plan
-//! at that same epoch ([`DeepSea::execute_or_adopt`]) — then applies the chosen
-//! configuration and publishes the next catalog epoch. Concurrent readers
-//! meanwhile answer queries from the last published
+//! chosen plan — a plan the ticket's read already ran is remembered by the
+//! backend, which replays its reads instead of computing it again — then
+//! applies the chosen configuration and publishes the next catalog epoch.
+//! Concurrent readers meanwhile answer queries from the last published
 //! [`crate::snapshot::ReadSnapshot`]; see [`crate::server`].
 
 pub(crate) mod candidates;
@@ -150,8 +150,8 @@ impl DeepSea {
     /// hold the writer. Under the concurrent server this method is invoked
     /// once per ticket, in ticket order, and its committed outcome is
     /// bit-identical to the single-client serial run by construction. When
-    /// the ticket's read already ran stage 6's plan at the epoch this commit
-    /// starts from, stage 6 adopts that execution, bit for bit.
+    /// the ticket's read already ran stage 6's plan, the backend returns its
+    /// remembered rows after replaying the plan's reads, bit for bit.
     pub fn process_query(&mut self, plan: &LogicalPlan) -> Result<QueryOutcome, ExecError> {
         self.clock += 1;
         let tnow = self.clock;
@@ -213,7 +213,7 @@ impl DeepSea {
             .config
             .partition_policy
             .executed_plan(plan, &self.catalog);
-        let (result, mut metrics) = self.execute_or_adopt(&executed)?;
+        let (result, mut metrics) = self.backend.execute(&executed, &self.catalog, &self.fs)?;
         ctx.record_execution(self.backend.as_ref(), &mut metrics, (0, 0.0));
         Ok(self.finish_query(ctx, result, metrics))
     }
@@ -243,7 +243,7 @@ impl DeepSea {
         let mut debt = (0u64, 0.0f64);
         let mut rounds = 0u32;
         loop {
-            match self.execute_or_adopt(&ctx.qbest) {
+            match self.backend.execute(&ctx.qbest, &self.catalog, &self.fs) {
                 Ok((result, mut metrics)) => {
                     ctx.record_execution(self.backend.as_ref(), &mut metrics, debt);
                     return Ok((result, metrics));

@@ -15,9 +15,10 @@
 //! - **Commits** apply strictly in ticket order: commit *i* becomes
 //!   eligible once read *i* has finished and commit *i−1* is done, and
 //!   runs the full Algorithm-1 pipeline ([`DeepSea::process_query`])
-//!   against the writer's live state, adopting read *i*'s execution of the
-//!   same plan at the same epoch. The catalog mutation is atomic at
-//!   commit start (publish-at-apply): the next snapshot epoch is visible
+//!   against the writer's live state; a plan read *i* already ran is not
+//!   computed again, since the forked backends share one memo of executed
+//!   plans. The catalog mutation is atomic at commit start
+//!   (publish-at-apply): the next snapshot epoch is visible
 //!   immediately, while the materialization overhead (`creation_secs`)
 //!   occupies the writer until the commit completes.
 //! - **Tie-breaking.** When a read start and a commit start fall on the

@@ -15,8 +15,6 @@
 //! fragments it changes — consecutive epochs share everything else. Each
 //! epoch's registry is immutable once published, so any number of readers
 //! share it and the writer never waits for them.
-//!
-//! Readers hand back one thing: a clean read's execution, for its commit.
 
 use std::sync::Arc;
 
@@ -26,12 +24,12 @@ use deepsea_engine::plan::LogicalPlan;
 use deepsea_engine::ExecutionBackend;
 use deepsea_obs::{Observer, SpanCtx};
 use deepsea_relation::Table;
-use deepsea_storage::{HandoffCell, SimFs};
+use deepsea_storage::SimFs;
 
 use crate::config::DeepSeaConfig;
 use crate::driver::context::QueryContext;
 use crate::driver::read_path::ReadView;
-use crate::driver::{DeepSea, QueryTrace, ReadExecution};
+use crate::driver::{DeepSea, QueryTrace};
 use crate::registry::ViewRegistry;
 
 /// A frozen, shareable view of everything the read path consults, stamped
@@ -46,8 +44,6 @@ pub struct ReadSnapshot {
     backend: Box<dyn ExecutionBackend>,
     config: DeepSeaConfig,
     obs: Observer,
-    /// Shared with the writer: a clean read's execution, for its commit.
-    handoff: Arc<HandoffCell<ReadExecution>>,
 }
 
 /// The result of answering one query from a snapshot: no catalog mutation,
@@ -83,7 +79,6 @@ impl DeepSea {
             backend: self.backend.fork_reader()?,
             config: self.config,
             obs: self.obs.clone(),
-            handoff: Arc::clone(&self.handoff),
         })
     }
 }
@@ -132,8 +127,9 @@ impl ReadSnapshot {
     /// detail-trace gates across [`ExecutionBackend::fork_reader`].
     ///
     /// Each read arms a fresh retry budget and runs the read path over the
-    /// plan the writer's policy would execute. A clean read offers its
-    /// execution to its commit ([`ReadExecution::offer`]).
+    /// plan the writer's policy would execute. The forked backend shares
+    /// the writer's memo of executed plans, so a commit of the plan this
+    /// read ran does not compute it again (`SimBackend`).
     pub fn answer_in_span(
         &self,
         plan: &LogicalPlan,
@@ -148,16 +144,14 @@ impl ReadSnapshot {
             .executed_plan(plan, &self.catalog);
         let mut ctx = QueryContext::new(&plan, self.epoch).in_span(parent, anchor_secs);
         let (result, metrics) = self.read_view().answer(&plan, &mut ctx)?;
-        let answer = SnapshotAnswer {
+        Ok(SnapshotAnswer {
             result,
             query_secs: ctx.query_secs,
             used_view: ctx.used_view,
             metrics,
             trace: ctx.trace,
             epoch: self.epoch,
-        };
-        ReadExecution::offer(&self.handoff, &self.fs, ctx.qbest, &answer);
-        Ok(answer)
+        })
     }
 }
 
@@ -174,7 +168,6 @@ impl Clone for ReadSnapshot {
                 .expect("invariant: a backend that forked once forks again"),
             config: self.config,
             obs: self.obs.clone(),
-            handoff: Arc::clone(&self.handoff),
         }
     }
 }

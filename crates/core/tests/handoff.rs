@@ -1,17 +1,19 @@
-//! One execution per ticket: a commit adopts its read's execution.
+//! One computation per plan: a commit finds its read's execution in the
+//! backend's memo.
 //!
 //! Under the ticket protocol a query is read from the published snapshot
 //! (`ReadSnapshot::answer`) and then committed (`DeepSea::process_query`).
-//! When the read ran the plan the commit is about to run, at the epoch the
-//! commit starts from, on a file system that neither shards nor injects
-//! faults, the commit takes the read's result and metrics instead of
-//! executing again. Here every committed outcome, the final state digest
-//! and the journal stream of that protocol are checked bit for bit against
-//! commits with no read at all, the backend calls saved are counted, and
-//! each condition that must make the commit execute is exercised alone.
-//! A query whose view lost its files is answered by the one base-table
-//! fallback the read and the commit share; that path is checked on the
-//! snapshot, the serial commit, both servers and the span trace.
+//! The snapshot's backend is a fork of the driver's, and the simulated
+//! backend's forks share one memo of executed plans, so the commit of the
+//! plan its read ran replays that plan's reads instead of computing it.
+//! Here every committed outcome, the final state digest and the journal
+//! stream of that protocol are checked bit for bit against commits with no
+//! read at all, on a plain file system and on a sharded one behind an
+//! enabled fault injector, and the commit's result is checked to be the
+//! read's, column for column. A query whose view lost its files is
+//! answered by the one base-table fallback the read and the commit share;
+//! that path is checked on the snapshot, the serial commit, both servers
+//! and the span trace.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -26,7 +28,8 @@ use deepsea_engine::{
 };
 use deepsea_relation::Table;
 use deepsea_storage::{
-    BlockConfig, FaultConfig, FaultInjector, FileId, NodeConfig, NodeSet, SimFs,
+    BlockConfig, FaultConfig, FaultInjector, FileId, HedgeConfig, NodeConfig, NodeId, NodeSet,
+    SimFs,
 };
 use deepsea_workload::schema::{BigBenchData, InstanceSize, ItemDistribution};
 use deepsea_workload::sdss::sdss_like_histogram;
@@ -184,8 +187,47 @@ impl Rig {
     }
 }
 
+/// Commits `plans` alone on one driver and read-then-commit on another,
+/// both over a file system `fs()` builds, and checks every outcome, the
+/// backend calls of every commit, the final state and the journal stream.
+/// Returns the driver that read.
+fn check_read_then_commit(
+    name: &str,
+    catalog: &Arc<Catalog>,
+    plans: &[LogicalPlan],
+    fs: &dyn Fn() -> Arc<SimFs<Table>>,
+    config: DeepSeaConfig,
+    journaled: bool,
+) -> Rig {
+    let mut solo = Rig::new(catalog, fs(), config, journaled);
+    let mut ticket = Rig::new(catalog, fs(), config, journaled);
+    for (i, plan) in plans.iter().enumerate() {
+        let (solo_calls, solo_out) = solo.commit(plan);
+        let (ticket_calls, ticket_out) = ticket.read_then_commit(plan);
+        assert_eq!(solo_out, ticket_out, "{name}, query {i}: outcomes differ");
+        assert_eq!(
+            ticket_calls, solo_calls,
+            "{name}, query {i}: the read changed its commit's backend calls"
+        );
+    }
+    assert_eq!(
+        solo.ds.registry().state_digest(),
+        ticket.ds.registry().state_digest(),
+        "{name}: final state"
+    );
+    assert_eq!(
+        solo.journal_stream(),
+        ticket.journal_stream(),
+        "{name}: journal stream"
+    );
+    if journaled {
+        assert!(!solo.journal_stream().is_empty());
+    }
+    ticket
+}
+
 #[test]
-fn adopted_commits_are_bit_identical_and_execute_once_less() {
+fn read_then_commit_is_bit_identical_to_commit_alone() {
     let catalog = data();
     let plans = fig5_workload(120, 42);
     let base = catalog.total_base_bytes();
@@ -202,107 +244,62 @@ fn adopted_commits_are_bit_identical_and_execute_once_less() {
         ),
     ];
     for (name, config, journaled) in configs {
-        let mut solo = Rig::new(&catalog, plain_fs(), config, journaled);
-        let mut ticket = Rig::new(&catalog, plain_fs(), config, journaled);
-        for (i, plan) in plans.iter().enumerate() {
-            let (solo_calls, solo_out) = solo.commit(plan);
-            let (ticket_calls, ticket_out) = ticket.read_then_commit(plan);
-            assert_eq!(solo_out, ticket_out, "{name}, query {i}: outcomes differ");
-            // Fault-free, every read ran the plan its commit runs.
-            assert_eq!(
-                ticket_calls + 1,
-                solo_calls,
-                "{name}, query {i}: the commit did not adopt its read"
-            );
-        }
-        assert_eq!(
-            solo.ds.registry().state_digest(),
-            ticket.ds.registry().state_digest(),
-            "{name}: final state"
-        );
-        assert_eq!(
-            solo.journal_stream(),
-            ticket.journal_stream(),
-            "{name}: journal stream"
-        );
-        if journaled {
-            assert!(!solo.journal_stream().is_empty());
-        }
+        check_read_then_commit(name, &catalog, &plans, &plain_fs, config, journaled);
     }
 }
 
-fn answer(rig: &Rig, plan: &LogicalPlan) {
-    let snapshot = rig.ds.publish_snapshot().expect("the backend forks");
-    snapshot.answer(plan).expect("fault-free read");
+/// A sharded file system with a slow node and hedged reads, behind a
+/// seeded fault injector that is enabled but whose rate never fires on
+/// these reads: a read's draws cannot move its commit's faults, and every
+/// replayed read is routed, hedged and slowed like a fresh one.
+#[test]
+fn read_then_commit_is_bit_identical_on_a_sharded_faulty_file_system() {
+    let catalog = data();
+    let plans = fig5_workload(60, 42);
+    let sharded = || {
+        let cluster = ClusterSim::paper_default();
+        let faults = FaultConfig::seeded(7).with_latency_spikes(1e-12, 1.0);
+        let fs = SimFs::with_cluster(
+            BlockConfig::default(),
+            cluster.weights,
+            FaultInjector::new(faults),
+            NodeSet::new(NodeConfig::new(4, 2)),
+        );
+        fs.set_node_slow(NodeId(1), 4.0);
+        fs.set_hedge(Some(HedgeConfig::after_secs(1.0)));
+        Arc::new(fs)
+    };
+    let config = baselines::deepsea().with_phi(0.05);
+    let ticket = check_read_then_commit("sharded", &catalog, &plans, &sharded, config, false);
+    let fs = ticket.ds.fs();
+    assert!(fs.ledger().files_read > 0, "no view was read");
+    assert!(fs.fault_stats().hedges_issued > 0, "no read hedged");
 }
 
+/// The commit of an aggregate its read computed returns the read's
+/// columns: a computation would have allocated its own.
 #[test]
-fn a_commit_executes_when_its_read_cannot_be_adopted() {
+fn a_commit_returns_the_columns_its_read_computed() {
     let catalog = data();
     let plans = fig5_workload(40, 42);
-    assert_ne!(plans[1], plans[2]);
-
-    // A fresh Hive driver over `fs`: `before` runs, then `plans[1]` is
-    // committed; returns that commit's calls and outcome.
-    let run = |fs: Arc<SimFs<Table>>, before: &dyn Fn(&mut Rig)| {
-        let mut rig = Rig::new(&catalog, fs, baselines::hive(), false);
-        before(&mut rig);
-        rig.commit(&plans[1])
-    };
-    let commit_then_read = |rig: &mut Rig| {
-        rig.commit(&plans[0]);
-        answer(rig, &plans[1]);
-    };
-
-    // The reference: no read at all, and a clean read the commit adopts.
-    let alone = run(plain_fs(), &|rig| {
-        rig.commit(&plans[0]);
-    });
-    let adopted = run(plain_fs(), &commit_then_read);
-    assert_eq!(alone.0, 1, "the Hive baseline executes once per commit");
-    assert_eq!(adopted, (0, alone.1.clone()));
-
-    let cluster = ClusterSim::paper_default();
-    // Enabled, at a rate that never fires on these few reads.
-    let faults = FaultConfig::seeded(7).with_latency_spikes(1e-12, 1.0);
-    let faulty = SimFs::with_faults(
-        BlockConfig::default(),
-        cluster.weights,
-        FaultInjector::new(faults),
-    );
-    let sharded = SimFs::with_cluster(
-        BlockConfig::default(),
-        cluster.weights,
-        FaultInjector::disabled(),
-        NodeSet::new(NodeConfig::new(4, 2)),
-    );
-    let refused = [
-        (
-            "a read one epoch stale",
-            run(plain_fs(), &|rig| {
-                let stale = rig.ds.publish_snapshot().expect("the backend forks");
-                rig.commit(&plans[0]);
-                stale.answer(&plans[1]).expect("fault-free read");
-            }),
-        ),
-        (
-            "a read of another plan",
-            run(plain_fs(), &|rig| {
-                rig.commit(&plans[0]);
-                answer(rig, &plans[2]);
-            }),
-        ),
-        (
-            "a read through an enabled fault injector",
-            run(Arc::new(faulty), &commit_then_read),
-        ),
-        (
-            "a read on a sharded file system",
-            run(Arc::new(sharded), &commit_then_read),
-        ),
-    ];
-    for (case, got) in refused {
-        assert_eq!(got, (adopted.0 + 1, alone.1.clone()), "{case}");
+    for config in [baselines::hive(), baselines::deepsea().with_phi(0.05)] {
+        let mut rig = Rig::new(&catalog, plain_fs(), config, false);
+        let mut aggregates = 0;
+        for (i, plan) in plans.iter().enumerate() {
+            let snapshot = rig.ds.publish_snapshot().expect("the backend forks");
+            let read = snapshot.answer(plan).expect("fault-free read");
+            let commit = rig.ds.process_query(plan).expect("fault-free commit");
+            if !matches!(plan, LogicalPlan::Aggregate { .. }) {
+                continue;
+            }
+            aggregates += 1;
+            let (r, c) = (read.result.columns(), commit.result.columns());
+            assert_eq!(r.len(), c.len());
+            for (a, b) in r.iter().zip(c) {
+                assert!(Arc::ptr_eq(a, b), "query {i}: the commit computed again");
+            }
+        }
+        assert!(aggregates > 10, "{aggregates} aggregates");
     }
 }
 

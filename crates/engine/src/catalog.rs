@@ -4,6 +4,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use deepsea_relation::{Column, ColumnData, Table};
+use deepsea_storage::Stamp;
 
 /// Per-column statistics the cost estimator uses.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,6 +31,9 @@ struct Entry {
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
     tables: BTreeMap<String, Entry>,
+    /// Names these tables: fresh on construction and on every
+    /// registration, kept by a clone, which holds the same tables.
+    stamp: Stamp,
 }
 
 /// One pass over `col`: its integer min/max, NULLs ignored, and, when it is
@@ -74,6 +78,13 @@ impl Catalog {
         let table = Arc::new(table);
         self.tables
             .insert(name.into(), Entry { table, stats, keys });
+        self.stamp = Stamp::fresh();
+    }
+
+    /// The stamp naming this catalog's current tables: two catalogs with
+    /// one stamp hold the same tables under the same names.
+    pub fn stamp(&self) -> Stamp {
+        self.stamp
     }
 
     /// Look up a table.

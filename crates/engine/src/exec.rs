@@ -305,6 +305,32 @@ pub fn execute(
     Ok((out.into_table(), m))
 }
 
+/// Issue the fragment reads [`execute`] issues for `plan`, in its order —
+/// depth first, a join's left input before its right, a scan's files as
+/// listed — adding each read's spike seconds to `penalty_secs` as it does.
+/// The first failure ends it, as it ends `execute`. Nothing is computed:
+/// this is what a remembered execution still owes the file system.
+pub(crate) fn replay_reads(
+    plan: &LogicalPlan,
+    fs: &SimFs<Table>,
+    penalty_secs: &mut f64,
+) -> Result<(), ExecError> {
+    match plan {
+        LogicalPlan::Scan { .. } => Ok(()),
+        LogicalPlan::ViewScan(v) => v.files.iter().try_for_each(|&fid| {
+            *penalty_secs += fs.try_read(fid).map_err(ExecError::from)?.spike_secs;
+            Ok(())
+        }),
+        LogicalPlan::Select { input, .. }
+        | LogicalPlan::Project { input, .. }
+        | LogicalPlan::Aggregate { input, .. } => replay_reads(input, fs, penalty_secs),
+        LogicalPlan::Join { left, right, .. } => {
+            replay_reads(left, fs, penalty_secs)?;
+            replay_reads(right, fs, penalty_secs)
+        }
+    }
+}
+
 /// The rows of `σ_pred(plan)`, as [`execute`] would return them after a
 /// selection on top, and the number of rows of `plan` itself. A join whose
 /// selection runs at a leaf ([`JoinNode::push`]) pairs only the rows it

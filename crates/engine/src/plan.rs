@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use deepsea_relation::{Predicate, Schema};
+use deepsea_relation::{Predicate, Schema, Value};
 use deepsea_storage::FileId;
 
 /// Aggregate functions.
@@ -230,6 +230,16 @@ impl LogicalPlan {
             .sum::<usize>()
     }
 
+    /// The plan written out whole, each literal with its type: two plans
+    /// have one key exactly when they are the same plan. `==` is coarser:
+    /// it takes `Int(2^53 + 1)` for `Float(2^53)`, though the two keep
+    /// different rows of an integer column.
+    pub(crate) fn exact_key(&self) -> Vec<u8> {
+        let mut key = Vec::with_capacity(256);
+        write_key(self, &mut key);
+        key
+    }
+
     /// One-line plan rendering for logs and reports.
     pub fn display_compact(&self) -> String {
         match self {
@@ -249,6 +259,127 @@ impl LogicalPlan {
             } => {
                 format!("γ[{}]({})", group_by.join(","), input.display_compact())
             }
+        }
+    }
+}
+
+/// Append `plan` to `out`: each node and literal behind a tag, each
+/// variable-length part behind its length, so a key decodes one way only.
+fn write_key(plan: &LogicalPlan, out: &mut Vec<u8>) {
+    match plan {
+        LogicalPlan::Scan { table } => {
+            out.push(0);
+            key_str(out, table);
+        }
+        LogicalPlan::Select { pred, input } => {
+            out.push(1);
+            key_pred(out, pred);
+            write_key(input, out);
+        }
+        LogicalPlan::Project { cols, input } => {
+            out.push(2);
+            key_num(out, cols.len() as u64);
+            cols.iter().for_each(|c| key_str(out, c));
+            write_key(input, out);
+        }
+        LogicalPlan::Join { left, right, on } => {
+            out.push(3);
+            key_num(out, on.len() as u64);
+            for (a, b) in on {
+                key_str(out, a);
+                key_str(out, b);
+            }
+            write_key(left, out);
+            write_key(right, out);
+        }
+        LogicalPlan::Aggregate {
+            group_by,
+            aggs,
+            input,
+        } => {
+            out.push(4);
+            key_num(out, group_by.len() as u64);
+            group_by.iter().for_each(|g| key_str(out, g));
+            key_num(out, aggs.len() as u64);
+            for a in aggs {
+                out.push(a.func as u8);
+                key_opt(out, a.col.as_ref(), |out, c| key_str(out, c));
+                key_str(out, &a.alias);
+            }
+            write_key(input, out);
+        }
+        LogicalPlan::ViewScan(v) => {
+            out.push(5);
+            key_str(out, &v.view_name);
+            key_num(out, v.files.len() as u64);
+            v.files.iter().for_each(|f| key_num(out, f.0));
+            key_num(out, v.schema.len() as u64);
+            for f in v.schema.fields() {
+                key_str(out, &f.name);
+                out.push(f.dtype as u8);
+            }
+            key_opt(out, v.clip.as_deref(), |out, c| {
+                key_str(out, &c.attr);
+                key_num(out, c.from.len() as u64);
+                for from in &c.from {
+                    key_opt(out, from.as_ref(), |out, &x| key_num(out, x as u64));
+                }
+            });
+        }
+    }
+}
+
+fn key_pred(out: &mut Vec<u8>, p: &Predicate) {
+    match p {
+        Predicate::True => out.push(0),
+        Predicate::Range { col, low, high } => {
+            out.push(1);
+            key_str(out, col);
+            key_num(out, *low as u64);
+            key_num(out, *high as u64);
+        }
+        Predicate::Eq { col, value } => {
+            out.push(2);
+            key_str(out, col);
+            match value {
+                Value::Null => out.push(0),
+                Value::Int(i) => {
+                    out.push(1);
+                    key_num(out, *i as u64);
+                }
+                Value::Float(x) => {
+                    out.push(2);
+                    key_num(out, x.to_bits());
+                }
+                Value::Str(s) => {
+                    out.push(3);
+                    key_str(out, s);
+                }
+            }
+        }
+        Predicate::And(ps) => {
+            out.push(3);
+            key_num(out, ps.len() as u64);
+            ps.iter().for_each(|p| key_pred(out, p));
+        }
+    }
+}
+
+fn key_num(out: &mut Vec<u8>, x: u64) {
+    out.extend_from_slice(&x.to_le_bytes());
+}
+
+fn key_str(out: &mut Vec<u8>, s: &str) {
+    key_num(out, s.len() as u64);
+    out.extend_from_slice(s.as_bytes());
+}
+
+fn key_opt<T>(out: &mut Vec<u8>, x: Option<T>, some: impl FnOnce(&mut Vec<u8>, T)) {
+    match x {
+        None => out.push(0),
+        Some(x) => {
+            out.push(1);
+            some(out, x);
         }
     }
 }

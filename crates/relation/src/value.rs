@@ -116,23 +116,21 @@ impl Ord for Value {
     }
 }
 
+/// Consistent with `Eq`: `a == b` implies equal hashes. A number hashes its
+/// `f64` image under one tag, since `Int(1) == Float(1.0)`; an `f64` is
+/// equal under `total_cmp` exactly when its bits are, so `-0.0` and `0.0`,
+/// or two NaNs of different bits, are distinct values and may hash apart.
+/// Distinct integers past 2^53 share an image and collide, as they may.
 impl std::hash::Hash for Value {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         match self {
             Value::Null => 0u8.hash(state),
-            Value::Int(i) => {
+            Value::Int(_) | Value::Float(_) => {
                 1u8.hash(state);
-                i.hash(state);
-            }
-            Value::Float(f) => {
-                // Hash consistent with total_cmp-based Eq for the values we
-                // generate (no -0.0 vs 0.0 mixing in practice); NaNs all hash
-                // alike which is fine for grouping.
-                2u8.hash(state);
-                f.to_bits().hash(state);
+                self.as_float().map(f64::to_bits).hash(state);
             }
             Value::Str(s) => {
-                3u8.hash(state);
+                2u8.hash(state);
                 s.hash(state);
             }
         }

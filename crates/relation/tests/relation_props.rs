@@ -17,6 +17,53 @@ fn any_value() -> impl Strategy<Value = Value> {
     ]
 }
 
+/// Numbers where `Eq` and the bits part: the neighbours of 2^53 as `Int`
+/// and as `Float`, the zeros, NaNs of three bit patterns, and any `i64`.
+fn edge_number() -> impl Strategy<Value = Value> {
+    let two53 = 1i64 << 53;
+    prop_oneof![
+        (-3i64..=3).prop_map(move |d| Value::Int(two53 + d)),
+        (-3i64..=3).prop_map(move |d| Value::Float((two53 + d) as f64)),
+        (-2i64..=2).prop_map(move |d| {
+            Value::Float(f64::from_bits(((two53 as f64).to_bits() as i64 + d) as u64))
+        }),
+        Just(Value::Int(0)),
+        Just(Value::Float(0.0)),
+        Just(Value::Float(-0.0)),
+        Just(Value::Float(f64::NAN)),
+        Just(Value::Float(-f64::NAN)),
+        Just(Value::Float(f64::from_bits(0x7ff8_0000_0000_0001))),
+        any::<i64>().prop_map(Value::Int),
+    ]
+}
+
+fn hash_of(v: &Value) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    v.hash(&mut h);
+    h.finish()
+}
+
+#[test]
+fn equal_numbers_of_either_type_hash_alike() {
+    assert_eq!(hash_of(&Value::Int(1)), hash_of(&Value::Float(1.0)));
+    let (int, float) = (Value::Int((1 << 53) + 1), Value::Float(2f64.powi(53)));
+    assert_eq!(int, float);
+    assert_eq!(hash_of(&int), hash_of(&float));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 2000, ..ProptestConfig::default() })]
+
+    /// `Value`'s `Hash` agrees with its `Eq`: equal values hash alike.
+    #[test]
+    fn equal_values_hash_alike(a in edge_number(), b in edge_number()) {
+        if a == b {
+            prop_assert_eq!(hash_of(&a), hash_of(&b), "{:?} == {:?}", a, b);
+        }
+    }
+}
+
 proptest! {
     /// The Value ordering is a total order: antisymmetric and transitive on
     /// sampled triples, and consistent with equality.

@@ -11,6 +11,7 @@ use crate::fault::{
 use crate::file::{FileId, StoredFile};
 use crate::ledger::CostLedger;
 use crate::node::{NodeId, NodeSet, NodeState, Route};
+use crate::sync::Stamp;
 use crate::weights::CostWeights;
 
 /// A simulated HDFS-like file system.
@@ -42,6 +43,8 @@ use crate::weights::CostWeights;
 /// in [`SimFs::hedge_extra_secs`].
 pub struct SimFs<P> {
     inner: Mutex<Inner<P>>,
+    /// Names this file system among all others ([`SimFs::stamp`]).
+    stamp: Stamp,
     block: BlockConfig,
     weights: CostWeights,
     faults: FaultInjector,
@@ -143,6 +146,7 @@ impl<P> SimFs<P> {
                 hedge_stats: HedgeCounters::default(),
                 io_trace: IoTraceState::default(),
             }),
+            stamp: Stamp::fresh(),
             block,
             weights,
             faults,
@@ -172,9 +176,11 @@ impl<P> SimFs<P> {
         self.cluster.as_ref()
     }
 
-    /// Whether fallible I/O draws from an enabled fault injector.
-    pub fn faults_enabled(&self) -> bool {
-        self.faults.enabled()
+    /// The stamp naming this file system. Files are write-once under ids it
+    /// never reissues, so the stamp and a file id name one payload for the
+    /// life of the process.
+    pub fn stamp(&self) -> Stamp {
+        self.stamp
     }
 
     /// The block configuration in force.

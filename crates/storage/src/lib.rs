@@ -56,5 +56,5 @@ pub use journal::{Journal, JournalStats, Lsn, ReplayedLog, SimulatedCrash};
 pub use ledger::CostLedger;
 pub use node::{placement_key, NodeConfig, NodeId, NodeSet, NodeState, NodeStats, Route};
 pub use pool::{PoolAccountant, PoolError};
-pub use sync::{EpochCell, HandoffCell};
+pub use sync::{EpochCell, Stamp};
 pub use weights::CostWeights;

@@ -6,7 +6,8 @@
 //! query; readers grab a cheap `Arc` clone and keep answering queries
 //! against that frozen state for as long as they like — publication never
 //! blocks on in-flight reads, and a reader never observes a half-updated
-//! catalog. The one-slot [`HandoffCell`] carries values reader to writer.
+//! catalog. A [`Stamp`] names one state of a shared value for memos
+//! scoped to it.
 //!
 //! Layering note: `deepsea-lint` L1 forbids `std::thread` (and friends)
 //! outside the storage crate precisely so that *this* is the only
@@ -15,7 +16,8 @@
 //! deterministic, and its real-thread leg (`ViewServer::run_threaded`) routes
 //! all cross-thread state through an [`EpochCell`].
 
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, RwLock};
 
 /// A single-writer, multi-reader publication cell: the latest epoch of a
 /// shared immutable value.
@@ -68,32 +70,24 @@ impl<T> EpochCell<T> {
     }
 }
 
-/// A one-slot hand-off from readers to the writer: the last offer wins, and
-/// [`HandoffCell::take_if`] empties the slot whether or not it keeps what it
-/// found, so a value never outlives the writer's next look at it.
-#[derive(Debug)]
-pub struct HandoffCell<T> {
-    slot: Mutex<Option<T>>,
+/// A process-unique number naming one state of a mutable value, so a memo
+/// scoped by stamps never mistakes one world for another, even one that
+/// reuses the address of a freed predecessor. A stamp is never reissued.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Stamp(u64);
+
+impl Stamp {
+    /// A stamp no earlier call returned.
+    pub fn fresh() -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        Self(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
 }
 
-impl<T> Default for HandoffCell<T> {
+/// A fresh stamp: a value built by `Default` is a state of its own.
+impl Default for Stamp {
     fn default() -> Self {
-        Self {
-            slot: Mutex::new(None),
-        }
-    }
-}
-
-impl<T> HandoffCell<T> {
-    /// Put `value` in the slot, replacing whatever was there.
-    pub fn offer(&self, value: T) {
-        *self.slot.lock().unwrap_or_else(|p| p.into_inner()) = Some(value);
-    }
-
-    /// Empty the slot, returning its value if `keep` accepts it.
-    pub fn take_if(&self, keep: impl FnOnce(&T) -> bool) -> Option<T> {
-        let taken = self.slot.lock().unwrap_or_else(|p| p.into_inner()).take()?;
-        keep(&taken).then_some(taken)
+        Self::fresh()
     }
 }
 
@@ -155,57 +149,11 @@ mod tests {
     }
 
     #[test]
-    fn handoff_keeps_a_match() {
-        let cell = HandoffCell::default();
-        cell.offer(5u32);
-        assert_eq!(cell.take_if(|v| *v == 5), Some(5));
-        assert_eq!(cell.take_if(|_| true), None, "taking empties the slot");
-    }
-
-    #[test]
-    fn handoff_mismatch_empties_the_slot() {
-        let cell = HandoffCell::default();
-        cell.offer(5u32);
-        assert_eq!(cell.take_if(|v| *v == 6), None);
-        assert_eq!(cell.take_if(|_| true), None, "a refused value is dropped");
-    }
-
-    #[test]
-    fn handoff_later_offer_overwrites() {
-        let cell = HandoffCell::default();
-        cell.offer(1u32);
-        cell.offer(2);
-        assert_eq!(cell.take_if(|_| true), Some(2));
-    }
-
-    #[test]
-    fn handoff_takes_whole_offers_under_contention() {
-        let cell = HandoffCell::default();
-        let mut taken = Vec::new();
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let cell = &cell;
-                s.spawn(move || {
-                    for i in 0..200u64 {
-                        cell.offer((t, i, t * 1000 + i));
-                    }
-                });
-            }
-            for _ in 0..400 {
-                taken.extend(cell.take_if(|_| true));
-            }
-        });
-        taken.extend(cell.take_if(|_| true));
-        // Every value taken is one offer, whole, taken once: its parts
-        // agree, and each thread's offers come out in the order it made them.
-        assert!(taken.iter().all(|&(t, i, v)| v == t * 1000 + i));
-        for t in 0..4 {
-            let order: Vec<u64> = taken.iter().filter(|o| o.0 == t).map(|o| o.1).collect();
-            assert!(
-                order.windows(2).all(|w| w[0] < w[1]),
-                "thread {t}: {order:?}"
-            );
-        }
-        assert_eq!(cell.take_if(|_| true), None);
+    fn stamps_are_never_reissued() {
+        let (a, b) = (Stamp::fresh(), Stamp::default());
+        assert!(a < b, "stamps rise");
+        assert_ne!(Stamp::fresh(), b);
+        let copy = a;
+        assert_eq!(copy, a, "a copy names the same state");
     }
 }
