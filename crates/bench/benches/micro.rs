@@ -22,6 +22,9 @@ use deepsea_storage::{BlockConfig, CostWeights, SimFs};
 use deepsea_workload::schema::{BigBenchData, InstanceSize, ItemDistribution};
 use deepsea_workload::sdss::sdss_like_histogram;
 use deepsea_workload::sequences::{fig5_workload, item_domain};
+use deepsea_workload::TemplateId;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 
 fn bench_signature(c: &mut Criterion) {
     let plan = LogicalPlan::scan("store_sales")
@@ -131,7 +134,7 @@ fn bench_commit_bookkeeping(c: &mut Criterion) {
         .registry()
         .iter()
         .flat_map(|v| v.partitions.values())
-        .map(|ps| ps.fragments.len())
+        .map(|ps| ps.fragments().len())
         .sum();
     assert!(tracked > 1_500, "the log tracks ~1.9k fragments: {tracked}");
     c.bench_function("build_allcand_2k_tracked", |b| b.iter(|| ds.allcand()));
@@ -141,6 +144,37 @@ fn bench_commit_bookkeeping(c: &mut Criterion) {
     c.bench_function("publish_snapshot_2k_tracked", |b| {
         b.iter(|| ds.publish_snapshot())
     });
+}
+
+/// One steady-state commit as history grows: a `Q30` log of random narrow
+/// ranges keeps tracking fragments in one partition (`store_sales ⋈ item`
+/// on `ss_item_sk`); once that partition tracks 2k, and again once it
+/// tracks 8k, time the commit of a query the log already ran. A commit
+/// whose work is proportional to its query costs the same at both.
+fn bench_commit_scaling(c: &mut Criterion) {
+    let (lo, hi) = item_domain();
+    let dist = ItemDistribution::Histogram(sdss_like_histogram(lo, hi));
+    let catalog = BigBenchData::generate(InstanceSize::Gb100, &dist, 42).catalog;
+    let mut ds = DeepSea::new(catalog, baselines::deepsea().with_phi(0.05));
+    let largest = |ds: &DeepSea| {
+        ds.registry()
+            .iter()
+            .flat_map(|v| v.partitions.values())
+            .map(|ps| ps.fragments().len())
+            .max()
+            .unwrap_or(0)
+    };
+    let mut rng = StdRng::seed_from_u64(42);
+    let repeat = TemplateId::Q30.instantiate(20_000, 20_300);
+    for (name, tracked) in [("commit_2k_tracked", 2_000), ("commit_8k_tracked", 8_000)] {
+        while largest(&ds) < tracked {
+            let from = rng.random_range(lo..hi - 400);
+            let plan = TemplateId::Q30.instantiate(from, from + rng.random_range(20i64..400));
+            ds.process_query(&plan).expect("fault-free log");
+        }
+        ds.process_query(&repeat).expect("fault-free log");
+        c.bench_function(name, |b| b.iter(|| ds.process_query(&repeat)));
+    }
 }
 
 /// The executor's kernels on the wall-clock benchmark's instance, one plan
@@ -346,6 +380,6 @@ criterion_group!(
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(1));
     targets = bench_signature, bench_filter_tree, bench_partition_ops, bench_mle, bench_selection,
-        bench_commit_bookkeeping, bench_exec_kernels
+        bench_commit_bookkeeping, bench_commit_scaling, bench_exec_kernels
 );
 criterion_main!(micro);

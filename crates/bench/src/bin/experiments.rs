@@ -13,8 +13,8 @@
 //! the checked-in `BENCH*.json` snapshots; the serving scenarios' scheduler
 //! seed stays fixed.
 //!
-//! A row with a `bench_file` runs under an attached observer and writes its
-//! machine-readable summary there, in the current directory: `fig5a` →
+//! A row with a `bench_file` writes its machine-readable summary there, in
+//! the current directory: `fig5a` →
 //! `BENCH.json` (variant totals, DS stage totals), `pressure` →
 //! `BENCH_pressure.json` (client latency percentiles under eviction
 //! pressure), `node-failure` → `BENCH_node_failure.json` (latency and
@@ -22,6 +22,8 @@
 //! `BENCH_overload.json` (latency, shed rate and hedge counters under
 //! rolling gray slowness, hedging off vs on).
 //!
+//! The serving scenarios always run under an attached observer; fig5a's DS
+//! run does only when a dump flag below asks for one.
 //! `--metrics-out` dumps the fig5a observer's metrics in Prometheus text
 //! format and `--events-out` its decision-event audit log as JSONL.
 //! `--trace-out PATH` writes the causal span log of the richest traced run
@@ -33,7 +35,7 @@
 use std::io::Write;
 
 use deepsea_bench::experiments::{
-    Experiment, Run, Scale, DEFAULT_SEED, METRICS_SOURCE, REGISTRY, TRACE_SOURCES,
+    fig5a_observed, Experiment, Run, Scale, DEFAULT_SEED, METRICS_SOURCE, REGISTRY, TRACE_SOURCES,
 };
 use deepsea_bench::flag_value;
 use deepsea_core::Observer;
@@ -77,10 +79,15 @@ fn main() {
             })
             .collect()
     };
+    let dumps = metrics_out.is_some() || events_out.is_some() || trace_out.is_some();
     let runs: Vec<(&Experiment, Run)> = rows
         .iter()
         .map(|e| {
-            let run = (e.run)(scale, seed);
+            let run = if dumps && e.id == METRICS_SOURCE {
+                fig5a_observed(scale, seed)
+            } else {
+                (e.run)(scale, seed)
+            };
             assert_eq!(
                 e.bench_file.is_some(),
                 run.bench_json.is_some(),

@@ -10,6 +10,7 @@
 //! looks ids up in it and the `bench` gate regenerates its `gated` rows. A
 //! new experiment is one more row.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use deepsea_core::{baselines, DeepSeaConfig, ObsConfig, Observer};
@@ -73,7 +74,8 @@ pub struct Run {
     /// [`Experiment::bench_file`].
     pub bench_json: Option<String>,
     /// The observer that watched the run (metrics, spans, events) — the
-    /// source of `--metrics-out` / `--events-out` / `--trace-out`.
+    /// source of `--metrics-out` / `--events-out` / `--trace-out`; fig5a
+    /// runs one only when a dump asks for it ([`fig5a_observed`]).
     pub observer: Option<Observer>,
 }
 
@@ -88,9 +90,13 @@ impl Run {
     }
 
     /// Attach the traced side products.
-    pub(crate) fn traced(mut self, bench_json: String, observer: Observer) -> Self {
+    pub(crate) fn traced(
+        mut self,
+        bench_json: String,
+        observer: impl Into<Option<Observer>>,
+    ) -> Self {
         self.bench_json = Some(bench_json);
-        self.observer = Some(observer);
+        self.observer = observer.into();
         self
     }
 }
@@ -132,7 +138,8 @@ pub static REGISTRY: [Experiment; 15] = [
     Experiment { id: "overload", bench_file: Some("BENCH_overload.json"), gated: true, run: pressure::overload },
 ];
 
-/// The row whose observer feeds `experiments --metrics-out` / `--events-out`.
+/// The row whose observer feeds `experiments --metrics-out` / `--events-out`:
+/// the binary runs it as [`fig5a_observed`] when a dump flag is given.
 pub const METRICS_SOURCE: &str = "fig5a";
 
 /// Traced rows in the order `experiments --trace-out` prefers them.
@@ -208,15 +215,21 @@ pub fn fig2(_scale: Scale, seed: u64) -> Run {
 /// the `pressure` serving scenario applies.
 const FIG5A_TIGHT_DIVISOR: u64 = 40;
 
-/// Figure 5a: DS vs NP vs H on the SDSS-mapped workload, unlimited pool.
-///
-/// The DS variant runs under an attached [`Observer`] (bit-transparent, so
-/// the numbers match an unobserved run exactly); the observer feeds the
-/// hot-views table, the `BENCH.json` document (per-variant totals, query
-/// count, DS stage totals, pool high-water mark), and — via the
-/// `experiments` binary's `--metrics-out` / `--events-out` flags — the raw
-/// metric/event dumps.
+/// Figure 5a: DS vs NP vs H on the SDSS-mapped workload, unlimited pool,
+/// with the hot-views table and the `BENCH.json` document (per-variant
+/// totals, query count, DS stage totals, pool high-water mark).
 pub fn fig5a(scale: Scale, seed: u64) -> Run {
+    fig5a_watched(scale, seed, None)
+}
+
+/// [`fig5a`] with the DS variant under an attached [`Observer`]
+/// (bit-transparent, so every number is the unobserved run's): the source
+/// of the `experiments` binary's `--metrics-out` / `--events-out` dumps.
+pub fn fig5a_observed(scale: Scale, seed: u64) -> Run {
+    fig5a_watched(scale, seed, Some(Observer::new(ObsConfig::on())))
+}
+
+fn fig5a_watched(scale: Scale, seed: u64, obs: Option<Observer>) -> Run {
     let catalog = sdss_catalog(scale.instance(), seed);
     let plans = fig5_workload(scale.fig5_queries(), seed);
     let baselines_runs = run_variants(
@@ -227,14 +240,13 @@ pub fn fig5a(scale: Scale, seed: u64) -> Run {
         ],
         &plans,
     );
-    let obs = Observer::new(ObsConfig::on());
     // Mixed-template SDSS workload: fragment-size bounding on (§9).
     let ds_run = run_workload_observed(
         "DS",
         &catalog,
         baselines::deepsea().with_phi(0.05),
         &plans,
-        obs.clone(),
+        obs.clone().unwrap_or_else(Observer::off),
     );
     // The §7.3 companion: the identical workload under a pool cap so tight
     // that Φ-ranked, decay-driven eviction must fire. Its stage totals ride
@@ -274,10 +286,18 @@ pub fn fig5a(scale: Scale, seed: u64) -> Run {
         tight_totals.eviction.limit_forced,
         ds_tight_run.pool_high_water,
     ));
-    // The views DS leaned on hardest, straight from the metrics registry.
-    let hot = obs
-        .metrics_snapshot()
-        .top_counters("deepsea_view_hits_total", 5);
+    // The views DS leaned on hardest: most queries answered, ties by name.
+    let mut hits: BTreeMap<&str, u64> = BTreeMap::new();
+    for view in ds_run
+        .per_query
+        .iter()
+        .filter_map(|q| q.used_view.as_deref())
+    {
+        *hits.entry(view).or_default() += 1;
+    }
+    let mut hot: Vec<(String, u64)> = hits.into_iter().map(|(v, n)| (v.to_string(), n)).collect();
+    hot.sort_by_key(|(_, n)| std::cmp::Reverse(*n));
+    hot.truncate(5);
     if !hot.is_empty() {
         body.push('\n');
         body.push_str(&top_n_table("hottest views (DS)", "hits", &hot));

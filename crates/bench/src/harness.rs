@@ -8,7 +8,7 @@ use deepsea_engine::{Catalog, ClusterSim, LogicalPlan};
 use deepsea_storage::{BlockConfig, SimFs};
 
 /// Per-query measurements.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryRecord {
     /// Total simulated seconds charged to the query (execution + creation).
     pub elapsed: f64,
@@ -18,8 +18,8 @@ pub struct QueryRecord {
     pub creation: f64,
     /// Map tasks launched by the chosen plan.
     pub map_tasks: u64,
-    /// Whether a view answered the query.
-    pub used_view: bool,
+    /// The name of the view that answered the query, if one did.
+    pub used_view: Option<String>,
     /// Number of views/fragments materialized during this query.
     pub materialized: usize,
     /// Number of evictions performed during this query.
@@ -144,7 +144,7 @@ pub fn run_workload_observed(
             query: out.query_secs,
             creation: out.creation_secs,
             map_tasks: out.metrics.map_tasks,
-            used_view: out.used_view.is_some(),
+            used_view: out.used_view,
             materialized: out.materialized.len(),
             evicted: out.evicted.len(),
             trace: out.trace,
@@ -244,7 +244,7 @@ mod tests {
                     query: e,
                     creation: 0.0,
                     map_tasks: 0,
-                    used_view: false,
+                    used_view: None,
                     materialized: 0,
                     evicted: 0,
                     trace: QueryTrace::default(),

@@ -1,6 +1,8 @@
 //! Per-query pipeline state ([`QueryContext`]) and the public per-stage
 //! instrumentation ([`QueryTrace`]) every [`super::QueryOutcome`] carries.
 
+use std::sync::Arc;
+
 use deepsea_engine::exec::ExecMetrics;
 use deepsea_engine::plan::LogicalPlan;
 use deepsea_engine::ExecutionBackend;
@@ -251,7 +253,7 @@ pub(crate) struct QueryContext {
     /// Name of the view the chosen rewriting reads, if any.
     pub(crate) used_view: Option<String>,
     /// Signature matches found by the matching stage.
-    pub(crate) hits: Vec<MatchHit>,
+    pub(crate) hits: Arc<[MatchHit]>,
     /// View candidates relevant to this query (Definition 6).
     pub(crate) new_cands: Vec<ViewId>,
     /// The materialization/eviction plan chosen by selection.
@@ -285,7 +287,7 @@ impl QueryContext {
             tnow,
             qbest: plan.clone(),
             used_view: None,
-            hits: Vec::new(),
+            hits: Arc::from([]),
             new_cands: Vec::new(),
             selection: SelectionResult::default(),
             charge: CreationCharge::default(),

@@ -131,6 +131,9 @@ pub struct DeepSea {
     /// Refinement candidates selection rejected and need not test again —
     /// see [`write_path::selection::PselMemo`].
     pub(crate) psel_memo: write_path::selection::PselMemo,
+    /// The matching and rewriting snapshot reads computed, shared with every
+    /// published snapshot: a commit adopts its read's ([`read_path::memo`]).
+    pub(crate) rewritings: Arc<read_path::RewritingMemo>,
 }
 
 impl DeepSea {
@@ -176,6 +179,7 @@ impl DeepSea {
             last_fault_stats: FaultStats::default(),
             pending_span: None,
             psel_memo: Default::default(),
+            rewritings: Arc::default(),
         }
     }
 

@@ -9,6 +9,7 @@
 use deepsea_engine::plan::{LogicalPlan, OverlapClip};
 use deepsea_engine::signature::{matches, Compensation, Signature};
 use deepsea_engine::subquery::all_subplans;
+use deepsea_obs::Observer;
 use deepsea_storage::FileId;
 
 use crate::candidates::clamp_to_domain;
@@ -16,7 +17,7 @@ use crate::filter_tree::ViewId;
 use crate::matching::partition_matching;
 use crate::registry::ViewMeta;
 
-use super::super::context::QueryContext;
+use super::super::context::{MatchingTrace, QueryContext};
 use super::ReadView;
 
 /// A matched (sub)query/view pair.
@@ -75,14 +76,8 @@ impl ReadView<'_> {
         // patch — the planner answers that region from base tables instead
         // of failing the whole rewriting. Always zero without a cluster.
         ctx.trace.recovery.fragment_fallbacks += outage_skips;
-        self.obs
-            .counter_add("deepsea_match_roots_total", None, roots);
-        self.obs.counter_add(
-            "deepsea_match_materialized_hits_total",
-            None,
-            ctx.trace.matching.materialized_hits,
-        );
-        ctx.hits = hits;
+        count_matches(self.obs, &ctx.trace.matching);
+        ctx.hits = hits.into();
     }
 
     /// Cheapest way to read the view for this query: the whole file, or an
@@ -183,6 +178,16 @@ impl ReadView<'_> {
         }
         frac
     }
+}
+
+/// Stage 1's counters: the roots it matched and the matches backed by data.
+pub(crate) fn count_matches(obs: &Observer, matching: &MatchingTrace) {
+    obs.counter_add("deepsea_match_roots_total", None, matching.roots);
+    obs.counter_add(
+        "deepsea_match_materialized_hits_total",
+        None,
+        matching.materialized_hits,
+    );
 }
 
 /// Subplans a view may be matched against: Definition 6 shapes, plus any

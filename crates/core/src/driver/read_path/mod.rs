@@ -17,6 +17,7 @@
 //! [`QueryContext`], which is where all trace state accumulates.
 
 pub(crate) mod matching;
+pub(crate) mod memo;
 pub(crate) mod rewriting;
 
 use deepsea_engine::catalog::Catalog;
@@ -35,10 +36,11 @@ use super::context::QueryContext;
 use super::DeepSea;
 
 pub(crate) use matching::MatchHit;
+pub(crate) use memo::RewritingMemo;
 
 /// An immutable borrow of everything the read path consults.
 ///
-/// Cheap to construct (five references), impossible to mutate through: the
+/// Cheap to construct (six references), impossible to mutate through: the
 /// read path sees one consistent catalog state for the duration of a query,
 /// whether that state is the writer's live registry or a frozen snapshot.
 pub(crate) struct ReadView<'a> {
@@ -47,6 +49,10 @@ pub(crate) struct ReadView<'a> {
     pub(crate) fs: &'a SimFs<Table>,
     pub(crate) backend: &'a dyn ExecutionBackend,
     pub(crate) obs: &'a Observer,
+    /// Where [`ReadView::answer`] leaves its matching and rewriting for the
+    /// commit of the same plan: a snapshot's reads under a policy that
+    /// materializes; `None` for the writer's own view.
+    pub(crate) rewritings: Option<&'a RewritingMemo>,
 }
 
 impl DeepSea {
@@ -58,6 +64,7 @@ impl DeepSea {
             fs: &self.fs,
             backend: self.backend.as_ref(),
             obs: &self.obs,
+            rewritings: None,
         }
     }
 }
@@ -88,13 +95,22 @@ impl<'a> ReadView<'a> {
     /// epoch-deferred), the query is re-answered from durable base tables
     /// by [`ReadView::fall_back`]: views accelerate, never gate, an answer.
     /// The fallback is reported in the context's recovery trace, not hidden.
+    ///
+    /// `ctx` must be fresh: what matching and rewriting leave in it is
+    /// remembered, before execution, for the commit of the same plan.
     pub(crate) fn answer(
         &self,
         plan: &LogicalPlan,
         ctx: &mut QueryContext,
     ) -> Result<(Table, ExecMetrics), ExecError> {
+        // The world is taken first: a change while the stages run makes
+        // the entry one no later world can meet.
+        let world = self.rewritings.map(|_| self.world());
         self.compute_rewritings(plan, ctx);
         self.select_rewriting(plan, ctx);
+        if let (Some(memo), Some(world)) = (self.rewritings, world) {
+            memo.remember(plan, world, ctx);
+        }
         self.trace_plan_stages(ctx);
         match self.backend.execute(&ctx.qbest, self.catalog, self.fs) {
             Ok((result, mut metrics)) => {

@@ -18,7 +18,7 @@ impl ReadView<'_> {
         let mut qbest: Option<LogicalPlan> = None;
         let mut used_view = None;
         let mut costed = 0u64;
-        for hit in &ctx.hits {
+        for hit in ctx.hits.iter() {
             let Some(access) = &hit.access else { continue };
             let view = self.registry.view(hit.view);
             let Some(schema) = view.schema.clone() else {

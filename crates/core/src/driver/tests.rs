@@ -455,7 +455,7 @@ fn all_view_files(d: &DeepSea) -> Vec<deepsea_storage::FileId> {
             v.whole_file.into_iter().chain(
                 v.partitions
                     .values()
-                    .flat_map(|p| p.fragments.iter().filter_map(|f| f.file)),
+                    .flat_map(|p| p.fragments().iter().filter_map(|f| f.file)),
             )
         })
         .collect()
@@ -764,7 +764,7 @@ fn stored_views_equal_their_plans(config: DeepSeaConfig) -> Computed {
             }
             for ps in view.partitions.values() {
                 let col = want.schema.index_of(&ps.attr).unwrap();
-                for f in ps.fragments.iter().filter(|f| f.is_materialized()) {
+                for f in ps.materialized_fragments() {
                     let name = format!("{}.{}{}", view.name, ps.attr, f.interval);
                     if !out.materialized.contains(&name) {
                         continue;
@@ -1051,4 +1051,49 @@ fn commit_refuses_a_record_naming_an_unknown_view() {
         .expect("an assert message");
     assert!(message.starts_with("invariant: "), "{message}");
     assert_eq!(journal.record_count(), 0, "nothing reached the journal");
+}
+
+/// A commit adopts the matching and rewriting its read stored — exactly
+/// what it would compute — and only in the world the read computed them
+/// in: after a record is applied or a file deleted it computes afresh.
+/// Baseline reads store nothing.
+#[test]
+fn a_commit_adopts_its_reads_rewriting_only_in_that_world() {
+    let mut d = ds(DeepSeaConfig::default());
+    for i in 0..6 {
+        d.process_query(&query(i * 40, i * 40 + 100)).unwrap();
+    }
+    let plan = query(100, 200);
+    let adopted = |d: &DeepSea| {
+        let mut ctx = QueryContext::new(&plan, d.clock() + 1);
+        d.rewritings
+            .adopt(&plan, d.read_view().world(), &mut ctx, &d.obs)
+            .then_some(ctx)
+    };
+    assert!(adopted(&d).is_none(), "nothing was read");
+    let read = d.publish_snapshot().unwrap().answer(&plan).unwrap();
+    assert!(read.used_view.is_some(), "the read used no view");
+    let ctx = adopted(&d).expect("the read's world is the writer's");
+    let mut computed = QueryContext::new(&plan, d.clock() + 1);
+    d.read_view().compute_rewritings(&plan, &mut computed);
+    d.read_view().select_rewriting(&plan, &mut computed);
+    assert_eq!(ctx.trace, computed.trace);
+    assert_eq!(
+        (&ctx.qbest, &ctx.used_view),
+        (&computed.qbest, &computed.used_view)
+    );
+    assert_eq!(ctx.hits.len(), computed.hits.len());
+
+    d.commit(CatalogRecord::QueryCommitted { tnow: d.clock() });
+    assert!(adopted(&d).is_none(), "a record was applied since the read");
+    d.publish_snapshot().unwrap().answer(&plan).unwrap();
+    assert!(adopted(&d).is_some());
+    let file = partitioned_view(&d).files().next().unwrap();
+    d.fs.delete(file);
+    assert!(adopted(&d).is_none(), "a file was deleted since the read");
+
+    let mut hive = ds(crate::baselines::hive());
+    hive.process_query(&plan).unwrap();
+    hive.publish_snapshot().unwrap().answer(&plan).unwrap();
+    assert!(hive.rewritings.is_empty());
 }

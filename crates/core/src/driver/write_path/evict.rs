@@ -102,12 +102,11 @@ impl DeepSea {
             CandidateKind::Fragment(vid, attr, fid) => {
                 let view = self.registry.view(*vid);
                 let (cost, view_size) = (view.stats.cost, view.stats.size);
-                let Some((ps, idx)) = view.partitions.get(attr).and_then(|ps| {
-                    ps.fragments
-                        .iter()
-                        .position(|f| f.id == *fid)
-                        .map(|idx| (ps, idx))
-                }) else {
+                let Some((ps, frag)) = view
+                    .partitions
+                    .get(attr)
+                    .and_then(|ps| Some((ps, ps.frag(*fid)?)))
+                else {
                     return PhiBreakdown {
                         phi,
                         cost,
@@ -118,8 +117,7 @@ impl DeepSea {
                         size: 0,
                     };
                 };
-                let frag = &ps.fragments[idx];
-                let ha = vm.fragment_adjusted_hits(ps, tnow, tmax)[idx];
+                let ha = vm.fragment_adjusted_hits(ps, tnow, tmax)[fid.0 as usize];
                 let share = if view_size == 0 {
                     0.0
                 } else {
@@ -324,13 +322,13 @@ impl DeepSea {
             // Hit history is a statistic — it rides in `StatsCheckpoint`, not
             // in the records above — so the union inherits the halves' hits
             // by a direct write, like stage 2's.
-            if let Some(f) = self
+            if let Some(stats) = self
                 .registry
                 .view_mut(vid)
                 .partition_mut(&attr)
-                .and_then(|ps| ps.find_mut(&cand.merged))
+                .and_then(|ps| ps.find_stats_mut(&cand.merged))
             {
-                f.stats.hits = hits;
+                stats.hits = hits;
             }
             if self.obs.enabled() {
                 self.obs.event(

@@ -279,7 +279,7 @@ impl DeepSea {
     ) -> Option<(String, Interval, Vec<Interval>)> {
         // Prefer the partition with the most recorded boundaries (the
         // attribute the workload actually selects on).
-        let ps = partitions.max_by_key(|p| (p.boundaries.len(), p.fragments.len()))?;
+        let ps = partitions.max_by_key(|p| (p.boundaries.len(), p.fragments().len()))?;
         let intervals = match self.config.partition_policy {
             PartitionPolicy::EquiDepth { fragments } => {
                 let col = table.schema.index_of(&ps.attr)?;
@@ -327,9 +327,8 @@ impl DeepSea {
             }
             let target = frag.interval;
             let sources = ps
-                .fragments
-                .iter()
-                .filter(|f| f.is_materialized() && f.interval.overlaps(&target))
+                .materialized_fragments()
+                .filter(|f| f.interval.overlaps(&target))
                 .map(|f| {
                     let file = f
                         .file

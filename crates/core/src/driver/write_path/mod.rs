@@ -11,9 +11,11 @@
 //! All of it runs behind the single writer (`&mut DeepSea`), one query at a
 //! time, in ticket order. [`DeepSea::process_query`] is the serialized
 //! commit: it matches and rewrites against the writer's *live* state (so
-//! the committed decision never acts on a stale snapshot), executes the
-//! chosen plan — a plan the ticket's read already ran is remembered by the
-//! backend, which replays its reads instead of computing it again — then
+//! the committed decision never acts on a stale snapshot) — adopting what
+//! the ticket's read computed when the read ran in that very state —
+//! executes the chosen plan — a plan the ticket's read already ran is
+//! remembered by the backend, which replays its reads instead of computing
+//! it again — then
 //! applies the chosen configuration and publishes the next catalog epoch.
 //! Concurrent readers meanwhile answer queries from the last published
 //! [`crate::snapshot::ReadSnapshot`]; see [`crate::server`].
@@ -150,8 +152,10 @@ impl DeepSea {
     /// hold the writer. Under the concurrent server this method is invoked
     /// once per ticket, in ticket order, and its committed outcome is
     /// bit-identical to the single-client serial run by construction. When
-    /// the ticket's read already ran stage 6's plan, the backend returns its
-    /// remembered rows after replaying the plan's reads, bit for bit.
+    /// the ticket's read computed stages 1 and 3 in the live state, the
+    /// commit adopts them (`read_path::memo`); when it already ran stage 6's
+    /// plan, the backend returns its remembered rows after replaying the
+    /// plan's reads, bit for bit.
     pub fn process_query(&mut self, plan: &LogicalPlan) -> Result<QueryOutcome, ExecError> {
         self.clock += 1;
         let tnow = self.clock;
@@ -166,12 +170,19 @@ impl DeepSea {
         if !self.config.partition_policy.materializes() {
             return self.run_baseline(plan, ctx);
         }
+        // ── 1 + 3. The ticket's read computed them in this very world ────
+        let world = self.read_view().world();
+        let adopted = self.rewritings.adopt(plan, world, &mut ctx, &self.obs);
         // ── 1. COMPUTEREWRITINGS (read path, live state) ─────────────────
-        self.read_view().compute_rewritings(plan, &mut ctx);
+        if !adopted {
+            self.read_view().compute_rewritings(plan, &mut ctx);
+        }
         // ── 2. UPDATESTATS for every (potential) match ───────────────────
         self.stage_update_stats(plan, &mut ctx);
         // ── 3. SELECTREWRITING (read path, live state) ───────────────────
-        self.read_view().select_rewriting(plan, &mut ctx);
+        if !adopted {
+            self.read_view().select_rewriting(plan, &mut ctx);
+        }
         // ── 4. COMPUTEVIEWCAND / ADDCANDIDATES ───────────────────────────
         self.stage_register_candidates(&mut ctx);
         // ── 5. VIEWSELECTION ─────────────────────────────────────────────
@@ -334,7 +345,7 @@ impl DeepSea {
         };
         let v = self.registry.view(vid);
         let Some((attr, frag)) = v.partitions.values().find_map(|ps| {
-            let frag = ps.fragments.iter().find(|f| f.file == Some(file))?;
+            let frag = ps.materialized_fragments().find(|f| f.file == Some(file))?;
             Some((ps.attr.clone(), frag))
         }) else {
             return false;

@@ -32,7 +32,7 @@ use super::super::DeepSea;
 
 /// The materialized fragments of one partition in tracking order — all the
 /// §7.2 admission test reads of the partition besides the candidate itself.
-#[derive(Debug, Default, PartialEq)]
+#[derive(Debug, Default)]
 struct Layout {
     mats: Vec<(FragmentId, Interval)>,
     /// Sizes, parallel to `mats`.
@@ -49,11 +49,22 @@ impl Layout {
             view_size: view.stats.size,
             ..Layout::default()
         };
-        for f in ps.fragments.iter().filter(|f| f.is_materialized()) {
+        for f in ps.materialized_fragments() {
             layout.mats.push((f.id, f.interval));
             layout.sizes.push(f.size);
         }
         layout
+    }
+
+    /// Whether this is [`Layout::of`] `view` and `ps`, read in place.
+    fn is_of(&self, view: &ViewMeta, ps: &PartitionState) -> bool {
+        self.view_cost == view.stats.cost.to_bits()
+            && self.view_size == view.stats.size
+            && self.mats.len() == ps.materialized_slots().len()
+            && ps
+                .materialized_fragments()
+                .zip(self.mats.iter().zip(&self.sizes))
+                .all(|(f, (&(id, iv), &size))| (f.id, f.interval, f.size) == (id, iv, size))
     }
 }
 
@@ -139,12 +150,11 @@ impl PselMemo {
             }
         };
         let memo = &mut of_view[pos].1;
-        let layout = Layout::of(view, ps);
-        if memo.layout != layout {
-            memo.layout = layout;
+        if !memo.layout.is_of(view, ps) {
+            memo.layout = Layout::of(view, ps);
             memo.rejected.clear();
         }
-        memo.rejected.resize(ps.fragments.len(), None);
+        memo.rejected.resize(ps.fragments().len(), None);
         memo
     }
 
@@ -306,8 +316,8 @@ impl<'a> AllCand<'a> {
             let hinted = view
                 .partitions
                 .values()
-                .max_by_key(|p| (p.boundaries.len(), p.fragments.len()))
-                .filter(|p| !p.fragments.is_empty());
+                .max_by_key(|p| (p.boundaries.len(), p.fragments().len()))
+                .filter(|p| !p.fragments().is_empty());
             match hinted {
                 Some(ps) if progressive => {
                     let values =
@@ -317,7 +327,7 @@ impl<'a> AllCand<'a> {
                     // greedy Φ-ranked *disjoint* subset so the view is not
                     // written multiple times over.
                     let mut ranked: Vec<(&FragmentMeta, f64)> =
-                        ps.fragments.iter().map(|f| &**f).zip(values).collect();
+                        ps.fragments().iter().map(|f| &**f).zip(values).collect();
                     ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
                     let mut taken: Vec<Interval> = Vec::new();
                     for (frag, phi) in ranked {
@@ -359,7 +369,7 @@ impl<'a> AllCand<'a> {
                 // Psel (§7.2 — only for partitions already in the pool, and
                 // only under a policy that refines them).
                 let mut memo = repartitions.then(|| psel_memo.partition(view, ps));
-                for (slot, frag) in ps.fragments.iter().enumerate() {
+                for (slot, frag) in ps.fragments().iter().enumerate() {
                     let materialized = frag.is_materialized();
                     let admitted = materialized
                         || memo.as_mut().is_some_and(|memo| {
@@ -555,7 +565,7 @@ impl DeepSea {
                     mean: fit.normal.mean,
                     std: fit.normal.std,
                     total_hits: fit.total_hits,
-                    fragments: part.ps.fragments.len() as u64,
+                    fragments: part.ps.fragments().len() as u64,
                 },
             );
         }

@@ -162,8 +162,8 @@ impl DeepSea {
             let hinted = view
                 .partitions
                 .values()
-                .max_by_key(|p| (p.boundaries.len(), p.fragments.len()))
-                .filter(|p| !p.fragments.is_empty());
+                .max_by_key(|p| (p.boundaries.len(), p.fragments().len()))
+                .filter(|p| !p.fragments().is_empty());
             match hinted {
                 Some(ps) if progressive => {
                     let values = reference_fragment_values(
@@ -179,7 +179,7 @@ impl DeepSea {
                     // greedy Φ-ranked *disjoint* subset so the view is not
                     // written multiple times over.
                     let mut ranked: Vec<(&crate::fragment::FragmentMeta, f64)> =
-                        ps.fragments.iter().map(|f| &**f).zip(values).collect();
+                        ps.fragments().iter().map(|f| &**f).zip(values).collect();
                     ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
                     let mut taken: Vec<crate::interval::Interval> = Vec::new();
                     for (frag, phi) in ranked {
@@ -220,7 +220,7 @@ impl DeepSea {
                 }
                 let values =
                     reference_fragment_values(vm, ps, view.stats.size, view.stats.cost, tnow, tmax);
-                for (frag, phi) in ps.fragments.iter().zip(values) {
+                for (frag, phi) in ps.fragments().iter().zip(values) {
                     if frag.is_materialized() {
                         items.push(RankedItem {
                             kind: CandidateKind::Fragment(view.id, ps.attr.clone(), frag.id),
@@ -252,7 +252,7 @@ impl DeepSea {
                         // COST(Icand) = wwrite·S(Icand) + Σ wread·S(I), here at
                         // cluster-effective rates so the units match benefits.
                         let read_bytes: u64 = ps
-                            .fragments
+                            .fragments()
                             .iter()
                             .filter(|f| f.is_materialized() && f.interval.overlaps(&frag.interval))
                             .map(|f| f.size)
@@ -311,14 +311,14 @@ fn reference_fragment_values(
         ValueModel::DeepSea { use_mle } => {
             if use_mle {
                 let weighted: Vec<_> = partition
-                    .fragments
+                    .fragments()
                     .iter()
                     .map(|f| (f.interval, f.stats.decayed_hits(tnow, tmax)))
                     .collect();
                 let total: f64 = weighted.iter().map(|(_, h)| h).sum();
                 if let Some(fit) = fit_normal(&weighted) {
                     return partition
-                        .fragments
+                        .fragments()
                         .iter()
                         .map(|f| {
                             let ha = adjusted_hits(total, &fit, &f.interval);
@@ -328,13 +328,13 @@ fn reference_fragment_values(
                 }
             }
             partition
-                .fragments
+                .fragments()
                 .iter()
                 .map(|f| f.stats.phi(f.size, view_size, view_cost, tnow, tmax))
                 .collect()
         }
         ValueModel::Nectar | ValueModel::NectarPlus => partition
-            .fragments
+            .fragments()
             .iter()
             .map(|f| {
                 if f.size == 0 || view_size == 0 {

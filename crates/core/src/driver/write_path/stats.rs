@@ -8,8 +8,6 @@
 //! stats directly — their matches are replayed here when their query's
 //! commit ticket comes up.
 
-use std::sync::Arc;
-
 use deepsea_engine::plan::LogicalPlan;
 use deepsea_engine::signature::Signature;
 
@@ -32,7 +30,7 @@ impl DeepSea {
         // selection).
         let mut updates: std::collections::BTreeMap<ViewId, (f64, Vec<(String, Interval)>)> =
             std::collections::BTreeMap::new();
-        for hit in &ctx.hits {
+        for hit in ctx.hits.iter() {
             let view = self.registry.view(hit.view);
             let scan_bytes = match &hit.access {
                 Some(a) => a.bytes,
@@ -83,13 +81,7 @@ impl DeepSea {
             for (attr, needed) in ranges {
                 if let Some(ps) = view.partition_mut(&attr) {
                     // Only the fragments the range overlaps are copied.
-                    for frag in &mut ps.fragments {
-                        if frag.interval.overlaps(&needed) {
-                            let stats = &mut Arc::make_mut(frag).stats;
-                            stats.record_hit(tnow);
-                            stats.prune(tnow, tmax);
-                        }
-                    }
+                    ps.record_hits(&needed, tnow, tmax);
                 }
             }
         }

@@ -213,7 +213,7 @@ pub fn stats_checkpoint(registry: &ViewRegistry, at: LogicalTime) -> CatalogReco
                 .partitions
                 .values()
                 .flat_map(|ps| {
-                    ps.fragments
+                    ps.fragments()
                         .iter()
                         .map(|f| (ps.attr.clone(), f.interval, f.stats.hits.clone()))
                 })
@@ -284,7 +284,11 @@ pub(crate) fn apply_record(
     clock: &mut LogicalTime,
     record: &CatalogRecord,
 ) -> Applied {
-    try_apply(registry, clock, record).unwrap_or_default()
+    let applied = try_apply(registry, clock, record).unwrap_or_default();
+    if applied.applied {
+        registry.renew_version();
+    }
+    applied
 }
 
 /// [`apply_record`], with `None` for a record naming an unknown entry.
@@ -332,11 +336,12 @@ fn try_apply(
             est_size,
             hit,
         } => {
-            let (slot, is_new) = partition_mut(registry, view, attr)?.track(*interval, *est_size);
-            if is_new {
-                if let Some(t) = hit {
-                    Arc::make_mut(slot).stats.record_hit(*t);
-                }
+            let ps = partition_mut(registry, view, attr)?;
+            let (id, is_new) = ps.track(*interval, *est_size);
+            if let (true, Some(t)) = (is_new, hit) {
+                ps.stats_mut(id)
+                    .expect("invariant: track returns a tracked id")
+                    .record_hit(*t);
             }
             Applied::no_bytes()
         }
@@ -377,10 +382,7 @@ fn try_apply(
             if v.schema.is_none() {
                 v.schema = schema.clone();
             }
-            let f = Arc::make_mut(Arc::make_mut(ps).track(*interval, *size).0);
-            let released = if f.is_materialized() { f.size } else { 0 };
-            let old = f.file.replace(*file);
-            f.size = *size;
+            let (released, old) = Arc::make_mut(ps).materialize(*interval, *file, *size);
             Applied::moved(
                 *size,
                 released,
@@ -411,9 +413,8 @@ fn try_apply(
             attr,
             interval,
         } => {
-            let f = partition_mut(registry, view, attr)?.find_mut(interval)?;
-            let released = if f.is_materialized() { f.size } else { 0 };
-            Applied::moved(0, released, f.file.take().into_iter().collect())
+            let (released, file) = partition_mut(registry, view, attr)?.evict(interval)?;
+            Applied::moved(0, released, file.into_iter().collect())
         }
         CatalogRecord::ViewQuarantined { view, at } => {
             let report = registry.quarantine(registry.by_key(view)?, *at);
@@ -426,8 +427,11 @@ fn try_apply(
                 };
                 v.stats = entry.stats.clone();
                 for (attr, interval, hits) in &entry.fragment_hits {
-                    if let Some(f) = v.partition_mut(attr).and_then(|ps| ps.find_mut(interval)) {
-                        f.stats.hits = hits.clone();
+                    if let Some(stats) = v
+                        .partition_mut(attr)
+                        .and_then(|ps| ps.find_stats_mut(interval))
+                    {
+                        stats.hits = hits.clone();
                     }
                 }
             }
@@ -845,7 +849,7 @@ mod tests {
         assert_eq!(clock, 9);
         let v = reg.view(reg.by_key(&key).expect("registered"));
         assert_eq!(v.quarantined_at, None);
-        assert_eq!(v.partitions["a.k"].fragments.len(), 2);
+        assert_eq!(v.partitions["a.k"].fragments().len(), 2);
     }
 
     /// A record naming an entry the registry does not know reports

@@ -45,12 +45,7 @@ pub fn merge_candidates(
     cohit_tolerance: f64,
     max_merged_bytes: u64,
 ) -> Vec<MergeCandidate> {
-    let mut mats: Vec<&FragmentMeta> = partition
-        .fragments
-        .iter()
-        .filter(|f| f.is_materialized())
-        .map(|f| &**f)
-        .collect();
+    let mut mats: Vec<&FragmentMeta> = partition.materialized_fragments().collect();
     mats.sort_by_key(|f| (f.interval.lo, f.interval.hi));
     let mut out = Vec::new();
     let mut i = 0;
@@ -96,17 +91,17 @@ fn is_cohit(
 mod tests {
     use super::*;
     use deepsea_storage::FileId;
-    use std::sync::Arc;
 
     /// Partition with materialized fragments [0,9][10,19][20,29][40,49]
     /// (note the gap before the last one).
     fn partition(hits: &[&[LogicalTime]]) -> PartitionState {
         let mut p = PartitionState::new("a.k", Interval::new(0, 49));
         for (i, (lo, hi)) in [(0, 9), (10, 19), (20, 29), (40, 49)].iter().enumerate() {
-            let f = Arc::make_mut(p.track(Interval::new(*lo, *hi), 100).0);
-            f.file = Some(FileId(i as u64));
+            let iv = Interval::new(*lo, *hi);
+            p.materialize(iv, FileId(i as u64), 100);
+            let stats = p.find_stats_mut(&iv).expect("just tracked");
             for &t in hits[i] {
-                f.stats.record_hit(t);
+                stats.record_hit(t);
             }
         }
         p

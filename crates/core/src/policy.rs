@@ -98,7 +98,7 @@ impl ValueModel {
             ValueModel::DeepSea { use_mle } => {
                 let (decayed_hits, fit) = decayed_hits_and_fit(partition, *use_mle, tnow, tmax);
                 let values = partition
-                    .fragments
+                    .fragments()
                     .iter()
                     .zip(&decayed_hits)
                     .map(|(f, &h)| {
@@ -113,7 +113,7 @@ impl ValueModel {
             }
             ValueModel::Nectar | ValueModel::NectarPlus => {
                 let values = partition
-                    .fragments
+                    .fragments()
                     .iter()
                     .map(|f| {
                         if f.size == 0 || view_size == 0 {
@@ -159,7 +159,7 @@ impl ValueModel {
                 let (decayed_hits, fit) = decayed_hits_and_fit(partition, *use_mle, tnow, tmax);
                 match fit {
                     Some(fit) => partition
-                        .fragments
+                        .fragments()
                         .iter()
                         .map(|f| adjusted_hits(fit.total_hits, &fit.normal, &f.interval))
                         .collect(),
@@ -167,12 +167,12 @@ impl ValueModel {
                 }
             }
             ValueModel::Nectar => partition
-                .fragments
+                .fragments()
                 .iter()
                 .map(|f| if f.stats.raw_hits() > 0 { 1.0 } else { 0.0 })
                 .collect(),
             ValueModel::NectarPlus => partition
-                .fragments
+                .fragments()
                 .iter()
                 .map(|f| f.stats.raw_hits() as f64)
                 .collect(),
@@ -208,7 +208,7 @@ fn decayed_hits_and_fit(
     tmax: LogicalTime,
 ) -> (Vec<f64>, Option<PartitionFit>) {
     let weighted: Vec<_> = partition
-        .fragments
+        .fragments()
         .iter()
         .map(|f| (f.interval, f.stats.decayed_hits(tnow, tmax)))
         .collect();
@@ -312,7 +312,6 @@ mod tests {
     use super::*;
     use crate::interval::Interval;
     use deepsea_storage::FileId;
-    use std::sync::Arc;
 
     fn stats_with_uses(uses: &[(LogicalTime, f64)]) -> ViewStats {
         let mut s = ViewStats::estimated(1000, 10.0);
@@ -353,14 +352,12 @@ mod tests {
     fn partition_with_hits() -> PartitionState {
         // Three fragments; the left one is hot, the other two cold.
         let mut p = PartitionState::new("a.k", Interval::new(0, 29));
-        for (lo, hi) in [(0, 9), (10, 19), (20, 29)] {
-            let f = Arc::make_mut(p.track(Interval::new(lo, hi), 100).0);
-            f.file = Some(FileId(f.id.0));
+        for (file, (lo, hi)) in [(0, 9), (10, 19), (20, 29)].into_iter().enumerate() {
+            p.materialize(Interval::new(lo, hi), FileId(file as u64), 100);
         }
         for _ in 0..20 {
-            p.frag_mut(crate::fragment::FragmentId(0))
+            p.stats_mut(crate::fragment::FragmentId(0))
                 .unwrap()
-                .stats
                 .record_hit(10);
         }
         p
@@ -410,7 +407,7 @@ mod tests {
             let vals = vm.fragment_values(&p, 300, 50.0, 10, 100);
             let ha = vm.fragment_adjusted_hits(&p, 10, 100);
             assert_eq!(vals.len(), ha.len());
-            for (i, f) in p.fragments.iter().enumerate() {
+            for (i, f) in p.fragments().iter().enumerate() {
                 let rebuilt = FragStats::phi_with_hits(ha[i], f.size, 300, 50.0);
                 assert_eq!(vals[i], rebuilt, "{vm:?} fragment {i}");
             }

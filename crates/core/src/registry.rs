@@ -18,30 +18,53 @@ use std::sync::Arc;
 
 use deepsea_engine::{LogicalPlan, Signature};
 use deepsea_relation::Schema;
-use deepsea_storage::FileId;
+use deepsea_storage::{FileId, Stamp};
 
 use crate::filter_tree::{FilterTree, ViewId};
 use crate::fragment::{FragmentId, FragmentMeta};
 use crate::interval::Interval;
-use crate::stats::{LogicalTime, ViewStats};
+use crate::stats::{FragStats, LogicalTime, ViewStats};
 
 /// The state of one partition `P(V, A)` of a view on attribute `A`.
-#[derive(Debug, Clone)]
+///
+/// The fragment list is read-only from outside. Beside it the partition
+/// keeps an index — the slots of the materialized fragments in ascending
+/// order — that only its own mutators maintain ([`PartitionState::track`],
+/// [`PartitionState::materialize`], [`PartitionState::evict`],
+/// [`PartitionState::release_files`]); statistics change through
+/// [`PartitionState::stats_mut`] and friends, which cannot touch what the
+/// index mirrors. The index is derived state and stays out of `Debug`, so
+/// `state_digest` does not see it.
+#[derive(Clone)]
 pub struct PartitionState {
     /// The partition attribute (as written in predicates).
     pub attr: String,
     /// The attribute's domain `D(A)`.
     pub domain: Interval,
-    /// Every fragment tracked for this partition (materialized + candidates),
-    /// in tracking order; fragments are never removed. Mutate one through
-    /// [`PartitionState::frag_mut`] / [`PartitionState::find_mut`] (or
-    /// `Arc::make_mut` on the slot) so that only it is copied.
-    pub fragments: Vec<Arc<FragmentMeta>>,
+    /// Every fragment tracked (materialized + candidates), in tracking
+    /// order; fragments are never removed.
+    fragments: Vec<Arc<FragmentMeta>>,
     /// Split points gathered from query selection endpoints; the *initial*
     /// partitioning materializes the intervals between consecutive
     /// boundaries.
     pub boundaries: Vec<i64>,
     next_frag: u64,
+    /// The slots of the materialized fragments, ascending.
+    materialized: Vec<usize>,
+}
+
+/// The derived `Debug` of the catalog fields alone: the index repeats what
+/// `fragments` says.
+impl std::fmt::Debug for PartitionState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PartitionState")
+            .field("attr", &self.attr)
+            .field("domain", &self.domain)
+            .field("fragments", &self.fragments)
+            .field("boundaries", &self.boundaries)
+            .field("next_frag", &self.next_frag)
+            .finish()
+    }
 }
 
 impl PartitionState {
@@ -53,21 +76,36 @@ impl PartitionState {
             fragments: Vec::new(),
             boundaries: Vec::new(),
             next_frag: 0,
+            materialized: Vec::new(),
         }
+    }
+
+    /// Every tracked fragment, in tracking order: a fragment sits at its id.
+    pub fn fragments(&self) -> &[Arc<FragmentMeta>] {
+        &self.fragments
+    }
+
+    /// The slots (= ids) of the materialized fragments, ascending.
+    pub(crate) fn materialized_slots(&self) -> &[usize] {
+        &self.materialized
+    }
+
+    /// The materialized fragments in tracking order.
+    pub fn materialized_fragments(&self) -> impl Iterator<Item = &FragmentMeta> + '_ {
+        self.materialized.iter().map(|&slot| &*self.fragments[slot])
     }
 
     /// Materialized fragments as `(id, interval)` pairs, for Algorithm 2.
     pub fn materialized(&self) -> Vec<(FragmentId, Interval)> {
-        self.fragments
+        self.materialized
             .iter()
-            .filter(|f| f.is_materialized())
-            .map(|f| (f.id, f.interval))
+            .map(|&slot| (FragmentId(slot as u64), self.fragments[slot].interval))
             .collect()
     }
 
     /// Is any fragment of this partition materialized?
     pub fn any_materialized(&self) -> bool {
-        self.fragments.iter().any(|f| f.is_materialized())
+        !self.materialized.is_empty()
     }
 
     /// Intervals used as the base for Definition 7 candidate generation:
@@ -75,38 +113,23 @@ impl PartitionState {
     /// candidate intervals `PSTAT(V,A)`.
     pub fn candidate_base(&self) -> Vec<Interval> {
         if self.any_materialized() {
-            self.fragments
+            self.materialized
                 .iter()
-                .filter(|f| f.is_materialized())
-                .map(|f| f.interval)
+                .map(|&slot| self.fragments[slot].interval)
                 .collect()
         } else {
             self.fragments.iter().map(|f| f.interval).collect()
         }
     }
 
+    /// The slot of the tracked fragment with exactly this interval.
+    fn slot_of(&self, interval: &Interval) -> Option<usize> {
+        self.fragments.iter().position(|f| f.interval == *interval)
+    }
+
     /// Find a tracked fragment with exactly this interval.
     pub fn find(&self, interval: &Interval) -> Option<&FragmentMeta> {
-        self.fragments
-            .iter()
-            .find(|f| f.interval == *interval)
-            .map(|f| &**f)
-    }
-
-    /// Mutable lookup by interval (copies the fragment if it is shared).
-    pub fn find_mut(&mut self, interval: &Interval) -> Option<&mut FragmentMeta> {
-        self.fragments
-            .iter_mut()
-            .find(|f| f.interval == *interval)
-            .map(Arc::make_mut)
-    }
-
-    /// Mutable lookup by fragment id (copies the fragment if it is shared).
-    pub fn frag_mut(&mut self, id: FragmentId) -> Option<&mut FragmentMeta> {
-        self.fragments
-            .get_mut(id.0 as usize)
-            .filter(|f| f.id == id)
-            .map(Arc::make_mut)
+        self.slot_of(interval).map(|slot| &*self.fragments[slot])
     }
 
     /// Lookup by fragment id: ids are handed out in tracking order and
@@ -118,21 +141,104 @@ impl PartitionState {
             .map(|f| &**f)
     }
 
-    /// Track a fragment interval. Returns the fragment's slot — the one found
-    /// or the candidate just pushed — and whether it is new. Reading through
-    /// the slot copies nothing; `Arc::make_mut` it to change the fragment.
-    pub fn track(&mut self, interval: Interval, est_size: u64) -> (&mut Arc<FragmentMeta>, bool) {
-        let (pos, is_new) = match self.fragments.iter().position(|f| f.interval == interval) {
-            Some(pos) => (pos, false),
+    /// The statistics of the fragment `id`, copying it if it is shared.
+    pub(crate) fn stats_mut(&mut self, id: FragmentId) -> Option<&mut FragStats> {
+        self.fragments
+            .get_mut(id.0 as usize)
+            .filter(|f| f.id == id)
+            .map(|f| &mut Arc::make_mut(f).stats)
+    }
+
+    /// The statistics of the fragment with exactly this interval, copying
+    /// it if it is shared.
+    pub fn find_stats_mut(&mut self, interval: &Interval) -> Option<&mut FragStats> {
+        let slot = self.slot_of(interval)?;
+        Some(&mut Arc::make_mut(&mut self.fragments[slot]).stats)
+    }
+
+    /// Record a hit at `tnow` on every fragment overlapping `range` (and
+    /// drop its hits older than `tmax`), copying only those.
+    pub(crate) fn record_hits(&mut self, range: &Interval, tnow: LogicalTime, tmax: LogicalTime) {
+        for frag in &mut self.fragments {
+            if frag.interval.overlaps(range) {
+                let stats = &mut Arc::make_mut(frag).stats;
+                stats.record_hit(tnow);
+                stats.prune(tnow, tmax);
+            }
+        }
+    }
+
+    /// Track a fragment interval. Returns the fragment's id — the one found
+    /// or the candidate's just pushed — and whether it is new.
+    pub fn track(&mut self, interval: Interval, est_size: u64) -> (FragmentId, bool) {
+        match self.slot_of(&interval) {
+            Some(slot) => (self.fragments[slot].id, false),
             None => {
                 let id = FragmentId(self.next_frag);
                 self.next_frag += 1;
                 self.fragments
                     .push(Arc::new(FragmentMeta::candidate(id, interval, est_size)));
-                (self.fragments.len() - 1, true)
+                (id, true)
             }
+        }
+    }
+
+    /// Back the fragment with this interval (tracked now if it was not) by
+    /// `file` of `size` bytes. Returns the pool bytes the fragment held
+    /// before and the file it replaced, if any.
+    pub fn materialize(
+        &mut self,
+        interval: Interval,
+        file: FileId,
+        size: u64,
+    ) -> (u64, Option<FileId>) {
+        let slot = self.track(interval, size).0 .0 as usize;
+        let f = Arc::make_mut(&mut self.fragments[slot]);
+        let released = if f.is_materialized() { f.size } else { 0 };
+        let old = f.file.replace(file);
+        f.size = size;
+        if old.is_none() {
+            let at = self.materialized.partition_point(|&s| s < slot);
+            self.materialized.insert(at, slot);
+        }
+        (released, old)
+    }
+
+    /// Drop the backing file of the fragment with this interval. Returns the
+    /// pool bytes released and the file, or `None` when no fragment has the
+    /// interval; a tracked candidate releases nothing and is not copied.
+    pub(crate) fn evict(&mut self, interval: &Interval) -> Option<(u64, Option<FileId>)> {
+        let slot = self.slot_of(interval)?;
+        let Ok(at) = self.materialized.binary_search(&slot) else {
+            return Some((0, None));
         };
-        (&mut self.fragments[pos], is_new)
+        self.materialized.remove(at);
+        let f = Arc::make_mut(&mut self.fragments[slot]);
+        Some((f.size, f.file.take()))
+    }
+
+    /// Drop every backing file (a quarantine), returning them in tracking
+    /// order. Statistics and intervals stay.
+    pub(crate) fn release_files(&mut self) -> Vec<FileId> {
+        let slots = std::mem::take(&mut self.materialized);
+        slots
+            .into_iter()
+            .filter_map(|slot| Arc::make_mut(&mut self.fragments[slot]).file.take())
+            .collect()
+    }
+
+    /// Whether the index equals one recomputed from the fragment list —
+    /// exactly the materialized slots, in order — and every fragment sits at
+    /// its id.
+    pub fn index_is_consistent(&self) -> bool {
+        let materialized =
+            (0..self.fragments.len()).filter(|&i| self.fragments[i].is_materialized());
+        self.materialized.iter().copied().eq(materialized)
+            && self
+                .fragments
+                .iter()
+                .enumerate()
+                .all(|(i, f)| f.id.0 == i as u64)
     }
 
     /// Would [`PartitionState::add_boundary`] record `p` (in-domain and
@@ -170,28 +276,21 @@ impl PartitionState {
     /// each fragment); falls back to a width-proportional share of
     /// `view_size` when nothing is materialized yet.
     pub fn estimate_size(&self, interval: &Interval, view_size: u64) -> u64 {
-        let mats: Vec<&FragmentMeta> = self
-            .fragments
-            .iter()
-            .filter(|f| f.is_materialized() && f.interval.overlaps(interval))
-            .map(|f| &**f)
-            .collect();
-        if mats.is_empty() {
+        let mut mats = self
+            .materialized_fragments()
+            .filter(|f| f.interval.overlaps(interval))
+            .peekable();
+        if mats.peek().is_none() {
             let frac = interval.width() as f64 / self.domain.width() as f64;
             return (view_size as f64 * frac).round() as u64;
         }
-        mats.iter()
-            .map(|f| (f.interval.overlap_fraction(interval) * f.size as f64).round() as u64)
+        mats.map(|f| (f.interval.overlap_fraction(interval) * f.size as f64).round() as u64)
             .sum()
     }
 
     /// Total pool bytes held by materialized fragments.
     pub fn pool_bytes(&self) -> u64 {
-        self.fragments
-            .iter()
-            .filter(|f| f.is_materialized())
-            .map(|f| f.size)
-            .sum()
+        self.materialized_fragments().map(|f| f.size).sum()
     }
 }
 
@@ -273,7 +372,7 @@ impl ViewMeta {
         self.whole_file.into_iter().chain(
             self.partitions
                 .values()
-                .flat_map(|ps| ps.fragments.iter().filter_map(|f| f.file)),
+                .flat_map(|ps| ps.materialized_fragments().filter_map(|f| f.file)),
         )
     }
 
@@ -309,12 +408,30 @@ pub struct ViewRegistry {
     // only, never iterated), so hash ordering cannot leak into any decision.
     by_key: Arc<HashMap<Arc<str>, ViewId>>,
     index: Arc<FilterTree>,
+    /// Renewed by every applied catalog record ([`ViewRegistry::version`]).
+    version: Stamp,
 }
 
 impl ViewRegistry {
     /// An empty registry.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Names this registry's structure: renewed by every catalog record
+    /// applied to it (`durability::apply_record`), copied by `Clone`. Two
+    /// registries with one version hold the same views, partitions,
+    /// fragments, files, sizes and schemas; only statistics written
+    /// directly — benefit events and fragment hits — can differ between
+    /// them. What matching and rewriting compute from a registry is
+    /// therefore a function of its version.
+    pub fn version(&self) -> Stamp {
+        self.version
+    }
+
+    /// Renew [`ViewRegistry::version`] after a structural change.
+    pub(crate) fn renew_version(&mut self) {
+        self.version = Stamp::fresh();
     }
 
     /// Number of tracked views.
@@ -382,13 +499,8 @@ impl ViewRegistry {
             files.push(f);
         }
         for ps in view.partitions.values_mut() {
-            if !ps.any_materialized() {
-                continue;
-            }
-            for frag in &mut Arc::make_mut(ps).fragments {
-                if frag.is_materialized() {
-                    files.extend(Arc::make_mut(frag).file.take());
-                }
+            if ps.any_materialized() {
+                files.extend(Arc::make_mut(ps).release_files());
             }
         }
         if view.quarantined_at.is_none() {
@@ -525,11 +637,9 @@ mod tests {
     fn track_dedupes_and_assigns_ids() {
         let mut p = PartitionState::new("a.k", Interval::new(0, 99));
         let (f1, new1) = p.track(Interval::new(0, 49), 10);
-        let f1 = f1.id;
         let (f2, new2) = p.track(Interval::new(50, 99), 10);
-        let f2 = f2.id;
         let (f1b, new1b) = p.track(Interval::new(0, 49), 99);
-        assert_eq!(f1, f1b.id);
+        assert_eq!(f1, f1b);
         assert_ne!(f1, f2);
         assert_eq!((new1, new2, new1b), (true, true, false));
         assert_eq!(p.fragments.len(), 2);
@@ -537,6 +647,66 @@ mod tests {
         // A fragment sits at its id, which is what makes `frag` O(1).
         assert_eq!(p.frag(f2).unwrap().interval, Interval::new(50, 99));
         assert!(p.frag(FragmentId(2)).is_none());
+    }
+
+    /// Every mutator keeps the index equal to one recomputed from the
+    /// fragments, and the index never reaches `Debug` (nor so the digest).
+    #[test]
+    fn the_index_follows_every_mutator_and_stays_out_of_debug() {
+        let (a, b, c) = (
+            Interval::new(0, 9),
+            Interval::new(10, 19),
+            Interval::new(5, 14),
+        );
+        let mut p = PartitionState::new("a.k", Interval::new(0, 19));
+        p.track(a, 10);
+        p.track(b, 10);
+        p.track(c, 10);
+        assert!(p.index_is_consistent());
+        assert!(p.materialized_slots().is_empty());
+        assert_eq!(p.candidate_base(), vec![a, b, c]);
+        assert_eq!(p.materialize(c, FileId(1), 40), (0, None));
+        assert_eq!(p.materialize(a, FileId(2), 30), (0, None));
+        assert!(p.index_is_consistent());
+        assert_eq!(
+            p.materialized_slots(),
+            &[0, 2],
+            "ascending, not in build order"
+        );
+        assert_eq!(p.candidate_base(), vec![a, c]);
+        assert_eq!(p.pool_bytes(), 70);
+        // Re-materializing swaps the file; a fresh interval is tracked.
+        assert_eq!(p.materialize(c, FileId(3), 50), (40, Some(FileId(1))));
+        let d = Interval::new(15, 19);
+        assert_eq!(p.materialize(d, FileId(4), 5), (0, None));
+        assert_eq!(p.materialized_slots(), &[0, 2, 3]);
+        assert!(p.index_is_consistent());
+        assert_eq!(p.evict(&a), Some((30, Some(FileId(2)))));
+        assert_eq!(p.evict(&a), Some((0, None)), "evicting a candidate");
+        assert_eq!(p.evict(&Interval::new(1, 2)), None, "untracked");
+        assert!(p.index_is_consistent());
+        assert_eq!(p.materialized_slots(), &[2, 3]);
+        p.record_hits(&Interval::new(12, 16), 7, 100);
+        let hit: Vec<_> = (0..4)
+            .filter(|&i| p.fragments()[i].stats.last_hit() == Some(7))
+            .collect();
+        assert_eq!(hit, vec![1, 2, 3]);
+        assert_eq!(p.release_files(), vec![FileId(3), FileId(4)]);
+        assert!(p.index_is_consistent());
+        assert!(!p.any_materialized());
+
+        let mut derived = format!("{p:?}");
+        let fields = format!(
+            "PartitionState {{ attr: {:?}, domain: {:?}, fragments: {:?}, boundaries: {:?}, \
+             next_frag: 4 }}",
+            p.attr,
+            p.domain,
+            p.fragments(),
+            p.boundaries
+        );
+        assert_eq!(derived, fields);
+        derived = format!("{p:#?}");
+        assert!(!derived.contains("materialized:"));
     }
 
     #[test]
@@ -560,9 +730,9 @@ mod tests {
         let hit = r
             .view_mut(id)
             .partition_mut("a.k")
-            .and_then(|ps| ps.frag_mut(FragmentId(1)))
+            .and_then(|ps| ps.stats_mut(FragmentId(1)))
             .unwrap();
-        hit.stats.record_hit(3);
+        hit.record_hit(3);
 
         assert_eq!(frozen.state_digest(), digest, "the clone is frozen");
         assert_ne!(r.state_digest(), digest);
@@ -588,16 +758,9 @@ mod tests {
     #[test]
     fn estimate_size_uses_materialized_overlap() {
         let mut p = PartitionState::new("a.k", Interval::new(0, 99));
-        {
-            let m = Arc::make_mut(p.track(Interval::new(0, 49), 0).0);
-            m.file = Some(FileId(1));
-            m.size = 800; // skewed: the left half holds most data
-        }
-        {
-            let m = Arc::make_mut(p.track(Interval::new(50, 99), 0).0);
-            m.file = Some(FileId(2));
-            m.size = 200;
-        }
+        // Skewed: the left half holds most data.
+        p.materialize(Interval::new(0, 49), FileId(1), 800);
+        p.materialize(Interval::new(50, 99), FileId(2), 200);
         // Candidate [0,24] = half of the left fragment → 400.
         assert_eq!(p.estimate_size(&Interval::new(0, 24), 1000), 400);
         // Candidate [25,74] = half of left + half of right → 400 + 100.
@@ -623,10 +786,8 @@ mod tests {
             let ps = r
                 .view_mut(id)
                 .partition_or_track("a.k", Interval::new(0, 99));
-            let f = Arc::make_mut(ps.track(Interval::new(0, 49), 0).0);
-            f.file = Some(FileId(8));
-            f.size = 300;
-            f.id
+            ps.materialize(Interval::new(0, 49), FileId(8), 300);
+            ps.find(&Interval::new(0, 49)).expect("just tracked").id
         };
         assert_eq!(r.pool_bytes(), 1300);
         let q = LogicalPlan::scan("a").join(LogicalPlan::scan("b"), vec![("a.k", "b.k")]);

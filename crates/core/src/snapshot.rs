@@ -28,7 +28,7 @@ use deepsea_storage::SimFs;
 
 use crate::config::DeepSeaConfig;
 use crate::driver::context::QueryContext;
-use crate::driver::read_path::ReadView;
+use crate::driver::read_path::{ReadView, RewritingMemo};
 use crate::driver::{DeepSea, QueryTrace};
 use crate::registry::ViewRegistry;
 
@@ -44,6 +44,8 @@ pub struct ReadSnapshot {
     backend: Box<dyn ExecutionBackend>,
     config: DeepSeaConfig,
     obs: Observer,
+    /// The driver's memo of read rewritings, shared.
+    rewritings: Arc<RewritingMemo>,
 }
 
 /// The result of answering one query from a snapshot: no catalog mutation,
@@ -79,6 +81,7 @@ impl DeepSea {
             backend: self.backend.fork_reader()?,
             config: self.config,
             obs: self.obs.clone(),
+            rewritings: Arc::clone(&self.rewritings),
         })
     }
 }
@@ -107,6 +110,12 @@ impl ReadSnapshot {
             fs: &self.fs,
             backend: self.backend.as_ref(),
             obs: &self.obs,
+            // Baseline reads run nothing a commit would adopt.
+            rewritings: self
+                .config
+                .partition_policy
+                .materializes()
+                .then_some(&*self.rewritings),
         }
     }
 
@@ -168,6 +177,7 @@ impl Clone for ReadSnapshot {
                 .expect("invariant: a backend that forked once forks again"),
             config: self.config,
             obs: self.obs.clone(),
+            rewritings: Arc::clone(&self.rewritings),
         }
     }
 }

@@ -6,7 +6,10 @@
 //! check that once per crash; here it is checked after *every* query, with a
 //! statistics checkpoint per query so that the directly-written statistics
 //! are in the journal too, under three regimes that between them send every
-//! record kind through `commit`. Replay of a damaged log (torn, with a
+//! record kind through `commit`. Replay goes one record at a time, and
+//! after each the partitions of the view it names must keep an index equal
+//! to one recomputed from their fragments; so must every partition of the
+//! live registry after every query. Replay of a damaged log (torn, with a
 //! duplicated record, with two records swapped) must return, and return the
 //! same state every time.
 
@@ -14,7 +17,9 @@ use std::collections::HashSet;
 use std::mem::{discriminant, Discriminant};
 use std::sync::{Arc, OnceLock};
 
-use deepsea_core::durability::replay_catalog;
+use deepsea_core::durability::{replay_catalog, CatalogSnapshot};
+use deepsea_core::registry::ViewRegistry;
+use deepsea_core::stats::LogicalTime;
 use deepsea_core::{
     baselines, CatalogJournal, CatalogRecord, DeepSea, DeepSeaConfig, ObsConfig, Observer,
 };
@@ -63,7 +68,8 @@ fn commit_and_replay(
             .unwrap_or_else(|e| panic!("query {i}: views never gate an answer: {e}"));
         let (snapshot, records) = journal.replay();
         kinds.extend(records.iter().map(|(_, r)| discriminant(r)));
-        let (replayed, clock) = replay_catalog(snapshot.map(|(_, s)| s), &records);
+        let (replayed, clock) = replay_checking_indexes(snapshot.map(|(_, s)| s), &records);
+        assert_indexes_consistent(ds.registry(), None, &format!("query {i}, live"));
         assert_eq!(clock, ds.clock(), "query {i}: replayed clock");
         assert_eq!(
             replayed.state_digest(),
@@ -81,6 +87,60 @@ fn commit_and_replay(
         }
     }
     kinds
+}
+
+/// [`replay_catalog`] one record at a time, asserting after each that the
+/// partitions of the view it names keep a consistent index.
+fn replay_checking_indexes(
+    snapshot: Option<CatalogSnapshot>,
+    records: &[(Lsn, CatalogRecord)],
+) -> (ViewRegistry, LogicalTime) {
+    let (mut registry, mut clock) =
+        snapshot.map_or((ViewRegistry::new(), 0), |s| (s.registry, s.clock));
+    for entry in records {
+        (registry, clock) = replay_catalog(
+            Some(CatalogSnapshot { registry, clock }),
+            std::slice::from_ref(entry),
+        );
+        let (lsn, record) = entry;
+        let view = match record {
+            CatalogRecord::ViewRegistered { sig, .. } => Some(sig.canonical_key()),
+            CatalogRecord::PartitionTracked { view, .. }
+            | CatalogRecord::BoundaryAdded { view, .. }
+            | CatalogRecord::FragmentTracked { view, .. }
+            | CatalogRecord::ViewMaterialized { view, .. }
+            | CatalogRecord::FragmentMaterialized { view, .. }
+            | CatalogRecord::ViewStatsMeasured { view, .. }
+            | CatalogRecord::ViewEvicted { view }
+            | CatalogRecord::FragmentEvicted { view, .. }
+            | CatalogRecord::ViewQuarantined { view, .. } => Some(view.clone()),
+            CatalogRecord::StatsCheckpoint { .. } | CatalogRecord::QueryCommitted { .. } => None,
+        };
+        if let Some(vid) = view.and_then(|key| registry.by_key(&key)) {
+            assert_indexes_consistent(&registry, Some(vid), &format!("after {lsn:?}: {record:?}"));
+        }
+    }
+    (registry, clock)
+}
+
+/// Every partition of `view` — of every view when `None` — keeps an index
+/// equal to one recomputed from its fragments.
+fn assert_indexes_consistent(
+    registry: &ViewRegistry,
+    view: Option<deepsea_core::filter_tree::ViewId>,
+    at: &str,
+) {
+    let views = registry.iter().filter(|v| view.is_none_or(|id| v.id == id));
+    for v in views {
+        for ps in v.partitions.values() {
+            assert!(
+                ps.index_is_consistent(),
+                "{at}: the index of {}.{} drifted from its fragments",
+                v.name,
+                ps.attr
+            );
+        }
+    }
 }
 
 fn plain_fs() -> Arc<SimFs<Table>> {

@@ -87,14 +87,13 @@ proptest! {
             ValueModel::NectarPlus,
         ] {
             let mut p = PartitionState::new("a.k", Interval::new(0, 199));
-            let cold = p.track(Interval::new(0, 99), 500).0.id;
-            let hot = p.track(Interval::new(100, 199), 500).0.id;
-            for (id, n) in [(cold, base_hits), (hot, base_hits + extra)] {
-                let f = p.frag_mut(id).unwrap();
-                f.file = Some(FileId(id.0));
+            let (cold, hot) = (Interval::new(0, 99), Interval::new(100, 199));
+            for (file, iv, n) in [(0, cold, base_hits), (1, hot, base_hits + extra)] {
+                p.materialize(iv, FileId(file), 500);
+                let stats = p.find_stats_mut(&iv).unwrap();
                 for i in 0..n {
                     // hot gets its extra hits later (more recent)
-                    f.stats.record_hit(tnow - (n - i) as u64);
+                    stats.record_hit(tnow - (n - i) as u64);
                 }
             }
             let values = vm.fragment_values(&p, 1_000, 50.0, tnow, 1_000);

@@ -1,5 +1,5 @@
 //! One computation per plan: a commit finds its read's execution in the
-//! backend's memo.
+//! backend's memo, and its read's matching and rewriting in the driver's.
 //!
 //! Under the ticket protocol a query is read from the published snapshot
 //! (`ReadSnapshot::answer`) and then committed (`DeepSea::process_query`).
@@ -13,14 +13,17 @@
 //! read's, column for column. A query whose view lost its files is
 //! answered by the one base-table fallback the read and the commit share;
 //! that path is checked on the snapshot, the serial commit, both servers
-//! and the span trace.
+//! and the span trace. The commit adopts its read's rewriting only in the
+//! world the read computed it in: with a node downed or killed between the
+//! two, after a read on a stale snapshot, and after a read that lost a file
+//! for good, the commit still equals one made with no read at all.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use deepsea_core::{
     baselines, CatalogJournal, DeepSea, DeepSeaConfig, ObsConfig, Observer, QueryOutcome,
-    ServerConfig, ShedPolicy, ViewServer,
+    ReadSnapshot, ServerConfig, ShedPolicy, SnapshotAnswer, ViewServer,
 };
 use deepsea_engine::exec::{ExecError, ExecMetrics};
 use deepsea_engine::{
@@ -29,7 +32,7 @@ use deepsea_engine::{
 use deepsea_relation::Table;
 use deepsea_storage::{
     BlockConfig, FaultConfig, FaultInjector, FileId, HedgeConfig, NodeConfig, NodeId, NodeSet,
-    SimFs,
+    NodeState, SimFs,
 };
 use deepsea_workload::schema::{BigBenchData, InstanceSize, ItemDistribution};
 use deepsea_workload::sdss::sdss_like_histogram;
@@ -246,6 +249,198 @@ fn read_then_commit_is_bit_identical_to_commit_alone() {
     for (name, config, journaled) in configs {
         check_read_then_commit(name, &catalog, &plans, &plain_fs, config, journaled);
     }
+}
+
+/// What changes both worlds between a read and the commits — see
+/// [`check_commits_after_reads`].
+type Between<'a> = dyn FnMut(&SnapshotAnswer, &[FileId], &Rig, &Rig) -> bool + 'a;
+
+/// Two drivers over file systems `fs()` builds commit `plans`: `solo`
+/// alone, `ticket` after reading each plan from the snapshot it published
+/// `lag` commits earlier. Between that read and the commits,
+/// `between(read, lost, solo, ticket)` changes both worlds alike — `lost`
+/// are the files the read lost — and reports whether it changed anything.
+/// Every outcome, every commit's backend calls, the final state and the
+/// journal stream (a checkpoint per query, no snapshot) must agree.
+/// Returns how many commits followed a change.
+fn check_commits_after_reads(
+    name: &str,
+    catalog: &Arc<Catalog>,
+    plans: &[LogicalPlan],
+    fs: &dyn Fn() -> Arc<SimFs<Table>>,
+    config: DeepSeaConfig,
+    lag: usize,
+    between: &mut Between,
+) -> usize {
+    let config = config.with_journal_cadence(1, u64::MAX);
+    let mut solo = Rig::new(catalog, fs(), config, true);
+    let mut ticket = Rig::new(catalog, fs(), config, true);
+    let mut published: Vec<ReadSnapshot> = Vec::new();
+    let mut changed = 0;
+    for (i, plan) in plans.iter().enumerate() {
+        published.push(ticket.ds.publish_snapshot().expect("the backend forks"));
+        let snapshot = &published[published.len().saturating_sub(lag + 1)];
+        let before = ticket.ds.fs().file_ids();
+        let read = snapshot.answer(plan).expect("base tables answer");
+        let after = ticket.ds.fs().file_ids();
+        let lost: Vec<FileId> = before.into_iter().filter(|f| !after.contains(f)).collect();
+        changed += usize::from(between(&read, &lost, &solo, &ticket));
+        let (solo_calls, solo_out) = solo.commit(plan);
+        let (ticket_calls, ticket_out) = ticket.commit(plan);
+        assert_eq!(solo_out, ticket_out, "{name}, query {i}: outcomes differ");
+        assert_eq!(
+            ticket_calls, solo_calls,
+            "{name}, query {i}: the read changed its commit's backend calls"
+        );
+    }
+    assert_eq!(
+        solo.ds.registry().state_digest(),
+        ticket.ds.registry().state_digest(),
+        "{name}: final state"
+    );
+    assert_eq!(
+        solo.journal_stream(),
+        ticket.journal_stream(),
+        "{name}: journal stream"
+    );
+    changed
+}
+
+/// A cluster of four unreplicated nodes, no injected faults.
+fn unreplicated_fs() -> Arc<SimFs<Table>> {
+    let cluster = ClusterSim::paper_default();
+    Arc::new(SimFs::with_cluster(
+        BlockConfig::default(),
+        cluster.weights,
+        FaultInjector::disabled(),
+        NodeSet::new(NodeConfig::new(4, 1)),
+    ))
+}
+
+/// A live node holding a file of the view a read used, if it used one.
+fn node_of_used_view(read: &SnapshotAnswer, rig: &Rig) -> Option<NodeId> {
+    let registry = rig.ds.registry();
+    let view = registry.view(registry.by_name(read.used_view.as_deref()?)?);
+    let cluster = rig.ds.fs().cluster()?;
+    view.files()
+        .filter_map(|file| cluster.placement(file)?.first().copied())
+        .find(|&node| cluster.node_state(node) == Some(NodeState::Up))
+}
+
+/// A node downed between a read that used a view on it and the commit: the
+/// commit matches around the outage as it would with no read, and the node
+/// is back before the next ticket.
+#[test]
+fn a_node_downed_between_read_and_commit_is_matched_around() {
+    let catalog = data();
+    let plans = fig5_workload(80, 42);
+    let mut downed: Option<NodeId> = None;
+    let mut between = |read: &SnapshotAnswer, _: &[FileId], solo: &Rig, ticket: &Rig| {
+        for rig in [solo, ticket] {
+            if let Some(node) = downed {
+                rig.ds.fs().set_node_up(node);
+            }
+        }
+        downed = node_of_used_view(read, ticket);
+        let Some(node) = downed else {
+            return false;
+        };
+        assert!(solo.ds.fs().set_node_down(node) && ticket.ds.fs().set_node_down(node));
+        true
+    };
+    let config = baselines::deepsea().with_phi(0.05);
+    let changed = check_commits_after_reads(
+        "node down",
+        &catalog,
+        &plans,
+        &unreplicated_fs,
+        config,
+        0,
+        &mut between,
+    );
+    assert!(changed > 5, "only {changed} reads used a view");
+}
+
+/// A node killed between a read that used a view on it and the commit:
+/// every file on it is lost for good, in both worlds.
+#[test]
+fn a_node_killed_between_read_and_commit_is_matched_around() {
+    let catalog = data();
+    let plans = fig5_workload(80, 42);
+    let mut kills = 0;
+    let mut between = |read: &SnapshotAnswer, _: &[FileId], solo: &Rig, ticket: &Rig| {
+        // Two of the four nodes, so that views keep being built and read.
+        if kills == 2 {
+            return false;
+        }
+        let Some(node) = node_of_used_view(read, ticket) else {
+            return false;
+        };
+        assert!(solo.ds.fs().kill_node(node) && ticket.ds.fs().kill_node(node));
+        kills += 1;
+        true
+    };
+    let config = baselines::deepsea().with_phi(0.05);
+    let changed = check_commits_after_reads(
+        "node killed",
+        &catalog,
+        &plans,
+        &unreplicated_fs,
+        config,
+        0,
+        &mut between,
+    );
+    assert_eq!(changed, 2, "a read used no view on a live node");
+}
+
+/// Reads on a snapshot three commits old. Under a pool that admits
+/// nothing the file system never changes, so only the registry's structure
+/// tells the stale read's world from its commit's.
+#[test]
+fn a_read_on_a_stale_snapshot_is_not_adopted() {
+    let catalog = data();
+    let plans = fig5_workload(60, 42);
+    for (name, config) in [
+        ("stale", baselines::deepsea().with_phi(0.05)),
+        (
+            "stale, empty pool",
+            baselines::deepsea().with_phi(0.05).with_smax(1),
+        ),
+    ] {
+        let mut nothing = |_: &SnapshotAnswer, _: &[FileId], _: &Rig, _: &Rig| false;
+        check_commits_after_reads(name, &catalog, &plans, &plain_fs, config, 3, &mut nothing);
+    }
+}
+
+/// Every view read loses its file for good: the read falls back to base
+/// tables, and the commit runs in a world without the file — the world
+/// a driver that never read is put in by deleting the same files.
+#[test]
+fn a_read_that_lost_a_file_is_not_adopted() {
+    let catalog = data();
+    let plans = fig5_workload(60, 42);
+    let lossy = || {
+        let cluster = ClusterSim::paper_default();
+        let faults = FaultConfig::seeded(3).with_permanent_loss(1.0);
+        Arc::new(SimFs::with_faults(
+            BlockConfig::default(),
+            cluster.weights,
+            FaultInjector::new(faults),
+        ))
+    };
+    let mut between = |_: &SnapshotAnswer, lost: &[FileId], solo: &Rig, _: &Rig| {
+        for &file in lost {
+            solo.ds
+                .fs()
+                .delete(file)
+                .expect("the same file, not yet lost");
+        }
+        !lost.is_empty()
+    };
+    let config = baselines::deepsea().with_phi(0.05);
+    let changed =
+        check_commits_after_reads("lost", &catalog, &plans, &lossy, config, 0, &mut between);
+    assert!(changed > 3, "only {changed} reads lost a file");
 }
 
 /// A sharded file system with a slow node and hedged reads, behind a

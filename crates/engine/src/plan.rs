@@ -234,7 +234,7 @@ impl LogicalPlan {
     /// have one key exactly when they are the same plan. `==` is coarser:
     /// it takes `Int(2^53 + 1)` for `Float(2^53)`, though the two keep
     /// different rows of an integer column.
-    pub(crate) fn exact_key(&self) -> Vec<u8> {
+    pub fn exact_key(&self) -> Vec<u8> {
         let mut key = Vec::with_capacity(256);
         write_key(self, &mut key);
         key

@@ -113,6 +113,8 @@ struct HedgeCounters {
 struct Inner<P> {
     files: BTreeMap<FileId, StoredFile<P>>,
     next_id: u64,
+    /// Creates, deletes, losses and placements so far ([`SimFs::generation`]).
+    changes: u64,
     ledger: CostLedger,
     hedge: Option<HedgeConfig>,
     hedge_stats: HedgeCounters,
@@ -141,6 +143,7 @@ impl<P> SimFs<P> {
             inner: Mutex::new(Inner {
                 files: BTreeMap::new(),
                 next_id: 0,
+                changes: 0,
                 ledger: CostLedger::new(),
                 hedge: None,
                 hedge_stats: HedgeCounters::default(),
@@ -183,6 +186,21 @@ impl<P> SimFs<P> {
         self.stamp
     }
 
+    /// A number that rises whenever what a planner reads of this file
+    /// system may have changed: a file created, deleted or lost, a placement
+    /// recorded, a node taken down, restored or killed. Together with
+    /// [`SimFs::stamp`] it names one state of the file listing, the sizes
+    /// and the routing, for memos of plans made against them. File contents
+    /// are write-once and a slow node routes like a healthy one, so
+    /// corruption and gray failure leave it unchanged.
+    pub fn generation(&self) -> u64 {
+        let nodes = self.cluster.as_ref().map_or(0, |c| {
+            let s = c.stats();
+            s.node_downs + s.node_ups + s.node_kills
+        });
+        self.locked().changes + nodes
+    }
+
     /// The block configuration in force.
     pub fn block_config(&self) -> BlockConfig {
         self.block
@@ -198,6 +216,7 @@ impl<P> SimFs<P> {
         let mut inner = self.locked();
         let id = FileId(inner.next_id);
         inner.next_id += 1;
+        inner.changes += 1;
         inner
             .files
             .insert(id, StoredFile::new(name, sim_bytes, payload));
@@ -249,6 +268,7 @@ impl<P> SimFs<P> {
                 Route::Outage => return Err(IoError::TransientRead(id)),
                 Route::Lost => {
                     inner.files.remove(&id);
+                    inner.changes += 1;
                     cluster.forget(id);
                     return Err(IoError::PermanentLoss(id));
                 }
@@ -261,6 +281,7 @@ impl<P> SimFs<P> {
             ReadFault::Transient => return Err(IoError::TransientRead(id)),
             ReadFault::Permanent => {
                 inner.files.remove(&id);
+                inner.changes += 1;
                 return Err(IoError::PermanentLoss(id));
             }
             ReadFault::Corrupt => {
@@ -391,9 +412,7 @@ impl<P> SimFs<P> {
             }
         }
         let out = self.faulted_create(name, sim_bytes, payload)?;
-        if let Some(cluster) = &self.cluster {
-            cluster.place(out.value, nodes);
-        }
+        self.place(out.value, nodes);
         Ok(out)
     }
 
@@ -453,6 +472,7 @@ impl<P> SimFs<P> {
     pub fn place(&self, id: FileId, nodes: &[NodeId]) {
         if let Some(cluster) = &self.cluster {
             cluster.place(id, nodes);
+            self.locked().changes += 1;
         }
     }
 
@@ -592,6 +612,7 @@ impl<P> SimFs<P> {
     pub fn delete(&self, id: FileId) -> Option<u64> {
         let mut inner = self.locked();
         let file = inner.files.remove(&id)?;
+        inner.changes += 1;
         inner.ledger.record_delete();
         if let Some(cluster) = &self.cluster {
             cluster.forget(id);
@@ -838,6 +859,55 @@ mod tests {
             FaultInjector::disabled(),
             NodeSet::new(NodeConfig::new(nodes, replication)),
         )
+    }
+
+    /// The generation moves with every change a planner could see — files
+    /// created, deleted or lost, placements, node liveness — and with
+    /// nothing else: reads, corruption and slow windows leave it.
+    #[test]
+    fn generation_moves_with_what_planners_read() {
+        let fs = sharded(2, 1);
+        let before = fs.generation();
+        let a = fs
+            .try_create_placed("a", 10, vec![1], &[NodeId(0)])
+            .expect("no faults")
+            .value;
+        assert_eq!(
+            fs.generation(),
+            before + 2,
+            "a placed create counts its placement"
+        );
+        let mut last = fs.generation();
+        let mut step = |what: &str, moves: bool, fs: &SimFs<Vec<u32>>| {
+            let now = fs.generation();
+            assert_eq!(now > last, moves, "{what}");
+            assert!(now >= last, "{what}: the generation fell");
+            last = now;
+        };
+        let (b, _) = fs.create("b", 10, vec![2]);
+        step("infallible create", true, &fs);
+        fs.try_read(a).expect("node 0 is up");
+        fs.read(b);
+        step("reads", false, &fs);
+        fs.corrupt_file(b);
+        step("corruption", false, &fs);
+        fs.set_node_slow(NodeId(0), 3.0);
+        fs.clear_node_slow(NodeId(0));
+        step("a slow window", false, &fs);
+        fs.set_node_down(NodeId(0));
+        step("node down", true, &fs);
+        fs.set_node_up(NodeId(0));
+        step("node up", true, &fs);
+        fs.place(b, &[NodeId(1)]);
+        step("placement", true, &fs);
+        fs.kill_node(NodeId(0));
+        step("node killed", true, &fs);
+        assert!(fs.try_read(a).is_err(), "every replica is dead");
+        step("loss on read", true, &fs);
+        fs.delete(b);
+        step("delete", true, &fs);
+        fs.delete(b);
+        step("deleting an absent file", false, &fs);
     }
 
     #[test]

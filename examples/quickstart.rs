@@ -57,7 +57,7 @@ fn main() {
                 .map(|p| format!(
                     "{} [{} fragments, {} materialized]",
                     p.attr,
-                    p.fragments.len(),
+                    p.fragments().len(),
                     p.materialized().len()
                 ))
                 .collect::<Vec<_>>()

@@ -33,7 +33,7 @@ fn main() {
     let rows: Vec<Vec<String>> = runs
         .iter()
         .map(|r| {
-            let reused = r.per_query.iter().filter(|q| q.used_view).count();
+            let reused = r.per_query.iter().filter(|q| q.used_view.is_some()).count();
             vec![
                 r.label.clone(),
                 format!("{:.1}", r.total_secs()),

@@ -92,7 +92,7 @@ fn a_snapshot_is_isolated_from_fifty_later_commits() {
                 .iter()
                 .filter(|v| v.id != probed)
                 .flat_map(|v| {
-                    let fragments = v.partitions.values().flat_map(|ps| ps.fragments.iter());
+                    let fragments = v.partitions.values().flat_map(|ps| ps.fragments().iter());
                     v.whole_file
                         .into_iter()
                         .chain(fragments.filter_map(|f| f.file))
@@ -137,7 +137,7 @@ fn a_snapshot_is_isolated_from_fifty_later_commits() {
 fn fragment_hits(snapshot: &ReadSnapshot, view: ViewId) -> usize {
     let partitions = snapshot.registry().view(view).partitions.values();
     partitions
-        .flat_map(|ps| ps.fragments.iter())
+        .flat_map(|ps| ps.fragments().iter())
         .map(|f| f.stats.raw_hits())
         .sum()
 }
@@ -163,9 +163,9 @@ fn consecutive_snapshots_share_what_the_commit_did_not_touch() {
                 || v_old.partitions.len() != v_new.partitions.len();
             for (attr, ps_old) in &v_old.partitions {
                 let ps_new = &v_new.partitions[attr];
-                let mut partition_touched = ps_old.fragments.len() != ps_new.fragments.len()
+                let mut partition_touched = ps_old.fragments().len() != ps_new.fragments().len()
                     || ps_old.boundaries != ps_new.boundaries;
-                for (f_old, f_new) in ps_old.fragments.iter().zip(&ps_new.fragments) {
+                for (f_old, f_new) in ps_old.fragments().iter().zip(ps_new.fragments()) {
                     let touched = f_old.stats != f_new.stats
                         || f_old.file != f_new.file
                         || f_old.size != f_new.size;
