@@ -151,6 +151,9 @@ fn bench_commit_bookkeeping(c: &mut Criterion) {
 /// on `ss_item_sk`); once that partition tracks 2k, and again once it
 /// tracks 8k, time the commit of a query the log already ran. A commit
 /// whose work is proportional to its query costs the same at both.
+/// `commit_2k_tracked_held` times that commit as the serving loop runs it:
+/// the epoch published before it is held across it, so every registry node
+/// the commit writes is copied (and freed when the snapshot is dropped).
 fn bench_commit_scaling(c: &mut Criterion) {
     let (lo, hi) = item_domain();
     let dist = ItemDistribution::Histogram(sdss_like_histogram(lo, hi));
@@ -174,6 +177,14 @@ fn bench_commit_scaling(c: &mut Criterion) {
         }
         ds.process_query(&repeat).expect("fault-free log");
         c.bench_function(name, |b| b.iter(|| ds.process_query(&repeat)));
+        if tracked == 2_000 {
+            c.bench_function("commit_2k_tracked_held", |b| {
+                b.iter(|| {
+                    let _held = ds.publish_snapshot();
+                    ds.process_query(&repeat)
+                })
+            });
+        }
     }
 }
 

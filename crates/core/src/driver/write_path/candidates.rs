@@ -52,13 +52,22 @@ impl DeepSea {
             })
             .flatten()
             .collect();
-        let mut registrations: Vec<(LogicalPlan, Signature, u64, f64, f64, f64)> = Vec::new();
+        // Per subplan, its view's key and — unless that view is registered
+        // and live, when the id is all it needs — its estimates.
+        type Priced = (LogicalPlan, Signature, u64, f64, f64, f64);
+        let mut registrations: Vec<(String, Option<Priced>)> = Vec::new();
         {
             let estimator = self.estimator();
             for (_, sub) in view_candidate_subplans(qbest) {
                 let Some(sig) = Signature::of(sub) else {
                     continue;
                 };
+                let key = sig.canonical_key();
+                let live = self.registry.by_key(&key);
+                if live.is_some_and(|id| !self.registry.view(id).is_quarantined()) {
+                    registrations.push((key, None));
+                    continue;
+                }
                 let est = estimator.estimate(sub);
                 let est_size = est.out_bytes.max(1.0) as u64;
                 let block = self.fs.block_config().block_bytes;
@@ -66,7 +75,8 @@ impl DeepSea {
                 // per-file dispatch penalty only applies to the real fragment
                 // count, which is measured at materialization time.
                 let files = 1;
-                let compute = estimator.estimated_secs(sub);
+                // `CostEstimator::estimated_secs`, from the estimate in hand.
+                let compute = self.backend.cluster().elapsed_secs(&est.metrics);
                 // Marginal overhead of materializing during this query (the
                 // computation is a by-product); used by the admission filter.
                 let overhead = self.backend.write_secs(est_size, files);
@@ -88,24 +98,28 @@ impl DeepSea {
                     scan_bytes = ((est_size as f64 * frac) as u64).max(1);
                 }
                 let saving = (compute - self.backend.scan_secs(scan_bytes, block)).max(0.0);
-                registrations.push((sub.clone(), sig, est_size, recreate, overhead, saving));
+                let priced = (sub.clone(), sig, est_size, recreate, overhead, saving);
+                registrations.push((key, Some(priced)));
             }
         }
-        for (plan, sig, est_size, recreate, overhead, saving) in registrations {
-            let key = sig.canonical_key();
+        for (key, priced) in registrations {
             let prior = self.registry.by_key(&key);
             // Only first registrations and re-admissions change durable
-            // state; re-registering a live view is not a commit.
-            if prior.is_none_or(|id| self.registry.view(id).is_quarantined()) {
-                self.commit(CatalogRecord::ViewRegistered {
-                    plan,
-                    sig,
-                    est_size,
-                    est_cost: recreate,
-                    est_overhead: overhead,
-                    // The view could have been used by this very query.
-                    first_use: prior.is_none().then_some((tnow, saving)),
-                });
+            // state; re-registering a live view is not a commit. (A subplan
+            // priced above can find its view live here when an earlier
+            // subplan of this query registered the same shape.)
+            if let Some((plan, sig, est_size, recreate, overhead, saving)) = priced {
+                if prior.is_none_or(|id| self.registry.view(id).is_quarantined()) {
+                    self.commit(CatalogRecord::ViewRegistered {
+                        plan,
+                        sig,
+                        est_size,
+                        est_cost: recreate,
+                        est_overhead: overhead,
+                        // The view could have been used by this very query.
+                        first_use: prior.is_none().then_some((tnow, saving)),
+                    });
+                }
             }
             // Known before, or registered by the commit just above.
             out.extend(self.registry.by_key(&key));

@@ -89,13 +89,14 @@ impl DeepSea {
         match kind {
             CandidateKind::WholeView(vid) => {
                 let stats = &self.registry.view(*vid).stats;
+                let uses = self.registry.ledger().uses(*vid);
                 PhiBreakdown {
                     phi,
                     cost: stats.cost,
-                    benefit: vm.view_benefit(stats, tnow, tmax),
-                    benefit_raw: stats.undecayed_benefit(),
-                    ha_hits: stats.events.iter().map(|e| decay(tnow, e.t, tmax)).sum(),
-                    raw_hits: stats.events.len() as u64,
+                    benefit: vm.view_benefit(uses, tnow, tmax),
+                    benefit_raw: uses.undecayed_benefit(),
+                    ha_hits: uses.events.iter().map(|e| decay(tnow, e.t, tmax)).sum(),
+                    raw_hits: uses.events.len() as u64,
                     size: stats.size,
                 }
             }
@@ -117,7 +118,8 @@ impl DeepSea {
                         size: 0,
                     };
                 };
-                let ha = vm.fragment_adjusted_hits(ps, tnow, tmax)[fid.0 as usize];
+                let hits = self.registry.ledger().hits(*vid, attr);
+                let ha = vm.fragment_adjusted_hits(ps, hits, tnow, tmax)[fid.0 as usize];
                 let share = if view_size == 0 {
                     0.0
                 } else {
@@ -127,9 +129,9 @@ impl DeepSea {
                     phi,
                     cost,
                     benefit: share * cost * ha,
-                    benefit_raw: share * cost * frag.stats.raw_hits() as f64,
+                    benefit_raw: share * cost * hits.of(*fid).raw_hits() as f64,
                     ha_hits: ha,
-                    raw_hits: frag.stats.raw_hits() as u64,
+                    raw_hits: hits.of(*fid).raw_hits() as u64,
                     size: frag.size,
                 }
             }
@@ -239,7 +241,10 @@ impl DeepSea {
         for view in self.registry.iter() {
             let cap = (view.stats.size as f64 * max_merged_fraction) as u64;
             for ps in view.partitions.values() {
-                for cand in crate::merging::merge_candidates(ps, tnow, tmax, cohit_tolerance, cap) {
+                let hits = self.registry.ledger().hits(view.id, &ps.attr);
+                for cand in
+                    crate::merging::merge_candidates(ps, hits, tnow, tmax, cohit_tolerance, cap)
+                {
                     work.push((view.id, ps.attr.clone(), cand));
                 }
             }
@@ -256,10 +261,14 @@ impl DeepSea {
                     .partitions
                     .get(&attr)
                     .expect("invariant: candidates come from existing partitions");
+                let hits = self.registry.ledger().hits(vid, &attr);
                 let pair: Vec<(FileId, Interval, &[LogicalTime])> = [cand.left, cand.right]
                     .iter()
                     .filter_map(|id| ps.frag(*id))
-                    .filter_map(|f| f.file.map(|file| (file, f.interval, &f.stats.hits[..])))
+                    .filter_map(|f| {
+                        f.file
+                            .map(|file| (file, f.interval, &hits.of(f.id).hits[..]))
+                    })
                     .collect();
                 if pair.len() != 2 {
                     continue; // one half was evicted since planning
@@ -321,14 +330,12 @@ impl DeepSea {
             self.commit(union);
             // Hit history is a statistic — it rides in `StatsCheckpoint`, not
             // in the records above — so the union inherits the halves' hits
-            // by a direct write, like stage 2's.
-            if let Some(stats) = self
-                .registry
-                .view_mut(vid)
-                .partition_mut(&attr)
-                .and_then(|ps| ps.find_stats_mut(&cand.merged))
-            {
-                stats.hits = hits;
+            // in the ledger, like stage 2's.
+            let union_id = self.registry.view(vid).partitions[&attr]
+                .find(&cand.merged)
+                .map(|f| f.id);
+            if let Some(id) = union_id {
+                self.registry.ledger_mut().hits_mut(vid, &attr, id).hits = hits;
             }
             if self.obs.enabled() {
                 self.obs.event(

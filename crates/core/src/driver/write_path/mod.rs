@@ -5,8 +5,9 @@
 //!
 //! Structural catalog state changes in one place, [`DeepSea::commit`]: file
 //! system first, then the journal record, applied to the live registry by
-//! the function replay uses. Only statistics (stage 2, which reach the
-//! journal by value in `StatsCheckpoint`s) are written directly.
+//! the function replay uses. Only statistics (stage 2 and the merge pass's
+//! inherited hits, which reach the journal by value in `StatsCheckpoint`s)
+//! are written directly, into the registry's ledger.
 //!
 //! All of it runs behind the single writer (`&mut DeepSea`), one query at a
 //! time, in ticket order. [`DeepSea::process_query`] is the serialized
@@ -112,7 +113,7 @@ impl DeepSea {
             if tnow.is_multiple_of(self.config.journal_checkpoint_every.max(1)) {
                 // Statistics are written directly (stage 2) and journaled by
                 // value here: the checkpoint is read off the live registry,
-                // so applying it back would only unshare every node.
+                // so applying it back would change nothing.
                 let ckpt = stats_checkpoint(&self.registry, tnow);
                 self.journal_emit(ckpt);
             }

@@ -25,7 +25,7 @@ use crate::matching::partition_matching;
 use crate::policy::{PartitionPolicy, PartitionValues, ValueModel};
 use crate::registry::{PartitionState, ViewMeta, ViewRegistry};
 use crate::selection::{all_fit, select_configuration, CandidateKind, RankedItem, SelectionResult};
-use crate::stats::LogicalTime;
+use crate::stats::{FragStats, LogicalTime, PartitionHits, StatsLedger};
 
 use super::super::context::QueryContext;
 use super::super::DeepSea;
@@ -78,12 +78,12 @@ struct Rejection {
 }
 
 impl Rejection {
-    fn of(frag: &FragmentMeta) -> Self {
+    fn of(frag: &FragmentMeta, stats: &FragStats) -> Self {
         Self {
             id: frag.id,
             size: frag.size,
-            hits: frag.stats.raw_hits(),
-            last_hit: frag.stats.last_hit(),
+            hits: stats.raw_hits(),
+            last_hit: stats.last_hit(),
         }
     }
 }
@@ -97,15 +97,17 @@ struct PartitionMemo {
 }
 
 impl PartitionMemo {
-    /// Whether the candidate at `slot` passes `test` against the layout —
-    /// without running it if it failed before and would read the same.
+    /// Whether the candidate at `slot`, with statistics `stats`, passes
+    /// `test` against the layout — without running it if it failed before
+    /// and would read the same.
     fn admits(
         &mut self,
         slot: usize,
         frag: &FragmentMeta,
+        stats: &FragStats,
         test: impl FnOnce(&Layout) -> bool,
     ) -> bool {
-        let seen = Some(Rejection::of(frag));
+        let seen = Some(Rejection::of(frag, stats));
         if self.rejected[slot] == seen {
             return false;
         }
@@ -261,6 +263,7 @@ impl Member<'_> {
 struct PoolPartition<'a> {
     view: &'a ViewMeta,
     ps: &'a PartitionState,
+    hits: PartitionHits<'a>,
     values: Option<PartitionValues>,
 }
 
@@ -269,6 +272,7 @@ struct PoolPartition<'a> {
 pub(crate) struct AllCand<'a> {
     members: Vec<Member<'a>>,
     parts: Vec<PoolPartition<'a>>,
+    ledger: &'a StatsLedger,
     vm: ValueModel,
     tnow: LogicalTime,
     tmax: LogicalTime,
@@ -289,6 +293,7 @@ impl<'a> AllCand<'a> {
     ) -> Self {
         let tmax = config.tmax;
         let vm = config.value_model;
+        let ledger = registry.ledger();
         let repartitions = config.partition_policy.repartitions();
         let mut members = Vec::new();
         let mut parts = Vec::new();
@@ -303,7 +308,7 @@ impl<'a> AllCand<'a> {
             if view.is_materialized() {
                 continue;
             }
-            let benefit = vm.view_benefit(&view.stats, tnow, tmax);
+            let benefit = vm.view_benefit(ledger.uses(vid), tnow, tmax);
             if view.creation_overhead > benefit {
                 continue;
             }
@@ -320,8 +325,9 @@ impl<'a> AllCand<'a> {
                 .filter(|p| !p.fragments().is_empty());
             match hinted {
                 Some(ps) if progressive => {
-                    let values =
-                        vm.fragment_values(ps, view.stats.size, view.stats.cost, tnow, tmax);
+                    let hits = ledger.hits(vid, &ps.attr);
+                    let (size, cost) = (view.stats.size, view.stats.cost);
+                    let values = vm.fragment_values(ps, hits, size, cost, tnow, tmax);
                     // Tracked candidates can overlap (pieces from different
                     // queries' splits); the initial materialization keeps a
                     // greedy Φ-ranked *disjoint* subset so the view is not
@@ -369,18 +375,20 @@ impl<'a> AllCand<'a> {
                 // Psel (§7.2 — only for partitions already in the pool, and
                 // only under a policy that refines them).
                 let mut memo = repartitions.then(|| psel_memo.partition(view, ps));
+                let hits = ledger.hits(view.id, &ps.attr);
                 for (slot, frag) in ps.fragments().iter().enumerate() {
                     let materialized = frag.is_materialized();
+                    let stats = hits.of(frag.id);
                     let admitted = materialized
                         || memo.as_mut().is_some_and(|memo| {
-                            memo.admits(slot, frag, |layout| {
+                            memo.admits(slot, frag, stats, |layout| {
                                 admits_refinement(
                                     backend,
                                     block,
                                     layout,
                                     view.stats.cost,
                                     frag,
-                                    frag.stats.decayed_hits(tnow, tmax),
+                                    stats.decayed_hits(tnow, tmax),
                                 )
                             })
                         });
@@ -396,6 +404,7 @@ impl<'a> AllCand<'a> {
                 parts.push(PoolPartition {
                     view,
                     ps,
+                    hits,
                     values: None,
                 });
             }
@@ -403,6 +412,7 @@ impl<'a> AllCand<'a> {
         Self {
             members,
             parts,
+            ledger,
             vm,
             tnow,
             tmax,
@@ -424,12 +434,20 @@ impl<'a> AllCand<'a> {
         let (vm, tnow, tmax) = (self.vm, self.tnow, self.tmax);
         match member.phi {
             Phi::Known(phi) => phi,
-            Phi::OfView => vm.view_value(&member.view.stats, tnow, tmax),
+            Phi::OfView => {
+                let uses = self.ledger.uses(member.view.id);
+                vm.view_value(&member.view.stats, uses, tnow, tmax)
+            }
             Phi::OfSlot(part, slot) => {
-                let PoolPartition { view, ps, values } = &mut self.parts[part];
-                let valued = values.get_or_insert_with(|| {
-                    vm.value_fragments(ps, view.stats.size, view.stats.cost, tnow, tmax)
-                });
+                let PoolPartition {
+                    view,
+                    ps,
+                    hits,
+                    values,
+                } = &mut self.parts[part];
+                let (size, cost) = (view.stats.size, view.stats.cost);
+                let valued = values
+                    .get_or_insert_with(|| vm.value_fragments(ps, *hits, size, cost, tnow, tmax));
                 valued.values[slot]
             }
         }

@@ -21,7 +21,7 @@ use crate::mle::{adjusted_hits, fit_normal};
 use crate::policy::{delta_t, PartitionPolicy, ValueModel};
 use crate::registry::PartitionState;
 use crate::selection::{select_configuration, CandidateKind, RankedItem, SelectionResult};
-use crate::stats::{FragStats, LogicalTime};
+use crate::stats::{FragStats, LogicalTime, PartitionHits};
 
 use super::super::context::QueryContext;
 use super::super::DeepSea;
@@ -135,6 +135,7 @@ impl DeepSea {
     ) -> Vec<RankedItem> {
         let tmax = self.config.tmax;
         let vm = self.config.value_model;
+        let ledger = self.registry.ledger();
         let mut items = Vec::new();
         let mut included: BTreeSet<ViewId> = BTreeSet::new();
 
@@ -147,7 +148,7 @@ impl DeepSea {
             if view.is_materialized() {
                 continue;
             }
-            let benefit = vm.view_benefit(&view.stats, tnow, tmax);
+            let benefit = vm.view_benefit(ledger.uses(vid), tnow, tmax);
             if view.creation_overhead > benefit {
                 continue;
             }
@@ -169,6 +170,7 @@ impl DeepSea {
                     let values = reference_fragment_values(
                         vm,
                         ps,
+                        ledger.hits(vid, &ps.attr),
                         view.stats.size,
                         view.stats.cost,
                         tnow,
@@ -197,7 +199,7 @@ impl DeepSea {
                 }
                 _ => items.push(RankedItem {
                     kind: CandidateKind::WholeView(vid),
-                    phi: vm.view_value(&view.stats, tnow, tmax),
+                    phi: vm.view_value(&view.stats, ledger.uses(view.id), tnow, tmax),
                     size: view.stats.size,
                     materialized: false,
                 }),
@@ -209,7 +211,7 @@ impl DeepSea {
             if view.whole_file.is_some() {
                 items.push(RankedItem {
                     kind: CandidateKind::WholeView(view.id),
-                    phi: vm.view_value(&view.stats, tnow, tmax),
+                    phi: vm.view_value(&view.stats, ledger.uses(view.id), tnow, tmax),
                     size: view.stats.size,
                     materialized: true,
                 });
@@ -218,8 +220,9 @@ impl DeepSea {
                 if !ps.any_materialized() {
                     continue;
                 }
-                let values =
-                    reference_fragment_values(vm, ps, view.stats.size, view.stats.cost, tnow, tmax);
+                let hits = ledger.hits(view.id, &ps.attr);
+                let (size, cost) = (view.stats.size, view.stats.cost);
+                let values = reference_fragment_values(vm, ps, hits, size, cost, tnow, tmax);
                 for (frag, phi) in ps.fragments().iter().zip(values) {
                     if frag.is_materialized() {
                         items.push(RankedItem {
@@ -280,7 +283,7 @@ impl DeepSea {
                             None => (view.stats.cost - self.backend.scan_secs(frag.size, block))
                                 .max(0.0),
                         };
-                        let benefit = per_hit_saving * frag.stats.decayed_hits(tnow, tmax);
+                        let benefit = per_hit_saving * hits.of(frag.id).decayed_hits(tnow, tmax);
                         if create_cost <= benefit {
                             items.push(RankedItem {
                                 kind: CandidateKind::Fragment(view.id, ps.attr.clone(), frag.id),
@@ -302,6 +305,7 @@ impl DeepSea {
 fn reference_fragment_values(
     vm: ValueModel,
     partition: &PartitionState,
+    hits: PartitionHits,
     view_size: u64,
     view_cost: f64,
     tnow: LogicalTime,
@@ -313,7 +317,7 @@ fn reference_fragment_values(
                 let weighted: Vec<_> = partition
                     .fragments()
                     .iter()
-                    .map(|f| (f.interval, f.stats.decayed_hits(tnow, tmax)))
+                    .map(|f| (f.interval, hits.of(f.id).decayed_hits(tnow, tmax)))
                     .collect();
                 let total: f64 = weighted.iter().map(|(_, h)| h).sum();
                 if let Some(fit) = fit_normal(&weighted) {
@@ -330,7 +334,7 @@ fn reference_fragment_values(
             partition
                 .fragments()
                 .iter()
-                .map(|f| f.stats.phi(f.size, view_size, view_cost, tnow, tmax))
+                .map(|f| hits.of(f.id).phi(f.size, view_size, view_cost, tnow, tmax))
                 .collect()
         }
         ValueModel::Nectar | ValueModel::NectarPlus => partition
@@ -340,19 +344,19 @@ fn reference_fragment_values(
                 if f.size == 0 || view_size == 0 {
                     return 0.0;
                 }
-                let dt = delta_t(f.stats.last_hit(), tnow);
+                let dt = delta_t(hits.of(f.id).last_hit(), tnow);
                 let per_hit = (f.size as f64 / view_size as f64) * view_cost;
                 let benefit = match vm {
                     // Nectar: only the most recent hit counts.
                     ValueModel::Nectar => {
-                        if f.stats.raw_hits() > 0 {
+                        if hits.of(f.id).raw_hits() > 0 {
                             per_hit
                         } else {
                             0.0
                         }
                     }
                     // Nectar+: accumulated, undecayed.
-                    _ => per_hit * f.stats.raw_hits() as f64,
+                    _ => per_hit * hits.of(f.id).raw_hits() as f64,
                 };
                 view_cost * benefit / (f.size as f64 * dt)
             })

@@ -2,11 +2,13 @@
 //! view/fragment that could have answered the query, "no matter whether the
 //! view or fragment is currently in the pool or not" (§8.4).
 //!
-//! This is a catalog **mutation** (it rewrites view and fragment statistics
-//! in place), so it lives on the write path even though the paper folds it
-//! into the matching stage: concurrent snapshot readers must never update
-//! stats directly — their matches are replayed here when their query's
-//! commit ticket comes up.
+//! This is a catalog **mutation** (it appends to view and fragment
+//! statistics), so it lives on the write path even though the paper folds
+//! it into the matching stage: concurrent snapshot readers never update
+//! statistics — their matches are replayed here when their query's commit
+//! ticket comes up. The statistics are the writer's ledger
+//! ([`crate::stats::StatsLedger`]), written in place: this stage copies no
+//! registry node, so a published snapshot shares everything with the next.
 
 use deepsea_engine::plan::LogicalPlan;
 use deepsea_engine::signature::Signature;
@@ -73,16 +75,13 @@ impl DeepSea {
             }
         }
         ctx.trace.matching.views_updated = updates.len() as u64;
+        let tmax = self.config.tmax;
         for (vid, (saving, ranges)) in updates {
-            let tmax = self.config.tmax;
-            let view = self.registry.view_mut(vid);
-            view.stats.record_use(tnow, saving);
-            view.stats.prune(tnow, tmax);
+            let uses = self.registry.ledger_mut().uses_mut(vid);
+            uses.record_use(tnow, saving);
+            uses.prune(tnow, tmax);
             for (attr, needed) in ranges {
-                if let Some(ps) = view.partition_mut(&attr) {
-                    // Only the fragments the range overlaps are copied.
-                    ps.record_hits(&needed, tnow, tmax);
-                }
+                self.registry.record_hits(vid, &attr, &needed, tnow, tmax);
             }
         }
     }

@@ -14,9 +14,9 @@
 //! folds it over the journal, and the live `DeepSea::commit` applies each
 //! record with it before appending it, so live and replayed state agree.
 //!
-//! Statistics that accrue on *every* query (benefit events, fragment hits)
-//! are too chatty to journal per event; they ride in periodic
-//! [`CatalogRecord::StatsCheckpoint`] records instead. Statistics recorded
+//! Statistics that accrue on *every* query (benefit events, fragment hits —
+//! the registry's ledger) are too chatty to journal per event; they ride in
+//! periodic [`CatalogRecord::StatsCheckpoint`] records instead. Statistics recorded
 //! after the last checkpoint are lost in a crash — which can only make
 //! recovered views look slightly colder, never change an answer, because
 //! views accelerate queries but never gate them.
@@ -29,7 +29,7 @@ use deepsea_storage::{FileId, Journal, Lsn};
 
 use crate::interval::Interval;
 use crate::registry::{PartitionState, ViewMeta, ViewRegistry};
-use crate::stats::{LogicalTime, ViewStats};
+use crate::stats::{LogicalTime, StatsWithUses, ViewStats, ViewUses};
 
 /// The journal the driver appends [`CatalogRecord`]s to, snapshotting full
 /// [`CatalogSnapshot`]s at the configured cadence.
@@ -39,21 +39,42 @@ pub type CatalogJournal = Journal<CatalogRecord, CatalogSnapshot>;
 /// applies only the record suffix after it.
 #[derive(Debug, Clone)]
 pub struct CatalogSnapshot {
-    /// The registry (views, partitions, fragments, statistics, filter tree).
+    /// The registry (views, partitions, fragments, filter tree, and the
+    /// statistics ledger).
     pub registry: ViewRegistry,
     /// The logical clock at snapshot time.
     pub clock: LogicalTime,
 }
 
 /// Per-view statistics captured by a [`CatalogRecord::StatsCheckpoint`].
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct ViewStatsEntry {
     /// The view's canonical signature key.
     pub view: String,
-    /// Its `(S, COST, T, B)` statistics, benefit events included.
+    /// Its `(S, COST)` statistics.
     pub stats: ViewStats,
+    /// Its benefit events `(T, B)`.
+    pub uses: ViewUses,
     /// Fragment hit timestamps, as `(attribute, interval, hits)`.
     pub fragment_hits: Vec<(String, Interval, Vec<LogicalTime>)>,
+}
+
+/// `stats` and `uses` print as the one `ViewStats` they were before the uses
+/// moved to the ledger, so the journal's `Debug` stream is unchanged.
+impl std::fmt::Debug for ViewStatsEntry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let ViewStatsEntry {
+            view,
+            stats,
+            uses,
+            fragment_hits,
+        } = self;
+        f.debug_struct("ViewStatsEntry")
+            .field("view", view)
+            .field("stats", &StatsWithUses(stats, uses))
+            .field("fragment_hits", fragment_hits)
+            .finish()
+    }
 }
 
 /// One durable catalog mutation. Views are identified by their canonical
@@ -204,18 +225,21 @@ pub enum CatalogRecord {
 /// Build a [`CatalogRecord::StatsCheckpoint`] from the registry's current
 /// statistics.
 pub fn stats_checkpoint(registry: &ViewRegistry, at: LogicalTime) -> CatalogRecord {
+    let ledger = registry.ledger();
     let views = registry
         .iter()
         .map(|v| ViewStatsEntry {
             view: v.key.to_string(),
             stats: v.stats.clone(),
+            uses: ledger.uses(v.id).clone(),
             fragment_hits: v
                 .partitions
                 .values()
                 .flat_map(|ps| {
+                    let hits = ledger.hits(v.id, &ps.attr);
                     ps.fragments()
                         .iter()
-                        .map(|f| (ps.attr.clone(), f.interval, f.stats.hits.clone()))
+                        .map(move |f| (ps.attr.clone(), f.interval, hits.of(f.id).hits.clone()))
                 })
                 .collect(),
         })
@@ -316,7 +340,7 @@ fn try_apply(
             );
             if is_new {
                 if let Some((t, saving)) = first_use {
-                    registry.view_mut(vid).stats.record_use(*t, *saving);
+                    registry.ledger_mut().uses_mut(vid).record_use(*t, *saving);
                 }
             }
             Applied::no_bytes()
@@ -336,12 +360,10 @@ fn try_apply(
             est_size,
             hit,
         } => {
-            let ps = partition_mut(registry, view, attr)?;
-            let (id, is_new) = ps.track(*interval, *est_size);
+            let vid = registry.by_key(view)?;
+            let (id, is_new) = partition_mut(registry, view, attr)?.track(*interval, *est_size);
             if let (true, Some(t)) = (is_new, hit) {
-                ps.stats_mut(id)
-                    .expect("invariant: track returns a tracked id")
-                    .record_hit(*t);
+                registry.ledger_mut().hits_mut(vid, attr, id).record_hit(*t);
             }
             Applied::no_bytes()
         }
@@ -422,16 +444,20 @@ fn try_apply(
         }
         CatalogRecord::StatsCheckpoint { at: _, views } => {
             for entry in views {
-                let Some(v) = view_mut(registry, &entry.view) else {
+                let Some(vid) = registry.by_key(&entry.view) else {
                     continue;
                 };
-                v.stats = entry.stats.clone();
+                // Size and cost equal the checkpoint's unless a record
+                // before it was lost: copy the view only then.
+                if registry.view(vid).stats != entry.stats {
+                    registry.view_mut(vid).stats = entry.stats.clone();
+                }
+                *registry.ledger_mut().uses_mut(vid) = entry.uses.clone();
                 for (attr, interval, hits) in &entry.fragment_hits {
-                    if let Some(stats) = v
-                        .partition_mut(attr)
-                        .and_then(|ps| ps.find_stats_mut(interval))
-                    {
-                        stats.hits = hits.clone();
+                    let partition = registry.view(vid).partitions.get(attr);
+                    if let Some(frag) = partition.and_then(|ps| ps.find(interval)) {
+                        let id = frag.id;
+                        registry.ledger_mut().hits_mut(vid, attr, id).hits = hits.clone();
                     }
                 }
             }
@@ -551,13 +577,14 @@ mod tests {
         assert_eq!(clock, 1);
         let vid = reg.by_key(&key).expect("view replayed");
         let v = reg.view(vid);
-        assert_eq!(v.stats.events.len(), 1, "first-use event replayed");
+        let uses = reg.ledger().uses(vid);
+        assert_eq!(uses.events.len(), 1, "first-use event replayed");
         let ps = v.partitions.get("a.k").expect("partition replayed");
         assert_eq!(ps.boundaries, vec![50]);
         let f = ps.find(&Interval::new(0, 49)).expect("fragment replayed");
         assert_eq!(f.file, Some(FileId(3)));
         assert_eq!(f.size, 480);
-        assert_eq!(f.stats.raw_hits(), 1);
+        assert_eq!(reg.ledger().hits(vid, "a.k").of(f.id).raw_hits(), 1);
         assert_eq!(reg.pool_bytes(), 480);
 
         // Idempotent: replaying the same journal again yields identical state.
@@ -606,8 +633,8 @@ mod tests {
         let key = sig.canonical_key();
         let mut live = ViewRegistry::new();
         let vid = live.register(plan.clone(), sig.clone(), 1000, 10.0, 2.0);
-        live.view_mut(vid).stats.record_use(3, 40.0);
-        live.view_mut(vid).stats.record_use(4, 41.0);
+        live.ledger_mut().uses_mut(vid).record_use(3, 40.0);
+        live.ledger_mut().uses_mut(vid).record_use(4, 41.0);
         live.quarantine(vid, 5);
         let ckpt = stats_checkpoint(&live, 5);
 
@@ -619,8 +646,13 @@ mod tests {
         j.append(ckpt).unwrap();
         let (snap, records) = j.replay();
         let (reg, _) = replay_catalog(snap.map(|(_, s)| s), &records);
-        let v = reg.view(reg.by_key(&key).unwrap());
-        assert_eq!(v.stats.events.len(), 2, "checkpoint stats replayed");
+        let rid = reg.by_key(&key).unwrap();
+        let v = reg.view(rid);
+        assert_eq!(
+            reg.ledger().uses(rid).events.len(),
+            2,
+            "checkpoint stats replayed"
+        );
         assert!(!v.is_quarantined(), "checkpoint never touches quarantine");
     }
 
@@ -829,13 +861,13 @@ mod tests {
                 "step {step}: the report is the change in pool bytes"
             );
             if matches!(record, CatalogRecord::ViewRegistered { .. }) {
-                let v = reg.view(reg.by_key(&key).expect("registered"));
+                let vid = reg.by_key(&key).expect("registered");
                 assert!(
-                    !v.is_quarantined(),
+                    !reg.view(vid).is_quarantined(),
                     "step {step}: registered or re-admitted"
                 );
                 assert_eq!(
-                    v.stats.events.len(),
+                    reg.ledger().uses(vid).events.len(),
                     1,
                     "step {step}: first use recorded once"
                 );

@@ -3,7 +3,6 @@
 use deepsea_storage::FileId;
 
 use crate::interval::Interval;
-use crate::stats::FragStats;
 
 /// Identifier of a fragment within one partition (stable across splits of
 /// *other* fragments).
@@ -11,7 +10,9 @@ use crate::stats::FragStats;
 pub struct FragmentId(pub u64);
 
 /// A fragment of a partitioned view — either materialized (has a file in the
-/// pool) or a tracked candidate (statistics only, per Definition 5's PSTAT).
+/// pool) or a tracked candidate (per Definition 5's PSTAT). Its hit
+/// statistics are the writer's, in the registry's
+/// [`StatsLedger`](crate::stats::StatsLedger).
 #[derive(Debug, Clone)]
 pub struct FragmentMeta {
     /// Identifier within the partition.
@@ -23,8 +24,6 @@ pub struct FragmentMeta {
     /// Simulated size in bytes: actual while materialized, estimated
     /// otherwise (§7.2's overlap-weighted estimate).
     pub size: u64,
-    /// Hit statistics.
-    pub stats: FragStats,
 }
 
 impl FragmentMeta {
@@ -35,7 +34,6 @@ impl FragmentMeta {
             interval,
             file: None,
             size: est_size,
-            stats: FragStats::default(),
         }
     }
 
@@ -54,6 +52,5 @@ mod tests {
         let f = FragmentMeta::candidate(FragmentId(1), Interval::new(0, 9), 100);
         assert!(!f.is_materialized());
         assert_eq!(f.size, 100);
-        assert_eq!(f.stats.raw_hits(), 0);
     }
 }

@@ -17,7 +17,7 @@
 use crate::fragment::{FragmentId, FragmentMeta};
 use crate::interval::Interval;
 use crate::registry::PartitionState;
-use crate::stats::LogicalTime;
+use crate::stats::{FragStats, LogicalTime, PartitionHits};
 
 /// A proposed merge of two adjacent fragments.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,7 +32,7 @@ pub struct MergeCandidate {
     pub bytes: u64,
 }
 
-/// Find mergeable pairs in one partition.
+/// Find mergeable pairs in one partition, whose statistics are `hits`.
 ///
 /// `cohit_tolerance` is the maximum allowed relative difference between the
 /// two fragments' decayed hit counts (0.0 = identical, 0.2 = within 20%).
@@ -40,6 +40,7 @@ pub struct MergeCandidate {
 /// monolith progressive partitioning just split.
 pub fn merge_candidates(
     partition: &PartitionState,
+    hits: PartitionHits,
     tnow: LogicalTime,
     tmax: LogicalTime,
     cohit_tolerance: f64,
@@ -53,7 +54,8 @@ pub fn merge_candidates(
         let a = mats[i];
         let b = mats[i + 1];
         let adjacent = a.interval.hi + 1 == b.interval.lo;
-        if adjacent && is_cohit(a, b, tnow, tmax, cohit_tolerance) {
+        let (ha, hb) = (hits.of(a.id), hits.of(b.id));
+        if adjacent && is_cohit(ha, hb, tnow, tmax, cohit_tolerance) {
             let bytes = a.size + b.size;
             if bytes <= max_merged_bytes {
                 out.push(MergeCandidate {
@@ -72,14 +74,14 @@ pub fn merge_candidates(
 }
 
 fn is_cohit(
-    a: &FragmentMeta,
-    b: &FragmentMeta,
+    a: &FragStats,
+    b: &FragStats,
     tnow: LogicalTime,
     tmax: LogicalTime,
     tolerance: f64,
 ) -> bool {
-    let ha = a.stats.decayed_hits(tnow, tmax);
-    let hb = b.stats.decayed_hits(tnow, tmax);
+    let ha = a.decayed_hits(tnow, tmax);
+    let hb = b.decayed_hits(tnow, tmax);
     if ha <= 0.0 || hb <= 0.0 {
         return false; // merging cold fragments has no evidence behind it
     }
@@ -93,25 +95,34 @@ mod tests {
     use deepsea_storage::FileId;
 
     /// Partition with materialized fragments [0,9][10,19][20,29][40,49]
-    /// (note the gap before the last one).
-    fn partition(hits: &[&[LogicalTime]]) -> PartitionState {
+    /// (note the gap before the last one), and their hits by slot.
+    fn partition(hits: &[&[LogicalTime]]) -> (PartitionState, Vec<FragStats>) {
         let mut p = PartitionState::new("a.k", Interval::new(0, 49));
+        let mut slots = Vec::new();
         for (i, (lo, hi)) in [(0, 9), (10, 19), (20, 29), (40, 49)].iter().enumerate() {
-            let iv = Interval::new(*lo, *hi);
-            p.materialize(iv, FileId(i as u64), 100);
-            let stats = p.find_stats_mut(&iv).expect("just tracked");
-            for &t in hits[i] {
-                stats.record_hit(t);
-            }
+            p.materialize(Interval::new(*lo, *hi), FileId(i as u64), 100);
+            slots.push(FragStats {
+                hits: hits[i].to_vec(),
+            });
         }
-        p
+        (p, slots)
+    }
+
+    /// [`merge_candidates`] over a [`partition`].
+    fn candidates(
+        (p, hits): &(PartitionState, Vec<FragStats>),
+        tnow: LogicalTime,
+        tolerance: f64,
+        max_bytes: u64,
+    ) -> Vec<MergeCandidate> {
+        merge_candidates(p, PartitionHits::new(hits), tnow, 100, tolerance, max_bytes)
     }
 
     #[test]
     fn cohit_adjacent_fragments_merge() {
         // First two fragments always hit together; third rarely; fourth never.
         let p = partition(&[&[1, 2, 3], &[1, 2, 3], &[2], &[]]);
-        let c = merge_candidates(&p, 3, 100, 0.1, 1_000);
+        let c = candidates(&p, 3, 0.1, 1_000);
         assert_eq!(c.len(), 1);
         assert_eq!(c[0].merged, Interval::new(0, 19));
         assert_eq!(c[0].bytes, 200);
@@ -120,37 +131,37 @@ mod tests {
     #[test]
     fn differing_hit_counts_do_not_merge() {
         let p = partition(&[&[1, 2, 3], &[3], &[], &[]]);
-        assert!(merge_candidates(&p, 3, 100, 0.1, 1_000).is_empty());
+        assert!(candidates(&p, 3, 0.1, 1_000).is_empty());
         // …unless the tolerance allows it.
-        let loose = merge_candidates(&p, 3, 100, 0.9, 1_000);
+        let loose = candidates(&p, 3, 0.9, 1_000);
         assert_eq!(loose.len(), 1);
     }
 
     #[test]
     fn cold_fragments_never_merge() {
         let p = partition(&[&[], &[], &[], &[]]);
-        assert!(merge_candidates(&p, 3, 100, 1.0, 1_000).is_empty());
+        assert!(candidates(&p, 3, 1.0, 1_000).is_empty());
     }
 
     #[test]
     fn gap_blocks_merge() {
         // [20,29] and [40,49] co-hit but are not adjacent.
         let p = partition(&[&[], &[], &[1, 2], &[1, 2]]);
-        assert!(merge_candidates(&p, 2, 100, 0.1, 1_000).is_empty());
+        assert!(candidates(&p, 2, 0.1, 1_000).is_empty());
     }
 
     #[test]
     fn size_cap_blocks_merge() {
         let p = partition(&[&[1], &[1], &[], &[]]);
-        assert!(merge_candidates(&p, 1, 100, 0.1, 150).is_empty());
-        assert_eq!(merge_candidates(&p, 1, 100, 0.1, 200).len(), 1);
+        assert!(candidates(&p, 1, 0.1, 150).is_empty());
+        assert_eq!(candidates(&p, 1, 0.1, 200).len(), 1);
     }
 
     #[test]
     fn no_fragment_participates_twice() {
         // Three consecutive co-hit fragments: only one pair merges per pass.
         let p = partition(&[&[1], &[1], &[1], &[]]);
-        let c = merge_candidates(&p, 1, 100, 0.1, 1_000);
+        let c = candidates(&p, 1, 0.1, 1_000);
         assert_eq!(c.len(), 1);
         assert_eq!(c[0].merged, Interval::new(0, 19));
     }

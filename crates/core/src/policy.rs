@@ -13,7 +13,7 @@ use deepsea_engine::plan::LogicalPlan;
 
 use crate::mle::{adjusted_hits, fit_normal, FittedNormal};
 use crate::registry::PartitionState;
-use crate::stats::{FragStats, LogicalTime, ViewStats};
+use crate::stats::{FragStats, LogicalTime, PartitionHits, ViewStats, ViewUses};
 
 /// How views and fragments are valued for admission/eviction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,37 +35,43 @@ pub enum ValueModel {
 }
 
 impl ValueModel {
-    /// Value of a view at `tnow`.
-    pub fn view_value(&self, stats: &ViewStats, tnow: LogicalTime, tmax: LogicalTime) -> f64 {
+    /// Value at `tnow` of a view with statistics `stats` and uses `uses`.
+    pub fn view_value(
+        &self,
+        stats: &ViewStats,
+        uses: &ViewUses,
+        tnow: LogicalTime,
+        tmax: LogicalTime,
+    ) -> f64 {
         if stats.size == 0 {
             return 0.0;
         }
         let s = stats.size as f64;
         match self {
-            ValueModel::DeepSea { .. } => stats.phi(tnow, tmax),
+            ValueModel::DeepSea { .. } => stats.phi(uses, tnow, tmax),
             ValueModel::Nectar => {
-                let dt = delta_t(stats.last_use(), tnow);
-                stats.cost * stats.last_saving() / (s * dt)
+                let dt = delta_t(uses.last_use(), tnow);
+                stats.cost * uses.last_saving() / (s * dt)
             }
             ValueModel::NectarPlus => {
-                let dt = delta_t(stats.last_use(), tnow);
-                stats.cost * stats.undecayed_benefit() / (s * dt)
+                let dt = delta_t(uses.last_use(), tnow);
+                stats.cost * uses.undecayed_benefit() / (s * dt)
             }
         }
     }
 
-    /// Benefit of a view at `tnow` under this model's accounting — used for
-    /// the §7.2 admission filter `COST(V) ≤ B(V, tnow)`.
-    pub fn view_benefit(&self, stats: &ViewStats, tnow: LogicalTime, tmax: LogicalTime) -> f64 {
+    /// Benefit at `tnow` of a view with uses `uses` under this model's
+    /// accounting — used for the §7.2 admission filter `COST(V) ≤ B(V, tnow)`.
+    pub fn view_benefit(&self, uses: &ViewUses, tnow: LogicalTime, tmax: LogicalTime) -> f64 {
         match self {
-            ValueModel::DeepSea { .. } => stats.benefit(tnow, tmax),
-            ValueModel::Nectar => stats.last_saving(),
-            ValueModel::NectarPlus => stats.undecayed_benefit(),
+            ValueModel::DeepSea { .. } => uses.benefit(tnow, tmax),
+            ValueModel::Nectar => uses.last_saving(),
+            ValueModel::NectarPlus => uses.undecayed_benefit(),
         }
     }
 
     /// Values for every fragment of a partition at `tnow`, keyed by position
-    /// in `partition.fragments`.
+    /// in `partition.fragments`; `hits` are the partition's statistics.
     ///
     /// For `DeepSea { use_mle: true }` the decayed hits of the whole
     /// partition are first smoothed through the MLE normal fit and each
@@ -74,12 +80,13 @@ impl ValueModel {
     pub fn fragment_values(
         &self,
         partition: &PartitionState,
+        hits: PartitionHits,
         view_size: u64,
         view_cost: f64,
         tnow: LogicalTime,
         tmax: LogicalTime,
     ) -> Vec<f64> {
-        self.value_fragments(partition, view_size, view_cost, tnow, tmax)
+        self.value_fragments(partition, hits, view_size, view_cost, tnow, tmax)
             .values
     }
 
@@ -89,6 +96,7 @@ impl ValueModel {
     pub fn value_fragments(
         &self,
         partition: &PartitionState,
+        hits: PartitionHits,
         view_size: u64,
         view_cost: f64,
         tnow: LogicalTime,
@@ -96,7 +104,8 @@ impl ValueModel {
     ) -> PartitionValues {
         match self {
             ValueModel::DeepSea { use_mle } => {
-                let (decayed_hits, fit) = decayed_hits_and_fit(partition, *use_mle, tnow, tmax);
+                let (decayed_hits, fit) =
+                    decayed_hits_and_fit(partition, hits, *use_mle, tnow, tmax);
                 let values = partition
                     .fragments()
                     .iter()
@@ -119,19 +128,20 @@ impl ValueModel {
                         if f.size == 0 || view_size == 0 {
                             return 0.0;
                         }
-                        let dt = delta_t(f.stats.last_hit(), tnow);
+                        let stats = hits.of(f.id);
+                        let dt = delta_t(stats.last_hit(), tnow);
                         let per_hit = (f.size as f64 / view_size as f64) * view_cost;
                         let benefit = match self {
                             // Nectar: only the most recent hit counts.
                             ValueModel::Nectar => {
-                                if f.stats.raw_hits() > 0 {
+                                if stats.raw_hits() > 0 {
                                     per_hit
                                 } else {
                                     0.0
                                 }
                             }
                             // Nectar+: accumulated, undecayed.
-                            _ => per_hit * f.stats.raw_hits() as f64,
+                            _ => per_hit * stats.raw_hits() as f64,
                         };
                         view_cost * benefit / (f.size as f64 * dt)
                     })
@@ -151,12 +161,14 @@ impl ValueModel {
     pub fn fragment_adjusted_hits(
         &self,
         partition: &PartitionState,
+        hits: PartitionHits,
         tnow: LogicalTime,
         tmax: LogicalTime,
     ) -> Vec<f64> {
         match self {
             ValueModel::DeepSea { use_mle } => {
-                let (decayed_hits, fit) = decayed_hits_and_fit(partition, *use_mle, tnow, tmax);
+                let (decayed_hits, fit) =
+                    decayed_hits_and_fit(partition, hits, *use_mle, tnow, tmax);
                 match fit {
                     Some(fit) => partition
                         .fragments()
@@ -169,12 +181,18 @@ impl ValueModel {
             ValueModel::Nectar => partition
                 .fragments()
                 .iter()
-                .map(|f| if f.stats.raw_hits() > 0 { 1.0 } else { 0.0 })
+                .map(|f| {
+                    if hits.of(f.id).raw_hits() > 0 {
+                        1.0
+                    } else {
+                        0.0
+                    }
+                })
                 .collect(),
             ValueModel::NectarPlus => partition
                 .fragments()
                 .iter()
-                .map(|f| f.stats.raw_hits() as f64)
+                .map(|f| hits.of(f.id).raw_hits() as f64)
                 .collect(),
         }
     }
@@ -203,6 +221,7 @@ pub struct PartitionValues {
 /// the model smooths and the hits carry a signal.
 fn decayed_hits_and_fit(
     partition: &PartitionState,
+    hits: PartitionHits,
     use_mle: bool,
     tnow: LogicalTime,
     tmax: LogicalTime,
@@ -210,7 +229,7 @@ fn decayed_hits_and_fit(
     let weighted: Vec<_> = partition
         .fragments()
         .iter()
-        .map(|f| (f.interval, f.stats.decayed_hits(tnow, tmax)))
+        .map(|f| (f.interval, hits.of(f.id).decayed_hits(tnow, tmax)))
         .collect();
     let fit = if use_mle {
         let total_hits: f64 = weighted.iter().map(|(_, h)| h).sum();
@@ -313,60 +332,64 @@ mod tests {
     use crate::interval::Interval;
     use deepsea_storage::FileId;
 
-    fn stats_with_uses(uses: &[(LogicalTime, f64)]) -> ViewStats {
-        let mut s = ViewStats::estimated(1000, 10.0);
+    fn uses(uses: &[(LogicalTime, f64)]) -> ViewUses {
+        let mut u = ViewUses::default();
         for &(t, v) in uses {
-            s.record_use(t, v);
+            u.record_use(t, v);
         }
-        s
+        u
     }
 
     #[test]
     fn deepsea_accumulates_nectar_does_not() {
-        let s = stats_with_uses(&[(1, 100.0), (2, 100.0), (3, 100.0)]);
+        let s = ViewStats::estimated(1000, 10.0);
+        let u = uses(&[(1, 100.0), (2, 100.0), (3, 100.0)]);
         let tnow = 3;
-        let ds = ValueModel::DeepSea { use_mle: true }.view_value(&s, tnow, 1000);
-        let n = ValueModel::Nectar.view_value(&s, tnow, 1000);
-        let np = ValueModel::NectarPlus.view_value(&s, tnow, 1000);
+        let ds = ValueModel::DeepSea { use_mle: true }.view_value(&s, &u, tnow, 1000);
+        let n = ValueModel::Nectar.view_value(&s, &u, tnow, 1000);
+        let np = ValueModel::NectarPlus.view_value(&s, &u, tnow, 1000);
         assert!(ds > n, "DeepSea counts all three uses");
         assert!(np > n, "Nectar+ counts all three uses");
     }
 
     #[test]
     fn nectar_value_decays_with_idle_time() {
-        let s = stats_with_uses(&[(10, 100.0)]);
-        let soon = ValueModel::Nectar.view_value(&s, 11, 1000);
-        let later = ValueModel::Nectar.view_value(&s, 100, 1000);
+        let s = ViewStats::estimated(1000, 10.0);
+        let u = uses(&[(10, 100.0)]);
+        let soon = ValueModel::Nectar.view_value(&s, &u, 11, 1000);
+        let later = ValueModel::Nectar.view_value(&s, &u, 100, 1000);
         assert!(soon > later);
     }
 
     #[test]
     fn deepsea_benefit_times_out_after_tmax() {
-        let s = stats_with_uses(&[(10, 100.0)]);
-        let b = ValueModel::DeepSea { use_mle: false }.view_benefit(&s, 200, 50);
+        let u = uses(&[(10, 100.0)]);
+        let b = ValueModel::DeepSea { use_mle: false }.view_benefit(&u, 200, 50);
         assert_eq!(b, 0.0);
-        let b2 = ValueModel::NectarPlus.view_benefit(&s, 200, 50);
+        let b2 = ValueModel::NectarPlus.view_benefit(&u, 200, 50);
         assert!(b2 > 0.0, "Nectar+ never times out");
     }
 
-    fn partition_with_hits() -> PartitionState {
-        // Three fragments; the left one is hot, the other two cold.
+    /// Three fragments and their hits by slot; the left one is hot, the
+    /// other two cold.
+    fn partition_with_hits() -> (PartitionState, Vec<FragStats>) {
         let mut p = PartitionState::new("a.k", Interval::new(0, 29));
         for (file, (lo, hi)) in [(0, 9), (10, 19), (20, 29)].into_iter().enumerate() {
             p.materialize(Interval::new(lo, hi), FileId(file as u64), 100);
         }
+        let mut hits = vec![FragStats::default(); 3];
         for _ in 0..20 {
-            p.stats_mut(crate::fragment::FragmentId(0))
-                .unwrap()
-                .record_hit(10);
+            hits[0].record_hit(10);
         }
-        p
+        (p, hits)
     }
 
     #[test]
     fn mle_gives_hot_neighbor_more_value_than_distant() {
-        let p = partition_with_hits();
-        let vals = ValueModel::DeepSea { use_mle: true }.fragment_values(&p, 300, 50.0, 10, 100);
+        let (p, hits) = partition_with_hits();
+        let hits = PartitionHits::new(&hits);
+        let vals =
+            ValueModel::DeepSea { use_mle: true }.fragment_values(&p, hits, 300, 50.0, 10, 100);
         assert!(vals[0] > vals[1], "hot beats neighbor");
         assert!(
             vals[1] > vals[2],
@@ -377,8 +400,10 @@ mod tests {
 
     #[test]
     fn without_mle_cold_fragments_are_equal() {
-        let p = partition_with_hits();
-        let vals = ValueModel::DeepSea { use_mle: false }.fragment_values(&p, 300, 50.0, 10, 100);
+        let (p, hits) = partition_with_hits();
+        let hits = PartitionHits::new(&hits);
+        let vals =
+            ValueModel::DeepSea { use_mle: false }.fragment_values(&p, hits, 300, 50.0, 10, 100);
         assert!(vals[0] > vals[1]);
         assert_eq!(vals[1], 0.0);
         assert_eq!(vals[2], 0.0, "no correlation smoothing without MLE");
@@ -386,9 +411,10 @@ mod tests {
 
     #[test]
     fn nectar_fragments_ignore_correlation_and_accumulation() {
-        let p = partition_with_hits();
-        let n = ValueModel::Nectar.fragment_values(&p, 300, 50.0, 10, 100);
-        let nplus = ValueModel::NectarPlus.fragment_values(&p, 300, 50.0, 10, 100);
+        let (p, hits) = partition_with_hits();
+        let hits = PartitionHits::new(&hits);
+        let n = ValueModel::Nectar.fragment_values(&p, hits, 300, 50.0, 10, 100);
+        let nplus = ValueModel::NectarPlus.fragment_values(&p, hits, 300, 50.0, 10, 100);
         assert_eq!(n[1], 0.0);
         assert_eq!(n[2], 0.0);
         assert!(nplus[0] > n[0], "N+ accumulates the 20 hits");
@@ -399,13 +425,14 @@ mod tests {
         // The audit log derives a fragment's Φ breakdown from
         // `fragment_adjusted_hits`; that reconstruction must agree with the
         // values the selection policy actually ranks by.
-        let p = partition_with_hits();
+        let (p, hits) = partition_with_hits();
+        let hits = PartitionHits::new(&hits);
         for vm in [
             ValueModel::DeepSea { use_mle: true },
             ValueModel::DeepSea { use_mle: false },
         ] {
-            let vals = vm.fragment_values(&p, 300, 50.0, 10, 100);
-            let ha = vm.fragment_adjusted_hits(&p, 10, 100);
+            let vals = vm.fragment_values(&p, hits, 300, 50.0, 10, 100);
+            let ha = vm.fragment_adjusted_hits(&p, hits, 10, 100);
             assert_eq!(vals.len(), ha.len());
             for (i, f) in p.fragments().iter().enumerate() {
                 let rebuilt = FragStats::phi_with_hits(ha[i], f.size, 300, 50.0);
@@ -417,7 +444,14 @@ mod tests {
     #[test]
     fn empty_partition_values() {
         let p = PartitionState::new("a.k", Interval::new(0, 9));
-        let vals = ValueModel::DeepSea { use_mle: true }.fragment_values(&p, 100, 1.0, 1, 10);
+        let vals = ValueModel::DeepSea { use_mle: true }.fragment_values(
+            &p,
+            PartitionHits::default(),
+            100,
+            1.0,
+            1,
+            10,
+        );
         assert!(vals.is_empty());
     }
 

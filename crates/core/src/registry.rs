@@ -4,14 +4,21 @@
 //! it is currently materialized in the pool. The *configuration* `C` (what is
 //! actually in the pool, Definition 3) is the subset with backing files.
 //!
-//! The registry is a **copy-on-write** structure: every view, partition and
-//! fragment sits behind its own `Arc`, as do a view's immutable parts (plan,
-//! signature, key, name) and the registry's two indexes. `Clone` is therefore
-//! a refcount bump per view, and the `*_mut` accessors below `Arc::make_mut`
-//! exactly the nodes on the path to what they change — a clone held by a
-//! published snapshot or by the journal keeps the old nodes and shares
-//! everything else. `Arc`'s `Debug` is transparent, so `state_digest` does
-//! not see the sharing.
+//! The registry's **structure** — views, partitions, fragments, files,
+//! sizes — is copy-on-write: every view, partition and fragment sits behind
+//! its own `Arc`, as do a view's immutable parts (plan, signature, key,
+//! name) and the registry's two indexes. The `*_mut` accessors below
+//! `Arc::make_mut` exactly the nodes on the path to what they change, so a
+//! published snapshot ([`ViewRegistry::structure`]) keeps the old nodes and
+//! shares everything else.
+//!
+//! The statistics every query records — benefit events and fragment hits
+//! (§8.4) — are not in those nodes: they sit in the writer's
+//! [`StatsLedger`], written in place, so recording them copies no node.
+//! `Clone` carries the ledger (the journal's snapshots need it);
+//! [`ViewRegistry::structure`] leaves it out (readers never look at it).
+//! [`ViewRegistry::state_digest`] prints each ledger entry where the node
+//! once held it, so the digest is that of the statistics-in-nodes layout.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -23,7 +30,7 @@ use deepsea_storage::{FileId, Stamp};
 use crate::filter_tree::{FilterTree, ViewId};
 use crate::fragment::{FragmentId, FragmentMeta};
 use crate::interval::Interval;
-use crate::stats::{FragStats, LogicalTime, ViewStats};
+use crate::stats::{FragStats, LogicalTime, PartitionHits, StatsLedger, StatsWithUses, ViewStats};
 
 /// The state of one partition `P(V, A)` of a view on attribute `A`.
 ///
@@ -31,10 +38,9 @@ use crate::stats::{FragStats, LogicalTime, ViewStats};
 /// keeps an index — the slots of the materialized fragments in ascending
 /// order — that only its own mutators maintain ([`PartitionState::track`],
 /// [`PartitionState::materialize`], [`PartitionState::evict`],
-/// [`PartitionState::release_files`]); statistics change through
-/// [`PartitionState::stats_mut`] and friends, which cannot touch what the
-/// index mirrors. The index is derived state and stays out of `Debug`, so
-/// `state_digest` does not see it.
+/// [`PartitionState::release_files`]). The index is derived state and stays
+/// out of `Debug`, so `state_digest` does not see it. A fragment's hits are
+/// in the registry's [`StatsLedger`], at the fragment's slot.
 #[derive(Clone)]
 pub struct PartitionState {
     /// The partition attribute (as written in predicates).
@@ -141,27 +147,21 @@ impl PartitionState {
             .map(|f| &**f)
     }
 
-    /// The statistics of the fragment `id`, copying it if it is shared.
-    pub(crate) fn stats_mut(&mut self, id: FragmentId) -> Option<&mut FragStats> {
-        self.fragments
-            .get_mut(id.0 as usize)
-            .filter(|f| f.id == id)
-            .map(|f| &mut Arc::make_mut(f).stats)
-    }
-
-    /// The statistics of the fragment with exactly this interval, copying
-    /// it if it is shared.
-    pub fn find_stats_mut(&mut self, interval: &Interval) -> Option<&mut FragStats> {
-        let slot = self.slot_of(interval)?;
-        Some(&mut Arc::make_mut(&mut self.fragments[slot]).stats)
-    }
-
-    /// Record a hit at `tnow` on every fragment overlapping `range` (and
-    /// drop its hits older than `tmax`), copying only those.
-    pub(crate) fn record_hits(&mut self, range: &Interval, tnow: LogicalTime, tmax: LogicalTime) {
-        for frag in &mut self.fragments {
+    /// Record a hit at `tnow` in `slots` — this partition's statistics by
+    /// slot — for every fragment overlapping `range`, and drop its hits older
+    /// than `tmax`.
+    pub(crate) fn record_hits(
+        &self,
+        slots: &mut Vec<FragStats>,
+        range: &Interval,
+        tnow: LogicalTime,
+        tmax: LogicalTime,
+    ) {
+        if slots.len() < self.fragments.len() {
+            slots.resize_with(self.fragments.len(), FragStats::default);
+        }
+        for (frag, stats) in self.fragments.iter().zip(slots.iter_mut()) {
             if frag.interval.overlaps(range) {
-                let stats = &mut Arc::make_mut(frag).stats;
                 stats.record_hit(tnow);
                 stats.prune(tnow, tmax);
             }
@@ -218,7 +218,7 @@ impl PartitionState {
     }
 
     /// Drop every backing file (a quarantine), returning them in tracking
-    /// order. Statistics and intervals stay.
+    /// order. Intervals stay (and the ledger's hits on them).
     pub(crate) fn release_files(&mut self) -> Vec<FileId> {
         let slots = std::mem::take(&mut self.materialized);
         slots
@@ -315,9 +315,10 @@ pub struct ViewMeta {
     /// Mutate one through [`ViewMeta::partition_mut`] /
     /// [`ViewMeta::partition_or_track`] so that only it is copied.
     pub partitions: BTreeMap<String, Arc<PartitionState>>,
-    /// `(S, COST, T, B)` statistics. `stats.cost` is the *recreation* cost
+    /// `(S, COST)` statistics. `stats.cost` is the *recreation* cost
     /// (recompute the view's query and partition it, §7.1) used in `Φ` and
-    /// fragment benefits.
+    /// fragment benefits. The uses `(T, B)` are in the registry's
+    /// [`StatsLedger`].
     pub stats: ViewStats,
     /// The marginal overhead of materializing the view during a query that
     /// computes it anyway (write + partition). The §7.2 admission filter
@@ -399,8 +400,9 @@ pub struct QuarantineReport {
 
 /// The statistics registry `STAT = (VSTAT, PSTAT, Σ)` of Definition 5.
 ///
-/// `Clone` shares every view and both indexes with the original (see the
-/// module doc); a clone is what a snapshot or the journal holds.
+/// `Clone` shares every view and both indexes with the original and copies
+/// the statistics ledger (see the module doc); a clone is what the journal
+/// holds, [`ViewRegistry::structure`] what a snapshot holds.
 #[derive(Debug, Default, Clone)]
 pub struct ViewRegistry {
     views: Vec<Arc<ViewMeta>>,
@@ -410,6 +412,8 @@ pub struct ViewRegistry {
     index: Arc<FilterTree>,
     /// Renewed by every applied catalog record ([`ViewRegistry::version`]).
     version: Stamp,
+    /// The writer's statistics; empty in a [`ViewRegistry::structure`].
+    ledger: StatsLedger,
 }
 
 impl ViewRegistry {
@@ -419,12 +423,11 @@ impl ViewRegistry {
     }
 
     /// Names this registry's structure: renewed by every catalog record
-    /// applied to it (`durability::apply_record`), copied by `Clone`. Two
-    /// registries with one version hold the same views, partitions,
-    /// fragments, files, sizes and schemas; only statistics written
-    /// directly — benefit events and fragment hits — can differ between
-    /// them. What matching and rewriting compute from a registry is
-    /// therefore a function of its version.
+    /// applied to it (`durability::apply_record`), copied by `Clone` and
+    /// [`ViewRegistry::structure`]. Two registries with one version hold the
+    /// same views, partitions, fragments, files, sizes and schemas. Matching
+    /// and rewriting read nothing else, so what they compute from a registry
+    /// is a function of its version.
     pub fn version(&self) -> Stamp {
         self.version
     }
@@ -432,6 +435,47 @@ impl ViewRegistry {
     /// Renew [`ViewRegistry::version`] after a structural change.
     pub(crate) fn renew_version(&mut self) {
         self.version = Stamp::fresh();
+    }
+
+    /// This registry's structure — views, partitions, fragments, files,
+    /// sizes, both indexes and the version — sharing every node, without
+    /// the statistics ledger: what a published snapshot holds.
+    pub fn structure(&self) -> ViewRegistry {
+        ViewRegistry {
+            views: self.views.clone(),
+            by_key: Arc::clone(&self.by_key),
+            index: Arc::clone(&self.index),
+            version: self.version,
+            ledger: StatsLedger::default(),
+        }
+    }
+
+    /// The statistics recorded on views and fragments (empty in a
+    /// [`ViewRegistry::structure`]).
+    pub fn ledger(&self) -> &StatsLedger {
+        &self.ledger
+    }
+
+    /// The statistics ledger, for writing in place: no registry node is
+    /// copied.
+    pub(crate) fn ledger_mut(&mut self) -> &mut StatsLedger {
+        &mut self.ledger
+    }
+
+    /// Record in the ledger a hit at `tnow` on every fragment of `view`'s
+    /// partition on `attr` overlapping `range`, dropping hits older than
+    /// `tmax` (no-op for an untracked partition).
+    pub(crate) fn record_hits(
+        &mut self,
+        view: ViewId,
+        attr: &str,
+        range: &Interval,
+        tnow: LogicalTime,
+        tmax: LogicalTime,
+    ) {
+        if let Some(ps) = self.views[view.0 as usize].partitions.get(attr) {
+            ps.record_hits(self.ledger.partition_mut(view, attr), range, tnow, tmax);
+        }
     }
 
     /// Number of tracked views.
@@ -524,8 +568,8 @@ impl ViewRegistry {
         &self.views[id.0 as usize]
     }
 
-    /// Mutable lookup by id (copies the view's own fields — statistics and
-    /// partition *slots*, not the partitions — if it is shared).
+    /// Mutable lookup by id (copies the view's own fields — partition
+    /// *slots*, not the partitions — if it is shared).
     pub fn view_mut(&mut self, id: ViewId) -> &mut ViewMeta {
         Arc::make_mut(&mut self.views[id.0 as usize])
     }
@@ -556,7 +600,8 @@ impl ViewRegistry {
     }
 
     /// A deterministic digest of the full registry state (views in id order,
-    /// every field via `Debug`), used to assert that crash recovery is
+    /// every field via `Debug`, each ledger entry where its node once held
+    /// it — see [`ViewWithStats`]), used to assert that crash recovery is
     /// idempotent: recover twice, get the same digest. Per-view formatting
     /// keeps the digest independent of `HashMap` iteration order in the
     /// key index. This is the same property the D1 `hash_iter` lint enforces
@@ -572,11 +617,103 @@ impl ViewRegistry {
             }
         };
         for view in &self.views {
-            eat(format!("{view:?}").as_bytes());
+            eat(format!("{:?}", ViewWithStats(view, &self.ledger)).as_bytes());
             eat(&[0xff]);
         }
         h
     }
+}
+
+/// A view printed as the derived `Debug` of its node printed it while the
+/// node held its statistics: the ledger's uses inside `stats`, and each
+/// fragment's hits as its `stats` field. Every node is destructured, so a
+/// field added to one cannot be left out of the digest silently.
+struct ViewWithStats<'a>(&'a ViewMeta, &'a StatsLedger);
+
+impl std::fmt::Debug for ViewWithStats<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let ViewWithStats(view, ledger) = *self;
+        let ViewMeta {
+            id,
+            name,
+            key,
+            plan,
+            sig,
+            schema,
+            whole_file,
+            partitions,
+            stats,
+            creation_overhead,
+            quarantined_at,
+        } = view;
+        let partitions = std::fmt::from_fn(|f| {
+            f.debug_map()
+                .entries(
+                    partitions
+                        .iter()
+                        .map(|(attr, ps)| (attr, partition_with_hits(ps, ledger.hits(*id, attr)))),
+                )
+                .finish()
+        });
+        f.debug_struct("ViewMeta")
+            .field("id", id)
+            .field("name", name)
+            .field("key", key)
+            .field("plan", plan)
+            .field("sig", sig)
+            .field("schema", schema)
+            .field("whole_file", whole_file)
+            .field("partitions", &partitions)
+            .field("stats", &StatsWithUses(stats, ledger.uses(*id)))
+            .field("creation_overhead", creation_overhead)
+            .field("quarantined_at", quarantined_at)
+            .finish()
+    }
+}
+
+/// A partition printed with its fragments' hits (see [`ViewWithStats`]).
+fn partition_with_hits<'a>(
+    ps: &'a PartitionState,
+    hits: PartitionHits<'a>,
+) -> impl std::fmt::Debug + 'a {
+    std::fmt::from_fn(move |f| {
+        let PartitionState {
+            attr,
+            domain,
+            fragments,
+            boundaries,
+            next_frag,
+            materialized: _,
+        } = ps;
+        let fragments = std::fmt::from_fn(|f| {
+            f.debug_list()
+                .entries(fragments.iter().map(|frag| {
+                    let FragmentMeta {
+                        id,
+                        interval,
+                        file,
+                        size,
+                    } = &**frag;
+                    std::fmt::from_fn(move |f| {
+                        f.debug_struct("FragmentMeta")
+                            .field("id", id)
+                            .field("interval", interval)
+                            .field("file", file)
+                            .field("size", size)
+                            .field("stats", hits.of(*id))
+                            .finish()
+                    })
+                }))
+                .finish()
+        });
+        f.debug_struct("PartitionState")
+            .field("attr", attr)
+            .field("domain", domain)
+            .field("fragments", &fragments)
+            .field("boundaries", boundaries)
+            .field("next_frag", next_frag)
+            .finish()
+    })
 }
 
 #[cfg(test)]
@@ -686,10 +823,10 @@ mod tests {
         assert_eq!(p.evict(&Interval::new(1, 2)), None, "untracked");
         assert!(p.index_is_consistent());
         assert_eq!(p.materialized_slots(), &[2, 3]);
-        p.record_hits(&Interval::new(12, 16), 7, 100);
-        let hit: Vec<_> = (0..4)
-            .filter(|&i| p.fragments()[i].stats.last_hit() == Some(7))
-            .collect();
+        let mut slots = Vec::new();
+        p.record_hits(&mut slots, &Interval::new(12, 16), 7, 100);
+        assert_eq!(slots.len(), 4, "a slot per tracked fragment");
+        let hit: Vec<_> = (0..4).filter(|&i| slots[i].last_hit() == Some(7)).collect();
         assert_eq!(hit, vec![1, 2, 3]);
         assert_eq!(p.release_files(), vec![FileId(3), FileId(4)]);
         assert!(p.index_is_consistent());
@@ -709,6 +846,9 @@ mod tests {
         assert!(!derived.contains("materialized:"));
     }
 
+    /// Recording statistics copies no node, of a clone or a structure; a
+    /// structural change copies the path to what it changes and nothing
+    /// else; a structure shares every node and holds no statistics.
     #[test]
     fn mutating_a_clone_copies_only_the_path_to_the_change() {
         let (mut r, id) = reg_with_join();
@@ -726,16 +866,35 @@ mod tests {
             .partition_or_track("a.v", Interval::new(0, 9));
 
         let frozen = r.clone();
+        let shared = r.structure();
         let digest = frozen.state_digest();
-        let hit = r
-            .view_mut(id)
-            .partition_mut("a.k")
-            .and_then(|ps| ps.stats_mut(FragmentId(1)))
-            .unwrap();
-        hit.record_hit(3);
-
+        assert_eq!(shared.state_digest(), digest, "nothing recorded yet");
+        r.ledger_mut().uses_mut(id).record_use(3, 1.0);
+        r.record_hits(id, "a.k", &Interval::new(60, 70), 3, 100);
         assert_eq!(frozen.state_digest(), digest, "the clone is frozen");
-        assert_ne!(r.state_digest(), digest);
+        assert_ne!(r.state_digest(), digest, "the digest sees the ledger");
+        assert_eq!(
+            r.ledger().hits(id, "a.k").of(FragmentId(1)).last_hit(),
+            Some(3)
+        );
+        assert_eq!(
+            frozen.ledger().hits(id, "a.k").of(FragmentId(1)).raw_hits(),
+            0
+        );
+        assert!(
+            shared.ledger().is_empty(),
+            "a structure holds no statistics"
+        );
+        for view in [id, other] {
+            assert!(std::ptr::eq(frozen.view(view), r.view(view)), "no copy");
+            assert!(std::ptr::eq(shared.view(view), r.view(view)), "no copy");
+        }
+
+        r.view_mut(id).partition_mut("a.k").unwrap().materialize(
+            Interval::new(50, 99),
+            FileId(1),
+            10,
+        );
         let (old, new) = (frozen.view(id), r.view(id));
         assert!(!std::ptr::eq(old, new), "the touched view was copied");
         assert!(std::ptr::eq(frozen.view(other), r.view(other)));
@@ -745,7 +904,33 @@ mod tests {
         assert!(!Arc::ptr_eq(old_ps, new_ps));
         assert!(Arc::ptr_eq(&old_ps.fragments[0], &new_ps.fragments[0]));
         assert!(!Arc::ptr_eq(&old_ps.fragments[1], &new_ps.fragments[1]));
-        assert_eq!(old_ps.fragments[1].stats.raw_hits(), 0);
+        assert_eq!(old_ps.fragments[1].file, None);
+    }
+
+    /// `state_digest` hashes the form the derived `Debug` of a view gave
+    /// while its node held the statistics: benefit events inside `stats`,
+    /// each fragment's hits as its `stats` field.
+    #[test]
+    fn the_digest_prints_each_statistic_where_its_node_held_it() {
+        let (mut r, id) = reg_with_join();
+        r.view_mut(id)
+            .partition_or_track("a.k", Interval::new(0, 99))
+            .materialize(Interval::new(0, 49), FileId(7), 10);
+        r.ledger_mut().uses_mut(id).record_use(2, 5.0);
+        r.record_hits(id, "a.k", &Interval::new(3, 4), 2, 100);
+        let v = r.view(id);
+        let old_layout = format!(
+            "ViewMeta {{ id: ViewId(0), name: \"V0\", key: {:?}, plan: {:?}, sig: {:?}, \
+             schema: None, whole_file: None, partitions: {{\"a.k\": PartitionState {{ \
+             attr: \"a.k\", domain: Interval {{ lo: 0, hi: 99 }}, fragments: [FragmentMeta {{ \
+             id: FragmentId(0), interval: Interval {{ lo: 0, hi: 49 }}, file: Some(FileId(7)), \
+             size: 10, stats: FragStats {{ hits: [2] }} }}], boundaries: [], next_frag: 1 }}}}, \
+             stats: ViewStats {{ size: 1000, cost: 10.0, measured: false, events: \
+             [BenefitEvent {{ t: 2, saving: 5.0 }}] }}, creation_overhead: 2.0, \
+             quarantined_at: None }}",
+            v.key, v.plan, v.sig
+        );
+        assert_eq!(format!("{:?}", ViewWithStats(v, r.ledger())), old_layout);
     }
 
     #[test]
@@ -843,7 +1028,7 @@ mod tests {
         let (mut r, id) = reg_with_join();
         r.view_mut(id).whole_file = Some(FileId(7));
         r.view_mut(id).stats.set_measured(1200, 9.0);
-        r.view_mut(id).stats.record_use(3, 25.0);
+        r.ledger_mut().uses_mut(id).record_use(3, 25.0);
         r.quarantine(id, 4);
 
         // Snapshot the quarantined state, then journal a re-admission (a
@@ -874,7 +1059,11 @@ mod tests {
         assert!(!rv.is_quarantined(), "re-admission record replayed");
         assert!(rv.stats.measured, "measured stats survive the round-trip");
         assert_eq!(rv.stats.size, 1200, "estimates do not clobber stats");
-        assert_eq!(rv.stats.events.len(), 1, "benefit history survives");
+        assert_eq!(
+            rec.ledger().uses(rid).events.len(),
+            1,
+            "benefit history survives"
+        );
         assert!(!rv.is_materialized(), "data stays lost until rebuilt");
         let qsig = Signature::of(&rv.plan).unwrap();
         assert_eq!(

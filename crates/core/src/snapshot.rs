@@ -1,9 +1,10 @@
 //! Immutable catalog snapshots for concurrent readers.
 //!
 //! A [`ReadSnapshot`] is what the single writer *publishes* after each
-//! committed query: the view registry as of that commit (and, transitively,
-//! its filter tree and statistics) plus `Arc` handles on the shared
-//! substrates, stamped with the epoch it was taken at. Readers answer
+//! committed query: the view registry's structure as of that commit (views,
+//! partitions, fragments, files, sizes and the filter tree — not the
+//! statistics ledger, which no read consults) plus `Arc` handles on the
+//! shared substrates, stamped with the epoch it was taken at. Readers answer
 //! queries against a snapshot through the same read-path code the serial
 //! driver uses ([`crate::driver`]'s `ReadView`), so a query answered from a
 //! snapshot is bit-identical to the same query answered by the writer at
@@ -12,7 +13,8 @@
 //! Nothing is deep-copied at publication: the registry is copy-on-write
 //! (see [`crate::registry`]), so a snapshot takes one reference per view and
 //! the writer's *next* commit copies only the views, partitions and
-//! fragments it changes — consecutive epochs share everything else. Each
+//! fragments its structural records change — the statistics it records go
+//! to the ledger, in place — and consecutive epochs share everything else. Each
 //! epoch's registry is immutable once published, so any number of readers
 //! share it and the writer never waits for them.
 
@@ -75,7 +77,7 @@ impl DeepSea {
     pub fn publish_snapshot(&self) -> Option<ReadSnapshot> {
         Some(ReadSnapshot {
             epoch: self.clock(),
-            registry: Arc::new(self.registry().clone()),
+            registry: Arc::new(self.registry().structure()),
             catalog: Arc::clone(&self.catalog),
             fs: Arc::clone(&self.fs),
             backend: self.backend.fork_reader()?,
@@ -92,7 +94,9 @@ impl ReadSnapshot {
         self.epoch
     }
 
-    /// The frozen registry (views, partitions, fragments, statistics).
+    /// The frozen registry: views, partitions, fragments, files and sizes.
+    /// Its statistics ledger is empty; the statistics are the writer's
+    /// ([`DeepSea::registry`]).
     pub fn registry(&self) -> &ViewRegistry {
         &self.registry
     }

@@ -9,9 +9,11 @@
 //! record kind through `commit`. Replay goes one record at a time, and
 //! after each the partitions of the view it names must keep an index equal
 //! to one recomputed from their fragments; so must every partition of the
-//! live registry after every query. Replay of a damaged log (torn, with a
-//! duplicated record, with two records swapped) must return, and return the
-//! same state every time.
+//! live registry after every query. With checkpoints further apart, replay
+//! must rebuild the live statistics ledger at every checkpoint — and only
+//! there, once a query since has recorded statistics. Replay of a damaged
+//! log (torn, with a duplicated record, with two records swapped) must
+//! return, and return the same state every time.
 
 use std::collections::HashSet;
 use std::mem::{discriminant, Discriminant};
@@ -216,6 +218,60 @@ fn replay_rebuilds_the_live_registry_after_every_commit() {
     );
 
     assert_eq!(kinds.len(), 12, "a record kind never reached `commit`");
+}
+
+/// The statistics every query records live only in the writer's ledger
+/// until a checkpoint journals them. With a checkpoint every fifth query,
+/// replaying the journal rebuilds the live registry — ledger included,
+/// compared through `state_digest` — right after each checkpoint, and
+/// falls short of it after a query since that recorded statistics: the
+/// digest sees the ledger.
+#[test]
+fn replay_reproduces_the_live_ledger_at_every_checkpoint() {
+    let catalog = data();
+    let base = catalog.total_base_bytes();
+    let config = baselines::deepsea()
+        .with_phi(0.05)
+        .with_smax(base / 40)
+        .with_journal_cadence(5, 40);
+    let journal = Arc::new(CatalogJournal::new());
+    let backend = SimBackend::new(ClusterSim::paper_default());
+    let mut ds = DeepSea::with_backend(Arc::clone(&catalog), plain_fs(), Box::new(backend), config)
+        .with_journal(Arc::clone(&journal));
+    let (mut checkpoints, mut behind) = (0, 0);
+    let mut recorded_since_checkpoint = false;
+    for (i, plan) in fig5_workload(600, 42)[..150].iter().enumerate() {
+        let out = ds
+            .process_query(plan)
+            .unwrap_or_else(|e| panic!("query {i}: views never gate an answer: {e}"));
+        let (snapshot, records) = journal.replay();
+        let (replayed, _) = replay_catalog(snapshot.map(|(_, s)| s), &records);
+        let live = ds.registry().state_digest();
+        if ds.clock().is_multiple_of(5) {
+            checkpoints += 1;
+            recorded_since_checkpoint = false;
+            assert_eq!(
+                replayed.state_digest(),
+                live,
+                "query {i}: replay at a checkpoint does not rebuild the live ledger"
+            );
+        } else {
+            recorded_since_checkpoint |= out.trace.matching.views_updated > 0;
+            if recorded_since_checkpoint {
+                behind += 1;
+                assert_ne!(
+                    replayed.state_digest(),
+                    live,
+                    "query {i}: statistics recorded since the checkpoint are not in the digest"
+                );
+            }
+        }
+        if (i + 1) % 25 == 0 {
+            ds.merge_cohit_fragments(0.5, 0.5).expect("merge pass");
+        }
+    }
+    assert_eq!(checkpoints, 30);
+    assert!(behind > 50, "only {behind} queries recorded statistics");
 }
 
 type Log = Vec<(Lsn, CatalogRecord)>;

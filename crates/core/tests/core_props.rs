@@ -2,7 +2,7 @@
 
 use deepsea_core::policy::ValueModel;
 use deepsea_core::registry::PartitionState;
-use deepsea_core::stats::{decay, FragStats, ViewStats};
+use deepsea_core::stats::{decay, FragStats, PartitionHits, ViewUses};
 use deepsea_core::Interval;
 use deepsea_storage::FileId;
 use proptest::prelude::*;
@@ -36,7 +36,7 @@ proptest! {
         savings in proptest::collection::vec(0.0f64..1_000.0, 1..20),
         tmax in 1u64..1_000,
     ) {
-        let mut s = ViewStats::estimated(1_000, 10.0);
+        let mut s = ViewUses::default();
         let mut prev_b = 0.0;
         for (i, sv) in savings.iter().enumerate() {
             let t = (i + 1) as u64;
@@ -88,15 +88,18 @@ proptest! {
         ] {
             let mut p = PartitionState::new("a.k", Interval::new(0, 199));
             let (cold, hot) = (Interval::new(0, 99), Interval::new(100, 199));
+            let mut slots = Vec::new();
             for (file, iv, n) in [(0, cold, base_hits), (1, hot, base_hits + extra)] {
                 p.materialize(iv, FileId(file), 500);
-                let stats = p.find_stats_mut(&iv).unwrap();
+                let mut stats = FragStats::default();
                 for i in 0..n {
                     // hot gets its extra hits later (more recent)
                     stats.record_hit(tnow - (n - i) as u64);
                 }
+                slots.push(stats);
             }
-            let values = vm.fragment_values(&p, 1_000, 50.0, tnow, 1_000);
+            let hits = PartitionHits::new(&slots);
+            let values = vm.fragment_values(&p, hits, 1_000, 50.0, tnow, 1_000);
             prop_assert!(
                 values[1] + 1e-9 >= values[0],
                 "{vm:?}: hot {} < cold {}",

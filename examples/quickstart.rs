@@ -51,7 +51,7 @@ fn main() {
             "  {}: {:.2} GB, benefit events {}, partitions: {}",
             view.name,
             view.stats.size as f64 / 1e9,
-            view.stats.events.len(),
+            ds.registry().ledger().uses(view.id).events.len(),
             view.partitions
                 .values()
                 .map(|p| format!(

@@ -64,7 +64,11 @@ fn main() {
                     ps.attr,
                     iv,
                     frag.size as f64 / 1e9,
-                    frag.stats.raw_hits()
+                    ds.registry()
+                        .ledger()
+                        .hits(view.id, &ps.attr)
+                        .of(fid)
+                        .raw_hits()
                 );
             }
         }
