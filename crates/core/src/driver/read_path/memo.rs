@@ -16,7 +16,7 @@
 //! in any other world computes afresh. The memo is shared by a driver and
 //! every snapshot it publishes, like `SimBackend`'s memo of executed plans.
 
-// deepsea-lint: allow(lock_discipline) -- the rewriting memo a driver shares with its snapshots; one lock at a time, never held while matching, rewriting or executing
+// deepsea-lint: allow(layering) -- the rewriting memo a driver shares with its snapshots; one lock at a time, never held while matching, rewriting or executing
 use std::sync::{Arc, Mutex};
 
 use deepsea_engine::plan::LogicalPlan;

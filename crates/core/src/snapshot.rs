@@ -36,6 +36,41 @@ use crate::registry::ViewRegistry;
 
 /// A frozen, shareable view of everything the read path consults, stamped
 /// with the epoch (committed-query count) it was published at.
+///
+/// The read path is pure by type: a snapshot hands out no `&mut` to the
+/// registry, the catalog or the pool — every field sits behind an `Arc` or
+/// is reached through `&self` — and it holds no journal handle, so nothing
+/// answered from it can write a catalog record. The borrow checker enforces
+/// this; the two twins below pin it. They differ only in the borrow: a
+/// `&mut ViewRegistry` may call [`ViewRegistry::view_mut`] …
+///
+/// ```no_run
+/// use deepsea_core::filter_tree::ViewId;
+/// use deepsea_core::registry::ViewRegistry;
+/// use deepsea_core::ReadSnapshot;
+///
+/// fn touch(snapshot: &ReadSnapshot, registry: &mut ViewRegistry, id: ViewId) {
+///     let _epoch = snapshot.epoch();
+///     registry.view_mut(id);
+/// }
+/// ```
+///
+/// … and the same call through [`ReadSnapshot::registry`] does not compile.
+///
+/// ```compile_fail
+/// use deepsea_core::filter_tree::ViewId;
+/// use deepsea_core::registry::ViewRegistry;
+/// use deepsea_core::ReadSnapshot;
+///
+/// fn touch(snapshot: &ReadSnapshot, registry: &mut ViewRegistry, id: ViewId) {
+///     let _epoch = snapshot.epoch();
+///     snapshot.registry().view_mut(id);
+/// }
+/// ```
+///
+/// What no type rules out is a read through the shared `SimFs`, whose
+/// mutators take `&self`; `tests/snapshot_isolation.rs` checks that a read
+/// creates and deletes no file and writes no byte.
 pub struct ReadSnapshot {
     /// The epoch this snapshot captures — equal to the writer's logical
     /// clock (number of committed queries) at publication time.

@@ -9,7 +9,7 @@
 //! A distributed deployment would implement the same trait against an actual
 //! cluster.
 
-// deepsea-lint: allow(lock_discipline) -- backend bookkeeping cells (retry counters, the plan memo); one lock at a time, never held across an execution
+// deepsea-lint: allow(layering) -- backend bookkeeping cells (retry counters, the plan memo); one lock at a time, never held across an execution
 use std::sync::{Arc, Mutex};
 
 use deepsea_relation::{Predicate, Table};

@@ -9,22 +9,22 @@
 //! hand-rolled token stream (no rustc plumbing, std-only). The gate is
 //! zero: any violation fails the run.
 //!
+//! It checks only what rustc cannot. The read path's purity is a type
+//! property (a `ReadSnapshot` hands out no `&mut` to the registry, catalog
+//! or pool, and holds no journal; its doctests pin that), so no rule
+//! re-proves it.
+//!
 //! See [`rules`] for the rule catalog and DESIGN.md §10 for the rationale
 //! tied to each guarantee.
 
-pub mod graph;
-pub mod items;
 pub mod lexer;
 pub mod report;
 pub mod rules;
 
-pub use graph::CallGraph;
 pub use rules::{lint_source, RuleId, Violation};
 
 use std::io;
 use std::path::{Path, PathBuf};
-
-use rules::SourceFile;
 
 /// Result of linting a file set.
 pub struct LintRun {
@@ -32,9 +32,6 @@ pub struct LintRun {
     pub violations: Vec<Violation>,
     /// Workspace-relative paths scanned, sorted.
     pub files: Vec<String>,
-    /// The cross-crate call graph the R1 corpus pass ran over (exported by
-    /// `--graph-out`).
-    pub graph: CallGraph,
 }
 
 /// Directories scanned by `--workspace`, relative to the workspace root.
@@ -56,56 +53,20 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintRun> {
 }
 
 /// Lint an explicit list of absolute file paths, relativizing against
-/// `root` for scoping and reporting. Each non-test file is lexed once; test
-/// files are read but never linted.
+/// `root` for scoping and reporting. Test files are read but never linted.
 pub fn lint_files(root: &Path, files: &[PathBuf]) -> io::Result<LintRun> {
     let mut rels = Vec::with_capacity(files.len());
-    let mut lexed = Vec::new();
+    let mut violations = Vec::new();
     for path in files {
         let rel = relative_to(root, path);
-        let src = std::fs::read_to_string(path)?;
-        if !rules::is_test_path(&rel) {
-            lexed.push(SourceFile::new(&rel, &src));
-        }
+        violations.extend(lint_source(&rel, &std::fs::read_to_string(path)?));
         rels.push(rel);
     }
-    let mut violations: Vec<Violation> = lexed.iter().flat_map(rules::lint_file).collect();
-    // Corpus pass: R1 read-path purity is a reachability property of the
-    // whole call graph, so it runs over the file set, not per file. Allow
-    // markers still apply at the flagged call site.
-    let graph = graph_of(&lexed);
-    violations.extend(
-        graph
-            .read_path_purity_violations()
-            .into_iter()
-            .filter(|v| !lexed.iter().any(|f| f.rel == v.file && f.suppresses(v))),
-    );
     violations.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(LintRun {
         violations,
         files: rels,
-        graph,
     })
-}
-
-/// Build the cross-crate call graph over `(rel, source)` pairs. Test-scoped
-/// files and vendored shim crates are excluded from the corpus.
-pub fn build_graph(sources: &[(String, String)]) -> CallGraph {
-    let lexed: Vec<SourceFile> = sources
-        .iter()
-        .map(|(rel, src)| SourceFile::new(rel, src))
-        .collect();
-    graph_of(&lexed)
-}
-
-/// The call graph over the corpus files among `lexed`.
-fn graph_of(lexed: &[SourceFile]) -> CallGraph {
-    let parsed: Vec<items::FileItems> = lexed
-        .iter()
-        .filter(|f| rules::in_graph_corpus(&f.rel))
-        .map(items::parse)
-        .collect();
-    CallGraph::build(&parsed)
 }
 
 /// Workspace-relative path with `/` separators (falls back to the full

@@ -1,7 +1,7 @@
 //! CLI entry point.
 //!
 //! ```text
-//! deepsea-lint --workspace [--root DIR] [--json FILE] [--graph-out FILE] [paths…]
+//! deepsea-lint --workspace [--root DIR] [--json FILE] [paths…]
 //! ```
 //!
 //! Exit codes: `0` clean, `1` any violation, `2` usage or I/O errors.
@@ -15,19 +15,17 @@ struct Args {
     workspace: bool,
     root: Option<PathBuf>,
     json: Option<PathBuf>,
-    graph_out: Option<PathBuf>,
     paths: Vec<PathBuf>,
 }
 
 const USAGE: &str = "usage: deepsea-lint [--workspace] [--root DIR] \
-                     [--json FILE] [--graph-out FILE] [paths...]";
+                     [--json FILE] [paths...]";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         workspace: false,
         root: None,
         json: None,
-        graph_out: None,
         paths: Vec::new(),
     };
     let mut it = std::env::args().skip(1);
@@ -41,7 +39,6 @@ fn parse_args() -> Result<Args, String> {
             "--workspace" => args.workspace = true,
             "--root" => args.root = Some(path_arg(&mut it)?),
             "--json" => args.json = Some(path_arg(&mut it)?),
-            "--graph-out" => args.graph_out = Some(path_arg(&mut it)?),
             "--help" | "-h" => return Err(USAGE.to_string()),
             p if !p.starts_with('-') => args.paths.push(PathBuf::from(p)),
             other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
@@ -87,10 +84,6 @@ fn run() -> Result<bool, String> {
     if let Some(json_path) = &args.json {
         let json = report::render_json(&run.violations, run.files.len());
         std::fs::write(json_path, json).map_err(|e| e.to_string())?;
-    }
-    if let Some(graph_path) = &args.graph_out {
-        std::fs::write(graph_path, run.graph.to_json()).map_err(|e| e.to_string())?;
-        eprintln!("wrote call graph to {}", graph_path.display());
     }
     Ok(run.violations.is_empty())
 }

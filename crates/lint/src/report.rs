@@ -110,6 +110,17 @@ mod tests {
     }
 
     #[test]
+    fn summary_and_totals_list_rules_in_code_order() {
+        let vs = vec![
+            v(RuleId::CostFlow, "a.rs", 1),
+            v(RuleId::Layering, "a.rs", 2),
+            v(RuleId::CostFlow, "b.rs", 3),
+        ];
+        assert!(render_plain(&vs, 2).ends_with("3 violations (L1 1, R3 2)\n"));
+        assert!(render_json(&vs, 2).contains("\"totals\":{\"L1\":1,\"R3\":2}"));
+    }
+
+    #[test]
     fn summary_counts_per_rule() {
         let vs = vec![v(RuleId::Panic, "a.rs", 1), v(RuleId::Panic, "a.rs", 2)];
         let text = render_plain(&vs, 3);

@@ -12,23 +12,18 @@
 //! - **P1 `panic`** — no `unwrap()` / `panic!` / `unreachable!` / `todo!` /
 //!   `unimplemented!` in non-test product code; `expect("invariant: …")` is
 //!   the only sanctioned escape.
-//! - **E1 `discard`** — no `let _ =` discarding a call matching fallible
-//!   name patterns (`try_*`, `*_costed`, `append`, `write!`/`writeln!`),
-//!   except `write!`/`writeln!` into a `String` (infallible by contract).
-//! - **L1 `layering`** — no `std::fs` / `std::net` / `std::thread` outside
-//!   `crates/storage` and the bench harness: core I/O goes through
-//!   `ExecutionBackend` / `SimFs` only.
-//! - **R1 `read_path_purity`** — (corpus-level, see [`crate::graph`]) no fn
-//!   reachable from a `driver/read_path` entry point or a fn taking
-//!   `&ReadSnapshot` may call `&mut self` methods on registry/catalog/pool
-//!   types, `Journal::append`, or anything in `driver/write_path`.
-//! - **R2 `lock_discipline`** — in the sanctioned concurrency files
-//!   (`server/workers.rs`, `storage/sync.rs`): no nested guard acquisition
-//!   and no backend/journal call under a held guard; `std::sync` primitives
-//!   nowhere else.
-//! - **R3 `cost_flow`** — cost components returned by `try_*` / `*_costed`
-//!   / `drain_retry_*` calls must not be silently dropped (discarded tuple
-//!   components or unconsumed statements).
+//! - **L1 `layering`** — a file names only the `std` modules `STD_MODULES`
+//!   lets it: `std::fs` / `std::net` / `std::thread` stay in `crates/storage`
+//!   and the bench harness (core I/O goes through `ExecutionBackend` /
+//!   `SimFs` only), and `std::sync` lock and atomic primitives stay in the
+//!   two sanctioned concurrency files.
+//! - **R2 `lock_discipline`** — in those two files (`server/workers.rs`,
+//!   `storage/sync.rs`): no nested guard acquisition and no backend/journal
+//!   call under a held guard.
+//! - **R3 `cost_flow`** — the result of a fallible or costed call (`try_*`,
+//!   `*_costed`, `drain_retry_*`, `append`, `write!`/`writeln!` into
+//!   anything but a `String`) is not dropped: not by `let _ =`, not by a `_`
+//!   component of a tuple pattern, not by an unconsumed statement.
 //! - **R4 `obs_gated`** — Observer derived computation (`DecisionEvent`
 //!   construction, `format!`-built labels feeding sinks) must sit under an
 //!   `enabled()` / span-presence guard.
@@ -56,17 +51,13 @@ pub enum RuleId {
     WallClock,
     /// P1: panic paths in non-test product code.
     Panic,
-    /// E1: `let _ =` discarding a fallible call.
-    Discard,
-    /// L1: direct `std::fs`/`std::net`/`std::thread` outside storage/bench.
+    /// L1: a `std` module named where `STD_MODULES` does not allow it.
     Layering,
     /// M0: malformed or unjustified allow-marker.
     Marker,
-    /// R1: read-path reachability into catalog mutation (corpus-level).
-    ReadPurity,
-    /// R2: lock guard shape in sanctioned files; sync primitives elsewhere.
+    /// R2: lock guard shape in the sanctioned concurrency files.
     LockDiscipline,
-    /// R3: silently dropped simulated-cost components.
+    /// R3: a dropped result of a fallible or costed call.
     CostFlow,
     /// R4: ungated Observer derived computation.
     ObsGated,
@@ -79,10 +70,8 @@ impl RuleId {
             RuleId::HashIter => "D1",
             RuleId::WallClock => "D2",
             RuleId::Panic => "P1",
-            RuleId::Discard => "E1",
             RuleId::Layering => "L1",
             RuleId::Marker => "M0",
-            RuleId::ReadPurity => "R1",
             RuleId::LockDiscipline => "R2",
             RuleId::CostFlow => "R3",
             RuleId::ObsGated => "R4",
@@ -95,10 +84,8 @@ impl RuleId {
             RuleId::HashIter => "hash_iter",
             RuleId::WallClock => "wall_clock",
             RuleId::Panic => "panic",
-            RuleId::Discard => "discard",
             RuleId::Layering => "layering",
             RuleId::Marker => "marker",
-            RuleId::ReadPurity => "read_path_purity",
             RuleId::LockDiscipline => "lock_discipline",
             RuleId::CostFlow => "cost_flow",
             RuleId::ObsGated => "obs_gated",
@@ -111,9 +98,7 @@ impl RuleId {
             "hash_iter" => Some(RuleId::HashIter),
             "wall_clock" => Some(RuleId::WallClock),
             "panic" => Some(RuleId::Panic),
-            "discard" => Some(RuleId::Discard),
             "layering" => Some(RuleId::Layering),
-            "read_path_purity" => Some(RuleId::ReadPurity),
             "lock_discipline" => Some(RuleId::LockDiscipline),
             "cost_flow" => Some(RuleId::CostFlow),
             "obs_gated" => Some(RuleId::ObsGated),
@@ -122,15 +107,13 @@ impl RuleId {
     }
 
     /// Every reportable rule, in code order.
-    pub fn all() -> [RuleId; 10] {
+    pub fn all() -> [RuleId; 8] {
         [
             RuleId::HashIter,
             RuleId::WallClock,
             RuleId::Panic,
-            RuleId::Discard,
             RuleId::Layering,
             RuleId::Marker,
-            RuleId::ReadPurity,
             RuleId::LockDiscipline,
             RuleId::CostFlow,
             RuleId::ObsGated,
@@ -156,7 +139,7 @@ pub struct Violation {
 /// bit-identical replay.
 const DECISION_CRATES: [&str; 4] = ["core", "engine", "storage", "workload"];
 
-/// Crates holding product code held to panic-freedom (P1) and discard (E1).
+/// Crates holding product code held to panic-freedom (P1) and cost flow (R3).
 const PRODUCT_CRATES: [&str; 6] = ["core", "engine", "storage", "workload", "obs", "relation"];
 
 /// Vendored stand-ins for registry crates; exempt from product rules.
@@ -183,29 +166,34 @@ const HASH_ITER_METHODS: [&str; 8] = [
     "retain",
 ];
 
-/// `std::` modules that touch the outside world; only `crates/storage` (the
-/// simulated filesystem boundary) and the bench harness may name them.
-const LAYERING_MODULES: [&str; 3] = ["fs", "net", "thread"];
+/// The real-thread serving layer, which routes all cross-thread state
+/// through `deepsea_storage::sync::EpochCell`.
+const WORKERS: &str = "crates/core/src/server/workers.rs";
 
-/// The sanctioned concurrency surface: the one file outside the exempt
-/// crates allowed to name `std::thread` — the feature-gated real-thread
-/// serving layer, which routes all cross-thread state through
-/// `deepsea_storage::sync::EpochCell`. `fs`/`net` stay forbidden there, and
-/// `thread` stays forbidden everywhere else; growing this list is a
-/// design decision, not a convenience.
-const SANCTIONED_CONCURRENCY: [&str; 1] = ["crates/core/src/server/workers.rs"];
+/// The sanctioned concurrency files: the only places allowed to name lock
+/// primitives and *hold* their guards, so the only places whose guard shape
+/// R2 checks.
+const R2_SANCTIONED: [&str; 2] = [WORKERS, "crates/storage/src/sync.rs"];
 
-/// R2's sanctioned files: the only places allowed to *hold* lock guards,
-/// and therefore the only places whose guard shape is checked instead of
-/// their imports.
-const R2_SANCTIONED: [&str; 2] = [
-    "crates/core/src/server/workers.rs",
-    "crates/storage/src/sync.rs",
+/// The crates that may do real I/O: the simulated storage boundary and the
+/// harness crates around the product.
+const IO_CRATES: [&str; 3] = ["storage", "bench", "lint"];
+
+/// L1's table: each `std` module that reaches past the simulation, the
+/// crates that may name it, and the single files that may. Every other
+/// linted file may not. `sync` stands for its lock and atomic primitives
+/// ([`SYNC_PRIMITIVES`]); the root facade crate (`src/`) holds no product
+/// state and may name them. Growing a row is a design decision, not a
+/// convenience.
+const STD_MODULES: [(&str, &[&str], &[&str]); 4] = [
+    ("fs", &IO_CRATES, &[]),
+    ("net", &IO_CRATES, &[]),
+    ("thread", &IO_CRATES, &[WORKERS]),
+    ("sync", &["bench", "lint", "src"], &R2_SANCTIONED),
 ];
 
-/// `std::sync` primitive type/module names R2 bans outside the sanctioned
-/// files (`Arc` is shared ownership, not a lock — allowed; `Atomic*` is
-/// matched by prefix).
+/// `std::sync` names L1 walls off (`Arc` is shared ownership, not a lock —
+/// free everywhere; `Atomic*` is matched by prefix).
 const SYNC_PRIMITIVES: [&str; 9] = [
     "Mutex", "RwLock", "Condvar", "Barrier", "Once", "OnceLock", "LazyLock", "mpsc", "atomic",
 ];
@@ -238,7 +226,7 @@ fn crate_of(rel: &str) -> &str {
 /// Covers `tests/`, `benches/` and `examples/` dirs, plus module files named
 /// `tests.rs` / `*_tests.rs` (their `#[cfg(test)]` lives on the `mod`
 /// declaration in the parent file, out of this file's token stream).
-pub(crate) fn is_test_path(rel: &str) -> bool {
+fn is_test_path(rel: &str) -> bool {
     let parts: Vec<&str> = rel.split('/').collect();
     if parts.contains(&"tests") || parts.contains(&"benches") || parts.contains(&"examples") {
         return true;
@@ -247,33 +235,26 @@ pub(crate) fn is_test_path(rel: &str) -> bool {
     file == "tests.rs" || file.ends_with("_tests.rs")
 }
 
-/// Should `rel` participate in the cross-crate call-graph corpus (R1)?
-/// Test-scoped files and the vendored shim crates are excluded — shims
-/// re-use common method names and would only add resolver ambiguity.
-pub(crate) fn in_graph_corpus(rel: &str) -> bool {
-    !is_test_path(rel) && !SHIM_CRATES.contains(&crate_of(rel))
-}
-
 /// Does `rule` apply to the file at `rel` at all?
 fn rule_enabled(rule: RuleId, rel: &str) -> bool {
     let c = crate_of(rel);
-    let shim = SHIM_CRATES.contains(&c);
     match rule {
         RuleId::HashIter => DECISION_CRATES.contains(&c),
         RuleId::WallClock => c != "criterion",
-        RuleId::Panic | RuleId::Discard => PRODUCT_CRATES.contains(&c),
-        RuleId::Layering => !matches!(c, "storage" | "bench" | "lint") && !shim,
+        RuleId::Panic | RuleId::CostFlow => PRODUCT_CRATES.contains(&c),
+        RuleId::Layering => !SHIM_CRATES.contains(&c),
         RuleId::Marker => true,
-        // R1 is evaluated over the whole corpus (graph reachability), not
-        // per file; this arm only scopes marker applicability.
-        RuleId::ReadPurity => !shim,
-        RuleId::LockDiscipline => matches!(
-            c,
-            "core" | "engine" | "storage" | "workload" | "relation" | "obs"
-        ),
-        RuleId::CostFlow => DECISION_CRATES.contains(&c),
+        RuleId::LockDiscipline => R2_SANCTIONED.contains(&rel),
         RuleId::ObsGated => PRODUCT_CRATES.contains(&c) && c != "obs",
     }
+}
+
+/// May the file at `rel` name the walled `std` module `module`?
+fn may_name(rel: &str, module: &str) -> bool {
+    STD_MODULES
+        .iter()
+        .find(|(m, _, _)| *m == module)
+        .is_none_or(|(_, crates, files)| crates.contains(&crate_of(rel)) || files.contains(&rel))
 }
 
 /// A parsed `// deepsea-lint: allow(slug[, slug]) -- justification` marker.
@@ -282,78 +263,22 @@ struct Marker {
     rules: Vec<RuleId>,
 }
 
-/// One file, lexed once: the token rules, the item parser and the R1 marker
-/// filter all read this value.
-pub(crate) struct SourceFile {
-    /// Workspace-relative path with `/` separators.
-    pub(crate) rel: String,
-    /// The source tokens; comments are dropped once the markers are read.
-    pub(crate) toks: Vec<Token>,
-    /// Token-index spans of test-only items and statement blocks.
-    test_spans: Vec<(usize, usize)>,
-    markers: Vec<Marker>,
-    /// M0 hits: malformed or unjustified markers.
-    marker_violations: Vec<Violation>,
-}
-
-impl SourceFile {
-    /// Lex `src` and read its markers and test spans.
-    pub(crate) fn new(rel: &str, src: &str) -> SourceFile {
-        let (toks, comments): (Vec<Token>, Vec<Token>) = lex(src)
-            .into_iter()
-            .partition(|t| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment));
-        let (markers, marker_violations) = collect_markers(rel, &comments);
-        SourceFile {
-            rel: rel.to_string(),
-            test_spans: test_item_spans(&toks),
-            toks,
-            markers,
-            marker_violations,
-        }
-    }
-
-    /// Does token `idx` lie in a `#[cfg(test)]` / `#[test]` item or block?
-    pub(crate) fn in_test(&self, idx: usize) -> bool {
-        self.test_spans.iter().any(|&(a, b)| idx >= a && idx < b)
-    }
-
-    /// Does an allow-marker cover `v`? A marker covers matching violations
-    /// on its own line and on the next line holding a source token; M0
-    /// diagnostics are never covered.
-    pub(crate) fn suppresses(&self, v: &Violation) -> bool {
-        v.rule != RuleId::Marker
-            && self.markers.iter().any(|m| {
-                if !m.rules.contains(&v.rule) {
-                    return false;
-                }
-                if v.line == m.line {
-                    return true;
-                }
-                let next = self.toks.iter().map(|tok| tok.line).find(|&l| l > m.line);
-                next == Some(v.line)
-            })
-    }
-}
-
 /// Lint one file's source. `rel` is the workspace-relative path (used for
-/// crate scoping); returns violations sorted by line.
+/// crate scoping); returns violations sorted by line. Files under a test
+/// path are never linted.
 pub fn lint_source(rel: &str, src: &str) -> Vec<Violation> {
     if is_test_path(rel) {
         return Vec::new();
     }
-    lint_file(&SourceFile::new(rel, src))
-}
-
-/// The per-file rules over a lexed file, sorted by line.
-pub(crate) fn lint_file(file: &SourceFile) -> Vec<Violation> {
-    let rel = file.rel.as_str();
-    let t = &file.toks;
-    let in_test = |idx: usize| file.in_test(idx);
-    let mut out = file.marker_violations.clone();
+    let (t, comments): (Vec<Token>, Vec<Token>) = lex(src)
+        .into_iter()
+        .partition(|t| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment));
+    let (markers, mut out) = collect_markers(rel, &comments);
+    let test_spans = test_item_spans(&t);
+    let in_test = |idx: usize| test_spans.iter().any(|&(a, b)| idx >= a && idx < b);
+    let t = &t[..];
 
     let hash_idents = collect_typed_idents(t, &["HashMap", "HashSet"]);
-    let string_idents = collect_typed_idents(t, &["String"]);
-
     for i in 0..t.len() {
         if in_test(i) {
             continue;
@@ -361,8 +286,9 @@ pub(crate) fn lint_file(file: &SourceFile) -> Vec<Violation> {
         rule_hash(rel, t, i, &hash_idents, &mut out);
         rule_wall_clock(rel, t, i, &mut out);
         rule_panic(rel, t, i, &mut out);
-        rule_discard(rel, t, i, &string_idents, &mut out);
-        rule_layering(rel, t, i, &mut out);
+    }
+    if rule_enabled(RuleId::Layering, rel) {
+        rule_layering(rel, t, &in_test, &mut out);
     }
     if rule_enabled(RuleId::LockDiscipline, rel) {
         rule_lock_discipline(rel, t, &in_test, &mut out);
@@ -374,9 +300,26 @@ pub(crate) fn lint_file(file: &SourceFile) -> Vec<Violation> {
         rule_obs_gated(rel, t, &in_test, &mut out);
     }
 
-    out.retain(|v| !file.suppresses(v));
+    out.retain(|v| !suppressed(&markers, t, v));
     out.sort_by_key(|v| (v.line, v.rule));
     out
+}
+
+/// Does an allow-marker cover `v`? A marker covers matching violations on
+/// its own line and on the next line holding a source token; M0
+/// diagnostics are never covered.
+fn suppressed(markers: &[Marker], t: &[Token], v: &Violation) -> bool {
+    v.rule != RuleId::Marker
+        && markers.iter().any(|m| {
+            if !m.rules.contains(&v.rule) {
+                return false;
+            }
+            if v.line == m.line {
+                return true;
+            }
+            let next = t.iter().map(|tok| tok.line).find(|&l| l > m.line);
+            next == Some(v.line)
+        })
 }
 
 /// Extract allow-markers from line comments; malformed ones are violations.
@@ -443,8 +386,7 @@ fn collect_markers(rel: &str, comments: &[Token]) -> (Vec<Marker>, Vec<Violation
 
 /// Token-index spans of `#[cfg(test)]` / `#[test]` items and statement
 /// blocks (the attribute up to the end of the brace block or terminating
-/// `;`). The one test-scope scanner: the token rules and the item parser
-/// both read these spans.
+/// `;`). The one test-scope scanner every rule reads.
 fn test_item_spans(t: &[Token]) -> Vec<(usize, usize)> {
     let mut spans = Vec::new();
     let mut i = 0;
@@ -778,144 +720,112 @@ fn rule_panic(rel: &str, t: &[Token], i: usize, out: &mut Vec<Violation>) {
     }
 }
 
-/// E1 — `let _ = <expr>;` discarding a fallible call. The `write!`/
-/// `writeln!` exemption for `String` receivers is encoded here directly:
-/// `fmt::Write` into a `String` cannot fail, so discarding its `Result` is
-/// the idiomatic pattern and needs no marker.
-fn rule_discard(
+/// L1 — one scanner over every path headed by `std`, in qualified, `use`
+/// and `use std::{…}` group form: each walled module it names (the segment
+/// right below `std`) and each primitive it names below `std::sync` is
+/// checked against [`STD_MODULES`]. A path headed by a `sync` or `atomic`
+/// module, as named after `use std::sync;`, is read as one below
+/// `std::sync`. A scanned path is skipped whole, so no segment of it is
+/// read again as a head.
+fn rule_layering(
     rel: &str,
     t: &[Token],
-    i: usize,
-    string_idents: &[String],
+    in_test: &dyn Fn(usize) -> bool,
     out: &mut Vec<Violation>,
 ) {
-    if !rule_enabled(RuleId::Discard, rel) {
-        return;
-    }
-    if !(t[i].is_ident("let")
-        && t.get(i + 1).is_some_and(|n| n.is_ident("_"))
-        && t.get(i + 2).is_some_and(|n| n.is_punct('=')))
-    {
-        return;
-    }
-    // Scan the discarded expression up to the statement's `;`.
-    let mut depth = 0i32;
-    let mut j = i + 3;
-    while let Some(tok) = t.get(j) {
-        if tok.is_punct('(') || tok.is_punct('[') || tok.is_punct('{') {
-            depth += 1;
-        } else if tok.is_punct(')') || tok.is_punct(']') || tok.is_punct('}') {
-            depth -= 1;
-        } else if tok.is_punct(';') && depth <= 0 {
-            break;
-        } else if tok.kind == TokKind::Ident {
-            let name = tok.text.as_str();
-            // `write!(recv, …)` / `writeln!(recv, …)`.
-            if (name == "write" || name == "writeln")
-                && t.get(j + 1).is_some_and(|n| n.is_punct('!'))
-                && t.get(j + 2).is_some_and(|n| n.is_punct('('))
-            {
-                let mut a = j + 3;
-                while t
-                    .get(a)
-                    .is_some_and(|n| n.is_punct('&') || n.is_ident("mut"))
-                {
-                    a += 1;
-                }
-                let recv_is_string = t.get(a).is_some_and(|r| {
-                    r.kind == TokKind::Ident && string_idents.iter().any(|s| s == &r.text)
-                });
-                if !recv_is_string {
-                    violation(
-                        out,
-                        RuleId::Discard,
-                        rel,
-                        tok.line,
-                        format!(
-                            "`let _ = {name}!(…)` discards an I/O write result — \
-                             only `fmt::Write` into a `String` is infallible"
-                        ),
-                    );
-                }
-                return;
+    let mut i = 0;
+    while i < t.len() {
+        let head = t[i].kind == TokKind::Ident
+            && path_sep(t, i + 1)
+            && !(i >= 2 && path_sep(t, i - 2))
+            && !in_test(i);
+        let module = match t[i].text.as_str() {
+            "std" if head => None,
+            "sync" | "atomic" if head => Some("sync"),
+            _ => {
+                i += 1;
+                continue;
             }
-            let fallible =
-                name.starts_with("try_") || name.ends_with("_costed") || name == "append";
-            if fallible && (t.get(j + 1).is_some_and(|n| n.is_punct('('))) {
-                violation(
-                    out,
-                    RuleId::Discard,
-                    rel,
-                    tok.line,
-                    format!(
-                        "`let _ =` discards the result of fallible `{name}(…)` — \
-                         handle or propagate the error"
-                    ),
-                );
-                return;
+        };
+        let mut named = Vec::new();
+        i = std_path_names(t, i + 3, module, &mut named);
+        for (module, tok) in named {
+            if may_name(rel, module) {
+                continue;
             }
+            let message = if module == "sync" {
+                format!(
+                    "`{}` (std::sync primitive) outside the sanctioned concurrency \
+                     files — cross-thread state goes through `EpochCell`, locks \
+                     live in server/workers.rs and storage/sync.rs only",
+                    tok.text
+                )
+            } else {
+                format!(
+                    "`std::{module}` outside `crates/storage`/bench — real I/O and \
+                     threads go through `ExecutionBackend`/`SimFs` only"
+                )
+            };
+            violation(out, RuleId::Layering, rel, tok.line, message);
         }
-        j += 1;
     }
 }
 
-/// L1 — `std::fs` / `std::net` / `std::thread` outside the storage crate
-/// and bench harness, in both path and `use std::{…}` group form.
-fn rule_layering(rel: &str, t: &[Token], i: usize, out: &mut Vec<Violation>) {
-    if !rule_enabled(RuleId::Layering, rel) {
-        return;
-    }
-    let tok = &t[i];
-    if !(tok.is_ident("std")
-        && t.get(i + 1).is_some_and(|n| n.is_punct(':'))
-        && t.get(i + 2).is_some_and(|n| n.is_punct(':')))
-    {
-        return;
-    }
-    let mut flag = |name: &str, line: u32| {
-        // The sanctioned concurrency surface may name `thread` (and only
-        // `thread`): the epoch handoff is built on `EpochCell`, and the
-        // file is part of the audited serving layer.
-        if name == "thread" && SANCTIONED_CONCURRENCY.contains(&rel) {
-            return;
-        }
-        violation(
-            out,
-            RuleId::Layering,
-            rel,
-            line,
-            format!(
-                "`std::{name}` outside `crates/storage`/bench — real I/O and \
-                 threads go through `ExecutionBackend`/`SimFs` only"
-            ),
-        );
+/// Is `t[i..]` a `::` path separator?
+fn path_sep(t: &[Token], i: usize) -> bool {
+    t.get(i).is_some_and(|n| n.is_punct(':')) && t.get(i + 1).is_some_and(|n| n.is_punct(':'))
+}
+
+/// Walk the path or use tree starting at token `j`, whose segments lie
+/// below `std::<module>` (`None`: right below `std`), and push each walled
+/// name it holds with the [`STD_MODULES`] row it falls under. Returns the
+/// index just past the tree.
+fn std_path_names<'t>(
+    t: &'t [Token],
+    j: usize,
+    module: Option<&'t str>,
+    named: &mut Vec<(&'static str, &'t Token)>,
+) -> usize {
+    let Some(tok) = t.get(j) else {
+        return j;
     };
-    if let Some(m) = t.get(i + 3) {
-        if m.kind == TokKind::Ident && LAYERING_MODULES.contains(&m.text.as_str()) {
-            flag(&m.text.clone(), m.line);
-            return;
+    if tok.is_punct('{') {
+        let mut k = j + 1;
+        while let Some(g) = t.get(k) {
+            if g.is_punct('}') {
+                return k + 1;
+            }
+            k = if g.is_punct(',') {
+                k + 1
+            } else if g.is_ident("as") {
+                k + 2
+            } else {
+                std_path_names(t, k, module, named).max(k + 1)
+            };
         }
-        // `use std::{fs, io::Write}` group form.
-        if m.is_punct('{') {
-            let mut depth = 1i32;
-            let mut j = i + 4;
-            while let Some(g) = t.get(j) {
-                if g.is_punct('{') {
-                    depth += 1;
-                } else if g.is_punct('}') {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                } else if depth == 1
-                    && g.kind == TokKind::Ident
-                    && LAYERING_MODULES.contains(&g.text.as_str())
-                {
-                    flag(&g.text.clone(), g.line);
+        return k;
+    }
+    if tok.kind != TokKind::Ident {
+        return j;
+    }
+    let name = tok.text.as_str();
+    match module {
+        None => {
+            if let Some(&(row, _, _)) = STD_MODULES.iter().find(|(m, _, _)| *m == name) {
+                if row != "sync" {
+                    named.push((row, tok));
                 }
-                j += 1;
             }
         }
+        Some("sync") if SYNC_PRIMITIVES.contains(&name) || name.starts_with("Atomic") => {
+            named.push(("sync", tok));
+        }
+        Some(_) => {}
+    }
+    if path_sep(t, j + 1) {
+        std_path_names(t, j + 3, module.or(Some(name)), named)
+    } else {
+        j + 1
     }
 }
 
@@ -972,69 +882,19 @@ fn stmt_has_let(t: &[Token], i: usize) -> bool {
     false
 }
 
-/// R2 — lock discipline. In the sanctioned concurrency files the *shape*
-/// of guard usage is checked: no acquisition while another guard is held,
+/// R2 — lock discipline, in the sanctioned concurrency files (the only
+/// ones L1 lets name a lock): no acquisition while another guard is held,
 /// and no `execute`/`append` call under a held guard (a lock held across a
 /// backend or journal call serializes the one path that must stay
-/// concurrent, and is the classic deadlock feeder). Everywhere else in the
-/// product crates, naming a `std::sync` primitive at all is the violation —
-/// cross-thread state goes through `deepsea_storage::sync::EpochCell`.
+/// concurrent, and is the classic deadlock feeder).
 fn rule_lock_discipline(
     rel: &str,
     t: &[Token],
     in_test: &dyn Fn(usize) -> bool,
     out: &mut Vec<Violation>,
 ) {
-    if !R2_SANCTIONED.contains(&rel) {
-        for i in 0..t.len() {
-            if in_test(i) || t[i].kind != TokKind::Ident {
-                continue;
-            }
-            let name = t[i].text.as_str();
-            let is_primitive = SYNC_PRIMITIVES.contains(&name) || name.starts_with("Atomic");
-            if !is_primitive {
-                continue;
-            }
-            let qualified = i >= 3
-                && t[i - 1].is_punct(':')
-                && t[i - 2].is_punct(':')
-                && (t[i - 3].is_ident("sync") || t[i - 3].is_ident("atomic"));
-            let imported = in_use_stmt(t, i) && {
-                let mut k = i;
-                let mut saw_sync = false;
-                while k > 0 {
-                    let p = &t[k - 1];
-                    if p.is_punct(';') || p.is_punct('}') {
-                        break;
-                    }
-                    if p.is_ident("sync") {
-                        saw_sync = true;
-                        break;
-                    }
-                    k -= 1;
-                }
-                saw_sync
-            };
-            if qualified || imported {
-                violation(
-                    out,
-                    RuleId::LockDiscipline,
-                    rel,
-                    t[i].line,
-                    format!(
-                        "`{name}` (std::sync primitive) outside the sanctioned \
-                         concurrency files — cross-thread state goes through \
-                         `EpochCell`, locks live in server/workers.rs and \
-                         storage/sync.rs only"
-                    ),
-                );
-            }
-        }
-        return;
-    }
-    // Sanctioned file: guard-shape scan. A `let`-bound guard lives until
-    // its enclosing brace block closes; a temporary guard dies at the
-    // statement's `;`.
+    // A `let`-bound guard lives until its enclosing brace block closes; a
+    // temporary guard dies at the statement's `;`.
     struct Guard {
         depth: i32,
         stmt: bool,
@@ -1103,11 +963,22 @@ fn rule_lock_discipline(
     }
 }
 
-/// R3 — cost flow. The complement of "every charged simulated second lands
-/// in a trace field": flag the places a cost component is visibly dropped —
-/// a `_` in a tuple `let` binding whose RHS calls a cost source, and a bare
-/// statement discarding a cost source's whole result. Flows the scan cannot
-/// follow (closures, re-bindings) are left to the dynamic suites —
+/// R3's one callee predicate: does a call to `name` return an error or a
+/// charged simulated cost its caller must not drop?
+fn is_costed(name: &str) -> bool {
+    name.starts_with("try_")
+        || name.ends_with("_costed")
+        || name.starts_with("drain_retry_")
+        || name == "append"
+}
+
+/// R3 — cost flow: the result of a fallible or costed call is not dropped,
+/// whether by a bare `let _ =`, by a `_` component of a tuple pattern, or
+/// by a statement that neither binds, assigns nor `?`-propagates it. A call
+/// counts when it sits at its statement's top paren level and either its
+/// callee passes [`is_costed`] or it is a `write!`/`writeln!` into anything
+/// but a `String` (`fmt::Write` into a `String` cannot fail). Flows the scan
+/// cannot follow (closures, re-bindings) are left to the dynamic suites —
 /// conservatism here means no false alarms, not perfect coverage.
 fn rule_cost_flow(
     rel: &str,
@@ -1115,70 +986,79 @@ fn rule_cost_flow(
     in_test: &dyn Fn(usize) -> bool,
     out: &mut Vec<Violation>,
 ) {
-    let is_source =
-        |s: &str| s.starts_with("try_") || s.ends_with("_costed") || s.starts_with("drain_retry_");
+    let string_idents = collect_typed_idents(t, &["String"]);
+    let source_at = |stmt: &[Token], from: usize| {
+        let mut depth = 0i32;
+        for k in from..stmt.len() {
+            let tok = &stmt[k];
+            if tok.is_punct('(') || tok.is_punct('[') {
+                depth += 1;
+            } else if tok.is_punct(')') || tok.is_punct(']') {
+                depth -= 1;
+            } else if depth == 0 && tok.kind == TokKind::Ident {
+                let next = |n: usize, c: char| stmt.get(k + n).is_some_and(|x| x.is_punct(c));
+                if is_costed(&tok.text) && next(1, '(') {
+                    return Some((k, format!("{}(…)", tok.text)));
+                }
+                if matches!(tok.text.as_str(), "write" | "writeln") && next(1, '!') && next(2, '(')
+                {
+                    let mut a = k + 3;
+                    while stmt
+                        .get(a)
+                        .is_some_and(|n| n.is_punct('&') || n.is_ident("mut"))
+                    {
+                        a += 1;
+                    }
+                    let into_string = stmt.get(a).is_some_and(|r| {
+                        r.kind == TokKind::Ident && string_idents.contains(&r.text)
+                    });
+                    if !into_string {
+                        return Some((k, format!("{}!(…)", tok.text)));
+                    }
+                }
+            }
+        }
+        None
+    };
     for (s, e, term) in statements(t) {
         if in_test(s) {
             continue;
         }
         let stmt = &t[s..e];
-        let source_at = |from: usize| {
-            let mut depth = 0i32;
-            for k in from..stmt.len() {
-                let tok = &stmt[k];
-                if tok.is_punct('(') || tok.is_punct('[') {
-                    depth += 1;
-                } else if tok.is_punct(')') || tok.is_punct(']') {
-                    depth -= 1;
-                } else if depth == 0
-                    && tok.kind == TokKind::Ident
-                    && is_source(&tok.text)
-                    && stmt.get(k + 1).is_some_and(|n| n.is_punct('('))
-                {
-                    return Some(k);
-                }
-            }
-            None
-        };
-        if stmt.first().is_some_and(|f| f.is_ident("let")) {
-            // Tuple pattern with a discarded component.
+        let (k, message) = if stmt[0].is_ident("let") {
             let Some(eq) = stmt.iter().position(|x| x.is_punct('=')) else {
                 continue;
             };
             let pat = &stmt[1..eq];
-            let has_tuple = pat.iter().any(|x| x.is_punct('('));
             let dropped: Vec<&str> = pat
                 .iter()
                 .filter(|x| x.kind == TokKind::Ident && x.text.starts_with('_'))
                 .map(|x| x.text.as_str())
                 .collect();
-            // Bare `let _ =` is E1's; R3 owns partial tuple discards.
-            if !has_tuple || dropped.is_empty() {
+            let bare = pat.len() == 1 && pat[0].is_ident("_");
+            let tuple = pat.iter().any(|x| x.is_punct('(')) && !dropped.is_empty();
+            if !(bare || tuple) {
                 continue;
             }
-            let rhs_off = eq + 1;
-            if let Some(k) = source_at(rhs_off) {
-                let src_name = stmt[k].text.clone();
-                violation(
-                    out,
-                    RuleId::CostFlow,
-                    rel,
-                    stmt[k].line,
-                    format!(
-                        "cost component `{}` from `{src_name}(…)` is discarded — \
-                         flow it into a trace/accountant sink or return it",
-                        dropped.join("`, `"),
-                    ),
-                );
-            }
+            let Some((k, callee)) = source_at(stmt, eq + 1) else {
+                continue;
+            };
+            let message = if bare {
+                format!("`let _ =` drops the result of `{callee}` — handle or propagate it")
+            } else {
+                format!(
+                    "component `{}` of `{callee}`'s result is discarded — flow it \
+                     into a trace/accountant sink or return it",
+                    dropped.join("`, `"),
+                )
+            };
+            (k, message)
         } else {
-            // Bare statement discarding the whole result.
             if term != Some(';') {
                 continue;
             }
-            let first = stmt.first().map(|x| x.text.as_str()).unwrap_or("");
             if matches!(
-                first,
+                stmt[0].text.as_str(),
                 "if" | "else" | "match" | "while" | "for" | "return" | "break" | "continue"
             ) {
                 continue;
@@ -1186,7 +1066,7 @@ fn rule_cost_flow(
             // Assignments and `?`-propagation consume the value.
             let mut depth = 0i32;
             let mut consumed = false;
-            for x in stmt.iter() {
+            for x in stmt {
                 if x.is_punct('(') || x.is_punct('[') {
                     depth += 1;
                 } else if x.is_punct(')') || x.is_punct(']') {
@@ -1198,20 +1078,16 @@ fn rule_cost_flow(
             if consumed {
                 continue;
             }
-            if let Some(k) = source_at(0) {
-                violation(
-                    out,
-                    RuleId::CostFlow,
-                    rel,
-                    stmt[k].line,
-                    format!(
-                        "result of `{}(…)` carries simulated cost but this \
-                         statement discards it",
-                        stmt[k].text
-                    ),
-                );
-            }
-        }
+            let Some((k, callee)) = source_at(stmt, 0) else {
+                continue;
+            };
+            let message = format!(
+                "the result of `{callee}` carries an error or simulated cost, \
+                 but this statement discards it"
+            );
+            (k, message)
+        };
+        violation(out, RuleId::CostFlow, rel, stmt[k].line, message);
     }
 }
 

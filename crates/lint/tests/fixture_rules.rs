@@ -223,67 +223,6 @@ fn p1_allow_marker() {
     );
 }
 
-// ------------------------------------------------------------------ E1 discard
-
-#[test]
-fn e1_flags_discarded_fallible_calls() {
-    let src = "fn f(j: &mut Journal) {\n\
-               \x20   let _ = j.append(b\"rec\");\n\
-               \x20   let _ = try_reserve(16);\n\
-               }\n";
-    let got = at(CORE, src);
-    assert_eq!(got, vec![(RuleId::Discard, 2), (RuleId::Discard, 3)]);
-}
-
-#[test]
-fn e1_flags_discarded_io_write() {
-    let src = "fn f(sink: &mut Sink) {\n\
-               \x20   let _ = write!(sink, \"x\");\n\
-               }\n";
-    let got = at(CORE, src);
-    assert_eq!(got, vec![(RuleId::Discard, 2)]);
-}
-
-/// Pins the in-rule E1 exemption: `fmt::Write` into a `String` cannot fail,
-/// so discarding its `Result` is idiomatic and needs no marker. These two
-/// shapes mirror the real call sites in `crates/obs/src/prometheus.rs`
-/// (`out: &mut String` parameter) and `crates/engine/src/signature.rs`
-/// (`let mut s = String::new()` local).
-#[test]
-fn e1_string_fmt_write_is_exempt() {
-    assert_clean(
-        "crates/obs/src/fixture.rs",
-        "fn render(out: &mut String) {\n\
-         \x20   let _ = write!(out, \"metric {}\", 1);\n\
-         \x20   let _ = writeln!(out, \"eol\");\n\
-         }\n",
-    );
-    assert_clean(
-        "crates/engine/src/fixture.rs",
-        "fn sig() -> String {\n\
-         \x20   let mut s = String::new();\n\
-         \x20   let _ = write!(&mut s, \"k={}\", 2);\n\
-         \x20   s\n\
-         }\n",
-    );
-}
-
-#[test]
-fn e1_ignores_infallible_discards() {
-    assert_clean(CORE, "fn f(x: u32) { let _ = compute(x); }\n");
-}
-
-#[test]
-fn e1_allow_marker() {
-    assert_clean(
-        CORE,
-        "fn f(j: &mut Journal) {\n\
-         \x20   // deepsea-lint: allow(discard) -- fixture: best-effort append\n\
-         \x20   let _ = j.append(b\"rec\");\n\
-         }\n",
-    );
-}
-
 // ----------------------------------------------------------------- L1 layering
 
 #[test]
@@ -351,6 +290,92 @@ fn l1_allow_marker() {
         "// deepsea-lint: allow(layering) -- fixture: documented boundary hole\n\
          use std::fs;\n",
     );
+    assert_clean(
+        CORE,
+        "// deepsea-lint: allow(layering) -- fixture: documented hole\n\
+         use std::sync::Mutex;\n",
+    );
+}
+
+#[test]
+fn l1_flags_sync_primitives_outside_sanctioned_files() {
+    // Qualified path form and `use`-import form are both caught.
+    let got = at(CORE, "fn f() { let m = std::sync::Mutex::new(0u32); }\n");
+    assert_eq!(got, vec![(RuleId::Layering, 1)]);
+    let got = at(CORE, "use std::sync::RwLock;\n");
+    assert_eq!(got, vec![(RuleId::Layering, 1)]);
+    let got = at(
+        "crates/engine/src/fixture.rs",
+        "use std::sync::atomic::{AtomicU64, Ordering};\n",
+    );
+    assert!(
+        got.iter().all(|&(r, _)| r == RuleId::Layering) && !got.is_empty(),
+        "atomics are primitives too: {got:?}"
+    );
+    // A path headed by an imported `sync` or `atomic` module is read as
+    // one below `std::sync`; a crate's own `sync` module names no primitive.
+    let got = at(
+        CORE,
+        "use std::sync;\nfn f() { let m = sync::Mutex::new(0u32); }\n",
+    );
+    assert_eq!(got, vec![(RuleId::Layering, 2)]);
+    assert_clean(CORE, "pub use sync::{EpochCell, Stamp};\n");
+    assert_clean(CORE, "fn f(c: &deepsea_storage::sync::EpochCell<u32>) {}\n");
+    // Each primitive on a qualified path reports: the `atomic` module and
+    // the type below it.
+    let got = at(
+        CORE,
+        "fn f() -> u64 { std::sync::atomic::AtomicU64::new(0).into_inner() }\n",
+    );
+    assert_eq!(got, vec![(RuleId::Layering, 1), (RuleId::Layering, 1)]);
+}
+
+#[test]
+fn l1_allows_arc_and_nonsync_idents() {
+    // `Arc` is shared ownership, not a lock; a local type that happens to
+    // be named `Mutex` without a sync qualifier/import is out of scope.
+    assert_clean(CORE, "use std::sync::Arc;\n");
+    assert_clean(CORE, "fn f(m: &my::Mutex) { m.poke(); }\n");
+}
+
+#[test]
+fn l1_walks_nested_groups_and_renames() {
+    // One path scanner: `std::{…}` groups nest, each walled name is
+    // reported at its own line, and `as` renames do not end the group.
+    let src = "use std::{\n\
+               \x20   io::Read,\n\
+               \x20   sync::{Arc, Mutex as Lock},\n\
+               \x20   thread,\n\
+               };\n";
+    assert_eq!(
+        at(CORE, src),
+        vec![(RuleId::Layering, 3), (RuleId::Layering, 4)]
+    );
+    // `MutexGuard` names no primitive of its own; `std::sync` alone is the
+    // module, not a primitive.
+    assert_clean(
+        CORE,
+        "fn f(g: std::sync::MutexGuard<'_, u32>) {}\nuse std::sync;\n",
+    );
+}
+
+#[test]
+fn l1_sync_row_covers_storage_but_not_the_root_facade() {
+    // The storage crate may do real I/O, but locks stay in its sync.rs.
+    assert_clean("crates/storage/src/fs.rs", "use std::fs;\n");
+    assert_eq!(
+        at("crates/storage/src/fs.rs", "use std::sync::Mutex;\n"),
+        vec![(RuleId::Layering, 1)]
+    );
+    assert_clean(
+        "crates/storage/src/sync.rs",
+        "use std::sync::{Arc, RwLock};\n",
+    );
+    assert_clean("src/lib.rs", "use std::sync::Mutex;\n");
+    assert_eq!(
+        at("src/lib.rs", "use std::fs;\n"),
+        vec![(RuleId::Layering, 1)]
+    );
 }
 
 // ------------------------------------------------------------------- M0 marker
@@ -368,6 +393,33 @@ fn m0_flags_unknown_rule() {
         "// deepsea-lint: allow(no_such_rule) -- because\nfn f() {}\n",
     );
     assert_eq!(got, vec![(RuleId::Marker, 1)]);
+}
+
+#[test]
+fn m0_flags_the_slugs_of_removed_rules() {
+    // No aliases: a marker naming a rule that no longer exists is unknown.
+    for slug in ["discard", "read_path_purity"] {
+        let src = format!(
+            "// deepsea-lint: allow({slug}) -- fixture\n\
+             fn f(j: &Journal) {{ let _ = j.append(1); }}\n"
+        );
+        assert_eq!(
+            at(CORE, &src),
+            vec![(RuleId::Marker, 1), (RuleId::CostFlow, 2)],
+            "{slug}"
+        );
+    }
+}
+
+#[test]
+fn every_rule_keeps_its_code_and_slug() {
+    let codes: Vec<&str> = RuleId::all().iter().map(|r| r.code()).collect();
+    assert_eq!(codes, ["D1", "D2", "P1", "L1", "M0", "R2", "R3", "R4"]);
+    for rule in RuleId::all() {
+        let parsed = RuleId::from_slug(rule.slug());
+        let expected = (rule != RuleId::Marker).then_some(rule);
+        assert_eq!(parsed, expected, "{}", rule.slug());
+    }
 }
 
 #[test]
@@ -414,31 +466,6 @@ fn marker_does_not_suppress_other_rules() {
 // ---------------------------------------------------------- R2 lock_discipline
 
 #[test]
-fn r2_flags_sync_primitives_outside_sanctioned_files() {
-    // Qualified path form and `use`-import form are both caught.
-    let got = at(CORE, "fn f() { let m = std::sync::Mutex::new(0u32); }\n");
-    assert_eq!(got, vec![(RuleId::LockDiscipline, 1)]);
-    let got = at(CORE, "use std::sync::RwLock;\n");
-    assert_eq!(got, vec![(RuleId::LockDiscipline, 1)]);
-    let got = at(
-        "crates/engine/src/fixture.rs",
-        "use std::sync::atomic::{AtomicU64, Ordering};\n",
-    );
-    assert!(
-        got.iter().all(|&(r, _)| r == RuleId::LockDiscipline) && !got.is_empty(),
-        "atomics are primitives too: {got:?}"
-    );
-}
-
-#[test]
-fn r2_allows_arc_and_nonsync_idents() {
-    // `Arc` is shared ownership, not a lock; a local type that happens to
-    // be named `Mutex` without a sync qualifier/import is out of scope.
-    assert_clean(CORE, "use std::sync::Arc;\n");
-    assert_clean(CORE, "fn f(m: &my::Mutex) { m.poke(); }\n");
-}
-
-#[test]
 fn r2_sanctioned_files_check_guard_shape_not_imports() {
     const WORKERS: &str = "crates/core/src/server/workers.rs";
     // Imports are the sanctioned files' whole point.
@@ -480,7 +507,7 @@ fn r2_flags_backend_calls_under_guard() {
     // A temporary guard dies at its own `;` — the next statement is free.
     let src = "fn f(&self) {\n\
                \x20   self.inner.lock().poke();\n\
-               \x20   self.journal.append(1);\n\
+               \x20   self.journal.append(1)?;\n\
                }\n";
     assert_clean(SYNC, src);
 }
@@ -488,9 +515,27 @@ fn r2_flags_backend_calls_under_guard() {
 #[test]
 fn r2_allow_marker() {
     assert_clean(
-        CORE,
-        "// deepsea-lint: allow(lock_discipline) -- fixture: documented hole\n\
-         use std::sync::Mutex;\n",
+        "crates/core/src/server/workers.rs",
+        "fn f(a: &std::sync::Mutex<u32>, b: &std::sync::Mutex<u32>) {\n\
+         \x20   let g = a.lock();\n\
+         \x20   // deepsea-lint: allow(lock_discipline) -- fixture: fixed lock order\n\
+         \x20   let h = b.lock();\n\
+         }\n",
+    );
+}
+
+#[test]
+fn r2_checks_only_the_sanctioned_files() {
+    // Outside them L1 already forbids naming a lock, so no guard exists
+    // whose shape could be checked.
+    let src = "fn f(a: &A, b: &B) {\n\
+               \x20   let g = a.lock();\n\
+               \x20   let h = b.lock();\n\
+               }\n";
+    assert_clean(CORE, src);
+    assert_eq!(
+        at("crates/storage/src/sync.rs", src),
+        vec![(RuleId::LockDiscipline, 3)]
     );
 }
 
@@ -547,6 +592,124 @@ fn r3_consumed_results_are_clean() {
         CORE,
         "fn f(&mut self) { self.total += self.drain_retry_budget(3); }\n",
     );
+    assert_clean(
+        CORE,
+        "fn f(&mut self, n: usize) -> Result<(), Full> {\n\
+         \x20   if self.pool.try_reserve(1).is_err() { return Ok(()); }\n\
+         \x20   return self.pool.try_reserve(n);\n\
+         }\n",
+    );
+}
+
+#[test]
+fn r3_a_costed_call_inside_another_call_is_consumed_by_it() {
+    // Only a call at the statement's top paren level is dropped with the
+    // statement; one passed as an argument is its caller's to consume.
+    assert_clean(CORE, "fn f(j: &Journal) { let _ = log(j.append(1)); }\n");
+    assert_eq!(
+        at(CORE, "fn f(j: &Journal) { let _ = j.append(1).is_ok(); }\n"),
+        vec![(RuleId::CostFlow, 1)]
+    );
+}
+
+#[test]
+fn r3_flags_let_underscore_discards() {
+    let src = "fn f(j: &mut Journal) {\n\
+               \x20   let _ = j.append(b\"rec\");\n\
+               \x20   let _ = try_reserve(16);\n\
+               }\n";
+    let got = at(CORE, src);
+    assert_eq!(got, vec![(RuleId::CostFlow, 2), (RuleId::CostFlow, 3)]);
+}
+
+#[test]
+fn r3_flags_discarded_io_write() {
+    let src = "fn f(sink: &mut Sink) {\n\
+               \x20   let _ = write!(sink, \"x\");\n\
+               }\n";
+    let got = at(CORE, src);
+    assert_eq!(got, vec![(RuleId::CostFlow, 2)]);
+}
+
+/// `fmt::Write` into a `String` cannot fail, so discarding its `Result` is
+/// idiomatic and needs no marker. These two shapes mirror the real call
+/// sites in `crates/obs/src/prometheus.rs` (`out: &mut String` parameter)
+/// and `crates/engine/src/signature.rs` (`let mut s = String::new()` local).
+#[test]
+fn r3_string_fmt_write_is_exempt() {
+    assert_clean(
+        "crates/obs/src/fixture.rs",
+        "fn render(out: &mut String) {\n\
+         \x20   let _ = write!(out, \"metric {}\", 1);\n\
+         \x20   let _ = writeln!(out, \"eol\");\n\
+         \x20   writeln!(out, \"unconsumed\");\n\
+         }\n",
+    );
+    assert_clean(
+        "crates/engine/src/fixture.rs",
+        "fn sig() -> String {\n\
+         \x20   let mut s = String::new();\n\
+         \x20   let _ = write!(&mut s, \"k={}\", 2);\n\
+         \x20   s\n\
+         }\n",
+    );
+}
+
+#[test]
+fn r3_ignores_infallible_discards() {
+    assert_clean(CORE, "fn f(x: u32) { let _ = compute(x); }\n");
+}
+
+#[test]
+fn r3_one_predicate_across_the_three_shapes() {
+    // Each callee name counts in each dropping shape, and the scope covers
+    // every product crate.
+    let src = "fn f(&mut self, j: &Journal, w: &mut Sink) {\n\
+               \x20   let _ = self.drain_retry_budget(3);\n\
+               \x20   j.append(1);\n\
+               \x20   writeln!(w, \"x\");\n\
+               \x20   let (lsn, _) = j.append(2);\n\
+               }\n";
+    for path in [
+        CORE,
+        "crates/obs/src/fixture.rs",
+        "crates/relation/src/fixture.rs",
+    ] {
+        let got = at(path, src);
+        assert_eq!(
+            got,
+            vec![
+                (RuleId::CostFlow, 2),
+                (RuleId::CostFlow, 3),
+                (RuleId::CostFlow, 4),
+                (RuleId::CostFlow, 5)
+            ],
+            "{path}"
+        );
+    }
+    assert_clean("crates/bench/src/fixture.rs", src);
+}
+
+#[test]
+fn r3_allow_marker_on_a_let_underscore() {
+    assert_clean(
+        CORE,
+        "fn f(j: &mut Journal) {\n\
+         \x20   // deepsea-lint: allow(cost_flow) -- fixture: best-effort append\n\
+         \x20   let _ = j.append(b\"rec\");\n\
+         }\n",
+    );
+}
+
+#[test]
+fn r3_exempts_test_code() {
+    let body = "fn f(&mut self, j: &Journal) {\n\
+                \x20   let _ = j.append(1);\n\
+                \x20   self.pool.try_reserve(1);\n\
+                }\n";
+    assert_eq!(at(CORE, body).len(), 2);
+    assert_clean(CORE, &format!("#[cfg(test)]\nmod tests {{\n{body}}}\n"));
+    assert_clean(CORE, &format!("#[test]\n{body}"));
 }
 
 #[test]
@@ -696,7 +859,7 @@ fn cfg_test_use_and_const_items_are_exempt() {
     // what keeps them clean.
     assert_eq!(
         at(CORE, items),
-        vec![(RuleId::LockDiscipline, 2), (RuleId::HashIter, 3)]
+        vec![(RuleId::Layering, 2), (RuleId::HashIter, 3)]
     );
 }
 
@@ -718,32 +881,6 @@ fn stacked_attributes_keep_a_test_fn_exempt() {
     );
 }
 
-#[test]
-fn cfg_test_impl_fns_are_neither_read_roots_nor_targets() {
-    let read = "crates/core/src/driver/read_path/mod.rs";
-    let graph = |read_src: &str, registry_src: &str| {
-        deepsea_lint::build_graph(&[
-            (read.to_string(), read_src.to_string()),
-            (
-                "crates/core/src/registry.rs".to_string(),
-                registry_src.to_string(),
-            ),
-        ])
-    };
-    let root = "impl ReadView { fn answer(&self, r: &mut ViewRegistry) { r.wipe(1); } }";
-    let target = "impl ViewRegistry { pub fn wipe(&mut self, v: u64) {} }";
-    assert_eq!(graph(root, target).read_path_purity_violations().len(), 1);
-
-    // A test-only root reaches nothing, and a test-only target is never hit.
-    let test_root = format!("#[cfg(test)]\n{root}");
-    let test_target = format!("#[cfg(test)]\n{target}");
-    for g in [graph(&test_root, target), graph(root, &test_target)] {
-        assert!(g.read_path_purity_violations().is_empty());
-    }
-    let g = graph(&test_root, &test_target);
-    assert!(g.fns.iter().all(|f| f.is_test), "{:?}", g.fns);
-}
-
 /// Write `files` under a fresh directory and return its absolute paths.
 fn write_tree(name: &str, files: &[(&str, &str)]) -> (std::path::PathBuf, Vec<std::path::PathBuf>) {
     let root = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
@@ -761,44 +898,62 @@ fn write_tree(name: &str, files: &[(&str, &str)]) -> (std::path::PathBuf, Vec<st
 }
 
 #[test]
-fn allow_marker_suppresses_a_read_path_hit_through_lint_files() {
-    let tree = |marker: &str| {
-        [
-            (
-                "crates/core/src/driver/read_path/mod.rs",
-                "impl ReadView {\n\
-                 fn answer(&self, registry: &ViewRegistry) { refresh_stats(registry); }\n\
-                 }\n"
-                .to_string(),
-            ),
-            (
-                "crates/core/src/driver/mod.rs",
-                format!(
-                    "pub fn refresh_stats(registry: &ViewRegistry) {{\n\
-                     {marker}registry.rebalance(0);\n\
-                     }}\n"
-                ),
-            ),
-            (
-                "crates/core/src/registry.rs",
-                "impl ViewRegistry { pub fn rebalance(&mut self, v: u64) {} }\n".to_string(),
-            ),
-        ]
-    };
+fn allow_marker_suppresses_a_hit_through_lint_files() {
     let run = |name: &str, marker: &str| {
-        let files = tree(marker);
-        let refs: Vec<(&str, &str)> = files.iter().map(|(r, s)| (*r, s.as_str())).collect();
-        let (root, paths) = write_tree(name, &refs);
+        let driver = format!(
+            "pub fn refresh(j: &Journal) {{\n\
+             {marker}let _ = j.append(0);\n\
+             }}\n"
+        );
+        let (root, paths) = write_tree(
+            name,
+            &[
+                ("crates/core/src/driver/mod.rs", driver.as_str()),
+                (
+                    "crates/core/tests/driver.rs",
+                    "fn t() { let _ = j.append(0); }\n",
+                ),
+            ],
+        );
         deepsea_lint::lint_files(&root, &paths).expect("lint the tree")
     };
-    let hit = run("r1-no-marker", "");
+    let hit = run("r3-no-marker", "");
     let got: Vec<_> = hit.violations.iter().map(|v| (v.rule, v.line)).collect();
-    assert_eq!(got, vec![(RuleId::ReadPurity, 2)], "{:?}", hit.violations);
+    assert_eq!(got, vec![(RuleId::CostFlow, 2)], "{:?}", hit.violations);
     assert_eq!(hit.violations[0].file, "crates/core/src/driver/mod.rs");
+    assert_eq!(hit.files.len(), 2, "test files are read but never linted");
 
     let marked = run(
-        "r1-marker",
-        "// deepsea-lint: allow(read_path_purity) -- fixture: audited\n",
+        "r3-marker",
+        "// deepsea-lint: allow(cost_flow) -- fixture: audited\n",
     );
     assert!(marked.violations.is_empty(), "{:?}", marked.violations);
+}
+
+#[test]
+fn lint_files_reports_by_file_then_line() {
+    let two = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\nuse std::fs;\n";
+    let (root, mut paths) = write_tree(
+        "report-order",
+        &[
+            ("crates/engine/src/b.rs", two),
+            ("crates/core/src/a.rs", two),
+        ],
+    );
+    paths.reverse();
+    let run = deepsea_lint::lint_files(&root, &paths).expect("lint the tree");
+    let got: Vec<(&str, u32, &str)> = run
+        .violations
+        .iter()
+        .map(|v| (v.file.as_str(), v.line, v.rule.code()))
+        .collect();
+    assert_eq!(
+        got,
+        [
+            ("crates/core/src/a.rs", 1, "P1"),
+            ("crates/core/src/a.rs", 2, "L1"),
+            ("crates/engine/src/b.rs", 1, "P1"),
+            ("crates/engine/src/b.rs", 2, "L1"),
+        ]
+    );
 }

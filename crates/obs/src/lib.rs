@@ -39,7 +39,7 @@ pub use trace::{
     chrome_trace_json, render_text_profile, CriticalPathStep, ProfileRow, TraceForest,
 };
 
-// deepsea-lint: allow(lock_discipline) -- observer buffers are shared across worker threads; single lock per sink
+// deepsea-lint: allow(layering) -- observer buffers are shared across worker threads; single lock per sink
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Whether to collect. [`ObsConfig::off`] (the `Default`) collects

@@ -15,7 +15,7 @@ use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write};
-// deepsea-lint: allow(lock_discipline) -- a column's write-once range order and key bitmap: one flag and two OnceLocks, no guard is ever held
+// deepsea-lint: allow(layering) -- a column's write-once range order and key bitmap: one flag and two OnceLocks, no guard is ever held
 use std::sync::{atomic::AtomicBool, atomic::Ordering::Relaxed, Arc, OnceLock};
 
 use crate::value::{DataType, Value};

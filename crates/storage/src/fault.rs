@@ -25,7 +25,7 @@
 
 use std::error::Error;
 use std::fmt;
-// deepsea-lint: allow(lock_discipline) -- fault-injector RNG cell; single lock, no nested acquisition
+// deepsea-lint: allow(layering) -- fault-injector RNG cell; single lock, no nested acquisition
 use std::sync::Mutex;
 
 use rand::rngs::StdRng;

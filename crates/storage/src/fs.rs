@@ -1,7 +1,7 @@
 //! The simulated distributed file system.
 
 use std::collections::BTreeMap;
-// deepsea-lint: allow(lock_discipline) -- the SimFs inner state is the one sanctioned shared-state hub below sync.rs
+// deepsea-lint: allow(layering) -- the SimFs inner state is the one sanctioned shared-state hub below sync.rs
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::block::BlockConfig;

@@ -19,7 +19,7 @@
 //! simulated workload.
 
 use std::fmt;
-// deepsea-lint: allow(lock_discipline) -- journal writer cell; append serialization is the point
+// deepsea-lint: allow(layering) -- journal writer cell; append serialization is the point
 use std::sync::{Mutex, MutexGuard};
 
 use crate::fault::{FaultInjector, IoError, WriteFault};

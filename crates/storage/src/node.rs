@@ -27,7 +27,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-// deepsea-lint: allow(lock_discipline) -- cluster-map cell mutated by fault schedules; single lock
+// deepsea-lint: allow(layering) -- cluster-map cell mutated by fault schedules; single lock
 use std::sync::{Mutex, MutexGuard};
 
 use crate::file::FileId;

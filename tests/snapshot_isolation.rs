@@ -9,15 +9,21 @@
 //!   statistics ledger, while the writer's own hits keep growing;
 //! - **sharing**: a registry node is copied exactly when a structural
 //!   record of the commit in between touched it — recording statistics
-//!   copies nothing.
+//!   copies nothing;
+//! - **no writes**: a read answered from a snapshot creates, deletes and
+//!   writes no file.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use deepsea::bench::golden::{golden_catalog, golden_plans, golden_variants};
 use deepsea::core::filter_tree::ViewId;
 use deepsea::core::{baselines, CatalogJournal, CatalogRecord, DeepSea, Interval, ReadSnapshot};
 use deepsea::engine::{Catalog, ClusterSim, LogicalPlan};
-use deepsea::storage::{BlockConfig, SimFs};
+use deepsea::relation::Table;
+use deepsea::storage::{
+    BlockConfig, FaultInjector, HedgeConfig, NodeConfig, NodeId, NodeSet, SimFs,
+};
 use deepsea::workload::schema::{BigBenchData, InstanceSize, ItemDistribution};
 use deepsea::workload::sdss::sdss_like_histogram;
 use deepsea::workload::sequences::{fig5_workload, item_domain};
@@ -305,4 +311,69 @@ fn consecutive_snapshots_share_what_the_commit_did_not_touch() {
         shared > 10 * copied,
         "sharing is the rule: {shared} nodes shared, {copied} fragments copied"
     );
+}
+
+/// Types keep a snapshot from mutating the registry, catalog or pool (see
+/// [`ReadSnapshot`]), but not the file system: every `SimFs` mutator takes
+/// `&self`. So replay the golden 50-query workload on a fault-free file
+/// system, answer each query from a snapshot held across its commit, and
+/// check the read changes neither the file set nor the bytes and files the
+/// ledger counts as written or deleted.
+#[test]
+fn a_snapshot_read_writes_nothing_to_the_file_system() {
+    reads_write_nothing(|| SimFs::new(BlockConfig::default(), ClusterSim::paper_default().weights));
+}
+
+/// The same on the routing paths a read takes on a cluster: four replicated
+/// nodes with hedged reads, one node slow and, from query 25, one down.
+#[test]
+fn a_snapshot_read_on_a_degraded_cluster_writes_nothing() {
+    reads_write_nothing(|| {
+        let fs = SimFs::with_cluster(
+            BlockConfig::default(),
+            ClusterSim::paper_default().weights,
+            FaultInjector::disabled(),
+            NodeSet::new(NodeConfig::new(4, 2)),
+        );
+        fs.set_hedge(Some(HedgeConfig::after_secs(0.01)));
+        fs.set_node_slow(NodeId(0), 8.0);
+        fs
+    });
+}
+
+/// Replay the golden workload under each golden variant on a fresh file
+/// system from `make` (node 1 goes down before query 25, a no-op without a
+/// cluster) and check every snapshot read leaves the files and the write
+/// ledger as they were.
+fn reads_write_nothing(make: impl Fn() -> SimFs<Table>) {
+    let catalog = golden_catalog();
+    let plans = golden_plans();
+    let written = |fs: &SimFs<Table>| {
+        let l = fs.ledger();
+        (l.write_bytes, l.files_written, l.files_deleted)
+    };
+    for (label, config) in golden_variants(&catalog) {
+        let fs = Arc::new(make());
+        let cluster = ClusterSim::paper_default();
+        let mut ds = DeepSea::with_parts(Arc::clone(&catalog), Arc::clone(&fs), cluster, config);
+        for (i, plan) in plans.iter().enumerate() {
+            if i == 25 {
+                fs.set_node_down(NodeId(1));
+            }
+            let snapshot = publish(&ds);
+            let (files, before) = (fs.file_ids(), written(&fs));
+            snapshot.answer(plan).expect("a fault-free read answers");
+            assert_eq!(
+                fs.file_ids(),
+                files,
+                "{label} query {i}: the read changed the files"
+            );
+            assert_eq!(written(&fs), before, "{label} query {i}: the read wrote");
+            ds.process_query(plan)
+                .expect("a fault-free commit succeeds");
+        }
+        if label != "NP" {
+            assert!(written(&fs).1 > 0, "{label}: no commit wrote a file");
+        }
+    }
 }
