@@ -1,9 +1,9 @@
 //! DeepSea configuration.
 
-use deepsea_engine::RetryPolicy;
 use deepsea_storage::BlockConfig;
 
 use crate::policy::{PartitionPolicy, ValueModel};
+use crate::retry::RetryPolicy;
 use crate::stats::LogicalTime;
 
 /// Configuration of a DeepSea instance.
@@ -27,10 +27,11 @@ pub struct DeepSeaConfig {
     /// chopped into equal pieces at materialization time. The headline
     /// partitioning experiments of §10.2 run with this unset.
     pub phi_max_fraction: Option<f64>,
-    /// Retry budget and backoff for transient I/O failures during
-    /// materialization and maintenance reads. Execution-path retries are the
-    /// backend's business (see `RetryingBackend`); this governs the driver's
-    /// own fragment reads and writes.
+    /// The one retry policy: limits and backoff for every transient I/O
+    /// failure the driver absorbs — plan executions that can read views (a
+    /// snapshot read's and a commit's), fragment reads and creates, and
+    /// journal appends. Each operation retries on its own; nothing is
+    /// budgeted across a query.
     pub retry: RetryPolicy,
     /// When a catalog journal is attached, emit a statistics checkpoint
     /// record every this many queries (benefit events and fragment hits are
@@ -40,11 +41,6 @@ pub struct DeepSeaConfig {
     /// When a catalog journal is attached, install a full-state snapshot
     /// (truncating the record log) every this many queries.
     pub journal_snapshot_every: LogicalTime,
-    /// Per-query retry budget in simulated seconds, shared across every
-    /// operation of the query (a token bucket armed on the backend at query
-    /// start). `None` = legacy unbudgeted behaviour; only the retry policy's
-    /// per-op bounds apply.
-    pub retry_budget_secs: Option<f64>,
 }
 
 impl Default for DeepSeaConfig {
@@ -62,7 +58,6 @@ impl Default for DeepSeaConfig {
             retry: RetryPolicy::default(),
             journal_checkpoint_every: 10,
             journal_snapshot_every: 25,
-            retry_budget_secs: None,
         }
     }
 }
@@ -114,12 +109,6 @@ impl DeepSeaConfig {
     /// Builder-style: set the transient-I/O retry policy.
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
-        self
-    }
-
-    /// Builder-style: arm a per-query retry budget (simulated seconds).
-    pub fn with_retry_budget(mut self, secs: f64) -> Self {
-        self.retry_budget_secs = Some(secs);
         self
     }
 

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use deepsea_engine::exec::ExecMetrics;
 use deepsea_engine::plan::LogicalPlan;
-use deepsea_engine::ExecutionBackend;
+use deepsea_engine::{ExecutionBackend, RetryAttempt};
 use deepsea_relation::Table;
 use serde::{ObjectBuilder, Serialize, Value};
 
@@ -272,6 +272,9 @@ pub(crate) struct QueryContext {
     pub(crate) quarantined: Vec<String>,
     /// Per-stage instrumentation, exposed on the outcome.
     pub(crate) trace: QueryTrace,
+    /// Every step the execution ladder took, in order: the `retry_wait`
+    /// spans under this query's `execute` span.
+    pub(crate) retry_attempts: Vec<RetryAttempt>,
     /// Causal span parent this query's read-path spans attach under.
     /// [`deepsea_obs::SpanCtx::NONE`] (the default) keeps the read path
     /// span-free — exactly the pre-tracing behaviour.
@@ -297,6 +300,7 @@ impl QueryContext {
             evicted: Vec::new(),
             quarantined: Vec::new(),
             trace: QueryTrace::default(),
+            retry_attempts: Vec::new(),
             span: deepsea_obs::SpanCtx::NONE,
             span_anchor_secs: 0.0,
         }

@@ -30,7 +30,7 @@ use deepsea_engine::catalog::Catalog;
 use deepsea_engine::cost::CostEstimator;
 use deepsea_engine::exec::ExecMetrics;
 use deepsea_engine::{ClusterSim, ExecutionBackend, RetryAttempt, SimBackend};
-use deepsea_obs::{DecisionEvent, Observer, SpanCtx};
+use deepsea_obs::{Observer, SpanCtx};
 use deepsea_relation::Table;
 use deepsea_storage::{BlockConfig, FaultStats, FileId, HedgeTrace, NodeId, PoolAccountant, SimFs};
 
@@ -186,15 +186,12 @@ impl DeepSea {
     /// Builder-style: attach an observability handle. The disabled handle
     /// (`Observer::off()`) keeps every instrumentation site a no-op.
     ///
-    /// When the handle records spans, the storage/engine detail buffers
-    /// (hedge-race and retry-ladder traces) are switched on so the driver
-    /// can convert them into causal spans. The buffers are record-only:
-    /// enabling them is bit-transparent to every decision and cost, pinned
-    /// by tests in `deepsea-storage` and `deepsea-engine`.
+    /// When the handle records spans, the file system's hedge-race buffer
+    /// is switched on so the driver can convert it into causal spans. The
+    /// buffer is record-only: enabling it is bit-transparent to every
+    /// decision and cost, pinned by tests in `deepsea-storage`.
     pub fn with_observer(mut self, obs: Observer) -> Self {
-        let trace = obs.enabled();
-        self.fs.set_io_trace(trace);
-        self.backend.set_attempt_trace(trace);
+        self.fs.set_io_trace(obs.enabled());
         self.obs = obs;
         self
     }
@@ -275,54 +272,6 @@ impl DeepSea {
         (ds, report)
     }
 
-    /// [`DeepSea::recover`] with an observer attached from the start: the
-    /// fsck outcome is recorded as counters and an `fsck` audit event.
-    pub fn recover_with_observer(
-        catalog: Arc<Catalog>,
-        fs: Arc<SimFs<Table>>,
-        backend: Box<dyn ExecutionBackend>,
-        config: DeepSeaConfig,
-        journal: Arc<CatalogJournal>,
-        obs: Observer,
-    ) -> (Self, FsckReport) {
-        let (ds, report) = Self::recover(catalog, fs, backend, config, journal);
-        let ds = ds.with_observer(obs);
-        ds.observe_fsck(&report);
-        (ds, report)
-    }
-
-    /// Record a completed fsck sweep. Pure observation of the report.
-    fn observe_fsck(&self, report: &FsckReport) {
-        if !self.obs.enabled() {
-            return;
-        }
-        self.obs.counter_add(
-            "deepsea_fsck_replayed_records_total",
-            None,
-            report.replayed_records,
-        );
-        self.obs.counter_add(
-            "deepsea_fsck_orphan_files_total",
-            None,
-            report.orphan_files as u64,
-        );
-        self.obs.counter_add(
-            "deepsea_fsck_quarantined_views_total",
-            None,
-            report.quarantined_views as u64,
-        );
-        self.obs.event(
-            self.clock,
-            DecisionEvent::Fsck {
-                missing_files: report.missing_files as u64,
-                corrupt_files: report.corrupt_files as u64,
-                orphan_files: report.orphan_files as u64,
-                quarantined_views: report.quarantined_views as u64,
-                replayed_records: report.replayed_records,
-            },
-        );
-    }
-
     /// The configuration in force.
     pub fn config(&self) -> &DeepSeaConfig {
         &self.config
@@ -374,9 +323,10 @@ impl DeepSea {
         CostEstimator::new(&self.catalog, &self.fs, self.backend.cluster())
     }
 
-    /// Record the per-query metrics and spans from the finished outcome.
-    /// Reads only — no decision depends on anything done here.
-    pub(crate) fn observe_query(&mut self, outcome: &QueryOutcome) {
+    /// Record the per-query metrics and spans from the finished outcome and
+    /// the retry steps its execution took. Reads only — no decision depends
+    /// on anything done here.
+    pub(crate) fn observe_query(&mut self, outcome: &QueryOutcome, attempts: &[RetryAttempt]) {
         let start = self.sim_elapsed;
         // Advance the span clock even when disabled, so enabling observation
         // mid-run cannot shift later span timestamps. The armed ticket span
@@ -394,10 +344,9 @@ impl DeepSea {
             self.obs
                 .observe("deepsea_creation_secs", None, outcome.creation_secs);
         }
-        // Scope the I/O detail buffers to this query regardless of what gets
+        // Scope the hedge buffer to this query regardless of what gets
         // emitted: an undrained buffer would misattribute this query's
-        // retries/hedges to a later traced query.
-        let attempts = self.backend.drain_retry_attempts();
+        // hedges to a later traced query.
         let hedges = self.fs.drain_hedge_traces();
         match pending {
             // A serving-layer commit: attach the write path to its ticket's
@@ -426,8 +375,8 @@ impl DeepSea {
                 }
             }
             // The serial path: the query roots its own trace on the driver's
-            // span clock, with execute/materialize (and the drained I/O
-            // detail) as causal children.
+            // span clock, with execute/materialize (and the I/O detail) as
+            // causal children.
             None => {
                 let root = self.obs.record_span(
                     tnow,
@@ -451,7 +400,7 @@ impl DeepSea {
                     exec,
                     start,
                     start + outcome.query_secs,
-                    &attempts,
+                    attempts,
                     &hedges,
                 );
                 if outcome.creation_secs > 0.0 {
@@ -535,7 +484,7 @@ impl DeepSea {
     }
 }
 
-/// Lay the drained I/O detail — retry-ladder waits and hedge races — as
+/// Lay the I/O detail — retry-ladder waits and hedge races — as
 /// children of an `execute` span covering `[start, end]`.
 ///
 /// The simulator prices an execution as one analytic total, so the detail

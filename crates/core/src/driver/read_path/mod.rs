@@ -24,13 +24,14 @@ use deepsea_engine::catalog::Catalog;
 use deepsea_engine::cost::CostEstimator;
 use deepsea_engine::exec::{ExecError, ExecMetrics};
 use deepsea_engine::plan::LogicalPlan;
-use deepsea_engine::ExecutionBackend;
+use deepsea_engine::{ExecutionBackend, RetryAttempt};
 use deepsea_obs::Observer;
 use deepsea_relation::Table;
 use deepsea_storage::SimFs;
 
 use crate::interval::Interval;
 use crate::registry::ViewRegistry;
+use crate::retry::{retry_transient, RetryPolicy};
 
 use super::context::QueryContext;
 use super::DeepSea;
@@ -40,15 +41,18 @@ pub(crate) use memo::RewritingMemo;
 
 /// An immutable borrow of everything the read path consults.
 ///
-/// Cheap to construct (six references), impossible to mutate through: the
-/// read path sees one consistent catalog state for the duration of a query,
-/// whether that state is the writer's live registry or a frozen snapshot.
+/// Cheap to construct (six references and a policy), impossible to mutate
+/// through: the read path sees one consistent catalog state for the
+/// duration of a query, whether that state is the writer's live registry or
+/// a frozen snapshot.
 pub(crate) struct ReadView<'a> {
     pub(crate) registry: &'a ViewRegistry,
     pub(crate) catalog: &'a Catalog,
     pub(crate) fs: &'a SimFs<Table>,
     pub(crate) backend: &'a dyn ExecutionBackend,
     pub(crate) obs: &'a Observer,
+    /// The retry policy executions run under (`DeepSeaConfig::retry`).
+    pub(crate) retry: RetryPolicy,
     /// Where [`ReadView::answer`] leaves its matching and rewriting for the
     /// commit of the same plan: a snapshot's reads under a policy that
     /// materializes; `None` for the writer's own view.
@@ -64,6 +68,7 @@ impl DeepSea {
             fs: &self.fs,
             backend: self.backend.as_ref(),
             obs: &self.obs,
+            retry: self.config.retry,
             rewritings: None,
         }
     }
@@ -112,19 +117,55 @@ impl<'a> ReadView<'a> {
             memo.remember(plan, world, ctx);
         }
         self.trace_plan_stages(ctx);
-        match self.backend.execute(&ctx.qbest, self.catalog, self.fs) {
+        match self.execute_retrying(ctx) {
             Ok((result, mut metrics)) => {
                 ctx.record_execution(self.backend, &mut metrics, (0, 0.0));
                 self.trace_execute_span(ctx, None);
                 Ok((result, metrics))
             }
-            Err(_) if ctx.used_view.is_some() => {
-                let debt = self.backend.drain_retry_debt();
+            Err((_, debt)) if ctx.used_view.is_some() => {
                 let answer = self.fall_back(plan, ctx, debt)?;
                 self.trace_execute_span(ctx, Some("base_fallback"));
                 Ok(answer)
             }
-            Err(e) => Err(e),
+            Err((e, _)) => Err(e),
+        }
+    }
+
+    /// Execute `ctx.qbest` on the driver's retry ladder. A transient error
+    /// is re-run unless every replica of its file is on a down node: no
+    /// retry can succeed before the node returns, so the caller patches
+    /// around the file or falls back at once. Each retry is pushed onto
+    /// `ctx.retry_attempts`. A success carries the ladder's retries and
+    /// summed backoff in its metrics; a failure returns them, as the debt
+    /// `(retries, seconds)` its fallback is charged.
+    pub(crate) fn execute_retrying(
+        &self,
+        ctx: &mut QueryContext,
+    ) -> Result<(Table, ExecMetrics), (ExecError, (u64, f64))> {
+        let attempts = &mut ctx.retry_attempts;
+        let (out, spent) = retry_transient(
+            self.retry,
+            |e: &ExecError| {
+                e.is_transient() && !e.file().is_some_and(|f| self.fs.outage_blocked(f))
+            },
+            |attempt, backoff_secs, e| {
+                attempts.push(RetryAttempt {
+                    attempt,
+                    backoff_secs,
+                    file: e.file(),
+                })
+            },
+            || self.backend.execute(&ctx.qbest, self.catalog, self.fs),
+        );
+        let retries = u64::from(spent.retries);
+        match out {
+            Ok((result, mut metrics)) => {
+                metrics.retries += retries;
+                metrics.penalty_secs += spent.backoff_secs;
+                Ok((result, metrics))
+            }
+            Err(e) => Err((e, (retries, spent.backoff_secs))),
         }
     }
 
@@ -169,14 +210,14 @@ impl<'a> ReadView<'a> {
     }
 
     /// Emit the execution span `[anchor, anchor + query_secs]` with the
-    /// drained I/O detail (retry-ladder waits, hedge races) as children, plus
-    /// zero-width markers for any fallback the execution absorbed.
+    /// I/O detail (the query's retry-ladder waits, the drained hedge races)
+    /// as children, plus zero-width markers for any fallback the execution
+    /// absorbed.
     ///
-    /// The detail buffers are drained even when the query carries no span
+    /// The hedge buffer is drained even when the query carries no span
     /// context, so a traced neighbour can never inherit this execution's
-    /// retries or hedges — the drain is the scoping mechanism.
+    /// hedges — the drain is the scoping mechanism.
     pub(crate) fn trace_execute_span(&self, ctx: &QueryContext, fallback: Option<&'static str>) {
-        let attempts = self.backend.drain_retry_attempts();
         let hedges = self.fs.drain_hedge_traces();
         if ctx.span.is_none() {
             return;
@@ -202,6 +243,14 @@ impl<'a> ReadView<'a> {
         let exec = self
             .obs
             .record_span(ctx.tnow, "execute", Some(label), ctx.span, start, end);
-        super::emit_io_detail_spans(self.obs, ctx.tnow, exec, start, end, &attempts, &hedges);
+        super::emit_io_detail_spans(
+            self.obs,
+            ctx.tnow,
+            exec,
+            start,
+            end,
+            &ctx.retry_attempts,
+            &hedges,
+        );
     }
 }

@@ -8,6 +8,7 @@ use crate::policy::{PartitionPolicy, ValueModel};
 use deepsea_engine::exec::ExecError;
 use deepsea_engine::plan::AggExpr;
 use deepsea_engine::plan::LogicalPlan;
+use deepsea_obs::DecisionEvent;
 use deepsea_relation::generate::{ColumnGen, TableGen};
 use deepsea_relation::{DataType, Field, Predicate, Schema};
 
@@ -413,7 +414,6 @@ fn baseline_trace_is_execution_only() {
 /// commit path does.
 #[test]
 fn snapshot_reads_report_their_retries_in_the_recovery_trace() {
-    use deepsea_engine::{RetryPolicy, RetryingBackend};
     use deepsea_storage::{FaultConfig, FaultInjector};
 
     let cluster = ClusterSim::paper_default();
@@ -422,16 +422,13 @@ fn snapshot_reads_report_their_retries_in_the_recovery_trace() {
         cluster.weights,
         FaultInjector::new(FaultConfig::seeded(7).with_transient_reads(0.2)),
     ));
-    let policy = RetryPolicy::default();
-    let backend = Box::new(RetryingBackend::new(SimBackend::new(cluster), policy));
-    let config = DeepSeaConfig::default()
-        .with_min_fragment_bytes(1)
-        .with_retry(policy);
+    let backend = Box::new(SimBackend::new(cluster));
+    let config = DeepSeaConfig::default().with_min_fragment_bytes(1);
     let mut d = DeepSea::with_backend(Arc::new(catalog(2000)), fs, backend, config);
     d.process_query(&query(400, 600)).unwrap();
     d.process_query(&query(450, 550)).unwrap();
 
-    let snapshot = d.publish_snapshot().expect("the retrying backend forks");
+    let snapshot = d.publish_snapshot().expect("the simulated backend forks");
     let (mut retried, mut view_reads) = (0, 0);
     for _ in 0..20 {
         let a = snapshot.answer(&query(450, 550)).unwrap();
@@ -760,7 +757,12 @@ fn stored_views_equal_their_plans(config: DeepSeaConfig) -> Computed {
             let view = registry.view(vid);
             let (want, _) = deepsea_engine::exec::execute(&view.plan, catalog, &fs).unwrap();
             if let Some(file) = view.whole_file {
-                assert_eq!(*fs.read(file).unwrap().0, want, "query {i}: {}", view.name);
+                assert_eq!(
+                    *fs.try_read(file).unwrap().value,
+                    want,
+                    "query {i}: {}",
+                    view.name
+                );
             }
             for ps in view.partitions.values() {
                 let col = want.schema.index_of(&ps.attr).unwrap();
@@ -774,7 +776,7 @@ fn stored_views_equal_their_plans(config: DeepSeaConfig) -> Computed {
                         .int_range_rows(f.interval.lo, f.interval.hi);
                     let file = f.file.unwrap();
                     assert_eq!(
-                        *fs.read(file).unwrap().0,
+                        *fs.try_read(file).unwrap().value,
                         want.take(&rows),
                         "query {i}: {name}"
                     );
@@ -1096,4 +1098,270 @@ fn a_commit_adopts_its_reads_rewriting_only_in_that_world() {
     hive.process_query(&plan).unwrap();
     hive.publish_snapshot().unwrap().answer(&plan).unwrap();
     assert!(hive.rewritings.is_empty());
+}
+
+// ── The execution retry ladder ───────────────────────────────────────────
+
+mod retry_ladder {
+    use super::*;
+    use crate::driver::read_path::ReadView;
+    use crate::retry::RetryPolicy;
+    use deepsea_engine::plan::ViewScanInfo;
+    use deepsea_relation::Value;
+    use deepsea_storage::{
+        CostWeights, FaultConfig, FaultInjector, FileId, IoError, NodeConfig, NodeSet,
+    };
+
+    /// A base table `t` and a one-fragment view scan over `fs`.
+    fn world(fs: &SimFs<Table>, nodes: &[NodeId]) -> (Catalog, LogicalPlan, FileId) {
+        let mut catalog = Catalog::new();
+        let t = TableGen::new(
+            Schema::new(vec![Field::new("t.a", DataType::Int)]),
+            vec![ColumnGen::UniformInt { low: 0, high: 9 }],
+            1_000,
+            1,
+        )
+        .generate(100);
+        catalog.register("t", t);
+        let schema = Schema::new(vec![Field::new("v.a", DataType::Int)]);
+        let frag = Table::from_rows(schema.clone(), vec![vec![Value::Int(1)]], 500);
+        let id = fs
+            .try_create_placed("frag", frag.sim_bytes(), frag, nodes)
+            .expect("writes are not faulted")
+            .value;
+        let plan = LogicalPlan::ViewScan(ViewScanInfo {
+            view_name: "v".into(),
+            files: vec![id],
+            schema,
+            clip: None,
+        });
+        (catalog, plan, id)
+    }
+
+    fn faulty_fs(cfg: FaultConfig) -> SimFs<Table> {
+        SimFs::with_faults(
+            BlockConfig::default(),
+            CostWeights::default(),
+            FaultInjector::new(cfg),
+        )
+    }
+
+    /// Run `f` against a read view of `catalog` over `fs` under `retry`.
+    fn with_view<R>(
+        catalog: &Catalog,
+        fs: &SimFs<Table>,
+        backend: &SimBackend,
+        obs: &Observer,
+        retry: RetryPolicy,
+        f: impl FnOnce(&ReadView<'_>) -> R,
+    ) -> R {
+        let registry = ViewRegistry::new();
+        f(&ReadView {
+            registry: &registry,
+            catalog,
+            fs,
+            backend,
+            obs,
+            retry,
+            rewritings: None,
+        })
+    }
+
+    /// The backoff of retries `0..n`, summed from 0.0 in order.
+    fn ladder_secs(policy: RetryPolicy, n: u32) -> f64 {
+        (0..n).fold(0.0, |secs, a| secs + policy.backoff_secs(a))
+    }
+
+    #[test]
+    fn transients_are_retried_to_success_with_the_backoff_in_penalty_secs() {
+        // ~50% transient failures against a deep retry limit: every
+        // execution in this fixed schedule succeeds, most after retries.
+        let fs = faulty_fs(FaultConfig::seeded(11).with_transient_reads(0.5));
+        let (catalog, plan, _) = world(&fs, &[]);
+        let policy = RetryPolicy {
+            max_retries: 16,
+            ..RetryPolicy::default()
+        };
+        let backend = SimBackend::paper_default();
+        let mut total_retries = 0;
+        with_view(&catalog, &fs, &backend, &Observer::off(), policy, |view| {
+            for _ in 0..20 {
+                let mut ctx = QueryContext::new(&plan, 1);
+                let (t, m) = view.execute_retrying(&mut ctx).expect("within the limit");
+                assert_eq!(t.len(), 1, "retried result is the real result");
+                total_retries += m.retries;
+                assert_eq!(ctx.retry_attempts.len() as u64, m.retries);
+                assert_eq!(
+                    m.penalty_secs.to_bits(),
+                    ladder_secs(policy, m.retries as u32).to_bits(),
+                    "no spikes: the penalty is the ladder's backoff"
+                );
+                // Backoff is charged into elapsed time.
+                let base = backend.cluster().elapsed_secs(&m);
+                assert_eq!(
+                    backend.elapsed_secs(&m).to_bits(),
+                    (base + m.penalty_secs).to_bits()
+                );
+            }
+        });
+        assert!(total_retries > 0, "seed 11 must exercise retries");
+    }
+
+    #[test]
+    fn an_exhausted_ladder_charges_its_debt_to_the_fallback() {
+        let fs = faulty_fs(FaultConfig::seeded(1).with_transient_reads(1.0));
+        let (catalog, plan, id) = world(&fs, &[]);
+        let policy = RetryPolicy::default();
+        let backend = SimBackend::paper_default();
+        with_view(&catalog, &fs, &backend, &Observer::off(), policy, |view| {
+            let mut ctx = QueryContext::new(&plan, 1);
+            let (err, debt) = view.execute_retrying(&mut ctx).unwrap_err();
+            assert_eq!(err, ExecError::TransientIo(IoError::TransientRead(id)));
+            let expected = ladder_secs(policy, policy.max_retries);
+            assert_eq!(debt.0, u64::from(policy.max_retries));
+            assert_eq!(debt.1.to_bits(), expected.to_bits());
+            // The base re-answer reads no view, so it pays exactly the debt.
+            let (_, m) = view
+                .fall_back(&LogicalPlan::scan("t"), &mut ctx, debt)
+                .expect("base tables are durable");
+            assert_eq!(m.retries, debt.0);
+            assert_eq!(m.penalty_secs.to_bits(), expected.to_bits());
+            assert_eq!(ctx.trace.recovery.retries, debt.0);
+            assert_eq!(
+                ctx.trace.recovery.penalty_secs.to_bits(),
+                expected.to_bits()
+            );
+            assert_eq!(ctx.trace.recovery.base_table_fallbacks, 1);
+        });
+    }
+
+    #[test]
+    fn a_whole_node_outage_is_not_retried() {
+        let fs = SimFs::with_cluster(
+            BlockConfig::default(),
+            CostWeights::default(),
+            FaultInjector::disabled(),
+            NodeSet::new(NodeConfig::new(2, 1)),
+        );
+        let (catalog, plan, id) = world(&fs, &[NodeId(0)]);
+        fs.set_node_down(NodeId(0));
+        let backend = SimBackend::paper_default();
+        let policy = RetryPolicy::default();
+        with_view(&catalog, &fs, &backend, &Observer::off(), policy, |view| {
+            let mut ctx = QueryContext::new(&plan, 1);
+            let (err, debt) = view.execute_retrying(&mut ctx).unwrap_err();
+            assert!(
+                err.is_transient(),
+                "an outage is transient (node may return)"
+            );
+            assert_eq!(err.file(), Some(id));
+            assert_eq!(debt, (0, 0.0), "no retry spent against a whole-node outage");
+            assert!(ctx.retry_attempts.is_empty());
+            // Once the node returns, the same plan executes cleanly.
+            fs.set_node_up(NodeId(0));
+            let (t, m) = view.execute_retrying(&mut ctx).expect("node is back");
+            assert_eq!(t.len(), 1);
+            assert_eq!(m.retries, 0);
+        });
+    }
+
+    #[test]
+    fn permanent_failures_are_not_retried() {
+        let fs = faulty_fs(FaultConfig::seeded(1).with_permanent_loss(1.0));
+        let (catalog, plan, id) = world(&fs, &[]);
+        let backend = SimBackend::paper_default();
+        let policy = RetryPolicy::default();
+        with_view(&catalog, &fs, &backend, &Observer::off(), policy, |view| {
+            let mut ctx = QueryContext::new(&plan, 1);
+            let (err, debt) = view.execute_retrying(&mut ctx).unwrap_err();
+            assert!(!err.is_transient());
+            assert_eq!(err.file(), Some(id));
+            assert_eq!(debt, (0, 0.0), "permanent failures spend no retries");
+        });
+    }
+
+    #[test]
+    fn total_backoff_is_capped_at_the_policy_ceiling() {
+        // A permanently failing op under a deep retry limit must not accrue
+        // more backoff than `max_total_backoff_secs`.
+        let fs = faulty_fs(FaultConfig::seeded(1).with_transient_reads(1.0));
+        let (catalog, plan, id) = world(&fs, &[]);
+        let policy = RetryPolicy {
+            max_retries: 64,
+            max_total_backoff_secs: 100.0,
+            ..RetryPolicy::default()
+        };
+        // 0.5 * (2^8 - 1) = 127.5 > 100 > 63.5: exactly 7 retries fit.
+        let expected = ladder_secs(policy, 7);
+        let backend = SimBackend::paper_default();
+        with_view(&catalog, &fs, &backend, &Observer::off(), policy, |view| {
+            let (err, debt) = view
+                .execute_retrying(&mut QueryContext::new(&plan, 1))
+                .unwrap_err();
+            assert!(err.is_transient());
+            assert_eq!(debt.0, 7);
+            assert_eq!(debt.1.to_bits(), expected.to_bits());
+        });
+        // The fragment I/O ladder honours the same ceiling.
+        let (mut retries, mut secs) = (0, 0.0);
+        let out: Result<(), IoError> =
+            crate::retry::retry_io(policy, &mut retries, &mut secs, || {
+                Err(IoError::TransientRead(id))
+            });
+        assert!(out.is_err());
+        assert_eq!(retries, 7);
+        assert_eq!(secs.to_bits(), expected.to_bits());
+    }
+
+    #[test]
+    fn recorded_attempts_are_the_ladder_and_tracing_changes_no_decision() {
+        let policy = RetryPolicy::default();
+        let run = |obs: Observer| {
+            let fs = faulty_fs(FaultConfig::seeded(1).with_transient_reads(1.0));
+            let (catalog, plan, id) = world(&fs, &[]);
+            let backend = SimBackend::paper_default();
+            let root = obs.record_span(1, "query", None, deepsea_obs::SpanCtx::root(1), 0.0, 9.0);
+            let out = with_view(&catalog, &fs, &backend, &obs, policy, |view| {
+                let mut ctx = QueryContext::new(&plan, 1).in_span(root, 0.0);
+                let (_, debt) = view.execute_retrying(&mut ctx).unwrap_err();
+                view.fall_back(&LogicalPlan::scan("t"), &mut ctx, debt)
+                    .expect("base tables are durable");
+                view.trace_execute_span(&ctx, Some("base_fallback"));
+                (debt, ctx.retry_attempts, ctx.query_secs.to_bits())
+            });
+            (out, id, obs.spans_snapshot())
+        };
+        let ((debt, steps, secs), id, spans) = run(Observer::new(deepsea_obs::ObsConfig::on()));
+        let (untraced, _, none) = run(Observer::off());
+        assert_eq!((debt, steps.clone(), secs), untraced);
+        assert!(none.is_empty());
+        assert_eq!(steps.len() as u64, debt.0);
+        for (i, s) in steps.iter().enumerate() {
+            assert_eq!(s.attempt, i as u32);
+            assert_eq!(s.file, Some(id));
+            assert_eq!(
+                s.backoff_secs.to_bits(),
+                policy.backoff_secs(s.attempt).to_bits()
+            );
+        }
+        let waits = spans.iter().filter(|s| s.name == "retry_wait").count();
+        assert_eq!(waits as u64, debt.0, "one retry_wait span per retry");
+    }
+
+    #[test]
+    fn the_ladder_is_transparent_without_faults() {
+        let fs = SimFs::new(BlockConfig::default(), CostWeights::default());
+        let (catalog, _, _) = world(&fs, &[]);
+        let plan = LogicalPlan::scan("t");
+        let backend = SimBackend::paper_default();
+        let direct = backend.execute(&plan, &catalog, &fs).unwrap();
+        let policy = RetryPolicy::default();
+        with_view(&catalog, &fs, &backend, &Observer::off(), policy, |view| {
+            let mut ctx = QueryContext::new(&plan, 1);
+            let (t, m) = view.execute_retrying(&mut ctx).unwrap();
+            assert_eq!(t.fingerprint(), direct.0.fingerprint());
+            assert_eq!(m, direct.1);
+            assert!(ctx.retry_attempts.is_empty());
+        });
+    }
 }

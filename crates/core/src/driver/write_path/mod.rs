@@ -37,8 +37,8 @@ use deepsea_relation::Table;
 use deepsea_storage::FileId;
 
 use crate::durability::{apply_record, stats_checkpoint, Applied, CatalogRecord, CatalogSnapshot};
+use crate::retry::retry_io;
 
-use self::recover::retry_transient;
 use super::context::QueryContext;
 use super::{DeepSea, JournalDebt, QueryOutcome};
 
@@ -88,7 +88,7 @@ impl DeepSea {
         self.journal_debt.appends += 1;
         self.appends_since_snapshot += 1;
         let debt = &mut self.journal_debt;
-        let appended = retry_transient(
+        let appended = retry_io(
             self.config.retry,
             &mut debt.retries,
             &mut debt.penalty_secs,
@@ -160,11 +160,6 @@ impl DeepSea {
     pub fn process_query(&mut self, plan: &LogicalPlan) -> Result<QueryOutcome, ExecError> {
         self.clock += 1;
         let tnow = self.clock;
-        // Arm the per-query retry budget: a fresh token bucket per query,
-        // shared across every operation the query performs. `None` (the
-        // default) disarms it — only the per-op retry policy applies.
-        self.backend
-            .reset_retry_budget(self.config.retry_budget_secs);
         self.readmit_offline(tnow);
 
         let mut ctx = QueryContext::new(plan, tnow);
@@ -208,8 +203,9 @@ impl DeepSea {
         metrics: ExecMetrics,
     ) -> QueryOutcome {
         self.journal_commit(&mut ctx);
+        let attempts = std::mem::take(&mut ctx.retry_attempts);
         let outcome = ctx.into_outcome(result, metrics);
-        self.observe_query(&outcome);
+        self.observe_query(&outcome, &attempts);
         outcome
     }
 
@@ -230,7 +226,8 @@ impl DeepSea {
         Ok(self.finish_query(ctx, result, metrics))
     }
 
-    /// Execute the chosen plan through the backend, with graceful
+    /// Execute the chosen plan on the retry ladder
+    /// ([`super::read_path::ReadView::execute_retrying`]), with graceful
     /// degradation: if a rewritten plan fails (transient retries exhausted or
     /// a fragment permanently lost), quarantine the broken view and re-answer
     /// the query from base tables within the same call. Base tables are
@@ -255,13 +252,12 @@ impl DeepSea {
         let mut debt = (0u64, 0.0f64);
         let mut rounds = 0u32;
         loop {
-            match self.backend.execute(&ctx.qbest, &self.catalog, &self.fs) {
+            match self.read_view().execute_retrying(ctx) {
                 Ok((result, mut metrics)) => {
                     ctx.record_execution(self.backend.as_ref(), &mut metrics, debt);
                     return Ok((result, metrics));
                 }
-                Err(e) => {
-                    let (r, s) = self.backend.drain_retry_debt();
+                Err((e, (r, s))) => {
                     debt.0 += r;
                     debt.1 += s;
 

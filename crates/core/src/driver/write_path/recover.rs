@@ -1,6 +1,6 @@
 //! Fault recovery: retrying fragment I/O under the configured
-//! [`RetryPolicy`](deepsea_engine::RetryPolicy) and quarantining views whose
-//! backing data is permanently lost.
+//! [`RetryPolicy`](crate::RetryPolicy) and quarantining views whose backing
+//! data is permanently lost.
 //!
 //! The contract that makes all of this safe is the paper's framing of views
 //! as *opportunistic accelerators*: base tables are durable and can always
@@ -13,43 +13,16 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use deepsea_engine::RetryPolicy;
 use deepsea_relation::Table;
 use deepsea_storage::{placement_key, FileId, IoError};
 
 use crate::durability::{CatalogRecord, FsckReport};
 use crate::filter_tree::ViewId;
+use crate::retry::retry_io;
 use crate::stats::LogicalTime;
 
 use super::super::context::{CreationCharge, QueryContext};
 use super::super::DeepSea;
-
-/// The write path's one transient-retry ladder: run `op` until it succeeds,
-/// fails permanently, or has been retried `policy.max_retries` times. Each
-/// retry's backoff is added to `penalty_secs` as it is taken and the retry
-/// count to `retries` at the end (a failed operation's wasted backoff is
-/// charged too). What to do once the budget is spent — give up on a read,
-/// force a write through — is the caller's to decide from the returned
-/// error.
-pub(crate) fn retry_transient<T>(
-    policy: RetryPolicy,
-    retries: &mut u64,
-    penalty_secs: &mut f64,
-    mut op: impl FnMut() -> Result<T, IoError>,
-) -> Result<T, IoError> {
-    let mut attempts = 0u32;
-    let out = loop {
-        match op() {
-            Err(e) if e.is_transient() && attempts < policy.max_retries => {
-                *penalty_secs += policy.backoff_secs(attempts);
-                attempts += 1;
-            }
-            out => break out,
-        }
-    };
-    *retries += u64::from(attempts);
-    out
-}
 
 impl DeepSea {
     /// Read a fragment file, retrying transient failures under
@@ -61,7 +34,7 @@ impl DeepSea {
         file: FileId,
         charge: &mut CreationCharge,
     ) -> Result<(Arc<Table>, u64), IoError> {
-        let out = retry_transient(
+        let out = retry_io(
             self.config.retry,
             &mut charge.retries,
             &mut charge.penalty_secs,
@@ -95,7 +68,7 @@ impl DeepSea {
             }
             None => Vec::new(),
         };
-        let created = retry_transient(
+        let created = retry_io(
             self.config.retry,
             &mut charge.retries,
             &mut charge.penalty_secs,

@@ -367,9 +367,7 @@ fn reference_fragment_values(
 mod workloads {
     use std::sync::Arc;
 
-    use deepsea_engine::{
-        Catalog, ClusterSim, LogicalPlan, RetryPolicy, RetryingBackend, SimBackend,
-    };
+    use deepsea_engine::{Catalog, ClusterSim, LogicalPlan, SimBackend};
     use deepsea_obs::{ObsConfig, Observer};
     use deepsea_relation::Table;
     use deepsea_storage::{BlockConfig, FaultConfig, FaultInjector, SimFs};
@@ -541,9 +539,8 @@ mod workloads {
             cluster.weights,
             FaultInjector::new(faults),
         ));
-        let policy = RetryPolicy::default();
-        let backend = Box::new(RetryingBackend::new(SimBackend::new(cluster), policy));
-        let mut ds = DeepSea::with_backend(catalog, fs, backend, steady().with_retry(policy));
+        let backend = Box::new(SimBackend::new(cluster));
+        let mut ds = DeepSea::with_backend(catalog, fs, backend, steady());
         let mut quarantined: Vec<String> = Vec::new();
         let mut readmitted = false;
         for o in replay(&mut ds, &plans) {

@@ -53,6 +53,7 @@ pub mod merging;
 pub mod mle;
 pub mod policy;
 pub mod registry;
+mod retry;
 pub mod selection;
 pub mod server;
 pub mod snapshot;
@@ -64,6 +65,7 @@ pub use driver::{DeepSea, QueryOutcome, QueryTrace, RecoveryTrace};
 pub use durability::{CatalogJournal, CatalogRecord, CatalogSnapshot, FsckReport};
 pub use interval::Interval;
 pub use policy::{PartitionPolicy, ValueModel};
+pub use retry::RetryPolicy;
 pub use server::{
     ClientRecord, LatencyExemplar, NodeAction, ServeReport, ServerConfig, ShedPolicy, ViewServer,
 };

@@ -149,6 +149,7 @@ impl ReadSnapshot {
             fs: &self.fs,
             backend: self.backend.as_ref(),
             obs: &self.obs,
+            retry: self.config.retry,
             // Baseline reads run nothing a commit would adopt.
             rewritings: self
                 .config
@@ -170,12 +171,12 @@ impl ReadSnapshot {
     /// every read-path span — matching, rewriting, execution, retry waits,
     /// hedge arms — is recorded as a child of `parent`, anchored at
     /// `anchor_secs` on the caller's simulated timeline. A [`SpanCtx::NONE`]
-    /// parent records nothing; reader-side spans are never orphaned because
-    /// the forked backend and the shared file system carry their
-    /// detail-trace gates across [`ExecutionBackend::fork_reader`].
+    /// parent records nothing. The retry waits are the read's own (its
+    /// context records each step of its execution's retry ladder); the
+    /// shared file system carries its hedge-trace gate to every reader.
     ///
-    /// Each read arms a fresh retry budget and runs the read path over the
-    /// plan the writer's policy would execute. The forked backend shares
+    /// Each read runs the read path over the plan the writer's policy would
+    /// execute, retrying under the snapshot's `config.retry`. The forked backend shares
     /// the writer's memo of executed plans, so a commit of the plan this
     /// read ran does not compute it again (`SimBackend`).
     pub fn answer_in_span(
@@ -184,8 +185,6 @@ impl ReadSnapshot {
         parent: SpanCtx,
         anchor_secs: f64,
     ) -> Result<SnapshotAnswer, ExecError> {
-        self.backend
-            .reset_retry_budget(self.config.retry_budget_secs);
         let plan = self
             .config
             .partition_policy

@@ -25,7 +25,7 @@ use deepsea_core::stats::LogicalTime;
 use deepsea_core::{
     baselines, CatalogJournal, CatalogRecord, DeepSea, DeepSeaConfig, ObsConfig, Observer,
 };
-use deepsea_engine::{Catalog, ClusterSim, LogicalPlan, RetryPolicy, RetryingBackend, SimBackend};
+use deepsea_engine::{Catalog, ClusterSim, LogicalPlan, SimBackend};
 use deepsea_relation::Table;
 use deepsea_storage::{BlockConfig, FaultConfig, FaultInjector, Lsn, NodeConfig, NodeSet, SimFs};
 use deepsea_workload::schema::{BigBenchData, InstanceSize, ItemDistribution};
@@ -56,11 +56,10 @@ fn commit_and_replay(
     merge_every: usize,
 ) -> Kinds {
     let journal = Arc::new(CatalogJournal::new());
-    let policy = RetryPolicy::default();
-    let backend = RetryingBackend::new(SimBackend::new(ClusterSim::paper_default()), policy);
+    let backend = SimBackend::new(ClusterSim::paper_default());
     // A checkpoint per query; a snapshot every 40, so replay starts from a
     // snapshot as often as from an empty registry.
-    let config = config.with_retry(policy).with_journal_cadence(1, 40);
+    let config = config.with_journal_cadence(1, 40);
     let mut ds = DeepSea::with_backend(Arc::clone(catalog), fs, Box::new(backend), config)
         .with_journal(Arc::clone(&journal))
         .with_observer(obs);

@@ -26,9 +26,7 @@ use deepsea_core::{
     ReadSnapshot, ServerConfig, ShedPolicy, SnapshotAnswer, ViewServer,
 };
 use deepsea_engine::exec::{ExecError, ExecMetrics};
-use deepsea_engine::{
-    Catalog, ClusterSim, ExecutionBackend, LogicalPlan, RetryAttempt, SimBackend,
-};
+use deepsea_engine::{Catalog, ClusterSim, ExecutionBackend, LogicalPlan, SimBackend};
 use deepsea_relation::Table;
 use deepsea_storage::{
     BlockConfig, FaultConfig, FaultInjector, FileId, HedgeConfig, NodeConfig, NodeId, NodeSet,
@@ -72,27 +70,11 @@ impl ExecutionBackend for CountingBackend {
         self.inner.cluster()
     }
 
-    fn drain_retry_debt(&self) -> (u64, f64) {
-        self.inner.drain_retry_debt()
-    }
-
     fn fork_reader(&self) -> Option<Box<dyn ExecutionBackend>> {
         Some(Box::new(CountingBackend {
             inner: self.inner.fork_reader()?,
             calls: Arc::clone(&self.calls),
         }))
-    }
-
-    fn reset_retry_budget(&self, budget_secs: Option<f64>) {
-        self.inner.reset_retry_budget(budget_secs)
-    }
-
-    fn set_attempt_trace(&self, enabled: bool) {
-        self.inner.set_attempt_trace(enabled)
-    }
-
-    fn drain_retry_attempts(&self) -> Vec<RetryAttempt> {
-        self.inner.drain_retry_attempts()
     }
 }
 

@@ -38,7 +38,7 @@ pub mod signature;
 pub mod sql;
 pub mod subquery;
 
-pub use backend::{ExecutionBackend, RetryAttempt, RetryPolicy, RetryingBackend, SimBackend};
+pub use backend::{ExecutionBackend, RetryAttempt, SimBackend};
 pub use catalog::Catalog;
 pub use cluster::ClusterSim;
 pub use exec::{execute, ExecError, ExecMetrics};

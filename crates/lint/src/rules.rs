@@ -475,7 +475,16 @@ fn scan_item_end(t: &[Token], start: usize) -> usize {
     j
 }
 
-/// Names of identifiers bound with one of `type_names` in this file:
+/// Token spans `(start, end)` of every `fn` item, from its `fn` keyword to
+/// the end of its body (or its `;`), nested fns included.
+fn fn_spans(t: &[Token]) -> Vec<(usize, usize)> {
+    (0..t.len())
+        .filter(|&i| t[i].is_ident("fn") && t.get(i + 1).is_some_and(|n| n.kind == TokKind::Ident))
+        .map(|i| (i, scan_item_end(t, i)))
+        .collect()
+}
+
+/// Names of identifiers bound with one of `type_names` in these tokens:
 /// `x: [&][mut] T`, `let [mut] x = T::...`, struct fields, fn params.
 fn collect_typed_idents(t: &[Token], type_names: &[&str]) -> Vec<String> {
     let mut found: Vec<String> = Vec::new();
@@ -977,17 +986,31 @@ fn is_costed(name: &str) -> bool {
 /// by a statement that neither binds, assigns nor `?`-propagates it. A call
 /// counts when it sits at its statement's top paren level and either its
 /// callee passes [`is_costed`] or it is a `write!`/`writeln!` into anything
-/// but a `String` (`fmt::Write` into a `String` cannot fail). Flows the scan
-/// cannot follow (closures, re-bindings) are left to the dynamic suites —
-/// conservatism here means no false alarms, not perfect coverage.
+/// but a `String` (`fmt::Write` into a `String` cannot fail): a receiver
+/// whose name the enclosing fn binds to a `String`, as a parameter or a
+/// local — one fn's `out: &mut String` says nothing of another's `out`.
+/// Flows the scan cannot follow (closures, re-bindings) are left to the
+/// dynamic suites — conservatism here means no false alarms, not perfect
+/// coverage.
 fn rule_cost_flow(
     rel: &str,
     t: &[Token],
     in_test: &dyn Fn(usize) -> bool,
     out: &mut Vec<Violation>,
 ) {
-    let string_idents = collect_typed_idents(t, &["String"]);
-    let source_at = |stmt: &[Token], from: usize| {
+    let fns = fn_spans(t);
+    // The names bound to a `String` in the innermost fn around token `i`.
+    let strings_at = |i: usize| {
+        let (s, e) = fns
+            .iter()
+            .filter(|&&(s, e)| s <= i && i < e)
+            .max_by_key(|&&(s, _)| s)
+            .copied()
+            .unwrap_or((0, t.len()));
+        collect_typed_idents(&t[s..e], &["String"])
+    };
+    // `base` is the statement's first token index in `t`.
+    let source_at = |stmt: &[Token], base: usize, from: usize| {
         let mut depth = 0i32;
         for k in from..stmt.len() {
             let tok = &stmt[k];
@@ -1010,7 +1033,7 @@ fn rule_cost_flow(
                         a += 1;
                     }
                     let into_string = stmt.get(a).is_some_and(|r| {
-                        r.kind == TokKind::Ident && string_idents.contains(&r.text)
+                        r.kind == TokKind::Ident && strings_at(base + a).contains(&r.text)
                     });
                     if !into_string {
                         return Some((k, format!("{}!(…)", tok.text)));
@@ -1040,7 +1063,7 @@ fn rule_cost_flow(
             if !(bare || tuple) {
                 continue;
             }
-            let Some((k, callee)) = source_at(stmt, eq + 1) else {
+            let Some((k, callee)) = source_at(stmt, s, eq + 1) else {
                 continue;
             };
             let message = if bare {
@@ -1078,7 +1101,7 @@ fn rule_cost_flow(
             if consumed {
                 continue;
             }
-            let Some((k, callee)) = source_at(stmt, 0) else {
+            let Some((k, callee)) = source_at(stmt, s, 0) else {
                 continue;
             };
             let message = format!(

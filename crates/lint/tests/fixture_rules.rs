@@ -655,6 +655,23 @@ fn r3_string_fmt_write_is_exempt() {
     );
 }
 
+/// A `String` binding exempts a `write!` only inside the fn that binds it:
+/// `flush`'s `out` is a `Stderr`, whatever `render` calls its `String`.
+#[test]
+fn r3_string_exemption_is_scoped_to_the_enclosing_fn() {
+    let src = "fn render(out: &mut String) {\n\
+               \x20   let _ = write!(out, \"x\");\n\
+               }\n\
+               fn flush(out: &mut std::io::Stderr) {\n\
+               \x20   let _ = write!(out, \"y\");\n\
+               }\n";
+    let got: Vec<_> = at("crates/obs/src/fixture.rs", src)
+        .into_iter()
+        .filter(|(rule, _)| *rule == RuleId::CostFlow)
+        .collect();
+    assert_eq!(got, vec![(RuleId::CostFlow, 5)]);
+}
+
 #[test]
 fn r3_ignores_infallible_discards() {
     assert_clean(CORE, "fn f(x: u32) { let _ = compute(x); }\n");

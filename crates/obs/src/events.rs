@@ -1,7 +1,7 @@
 //! The structured decision audit log: typed [`DecisionEvent`]s explaining
 //! *why* the pool changed — per-candidate selection verdicts, per-victim
 //! eviction records with the full Φ breakdown, fragment split/merge/overlap
-//! decisions, quarantine/recovery/fsck outcomes, and MLE fit quality.
+//! decisions, quarantine/recovery outcomes, and MLE fit quality.
 //!
 //! Events are serialized to JSONL through the local serde shim; each line
 //! carries a monotonic sequence number and the logical time `t` of the query
@@ -116,19 +116,6 @@ pub enum DecisionEvent {
         /// Fragments stripped.
         fragments: u64,
     },
-    /// A cold-start fsck sweep completed.
-    Fsck {
-        /// Catalog-referenced files missing from the FS.
-        missing_files: u64,
-        /// Files that failed checksum verification.
-        corrupt_files: u64,
-        /// Unreferenced files garbage-collected.
-        orphan_files: u64,
-        /// Views quarantined by the sweep.
-        quarantined_views: u64,
-        /// Journal records replayed before the sweep.
-        replayed_records: u64,
-    },
     /// Quality of one MLE normal fit over a partition's hits (§7.1).
     MleFit {
         /// Owning view.
@@ -227,7 +214,6 @@ impl DecisionEvent {
             DecisionEvent::OverlapKept { .. } => "overlap_kept",
             DecisionEvent::FragmentMerge { .. } => "fragment_merge",
             DecisionEvent::Quarantine { .. } => "quarantine",
-            DecisionEvent::Fsck { .. } => "fsck",
             DecisionEvent::MleFit { .. } => "mle_fit",
             DecisionEvent::JournalSnapshot { .. } => "journal_snapshot",
             DecisionEvent::NodeDown { .. } => "node_down",
@@ -316,19 +302,6 @@ impl Serialize for DecisionEvent {
                 .field("files", *files)
                 .field("bytes", *bytes)
                 .field("fragments", *fragments)
-                .build(),
-            DecisionEvent::Fsck {
-                missing_files,
-                corrupt_files,
-                orphan_files,
-                quarantined_views,
-                replayed_records,
-            } => b
-                .field("missing_files", *missing_files)
-                .field("corrupt_files", *corrupt_files)
-                .field("orphan_files", *orphan_files)
-                .field("quarantined_views", *quarantined_views)
-                .field("replayed_records", *replayed_records)
                 .build(),
             DecisionEvent::MleFit {
                 view,
@@ -491,15 +464,14 @@ mod tests {
 
     #[test]
     fn kinds_are_stable_tags() {
-        let ev = DecisionEvent::Fsck {
-            missing_files: 1,
-            corrupt_files: 2,
-            orphan_files: 3,
-            quarantined_views: 4,
-            replayed_records: 5,
+        let ev = DecisionEvent::Quarantine {
+            view: "V1".into(),
+            files: 1,
+            bytes: 2,
+            fragments: 3,
         };
-        assert_eq!(ev.kind(), "fsck");
-        assert!(serde::to_string(&ev).starts_with("{\"kind\":\"fsck\""));
+        assert_eq!(ev.kind(), "quarantine");
+        assert!(serde::to_string(&ev).starts_with("{\"kind\":\"quarantine\""));
     }
 
     #[test]

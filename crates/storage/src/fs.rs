@@ -135,9 +135,9 @@ impl<P> SimFs<P> {
     }
 
     /// Create an empty file system whose fallible I/O (`try_read` /
-    /// `try_create`) consults the given fault injector. The infallible APIs
-    /// (`read` / `create`) never consult it and remain the zero-fault fast
-    /// path.
+    /// `try_create_placed`) consults the given fault injector. The
+    /// infallible `create` never consults it and remains the zero-fault
+    /// fast path.
     pub fn with_faults(block: BlockConfig, weights: CostWeights, faults: FaultInjector) -> Self {
         Self {
             inner: Mutex::new(Inner {
@@ -224,28 +224,12 @@ impl<P> SimFs<P> {
         (id, self.weights.write_cost(sim_bytes))
     }
 
-    /// Read a file; returns the payload, its simulated size, and the cost of
-    /// the read. Returns `None` for an unknown id — or for a corrupt file:
-    /// checksums are verified on every read and corrupt data is never served.
-    /// (Files only become corrupt through fault injection or
-    /// [`SimFs::corrupt_file`], so the zero-fault path is unaffected.)
-    pub fn read(&self, id: FileId) -> Option<(Arc<P>, u64, f64)> {
-        let mut inner = self.locked();
-        let file = inner.files.get(&id)?;
-        if !file.verify() {
-            return None;
-        }
-        let bytes = file.sim_bytes;
-        let payload = Arc::clone(&file.payload);
-        inner.ledger.record_read(bytes);
-        Some((payload, bytes, self.weights.read_cost(bytes)))
-    }
-
     /// Read a file through the fault injector.
     ///
-    /// This is the fallible twin of [`SimFs::read`]: with fault injection
-    /// disabled it behaves identically (same ledger charges, same cost) and
-    /// consumes no random draws. With faults enabled an operation may fail
+    /// Returns the payload, its simulated size and the cost of the read.
+    /// Checksums are verified on every read and corrupt data is never
+    /// served. With fault injection disabled no random draws are consumed.
+    /// With faults enabled an operation may fail
     /// transiently (file intact, nothing charged to the ledger), discover the
     /// file permanently lost (file removed; deletion is metadata-only, so no
     /// ledger charge either), or straggle (success plus `spike_secs`).
@@ -374,23 +358,11 @@ impl<P> SimFs<P> {
         }
     }
 
-    /// Write a new file through the fault injector.
-    ///
-    /// The fallible twin of [`SimFs::create`]: identical when fault injection
-    /// is disabled. A transient write failure persists nothing and charges
-    /// nothing; the caller may retry.
-    pub fn try_create(
-        &self,
-        name: impl Into<String>,
-        sim_bytes: u64,
-        payload: P,
-    ) -> Result<IoOutcome<FileId>, IoError> {
-        self.drive_node_faults();
-        self.faulted_create(name, sim_bytes, payload)
-    }
-
-    /// Write a new file onto specific cluster nodes. Behaves like
-    /// [`SimFs::try_create`], but fails transiently when *every* target node
+    /// Write a new file through the fault injector onto specific cluster
+    /// nodes (none: no placement). The fallible twin of [`SimFs::create`]:
+    /// identical when fault injection is disabled. A transient write failure
+    /// persists nothing and charges nothing; the caller may retry. It also
+    /// fails transiently when *every* target node
     /// is unavailable (writes to a partially-down placement succeed: the
     /// live nodes take the data and re-replication is implied, metadata-only,
     /// when the others return). On success the file's placement is recorded.
@@ -654,7 +626,8 @@ mod tests {
         let fs = fs();
         let (id, wcost) = fs.create("frag", 250, vec![1, 2, 3]);
         assert!(wcost > 0.0);
-        let (payload, bytes, rcost) = fs.read(id).expect("file exists");
+        let out = fs.try_read(id).expect("file exists");
+        let (payload, bytes, rcost) = (out.value, out.sim_bytes, out.cost_secs);
         assert_eq!(*payload, vec![1, 2, 3]);
         assert_eq!(bytes, 250);
         assert!(rcost > 0.0);
@@ -676,7 +649,7 @@ mod tests {
         assert_eq!(fs.total_bytes(), 500);
         assert_eq!(fs.delete(id), Some(500));
         assert_eq!(fs.total_bytes(), 0);
-        assert!(fs.read(id).is_none());
+        assert!(fs.try_read(id).is_err());
         assert!(fs.delete(id).is_none());
     }
 
@@ -702,8 +675,8 @@ mod tests {
     fn ledger_tracks_io() {
         let fs = fs();
         let (id, _) = fs.create("x", 500, vec![9]);
-        fs.read(id);
-        fs.read(id);
+        fs.try_read(id).expect("no faults");
+        fs.try_read(id).expect("no faults");
         let l = fs.ledger();
         assert_eq!(l.write_bytes, 500);
         assert_eq!(l.read_bytes, 1000);
@@ -730,17 +703,19 @@ mod tests {
     }
 
     #[test]
-    fn try_read_without_faults_matches_read() {
+    fn try_read_without_faults_is_a_plain_read() {
         let fs = fs();
         let (id, _) = fs.create("frag", 250, vec![1, 2, 3]);
         let out = fs.try_read(id).expect("no faults configured");
         assert_eq!(*out.value, vec![1, 2, 3]);
         assert_eq!(out.sim_bytes, 250);
         assert_eq!(out.spike_secs, 0.0);
-        let (_, bytes, cost) = fs.read(id).expect("file exists");
-        assert_eq!(out.sim_bytes, bytes);
-        assert_eq!(out.cost_secs.to_bits(), cost.to_bits());
-        assert_eq!(fs.ledger().files_read, 2, "both paths charge the ledger");
+        assert_eq!(
+            out.cost_secs.to_bits(),
+            fs.weights().read_cost(250).to_bits()
+        );
+        assert_eq!(fs.ledger().files_read, 1, "the read charges the ledger");
+        assert_eq!(fs.fault_stats(), FaultStats::default(), "no draws");
     }
 
     #[test]
@@ -760,8 +735,8 @@ mod tests {
         let before = fs.ledger();
         assert_eq!(fs.try_read(id).unwrap_err(), IoError::TransientRead(id));
         assert_eq!(fs.ledger(), before, "failed read must not touch the ledger");
-        // The file is intact: an infallible read (fast path) still works.
-        assert!(fs.read(id).is_some());
+        // The file is intact.
+        assert_eq!(fs.verify(id), Some(true));
     }
 
     #[test]
@@ -794,7 +769,7 @@ mod tests {
         let fs = faulty_fs(FaultConfig::seeded(1).with_transient_writes(1.0));
         let before = fs.ledger();
         assert_eq!(
-            fs.try_create("frag", 250, vec![7]).unwrap_err(),
+            fs.try_create_placed("frag", 250, vec![7], &[]).unwrap_err(),
             IoError::TransientWrite
         );
         assert_eq!(fs.file_count(), 0);
@@ -816,10 +791,6 @@ mod tests {
         assert!(fs.corrupt_file(id));
         assert_eq!(fs.verify(id), Some(false));
         let before = fs.ledger();
-        assert!(
-            fs.read(id).is_none(),
-            "infallible read refuses corrupt data"
-        );
         assert_eq!(fs.try_read(id).unwrap_err(), IoError::Corrupt(id));
         assert_eq!(fs.ledger(), before, "corrupt reads charge nothing");
         // The file still exists and still counts against storage: detection
@@ -887,7 +858,7 @@ mod tests {
         let (b, _) = fs.create("b", 10, vec![2]);
         step("infallible create", true, &fs);
         fs.try_read(a).expect("node 0 is up");
-        fs.read(b);
+        fs.try_read(b).expect("no faults");
         step("reads", false, &fs);
         fs.corrupt_file(b);
         step("corruption", false, &fs);

@@ -160,7 +160,7 @@ impl<R, S> Journal<R, S> {
     }
 
     /// Append a record bypassing the fault injector (the forced write a
-    /// caller falls back to once its retry budget is exhausted). The crash
+    /// caller falls back to once its retries are exhausted). The crash
     /// latch still applies: a crash cannot be outrun by retrying.
     pub fn append_infallible(&self, record: R) -> Lsn {
         let mut st = self.locked();

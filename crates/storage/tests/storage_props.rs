@@ -41,9 +41,9 @@ proptest! {
                 }
                 Op::Read(i) if !live.is_empty() => {
                     let (id, bytes) = live[i % live.len()];
-                    let (payload, b, _) = fs.read(id).expect("live file readable");
-                    prop_assert_eq!(b, bytes);
-                    prop_assert_eq!(payload.as_slice(), &[1, 2, 3]);
+                    let out = fs.try_read(id).expect("live file readable");
+                    prop_assert_eq!(out.sim_bytes, bytes);
+                    prop_assert_eq!(out.value.as_slice(), &[1, 2, 3]);
                 }
                 Op::Delete(i) if !live.is_empty() => {
                     let (id, bytes) = live.remove(i % live.len());
@@ -65,7 +65,7 @@ proptest! {
             last_ledger = ledger;
         }
         for id in deleted {
-            prop_assert!(fs.read(id).is_none());
+            prop_assert!(fs.try_read(id).is_err());
             prop_assert!(fs.stat(id).is_none());
         }
     }

@@ -18,7 +18,7 @@ use deepsea::bench::golden::{golden_catalog, golden_plans};
 use deepsea::bench::harness::run_workload;
 use deepsea::core::baselines;
 use deepsea::core::{CatalogJournal, DeepSea, DeepSeaConfig, QueryTrace};
-use deepsea::engine::{Catalog, ClusterSim, LogicalPlan, RetryPolicy, RetryingBackend, SimBackend};
+use deepsea::engine::{Catalog, ClusterSim, LogicalPlan, SimBackend};
 use deepsea::storage::{
     BlockConfig, FaultConfig, FaultInjector, Lsn, NodeConfig, NodeId, NodeSet, SimFs,
     SimulatedCrash,
@@ -71,13 +71,12 @@ fn run_chaos_with(
         cluster.weights,
         FaultInjector::new(faults),
     ));
-    let policy = RetryPolicy::default();
-    let backend = Box::new(RetryingBackend::new(SimBackend::new(cluster), policy));
+    let backend = Box::new(SimBackend::new(cluster));
     let mut ds = DeepSea::with_backend(
         Arc::clone(catalog),
         Arc::clone(&fs),
         backend,
-        chaos_config().with_retry(policy),
+        chaos_config(),
     );
     if let Some(journal) = journal {
         ds = ds.with_journal(journal);
@@ -177,8 +176,8 @@ fn chaos_replay_is_bit_identical_to_fault_free() {
     }
 }
 
-/// With the injector disabled, the whole fault layer — `try_read`,
-/// `RetryingBackend`, the driver's retrying reads — must be bit-transparent:
+/// With the injector disabled, the whole fault layer — `try_read` and the
+/// driver's retry ladder — must be bit-transparent:
 /// identical elapsed seconds to the plain harness, and zero recovery
 /// activity.
 #[test]
@@ -264,12 +263,11 @@ fn crash_restart_replay_is_bit_identical_and_recovery_idempotent() {
             FaultInjector::disabled(),
         ));
         let journal = Arc::new(CatalogJournal::new());
-        let policy = RetryPolicy::default();
         let mut ds = DeepSea::with_backend(
             Arc::clone(catalog),
             Arc::clone(&fs),
-            Box::new(RetryingBackend::new(SimBackend::new(cluster), policy)),
-            chaos_config().with_retry(policy),
+            Box::new(SimBackend::new(cluster)),
+            chaos_config(),
         )
         .with_journal(Arc::clone(&journal));
 
@@ -322,21 +320,15 @@ fn crash_restart_replay_is_bit_identical_and_recovery_idempotent() {
                     let (first, _) = DeepSea::recover(
                         Arc::clone(catalog),
                         Arc::clone(&fs),
-                        Box::new(RetryingBackend::new(
-                            SimBackend::new(ClusterSim::paper_default()),
-                            policy,
-                        )),
-                        chaos_config().with_retry(policy),
+                        Box::new(SimBackend::new(ClusterSim::paper_default())),
+                        chaos_config(),
                         Arc::clone(&journal),
                     );
                     let (second, refsck) = DeepSea::recover(
                         Arc::clone(catalog),
                         Arc::clone(&fs),
-                        Box::new(RetryingBackend::new(
-                            SimBackend::new(ClusterSim::paper_default()),
-                            policy,
-                        )),
-                        chaos_config().with_retry(policy),
+                        Box::new(SimBackend::new(ClusterSim::paper_default())),
+                        chaos_config(),
                         Arc::clone(&journal),
                     );
                     assert_eq!(
@@ -408,12 +400,11 @@ fn crash_during_node_outage_recovers_and_readmits() {
         NodeSet::new(NodeConfig::new(4, 1)),
     ));
     let journal = Arc::new(CatalogJournal::new());
-    let policy = RetryPolicy::default();
     let mut ds = DeepSea::with_backend(
         Arc::clone(catalog),
         Arc::clone(&fs),
-        Box::new(RetryingBackend::new(SimBackend::new(cluster), policy)),
-        chaos_config().with_retry(policy),
+        Box::new(SimBackend::new(cluster)),
+        chaos_config(),
     )
     .with_journal(Arc::clone(&journal));
 
@@ -463,21 +454,15 @@ fn crash_during_node_outage_recovers_and_readmits() {
                 let (first, _) = DeepSea::recover(
                     Arc::clone(catalog),
                     Arc::clone(&fs),
-                    Box::new(RetryingBackend::new(
-                        SimBackend::new(ClusterSim::paper_default()),
-                        policy,
-                    )),
-                    chaos_config().with_retry(policy),
+                    Box::new(SimBackend::new(ClusterSim::paper_default())),
+                    chaos_config(),
                     Arc::clone(&journal),
                 );
                 let (second, refsck) = DeepSea::recover(
                     Arc::clone(catalog),
                     Arc::clone(&fs),
-                    Box::new(RetryingBackend::new(
-                        SimBackend::new(ClusterSim::paper_default()),
-                        policy,
-                    )),
-                    chaos_config().with_retry(policy),
+                    Box::new(SimBackend::new(ClusterSim::paper_default())),
+                    chaos_config(),
                     Arc::clone(&journal),
                 );
                 assert_eq!(
@@ -577,7 +562,6 @@ fn journaled_zero_crash_run_is_bit_transparent() {
 fn fallback_runs_journal_what_replay_reaches() {
     let (catalog, plans) = setup();
     let seed = chaos_seeds()[0];
-    let policy = RetryPolicy::default();
     let run = || {
         let cluster = ClusterSim::paper_default();
         let fs = Arc::new(SimFs::with_faults(
@@ -586,10 +570,8 @@ fn fallback_runs_journal_what_replay_reaches() {
             FaultInjector::new(headline_faults(seed)),
         ));
         let journal = Arc::new(CatalogJournal::new());
-        let backend = Box::new(RetryingBackend::new(SimBackend::new(cluster), policy));
-        let config = chaos_config()
-            .with_retry(policy)
-            .with_journal_cadence(10, u64::MAX);
+        let backend = Box::new(SimBackend::new(cluster));
+        let config = chaos_config().with_journal_cadence(10, u64::MAX);
         let mut ds = DeepSea::with_backend(Arc::clone(catalog), Arc::clone(&fs), backend, config)
             .with_journal(Arc::clone(&journal));
         let mut trace = QueryTrace::default();
@@ -605,10 +587,7 @@ fn fallback_runs_journal_what_replay_reaches() {
         let (recovered, _) = DeepSea::recover(
             Arc::clone(catalog),
             fs,
-            Box::new(RetryingBackend::new(
-                SimBackend::new(ClusterSim::paper_default()),
-                policy,
-            )),
+            Box::new(SimBackend::new(ClusterSim::paper_default())),
             config,
             journal,
         );

@@ -23,7 +23,7 @@ use std::sync::{Arc, OnceLock};
 
 use deepsea::bench::golden::{golden_catalog, golden_plans};
 use deepsea::core::{baselines, CatalogJournal, DeepSea, DeepSeaConfig, ObsConfig, Observer};
-use deepsea::engine::{Catalog, ClusterSim, LogicalPlan, RetryPolicy, RetryingBackend, SimBackend};
+use deepsea::engine::{Catalog, ClusterSim, LogicalPlan, SimBackend};
 use deepsea::storage::{
     BlockConfig, FaultConfig, FaultInjector, NodeConfig, NodeId, NodeSet, SimFs,
 };
@@ -132,12 +132,11 @@ fn build_sharded(
         faults,
         NodeSet::new(NodeConfig::new(NODES, replication)),
     ));
-    let policy = RetryPolicy::default();
     let mut ds = DeepSea::with_backend(
         Arc::clone(catalog),
         Arc::clone(&fs),
-        Box::new(RetryingBackend::new(SimBackend::new(cluster), policy)),
-        chaos_config().with_retry(policy),
+        Box::new(SimBackend::new(cluster)),
+        chaos_config(),
     );
     if let Some(journal) = journal {
         ds = ds.with_journal(journal);
@@ -366,15 +365,11 @@ fn recovery_restores_placement_and_failover_still_works() {
     }
     drop(ds); // the in-memory driver dies; fs and journal survive
 
-    let policy = RetryPolicy::default();
     let (mut recovered, fsck) = DeepSea::recover(
         Arc::clone(setup().0),
         Arc::clone(&fs),
-        Box::new(RetryingBackend::new(
-            SimBackend::new(ClusterSim::paper_default()),
-            policy,
-        )),
-        chaos_config().with_retry(policy),
+        Box::new(SimBackend::new(ClusterSim::paper_default())),
+        chaos_config(),
         Arc::clone(&journal),
     );
     assert_eq!(

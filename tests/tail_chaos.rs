@@ -1,8 +1,8 @@
 //! Tail-tolerance suite: replay the golden workload under **gray-failure**
 //! schedules — nodes that stay live but serve reads a multiplier slower —
-//! and assert the tail-tolerance machinery (hedged replica reads, retry
-//! budgets, deadline-aware load shedding) never changes an answer or the
-//! committed state trajectory.
+//! and assert the tail-tolerance machinery (hedged replica reads,
+//! deadline-aware load shedding) never changes an answer or the committed
+//! state trajectory.
 //!
 //! The invariants, in decreasing strength:
 //!
@@ -30,7 +30,7 @@ use deepsea::core::{
     baselines, CatalogJournal, DeepSea, DeepSeaConfig, ObsConfig, Observer, ServerConfig,
     ShedPolicy, ViewServer,
 };
-use deepsea::engine::{Catalog, ClusterSim, LogicalPlan, RetryPolicy, RetryingBackend, SimBackend};
+use deepsea::engine::{Catalog, ClusterSim, LogicalPlan, SimBackend};
 use deepsea::storage::{
     BlockConfig, FaultConfig, FaultInjector, HedgeConfig, NodeConfig, NodeId, NodeSet, SimFs,
 };
@@ -122,12 +122,11 @@ fn build_sharded(
         faults,
         NodeSet::new(NodeConfig::new(NODES, replication)),
     ));
-    let policy = RetryPolicy::default();
     let mut ds = DeepSea::with_backend(
         Arc::clone(catalog),
         Arc::clone(&fs),
-        Box::new(RetryingBackend::new(SimBackend::new(cluster), policy)),
-        config.with_retry(policy),
+        Box::new(SimBackend::new(cluster)),
+        config,
     );
     if let Some(journal) = journal {
         ds = ds.with_journal(journal);
@@ -396,16 +395,12 @@ fn crash_mid_outage_with_slow_window_recovers_idempotently() {
     }
     drop(ds); // crash: fs, journal, and the injected chaos survive
 
-    let policy = RetryPolicy::default();
     let recover = || {
         DeepSea::recover(
             Arc::clone(catalog),
             Arc::clone(&fs),
-            Box::new(RetryingBackend::new(
-                SimBackend::new(ClusterSim::paper_default()),
-                policy,
-            )),
-            chaos_config().with_retry(policy),
+            Box::new(SimBackend::new(ClusterSim::paper_default())),
+            chaos_config(),
             Arc::clone(&journal),
         )
     };
@@ -437,42 +432,4 @@ fn crash_mid_outage_with_slow_window_recovers_idempotently() {
             "query {i}: malformed answer post-recovery"
         );
     }
-}
-
-/// A per-query retry budget bounds tail retries without changing answers:
-/// under a flaky-read fault stream, the budgeted run answers every query
-/// exactly like the unbudgeted one (fallbacks are exact), while never
-/// charging more backoff to a query than the budget allows.
-#[test]
-fn retry_budget_bounds_tail_without_changing_answers() {
-    let (_, plans) = setup();
-    let run_with = |budget: Option<f64>| {
-        let mut config = chaos_config();
-        if let Some(b) = budget {
-            config = config.with_retry_budget(b);
-        }
-        let faults = FaultInjector::new(FaultConfig::seeded(17).with_transient_reads(0.05));
-        let (mut ds, _fs) = build_sharded(2, faults, config, None);
-        let mut fingerprints = Vec::new();
-        let mut max_penalty = 0.0f64;
-        for (i, plan) in plans.iter().enumerate() {
-            let o = ds
-                .process_query(plan)
-                .unwrap_or_else(|e| panic!("query {i} failed: {e}"));
-            fingerprints.push(o.result.fingerprint());
-            max_penalty = max_penalty.max(o.trace.recovery.penalty_secs);
-        }
-        (fingerprints, max_penalty)
-    };
-    let (unbudgeted, _) = run_with(None);
-    let budget = 2.0;
-    let (budgeted, max_penalty) = run_with(Some(budget));
-    assert_eq!(
-        budgeted, unbudgeted,
-        "a retry budget changed an answer instead of a latency"
-    );
-    assert!(
-        max_penalty <= budget + f64::EPSILON,
-        "a query was charged {max_penalty}s of backoff against a {budget}s budget"
-    );
 }
