@@ -6,23 +6,27 @@
 //!
 //! `report` regenerates, at quick scale, every `gated` row of
 //! `deepsea_bench::experiments::REGISTRY` (fig5a, node-failure, overload —
-//! the ones whose `BENCH*.json` is checked into the repository) and diffs
-//! each against its checked-in file in `--dir` (default: the current
-//! directory). Missing baselines are skipped with a note, so the gate works
-//! on partial checkouts.
+//! the ones whose `BENCH*.json` is checked into the repository) and a lint
+//! run, and diffs each against its checked-in file in `--dir` (default: the
+//! current directory). Missing baselines are skipped with a note, so the
+//! gate works on partial checkouts.
 //!
 //! The simulator is deterministic: on an unchanged tree every metric is
-//! bit-identical and the diff is empty. `--check` turns regressions into a
-//! nonzero exit: any *cost-like* metric (simulated seconds, latency
-//! percentiles, shed/eviction/fallback counts) that grew more than
-//! `--threshold` percent (default 2%) over its checked-in baseline fails
-//! the gate. Improvements and non-cost changes are reported but pass —
-//! refresh the snapshots with `experiments --quick` when they are
-//! intentional.
+//! bit-identical and the diff is empty. Plain `report` then rewrites every
+//! file it diffed with the fresh run, `BENCH_lint.json` included, so an
+//! intentional change refreshes the snapshots in one step; review the diff
+//! it printed before committing them. `--check` writes nothing and turns
+//! regressions into a nonzero exit: any *cost-like* metric (simulated
+//! seconds, latency percentiles, shed/eviction/fallback counts) that grew
+//! more than `--threshold` percent (default 2%) over its checked-in
+//! baseline fails the gate. Improvements and non-cost changes are reported
+//! but pass.
+
+use std::path::Path;
 
 use deepsea_bench::experiments::{Scale, DEFAULT_SEED, REGISTRY};
 use deepsea_bench::flag_value;
-use deepsea_bench::gate::compare_snapshots;
+use deepsea_bench::gate::report_dir;
 use serde::ObjectBuilder;
 
 /// Run `deepsea-lint` over the workspace and snapshot its wall time and
@@ -72,7 +76,6 @@ fn main() {
             })
         })
         .unwrap_or(DEFAULT_THRESHOLD_PCT);
-    let threshold = threshold_pct / 100.0;
     let dir = flag_value(&args, "--dir").unwrap_or_else(|| ".".to_string());
 
     // (snapshot file, fresh quick-scale regeneration) for every registry
@@ -94,39 +97,12 @@ fn main() {
         None => println!("BENCH_lint.json: no workspace root found, lint snapshot skipped"),
     }
 
-    let mut failed = false;
-    for (file, fresh) in &snapshots {
-        let path = format!("{dir}/{file}");
-        let baseline = match std::fs::read_to_string(&path) {
-            Ok(s) => s,
-            Err(_) => {
-                println!("{file}: no baseline at {path}, skipped");
-                continue;
-            }
-        };
-        let report = match compare_snapshots(&baseline, fresh) {
-            Ok(r) => r,
-            Err(e) => {
-                println!("{file}: FAILED to diff: {e}");
-                failed = true;
-                continue;
-            }
-        };
-        let regressions = report.regressions(threshold);
-        if report.changed().is_empty() && report.missing.is_empty() && report.added.is_empty() {
-            println!("{file}: unchanged ({} metrics)", report.deltas.len());
-        } else {
-            println!("{file}:");
-            print!("{}", report.render(threshold));
-        }
-        if !regressions.is_empty() {
-            println!(
-                "{file}: {} regression(s) past {threshold_pct}% threshold",
-                regressions.len()
-            );
-            failed = true;
-        }
-    }
+    let (text, failed) = report_dir(Path::new(&dir), &snapshots, threshold_pct, check)
+        .unwrap_or_else(|e| {
+            eprintln!("cannot write the snapshots in {dir}: {e}");
+            std::process::exit(2);
+        });
+    print!("{text}");
 
     if failed && check {
         eprintln!("bench gate FAILED");

@@ -14,6 +14,8 @@
 //! regressions — schema evolution is an expected PR side effect.
 
 use std::collections::BTreeMap;
+use std::io;
+use std::path::Path;
 
 use serde::Value;
 
@@ -201,6 +203,62 @@ pub fn compare_snapshots(baseline: &str, fresh: &str) -> Result<GateReport, Stri
     Ok(report)
 }
 
+/// Diff each fresh `(file, json)` snapshot against its checked-in copy in
+/// `dir`, and describe the outcome, one block per file. Unless `check`,
+/// every file that was diffed is then replaced by its fresh run, written as
+/// `experiments` writes it, so a plain report leaves the snapshots current
+/// and `check` only gates. A file with no baseline, or one that fails to
+/// diff, is never written. Returns the text and whether any snapshot
+/// regressed past `threshold_pct` percent or failed to diff.
+pub fn report_dir(
+    dir: &Path,
+    snapshots: &[(&str, String)],
+    threshold_pct: f64,
+    check: bool,
+) -> io::Result<(String, bool)> {
+    let threshold = threshold_pct / 100.0;
+    let mut out = String::new();
+    let mut failed = false;
+    for (file, fresh) in snapshots {
+        let path = dir.join(file);
+        let Ok(baseline) = std::fs::read_to_string(&path) else {
+            out.push_str(&format!(
+                "{file}: no baseline at {}, skipped\n",
+                path.display()
+            ));
+            continue;
+        };
+        let report = match compare_snapshots(&baseline, fresh) {
+            Ok(r) => r,
+            Err(e) => {
+                out.push_str(&format!("{file}: FAILED to diff: {e}\n"));
+                failed = true;
+                continue;
+            }
+        };
+        if report.changed().is_empty() && report.missing.is_empty() && report.added.is_empty() {
+            out.push_str(&format!(
+                "{file}: unchanged ({} metrics)\n",
+                report.deltas.len()
+            ));
+        } else {
+            out.push_str(&format!("{file}:\n{}", report.render(threshold)));
+        }
+        let regressions = report.regressions(threshold).len();
+        if regressions > 0 {
+            out.push_str(&format!(
+                "{file}: {regressions} regression(s) past {threshold_pct}% threshold\n"
+            ));
+            failed = true;
+        }
+        if !check {
+            std::fs::write(&path, format!("{fresh}\n"))?;
+            out.push_str(&format!("{file}: wrote {}\n", path.display()));
+        }
+    }
+    Ok((out, failed))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,5 +346,99 @@ mod tests {
         let base = r#"{"scale":"paper","total_secs":1.0}"#;
         let fresh = r#"{"scale":"quick","total_secs":1.0}"#;
         assert!(compare_snapshots(base, fresh).is_err());
+    }
+
+    /// A scratch directory holding `files`, unique to `name`.
+    fn scratch_dir(name: &str, files: &[(&str, &str)]) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("deepsea-gate-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        for (file, body) in files {
+            std::fs::write(dir.join(file), body).expect("write baseline");
+        }
+        dir
+    }
+
+    /// Every file in `dir` with its bytes, by name.
+    fn contents(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+        std::fs::read_dir(dir)
+            .expect("read scratch dir")
+            .map(|e| {
+                let e = e.expect("dir entry");
+                let bytes = std::fs::read(e.path()).expect("read file");
+                (e.file_name().to_string_lossy().into_owned(), bytes)
+            })
+            .collect()
+    }
+
+    const STALE: &str = "{\"scale\":\"quick\",\"total_secs\":100.0}\n";
+    const FRESH: &str = r#"{"scale":"quick","total_secs":110.0}"#;
+
+    #[test]
+    fn a_plain_report_replaces_a_stale_snapshot() {
+        let dir = scratch_dir("plain", &[("BENCH.json", STALE)]);
+        let snapshots = [
+            ("BENCH.json", FRESH.to_string()),
+            ("BENCH_new.json", FRESH.to_string()),
+        ];
+        let (text, failed) = report_dir(&dir, &snapshots, 2.0, false).expect("report");
+        assert!(failed, "a 10% rise in seconds regresses: {text}");
+        let after = contents(&dir);
+        assert_eq!(after["BENCH.json"], format!("{FRESH}\n").into_bytes());
+        assert_eq!(after.len(), 1, "a snapshot with no baseline is not written");
+        // Rewritten, the snapshot now diffs clean.
+        let (text, failed) = report_dir(&dir, &snapshots[..1], 2.0, true).expect("report");
+        assert!(
+            !failed && text.starts_with("BENCH.json: unchanged"),
+            "{text}"
+        );
+        std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+    }
+
+    /// A baseline the fresh snapshot cannot be diffed against fails the
+    /// report and is left as it was, so the failure stays reproducible; the
+    /// snapshot that diffs is still rewritten.
+    #[test]
+    fn a_plain_report_leaves_an_undiffable_baseline_alone() {
+        let paper = "{\"scale\":\"paper\",\"total_secs\":1.0}\n";
+        let files = [
+            ("BENCH.json", STALE),
+            ("BENCH_lint.json", "not json"),
+            ("BENCH_overload.json", paper),
+        ];
+        let dir = scratch_dir("undiffable", &files);
+        let snapshots = files.map(|(file, _)| (file, FRESH.to_string()));
+        let (text, failed) = report_dir(&dir, &snapshots, 50.0, false).expect("report");
+        assert!(failed, "{text}");
+        assert!(text.contains("BENCH_lint.json: FAILED to diff"), "{text}");
+        assert!(
+            text.contains("BENCH_overload.json: FAILED to diff"),
+            "{text}"
+        );
+        assert!(!text.contains("BENCH_lint.json: wrote"), "{text}");
+        let after = contents(&dir);
+        assert_eq!(after["BENCH_lint.json"], b"not json");
+        assert_eq!(after["BENCH_overload.json"], paper.as_bytes());
+        assert_eq!(after["BENCH.json"], format!("{FRESH}\n").into_bytes());
+        std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+    }
+
+    #[test]
+    fn a_checking_report_writes_nothing() {
+        let files = [("BENCH.json", STALE), ("BENCH_lint.json", "not json")];
+        let dir = scratch_dir("check", &files);
+        let before = contents(&dir);
+        let snapshots = [
+            ("BENCH.json", FRESH.to_string()),
+            ("BENCH_lint.json", FRESH.to_string()),
+        ];
+        let (text, failed) = report_dir(&dir, &snapshots, 2.0, true).expect("report");
+        assert!(
+            failed && text.contains("regression(s) past 2% threshold"),
+            "{text}"
+        );
+        assert!(text.contains("BENCH_lint.json: FAILED to diff"), "{text}");
+        assert_eq!(contents(&dir), before, "--check changed the directory");
+        std::fs::remove_dir_all(&dir).expect("remove scratch dir");
     }
 }

@@ -1,21 +1,14 @@
 //! Eviction: apply the evictions selection planned (stage 5), enforce the
 //! pool limit after materialization (stage 7 — actual sizes can exceed the
-//! estimates selection used), and the §11 fragment-merging maintenance pass.
+//! estimates selection used).
 
-use std::sync::Arc;
-
-use deepsea_engine::exec::ExecError;
 use deepsea_obs::{DecisionEvent, PhiBreakdown};
-use deepsea_relation::Table;
-use deepsea_storage::FileId;
 
 use crate::durability::CatalogRecord;
-use crate::filter_tree::ViewId;
-use crate::interval::Interval;
 use crate::selection::{CandidateKind, RankedItem};
 use crate::stats::{decay, LogicalTime};
 
-use super::super::context::{CreationCharge, QueryContext};
+use super::super::context::QueryContext;
 use super::super::DeepSea;
 
 impl DeepSea {
@@ -222,136 +215,5 @@ impl DeepSea {
             }
         }
         evicted
-    }
-
-    /// Maintenance pass implementing the §11 extension: merge consecutive
-    /// materialized fragments that are (almost) always accessed together.
-    /// Reads both halves, writes the union, drops the originals; returns the
-    /// simulated seconds spent and the merges performed.
-    pub fn merge_cohit_fragments(
-        &mut self,
-        cohit_tolerance: f64,
-        max_merged_fraction: f64,
-    ) -> Result<(f64, Vec<String>), ExecError> {
-        let tnow = self.clock.max(1);
-        let tmax = self.config.tmax;
-        let block = self.fs.block_config().block_bytes;
-        // Collect the work before mutating (borrow discipline).
-        let mut work: Vec<(ViewId, String, crate::merging::MergeCandidate)> = Vec::new();
-        for view in self.registry.iter() {
-            let cap = (view.stats.size as f64 * max_merged_fraction) as u64;
-            for ps in view.partitions.values() {
-                let hits = self.registry.ledger().hits(view.id, &ps.attr);
-                for cand in
-                    crate::merging::merge_candidates(ps, hits, tnow, tmax, cohit_tolerance, cap)
-                {
-                    work.push((view.id, ps.attr.clone(), cand));
-                }
-            }
-        }
-        let mut secs = 0.0;
-        let mut merged = Vec::new();
-        for (vid, attr, cand) in work {
-            let (name, key, schema, halves_meta) = {
-                let view = self.registry.view(vid);
-                let Some(schema) = view.schema.clone() else {
-                    continue;
-                };
-                let ps = view
-                    .partitions
-                    .get(&attr)
-                    .expect("invariant: candidates come from existing partitions");
-                let hits = self.registry.ledger().hits(vid, &attr);
-                let pair: Vec<(FileId, Interval, &[LogicalTime])> = [cand.left, cand.right]
-                    .iter()
-                    .filter_map(|id| ps.frag(*id))
-                    .filter_map(|f| {
-                        f.file
-                            .map(|file| (file, f.interval, &hits.of(f.id).hits[..]))
-                    })
-                    .collect();
-                if pair.len() != 2 {
-                    continue; // one half was evicted since planning
-                }
-                (Arc::clone(&view.name), view.key.to_string(), schema, pair)
-            };
-            // Read both halves before writing anything: a fragment lost
-            // mid-merge must never produce a partial union. On a permanent
-            // loss (or exhausted retries) the view is quarantined and the
-            // merge skipped; the wasted backoff is still charged.
-            let mut halves: Vec<Arc<Table>> = Vec::with_capacity(2);
-            let mut read_bytes = 0;
-            let mut bpr = 1;
-            let mut charge = CreationCharge::default();
-            let mut lost = false;
-            for (file, ..) in &halves_meta {
-                match self.read_retrying(*file, &mut charge) {
-                    Ok((payload, bytes)) => {
-                        read_bytes += bytes;
-                        bpr = bpr.max(payload.bytes_per_row);
-                        halves.push(payload);
-                    }
-                    Err(_) => {
-                        lost = true;
-                        break;
-                    }
-                }
-            }
-            if lost {
-                self.quarantine_view(vid, tnow);
-                secs += charge.penalty_secs;
-                continue;
-            }
-            let parts: Vec<(&Table, Option<&[u32]>)> =
-                halves.iter().map(|t| (&**t, None)).collect();
-            let merged_table = Table::concat(schema, &parts, bpr);
-            let size = merged_table.sim_bytes();
-            let union =
-                self.write_fragment(vid, &attr, cand.merged, merged_table, None, &mut charge);
-            secs += self.backend.scan_secs(read_bytes, block)
-                + self.backend.write_secs(size, size.div_ceil(block).max(1))
-                + charge.penalty_secs;
-            // Drop the halves, then commit: evictions first, the union last.
-            let mut hits: Vec<LogicalTime> = Vec::new();
-            let mut dropped = Vec::with_capacity(2);
-            for (file, interval, frag_hits) in halves_meta {
-                hits.extend(frag_hits);
-                self.fs.delete(file);
-                dropped.push(interval);
-            }
-            hits.sort_unstable();
-            for interval in dropped {
-                self.commit(CatalogRecord::FragmentEvicted {
-                    view: key.clone(),
-                    attr: attr.clone(),
-                    interval,
-                });
-            }
-            self.commit(union);
-            // Hit history is a statistic — it rides in `StatsCheckpoint`, not
-            // in the records above — so the union inherits the halves' hits
-            // in the ledger, like stage 2's.
-            let union_id = self.registry.view(vid).partitions[&attr]
-                .find(&cand.merged)
-                .map(|f| f.id);
-            if let Some(id) = union_id {
-                self.registry.ledger_mut().hits_mut(vid, &attr, id).hits = hits;
-            }
-            if self.obs.enabled() {
-                self.obs.event(
-                    tnow,
-                    DecisionEvent::FragmentMerge {
-                        view: name.to_string(),
-                        attr: attr.clone(),
-                        merged: cand.merged.to_string(),
-                        bytes: size,
-                    },
-                );
-            }
-            merged.push(format!("{name}.{attr}{}", cand.merged));
-        }
-        let debt = self.drain_journal_debt();
-        secs += debt.penalty_secs;
-        Ok((secs, merged))
     }
 }

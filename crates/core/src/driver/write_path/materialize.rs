@@ -581,7 +581,7 @@ impl DeepSea {
     /// write, and build the [`CatalogRecord::FragmentMaterialized`] for the
     /// caller to `commit` — at once, or after the rest of a multi-file
     /// refinement is on disk. `schema` rides along until the view has one.
-    pub(crate) fn write_fragment(
+    fn write_fragment(
         &self,
         vid: ViewId,
         attr: &str,

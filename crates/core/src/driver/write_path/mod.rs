@@ -5,9 +5,9 @@
 //!
 //! Structural catalog state changes in one place, [`DeepSea::commit`]: file
 //! system first, then the journal record, applied to the live registry by
-//! the function replay uses. Only statistics (stage 2 and the merge pass's
-//! inherited hits, which reach the journal by value in `StatsCheckpoint`s)
-//! are written directly, into the registry's ledger.
+//! the function replay uses. Only statistics (stage 2's hits, which reach the
+//! journal by value in `StatsCheckpoint`s) are written directly, into the
+//! registry's ledger.
 //!
 //! All of it runs behind the single writer (`&mut DeepSea`), one query at a
 //! time, in ticket order. [`DeepSea::process_query`] is the serialized

@@ -127,8 +127,8 @@ impl PartitionMemo {
 /// term shrinks or times out, and IEEE division, addition and multiplication
 /// by a non-negative factor are monotone under rounding. Validity is checked
 /// by value on every build, so no mutation site has to invalidate anything:
-/// a hit list only ever changes by `record_hit`, which moves `last_hit`, or
-/// wholesale in a fragment merge, which also changes the layout.
+/// on the live path a hit list changes only by `record_hit`, which moves
+/// `last_hit`.
 ///
 /// Write-side scratch: not part of the catalog, not journaled, empty after
 /// [`DeepSea::recover`] — an empty memo only means "evaluate everything".

@@ -365,10 +365,11 @@ fn reference_fragment_values(
 }
 
 mod workloads {
+    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     use deepsea_engine::{Catalog, ClusterSim, LogicalPlan, SimBackend};
-    use deepsea_obs::{ObsConfig, Observer};
+    use deepsea_obs::{DecisionEvent, ObsConfig, Observer};
     use deepsea_relation::Table;
     use deepsea_storage::{BlockConfig, FaultConfig, FaultInjector, SimFs};
     use deepsea_workload::schema::{BigBenchData, InstanceSize, ItemDistribution};
@@ -379,9 +380,10 @@ mod workloads {
     use crate::config::DeepSeaConfig;
     use crate::driver::write_path::selection::AllCand;
     use crate::driver::{DeepSea, QueryOutcome};
-    use crate::durability::CatalogJournal;
+    use crate::durability::{CatalogJournal, CatalogRecord};
     use crate::filter_tree::ViewId;
     use crate::selection::CandidateKind;
+    use crate::stats::LogicalTime;
 
     use super::{take_commits, Commit};
 
@@ -479,28 +481,137 @@ mod workloads {
     }
 
     #[test]
-    fn churn_log_with_journal_and_merges_matches_reference() {
+    fn churn_log_with_journal_matches_reference() {
         let plans = log(600);
         for seed in [1, 2, 3] {
             let catalog = data(seed);
             let config = steady().with_smax(catalog.total_base_bytes() / 40);
             let mut ds =
                 driver(&catalog, &fresh_fs(), config).with_journal(Arc::new(CatalogJournal::new()));
-            let (mut evicted, mut forced, mut merged) = (0, 0, 0);
-            for chunk in plans.chunks(50) {
-                for o in replay(&mut ds, chunk) {
-                    evicted += o.trace.eviction.selected;
-                    forced += o.trace.eviction.limit_forced;
-                }
-                // Merges rewrite the materialized layout behind the memo.
-                let (_, merges) = ds
-                    .merge_cohit_fragments(0.5, 0.5)
-                    .expect("fault-free merge");
-                merged += merges.len();
+            let (mut evicted, mut forced) = (0, 0);
+            for o in replay(&mut ds, &plans) {
+                evicted += o.trace.eviction.selected;
+                forced += o.trace.eviction.limit_forced;
             }
             assert!(evicted > 0, "seed {seed}: selection evicted nothing");
             assert!(forced > 0, "seed {seed}: the limit forced no eviction");
-            assert!(merged > 0, "seed {seed}: nothing was merged");
+        }
+    }
+
+    /// Horizontal refinement rewrites the materialized layout behind the
+    /// memo: a split drops its sources and writes their remainders. No
+    /// snapshot truncates the journal, so every commit's records stay.
+    #[test]
+    fn refinement_splits_drop_their_sources_and_match_reference() {
+        let plans = log(600);
+        let catalog = data(1);
+        let config = baselines::horizontal_only()
+            .with_phi(0.05)
+            .with_smax(catalog.total_base_bytes() / 40)
+            .with_journal_cadence(10, u64::MAX);
+        let journal = Arc::new(CatalogJournal::new());
+        let obs = Observer::new(ObsConfig::on());
+        let mut ds = driver(&catalog, &fresh_fs(), config)
+            .with_journal(Arc::clone(&journal))
+            .with_observer(obs.clone());
+        let mut splits = 0;
+        for plan in &plans {
+            let first = journal.next_lsn();
+            replay(&mut ds, std::slice::from_ref(plan));
+            for record in obs.events_snapshot() {
+                let DecisionEvent::FragmentSplit {
+                    view, attr, target, ..
+                } = record.event
+                else {
+                    continue;
+                };
+                if record.tnow != ds.clock() {
+                    continue;
+                }
+                let view = ds
+                    .registry
+                    .view(ds.registry.by_name(&view).expect("a split names its view"));
+                let target = view.partitions[&attr]
+                    .fragments()
+                    .iter()
+                    .map(|f| f.interval)
+                    .find(|iv| iv.to_string() == target)
+                    .expect("a split target is tracked");
+                let (_, records) = journal.replay();
+                let dropped = (records.iter().filter(|(lsn, _)| *lsn >= first)).any(|(_, r)| {
+                    matches!(r, CatalogRecord::FragmentEvicted { view: v, attr: a, interval }
+                        if **v == *view.key
+                            && *a == attr
+                            && *interval != target
+                            && interval.overlaps(&target))
+                });
+                assert!(dropped, "{}.{attr}{target} kept its sources", view.name);
+                splits += 1;
+            }
+        }
+        assert!(splits > 0, "no refinement split its sources");
+    }
+
+    /// Every tracked fragment's hit list, by view, attribute and slot.
+    fn hit_lists(ds: &DeepSea) -> BTreeMap<(ViewId, String, usize), Vec<LogicalTime>> {
+        let ledger = ds.registry.ledger();
+        let mut lists = BTreeMap::new();
+        for view in ds.registry.iter() {
+            for ps in view.partitions.values() {
+                let hits = ledger.hits(view.id, &ps.attr);
+                for f in ps.fragments() {
+                    let key = (view.id, ps.attr.clone(), f.id.0 as usize);
+                    lists.insert(key, hits.of(f.id).hits.clone());
+                }
+            }
+        }
+        lists
+    }
+
+    /// A hit list changes only by `record_hit` and the expiry that follows
+    /// it: across every commit each tracked fragment's hits either stay as
+    /// they were or become the old ones younger than `tmax` followed by
+    /// hits at the commit's own time. No pass rewrites a list wholesale,
+    /// which is what lets `PselMemo` keep a rejection until a hit lands on
+    /// a fragment the admission test reads.
+    #[test]
+    fn hit_lists_change_only_by_recorded_hits_and_expiry() {
+        let plans = log(300);
+        let catalog = data(1);
+        let tmax: LogicalTime = 60;
+        for config in [steady(), baselines::horizontal_only().with_phi(0.05)] {
+            let config = config
+                .with_smax(catalog.total_base_bytes() / 40)
+                .with_tmax(tmax);
+            let mut ds = driver(&catalog, &fresh_fs(), config);
+            let mut before = hit_lists(&ds);
+            let (mut grown, mut expired) = (0, 0);
+            for plan in &plans {
+                replay(&mut ds, std::slice::from_ref(plan));
+                let tnow = ds.clock();
+                let after = hit_lists(&ds);
+                assert!(
+                    before.keys().all(|k| after.contains_key(k)),
+                    "tnow {tnow}: a tracked fragment disappeared"
+                );
+                for (key, hits) in &after {
+                    let old = before.get(key).map_or(&[][..], Vec::as_slice);
+                    if hits == old {
+                        continue;
+                    }
+                    let live: Vec<_> = old.iter().copied().filter(|&t| tnow - t <= tmax).collect();
+                    let (kept, new) = hits.split_at(live.len().min(hits.len()));
+                    assert!(
+                        kept == live && !new.is_empty() && new.iter().all(|&t| t == tnow),
+                        "tnow {tnow}: {key:?} went from {old:?} to {hits:?}"
+                    );
+                    grown += 1;
+                    expired += old.len() - live.len();
+                }
+                before = after;
+            }
+            assert!(grown > 0, "{config:?}: no hit was recorded");
+            assert!(expired > 0, "{config:?}: no hit expired");
         }
     }
 

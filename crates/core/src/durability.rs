@@ -189,7 +189,7 @@ pub enum CatalogRecord {
         /// The view's canonical key.
         view: String,
     },
-    /// A materialized fragment was evicted (or dropped by a split/merge).
+    /// A materialized fragment was evicted (or dropped by a split).
     FragmentEvicted {
         /// Owning view's canonical key.
         view: String,

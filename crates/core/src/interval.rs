@@ -43,11 +43,6 @@ impl Interval {
         self.lo + (self.hi - self.lo) / 2
     }
 
-    /// Does the interval contain point `p`?
-    pub fn contains_point(&self, p: i64) -> bool {
-        self.lo <= p && p <= self.hi
-    }
-
     /// Does the interval fully contain `other`?
     pub fn contains(&self, other: &Interval) -> bool {
         self.lo <= other.lo && other.hi <= self.hi
@@ -174,7 +169,8 @@ mod tests {
         assert!(a.overlaps(&b));
         assert!(a.overlaps(&Interval::new(10, 20)), "shared endpoint");
         assert!(!a.overlaps(&Interval::new(11, 20)));
-        assert!(a.contains_point(0) && a.contains_point(10) && !a.contains_point(11));
+        let point = |p| Interval::new(p, p);
+        assert!(a.contains(&point(0)) && a.contains(&point(10)) && !a.contains(&point(11)));
     }
 
     #[test]

@@ -26,8 +26,6 @@
 //!   execute/materialize → evict), each stage its own submodule, with
 //!   per-stage [`driver::QueryTrace`] instrumentation and a pluggable
 //!   execution backend,
-//! - **Fragment merging** ([`merging`]) — the §11 extension: re-merge
-//!   consecutive fragments that are always accessed together,
 //! - **Crash-restart durability** ([`durability`]) — a catalog journal of
 //!   every registry mutation with periodic snapshots, cold-start replay
 //!   (`DeepSea::recover`), and an fsck sweep reconciling the catalog with
@@ -49,7 +47,6 @@ pub mod filter_tree;
 pub mod fragment;
 pub mod interval;
 pub mod matching;
-pub mod merging;
 pub mod mle;
 pub mod policy;
 pub mod registry;

@@ -43,8 +43,7 @@ fn data() -> Arc<Catalog> {
     Arc::new(BigBenchData::generate(InstanceSize::Gb100, &dist, 1).catalog)
 }
 
-/// Commit `plans` one by one on a journaled driver — running the §11 merge
-/// pass every `merge_every` queries (0 = never) — and after every query
+/// Commit `plans` one by one on a journaled driver, and after every query
 /// assert that replaying the journal rebuilds the live registry and that the
 /// mirror pool ledger agrees with it. Returns the record kinds journaled.
 fn commit_and_replay(
@@ -53,7 +52,6 @@ fn commit_and_replay(
     config: DeepSeaConfig,
     obs: Observer,
     plans: &[LogicalPlan],
-    merge_every: usize,
 ) -> Kinds {
     let journal = Arc::new(CatalogJournal::new());
     let backend = SimBackend::new(ClusterSim::paper_default());
@@ -83,9 +81,6 @@ fn commit_and_replay(
             "query {i}: mirror ledger diverged"
         );
         assert_eq!(ds.pool_accountant().violations(), 0, "query {i}");
-        if merge_every > 0 && (i + 1) % merge_every == 0 {
-            ds.merge_cohit_fragments(0.5, 0.5).expect("merge pass");
-        }
     }
     kinds
 }
@@ -156,7 +151,7 @@ fn replay_rebuilds_the_live_registry_after_every_commit() {
     let base = catalog.total_base_bytes();
     let mut kinds = Kinds::new();
 
-    // (a) Progressive DS under pool pressure, with merges: tracking,
+    // (a) Progressive DS under pool pressure: tracking,
     // partitioned materialization, refinement, planned and forced eviction.
     let churn = baselines::deepsea().with_phi(0.05).with_smax(base / 40);
     kinds.extend(commit_and_replay(
@@ -165,7 +160,6 @@ fn replay_rebuilds_the_live_registry_after_every_commit() {
         churn,
         Observer::off(),
         &plans[..150],
-        25,
     ));
 
     // (b) NP: whole-view materialization and eviction.
@@ -176,7 +170,6 @@ fn replay_rebuilds_the_live_registry_after_every_commit() {
         np,
         Observer::off(),
         &plans[..100],
-        0,
     ));
 
     // (c) Horizontal refinement on an unreplicated cluster under seeded I/O
@@ -204,7 +197,6 @@ fn replay_rebuilds_the_live_registry_after_every_commit() {
         faulted,
         obs.clone(),
         &plans[..150],
-        25,
     ));
     let counters = obs.metrics_snapshot();
     assert!(
@@ -264,9 +256,6 @@ fn replay_reproduces_the_live_ledger_at_every_checkpoint() {
                     "query {i}: statistics recorded since the checkpoint are not in the digest"
                 );
             }
-        }
-        if (i + 1) % 25 == 0 {
-            ds.merge_cohit_fragments(0.5, 0.5).expect("merge pass");
         }
     }
     assert_eq!(checkpoints, 30);

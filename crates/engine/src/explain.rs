@@ -1,34 +1,16 @@
-//! `EXPLAIN`-style plan rendering: a multi-line operator tree with per-node
-//! cost estimates, for examples, logs and debugging rewritings.
+//! `EXPLAIN`-style plan rendering: a multi-line operator tree, for
+//! examples, logs and debugging rewritings.
 
-use crate::catalog::Catalog;
-use crate::cluster::ClusterSim;
-use crate::cost::CostEstimator;
 use crate::plan::LogicalPlan;
-use deepsea_relation::Table;
-use deepsea_storage::SimFs;
 
 /// Render a plan as an indented operator tree.
 pub fn explain(plan: &LogicalPlan) -> String {
     let mut out = String::new();
-    render(plan, 0, &mut out, None);
+    render(plan, 0, &mut out);
     out
 }
 
-/// Render a plan with estimated output rows/bytes per node.
-pub fn explain_with_estimates(
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-    fs: &SimFs<Table>,
-    cluster: &ClusterSim,
-) -> String {
-    let est = CostEstimator::new(catalog, fs, cluster);
-    let mut out = String::new();
-    render(plan, 0, &mut out, Some(&est));
-    out
-}
-
-fn render(plan: &LogicalPlan, depth: usize, out: &mut String, est: Option<&CostEstimator<'_>>) {
+fn render(plan: &LogicalPlan, depth: usize, out: &mut String) {
     let pad = "  ".repeat(depth);
     let label = match plan {
         LogicalPlan::Scan { table } => format!("Scan {table}"),
@@ -52,26 +34,18 @@ fn render(plan: &LogicalPlan, depth: usize, out: &mut String, est: Option<&CostE
     };
     out.push_str(&pad);
     out.push_str(&label);
-    if let Some(e) = est {
-        let est = e.estimate(plan);
-        out.push_str(&format!(
-            "  (~{:.0} rows, ~{:.1} MB)",
-            est.out_rows,
-            est.out_bytes / 1e6
-        ));
-    }
     out.push('\n');
     for c in plan.children() {
-        render(c, depth + 1, out, est);
+        render(c, depth + 1, out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::AggExpr;
-    use deepsea_relation::{DataType, Field, Predicate, Schema, Value};
-    use deepsea_storage::{BlockConfig, CostWeights};
+    use crate::plan::{AggExpr, ViewScanInfo};
+    use deepsea_relation::{DataType, Field, Predicate, Schema};
+    use deepsea_storage::FileId;
 
     fn plan() -> LogicalPlan {
         LogicalPlan::scan("fact")
@@ -92,40 +66,23 @@ mod tests {
         assert!(lines[4].starts_with("      Scan dim"));
     }
 
+    /// A rewritten plan: a projection over a partitioned view's fragments
+    /// renders one line per node, the scan a leaf naming its file count.
     #[test]
-    fn estimates_appear_per_node() {
-        let mut c = Catalog::new();
-        c.register(
-            "fact",
-            Table::from_rows(
-                Schema::new(vec![
-                    Field::new("fact.k", DataType::Int),
-                    Field::new("fact.v", DataType::Float),
-                ]),
-                (0..50)
-                    .map(|i| vec![Value::Int(i), Value::Float(0.0)])
-                    .collect(),
-                1000,
-            ),
+    fn view_scans_and_projections_are_labelled() {
+        let scan = LogicalPlan::ViewScan(ViewScanInfo {
+            view_name: "V3".into(),
+            files: vec![FileId(4), FileId(9), FileId(11)],
+            schema: Schema::new(vec![
+                Field::new("fact.k", DataType::Int),
+                Field::new("dim.label", DataType::Str),
+            ]),
+            clip: None,
+        });
+        let text = explain(&scan.project(vec!["dim.label", "fact.k"]));
+        assert_eq!(
+            text,
+            "Project [dim.label, fact.k]\n  ViewScan V3 (3 fragments)\n"
         );
-        c.register(
-            "dim",
-            Table::from_rows(
-                Schema::new(vec![
-                    Field::new("dim.k", DataType::Int),
-                    Field::new("dim.label", DataType::Str),
-                ]),
-                (0..50)
-                    .map(|i| vec![Value::Int(i), Value::str("x")])
-                    .collect(),
-                100,
-            ),
-        );
-        let fs = SimFs::new(BlockConfig::default(), CostWeights::default());
-        let cluster = ClusterSim::paper_default();
-        let text = explain_with_estimates(&plan(), &c, &fs, &cluster);
-        assert!(text.contains("rows"), "{text}");
-        assert!(text.contains("MB"), "{text}");
-        assert!(text.lines().count() == 5);
     }
 }

@@ -168,11 +168,6 @@ impl Signature {
         found
     }
 
-    /// Attributes with range restrictions, as written in the plan.
-    pub fn range_attrs(&self) -> impl Iterator<Item = &str> {
-        self.ranges.keys().map(String::as_str)
-    }
-
     /// A stable, canonical key identifying the *view shape* of this
     /// signature: relations, join pairs, projection, grouping and aggregates,
     /// plus any residual/range predicates. Two plans with the same key

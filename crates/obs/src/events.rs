@@ -1,6 +1,6 @@
 //! The structured decision audit log: typed [`DecisionEvent`]s explaining
 //! *why* the pool changed — per-candidate selection verdicts, per-victim
-//! eviction records with the full Φ breakdown, fragment split/merge/overlap
+//! eviction records with the full Φ breakdown, fragment split/overlap
 //! decisions, quarantine/recovery outcomes, and MLE fit quality.
 //!
 //! Events are serialized to JSONL through the local serde shim; each line
@@ -93,17 +93,6 @@ pub enum DecisionEvent {
         target: String,
         /// Overlapping materialized sources kept in place.
         sources: u64,
-    },
-    /// The §11 maintenance pass merged two co-hit fragments.
-    FragmentMerge {
-        /// Owning view.
-        view: String,
-        /// Partition attribute.
-        attr: String,
-        /// The merged interval.
-        merged: String,
-        /// Size of the merged fragment in simulated bytes.
-        bytes: u64,
     },
     /// A view was quarantined after a permanent I/O failure.
     Quarantine {
@@ -212,7 +201,6 @@ impl DecisionEvent {
             DecisionEvent::Eviction { .. } => "eviction",
             DecisionEvent::FragmentSplit { .. } => "fragment_split",
             DecisionEvent::OverlapKept { .. } => "overlap_kept",
-            DecisionEvent::FragmentMerge { .. } => "fragment_merge",
             DecisionEvent::Quarantine { .. } => "quarantine",
             DecisionEvent::MleFit { .. } => "mle_fit",
             DecisionEvent::JournalSnapshot { .. } => "journal_snapshot",
@@ -280,17 +268,6 @@ impl Serialize for DecisionEvent {
                 .field("attr", attr)
                 .field("target", target)
                 .field("sources", *sources)
-                .build(),
-            DecisionEvent::FragmentMerge {
-                view,
-                attr,
-                merged,
-                bytes,
-            } => b
-                .field("view", view)
-                .field("attr", attr)
-                .field("merged", merged)
-                .field("bytes", *bytes)
                 .build(),
             DecisionEvent::Quarantine {
                 view,

@@ -3,7 +3,7 @@
 //! Observability for the DeepSea view pool: a typed metrics registry
 //! (counters and log-bucket histograms with percentile estimation),
 //! span tracing driven by the *simulated* clock, and a structured decision
-//! audit log (JSONL) explaining every selection, eviction, split/merge and
+//! audit log (JSONL) explaining every selection, eviction, split and
 //! recovery decision — plus a Prometheus text exporter.
 //!
 //! ## Determinism contract

@@ -496,11 +496,6 @@ impl<P> SimFs<P> {
         self.locked().hedge = hedge;
     }
 
-    /// The hedged-read policy in force, if any.
-    pub fn hedge_config(&self) -> Option<HedgeConfig> {
-        self.locked().hedge
-    }
-
     /// Enable or disable the drainable I/O trace (per-race hedge details).
     /// Off by default; enabling it records metadata only and never changes
     /// an outcome, a cost, or a random draw.
@@ -510,11 +505,6 @@ impl<P> SimFs<P> {
         if !enabled {
             tr.hedges.clear();
         }
-    }
-
-    /// True when the drainable I/O trace is recording.
-    pub fn io_trace_enabled(&self) -> bool {
-        self.locked().io_trace.enabled
     }
 
     /// Drain the hedge races recorded since the last drain (empty unless
@@ -1083,9 +1073,12 @@ mod tests {
         assert_eq!(quiet.spike_secs, 0.0);
         assert_eq!(fs.fault_stats().hedges_issued, 2);
 
-        // Hedging off again: bit-identical to the plain path.
+        // Hedging off again: a slow primary issues no hedge.
         fs.set_hedge(None);
-        assert!(fs.hedge_config().is_none());
+        fs.set_node_slow(NodeId(0), 8.0);
+        let plain = fs.try_read(id).expect("primary serves");
+        assert_eq!(plain.spike_secs.to_bits(), (base * 7.0).to_bits());
+        assert_eq!(fs.fault_stats().hedges_issued, 2);
     }
 
     #[test]
@@ -1107,7 +1100,6 @@ mod tests {
 
         // Trace on: the identical read records one race, bit-identical.
         fs.set_io_trace(true);
-        assert!(fs.io_trace_enabled());
         let traced = fs.try_read(id).expect("hedge serves");
         assert_eq!(traced.spike_secs.to_bits(), untraced.spike_secs.to_bits());
         let races = fs.drain_hedge_traces();

@@ -179,11 +179,6 @@ impl<R, S> Journal<R, S> {
         self.locked().crash_at = Some(lsn.0);
     }
 
-    /// Whether the crash latch is currently armed.
-    pub fn crash_armed(&self) -> bool {
-        self.locked().crash_at.is_some()
-    }
-
     /// The LSN the next successful append will receive.
     pub fn next_lsn(&self) -> Lsn {
         Lsn(self.locked().next_lsn)
@@ -281,8 +276,8 @@ mod tests {
         assert_eq!(j.replay().1, vec![(Lsn(0), 1), (Lsn(1), 2)]);
         assert_eq!(j.stats().crashes, 1);
         // One-shot: after the crash, appends (recovery traffic) succeed.
-        assert!(!j.crash_armed());
         assert_eq!(j.append(3).unwrap(), Lsn(2));
+        assert_eq!(j.append(4).unwrap(), Lsn(3));
     }
 
     #[test]

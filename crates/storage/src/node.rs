@@ -335,17 +335,6 @@ impl NodeSet {
             .unwrap_or(1.0)
     }
 
-    /// Nodes currently slow (multiplier above `1.0`), ascending.
-    pub fn slow_nodes(&self) -> Vec<(NodeId, f64)> {
-        let st = self.locked();
-        st.slow
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| **m > 1.0)
-            .map(|(i, m)| (NodeId(i as u32), *m))
-            .collect()
-    }
-
     /// Advance every pending repair countdown by one consulted operation,
     /// restoring nodes whose countdown expires. Returns the restored nodes
     /// in ascending id order. Slow-window countdowns tick on the same
@@ -375,17 +364,6 @@ impl NodeSet {
     /// Snapshot of the cluster transition counters.
     pub fn stats(&self) -> NodeStats {
         self.locked().stats
-    }
-
-    /// Nodes currently down (temporarily), ascending.
-    pub fn down_nodes(&self) -> Vec<NodeId> {
-        let st = self.locked();
-        st.states
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| **s == NodeState::Down)
-            .map(|(i, _)| NodeId(i as u32))
-            .collect()
     }
 }
 
@@ -495,7 +473,8 @@ mod tests {
         assert!(!c.kill_node(NodeId(0)), "already dead");
         let s = c.stats();
         assert_eq!((s.node_downs, s.node_ups, s.node_kills), (1, 1, 1));
-        assert_eq!(c.down_nodes(), vec![]);
+        let states: Vec<_> = (0..3).map(|n| c.node_state(NodeId(n))).collect();
+        assert!(!states.contains(&Some(NodeState::Down)), "{states:?}");
     }
 
     #[test]
@@ -518,7 +497,7 @@ mod tests {
         assert!(c.set_node_slow(NodeId(0), 4.0));
         assert!(!c.set_node_slow(NodeId(0), 8.0), "re-slow widens in place");
         assert_eq!(c.latency_multiplier(NodeId(0)), 8.0);
-        assert_eq!(c.slow_nodes(), vec![(NodeId(0), 8.0)]);
+        assert_eq!(c.latency_multiplier(NodeId(1)), 1.0, "only node 0 is slow");
         assert!(c.clear_node_slow(NodeId(0)));
         assert!(!c.clear_node_slow(NodeId(0)), "already healthy");
         assert_eq!(c.latency_multiplier(NodeId(0)), 1.0);
@@ -530,7 +509,7 @@ mod tests {
         assert_eq!(c.latency_multiplier(NodeId(1)), 3.0);
         c.tick_repairs();
         assert_eq!(c.latency_multiplier(NodeId(1)), 1.0, "window expired");
-        assert!(c.slow_nodes().is_empty());
+        assert!((0..3).all(|n| c.latency_multiplier(NodeId(n)) == 1.0));
 
         // multiplier <= 1.0 is a clear, not a window.
         assert!(c.set_node_slow(NodeId(2), 2.0));

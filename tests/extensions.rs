@@ -1,6 +1,5 @@
 //! Integration tests for the extension features: the SQL front end driving
-//! the full stack, predicate pushdown in the Hive baseline, and the §11
-//! fragment-merging maintenance pass.
+//! the full stack and predicate pushdown in the Hive baseline.
 
 use deepsea::core::{baselines, driver::DeepSea};
 use deepsea::engine::sql::parse;
@@ -50,68 +49,6 @@ fn hive_pushdown_preserves_answers() {
         // metrics accounting.
         assert!(out.metrics.bytes_read > 0);
     }
-}
-
-/// Fragment merging: after progressive refinement shreds a partition, the
-/// maintenance pass merges co-hit neighbors, queries still answer correctly,
-/// and the fragment count drops.
-#[test]
-fn merge_pass_compacts_cohit_fragments_and_preserves_answers() {
-    let cfg = baselines::deepsea().with_phi(0.02); // aggressively fine-grained
-    let mut sys = ds(cfg, 83);
-    // A wide query repeatedly touching many small fragments together.
-    let wide = TemplateId::Q30.instantiate(10_000, 14_000);
-    for _ in 0..4 {
-        sys.process_query(&wide).unwrap();
-    }
-    let frag_count = |s: &DeepSea| {
-        s.registry()
-            .iter()
-            .flat_map(|v| v.partitions.values())
-            .map(|p| p.materialized().len())
-            .sum::<usize>()
-    };
-    let before = frag_count(&sys);
-    assert!(before >= 4, "φ=0.02 shreds the view: {before} fragments");
-
-    let (secs, merged) = sys.merge_cohit_fragments(0.25, 0.5).unwrap();
-    assert!(!merged.is_empty(), "co-hit neighbors must merge");
-    assert!(secs > 0.0, "merging costs simulated time");
-    let after = frag_count(&sys);
-    assert!(after < before, "fragment count drops: {before} -> {after}");
-
-    // Queries still answer correctly post-merge.
-    let mut hive = ds(baselines::hive(), 83);
-    let narrow = TemplateId::Q30.instantiate(11_000, 13_000);
-    let a = sys.process_query(&narrow).unwrap();
-    let b = hive.process_query(&narrow).unwrap();
-    assert_eq!(a.result.fingerprint(), b.result.fingerprint());
-    assert!(
-        a.used_view.is_some(),
-        "merged fragments still serve queries"
-    );
-}
-
-/// Merging is idempotent once everything co-hit is merged.
-#[test]
-fn merge_pass_converges() {
-    let cfg = baselines::deepsea().with_phi(0.02);
-    let mut sys = ds(cfg, 84);
-    let wide = TemplateId::Q30.instantiate(10_000, 14_000);
-    for _ in 0..4 {
-        sys.process_query(&wide).unwrap();
-    }
-    // Repeated passes must reach a fixed point (tolerance admits chains).
-    let mut last = usize::MAX;
-    for _ in 0..6 {
-        let (_, merged) = sys.merge_cohit_fragments(0.25, 0.5).unwrap();
-        if merged.is_empty() {
-            last = 0;
-            break;
-        }
-        last = merged.len();
-    }
-    assert_eq!(last, 0, "merge passes must converge to no-op");
 }
 
 /// Multiple partitions on different attributes of the same view coexist

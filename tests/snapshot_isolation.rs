@@ -4,7 +4,7 @@
 //! parts of that contract —
 //!
 //! - **isolation**: nothing a later commit does (materialization, eviction,
-//!   merging, quarantine) is visible through an older snapshot;
+//!   quarantine) is visible through an older snapshot;
 //! - **no statistics**: a snapshot is the writer's structure, with an empty
 //!   statistics ledger, while the writer's own hits keep growing;
 //! - **sharing**: a registry node is copied exactly when a structural
@@ -53,8 +53,8 @@ fn publish(ds: &DeepSea) -> ReadSnapshot {
 
 /// A snapshot taken at epoch `e` keeps reporting the epoch-`e` catalog and
 /// keeps answering from it, bit for bit, while the writer goes on to record
-/// hits on the very fragments the snapshot reads, materialize, evict, merge
-/// and quarantine. Neither it nor any later snapshot holds a statistic.
+/// hits on the very fragments the snapshot reads, materialize, evict and
+/// quarantine. Neither it nor any later snapshot holds a statistic.
 #[test]
 fn a_snapshot_is_isolated_from_fifty_later_commits() {
     let catalog = data();
@@ -69,9 +69,6 @@ fn a_snapshot_is_isolated_from_fifty_later_commits() {
         ds.process_query(&hot).unwrap();
         ds.process_query(&churn(i)).unwrap();
     }
-    // Merge what is mergeable now, so the later merge pass has no reason to
-    // rewrite a file the probe reads.
-    ds.merge_cohit_fragments(1.0, 1.0).unwrap();
 
     let snapshot = publish(&ds);
     let epoch = snapshot.epoch();
@@ -97,11 +94,8 @@ fn a_snapshot_is_isolated_from_fifty_later_commits() {
     );
     let hits_before = fragment_hits(&ds, probed);
 
-    let (mut materialized, mut evicted, mut merged, mut quarantined) = (0, 0, 0, 0);
+    let (mut materialized, mut evicted, mut quarantined) = (0, 0, 0);
     for i in 0..50i64 {
-        if i == 30 {
-            merged += ds.merge_cohit_fragments(1.0, 1.0).unwrap().1.len();
-        }
         if i == 40 {
             // Lose the files of the churning view: its next reader
             // quarantines it.
@@ -134,7 +128,6 @@ fn a_snapshot_is_isolated_from_fifty_later_commits() {
     }
     assert!(materialized > 0, "nothing was materialized");
     assert!(evicted > 0, "nothing was evicted");
-    assert!(merged > 0, "nothing was merged");
     assert!(quarantined > 0, "nothing was quarantined");
     assert_ne!(ds.registry().state_digest(), digest, "the writer moved on");
     assert!(
