@@ -103,7 +103,6 @@ struct Scenario {
     cluster: Option<Cluster>,
     deadline_secs: Option<f64>,
     max_queue: Option<usize>,
-    shed_policy: ShedPolicy,
     mean_gap_secs: f64,
 }
 
@@ -113,7 +112,6 @@ const PRESSURE: Scenario = Scenario {
     cluster: None,
     deadline_secs: None,
     max_queue: None,
-    shed_policy: ShedPolicy::Reject,
     mean_gap_secs: PRESSURE_GAP_SECS,
 };
 
@@ -147,7 +145,6 @@ fn overload_scenario(hedging: bool) -> Scenario {
         }),
         deadline_secs: Some(OVERLOAD_DEADLINE_SECS),
         max_queue: Some(OVERLOAD_QUEUE),
-        shed_policy: ShedPolicy::ServeStale,
         mean_gap_secs: OVERLOAD_GAP_SECS,
     }
 }
@@ -201,7 +198,6 @@ fn serve(sc: &Scenario, scale: Scale, seed: u64) -> Served {
         mean_gap_secs: sc.mean_gap_secs,
         deadline_secs: sc.deadline_secs,
         max_queue: sc.max_queue,
-        shed_policy: sc.shed_policy,
         ..ServerConfig::default()
     };
     let fs = match sc.cluster {
@@ -248,7 +244,7 @@ impl Served {
     }
 
     /// Exact nearest-rank (p50, p95, p99) over every client-visible latency
-    /// (shed tickets included — a rejection is an answer too), for where
+    /// (shed tickets included — a stale answer is an answer too), for where
     /// the histogram's power-of-two buckets are too coarse.
     fn ticket_percentiles(&self) -> (f64, f64, f64) {
         let p = |q| self.report.latency_percentile(q);
@@ -259,17 +255,15 @@ impl Served {
         self.metrics.counter("deepsea_server_commits_total", None)
     }
 
-    /// Correctness audit: every answer actually handed to a client (served
-    /// or stale-shed; rejects hand back nothing) must equal the committed
-    /// one. Rewritings, hedged replica reads and degraded modes are all
-    /// semantically transparent, so this count must be zero.
+    /// Correctness audit: every answer handed to a client (served or
+    /// stale-shed) must equal the committed one. Rewritings, hedged replica
+    /// reads and degraded modes are all semantically transparent, so this
+    /// count must be zero.
     fn incorrect_answers(&self) -> u64 {
         self.report
             .records
             .iter()
-            .filter(|r| {
-                !r.read_fingerprint.is_empty() && r.read_fingerprint != r.committed_fingerprint
-            })
+            .filter(|r| r.read_fingerprint != r.committed_fingerprint)
             .count() as u64
     }
 
@@ -574,7 +568,6 @@ mod tests {
             match action {
                 NodeAction::Down => down.push(node),
                 NodeAction::Up => down.retain(|&n| n != node),
-                NodeAction::Kill => unreachable!("rolling outage never kills"),
             }
             if matches!(action, NodeAction::Down) {
                 assert_eq!(down.len(), 1, "exactly one node down at a time");

@@ -3,7 +3,6 @@
 use deepsea_storage::BlockConfig;
 
 use crate::policy::{PartitionPolicy, ValueModel};
-use crate::retry::RetryPolicy;
 use crate::stats::LogicalTime;
 
 /// Configuration of a DeepSea instance.
@@ -27,12 +26,6 @@ pub struct DeepSeaConfig {
     /// chopped into equal pieces at materialization time. The headline
     /// partitioning experiments of §10.2 run with this unset.
     pub phi_max_fraction: Option<f64>,
-    /// The one retry policy: limits and backoff for every transient I/O
-    /// failure the driver absorbs — plan executions that can read views (a
-    /// snapshot read's and a commit's), fragment reads and creates, and
-    /// journal appends. Each operation retries on its own; nothing is
-    /// budgeted across a query.
-    pub retry: RetryPolicy,
     /// When a catalog journal is attached, emit a statistics checkpoint
     /// record every this many queries (benefit events and fragment hits are
     /// too chatty to journal individually; a crash loses at most this many
@@ -55,7 +48,6 @@ impl Default for DeepSeaConfig {
             },
             min_fragment_bytes: BlockConfig::default().block_bytes,
             phi_max_fraction: None,
-            retry: RetryPolicy::default(),
             journal_checkpoint_every: 10,
             journal_snapshot_every: 25,
         }
@@ -106,12 +98,6 @@ impl DeepSeaConfig {
         self
     }
 
-    /// Builder-style: set the transient-I/O retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
     /// Builder-style: set the journal checkpoint and snapshot cadence
     /// (in queries).
     pub fn with_journal_cadence(
@@ -142,12 +128,6 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let retry = RetryPolicy {
-            max_retries: 5,
-            base_backoff_secs: 0.1,
-            backoff_multiplier: 3.0,
-            max_total_backoff_secs: 120.0,
-        };
         let c = DeepSeaConfig::default()
             .with_smax(1_000)
             .with_tmax(77)
@@ -155,7 +135,6 @@ mod tests {
             .with_min_fragment_bytes(64)
             .with_value_model(ValueModel::Nectar)
             .with_policy(PartitionPolicy::NoPartition)
-            .with_retry(retry)
             .with_journal_cadence(5, 20);
         assert_eq!(c.smax, Some(1_000));
         assert_eq!(c.tmax, 77);
@@ -163,7 +142,6 @@ mod tests {
         assert_eq!(c.min_fragment_bytes, 64);
         assert_eq!(c.value_model, ValueModel::Nectar);
         assert_eq!(c.partition_policy, PartitionPolicy::NoPartition);
-        assert_eq!(c.retry, retry);
         assert_eq!(c.journal_checkpoint_every, 5);
         assert_eq!(c.journal_snapshot_every, 20);
     }

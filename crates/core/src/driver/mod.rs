@@ -448,7 +448,7 @@ impl DeepSea {
         let now = self.fs.fault_stats();
         let last = self.last_fault_stats;
         self.last_fault_stats = now;
-        let kinds: [(&str, u64, u64); 12] = [
+        let kinds: [(&str, u64, u64); 11] = [
             ("transient_read", now.transient_reads, last.transient_reads),
             (
                 "permanent_loss",
@@ -464,7 +464,6 @@ impl DeepSea {
             ("corruption", now.corruptions, last.corruptions),
             ("node_down", now.node_downs, last.node_downs),
             ("node_up", now.node_ups, last.node_ups),
-            ("node_kill", now.node_kills, last.node_kills),
             ("node_slow", now.node_slows, last.node_slows),
             ("hedge_issued", now.hedges_issued, last.hedges_issued),
             ("hedge_won", now.hedges_won, last.hedges_won),

@@ -51,7 +51,8 @@ pub(crate) struct ReadView<'a> {
     pub(crate) fs: &'a SimFs<Table>,
     pub(crate) backend: &'a dyn ExecutionBackend,
     pub(crate) obs: &'a Observer,
-    /// The retry policy executions run under (`DeepSeaConfig::retry`).
+    /// The retry policy executions run under: [`RetryPolicy::default`],
+    /// except in the retry ladder's own tests.
     pub(crate) retry: RetryPolicy,
     /// Where [`ReadView::answer`] leaves its matching and rewriting for the
     /// commit of the same plan: a snapshot's reads under a policy that
@@ -68,7 +69,7 @@ impl DeepSea {
             fs: &self.fs,
             backend: self.backend.as_ref(),
             obs: &self.obs,
-            retry: self.config.retry,
+            retry: RetryPolicy::default(),
             rewritings: None,
         }
     }

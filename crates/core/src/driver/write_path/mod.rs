@@ -37,7 +37,7 @@ use deepsea_relation::Table;
 use deepsea_storage::FileId;
 
 use crate::durability::{apply_record, stats_checkpoint, Applied, CatalogRecord, CatalogSnapshot};
-use crate::retry::retry_io;
+use crate::retry::{retry_io, RetryPolicy};
 
 use super::context::QueryContext;
 use super::{DeepSea, JournalDebt, QueryOutcome};
@@ -89,7 +89,7 @@ impl DeepSea {
         self.appends_since_snapshot += 1;
         let debt = &mut self.journal_debt;
         let appended = retry_io(
-            self.config.retry,
+            RetryPolicy::default(),
             &mut debt.retries,
             &mut debt.penalty_secs,
             || journal.append(record.clone()),
@@ -236,12 +236,13 @@ impl DeepSea {
     ///
     /// Under a sharded FS failures are first patched at **fragment
     /// granularity**: a file unreachable because every replica is on a down
-    /// node is marked offline (auto re-admitted when the node returns) and a
-    /// file on an all-dead placement has just its fragment evicted — in both
-    /// cases the query is re-planned around the gap and retried, so one bad
-    /// fragment never costs the whole view. Without a cluster this loop is
-    /// the exact PR-2 behaviour: first failure → whole-view quarantine →
-    /// base-table fallback.
+    /// node — scheduled, or downed by the injector while this execution
+    /// ran — is marked offline (auto re-admitted when the node returns), and
+    /// a permanently lost file has just its fragment evicted. In both cases
+    /// the query is re-planned around the gap and retried, so one bad
+    /// fragment never costs the whole view. Without a cluster the first
+    /// failure goes straight to whole-view quarantine and the base-table
+    /// fallback.
     fn stage_execute(
         &mut self,
         plan: &LogicalPlan,
@@ -332,8 +333,9 @@ impl DeepSea {
         }
     }
 
-    /// Evict exactly the fragment backed by a permanently lost file (all
-    /// replicas dead), leaving the rest of the view serving. Returns `false`
+    /// Evict exactly the fragment backed by a permanently lost file (the
+    /// fault injector's per-file loss), leaving the rest of the view
+    /// serving. Returns `false`
     /// when the file backs a whole-view copy or no fragment — the caller
     /// then takes the whole-view quarantine path.
     fn evict_lost_fragment(&mut self, file: FileId, ctx: &mut QueryContext) -> bool {

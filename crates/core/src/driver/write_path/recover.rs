@@ -18,7 +18,7 @@ use deepsea_storage::{placement_key, FileId, IoError};
 
 use crate::durability::{CatalogRecord, FsckReport};
 use crate::filter_tree::ViewId;
-use crate::retry::retry_io;
+use crate::retry::{retry_io, RetryPolicy};
 use crate::stats::LogicalTime;
 
 use super::super::context::{CreationCharge, QueryContext};
@@ -26,7 +26,7 @@ use super::super::DeepSea;
 
 impl DeepSea {
     /// Read a fragment file, retrying transient failures under
-    /// `config.retry`. Retry counts and backoff/spike seconds accumulate
+    /// [`RetryPolicy::default`]. Retry counts and backoff/spike seconds accumulate
     /// into `charge`. A permanent loss or an exhausted budget returns the
     /// error.
     pub(crate) fn read_retrying(
@@ -35,7 +35,7 @@ impl DeepSea {
         charge: &mut CreationCharge,
     ) -> Result<(Arc<Table>, u64), IoError> {
         let out = retry_io(
-            self.config.retry,
+            RetryPolicy::default(),
             &mut charge.retries,
             &mut charge.penalty_secs,
             || self.fs.try_read(file),
@@ -48,7 +48,7 @@ impl DeepSea {
     /// view/fragment — the name encodes `(view, attr, interval)`), as many as
     /// the cluster's replication factor (no nodes without a cluster),
     /// retrying transient write failures under
-    /// `config.retry`. Writes never lose data: the payload is in memory, so
+    /// [`RetryPolicy::default`]. Writes never lose data: the payload is in memory, so
     /// once the budget is exhausted (e.g. the whole placement is down) the
     /// write is forced through and the placement recorded — the queued write
     /// lands once the nodes return. The surplus replica bytes are added to
@@ -69,7 +69,7 @@ impl DeepSea {
             None => Vec::new(),
         };
         let created = retry_io(
-            self.config.retry,
+            RetryPolicy::default(),
             &mut charge.retries,
             &mut charge.penalty_secs,
             || {

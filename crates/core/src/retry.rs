@@ -1,5 +1,5 @@
 //! The driver's one retry ladder and the one policy governing it,
-//! [`DeepSeaConfig::retry`](crate::DeepSeaConfig::retry).
+//! [`RetryPolicy::default`].
 //!
 //! Every transient failure the driver absorbs goes through
 //! [`retry_transient`]: plan executions that can read views (a snapshot

@@ -64,33 +64,29 @@ pub enum NodeAction {
     /// Bring the node back up; fragments quarantined by the outage are
     /// re-admitted before the next commit.
     Up,
-    /// Kill the node permanently: unreplicated data on it is lost and its
-    /// fragments are evicted on next touch.
-    Kill,
 }
 
-/// What the scheduler does with a ticket it decides to shed.
+/// What the scheduler does with a ticket it decides to shed: serve the
+/// answer the stale snapshot can produce by the deadline. The result is
+/// still exact (rewritings are semantically transparent), the
+/// client-visible latency is capped at the deadline, and the execution cost
+/// still occupies the client slot — the work is real and charged. The
+/// ticket's serialized commit runs either way, so the writer's state
+/// trajectory never depends on shedding.
+///
+/// One policy, so nothing branches on it: the type is kept for
+/// `benchmark/`, which names it; delete with ROADMAP item 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShedPolicy {
-    /// Refuse the read outright: no execution, no cost, an explicit
-    /// rejection record. The ticket's serialized commit still runs — the
-    /// writer's state trajectory never depends on shedding.
+    /// Serve the stale snapshot's exact answer, capped at the deadline.
     #[default]
-    Reject,
-    /// Serve the answer the stale snapshot can produce by the deadline: the
-    /// result is still exact (rewritings are semantically transparent), the
-    /// client-visible latency is capped at the deadline, and the execution
-    /// cost still occupies the client slot — the work is real and charged.
     ServeStale,
 }
 
 impl ShedPolicy {
     /// Canonical name, used in decision events and reports.
     pub fn name(&self) -> &'static str {
-        match self {
-            ShedPolicy::Reject => "reject",
-            ShedPolicy::ServeStale => "serve_stale",
-        }
+        "serve_stale"
     }
 }
 
@@ -112,8 +108,9 @@ pub struct ServerConfig {
     /// before commit `ticket` starts (after that ticket's read). Because
     /// commits are serialized in ticket order, the schedule lands at the
     /// same logical point of the state trajectory for every client count.
-    /// Empty (the default) means no injected node events; entries naming a
-    /// node outside the cluster (or on an unsharded FS) are ignored.
+    /// Nodes never die: a `Down` node stays down until a later `Up`. Empty
+    /// (the default) means no scheduled node events; entries naming a node
+    /// outside the cluster (or on an unsharded FS) are ignored.
     pub node_schedule: Vec<(usize, u32, NodeAction)>,
     /// Gray-failure events `(ticket, node, latency multiplier)`, applied at
     /// the same commit boundaries as [`ServerConfig::node_schedule`]. A
@@ -130,7 +127,8 @@ pub struct ServerConfig {
     /// already arrived and are still waiting at a read's start, the read is
     /// shed with reason `queue_full`. `None` = unbounded.
     pub max_queue: Option<usize>,
-    /// What to do with a shed ticket.
+    /// What to do with a shed ticket. Kept for `benchmark/`, which sets it;
+    /// delete with ROADMAP item 0.
     pub shed_policy: ShedPolicy,
 }
 
@@ -144,7 +142,7 @@ impl Default for ServerConfig {
             slow_schedule: Vec::new(),
             deadline_secs: None,
             max_queue: None,
-            shed_policy: ShedPolicy::Reject,
+            shed_policy: ShedPolicy::ServeStale,
         }
     }
 }
@@ -214,7 +212,7 @@ pub struct ClientRecord {
     /// This ticket's deadline (simulated seconds), when deadlines are armed.
     pub deadline_secs: Option<f64>,
     /// Shed verdict: `Some((policy, reason))` when the scheduler shed this
-    /// read — policy is what was done (`reject` / `serve_stale`), reason is
+    /// read — policy is what was done (always `serve_stale`), reason is
     /// why (`deadline_passed` / `queue_full` / `projected_overrun`). `None`
     /// for normally served reads.
     pub shed: Option<(&'static str, &'static str)>,
@@ -240,7 +238,7 @@ pub struct ServeReport {
     /// Simulated completion time of the whole schedule.
     pub makespan_secs: f64,
     /// Reads shed by the admission/deadline policy (every one carries a
-    /// `shed` verdict on its record; rejected tickets still commit).
+    /// `shed` verdict on its record; shed tickets still commit).
     pub shed_reads: u64,
 }
 
@@ -558,8 +556,7 @@ impl ViewServer {
                 } else {
                     SpanCtx::NONE
                 };
-                let executes = !matches!((shed_reason, policy), (Some(_), ShedPolicy::Reject));
-                let read_ctx = if spans_on && executes {
+                let read_ctx = if spans_on {
                     obs.alloc_span(trace_root)
                 } else {
                     SpanCtx::NONE
@@ -568,72 +565,61 @@ impl ViewServer {
                 // Hedge accounting is scoped to this read by differencing the
                 // shared FS counters around the execution.
                 let hedges_before = self.ds.fs().fault_stats();
-                let ans = if executes {
-                    Some(snapshot.answer_in_span(&plans[ticket], read_ctx, start)?)
-                } else {
-                    None
-                };
-                if let Some(a) = &ans {
-                    let after = self.ds.fs().fault_stats();
-                    let issued = after.hedges_issued - hedges_before.hedges_issued;
-                    if issued > 0 {
-                        let won = after.hedges_won - hedges_before.hedges_won;
-                        let cancelled = after.hedges_cancelled - hedges_before.hedges_cancelled;
-                        obs.counter_add("deepsea_hedges_total", Some("issued"), issued);
-                        obs.counter_add("deepsea_hedges_total", Some("won"), won);
-                        obs.counter_add("deepsea_hedges_total", Some("cancelled"), cancelled);
-                        if obs.enabled() {
-                            obs.event(
-                                tn,
-                                deepsea_obs::DecisionEvent::HedgedRead {
-                                    ticket: ticket as u64,
-                                    issued,
-                                    won,
-                                    cancelled,
-                                },
-                            );
-                        }
-                    }
-                    if a.trace.recovery.fragment_fallbacks > 0 {
-                        obs.counter_add(
-                            "deepsea_fragment_fallbacks_total",
-                            None,
-                            a.trace.recovery.fragment_fallbacks,
+                let ans = snapshot.answer_in_span(&plans[ticket], read_ctx, start)?;
+                let after = self.ds.fs().fault_stats();
+                let issued = after.hedges_issued - hedges_before.hedges_issued;
+                if issued > 0 {
+                    let won = after.hedges_won - hedges_before.hedges_won;
+                    let cancelled = after.hedges_cancelled - hedges_before.hedges_cancelled;
+                    obs.counter_add("deepsea_hedges_total", Some("issued"), issued);
+                    obs.counter_add("deepsea_hedges_total", Some("won"), won);
+                    obs.counter_add("deepsea_hedges_total", Some("cancelled"), cancelled);
+                    if obs.enabled() {
+                        obs.event(
+                            tn,
+                            deepsea_obs::DecisionEvent::HedgedRead {
+                                ticket: ticket as u64,
+                                issued,
+                                won,
+                                cancelled,
+                            },
                         );
                     }
+                }
+                let recovery = &ans.trace.recovery;
+                if recovery.fragment_fallbacks > 0 {
+                    obs.counter_add(
+                        "deepsea_fragment_fallbacks_total",
+                        None,
+                        recovery.fragment_fallbacks,
+                    );
                 }
 
                 // Degraded reads (fragment patching or a whole-query base
                 // fallback after a failed view read) return the exact result and are
                 // recorded like any other ticket — their latency includes the
                 // fallback cost instead of the ticket being dropped.
-                let degraded = ans.as_ref().is_some_and(|a| {
-                    a.trace.recovery.fragment_fallbacks > 0
-                        || a.trace.recovery.base_table_fallbacks > 0
-                });
+                let degraded = recovery.fragment_fallbacks > 0 || recovery.base_table_fallbacks > 0;
                 if degraded {
                     degraded_reads += 1;
                     obs.counter_inc("deepsea_degraded_reads_total", None);
                 }
-                let query_secs = ans.as_ref().map_or(0.0, |a| a.query_secs);
+                let query_secs = ans.query_secs;
                 let done = start + query_secs;
                 client_free[k] = done;
                 // Commits can't outrun reads (commit i needs read i done),
                 // so epoch ≤ ticket; the lag is how many commits this read
                 // missed relative to the serial order.
-                let epoch = ans.as_ref().map_or_else(|| snapshot.epoch(), |a| a.epoch);
+                let epoch = ans.epoch;
                 let lag = (ticket as u64).saturating_sub(epoch);
                 max_epoch_lag = max_epoch_lag.max(lag);
-                // A stale-served read is handed back at its deadline (the
-                // exact answer its stale epoch could produce in time); a
-                // rejected one learns its fate the moment it is scheduled.
-                let latency = match (shed_reason, policy) {
-                    (Some(_), ShedPolicy::Reject) => start - arrivals[ticket],
-                    (Some(_), ShedPolicy::ServeStale) => {
-                        deadline.map_or(done, |d| done.min(d)) - arrivals[ticket]
-                    }
-                    _ => done - arrivals[ticket],
+                // A shed read is handed back at its deadline (the exact
+                // answer its stale epoch could produce in time).
+                let handed_back = match shed_reason {
+                    Some(_) => deadline.map_or(done, |d| done.min(d)),
+                    None => done,
                 };
+                let latency = handed_back - arrivals[ticket];
 
                 if shed_reason.is_none() {
                     served_secs_sum += query_secs;
@@ -645,10 +631,8 @@ impl ViewServer {
                     }
                 }
 
-                let (read_fingerprint, read_query_secs, read_used_view) = match ans {
-                    Some(a) => (a.result.fingerprint(), a.query_secs, a.used_view),
-                    None => (Vec::new(), 0.0, None),
-                };
+                let (read_fingerprint, read_query_secs, read_used_view) =
+                    (ans.result.fingerprint(), ans.query_secs, ans.used_view);
 
                 // Complete the ticket's causal tree post hoc — every duration
                 // is analytically known now. The root covers arrival →
@@ -765,14 +749,12 @@ impl ViewServer {
         let applied = match action {
             NodeAction::Down => self.ds.fs().set_node_down(NodeId(node)),
             NodeAction::Up => self.ds.fs().set_node_up(NodeId(node)),
-            NodeAction::Kill => self.ds.fs().kill_node(NodeId(node)),
         };
         if applied && obs.enabled() {
             let label = format!("node{node}");
             let event = match action {
                 NodeAction::Down => deepsea_obs::DecisionEvent::NodeDown { node: label },
                 NodeAction::Up => deepsea_obs::DecisionEvent::NodeUp { node: label },
-                NodeAction::Kill => deepsea_obs::DecisionEvent::NodeKilled { node: label },
             };
             obs.event(tnow, event);
         }

@@ -33,6 +33,7 @@ use crate::driver::context::QueryContext;
 use crate::driver::read_path::{ReadView, RewritingMemo};
 use crate::driver::{DeepSea, QueryTrace};
 use crate::registry::ViewRegistry;
+use crate::retry::RetryPolicy;
 
 /// A frozen, shareable view of everything the read path consults, stamped
 /// with the epoch (committed-query count) it was published at.
@@ -149,7 +150,7 @@ impl ReadSnapshot {
             fs: &self.fs,
             backend: self.backend.as_ref(),
             obs: &self.obs,
-            retry: self.config.retry,
+            retry: RetryPolicy::default(),
             // Baseline reads run nothing a commit would adopt.
             rewritings: self
                 .config
@@ -176,7 +177,7 @@ impl ReadSnapshot {
     /// shared file system carries its hedge-trace gate to every reader.
     ///
     /// Each read runs the read path over the plan the writer's policy would
-    /// execute, retrying under the snapshot's `config.retry`. The forked backend shares
+    /// execute, retrying under [`RetryPolicy::default`]. The forked backend shares
     /// the writer's memo of executed plans, so a commit of the plan this
     /// read ran does not compute it again (`SimBackend`).
     pub fn answer_in_span(

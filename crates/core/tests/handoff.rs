@@ -14,9 +14,9 @@
 //! answered by the one base-table fallback the read and the commit share;
 //! that path is checked on the snapshot, the serial commit, both servers
 //! and the span trace. The commit adopts its read's rewriting only in the
-//! world the read computed it in: with a node downed or killed between the
-//! two, after a read on a stale snapshot, and after a read that lost a file
-//! for good, the commit still equals one made with no read at all.
+//! world the read computed it in: with a node downed between the two, after
+//! a read on a stale snapshot, and after a read that lost a file for good,
+//! the commit still equals one made with no read at all.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -341,38 +341,6 @@ fn a_node_downed_between_read_and_commit_is_matched_around() {
         &mut between,
     );
     assert!(changed > 5, "only {changed} reads used a view");
-}
-
-/// A node killed between a read that used a view on it and the commit:
-/// every file on it is lost for good, in both worlds.
-#[test]
-fn a_node_killed_between_read_and_commit_is_matched_around() {
-    let catalog = data();
-    let plans = fig5_workload(80, 42);
-    let mut kills = 0;
-    let mut between = |read: &SnapshotAnswer, _: &[FileId], solo: &Rig, ticket: &Rig| {
-        // Two of the four nodes, so that views keep being built and read.
-        if kills == 2 {
-            return false;
-        }
-        let Some(node) = node_of_used_view(read, ticket) else {
-            return false;
-        };
-        assert!(solo.ds.fs().kill_node(node) && ticket.ds.fs().kill_node(node));
-        kills += 1;
-        true
-    };
-    let config = baselines::deepsea().with_phi(0.05);
-    let changed = check_commits_after_reads(
-        "node killed",
-        &catalog,
-        &plans,
-        &unreplicated_fs,
-        config,
-        0,
-        &mut between,
-    );
-    assert_eq!(changed, 2, "a read used no view on a live node");
 }
 
 /// Reads on a snapshot three commits old. Under a pool that admits

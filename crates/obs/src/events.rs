@@ -135,11 +135,6 @@ pub enum DecisionEvent {
         /// The node, as `node<N>`.
         node: String,
     },
-    /// A cluster node was permanently killed.
-    NodeKilled {
-        /// The node, as `node<N>`.
-        node: String,
-    },
     /// A fragment became unreachable (every replica down) and was
     /// temporarily quarantined at fragment granularity; queries patch the
     /// gap from base tables until the node returns.
@@ -184,7 +179,7 @@ pub enum DecisionEvent {
     Shed {
         /// Shed ticket (arrival order).
         ticket: u64,
-        /// The policy applied: `reject` or `serve_stale`.
+        /// The policy applied: always `serve_stale`.
         policy: &'static str,
         /// Why: `deadline_passed`, `queue_full`, or `projected_overrun`.
         reason: &'static str,
@@ -206,7 +201,6 @@ impl DecisionEvent {
             DecisionEvent::JournalSnapshot { .. } => "journal_snapshot",
             DecisionEvent::NodeDown { .. } => "node_down",
             DecisionEvent::NodeUp { .. } => "node_up",
-            DecisionEvent::NodeKilled { .. } => "node_killed",
             DecisionEvent::FragmentOutage { .. } => "fragment_outage",
             DecisionEvent::FragmentReadmitted { .. } => "fragment_readmitted",
             DecisionEvent::NodeSlow { .. } => "node_slow",
@@ -298,9 +292,9 @@ impl Serialize for DecisionEvent {
             DecisionEvent::JournalSnapshot {
                 appended_since_last,
             } => b.field("appended_since_last", *appended_since_last).build(),
-            DecisionEvent::NodeDown { node }
-            | DecisionEvent::NodeUp { node }
-            | DecisionEvent::NodeKilled { node } => b.field("node", node).build(),
+            DecisionEvent::NodeDown { node } | DecisionEvent::NodeUp { node } => {
+                b.field("node", node).build()
+            }
             DecisionEvent::FragmentOutage { file, view } => b
                 .field("file", *file)
                 .field("view", view.as_deref())

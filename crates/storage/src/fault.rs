@@ -35,9 +35,11 @@ use crate::file::FileId;
 
 /// Rates and magnitudes for each injected failure mode.
 ///
-/// All rates are probabilities in `[0, 1]` evaluated independently per
-/// operation; their sum must not exceed 1 (they partition a single uniform
-/// draw). The default is fully disabled.
+/// All per-file rates are probabilities in `[0, 1]` evaluated independently
+/// per operation; their sum must not exceed 1 (they partition a single
+/// uniform draw). The one node-scoped mode, the outage rate, takes its own
+/// draw per consulted operation on a sharded file system; a slow node is
+/// only ever scheduled, never drawn. The default is fully disabled.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Seed for the injector's private PRNG stream.
@@ -59,21 +61,9 @@ pub struct FaultConfig {
     /// (temporarily); the victim is derived from the same draw. Only
     /// consulted when the file system has a cluster attached.
     pub node_down_rate: f64,
-    /// Probability a consulted operation kills a whole node permanently.
-    pub node_kill_rate: f64,
     /// Consulted operations after which an injector-downed node returns
     /// (the repair countdown; see `NodeSet::tick_repairs`).
     pub node_repair_ops: u64,
-    /// Probability a consulted operation opens a *gray-failure* window on a
-    /// whole node: the node stays up but every read it serves costs
-    /// `node_slow_factor ×` its base simulated seconds. The victim is
-    /// derived from the same draw, like `node_down_rate`.
-    pub node_slow_rate: f64,
-    /// Latency multiplier applied while a slow-node window is open (> 1).
-    pub node_slow_factor: f64,
-    /// Consulted operations after which an injector-slowed node recovers
-    /// (the window length; ticked by `NodeSet::tick_repairs`).
-    pub node_slow_ops: u64,
 }
 
 impl FaultConfig {
@@ -88,11 +78,7 @@ impl FaultConfig {
             latency_spike_secs: 0.0,
             corruption_rate: 0.0,
             node_down_rate: 0.0,
-            node_kill_rate: 0.0,
             node_repair_ops: 0,
-            node_slow_rate: 0.0,
-            node_slow_factor: 1.0,
-            node_slow_ops: 0,
         }
     }
 
@@ -144,21 +130,6 @@ impl FaultConfig {
         self
     }
 
-    /// Set the permanent node-kill rate.
-    pub fn with_node_kills(mut self, rate: f64) -> Self {
-        self.node_kill_rate = rate;
-        self
-    }
-
-    /// Set the gray-failure (slow-node) rate, latency multiplier, and window
-    /// length in consulted operations.
-    pub fn with_node_slow(mut self, rate: f64, factor: f64, slow_ops: u64) -> Self {
-        self.node_slow_rate = rate;
-        self.node_slow_factor = factor;
-        self.node_slow_ops = slow_ops;
-        self
-    }
-
     /// Whether any per-file failure mode has a non-zero rate. Node-scoped
     /// rates are deliberately excluded: they gate their own draw (consulted
     /// only when a cluster is attached), so configs without node rates keep
@@ -172,9 +143,9 @@ impl FaultConfig {
             || self.corruption_rate > 0.0
     }
 
-    /// Whether node-scoped fault events are active.
+    /// Whether injected node outages are active.
     pub fn node_enabled(&self) -> bool {
-        self.node_down_rate > 0.0 || self.node_kill_rate > 0.0 || self.node_slow_rate > 0.0
+        self.node_down_rate > 0.0
     }
 }
 
@@ -201,8 +172,6 @@ pub struct FaultStats {
     pub node_downs: u64,
     /// Whole nodes restored after an outage.
     pub node_ups: u64,
-    /// Whole nodes permanently killed.
-    pub node_kills: u64,
     /// Slow-node (gray failure) windows opened.
     pub node_slows: u64,
     /// Hedged reads issued (primary exceeded the hedge threshold with a
@@ -238,21 +207,6 @@ pub(crate) enum WriteFault {
     Transient,
     /// Succeed, but charge extra seconds.
     Spike(f64),
-}
-
-/// Node-scoped fault event for one consulted operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum NodeFault {
-    /// No node event.
-    None,
-    /// Take the given node down; it returns after `FaultConfig::node_repair_ops`.
-    Down(u32),
-    /// Permanently kill the given node.
-    Kill(u32),
-    /// Open a gray-failure window on the given node: latency multiplier
-    /// `FaultConfig::node_slow_factor` for `FaultConfig::node_slow_ops`
-    /// consulted operations.
-    Slow(u32),
 }
 
 /// A deterministic, seed-driven source of injected I/O faults.
@@ -336,36 +290,24 @@ impl FaultInjector {
         ReadFault::None
     }
 
-    /// Decide whether a whole-node fault event fires for this consulted
-    /// operation, and which of `nodes` it hits. Consumes one draw from the
-    /// same seeded stream as the per-file modes — but only when a node rate
+    /// Decide whether a node outage fires for this consulted operation,
+    /// and which of `nodes` it takes down (returning after
+    /// `FaultConfig::node_repair_ops`). Consumes one draw from the same
+    /// seeded stream as the per-file modes — but only when the outage rate
     /// is set (otherwise zero draws, preserving existing schedules). The
-    /// victim is derived by scaling the draw within the fired band, so one
+    /// victim is derived by scaling the draw within the outage band, so one
     /// uniform decides both the event and the node.
-    pub(crate) fn decide_node(&self, nodes: u32) -> NodeFault {
+    pub(crate) fn decide_node(&self, nodes: u32) -> Option<u32> {
         if !self.cfg.node_enabled() || nodes == 0 {
-            return NodeFault::None;
+            return None;
         }
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         let u: f64 = st.rng.random();
-        let c = &self.cfg;
-        let pick = |u0: f64, width: f64| -> u32 {
-            let frac = (u0 / width).clamp(0.0, 1.0 - f64::EPSILON);
+        let rate = self.cfg.node_down_rate;
+        (u < rate).then(|| {
+            let frac = (u / rate).clamp(0.0, 1.0 - f64::EPSILON);
             (frac * nodes as f64) as u32
-        };
-        if u < c.node_kill_rate {
-            return NodeFault::Kill(pick(u, c.node_kill_rate));
-        }
-        let mut edge = c.node_kill_rate + c.node_down_rate;
-        if u < edge {
-            return NodeFault::Down(pick(u - c.node_kill_rate, c.node_down_rate));
-        }
-        let prev = edge;
-        edge += c.node_slow_rate;
-        if u < edge {
-            return NodeFault::Slow(pick(u - prev, c.node_slow_rate));
-        }
-        NodeFault::None
+        })
     }
 
     /// Decide the fate of a write. Disabled injectors consume no draws.
@@ -533,7 +475,7 @@ mod tests {
         let mut b = Vec::new();
         for _ in 0..32 {
             a.push(plain.decide_read());
-            assert_eq!(mixed.decide_node(4), NodeFault::None);
+            assert_eq!(mixed.decide_node(4), None);
             b.push(mixed.decide_read());
         }
         assert_eq!(a, b);
@@ -541,9 +483,7 @@ mod tests {
 
     #[test]
     fn node_faults_fire_deterministically_and_pick_in_range() {
-        let cfg = FaultConfig::seeded(9)
-            .with_node_downs(0.3, 5)
-            .with_node_kills(0.05);
+        let cfg = FaultConfig::seeded(9).with_node_downs(0.3, 5);
         assert!(cfg.node_enabled());
         assert!(!cfg.enabled(), "node rates alone leave per-file modes off");
         let run = || {
@@ -552,55 +492,12 @@ mod tests {
         };
         let events = run();
         assert_eq!(events, run(), "same seed, same node schedule");
-        let downs = events
-            .iter()
-            .filter(|e| matches!(e, NodeFault::Down(_)))
-            .count();
-        let kills = events
-            .iter()
-            .filter(|e| matches!(e, NodeFault::Kill(_)))
-            .count();
-        assert!(downs > 0 && kills > 0);
-        for e in &events {
-            if let NodeFault::Down(n) | NodeFault::Kill(n) = e {
-                assert!(*n < 4, "victim index scaled into the topology");
-            }
-        }
-    }
-
-    #[test]
-    fn slow_band_stacks_after_down_and_kill() {
-        // Adding a slow rate must not move the kill/down bands: every event
-        // fired without the slow rate fires identically with it; only
-        // previous `None`s may become `Slow`.
-        let base = FaultConfig::seeded(9)
-            .with_node_downs(0.3, 5)
-            .with_node_kills(0.05);
-        let slow = base.with_node_slow(0.25, 8.0, 6);
-        assert!(slow.node_enabled());
-        assert!(!slow.enabled(), "slow is node-scoped, not per-file");
-        let run = |cfg: FaultConfig| {
-            let inj = FaultInjector::new(cfg);
-            (0..256).map(|_| inj.decide_node(4)).collect::<Vec<_>>()
-        };
-        let without = run(base);
-        let with = run(slow);
-        assert_eq!(with, run(slow), "same seed, same schedule");
-        let mut slows = 0usize;
-        for (a, b) in without.iter().zip(&with) {
-            match a {
-                NodeFault::None => {
-                    if let NodeFault::Slow(n) = b {
-                        slows += 1;
-                        assert!(*n < 4, "victim index scaled into the topology");
-                    } else {
-                        assert_eq!(a, b);
-                    }
-                }
-                _ => assert_eq!(a, b, "kill/down band unchanged by slow rate"),
-            }
-        }
-        assert!(slows > 0, "slow band fires");
+        let downs: Vec<u32> = events.iter().flatten().copied().collect();
+        assert!(!downs.is_empty() && downs.len() < events.len());
+        assert!(
+            downs.iter().all(|&n| n < 4),
+            "victim index scaled into the topology"
+        );
     }
 
     #[test]

@@ -5,9 +5,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::block::BlockConfig;
-use crate::fault::{
-    FaultInjector, FaultStats, IoError, IoOutcome, NodeFault, ReadFault, WriteFault,
-};
+use crate::fault::{FaultInjector, FaultStats, IoError, IoOutcome, ReadFault, WriteFault};
 use crate::file::{FileId, StoredFile};
 use crate::ledger::CostLedger;
 use crate::node::{NodeId, NodeSet, NodeState, Route};
@@ -26,10 +24,15 @@ use crate::weights::CostWeights;
 ///
 /// A `SimFs` may optionally be *sharded* over a simulated cluster (see
 /// [`SimFs::with_cluster`]): files are placed on
-/// [`NodeSet`] datanodes, reads fail over to the first live replica, a down
-/// node makes its un-replicated files fail as transient, and a dead node
-/// converts them to permanent loss. Without a cluster every behaviour is
+/// [`NodeSet`] datanodes, reads fail over to the first live replica, and a
+/// file whose every replica is on a down node fails as transient until one
+/// returns. Nodes go down by schedule ([`SimFs::set_node_down`]) or by the
+/// injector's outage draw ([`FaultConfig::with_node_downs`]), which brings
+/// them back after a repair countdown; a lost file is only ever the
+/// injector's per-file verdict. Without a cluster every behaviour is
 /// bit-identical to before the cluster layer existed.
+///
+/// [`FaultConfig::with_node_downs`]: crate::fault::FaultConfig::with_node_downs
 ///
 /// **Gray failure and hedging.** A cluster node can also be *slow* (alive
 /// but degraded, [`NodeSet::set_node_slow`]): reads it serves cost its
@@ -160,8 +163,7 @@ impl<P> SimFs<P> {
     /// Shard the file system over a simulated cluster. Files placed via
     /// [`SimFs::place`] (or [`SimFs::try_create_placed`]) are then routed
     /// through the cluster's liveness state: reads fail over to the first
-    /// live replica, an outage (every replica down) fails as transient, and
-    /// total replica death converts the file to permanent loss.
+    /// live replica, and an outage (every replica down) fails as transient.
     pub fn with_cluster(
         block: BlockConfig,
         weights: CostWeights,
@@ -188,7 +190,7 @@ impl<P> SimFs<P> {
 
     /// A number that rises whenever what a planner reads of this file
     /// system may have changed: a file created, deleted or lost, a placement
-    /// recorded, a node taken down, restored or killed. Together with
+    /// recorded, a node taken down or restored. Together with
     /// [`SimFs::stamp`] it names one state of the file listing, the sizes
     /// and the routing, for memos of plans made against them. File contents
     /// are write-once and a slow node routes like a healthy one, so
@@ -196,7 +198,7 @@ impl<P> SimFs<P> {
     pub fn generation(&self) -> u64 {
         let nodes = self.cluster.as_ref().map_or(0, |c| {
             let s = c.stats();
-            s.node_downs + s.node_ups + s.node_kills
+            s.node_downs + s.node_ups
         });
         self.locked().changes + nodes
     }
@@ -244,18 +246,12 @@ impl<P> SimFs<P> {
             Some(f) => (f.sim_bytes, Arc::clone(&f.payload)),
         };
         // Cluster routing: failover to the first live replica is free
-        // (metadata-only), an outage fails transient without consuming a
-        // per-file draw, and total replica death removes the file.
+        // (metadata-only), and an outage fails transient without consuming a
+        // per-file draw.
         let serving = if let Some(cluster) = &self.cluster {
             match cluster.route(id) {
                 Route::Live(n) => Some(n),
                 Route::Outage => return Err(IoError::TransientRead(id)),
-                Route::Lost => {
-                    inner.files.remove(&id);
-                    inner.changes += 1;
-                    cluster.forget(id);
-                    return Err(IoError::PermanentLoss(id));
-                }
             }
         } else {
             None
@@ -411,9 +407,9 @@ impl<P> SimFs<P> {
     }
 
     /// Advance the node-fault machinery by one consulted operation: tick
-    /// pending repair countdowns, then let the injector fire a node event.
-    /// Zero draws and zero work unless a cluster is attached *and* a node
-    /// rate is configured.
+    /// pending repair countdowns, then let the injector take a node down.
+    /// Zero draws and zero work unless a cluster is attached *and* the
+    /// outage rate is configured.
     fn drive_node_faults(&self) {
         let Some(cluster) = &self.cluster else { return };
         let cfg = self.faults.config();
@@ -421,21 +417,8 @@ impl<P> SimFs<P> {
             return;
         }
         cluster.tick_repairs();
-        match self.faults.decide_node(cluster.num_nodes()) {
-            NodeFault::None => {}
-            NodeFault::Down(i) => {
-                cluster.set_node_down_for(NodeId(i), cfg.node_repair_ops.max(1));
-            }
-            NodeFault::Kill(i) => {
-                cluster.kill_node(NodeId(i));
-            }
-            NodeFault::Slow(i) => {
-                cluster.set_node_slow_for(
-                    NodeId(i),
-                    cfg.node_slow_factor,
-                    cfg.node_slow_ops.max(1),
-                );
-            }
+        if let Some(i) = self.faults.decide_node(cluster.num_nodes()) {
+            cluster.set_node_down_for(NodeId(i), cfg.node_repair_ops.max(1));
         }
     }
 
@@ -465,11 +448,6 @@ impl<P> SimFs<P> {
     /// Restore a down node. Returns whether the state changed.
     pub fn set_node_up(&self, node: NodeId) -> bool {
         self.cluster.as_ref().is_some_and(|c| c.set_node_up(node))
-    }
-
-    /// Permanently kill a node. Returns whether the state changed.
-    pub fn kill_node(&self, node: NodeId) -> bool {
-        self.cluster.as_ref().is_some_and(|c| c.kill_node(node))
     }
 
     /// Open (or widen) a gray-failure window on a node: reads it serves cost
@@ -528,7 +506,6 @@ impl<P> SimFs<P> {
             let n = cluster.stats();
             stats.node_downs = n.node_downs;
             stats.node_ups = n.node_ups;
-            stats.node_kills = n.node_kills;
             stats.node_slows = n.node_slows;
         }
         let hs = self.locked().hedge_stats;
@@ -734,7 +711,9 @@ mod tests {
         let fs = faulty_fs(FaultConfig::seeded(1).with_permanent_loss(1.0));
         let (id, _) = fs.create("frag", 250, vec![7]);
         let before = fs.ledger();
+        let generation = fs.generation();
         assert_eq!(fs.try_read(id).unwrap_err(), IoError::PermanentLoss(id));
+        assert!(fs.generation() > generation, "a loss moves the generation");
         assert_eq!(fs.total_bytes(), 0, "lost file no longer counts");
         let after = fs.ledger();
         assert_eq!(after.read_bytes, before.read_bytes);
@@ -861,10 +840,6 @@ mod tests {
         step("node up", true, &fs);
         fs.place(b, &[NodeId(1)]);
         step("placement", true, &fs);
-        fs.kill_node(NodeId(0));
-        step("node killed", true, &fs);
-        assert!(fs.try_read(a).is_err(), "every replica is dead");
-        step("loss on read", true, &fs);
         fs.delete(b);
         step("delete", true, &fs);
         fs.delete(b);
@@ -925,19 +900,6 @@ mod tests {
     }
 
     #[test]
-    fn dead_node_converts_unreplicated_file_to_permanent_loss() {
-        let fs = sharded(2, 1);
-        let out = fs
-            .try_create_placed("frag", 250, vec![7], &[NodeId(1)])
-            .expect("no faults");
-        let id = out.value;
-        assert!(fs.kill_node(NodeId(1)));
-        assert_eq!(fs.try_read(id).unwrap_err(), IoError::PermanentLoss(id));
-        assert_eq!(fs.total_bytes(), 0, "lost file no longer counts");
-        assert_eq!(fs.fault_stats().node_kills, 1);
-    }
-
-    #[test]
     fn write_to_fully_down_placement_is_transient() {
         let fs = sharded(3, 2);
         fs.set_node_down(NodeId(0));
@@ -990,6 +952,62 @@ mod tests {
         assert!(s.node_downs >= 1, "seeded stream must down the node");
         assert!(s.node_ups >= 1, "repair countdown must restore the node");
         assert!(blocked >= 1 && served >= 1, "reads both block and heal");
+    }
+
+    /// Pins the injected node-down stream: one draw per consulted operation,
+    /// the victim scaled from it, the repair countdown ticked first. Each
+    /// entry is an operation whose outcome or node states differ from the
+    /// previous one's: `(op, outcome, states)`, `U` up and `D` down.
+    #[test]
+    fn injected_node_downs_follow_a_pinned_stream() {
+        let cfg = FaultConfig::seeded(7).with_node_downs(0.04, 2);
+        let fs: SimFs<Vec<u32>> = SimFs::with_cluster(
+            BlockConfig::new(100),
+            CostWeights::default(),
+            FaultInjector::new(cfg),
+            NodeSet::new(NodeConfig::new(4, 2)),
+        );
+        let cluster = fs.cluster().expect("sharded");
+        let mut files = Vec::new();
+        let mut trail = Vec::new();
+        let mut last = "UUUU".to_string();
+        for op in 0..240u64 {
+            let outcome = if op % 3 == 0 {
+                let nodes = cluster.placement_for(op, 2);
+                match fs.try_create_placed(format!("f{op}"), 100, vec![], &nodes) {
+                    Ok(out) => {
+                        files.push(out.value);
+                        'w'
+                    }
+                    Err(_) => 'W',
+                }
+            } else {
+                match fs.try_read(files[(op as usize * 7) % files.len()]) {
+                    Ok(_) => 'r',
+                    Err(IoError::TransientRead(_)) => 'R',
+                    Err(e) => panic!("op {op}: {e}"),
+                }
+            };
+            let states: String = (0..4)
+                .map(|n| match cluster.node_state(NodeId(n)) {
+                    Some(NodeState::Up) => 'U',
+                    _ => 'D',
+                })
+                .collect();
+            if outcome.is_uppercase() || states != last {
+                trail.push(format!("{op}{outcome}{states}"));
+            }
+            last = states;
+        }
+        let s = fs.fault_stats();
+        let pinned = [
+            "25rDUUU", "27wUUUU", "88rDUUU", "90wUUUU", "135wUUUD", "137rUUUU", "145rUUDU",
+            "147wUUUU", "150wUUUD", "152rUUUU", "171wUUDU", "173rUUUU", "190rDUUU", "192wUUUU",
+            "204wUDUU", "206rUUUU", "212rUUUD", "214rDUUU", "216wUUUU", "221rUUDU", "223rUUUU",
+            "228wUUDU", "229RUDDU", "230rUDUU", "231wUUUU",
+        ];
+        assert_eq!(trail, pinned);
+        assert_eq!((s.node_downs, s.node_ups), (13, 13));
     }
 
     #[test]
@@ -1146,7 +1164,6 @@ mod tests {
         assert!(!fs.outage_blocked(id));
         assert!(!fs.set_node_down(NodeId(0)));
         assert!(!fs.set_node_up(NodeId(0)));
-        assert!(!fs.kill_node(NodeId(0)));
         fs.place(id, &[NodeId(0)]);
         assert!(fs.cluster().is_none());
         assert!(fs.try_read(id).is_ok());

@@ -24,9 +24,10 @@
 //! The FS can further be sharded over a simulated cluster ([`NodeSet`], see
 //! the [`node`] module): files are placed on datanodes by a deterministic
 //! partition-aware hash, reads fail over to the first live replica, and
-//! whole-node outages — manual or drawn from the injector's seeded stream —
-//! make un-replicated files fail as transient (node down) or convert them to
-//! permanent loss (node dead).
+//! whole-node outages — scheduled or drawn from the injector's seeded stream,
+//! and always temporary — make a file whose every replica is down fail as
+//! transient until a replica's node returns. A node can also be slow: it
+//! keeps serving, at a latency multiplier, and hedged reads route around it.
 //!
 //! For crash-restart durability the crate provides an append-only,
 //! snapshot-truncated [`Journal`] with monotonic LSNs and an armable crash

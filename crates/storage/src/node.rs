@@ -16,10 +16,14 @@
 //!   file's placement list: the primary first, then the replicas in
 //!   ascending node id. Failover is metadata-only (the namenode redirects the
 //!   client), so a read costs the same whichever replica serves it.
-//! * **Whole-node outages** — a node can be [`NodeState::Down`] (temporary:
-//!   its files fail as transient until it returns) or [`NodeState::Dead`]
-//!   (permanent: files with every replica dead are converted to permanent
-//!   loss on next access).
+//! * **Whole-node outages** — a node is up or [`NodeState::Down`]: a down
+//!   node's files fail as transient until it returns, by a scheduled
+//!   [`NodeSet::set_node_up`] or when an injected outage's repair countdown
+//!   runs out. Nodes never die: a lost file is the fault injector's
+//!   per-file verdict, not a node's.
+//! * **Gray failure** — an up node can be slow ([`NodeSet::set_node_slow`]):
+//!   it keeps serving, at a latency multiplier, until the window is
+//!   cleared.
 //!
 //! The cluster keeps its own transition counters so the harness can assert
 //! on injected-vs-manual outages uniformly; [`crate::fs::SimFs`] merges them
@@ -70,8 +74,6 @@ pub enum NodeState {
     /// Temporarily unreachable; its files fail as transient until it
     /// returns.
     Down,
-    /// Permanently failed; files with every replica dead are lost.
-    Dead,
 }
 
 /// Routing verdict for one file under the current node states.
@@ -80,10 +82,8 @@ pub enum Route {
     /// A live replica can serve the file (failover order: primary first,
     /// then replicas ascending by node id).
     Live(NodeId),
-    /// Every replica is on a down (but repairable) node: fail transient.
+    /// Every replica is on a down node: fail transient.
     Outage,
-    /// Every replica is on a dead node: the file is permanently lost.
-    Lost,
 }
 
 /// Cluster transition counters (injected and manual alike).
@@ -93,8 +93,6 @@ pub struct NodeStats {
     pub node_downs: u64,
     /// Nodes restored.
     pub node_ups: u64,
-    /// Nodes permanently killed.
-    pub node_kills: u64,
     /// Slow-node windows opened (gray failure: degraded but alive).
     pub node_slows: u64,
 }
@@ -109,9 +107,6 @@ struct ClusterState {
     /// served by a node with multiplier `m > 1` cost `m×` their base
     /// simulated seconds. Orthogonal to liveness: a slow node is still Up.
     slow: Vec<f64>,
-    /// Remaining consulted-op countdowns for injector-slowed nodes; the
-    /// multiplier resets to `1.0` when the countdown reaches zero.
-    slow_in: Vec<u64>,
     placement: BTreeMap<FileId, Vec<NodeId>>,
     stats: NodeStats,
 }
@@ -134,7 +129,6 @@ impl NodeSet {
                 states: vec![NodeState::Up; cfg.nodes as usize],
                 repair_in: vec![0; cfg.nodes as usize],
                 slow: vec![1.0; cfg.nodes as usize],
-                slow_in: vec![0; cfg.nodes as usize],
                 placement: BTreeMap::new(),
                 stats: NodeStats::default(),
             }),
@@ -199,23 +193,14 @@ impl NodeSet {
         let Some(nodes) = st.placement.get(&file) else {
             return Route::Live(NodeId(0));
         };
-        let mut any_down = false;
-        for &n in nodes {
-            match st.states[n.0 as usize] {
-                NodeState::Up => return Route::Live(n),
-                NodeState::Down => any_down = true,
-                NodeState::Dead => {}
-            }
-        }
-        if any_down {
-            Route::Outage
-        } else {
-            Route::Lost
-        }
+        nodes
+            .iter()
+            .find(|n| st.states[n.0 as usize] == NodeState::Up)
+            .map_or(Route::Outage, |&n| Route::Live(n))
     }
 
-    /// Whether every replica of the file is currently unavailable (down or
-    /// dead). Metadata probe: no draws, no cost.
+    /// Whether every replica of the file is currently down. Metadata probe:
+    /// no draws, no cost.
     pub fn outage_blocked(&self, file: FileId) -> bool {
         !matches!(self.route(file), Route::Live(_))
     }
@@ -226,7 +211,7 @@ impl NodeSet {
     }
 
     /// Take a node down (temporary outage). Returns whether the state
-    /// changed (dead nodes stay dead).
+    /// changed.
     pub fn set_node_down(&self, node: NodeId) -> bool {
         let mut st = self.locked();
         match st.states.get(node.0 as usize).copied() {
@@ -264,49 +249,22 @@ impl NodeSet {
         }
     }
 
-    /// Permanently fail a node. Returns whether the state changed.
-    pub fn kill_node(&self, node: NodeId) -> bool {
-        let mut st = self.locked();
-        match st.states.get(node.0 as usize).copied() {
-            Some(NodeState::Up) | Some(NodeState::Down) => {
-                st.states[node.0 as usize] = NodeState::Dead;
-                st.repair_in[node.0 as usize] = 0;
-                st.stats.node_kills += 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
     /// Mark a node as slow: reads it serves cost `multiplier ×` their base
     /// simulated seconds until cleared. Returns whether a new slow window
-    /// opened (`multiplier > 1` on a live node that was healthy).
+    /// opened (`multiplier > 1` on a node that was healthy).
     pub fn set_node_slow(&self, node: NodeId, multiplier: f64) -> bool {
         if multiplier <= 1.0 {
             self.clear_node_slow(node);
             return false;
         }
         let mut st = self.locked();
-        match st.states.get(node.0 as usize).copied() {
-            Some(NodeState::Up) | Some(NodeState::Down) => {
-                let opened = st.slow[node.0 as usize] <= 1.0;
-                st.slow[node.0 as usize] = multiplier;
-                if opened {
-                    st.stats.node_slows += 1;
-                }
-                opened
-            }
-            _ => false,
-        }
-    }
-
-    /// Like [`NodeSet::set_node_slow`] with an automatic recovery countdown:
-    /// the multiplier resets to `1.0` after `slow_ops` further consulted
-    /// operations (see [`NodeSet::tick_repairs`]).
-    pub fn set_node_slow_for(&self, node: NodeId, multiplier: f64, slow_ops: u64) -> bool {
-        let opened = self.set_node_slow(node, multiplier);
+        let Some(slow) = st.slow.get_mut(node.0 as usize) else {
+            return false;
+        };
+        let opened = *slow <= 1.0;
+        *slow = multiplier;
         if opened {
-            self.locked().slow_in[node.0 as usize] = slow_ops;
+            st.stats.node_slows += 1;
         }
         opened
     }
@@ -318,7 +276,6 @@ impl NodeSet {
         match st.slow.get(node.0 as usize).copied() {
             Some(m) if m > 1.0 => {
                 st.slow[node.0 as usize] = 1.0;
-                st.slow_in[node.0 as usize] = 0;
                 true
             }
             _ => false,
@@ -337,8 +294,7 @@ impl NodeSet {
 
     /// Advance every pending repair countdown by one consulted operation,
     /// restoring nodes whose countdown expires. Returns the restored nodes
-    /// in ascending id order. Slow-window countdowns tick on the same
-    /// consulted-op clock; expired windows silently reset to `1.0`.
+    /// in ascending id order.
     pub fn tick_repairs(&self) -> Vec<NodeId> {
         let mut st = self.locked();
         let mut restored = Vec::new();
@@ -349,12 +305,6 @@ impl NodeSet {
                     st.states[i] = NodeState::Up;
                     st.stats.node_ups += 1;
                     restored.push(NodeId(i as u32));
-                }
-            }
-            if st.slow[i] > 1.0 && st.slow_in[i] > 0 {
-                st.slow_in[i] -= 1;
-                if st.slow_in[i] == 0 {
-                    st.slow[i] = 1.0;
                 }
             }
         }
@@ -406,7 +356,6 @@ mod tests {
         let c = cluster(4, 2);
         let before = c.placement_for(10, 2);
         c.set_node_down(NodeId(2));
-        c.kill_node(NodeId(3));
         assert_eq!(c.placement_for(10, 2), before);
     }
 
@@ -424,19 +373,6 @@ mod tests {
         c.set_node_up(NodeId(2));
         assert_eq!(c.route(f), Route::Live(NodeId(2)));
         assert!(!c.outage_blocked(f));
-    }
-
-    #[test]
-    fn dead_replicas_convert_to_lost_only_when_all_dead() {
-        let c = cluster(3, 2);
-        let f = FileId(0);
-        c.place(f, &[NodeId(0), NodeId(1)]);
-        c.kill_node(NodeId(0));
-        assert_eq!(c.route(f), Route::Live(NodeId(1)));
-        c.set_node_down(NodeId(1));
-        assert_eq!(c.route(f), Route::Outage, "down beats dead: repairable");
-        c.kill_node(NodeId(1));
-        assert_eq!(c.route(f), Route::Lost);
     }
 
     #[test]
@@ -467,12 +403,8 @@ mod tests {
         assert!(!c.set_node_down(NodeId(0)), "already down");
         assert!(c.set_node_up(NodeId(0)));
         assert!(!c.set_node_up(NodeId(0)), "already up");
-        assert!(c.kill_node(NodeId(0)));
-        assert!(!c.set_node_down(NodeId(0)), "dead nodes stay dead");
-        assert!(!c.set_node_up(NodeId(0)), "dead nodes never return");
-        assert!(!c.kill_node(NodeId(0)), "already dead");
         let s = c.stats();
-        assert_eq!((s.node_downs, s.node_ups, s.node_kills), (1, 1, 1));
+        assert_eq!((s.node_downs, s.node_ups), (1, 1));
         let states: Vec<_> = (0..3).map(|n| c.node_state(NodeId(n))).collect();
         assert!(!states.contains(&Some(NodeState::Down)), "{states:?}");
     }
@@ -491,7 +423,7 @@ mod tests {
     }
 
     #[test]
-    fn slow_windows_track_multiplier_and_expire() {
+    fn slow_windows_track_multiplier_and_clear() {
         let c = cluster(3, 1);
         assert_eq!(c.latency_multiplier(NodeId(0)), 1.0);
         assert!(c.set_node_slow(NodeId(0), 4.0));
@@ -503,22 +435,12 @@ mod tests {
         assert_eq!(c.latency_multiplier(NodeId(0)), 1.0);
         assert_eq!(c.stats().node_slows, 1);
 
-        // Countdown variant: expires on the consulted-op clock.
-        assert!(c.set_node_slow_for(NodeId(1), 3.0, 2));
-        c.tick_repairs();
-        assert_eq!(c.latency_multiplier(NodeId(1)), 3.0);
-        c.tick_repairs();
-        assert_eq!(c.latency_multiplier(NodeId(1)), 1.0, "window expired");
-        assert!((0..3).all(|n| c.latency_multiplier(NodeId(n)) == 1.0));
-
         // multiplier <= 1.0 is a clear, not a window.
         assert!(c.set_node_slow(NodeId(2), 2.0));
         assert!(!c.set_node_slow(NodeId(2), 1.0));
         assert_eq!(c.latency_multiplier(NodeId(2)), 1.0);
 
-        // Dead nodes cannot be slowed; out-of-range is a no-op.
-        c.kill_node(NodeId(0));
-        assert!(!c.set_node_slow(NodeId(0), 5.0));
+        // Out-of-range is a no-op.
         assert!(!c.set_node_slow(NodeId(9), 5.0));
         assert_eq!(c.latency_multiplier(NodeId(9)), 1.0);
     }

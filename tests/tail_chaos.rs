@@ -15,7 +15,7 @@
 //!   off: a hedge whose primary wins returns the primary's cost unchanged.
 //! - **Same seed ⇒ same decision stream**: the shed / hedge / slow-node
 //!   events the server journals replay bit-for-bit.
-//! - **Shedding is honest**: rejected tickets still commit (the writer's
+//! - **Shedding is honest**: shed tickets still commit (the writer's
 //!   Algorithm-1 trajectory never depends on admission control), and
 //!   stale-served sheds return exact answers.
 //!
@@ -312,58 +312,44 @@ fn same_seed_reproduces_shed_and_hedge_decision_stream() {
 }
 
 /// Shedding is honest: every shed ticket carries its policy and reason,
-/// rejected tickets still commit (the committed fingerprint series is the
+/// shed tickets still commit (the committed fingerprint series is the
 /// serial one, complete), and stale-served sheds return exact answers.
 #[test]
 fn shed_tickets_still_commit_and_served_sheds_stay_exact() {
     let (_, plans) = setup();
     let golden = tail_baseline();
-    for policy in [ShedPolicy::Reject, ShedPolicy::ServeStale] {
-        let (ds, _fs) = build_sharded(2, FaultInjector::disabled(), chaos_config(), None);
-        let cfg = ServerConfig {
-            clients: 2,
-            seed: 5,
-            mean_gap_secs: 0.05,
-            deadline_secs: Some(1.5),
-            max_queue: Some(4),
-            shed_policy: policy,
-            ..ServerConfig::default()
-        };
-        let mut server = ViewServer::new(ds, cfg);
-        let report = server.run(plans).expect("shedding must never error");
-        assert!(
-            report.shed_reads > 0,
-            "{policy:?}: overload produced no shedding"
-        );
-        assert_eq!(
-            report.committed_fingerprints(),
-            golden.fingerprints,
-            "{policy:?}: shedding leaked into the committed trajectory"
-        );
-        for rec in &report.records {
-            if let Some((p, reason)) = rec.shed {
-                assert_eq!(p, policy.name());
-                assert!(
-                    matches!(
-                        reason,
-                        "deadline_passed" | "queue_full" | "projected_overrun"
-                    ),
-                    "unknown shed reason {reason}"
-                );
-                match policy {
-                    ShedPolicy::Reject => {
-                        assert!(rec.read_fingerprint.is_empty());
-                        assert_eq!(rec.read_query_secs, 0.0);
-                    }
-                    // A stale-served read returns the exact committed answer.
-                    ShedPolicy::ServeStale => {
-                        assert_eq!(
-                            rec.read_fingerprint, rec.committed_fingerprint,
-                            "{policy:?}: served a wrong answer while shedding"
-                        );
-                    }
-                }
-            }
+    let (ds, _fs) = build_sharded(2, FaultInjector::disabled(), chaos_config(), None);
+    let cfg = ServerConfig {
+        clients: 2,
+        seed: 5,
+        mean_gap_secs: 0.05,
+        deadline_secs: Some(1.5),
+        max_queue: Some(4),
+        ..ServerConfig::default()
+    };
+    let mut server = ViewServer::new(ds, cfg);
+    let report = server.run(plans).expect("shedding must never error");
+    assert!(report.shed_reads > 0, "overload produced no shedding");
+    assert_eq!(
+        report.committed_fingerprints(),
+        golden.fingerprints,
+        "shedding leaked into the committed trajectory"
+    );
+    for rec in &report.records {
+        if let Some((p, reason)) = rec.shed {
+            assert_eq!(p, ShedPolicy::ServeStale.name());
+            assert!(
+                matches!(
+                    reason,
+                    "deadline_passed" | "queue_full" | "projected_overrun"
+                ),
+                "unknown shed reason {reason}"
+            );
+            // A stale-served read returns the exact committed answer.
+            assert_eq!(
+                rec.read_fingerprint, rec.committed_fingerprint,
+                "served a wrong answer while shedding"
+            );
         }
     }
 }
