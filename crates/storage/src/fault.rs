@@ -501,6 +501,44 @@ mod tests {
     }
 
     #[test]
+    fn one_draw_decides_both_the_outage_and_its_victim() {
+        // Same seed, so the same uniform `u` per call. At rate 0.5 a call
+        // fires iff `u < 0.5` and hits node `floor(8u)`; at rate 1.0 every
+        // call fires and hits node `floor(4u)`, which is the half-rate
+        // victim halved, and node 2 or 3 where the half-rate call missed.
+        let run = |rate: f64| {
+            let inj = FaultInjector::new(FaultConfig::seeded(11).with_node_downs(rate, 3));
+            (0..256).map(|_| inj.decide_node(4)).collect::<Vec<_>>()
+        };
+        let (half, full) = (run(0.5), run(1.0));
+        let mut seen = [false; 4];
+        for (h, f) in half.iter().zip(&full) {
+            let f = f.expect("a full band fires on every call");
+            seen[f as usize] = true;
+            match h {
+                Some(v) => assert_eq!(f, v / 2, "victim scales with the band"),
+                None => assert!(f >= 2, "a miss at 0.5 is a draw in [0.5, 1)"),
+            }
+        }
+        assert_eq!(seen, [true; 4], "every node is a possible victim");
+    }
+
+    #[test]
+    fn an_empty_topology_takes_no_node_draw() {
+        // With no nodes there is no victim: the call returns before the
+        // draw, so the stream that follows is a fresh injector's.
+        let cfg = FaultConfig::seeded(13).with_node_downs(1.0, 2);
+        let probed = FaultInjector::new(cfg);
+        let fresh = FaultInjector::new(cfg);
+        for _ in 0..8 {
+            assert_eq!(probed.decide_node(0), None);
+        }
+        let a: Vec<_> = (0..32).map(|_| probed.decide_node(5)).collect();
+        let b: Vec<_> = (0..32).map(|_| fresh.decide_node(5)).collect();
+        assert_eq!(a, b);
+    }
+
+    #[test]
     fn corruption_rate_fires_and_counts() {
         let inj = FaultInjector::new(FaultConfig::seeded(5).with_corruption(1.0));
         assert_eq!(inj.decide_read(), ReadFault::Corrupt);

@@ -446,6 +446,27 @@ mod tests {
     }
 
     #[test]
+    fn slow_windows_outlast_outages_and_repair_ticks() {
+        // Slowness is orthogonal to liveness and has no countdown: a node
+        // slowed while down comes back slow, and only a clear ends it.
+        let c = cluster(2, 1);
+        assert!(c.set_node_down_for(NodeId(0), 1));
+        assert!(c.set_node_slow(NodeId(0), 4.0), "a down node can be slowed");
+        assert_eq!(c.node_state(NodeId(0)), Some(NodeState::Down));
+        assert_eq!(c.tick_repairs(), vec![NodeId(0)]);
+        assert_eq!(c.node_state(NodeId(0)), Some(NodeState::Up));
+        for _ in 0..16 {
+            assert!(c.tick_repairs().is_empty());
+        }
+        assert_eq!(c.latency_multiplier(NodeId(0)), 4.0, "still slow");
+        assert!(c.set_node_down(NodeId(0)) && c.set_node_up(NodeId(0)));
+        assert_eq!(c.latency_multiplier(NodeId(0)), 4.0, "outages keep it");
+        assert!(c.clear_node_slow(NodeId(0)));
+        assert_eq!(c.latency_multiplier(NodeId(0)), 1.0);
+        assert_eq!(c.stats().node_slows, 1);
+    }
+
+    #[test]
     fn slow_windows_do_not_affect_routing() {
         let c = cluster(2, 2);
         let f = FileId(1);
