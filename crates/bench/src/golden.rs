@@ -34,6 +34,42 @@ pub fn golden_catalog() -> Arc<Catalog> {
     )
 }
 
+/// The seeds a sweep suite replays: the comma-separated `u64`s in the
+/// environment variable `var`, or `default` when it is unset — so a sweep
+/// needs no rebuild (`CHAOS_SEEDS=1,7,42 cargo test -q --test chaos`).
+pub fn seeds_from_env(var: &str, default: &str) -> Vec<u64> {
+    std::env::var(var)
+        .unwrap_or_else(|_| default.into())
+        .split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .map(|s| {
+            s.parse()
+                .unwrap_or_else(|_| panic!("{var} must be comma-separated u64s"))
+        })
+        .collect()
+}
+
+/// Minimal deterministic generator for the sweep suites' schedules (Knuth
+/// LCG, high bits only).
+pub struct Lcg(u64);
+
+impl Lcg {
+    /// The generator a suite draws seed `seed`'s schedule from.
+    pub fn seeded(seed: u64) -> Self {
+        Self(seed.wrapping_mul(0x9e3779b97f4a7c15) | 1)
+    }
+
+    /// The next draw, in `0..2^31`.
+    pub fn draw(&mut self) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        self.0 >> 33
+    }
+}
+
 /// The fixed 50-query plan sequence.
 pub fn golden_plans() -> Vec<LogicalPlan> {
     fig5_workload(GOLDEN_QUERIES, GOLDEN_SEED)

@@ -174,9 +174,8 @@ pub fn pct(v: f64) -> String {
     format!("{:.0}%", v * 100.0)
 }
 
-/// Render a top-N ranking (e.g. hottest views by hit count, from
-/// [`MetricsRegistry::top_counters`](deepsea_obs::MetricsRegistry::top_counters))
-/// as a two-column table with 1-based ranks.
+/// Render a top-N ranking (e.g. fig5a's hottest views by hit count) as a
+/// two-column table with 1-based ranks.
 pub fn top_n_table(title: &str, value_header: &str, rows: &[(String, u64)]) -> String {
     let body: Vec<Vec<String>> = rows
         .iter()

@@ -99,7 +99,7 @@ pub struct DeepSea {
     /// Mirror ledger of pool usage, moved only by `commit` (from what
     /// applying each record reports) so crash recovery can assert the
     /// three-way invariant
-    /// `pool.used == registry.pool_bytes() == fs.total_bytes()`. Unbounded:
+    /// `pool.used == registry.pool_bytes() == fs.total_bytes()`. A counter:
     /// `Smax` is enforced by selection and `enforce_limit`, not here.
     pub(crate) pool: PoolAccountant,
     pub(crate) journal_debt: JournalDebt,
@@ -170,7 +170,7 @@ impl DeepSea {
             registry: ViewRegistry::new(),
             clock: 0,
             journal: None,
-            pool: PoolAccountant::unbounded(),
+            pool: PoolAccountant::new(),
             journal_debt: JournalDebt::default(),
             obs: Observer::off(),
             sim_elapsed: 0.0,

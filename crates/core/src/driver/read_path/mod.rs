@@ -31,7 +31,7 @@ use deepsea_storage::SimFs;
 
 use crate::interval::Interval;
 use crate::registry::ViewRegistry;
-use crate::retry::{retry_transient, RetryPolicy};
+use crate::retry::retry_transient;
 
 use super::context::QueryContext;
 use super::DeepSea;
@@ -41,7 +41,7 @@ pub(crate) use memo::RewritingMemo;
 
 /// An immutable borrow of everything the read path consults.
 ///
-/// Cheap to construct (six references and a policy), impossible to mutate
+/// Cheap to construct (six references), impossible to mutate
 /// through: the read path sees one consistent catalog state for the
 /// duration of a query, whether that state is the writer's live registry or
 /// a frozen snapshot.
@@ -51,9 +51,6 @@ pub(crate) struct ReadView<'a> {
     pub(crate) fs: &'a SimFs<Table>,
     pub(crate) backend: &'a dyn ExecutionBackend,
     pub(crate) obs: &'a Observer,
-    /// The retry policy executions run under: [`RetryPolicy::default`],
-    /// except in the retry ladder's own tests.
-    pub(crate) retry: RetryPolicy,
     /// Where [`ReadView::answer`] leaves its matching and rewriting for the
     /// commit of the same plan: a snapshot's reads under a policy that
     /// materializes; `None` for the writer's own view.
@@ -69,7 +66,6 @@ impl DeepSea {
             fs: &self.fs,
             backend: self.backend.as_ref(),
             obs: &self.obs,
-            retry: RetryPolicy::default(),
             rewritings: None,
         }
     }
@@ -146,7 +142,6 @@ impl<'a> ReadView<'a> {
     ) -> Result<(Table, ExecMetrics), (ExecError, (u64, f64))> {
         let attempts = &mut ctx.retry_attempts;
         let (out, spent) = retry_transient(
-            self.retry,
             |e: &ExecError| {
                 e.is_transient() && !e.file().is_some_and(|f| self.fs.outage_blocked(f))
             },

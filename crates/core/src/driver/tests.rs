@@ -1105,7 +1105,7 @@ fn a_commit_adopts_its_reads_rewriting_only_in_that_world() {
 mod retry_ladder {
     use super::*;
     use crate::driver::read_path::ReadView;
-    use crate::retry::RetryPolicy;
+    use crate::retry::{backoff_secs, retry_io, MAX_RETRIES};
     use deepsea_engine::plan::ViewScanInfo;
     use deepsea_relation::Value;
     use deepsea_storage::{
@@ -1146,13 +1146,12 @@ mod retry_ladder {
         )
     }
 
-    /// Run `f` against a read view of `catalog` over `fs` under `retry`.
+    /// Run `f` against a read view of `catalog` over `fs`.
     fn with_view<R>(
         catalog: &Catalog,
         fs: &SimFs<Table>,
         backend: &SimBackend,
         obs: &Observer,
-        retry: RetryPolicy,
         f: impl FnOnce(&ReadView<'_>) -> R,
     ) -> R {
         let registry = ViewRegistry::new();
@@ -1162,38 +1161,42 @@ mod retry_ladder {
             fs,
             backend,
             obs,
-            retry,
             rewritings: None,
         })
     }
 
     /// The backoff of retries `0..n`, summed from 0.0 in order.
-    fn ladder_secs(policy: RetryPolicy, n: u32) -> f64 {
-        (0..n).fold(0.0, |secs, a| secs + policy.backoff_secs(a))
+    fn ladder_secs(n: u32) -> f64 {
+        (0..n).fold(0.0, |secs, a| secs + backoff_secs(a))
     }
 
     #[test]
     fn transients_are_retried_to_success_with_the_backoff_in_penalty_secs() {
-        // ~50% transient failures against a deep retry limit: every
-        // execution in this fixed schedule succeeds, most after retries.
+        // ~50% transient failures: each execution in this fixed schedule
+        // either succeeds, most after retries, or exhausts the ladder.
         let fs = faulty_fs(FaultConfig::seeded(11).with_transient_reads(0.5));
         let (catalog, plan, _) = world(&fs, &[]);
-        let policy = RetryPolicy {
-            max_retries: 16,
-            ..RetryPolicy::default()
-        };
         let backend = SimBackend::paper_default();
-        let mut total_retries = 0;
-        with_view(&catalog, &fs, &backend, &Observer::off(), policy, |view| {
+        let (mut total_retries, mut exhausted) = (0, 0);
+        with_view(&catalog, &fs, &backend, &Observer::off(), |view| {
             for _ in 0..20 {
                 let mut ctx = QueryContext::new(&plan, 1);
-                let (t, m) = view.execute_retrying(&mut ctx).expect("within the limit");
+                let (t, m) = match view.execute_retrying(&mut ctx) {
+                    Ok(out) => out,
+                    Err((err, debt)) => {
+                        assert!(err.is_transient());
+                        assert_eq!(debt.0, u64::from(MAX_RETRIES));
+                        assert_eq!(debt.1.to_bits(), 3.5f64.to_bits());
+                        exhausted += 1;
+                        continue;
+                    }
+                };
                 assert_eq!(t.len(), 1, "retried result is the real result");
                 total_retries += m.retries;
                 assert_eq!(ctx.retry_attempts.len() as u64, m.retries);
                 assert_eq!(
                     m.penalty_secs.to_bits(),
-                    ladder_secs(policy, m.retries as u32).to_bits(),
+                    ladder_secs(m.retries as u32).to_bits(),
                     "no spikes: the penalty is the ladder's backoff"
                 );
                 // Backoff is charged into elapsed time.
@@ -1204,21 +1207,22 @@ mod retry_ladder {
                 );
             }
         });
-        assert!(total_retries > 0, "seed 11 must exercise retries");
+        assert!(total_retries > 0, "seed 11 must retry to success");
+        assert!(exhausted > 0, "seed 11 must exhaust a ladder");
     }
 
     #[test]
     fn an_exhausted_ladder_charges_its_debt_to_the_fallback() {
         let fs = faulty_fs(FaultConfig::seeded(1).with_transient_reads(1.0));
         let (catalog, plan, id) = world(&fs, &[]);
-        let policy = RetryPolicy::default();
         let backend = SimBackend::paper_default();
-        with_view(&catalog, &fs, &backend, &Observer::off(), policy, |view| {
+        let expected = ladder_secs(MAX_RETRIES);
+        assert_eq!(expected, 3.5, "0.5 + 1 + 2");
+        with_view(&catalog, &fs, &backend, &Observer::off(), |view| {
             let mut ctx = QueryContext::new(&plan, 1);
             let (err, debt) = view.execute_retrying(&mut ctx).unwrap_err();
             assert_eq!(err, ExecError::TransientIo(IoError::TransientRead(id)));
-            let expected = ladder_secs(policy, policy.max_retries);
-            assert_eq!(debt.0, u64::from(policy.max_retries));
+            assert_eq!(debt.0, u64::from(MAX_RETRIES));
             assert_eq!(debt.1.to_bits(), expected.to_bits());
             // The base re-answer reads no view, so it pays exactly the debt.
             let (_, m) = view
@@ -1233,6 +1237,13 @@ mod retry_ladder {
             );
             assert_eq!(ctx.trace.recovery.base_table_fallbacks, 1);
         });
+        // The fragment I/O ladder stops at the same three retries.
+        let (mut retries, mut secs) = (0, 0.0);
+        let out: Result<(), IoError> =
+            retry_io(&mut retries, &mut secs, || Err(IoError::TransientRead(id)));
+        assert!(out.is_err());
+        assert_eq!(retries, u64::from(MAX_RETRIES));
+        assert_eq!(secs.to_bits(), expected.to_bits());
     }
 
     #[test]
@@ -1246,8 +1257,7 @@ mod retry_ladder {
         let (catalog, plan, id) = world(&fs, &[NodeId(0)]);
         fs.set_node_down(NodeId(0));
         let backend = SimBackend::paper_default();
-        let policy = RetryPolicy::default();
-        with_view(&catalog, &fs, &backend, &Observer::off(), policy, |view| {
+        with_view(&catalog, &fs, &backend, &Observer::off(), |view| {
             let mut ctx = QueryContext::new(&plan, 1);
             let (err, debt) = view.execute_retrying(&mut ctx).unwrap_err();
             assert!(
@@ -1270,8 +1280,7 @@ mod retry_ladder {
         let fs = faulty_fs(FaultConfig::seeded(1).with_permanent_loss(1.0));
         let (catalog, plan, id) = world(&fs, &[]);
         let backend = SimBackend::paper_default();
-        let policy = RetryPolicy::default();
-        with_view(&catalog, &fs, &backend, &Observer::off(), policy, |view| {
+        with_view(&catalog, &fs, &backend, &Observer::off(), |view| {
             let mut ctx = QueryContext::new(&plan, 1);
             let (err, debt) = view.execute_retrying(&mut ctx).unwrap_err();
             assert!(!err.is_transient());
@@ -1281,47 +1290,13 @@ mod retry_ladder {
     }
 
     #[test]
-    fn total_backoff_is_capped_at_the_policy_ceiling() {
-        // A permanently failing op under a deep retry limit must not accrue
-        // more backoff than `max_total_backoff_secs`.
-        let fs = faulty_fs(FaultConfig::seeded(1).with_transient_reads(1.0));
-        let (catalog, plan, id) = world(&fs, &[]);
-        let policy = RetryPolicy {
-            max_retries: 64,
-            max_total_backoff_secs: 100.0,
-            ..RetryPolicy::default()
-        };
-        // 0.5 * (2^8 - 1) = 127.5 > 100 > 63.5: exactly 7 retries fit.
-        let expected = ladder_secs(policy, 7);
-        let backend = SimBackend::paper_default();
-        with_view(&catalog, &fs, &backend, &Observer::off(), policy, |view| {
-            let (err, debt) = view
-                .execute_retrying(&mut QueryContext::new(&plan, 1))
-                .unwrap_err();
-            assert!(err.is_transient());
-            assert_eq!(debt.0, 7);
-            assert_eq!(debt.1.to_bits(), expected.to_bits());
-        });
-        // The fragment I/O ladder honours the same ceiling.
-        let (mut retries, mut secs) = (0, 0.0);
-        let out: Result<(), IoError> =
-            crate::retry::retry_io(policy, &mut retries, &mut secs, || {
-                Err(IoError::TransientRead(id))
-            });
-        assert!(out.is_err());
-        assert_eq!(retries, 7);
-        assert_eq!(secs.to_bits(), expected.to_bits());
-    }
-
-    #[test]
     fn recorded_attempts_are_the_ladder_and_tracing_changes_no_decision() {
-        let policy = RetryPolicy::default();
         let run = |obs: Observer| {
             let fs = faulty_fs(FaultConfig::seeded(1).with_transient_reads(1.0));
             let (catalog, plan, id) = world(&fs, &[]);
             let backend = SimBackend::paper_default();
             let root = obs.record_span(1, "query", None, deepsea_obs::SpanCtx::root(1), 0.0, 9.0);
-            let out = with_view(&catalog, &fs, &backend, &obs, policy, |view| {
+            let out = with_view(&catalog, &fs, &backend, &obs, |view| {
                 let mut ctx = QueryContext::new(&plan, 1).in_span(root, 0.0);
                 let (_, debt) = view.execute_retrying(&mut ctx).unwrap_err();
                 view.fall_back(&LogicalPlan::scan("t"), &mut ctx, debt)
@@ -1339,10 +1314,7 @@ mod retry_ladder {
         for (i, s) in steps.iter().enumerate() {
             assert_eq!(s.attempt, i as u32);
             assert_eq!(s.file, Some(id));
-            assert_eq!(
-                s.backoff_secs.to_bits(),
-                policy.backoff_secs(s.attempt).to_bits()
-            );
+            assert_eq!(s.backoff_secs.to_bits(), backoff_secs(s.attempt).to_bits());
         }
         let waits = spans.iter().filter(|s| s.name == "retry_wait").count();
         assert_eq!(waits as u64, debt.0, "one retry_wait span per retry");
@@ -1355,8 +1327,7 @@ mod retry_ladder {
         let plan = LogicalPlan::scan("t");
         let backend = SimBackend::paper_default();
         let direct = backend.execute(&plan, &catalog, &fs).unwrap();
-        let policy = RetryPolicy::default();
-        with_view(&catalog, &fs, &backend, &Observer::off(), policy, |view| {
+        with_view(&catalog, &fs, &backend, &Observer::off(), |view| {
             let mut ctx = QueryContext::new(&plan, 1);
             let (t, m) = view.execute_retrying(&mut ctx).unwrap();
             assert_eq!(t.fingerprint(), direct.0.fingerprint());

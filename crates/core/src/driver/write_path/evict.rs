@@ -112,7 +112,8 @@ impl DeepSea {
                     };
                 };
                 let hits = self.registry.ledger().hits(*vid, attr);
-                let ha = vm.fragment_adjusted_hits(ps, hits, tnow, tmax)[fid.0 as usize];
+                let valued = vm.value_fragments(ps, hits, view_size, cost, tnow, tmax);
+                let ha = valued.adjusted_hits[fid.0 as usize];
                 let share = if view_size == 0 {
                     0.0
                 } else {

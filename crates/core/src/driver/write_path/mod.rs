@@ -37,7 +37,7 @@ use deepsea_relation::Table;
 use deepsea_storage::FileId;
 
 use crate::durability::{apply_record, stats_checkpoint, Applied, CatalogRecord, CatalogSnapshot};
-use crate::retry::{retry_io, RetryPolicy};
+use crate::retry::retry_io;
 
 use super::context::QueryContext;
 use super::{DeepSea, JournalDebt, QueryOutcome};
@@ -68,16 +68,16 @@ impl DeepSea {
             applied.files.iter().all(|f| self.fs.verify(*f).is_none()),
             "fs-first: {record:?} unlinked a file the file system still holds"
         );
-        let _ = self.pool.reserve(applied.reserved);
+        self.pool.reserve(applied.reserved);
         let _ = self.pool.release(applied.released);
         self.journal_emit(record);
         applied
     }
 
     /// Append one record to the attached journal (no-op without one).
-    /// Transient journal-write failures are retried under the configured
-    /// retry policy, accumulating backoff seconds into the journal debt; a
-    /// record is never dropped (out of retries, the write is forced —
+    /// Transient journal-write failures are retried on the retry ladder,
+    /// accumulating backoff seconds into the journal debt; a record is
+    /// never dropped (out of retries, the write is forced —
     /// modelling a synchronous fsync path). An armed simulated crash fires
     /// from inside the append and propagates as a panic — exactly the
     /// torn-state semantics the crash harness exercises.
@@ -88,12 +88,9 @@ impl DeepSea {
         self.journal_debt.appends += 1;
         self.appends_since_snapshot += 1;
         let debt = &mut self.journal_debt;
-        let appended = retry_io(
-            RetryPolicy::default(),
-            &mut debt.retries,
-            &mut debt.penalty_secs,
-            || journal.append(record.clone()),
-        );
+        let appended = retry_io(&mut debt.retries, &mut debt.penalty_secs, || {
+            journal.append(record.clone())
+        });
         if appended.is_err() {
             journal.append_infallible(record);
         }

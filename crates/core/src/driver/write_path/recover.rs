@@ -1,6 +1,6 @@
-//! Fault recovery: retrying fragment I/O under the configured
-//! [`RetryPolicy`](crate::RetryPolicy) and quarantining views whose backing
-//! data is permanently lost.
+//! Fault recovery: retrying fragment I/O on the driver's retry ladder
+//! (`retry.rs`: three retries, 3.5 s of backoff in all) and quarantining
+//! views whose backing data is permanently lost.
 //!
 //! The contract that makes all of this safe is the paper's framing of views
 //! as *opportunistic accelerators*: base tables are durable and can always
@@ -18,28 +18,24 @@ use deepsea_storage::{placement_key, FileId, IoError};
 
 use crate::durability::{CatalogRecord, FsckReport};
 use crate::filter_tree::ViewId;
-use crate::retry::{retry_io, RetryPolicy};
+use crate::retry::retry_io;
 use crate::stats::LogicalTime;
 
 use super::super::context::{CreationCharge, QueryContext};
 use super::super::DeepSea;
 
 impl DeepSea {
-    /// Read a fragment file, retrying transient failures under
-    /// [`RetryPolicy::default`]. Retry counts and backoff/spike seconds accumulate
-    /// into `charge`. A permanent loss or an exhausted budget returns the
-    /// error.
+    /// Read a fragment file, retrying transient failures on the retry
+    /// ladder. Retry counts and backoff/spike seconds accumulate into
+    /// `charge`. A permanent loss or an exhausted ladder returns the error.
     pub(crate) fn read_retrying(
         &self,
         file: FileId,
         charge: &mut CreationCharge,
     ) -> Result<(Arc<Table>, u64), IoError> {
-        let out = retry_io(
-            RetryPolicy::default(),
-            &mut charge.retries,
-            &mut charge.penalty_secs,
-            || self.fs.try_read(file),
-        )?;
+        let out = retry_io(&mut charge.retries, &mut charge.penalty_secs, || {
+            self.fs.try_read(file)
+        })?;
         charge.penalty_secs += out.spike_secs;
         Ok((out.value, out.sim_bytes))
     }
@@ -47,14 +43,14 @@ impl DeepSea {
     /// Create a file on the datanodes its name hashes to (deterministic per
     /// view/fragment — the name encodes `(view, attr, interval)`), as many as
     /// the cluster's replication factor (no nodes without a cluster),
-    /// retrying transient write failures under
-    /// [`RetryPolicy::default`]. Writes never lose data: the payload is in memory, so
-    /// once the budget is exhausted (e.g. the whole placement is down) the
-    /// write is forced through and the placement recorded — the queued write
-    /// lands once the nodes return. The surplus replica bytes are added to
-    /// `charge.write_bytes` so replication I/O is priced through the same
-    /// `CostWeights` as any other write; callers still add the base size
-    /// themselves. Returns the file and its placement.
+    /// retrying transient write failures on the retry ladder. Writes never
+    /// lose data: the payload is in memory, so once the ladder is exhausted
+    /// (e.g. the whole placement is down) the write is forced through and
+    /// the placement recorded — the queued write lands once the nodes
+    /// return. The surplus replica bytes are added to `charge.write_bytes`
+    /// so replication I/O is priced through the same `CostWeights` as any
+    /// other write; callers still add the base size themselves. Returns the
+    /// file and its placement.
     pub(crate) fn create_placed(
         &self,
         name: String,
@@ -68,15 +64,10 @@ impl DeepSea {
             }
             None => Vec::new(),
         };
-        let created = retry_io(
-            RetryPolicy::default(),
-            &mut charge.retries,
-            &mut charge.penalty_secs,
-            || {
-                self.fs
-                    .try_create_placed(name.clone(), sim_bytes, payload.clone(), &nodes)
-            },
-        );
+        let created = retry_io(&mut charge.retries, &mut charge.penalty_secs, || {
+            self.fs
+                .try_create_placed(name.clone(), sim_bytes, payload.clone(), &nodes)
+        });
         let id = match created {
             Ok(out) => {
                 charge.penalty_secs += out.spike_secs;

@@ -327,7 +327,7 @@ impl<'a> AllCand<'a> {
                 Some(ps) if progressive => {
                     let hits = ledger.hits(vid, &ps.attr);
                     let (size, cost) = (view.stats.size, view.stats.cost);
-                    let values = vm.fragment_values(ps, hits, size, cost, tnow, tmax);
+                    let values = vm.value_fragments(ps, hits, size, cost, tnow, tmax).values;
                     // Tracked candidates can overlap (pieces from different
                     // queries' splits); the initial materialization keeps a
                     // greedy Φ-ranked *disjoint* subset so the view is not

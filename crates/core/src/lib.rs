@@ -62,7 +62,6 @@ pub use driver::{DeepSea, QueryOutcome, QueryTrace, RecoveryTrace};
 pub use durability::{CatalogJournal, CatalogRecord, CatalogSnapshot, FsckReport};
 pub use interval::Interval;
 pub use policy::{PartitionPolicy, ValueModel};
-pub use retry::RetryPolicy;
 pub use server::{
     ClientRecord, LatencyExemplar, NodeAction, ServeReport, ServerConfig, ShedPolicy, ViewServer,
 };

@@ -71,28 +71,15 @@ impl ValueModel {
     }
 
     /// Values for every fragment of a partition at `tnow`, keyed by position
-    /// in `partition.fragments`; `hits` are the partition's statistics.
+    /// in `partition.fragments`, with the adjusted hits each was weighed by
+    /// and the MLE fit they went through, so that one pass over the hit
+    /// lists per partition and commit serves the ranking and the audit log;
+    /// `hits` are the partition's statistics.
     ///
     /// For `DeepSea { use_mle: true }` the decayed hits of the whole
     /// partition are first smoothed through the MLE normal fit and each
     /// fragment is revalued by its adjusted hits `HA(I)` — this is the
     /// mechanism that keeps cold neighbors of hot spots alive (Figure 8).
-    pub fn fragment_values(
-        &self,
-        partition: &PartitionState,
-        hits: PartitionHits,
-        view_size: u64,
-        view_cost: f64,
-        tnow: LogicalTime,
-        tmax: LogicalTime,
-    ) -> Vec<f64> {
-        self.value_fragments(partition, hits, view_size, view_cost, tnow, tmax)
-            .values
-    }
-
-    /// [`ValueModel::fragment_values`] together with the MLE fit it went
-    /// through, so that one pass over the hit lists per partition and commit
-    /// serves the ranking and the audit log.
     pub fn value_fragments(
         &self,
         partition: &PartitionState,
@@ -102,98 +89,68 @@ impl ValueModel {
         tnow: LogicalTime,
         tmax: LogicalTime,
     ) -> PartitionValues {
-        match self {
-            ValueModel::DeepSea { use_mle } => {
-                let (decayed_hits, fit) =
-                    decayed_hits_and_fit(partition, hits, *use_mle, tnow, tmax);
-                let values = partition
-                    .fragments()
-                    .iter()
-                    .zip(&decayed_hits)
-                    .map(|(f, &h)| {
-                        let ha = match &fit {
-                            Some(fit) => adjusted_hits(fit.total_hits, &fit.normal, &f.interval),
-                            None => h,
-                        };
-                        FragStats::phi_with_hits(ha, f.size, view_size, view_cost)
-                    })
-                    .collect();
-                PartitionValues { values, fit }
-            }
-            ValueModel::Nectar | ValueModel::NectarPlus => {
-                let values = partition
-                    .fragments()
-                    .iter()
-                    .map(|f| {
-                        if f.size == 0 || view_size == 0 {
-                            return 0.0;
-                        }
-                        let stats = hits.of(f.id);
-                        let dt = delta_t(stats.last_hit(), tnow);
-                        let per_hit = (f.size as f64 / view_size as f64) * view_cost;
-                        let benefit = match self {
-                            // Nectar: only the most recent hit counts.
-                            ValueModel::Nectar => {
-                                if stats.raw_hits() > 0 {
-                                    per_hit
-                                } else {
-                                    0.0
-                                }
-                            }
-                            // Nectar+: accumulated, undecayed.
-                            _ => per_hit * stats.raw_hits() as f64,
-                        };
-                        view_cost * benefit / (f.size as f64 * dt)
-                    })
-                    .collect();
-                PartitionValues { values, fit: None }
-            }
+        let (adjusted_hits, fit) = self.adjusted_hits_and_fit(partition, hits, tnow, tmax);
+        let values = partition
+            .fragments()
+            .iter()
+            .zip(&adjusted_hits)
+            .map(|(f, &ha)| match self {
+                ValueModel::DeepSea { .. } => {
+                    FragStats::phi_with_hits(ha, f.size, view_size, view_cost)
+                }
+                ValueModel::Nectar | ValueModel::NectarPlus => {
+                    if f.size == 0 || view_size == 0 {
+                        return 0.0;
+                    }
+                    let dt = delta_t(hits.of(f.id).last_hit(), tnow);
+                    let per_hit = (f.size as f64 / view_size as f64) * view_cost;
+                    view_cost * (per_hit * ha) / (f.size as f64 * dt)
+                }
+            })
+            .collect();
+        PartitionValues {
+            values,
+            adjusted_hits,
+            fit,
         }
     }
 
-    /// The per-fragment hit counts `HA(I)` this model's [`fragment_values`]
-    /// weighs benefit by — MLE-adjusted where the fit is active, decayed
-    /// hits otherwise (Nectar: 1 iff ever hit; Nectar+: raw hits). Exposed
-    /// so the decision audit log can report the exact hits a fragment's Φ
-    /// was derived from.
-    ///
-    /// [`fragment_values`]: ValueModel::fragment_values
-    pub fn fragment_adjusted_hits(
+    /// The per-fragment hit counts `HA(I)` this model weighs benefit by —
+    /// MLE-adjusted where the fit is active, decayed hits otherwise. Nectar
+    /// counts only the most recent hit (1 iff ever hit); Nectar+ accumulates
+    /// raw hits, undecayed.
+    fn adjusted_hits_and_fit(
         &self,
         partition: &PartitionState,
         hits: PartitionHits,
         tnow: LogicalTime,
         tmax: LogicalTime,
-    ) -> Vec<f64> {
+    ) -> (Vec<f64>, Option<PartitionFit>) {
         match self {
             ValueModel::DeepSea { use_mle } => {
                 let (decayed_hits, fit) =
                     decayed_hits_and_fit(partition, hits, *use_mle, tnow, tmax);
-                match fit {
+                let ha = match &fit {
                     Some(fit) => partition
                         .fragments()
                         .iter()
                         .map(|f| adjusted_hits(fit.total_hits, &fit.normal, &f.interval))
                         .collect(),
                     None => decayed_hits,
-                }
+                };
+                (ha, fit)
             }
-            ValueModel::Nectar => partition
-                .fragments()
-                .iter()
-                .map(|f| {
-                    if hits.of(f.id).raw_hits() > 0 {
-                        1.0
-                    } else {
-                        0.0
+            ValueModel::Nectar | ValueModel::NectarPlus => {
+                let ha = partition.fragments().iter().map(|f| {
+                    let raw = hits.of(f.id).raw_hits();
+                    match self {
+                        ValueModel::Nectar if raw > 0 => 1.0,
+                        ValueModel::Nectar => 0.0,
+                        _ => raw as f64,
                     }
-                })
-                .collect(),
-            ValueModel::NectarPlus => partition
-                .fragments()
-                .iter()
-                .map(|f| hits.of(f.id).raw_hits() as f64)
-                .collect(),
+                });
+                (ha.collect(), None)
+            }
         }
     }
 }
@@ -213,6 +170,8 @@ pub struct PartitionFit {
 pub struct PartitionValues {
     /// `Φ(I, tnow)` per fragment, keyed by position in `partition.fragments`.
     pub values: Vec<f64>,
+    /// `HA(I)` per fragment, the hits each value was weighed by.
+    pub adjusted_hits: Vec<f64>,
     /// The MLE fit the values were smoothed through, when one was active.
     pub fit: Option<PartitionFit>,
 }
@@ -388,8 +347,9 @@ mod tests {
     fn mle_gives_hot_neighbor_more_value_than_distant() {
         let (p, hits) = partition_with_hits();
         let hits = PartitionHits::new(&hits);
-        let vals =
-            ValueModel::DeepSea { use_mle: true }.fragment_values(&p, hits, 300, 50.0, 10, 100);
+        let vals = ValueModel::DeepSea { use_mle: true }
+            .value_fragments(&p, hits, 300, 50.0, 10, 100)
+            .values;
         assert!(vals[0] > vals[1], "hot beats neighbor");
         assert!(
             vals[1] > vals[2],
@@ -402,8 +362,9 @@ mod tests {
     fn without_mle_cold_fragments_are_equal() {
         let (p, hits) = partition_with_hits();
         let hits = PartitionHits::new(&hits);
-        let vals =
-            ValueModel::DeepSea { use_mle: false }.fragment_values(&p, hits, 300, 50.0, 10, 100);
+        let vals = ValueModel::DeepSea { use_mle: false }
+            .value_fragments(&p, hits, 300, 50.0, 10, 100)
+            .values;
         assert!(vals[0] > vals[1]);
         assert_eq!(vals[1], 0.0);
         assert_eq!(vals[2], 0.0, "no correlation smoothing without MLE");
@@ -413,8 +374,12 @@ mod tests {
     fn nectar_fragments_ignore_correlation_and_accumulation() {
         let (p, hits) = partition_with_hits();
         let hits = PartitionHits::new(&hits);
-        let n = ValueModel::Nectar.fragment_values(&p, hits, 300, 50.0, 10, 100);
-        let nplus = ValueModel::NectarPlus.fragment_values(&p, hits, 300, 50.0, 10, 100);
+        let n = ValueModel::Nectar
+            .value_fragments(&p, hits, 300, 50.0, 10, 100)
+            .values;
+        let nplus = ValueModel::NectarPlus
+            .value_fragments(&p, hits, 300, 50.0, 10, 100)
+            .values;
         assert_eq!(n[1], 0.0);
         assert_eq!(n[2], 0.0);
         assert!(nplus[0] > n[0], "N+ accumulates the 20 hits");
@@ -422,29 +387,48 @@ mod tests {
 
     #[test]
     fn adjusted_hits_reconstruct_fragment_values() {
-        // The audit log derives a fragment's Φ breakdown from
-        // `fragment_adjusted_hits`; that reconstruction must agree with the
-        // values the selection policy actually ranks by.
+        // The audit log reads a fragment's Φ breakdown off the adjusted hits
+        // `value_fragments` weighed it by; that reconstruction must agree
+        // with the values the selection policy actually ranks by.
         let (p, hits) = partition_with_hits();
         let hits = PartitionHits::new(&hits);
         for vm in [
             ValueModel::DeepSea { use_mle: true },
             ValueModel::DeepSea { use_mle: false },
+            ValueModel::Nectar,
+            ValueModel::NectarPlus,
         ] {
-            let vals = vm.fragment_values(&p, hits, 300, 50.0, 10, 100);
-            let ha = vm.fragment_adjusted_hits(&p, hits, 10, 100);
+            let valued = vm.value_fragments(&p, hits, 300, 50.0, 10, 100);
+            let (vals, ha) = (&valued.values, &valued.adjusted_hits);
             assert_eq!(vals.len(), ha.len());
             for (i, f) in p.fragments().iter().enumerate() {
-                let rebuilt = FragStats::phi_with_hits(ha[i], f.size, 300, 50.0);
-                assert_eq!(vals[i], rebuilt, "{vm:?} fragment {i}");
+                let benefit = (f.size as f64 / 300.0) * 50.0 * ha[i];
+                let rebuilt = match vm {
+                    ValueModel::DeepSea { .. } => 50.0 * benefit / f.size as f64,
+                    _ => {
+                        let dt = delta_t(hits.of(f.id).last_hit(), 10);
+                        50.0 * benefit / (f.size as f64 * dt)
+                    }
+                };
+                assert_eq!(vals[i].to_bits(), rebuilt.to_bits(), "{vm:?} fragment {i}");
             }
         }
+        let ha = |vm: ValueModel| {
+            vm.value_fragments(&p, hits, 300, 50.0, 10, 100)
+                .adjusted_hits
+        };
+        assert_eq!(ha(ValueModel::Nectar), [1.0, 0.0, 0.0], "only the last hit");
+        assert_eq!(
+            ha(ValueModel::NectarPlus),
+            [20.0, 0.0, 0.0],
+            "raw, undecayed"
+        );
     }
 
     #[test]
     fn empty_partition_values() {
         let p = PartitionState::new("a.k", Interval::new(0, 9));
-        let vals = ValueModel::DeepSea { use_mle: true }.fragment_values(
+        let valued = ValueModel::DeepSea { use_mle: true }.value_fragments(
             &p,
             PartitionHits::default(),
             100,
@@ -452,7 +436,7 @@ mod tests {
             1,
             10,
         );
-        assert!(vals.is_empty());
+        assert!(valued.values.is_empty() && valued.adjusted_hits.is_empty());
     }
 
     #[test]

@@ -33,7 +33,6 @@ use crate::driver::context::QueryContext;
 use crate::driver::read_path::{ReadView, RewritingMemo};
 use crate::driver::{DeepSea, QueryTrace};
 use crate::registry::ViewRegistry;
-use crate::retry::RetryPolicy;
 
 /// A frozen, shareable view of everything the read path consults, stamped
 /// with the epoch (committed-query count) it was published at.
@@ -150,7 +149,6 @@ impl ReadSnapshot {
             fs: &self.fs,
             backend: self.backend.as_ref(),
             obs: &self.obs,
-            retry: RetryPolicy::default(),
             // Baseline reads run nothing a commit would adopt.
             rewritings: self
                 .config
@@ -177,9 +175,9 @@ impl ReadSnapshot {
     /// shared file system carries its hedge-trace gate to every reader.
     ///
     /// Each read runs the read path over the plan the writer's policy would
-    /// execute, retrying under [`RetryPolicy::default`]. The forked backend shares
-    /// the writer's memo of executed plans, so a commit of the plan this
-    /// read ran does not compute it again (`SimBackend`).
+    /// execute, on the driver's retry ladder (`retry.rs`). The forked backend
+    /// shares the writer's memo of executed plans, so a commit of the plan
+    /// this read ran does not compute it again (`SimBackend`).
     pub fn answer_in_span(
         &self,
         plan: &LogicalPlan,

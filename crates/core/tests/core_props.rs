@@ -99,7 +99,7 @@ proptest! {
                 slots.push(stats);
             }
             let hits = PartitionHits::new(&slots);
-            let values = vm.fragment_values(&p, hits, 1_000, 50.0, tnow, 1_000);
+            let values = vm.value_fragments(&p, hits, 1_000, 50.0, tnow, 1_000).values;
             prop_assert!(
                 values[1] + 1e-9 >= values[0],
                 "{vm:?}: hot {} < cold {}",

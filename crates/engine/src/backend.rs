@@ -10,8 +10,8 @@
 //! cluster.
 //!
 //! A backend does not retry: an execution's transient error goes back to
-//! the driver, whose one retry ladder re-runs it under the default
-//! `RetryPolicy` and charges the backoff to the query.
+//! the driver, whose one retry ladder re-runs it at most three times, after
+//! 0.5, 1 and 2 simulated seconds, and charges the backoff to the query.
 
 // deepsea-lint: allow(layering) -- the plan memo shared with forked readers; one lock at a time, never held across an execution
 use std::sync::{Arc, Mutex};

@@ -32,7 +32,9 @@ pub mod span;
 pub mod trace;
 
 pub use events::{DecisionEvent, EventLog, EventRecord, PhiBreakdown};
-pub use metrics::{Histogram, MetricsRegistry, HISTOGRAM_BUCKETS, OVERFLOW_LABEL};
+pub use metrics::{
+    Histogram, MetricsRegistry, HISTOGRAM_BUCKETS, MAX_LABELS_PER_METRIC, OVERFLOW_LABEL,
+};
 pub use prometheus::{parse_prometheus, render_prometheus, PromSample};
 pub use span::{SpanCtx, SpanLog, SpanRecord};
 pub use trace::{
@@ -68,9 +70,6 @@ impl Default for ObsConfig {
     }
 }
 
-/// Per-metric label cardinality budget (see [`metrics::MetricsRegistry`]).
-const MAX_LABELS_PER_METRIC: usize = 256;
-
 #[derive(Debug)]
 struct State {
     metrics: MetricsRegistry,
@@ -98,7 +97,7 @@ impl Observer {
         }
         Self {
             state: Some(Arc::new(Mutex::new(State {
-                metrics: MetricsRegistry::new(MAX_LABELS_PER_METRIC),
+                metrics: MetricsRegistry::default(),
                 spans: SpanLog::default(),
                 events: EventLog::default(),
             }))),
@@ -304,7 +303,6 @@ mod tests {
             obs.counter_inc("hits", Some(&format!("V{i}")));
         }
         let metrics = obs.metrics_snapshot();
-        assert_eq!(metrics.max_cardinality, MAX_LABELS_PER_METRIC);
         assert_eq!(metrics.counters["hits"].len(), MAX_LABELS_PER_METRIC + 1);
         assert_eq!(metrics.counter("hits", Some(metrics::OVERFLOW_LABEL)), 3);
     }

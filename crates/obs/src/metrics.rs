@@ -3,8 +3,8 @@
 //!
 //! Every metric is addressed by a `&'static str` name plus an optional
 //! label (a view or fragment identifier). Label cardinality is bounded per
-//! metric: once a metric has [`MetricsRegistry::max_cardinality`] distinct
-//! labels, further *new* labels collapse into [`OVERFLOW_LABEL`] — existing
+//! metric: once a metric has [`MAX_LABELS_PER_METRIC`] distinct labels,
+//! further *new* labels collapse into [`OVERFLOW_LABEL`] — existing
 //! labels keep updating. This is the standard defence against unbounded
 //! time-series growth when fragment churn mints new identifiers.
 
@@ -12,6 +12,9 @@ use std::collections::BTreeMap;
 
 /// The label that absorbs updates once a metric's cardinality limit is hit.
 pub const OVERFLOW_LABEL: &str = "__other__";
+
+/// Per-metric label cardinality budget; the unlabeled series counts too.
+pub const MAX_LABELS_PER_METRIC: usize = 256;
 
 /// Number of histogram buckets: underflow + 62 log₂ buckets + overflow.
 pub const HISTOGRAM_BUCKETS: usize = 64;
@@ -121,29 +124,15 @@ pub struct MetricsRegistry {
     pub counters: BTreeMap<&'static str, Series<u64>>,
     /// Log-bucket histograms.
     pub histograms: BTreeMap<&'static str, Series<Histogram>>,
-    /// Per-metric label cardinality limit.
-    pub max_cardinality: usize,
 }
 
 impl MetricsRegistry {
-    /// A registry bounding each metric to `max_cardinality` labels.
-    pub fn new(max_cardinality: usize) -> Self {
-        Self {
-            max_cardinality: max_cardinality.max(1),
-            ..Self::default()
-        }
-    }
-
-    fn slot<'a, T: Default>(
-        series: &'a mut Series<T>,
-        label: Option<&str>,
-        max: usize,
-    ) -> &'a mut T {
+    fn slot<'a, T: Default>(series: &'a mut Series<T>, label: Option<&str>) -> &'a mut T {
         let key = match label {
             None => None,
             Some(l) => {
                 let owned = Some(l.to_string());
-                if series.contains_key(&owned) || series.len() < max {
+                if series.contains_key(&owned) || series.len() < MAX_LABELS_PER_METRIC {
                     owned
                 } else {
                     Some(OVERFLOW_LABEL.to_string())
@@ -155,14 +144,12 @@ impl MetricsRegistry {
 
     /// Add to a counter.
     pub fn counter_add(&mut self, name: &'static str, label: Option<&str>, delta: u64) {
-        let max = self.max_cardinality;
-        *Self::slot(self.counters.entry(name).or_default(), label, max) += delta;
+        *Self::slot(self.counters.entry(name).or_default(), label) += delta;
     }
 
     /// Record a histogram observation.
     pub fn observe(&mut self, name: &'static str, label: Option<&str>, v: f64) {
-        let max = self.max_cardinality;
-        Self::slot(self.histograms.entry(name).or_default(), label, max).observe(v);
+        Self::slot(self.histograms.entry(name).or_default(), label).observe(v);
     }
 
     /// Read a counter (0 when absent).
@@ -179,25 +166,6 @@ impl MetricsRegistry {
         self.histograms
             .get(name)
             .and_then(|s| s.get(&label.map(String::from)))
-    }
-
-    /// The `n` largest labeled series of a counter, descending (ties broken
-    /// by label, ascending, for determinism). Unlabeled and overflow series
-    /// are excluded.
-    pub fn top_counters(&self, name: &str, n: usize) -> Vec<(String, u64)> {
-        let mut rows: Vec<(String, u64)> = self
-            .counters
-            .get(name)
-            .map(|s| {
-                s.iter()
-                    .filter_map(|(k, v)| k.clone().map(|k| (k, *v)))
-                    .filter(|(k, _)| k != OVERFLOW_LABEL)
-                    .collect()
-            })
-            .unwrap_or_default();
-        rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        rows.truncate(n);
-        rows
     }
 }
 
@@ -242,7 +210,7 @@ mod tests {
         h.observe(1.0);
         h.observe(f64::INFINITY);
         assert_eq!(h.quantile(1.0), Some(f64::INFINITY));
-        let mut m = MetricsRegistry::new(4);
+        let mut m = MetricsRegistry::default();
         m.observe("lat", None, 1.0);
         m.observe("lat", None, f64::INFINITY);
         let text = crate::prometheus::render_prometheus(&m);
@@ -318,7 +286,7 @@ mod tests {
 
     #[test]
     fn counter_basics() {
-        let mut m = MetricsRegistry::new(16);
+        let mut m = MetricsRegistry::default();
         m.counter_add("q_total", None, 1);
         m.counter_add("q_total", None, 2);
         m.counter_add("hits", Some("V1"), 5);
@@ -329,22 +297,22 @@ mod tests {
 
     #[test]
     fn label_cardinality_collapses_to_overflow() {
-        let mut m = MetricsRegistry::new(3);
-        for i in 0..10 {
+        let mut m = MetricsRegistry::default();
+        for i in 0..MAX_LABELS_PER_METRIC + 7 {
             m.counter_add("hits", Some(&format!("V{i}")), 1);
         }
-        let series = &m.counters["hits"];
-        // 3 real labels + the overflow series.
-        assert_eq!(series.len(), 4);
+        // The budget's real labels + the overflow series.
+        assert_eq!(series_len(&m, "hits"), MAX_LABELS_PER_METRIC + 1);
         assert_eq!(m.counter("hits", Some(OVERFLOW_LABEL)), 7);
         // Existing labels keep updating after the limit is hit.
         m.counter_add("hits", Some("V0"), 10);
         assert_eq!(m.counter("hits", Some("V0")), 11);
-        assert_eq!(series_len(&m, "hits"), 4);
+        assert_eq!(series_len(&m, "hits"), MAX_LABELS_PER_METRIC + 1);
         // Histograms share the rule.
-        let mut h = MetricsRegistry::new(1);
-        h.observe("h", Some("a"), 1.0);
-        h.observe("h", Some("b"), 1.0);
+        let mut h = MetricsRegistry::default();
+        for i in 0..MAX_LABELS_PER_METRIC + 1 {
+            h.observe("h", Some(&format!("V{i}")), 1.0);
+        }
         assert_eq!(h.histogram("h", Some(OVERFLOW_LABEL)).unwrap().count, 1);
     }
 
@@ -354,34 +322,17 @@ mod tests {
 
     #[test]
     fn unlabeled_series_shares_the_budget() {
-        let mut m = MetricsRegistry::new(2);
+        let mut m = MetricsRegistry::default();
         m.counter_add("c", None, 1);
-        m.counter_add("c", Some("a"), 1);
-        m.counter_add("c", Some("b"), 1);
-        // None + a + overflow(b): the unlabeled slot consumed one budget
-        // entry (documented behaviour: the limit bounds total series).
+        for i in 0..MAX_LABELS_PER_METRIC {
+            m.counter_add("c", Some(&format!("V{i}")), 1);
+        }
+        // None + the first budget − 1 labels + overflow(the last): the
+        // unlabeled slot consumed one budget entry (documented behaviour:
+        // the limit bounds total series).
         assert_eq!(m.counter("c", None), 1);
-        assert_eq!(m.counter("c", Some("a")), 1);
+        assert_eq!(m.counter("c", Some("V0")), 1);
         assert_eq!(m.counter("c", Some(OVERFLOW_LABEL)), 1);
-    }
-
-    #[test]
-    fn top_counters_sorted_and_truncated() {
-        let mut m = MetricsRegistry::new(16);
-        m.counter_add("hits", Some("V1"), 5);
-        m.counter_add("hits", Some("V2"), 9);
-        m.counter_add("hits", Some("V3"), 9);
-        m.counter_add("hits", Some("V4"), 1);
-        m.counter_add("hits", None, 100); // unlabeled excluded
-        let top = m.top_counters("hits", 3);
-        assert_eq!(
-            top,
-            vec![
-                ("V2".to_string(), 9),
-                ("V3".to_string(), 9),
-                ("V1".to_string(), 5)
-            ]
-        );
-        assert!(m.top_counters("absent", 3).is_empty());
+        assert_eq!(series_len(&m, "c"), MAX_LABELS_PER_METRIC + 1);
     }
 }

@@ -197,7 +197,7 @@ mod tests {
 
     #[test]
     fn render_and_parse_roundtrip() {
-        let mut m = MetricsRegistry::new(16);
+        let mut m = MetricsRegistry::default();
         m.counter_add("deepsea_queries_total", None, 42);
         m.counter_add("deepsea_view_hits_total", Some("V1"), 5);
         m.counter_add("deepsea_view_hits_total", Some("V2"), 9);
@@ -239,7 +239,7 @@ mod tests {
 
     #[test]
     fn type_lines_precede_samples() {
-        let mut m = MetricsRegistry::new(4);
+        let mut m = MetricsRegistry::default();
         m.counter_add("c_total", None, 1);
         let text = render_prometheus(&m);
         assert!(text.starts_with("# TYPE c_total counter\nc_total 1\n"));
@@ -247,7 +247,7 @@ mod tests {
 
     #[test]
     fn label_values_are_escaped_and_unescaped() {
-        let mut m = MetricsRegistry::new(4);
+        let mut m = MetricsRegistry::default();
         m.counter_add("c", Some("V\"odd\\name"), 7);
         let text = render_prometheus(&m);
         let samples = parse_prometheus(&text).unwrap();
@@ -269,7 +269,7 @@ mod tests {
 
     #[test]
     fn histograms_emit_percentile_gauges() {
-        let mut m = MetricsRegistry::new(4);
+        let mut m = MetricsRegistry::default();
         for _ in 0..100 {
             m.observe("lat", Some("V1"), 4.0);
         }

@@ -13,7 +13,8 @@
 //!    more expensive per byte than reading (`wwrite ≫ wread`, §7.2 of the
 //!    paper). See [`CostWeights`].
 //! 3. **A bounded materialized-view pool** — total view/fragment storage must
-//!    stay below `Smax` ([`PoolAccountant`]).
+//!    stay below `Smax`; view selection enforces it, and [`PoolAccountant`]
+//!    counts what the pool holds.
 //!
 //! For robustness testing the FS can also inject deterministic, seed-driven
 //! faults — transient read/write failures, permanent fragment loss, checksum

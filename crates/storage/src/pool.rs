@@ -1,62 +1,40 @@
 //! Materialized-view pool storage accounting.
 
-/// Error returned when an accounting operation is inconsistent: a reservation
-/// that would exceed the pool limit, or a release of more bytes than are
-/// reserved.
+/// Error returned when a release names more bytes than are reserved — an
+/// accounting bug in the caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolError {
-    /// Bytes that were requested.
+    /// Bytes the caller asked to release.
     pub requested: u64,
-    /// Bytes available for the operation (headroom for a reserve, reserved
-    /// bytes for a release).
-    pub available: u64,
+    /// Bytes that were reserved at the time.
+    pub reserved: u64,
 }
 
 impl std::fmt::Display for PoolError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "pool limit exceeded: requested {} bytes, {} available",
-            self.requested, self.available
+            "pool over-release: requested {} bytes, {} reserved",
+            self.requested, self.reserved
         )
     }
 }
 
 impl std::error::Error for PoolError {}
 
-/// Tracks the storage used by the materialized-view pool against the limit
-/// `Smax` (Definition 4, constraint 3: `S(Ci) <= Smax` for all i).
-///
-/// `smax == None` models the paper's "∞" pool-size setting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Counts the storage the materialized-view pool uses, and the accounting
+/// violations its callers commit. It enforces no limit: `S(Ci) <= Smax`
+/// (Definition 4, constraint 3) is enforced by view selection.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolAccountant {
-    smax: Option<u64>,
     used: u64,
     violations: u64,
 }
 
 impl PoolAccountant {
-    /// A pool bounded by `smax` simulated bytes.
-    pub fn bounded(smax: u64) -> Self {
-        Self {
-            smax: Some(smax),
-            used: 0,
-            violations: 0,
-        }
-    }
-
-    /// An unbounded pool (the paper's `∞` configuration).
-    pub fn unbounded() -> Self {
-        Self {
-            smax: None,
-            used: 0,
-            violations: 0,
-        }
-    }
-
-    /// The configured limit, if any.
-    pub fn smax(&self) -> Option<u64> {
-        self.smax
+    /// An empty ledger.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Bytes currently reserved.
@@ -64,27 +42,9 @@ impl PoolAccountant {
         self.used
     }
 
-    /// Bytes still available under the limit; an unbounded pool's limit is
-    /// `u64::MAX`, so a reservation can never wrap its usage.
-    pub fn available(&self) -> u64 {
-        self.smax.unwrap_or(u64::MAX).saturating_sub(self.used)
-    }
-
-    /// Whether a reservation of `bytes` would fit.
-    pub fn fits(&self, bytes: u64) -> bool {
-        bytes <= self.available()
-    }
-
-    /// Reserve `bytes`; fails without side effects if it would exceed `Smax`.
-    pub fn reserve(&mut self, bytes: u64) -> Result<(), PoolError> {
-        if !self.fits(bytes) {
-            return Err(PoolError {
-                requested: bytes,
-                available: self.available(),
-            });
-        }
-        self.used += bytes;
-        Ok(())
+    /// Reserve `bytes`. Usage saturates at `u64::MAX`, so it never wraps.
+    pub fn reserve(&mut self, bytes: u64) {
+        self.used = self.used.saturating_add(bytes);
     }
 
     /// Release previously reserved bytes.
@@ -96,12 +56,12 @@ impl PoolAccountant {
     /// error reports how many bytes were actually reserved.
     pub fn release(&mut self, bytes: u64) -> Result<(), PoolError> {
         if bytes > self.used {
-            let available = self.used;
+            let reserved = self.used;
             self.used = 0;
             self.violations += 1;
             return Err(PoolError {
                 requested: bytes,
-                available,
+                reserved,
             });
         }
         self.used -= bytes;
@@ -126,39 +86,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bounded_reserve_release() {
-        let mut p = PoolAccountant::bounded(100);
-        assert!(p.reserve(60).is_ok());
-        assert_eq!(p.used(), 60);
-        assert_eq!(p.available(), 40);
-        assert!(!p.fits(41));
-        assert!(p.fits(40));
-        let err = p.reserve(41).unwrap_err();
-        assert_eq!(err.requested, 41);
-        assert_eq!(err.available, 40);
-        assert_eq!(p.used(), 60, "failed reserve must not change state");
-        p.release(60).expect("release within reservation");
-        assert_eq!(p.used(), 0);
-    }
-
-    #[test]
     fn over_release_is_ledger_visible() {
-        let mut p = PoolAccountant::bounded(100);
-        p.reserve(10).unwrap();
+        let mut p = PoolAccountant::new();
+        p.reserve(10);
         let err = p.release(25).unwrap_err();
         assert_eq!(err.requested, 25);
-        assert_eq!(err.available, 10);
+        assert_eq!(err.reserved, 10);
         assert_eq!(p.used(), 0, "usage clamps to zero, never wraps");
         assert_eq!(p.violations(), 1);
         // Well-formed releases afterwards don't add violations.
-        p.reserve(5).unwrap();
+        p.reserve(5);
         p.release(5).unwrap();
         assert_eq!(p.violations(), 1);
     }
 
     #[test]
     fn set_used_reconciles() {
-        let mut p = PoolAccountant::unbounded();
+        let mut p = PoolAccountant::new();
         p.set_used(42);
         assert_eq!(p.used(), 42);
         p.release(42).unwrap();
@@ -166,42 +110,26 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_always_fits() {
-        let mut p = PoolAccountant::unbounded();
-        assert!(p.reserve(u64::MAX / 2).is_ok());
-        assert!(p.fits(u64::MAX / 4));
-        assert_eq!(p.smax(), None);
-    }
-
-    #[test]
-    fn unbounded_usage_never_wraps() {
-        let mut p = PoolAccountant::unbounded();
-        p.reserve(u64::MAX / 2).unwrap();
-        p.reserve(u64::MAX / 2).unwrap();
-        let err = p.reserve(2).unwrap_err();
-        assert_eq!(err.available, 1);
-        assert_eq!(
-            p.used(),
-            u64::MAX - 1,
-            "failed reserve must not change state"
-        );
-    }
-
-    #[test]
-    fn exact_fill_allowed() {
-        let mut p = PoolAccountant::bounded(10);
-        assert!(p.reserve(10).is_ok());
-        assert_eq!(p.available(), 0);
-        assert!(p.fits(0));
-        assert!(!p.fits(1));
+    fn usage_saturates_and_never_wraps() {
+        let mut p = PoolAccountant::new();
+        p.reserve(u64::MAX / 2);
+        p.reserve(u64::MAX / 2);
+        assert_eq!(p.used(), u64::MAX - 1);
+        p.reserve(2);
+        assert_eq!(p.used(), u64::MAX, "usage saturates, never wraps");
+        p.release(u64::MAX).unwrap();
+        assert_eq!(p.violations(), 0);
     }
 
     #[test]
     fn error_displays() {
         let e = PoolError {
             requested: 5,
-            available: 3,
+            reserved: 3,
         };
-        assert!(e.to_string().contains("requested 5"));
+        assert_eq!(
+            e.to_string(),
+            "pool over-release: requested 5 bytes, 3 reserved"
+        );
     }
 }

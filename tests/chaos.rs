@@ -14,7 +14,7 @@
 use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
-use deepsea::bench::golden::{golden_catalog, golden_plans};
+use deepsea::bench::golden::{golden_catalog, golden_plans, seeds_from_env, Lcg};
 use deepsea::bench::harness::run_workload;
 use deepsea::core::baselines;
 use deepsea::core::{CatalogJournal, DeepSea, DeepSeaConfig, QueryTrace};
@@ -119,13 +119,7 @@ fn fault_free_fingerprints() -> &'static Vec<Vec<String>> {
 }
 
 fn chaos_seeds() -> Vec<u64> {
-    std::env::var("CHAOS_SEEDS")
-        .unwrap_or_else(|_| "1,7,42".into())
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(|s| s.parse().expect("CHAOS_SEEDS must be comma-separated u64s"))
-        .collect()
+    seeds_from_env("CHAOS_SEEDS", "1,7,42")
 }
 
 /// The headline schedule: 12% transient reads, 5% permanent loss, 5%
@@ -203,27 +197,7 @@ fn zero_fault_schedule_is_bit_transparent() {
 /// Seeds for the crash-restart sweep, from `CRASH_SEEDS` (comma-separated,
 /// default `3,11`): `CRASH_SEEDS=3,11 cargo test -q --test chaos`.
 fn crash_seeds() -> Vec<u64> {
-    std::env::var("CRASH_SEEDS")
-        .unwrap_or_else(|_| "3,11".into())
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(|s| s.parse().expect("CRASH_SEEDS must be comma-separated u64s"))
-        .collect()
-}
-
-/// Minimal deterministic generator for crash-point schedules (Knuth LCG,
-/// high bits only).
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
+    seeds_from_env("CRASH_SEEDS", "3,11")
 }
 
 /// Suppress panic output for [`SimulatedCrash`] payloads: the crash harness
@@ -271,11 +245,11 @@ fn crash_restart_replay_is_bit_identical_and_recovery_idempotent() {
         )
         .with_journal(Arc::clone(&journal));
 
-        let mut rng = Lcg(seed.wrapping_mul(0x9e3779b97f4a7c15) | 1);
+        let mut rng = Lcg::seeded(seed);
         let mut crashes = 0u32;
         // Arm the first crash a few records out so it lands inside an early
         // query; later crashes are spread wider so the run makes progress.
-        journal.arm_crash(Lsn(journal.next_lsn().0 + 1 + rng.next() % 8));
+        journal.arm_crash(Lsn(journal.next_lsn().0 + 1 + rng.draw() % 8));
 
         let mut i = 0;
         while i < plans.len() {
@@ -358,7 +332,7 @@ fn crash_restart_replay_is_bit_identical_and_recovery_idempotent() {
                         "seed {seed}, crash {crashes}: fsck left the pool inconsistent"
                     );
                     if crashes < 4 {
-                        journal.arm_crash(Lsn(journal.next_lsn().0 + 1 + rng.next() % 40));
+                        journal.arm_crash(Lsn(journal.next_lsn().0 + 1 + rng.draw() % 40));
                     }
                     // Replay the interrupted query (same index, no advance).
                 }

@@ -15,7 +15,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use deepsea::bench::golden::{golden_catalog, golden_plans};
+use deepsea::bench::golden::{golden_catalog, golden_plans, seeds_from_env};
 use deepsea::core::baselines;
 use deepsea::core::{DeepSea, DeepSeaConfig, ServeReport, ServerConfig, ViewServer};
 use deepsea::engine::{Catalog, ClusterSim, LogicalPlan};
@@ -79,16 +79,7 @@ fn serve(config: DeepSeaConfig, server: ServerConfig, limit: usize) -> ServeRepo
 }
 
 fn interleave_seeds() -> Vec<u64> {
-    std::env::var("INTERLEAVE_SEEDS")
-        .unwrap_or_else(|_| "1,7,42".into())
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(|s| {
-            s.parse()
-                .expect("INTERLEAVE_SEEDS must be comma-separated u64s")
-        })
-        .collect()
+    seeds_from_env("INTERLEAVE_SEEDS", "1,7,42")
 }
 
 /// Committed series and end state must match the serial run bit for bit,

@@ -21,7 +21,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use deepsea::bench::golden::{golden_catalog, golden_plans};
+use deepsea::bench::golden::{golden_catalog, golden_plans, seeds_from_env, Lcg};
 use deepsea::core::{baselines, CatalogJournal, DeepSea, DeepSeaConfig, ObsConfig, Observer};
 use deepsea::engine::{Catalog, ClusterSim, LogicalPlan, SimBackend};
 use deepsea::storage::{
@@ -47,29 +47,7 @@ fn setup() -> (&'static Arc<Catalog>, &'static Vec<LogicalPlan>) {
 }
 
 fn node_fault_seeds() -> Vec<u64> {
-    std::env::var("NODE_FAULT_SEEDS")
-        .unwrap_or_else(|_| "5,9".into())
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(|s| {
-            s.parse()
-                .expect("NODE_FAULT_SEEDS must be comma-separated u64s")
-        })
-        .collect()
-}
-
-/// Knuth LCG (high bits) for schedule generation.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
+    seeds_from_env("NODE_FAULT_SEEDS", "5,9")
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,10 +63,10 @@ type Schedule = Vec<(usize, u32, Action)>;
 /// node goes down and comes back before the window ends, so at most one
 /// node is ever down and the final window leaves everything up.
 fn single_node_schedule(seed: u64, n: usize) -> Schedule {
-    let mut lcg = Lcg(seed.wrapping_mul(0x9e3779b97f4a7c15) | 1);
+    let mut lcg = Lcg::seeded(seed);
     let mut schedule = Vec::new();
     for w in 0..n / WINDOW {
-        let node = (lcg.next() % u64::from(NODES)) as u32;
+        let node = (lcg.draw() % u64::from(NODES)) as u32;
         schedule.push((w * WINDOW + 1, node, Action::Down));
         schedule.push((w * WINDOW + WINDOW - 1, node, Action::Up));
     }

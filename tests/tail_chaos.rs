@@ -25,7 +25,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use deepsea::bench::golden::{golden_catalog, golden_plans};
+use deepsea::bench::golden::{golden_catalog, golden_plans, seeds_from_env, Lcg};
 use deepsea::core::{
     baselines, CatalogJournal, DeepSea, DeepSeaConfig, ObsConfig, Observer, ServerConfig,
     ShedPolicy, ViewServer,
@@ -53,29 +53,7 @@ fn setup() -> (&'static Arc<Catalog>, &'static Vec<LogicalPlan>) {
 }
 
 fn tail_chaos_seeds() -> Vec<u64> {
-    std::env::var("TAIL_CHAOS_SEEDS")
-        .unwrap_or_else(|_| "3,11".into())
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(|s| {
-            s.parse()
-                .expect("TAIL_CHAOS_SEEDS must be comma-separated u64s")
-        })
-        .collect()
-}
-
-/// Knuth LCG (high bits) for schedule generation.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
+    seeds_from_env("TAIL_CHAOS_SEEDS", "3,11")
 }
 
 /// `(query index, node, latency multiplier)` — applied immediately before
@@ -86,11 +64,11 @@ type SlowSchedule = Vec<(usize, u32, f64)>;
 /// by an LCG-chosen multiplier (2×–5×), recovering before the window ends,
 /// so the final window leaves every node at full speed.
 fn slow_node_schedule(seed: u64, n: usize) -> SlowSchedule {
-    let mut lcg = Lcg(seed.wrapping_mul(0x9e3779b97f4a7c15) | 1);
+    let mut lcg = Lcg::seeded(seed);
     let mut schedule = Vec::new();
     for w in 0..n / WINDOW {
-        let node = (lcg.next() % u64::from(NODES)) as u32;
-        let multiplier = 2.0 + (lcg.next() % 4) as f64;
+        let node = (lcg.draw() % u64::from(NODES)) as u32;
+        let multiplier = 2.0 + (lcg.draw() % 4) as f64;
         schedule.push((w * WINDOW + 1, node, multiplier));
         schedule.push((w * WINDOW + WINDOW - 1, node, 1.0));
     }
