@@ -73,3 +73,101 @@ pub(crate) fn retry_io<T>(
     *retries += u64::from(spent.retries);
     out
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use deepsea_storage::FileId;
+
+    #[test]
+    fn the_schedule_doubles_from_half_a_second() {
+        let waits: Vec<f64> = (0..MAX_RETRIES).map(backoff_secs).collect();
+        assert_eq!(waits, [0.5, 1.0, 2.0]);
+        assert_eq!(waits.iter().sum::<f64>(), 3.5);
+    }
+
+    #[test]
+    fn an_always_failing_op_stops_after_max_retries() {
+        let mut calls = 0;
+        let mut seen = Vec::new();
+        let (out, spent) = retry_transient(
+            |_: &&str| true,
+            |n, wait, e| seen.push((n, wait, *e)),
+            || -> Result<(), &str> {
+                calls += 1;
+                Err("busy")
+            },
+        );
+        assert_eq!(out, Err("busy"));
+        assert_eq!(calls, MAX_RETRIES + 1);
+        assert_eq!(seen, [(0, 0.5, "busy"), (1, 1.0, "busy"), (2, 2.0, "busy")]);
+        assert_eq!(
+            spent,
+            Spent {
+                retries: MAX_RETRIES,
+                backoff_secs: 3.5
+            }
+        );
+    }
+
+    #[test]
+    fn a_refused_error_returns_without_a_wait() {
+        let mut calls = 0;
+        let (out, spent) = retry_transient(
+            |_: &&str| false,
+            |_, _, _| panic!("a refused error is never waited on"),
+            || -> Result<(), &str> {
+                calls += 1;
+                Err("gone")
+            },
+        );
+        assert_eq!(out, Err("gone"));
+        assert_eq!(calls, 1);
+        assert_eq!(spent, Spent::default());
+    }
+
+    #[test]
+    fn success_after_k_failures_spends_the_first_k_waits() {
+        let mut failures_left = 2;
+        let (out, spent) = retry_transient(
+            |_: &&str| true,
+            |_, _, _| {},
+            || {
+                if failures_left == 0 {
+                    return Ok(7);
+                }
+                failures_left -= 1;
+                Err("busy")
+            },
+        );
+        assert_eq!(out, Ok(7));
+        assert_eq!(
+            spent,
+            Spent {
+                retries: 2,
+                backoff_secs: 1.5
+            }
+        );
+    }
+
+    #[test]
+    fn retry_io_adds_to_the_callers_running_totals() {
+        let (mut retries, mut secs) = (5, 1.0);
+        let mut failures_left = 1;
+        let out = retry_io(&mut retries, &mut secs, || {
+            if failures_left == 0 {
+                return Ok(());
+            }
+            failures_left -= 1;
+            Err(IoError::TransientWrite)
+        });
+        assert_eq!(out, Ok(()));
+        assert_eq!((retries, secs), (6, 1.5));
+        // A permanent loss is returned at once and charges nothing.
+        let lost = retry_io(&mut retries, &mut secs, || -> Result<(), _> {
+            Err(IoError::PermanentLoss(FileId(3)))
+        });
+        assert_eq!(lost, Err(IoError::PermanentLoss(FileId(3))));
+        assert_eq!((retries, secs), (6, 1.5));
+    }
+}

@@ -316,6 +316,22 @@ mod tests {
         assert_eq!(h.histogram("h", Some(OVERFLOW_LABEL)).unwrap().count, 1);
     }
 
+    #[test]
+    fn each_metric_has_its_own_label_budget() {
+        let mut m = MetricsRegistry::default();
+        for i in 0..MAX_LABELS_PER_METRIC + 1 {
+            m.counter_add("a", Some(&format!("V{i}")), 1);
+        }
+        assert_eq!(m.counter("a", Some(OVERFLOW_LABEL)), 1);
+        // A full counter leaves another counter's and a same-named
+        // histogram's budgets untouched.
+        m.counter_add("b", Some("V256"), 1);
+        m.observe("a", Some("V256"), 1.0);
+        assert_eq!(m.counter("b", Some("V256")), 1);
+        assert_eq!(m.histogram("a", Some("V256")).unwrap().count, 1);
+        assert_eq!(m.counter("b", Some(OVERFLOW_LABEL)), 0);
+    }
+
     fn series_len(m: &MetricsRegistry, name: &str) -> usize {
         m.counters[name].len()
     }

@@ -86,6 +86,20 @@ mod tests {
     use super::*;
 
     #[test]
+    fn reserves_and_releases_balance() {
+        let mut p = PoolAccountant::new();
+        assert_eq!(p, PoolAccountant::default());
+        p.reserve(30);
+        p.reserve(12);
+        assert_eq!(p.used(), 42);
+        p.release(30).unwrap();
+        assert_eq!(p.used(), 12);
+        p.release(12).unwrap();
+        assert_eq!(p.used(), 0);
+        assert_eq!(p.violations(), 0);
+    }
+
+    #[test]
     fn over_release_is_ledger_visible() {
         let mut p = PoolAccountant::new();
         p.reserve(10);
