@@ -375,6 +375,28 @@ fn bench_exec_kernels(c: &mut Criterion) {
     });
 }
 
+/// What every benchmark run, experiment and test starts with: generating
+/// the 100 GB instance (seven tables, 40k fact rows), and the canonical
+/// fingerprint of a query result holding integers, floats and strings
+/// (store_sales ⋈ item, 40k rows of seven columns).
+fn bench_instances(c: &mut Criterion) {
+    let (lo, hi) = item_domain();
+    let dist = ItemDistribution::Histogram(sdss_like_histogram(lo, hi));
+    c.bench_function("generate_gb100_instance", |b| {
+        b.iter(|| BigBenchData::generate(InstanceSize::Gb100, black_box(&dist), 42))
+    });
+    let catalog = BigBenchData::generate(InstanceSize::Gb100, &dist, 42).catalog;
+    let fs: SimFs<Table> = SimFs::new(BlockConfig::default(), CostWeights::default());
+    let join = LogicalPlan::scan("store_sales").join(
+        LogicalPlan::scan("item"),
+        vec![("store_sales.ss_item_sk", "item.i_item_sk")],
+    );
+    let (result, _) = execute(&join, &catalog, &fs).expect("base tables only");
+    c.bench_function("fingerprint_40k_join", |b| {
+        b.iter(|| black_box(&result).fingerprint())
+    });
+}
+
 fn int_column(catalog: &Catalog, table: &str, col: &str) -> Vec<i64> {
     let t = catalog.get(table).expect("a BigBench table");
     let i = t.schema.index_of(col).expect("its key column");
@@ -391,6 +413,6 @@ criterion_group!(
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(1));
     targets = bench_signature, bench_filter_tree, bench_partition_ops, bench_mle, bench_selection,
-        bench_commit_bookkeeping, bench_commit_scaling, bench_exec_kernels
+        bench_commit_bookkeeping, bench_commit_scaling, bench_exec_kernels, bench_instances
 );
 criterion_main!(micro);

@@ -32,7 +32,7 @@ use deepsea_storage::EpochCell;
 
 use crate::snapshot::{ReadSnapshot, SnapshotAnswer};
 
-use super::ViewServer;
+use super::{same_columns, ViewServer};
 
 /// Per-ticket outcome of a threaded run: what raced (the read) and what
 /// didn't (the committed execution).
@@ -110,11 +110,17 @@ impl ViewServer {
                             .publish_snapshot()
                             .expect("invariant: a backend that forked once forks again"),
                     );
+                    let read_fingerprint = answer.result.fingerprint();
+                    let committed_fingerprint = if same_columns(&answer.result, &outcome.result) {
+                        read_fingerprint.clone()
+                    } else {
+                        outcome.result.fingerprint()
+                    };
                     records.push(ThreadedRecord {
                         ticket: next_commit,
                         read_epoch: epoch,
-                        read_fingerprint: answer.result.fingerprint(),
-                        committed_fingerprint: outcome.result.fingerprint(),
+                        read_fingerprint,
+                        committed_fingerprint,
                         committed_query_secs: outcome.query_secs,
                     });
                     next_commit += 1;

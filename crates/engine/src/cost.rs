@@ -72,22 +72,12 @@ impl<'a> CostEstimator<'a> {
                 }
             }
             LogicalPlan::ViewScan(v) => {
-                let mut bytes = 0u64;
-                for &fid in &v.files {
-                    if let Some((_, b)) = self.fs.stat(fid) {
-                        bytes += b;
-                    }
+                let block = self.fs.block_config();
+                let (mut bytes, mut tasks) = (0u64, 0);
+                for b in v.files.iter().filter_map(|&fid| self.fs.sim_bytes(fid)) {
+                    bytes += b;
+                    tasks += block.blocks_for(b);
                 }
-                let tasks = v
-                    .files
-                    .iter()
-                    .map(|&fid| {
-                        self.fs
-                            .stat(fid)
-                            .map(|(_, b)| self.fs.block_config().blocks_for(b))
-                            .unwrap_or(0)
-                    })
-                    .sum();
                 // Rows unknown without reading; approximate via bytes at an
                 // assumed width (only used for CPU, a minor term).
                 let rows = bytes as f64 / 1000.0;

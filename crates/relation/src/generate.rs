@@ -5,11 +5,10 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::column::Column;
+use crate::column::{Column, ColumnData, Dict};
 use crate::distr::{normal, WeightedBuckets, Zipf};
 use crate::schema::Schema;
 use crate::table::Table;
-use crate::value::Value;
 
 /// How to generate the values of one column.
 #[derive(Debug, Clone)]
@@ -64,56 +63,117 @@ pub enum ColumnGen {
     },
 }
 
-/// Draws one column's value for a row from the shared RNG stream and appends
-/// it to the column.
-type Sampler<'a> = Box<dyn FnMut(&mut StdRng, usize, &mut Column) + 'a>;
-
-/// The sampler that appends the value `draw` returns.
-fn push<'a>(mut draw: impl FnMut(&mut StdRng, usize) -> Value + 'a) -> Sampler<'a> {
-    Box::new(move |rng, row, col| col.push(draw(rng, row)))
+/// How an integer column draws a value; the Zipf CDF is built once.
+enum IntDraw<'a> {
+    Serial(i64),
+    Uniform(i64, i64),
+    Normal {
+        mean: f64,
+        std: f64,
+        low: i64,
+        high: i64,
+    },
+    Zipf(Zipf, i64),
+    Histogram(&'a WeightedBuckets),
 }
 
-impl ColumnGen {
-    /// The column's sampler. It owns what is expensive to rebuild per value:
-    /// the Zipf CDF, and the first row of each label drawn: a label enters
-    /// the column's dictionary once, and later rows copy that row's code.
-    fn sampler(&self) -> Sampler<'_> {
+impl IntDraw<'_> {
+    /// The value of row `row`.
+    fn draw(&self, rng: &mut StdRng, row: usize) -> i64 {
         match self {
-            ColumnGen::Serial { start } => push(move |_, row| Value::Int(start + row as i64)),
-            ColumnGen::UniformInt { low, high } => {
-                push(move |rng, _| Value::Int(rng.random_range(*low..=*high)))
-            }
+            IntDraw::Serial(start) => start + row as i64,
+            IntDraw::Uniform(low, high) => rng.random_range(*low..=*high),
+            IntDraw::Normal {
+                mean,
+                std,
+                low,
+                high,
+            } => (normal(rng, *mean, *std).round() as i64).clamp(*low, *high),
+            IntDraw::Zipf(z, low) => low + (z.sample(rng) as i64 - 1),
+            IntDraw::Histogram(wb) => wb.sample(rng),
+        }
+    }
+}
+
+/// One column being generated: the typed values drawn so far and what the
+/// next draw needs.
+enum Fill<'a> {
+    Int(Vec<i64>, IntDraw<'a>),
+    /// Uniform floats in `[low, high)`.
+    Float(Vec<f64>, f64, f64),
+    /// Labels `"{prefix}{k}"`: per row a code into `dict`, which label `k`
+    /// enters on the first row that draws it; `code_of[k]` is that code.
+    Label {
+        codes: Vec<u32>,
+        dict: Dict,
+        code_of: Vec<Option<u32>>,
+        prefix: &'static str,
+    },
+}
+
+impl<'a> Fill<'a> {
+    fn new(gen: &'a ColumnGen, rows: usize) -> Self {
+        let int = |draw| Fill::Int(Vec::with_capacity(rows), draw);
+        match *gen {
+            ColumnGen::Serial { start } => int(IntDraw::Serial(start)),
+            ColumnGen::UniformInt { low, high } => int(IntDraw::Uniform(low, high)),
             ColumnGen::NormalInt {
                 mean,
                 std,
                 low,
                 high,
-            } => push(move |rng, _| {
-                let v = normal(rng, *mean, *std).round() as i64;
-                Value::Int(v.clamp(*low, *high))
+            } => int(IntDraw::Normal {
+                mean,
+                std,
+                low,
+                high,
             }),
-            ColumnGen::ZipfInt { n, s, low } => {
-                let z = Zipf::new(*n, *s);
-                push(move |rng, _| Value::Int(low + (z.sample(rng) as i64 - 1)))
-            }
-            ColumnGen::Histogram(wb) => push(move |rng, _| Value::Int(wb.sample(rng))),
+            ColumnGen::ZipfInt { n, s, low } => int(IntDraw::Zipf(Zipf::new(n, s), low)),
+            ColumnGen::Histogram(ref wb) => int(IntDraw::Histogram(wb)),
             ColumnGen::UniformFloat { low, high } => {
-                push(move |rng, _| Value::Float(low + (high - low) * rng.random::<f64>()))
+                Fill::Float(Vec::with_capacity(rows), low, high)
             }
-            ColumnGen::Label { prefix, card } => {
-                let mut first: Vec<Option<usize>> = vec![None; *card];
-                Box::new(move |rng, row, col| {
-                    let k = rng.random_range(0..*card);
-                    match first[k] {
-                        Some(r) => col.push_copy(r),
-                        None => {
-                            first[k] = Some(row);
-                            col.push(Value::str(format!("{prefix}{k}")));
-                        }
-                    }
-                })
+            ColumnGen::Label { prefix, card } => Fill::Label {
+                codes: Vec::with_capacity(rows),
+                dict: Dict::new(),
+                code_of: vec![None; card],
+                prefix,
+            },
+        }
+    }
+
+    /// Draw row `row`'s value from `rng` and append it.
+    fn draw(&mut self, rng: &mut StdRng, row: usize) {
+        match self {
+            Fill::Int(values, draw) => values.push(draw.draw(rng, row)),
+            Fill::Float(values, low, high) => {
+                values.push(*low + (*high - *low) * rng.random::<f64>())
+            }
+            Fill::Label {
+                codes,
+                dict,
+                code_of,
+                prefix,
+            } => {
+                let k = rng.random_range(0..code_of.len());
+                let code = *code_of[k]
+                    .get_or_insert_with(|| dict.intern(&Arc::from(format!("{prefix}{k}"))));
+                codes.push(code);
             }
         }
+    }
+
+    /// The column of the values drawn.
+    fn finish(self) -> Column {
+        let data = match self {
+            Fill::Int(values, _) => ColumnData::Int(values),
+            Fill::Float(values, ..) => ColumnData::Float(values),
+            Fill::Label { codes, dict, .. } => ColumnData::Str {
+                codes,
+                dict: Arc::new(dict),
+            },
+        };
+        Column::new(data, Vec::new())
     }
 }
 
@@ -144,28 +204,22 @@ impl TableGen {
     /// Generate `rows` rows. Same seed ⇒ same table.
     ///
     /// Values are drawn row by row, column by column within a row — the
-    /// order the RNG stream has always been consumed in — and appended to
-    /// one typed column each.
+    /// order the RNG stream has always been consumed in — into one typed
+    /// vector per column, and each column is built once at the end.
     ///
     /// # Panics
     /// Panics if a generator yields values of another type than its column.
     pub fn generate(&self, rows: usize) -> Table {
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut samplers: Vec<Sampler<'_>> = self.gens.iter().map(ColumnGen::sampler).collect();
-        let mut columns: Vec<Column> = self
-            .schema
-            .fields()
-            .iter()
-            .map(|f| Column::with_capacity(f.dtype, rows))
-            .collect();
+        let mut fills: Vec<Fill<'_>> = self.gens.iter().map(|g| Fill::new(g, rows)).collect();
         for r in 0..rows {
-            for (sample, col) in samplers.iter_mut().zip(&mut columns) {
-                sample(&mut rng, r, col);
+            for fill in &mut fills {
+                fill.draw(&mut rng, r);
             }
         }
         Table::new(
             self.schema.clone(),
-            columns.into_iter().map(Arc::new).collect(),
+            fills.into_iter().map(|f| Arc::new(f.finish())).collect(),
             self.bytes_per_row,
         )
     }
@@ -208,6 +262,29 @@ mod tests {
     fn deterministic_per_seed() {
         assert_eq!(gen_table(50, 1), gen_table(50, 1));
         assert_ne!(gen_table(50, 1), gen_table(50, 2));
+    }
+
+    /// Label `k` enters the dictionary on the first row that draws it, and
+    /// every later row keeps that row's code: the columns, dictionaries
+    /// included, are the ones appending each row's values builds.
+    #[test]
+    fn columns_equal_the_columns_appending_each_row_builds() {
+        let t = gen_table(200, 5);
+        let appended = Table::from_rows(t.schema.clone(), t.rows().collect(), 64);
+        for (got, want) in t.columns().iter().zip(appended.columns()) {
+            assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        }
+        let ColumnData::Str { codes, dict } = t.column(3).data() else {
+            panic!("a string column");
+        };
+        assert_eq!(dict.strs().len(), 6, "\"\", then each of the 5 labels once");
+        let mut first_seen = Vec::new();
+        for &code in codes {
+            if !first_seen.contains(&code) {
+                first_seen.push(code);
+            }
+        }
+        assert_eq!(first_seen, [1, 2, 3, 4, 5], "codes in first-seen order");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use deepsea_relation::distr::{normal_cdf, WeightedBuckets, Zipf};
 use deepsea_relation::generate::{ColumnGen, TableGen};
-use deepsea_relation::{Column, DataType, Field, Predicate, Schema, Value};
+use deepsea_relation::{Column, DataType, Field, Predicate, Schema, Table, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -50,6 +50,106 @@ fn equal_numbers_of_either_type_hash_alike() {
     let (int, float) = (Value::Int((1 << 53) + 1), Value::Float(2f64.powi(53)));
     assert_eq!(int, float);
     assert_eq!(hash_of(&int), hash_of(&float));
+}
+
+/// The fingerprint text of `v` in a one-column table of its type, without
+/// the value separator.
+fn canonical(v: Value) -> String {
+    let dtype = v.data_type().expect("a non-NULL value");
+    let schema = Schema::new(vec![Field::new("c", dtype)]);
+    let mut lines = Table::from_rows(schema, vec![vec![v]], 8).fingerprint();
+    let line = lines.pop().expect("one row");
+    line.strip_suffix('\u{1}').expect("a separator").to_string()
+}
+
+fn assert_float_text(x: f64) {
+    assert_eq!(
+        canonical(Value::Float(x)),
+        format!("{x:.6}"),
+        "{x:e} ({:#x})",
+        x.to_bits()
+    );
+}
+
+/// Floats whose `{:.6}` text takes every branch of the canonical writer:
+/// any bit pattern; normal numbers from 2⁻³⁰ to 2¹²⁰ (the scaled form
+/// stops fitting a `u128` near 2¹⁰⁸); subnormals; magnitudes of 2⁵⁴ and
+/// up; exact halves of a millionth (`n + odd/128`, which rounds to even);
+/// and the neighbours of those halves and of `±0.0000005`.
+fn fixed6_float() -> impl Strategy<Value = f64> {
+    let ulps = |x: f64, d: i64| f64::from_bits((x.to_bits() as i64 + d) as u64);
+    prop_oneof![
+        any::<u64>().prop_map(f64::from_bits),
+        (any::<u64>(), 993u64..1143)
+            .prop_map(|(b, e)| f64::from_bits(b & !(0x7ff << 52) | e << 52)),
+        any::<u64>().prop_map(|b| f64::from_bits(b & !(0x7ff << 52))),
+        (1u64..1 << 53, 2i32..70).prop_map(|(m, e)| m as f64 * 2f64.powi(e)),
+        (0i64..1 << 40, 0i64..64, any::<bool>()).prop_map(|(n, j, neg)| {
+            let x = n as f64 + (2 * j + 1) as f64 / 128.0;
+            if neg {
+                -x
+            } else {
+                x
+            }
+        }),
+        (0i64..1 << 20, 0i64..64, -2i64..=2)
+            .prop_map(move |(n, j, d)| { ulps(n as f64 + (2 * j + 1) as f64 / 128.0, d) }),
+        (-3i64..=3, any::<bool>())
+            .prop_map(move |(d, neg)| { ulps(if neg { -0.5e-6 } else { 0.5e-6 }, d) }),
+    ]
+}
+
+/// The canonical writer prints what `core::fmt` prints: `{:.6}` for a
+/// float, `{}` for an integer.
+#[test]
+fn canonical_text_of_edge_values_is_what_fmt_prints() {
+    for x in [
+        0.0,
+        -0.0,
+        f64::NAN,
+        -f64::NAN,
+        f64::from_bits(0x7ff8_0000_0000_0001),
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        f64::from_bits(1),
+        f64::from_bits((1 << 52) - 1),
+        f64::MAX,
+        f64::MIN,
+        f64::EPSILON,
+        2f64.powi(54),
+        2f64.powi(107),
+        2f64.powi(108),
+        2f64.powi(109),
+        u64::MAX as f64,
+        1.0 / 128.0,
+        3.0 / 128.0,
+        -5.0 / 128.0,
+        -0.0000004,
+        2.0 / 3.0,
+        1.5,
+    ] {
+        assert_float_text(x);
+    }
+    for i in [0, 1, -1, 9, 10, -10, i64::MAX, i64::MIN, i64::MIN + 1] {
+        assert_eq!(canonical(Value::Int(i)), format!("{i}"));
+    }
+    assert_eq!(canonical(Value::str("x y")), "s:x y");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 20_000, ..ProptestConfig::default() })]
+
+    #[test]
+    fn canonical_float_text_is_what_fmt_prints(x in fixed6_float()) {
+        assert_float_text(x);
+    }
+
+    #[test]
+    fn canonical_int_text_is_what_fmt_prints(i in any::<i64>()) {
+        prop_assert_eq!(canonical(Value::Int(i)), format!("{i}"));
+    }
 }
 
 proptest! {

@@ -521,6 +521,11 @@ impl<P> SimFs<P> {
         inner.files.get(&id).map(|f| (f.name.clone(), f.sim_bytes))
     }
 
+    /// A file's simulated size, without charging a read or copying its name.
+    pub fn sim_bytes(&self, id: FileId) -> Option<u64> {
+        self.locked().files.get(&id).map(|f| f.sim_bytes)
+    }
+
     /// Verify a file's checksum without charging a read (an fsck probe).
     /// Returns `None` for an unknown id.
     pub fn verify(&self, id: FileId) -> Option<bool> {
@@ -656,6 +661,7 @@ mod tests {
         let (id, _) = fs.create("x", 500, vec![]);
         let before = fs.ledger();
         assert_eq!(fs.stat(id), Some(("x".to_string(), 500)));
+        assert_eq!(fs.sim_bytes(id), Some(500));
         assert_eq!(fs.ledger().read_bytes, before.read_bytes);
     }
 

@@ -100,6 +100,9 @@ pub struct NodeStats {
 #[derive(Debug)]
 struct ClusterState {
     states: Vec<NodeState>,
+    /// How many of `states` are `Down`: while none is, every file routes
+    /// live and no placement need be looked up.
+    down: usize,
     /// Remaining consulted-op countdowns for injector-downed nodes; the node
     /// comes back up when its countdown reaches zero.
     repair_in: Vec<u64>,
@@ -109,6 +112,19 @@ struct ClusterState {
     slow: Vec<f64>,
     placement: BTreeMap<FileId, Vec<NodeId>>,
     stats: NodeStats,
+}
+
+impl ClusterState {
+    /// [`NodeSet::route`] under the held lock.
+    fn route(&self, file: FileId) -> Route {
+        let Some(nodes) = self.placement.get(&file) else {
+            return Route::Live(NodeId(0));
+        };
+        nodes
+            .iter()
+            .find(|n| self.states[n.0 as usize] == NodeState::Up)
+            .map_or(Route::Outage, |&n| Route::Live(n))
+    }
 }
 
 /// A set of simulated datanodes with placement and liveness tracking.
@@ -127,6 +143,7 @@ impl NodeSet {
         Self {
             state: Mutex::new(ClusterState {
                 states: vec![NodeState::Up; cfg.nodes as usize],
+                down: 0,
                 repair_in: vec![0; cfg.nodes as usize],
                 slow: vec![1.0; cfg.nodes as usize],
                 placement: BTreeMap::new(),
@@ -189,20 +206,14 @@ impl NodeSet {
     /// Route a read/write for `file`. Files without a recorded placement are
     /// node-agnostic (namenode-resident metadata) and always route live.
     pub fn route(&self, file: FileId) -> Route {
-        let st = self.locked();
-        let Some(nodes) = st.placement.get(&file) else {
-            return Route::Live(NodeId(0));
-        };
-        nodes
-            .iter()
-            .find(|n| st.states[n.0 as usize] == NodeState::Up)
-            .map_or(Route::Outage, |&n| Route::Live(n))
+        self.locked().route(file)
     }
 
     /// Whether every replica of the file is currently down. Metadata probe:
-    /// no draws, no cost.
+    /// no draws, no cost; while no node is down, no placement is looked up.
     pub fn outage_blocked(&self, file: FileId) -> bool {
-        !matches!(self.route(file), Route::Live(_))
+        let st = self.locked();
+        st.down > 0 && st.route(file) == Route::Outage
     }
 
     /// The state of one node (`None` for an out-of-range id).
@@ -217,6 +228,7 @@ impl NodeSet {
         match st.states.get(node.0 as usize).copied() {
             Some(NodeState::Up) => {
                 st.states[node.0 as usize] = NodeState::Down;
+                st.down += 1;
                 st.stats.node_downs += 1;
                 true
             }
@@ -241,6 +253,7 @@ impl NodeSet {
         match st.states.get(node.0 as usize).copied() {
             Some(NodeState::Down) => {
                 st.states[node.0 as usize] = NodeState::Up;
+                st.down -= 1;
                 st.repair_in[node.0 as usize] = 0;
                 st.stats.node_ups += 1;
                 true
@@ -303,6 +316,7 @@ impl NodeSet {
                 st.repair_in[i] -= 1;
                 if st.repair_in[i] == 0 {
                     st.states[i] = NodeState::Up;
+                    st.down -= 1;
                     st.stats.node_ups += 1;
                     restored.push(NodeId(i as u32));
                 }
@@ -394,6 +408,26 @@ mod tests {
         assert_eq!(c.node_state(NodeId(1)), Some(NodeState::Up));
         let s = c.stats();
         assert_eq!((s.node_downs, s.node_ups), (1, 1));
+    }
+
+    #[test]
+    fn the_down_count_follows_every_transition() {
+        let c = cluster(3, 1);
+        let f = FileId(5);
+        c.place(f, &[NodeId(1)]);
+        assert!(!c.outage_blocked(f), "every node up");
+        assert!(c.set_node_down(NodeId(1)) && !c.set_node_down(NodeId(1)));
+        assert!(c.outage_blocked(f));
+        assert!(c.set_node_up(NodeId(1)) && !c.set_node_up(NodeId(1)));
+        assert_eq!(c.locked().down, 0, "a repeated transition counts once");
+        assert!(c.set_node_down(NodeId(0)));
+        assert!(!c.outage_blocked(f), "another node's outage");
+        assert!(c.set_node_down_for(NodeId(1), 1));
+        assert!(c.outage_blocked(f));
+        assert_eq!(c.tick_repairs(), vec![NodeId(1)]);
+        assert!(!c.outage_blocked(f), "a repair brings it back");
+        assert!(c.set_node_up(NodeId(0)));
+        assert_eq!(c.locked().down, 0);
     }
 
     #[test]
