@@ -2,24 +2,14 @@
 //! pool limit after materialization (stage 7 — actual sizes can exceed the
 //! estimates selection used).
 
-use std::collections::BTreeMap;
-
 use deepsea_obs::{DecisionEvent, PhiBreakdown};
 
 use crate::durability::CatalogRecord;
-use crate::filter_tree::ViewId;
-use crate::policy::PartitionValues;
 use crate::selection::{CandidateKind, RankedItem};
 use crate::stats::{decay, LogicalTime};
 
 use super::super::context::QueryContext;
 use super::super::DeepSea;
-
-/// The partition valuations one eviction stage's audit reads fragment
-/// breakdowns off. A partition is valued for its first victim and kept for
-/// the rest of the stage: evicting leaves every partition's fragments,
-/// sizes and hits as they were, so its values do not move.
-type Valued = BTreeMap<(ViewId, String), PartitionValues>;
 
 impl DeepSea {
     /// Apply the evictions the selection stage planned.
@@ -38,12 +28,11 @@ impl DeepSea {
         } else {
             None
         };
-        let mut valued = Valued::new();
         for item in &to_evict {
             let breakdown = self
                 .obs
                 .enabled()
-                .then(|| self.phi_breakdown(&item.kind, item.phi, ctx.tnow, &mut valued));
+                .then(|| self.phi_breakdown(&item.kind, item.phi, ctx.tnow));
             if let Some(desc) = self.evict(&item.kind) {
                 if let Some(breakdown) = breakdown {
                     self.obs.event(
@@ -81,14 +70,12 @@ impl DeepSea {
     /// Reconstruct the Φ = COST·B/S breakdown behind a ranked item's value,
     /// for the audit log. `phi` is the policy's actual ranking value and is
     /// carried through verbatim; the components are recomputed from the same
-    /// statistics the policy read, so `tests` can assert they agree. A
-    /// fragment's partition is valued once per `valued`.
-    fn phi_breakdown(
+    /// statistics the policy read, so `tests` can assert they agree.
+    pub(crate) fn phi_breakdown(
         &self,
         kind: &CandidateKind,
         phi: f64,
         tnow: LogicalTime,
-        valued: &mut Valued,
     ) -> PhiBreakdown {
         let tmax = self.config.tmax;
         let vm = self.config.value_model;
@@ -125,10 +112,8 @@ impl DeepSea {
                     };
                 };
                 let hits = self.registry.ledger().hits(*vid, attr);
-                let ha = valued
-                    .entry((*vid, attr.clone()))
-                    .or_insert_with(|| vm.value_fragments(ps, hits, view_size, cost, tnow, tmax))
-                    .adjusted_hits[fid.0 as usize];
+                let valued = vm.value_fragments(ps, hits, view_size, cost, tnow, tmax);
+                let ha = valued.adjusted_hits[fid.0 as usize];
                 let share = if view_size == 0 {
                     0.0
                 } else {
@@ -191,7 +176,6 @@ impl DeepSea {
             return Vec::new();
         };
         let mut evicted = Vec::new();
-        let mut valued = Valued::new();
         while self.pool_bytes() > smax {
             let items: Vec<RankedItem> = self
                 .ranked_allcand(tnow)
@@ -208,8 +192,7 @@ impl DeepSea {
                     .filter(|i| i.kind != worst.kind)
                     .min_by(|a, b| a.phi.total_cmp(&b.phi))
                     .map(|i| (self.describe_item(&i.kind), i.phi));
-                let breakdown = self.phi_breakdown(&worst.kind, worst.phi, tnow, &mut valued);
-                Some((breakdown, runner_up))
+                Some((self.phi_breakdown(&worst.kind, worst.phi, tnow), runner_up))
             } else {
                 None
             };

