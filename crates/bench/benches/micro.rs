@@ -5,6 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 
 use deepsea_core::candidates::partition_candidates;
 use deepsea_core::filter_tree::{FilterTree, ViewId};
@@ -14,10 +15,10 @@ use deepsea_core::matching::partition_matching;
 use deepsea_core::mle::{adjusted_hits, fit_normal};
 use deepsea_core::selection::{select_configuration, CandidateKind, RankedItem};
 use deepsea_core::{baselines, DeepSea};
-use deepsea_engine::plan::AggExpr;
+use deepsea_engine::plan::{AggExpr, AggFunc, ViewScanInfo};
 use deepsea_engine::signature::{matches, Signature};
 use deepsea_engine::{execute, Catalog, LogicalPlan};
-use deepsea_relation::{Column, ColumnData, DataType, Field, Predicate, Schema, Table};
+use deepsea_relation::{Col, Column, ColumnData, DataType, Field, Predicate, Schema, Table};
 use deepsea_storage::{BlockConfig, CostWeights, SimFs};
 use deepsea_workload::schema::{BigBenchData, InstanceSize, ItemDistribution};
 use deepsea_workload::sdss::sdss_like_histogram;
@@ -346,18 +347,20 @@ fn bench_exec_kernels(c: &mut Criterion) {
             b.iter(|| execute(black_box(plan), &catalog, &fs).expect("base tables only"))
         });
     }
-    // The narrow range on a fresh clone of the key column, which has no
-    // range order: its first selection scans, its second sorts the rows.
+    // The narrow range on a fresh `Col` over the key column's values, which
+    // has no range order: its first selection scans, its second sorts the
+    // rows.
     let sales = catalog.get("store_sales").expect("a BigBench table");
-    let key: &Column = sales.column(
+    let key = sales.column(
         sales
             .schema
             .index_of("store_sales.ss_item_sk")
             .expect("its key"),
     );
+    let fresh = || Col::whole(Arc::clone(key.data()));
     c.bench_function("select_40k_range_cold", |b| {
         b.iter_batched(
-            || key.clone(),
+            fresh,
             |col| col.int_range_rows(lo, narrow),
             BatchSize::SmallInput,
         )
@@ -365,7 +368,7 @@ fn bench_exec_kernels(c: &mut Criterion) {
     c.bench_function("range_order_build_40k", |b| {
         b.iter_batched(
             || {
-                let col = key.clone();
+                let col = fresh();
                 col.int_range_rows(lo, narrow);
                 col
             },
@@ -397,10 +400,68 @@ fn bench_instances(c: &mut Criterion) {
     });
 }
 
+/// A stored view's life on the 100 GB instance: Q7's join (store_sales ⋈
+/// item ⋈ customer, 40k rows of nine columns) cut into 22 fragments by
+/// `ss_item_sk`, as `materialize_view` partitions a view; and that view
+/// stored as one file and read back under Q7's 7 % item range and its
+/// aggregate, as a single-file rewrite reads it. Past the second iteration
+/// the stored column's range order serves the range.
+fn bench_view_fragments(c: &mut Criterion) {
+    let (lo, hi) = item_domain();
+    let dist = ItemDistribution::Histogram(sdss_like_histogram(lo, hi));
+    let catalog = BigBenchData::generate(InstanceSize::Gb100, &dist, 42).catalog;
+    let fs: SimFs<Table> = SimFs::new(BlockConfig::default(), CostWeights::default());
+    let q7 = LogicalPlan::scan("store_sales")
+        .join(
+            LogicalPlan::scan("item"),
+            vec![("store_sales.ss_item_sk", "item.i_item_sk")],
+        )
+        .join(
+            LogicalPlan::scan("customer"),
+            vec![("store_sales.ss_customer_sk", "customer.c_customer_sk")],
+        );
+    let (view, _) = execute(&q7, &catalog, &fs).expect("base tables only");
+    let key = view
+        .schema
+        .index_of("store_sales.ss_item_sk")
+        .expect("the partition attribute");
+    let width = (hi - lo + 22) / 22;
+    let ranges: Vec<(i64, i64)> = (0..22)
+        .map(|k| (lo + k * width, (lo + (k + 1) * width - 1).min(hi)))
+        .collect();
+    c.bench_function("materialize_partitioned_join_view", |b| {
+        b.iter(|| {
+            let parts = view.column(key).int_partition_rows(black_box(&ranges));
+            parts.iter().map(|rows| view.take(rows)).collect::<Vec<_>>()
+        })
+    });
+    let narrow = {
+        let mut keys = int_column(&catalog, "store_sales", "store_sales.ss_item_sk");
+        keys.sort_unstable();
+        keys[keys.len() * 7 / 100]
+    };
+    let schema = view.schema.clone();
+    let (file, _) = fs.create("q7", view.sim_bytes(), view);
+    let read = LogicalPlan::ViewScan(ViewScanInfo {
+        view_name: "q7".into(),
+        files: vec![file],
+        schema,
+        clip: None,
+    })
+    .select(Predicate::range("store_sales.ss_item_sk", lo, narrow))
+    .aggregate(
+        vec!["customer.c_age_group"],
+        vec![AggExpr::of(AggFunc::Sum, "store_sales.ss_net_paid", "paid")],
+    );
+    c.bench_function("viewscan_select_whole_view_40k", |b| {
+        b.iter(|| execute(black_box(&read), &catalog, &fs).expect("a stored file"))
+    });
+}
+
 fn int_column(catalog: &Catalog, table: &str, col: &str) -> Vec<i64> {
     let t = catalog.get(table).expect("a BigBench table");
     let i = t.schema.index_of(col).expect("its key column");
-    match t.column(i).data() {
+    match t.column(i).data().data() {
         ColumnData::Int(v) => v.clone(),
         _ => panic!("{col} is an integer column"),
     }
@@ -413,6 +474,7 @@ criterion_group!(
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(1));
     targets = bench_signature, bench_filter_tree, bench_partition_ops, bench_mle, bench_selection,
-        bench_commit_bookkeeping, bench_commit_scaling, bench_exec_kernels, bench_instances
+        bench_commit_bookkeeping, bench_commit_scaling, bench_exec_kernels, bench_instances,
+        bench_view_fragments
 );
 criterion_main!(micro);

@@ -10,7 +10,7 @@
 //! - [`overload`] — rolling gray slowness with deadlines, a bounded queue
 //!   and stale-serving shedding, hedged replica reads off vs on.
 //!
-//! Each is a [`Scenario`] value handed to the one world builder, [`serve`],
+//! Each is a `Scenario` value handed to the one world builder, `serve`,
 //! plus the table and `BENCH_*.json` document it renders from the result.
 
 use std::sync::Arc;
@@ -442,7 +442,7 @@ pub fn node_failure(scale: Scale, seed: u64) -> Run {
 
 /// Run the overload serving scenario: the pressure workload on a 4-node
 /// sharded FS (replication 2) under a rolling gray failure — one node at a
-/// time serving reads [`OVERLOAD_SLOW_MULT`]× slower — with per-ticket
+/// time serving reads `OVERLOAD_SLOW_MULT`× slower — with per-ticket
 /// deadlines, a bounded admission queue, and stale-serving load shedding.
 /// Runs once with hedged replica reads off and once on; everything else is
 /// bit-identical. `BENCH_overload.json` carries latency percentiles, the
@@ -802,8 +802,8 @@ mod tests {
             latency_secs: latency,
             read_epoch: 0,
             epoch_lag: 0,
-            read_fingerprint: Vec::new(),
-            committed_fingerprint: Vec::new(),
+            read_fingerprint: Arc::from([]),
+            committed_fingerprint: Arc::from([]),
             read_query_secs: latency,
             committed_query_secs: latency,
             committed_creation_secs: 0.0,

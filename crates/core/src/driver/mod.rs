@@ -1,18 +1,18 @@
 //! The online driver — Algorithm 1 (`ProcessQuery`) of the paper, as a
 //! staged query-lifecycle pipeline split along the read/write axis:
 //!
-//! - [`read_path`] — the stages that only *consult* catalog state
+//! - `read_path` — the stages that only *consult* catalog state
 //!   (signature matching, rewriting selection, execution of the chosen
-//!   plan), expressed over an immutable [`read_path::ReadView`] so they can
+//!   plan), expressed over an immutable `read_path::ReadView` so they can
 //!   run against either the writer's live state or a published
 //!   [`crate::snapshot::ReadSnapshot`];
-//! - [`write_path`] — the stages that *mutate* it (statistics updates,
+//! - `write_path` — the stages that *mutate* it (statistics updates,
 //!   candidate registration, Φ-selection, materialization, eviction, `Smax`
 //!   enforcement, the durable commit point), serialized behind `&mut self`.
 //!
-//! Each stage communicates through a [`context::QueryContext`] threaded down
+//! Each stage communicates through a `context::QueryContext` threaded down
 //! the pipeline and fills its slice of the per-query [`QueryTrace`] exposed
-//! on [`QueryOutcome`]. [`DeepSea::process_query`] (in [`write_path`])
+//! on [`QueryOutcome`]. [`DeepSea::process_query`] (in `write_path`)
 //! remains the single serialized entry point; the concurrent serving layer
 //! on top of it lives in [`crate::server`]. Both paths execute through the
 //! one [`ExecutionBackend`]; snapshot readers hold forks of it, and the

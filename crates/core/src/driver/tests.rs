@@ -829,6 +829,62 @@ fn views_equal_to_the_executed_plan_are_stored_from_its_result() {
     );
 }
 
+/// A partitioned join view's fragments hold row indices into the base
+/// tables, not copies of their columns (DESIGN.md, "Execution model"):
+/// after the golden log, every column of every fragment of the
+/// store_sales ⋈ item ⋈ customer view reads its catalog column's values
+/// (`Arc::ptr_eq`), and the columns of one base table read them through one
+/// index vector, so a fragment costs 4 B per row per base table.
+#[test]
+fn fragments_of_a_join_view_index_the_catalog_columns() {
+    let (catalog, log) = golden();
+    let mut d = DeepSea::new((**catalog).clone(), crate::baselines::deepsea());
+    for plan in log {
+        d.process_query(plan).unwrap();
+    }
+    let tables = ["store_sales", "item", "customer"];
+    let view = (d.registry().iter())
+        .find(|v| {
+            v.schema.as_ref().is_some_and(|s| {
+                let from =
+                    |t: &str| (s.fields().iter()).any(|f| f.name.starts_with(&format!("{t}.")));
+                tables.iter().all(|t| from(t)) && s.len() == 9
+            }) && v.partitions.values().any(|p| p.any_materialized())
+        })
+        .expect("the golden log partitions the store_sales ⋈ item ⋈ customer view");
+    let mut files = 0;
+    for ps in view.partitions.values() {
+        for f in ps.materialized_fragments() {
+            let fragment = d.fs.try_read(f.file.unwrap()).unwrap().value;
+            files += 1;
+            let mut index_of: Vec<(&str, &deepsea_relation::Rows)> = Vec::new();
+            for (field, col) in fragment.schema.fields().iter().zip(fragment.columns()) {
+                let (table, _) = field.name.split_once('.').unwrap();
+                let base = catalog.get(table).unwrap();
+                let at = base.schema.index_of(&field.name).unwrap();
+                assert!(
+                    Arc::ptr_eq(col.data(), base.column(at).data()),
+                    "{}: {} shares its catalog column",
+                    view.name,
+                    field.name
+                );
+                let idx = col.idx().expect("a fragment reads some rows");
+                match index_of.iter().find(|(t, _)| *t == table) {
+                    Some((_, first)) => assert!(
+                        Arc::ptr_eq(first, idx),
+                        "{}: {} reads {table}'s one index",
+                        view.name,
+                        field.name
+                    ),
+                    None => index_of.push((table, idx)),
+                }
+            }
+            assert_eq!(index_of.len(), 3, "one index per base table");
+        }
+    }
+    assert!(files > 1, "{} has {files} fragment files", view.name);
+}
+
 /// Under the Hive baseline a snapshot reader executes the plan the writer
 /// does — selections pushed down — so its answer is bit-identical to the
 /// writer's at that epoch.

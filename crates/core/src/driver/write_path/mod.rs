@@ -142,11 +142,11 @@ impl DeepSea {
     }
 
     /// Process one query — Algorithm 1, as a linear sequence of stages over
-    /// a per-query [`QueryContext`].
+    /// a per-query `QueryContext`.
     ///
     /// This is the **serialized commit**: stages 1 and 3 are pure read-path
     /// code run against the writer's live state (via
-    /// [`DeepSea::read_view`]); everything else mutates the catalog and must
+    /// `DeepSea::read_view`); everything else mutates the catalog and must
     /// hold the writer. Under the concurrent server this method is invoked
     /// once per ticket, in ticket order, and its committed outcome is
     /// bit-identical to the single-client serial run by construction. When

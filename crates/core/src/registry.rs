@@ -37,8 +37,8 @@ use crate::stats::{FragStats, LogicalTime, PartitionHits, StatsLedger, StatsWith
 /// The fragment list is read-only from outside. Beside it the partition
 /// keeps an index — the slots of the materialized fragments in ascending
 /// order — that only its own mutators maintain ([`PartitionState::track`],
-/// [`PartitionState::materialize`], [`PartitionState::evict`],
-/// [`PartitionState::release_files`]). The index is derived state and stays
+/// [`PartitionState::materialize`], `PartitionState::evict`,
+/// `PartitionState::release_files`). The index is derived state and stays
 /// out of `Debug`, so `state_digest` does not see it. A fragment's hits are
 /// in the registry's [`StatsLedger`], at the fragment's slot.
 #[derive(Clone)]
@@ -601,7 +601,7 @@ impl ViewRegistry {
 
     /// A deterministic digest of the full registry state (views in id order,
     /// every field via `Debug`, each ledger entry where its node once held
-    /// it — see [`ViewWithStats`]), used to assert that crash recovery is
+    /// it — see `ViewWithStats`), used to assert that crash recovery is
     /// idempotent: recover twice, get the same digest. Per-view formatting
     /// keeps the digest independent of `HashMap` iteration order in the
     /// key index. This is the same property the D1 `hash_iter` lint enforces

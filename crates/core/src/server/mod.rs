@@ -189,9 +189,10 @@ pub struct ClientRecord {
     pub epoch_lag: u64,
     /// The read's result fingerprint (always equals the committed one —
     /// rewritings are semantically transparent).
-    pub read_fingerprint: Vec<String>,
-    /// The committed result fingerprint from the serialized pipeline.
-    pub committed_fingerprint: Vec<String>,
+    pub read_fingerprint: Arc<[String]>,
+    /// The committed result fingerprint from the serialized pipeline; the
+    /// read's own, shared, when the commit returned the read's columns.
+    pub committed_fingerprint: Arc<[String]>,
     /// Simulated execution seconds of the read, against its (possibly
     /// stale) snapshot.
     pub read_query_secs: f64,
@@ -221,15 +222,17 @@ pub struct ClientRecord {
     pub shed: Option<(&'static str, &'static str)>,
 }
 
-/// Whether two results hold the very same columns (`Arc::ptr_eq`), as a
+/// Whether two results hold the very same columns ([`Col::shares`]), as a
 /// commit returns its ticket's read's when the backend remembers the read's
 /// execution: their fingerprints are then equal, and one is computed.
+///
+/// [`Col::shares`]: deepsea_relation::Col::shares
 fn same_columns(a: &Table, b: &Table) -> bool {
     a.len() == b.len()
         && a.columns().len() == b.columns().len()
         && (a.columns().iter())
             .zip(b.columns())
-            .all(|(x, y)| Arc::ptr_eq(x, y))
+            .all(|(x, y)| x.shares(y))
 }
 
 /// The outcome of serving one workload: per-ticket records plus the
@@ -262,7 +265,7 @@ impl ServeReport {
     pub fn committed_fingerprints(&self) -> Vec<Vec<String>> {
         self.records
             .iter()
-            .map(|r| r.committed_fingerprint.clone())
+            .map(|r| r.committed_fingerprint.to_vec())
             .collect()
     }
 
@@ -501,9 +504,9 @@ impl ViewServer {
                 rec.commit_done_secs = writer_free;
                 rec.committed_fingerprint = match read_results[ticket].take() {
                     Some(read) if same_columns(&read, &outcome.result) => {
-                        rec.read_fingerprint.clone()
+                        Arc::clone(&rec.read_fingerprint)
                     }
-                    _ => outcome.result.fingerprint(),
+                    _ => outcome.result.fingerprint().into(),
                 };
                 rec.committed_query_secs = outcome.query_secs;
                 rec.committed_creation_secs = outcome.creation_secs;
@@ -652,8 +655,11 @@ impl ViewServer {
                     }
                 }
 
-                let (read_fingerprint, read_query_secs, read_used_view) =
-                    (ans.result.fingerprint(), ans.query_secs, ans.used_view);
+                let (read_fingerprint, read_query_secs, read_used_view) = (
+                    ans.result.fingerprint().into(),
+                    ans.query_secs,
+                    ans.used_view,
+                );
                 read_results.push(Some(ans.result));
 
                 // Complete the ticket's causal tree post hoc — every duration
@@ -701,7 +707,7 @@ impl ViewServer {
                     read_epoch: epoch,
                     epoch_lag: lag,
                     read_fingerprint,
-                    committed_fingerprint: Vec::new(),
+                    committed_fingerprint: Arc::from([]),
                     read_query_secs,
                     committed_query_secs: 0.0,
                     committed_creation_secs: 0.0,

@@ -24,7 +24,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 
 use deepsea_engine::exec::ExecError;
 use deepsea_engine::plan::LogicalPlan;
@@ -43,9 +43,10 @@ pub struct ThreadedRecord {
     /// Snapshot epoch the racing read was answered against.
     pub read_epoch: u64,
     /// The read's result fingerprint.
-    pub read_fingerprint: Vec<String>,
-    /// The committed result fingerprint from the serialized pipeline.
-    pub committed_fingerprint: Vec<String>,
+    pub read_fingerprint: Arc<[String]>,
+    /// The committed result fingerprint from the serialized pipeline; the
+    /// read's own, shared, when the commit returned the read's columns.
+    pub committed_fingerprint: Arc<[String]>,
     /// Simulated execution seconds of the committed execution.
     pub committed_query_secs: f64,
 }
@@ -110,11 +111,11 @@ impl ViewServer {
                             .publish_snapshot()
                             .expect("invariant: a backend that forked once forks again"),
                     );
-                    let read_fingerprint = answer.result.fingerprint();
+                    let read_fingerprint: Arc<[String]> = answer.result.fingerprint().into();
                     let committed_fingerprint = if same_columns(&answer.result, &outcome.result) {
-                        read_fingerprint.clone()
+                        Arc::clone(&read_fingerprint)
                     } else {
-                        outcome.result.fingerprint()
+                        outcome.result.fingerprint().into()
                     };
                     records.push(ThreadedRecord {
                         ticket: next_commit,

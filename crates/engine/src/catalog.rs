@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use deepsea_relation::{Column, ColumnData, Table};
+use deepsea_relation::{Col, ColumnData, Table};
 use deepsea_storage::Stamp;
 
 /// Per-column statistics the cost estimator uses.
@@ -39,20 +39,35 @@ pub struct Catalog {
 /// One pass over `col`: its integer min/max, NULLs ignored, and, when it is
 /// a surrogate key — no NULL, row `r` holding `min + r` — `Some(min)`. Both
 /// are `None` for a column of another type and for one without a value.
-fn scan_column(col: &Column) -> (Option<ColumnStats>, Option<i64>) {
-    let ColumnData::Int(v) = col.data() else {
+fn scan_column(col: &Col) -> (Option<ColumnStats>, Option<i64>) {
+    let data = col.data();
+    let ColumnData::Int(v) = data.data() else {
         return (None, None);
     };
+    match col.idx() {
+        None => scan_ints(v, |p| data.is_null(p), 0..v.len()),
+        Some(ix) => scan_ints(v, |p| data.is_null(p), ix.iter().map(|&p| p as usize)),
+    }
+}
+
+/// [`scan_column`] over the values `v` at `positions`, one per row.
+fn scan_ints(
+    v: &[i64],
+    is_null: impl Fn(usize) -> bool,
+    positions: impl Iterator<Item = usize>,
+) -> (Option<ColumnStats>, Option<i64>) {
     let mut stats: Option<ColumnStats> = None;
     let mut serial = true;
-    for (r, &x) in v.iter().enumerate() {
-        if col.is_null(r) {
+    let mut start = None;
+    for (r, p) in positions.enumerate() {
+        if is_null(p) {
             serial = false;
             continue;
         }
+        let x = v[p];
         // Checked until the first row that breaks the rule; `checked_add`
         // fails a run that would pass `i64::MAX`.
-        serial = serial && v[0].checked_add(r as i64) == Some(x);
+        serial = serial && start.get_or_insert(x).checked_add(r as i64) == Some(x);
         stats = Some(match stats {
             None => ColumnStats { min: x, max: x },
             Some(s) => ColumnStats {
@@ -74,7 +89,7 @@ impl Catalog {
     /// statistics [`Catalog::column_stats`] serves and for whether it is a
     /// surrogate key, which the executor's joins address by position.
     pub fn register(&mut self, name: impl Into<String>, table: Table) {
-        let (stats, keys) = table.columns().iter().map(|c| scan_column(c)).unzip();
+        let (stats, keys) = table.columns().iter().map(scan_column).unzip();
         let table = Arc::new(table);
         self.tables
             .insert(name.into(), Entry { table, stats, keys });

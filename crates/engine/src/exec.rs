@@ -6,20 +6,26 @@
 //! simulator turns into elapsed seconds.
 //!
 //! Execution is columnar and batch-at-a-time: an operator's output is a
-//! [`Batch`] of shared typed columns plus `u32` index vectors saying which
-//! of their rows it holds. A selection yields a selection vector, a join
-//! `(left, right)` index pairs, an aggregate reads only its key and argument
-//! columns through those indices; column values are copied once, when the
-//! final batch becomes a [`Table`]. What the simulator charges — bytes,
-//! tasks, stages, rows — and the order of output rows do not depend on any
-//! of this (DESIGN.md, "Execution model").
+//! batch of shared typed columns plus `u32` index vectors saying which of
+//! their rows it holds ([`deepsea_relation::Col`]). A selection yields a
+//! selection vector, a join `(left, right)` index pairs, and both compose
+//! them with their inputs' indices; an aggregate reads only its key and
+//! argument columns through those indices. The result [`Table`] keeps the
+//! indices too, one vector per input table a join or selection read, so no
+//! operator copies a value it does not compute. What the simulator charges
+//! — bytes, tasks, stages, rows — and the order of output rows do not
+//! depend on any of this
+//! (DESIGN.md, "Execution model").
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
 use deepsea_relation::column::dense_span;
-use deepsea_relation::{Column, ColumnData, DataType, Field, Predicate, Schema, Table, Value};
+use deepsea_relation::{
+    Col as Stored, Column, ColumnData, DataType, Field, Predicate, Rows, Schema, Table, Value,
+};
 use deepsea_storage::{FileId, IoError, SimFs};
 
 use crate::catalog::Catalog;
@@ -136,52 +142,49 @@ impl std::error::Error for ExecError {
     }
 }
 
-/// Row indices into a column; the rows of a batch or of one join side.
-type Rows = Arc<Vec<u32>>;
-
-/// One column of a [`Batch`]: shared values and, when the batch holds only
-/// some of them (or some twice, after a join), which. Row `r` of the batch
-/// is `data[idx[r]]`, or `data[r]` without an index.
+/// One column of a [`Batch`]: a table's column ([`Stored`]: shared values
+/// and, when the batch holds only some of them, or some twice after a join,
+/// an index saying which), read through [`Stored::phys`], and whether it is
+/// a surrogate key.
 #[derive(Clone)]
 struct Col {
-    data: Arc<Column>,
-    idx: Option<Rows>,
+    col: Stored,
     /// `Some(first)` when the column is a surrogate key: batch row `r` holds
     /// `first + r`, and none is NULL. Only a base-table scan marks a column
-    /// so, as [`Catalog::register`] found it; a column read through an index
-    /// never is one.
+    /// so, as [`Catalog::register`] found it; a column a batch took rows
+    /// of never is one.
     surrogate: Option<i64>,
 }
 
-impl Col {
-    /// All of `data`'s rows, in order.
-    fn whole(data: Arc<Column>) -> Self {
-        Self {
-            data,
-            idx: None,
-            surrogate: None,
-        }
-    }
+impl Deref for Col {
+    type Target = Stored;
 
-    /// Position in `data` of batch row `r`.
     #[inline]
-    fn phys(&self, r: usize) -> usize {
-        match &self.idx {
-            Some(ix) => ix[r] as usize,
-            None => r,
+    fn deref(&self) -> &Stored {
+        &self.col
+    }
+}
+
+impl Col {
+    /// `col`, not marked as a surrogate key.
+    fn new(col: Stored) -> Self {
+        Self {
+            col,
+            surrogate: None,
         }
     }
 
     /// `f(r, x)` for every batch row `r < n` with a non-NULL number `x`
     /// (integers coerced), in row order. Strings are not numbers.
     fn for_each_float(&self, n: usize, mut f: impl FnMut(usize, f64)) {
+        let data = self.data();
         let rows = (0..n).map(|r| (r, self.phys(r)));
-        match self.data.data() {
+        match data.data() {
             ColumnData::Int(v) => rows
-                .filter(|&(_, p)| !self.data.is_null(p))
+                .filter(|&(_, p)| !data.is_null(p))
                 .for_each(|(r, p)| f(r, v[p] as f64)),
             ColumnData::Float(v) => rows
-                .filter(|&(_, p)| !self.data.is_null(p))
+                .filter(|&(_, p)| !data.is_null(p))
                 .for_each(|(r, p)| f(r, v[p])),
             ColumnData::Str { .. } => {}
         }
@@ -190,8 +193,7 @@ impl Col {
 
 /// Intermediate result: a schema, one [`Col`] per field, and the simulated
 /// width of one row. Operators pass columns on by reference count and
-/// describe their output with index vectors; values are copied once, in
-/// [`Batch::into_table`].
+/// describe their output with index vectors.
 struct Batch {
     schema: Schema,
     cols: Vec<Col>,
@@ -213,13 +215,9 @@ impl Batch {
         }
     }
 
-    /// All of `table`'s rows, sharing its columns.
+    /// All of `table`'s rows, sharing its columns, indices and range orders.
     fn from_table(table: &Table, schema: Schema, bytes_per_row: u64) -> Self {
-        let cols = table
-            .columns()
-            .iter()
-            .map(|c| Col::whole(Arc::clone(c)))
-            .collect();
+        let cols = table.columns().iter().cloned().map(Col::new).collect();
         Self::new(schema, cols, table.len(), bytes_per_row)
     }
 
@@ -230,41 +228,14 @@ impl Batch {
     /// The columns restricted to batch rows `sel`, in that order. Columns
     /// that share an index vector share the composed one.
     fn take(&self, sel: &Rows) -> Vec<Col> {
-        let mut composed: Vec<(&Rows, Rows)> = Vec::new();
-        self.cols
-            .iter()
-            .map(|c| {
-                let idx = match &c.idx {
-                    None => Arc::clone(sel),
-                    Some(old) => match composed.iter().find(|(o, _)| Arc::ptr_eq(o, old)) {
-                        Some((_, new)) => Arc::clone(new),
-                        None => {
-                            let new: Rows =
-                                Arc::new(sel.iter().map(|&s| old[s as usize]).collect());
-                            composed.push((old, Arc::clone(&new)));
-                            new
-                        }
-                    },
-                };
-                Col {
-                    data: Arc::clone(&c.data),
-                    idx: Some(idx),
-                    surrogate: None,
-                }
-            })
+        Stored::take_all(self.cols.iter().map(|c| &c.col), sel)
+            .map(Col::new)
             .collect()
     }
 
-    /// Materialize: un-indexed columns are shared, indexed ones gathered.
+    /// The result table: the columns as they are, indices included.
     fn into_table(self) -> Table {
-        let columns = self
-            .cols
-            .into_iter()
-            .map(|c| match c.idx {
-                None => c.data,
-                Some(ix) => Arc::new(c.data.gather(&ix)),
-            })
-            .collect();
+        let columns = self.cols.into_iter().map(|c| c.col).collect();
         Table::new(self.schema, columns, self.bytes_per_row)
     }
 }
@@ -278,7 +249,7 @@ fn avg_actual_width(cols: &[Col], len: usize) -> f64 {
     let n = len.min(128);
     let total: u64 = cols
         .iter()
-        .map(|c| (0..n).map(|r| c.data.width_at(c.phys(r))).sum::<u64>())
+        .map(|c| (0..n).map(|r| c.data().width_at(c.phys(r))).sum::<u64>())
         .sum();
     (total as f64 / n as f64).max(1.0)
 }
@@ -333,7 +304,7 @@ pub(crate) fn replay_reads(
 
 /// The rows of `σ_pred(plan)`, as [`execute`] would return them after a
 /// selection on top, and the number of rows of `plan` itself. A join whose
-/// selection runs at a leaf ([`JoinNode::push`]) pairs only the rows it
+/// selection can run at a leaf (below every join) pairs only the rows it
 /// keeps and takes the count from the full join it did not build; any
 /// other plan is built whole and filtered. Nothing is charged: the rows
 /// are a by-product of a query that was.
@@ -491,20 +462,27 @@ fn run(
                     groups.first_row[b as usize] as usize,
                 );
                 keys.iter()
-                    .map(|k| k.data.cmp_at(k.phys(ra), k.phys(rb)))
+                    .map(|k| k.data().cmp_at(k.phys(ra), k.phys(rb)))
                     .find(|o| o.is_ne())
                     .unwrap_or(Ordering::Equal)
             });
 
             let mut fields: Vec<Field> = Vec::with_capacity(gidx.len() + aggs.len());
             let mut out: Vec<Col> = Vec::with_capacity(gidx.len() + aggs.len());
-            for (&i, key) in gidx.iter().zip(&keys) {
-                let firsts: Vec<u32> = order
+            // The key columns read their groups' first rows, through one
+            // index per index they read through.
+            let firsts: Rows = Arc::new(
+                order
                     .iter()
-                    .map(|&g| key.phys(groups.first_row[g as usize] as usize) as u32)
-                    .collect();
+                    .map(|&g| groups.first_row[g as usize])
+                    .collect(),
+            );
+            for (&i, key) in gidx
+                .iter()
+                .zip(Stored::take_all(keys.iter().map(|k| &k.col), &firsts))
+            {
                 fields.push(child.schema.field(i).clone());
-                out.push(Col::whole(Arc::new(key.data.gather(&firsts))));
+                out.push(Col::new(key));
             }
             for (a, idx) in aggs.iter().zip(&aidx) {
                 let arg = idx.map(|i| &child.cols[i]);
@@ -517,7 +495,7 @@ fn run(
                 };
                 fields.push(Field::new(a.alias.clone(), dtype));
                 let values = aggregate(a.func, arg, dtype, &groups, &order);
-                out.push(Col::whole(Arc::new(values)));
+                out.push(Col::new(Stored::from(values)));
             }
             m.rows_processed += order.len() as u64;
             // Aggregates produce compact rows; keep the input's scale factor.
@@ -528,11 +506,17 @@ fn run(
 }
 
 /// The rows of `child` that satisfy `pred`; the selection is charged every
-/// row it reads.
-fn select(child: Batch, pred: &Predicate, m: &mut ExecMetrics) -> Batch {
+/// row it reads. One that keeps every row (its rows are ascending, so they
+/// are then `0..len`) leaves the columns as they are, indices included,
+/// and only drops their surrogate-key marks, as a take does.
+fn select(mut child: Batch, pred: &Predicate, m: &mut ExecMetrics) -> Batch {
     m.rows_processed += child.len as u64;
     match filter(&child, pred) {
         None => child,
+        Some(sel) if sel.len() == child.len => {
+            child.cols.iter_mut().for_each(|c| c.surrogate = None);
+            child
+        }
         Some(sel) => {
             let sel: Rows = Arc::new(sel);
             let cols = child.take(&sel);
@@ -846,12 +830,10 @@ fn rows_where(batch: &Batch, conds: &[(&Predicate, usize)], from: usize) -> Vec<
 /// The rows of `sel` (of `0..n` when `None`) that satisfy one condition on
 /// column `c`.
 fn conjunct_rows(c: &Col, n: usize, conjunct: &Predicate, sel: Option<Vec<u32>>) -> Vec<u32> {
-    match (conjunct, c.data.data()) {
-        // All of a column's rows, in place: its range order can serve them.
-        (Predicate::Range { low, high, .. }, ColumnData::Int(_))
-            if sel.is_none() && c.idx.is_none() && c.data.len() == n =>
-        {
-            c.data.int_range_rows(*low, *high)
+    match (conjunct, c.data().data()) {
+        // All of a column's rows: its range order can serve them.
+        (Predicate::Range { low, high, .. }, ColumnData::Int(_)) if sel.is_none() => {
+            c.int_range_rows(*low, *high)
         }
         (Predicate::Range { low, high, .. }, ColumnData::Int(v)) => {
             keep(n, sel, c, |p| (*low <= v[p]) & (v[p] <= *high))
@@ -886,8 +868,8 @@ fn conjunct_rows(c: &Col, n: usize, conjunct: &Predicate, sel: Option<Vec<u32>>)
 /// column is indexed and whether it can hold a NULL is settled here, once,
 /// so the loop in [`compact`] only does what its column needs.
 fn keep(len: usize, sel: Option<Vec<u32>>, col: &Col, test: impl Fn(usize) -> bool) -> Vec<u32> {
-    let data = &*col.data;
-    match (col.idx.as_deref(), data.has_nulls()) {
+    let data = &**col.data();
+    match (col.idx().map(|ix| ix.as_slice()), data.has_nulls()) {
         (None, false) => compact(len, sel, test),
         (None, true) => compact(len, sel, |r| test(r) & !data.is_null(r)),
         (Some(ix), false) => compact(len, sel, |r| test(ix[r] as usize)),
@@ -1015,7 +997,7 @@ impl<'a> IntKeys<'a> {
     /// read as integers, when their values compare as such: integers, and
     /// strings under one dictionary.
     fn of(build: &'a Col, probe: &'a Col) -> Option<(Self, Self)> {
-        Some(match (build.data.data(), probe.data.data()) {
+        Some(match (build.data().data(), probe.data().data()) {
             (ColumnData::Int(b), ColumnData::Int(p)) => {
                 (IntKeys::Ints(b, build, 0), IntKeys::Ints(p, probe, 0))
             }
@@ -1135,7 +1117,7 @@ struct Partners<'a> {
 impl<'a> Partners<'a> {
     /// `col`'s keys less `first`; `None` unless it holds integers.
     fn of(col: &'a Col, first: i64) -> Option<Self> {
-        match col.data.data() {
+        match col.data().data() {
             ColumnData::Int(vals) => Some(Self { vals, col, first }),
             _ => None,
         }
@@ -1145,7 +1127,7 @@ impl<'a> Partners<'a> {
     /// surrogate side `len` rows long — a NULL meets none. Whether the
     /// column can hold a NULL is settled once.
     fn each(&self, n: usize, len: usize, mut f: impl FnMut(usize, u32)) {
-        let data = &*self.col.data;
+        let data = &**self.col.data();
         let nullable = data.has_nulls();
         for r in 0..n {
             let p = self.col.phys(r);
@@ -1170,10 +1152,13 @@ impl<'a> Partners<'a> {
 /// index test their own bits.
 fn chain_counts<'a>(chain: impl IntoIterator<Item = (Partners<'a>, usize)>, n: usize) -> Vec<u64> {
     let (cols, bits): (Vec<&Col>, Vec<_>) = (chain.into_iter())
-        .map(|(keys, len)| (keys.col, keys.col.data.key_bits(keys.first, len)))
+        .map(|(keys, len)| (keys.col, keys.col.data().key_bits(keys.first, len)))
         .unzip();
     // Rows in place: a bitmap holds no bit past the column's last row.
-    if cols.iter().all(|c| c.idx.is_none() && c.data.len() == n) {
+    if cols
+        .iter()
+        .all(|c| c.idx().is_none() && c.data().len() == n)
+    {
         let mut alive = vec![u64::MAX; n.div_ceil(64)];
         return (bits.iter())
             .map(|words| {
@@ -1205,7 +1190,7 @@ fn chain_counts<'a>(chain: impl IntoIterator<Item = (Partners<'a>, usize)>, n: u
 /// callers tell them from values by [`null_rows`].
 fn float_codes(col: &Col, n: usize) -> Option<Vec<u64>> {
     let phys = (0..n).map(|r| col.phys(r));
-    match col.data.data() {
+    match col.data().data() {
         ColumnData::Int(v) => Some(phys.map(|p| (v[p] as f64).to_bits()).collect()),
         ColumnData::Float(v) => Some(phys.map(|p| v[p].to_bits()).collect()),
         ColumnData::Str { .. } => None,
@@ -1214,9 +1199,9 @@ fn float_codes(col: &Col, n: usize) -> Option<Vec<u64>> {
 
 /// Which of the first `n` rows of `col` are NULL; `None` when none can be.
 fn null_rows(col: &Col, n: usize) -> Option<Vec<bool>> {
-    col.data
+    col.data()
         .has_nulls()
-        .then(|| (0..n).map(|r| col.data.is_null(col.phys(r))).collect())
+        .then(|| (0..n).map(|r| col.is_null(r)).collect())
 }
 
 /// Whether `mask` marks row `r`.
@@ -1323,7 +1308,7 @@ fn join_hashed(build: &[&Col], build_len: usize, probe: &[&Col], probe_len: usiz
     let mut bnull: Option<Vec<bool>> = None;
     let mut pnull: Option<Vec<bool>> = None;
     for (b, p) in build.iter().zip(probe) {
-        let codes = match (IntKeys::of(b, p), b.data.data(), p.data.data()) {
+        let codes = match (IntKeys::of(b, p), b.data().data(), p.data().data()) {
             (Some((bk, pk)), ..) => Some((bk.codes(build_len), pk.codes(probe_len))),
             // Strings under two dictionaries: each entry of the probe side's
             // is looked up in the build side's once, NONE for one it lacks.
@@ -1515,13 +1500,14 @@ fn aggregate(
             for (r, &g) in groups.of_row.iter().enumerate() {
                 let p = col.phys(r);
                 let b = &mut best[g as usize];
-                if !col.data.is_null(p) && (*b == NONE || col.data.cmp_at(p, *b as usize) == wanted)
+                if !col.data().is_null(p)
+                    && (*b == NONE || col.data().cmp_at(p, *b as usize) == wanted)
                 {
                     *b = p as u32;
                 }
             }
             let best: Vec<u32> = order.iter().map(|&g| best[g as usize]).collect();
-            col.data.gather_or_null(&best)
+            col.data().gather_or_null(&best)
         }
     }
 }
@@ -1800,10 +1786,16 @@ mod tests {
     fn key_col(dtype: DataType, values: &[Value], idx: Option<Vec<u32>>) -> Col {
         let mut data = Column::with_capacity(dtype, values.len());
         values.iter().for_each(|v| data.push(v.clone()));
-        Col {
-            idx: idx.map(Arc::new),
-            ..Col::whole(Arc::new(data))
-        }
+        let data = Arc::new(data);
+        Col::new(match idx {
+            Some(idx) => Stored::indexed(data, Arc::new(idx)),
+            None => Stored::whole(data),
+        })
+    }
+
+    /// `col`'s values read through `idx`.
+    fn reindexed(col: &Col, idx: Vec<u32>) -> Col {
+        Col::new(Stored::indexed(Arc::clone(col.data()), Arc::new(idx)))
     }
 
     fn int_col(keys: &[i64]) -> Col {
@@ -1835,7 +1827,7 @@ mod tests {
 
     /// The pairs a nested loop finds: probe rows outer, build rows inner.
     fn nested_loop_pairs(build: &Col, build_len: usize, probe: &Col, probe_len: usize) -> Pairs {
-        let value = |c: &Col, r: usize| c.data.value(c.phys(r));
+        let value = |c: &Col, r: usize| c.value(r);
         let mut pairs = (Vec::new(), Vec::new());
         for j in 0..probe_len {
             for i in 0..build_len {
@@ -1851,7 +1843,7 @@ mod tests {
 
     /// Groups numbered as first seen, found by comparing values.
     fn first_seen_groups(key: &Col, n: usize) -> Groups {
-        let value = |r: usize| key.data.value(key.phys(r));
+        let value = |r: usize| key.value(r);
         let mut first_row: Vec<u32> = Vec::new();
         let of_row = (0..n)
             .map(|r| {
@@ -1901,10 +1893,10 @@ mod tests {
 
         // Indexed columns (a join's output, a selection's) read through
         // their index vector; only its rows count.
-        let build = Col {
-            idx: Some(Arc::new(vec![7, 0, 0, 4, 1])),
-            ..int_col(&[7, 3, 1 << 40, 7, 9, 3, 7, 8])
-        };
+        let build = reindexed(
+            &int_col(&[7, 3, 1 << 40, 7, 9, 3, 7, 8]),
+            vec![7, 0, 0, 4, 1],
+        );
         check_key_indexes(&build, 5, &probe, 6);
         assert!(dense(&build, 5));
 
@@ -1916,10 +1908,7 @@ mod tests {
         };
         let many: Vec<String> = (0..300).map(|k| format!("s{k}")).collect();
         let wide = strs(&many.iter().map(String::as_str).collect::<Vec<_>>());
-        let rows = |idx: Vec<u32>| Col {
-            idx: Some(Arc::new(idx)),
-            ..wide.clone()
-        };
+        let rows = |idx: Vec<u32>| reindexed(&wide, idx);
         let (build, probe) = (rows(vec![3, 5, 3, 0]), rows(vec![5, 8, 0]));
         check_key_indexes(&build, 4, &probe, 3);
         assert!(dense(&build, 4));
@@ -1974,7 +1963,7 @@ mod tests {
         let mut counts = vec![0; chain.len()];
         for r in 0..n {
             for ((keys, len), count) in chain.iter().zip(&mut counts) {
-                let key = keys.col.data.int_at(keys.col.phys(r));
+                let key = keys.col.int_at(r);
                 let meets = key.is_some_and(|k| {
                     (0..*len as i128).contains(&(i128::from(k) - i128::from(keys.first)))
                 });
@@ -2058,7 +2047,7 @@ mod tests {
         let col = key_col(DataType::Int, &keys, None);
         let count = |col: &Col, first: i64, len: usize| {
             let chain = [(Partners::of(col, first).unwrap(), len)];
-            let n = col.data.len();
+            let n = col.data().len();
             assert_eq!(
                 chain_counts(chain, n),
                 counted_row_by_row(&chain, n),
@@ -2069,7 +2058,7 @@ mod tests {
         for (first, len) in [(-10, 65), (0, 40), (-10, 65), (-80, 1)] {
             count(&col, first, len);
         }
-        let copy = Col::whole(Arc::new((*col.data).clone()));
+        let copy = Col::new(Stored::from((**col.data()).clone()));
         count(&copy, 0, 40);
         count(&copy, -10, 65);
         let mutations: [fn(&mut Column); 3] = [
@@ -2078,10 +2067,10 @@ mod tests {
             |c| c.extend_from(&Column::from_ints(vec![54, 55, -11]), None),
         ];
         for mutate in mutations {
-            let mut data = Arc::new((*col.data).clone());
-            count(&Col::whole(Arc::clone(&data)), -10, 65);
+            let mut data = Arc::new((**col.data()).clone());
+            count(&Col::new(Stored::whole(Arc::clone(&data))), -10, 65);
             mutate(Arc::get_mut(&mut data).unwrap());
-            count(&Col::whole(data), -10, 65);
+            count(&Col::new(Stored::whole(data)), -10, 65);
         }
     }
 
@@ -2113,10 +2102,7 @@ mod tests {
                 check_key_indexes(&dim, n, &fact, keys.len());
                 check_key_indexes(&fact, keys.len(), &dim, n);
                 // The fact side read through a selection's index.
-                let some = Col {
-                    idx: Some(Arc::new(vec![9, 3, 0, 2, 3, 6])),
-                    ..fact.clone()
-                };
+                let some = reindexed(&fact, vec![9, 3, 0, 2, 3, 6]);
                 check_key_indexes(&some, 6, &dim, n);
                 check_key_indexes(&dim, n, &some, 6);
             }
@@ -2357,9 +2343,7 @@ mod tests {
                     }
                 };
                 let cols = batch.cols.clone();
-                let row = |r: usize| -> Vec<Value> {
-                    cols.iter().map(|c| c.data.value(c.phys(r))).collect()
-                };
+                let row = |r: usize| -> Vec<Value> { cols.iter().map(|c| c.value(r)).collect() };
                 for pred in &preds {
                     let want: Vec<u32> = (0..batch.len as u32)
                         .filter(|&r| pred.eval(&schema, &row(r as usize)))

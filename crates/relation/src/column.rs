@@ -1,15 +1,17 @@
-//! Typed column vectors.
+//! Typed column vectors, and the columns tables hold.
 //!
-//! A [`Column`] holds every value of one table column in a typed vector plus
-//! a null mask. Tables share columns behind `Arc`s, so scans, projections and
-//! single-fragment view reads hand columns on without copying; operators
-//! address rows through `u32` index vectors (selection vectors) and only
-//! [`Column::gather`] materializes a new vector. A string column's vector
-//! holds codes into a [`Dict`] that every column gathered from it shares.
-//! An integer column that is range-selected a second time sorts its rows by
-//! value once ([`Column::int_range_rows`]), so later ranges cost what they
-//! keep, and one asked which of its rows name a row of a surrogate key keeps
-//! the answer as a bitmap ([`Column::key_bits`]).
+//! A [`Column`] holds values of one table column in a typed vector plus a
+//! null mask. A table holds each of its columns as a [`Col`]: a shared
+//! `Column` and, when the table keeps only some of its rows (or some twice),
+//! a shared `u32` row index saying which. Scans, projections, selections,
+//! joins and stored view fragments hand columns on without copying values:
+//! a selection or a join composes index vectors, and every column taken
+//! from one input shares one. A string column's vector holds codes into a
+//! [`Dict`] that every column gathered from it shares. A [`Col`] that is
+//! range-selected a second time sorts its rows by value once
+//! ([`Col::int_range_rows`]), so later ranges cost what they keep, and a
+//! column asked which of its rows name a row of a surrogate key keeps the
+//! answer as a bitmap ([`Column::key_bits`]).
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -91,14 +93,14 @@ pub fn dense_span(min: i64, max: i64, n: usize) -> Option<usize> {
     (span < 4 * n as u64 + 64).then_some(span as usize)
 }
 
-/// An integer column's range order, built on its second range selection
-/// ([`Column::int_range_rows`]) and kept until the column changes. A clone
-/// starts without one.
+/// An integer [`Col`]'s range order, built on its second range selection
+/// ([`Col::int_range_rows`]) and shared by the `Col`'s clones, which read
+/// the same rows. A `Col` never changes, so neither does its order.
 #[derive(Default)]
 struct RangeOrder {
     /// Set by the first range selection.
     ranged: AtomicBool,
-    /// The non-NULL rows sorted by (value, row).
+    /// The rows with a non-NULL value, sorted by (value, row).
     rows: OnceLock<Vec<u32>>,
 }
 
@@ -117,12 +119,10 @@ struct KeyBits {
 pub struct Column {
     data: ColumnData,
     nulls: Vec<bool>,
-    order: RangeOrder,
     keys: OnceLock<KeyBits>,
 }
 
-/// The values and the mask; the range order and the key bitmap are the
-/// column's own caches.
+/// The values and the mask; the key bitmap is the column's own cache.
 impl Clone for Column {
     fn clone(&self) -> Self {
         Self::new(self.data.clone(), self.nulls.clone())
@@ -144,15 +144,12 @@ impl Column {
         Self {
             data,
             nulls,
-            order: RangeOrder::default(),
             keys: OnceLock::new(),
         }
     }
 
-    /// Drop the range order and the key bitmap: the column is about to
-    /// change.
+    /// Drop the key bitmap: the column is about to change.
     fn forget_caches(&mut self) {
-        self.order = RangeOrder::default();
         self.keys = OnceLock::new();
     }
 
@@ -380,86 +377,6 @@ impl Column {
         }
     }
 
-    /// Rows whose integer value lies in `[low, high]`, in ascending order.
-    /// NULLs and non-integer columns select nothing.
-    ///
-    /// The column's first range selection scans it. Its second sorts the
-    /// non-NULL rows by (value, row) once — a counting sort when the values
-    /// are dense ([`dense_span`]), a stable sort otherwise — and from then
-    /// on a range is two binary searches in that order plus one pass over a
-    /// bitmap of the rows found, which puts them back in row order. A range
-    /// that keeps more than a quarter of the rows scans instead. Either way
-    /// the rows are the same.
-    pub fn int_range_rows(&self, low: i64, high: i64) -> Vec<u32> {
-        let ColumnData::Int(v) = &self.data else {
-            return Vec::new();
-        };
-        let order = match self.order.rows.get() {
-            Some(order) => order,
-            None if self.order.ranged.swap(true, Relaxed) => {
-                self.order.rows.get_or_init(|| self.range_order(v))
-            }
-            None => return self.scan_range(v, low, high),
-        };
-        ordered_range(v, order, low, high).unwrap_or_else(|| self.scan_range(v, low, high))
-    }
-
-    /// The non-NULL rows whose value in `v` lies in `[low, high]`, by one
-    /// pass that writes every row and advances past it only if it passes:
-    /// no branch depends on the data.
-    fn scan_range(&self, v: &[i64], low: i64, high: i64) -> Vec<u32> {
-        let mut out = vec![0u32; v.len()];
-        let mut k = 0;
-        let within = |x: i64| (low <= x) & (x <= high);
-        if self.nulls.is_empty() {
-            for (r, &x) in v.iter().enumerate() {
-                out[k] = r as u32;
-                k += usize::from(within(x));
-            }
-        } else {
-            for (r, (&x, &null)) in v.iter().zip(&self.nulls).enumerate() {
-                out[k] = r as u32;
-                k += usize::from(within(x) & !null);
-            }
-        }
-        out.truncate(k);
-        out
-    }
-
-    /// The non-NULL rows of values `v`, sorted by (value, row). NULL slots
-    /// hold 0 and are sorted with the rest, then dropped.
-    fn range_order(&self, v: &[i64]) -> Vec<u32> {
-        let (min, max) = v
-            .iter()
-            .fold((i64::MAX, i64::MIN), |(lo, hi), &x| (lo.min(x), hi.max(x)));
-        let mut order = match dense_span(min, max, v.len()) {
-            // Counting sort: each value's first slot, then the rows in order.
-            Some(span) => {
-                let mut next = vec![0u32; span + 2];
-                v.iter().for_each(|&x| next[(x - min) as usize + 1] += 1);
-                for s in 1..next.len() {
-                    next[s] += next[s - 1];
-                }
-                let mut order = vec![0u32; v.len()];
-                for (r, &x) in v.iter().enumerate() {
-                    let s = &mut next[(x - min) as usize];
-                    order[*s as usize] = r as u32;
-                    *s += 1;
-                }
-                order
-            }
-            None => {
-                let mut order: Vec<u32> = (0..v.len() as u32).collect();
-                order.sort_by_key(|&r| v[r as usize]);
-                order
-            }
-        };
-        if self.has_nulls() {
-            order.retain(|&r| !self.nulls[r as usize]);
-        }
-        order
-    }
-
     /// The rows whose non-NULL integer value lies in `[first, first + len)`
     /// — `first + len − 1` not passing `i64::MAX` — as a bitmap of
     /// `len()`.div_ceil(64) words: bit `r % 64` of word `r / 64` is row `r`.
@@ -500,25 +417,6 @@ impl Column {
         words
     }
 
-    /// One pass over an integer column that splits its rows among inclusive
-    /// `ranges`, which must be ascending and disjoint: per range, the rows
-    /// whose value lies in it, in ascending order. NULLs, values in no range
-    /// and non-integer columns go nowhere.
-    pub fn int_partition_rows(&self, ranges: &[(i64, i64)]) -> Vec<Vec<u32>> {
-        debug_assert!(ranges.windows(2).all(|w| w[0].1 < w[1].0));
-        let mut parts = vec![Vec::new(); ranges.len()];
-        let ColumnData::Int(v) = &self.data else {
-            return parts;
-        };
-        for (i, &x) in v.iter().enumerate() {
-            let k = ranges.partition_point(|&(_, high)| high < x);
-            if k < ranges.len() && ranges[k].0 <= x && !self.is_null(i) {
-                parts[k].push(i as u32);
-            }
-        }
-        parts
-    }
-
     /// Append the canonical fingerprint text of the value at `i`.
     pub(crate) fn write_canonical(&self, i: usize, out: &mut String) {
         if self.is_null(i) {
@@ -534,19 +432,358 @@ impl Column {
             ColumnData::Str { .. } => write!(out, "s:{}", self.str_at(i)),
         };
     }
+
+    /// Whether the value at `i` equals `other`'s at `j`: both NULL, or the
+    /// same type and value (floats by bits, like [`Value`]'s
+    /// `total_cmp`-based equality; strings by their text, whatever their
+    /// dictionaries).
+    pub fn same_at(&self, i: usize, other: &Column, j: usize) -> bool {
+        match (self.is_null(i), other.is_null(j)) {
+            (true, true) => return true,
+            (false, false) => {}
+            _ => return false,
+        }
+        match (&self.data, &other.data) {
+            (ColumnData::Int(a), ColumnData::Int(b)) => a[i] == b[j],
+            (ColumnData::Float(a), ColumnData::Float(b)) => a[i].to_bits() == b[j].to_bits(),
+            (ColumnData::Str { .. }, ColumnData::Str { .. }) => self.str_at(i) == other.str_at(j),
+            _ => false,
+        }
+    }
 }
 
-/// The rows of values `v` that lie in `[low, high]`, ascending, found in
-/// `order` (the non-NULL rows sorted by (value, row)); `None` when they are
-/// more than a quarter of `v`, which a scan serves better.
-fn ordered_range(v: &[i64], order: &[u32], low: i64, high: i64) -> Option<Vec<u32>> {
-    let from = order.partition_point(|&r| v[r as usize] < low);
+/// Value equality, value by value ([`Column::same_at`]).
+impl PartialEq for Column {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && (0..self.len()).all(|i| self.same_at(i, other, i))
+    }
+}
+
+/// Row positions in a column, shared by every [`Col`] that reads through
+/// them.
+pub type Rows = Arc<Vec<u32>>;
+
+/// One column of a table: shared values and, when the table holds only
+/// some of them (or some twice), a shared row index saying which. Row `r`
+/// is the value at `idx[r]`, or at `r` without an index ([`Col::phys`]).
+///
+/// A `Col` never changes. A table's column keeps its range order
+/// ([`Col::int_range_rows`]) with it, indexed or not, shared by its clones.
+#[derive(Clone)]
+pub struct Col {
+    data: Arc<Column>,
+    idx: Option<Rows>,
+    /// `None` for the intermediate columns of an operator
+    /// ([`Col::take_all`]), whose rows are read once: every range scans
+    /// them. A table's columns have one ([`Col::kept`]).
+    order: Option<Arc<RangeOrder>>,
+}
+
+/// The values and the index, as a derived `Debug` prints them.
+impl fmt::Debug for Col {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Col")
+            .field("data", &self.data)
+            .field("idx", &self.idx)
+            .finish()
+    }
+}
+
+impl From<Column> for Col {
+    fn from(data: Column) -> Self {
+        Self::whole(Arc::new(data))
+    }
+}
+
+impl Col {
+    /// Every row of `data`, in order.
+    pub fn whole(data: Arc<Column>) -> Self {
+        Self {
+            data,
+            idx: None,
+            order: Some(Arc::default()),
+        }
+    }
+
+    /// The rows of `data` at `idx`, in that order.
+    ///
+    /// # Panics
+    /// Panics (in debug builds) if a position is past `data`'s end.
+    pub fn indexed(data: Arc<Column>, idx: Rows) -> Self {
+        debug_assert!(
+            idx.iter().all(|&p| (p as usize) < data.len()),
+            "an index names rows of its column"
+        );
+        Self {
+            data,
+            idx: Some(idx),
+            order: Some(Arc::default()),
+        }
+    }
+
+    /// This column, with a range order to keep if it had none: what a
+    /// table holds.
+    pub(crate) fn kept(mut self) -> Self {
+        self.order.get_or_insert_with(Arc::default);
+        self
+    }
+
+    /// The shared values.
+    #[inline]
+    pub fn data(&self) -> &Arc<Column> {
+        &self.data
+    }
+
+    /// The shared row index; `None` when every row is read in place.
+    #[inline]
+    pub fn idx(&self) -> Option<&Rows> {
+        self.idx.as_ref()
+    }
+
+    /// Number of rows.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.idx.as_ref().map_or(self.data.len(), |ix| ix.len())
+    }
+
+    /// True if the column holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The column's type.
+    pub fn dtype(&self) -> DataType {
+        self.data.dtype()
+    }
+
+    /// Position in [`Col::data`] of row `r`.
+    #[inline]
+    pub fn phys(&self, r: usize) -> usize {
+        match &self.idx {
+            Some(ix) => ix[r] as usize,
+            None => r,
+        }
+    }
+
+    /// The value of row `r`.
+    pub fn value(&self, r: usize) -> Value {
+        self.data.value(self.phys(r))
+    }
+
+    /// Integer payload of row `r`; `None` for NULL and for non-integer
+    /// columns.
+    #[inline]
+    pub fn int_at(&self, r: usize) -> Option<i64> {
+        self.data.int_at(self.phys(r))
+    }
+
+    /// Whether row `r` is NULL.
+    #[inline]
+    pub fn is_null(&self, r: usize) -> bool {
+        self.data.is_null(self.phys(r))
+    }
+
+    /// Whether the two read the very same rows of the very same values:
+    /// one `Column` and one index vector (`Arc::ptr_eq`), or both no index.
+    pub fn shares(&self, other: &Col) -> bool {
+        Arc::ptr_eq(&self.data, &other.data)
+            && match (&self.idx, &other.idx) {
+                (None, None) => true,
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                _ => false,
+            }
+    }
+
+    /// Append the canonical fingerprint text of row `r`.
+    pub(crate) fn write_canonical(&self, r: usize, out: &mut String) {
+        self.data.write_canonical(self.phys(r), out);
+    }
+
+    /// Rows whose integer value lies in `[low, high]`, in ascending order.
+    /// NULLs and non-integer columns select nothing.
+    ///
+    /// The column's first range selection scans it. Its second sorts the
+    /// rows with a value by (value, row) once — a counting sort when the
+    /// values are dense ([`dense_span`]), a stable sort otherwise — and from
+    /// then on a range is two binary searches in that order plus one pass
+    /// over a bitmap of the rows found, which puts them back in row order.
+    /// A range that keeps more than a quarter of the rows scans instead.
+    /// Either way the rows are the same, and an indexed column's are its
+    /// own rows, not its values' positions.
+    pub fn int_range_rows(&self, low: i64, high: i64) -> Vec<u32> {
+        let ColumnData::Int(v) = &self.data.data else {
+            return Vec::new();
+        };
+        let Some(kept) = &self.order else {
+            return self.scan_range(v, low, high);
+        };
+        let order = match kept.rows.get() {
+            Some(order) => order,
+            None if kept.ranged.swap(true, Relaxed) => {
+                kept.rows.get_or_init(|| self.range_order(v))
+            }
+            None => return self.scan_range(v, low, high),
+        };
+        let ordered = match &self.idx {
+            None => ordered_range(self.len(), |r| v[r as usize], order, low, high),
+            Some(ix) => ordered_range(self.len(), |r| v[ix[r as usize] as usize], order, low, high),
+        };
+        ordered.unwrap_or_else(|| self.scan_range(v, low, high))
+    }
+
+    /// The rows with a non-NULL value in `v` (the column's values) that
+    /// lies in `[low, high]`, by one pass that writes every row and advances
+    /// past it only if it passes: no branch depends on the data. Whether
+    /// the column is indexed and can hold a NULL is settled once.
+    fn scan_range(&self, v: &[i64], low: i64, high: i64) -> Vec<u32> {
+        let within = |x: i64| (low <= x) & (x <= high);
+        let nulls = &self.data.nulls;
+        match (&self.idx, nulls.is_empty()) {
+            (None, true) => compact(v.len(), v.iter().map(|&x| within(x))),
+            (None, false) => compact(v.len(), v.iter().zip(nulls).map(|(&x, &n)| within(x) & !n)),
+            (Some(ix), true) => compact(ix.len(), ix.iter().map(|&p| within(v[p as usize]))),
+            (Some(ix), false) => compact(
+                ix.len(),
+                (ix.iter()).map(|&p| within(v[p as usize]) & !nulls[p as usize]),
+            ),
+        }
+    }
+
+    /// The rows with a non-NULL value in `v` (the column's values), sorted
+    /// by (value, row). NULL slots hold 0 and are sorted with the rest, then
+    /// dropped.
+    fn range_order(&self, v: &[i64]) -> Vec<u32> {
+        let rows: Cow<'_, [i64]> = match &self.idx {
+            None => Cow::Borrowed(v),
+            Some(ix) => Cow::Owned(ix.iter().map(|&p| v[p as usize]).collect()),
+        };
+        let v = &*rows;
+        let (min, max) = v
+            .iter()
+            .fold((i64::MAX, i64::MIN), |(lo, hi), &x| (lo.min(x), hi.max(x)));
+        let mut order = match dense_span(min, max, v.len()) {
+            // Counting sort: each value's first slot, then the rows in order.
+            Some(span) => {
+                let mut next = vec![0u32; span + 2];
+                v.iter().for_each(|&x| next[(x - min) as usize + 1] += 1);
+                for s in 1..next.len() {
+                    next[s] += next[s - 1];
+                }
+                let mut order = vec![0u32; v.len()];
+                for (r, &x) in v.iter().enumerate() {
+                    let s = &mut next[(x - min) as usize];
+                    order[*s as usize] = r as u32;
+                    *s += 1;
+                }
+                order
+            }
+            None => {
+                let mut order: Vec<u32> = (0..v.len() as u32).collect();
+                order.sort_by_key(|&r| v[r as usize]);
+                order
+            }
+        };
+        if self.data.has_nulls() {
+            order.retain(|&r| !self.is_null(r as usize));
+        }
+        order
+    }
+
+    /// One pass over an integer column that splits its rows among inclusive
+    /// `ranges`, which must be ascending and disjoint: per range, the rows
+    /// whose value lies in it, in ascending order. NULLs, values in no range
+    /// and non-integer columns go nowhere.
+    pub fn int_partition_rows(&self, ranges: &[(i64, i64)]) -> Vec<Vec<u32>> {
+        debug_assert!(ranges.windows(2).all(|w| w[0].1 < w[1].0));
+        let mut parts = vec![Vec::new(); ranges.len()];
+        if !matches!(self.data.data, ColumnData::Int(_)) {
+            return parts;
+        }
+        for r in 0..self.len() {
+            let Some(x) = self.int_at(r) else {
+                continue;
+            };
+            let k = ranges.partition_point(|&(_, high)| high < x);
+            if k < ranges.len() && ranges[k].0 <= x {
+                parts[k].push(r as u32);
+            }
+        }
+        parts
+    }
+
+    /// The columns `cols` restricted to rows `sel`, in that order: a column
+    /// read in place reads `sel` itself, and the columns that share an
+    /// index vector share the one composed from it — one new vector per
+    /// distinct old one. No value is copied, and the columns keep no range
+    /// order until a table holds them.
+    pub fn take_all<'a>(
+        cols: impl IntoIterator<Item = &'a Col> + 'a,
+        sel: &'a Rows,
+    ) -> impl Iterator<Item = Col> + 'a {
+        let mut composed: Vec<(&Rows, Rows)> = Vec::new();
+        cols.into_iter().map(move |c| {
+            let idx = match &c.idx {
+                None => Arc::clone(sel),
+                Some(old) => match composed.iter().find(|(o, _)| Arc::ptr_eq(o, old)) {
+                    Some((_, new)) => Arc::clone(new),
+                    None => {
+                        let new: Rows = Arc::new(sel.iter().map(|&s| old[s as usize]).collect());
+                        composed.push((old, Arc::clone(&new)));
+                        new
+                    }
+                },
+            };
+            Col {
+                data: Arc::clone(&c.data),
+                idx: Some(idx),
+                order: None,
+            }
+        })
+    }
+}
+
+/// Value equality, row by row ([`Column::same_at`] through each index).
+impl PartialEq for Col {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len()
+            && (self.shares(other)
+                || (0..self.len())
+                    .all(|r| self.data.same_at(self.phys(r), &other.data, other.phys(r))))
+    }
+}
+
+/// The rows whose flag in `pass` (one per row, `n` in all) is set, in
+/// order. Every row is written to the output and the output only advances
+/// past it if it passed: no branch depends on the data.
+fn compact(n: usize, pass: impl Iterator<Item = bool>) -> Vec<u32> {
+    let mut out = vec![0u32; n];
+    let mut k = 0;
+    for (r, ok) in pass.enumerate() {
+        out[k] = r as u32;
+        k += usize::from(ok);
+    }
+    out.truncate(k);
+    out
+}
+
+/// The rows of an `n`-row column whose value (`value(row)`) lies in
+/// `[low, high]`, ascending, found in `order` (the rows with a non-NULL
+/// value sorted by (value, row)); `None` when they are more than a quarter
+/// of the rows, which a scan serves better.
+fn ordered_range(
+    n: usize,
+    value: impl Fn(u32) -> i64,
+    order: &[u32],
+    low: i64,
+    high: i64,
+) -> Option<Vec<u32>> {
+    let from = order.partition_point(|&r| value(r) < low);
     let hits = &order[from..];
-    let hits = &hits[..hits.partition_point(|&r| v[r as usize] <= high)];
-    if hits.len() > v.len() / 4 {
+    let hits = &hits[..hits.partition_point(|&r| value(r) <= high)];
+    if hits.len() > n / 4 {
         return None;
     }
-    let mut bits = vec![0u64; v.len().div_ceil(64)];
+    let mut bits = vec![0u64; n.div_ceil(64)];
     hits.iter()
         .for_each(|&r| bits[r as usize / 64] |= 1 << (r % 64));
     let mut rows = Vec::with_capacity(hits.len());
@@ -558,28 +795,6 @@ fn ordered_range(v: &[i64], order: &[u32], low: i64, high: i64) -> Option<Vec<u3
         }
     }
     Some(rows)
-}
-
-/// Value equality: same type, same NULLs, same values (floats by bits, like
-/// [`Value`]'s `total_cmp`-based equality; strings by their text, whatever
-/// their dictionaries).
-impl PartialEq for Column {
-    fn eq(&self, other: &Self) -> bool {
-        let n = self.len();
-        if n != other.len() || (0..n).any(|i| self.is_null(i) != other.is_null(i)) {
-            return false;
-        }
-        match (&self.data, &other.data) {
-            (ColumnData::Int(a), ColumnData::Int(b)) => a == b,
-            (ColumnData::Float(a), ColumnData::Float(b)) => {
-                a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-            }
-            (ColumnData::Str { .. }, ColumnData::Str { .. }) => {
-                (0..n).all(|i| self.str_at(i) == other.str_at(i))
-            }
-            _ => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -657,87 +872,141 @@ mod tests {
 
     #[test]
     fn range_rows_skip_nulls() {
-        let c = ints_with_null();
+        let c = Col::from(ints_with_null());
         assert_eq!(c.int_range_rows(-5, 5), vec![0, 2]);
         assert_eq!(c.int_range_rows(0, 5), vec![0]);
-        assert!(floats().int_range_rows(0, 2).is_empty());
+        assert!(Col::from(floats()).int_range_rows(0, 2).is_empty());
     }
 
     /// A column whose second range selection has built its order.
-    fn ordered(values: &[i64]) -> Column {
-        let c = Column::from_ints(values.to_vec());
+    fn ordered(values: &[i64]) -> Col {
+        let c = Col::from(Column::from_ints(values.to_vec()));
         c.int_range_rows(0, -1);
         c.int_range_rows(0, -1);
-        assert!(c.order.rows.get().is_some());
+        assert!(kept(&c).is_some());
         c
     }
 
-    fn unordered(c: &Column) -> bool {
-        c.order.rows.get().is_none() && !c.order.ranged.load(Relaxed)
+    /// The range order `c` keeps, once built.
+    fn kept(c: &Col) -> Option<&Vec<u32>> {
+        c.order.as_ref().and_then(|o| o.rows.get())
+    }
+
+    fn unordered(c: &Col) -> bool {
+        c.order
+            .as_ref()
+            .is_some_and(|o| o.rows.get().is_none() && !o.ranged.load(Relaxed))
     }
 
     #[test]
     fn second_range_selection_sorts_the_rows_by_value_then_row() {
-        let mut c = ints_with_null();
-        c.extend_from(&Column::from_ints(vec![3, 7, -1, 3]), None);
+        let mut data = ints_with_null();
+        data.extend_from(&Column::from_ints(vec![3, 7, -1, 3]), None);
+        let c = Col::from(data);
         assert_eq!(c.int_range_rows(3, 3), vec![0, 3, 6], "the first scans");
-        assert!(c.order.rows.get().is_none());
+        assert!(kept(&c).is_none());
         assert_eq!(c.int_range_rows(7, 7), vec![4], "the second sorts");
-        assert_eq!(c.order.rows.get(), Some(&vec![2, 5, 0, 3, 6, 4]));
+        assert_eq!(kept(&c), Some(&vec![2, 5, 0, 3, 6, 4]));
         assert_eq!(c.int_range_rows(-1, -1), vec![2, 5]);
         assert_eq!(c.int_range_rows(-5, 5), vec![0, 2, 3, 5, 6], "wide: a scan");
         // Sparse values are sorted, not counted, into the same order.
         let sparse = ordered(&[i64::MAX, 5, i64::MIN, 5, 0]);
-        assert_eq!(sparse.order.rows.get(), Some(&vec![2, 4, 1, 3, 0]));
+        assert_eq!(kept(&sparse), Some(&vec![2, 4, 1, 3, 0]));
         assert_eq!(sparse.int_range_rows(i64::MAX, i64::MAX), vec![0]);
     }
 
     #[test]
+    fn an_indexed_column_orders_its_own_rows() {
+        // Rows 0..6 read positions 6, 1, 0, 6, 2, 4: values -1, NULL, 3, -1, 7, 3.
+        let mut data = ints_with_null();
+        data.extend_from(&Column::from_ints(vec![3, 7, -1, 3]), None);
+        let c = Col::indexed(Arc::new(data), Arc::new(vec![5, 1, 0, 5, 4, 6]));
+        assert_eq!(c.len(), 6);
+        assert_eq!(c.int_range_rows(-1, -1), vec![0, 3], "the first scans");
+        assert_eq!(c.int_range_rows(3, 3), vec![2, 5], "the second sorts");
+        assert_eq!(kept(&c), Some(&vec![0, 3, 2, 5, 4]));
+        assert_eq!(c.int_range_rows(7, 7), vec![4]);
+        assert_eq!(c.int_range_rows(-5, 5), vec![0, 2, 3, 5], "wide: a scan");
+        let clone = c.clone();
+        assert!(!unordered(&clone), "a clone shares the order");
+        assert_eq!(
+            c.int_partition_rows(&[(-1, 0), (3, 7)]),
+            [vec![0, 3], vec![2, 4, 5]]
+        );
+        // An operator's intermediate column keeps no order: it scans.
+        let sel = Arc::new(vec![3, 2, 0]);
+        let taken: Vec<Col> = Col::take_all([&c], &sel).collect();
+        assert!(taken[0].order.is_none());
+        for _ in 0..3 {
+            assert_eq!(taken[0].int_range_rows(-1, 3), vec![0, 1, 2]);
+        }
+        assert!(taken[0].clone().kept().order.is_some(), "a table's does");
+    }
+
+    #[test]
     fn mutation_forgets_the_range_order() {
+        // A Col never changes: a changed column is read through a new Col,
+        // which starts without an order and answers from the new values.
         let values: Vec<i64> = (0..16).map(|i| i * 10).collect();
-        let mut c = ordered(&values);
-        c.push(Value::Int(25));
-        assert!(unordered(&c), "push");
-        for call in 0..3 {
-            assert_eq!(c.int_range_rows(21, 29), vec![16], "call {call} after push");
-        }
-        let mut c = ordered(&values);
-        c.push_null();
-        assert!(unordered(&c), "push_null");
-        let mut c = ordered(&values);
-        c.push(c.value(3));
-        assert!(unordered(&c), "push of a copy");
-        for call in 0..3 {
-            assert_eq!(
-                c.int_range_rows(30, 30),
+        type Change = (&'static str, fn(&mut Column), (i64, i64), Vec<u32>);
+        let changes: [Change; 4] = [
+            ("push", |c| c.push(Value::Int(25)), (21, 29), vec![16]),
+            ("push_null", |c| c.push_null(), (0, 0), vec![0]),
+            (
+                "push of a copy",
+                |c| c.push(c.value(3)),
+                (30, 30),
                 vec![3, 16],
-                "call {call} after push of a copy"
-            );
-        }
-        let mut c = ordered(&values);
-        c.extend_from(&Column::from_ints(vec![35, 5]), Some(&[1]));
-        assert!(unordered(&c), "extend_from");
-        for call in 0..3 {
-            assert_eq!(
-                c.int_range_rows(1, 9),
+            ),
+            (
+                "extend_from",
+                |c| c.extend_from(&Column::from_ints(vec![35, 5]), Some(&[1])),
+                (1, 9),
                 vec![16],
-                "call {call} after extend_from"
-            );
+            ),
+        ];
+        for (what, change, (low, high), want) in changes {
+            let c = ordered(&values);
+            let mut data = (**c.data()).clone();
+            change(&mut data);
+            let c = Col::from(data);
+            assert!(unordered(&c), "{what}");
+            for call in 0..3 {
+                assert_eq!(
+                    c.int_range_rows(low, high),
+                    want,
+                    "call {call} after {what}"
+                );
+            }
         }
     }
 
     #[test]
     fn debug_clone_and_equality_ignore_the_range_order() {
         let c = ordered(&[4, 2]);
-        assert_eq!(format!("{c:?}"), "Column { data: Int([4, 2]), nulls: [] }");
+        assert_eq!(
+            format!("{c:?}"),
+            "Col { data: Column { data: Int([4, 2]), nulls: [] }, idx: None }"
+        );
         assert_eq!(
             format!("{:?}", ints_with_null()),
             "Column { data: Int([3, 0, -1]), nulls: [false, true, false] }"
         );
-        let copy = c.clone();
-        assert!(unordered(&copy), "a clone starts without an order");
+        let copy = Col::from((**c.data()).clone());
+        assert!(
+            unordered(&copy),
+            "a copy of the values starts without an order"
+        );
         assert_eq!(copy, c);
-        assert_eq!(copy, Column::from_ints(vec![4, 2]));
+        assert_eq!(copy, Col::from(Column::from_ints(vec![4, 2])));
+        let reversed = Col::indexed(
+            Arc::new(Column::from_ints(vec![2, 4])),
+            Arc::new(vec![1, 0]),
+        );
+        assert_eq!(reversed, c, "equal rows, read through an index");
+        let sel = Arc::new(vec![0, 0]);
+        let twice = Col::take_all([&copy], &sel).next().unwrap();
+        assert_ne!(reversed, twice);
     }
 
     /// Row `r`'s bit of a key bitmap.
@@ -807,6 +1076,7 @@ mod tests {
     fn partition_rows_routes_each_row_once() {
         let mut c = Column::from_ints(vec![5, 0, 9, 3, 4, 12]);
         c.push_null();
+        let c = Col::from(c);
         let parts = c.int_partition_rows(&[(0, 3), (4, 5), (10, 20)]);
         assert_eq!(parts, vec![vec![1, 3], vec![0, 4], vec![5]]);
     }

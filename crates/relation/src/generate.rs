@@ -219,7 +219,7 @@ impl TableGen {
         }
         Table::new(
             self.schema.clone(),
-            fills.into_iter().map(|f| Arc::new(f.finish())).collect(),
+            fills.into_iter().map(|f| f.finish().into()).collect(),
             self.bytes_per_row,
         )
     }
@@ -274,7 +274,7 @@ mod tests {
         for (got, want) in t.columns().iter().zip(appended.columns()) {
             assert_eq!(format!("{got:?}"), format!("{want:?}"));
         }
-        let ColumnData::Str { codes, dict } = t.column(3).data() else {
+        let ColumnData::Str { codes, dict } = t.column(3).data().data() else {
             panic!("a string column");
         };
         assert_eq!(dict.strs().len(), 6, "\"\", then each of the 5 labels once");

@@ -2,12 +2,14 @@
 
 use std::sync::Arc;
 
-use crate::column::Column;
+use crate::column::{Col, Column, Rows};
 use crate::row::Row;
 use crate::schema::Schema;
 
-/// An in-memory table: one typed [`Column`] per schema field, each behind an
-/// `Arc` so scans, projections and fragment reads share them without copying.
+/// An in-memory table: one [`Col`] per schema field — shared values and,
+/// when the table holds only some of their rows, a shared row index — so
+/// scans, projections, selections, joins and stored fragments share values
+/// without copying them.
 ///
 /// `bytes_per_row` is the *simulated* on-disk width of one row. Experiments
 /// run on scaled-down row counts while cost accounting happens in simulated
@@ -17,21 +19,22 @@ use crate::schema::Schema;
 pub struct Table {
     /// The table's schema.
     pub schema: Schema,
-    columns: Vec<Arc<Column>>,
+    columns: Vec<Col>,
     len: usize,
     /// Simulated on-disk bytes per row.
     pub bytes_per_row: u64,
 }
 
 impl Table {
-    /// Create a table from its columns.
+    /// Create a table from its columns (a [`Column`] converts into a
+    /// [`Col`] of all its rows).
     ///
     /// # Panics
     /// Panics if the columns do not match the schema in number or type, or
     /// differ in length.
-    pub fn new(schema: Schema, columns: Vec<Arc<Column>>, bytes_per_row: u64) -> Self {
+    pub fn new(schema: Schema, columns: Vec<Col>, bytes_per_row: u64) -> Self {
         assert_eq!(columns.len(), schema.len(), "one column per schema field");
-        let len = columns.first().map_or(0, |c| c.len());
+        let len = columns.first().map_or(0, Col::len);
         for (c, f) in columns.iter().zip(schema.fields()) {
             assert_eq!(
                 c.dtype(),
@@ -44,15 +47,16 @@ impl Table {
         Self::build(schema, columns, len, bytes_per_row)
     }
 
-    /// Rows are addressed by `u32` selection vectors throughout.
-    fn build(schema: Schema, columns: Vec<Arc<Column>>, len: usize, bytes_per_row: u64) -> Self {
+    /// Rows are addressed by `u32` selection vectors throughout; each
+    /// column keeps its range order.
+    fn build(schema: Schema, columns: Vec<Col>, len: usize, bytes_per_row: u64) -> Self {
         assert!(
             u32::try_from(len).is_ok(),
             "a table holds at most u32::MAX rows"
         );
         Self {
             schema,
-            columns,
+            columns: columns.into_iter().map(Col::kept).collect(),
             len,
             bytes_per_row,
         }
@@ -76,7 +80,7 @@ impl Table {
                 c.push(v);
             }
         }
-        let columns = columns.into_iter().map(Arc::new).collect();
+        let columns = columns.into_iter().map(Col::from).collect();
         Self::build(schema, columns, len, bytes_per_row)
     }
 
@@ -101,12 +105,12 @@ impl Table {
     }
 
     /// The columns, in schema order.
-    pub fn columns(&self) -> &[Arc<Column>] {
+    pub fn columns(&self) -> &[Col] {
         &self.columns
     }
 
     /// The column at `col`.
-    pub fn column(&self, col: usize) -> &Arc<Column> {
+    pub fn column(&self, col: usize) -> &Col {
         &self.columns[col]
     }
 
@@ -121,18 +125,22 @@ impl Table {
         (0..self.len).map(|i| self.row(i))
     }
 
-    /// The rows at `sel`, in that order, as a new table.
+    /// The rows at `sel`, in that order, as a new table sharing this one's
+    /// values: each column's index is composed with `sel`
+    /// ([`Col::take_all`]), and no value is copied.
     pub fn take(&self, sel: &[u32]) -> Table {
-        let columns = self
-            .columns
-            .iter()
-            .map(|c| Arc::new(c.gather(sel)))
-            .collect();
+        let sel = Arc::new(sel.to_vec());
+        let columns = Col::take_all(&self.columns, &sel).collect();
         Self::build(self.schema.clone(), columns, sel.len(), self.bytes_per_row)
     }
 
     /// Concatenate `parts` — each a table and, optionally, the rows to take
     /// from it — under `schema`.
+    ///
+    /// A column whose every part reads one `Column` reads it through the
+    /// parts' indices concatenated, one vector shared by the columns whose
+    /// parts read through the same indices; only a column whose parts read
+    /// different `Column`s is gathered into a new one.
     ///
     /// # Panics
     /// Panics if a part's column types differ from the schema's.
@@ -141,16 +149,47 @@ impl Table {
             .iter()
             .map(|(t, sel)| sel.map_or(t.len, <[u32]>::len))
             .sum();
+        let mut made: Vec<(Vec<Option<&Rows>>, Rows)> = Vec::new();
         let columns = schema
             .fields()
             .iter()
             .enumerate()
             .map(|(c, f)| {
-                let mut col = Column::with_capacity(f.dtype, len);
-                for (t, sel) in parts {
-                    col.extend_from(&t.columns[c], *sel);
-                }
-                Arc::new(col)
+                let cols: Vec<&Col> = parts.iter().map(|(t, _)| &t.columns[c]).collect();
+                let shared = cols.split_first().filter(|(first, rest)| {
+                    rest.iter().all(|x| Arc::ptr_eq(x.data(), first.data()))
+                });
+                let Some((first, _)) = shared else {
+                    let mut col = Column::with_capacity(f.dtype, len);
+                    for (x, (t, sel)) in cols.iter().zip(parts) {
+                        let mut at = Vec::new();
+                        positions(&mut at, x, *sel, t.len);
+                        col.extend_from(x.data(), Some(&at));
+                    }
+                    return Col::from(col);
+                };
+                assert_eq!(first.dtype(), f.dtype, "column types must match");
+                let key: Vec<Option<&Rows>> = cols.iter().map(|x| x.idx()).collect();
+                let same = |k: &[Option<&Rows>]| {
+                    k.iter().zip(&key).all(|(a, b)| match (a, b) {
+                        (None, None) => true,
+                        (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                        _ => false,
+                    })
+                };
+                let idx = match made.iter().find(|(k, _)| same(k)) {
+                    Some((_, idx)) => Arc::clone(idx),
+                    None => {
+                        let mut idx = Vec::with_capacity(len);
+                        for (x, (t, sel)) in cols.iter().zip(parts) {
+                            positions(&mut idx, x, *sel, t.len);
+                        }
+                        let idx = Arc::new(idx);
+                        made.push((key, Arc::clone(&idx)));
+                        idx
+                    }
+                };
+                Col::indexed(Arc::clone(first.data()), idx)
             })
             .collect();
         Self::build(schema, columns, len, bytes_per_row)
@@ -172,6 +211,17 @@ impl Table {
             .collect();
         keys.sort_unstable();
         keys
+    }
+}
+
+/// Append to `out` the positions in `c`'s values of its rows at `sel` (of
+/// all its `n` rows when `None`).
+fn positions(out: &mut Vec<u32>, c: &Col, sel: Option<&[u32]>, n: usize) {
+    match (c.idx(), sel) {
+        (None, None) => out.extend(0..n as u32),
+        (None, Some(sel)) => out.extend_from_slice(sel),
+        (Some(ix), None) => out.extend_from_slice(ix),
+        (Some(ix), Some(sel)) => out.extend(sel.iter().map(|&r| ix[r as usize])),
     }
 }
 
@@ -247,17 +297,45 @@ mod tests {
     }
 
     #[test]
-    fn take_and_concat_share_nothing_but_values() {
+    fn take_and_concat_share_values_through_indices() {
         let a = t();
         let b = a.take(&[2, 0]);
         assert_eq!(b.len(), 2);
         assert_eq!(b.row(0), vec![Value::Null, Value::str("z")]);
+        // Both columns read `a`'s values through one index.
+        let (b0, b1) = (b.column(0), b.column(1));
+        assert!(Arc::ptr_eq(b0.data(), a.column(0).data()));
+        assert!(Arc::ptr_eq(b0.idx().unwrap(), b1.idx().unwrap()));
+        // A take of a take composes the index, once for both columns.
+        let c = b.take(&[1, 1]);
+        assert_eq!(**c.column(0).idx().unwrap(), [0, 0]);
+        assert!(Arc::ptr_eq(
+            c.column(0).idx().unwrap(),
+            c.column(1).idx().unwrap()
+        ));
+
         let sel: &[u32] = &[1];
         let c = Table::concat(a.schema.clone(), &[(&a, None), (&b, Some(sel))], 7);
         assert_eq!(c.len(), 4);
         assert_eq!(c.bytes_per_row, 7);
         assert_eq!(c.row(3), vec![Value::Int(3), Value::str("x")]);
         assert_eq!(c.rows().count(), 4);
+        // Parts reading one column concatenate their positions.
+        assert!(Arc::ptr_eq(c.column(0).data(), a.column(0).data()));
+        assert_eq!(**c.column(0).idx().unwrap(), [0, 1, 2, 0]);
+        assert!(Arc::ptr_eq(
+            c.column(0).idx().unwrap(),
+            c.column(1).idx().unwrap()
+        ));
+        // Parts reading two columns are gathered.
+        let other = t();
+        let d = Table::concat(a.schema.clone(), &[(&other, Some(sel)), (&b, None)], 7);
+        assert!(d.columns().iter().all(|c| c.idx().is_none()));
+        assert_eq!(d.rows().collect::<Vec<_>>(), [a.row(1), a.row(2), a.row(0)]);
+        assert_eq!(
+            d,
+            Table::concat(a.schema.clone(), &[(&a, Some(&[1, 2, 0]))], 7)
+        );
     }
 
     #[test]
@@ -265,6 +343,6 @@ mod tests {
     fn new_rejects_mistyped_columns() {
         let schema = Schema::new(vec![Field::new("a", DataType::Int)]);
         let floats = Column::with_capacity(DataType::Float, 0);
-        Table::new(schema, vec![Arc::new(floats)], 1);
+        Table::new(schema, vec![floats.into()], 1);
     }
 }

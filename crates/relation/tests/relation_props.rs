@@ -1,9 +1,12 @@
 //! Property tests for the relational layer: value ordering, predicate
-//! semantics, generator guarantees, and integer range selection.
+//! semantics, generator guarantees, integer range selection, and tables
+//! read through row indices.
 
 use deepsea_relation::distr::{normal_cdf, WeightedBuckets, Zipf};
 use deepsea_relation::generate::{ColumnGen, TableGen};
-use deepsea_relation::{Column, DataType, Field, Predicate, Schema, Table, Value};
+use std::sync::Arc;
+
+use deepsea_relation::{Col, Column, DataType, Field, Predicate, Schema, Table, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -321,6 +324,7 @@ proptest! {
                 false => Value::Int(spread(kind, x)),
             });
         }
+        let col = Col::from(col);
         for (call, &(from, width, open)) in ranges.iter().enumerate() {
             let low = if open & 1 == 1 { i64::MIN } else { bound(kind, from) };
             let high = if open & 2 == 2 { i64::MAX } else { bound(kind, from + width) };
@@ -330,5 +334,144 @@ proptest! {
                 .collect();
             prop_assert_eq!(col.int_range_rows(low, high), want, "call {} of [{}, {}]", call + 1, low, high);
         }
+    }
+}
+
+/// Each row of a random three-column table: an integer, a float and a
+/// string, any of them NULL.
+fn any_row() -> impl Strategy<Value = Vec<Value>> {
+    let int =
+        (0u8..8, -20i64..20).prop_map(|(n, x)| if n == 0 { Value::Null } else { Value::Int(x) });
+    let float = (0u8..8, -4i64..4).prop_map(|(n, x)| match n {
+        0 => Value::Null,
+        _ => Value::Float(x as f64 / 4.0),
+    });
+    let string = (0u8..8, 0u8..5).prop_map(|(n, x)| match n {
+        0 => Value::Null,
+        _ => Value::str(format!("s{x}")),
+    });
+    (int, float, string).prop_map(|(a, b, c)| vec![a, b, c])
+}
+
+fn three_columns() -> Schema {
+    Schema::new(vec![
+        Field::new("t.i", DataType::Int),
+        Field::new("t.f", DataType::Float),
+        Field::new("t.s", DataType::Str),
+    ])
+}
+
+/// Row positions into `n` rows: none, every row in order, or `picks`
+/// (each taken modulo `n`), which repeat some rows and skip others.
+fn index_of(kind: u8, picks: &[u32], n: usize) -> Vec<u32> {
+    match (kind, n) {
+        (0, _) | (_, 0) => Vec::new(),
+        (1, _) => (0..n as u32).collect(),
+        _ => picks.iter().map(|&p| p % n as u32).collect(),
+    }
+}
+
+/// The parts of a [`Table::concat`].
+type Parts<'a> = Vec<(&'a Table, Option<&'a [u32]>)>;
+
+/// The table of `base`'s rows at `idx`, values copied: what a gathered
+/// copy of `base.take(idx)` holds.
+fn gathered(base: &Table, idx: &[u32]) -> Table {
+    let rows = idx.iter().map(|&r| base.row(r as usize)).collect();
+    Table::from_rows(base.schema.clone(), rows, base.bytes_per_row)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 300, ..ProptestConfig::default() })]
+
+    /// A table read through row indices equals its gathered copy under
+    /// `row`, `fingerprint`, `==`, `take`, `concat` and integer range and
+    /// partition selections: NULLs and strings, empty, identity and
+    /// repeating indices, and concat parts that mix indexed and plain
+    /// columns, one base table and two.
+    #[test]
+    fn an_indexed_table_equals_its_gathered_copy(
+        rows in proptest::collection::vec(any_row(), 0..30),
+        (kind, picks) in (0u8..4, proptest::collection::vec(0u32..1000, 0..40)),
+        (sel, ranges) in (
+            proptest::collection::vec(0u32..1000, 0..20),
+            proptest::collection::vec((-22i64..22, 0i64..12), 3..4),
+        ),
+    ) {
+        let base = Table::from_rows(three_columns(), rows, 40);
+        let idx = index_of(kind, &picks, base.len());
+        let indexed = base.take(&idx);
+        let copy = gathered(&base, &idx);
+        prop_assert!(indexed.columns().iter().all(|c| c.idx().is_some()));
+        prop_assert!(copy.columns().iter().all(|c| c.idx().is_none()));
+        prop_assert_eq!(indexed.len(), copy.len());
+        for r in 0..copy.len() {
+            prop_assert_eq!(indexed.row(r), copy.row(r));
+        }
+        prop_assert_eq!(indexed.fingerprint(), copy.fingerprint());
+        prop_assert_eq!(&indexed, &copy);
+        prop_assert_eq!(&copy, &indexed);
+
+        // A take of each: one composed index against a fresh selection.
+        let sel = index_of(2, &sel, indexed.len());
+        prop_assert_eq!(indexed.take(&sel), gathered(&copy, &sel));
+        prop_assert_eq!(indexed.take(&sel).fingerprint(), copy.take(&sel).fingerprint());
+
+        // Concat: indexed and plain parts over one base, then a second,
+        // distinct base, with and without row selections.
+        let mut reversed: Vec<Vec<Value>> = copy.rows().collect();
+        reversed.reverse();
+        let other = Table::from_rows(three_columns(), reversed, 40);
+        let some: &[u32] = &sel;
+        let mixes: [Parts<'_>; 4] = [
+            vec![(&indexed, None), (&base, None), (&indexed, Some(some))],
+            vec![(&base, Some(&idx)), (&indexed, None)],
+            vec![(&indexed, None), (&copy, Some(some)), (&other, None)],
+            vec![],
+        ];
+        for parts in &mixes {
+            let want: Vec<Vec<Value>> = parts
+                .iter()
+                .flat_map(|&(t, sel)| match sel {
+                    Some(sel) => sel.iter().map(|&r| t.row(r as usize)).collect::<Vec<_>>(),
+                    None => t.rows().collect(),
+                })
+                .collect();
+            let got = Table::concat(three_columns(), parts, 40);
+            prop_assert_eq!(got.rows().collect::<Vec<_>>(), want.clone());
+            prop_assert_eq!(got, Table::from_rows(three_columns(), want, 40));
+        }
+
+        // Integer ranges, three calls each (a scan, the sort, the order),
+        // and a partition, on the integer column.
+        let (a, b) = (indexed.column(0), copy.column(0));
+        for &(low, width) in &ranges {
+            for call in 0..3 {
+                prop_assert_eq!(
+                    a.int_range_rows(low, low + width),
+                    b.int_range_rows(low, low + width),
+                    "call {} of [{}, {}]", call + 1, low, low + width
+                );
+            }
+        }
+        let mut bounds: Vec<(i64, i64)> = ranges.iter().map(|&(low, width)| (low, low + width)).collect();
+        bounds.sort_unstable();
+        bounds.dedup_by(|next, kept| next.0 <= kept.1);
+        prop_assert_eq!(a.int_partition_rows(&bounds), b.int_partition_rows(&bounds));
+    }
+}
+
+#[test]
+fn one_index_serves_every_column_of_a_take() {
+    let base = Table::from_rows(
+        three_columns(),
+        vec![vec![Value::Int(1), Value::Null, Value::str("a")]; 3],
+        8,
+    );
+    let t = base.take(&[2, 2, 0]);
+    let idx = t.column(0).idx().expect("an indexed column");
+    for (c, b) in t.columns().iter().zip(base.columns()) {
+        assert!(Arc::ptr_eq(c.data(), b.data()), "values are shared");
+        assert!(Arc::ptr_eq(c.idx().unwrap(), idx), "one index for all");
     }
 }

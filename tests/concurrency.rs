@@ -94,7 +94,8 @@ fn assert_commits_match_serial(report: &ServeReport, seed: u64, clients: usize) 
     for rec in &report.records {
         let i = rec.ticket;
         assert_eq!(
-            &rec.committed_fingerprint, &serial.fingerprints[i],
+            &rec.committed_fingerprint[..],
+            &serial.fingerprints[i][..],
             "seed {seed}, K={clients}, ticket {i}: committed answer diverged"
         );
         assert_eq!(
@@ -299,7 +300,8 @@ fn eviction_pressure_under_concurrency_stays_canonical() {
     );
     for rec in &report.records {
         assert_eq!(
-            &rec.committed_fingerprint, &serial.fingerprints[rec.ticket],
+            &rec.committed_fingerprint[..],
+            &serial.fingerprints[rec.ticket][..],
             "ticket {}: answer diverged under pressure",
             rec.ticket
         );
@@ -339,8 +341,8 @@ proptest! {
         prop_assert_eq!(report.records.len(), prefix);
         for rec in &report.records {
             prop_assert_eq!(
-                &rec.committed_fingerprint,
-                &serial.fingerprints[rec.ticket],
+                &rec.committed_fingerprint[..],
+                &serial.fingerprints[rec.ticket][..],
                 "seed {}, K {}, ticket {}: committed answer diverged",
                 seed, clients, rec.ticket
             );
@@ -382,7 +384,8 @@ fn real_threads_commits_bit_identical_to_serial() {
         assert_eq!(report.records.len(), serial.fingerprints.len());
         for rec in &report.records {
             assert_eq!(
-                &rec.committed_fingerprint, &serial.fingerprints[rec.ticket],
+                &rec.committed_fingerprint[..],
+                &serial.fingerprints[rec.ticket][..],
                 "K={clients}, ticket {}: committed answer diverged",
                 rec.ticket
             );

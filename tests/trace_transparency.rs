@@ -55,7 +55,7 @@ fn fingerprint(report: &ServeReport) -> Fingerprint {
         read_fingerprints: report
             .records
             .iter()
-            .map(|r| r.read_fingerprint.clone())
+            .map(|r| r.read_fingerprint.to_vec())
             .collect(),
         committed_fingerprints: report.committed_fingerprints(),
         state_digest: report.state_digest,
