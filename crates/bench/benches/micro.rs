@@ -18,7 +18,7 @@ use deepsea_core::{baselines, DeepSea};
 use deepsea_engine::plan::{AggExpr, AggFunc, ViewScanInfo};
 use deepsea_engine::signature::{matches, Signature};
 use deepsea_engine::{execute, Catalog, LogicalPlan};
-use deepsea_relation::{Col, Column, ColumnData, DataType, Field, Predicate, Schema, Table};
+use deepsea_relation::{Col, Column, DataType, Field, Predicate, Schema, Table};
 use deepsea_storage::{BlockConfig, CostWeights, SimFs};
 use deepsea_workload::schema::{BigBenchData, InstanceSize, ItemDistribution};
 use deepsea_workload::sdss::sdss_like_histogram;
@@ -461,10 +461,10 @@ fn bench_view_fragments(c: &mut Criterion) {
 fn int_column(catalog: &Catalog, table: &str, col: &str) -> Vec<i64> {
     let t = catalog.get(table).expect("a BigBench table");
     let i = t.schema.index_of(col).expect("its key column");
-    match t.column(i).data().data() {
-        ColumnData::Int(v) => v.clone(),
-        _ => panic!("{col} is an integer column"),
-    }
+    let c = t.column(i);
+    (0..c.len())
+        .map(|r| c.int_at(r).expect("a non-NULL integer key"))
+        .collect()
 }
 
 criterion_group!(

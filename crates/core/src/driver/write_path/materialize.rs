@@ -27,16 +27,25 @@ use super::super::DeepSea;
 /// A materialized source fragment: id, interval, file.
 type SourceFrag = (FragmentId, Interval, FileId);
 
-/// Per (view, attribute), the hull of the fragments this commit creates on
-/// it and, once a fragment has to be built from the view's plan, the view's
-/// rows in that hull with the number of rows of the whole view
-/// ([`DeepSea::view_slice`]). BTreeMap (not HashMap): this sits on the
+/// Per (view, attribute), the fragments this commit creates on it,
+/// ascending, each once, and, once one of them has to be built from the
+/// view's plan, their [`Cut`]. BTreeMap (not HashMap): this sits on the
 /// decision path, and the D1 lint bans hash collections there — any future
 /// iteration would depend on hash order and break bit-identical replay.
-type Slices<'a> = BTreeMap<(ViewId, &'a str), (Interval, Option<(Arc<Table>, u64)>)>;
+type Slices<'a> = BTreeMap<(ViewId, &'a str), (Vec<Interval>, Option<Cut>)>;
 
-/// The hull of the fragments `to_create` makes on each (view, attribute).
-fn fragment_hulls<'a>(d: &DeepSea, to_create: &'a [RankedItem]) -> Slices<'a> {
+/// The view's rows in the hull of one (view, attribute)'s targets, with
+/// the number of rows of the whole view ([`DeepSea::view_slice`]), and,
+/// when the targets are disjoint, each one's rows of it, routed in one pass
+/// ([`partition_rows`]).
+struct Cut {
+    table: Arc<Table>,
+    whole_len: u64,
+    parts: Option<Vec<Vec<u32>>>,
+}
+
+/// The fragments `to_create` makes on each (view, attribute).
+fn fragment_targets<'a>(d: &DeepSea, to_create: &'a [RankedItem]) -> Slices<'a> {
     let mut slices = Slices::new();
     for item in to_create {
         let CandidateKind::Fragment(vid, attr, fid) = &item.kind else {
@@ -46,11 +55,13 @@ fn fragment_hulls<'a>(d: &DeepSea, to_create: &'a [RankedItem]) -> Slices<'a> {
         let Some(iv) = view.partitions.get(attr).and_then(|ps| ps.frag(*fid)) else {
             continue;
         };
-        let iv = iv.interval;
-        slices
-            .entry((*vid, attr.as_str()))
-            .and_modify(|(h, _)| *h = h.hull(&iv))
-            .or_insert((iv, None));
+        let targets = &mut slices.entry((*vid, attr.as_str())).or_default().0;
+        targets.push(iv.interval);
+    }
+    for (targets, _) in slices.values_mut() {
+        // A target planned twice is cut once.
+        targets.sort_unstable();
+        targets.dedup();
     }
     slices
 }
@@ -73,7 +84,7 @@ impl DeepSea {
         result: &Table,
     ) -> Result<(), ExecError> {
         let to_create = std::mem::take(&mut ctx.selection.to_create);
-        let mut slices = fragment_hulls(self, &to_create);
+        let mut slices = fragment_targets(self, &to_create);
         for item in &to_create {
             let (CandidateKind::WholeView(vid) | CandidateKind::Fragment(vid, _, _)) = &item.kind;
             let vid = *vid;
@@ -530,23 +541,38 @@ impl DeepSea {
                 frag.interval,
             )
         };
-        let (hull, slice) = slices.entry((vid, attr)).or_insert((target, None));
-        debug_assert!(hull.contains(&target), "the hull holds every target");
-        let (table, whole_len) = match slice {
-            Some((t, n)) => (Arc::clone(t), *n),
+        let (targets, cut) = slices
+            .entry((vid, attr))
+            .or_insert_with(|| (vec![target], None));
+        let cut = match cut {
+            Some(cut) => cut,
             None => {
-                let (t, n) = self.view_slice(&plan, attr, *hull, executed)?;
-                let t = Arc::new(t);
-                *slice = Some((Arc::clone(&t), n));
-                (t, n)
+                let hull = (targets.iter()).fold(target, |h, iv| h.hull(iv));
+                let (t, whole_len) = self.view_slice(&plan, attr, hull, executed)?;
+                // Disjoint targets take their rows from one pass over the
+                // slice; overlapping ones are cut one by one.
+                let disjoint = targets.windows(2).all(|w| w[0].hi < w[1].lo);
+                let parts = (t.schema.index_of(attr))
+                    .filter(|_| disjoint)
+                    .map(|col| partition_rows(&t, col, targets));
+                cut.insert(Cut {
+                    table: Arc::new(t),
+                    whole_len,
+                    parts,
+                })
             }
         };
+        let table = Arc::clone(&cut.table);
         let schema = table.schema.clone();
         let Some(col_idx) = schema.index_of(attr) else {
             return Ok(None);
         };
-        let full_size = whole_len * table.bytes_per_row;
-        let frag_table = table.take(&table.column(col_idx).int_range_rows(target.lo, target.hi));
+        let full_size = cut.whole_len * table.bytes_per_row;
+        let routed = (cut.parts.as_ref()).zip(targets.binary_search(&target).ok());
+        let frag_table = match routed {
+            Some((parts, k)) => table.take(&parts[k]),
+            None => table.take(&table.column(col_idx).int_range_rows(target.lo, target.hi)),
+        };
         let mut charge = CreationCharge::default();
         let record = self.write_fragment(
             vid,

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use deepsea_relation::{Col, ColumnData, Table};
+use deepsea_relation::{Col, Table};
 use deepsea_storage::Stamp;
 
 /// Per-column statistics the cost estimator uses.
@@ -40,31 +40,14 @@ pub struct Catalog {
 /// a surrogate key — no NULL, row `r` holding `min + r` — `Some(min)`. Both
 /// are `None` for a column of another type and for one without a value.
 fn scan_column(col: &Col) -> (Option<ColumnStats>, Option<i64>) {
-    let data = col.data();
-    let ColumnData::Int(v) = data.data() else {
-        return (None, None);
-    };
-    match col.idx() {
-        None => scan_ints(v, |p| data.is_null(p), 0..v.len()),
-        Some(ix) => scan_ints(v, |p| data.is_null(p), ix.iter().map(|&p| p as usize)),
-    }
-}
-
-/// [`scan_column`] over the values `v` at `positions`, one per row.
-fn scan_ints(
-    v: &[i64],
-    is_null: impl Fn(usize) -> bool,
-    positions: impl Iterator<Item = usize>,
-) -> (Option<ColumnStats>, Option<i64>) {
     let mut stats: Option<ColumnStats> = None;
     let mut serial = true;
     let mut start = None;
-    for (r, p) in positions.enumerate() {
-        if is_null(p) {
+    col.for_each_int(col.len(), |r, x| {
+        let Some(x) = x else {
             serial = false;
-            continue;
-        }
-        let x = v[p];
+            return;
+        };
         // Checked until the first row that breaks the rule; `checked_add`
         // fails a run that would pass `i64::MAX`.
         serial = serial && start.get_or_insert(x).checked_add(r as i64) == Some(x);
@@ -75,7 +58,7 @@ fn scan_ints(
                 max: s.max.max(x),
             },
         });
-    }
+    });
     (stats, stats.filter(|_| serial).map(|s| s.min))
 }
 

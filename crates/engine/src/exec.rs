@@ -24,12 +24,13 @@ use std::sync::Arc;
 
 use deepsea_relation::column::dense_span;
 use deepsea_relation::{
-    Col as Stored, Column, ColumnData, DataType, Field, Predicate, Rows, Schema, Table, Value,
+    Col as Stored, Column, ColumnData, DataType, Field, IntSlice, IntVisitor, Predicate, Rows,
+    Schema, Table, Value, Word,
 };
 use deepsea_storage::{FileId, IoError, SimFs};
 
 use crate::catalog::Catalog;
-use crate::plan::{AggFunc, LogicalPlan};
+use crate::plan::{AggFunc, LogicalPlan, ViewScanInfo};
 
 /// Simulated resource usage of one query execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -178,12 +179,14 @@ impl Col {
     /// (integers coerced), in row order. Strings are not numbers.
     fn for_each_float(&self, n: usize, mut f: impl FnMut(usize, f64)) {
         let data = self.data();
-        let rows = (0..n).map(|r| (r, self.phys(r)));
         match data.data() {
-            ColumnData::Int(v) => rows
-                .filter(|&(_, p)| !data.is_null(p))
-                .for_each(|(r, p)| f(r, v[p] as f64)),
-            ColumnData::Float(v) => rows
+            ColumnData::Int(_) => self.for_each_int(n, |r, x| {
+                if let Some(x) = x {
+                    f(r, x as f64)
+                }
+            }),
+            ColumnData::Float(v) => (0..n)
+                .map(|r| (r, self.phys(r)))
                 .filter(|&(_, p)| !data.is_null(p))
                 .for_each(|(r, p)| f(r, v[p])),
             ColumnData::Str { .. } => {}
@@ -241,7 +244,8 @@ impl Batch {
 }
 
 /// Average actual (in-memory serialized) row width, sampled over the first
-/// 128 rows.
+/// 128 rows. A number column without NULLs is 8 bytes a row
+/// ([`Column::width_at`]) and reads no value.
 fn avg_actual_width(cols: &[Col], len: usize) -> f64 {
     if len == 0 {
         return 8.0;
@@ -249,7 +253,10 @@ fn avg_actual_width(cols: &[Col], len: usize) -> f64 {
     let n = len.min(128);
     let total: u64 = cols
         .iter()
-        .map(|c| (0..n).map(|r| c.data().width_at(c.phys(r))).sum::<u64>())
+        .map(|c| match (c.dtype(), c.data().has_nulls()) {
+            (DataType::Int | DataType::Float, false) => 8 * n as u64,
+            _ => (0..n).map(|r| c.data().width_at(c.phys(r))).sum(),
+        })
         .sum();
     (total as f64 / n as f64).max(1.0)
 }
@@ -351,37 +358,7 @@ fn run(
             Ok(batch)
         }
         LogicalPlan::ViewScan(v) => {
-            // Overlapping fragments are clipped on the partition attribute.
-            let clip_col = match &v.clip {
-                Some(c) => Some(
-                    v.schema
-                        .index_of(&c.attr)
-                        .ok_or_else(|| ExecError::UnknownColumn(c.attr.clone()))?,
-                ),
-                None => None,
-            };
-            let mut parts: Vec<(Arc<Table>, Option<Vec<u32>>)> = Vec::with_capacity(v.files.len());
-            let mut bpr = 8u64;
-            for (k, &fid) in v.files.iter().enumerate() {
-                let out = fs.try_read(fid).map_err(ExecError::from)?;
-                m.penalty_secs += out.spike_secs;
-                let (payload, bytes) = (out.value, out.sim_bytes);
-                // The whole file is read and charged; the clip only decides
-                // which of its rows go on.
-                m.bytes_read += bytes;
-                m.map_tasks += fs.block_config().blocks_for(bytes);
-                m.rows_processed += payload.len() as u64;
-                bpr = bpr.max(payload.bytes_per_row);
-                let from = v
-                    .clip
-                    .as_ref()
-                    .and_then(|c| c.from.get(k).copied().flatten());
-                let rows = clip_col
-                    .zip(from)
-                    .map(|(col, lo)| payload.column(col).int_range_rows(lo, i64::MAX));
-                parts.push((payload, rows));
-            }
-            m.stages += 1;
+            let (parts, bpr) = read_fragments(v, fs, m)?;
             // One whole fragment is shared as it is; several are concatenated.
             Ok(match parts.as_slice() {
                 [(one, None)] => Batch::from_table(one, v.schema.clone(), bpr),
@@ -398,6 +375,13 @@ fn run(
         LogicalPlan::Select { pred, input } => match &**input {
             LogicalPlan::Join { left, right, on } => {
                 Ok(plant(left, right, on, catalog, fs, m)?.pair(Some(pred), m))
+            }
+            LogicalPlan::ViewScan(v) => {
+                let (parts, bpr) = read_fragments(v, fs, m)?;
+                Ok(match parts.as_slice() {
+                    [(one, None)] => select(Batch::from_table(one, v.schema.clone(), bpr), pred, m),
+                    many => select_fragments(v, many, bpr, pred, m),
+                })
             }
             _ => {
                 let child = run(input, catalog, fs, m)?;
@@ -503,6 +487,92 @@ fn run(
             Ok(Batch::new(Schema::new(fields), out, order.len(), bpr))
         }
     }
+}
+
+/// A fragment file a view scan read: its table and, when the scan clips it
+/// on the partition attribute, the rows that go on.
+type Fragment = (Arc<Table>, Option<Vec<u32>>);
+
+/// Read the fragment files of a view scan in order, charging each whole
+/// file: the fragments, and the widest row among them.
+fn read_fragments(
+    v: &ViewScanInfo,
+    fs: &SimFs<Table>,
+    m: &mut ExecMetrics,
+) -> Result<(Vec<Fragment>, u64), ExecError> {
+    // Overlapping fragments are clipped on the partition attribute.
+    let clip_col = match &v.clip {
+        Some(c) => Some(
+            v.schema
+                .index_of(&c.attr)
+                .ok_or_else(|| ExecError::UnknownColumn(c.attr.clone()))?,
+        ),
+        None => None,
+    };
+    let mut parts: Vec<Fragment> = Vec::with_capacity(v.files.len());
+    let mut bpr = 8u64;
+    for (k, &fid) in v.files.iter().enumerate() {
+        let out = fs.try_read(fid).map_err(ExecError::from)?;
+        m.penalty_secs += out.spike_secs;
+        let (payload, bytes) = (out.value, out.sim_bytes);
+        // The whole file is read and charged; the clip only decides
+        // which of its rows go on.
+        m.bytes_read += bytes;
+        m.map_tasks += fs.block_config().blocks_for(bytes);
+        m.rows_processed += payload.len() as u64;
+        bpr = bpr.max(payload.bytes_per_row);
+        let from = v
+            .clip
+            .as_ref()
+            .and_then(|c| c.from.get(k).copied().flatten());
+        let rows = clip_col
+            .zip(from)
+            .map(|(col, lo)| payload.column(col).int_range_rows(lo, i64::MAX));
+        parts.push((payload, rows));
+    }
+    m.stages += 1;
+    Ok((parts, bpr))
+}
+
+/// [`select`] over the concatenation of a view scan's `parts`, computed
+/// part by part: each fragment is filtered through its own columns, whose
+/// range orders stay with the file across executions, and only the rows
+/// kept are concatenated. Rows, their order and every charge are the
+/// concatenation's.
+fn select_fragments(
+    v: &ViewScanInfo,
+    parts: &[Fragment],
+    bpr: u64,
+    pred: &Predicate,
+    m: &mut ExecMetrics,
+) -> Batch {
+    let kept: Vec<Option<Vec<u32>>> = (parts.iter())
+        .map(|(t, clip)| {
+            m.rows_processed += clip.as_ref().map_or(t.len(), Vec::len) as u64;
+            let rows = filter(&Batch::from_table(t, v.schema.clone(), bpr), pred);
+            match (rows, clip) {
+                (None, clip) => clip.clone(),
+                (Some(rows), None) => Some(rows),
+                (Some(rows), Some(clip)) => Some(intersect(rows, clip)),
+            }
+        })
+        .collect();
+    let parts: Vec<(&Table, Option<&[u32]>)> = (parts.iter().zip(&kept))
+        .map(|((t, _), rows)| (&**t, rows.as_deref()))
+        .collect();
+    let t = Table::concat(v.schema.clone(), &parts, bpr);
+    Batch::from_table(&t, v.schema.clone(), bpr)
+}
+
+/// The rows of `a` that `b` holds too; both ascending.
+fn intersect(a: Vec<u32>, b: &[u32]) -> Vec<u32> {
+    let mut j = 0;
+    (a.into_iter())
+        .filter(|&r| {
+            j += b[j..].partition_point(|&x| x < r);
+            b.get(j) == Some(&r)
+        })
+        .collect()
 }
 
 /// The rows of `child` that satisfy `pred`; the selection is charged every
@@ -835,14 +905,25 @@ fn conjunct_rows(c: &Col, n: usize, conjunct: &Predicate, sel: Option<Vec<u32>>)
         (Predicate::Range { low, high, .. }, ColumnData::Int(_)) if sel.is_none() => {
             c.int_range_rows(*low, *high)
         }
-        (Predicate::Range { low, high, .. }, ColumnData::Int(v)) => {
-            keep(n, sel, c, |p| (*low <= v[p]) & (v[p] <= *high))
-        }
+        (Predicate::Range { low, high, .. }, ColumnData::Int(v)) => v.visit(KeepInts {
+            len: n,
+            sel,
+            col: c,
+            test: |x| (*low <= x) & (x <= *high),
+        }),
         (Predicate::Eq { value, .. }, data) => match (data, value) {
-            (ColumnData::Int(v), Value::Int(x)) => keep(n, sel, c, |p| v[p] == *x),
-            (ColumnData::Int(v), Value::Float(x)) => {
-                keep(n, sel, c, |p| (v[p] as f64).total_cmp(x).is_eq())
-            }
+            (ColumnData::Int(v), Value::Int(x)) => v.visit(KeepInts {
+                len: n,
+                sel,
+                col: c,
+                test: |y| y == *x,
+            }),
+            (ColumnData::Int(v), Value::Float(x)) => v.visit(KeepInts {
+                len: n,
+                sel,
+                col: c,
+                test: |y| (y as f64).total_cmp(x).is_eq(),
+            }),
             (ColumnData::Float(v), Value::Int(x)) => {
                 keep(n, sel, c, |p| v[p].total_cmp(&(*x as f64)).is_eq())
             }
@@ -877,6 +958,23 @@ fn keep(len: usize, sel: Option<Vec<u32>>, col: &Col, test: impl Fn(usize) -> bo
             let p = ix[r] as usize;
             test(p) & !data.is_null(p)
         }),
+    }
+}
+
+/// [`keep`] over an integer column, `test` given each value: compiled once
+/// per storage word.
+struct KeepInts<'a, T> {
+    len: usize,
+    sel: Option<Vec<u32>>,
+    col: &'a Col,
+    test: T,
+}
+
+impl<T: Fn(i64) -> bool> IntVisitor for KeepInts<'_, T> {
+    type Out = Vec<u32>;
+
+    fn visit<W: Word>(self, v: IntSlice<'_, W>) -> Vec<u32> {
+        keep(self.len, self.sel, self.col, |p| (self.test)(v.at(p)))
     }
 }
 
@@ -983,55 +1081,22 @@ impl IdTable {
     }
 }
 
-/// A single key column read as integers where its rows lie — an integer
-/// column's values, a string column's codes — less a minimum (the last
-/// field). Less a group-by key's smallest, they are offsets into a
-/// [`DirectIndex`].
-enum IntKeys<'a> {
-    Ints(&'a [i64], &'a Col, i64),
-    Codes(&'a [u32], &'a Col, i64),
+/// Whether `build`'s and `probe`'s keys compare as integers
+/// ([`Stored::for_each_key`]): integers, and strings under one dictionary.
+fn int_keyed(build: &Col, probe: &Col) -> bool {
+    match (build.data().data(), probe.data().data()) {
+        (ColumnData::Int(_), ColumnData::Int(_)) => true,
+        (ColumnData::Str { dict, .. }, ColumnData::Str { dict: d, .. }) => Arc::ptr_eq(dict, d),
+        _ => false,
+    }
 }
 
-impl<'a> IntKeys<'a> {
-    /// A join's `build` and `probe` key columns (a group-by's key, twice)
-    /// read as integers, when their values compare as such: integers, and
-    /// strings under one dictionary.
-    fn of(build: &'a Col, probe: &'a Col) -> Option<(Self, Self)> {
-        Some(match (build.data().data(), probe.data().data()) {
-            (ColumnData::Int(b), ColumnData::Int(p)) => {
-                (IntKeys::Ints(b, build, 0), IntKeys::Ints(p, probe, 0))
-            }
-            (ColumnData::Str { codes: b, dict }, ColumnData::Str { codes: p, dict: d })
-                if Arc::ptr_eq(dict, d) =>
-            {
-                (IntKeys::Codes(b, build, 0), IntKeys::Codes(p, probe, 0))
-            }
-            _ => return None,
-        })
-    }
-
-    /// The same keys less `min`.
-    fn less(self, min: i64) -> Self {
-        match self {
-            IntKeys::Ints(v, col, _) => IntKeys::Ints(v, col, min),
-            IntKeys::Codes(c, col, _) => IntKeys::Codes(c, col, min),
-        }
-    }
-
-    /// Row `r`'s key less the minimum, wrapped: as an offset, the number of
-    /// cells or more for a key the index does not hold.
-    #[inline]
-    fn at(&self, r: usize) -> u64 {
-        match self {
-            IntKeys::Ints(v, col, min) => v[col.phys(r)].wrapping_sub(*min) as u64,
-            IntKeys::Codes(c, col, min) => i64::from(c[col.phys(r)]).wrapping_sub(*min) as u64,
-        }
-    }
-
-    /// The keys of the first `n` rows.
-    fn codes(&self, n: usize) -> Vec<u64> {
-        (0..n).map(|r| self.at(r)).collect()
-    }
+/// The keys of the first `n` rows of `col` read as integers, as codes of
+/// the hashed index; a NULL row's is 0.
+fn int_codes(col: &Col, n: usize) -> Vec<u64> {
+    let mut codes = Vec::with_capacity(n);
+    col.for_each_key(n, |_, k| codes.push(k.unwrap_or(0) as u64));
+    codes
 }
 
 /// The group-by index of a single-column key whose values are dense: one
@@ -1043,8 +1108,10 @@ impl<'a> IntKeys<'a> {
 struct DirectIndex<'a> {
     /// One cell per possible key, [`NONE`] until its key's group is known.
     cells: Vec<u32>,
-    /// The rows that fill the cells.
-    keys: IntKeys<'a>,
+    /// The smallest key.
+    min: i64,
+    /// The key column, read as integers ([`Stored::for_each_key`]).
+    key: &'a Col,
 }
 
 impl<'a> DirectIndex<'a> {
@@ -1054,10 +1121,7 @@ impl<'a> DirectIndex<'a> {
     /// costs a few `u32` writes per row at most. `None` sends everything
     /// else to the hashed index: multi-column keys, floats, sparse keys (a
     /// span that overflows `i64` included, and a dictionary much larger
-    /// than the rows) and empty input.
-    ///
-    /// NULL slots hold their type's default and count towards the span like
-    /// values; the caller keeps NULL rows away from the index.
+    /// than the rows) and input without a non-NULL key. NULLs have no cell.
     ///
     /// Kept out of line: inlined into its one caller, it made
     /// `group_40k_str` (`cargo bench --bench micro`) 6–9 % slower.
@@ -1066,14 +1130,17 @@ impl<'a> DirectIndex<'a> {
         let [key] = key else {
             return None;
         };
-        let (keys, _) = IntKeys::of(key, key)?;
-        let mut all = (0..n).map(|r| keys.at(r) as i64);
-        let first = all.next()?;
-        let (min, max) = all.fold((first, first), |(lo, hi), k| (lo.min(k), hi.max(k)));
+        let (mut min, mut max) = (i64::MAX, i64::MIN);
+        key.for_each_key(n, |_, k| {
+            if let Some(k) = k {
+                (min, max) = (min.min(k), max.max(k));
+            }
+        });
         let span = dense_span(min, max, n)?;
         Some(Self {
             cells: vec![NONE; span + 1],
-            keys: keys.less(min),
+            min,
+            key,
         })
     }
 }
@@ -1109,7 +1176,6 @@ impl<'a> Partner<'a> {
 /// `first + length − 1` not passing `i64::MAX`.
 #[derive(Clone, Copy)]
 struct Partners<'a> {
-    vals: &'a [i64],
     col: &'a Col,
     first: i64,
 }
@@ -1117,25 +1183,18 @@ struct Partners<'a> {
 impl<'a> Partners<'a> {
     /// `col`'s keys less `first`; `None` unless it holds integers.
     fn of(col: &'a Col, first: i64) -> Option<Self> {
-        match col.data().data() {
-            ColumnData::Int(vals) => Some(Self { vals, col, first }),
-            _ => None,
-        }
+        matches!(col.data().data(), ColumnData::Int(_)).then_some(Self { col, first })
     }
 
     /// `f(r, partner)` for every row `r` below `n` that meets a row of a
-    /// surrogate side `len` rows long — a NULL meets none. Whether the
-    /// column can hold a NULL is settled once.
+    /// surrogate side `len` rows long — a NULL meets none.
     fn each(&self, n: usize, len: usize, mut f: impl FnMut(usize, u32)) {
-        let data = &**self.col.data();
-        let nullable = data.has_nulls();
-        for r in 0..n {
-            let p = self.col.phys(r);
-            let k = self.vals[p].wrapping_sub(self.first) as u64;
-            if k < len as u64 && !(nullable && data.is_null(p)) {
+        self.col.for_each_int(n, |r, x| {
+            let k = x.map_or(u64::MAX, |x| x.wrapping_sub(self.first) as u64);
+            if k < len as u64 {
                 f(r, k as u32);
             }
-        }
+        });
     }
 }
 
@@ -1186,13 +1245,16 @@ fn chain_counts<'a>(chain: impl IntoIterator<Item = (Partners<'a>, usize)>, n: u
 
 /// The first `n` rows of a number column as the bits of their `f64`, the
 /// key of floats and of integers met by floats (`total_cmp` equality is bit
-/// equality); `None` for strings. NULL slots share their type's default;
-/// callers tell them from values by [`null_rows`].
+/// equality); `None` for strings. NULL rows share one code; callers tell
+/// them from values by [`null_rows`].
 fn float_codes(col: &Col, n: usize) -> Option<Vec<u64>> {
-    let phys = (0..n).map(|r| col.phys(r));
     match col.data().data() {
-        ColumnData::Int(v) => Some(phys.map(|p| (v[p] as f64).to_bits()).collect()),
-        ColumnData::Float(v) => Some(phys.map(|p| v[p].to_bits()).collect()),
+        ColumnData::Int(_) => {
+            let mut codes = Vec::with_capacity(n);
+            col.for_each_int(n, |_, x| codes.push((x.unwrap_or(0) as f64).to_bits()));
+            Some(codes)
+        }
+        ColumnData::Float(v) => Some((0..n).map(|r| v[col.phys(r)].to_bits()).collect()),
         ColumnData::Str { .. } => None,
     }
 }
@@ -1308,11 +1370,11 @@ fn join_hashed(build: &[&Col], build_len: usize, probe: &[&Col], probe_len: usiz
     let mut bnull: Option<Vec<bool>> = None;
     let mut pnull: Option<Vec<bool>> = None;
     for (b, p) in build.iter().zip(probe) {
-        let codes = match (IntKeys::of(b, p), b.data().data(), p.data().data()) {
-            (Some((bk, pk)), ..) => Some((bk.codes(build_len), pk.codes(probe_len))),
+        let codes = match (int_keyed(b, p), b.data().data(), p.data().data()) {
+            (true, ..) => Some((int_codes(b, build_len), int_codes(p, probe_len))),
             // Strings under two dictionaries: each entry of the probe side's
             // is looked up in the build side's once, NONE for one it lacks.
-            (None, ColumnData::Str { codes, dict }, ColumnData::Str { codes: c, dict: d }) => {
+            (false, ColumnData::Str { codes, dict }, ColumnData::Str { codes: c, dict: d }) => {
                 let map: Vec<u32> = (d.strs().iter())
                     .map(|s| dict.code_of(s).unwrap_or(NONE))
                     .collect();
@@ -1392,31 +1454,29 @@ fn group_rows(keys: &[&Col], n: usize) -> Groups {
         };
     }
     match DirectIndex::new(keys, n) {
-        Some(index) => group_direct(index, keys[0], n),
+        Some(index) => group_direct(index, n),
         None => group_hashed(keys, n),
     }
 }
 
 /// [`group_rows`] by a single-column key through its [`DirectIndex`]: each
 /// cell holds its key's group, and NULL, which has no cell, its own.
-fn group_direct(index: DirectIndex<'_>, key: &Col, n: usize) -> Groups {
+fn group_direct(index: DirectIndex<'_>, n: usize) -> Groups {
     let mut group = index.cells;
     let mut null_group = NONE;
-    let nulls = null_rows(key, n);
     let mut first_row: Vec<u32> = Vec::new();
-    let of_row = (0..n)
-        .map(|r| {
-            let g = match marked(&nulls, r) {
-                true => &mut null_group,
-                false => &mut group[index.keys.at(r) as usize],
-            };
-            if *g == NONE {
-                *g = first_row.len() as u32;
-                first_row.push(r as u32);
-            }
-            *g
-        })
-        .collect();
+    let mut of_row = Vec::with_capacity(n);
+    index.key.for_each_key(n, |r, k| {
+        let g = match k {
+            None => &mut null_group,
+            Some(k) => &mut group[(k - index.min) as usize],
+        };
+        if *g == NONE {
+            *g = first_row.len() as u32;
+            first_row.push(r as u32);
+        }
+        of_row.push(*g);
+    });
     Groups { of_row, first_row }
 }
 
@@ -1424,7 +1484,7 @@ fn group_direct(index: DirectIndex<'_>, key: &Col, n: usize) -> Groups {
 fn group_hashed(keys: &[&Col], n: usize) -> Groups {
     let mut rk = Keys { codes: Vec::new() };
     for k in keys {
-        let codes = IntKeys::of(k, k).map(|(keys, _)| keys.codes(n));
+        let codes = int_keyed(k, k).then(|| int_codes(k, n));
         rk.codes.extend(codes.or_else(|| float_codes(k, n)));
         if let Some(nulls) = null_rows(k, n) {
             rk.codes.push(nulls.into_iter().map(u64::from).collect());
@@ -1497,13 +1557,31 @@ fn aggregate(
             } else {
                 Ordering::Greater
             };
-            for (r, &g) in groups.of_row.iter().enumerate() {
-                let p = col.phys(r);
-                let b = &mut best[g as usize];
-                if !col.data().is_null(p)
-                    && (*b == NONE || col.data().cmp_at(p, *b as usize) == wanted)
-                {
-                    *b = p as u32;
+            let of_row = &groups.of_row;
+            match col.data().data() {
+                // Integers compare as values, the column's word settled once.
+                ColumnData::Int(_) => {
+                    let mut extreme = vec![0i64; n_groups];
+                    col.for_each_int(of_row.len(), |r, x| {
+                        let g = of_row[r] as usize;
+                        match x {
+                            Some(x) if best[g] == NONE || x.cmp(&extreme[g]) == wanted => {
+                                (best[g], extreme[g]) = (col.phys(r) as u32, x)
+                            }
+                            _ => {}
+                        }
+                    });
+                }
+                _ => {
+                    for (r, &g) in of_row.iter().enumerate() {
+                        let p = col.phys(r);
+                        let b = &mut best[g as usize];
+                        if !col.data().is_null(p)
+                            && (*b == NONE || col.data().cmp_at(p, *b as usize) == wanted)
+                        {
+                            *b = p as u32;
+                        }
+                    }
                 }
             }
             let best: Vec<u32> = order.iter().map(|&g| best[g as usize]).collect();
@@ -1872,7 +1950,7 @@ mod tests {
             assert_eq!(group_hashed(&[key], n), want);
             assert_eq!(group_rows(&[key], n), want);
             if let Some(index) = DirectIndex::new(&[key], n) {
-                assert_eq!(group_direct(index, key, n), want);
+                assert_eq!(group_direct(index, n), want);
             }
         }
     }

@@ -7,7 +7,11 @@
 //! joins and stored view fragments hand columns on without copying values:
 //! a selection or a join composes index vectors, and every column taken
 //! from one input shares one. A string column's vector holds codes into a
-//! [`Dict`] that every column gathered from it shares. A [`Col`] that is
+//! [`Dict`] that every column gathered from it shares. An integer column
+//! stores each value as a `u32` offset from a base of its own when every
+//! value lies within 2³² of it, and as an `i64` otherwise ([`Ints`]); this
+//! module alone names the two words, and every reader sees the values
+//! through an [`IntVisitor`], compiled once per word. A [`Col`] that is
 //! range-selected a second time sorts its rows by value once
 //! ([`Col::int_range_rows`]), so later ranges cost what they keep, and a
 //! column asked which of its rows name a row of a surrogate key keeps the
@@ -17,6 +21,7 @@ use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write};
+use std::mem::size_of_val;
 // deepsea-lint: allow(layering) -- a column's write-once range order and key bitmap: one flag and two OnceLocks, no guard is ever held
 use std::sync::{atomic::AtomicBool, atomic::Ordering::Relaxed, Arc, OnceLock};
 
@@ -62,12 +67,237 @@ impl Dict {
     }
 }
 
+/// A storage word of an integer column ([`Ints`]): the value itself, or
+/// its offset from the column's base. Readers are generic over it.
+pub trait Word: Copy + Send + Sync + 'static + sealed::Sealed {
+    /// The value this word stores over `base`.
+    fn value(self, base: i64) -> i64;
+}
+
+mod sealed {
+    /// Only this module's two words are words.
+    pub trait Sealed {}
+    impl Sealed for i64 {}
+    impl Sealed for u32 {}
+}
+
+/// The wide word: the value, whatever the base (always 0).
+impl Word for i64 {
+    #[inline]
+    fn value(self, _: i64) -> i64 {
+        self
+    }
+}
+
+/// The narrow word: the offset from the base.
+impl Word for u32 {
+    #[inline]
+    fn value(self, base: i64) -> i64 {
+        base.wrapping_add(i64::from(self))
+    }
+}
+
+/// The narrow word storing `x` over `base`, if `x` lies within 2³² above it.
+#[inline]
+fn offset(x: i64, base: i64) -> Option<u32> {
+    let offset = x.wrapping_sub(base) as u64;
+    (x >= base && offset <= u64::from(u32::MAX)).then_some(offset as u32)
+}
+
+/// An integer column's values, stored in the word the values allow where
+/// the column is built: `u32` offsets from a base when every value lies
+/// within 2³² of it, `i64` otherwise. A value that does not fit a narrow
+/// column's base widens it. Readers see the values through
+/// [`Ints::visit`].
+#[derive(Clone)]
+pub struct Ints(Words);
+
+#[derive(Clone)]
+enum Words {
+    Wide(Vec<i64>),
+    Narrow(i64, Vec<u32>),
+}
+
+/// `$body` with `$v` bound to the [`IntSlice`] of `$ints`' values in their
+/// word: one arm per word, each compiled for its own.
+macro_rules! words {
+    ($ints:expr, |$v:ident| $body:expr) => {
+        match &$ints.0 {
+            Words::Wide(w) => {
+                let $v = IntSlice {
+                    base: 0,
+                    words: w.as_slice(),
+                };
+                $body
+            }
+            Words::Narrow(base, w) => {
+                let $v = IntSlice {
+                    base: *base,
+                    words: w.as_slice(),
+                };
+                $body
+            }
+        }
+    };
+}
+
+/// A computation over an integer column's values, compiled once per
+/// storage word: [`Ints::visit`] settles the word once and hands the
+/// values over, so no loop inside `visit` branches on it.
+pub trait IntVisitor {
+    /// What the computation returns.
+    type Out;
+    /// Run over `ints`.
+    fn visit<W: Word>(self, ints: IntSlice<'_, W>) -> Self::Out;
+}
+
+/// An integer column's values as stored in word `W`: value `p` is word `p`
+/// over `base`.
+#[derive(Clone, Copy)]
+pub struct IntSlice<'a, W> {
+    base: i64,
+    words: &'a [W],
+}
+
+impl<'a, W: Word> IntSlice<'a, W> {
+    /// The value at `p`.
+    #[inline]
+    pub fn at(self, p: usize) -> i64 {
+        self.words[p].value(self.base)
+    }
+
+    fn len(self) -> usize {
+        self.words.len()
+    }
+
+    /// The values, in order.
+    fn iter(self) -> impl Iterator<Item = i64> + Clone + 'a {
+        let base = self.base;
+        self.words.iter().map(move |w| w.value(base))
+    }
+}
+
+impl Ints {
+    /// An empty column for values in `[low, high]` with room for `cap`:
+    /// narrow over `low` when the span fits the narrow word.
+    pub(crate) fn spanning(low: i64, high: i64, cap: usize) -> Self {
+        Self(match offset(high, low) {
+            Some(_) => Words::Narrow(low, Vec::with_capacity(cap)),
+            None => Words::Wide(Vec::with_capacity(cap)),
+        })
+    }
+
+    /// `values`, narrow over their minimum when they allow it.
+    fn from_vec(values: Vec<i64>) -> Self {
+        let (min, max) =
+            (values.iter()).fold((i64::MAX, i64::MIN), |(lo, hi), &x| (lo.min(x), hi.max(x)));
+        Self(match offset(max, min) {
+            Some(_) => Words::Narrow(
+                min,
+                values.iter().map(|&x| x.wrapping_sub(min) as u32).collect(),
+            ),
+            None => Words::Wide(values),
+        })
+    }
+
+    /// Run `visitor` over the values, in their word.
+    pub fn visit<V: IntVisitor>(&self, visitor: V) -> V::Out {
+        words!(self, |v| visitor.visit(v))
+    }
+
+    fn len(&self) -> usize {
+        words!(self, |v| v.len())
+    }
+
+    /// The value at `i`.
+    #[inline]
+    fn get(&self, i: usize) -> i64 {
+        words!(self, |v| v.at(i))
+    }
+
+    /// Bytes the words take.
+    fn bytes(&self) -> usize {
+        words!(self, |v| size_of_val(v.words))
+    }
+
+    /// Make the column wide.
+    fn widen(&mut self) {
+        if let Words::Narrow(base, w) = &self.0 {
+            self.0 = Words::Wide(w.iter().map(|x| x.value(*base)).collect());
+        }
+    }
+
+    /// Append `x`, widening a narrow column it does not fit.
+    #[inline]
+    pub(crate) fn push(&mut self, x: i64) {
+        if let Words::Narrow(base, w) = &mut self.0 {
+            match offset(x, *base) {
+                Some(offset) => return w.push(offset),
+                None => self.widen(),
+            }
+        }
+        if let Words::Wide(w) = &mut self.0 {
+            w.push(x);
+        }
+    }
+
+    /// Append a NULL slot: the word 0.
+    #[inline]
+    fn push_slot(&mut self) {
+        match &mut self.0 {
+            Words::Wide(w) => w.push(0),
+            Words::Narrow(_, w) => w.push(0),
+        }
+    }
+
+    /// Append `other`'s values at `idx` (all of them when `None`), widening
+    /// a narrow column that one of them does not fit.
+    fn extend(&mut self, other: &Ints, idx: Option<&[u32]>) {
+        words!(other, |v| match idx {
+            None => self.extend_values(v.iter()),
+            Some(ix) => self.extend_values(ix.iter().map(|&p| v.at(p as usize))),
+        })
+    }
+
+    fn extend_values(&mut self, values: impl Iterator<Item = i64> + Clone) {
+        if let Words::Narrow(base, _) = self.0 {
+            if !values.clone().all(|x| offset(x, base).is_some()) {
+                self.widen();
+            }
+        }
+        match &mut self.0 {
+            Words::Wide(w) => w.extend(values),
+            Words::Narrow(base, w) => {
+                let base = *base;
+                w.extend(values.map(|x| x.wrapping_sub(base) as u32));
+            }
+        }
+    }
+
+    /// The words at `idx`, in that order, over the same base; an index of
+    /// [`u32::MAX`] gives the word 0.
+    fn pick(&self, idx: &[u32]) -> Ints {
+        Ints(match &self.0 {
+            Words::Wide(w) => Words::Wide(pick(w, idx)),
+            Words::Narrow(base, w) => Words::Narrow(*base, pick(w, idx)),
+        })
+    }
+}
+
+/// The values, as a list.
+impl fmt::Debug for Ints {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        words!(self, |v| f.debug_list().entries(v.iter()).finish())
+    }
+}
+
 /// The typed payload of a column. A NULL slot holds the type's default
-/// (`0`, `0.0`, the code of `""`); only the mask says it is NULL.
+/// (an integer column's word 0, `0.0`, the code of `""`); only the mask
+/// says it is NULL.
 #[derive(Debug, Clone)]
 pub enum ColumnData {
     /// 64-bit integers.
-    Int(Vec<i64>),
+    Int(Ints),
     /// 64-bit floats.
     Float(Vec<f64>),
     /// Strings: per row, a code into the dictionary.
@@ -80,6 +310,17 @@ fn extend<T: Copy>(d: &mut Vec<T>, s: &[T], idx: Option<&[u32]>) {
         None => d.extend_from_slice(s),
         Some(ix) => d.extend(ix.iter().map(|&i| s[i as usize])),
     }
+}
+
+/// The values of `v` at `idx`, in that order; an index of [`u32::MAX`]
+/// gives the default.
+fn pick<T: Copy + Default>(v: &[T], idx: &[u32]) -> Vec<T> {
+    (idx.iter())
+        .map(|&i| match i {
+            u32::MAX => T::default(),
+            i => v[i as usize],
+        })
+        .collect()
 }
 
 /// The density rule, the one place that chooses direct addressing — a
@@ -153,10 +394,12 @@ impl Column {
         self.keys = OnceLock::new();
     }
 
-    /// An empty column of the given type with room for `cap` values.
+    /// An empty column of the given type with room for `cap` values. An
+    /// integer one is narrow over 0 until a value outside `[0, 2³²)`
+    /// widens it.
     pub fn with_capacity(dtype: DataType, cap: usize) -> Self {
         let data = match dtype {
-            DataType::Int => ColumnData::Int(Vec::with_capacity(cap)),
+            DataType::Int => ColumnData::Int(Ints::spanning(0, u32::MAX.into(), cap)),
             DataType::Float => ColumnData::Float(Vec::with_capacity(cap)),
             DataType::Str => ColumnData::Str {
                 codes: Vec::with_capacity(cap),
@@ -166,9 +409,16 @@ impl Column {
         Self::new(data, Vec::new())
     }
 
-    /// An integer column without NULLs.
+    /// An integer column without NULLs, narrow when its values allow.
     pub fn from_ints(values: Vec<i64>) -> Self {
-        Self::new(ColumnData::Int(values), Vec::new())
+        Self::new(ColumnData::Int(Ints::from_vec(values)), Vec::new())
+    }
+
+    /// An integer column without NULLs, wide whatever its values: for
+    /// tests that hold the two words against each other.
+    #[doc(hidden)]
+    pub fn from_ints_wide(values: Vec<i64>) -> Self {
+        Self::new(ColumnData::Int(Ints(Words::Wide(values))), Vec::new())
     }
 
     /// Number of values.
@@ -199,6 +449,17 @@ impl Column {
         &self.data
     }
 
+    /// Bytes the values take in memory: the words, floats or codes, and
+    /// the NULL mask. A string column's dictionary, shared, is not counted.
+    pub fn value_bytes(&self) -> usize {
+        let values = match &self.data {
+            ColumnData::Int(v) => v.bytes(),
+            ColumnData::Float(v) => size_of_val(v.as_slice()),
+            ColumnData::Str { codes, .. } => size_of_val(codes.as_slice()),
+        };
+        values + size_of_val(self.nulls.as_slice())
+    }
+
     /// Whether any value is NULL.
     pub fn has_nulls(&self) -> bool {
         !self.nulls.is_empty()
@@ -217,7 +478,7 @@ impl Column {
         }
         self.nulls.push(true);
         match &mut self.data {
-            ColumnData::Int(v) => v.push(0),
+            ColumnData::Int(v) => v.push_slot(),
             ColumnData::Float(v) => v.push(0.0),
             ColumnData::Str { codes, .. } => codes.push(0),
         }
@@ -253,7 +514,7 @@ impl Column {
             return Value::Null;
         }
         match &self.data {
-            ColumnData::Int(v) => Value::Int(v[i]),
+            ColumnData::Int(v) => Value::Int(v.get(i)),
             ColumnData::Float(v) => Value::Float(v[i]),
             ColumnData::Str { codes, dict } => Value::Str(dict.strs[codes[i] as usize].clone()),
         }
@@ -271,12 +532,13 @@ impl Column {
     #[inline]
     pub fn int_at(&self, i: usize) -> Option<i64> {
         match &self.data {
-            ColumnData::Int(v) if !self.is_null(i) => Some(v[i]),
+            ColumnData::Int(v) if !self.is_null(i) => Some(v.get(i)),
             _ => None,
         }
     }
 
-    /// Serialized width of the value at `i` (see [`Value::width`]).
+    /// Serialized width of the value at `i` (see [`Value::width`]): 8 bytes
+    /// for any number, whatever its word.
     #[inline]
     pub fn width_at(&self, i: usize) -> u64 {
         if self.is_null(i) {
@@ -298,45 +560,34 @@ impl Column {
             (false, false) => {}
         }
         match &self.data {
-            ColumnData::Int(v) => v[i].cmp(&v[j]),
+            ColumnData::Int(v) => words!(v, |v| v.at(i).cmp(&v.at(j))),
             ColumnData::Float(v) => v[i].total_cmp(&v[j]),
             ColumnData::Str { .. } => self.str_at(i).cmp(self.str_at(j)),
         }
     }
 
-    /// A new column holding the values at `idx`, in that order; a string
-    /// column's shares its dictionary.
-    pub fn gather(&self, idx: &[u32]) -> Column {
-        fn pick<T: Copy>(v: &[T], idx: &[u32]) -> Vec<T> {
-            idx.iter().map(|&i| v[i as usize]).collect()
-        }
+    /// A new column holding the values at `idx`, in that order, where an
+    /// index of [`u32::MAX`] gives NULL: one pass, in this column's type
+    /// and word; a string column's shares its dictionary.
+    pub fn gather_or_null(&self, idx: &[u32]) -> Column {
         let data = match &self.data {
-            ColumnData::Int(v) => ColumnData::Int(pick(v, idx)),
+            ColumnData::Int(v) => ColumnData::Int(v.pick(idx)),
             ColumnData::Float(v) => ColumnData::Float(pick(v, idx)),
             ColumnData::Str { codes, dict } => ColumnData::Str {
                 codes: pick(codes, idx),
                 dict: Arc::clone(dict),
             },
         };
-        let nulls = if self.nulls.is_empty() {
-            Vec::new()
-        } else {
-            pick(&self.nulls, idx)
+        let null = |i: u32| i == u32::MAX || self.is_null(i as usize);
+        let nulls = match idx.iter().any(|&i| null(i)) {
+            true => idx.iter().map(|&i| null(i)).collect(),
+            false => Vec::new(),
         };
         Column::new(data, nulls)
     }
 
-    /// [`Column::gather`], except that an index of [`u32::MAX`] gives NULL.
-    pub fn gather_or_null(&self, idx: &[u32]) -> Column {
-        let mut out = self.gather(&[]);
-        idx.iter().for_each(|&i| match i {
-            u32::MAX => out.push_null(),
-            i => out.extend_from(self, Some(&[i])),
-        });
-        out
-    }
-
     /// Append the values of `other` at `idx` (all of `other` when `None`).
+    /// Integers keep a narrow column narrow while they fit its base.
     /// Strings copy their codes when the two columns share a dictionary, as
     /// an empty column does once it adopts `other`'s; otherwise `other`'s
     /// dictionary is merged into this one, each entry looked up once.
@@ -348,7 +599,7 @@ impl Column {
         self.forget_caches();
         let before = self.len();
         match (&mut self.data, &other.data) {
-            (ColumnData::Int(d), ColumnData::Int(s)) => extend(d, s, idx),
+            (ColumnData::Int(d), ColumnData::Int(s)) => d.extend(s, idx),
             (ColumnData::Float(d), ColumnData::Float(s)) => extend(d, s, idx),
             (ColumnData::Str { codes, dict }, ColumnData::Str { codes: s, dict: d }) => {
                 if codes.is_empty() {
@@ -401,20 +652,23 @@ impl Column {
     /// [`Column::key_bits`], computed: 64 rows a word, each row's bit set
     /// with no branch on the data.
     fn compute_key_bits(&self, first: i64, len: usize) -> Vec<u64> {
-        let mut words = vec![0u64; self.len().div_ceil(64)];
+        let mut bits = vec![0u64; self.len().div_ceil(64)];
         let ColumnData::Int(v) = &self.data else {
-            return words;
+            return bits;
         };
         let hit = |x: i64| (x.wrapping_sub(first) as u64) < len as u64;
-        for (w, chunk) in words.iter_mut().zip(v.chunks(64)) {
-            *w = (chunk.iter().enumerate()).fold(0, |acc, (b, &x)| acc | u64::from(hit(x)) << b);
-        }
+        words!(v, |v| {
+            for (w, chunk) in bits.iter_mut().zip(v.words.chunks(64)) {
+                *w = (chunk.iter().enumerate())
+                    .fold(0, |acc, (b, &x)| acc | u64::from(hit(x.value(v.base))) << b);
+            }
+        });
         if self.has_nulls() {
-            for (w, chunk) in words.iter_mut().zip(self.nulls.chunks(64)) {
+            for (w, chunk) in bits.iter_mut().zip(self.nulls.chunks(64)) {
                 *w &= !(chunk.iter().enumerate()).fold(0, |acc, (b, &n)| acc | u64::from(n) << b);
             }
         }
-        words
+        bits
     }
 
     /// Append the canonical fingerprint text of the value at `i`.
@@ -428,7 +682,7 @@ impl Column {
             // Print floats with enough precision to distinguish values but
             // tolerate the last few bits of summation-order noise.
             ColumnData::Float(v) => write!(out, "{:.6}", v[i]),
-            ColumnData::Int(v) => write!(out, "{}", v[i]),
+            ColumnData::Int(v) => write!(out, "{}", v.get(i)),
             ColumnData::Str { .. } => write!(out, "s:{}", self.str_at(i)),
         };
     }
@@ -436,7 +690,7 @@ impl Column {
     /// Whether the value at `i` equals `other`'s at `j`: both NULL, or the
     /// same type and value (floats by bits, like [`Value`]'s
     /// `total_cmp`-based equality; strings by their text, whatever their
-    /// dictionaries).
+    /// dictionaries; integers by value, whatever their words).
     pub fn same_at(&self, i: usize, other: &Column, j: usize) -> bool {
         match (self.is_null(i), other.is_null(j)) {
             (true, true) => return true,
@@ -444,7 +698,7 @@ impl Column {
             _ => return false,
         }
         match (&self.data, &other.data) {
-            (ColumnData::Int(a), ColumnData::Int(b)) => a[i] == b[j],
+            (ColumnData::Int(a), ColumnData::Int(b)) => a.get(i) == b.get(j),
             (ColumnData::Float(a), ColumnData::Float(b)) => a[i].to_bits() == b[j].to_bits(),
             (ColumnData::Str { .. }, ColumnData::Str { .. }) => self.str_at(i) == other.str_at(j),
             _ => false,
@@ -452,10 +706,32 @@ impl Column {
     }
 }
 
+/// Whether `a`'s value at `pa(r)` equals `b`'s at `pb(r)` for every row
+/// `r < n` ([`Column::same_at`]); two integer columns compare in their
+/// words, each settled once.
+fn same_rows(
+    a: &Column,
+    pa: impl Fn(usize) -> usize,
+    b: &Column,
+    pb: impl Fn(usize) -> usize,
+    n: usize,
+) -> bool {
+    let (ColumnData::Int(x), ColumnData::Int(y)) = (&a.data, &b.data) else {
+        return (0..n).all(|r| a.same_at(pa(r), b, pb(r)));
+    };
+    words!(x, |x| words!(y, |y| (0..n).all(|r| {
+        let (i, j) = (pa(r), pb(r));
+        match (a.is_null(i), b.is_null(j)) {
+            (false, false) => x.at(i) == y.at(j),
+            (a_null, b_null) => a_null == b_null,
+        }
+    })))
+}
+
 /// Value equality, value by value ([`Column::same_at`]).
 impl PartialEq for Column {
     fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && (0..self.len()).all(|i| self.same_at(i, other, i))
+        self.len() == other.len() && same_rows(self, |i| i, other, |i| i, self.len())
     }
 }
 
@@ -599,6 +875,63 @@ impl Col {
         self.data.write_canonical(self.phys(r), out);
     }
 
+    /// `f(r, x)` for each of the first `n` rows `r`, in order: `x` the
+    /// row's integer value, `None` when it is NULL. A non-integer column
+    /// calls nothing. The word, the index and whether a value can be NULL
+    /// are settled once, before the loop.
+    #[inline]
+    pub fn for_each_int(&self, n: usize, f: impl FnMut(usize, Option<i64>)) {
+        if let ColumnData::Int(v) = &self.data.data {
+            words!(v, |v| self.each_row(v, n, f))
+        }
+    }
+
+    /// [`Col::for_each_int`], where a string column also gives each row's
+    /// code into its dictionary: the column's keys read as integers. A
+    /// float column calls nothing.
+    #[inline]
+    pub fn for_each_key(&self, n: usize, f: impl FnMut(usize, Option<i64>)) {
+        match &self.data.data {
+            ColumnData::Int(_) => self.for_each_int(n, f),
+            ColumnData::Str { codes, .. } => self.each_row(
+                IntSlice {
+                    base: 0,
+                    words: codes,
+                },
+                n,
+                f,
+            ),
+            ColumnData::Float(_) => {}
+        }
+    }
+
+    /// `f(r, x)` for each of the first `n` rows, `x` read from `v` (the
+    /// column's values) or `None` for NULL; index and NULLs settled once.
+    #[inline]
+    fn each_row<W: Word>(
+        &self,
+        v: IntSlice<'_, W>,
+        n: usize,
+        mut f: impl FnMut(usize, Option<i64>),
+    ) {
+        let nulls = &self.data.nulls;
+        match (&self.idx, nulls.is_empty()) {
+            (None, true) => (v.words[..n].iter())
+                .enumerate()
+                .for_each(|(r, w)| f(r, Some(w.value(v.base)))),
+            (None, false) => (v.words[..n].iter().zip(nulls))
+                .enumerate()
+                .for_each(|(r, (w, &null))| f(r, (!null).then(|| w.value(v.base)))),
+            (Some(ix), true) => (ix[..n].iter())
+                .enumerate()
+                .for_each(|(r, &p)| f(r, Some(v.at(p as usize)))),
+            (Some(ix), false) => (ix[..n].iter()).enumerate().for_each(|(r, &p)| {
+                let p = p as usize;
+                f(r, (!nulls[p]).then(|| v.at(p)))
+            }),
+        }
+    }
+
     /// Rows whose integer value lies in `[low, high]`, in ascending order.
     /// NULLs and non-integer columns select nothing.
     ///
@@ -607,13 +940,20 @@ impl Col {
     /// values are dense ([`dense_span`]), a stable sort otherwise — and from
     /// then on a range is two binary searches in that order plus one pass
     /// over a bitmap of the rows found, which puts them back in row order.
-    /// A range that keeps more than a quarter of the rows scans instead.
-    /// Either way the rows are the same, and an indexed column's are its
-    /// own rows, not its values' positions.
+    /// A column read in place scans a range that keeps more than a quarter
+    /// of its rows instead; one read through an index never does, as a
+    /// scan would read every row through the index. Either way the rows
+    /// are the same, and an indexed column's are its own rows, not its
+    /// values' positions.
     pub fn int_range_rows(&self, low: i64, high: i64) -> Vec<u32> {
         let ColumnData::Int(v) = &self.data.data else {
             return Vec::new();
         };
+        words!(v, |v| self.range_rows(v, low, high))
+    }
+
+    /// [`Col::int_range_rows`] over the column's values `v`.
+    fn range_rows<W: Word>(&self, v: IntSlice<'_, W>, low: i64, high: i64) -> Vec<u32> {
         let Some(kept) = &self.order else {
             return self.scan_range(v, low, high);
         };
@@ -624,9 +964,10 @@ impl Col {
             }
             None => return self.scan_range(v, low, high),
         };
+        let n = self.len();
         let ordered = match &self.idx {
-            None => ordered_range(self.len(), |r| v[r as usize], order, low, high),
-            Some(ix) => ordered_range(self.len(), |r| v[ix[r as usize] as usize], order, low, high),
+            None => ordered_range(n, |r| v.at(r as usize), order, low, high, n / 4),
+            Some(ix) => ordered_range(n, |r| v.at(ix[r as usize] as usize), order, low, high, n),
         };
         ordered.unwrap_or_else(|| self.scan_range(v, low, high))
     }
@@ -635,42 +976,44 @@ impl Col {
     /// lies in `[low, high]`, by one pass that writes every row and advances
     /// past it only if it passes: no branch depends on the data. Whether
     /// the column is indexed and can hold a NULL is settled once.
-    fn scan_range(&self, v: &[i64], low: i64, high: i64) -> Vec<u32> {
+    fn scan_range<W: Word>(&self, v: IntSlice<'_, W>, low: i64, high: i64) -> Vec<u32> {
         let within = |x: i64| (low <= x) & (x <= high);
         let nulls = &self.data.nulls;
         match (&self.idx, nulls.is_empty()) {
-            (None, true) => compact(v.len(), v.iter().map(|&x| within(x))),
-            (None, false) => compact(v.len(), v.iter().zip(nulls).map(|(&x, &n)| within(x) & !n)),
-            (Some(ix), true) => compact(ix.len(), ix.iter().map(|&p| within(v[p as usize]))),
+            (None, true) => compact(v.len(), v.iter().map(within)),
+            (None, false) => compact(v.len(), v.iter().zip(nulls).map(|(x, &n)| within(x) & !n)),
+            (Some(ix), true) => compact(ix.len(), ix.iter().map(|&p| within(v.at(p as usize)))),
             (Some(ix), false) => compact(
                 ix.len(),
-                (ix.iter()).map(|&p| within(v[p as usize]) & !nulls[p as usize]),
+                (ix.iter()).map(|&p| within(v.at(p as usize)) & !nulls[p as usize]),
             ),
         }
     }
 
     /// The rows with a non-NULL value in `v` (the column's values), sorted
-    /// by (value, row). NULL slots hold 0 and are sorted with the rest, then
-    /// dropped.
-    fn range_order(&self, v: &[i64]) -> Vec<u32> {
-        let rows: Cow<'_, [i64]> = match &self.idx {
-            None => Cow::Borrowed(v),
-            Some(ix) => Cow::Owned(ix.iter().map(|&p| v[p as usize]).collect()),
+    /// by (value, row). NULL slots are sorted with the rest, then dropped.
+    fn range_order<W: Word>(&self, v: IntSlice<'_, W>) -> Vec<u32> {
+        let rows: Cow<'_, [W]> = match &self.idx {
+            None => Cow::Borrowed(v.words),
+            Some(ix) => Cow::Owned(ix.iter().map(|&p| v.words[p as usize]).collect()),
         };
-        let v = &*rows;
+        let v = IntSlice {
+            base: v.base,
+            words: &rows,
+        };
         let (min, max) = v
             .iter()
-            .fold((i64::MAX, i64::MIN), |(lo, hi), &x| (lo.min(x), hi.max(x)));
+            .fold((i64::MAX, i64::MIN), |(lo, hi), x| (lo.min(x), hi.max(x)));
         let mut order = match dense_span(min, max, v.len()) {
             // Counting sort: each value's first slot, then the rows in order.
             Some(span) => {
                 let mut next = vec![0u32; span + 2];
-                v.iter().for_each(|&x| next[(x - min) as usize + 1] += 1);
+                v.iter().for_each(|x| next[(x - min) as usize + 1] += 1);
                 for s in 1..next.len() {
                     next[s] += next[s - 1];
                 }
                 let mut order = vec![0u32; v.len()];
-                for (r, &x) in v.iter().enumerate() {
+                for (r, x) in v.iter().enumerate() {
                     let s = &mut next[(x - min) as usize];
                     order[*s as usize] = r as u32;
                     *s += 1;
@@ -679,7 +1022,7 @@ impl Col {
             }
             None => {
                 let mut order: Vec<u32> = (0..v.len() as u32).collect();
-                order.sort_by_key(|&r| v[r as usize]);
+                order.sort_by_key(|&r| v.at(r as usize));
                 order
             }
         };
@@ -696,18 +1039,15 @@ impl Col {
     pub fn int_partition_rows(&self, ranges: &[(i64, i64)]) -> Vec<Vec<u32>> {
         debug_assert!(ranges.windows(2).all(|w| w[0].1 < w[1].0));
         let mut parts = vec![Vec::new(); ranges.len()];
-        if !matches!(self.data.data, ColumnData::Int(_)) {
-            return parts;
-        }
-        for r in 0..self.len() {
-            let Some(x) = self.int_at(r) else {
-                continue;
+        self.for_each_int(self.len(), |r, x| {
+            let Some(x) = x else {
+                return;
             };
             let k = ranges.partition_point(|&(_, high)| high < x);
             if k < ranges.len() && ranges[k].0 <= x {
                 parts[k].push(r as u32);
             }
-        }
+        });
         parts
     }
 
@@ -747,8 +1087,13 @@ impl PartialEq for Col {
     fn eq(&self, other: &Self) -> bool {
         self.len() == other.len()
             && (self.shares(other)
-                || (0..self.len())
-                    .all(|r| self.data.same_at(self.phys(r), &other.data, other.phys(r))))
+                || same_rows(
+                    &self.data,
+                    |r| self.phys(r),
+                    &other.data,
+                    |r| other.phys(r),
+                    self.len(),
+                ))
     }
 }
 
@@ -768,19 +1113,19 @@ fn compact(n: usize, pass: impl Iterator<Item = bool>) -> Vec<u32> {
 
 /// The rows of an `n`-row column whose value (`value(row)`) lies in
 /// `[low, high]`, ascending, found in `order` (the rows with a non-NULL
-/// value sorted by (value, row)); `None` when they are more than a quarter
-/// of the rows, which a scan serves better.
+/// value sorted by (value, row)); `None` when they are more than `most`.
 fn ordered_range(
     n: usize,
     value: impl Fn(u32) -> i64,
     order: &[u32],
     low: i64,
     high: i64,
+    most: usize,
 ) -> Option<Vec<u32>> {
     let from = order.partition_point(|&r| value(r) < low);
     let hits = &order[from..];
     let hits = &hits[..hits.partition_point(|&r| value(r) <= high)];
-    if hits.len() > n / 4 {
+    if hits.len() > most {
         return None;
     }
     let mut bits = vec![0u64; n.div_ceil(64)];
@@ -835,18 +1180,53 @@ mod tests {
     }
 
     #[test]
-    fn gather_keeps_order_and_nulls() {
-        let g = ints_with_null().gather(&[2, 1, 1, 0]);
+    fn gather_or_null_and_take_all_keep_order_and_nulls() {
+        let want = vec![Value::Int(-1), Value::Null, Value::Null, Value::Int(3)];
+        let g = ints_with_null().gather_or_null(&[2, 1, 1, 0]);
+        assert_eq!((0..4).map(|i| g.value(i)).collect::<Vec<_>>(), want);
+        let sel = Arc::new(vec![2, 1, 1, 0]);
+        let t = Col::take_all([&Col::from(ints_with_null())], &sel)
+            .next()
+            .unwrap();
+        assert_eq!((0..4).map(|r| t.value(r)).collect::<Vec<_>>(), want);
+        let dense = ints_with_null().gather_or_null(&[0, 2]);
+        assert!(!dense.has_nulls(), "no NULL picked, no mask");
+        assert_eq!(dense, Column::from_ints(vec![3, -1]));
+        let sel = Arc::new(vec![0, 2]);
+        let t = Col::take_all([&Col::from(ints_with_null())], &sel)
+            .next()
+            .unwrap();
         assert_eq!(
-            (0..4).map(|i| g.value(i)).collect::<Vec<_>>(),
-            vec![Value::Int(-1), Value::Null, Value::Null, Value::Int(3)]
-        );
-        let dense = ints_with_null().gather(&[0, 2]);
-        assert_eq!(
-            dense,
-            Column::from_ints(vec![3, -1]),
+            t,
+            Col::from(Column::from_ints(vec![3, -1])),
             "all-false mask equals no mask"
         );
+        let with_null = Column::from_ints(vec![5, 6]).gather_or_null(&[u32::MAX, 1]);
+        assert_eq!(values(&with_null), [Value::Null, Value::Int(6)]);
+    }
+
+    #[test]
+    fn a_column_is_narrow_while_its_values_fit_and_widens_once_one_does_not() {
+        let narrow = Column::from_ints(vec![7, 7 + i64::from(u32::MAX)]);
+        assert_eq!(narrow.value_bytes(), 8, "two offsets from 7");
+        assert_eq!(
+            Column::from_ints(vec![i64::MIN, i64::MAX]).value_bytes(),
+            16
+        );
+        let mut c = Column::with_capacity(DataType::Int, 3);
+        c.push(Value::Int(4));
+        c.push(Value::Null);
+        assert_eq!(c.value_bytes(), 4 * 2 + 2, "words and mask");
+        c.push(Value::Int(-1));
+        assert_eq!(c.value_bytes(), 8 * 3 + 3, "widened by -1");
+        assert_eq!(values(&c), [Value::Int(4), Value::Null, Value::Int(-1)]);
+        let mut wide = Column::from_ints_wide(vec![1, 2]);
+        wide.extend_from(&narrow, Some(&[1]));
+        assert_eq!(wide, Column::from_ints(vec![1, 2, 7 + i64::from(u32::MAX)]));
+        let mut n = Column::from_ints(vec![1, 2]);
+        n.extend_from(&Column::from_ints_wide(vec![3]), None);
+        assert_eq!(n.value_bytes(), 12, "3 fits over 1: still narrow");
+        assert_eq!(n, Column::from_ints_wide(vec![1, 2, 3]));
     }
 
     #[test]
@@ -1109,10 +1489,13 @@ mod tests {
     }
 
     #[test]
-    fn gather_shares_the_dictionary() {
+    fn gather_or_null_shares_the_dictionary() {
         let c = strs(&[Some("b"), None, Some("a"), Some("b")]);
-        let g = c.gather(&[3, 2, 1]);
+        let g = c.gather_or_null(&[3, 2, 1]);
         assert!(Arc::ptr_eq(dict(&c), dict(&g)));
+        let sel = Arc::new(vec![3, 2, 1]);
+        let t = Col::take_all([&Col::from(c.clone())], &sel).next().unwrap();
+        assert_eq!(t, Col::from(g.clone()));
         assert_eq!(
             values(&g),
             vec![Value::str("b"), Value::str("a"), Value::Null]
@@ -1155,7 +1538,7 @@ mod tests {
     #[test]
     fn equality_and_order_read_strings_across_dictionaries() {
         let a = strs(&[Some("p"), Some("q"), None]);
-        let b = strs(&[Some("q"), Some("p"), None]).gather(&[1, 0, 2]);
+        let b = strs(&[Some("q"), Some("p"), None]).gather_or_null(&[1, 0, 2]);
         assert!(!Arc::ptr_eq(dict(&a), dict(&b)));
         assert_eq!(a, b);
         assert_ne!(a, strs(&[Some("p"), Some("p"), None]));

@@ -118,6 +118,13 @@ impl WeightedBuckets {
         Self { ranges, cdf }
     }
 
+    /// The smallest and the largest value a draw can give.
+    pub(crate) fn bounds(&self) -> (i64, i64) {
+        (self.ranges.iter()).fold((i64::MAX, i64::MIN), |(lo, hi), &(l, h)| {
+            (lo.min(l), hi.max(h))
+        })
+    }
+
     /// Draw a value: pick a bucket by weight, then uniform within it.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> i64 {
         let u: f64 = rng.random();

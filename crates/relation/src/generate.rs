@@ -5,7 +5,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::column::{Column, ColumnData, Dict};
+use crate::column::{Column, ColumnData, Dict, Ints};
 use crate::distr::{normal, WeightedBuckets, Zipf};
 use crate::schema::Schema;
 use crate::table::Table;
@@ -78,6 +78,16 @@ enum IntDraw<'a> {
 }
 
 impl IntDraw<'_> {
+    /// The smallest and the largest value a column of `rows` rows draws.
+    fn bounds(&self, rows: usize) -> (i64, i64) {
+        match *self {
+            IntDraw::Serial(start) => (start, start.saturating_add(rows as i64)),
+            IntDraw::Uniform(low, high) | IntDraw::Normal { low, high, .. } => (low, high),
+            IntDraw::Zipf(ref z, low) => (low, low.saturating_add(z.n() as i64 - 1)),
+            IntDraw::Histogram(wb) => wb.bounds(),
+        }
+    }
+
     /// The value of row `row`.
     fn draw(&self, rng: &mut StdRng, row: usize) -> i64 {
         match self {
@@ -98,7 +108,9 @@ impl IntDraw<'_> {
 /// One column being generated: the typed values drawn so far and what the
 /// next draw needs.
 enum Fill<'a> {
-    Int(Vec<i64>, IntDraw<'a>),
+    /// Integers, stored from the first draw in the word the generator's
+    /// bounds allow: offsets from its lower bound when they fit.
+    Int(Ints, IntDraw<'a>),
     /// Uniform floats in `[low, high)`.
     Float(Vec<f64>, f64, f64),
     /// Labels `"{prefix}{k}"`: per row a code into `dict`, which label `k`
@@ -113,7 +125,10 @@ enum Fill<'a> {
 
 impl<'a> Fill<'a> {
     fn new(gen: &'a ColumnGen, rows: usize) -> Self {
-        let int = |draw| Fill::Int(Vec::with_capacity(rows), draw);
+        let int = |draw: IntDraw<'a>| {
+            let (low, high) = draw.bounds(rows);
+            Fill::Int(Ints::spanning(low, high, rows), draw)
+        };
         match *gen {
             ColumnGen::Serial { start } => int(IntDraw::Serial(start)),
             ColumnGen::UniformInt { low, high } => int(IntDraw::Uniform(low, high)),

@@ -475,3 +475,160 @@ fn one_index_serves_every_column_of_a_take() {
         assert!(Arc::ptr_eq(c.idx().unwrap(), idx), "one index for all");
     }
 }
+
+/// `cells` in one integer column, wide whatever the values.
+fn wide(cells: &[Option<i64>]) -> Column {
+    let mut c = Column::from_ints_wide(Vec::new());
+    cells
+        .iter()
+        .for_each(|x| c.push(x.map_or(Value::Null, Value::Int)));
+    c
+}
+
+/// `cells` in one integer column narrow over `base` while they fit it: a
+/// column of `base` alone, the cells appended, `base` dropped.
+fn narrow(cells: &[Option<i64>], base: i64) -> Column {
+    let mut c = Column::from_ints(vec![base]);
+    cells
+        .iter()
+        .for_each(|x| c.push(x.map_or(Value::Null, Value::Int)));
+    c.gather_or_null(&(1..=cells.len() as u32).collect::<Vec<_>>())
+}
+
+/// Whether every value lies within 2³² of `base`, at or above it.
+fn fits(cells: &[Option<i64>], base: i64) -> bool {
+    (cells.iter().flatten())
+        .all(|&x| (0..1i128 << 32).contains(&(i128::from(x) - i128::from(base))))
+}
+
+/// Integer cells, any of them NULL, over one of three spans: a narrow one
+/// anywhere, one of exactly 2³² − 1 (its ends always drawn), and the whole
+/// of `i64`.
+fn int_cells() -> impl Strategy<Value = (Vec<Option<i64>>, i64)> {
+    let span = u32::MAX as i64;
+    (
+        (0u8..3, any::<i64>()),
+        proptest::collection::vec((0u8..6, any::<u32>()), 0..40),
+        0i64..3,
+    )
+        .prop_map(move |((kind, origin), cells, slack)| {
+            let origin = match kind {
+                0 => origin.clamp(i64::MIN + 3, i64::MAX - 60),
+                1 => origin.clamp(i64::MIN + 3, i64::MAX - span),
+                _ => 0,
+            };
+            let mut cells: Vec<Option<i64>> = (cells.into_iter())
+                .map(|(null, x)| {
+                    (null > 0).then(|| match kind {
+                        0 => origin + i64::from(x % 50),
+                        1 => origin + i64::from(x),
+                        _ => i64::from(x as i32) << 32 | i64::from(x),
+                    })
+                })
+                .collect();
+            match kind {
+                1 => cells.extend([Some(origin), Some(origin + span)]),
+                2 => cells.extend([Some(i64::MIN), Some(i64::MAX)]),
+                _ => {}
+            }
+            let min = cells.iter().flatten().min().copied().unwrap_or(origin);
+            (cells, min.saturating_sub(slack))
+        })
+}
+
+/// The fingerprint of `c` as a one-column table.
+fn text(c: &Column) -> Vec<String> {
+    Table::new(
+        Schema::new(vec![Field::new("x", DataType::Int)]),
+        vec![c.clone().into()],
+        8,
+    )
+    .fingerprint()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 300, ..ProptestConfig::default() })]
+
+    /// A column of values built wide and the same values built narrow
+    /// agree under every reader: value by value, pair by pair, as text and
+    /// under `==`; every range on its first three calls, in place and
+    /// through an index; partitions and key bitmaps; takes, and concatenations
+    /// of narrow and wide parts over different bases. A span that fits the
+    /// narrow word is stored in it.
+    #[test]
+    fn a_narrow_column_reads_as_its_wide_twin(
+        (cells, base) in int_cells(),
+        (more, more_base) in int_cells(),
+        picks in proptest::collection::vec(any::<u32>(), 0..30),
+        probes in proptest::collection::vec((any::<u32>(), any::<u32>()), 3),
+    ) {
+        let (w, n) = (wide(&cells), narrow(&cells, base));
+        let len = cells.len();
+        let words = if fits(&cells, base) { 4 } else { 8 };
+        let mask = if n.has_nulls() { len } else { 0 };
+        prop_assert_eq!(n.value_bytes(), words * len + mask);
+        prop_assert_eq!(w.value_bytes(), 8 * len + mask);
+        for i in 0..len {
+            prop_assert_eq!(n.value(i), w.value(i));
+            prop_assert_eq!(n.int_at(i), w.int_at(i));
+            for j in 0..len {
+                prop_assert_eq!(n.cmp_at(i, j), w.cmp_at(i, j));
+                prop_assert_eq!(n.same_at(i, &w, j), w.same_at(i, &w, j));
+                prop_assert_eq!(w.same_at(i, &n, j), w.same_at(i, &w, j));
+            }
+        }
+        prop_assert_eq!(text(&n), text(&w));
+        prop_assert_eq!(&n, &w);
+        prop_assert_eq!(&w, &n);
+        prop_assert_eq!(n != wide(&more), w != wide(&more));
+
+        // Range selections, in place and read through an index.
+        let idx: Vec<u32> = match len {
+            0 => Vec::new(),
+            _ => picks.iter().map(|&p| p % len as u32).collect(),
+        };
+        let cols = [
+            (Col::from(n.clone()), Col::from(w.clone())),
+            (
+                Col::indexed(Arc::new(n.clone()), Arc::new(idx.clone())),
+                Col::indexed(Arc::new(w.clone()), Arc::new(idx.clone())),
+            ),
+        ];
+        let values: Vec<i64> = cells.iter().flatten().copied().collect();
+        let at = |k: u32| values.get(k as usize % values.len().max(1)).copied().unwrap_or(0);
+        for (nc, wc) in &cols {
+            prop_assert!(nc == wc);
+            for (call, &(a, b)) in probes.iter().enumerate() {
+                let (low, high) = (at(a).min(at(b)), at(a).max(at(b)));
+                let want: Vec<u32> = (0..wc.len())
+                    .filter(|&r| wc.int_at(r).is_some_and(|x| low <= x && x <= high))
+                    .map(|r| r as u32)
+                    .collect();
+                prop_assert_eq!(nc.int_range_rows(low, high), want.clone(), "call {}", call + 1);
+                prop_assert_eq!(wc.int_range_rows(low, high), want);
+                let ranges = [(i64::MIN, low.saturating_sub(1)), (low, high)];
+                let ranges = if low == i64::MIN { &ranges[1..] } else { &ranges[..] };
+                prop_assert_eq!(nc.int_partition_rows(ranges), wc.int_partition_rows(ranges));
+            }
+        }
+        for &(first, span) in &[(base, 40usize), (at(probes[0].0), 3), (i64::MIN, 2)] {
+            prop_assert_eq!(n.key_bits(first, span), w.key_bits(first, span));
+        }
+
+        // Takes share the values; concatenations gather parts over two
+        // columns, narrow and wide, under their different bases.
+        let schema = Schema::new(vec![Field::new("x", DataType::Int)]);
+        let table = |c: Column| Table::new(schema.clone(), vec![c.into()], 8);
+        let (tn, tw) = (table(n.clone()), table(w.clone()));
+        prop_assert_eq!(tn.take(&idx), tw.take(&idx));
+        let (mn, mw) = (table(narrow(&more, more_base)), table(wide(&more)));
+        let sel: &[u32] = &idx;
+        let mixed = Table::concat(schema.clone(), &[(&tn, Some(sel)), (&mw, None), (&mn, None)], 8);
+        let all = Table::concat(schema.clone(), &[(&tw, Some(sel)), (&mw, None), (&mw, None)], 8);
+        prop_assert_eq!(&mixed, &all);
+        let want: Vec<Value> = (idx.iter().map(|&p| w.value(p as usize)))
+            .chain((0..2 * more.len()).map(|i| wide(&more).value(i % more.len().max(1))))
+            .collect();
+        prop_assert_eq!(mixed.rows().map(|r| r[0].clone()).collect::<Vec<_>>(), want);
+    }
+}
