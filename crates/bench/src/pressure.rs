@@ -10,23 +10,22 @@
 //! - [`overload`] — rolling gray slowness with deadlines, a bounded queue
 //!   and stale-serving shedding, hedged replica reads off vs on.
 //!
-//! Each is a `Scenario` value handed to the one world builder, `serve`,
-//! plus the table and `BENCH_*.json` document it renders from the result.
+//! Each is a `Scenario` value handed to `serve` — which builds the file
+//! system and driver through [`FaultPlan`], as the sweep suites do — plus
+//! the table and `BENCH_*.json` document it renders from the result.
 
 use std::sync::Arc;
 
 use deepsea_core::{
-    baselines, ClientRecord, DeepSea, NodeAction, ObsConfig, Observer, ServeReport, ServerConfig,
-    ShedPolicy, ViewServer,
+    ClientRecord, NodeAction, ObsConfig, Observer, ServeReport, ServerConfig, ShedPolicy,
+    ViewServer,
 };
-use deepsea_engine::ClusterSim;
 use deepsea_obs::MetricsRegistry;
-use deepsea_storage::{
-    BlockConfig, FaultInjector, FaultStats, HedgeConfig, NodeConfig, NodeSet, SimFs,
-};
+use deepsea_storage::FaultStats;
 use serde::ObjectBuilder;
 
 use crate::experiments::{bench_head, sdss_catalog, Run, Scale};
+use crate::golden::{FaultPlan, World};
 use crate::report::{secs, table};
 
 /// Divisor applied to the catalog's base bytes to get the tight pool
@@ -177,50 +176,43 @@ struct Served {
     hedge_extra_secs: f64,
 }
 
-/// Build the scenario's world — catalog, file system, driver, server — and
-/// serve the fig5 workload through it, the instance and the query log
-/// generated from `seed`.
+/// Build the scenario's world — catalog, a [`FaultPlan`]'s file system and
+/// driver, server — and serve the fig5 workload through it, the instance
+/// and the query log generated from `seed`. The plan's node and slow events
+/// are the server's schedules, keyed by commit.
 fn serve(sc: &Scenario, scale: Scale, seed: u64) -> Served {
     let catalog = sdss_catalog(scale.instance(), seed);
     let plans = deepsea_workload::sequences::fig5_workload(scale.fig5_queries(), seed);
     let smax = sc.pool_divisor.map(|d| catalog.total_base_bytes() / d);
-    let mut config = baselines::deepsea().with_phi(0.05);
+    let mut plan = FaultPlan::default();
     if let Some(smax) = smax {
-        config = config.with_smax(smax);
+        plan.config = plan.config.with_smax(smax);
+    }
+    if let Some(c) = sc.cluster {
+        let n = plans.len();
+        plan.topology = Some((c.nodes, c.replication));
+        plan.hedge = c.hedge_after_secs;
+        if let Some(window) = c.outage_window {
+            plan.nodes = rolling(n, window, c.nodes, NodeAction::Down, NodeAction::Up);
+        }
+        if let Some((window, mult)) = c.slow {
+            plan.slow = rolling(n, window, c.nodes, mult, 1.0);
+        }
     }
 
     let observer = Observer::new(ObsConfig::on());
-    let cluster = ClusterSim::paper_default();
-    let (block, weights) = (BlockConfig::default(), cluster.weights);
-    let mut server_config = ServerConfig {
+    let World { ds, fs, .. } = plan.build_over(Arc::clone(&catalog));
+    let server_config = ServerConfig {
         clients: PRESSURE_CLIENTS,
         seed: PRESSURE_SEED,
         mean_gap_secs: sc.mean_gap_secs,
+        node_schedule: plan.nodes,
+        slow_schedule: plan.slow,
         deadline_secs: sc.deadline_secs,
         max_queue: sc.max_queue,
         ..ServerConfig::default()
     };
-    let fs = match sc.cluster {
-        None => SimFs::new(block, weights),
-        Some(c) => {
-            let n = plans.len();
-            if let Some(window) = c.outage_window {
-                server_config.node_schedule =
-                    rolling(n, window, c.nodes, NodeAction::Down, NodeAction::Up);
-            }
-            if let Some((window, mult)) = c.slow {
-                server_config.slow_schedule = rolling(n, window, c.nodes, mult, 1.0);
-            }
-            let nodes = NodeSet::new(NodeConfig::new(c.nodes, c.replication));
-            let fs = SimFs::with_cluster(block, weights, FaultInjector::disabled(), nodes);
-            fs.set_hedge(c.hedge_after_secs.map(HedgeConfig::after_secs));
-            fs
-        }
-    };
-    let fs = Arc::new(fs);
-    let ds = DeepSea::with_parts(Arc::clone(&catalog), Arc::clone(&fs), cluster, config)
-        .with_observer(observer.clone());
-    let report = ViewServer::new(ds, server_config)
+    let report = ViewServer::new(ds.with_observer(observer.clone()), server_config)
         .run(&plans)
         .unwrap_or_else(|e| panic!("serving scenario failed: {e}"));
     Served {

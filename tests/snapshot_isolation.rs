@@ -16,14 +16,12 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use deepsea::bench::golden::{golden_catalog, golden_plans, golden_variants};
+use deepsea::bench::golden::{golden_catalog, golden_plans, golden_variants, FaultPlan};
 use deepsea::core::filter_tree::ViewId;
 use deepsea::core::{baselines, CatalogJournal, CatalogRecord, DeepSea, Interval, ReadSnapshot};
 use deepsea::engine::{Catalog, ClusterSim, LogicalPlan};
 use deepsea::relation::Table;
-use deepsea::storage::{
-    BlockConfig, FaultInjector, HedgeConfig, NodeConfig, NodeId, NodeSet, SimFs,
-};
+use deepsea::storage::{BlockConfig, NodeId, SimFs};
 use deepsea::workload::schema::{BigBenchData, InstanceSize, ItemDistribution};
 use deepsea::workload::sdss::sdss_like_histogram;
 use deepsea::workload::sequences::{fig5_workload, item_domain};
@@ -314,7 +312,7 @@ fn consecutive_snapshots_share_what_the_commit_did_not_touch() {
 /// ledger counts as written or deleted.
 #[test]
 fn a_snapshot_read_writes_nothing_to_the_file_system() {
-    reads_write_nothing(|| SimFs::new(BlockConfig::default(), ClusterSim::paper_default().weights));
+    reads_write_nothing(|| FaultPlan::default().file_system());
 }
 
 /// The same on the routing paths a read takes on a cluster: four replicated
@@ -322,13 +320,11 @@ fn a_snapshot_read_writes_nothing_to_the_file_system() {
 #[test]
 fn a_snapshot_read_on_a_degraded_cluster_writes_nothing() {
     reads_write_nothing(|| {
-        let fs = SimFs::with_cluster(
-            BlockConfig::default(),
-            ClusterSim::paper_default().weights,
-            FaultInjector::disabled(),
-            NodeSet::new(NodeConfig::new(4, 2)),
-        );
-        fs.set_hedge(Some(HedgeConfig::after_secs(0.01)));
+        let fs = FaultPlan {
+            hedge: Some(0.01),
+            ..FaultPlan::sharded(2)
+        }
+        .file_system();
         fs.set_node_slow(NodeId(0), 8.0);
         fs
     });

@@ -8,23 +8,14 @@
 //! input to it. The last test pins the `retry_wait` spans the driver's
 //! retry ladder leaves under each `execute` span.
 
-use std::sync::Arc;
-
-use deepsea::bench::golden::{golden_catalog, golden_plans, GOLDEN_QUERIES};
-use deepsea::core::{
-    baselines, DeepSea, ObsConfig, Observer, ServeReport, ServerConfig, ViewServer,
-};
-use deepsea::engine::{ClusterSim, ExecMetrics, SimBackend};
+use deepsea::bench::golden::{golden_inputs, FaultPlan, GOLDEN_QUERIES};
+use deepsea::core::{DeepSea, ObsConfig, Observer, ServeReport, ServerConfig, ViewServer};
+use deepsea::engine::ExecMetrics;
 use deepsea::obs::{SpanCtx, SpanRecord, TraceForest};
-use deepsea::storage::{BlockConfig, FaultConfig, FaultInjector, SimFs};
+use deepsea::storage::FaultConfig;
 
 fn serve_with(obs: Observer) -> ServeReport {
-    let catalog = golden_catalog();
-    let plans = golden_plans();
-    let cluster = ClusterSim::paper_default();
-    let fs = Arc::new(SimFs::new(BlockConfig::default(), cluster.weights));
-    let ds = DeepSea::with_parts(catalog, fs, cluster, baselines::deepsea().with_phi(0.05))
-        .with_observer(obs);
+    let ds = FaultPlan::default().build().ds.with_observer(obs);
     let mut server = ViewServer::new(
         ds,
         ServerConfig {
@@ -34,7 +25,7 @@ fn serve_with(obs: Observer) -> ServeReport {
             ..ServerConfig::default()
         },
     );
-    server.run(&plans).expect("golden serve failed")
+    server.run(golden_inputs().1).expect("golden serve failed")
 }
 
 struct Fingerprint {
@@ -115,19 +106,11 @@ fn tracing_is_bit_transparent_on_the_served_golden_workload() {
 /// The golden driver over a flat file system failing 20 % of reads
 /// transiently, with `obs` attached.
 fn flaky_driver(obs: Observer) -> DeepSea {
-    let cluster = ClusterSim::paper_default();
-    let fs = Arc::new(SimFs::with_faults(
-        BlockConfig::default(),
-        cluster.weights,
-        FaultInjector::new(FaultConfig::seeded(7).with_transient_reads(0.2)),
-    ));
-    DeepSea::with_backend(
-        golden_catalog(),
-        fs,
-        Box::new(SimBackend::new(cluster)),
-        baselines::deepsea().with_phi(0.05),
-    )
-    .with_observer(obs)
+    let plan = FaultPlan {
+        faults: FaultConfig::seeded(7).with_transient_reads(0.2),
+        ..FaultPlan::default()
+    };
+    plan.build().ds.with_observer(obs)
 }
 
 /// The `retry_wait` children of the one `execute` span `is_exec` picks:
@@ -178,10 +161,10 @@ struct Pass {
 }
 
 fn serial_then_snapshot_reads(obs: &Observer) -> Pass {
-    let plans = golden_plans();
+    let (_, plans) = golden_inputs();
     let mut ds = flaky_driver(obs.clone());
     let mut pass = Pass::default();
-    for plan in &plans {
+    for plan in plans {
         let o = ds.process_query(plan).expect("faults never surface");
         pass.outcomes.push(format!(
             "{:?} {:x} {:?} {:?}",
