@@ -22,9 +22,6 @@ struct Entry {
     table: Arc<Table>,
     /// Integer min/max of each column, in schema order.
     stats: Vec<Option<ColumnStats>>,
-    /// Per column, in schema order, `Some(first)` for a surrogate key: row
-    /// `r` holds `first + r` and no row is NULL.
-    keys: Vec<Option<i64>>,
 }
 
 /// Named base tables plus lightweight statistics.
@@ -36,21 +33,14 @@ pub struct Catalog {
     stamp: Stamp,
 }
 
-/// One pass over `col`: its integer min/max, NULLs ignored, and, when it is
-/// a surrogate key — no NULL, row `r` holding `min + r` — `Some(min)`. Both
-/// are `None` for a column of another type and for one without a value.
-fn scan_column(col: &Col) -> (Option<ColumnStats>, Option<i64>) {
+/// One pass over `col`: its integer min/max, NULLs ignored; `None` for a
+/// column of another type and for one without a value.
+fn scan_column(col: &Col) -> Option<ColumnStats> {
     let mut stats: Option<ColumnStats> = None;
-    let mut serial = true;
-    let mut start = None;
-    col.for_each_int(col.len(), |r, x| {
+    col.for_each_int(col.len(), |_, x| {
         let Some(x) = x else {
-            serial = false;
             return;
         };
-        // Checked until the first row that breaks the rule; `checked_add`
-        // fails a run that would pass `i64::MAX`.
-        serial = serial && start.get_or_insert(x).checked_add(r as i64) == Some(x);
         stats = Some(match stats {
             None => ColumnStats { min: x, max: x },
             Some(s) => ColumnStats {
@@ -59,7 +49,7 @@ fn scan_column(col: &Col) -> (Option<ColumnStats>, Option<i64>) {
             },
         });
     });
-    (stats, stats.filter(|_| serial).map(|s| s.min))
+    stats
 }
 
 impl Catalog {
@@ -69,13 +59,14 @@ impl Catalog {
     }
 
     /// Register a table under `name`, scanning each column once for the
-    /// statistics [`Catalog::column_stats`] serves and for whether it is a
-    /// surrogate key, which the executor's joins address by position.
+    /// statistics [`Catalog::column_stats`] serves. Whether a column is a
+    /// surrogate key, which the executor's joins address by position, is
+    /// the column's own answer (`Col::surrogate_first`), worked out when a
+    /// join first asks.
     pub fn register(&mut self, name: impl Into<String>, table: Table) {
-        let (stats, keys) = table.columns().iter().map(scan_column).unzip();
+        let stats = table.columns().iter().map(scan_column).collect();
         let table = Arc::new(table);
-        self.tables
-            .insert(name.into(), Entry { table, stats, keys });
+        self.tables.insert(name.into(), Entry { table, stats });
         self.stamp = Stamp::fresh();
     }
 
@@ -88,12 +79,6 @@ impl Catalog {
     /// Look up a table.
     pub fn get(&self, name: &str) -> Option<&Arc<Table>> {
         self.tables.get(name).map(|e| &e.table)
-    }
-
-    /// A table and, per column in schema order, `Some(first)` for a
-    /// surrogate key: row `r` holds `first + r` and no row is NULL.
-    pub(crate) fn get_with_keys(&self, name: &str) -> Option<(&Arc<Table>, &[Option<i64>])> {
-        self.tables.get(name).map(|e| (&e.table, e.keys.as_slice()))
     }
 
     /// Iterate over `(name, table)` pairs.
@@ -142,52 +127,32 @@ mod tests {
         assert_eq!(c.column_stats("t", "a").map(|s| s.max), Some(5));
         assert!(c.column_stats("t", "zz").is_none());
         assert!(c.column_stats("zz", "a").is_none());
-    }
-
-    /// The surrogate-key start `register` records for a one-column table of
-    /// `values`, and its min/max.
-    fn key_of(dtype: DataType, values: &[Value]) -> (Option<i64>, Option<(i64, i64)>) {
-        let schema = Schema::new(vec![Field::new("t.k", dtype)]);
-        let rows = values.iter().map(|v| vec![v.clone()]).collect();
-        let mut c = Catalog::new();
-        c.register("t", Table::from_rows(schema, rows, 8));
-        let (_, keys) = c.get_with_keys("t").unwrap();
-        let stats = c.column_stats("t", "t.k").map(|s| (s.min, s.max));
-        (keys[0], stats)
-    }
-
-    fn ints(keys: &[i64]) -> (Option<i64>, Option<(i64, i64)>) {
-        let values: Vec<Value> = keys.iter().map(|&k| Value::Int(k)).collect();
-        key_of(DataType::Int, &values)
-    }
-
-    #[test]
-    fn surrogate_keys_are_runs_of_consecutive_integers_from_row_zero() {
-        assert_eq!(ints(&[7, 8, 9, 10]), (Some(7), Some((7, 10))));
-        assert_eq!(ints(&[-3, -2, -1, 0, 1]).0, Some(-3));
-        assert_eq!(ints(&[42]), (Some(42), Some((42, 42))), "one row");
-        let top = [i64::MAX - 2, i64::MAX - 1, i64::MAX];
-        assert_eq!(ints(&top).0, Some(i64::MAX - 2), "a run ending at MAX");
-
-        assert_eq!(ints(&[]), (None, None), "empty");
-        assert_eq!(ints(&[0, 1, 3, 4]), (None, Some((0, 4))), "a gap");
-        assert_eq!(ints(&[0, 1, 1, 2]).0, None, "a duplicate");
-        assert_eq!(ints(&[3, 2, 1, 0]), (None, Some((0, 3))), "descending");
-        assert_eq!(ints(&[1, 0, 2, 3]).0, None, "the minimum not first");
-        // `first + r` passes i64::MAX: no run, whatever the wrapped value.
-        assert_eq!(ints(&[i64::MAX, i64::MIN]).0, None, "overflow");
-        assert_eq!(ints(&[i64::MAX - 1, i64::MAX, i64::MIN]).0, None);
-
-        // A NULL breaks a run; min/max skip it (its slot holds 0).
-        let null = [Value::Int(5), Value::Null, Value::Int(2)];
-        assert_eq!(key_of(DataType::Int, &null), (None, Some((2, 5))), "NULL");
-        assert_eq!(key_of(DataType::Int, &[Value::Null, Value::Int(1)]).0, None);
-        assert_eq!(key_of(DataType::Int, &[Value::Null]), (None, None));
-        let floats = [Value::Float(0.0), Value::Float(1.0)];
+        // NULLs are skipped (their slots hold 0); other types have none.
+        let schema = Schema::new(vec![
+            Field::new("u.k", DataType::Int),
+            Field::new("u.f", DataType::Float),
+        ]);
+        let rows = [Value::Int(5), Value::Null, Value::Int(2)].map(|k| vec![k, Value::Float(1.0)]);
+        c.register("u", Table::from_rows(schema, rows.to_vec(), 8));
         assert_eq!(
-            key_of(DataType::Float, &floats),
-            (None, None),
-            "not integers"
+            c.column_stats("u", "u.k"),
+            Some(ColumnStats { min: 2, max: 5 })
         );
+        assert!(c.column_stats("u", "u.f").is_none());
+
+        // Min and max of a one-column table of `values`.
+        let mut stats = |values: &[Value]| {
+            let schema = Schema::new(vec![Field::new("v.k", DataType::Int)]);
+            let rows = values.iter().map(|v| vec![v.clone()]).collect();
+            c.register("v", Table::from_rows(schema, rows, 8));
+            c.column_stats("v", "v.k").map(|s| (s.min, s.max))
+        };
+        let ints = |keys: &[i64]| keys.iter().map(|&k| Value::Int(k)).collect::<Vec<_>>();
+        assert_eq!(stats(&ints(&[7, 8, 9, 10])), Some((7, 10)));
+        assert_eq!(stats(&ints(&[42])), Some((42, 42)), "one row");
+        assert_eq!(stats(&ints(&[0, 1, 3, 4])), Some((0, 4)), "a gap");
+        assert_eq!(stats(&ints(&[3, 2, 1, 0])), Some((0, 3)), "descending");
+        assert_eq!(stats(&[]), None, "empty");
+        assert_eq!(stats(&[Value::Null]), None, "all NULL");
     }
 }

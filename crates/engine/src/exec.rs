@@ -12,20 +12,21 @@
 //! them with their inputs' indices; an aggregate reads only its key and
 //! argument columns through those indices. The result [`Table`] keeps the
 //! indices too, one vector per input table a join or selection read, so no
-//! operator copies a value it does not compute. What the simulator charges
-//! — bytes, tasks, stages, rows — and the order of output rows do not
-//! depend on any of this
+//! operator copies a value it does not compute. A batch holds those `Col`s
+//! as they are — the engine has no column type of its own — and asks them
+//! what it needs: whether a join key is a surrogate key
+//! ([`Col::surrogate_first`]) and which rows pass a condition
+//! ([`Col::keep_ints`] and its float and string twins). What the simulator charges — bytes, tasks, stages, rows
+//! — and the order of output rows do not depend on any of this
 //! (DESIGN.md, "Execution model").
 
 use std::cmp::Ordering;
 use std::fmt;
-use std::ops::Deref;
 use std::sync::Arc;
 
 use deepsea_relation::column::dense_span;
 use deepsea_relation::{
-    Col as Stored, Column, ColumnData, DataType, Field, IntSlice, IntVisitor, Predicate, Rows,
-    Schema, Table, Value, Word,
+    Col, Column, ColumnData, DataType, Field, Predicate, Rows, Schema, Table, Value,
 };
 use deepsea_storage::{FileId, IoError, SimFs};
 
@@ -143,57 +144,6 @@ impl std::error::Error for ExecError {
     }
 }
 
-/// One column of a [`Batch`]: a table's column ([`Stored`]: shared values
-/// and, when the batch holds only some of them, or some twice after a join,
-/// an index saying which), read through [`Stored::phys`], and whether it is
-/// a surrogate key.
-#[derive(Clone)]
-struct Col {
-    col: Stored,
-    /// `Some(first)` when the column is a surrogate key: batch row `r` holds
-    /// `first + r`, and none is NULL. Only a base-table scan marks a column
-    /// so, as [`Catalog::register`] found it; a column a batch took rows
-    /// of never is one.
-    surrogate: Option<i64>,
-}
-
-impl Deref for Col {
-    type Target = Stored;
-
-    #[inline]
-    fn deref(&self) -> &Stored {
-        &self.col
-    }
-}
-
-impl Col {
-    /// `col`, not marked as a surrogate key.
-    fn new(col: Stored) -> Self {
-        Self {
-            col,
-            surrogate: None,
-        }
-    }
-
-    /// `f(r, x)` for every batch row `r < n` with a non-NULL number `x`
-    /// (integers coerced), in row order. Strings are not numbers.
-    fn for_each_float(&self, n: usize, mut f: impl FnMut(usize, f64)) {
-        let data = self.data();
-        match data.data() {
-            ColumnData::Int(_) => self.for_each_int(n, |r, x| {
-                if let Some(x) = x {
-                    f(r, x as f64)
-                }
-            }),
-            ColumnData::Float(v) => (0..n)
-                .map(|r| (r, self.phys(r)))
-                .filter(|&(_, p)| !data.is_null(p))
-                .for_each(|(r, p)| f(r, v[p])),
-            ColumnData::Str { .. } => {}
-        }
-    }
-}
-
 /// Intermediate result: a schema, one [`Col`] per field, and the simulated
 /// width of one row. Operators pass columns on by reference count and
 /// describe their output with index vectors.
@@ -220,8 +170,7 @@ impl Batch {
 
     /// All of `table`'s rows, sharing its columns, indices and range orders.
     fn from_table(table: &Table, schema: Schema, bytes_per_row: u64) -> Self {
-        let cols = table.columns().iter().cloned().map(Col::new).collect();
-        Self::new(schema, cols, table.len(), bytes_per_row)
+        Self::new(schema, table.columns().to_vec(), table.len(), bytes_per_row)
     }
 
     fn sim_bytes(&self) -> u64 {
@@ -231,15 +180,12 @@ impl Batch {
     /// The columns restricted to batch rows `sel`, in that order. Columns
     /// that share an index vector share the composed one.
     fn take(&self, sel: &Rows) -> Vec<Col> {
-        Stored::take_all(self.cols.iter().map(|c| &c.col), sel)
-            .map(Col::new)
-            .collect()
+        Col::take_all(&self.cols, sel).collect()
     }
 
     /// The result table: the columns as they are, indices included.
     fn into_table(self) -> Table {
-        let columns = self.cols.into_iter().map(|c| c.col).collect();
-        Table::new(self.schema, columns, self.bytes_per_row)
+        Table::new(self.schema, self.cols, self.bytes_per_row)
     }
 }
 
@@ -344,18 +290,14 @@ fn run(
 ) -> Result<Batch, ExecError> {
     match plan {
         LogicalPlan::Scan { table } => {
-            let (t, keys) = catalog
-                .get_with_keys(table)
+            let t = catalog
+                .get(table)
                 .ok_or_else(|| ExecError::UnknownTable(table.clone()))?;
             m.bytes_read += t.sim_bytes();
             m.map_tasks += fs.block_config().blocks_for(t.sim_bytes());
             m.stages += 1;
             m.rows_processed += t.len() as u64;
-            let mut batch = Batch::from_table(t, t.schema.clone(), t.bytes_per_row);
-            for (col, &first) in batch.cols.iter_mut().zip(keys) {
-                col.surrogate = first;
-            }
-            Ok(batch)
+            Ok(Batch::from_table(t, t.schema.clone(), t.bytes_per_row))
         }
         LogicalPlan::ViewScan(v) => {
             let (parts, bpr) = read_fragments(v, fs, m)?;
@@ -463,10 +405,10 @@ fn run(
             );
             for (&i, key) in gidx
                 .iter()
-                .zip(Stored::take_all(keys.iter().map(|k| &k.col), &firsts))
+                .zip(Col::take_all(keys.iter().copied(), &firsts))
             {
                 fields.push(child.schema.field(i).clone());
-                out.push(Col::new(key));
+                out.push(key);
             }
             for (a, idx) in aggs.iter().zip(&aidx) {
                 let arg = idx.map(|i| &child.cols[i]);
@@ -479,7 +421,7 @@ fn run(
                 };
                 fields.push(Field::new(a.alias.clone(), dtype));
                 let values = aggregate(a.func, arg, dtype, &groups, &order);
-                out.push(Col::new(Stored::from(values)));
+                out.push(Col::from(values));
             }
             m.rows_processed += order.len() as u64;
             // Aggregates produce compact rows; keep the input's scale factor.
@@ -577,21 +519,16 @@ fn intersect(a: Vec<u32>, b: &[u32]) -> Vec<u32> {
 
 /// The rows of `child` that satisfy `pred`; the selection is charged every
 /// row it reads. One that keeps every row (its rows are ascending, so they
-/// are then `0..len`) leaves the columns as they are, indices included,
-/// and only drops their surrogate-key marks, as a take does.
-fn select(mut child: Batch, pred: &Predicate, m: &mut ExecMetrics) -> Batch {
+/// are then `0..len`) leaves the columns as they are, indices included.
+fn select(child: Batch, pred: &Predicate, m: &mut ExecMetrics) -> Batch {
     m.rows_processed += child.len as u64;
     match filter(&child, pred) {
-        None => child,
-        Some(sel) if sel.len() == child.len => {
-            child.cols.iter_mut().for_each(|c| c.surrogate = None);
-            child
-        }
-        Some(sel) => {
+        Some(sel) if sel.len() < child.len => {
             let sel: Rows = Arc::new(sel);
             let cols = child.take(&sel);
             Batch::new(child.schema, cols, sel.len(), child.bytes_per_row)
         }
+        _ => child,
     }
 }
 
@@ -807,11 +744,12 @@ impl JoinNode {
     /// can run before any pair is built: the leaf holding all of them, the
     /// position of its first column in the output, and the chain of joins
     /// from it up to this one, innermost first. `None` unless every join on
-    /// the chain meets a surrogate key — a column of a leaf input, as a
-    /// scan marks it — through one integer column of that leaf, so that
-    /// each leaf row meets at most one row per join. Any other shape (the
-    /// conditions on two leaves, a key read from a join's output, a hashed
-    /// join on the way) is filtered after the join ([`JoinNode::pair`]).
+    /// the chain meets a surrogate key — a column of a leaf input read in
+    /// place ([`Col::surrogate_first`]) — through one integer column of that
+    /// leaf, so that each leaf row meets at most one row per join. Any other
+    /// shape (the conditions on two leaves, a key read from a join's output,
+    /// a hashed join on the way) is filtered after the join
+    /// ([`JoinNode::pair`]).
     fn route(&self, cols: &[usize]) -> Option<(&Batch, usize, Vec<Link<'_>>)> {
         let split = self.left.schema().len();
         let left = cols.iter().all(|&c| c < split);
@@ -833,7 +771,7 @@ impl JoinNode {
         let key = key.checked_sub(at).filter(|&k| k < leaf.cols.len())?;
         links.push(Link {
             left,
-            keys: Partners::of(&leaf.cols[key], other.cols[okey].surrogate?)?,
+            keys: Partners::of(&leaf.cols[key], other.cols[okey].surrogate_first()?)?,
             len: other.len,
         });
         Some((leaf, from + at, links))
@@ -870,7 +808,7 @@ fn filter(batch: &Batch, pred: &Predicate) -> Option<Vec<u32>> {
         .into_iter()
         .fold(None, |sel, (conjunct, col)| {
             Some(match col {
-                Some(i) => conjunct_rows(&batch.cols[i], batch.len, conjunct, sel),
+                Some(i) => conjunct_rows(&batch.cols[i], conjunct, sel),
                 None => Vec::new(),
             })
         })
@@ -892,47 +830,37 @@ fn rows_where(batch: &Batch, conds: &[(&Predicate, usize)], from: usize) -> Vec<
     conds
         .iter()
         .fold(None, |sel, &(c, i)| {
-            Some(conjunct_rows(&batch.cols[i - from], batch.len, c, sel))
+            Some(conjunct_rows(&batch.cols[i - from], c, sel))
         })
         .unwrap_or_default()
 }
 
-/// The rows of `sel` (of `0..n` when `None`) that satisfy one condition on
-/// column `c`.
-fn conjunct_rows(c: &Col, n: usize, conjunct: &Predicate, sel: Option<Vec<u32>>) -> Vec<u32> {
+/// The rows of `sel` (of every row when `None`) that satisfy one condition
+/// on column `c` ([`Col::keep_ints`], [`Col::keep_floats`],
+/// [`Col::keep_codes`]).
+fn conjunct_rows(c: &Col, conjunct: &Predicate, sel: Option<Vec<u32>>) -> Vec<u32> {
     match (conjunct, c.data().data()) {
         // All of a column's rows: its range order can serve them.
         (Predicate::Range { low, high, .. }, ColumnData::Int(_)) if sel.is_none() => {
             c.int_range_rows(*low, *high)
         }
-        (Predicate::Range { low, high, .. }, ColumnData::Int(v)) => v.visit(KeepInts {
-            len: n,
-            sel,
-            col: c,
-            test: |x| (*low <= x) & (x <= *high),
-        }),
+        (Predicate::Range { low, high, .. }, ColumnData::Int(_)) => {
+            c.keep_ints(sel, |x| (*low <= x) & (x <= *high))
+        }
         (Predicate::Eq { value, .. }, data) => match (data, value) {
-            (ColumnData::Int(v), Value::Int(x)) => v.visit(KeepInts {
-                len: n,
-                sel,
-                col: c,
-                test: |y| y == *x,
-            }),
-            (ColumnData::Int(v), Value::Float(x)) => v.visit(KeepInts {
-                len: n,
-                sel,
-                col: c,
-                test: |y| (y as f64).total_cmp(x).is_eq(),
-            }),
-            (ColumnData::Float(v), Value::Int(x)) => {
-                keep(n, sel, c, |p| v[p].total_cmp(&(*x as f64)).is_eq())
+            (ColumnData::Int(_), Value::Int(x)) => c.keep_ints(sel, |y| y == *x),
+            (ColumnData::Int(_), Value::Float(x)) => {
+                c.keep_ints(sel, |y| (y as f64).total_cmp(x).is_eq())
             }
-            (ColumnData::Float(v), Value::Float(x)) => {
-                keep(n, sel, c, |p| v[p].total_cmp(x).is_eq())
+            (ColumnData::Float(_), Value::Int(x)) => {
+                c.keep_floats(sel, |y| y.total_cmp(&(*x as f64)).is_eq())
+            }
+            (ColumnData::Float(_), Value::Float(x)) => {
+                c.keep_floats(sel, |y| y.total_cmp(x).is_eq())
             }
             // A string is looked up once, then compared as a code.
-            (ColumnData::Str { codes, dict }, Value::Str(x)) => match dict.code_of(x) {
-                Some(code) => keep(n, sel, c, |p| codes[p] == code),
+            (ColumnData::Str { dict, .. }, Value::Str(x)) => match dict.code_of(x) {
+                Some(code) => c.keep_codes(sel, |k| k == code),
                 None => Vec::new(),
             },
             // A value of another kind than the column's (NULL included), or
@@ -942,67 +870,6 @@ fn conjunct_rows(c: &Col, n: usize, conjunct: &Predicate, sel: Option<Vec<u32>>)
         // A range over a non-integer column matches nothing.
         _ => Vec::new(),
     }
-}
-
-/// The rows of `sel` (of `0..len` when `None`) whose value in `col` is not
-/// NULL and passes `test`, which is given the value's position. Whether the
-/// column is indexed and whether it can hold a NULL is settled here, once,
-/// so the loop in [`compact`] only does what its column needs.
-fn keep(len: usize, sel: Option<Vec<u32>>, col: &Col, test: impl Fn(usize) -> bool) -> Vec<u32> {
-    let data = &**col.data();
-    match (col.idx().map(|ix| ix.as_slice()), data.has_nulls()) {
-        (None, false) => compact(len, sel, test),
-        (None, true) => compact(len, sel, |r| test(r) & !data.is_null(r)),
-        (Some(ix), false) => compact(len, sel, |r| test(ix[r] as usize)),
-        (Some(ix), true) => compact(len, sel, |r| {
-            let p = ix[r] as usize;
-            test(p) & !data.is_null(p)
-        }),
-    }
-}
-
-/// [`keep`] over an integer column, `test` given each value: compiled once
-/// per storage word.
-struct KeepInts<'a, T> {
-    len: usize,
-    sel: Option<Vec<u32>>,
-    col: &'a Col,
-    test: T,
-}
-
-impl<T: Fn(i64) -> bool> IntVisitor for KeepInts<'_, T> {
-    type Out = Vec<u32>;
-
-    fn visit<W: Word>(self, v: IntSlice<'_, W>) -> Vec<u32> {
-        keep(self.len, self.sel, self.col, |p| (self.test)(v.at(p)))
-    }
-}
-
-/// The rows of `sel` (of `0..len` when `None`) that `pass`, in order. Every
-/// row is written to the output and the output only advances past it if it
-/// passed: no branch depends on the data.
-fn compact(len: usize, sel: Option<Vec<u32>>, pass: impl Fn(usize) -> bool) -> Vec<u32> {
-    let mut k = 0;
-    let mut rows = match sel {
-        None => {
-            let mut out = vec![0u32; len];
-            for r in 0..len {
-                out[k] = r as u32;
-                k += usize::from(pass(r));
-            }
-            out
-        }
-        Some(mut rows) => {
-            for i in 0..rows.len() {
-                let r = rows[i];
-                rows[k] = r;
-                k += usize::from(pass(r as usize));
-            }
-            rows
-        }
-    };
-    rows.truncate(k);
-    rows
 }
 
 /// Multiplier of the multiplicative hashes below (2^64 / golden ratio).
@@ -1082,7 +949,7 @@ impl IdTable {
 }
 
 /// Whether `build`'s and `probe`'s keys compare as integers
-/// ([`Stored::for_each_key`]): integers, and strings under one dictionary.
+/// ([`Col::for_each_key`]): integers, and strings under one dictionary.
 fn int_keyed(build: &Col, probe: &Col) -> bool {
     match (build.data().data(), probe.data().data()) {
         (ColumnData::Int(_), ColumnData::Int(_)) => true,
@@ -1110,7 +977,7 @@ struct DirectIndex<'a> {
     cells: Vec<u32>,
     /// The smallest key.
     min: i64,
-    /// The key column, read as integers ([`Stored::for_each_key`]).
+    /// The key column, read as integers ([`Col::for_each_key`]).
     key: &'a Col,
 }
 
@@ -1146,7 +1013,7 @@ impl<'a> DirectIndex<'a> {
 }
 
 /// A single-column integer join key one side of which is a surrogate key
-/// ([`Col::surrogate`]): the other side's keys less its first, which are
+/// ([`Col::surrogate_first`]): the other side's keys less its first, which are
 /// the rows of the surrogate side they meet. A row meets at most one.
 enum Partner<'a> {
     /// The build side is the surrogate key; the probe rows' partners.
@@ -1162,10 +1029,9 @@ impl<'a> Partner<'a> {
         let ([b], [p]) = (build, probe) else {
             return None;
         };
-        match (b.surrogate, p.surrogate) {
-            (Some(first), _) => Some(Partner::InBuild(Partners::of(p, first)?)),
-            (None, Some(first)) => Some(Partner::InProbe(Partners::of(b, first)?)),
-            (None, None) => None,
+        match b.surrogate_first() {
+            Some(first) => Some(Partner::InBuild(Partners::of(p, first)?)),
+            None => Some(Partner::InProbe(Partners::of(b, p.surrogate_first()?)?)),
         }
     }
 }
@@ -1865,15 +1731,15 @@ mod tests {
         let mut data = Column::with_capacity(dtype, values.len());
         values.iter().for_each(|v| data.push(v.clone()));
         let data = Arc::new(data);
-        Col::new(match idx {
-            Some(idx) => Stored::indexed(data, Arc::new(idx)),
-            None => Stored::whole(data),
-        })
+        match idx {
+            Some(idx) => Col::indexed(data, Arc::new(idx)),
+            None => Col::whole(data),
+        }
     }
 
     /// `col`'s values read through `idx`.
     fn reindexed(col: &Col, idx: Vec<u32>) -> Col {
-        Col::new(Stored::indexed(Arc::clone(col.data()), Arc::new(idx)))
+        Col::indexed(Arc::clone(col.data()), Arc::new(idx))
     }
 
     fn int_col(keys: &[i64]) -> Col {
@@ -1881,13 +1747,9 @@ mod tests {
         key_col(DataType::Int, &values, None)
     }
 
-    /// A surrogate key `first..first + n`, marked as a scan marks one.
+    /// A whole column `first..first + n`: a surrogate key when `n > 0`.
     fn serial(first: i64, n: i64) -> Col {
-        let keys: Vec<i64> = (0..n).map(|r| first + r).collect();
-        Col {
-            surrogate: Some(first),
-            ..int_col(&keys)
-        }
+        int_col(&(0..n).map(|r| first + r).collect::<Vec<_>>())
     }
 
     /// Whether the density rule gives `key`'s first `n` rows a direct index.
@@ -2136,7 +1998,7 @@ mod tests {
         for (first, len) in [(-10, 65), (0, 40), (-10, 65), (-80, 1)] {
             count(&col, first, len);
         }
-        let copy = Col::new(Stored::from((**col.data()).clone()));
+        let copy = Col::from((**col.data()).clone());
         count(&copy, 0, 40);
         count(&copy, -10, 65);
         let mutations: [fn(&mut Column); 3] = [
@@ -2146,9 +2008,9 @@ mod tests {
         ];
         for mutate in mutations {
             let mut data = Arc::new((**col.data()).clone());
-            count(&Col::new(Stored::whole(Arc::clone(&data))), -10, 65);
+            count(&Col::whole(Arc::clone(&data)), -10, 65);
             mutate(Arc::get_mut(&mut data).unwrap());
-            count(&Col::new(Stored::whole(data)), -10, 65);
+            count(&Col::whole(data), -10, 65);
         }
     }
 
@@ -2175,14 +2037,33 @@ mod tests {
             for n in [0, 1, 5] {
                 let dim = serial(first, n);
                 let n = n as usize;
-                assert_eq!(partner(&dim, &fact), Some("build"));
-                assert_eq!(partner(&fact, &dim), Some("probe"));
+                // An empty column is no surrogate key.
+                assert_eq!(partner(&dim, &fact), (n > 0).then_some("build"));
+                assert_eq!(partner(&fact, &dim), (n > 0).then_some("probe"));
                 check_key_indexes(&dim, n, &fact, keys.len());
                 check_key_indexes(&fact, keys.len(), &dim, n);
                 // The fact side read through a selection's index.
                 let some = reindexed(&fact, vec![9, 3, 0, 2, 3, 6]);
                 check_key_indexes(&some, 6, &dim, n);
                 check_key_indexes(&dim, n, &some, 6);
+                // A selection that keeps every row leaves the surrogate
+                // side in place, still a surrogate key, and its pairs are
+                // the hashed index's, in order.
+                let schema = Schema::new(vec![Field::new("d.k", DataType::Int)]);
+                let all = Predicate::range("d.k", i64::MIN, i64::MAX);
+                let batch = Batch::new(schema, vec![dim.clone()], n, 8);
+                let kept = select(batch, &all, &mut ExecMetrics::default());
+                let kept = &kept.cols[0];
+                assert!(kept.shares(&dim));
+                assert_eq!(partner(kept, &fact), (n > 0).then_some("build"));
+                for (b, p) in [(kept, &fact), (&fact, kept)] {
+                    let (bn, pn) = (b.len(), p.len());
+                    assert_eq!(
+                        join_pairs(&[b], bn, &[p], pn),
+                        join_hashed(&[b], bn, &[p], pn)
+                    );
+                    check_key_indexes(b, bn, p, pn);
+                }
             }
         }
         // Two surrogate keys: the build side's serves.
@@ -2198,7 +2079,11 @@ mod tests {
         assert!(Partner::of(&[&dim, &dim], &[&dim, &dim]).is_none());
         check_key_indexes(&dim, 3, &floats, 1);
         check_key_indexes(&dim, 3, &strs, 1);
-        assert_eq!(partner(&int_col(&[0, 1, 2]), &int_col(&[1])), None);
+        // Nor does a column read through an index, even one that names
+        // every row in order.
+        let identity = reindexed(&dim, vec![0, 1, 2]);
+        assert_eq!(partner(&identity, &int_col(&[1, 1])), None);
+        check_key_indexes(&identity, 3, &int_col(&[1, 1]), 2);
     }
 
     /// A fact table whose two keys meet the dimensions `d` (keys 0..5) and

@@ -18,7 +18,7 @@ pub mod schema;
 pub mod table;
 pub mod value;
 
-pub use column::{Col, Column, ColumnData, Dict, IntSlice, IntVisitor, Ints, Rows, Word};
+pub use column::{Col, Column, ColumnData, Dict, Ints, Rows};
 pub use predicate::Predicate;
 pub use row::Row;
 pub use schema::{Field, Schema};

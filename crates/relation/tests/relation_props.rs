@@ -598,6 +598,16 @@ proptest! {
         let at = |k: u32| values.get(k as usize % values.len().max(1)).copied().unwrap_or(0);
         for (nc, wc) in &cols {
             prop_assert!(nc == wc);
+            // A float twin read through the same index, holding each row's
+            // position where the integer column holds a value.
+            let mut f = Column::with_capacity(DataType::Float, len);
+            for p in 0..len {
+                f.push(if n.is_null(p) { Value::Null } else { Value::Float(p as f64) });
+            }
+            let fc = match nc.idx() {
+                None => Col::from(f),
+                Some(ix) => Col::indexed(Arc::new(f), Arc::clone(ix)),
+            };
             for (call, &(a, b)) in probes.iter().enumerate() {
                 let (low, high) = (at(a).min(at(b)), at(a).max(at(b)));
                 let want: Vec<u32> = (0..wc.len())
@@ -609,11 +619,26 @@ proptest! {
                 let ranges = [(i64::MIN, low.saturating_sub(1)), (low, high)];
                 let ranges = if low == i64::MIN { &ranges[1..] } else { &ranges[..] };
                 prop_assert_eq!(nc.int_partition_rows(ranges), wc.int_partition_rows(ranges));
+                // The filter, over every row and over an ascending selection.
+                let within = |x: i64| low <= x && x <= high;
+                for sel in [None, Some((0..wc.len() as u32).step_by(2).collect::<Vec<_>>())] {
+                    let rows = sel.clone().unwrap_or_else(|| (0..wc.len() as u32).collect());
+                    let want: Vec<u32> = (rows.into_iter())
+                        .filter(|&r| wc.int_at(r as usize).is_some_and(within))
+                        .collect();
+                    prop_assert_eq!(nc.keep_ints(sel.clone(), within), want.clone());
+                    prop_assert_eq!(wc.keep_ints(sel.clone(), within), want.clone());
+                    let passes = |p: f64| nc.data().int_at(p as usize).is_some_and(within);
+                    prop_assert_eq!(fc.keep_floats(sel.clone(), passes), want);
+                    prop_assert!(nc.keep_floats(sel.clone(), passes).is_empty());
+                    prop_assert!(nc.keep_codes(sel, |_| true).is_empty());
+                }
             }
         }
         for &(first, span) in &[(base, 40usize), (at(probes[0].0), 3), (i64::MIN, 2)] {
             prop_assert_eq!(n.key_bits(first, span), w.key_bits(first, span));
         }
+        prop_assert_eq!(n.surrogate_first(), w.surrogate_first());
 
         // Takes share the values; concatenations gather parts over two
         // columns, narrow and wide, under their different bases.

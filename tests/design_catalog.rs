@@ -3,6 +3,9 @@
 //! list names every `DecisionEvent` kind, and no other. Both sides are read
 //! from the source, so a family or kind added, renamed or deleted without
 //! its row fails here instead of drifting out of the catalog.
+//!
+//! The verify skill quotes counts that CI pins at seed 7; each is read from
+//! both files and compared, so a re-pin in one and not the other fails.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -174,4 +177,94 @@ fn the_event_list_names_exactly_the_decision_event_kinds() {
         listed, kinds,
         "DESIGN §9's event kinds vs `DecisionEvent::kind`"
     );
+}
+
+/// The number `words` start with, read as one when spaces split its digits
+/// into groups (`4 163`): up to the first word that is not digits or that
+/// ends in punctuation.
+fn number(words: &[&str]) -> u64 {
+    let mut digits = String::new();
+    for w in words {
+        let d = w.trim_end_matches([',', '.', ';', ')']);
+        if d.is_empty() || !d.bytes().all(|b| b.is_ascii_digit()) {
+            break;
+        }
+        digits.push_str(d);
+        if d.len() < w.len() {
+            break;
+        }
+    }
+    digits
+        .parse()
+        .unwrap_or_else(|_| panic!("a number at {words:?}"))
+}
+
+/// The words of `text` after the first run of words equal to `marker`'s.
+fn after<'a>(text: &[&'a str], marker: &str) -> Vec<&'a str> {
+    let marker: Vec<&str> = marker.split_whitespace().collect();
+    let at = (0..text.len())
+        .find(|&i| text[i..].starts_with(&marker))
+        .unwrap_or_else(|| panic!("the verify skill says {marker:?}"));
+    text[at + marker.len()..].to_vec()
+}
+
+/// The value `ci.yml` greps for in `metric` of the traced `workload` run.
+fn ci_pin(ci: &str, workload: &str, metric: &str) -> u64 {
+    let needle = format!("{workload}_traced.out | grep -q '\"{metric}\":{{\"value\":");
+    let at = ci
+        .find(&needle)
+        .unwrap_or_else(|| panic!("ci.yml pins {metric} of {workload}"));
+    let value = &ci[at + needle.len()..];
+    value[..value.find(',').unwrap_or(0)]
+        .parse()
+        .unwrap_or_else(|_| panic!("a number in ci.yml's {metric} pin of {workload}"))
+}
+
+#[test]
+fn the_counts_the_verify_skill_quotes_are_the_ones_ci_pins() {
+    let read = |path: &str| fs::read_to_string(root().join(path)).expect(path);
+    let ci = read(".github/workflows/ci.yml");
+    let skill = read(".claude/skills/verify/SKILL.md");
+    let words: Vec<&str> = skill.split_whitespace().collect();
+
+    // "`engine.execute_calls` on `--trace 1` at seed 7 is 300 for
+    // `base_scan`, 801 for `sdss_steady`, …"
+    let calls = after(&words, "`engine.execute_calls` on `--trace 1` at seed 7 is");
+    for workload in ["base_scan", "sdss_steady", "sdss_churn", "serve_tail"] {
+        let name = format!("`{workload}`");
+        let at = (calls.iter().take(20))
+            .position(|w| w.trim_end_matches([',', '.']) == name)
+            .unwrap_or_else(|| panic!("the verify skill quotes {workload}'s calls"));
+        assert_eq!(
+            number(&calls[at - 2..at]),
+            ci_pin(&ci, workload, "engine.execute_calls"),
+            "engine.execute_calls of {workload}: verify skill vs ci.yml"
+        );
+    }
+
+    // "A traced `sdss_steady` pass at seed 7 logs 145 events"
+    let events = after(&words, "A traced `sdss_steady` pass at seed 7 logs");
+    assert_eq!(
+        number(&events),
+        ci_pin(&ci, "sdss_steady", "obs.events_recorded"),
+        "events of sdss_steady: verify skill vs ci.yml"
+    );
+
+    // "The traced `sdss_churn` step also pins `candidates.new_views` 69, …"
+    let quoted = after(&words, "The traced `sdss_churn` step also pins");
+    for metric in [
+        "core.write_path.candidates.new_views",
+        "core.write_path.candidates.new_fragments",
+        "core.write_path.selection.considered",
+        "core.durability.journal_appends",
+    ] {
+        // Quoted by its last two parts.
+        let last: Vec<&str> = metric.rsplitn(3, '.').collect();
+        let value = after(&quoted, &format!("`{}.{}`", last[1], last[0]));
+        assert_eq!(
+            number(&value),
+            ci_pin(&ci, "sdss_churn", metric),
+            "{metric} of sdss_churn: verify skill vs ci.yml"
+        );
+    }
 }
