@@ -434,7 +434,7 @@ impl World {
                     Err(payload) => resume_unwind(payload),
                 }
             };
-            let answer = o.result.fingerprint();
+            let answer = o.result.fingerprint().to_vec();
             if let Some(want) = want {
                 assert_eq!(
                     answer, want[i],

@@ -37,7 +37,7 @@ use super::context::QueryContext;
 use super::DeepSea;
 
 pub(crate) use matching::MatchHit;
-pub(crate) use memo::RewritingMemo;
+pub(crate) use memo::{PlanKey, RewritingMemo};
 
 /// An immutable borrow of everything the read path consults.
 ///
@@ -98,21 +98,16 @@ impl<'a> ReadView<'a> {
     /// by [`ReadView::fall_back`]: views accelerate, never gate, an answer.
     /// The fallback is reported in the context's recovery trace, not hidden.
     ///
-    /// `ctx` must be fresh: what matching and rewriting leave in it is
-    /// remembered, before execution, for the commit of the same plan.
+    /// `ctx` must be fresh: matching and rewriting are adopted from the
+    /// memo when an earlier read of the plan computed them in this world,
+    /// and what they leave in it is otherwise remembered, before execution,
+    /// for the commit of the same plan and for later reads.
     pub(crate) fn answer(
         &self,
         plan: &LogicalPlan,
         ctx: &mut QueryContext,
     ) -> Result<(Table, ExecMetrics), ExecError> {
-        // The world is taken first: a change while the stages run makes
-        // the entry one no later world can meet.
-        let world = self.rewritings.map(|_| self.world());
-        self.compute_rewritings(plan, ctx);
-        self.select_rewriting(plan, ctx);
-        if let (Some(memo), Some(world)) = (self.rewritings, world) {
-            memo.remember(plan, world, ctx);
-        }
+        self.match_and_rewrite(plan, ctx);
         self.trace_plan_stages(ctx);
         match self.execute_retrying(ctx) {
             Ok((result, mut metrics)) => {
@@ -126,6 +121,24 @@ impl<'a> ReadView<'a> {
                 Ok(answer)
             }
             Err((e, _)) => Err(e),
+        }
+    }
+
+    /// Stages 1 and 3 into the fresh `ctx`, through the memo when this
+    /// view has one.
+    fn match_and_rewrite(&self, plan: &LogicalPlan, ctx: &mut QueryContext) {
+        let Some(memo) = self.rewritings else {
+            self.compute_rewritings(plan, ctx);
+            self.select_rewriting(plan, ctx);
+            return;
+        };
+        // The world is taken first: a change while the stages run makes
+        // the entry one no later world can meet.
+        let (key, world) = (PlanKey::of(plan), self.world());
+        if !memo.adopt(&key, world, ctx, self.obs) {
+            self.compute_rewritings(plan, ctx);
+            self.select_rewriting(plan, ctx);
+            memo.remember(key, world, ctx);
         }
     }
 

@@ -1,6 +1,7 @@
 //! End-to-end tests of the staged query-lifecycle pipeline.
 
 use super::context::QueryContext;
+use super::read_path::PlanKey;
 use super::*;
 use crate::filter_tree::ViewId;
 use crate::interval::Interval;
@@ -1111,27 +1112,48 @@ fn commit_refuses_a_record_naming_an_unknown_view() {
     assert_eq!(journal.record_count(), 0, "nothing reached the journal");
 }
 
-/// A commit adopts the matching and rewriting its read stored — exactly
-/// what it would compute — and only in the world the read computed them
-/// in: after a record is applied or a file deleted it computes afresh.
-/// Baseline reads store nothing.
-#[test]
-fn a_commit_adopts_its_reads_rewriting_only_in_that_world() {
+/// The partitioned view's key, and the attribute, interval and file of its
+/// first materialized fragment.
+fn first_fragment(d: &DeepSea) -> (String, String, Interval, deepsea_storage::FileId) {
+    let view = partitioned_view(d);
+    let (attr, frag) = (view.partitions.values())
+        .find_map(|ps| Some((ps.attr.clone(), ps.materialized_fragments().next()?)))
+        .expect("a materialized fragment");
+    let file = frag.file.expect("materialized");
+    (view.key.to_string(), attr, frag.interval, file)
+}
+
+/// A driver that has run six overlapping queries, and a query its views
+/// answer.
+fn warmed() -> (DeepSea, LogicalPlan) {
     let mut d = ds(DeepSeaConfig::default());
     for i in 0..6 {
         d.process_query(&query(i * 40, i * 40 + 100)).unwrap();
     }
-    let plan = query(100, 200);
-    let adopted = |d: &DeepSea| {
-        let mut ctx = QueryContext::new(&plan, d.clock() + 1);
-        d.rewritings
-            .adopt(&plan, d.read_view().world(), &mut ctx, &d.obs)
-            .then_some(ctx)
-    };
-    assert!(adopted(&d).is_none(), "nothing was read");
-    let read = d.publish_snapshot().unwrap().answer(&plan).unwrap();
+    (d, query(100, 200))
+}
+
+/// The context the commit of `plan` adopts from the memo now, if any.
+fn adopted(d: &DeepSea, plan: &LogicalPlan) -> Option<QueryContext> {
+    let mut ctx = QueryContext::new(plan, d.clock() + 1);
+    d.rewritings
+        .adopt(&PlanKey::of(plan), d.read_view().world(), &mut ctx, &d.obs)
+        .then_some(ctx)
+}
+
+/// A commit adopts the matching and rewriting its read stored — exactly
+/// what it would compute — and only in a world stages 1 and 3 cannot tell
+/// from the read's: records no read sees keep the entry, while an evicted
+/// fragment or a deleted file drops it. A repeat read adopts the entry
+/// rather than storing a second. Baseline reads store nothing.
+#[test]
+fn a_commit_adopts_its_reads_rewriting_only_in_that_world() {
+    let (mut d, plan) = warmed();
+    assert!(adopted(&d, &plan).is_none(), "nothing was read");
+    let snapshot = d.publish_snapshot().unwrap();
+    let read = snapshot.answer(&plan).unwrap();
     assert!(read.used_view.is_some(), "the read used no view");
-    let ctx = adopted(&d).expect("the read's world is the writer's");
+    let ctx = adopted(&d, &plan).expect("the read's world is the writer's");
     let mut computed = QueryContext::new(&plan, d.clock() + 1);
     d.read_view().compute_rewritings(&plan, &mut computed);
     d.read_view().select_rewriting(&plan, &mut computed);
@@ -1141,19 +1163,185 @@ fn a_commit_adopts_its_reads_rewriting_only_in_that_world() {
         (&computed.qbest, &computed.used_view)
     );
     assert_eq!(ctx.hits.len(), computed.hits.len());
+    let again = snapshot.answer(&plan).unwrap();
+    assert_eq!(format!("{:?}", again.trace), format!("{:?}", read.trace));
+    assert_eq!(d.rewritings.len(), 1, "the repeat read adopted");
 
+    let (view, attr, interval, file) = first_fragment(&d);
     d.commit(CatalogRecord::QueryCommitted { tnow: d.clock() });
-    assert!(adopted(&d).is_none(), "a record was applied since the read");
+    assert!(adopted(&d, &plan).is_some(), "QueryCommitted is not read");
+    d.commit(CatalogRecord::FragmentTracked {
+        view: view.clone(),
+        attr: attr.clone(),
+        interval: Interval::new(interval.lo, interval.lo),
+        est_size: 1,
+        hit: Some(d.clock()),
+    });
+    assert!(adopted(&d, &plan).is_some(), "a candidate is not read");
+
+    d.fs.delete(file).unwrap();
+    assert!(
+        adopted(&d, &plan).is_none(),
+        "a file was deleted since the read"
+    );
     d.publish_snapshot().unwrap().answer(&plan).unwrap();
-    assert!(adopted(&d).is_some());
-    let file = partitioned_view(&d).files().next().unwrap();
-    d.fs.delete(file);
-    assert!(adopted(&d).is_none(), "a file was deleted since the read");
+    assert!(adopted(&d, &plan).is_some());
+    d.commit(CatalogRecord::FragmentEvicted {
+        view,
+        attr,
+        interval,
+    });
+    assert!(
+        adopted(&d, &plan).is_none(),
+        "a fragment was evicted since the read"
+    );
 
     let mut hive = ds(crate::baselines::hive());
     hive.process_query(&plan).unwrap();
     hive.publish_snapshot().unwrap().answer(&plan).unwrap();
-    assert!(hive.rewritings.is_empty());
+    assert_eq!(hive.rewritings.len(), 0);
+}
+
+/// One record of every kind, each applied to a copy of a warmed registry:
+/// exactly the records that can change what matching and rewriting read
+/// renew its version. Each kind that keeps it is then committed on the
+/// live driver, after which the read's rewriting is still adopted.
+#[test]
+fn only_records_a_read_can_see_renew_the_registry_version() {
+    use crate::durability::{apply_record, stats_checkpoint};
+    use deepsea_storage::FileId;
+    let (mut d, plan) = warmed();
+    let (view, attr, interval, _) = first_fragment(&d);
+    let (fresh, schema) = (Interval::new(interval.lo, interval.lo), Schema::new(vec![]));
+    let other = LogicalPlan::scan("dim");
+    let records = [
+        (
+            false,
+            CatalogRecord::PartitionTracked {
+                view: view.clone(),
+                attr: "dim.k".into(),
+                domain: Interval::new(0, 999),
+            },
+        ),
+        (
+            false,
+            CatalogRecord::BoundaryAdded {
+                view: view.clone(),
+                attr: attr.clone(),
+                point: interval.lo + 1,
+            },
+        ),
+        (
+            false,
+            CatalogRecord::FragmentTracked {
+                view: view.clone(),
+                attr: attr.clone(),
+                interval: fresh,
+                est_size: 1,
+                hit: Some(d.clock()),
+            },
+        ),
+        (false, stats_checkpoint(d.registry(), d.clock())),
+        (false, CatalogRecord::QueryCommitted { tnow: d.clock() }),
+        (
+            true,
+            CatalogRecord::ViewRegistered {
+                sig: deepsea_engine::Signature::of(&other).unwrap(),
+                plan: other,
+                est_size: 1,
+                est_cost: 1.0,
+                est_overhead: 0.0,
+                first_use: None,
+            },
+        ),
+        (
+            true,
+            CatalogRecord::ViewMaterialized {
+                view: view.clone(),
+                file: FileId(u64::MAX),
+                size: 1,
+                cost: 1.0,
+                overhead: 0.0,
+                schema: schema.clone(),
+                nodes: Vec::new(),
+            },
+        ),
+        (
+            true,
+            CatalogRecord::FragmentMaterialized {
+                view: view.clone(),
+                attr: attr.clone(),
+                interval: fresh,
+                file: FileId(u64::MAX),
+                size: 1,
+                schema: None,
+                nodes: Vec::new(),
+            },
+        ),
+        (
+            true,
+            CatalogRecord::ViewStatsMeasured {
+                view: view.clone(),
+                size: 1,
+                cost: 1.0,
+                overhead: 0.0,
+                schema,
+            },
+        ),
+        (true, CatalogRecord::ViewEvicted { view: view.clone() }),
+        (
+            true,
+            CatalogRecord::FragmentEvicted {
+                view: view.clone(),
+                attr,
+                interval,
+            },
+        ),
+        (
+            true,
+            CatalogRecord::ViewQuarantined {
+                view,
+                at: d.clock(),
+            },
+        ),
+    ];
+    let kinds: std::collections::HashSet<_> = (records.iter())
+        .map(|(_, r)| std::mem::discriminant(r))
+        .collect();
+    assert_eq!(kinds.len(), records.len(), "one record per kind");
+    for (renews, record) in &records {
+        let (mut registry, mut clock) = (d.registry().clone(), d.clock());
+        assert!(apply_record(&mut registry, &mut clock, record).applied);
+        let renewed = registry.version() != d.registry().version();
+        assert_eq!(renewed, *renews, "{record:?}");
+    }
+    d.publish_snapshot().unwrap().answer(&plan).unwrap();
+    for (_, record) in records.into_iter().filter(|(renews, _)| !renews) {
+        let name = format!("{record:?}");
+        d.commit(record);
+        assert!(adopted(&d, &plan).is_some(), "not adopted after {name}");
+    }
+}
+
+/// The memo holds at most `MEMO_PLANS` rewritings and evicts the oldest.
+#[test]
+fn the_rewriting_memo_is_bounded() {
+    use deepsea_engine::backend::MEMO_PLANS;
+    let d = ds(DeepSeaConfig::default());
+    let world = d.read_view().world();
+    let key = |i: usize| PlanKey::of(&query(i as i64, i as i64 + 10));
+    for i in 0..MEMO_PLANS + 5 {
+        let ctx = QueryContext::new(&query(0, 1), 1);
+        d.rewritings.remember(key(i), world, &ctx);
+        d.rewritings.remember(key(i), world, &ctx);
+        assert_eq!(d.rewritings.len(), (i + 1).min(MEMO_PLANS));
+    }
+    let held = |i: usize| {
+        let mut ctx = QueryContext::new(&query(0, 1), 1);
+        d.rewritings.adopt(&key(i), world, &mut ctx, &d.obs)
+    };
+    assert!((0..5).all(|i| !held(i)), "the oldest are evicted");
+    assert!((5..MEMO_PLANS + 5).all(held));
 }
 
 // ── The execution retry ladder ───────────────────────────────────────────

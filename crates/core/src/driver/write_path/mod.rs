@@ -13,7 +13,8 @@
 //! time, in ticket order. [`DeepSea::process_query`] is the serialized
 //! commit: it matches and rewrites against the writer's *live* state (so
 //! the committed decision never acts on a stale snapshot) — adopting what
-//! the ticket's read computed when the read ran in that very state —
+//! the ticket's read computed when no record those stages can see landed
+//! since —
 //! executes the chosen plan — a plan the ticket's read already ran is
 //! remembered by the backend, which replays its reads instead of computing
 //! it again — then
@@ -150,8 +151,9 @@ impl DeepSea {
     /// hold the writer. Under the concurrent server this method is invoked
     /// once per ticket, in ticket order, and its committed outcome is
     /// bit-identical to the single-client serial run by construction. When
-    /// the ticket's read computed stages 1 and 3 in the live state, the
-    /// commit adopts them (`read_path::memo`); when it already ran stage 6's
+    /// a read computed stages 1 and 3 of the plan in a world they cannot
+    /// tell from the live one, the commit adopts them (`read_path::memo`);
+    /// when it already ran stage 6's
     /// plan, the backend returns its remembered rows after replaying the
     /// plan's reads, bit for bit.
     pub fn process_query(&mut self, plan: &LogicalPlan) -> Result<QueryOutcome, ExecError> {
@@ -163,9 +165,10 @@ impl DeepSea {
         if !self.config.partition_policy.materializes() {
             return self.run_baseline(plan, ctx);
         }
-        // ── 1 + 3. The ticket's read computed them in this very world ────
+        // ── 1 + 3. A read computed them in this world ─────────────────────
         let world = self.read_view().world();
-        let adopted = self.rewritings.adopt(plan, world, &mut ctx, &self.obs);
+        let key = super::read_path::PlanKey::of(plan);
+        let adopted = self.rewritings.adopt(&key, world, &mut ctx, &self.obs);
         // ── 1. COMPUTEREWRITINGS (read path, live state) ─────────────────
         if !adopted {
             self.read_view().compute_rewritings(plan, &mut ctx);

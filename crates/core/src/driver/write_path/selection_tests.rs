@@ -690,7 +690,7 @@ mod workloads {
                 assert_eq!(recovered.psel_memo.len(), 0);
                 ds = recovered;
             }
-            let tail: Vec<(u64, Vec<String>, u64)> = plans[100..]
+            let tail: Vec<(u64, Arc<[String]>, u64)> = plans[100..]
                 .iter()
                 .map(|p| {
                     let o = ds.process_query(p).expect("fault-free commit");

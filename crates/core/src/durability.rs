@@ -302,17 +302,51 @@ impl Applied {
 /// Apply one record to the registry — the one implementation of every
 /// structural catalog mutation, shared by cold-start replay and the live
 /// `DeepSea::commit`. A record naming an unknown view, partition or fragment
-/// changes nothing and reports `applied: false`.
+/// changes nothing and reports `applied: false`. An applied record renews
+/// [`ViewRegistry::version`] when it is [`read_visible`].
 pub(crate) fn apply_record(
     registry: &mut ViewRegistry,
     clock: &mut LogicalTime,
     record: &CatalogRecord,
 ) -> Applied {
     let applied = try_apply(registry, clock, record).unwrap_or_default();
-    if applied.applied {
+    if applied.applied && read_visible(record) {
         registry.renew_version();
     }
     applied
+}
+
+/// Whether `record` can change what matching and rewriting (stages 1 and 3
+/// of Algorithm 1) read of the registry: the filter tree, and per view its
+/// signature, schema, whole-file copy and size, and each partition's
+/// materialized fragments with their files and sizes. Every other record
+/// keeps [`ViewRegistry::version`], so a rewriting remembered before it is
+/// still the one those stages would compute after it.
+fn read_visible(record: &CatalogRecord) -> bool {
+    match record {
+        CatalogRecord::ViewRegistered { .. }
+        | CatalogRecord::ViewMaterialized { .. }
+        | CatalogRecord::FragmentMaterialized { .. }
+        | CatalogRecord::ViewStatsMeasured { .. }
+        | CatalogRecord::ViewEvicted { .. }
+        | CatalogRecord::FragmentEvicted { .. }
+        | CatalogRecord::ViewQuarantined { .. } => true,
+        // A new partition holds no materialized fragment, and matching
+        // (`find_access`) skips a partition with none.
+        CatalogRecord::PartitionTracked { .. } => false,
+        // Boundaries feed Definition 7's candidates, stage 4, alone.
+        CatalogRecord::BoundaryAdded { .. } => false,
+        // A candidate has no file: matching reads a partition's
+        // `materialized()` slots only, and a candidate is appended, so no
+        // slot moves. Its hit goes to the ledger.
+        CatalogRecord::FragmentTracked { .. } => false,
+        // Benefit events and fragment hits go to the ledger, which no read
+        // sees. The one view field it may copy, `stats` after a lost
+        // record, renews the version in `try_apply` itself.
+        CatalogRecord::StatsCheckpoint { .. } => false,
+        // Only the logical clock moves.
+        CatalogRecord::QueryCommitted { .. } => false,
+    }
 }
 
 /// [`apply_record`], with `None` for a record naming an unknown entry.
@@ -448,9 +482,11 @@ fn try_apply(
                     continue;
                 };
                 // Size and cost equal the checkpoint's unless a record
-                // before it was lost: copy the view only then.
+                // before it was lost: copy the view only then. Matching
+                // reads the size, so the version moves with it.
                 if registry.view(vid).stats != entry.stats {
                     registry.view_mut(vid).stats = entry.stats.clone();
+                    registry.renew_version();
                 }
                 *registry.ledger_mut().uses_mut(vid) = entry.uses.clone();
                 for (attr, interval, hits) in &entry.fragment_hits {

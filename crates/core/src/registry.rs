@@ -410,7 +410,8 @@ pub struct ViewRegistry {
     // only, never iterated), so hash ordering cannot leak into any decision.
     by_key: Arc<HashMap<Arc<str>, ViewId>>,
     index: Arc<FilterTree>,
-    /// Renewed by every applied catalog record ([`ViewRegistry::version`]).
+    /// Renewed by every applied catalog record matching or rewriting can
+    /// see ([`ViewRegistry::version`]).
     version: Stamp,
     /// The writer's statistics; empty in a [`ViewRegistry::structure`].
     ledger: StatsLedger,
@@ -422,12 +423,15 @@ impl ViewRegistry {
         Self::default()
     }
 
-    /// Names this registry's structure: renewed by every catalog record
-    /// applied to it (`durability::apply_record`), copied by `Clone` and
+    /// Names what matching and rewriting read of this registry: renewed by
+    /// every catalog record applied to it that can change that
+    /// (`durability::apply_record`), copied by `Clone` and
     /// [`ViewRegistry::structure`]. Two registries with one version hold the
-    /// same views, partitions, fragments, files, sizes and schemas. Matching
-    /// and rewriting read nothing else, so what they compute from a registry
-    /// is a function of its version.
+    /// same filter tree, views, schemas, sizes, and materialized fragments
+    /// with their files; they may differ in tracked candidates, boundaries,
+    /// empty partitions, statistics and the clock, which those stages never
+    /// read. So what they compute from a registry is a function of its
+    /// version.
     pub fn version(&self) -> Stamp {
         self.version
     }

@@ -51,7 +51,6 @@ use std::sync::Arc;
 use deepsea_engine::exec::ExecError;
 use deepsea_engine::plan::LogicalPlan;
 use deepsea_obs::SpanCtx;
-use deepsea_relation::Table;
 
 use crate::driver::DeepSea;
 use crate::snapshot::ReadSnapshot;
@@ -191,7 +190,8 @@ pub struct ClientRecord {
     /// rewritings are semantically transparent).
     pub read_fingerprint: Arc<[String]>,
     /// The committed result fingerprint from the serialized pipeline; the
-    /// read's own, shared, when the commit returned the read's columns.
+    /// read's own, shared, when the commit returned a clone of the read's
+    /// result ([`Table::fingerprint`](deepsea_relation::Table::fingerprint)).
     pub committed_fingerprint: Arc<[String]>,
     /// Simulated execution seconds of the read, against its (possibly
     /// stale) snapshot.
@@ -220,19 +220,6 @@ pub struct ClientRecord {
     /// why (`deadline_passed` / `queue_full` / `projected_overrun`). `None`
     /// for normally served reads.
     pub shed: Option<(&'static str, &'static str)>,
-}
-
-/// Whether two results hold the very same columns ([`Col::shares`]), as a
-/// commit returns its ticket's read's when the backend remembers the read's
-/// execution: their fingerprints are then equal, and one is computed.
-///
-/// [`Col::shares`]: deepsea_relation::Col::shares
-fn same_columns(a: &Table, b: &Table) -> bool {
-    a.len() == b.len()
-        && a.columns().len() == b.columns().len()
-        && (a.columns().iter())
-            .zip(b.columns())
-            .all(|(x, y)| x.shares(y))
 }
 
 /// The outcome of serving one workload: per-ticket records plus the
@@ -430,8 +417,6 @@ impl ViewServer {
 
         let mut client_free = vec![0.0f64; clients];
         let mut records: Vec<ClientRecord> = Vec::with_capacity(n);
-        // Each read's result, kept until its ticket commits.
-        let mut read_results: Vec<Option<Table>> = Vec::with_capacity(n);
         let mut next_read = 0usize; // next ticket to start reading
         let mut next_commit = 0usize; // next ticket to commit
         let mut writer_free = 0.0f64;
@@ -502,12 +487,7 @@ impl ViewServer {
 
                 let rec = &mut records[ticket];
                 rec.commit_done_secs = writer_free;
-                rec.committed_fingerprint = match read_results[ticket].take() {
-                    Some(read) if same_columns(&read, &outcome.result) => {
-                        Arc::clone(&rec.read_fingerprint)
-                    }
-                    _ => outcome.result.fingerprint().into(),
-                };
+                rec.committed_fingerprint = outcome.result.fingerprint();
                 rec.committed_query_secs = outcome.query_secs;
                 rec.committed_creation_secs = outcome.creation_secs;
                 rec.committed_used_view = outcome.used_view.clone();
@@ -655,12 +635,8 @@ impl ViewServer {
                     }
                 }
 
-                let (read_fingerprint, read_query_secs, read_used_view) = (
-                    ans.result.fingerprint().into(),
-                    ans.query_secs,
-                    ans.used_view,
-                );
-                read_results.push(Some(ans.result));
+                let (read_fingerprint, read_query_secs, read_used_view) =
+                    (ans.result.fingerprint(), ans.query_secs, ans.used_view);
 
                 // Complete the ticket's causal tree post hoc — every duration
                 // is analytically known now. The root covers arrival →

@@ -32,7 +32,7 @@ use deepsea_storage::EpochCell;
 
 use crate::snapshot::{ReadSnapshot, SnapshotAnswer};
 
-use super::{same_columns, ViewServer};
+use super::ViewServer;
 
 /// Per-ticket outcome of a threaded run: what raced (the read) and what
 /// didn't (the committed execution).
@@ -45,7 +45,8 @@ pub struct ThreadedRecord {
     /// The read's result fingerprint.
     pub read_fingerprint: Arc<[String]>,
     /// The committed result fingerprint from the serialized pipeline; the
-    /// read's own, shared, when the commit returned the read's columns.
+    /// read's own, shared, when the commit returned a clone of the read's
+    /// result.
     pub committed_fingerprint: Arc<[String]>,
     /// Simulated execution seconds of the committed execution.
     pub committed_query_secs: f64,
@@ -111,17 +112,11 @@ impl ViewServer {
                             .publish_snapshot()
                             .expect("invariant: a backend that forked once forks again"),
                     );
-                    let read_fingerprint: Arc<[String]> = answer.result.fingerprint().into();
-                    let committed_fingerprint = if same_columns(&answer.result, &outcome.result) {
-                        Arc::clone(&read_fingerprint)
-                    } else {
-                        outcome.result.fingerprint().into()
-                    };
                     records.push(ThreadedRecord {
                         ticket: next_commit,
                         read_epoch: epoch,
-                        read_fingerprint,
-                        committed_fingerprint,
+                        read_fingerprint: answer.result.fingerprint(),
+                        committed_fingerprint: outcome.result.fingerprint(),
                         committed_query_secs: outcome.query_secs,
                     });
                     next_commit += 1;

@@ -13,13 +13,16 @@
 //! read's, column for column. A query whose view lost its files is
 //! answered by the one base-table fallback the read and the commit share;
 //! that path is checked on the snapshot, the serial commit, both servers
-//! and the span trace. The commit adopts its read's rewriting only in the
-//! world the read computed it in: with a node downed between the two, after
-//! a read on a stale snapshot, and after a read that lost a file for good,
-//! the commit still equals one made with no read at all.
+//! and the span trace. The commit adopts its read's rewriting only in a
+//! world matching and rewriting cannot tell from the read's: with a node
+//! downed between the two, after a read on a stale snapshot, and after a
+//! read that lost a file for good, the commit still equals one made with no
+//! read at all, and a stale read behind commits that only tracked
+//! candidates is adopted. In a served run a commit that returned its read's
+//! columns shares the read's fingerprint.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use deepsea_core::{
     baselines, CatalogJournal, DeepSea, DeepSeaConfig, ObsConfig, Observer, QueryOutcome,
@@ -344,10 +347,12 @@ fn a_node_downed_between_read_and_commit_is_matched_around() {
 }
 
 /// Reads on a snapshot three commits old. Under a pool that admits
-/// nothing the file system never changes, so only the registry's structure
-/// tells the stale read's world from its commit's.
+/// nothing the file system never changes, so only the registry's version
+/// tells the stale read's world from its commit's: whether the commit
+/// adopts the read's rewriting or computes its own, it equals a commit
+/// with no read.
 #[test]
-fn a_read_on_a_stale_snapshot_is_not_adopted() {
+fn a_read_on_a_stale_snapshot_commits_as_no_read() {
     let catalog = data();
     let plans = fig5_workload(60, 42);
     for (name, config) in [
@@ -360,6 +365,64 @@ fn a_read_on_a_stale_snapshot_is_not_adopted() {
         let mut nothing = |_: &SnapshotAnswer, _: &[FileId], _: &Rig, _: &Rig| false;
         check_commits_after_reads(name, &catalog, &plans, &plain_fs, config, 3, &mut nothing);
     }
+}
+
+/// Reads on a snapshot three commits old, under a pool that admits
+/// nothing: the file system never changes, and the commits between a read
+/// and its own apply a record matching or rewriting can see only when they
+/// register a view. Exactly when none did, the stale snapshot's registry
+/// version is the writer's at the commit — the world the read stored its
+/// rewriting under, so the commit adopts it. Every commit still equals one
+/// made with no read, bit for bit.
+#[test]
+fn a_stale_read_behind_commits_that_only_track_is_adopted() {
+    const VISIBLE: [&str; 7] = [
+        "ViewRegistered",
+        "ViewMaterialized",
+        "FragmentMaterialized",
+        "ViewStatsMeasured",
+        "ViewEvicted",
+        "FragmentEvicted",
+        "ViewQuarantined",
+    ];
+    let catalog = data();
+    let plans = fig5_workload(60, 42);
+    let lag = 3;
+    let config = (baselines::deepsea().with_phi(0.05))
+        .with_smax(1)
+        .with_journal_cadence(1, u64::MAX);
+    let mut solo = Rig::new(&catalog, plain_fs(), config, true);
+    let mut ticket = Rig::new(&catalog, plain_fs(), config, true);
+    let files = ticket.ds.fs().stamp();
+    // Each snapshot, with the journal's length when it was published.
+    let mut published: Vec<(ReadSnapshot, usize)> = Vec::new();
+    let mut adopted = 0;
+    for (i, plan) in plans.iter().enumerate() {
+        let appended = ticket.journal_stream().len();
+        published.push((ticket.ds.publish_snapshot().expect("forks"), appended));
+        let (snapshot, since) = &published[published.len().saturating_sub(lag + 1)];
+        snapshot.answer(plan).expect("fault-free read");
+        let journal = ticket.journal_stream();
+        let tracked_only = !journal[*since..]
+            .iter()
+            .any(|r| VISIBLE.iter().any(|kind| r.starts_with(kind)));
+        let same = snapshot.registry().version() == ticket.ds.registry().version();
+        assert_eq!(same, tracked_only, "query {i}: {:?}", &journal[*since..]);
+        if same && snapshot.epoch() + lag as u64 == ticket.ds.clock() {
+            adopted += 1;
+        }
+        let (solo_calls, solo_out) = solo.commit(plan);
+        let (ticket_calls, ticket_out) = ticket.commit(plan);
+        assert_eq!(solo_out, ticket_out, "query {i}: outcomes differ");
+        assert_eq!(ticket_calls, solo_calls, "query {i}: backend calls");
+    }
+    assert_eq!(ticket.ds.fs().stamp(), files, "the pool admitted a file");
+    assert_eq!(
+        solo.ds.registry().state_digest(),
+        ticket.ds.registry().state_digest()
+    );
+    assert_eq!(solo.journal_stream(), ticket.journal_stream());
+    assert!(adopted > 5, "only {adopted} stale reads were adopted");
 }
 
 /// Every view read loses its file for good: the read falls back to base
@@ -581,6 +644,102 @@ fn a_served_read_of_a_lost_view_is_degraded_and_exact() {
             "ticket {i}: the read and its commit disagree"
         );
     }
+}
+
+/// Keeps every table a backend and its forks return, on one shared list;
+/// everything else is forwarded unchanged.
+struct KeepingBackend {
+    inner: Box<dyn ExecutionBackend>,
+    kept: Arc<Mutex<Vec<Table>>>,
+}
+
+impl ExecutionBackend for KeepingBackend {
+    fn execute(
+        &self,
+        plan: &LogicalPlan,
+        catalog: &Catalog,
+        fs: &SimFs<Table>,
+    ) -> Result<(Table, ExecMetrics), ExecError> {
+        let out = self.inner.execute(plan, catalog, fs)?;
+        self.kept.lock().unwrap().push(out.0.clone());
+        Ok(out)
+    }
+
+    fn elapsed_secs(&self, metrics: &ExecMetrics) -> f64 {
+        self.inner.elapsed_secs(metrics)
+    }
+
+    fn scan_secs(&self, bytes: u64, block_bytes: u64) -> f64 {
+        self.inner.scan_secs(bytes, block_bytes)
+    }
+
+    fn write_secs(&self, bytes: u64, files: u64) -> f64 {
+        self.inner.write_secs(bytes, files)
+    }
+
+    fn cluster(&self) -> &ClusterSim {
+        self.inner.cluster()
+    }
+
+    fn fork_reader(&self) -> Option<Box<dyn ExecutionBackend>> {
+        Some(Box::new(KeepingBackend {
+            inner: self.inner.fork_reader()?,
+            kept: Arc::clone(&self.kept),
+        }))
+    }
+}
+
+/// In a served run, a commit that returned its read's columns — the plan
+/// memo handing back the read's execution — reports the read's very
+/// fingerprint: a table and its clones compute one.
+#[test]
+fn a_served_commit_of_its_reads_columns_shares_its_fingerprint() {
+    let catalog = data();
+    let plans = fig5_workload(120, 42);
+    let kept = Arc::new(Mutex::new(Vec::new()));
+    let backend = KeepingBackend {
+        inner: Box::new(SimBackend::new(ClusterSim::paper_default())),
+        kept: Arc::clone(&kept),
+    };
+    let config = baselines::deepsea().with_phi(0.05);
+    let ds = DeepSea::with_backend(Arc::clone(&catalog), plain_fs(), Box::new(backend), config);
+    let cfg = ServerConfig {
+        clients: 4,
+        ..ServerConfig::default()
+    };
+    let report = ViewServer::new(ds, cfg)
+        .run(&plans)
+        .expect("fault-free run");
+    let kept = kept.lock().unwrap();
+    let returned = |fingerprint: &Arc<[String]>| {
+        (kept.iter())
+            .find(|t| Arc::ptr_eq(&t.fingerprint(), fingerprint))
+            .expect("a fingerprint of a returned table")
+    };
+    let mut shared = 0;
+    for rec in &report.records {
+        let (read, commit) = (
+            returned(&rec.read_fingerprint),
+            returned(&rec.committed_fingerprint),
+        );
+        let same_columns = read.len() == commit.len()
+            && (read.columns().iter())
+                .zip(commit.columns())
+                .all(|(a, b)| a.shares(b));
+        if same_columns {
+            shared += 1;
+            assert!(
+                Arc::ptr_eq(&rec.read_fingerprint, &rec.committed_fingerprint),
+                "ticket {}: the commit's fingerprint was computed again",
+                rec.ticket
+            );
+        }
+        assert_eq!(rec.read_fingerprint, rec.committed_fingerprint);
+    }
+    assert!(
+        shared > 100,
+        "only {shared} commits returned their read's columns"
+    );
 }
 
 /// The read and the commit recover through one base-table fallback: on the

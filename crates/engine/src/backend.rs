@@ -237,9 +237,9 @@ impl Memo {
     }
 }
 
-/// FxHash's word step (rustc's hasher) over a key: a collision costs one
-/// comparison of keys.
-fn key_hash(key: &[u8]) -> u64 {
+/// FxHash's word step (rustc's hasher) over a key, for the memos keyed by
+/// [`LogicalPlan::exact_key`]: a collision costs one comparison of keys.
+pub fn key_hash(key: &[u8]) -> u64 {
     key.chunks(8).fold(0, |h: u64, chunk| {
         let mut word = [0u8; 8];
         word[..chunk.len()].copy_from_slice(chunk);

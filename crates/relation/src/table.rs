@@ -1,6 +1,7 @@
 //! In-memory columnar tables with simulated on-disk sizes.
 
-use std::sync::Arc;
+// deepsea-lint: allow(layering) -- a table's write-once fingerprint: one OnceLock its clones share, no guard is ever held
+use std::sync::{Arc, OnceLock};
 
 use crate::column::{Col, Column, Rows};
 use crate::row::Row;
@@ -15,7 +16,10 @@ use crate::schema::Schema;
 /// run on scaled-down row counts while cost accounting happens in simulated
 /// bytes, so a "100 GB" instance is a table with, say, 200 000 rows and
 /// `bytes_per_row = 500 000`.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A table and its clones share one [`Table::fingerprint`], computed on the
+/// first ask; `==` and `Debug` do not look at it.
+#[derive(Clone)]
 pub struct Table {
     /// The table's schema.
     pub schema: Schema,
@@ -23,6 +27,43 @@ pub struct Table {
     len: usize,
     /// Simulated on-disk bytes per row.
     pub bytes_per_row: u64,
+    /// The fingerprint, once asked for: a function of `columns` and `len`,
+    /// which no method changes after construction.
+    fingerprint: Arc<OnceLock<Arc<[String]>>>,
+}
+
+impl PartialEq for Table {
+    fn eq(&self, other: &Self) -> bool {
+        let Table {
+            schema,
+            columns,
+            len,
+            bytes_per_row,
+            fingerprint: _,
+        } = self;
+        *schema == other.schema
+            && *columns == other.columns
+            && *len == other.len
+            && *bytes_per_row == other.bytes_per_row
+    }
+}
+
+impl std::fmt::Debug for Table {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let Table {
+            schema,
+            columns,
+            len,
+            bytes_per_row,
+            fingerprint: _,
+        } = self;
+        f.debug_struct("Table")
+            .field("schema", schema)
+            .field("columns", columns)
+            .field("len", len)
+            .field("bytes_per_row", bytes_per_row)
+            .finish()
+    }
 }
 
 impl Table {
@@ -59,6 +100,7 @@ impl Table {
             columns: columns.into_iter().map(Col::kept).collect(),
             len,
             bytes_per_row,
+            fingerprint: Arc::default(),
         }
     }
 
@@ -196,21 +238,26 @@ impl Table {
     }
 
     /// A canonical fingerprint of the table's contents, independent of row
-    /// order. Used by tests to check that rewritten queries produce the same
-    /// multiset of rows as the original.
-    pub fn fingerprint(&self) -> Vec<String> {
-        let mut keys: Vec<String> = (0..self.len)
-            .map(|i| {
-                let mut s = String::with_capacity(self.columns.len() * 12);
-                for c in &self.columns {
-                    c.write_canonical(i, &mut s);
-                    s.push('\u{1}');
-                }
-                s
-            })
-            .collect();
-        keys.sort_unstable();
-        keys
+    /// order: one line per row, sorted. Used by tests to check that
+    /// rewritten queries produce the same multiset of rows as the original,
+    /// and by the serving layer to compare a read with its commit. Computed
+    /// once and shared with every clone, before or after the first call.
+    pub fn fingerprint(&self) -> Arc<[String]> {
+        let lines = self.fingerprint.get_or_init(|| {
+            let mut keys: Vec<String> = (0..self.len)
+                .map(|i| {
+                    let mut s = String::with_capacity(self.columns.len() * 12);
+                    for c in &self.columns {
+                        c.write_canonical(i, &mut s);
+                        s.push('\u{1}');
+                    }
+                    s
+                })
+                .collect();
+            keys.sort_unstable();
+            keys.into()
+        });
+        Arc::clone(lines)
     }
 }
 
@@ -286,7 +333,7 @@ mod tests {
             8,
         );
         assert_eq!(
-            t.fingerprint(),
+            *t.fingerprint(),
             vec![
                 "-12\u{1}0.666667\u{1}∅\u{1}",
                 "7\u{1}-0.000000\u{1}s:∅\u{1}",
@@ -294,6 +341,30 @@ mod tests {
                 "∅\u{1}∅\u{1}s:\u{1}",
             ]
         );
+    }
+
+    /// A clone shares its original's fingerprint, computed before or after
+    /// the clone; `new`, `from_rows`, `take` and `concat` start a table of
+    /// their own. Neither `==` nor `Debug` sees whether it was computed.
+    #[test]
+    fn clones_share_one_fingerprint() {
+        let a = t();
+        let (debug, before) = (format!("{a:?}"), a.clone());
+        let early = a.clone();
+        let fp = a.fingerprint();
+        assert!(Arc::ptr_eq(&fp, &early.fingerprint()));
+        assert!(Arc::ptr_eq(&fp, &a.clone().fingerprint()));
+        assert_eq!((format!("{a:?}"), &a), (debug, &before));
+        assert_eq!(before, t(), "a computed fingerprint is not compared");
+
+        let fresh = |b: &Table| {
+            assert_eq!(b.fingerprint(), fp);
+            assert!(!Arc::ptr_eq(&b.fingerprint(), &fp));
+        };
+        fresh(&a.take(&[0, 1, 2]));
+        fresh(&Table::concat(a.schema.clone(), &[(&a, None)], 100));
+        fresh(&Table::new(a.schema.clone(), a.columns().to_vec(), 100));
+        fresh(&Table::from_rows(a.schema.clone(), a.rows().collect(), 100));
     }
 
     #[test]

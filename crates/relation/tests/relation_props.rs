@@ -60,8 +60,8 @@ fn equal_numbers_of_either_type_hash_alike() {
 fn canonical(v: Value) -> String {
     let dtype = v.data_type().expect("a non-NULL value");
     let schema = Schema::new(vec![Field::new("c", dtype)]);
-    let mut lines = Table::from_rows(schema, vec![vec![v]], 8).fingerprint();
-    let line = lines.pop().expect("one row");
+    let lines = Table::from_rows(schema, vec![vec![v]], 8).fingerprint();
+    let [line] = &*lines else { panic!("one row") };
     line.strip_suffix('\u{1}').expect("a separator").to_string()
 }
 
@@ -537,7 +537,7 @@ fn int_cells() -> impl Strategy<Value = (Vec<Option<i64>>, i64)> {
 }
 
 /// The fingerprint of `c` as a one-column table.
-fn text(c: &Column) -> Vec<String> {
+fn text(c: &Column) -> Arc<[String]> {
     Table::new(
         Schema::new(vec![Field::new("x", DataType::Int)]),
         vec![c.clone().into()],

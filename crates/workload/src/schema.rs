@@ -317,7 +317,7 @@ mod tests {
         let d = BigBenchData::generate(InstanceSize::Gb100, &ItemDistribution::Histogram(wb), seed);
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for (name, t) in d.catalog.iter() {
-            for line in std::iter::once(name.to_string()).chain(t.fingerprint()) {
+            for line in std::iter::once(name.to_string()).chain(t.fingerprint().iter().cloned()) {
                 for b in line.bytes().chain(std::iter::once(b'\n')) {
                     h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
                 }
